@@ -123,7 +123,11 @@ fn record_only(only: &[String], pool_lanes: usize, runs: usize) {
             std::process::exit(2);
         }
     }
-    let parallel_entry = |name: &str| name.ends_with("_par") || name.starts_with("pipeline_throughput_");
+    let parallel_entry = |name: &str| {
+        name.ends_with("_par")
+            || name.starts_with("pipeline_throughput_")
+            || name.starts_with("conversation_fleet_throughput_")
+    };
     if only.iter().any(|n| parallel_entry(n)) && pool_lanes != baseline.pool_lanes {
         eprintln!(
             "cannot re-record parallel entries at {pool_lanes} lanes into a {}-lane baseline; \

@@ -677,34 +677,13 @@ pub fn measure_warm_turn_breakdown(samples: usize, target_sample_ms: f64) -> Vec
         ));
     }
 
-    // The warm turn's §3.2 bitrate match: a full binary search of the QP offset over
-    // the plan's probe table (the same trajectory `encode_slot_to_budget` walks).
-    fn search_offset(encoder: &Encoder, plan: &RatePlan, budget_bits: f64) -> i32 {
-        let (mut lo, mut hi) = (-51i32, 51i32);
-        let mut best_level = lo;
-        let mut best_err = f64::INFINITY;
-        while lo <= hi {
-            let mid = (lo + hi) / 2;
-            let bits = (encoder.predict_plan_offset_size(plan, mid) * 8) as f64;
-            let err = (bits - budget_bits).abs();
-            if err < best_err {
-                best_err = err;
-                best_level = mid;
-            }
-            if bits > budget_bits {
-                lo = mid + 1;
-            } else {
-                hi = mid - 1;
-            }
-        }
-        best_level
-    }
-
-    // Stage 3 — rate-plan preparation plus the offset binary search, per frame: the
-    // rate-control half of `encode_slot_to_budget` (the part that was ~90 % of a warm
-    // turn before plans made probes table lookups).
+    // Stage 3 — rate-plan preparation plus the §3.2 bitrate match, per frame: the
+    // rate-control half of `encode_slot_to_budget`, through the same
+    // `Encoder::search_rate_plan` and with the same carried-over hint, so after the
+    // warm-up iterations every search starts where the previous capture's ended.
     {
         let mut plan = RatePlan::default();
+        let mut hint = None;
         out.push(measure_hotpath(
             "warm_rate_probe_search_4f",
             samples,
@@ -713,7 +692,9 @@ pub fn measure_warm_turn_breakdown(samples: usize, target_sample_ms: f64) -> Vec
                 let mut level_sum = 0i32;
                 for (frame, qp_map) in frames.iter().zip(&qp_maps) {
                     encoder.prepare_rate_plan(black_box(frame), Some(qp_map), &mut plan);
-                    level_sum += search_offset(&encoder, &plan, budget_bits);
+                    let search = encoder.search_rate_plan(&plan, budget_bits, hint);
+                    hint = Some(search.boundary);
+                    level_sum += search.level;
                 }
                 level_sum
             },
@@ -726,7 +707,7 @@ pub fn measure_warm_turn_breakdown(samples: usize, target_sample_ms: f64) -> Vec
     for (frame, qp_map) in frames.iter().zip(&qp_maps) {
         let mut plan = RatePlan::default();
         encoder.prepare_rate_plan(frame, Some(qp_map), &mut plan);
-        let level = search_offset(&encoder, &plan, budget_bits);
+        let level = encoder.search_rate_plan(&plan, budget_bits, None).level;
         let mut offset_map = QpMap::empty();
         qp_map.offset_all_into(level, &mut offset_map);
         plans.push(plan);

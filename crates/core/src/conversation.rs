@@ -464,6 +464,50 @@ mod tests {
     }
 
     #[test]
+    fn warm_rate_search_needs_few_probes_and_its_hint_never_changes_a_report() {
+        let mut o = NetSessionOptions::ai_oriented(5, PathConfig::paper_section_2_2(0.01));
+        o.capture_fps = 12.0;
+        let q = question();
+        // What a 12 fps camera films: consecutive captures 2.5 source frames apart, turn
+        // after turn (the `window` helper's 15-frame stride lands every other capture on
+        // an intra frame, which no capture loop does).
+        let source = VideoSource::new(basketball_game(1), SourceConfig::fps30(30.0));
+        let window = |turn: usize| -> Vec<Frame> {
+            (0..4)
+                .map(|i| source.frame_at((turn * 4 + i) as f64 / 12.0))
+                .collect()
+        };
+        let mut warm = Conversation::with_defaults(o.clone(), SimDuration::from_millis(200));
+        // The twin runs the same conversation, but from its ninth turn on it starts every
+        // turn with its hint wiped or pointing at an end of the bracket.
+        let mut twin = Conversation::with_defaults(o, SimDuration::from_millis(200));
+        for t in 0..8 {
+            warm.run_turn(&window(t), &q);
+            twin.run_turn(&window(t), &q);
+        }
+        let before = warm.metrics_snapshot();
+        for t in 8..72 {
+            warm.run_turn(&window(t), &q);
+            twin.compute.set_rate_hint([None, Some(51), Some(-51)][t % 3]);
+            twin.run_turn(&window(t), &q);
+        }
+        let after = warm.metrics_snapshot();
+        let searches = after.rate_searches - before.rate_searches;
+        let probes = after.rate_probes - before.rate_probes;
+        assert_eq!(searches, 64 * 4, "one search per encoded capture");
+        assert!(
+            probes <= 3 * searches,
+            "{probes} probes over {searches} warm searches: the hint is not doing its job"
+        );
+        let twin_probes = twin.metrics_snapshot().rate_probes - before.rate_probes;
+        assert!(
+            twin_probes > probes,
+            "the twin's scrambled hints must cost probes, not results"
+        );
+        assert_eq!(warm.report(), twin.report());
+    }
+
+    #[test]
     fn timeline_is_continuous_across_turns() {
         let mut conv = Conversation::with_defaults(options(3), SimDuration::from_millis(500));
         let q = question();

@@ -214,8 +214,11 @@ pub(crate) struct NetCompute {
     /// Scratch map the rate-control search refills for the one real encode.
     probe_map: QpMap,
     /// Per-frame probe coefficients (grid raster + QP-independent rate terms), prepared
-    /// once per capture so the binary search's probes never re-rasterize the frame.
+    /// once per capture so the budget search's probes never re-rasterize the frame.
     rate_plan: RatePlan,
+    /// The previous capture's search boundary — where the next search starts probing.
+    /// Never changes what a search returns (`Encoder::search_rate_plan`).
+    rate_hint: Option<i32>,
     encode_scratches: Vec<EncodeScratch>,
     /// The committed encode of each turn slot (needed again at decode time). Slots are
     /// turn-local: a conversation reuses them every turn.
@@ -240,6 +243,7 @@ impl NetCompute {
             qp_map: QpMap::empty(),
             probe_map: QpMap::empty(),
             rate_plan: RatePlan::new(),
+            rate_hint: None,
             encode_scratches: Vec::new(),
             encoded_slots: Vec::new(),
             decode_scratch: DecodeScratch::new(),
@@ -263,15 +267,22 @@ impl NetCompute {
         }
     }
 
+    /// Overwrites the rate search's starting hint — the hint-independence tests feed it
+    /// nothing and nonsense.
+    #[cfg(test)]
+    pub(crate) fn set_rate_hint(&mut self, hint: Option<i32>) {
+        self.rate_hint = hint;
+    }
+
     /// Encodes `frame` into turn slot `slot` at the closest achievable size to
-    /// `budget_bits`.
+    /// `budget_bits`, and returns how many probes the search took.
     ///
-    /// Context-aware mode binary-searches a uniform QP offset on top of the frame's Eq. 2
-    /// map (coded bits are monotone decreasing in the offset — the same §3.2
-    /// bitrate-matching procedure `ContextAwareStreamer::encode_at_bitrate` uses, but per
-    /// frame and per target); baseline mode binary-searches the single uniform QP a
-    /// traditional WebRTC encoder's rate control would pick.
-    fn encode_slot_to_budget(&mut self, slot: usize, frame: &Frame, budget_bits: f64) {
+    /// Context-aware mode searches a uniform QP offset on top of the frame's Eq. 2 map
+    /// (coded bits are monotone decreasing in the offset — the same §3.2 bitrate-matching
+    /// procedure `ContextAwareStreamer::encode_at_bitrate` uses, but per frame and per
+    /// target); baseline mode searches the single uniform QP a traditional WebRTC
+    /// encoder's rate control would pick.
+    fn encode_slot_to_budget(&mut self, slot: usize, frame: &Frame, budget_bits: f64) -> u32 {
         if self.encode_scratches.len() <= slot {
             self.encode_scratches.resize_with(slot + 1, EncodeScratch::new);
         }
@@ -280,58 +291,34 @@ impl NetCompute {
                 .resize_with(slot + 1, EncodedFrame::placeholder);
         }
         let grid = self.encoder.grid_for(frame);
-        let (mut lo, mut hi) = match self.options.mode {
+        // One rate plan per capture: the grid raster and every QP-independent rate term
+        // are folded into per-block coefficients once, so each probe of the search is a
+        // tight pass over the plan instead of a full re-rasterization (see DESIGN.md
+        // §"Where the warm turn's microsecond goes").
+        match self.options.mode {
             StreamingMode::ContextAware => {
                 let importance = self
                     .clip_model
                     .correlation_map_coherent(frame, &self.query, &mut self.clip);
                 self.allocator.allocate_into(importance, grid, &mut self.qp_map);
-                (-51i32, 51i32)
-            }
-            StreamingMode::Baseline => (0i32, 51i32),
-        };
-        // One rate plan per capture: the grid raster and every QP-independent rate term
-        // are folded into per-block coefficients once, so each probe below is a tight
-        // table-lookup pass instead of a full re-rasterization (this was ~90 % of a warm
-        // turn before; see DESIGN.md §"Where the warm turn's microsecond goes").
-        match self.options.mode {
-            StreamingMode::ContextAware => {
                 self.encoder
                     .prepare_rate_plan(frame, Some(&self.qp_map), &mut self.rate_plan)
             }
             StreamingMode::Baseline => self.encoder.prepare_rate_plan(frame, None, &mut self.rate_plan),
         }
-        let mut best_level = lo;
-        let mut best_err = f64::INFINITY;
-        while lo <= hi {
-            let mid = (lo + hi) / 2;
-            // Plan probes predict the coded size without materializing blocks — byte-exact
-            // with `predict_map_size` and therefore with a real encode (test-asserted), so
-            // the search trajectory and the `err < best_err` tie-breaking are identical to
-            // probing with full encodes.
-            let size = match self.options.mode {
-                StreamingMode::ContextAware => self.encoder.predict_plan_offset_size(&self.rate_plan, mid),
-                StreamingMode::Baseline => {
-                    self.encoder.predict_plan_uniform_size(&self.rate_plan, Qp::new(mid))
-                }
-            };
-            let bits = (size * 8) as f64;
-            let err = (bits - budget_bits).abs();
-            if err < best_err {
-                best_err = err;
-                best_level = mid;
-            }
-            if bits > budget_bits {
-                lo = mid + 1;
-            } else {
-                hi = mid - 1;
-            }
-        }
+        // Plan probes predict the coded size without materializing blocks — byte-exact
+        // with a real encode (test-asserted). The level found is a pure function of
+        // (plan, budget); the previous capture's boundary only tells the search where to
+        // start, which on a slowly moving target settles it in two probes.
+        let search = self
+            .encoder
+            .search_rate_plan(&self.rate_plan, budget_bits, self.rate_hint);
+        self.rate_hint = Some(search.boundary);
         // One real encode, at the level the search settled on.
         let mut probe_map = std::mem::replace(&mut self.probe_map, QpMap::empty());
         match self.options.mode {
-            StreamingMode::ContextAware => self.qp_map.offset_all_into(best_level, &mut probe_map),
-            StreamingMode::Baseline => probe_map.fill_uniform(grid, Qp::new(best_level)),
+            StreamingMode::ContextAware => self.qp_map.offset_all_into(search.level, &mut probe_map),
+            StreamingMode::Baseline => probe_map.fill_uniform(grid, Qp::new(search.level)),
         }
         // `encode_into_planned` reuses the raster the plan just filled for this frame —
         // bit-identical to `encode_into`, one rasterization cheaper.
@@ -343,6 +330,7 @@ impl NetCompute {
             &mut self.encoded_slots[slot],
         );
         self.probe_map = probe_map;
+        search.probes
     }
 }
 
@@ -826,8 +814,11 @@ impl TurnMachine<'_> {
                 };
 
                 // --- Encode frame i to the per-frame budget the target implies.
-                self.compute
+                let probes = self
+                    .compute
                     .encode_slot_to_budget(local, &self.frames[local], budget_bits);
+                t.metrics.rate_searches.inc();
+                t.metrics.rate_probes.add(u64::from(probes));
                 let encoded = &self.compute.encoded_slots[local];
                 let frame_out = OutgoingFrame {
                     frame_id: i as u64,

@@ -20,8 +20,9 @@
 //!   same numbers the turn's `NetTurnReport` carries — these reconcile *exactly*
 //!   against per-session report sums, at any pool size;
 //! * **live** counters tick at the event site (packet sends, late-sequence drops, pacer
-//!   clamps) and intentionally include work that never reaches a report (think-gap
-//!   stragglers, drain-window sends) — they are diagnostics, not report mirrors.
+//!   clamps, rate-search probes) and intentionally include work that never reaches a
+//!   report (think-gap stragglers, drain-window sends) — they are diagnostics, not report
+//!   mirrors.
 
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -95,6 +96,11 @@ pub struct SessionCounters {
     pub late_seq_drops: Counter,
     /// Pacer rate updates clamped up to the documented floor.
     pub pacer_rate_clamps: Counter,
+    /// Per-frame budget searches run by the sender's rate control (one per encoded capture).
+    pub rate_searches: Counter,
+    /// Size probes those searches evaluated; `rate_probes / rate_searches` is the mean
+    /// probes per frame.
+    pub rate_probes: Counter,
 }
 
 impl SessionCounters {
@@ -119,6 +125,8 @@ impl SessionCounters {
             packets_sent: self.packets_sent.get(),
             late_seq_drops: self.late_seq_drops.get(),
             pacer_rate_clamps: self.pacer_rate_clamps.get(),
+            rate_searches: self.rate_searches.get(),
+            rate_probes: self.rate_probes.get(),
         }
     }
 }
@@ -153,6 +161,10 @@ pub struct SessionSnapshot {
     pub late_seq_drops: u64,
     /// See [`SessionCounters::pacer_rate_clamps`].
     pub pacer_rate_clamps: u64,
+    /// See [`SessionCounters::rate_searches`].
+    pub rate_searches: u64,
+    /// See [`SessionCounters::rate_probes`].
+    pub rate_probes: u64,
 }
 
 impl SessionSnapshot {
@@ -171,6 +183,8 @@ impl SessionSnapshot {
         self.packets_sent += other.packets_sent;
         self.late_seq_drops += other.late_seq_drops;
         self.pacer_rate_clamps += other.pacer_rate_clamps;
+        self.rate_searches += other.rate_searches;
+        self.rate_probes += other.rate_probes;
     }
 }
 
@@ -180,7 +194,7 @@ impl fmt::Display for SessionSnapshot {
             f,
             "frames {}/{} | pkts {} sent, {} lost, {} rtx | fec {} | shed {} | \
              suppressed {} nacks, {} captures | missed {} deadlines | {} fallbacks | \
-             {} late drops | {} pacer clamps",
+             {} late drops | {} pacer clamps | {} rate probes in {} searches",
             self.frames_delivered,
             self.frames_sent,
             self.packets_sent,
@@ -194,6 +208,8 @@ impl fmt::Display for SessionSnapshot {
             self.watchdog_fallbacks,
             self.late_seq_drops,
             self.pacer_rate_clamps,
+            self.rate_probes,
+            self.rate_searches,
         )
     }
 }
@@ -229,6 +245,10 @@ mod tests {
         assert_eq!(total.frames_sent, 10);
         assert_eq!(total.deadline_missed, 1);
         assert_eq!(total.pacer_rate_clamps, 2);
+        a.rate_searches.add(4);
+        a.rate_probes.add(9);
+        total.accumulate(&a.snapshot());
+        assert_eq!((total.rate_searches, total.rate_probes), (4, 9));
     }
 
     #[test]

@@ -143,6 +143,47 @@ impl Ontology {
         best
     }
 
+    /// [`Ontology::relatedness`] for every ordered pair at once: a row-major `len × len`
+    /// table indexed by concept rank (position in [`Ontology::concepts`]), each entry
+    /// bit-identical to the pairwise call.
+    ///
+    /// The pairwise form scans every concept per pair and clones two `String`s per
+    /// look-up, which makes an all-pairs caller cubic in allocations; this resolves the
+    /// declared relations to ranks once and runs the same one-hop closure over a dense
+    /// matrix.
+    pub fn relatedness_table(&self) -> Vec<f64> {
+        let n = self.concepts.len();
+        let rank: BTreeMap<&Concept, usize> = self.concepts.iter().enumerate().map(|(i, c)| (c, i)).collect();
+        let mut direct = vec![0.0; n * n];
+        for i in 0..n {
+            direct[i * n + i] = 1.0;
+        }
+        for ((a, b), &w) in &self.relations {
+            // Only registered concepts are ever asked about (`relate` registers both ends).
+            let (Some(&i), Some(&j)) = (rank.get(a), rank.get(b)) else {
+                continue;
+            };
+            direct[i * n + j] = w;
+            direct[j * n + i] = w;
+        }
+        let mut table = direct.clone();
+        for a in 0..n {
+            for b in 0..n {
+                if direct[a * n + b] >= 1.0 {
+                    continue;
+                }
+                let best = &mut table[a * n + b];
+                for c in (0..n).filter(|&c| c != a && c != b) {
+                    let via = 0.5 * direct[a * n + c] * direct[c * n + b];
+                    if via > *best {
+                        *best = via;
+                    }
+                }
+            }
+        }
+        table
+    }
+
     /// All concepts whose relatedness to `query` is at least `threshold`, most related first.
     pub fn related_to(&self, query: &Concept, threshold: f64) -> Vec<(Concept, f64)> {
         let mut out: Vec<(Concept, f64)> = self
@@ -279,6 +320,48 @@ mod tests {
                 let ba = o.relatedness(b, a);
                 assert!((ab - ba).abs() < 1e-12, "asymmetric for {a} / {b}");
                 assert!((0.0..=1.0).contains(&ab));
+            }
+        }
+    }
+
+    #[test]
+    fn relatedness_table_matches_pairwise_relatedness_bit_for_bit() {
+        // A small pseudo-random ontology next to the standard one: dense enough that
+        // most pairs have several competing one-hop paths, with a few weight-1.0 edges.
+        let mut random = Ontology::new();
+        let mut state = 0x9E37_79B9_7F4A_7C15u64;
+        let mut next = || {
+            state = state
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            (state >> 33) as u32
+        };
+        for _ in 0..60 {
+            let (a, b) = (next() % 17, next() % 17);
+            let weight = if next() % 8 == 0 {
+                1.0
+            } else {
+                f64::from(next() % 1000) / 999.0
+            };
+            random.relate(
+                Concept::new(format!("c{a}")),
+                Concept::new(format!("c{b}")),
+                weight,
+            );
+        }
+        random.add_concept("isolated");
+        for o in [Ontology::standard(), random, Ontology::new()] {
+            let table = o.relatedness_table();
+            let n = o.len();
+            assert_eq!(table.len(), n * n);
+            for (i, a) in o.concepts().enumerate() {
+                for (j, b) in o.concepts().enumerate() {
+                    assert_eq!(
+                        table[i * n + j].to_bits(),
+                        o.relatedness(a, b).to_bits(),
+                        "table diverges for {a} / {b}"
+                    );
+                }
             }
         }
     }

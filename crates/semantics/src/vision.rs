@@ -34,19 +34,21 @@ impl ConceptSpace {
             dim >= 8,
             "embedding dimension too small to keep concepts separable"
         );
-        let concepts: Vec<Concept> = ontology.concepts().cloned().collect();
-        let bases: BTreeMap<Concept, Embedding> = concepts
-            .iter()
-            .map(|c| (c.clone(), Embedding::seeded_direction(c.name(), dim)))
+        // All-pairs relatedness by concept rank in one pass (`Ontology::relatedness` per
+        // pair is cubic in string clones). Rows accumulate in the same lexicographic
+        // order as the pairwise form did, so every embedding keeps its exact bits.
+        let related = ontology.relatedness_table();
+        let bases: Vec<Embedding> = ontology
+            .concepts()
+            .map(|c| Embedding::seeded_direction(c.name(), dim))
             .collect();
-        let mut table = Vec::with_capacity(concepts.len());
+        let mut table = Vec::with_capacity(bases.len());
         let mut index = BTreeMap::new();
-        for c in &concepts {
+        for (c, row) in ontology.concepts().zip(related.chunks_exact(bases.len().max(1))) {
             let mut acc = Embedding::zeros(dim);
-            for other in &concepts {
-                let w = ontology.relatedness(c, other);
+            for (base, &w) in bases.iter().zip(row) {
                 if w > 0.0 {
-                    acc.add_scaled(&bases[other], w);
+                    acc.add_scaled(base, w);
                 }
             }
             index.insert(c.clone(), table.len() as u32);
@@ -165,6 +167,54 @@ mod tests {
             let e2 = s2.concept_embedding(c);
             assert_eq!(e1, e2);
             assert!((e1.norm() - 1.0).abs() < 1e-9, "{c}");
+        }
+    }
+
+    /// The build as it was before the all-pairs table: one `Ontology::relatedness` call
+    /// per ordered pair.
+    fn pairwise_table(ontology: &Ontology, dim: usize) -> Vec<Embedding> {
+        let concepts: Vec<&Concept> = ontology.concepts().collect();
+        concepts
+            .iter()
+            .map(|c| {
+                let mut acc = Embedding::zeros(dim);
+                for other in &concepts {
+                    let w = ontology.relatedness(c, other);
+                    if w > 0.0 {
+                        acc.add_scaled(&Embedding::seeded_direction(other.name(), dim), w);
+                    }
+                }
+                acc.normalized()
+            })
+            .collect()
+    }
+
+    #[test]
+    fn concept_space_build_matches_pairwise_relatedness_build() {
+        let mut random = Ontology::new();
+        let mut state = 0x2545_F491_4F6C_DD1Du64;
+        let mut next = || {
+            state = state
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            (state >> 33) as u32
+        };
+        for _ in 0..40 {
+            let (a, b) = (next() % 13, next() % 13);
+            let weight = f64::from(next() % 1000) / 999.0;
+            random.relate(
+                Concept::new(format!("c{a}")),
+                Concept::new(format!("c{b}")),
+                weight,
+            );
+        }
+        random.add_concept("isolated");
+        for ontology in [Ontology::standard(), random] {
+            let space = ConceptSpace::build(&ontology, 32);
+            assert_eq!(space.table, pairwise_table(&ontology, 32));
+            for (rank, c) in ontology.concepts().enumerate() {
+                assert_eq!(space.concept_index(c), Some(rank as u32));
+            }
         }
     }
 

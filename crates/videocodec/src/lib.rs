@@ -37,7 +37,7 @@ pub use frame::{EncodedBlock, EncodedFrame, FrameType};
 pub use gop::GopStructure;
 pub use qp::{Qp, QpMap};
 pub use quality::{frame_quality, region_quality};
-pub use rate_plan::RatePlan;
+pub use rate_plan::{RatePlan, RateSearch};
 pub use ratecontrol::{match_bitrate_qp, RateController, RateControllerConfig};
 pub use rd::RdModel;
 pub use transcode::{transcode_clip, TranscodeSummary};

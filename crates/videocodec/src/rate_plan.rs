@@ -1,28 +1,57 @@
 //! Per-frame rate plan: the QP-independent half of the rate law, hoisted out of the
-//! rate-control probe loop.
+//! rate-control probe loop, plus the one budget search that runs on it.
 //!
 //! [`Encoder::predict_map_size`] re-rasterizes the frame's [`GridContent`] and re-derives
 //! each block's content factors on **every** call — fine for a single prediction, ruinous
-//! for a binary search that probes the same frame seven times per capture (the warm
-//! conversational turn spent ~90 % of its time here; see DESIGN.md §"Where the warm
-//! turn's microsecond goes"). A [`RatePlan`] folds everything that does not depend on QP
-//! into per-block coefficients once per frame:
+//! for a search that probes the same frame several times per capture (see DESIGN.md
+//! §"Where the warm turn's microsecond goes"). A [`RatePlan`] folds everything that does
+//! not depend on QP into per-block coefficients once per frame:
 //!
 //! * `lead[b]  = intra_bpp_at_ref * content_factor(b)` — the rate law's first product,
 //! * `tail[b]  = type_factor(b)` (exactly `1.0` on intra frames),
 //! * `pixels[b]` as `f64`, and the frame's base QP per block when probing offsets.
 //!
-//! A probe then evaluates, per block, the *identical* IEEE-754 expression sequence the
-//! encoder's rate kernel performs — `((lead · qp_factor) · tail).max(min_bpp)`, the same
-//! `ceil`s, the same `max(1)` floor — so every predicted size is bit-for-bit equal to
+//! A probe then evaluates, per block, the rate kernel's expression —
+//! `((lead · qp_factor) · tail).max(min_bpp)`, `ceil(· pixels)`, `ceil(· preset / 8)`,
+//! `max(1)` — so every predicted size is bit-for-bit equal to
 //! [`Encoder::predict_map_size`] (and therefore to a real encode), which the equivalence
 //! tests below pin for every probe level. Multiplying by a `tail` of exactly `1.0` is an
 //! IEEE identity, so collapsing the intra/inter split into one expression is lossless.
+//!
+//! **The probe kernel stays in `f64`.** The scalar expression calls `ceil` twice and
+//! casts `f64 → u64 → f64 → u32` per block; the kernel instead walks the plan in
+//! [`RATE_LANES`]-wide chunks and rounds up with `r = (x + 2^52) − 2^52; r + (r < x)`:
+//! for `0 ≤ x < 2^51` the first sum lands where the `f64` grid spacing is exactly 1, so
+//! `r` is `x` rounded to the nearest integer and the compare restores the ceiling — no
+//! libm call, no integer cast, straight-line SIMD. Per-block byte counts are integers
+//! below `2^32` and are summed per lane in `f64`; every partial sum is an integer below
+//! `2^53`, hence exact and independent of summation order. Whether a plan's blocks all
+//! stay inside that domain (finite non-negative coefficients, no block reaching `2^31`
+//! bits at the largest QP factor) is decided once in [`Encoder::prepare_rate_plan`];
+//! a plan outside it probes with the scalar expression.
+//!
+//! **One search.** [`Encoder::search_rate_plan`] finds the boundary level `T` — the
+//! first level of the bracket whose predicted size fits the budget — and returns
+//! whichever of `T − 1`, `T` lands closer. That result is a pure function of
+//! `(plan, budget)`; the caller's hint (the previous frame's `T`) only decides where
+//! probing starts.
 
+use crate::encoder::Encoder;
 use crate::frame::FrameType;
-use crate::qp::{Qp, QpMap};
+use crate::qp::{Qp, QpMap, QP_MAX, QP_MIN};
+use crate::rd::RATE_LANES;
 use aivc_scene::grid_content::GridContent;
 use aivc_scene::{Frame, GridDims};
+
+/// `2^52`: adding it to `0 ≤ x < 2^51` rounds `x` to an integer (see the module docs).
+const ROUND_TO_INT: f64 = 4_503_599_627_370_496.0;
+/// A block whose bit count could reach this leaves the all-`f64` kernel's domain: its byte
+/// count must stay below the scalar expression's saturating `as u32` cast.
+const MAX_BLOCK_BITS: f64 = 2_147_483_648.0;
+/// Largest preset rate factor the all-`f64` kernel accepts (bytes ≤ bits, so < `2^32`).
+const MAX_PRESET_FACTOR: f64 = 8.0;
+/// Most blocks the all-`f64` kernel accepts: keeps the byte total below `2^53`.
+const MAX_EXACT_BLOCKS: usize = 1 << 20;
 
 /// Reusable per-frame probe state for rate-control searches. Buffers retain capacity
 /// across frames, so a warm conversation prepares plans without touching the allocator.
@@ -38,6 +67,12 @@ pub struct RatePlan {
     /// The base QP map snapshot offset probes apply their level to (empty when the plan
     /// was prepared without a base map, i.e. for uniform probes only).
     base_qp: Vec<u8>,
+    /// Whether the plan was prepared with a base map: selects the offset bracket
+    /// `[-51, 51]` over the uniform bracket `[0, 51]` in [`Encoder::search_rate_plan`].
+    has_base: bool,
+    /// Whether every block stays inside the all-`f64` kernel's exact domain at every QP
+    /// (decided by [`Encoder::prepare_rate_plan`]; see the module docs).
+    f64_exact: bool,
     /// Private raster scratch (capacity reused across frames).
     grid: GridContent,
 }
@@ -61,6 +96,8 @@ impl RatePlan {
             tail: Vec::new(),
             pixels: Vec::new(),
             base_qp: Vec::new(),
+            has_base: false,
+            f64_exact: false,
             grid: GridContent::default(),
         }
     }
@@ -70,39 +107,24 @@ impl RatePlan {
         self.dims
     }
 
-    pub(crate) fn grid_mut(&mut self) -> &mut GridContent {
-        &mut self.grid
-    }
-
     pub(crate) fn grid(&self) -> &GridContent {
         &self.grid
     }
-
-    pub(crate) fn parts(&self) -> (&[f64], &[f64], &[f64], &[u8]) {
-        (&self.lead, &self.tail, &self.pixels, &self.base_qp)
-    }
-
-    pub(crate) fn set_geometry(&mut self, dims: GridDims) {
-        self.dims = dims;
-        self.lead.clear();
-        self.tail.clear();
-        self.pixels.clear();
-        self.base_qp.clear();
-    }
-
-    pub(crate) fn push_block(&mut self, lead: f64, tail: f64, pixels: f64) {
-        self.lead.push(lead);
-        self.tail.push(tail);
-        self.pixels.push(pixels);
-    }
-
-    pub(crate) fn snapshot_base(&mut self, base: &QpMap) {
-        assert_eq!(base.dims(), self.dims, "base QP map grid does not match plan grid");
-        self.base_qp.extend(base.values().iter().map(|q| q.value()));
-    }
 }
 
-use crate::encoder::Encoder;
+/// What [`Encoder::search_rate_plan`] settled on.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct RateSearch {
+    /// The level to encode at: whichever of `boundary − 1`, `boundary` predicts a size
+    /// closer to the budget (a tie goes to `boundary`; a candidate outside the bracket
+    /// is not considered).
+    pub level: i32,
+    /// `T`: the first level of the bracket whose predicted size fits the budget, one
+    /// past the bracket when none does. The next frame's hint.
+    pub boundary: i32,
+    /// Probes the search evaluated.
+    pub probes: u32,
+}
 
 impl Encoder {
     /// Prepares `plan` for rate-control probes over `frame`: rasterizes the content grid
@@ -114,13 +136,20 @@ impl Encoder {
     pub fn prepare_rate_plan(&self, frame: &Frame, base: Option<&QpMap>, plan: &mut RatePlan) {
         let dims = self.grid_for(frame);
         let frame_type = self.config().gop.frame_type(frame.index);
-        plan.set_geometry(dims);
-        plan.grid_mut().fill(frame, self.config().block_size);
+        plan.dims = dims;
+        plan.lead.clear();
+        plan.tail.clear();
+        plan.pixels.clear();
+        plan.base_qp.clear();
+        plan.grid.fill(frame, self.config().block_size);
         let rd = self.rd_model();
-        let (intra_bpp, inter_base, inter_motion) =
-            (rd.intra_bpp_at_ref, rd.inter_base_fraction, rd.inter_motion_fraction);
+        let (intra_bpp, inter_base, inter_motion) = (
+            rd.intra_bpp_at_ref,
+            rd.inter_base_fraction,
+            rd.inter_motion_fraction,
+        );
+        let grid = &plan.grid;
         for idx in 0..dims.len() {
-            let grid = plan.grid();
             // The identical clamp + content/type factor expressions of the encoder's rate
             // kernel (`block_bytes_one` / `block_bytes_batch`), evaluated once per frame.
             let content_factor = 0.08 + 0.92 * grid.complexity()[idx].clamp(0.0, 1.0);
@@ -128,69 +157,293 @@ impl Encoder {
                 FrameType::Intra => 1.0,
                 FrameType::Inter => inter_base + inter_motion * grid.motion()[idx].clamp(0.0, 1.0),
             };
-            let pixels = grid.area()[idx] as f64;
-            plan.push_block(intra_bpp * content_factor, tail, pixels);
+            plan.lead.push(intra_bpp * content_factor);
+            plan.tail.push(tail);
+            plan.pixels.push(grid.area()[idx] as f64);
         }
+        plan.f64_exact = self.plan_is_f64_exact(plan);
+        plan.has_base = base.is_some();
         if let Some(base) = base {
-            plan.snapshot_base(base);
+            assert_eq!(base.dims(), dims, "base QP map grid does not match plan grid");
+            plan.base_qp.extend(base.values().iter().map(|q| q.value()));
         }
+    }
+
+    /// Whether the all-`f64` probe kernel equals the scalar expression on every block of
+    /// `plan` at every QP. With every coefficient non-negative a block's bit count is
+    /// monotone in the QP factor, so bounding it at the table's largest factor bounds it
+    /// at every level; a NaN anywhere fails a comparison.
+    fn plan_is_f64_exact(&self, plan: &RatePlan) -> bool {
+        let factors = self.qp_factor_table();
+        let max_factor = factors.iter().copied().fold(0.0, f64::max);
+        let min_bpp = self.rd_model().min_bpp;
+        factors.iter().all(|&f| f >= 0.0)
+            && !min_bpp.is_nan()
+            && (0.0..=MAX_PRESET_FACTOR).contains(&self.config().preset.rate_factor())
+            && plan.lead.len() <= MAX_EXACT_BLOCKS
+            && plan
+                .lead
+                .iter()
+                .zip(&plan.tail)
+                .zip(&plan.pixels)
+                .all(|((&lead, &tail), &pixels)| {
+                    let max_bpp = (lead * max_factor) * tail;
+                    lead >= 0.0
+                        && tail >= 0.0
+                        && pixels >= 0.0
+                        && max_bpp < f64::INFINITY
+                        && max_bpp.max(min_bpp) * pixels < MAX_BLOCK_BITS
+                })
     }
 
     /// Predicted total size in bytes of encoding the planned frame with its base QP map
     /// offset uniformly by `level` — bit-identical to building the offset map with
     /// [`QpMap::offset_all_into`] and calling [`Encoder::predict_map_size`] on it.
     pub fn predict_plan_offset_size(&self, plan: &RatePlan, level: i32) -> u64 {
-        let (lead, tail, pixels, base_qp) = plan.parts();
-        assert_eq!(
-            base_qp.len(),
-            lead.len(),
+        assert!(
+            plan.has_base,
             "offset probes need a plan prepared with a base QP map"
         );
-        let factors = self.qp_factor_table();
-        let preset_factor = self.config().preset.rate_factor();
-        let min_bpp = self.rd_model().min_bpp;
-        let mut total = self.config().header_bytes as u64;
-        for b in 0..lead.len() {
-            let qp = (base_qp[b] as i32 + level).clamp(0, 51) as usize;
-            total += plan_block_bytes(lead[b], factors[qp], tail[b], min_bpp, pixels[b], preset_factor);
-        }
-        total
+        let table = self.qp_factor_table();
+        self.plan_total_bytes(plan, |first, factors| {
+            let base_qp = &plan.base_qp[first..first + factors.len()];
+            for (factor, &qp) in factors.iter_mut().zip(base_qp) {
+                *factor = table[(qp as i32 + level).clamp(QP_MIN as i32, QP_MAX as i32) as usize];
+            }
+        })
     }
 
     /// Predicted total size in bytes of encoding the planned frame at a single uniform
     /// `qp` — bit-identical to [`Encoder::predict_uniform_size`].
     pub fn predict_plan_uniform_size(&self, plan: &RatePlan, qp: Qp) -> u64 {
-        let (lead, tail, pixels, _) = plan.parts();
         let factor = self.qp_factor_table()[qp.value() as usize];
+        self.plan_total_bytes(plan, |_, factors| factors.fill(factor))
+    }
+
+    /// Header plus every block's byte count. `factors_from(first, out)` writes the QP
+    /// factors of blocks `first..first + out.len()`. Inside the exact domain the plan is
+    /// walked in [`RATE_LANES`]-wide chunks by the all-`f64` lane kernel, otherwise block
+    /// by block with the scalar expression.
+    #[inline]
+    fn plan_total_bytes(&self, plan: &RatePlan, factors_from: impl Fn(usize, &mut [f64])) -> u64 {
         let preset_factor = self.config().preset.rate_factor();
         let min_bpp = self.rd_model().min_bpp;
-        let mut total = self.config().header_bytes as u64;
-        for b in 0..lead.len() {
-            total += plan_block_bytes(lead[b], factor, tail[b], min_bpp, pixels[b], preset_factor);
+        let header = self.config().header_bytes as u64;
+        let blocks = plan.lead.len();
+        let (lead, tail, pixels) = (&plan.lead[..], &plan.tail[..blocks], &plan.pixels[..blocks]);
+        let mut factor = [0.0f64; RATE_LANES];
+        if !plan.f64_exact {
+            let mut total = header;
+            for first in (0..blocks).step_by(RATE_LANES) {
+                let width = RATE_LANES.min(blocks - first);
+                factors_from(first, &mut factor[..width]);
+                for (lane, &f) in factor[..width].iter().enumerate() {
+                    let b = first + lane;
+                    total += plan_block_bytes(lead[b], f, tail[b], min_bpp, pixels[b], preset_factor);
+                }
+            }
+            return total;
         }
-        total
+        let mut lanes = [0.0f64; RATE_LANES];
+        let whole = blocks - blocks % RATE_LANES;
+        for first in (0..whole).step_by(RATE_LANES) {
+            factors_from(first, &mut factor);
+            let (lead, tail, pixels) = (
+                &lead[first..first + RATE_LANES],
+                &tail[first..first + RATE_LANES],
+                &pixels[first..first + RATE_LANES],
+            );
+            // Fixed-width and branch-free: the loop LLVM turns into SIMD.
+            for lane in 0..RATE_LANES {
+                lanes[lane] += plan_block_bytes_f64(
+                    lead[lane],
+                    factor[lane],
+                    tail[lane],
+                    min_bpp,
+                    pixels[lane],
+                    preset_factor,
+                );
+            }
+        }
+        factors_from(whole, &mut factor[..blocks - whole]);
+        for b in whole..blocks {
+            lanes[b - whole] += plan_block_bytes_f64(
+                lead[b],
+                factor[b - whole],
+                tail[b],
+                min_bpp,
+                pixels[b],
+                preset_factor,
+            );
+        }
+        header + lanes.iter().sum::<f64>() as u64
+    }
+
+    /// Finds the level of the plan's bracket — uniform offsets `-51..=51` on the base map
+    /// the plan was prepared with, uniform QPs `0..=51` without one — whose predicted size
+    /// best matches `budget_bits` (§3.2's trial-and-error bitrate matching).
+    ///
+    /// Predicted size never grows with the level, so there is one boundary `T`: the first
+    /// level that fits the budget. The search returns whichever of `T − 1`, `T` predicts
+    /// closer to the budget (see [`RateSearch`]) — a pure function of `(plan,
+    /// budget_bits)`. `hint`, normally the previous frame's [`RateSearch::boundary`], only
+    /// chooses the probes: the search gallops 1, 2, 4… away from it until the boundary is
+    /// bracketed, then bisects; without a hint it bisects the whole bracket. On a
+    /// stationary link consecutive frames share their boundary and two probes settle it.
+    pub fn search_rate_plan(&self, plan: &RatePlan, budget_bits: f64, hint: Option<i32>) -> RateSearch {
+        if plan.has_base {
+            let (lo, hi) = (-(QP_MAX as i32), QP_MAX as i32);
+            search_boundary(lo, hi, budget_bits, hint, |level| {
+                (self.predict_plan_offset_size(plan, level) * 8) as f64
+            })
+        } else {
+            search_boundary(QP_MIN as i32, QP_MAX as i32, budget_bits, hint, |qp| {
+                (self.predict_plan_uniform_size(plan, Qp::new(qp)) * 8) as f64
+            })
+        }
+    }
+}
+
+/// The highest level known to exceed the budget and the lowest known to fit it, with the
+/// sizes probed there. Both start just outside the bracket and close in until adjacent, at
+/// which point `under` is the boundary.
+struct Bracket {
+    over: i32,
+    over_bits: f64,
+    under: i32,
+    under_bits: f64,
+    probes: u32,
+}
+
+impl Bracket {
+    fn is_open(&self) -> bool {
+        self.under - self.over > 1
+    }
+
+    /// Probes `level`, tightens the side it falls on, and reports whether it fits.
+    fn probe(&mut self, level: i32, budget_bits: f64, bits_at: &mut impl FnMut(i32) -> f64) -> bool {
+        let bits = bits_at(level);
+        self.probes += 1;
+        if bits > budget_bits {
+            (self.over, self.over_bits) = (level, bits);
+            false
+        } else {
+            (self.under, self.under_bits) = (level, bits);
+            true
+        }
+    }
+}
+
+/// The boundary search behind [`Encoder::search_rate_plan`] over `lo..=hi`; `bits_at` must
+/// not grow with the level.
+fn search_boundary(
+    lo: i32,
+    hi: i32,
+    budget_bits: f64,
+    hint: Option<i32>,
+    mut bits_at: impl FnMut(i32) -> f64,
+) -> RateSearch {
+    debug_assert!(lo <= hi);
+    let mut b = Bracket {
+        over: lo - 1,
+        over_bits: f64::INFINITY,
+        under: hi + 1,
+        under_bits: f64::NEG_INFINITY,
+        probes: 0,
+    };
+    if let Some(hint) = hint {
+        // Gallop from the hint towards the boundary — down while probes fit, up while
+        // they do not — until one lands on the other side.
+        let fits = b.probe(hint.clamp(lo, hi), budget_bits, &mut bits_at);
+        let mut step = 1;
+        while b.is_open() {
+            let level = if fits {
+                (b.under - step).max(b.over + 1)
+            } else {
+                (b.over + step).min(b.under - 1)
+            };
+            if b.probe(level, budget_bits, &mut bits_at) != fits {
+                break;
+            }
+            step *= 2;
+        }
+    }
+    while b.is_open() {
+        b.probe(b.over + (b.under - b.over) / 2, budget_bits, &mut bits_at);
+    }
+    let level = if b.over < lo {
+        b.under
+    } else if b.under > hi || (b.over_bits - budget_bits).abs() < (b.under_bits - budget_bits).abs() {
+        b.over
+    } else {
+        b.under
+    };
+    RateSearch {
+        level,
+        boundary: b.under,
+        probes: b.probes,
     }
 }
 
 /// One block's coded byte count from plan coefficients — the exact expression sequence of
 /// the encoder's rate kernel: `bpp = ((lead·qp_factor)·tail).max(min_bpp)` (left-assoc,
 /// matching `intra_bpp·content·qp_factor·type`), `bits = ceil(bpp·pixels)`, then the
-/// preset/`ceil`/`max(1)` byte epilogue.
+/// preset/`ceil`/`max(1)` byte epilogue. Probes a plan outside the all-`f64` kernel's
+/// domain, and is the oracle the kernel is tested against.
 #[inline]
-fn plan_block_bytes(lead: f64, qp_factor: f64, tail: f64, min_bpp: f64, pixels: f64, preset_factor: f64) -> u64 {
+fn plan_block_bytes(
+    lead: f64,
+    qp_factor: f64,
+    tail: f64,
+    min_bpp: f64,
+    pixels: f64,
+    preset_factor: f64,
+) -> u64 {
     let bpp = ((lead * qp_factor) * tail).max(min_bpp);
     let bits = (bpp * pixels).ceil() as u64;
     (((bits as f64 * preset_factor) / 8.0).ceil() as u32).max(1) as u64
+}
+
+/// [`plan_block_bytes`] without leaving `f64` — equal to it whenever the plan is
+/// `f64_exact` (module docs).
+#[inline(always)]
+fn plan_block_bytes_f64(
+    lead: f64,
+    qp_factor: f64,
+    tail: f64,
+    min_bpp: f64,
+    pixels: f64,
+    preset_factor: f64,
+) -> f64 {
+    // Nothing is NaN inside the domain, where these selects equal `f64::max` and lower to
+    // a bare vector max.
+    let bpp = (lead * qp_factor) * tail;
+    let bpp = if bpp > min_bpp { bpp } else { min_bpp };
+    let bits = ceil_in_domain(bpp * pixels);
+    let bytes = ceil_in_domain((bits * preset_factor) / 8.0);
+    if bytes > 1.0 {
+        bytes
+    } else {
+        1.0
+    }
+}
+
+/// `x.ceil()` for `0 ≤ x < 2^51`, branch-free (module docs).
+#[inline(always)]
+fn ceil_in_domain(x: f64) -> f64 {
+    let rounded = (x + ROUND_TO_INT) - ROUND_TO_INT;
+    rounded + if rounded < x { 1.0 } else { 0.0 }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::encoder::{EncodeScratch, EncoderConfig, Preset};
+    use crate::rd::RdModel;
     use aivc_scene::templates::{basketball_game, lecture_slides};
     use aivc_scene::{SourceConfig, VideoSource};
 
-    fn check_frame_all_levels(enc: &Encoder, frame: &Frame, base: &QpMap) {
+    fn check_frame_all_levels(enc: &Encoder, frame: &Frame, base: &QpMap) -> RatePlan {
         let mut plan = RatePlan::new();
         enc.prepare_rate_plan(frame, Some(base), &mut plan);
         let mut scratch = EncodeScratch::new();
@@ -214,27 +467,331 @@ mod tests {
                 frame.index
             );
         }
+        plan
+    }
+
+    /// A non-trivial base map: QP varies across the grid.
+    fn varied_base(dims: GridDims) -> QpMap {
+        QpMap::from_values(dims, (0..dims.len()).map(|i| Qp::new((i % 52) as i32)).collect())
     }
 
     #[test]
     fn plan_probes_match_predict_map_size_for_every_level() {
-        for (template, preset) in [
-            (basketball_game(1), Preset::Medium),
-            (lecture_slides(3), Preset::Slower),
+        // 1080p at these block sizes gives grids of 510, 920, 135 and 60 blocks: whole
+        // lane chunks only (920) and remainders of 6, 7 and 4.
+        for (template, preset, block_size) in [
+            (basketball_game(1), Preset::Medium, 64),
+            (lecture_slides(3), Preset::Slower, 64),
+            (basketball_game(2), Preset::Medium, 48),
+            (lecture_slides(1), Preset::Medium, 128),
+            (basketball_game(3), Preset::Slower, 200),
         ] {
             let enc = Encoder::new(EncoderConfig {
                 preset,
+                block_size,
                 ..EncoderConfig::default()
             });
             let source = VideoSource::new(template, SourceConfig::fps30(5.0));
             // Frame 0 is intra, the others exercise the inter/motion path.
             for index in [0u64, 7, 31] {
                 let frame = source.frame(index);
+                let plan = check_frame_all_levels(&enc, &frame, &varied_base(enc.grid_for(&frame)));
+                assert!(
+                    plan.f64_exact,
+                    "an ordinary frame must probe with the lane kernel"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn plan_probes_match_predict_map_size_outside_the_f64_domain() {
+        let source = VideoSource::new(basketball_game(1), SourceConfig::fps30(5.0));
+        for (what, rd) in [
+            (
+                "blocks of 2^31 bits and more (the u32 byte cast saturates)",
+                RdModel {
+                    intra_bpp_at_ref: 4.0e6,
+                    ..RdModel::default()
+                },
+            ),
+            (
+                "NaN rate coefficient",
+                RdModel {
+                    intra_bpp_at_ref: f64::NAN,
+                    ..RdModel::default()
+                },
+            ),
+            (
+                "negative rate coefficient",
+                RdModel {
+                    intra_bpp_at_ref: -0.3,
+                    min_bpp: -1.0,
+                    ..RdModel::default()
+                },
+            ),
+            (
+                "infinite bpp floor",
+                RdModel {
+                    min_bpp: f64::INFINITY,
+                    ..RdModel::default()
+                },
+            ),
+            (
+                "NaN bpp floor",
+                RdModel {
+                    min_bpp: f64::NAN,
+                    ..RdModel::default()
+                },
+            ),
+            (
+                "infinite QP factors",
+                RdModel {
+                    qp_halving_step: 1.0e-3,
+                    ..RdModel::default()
+                },
+            ),
+        ] {
+            let enc = Encoder::with_rd_model(EncoderConfig::default(), rd);
+            for index in [0u64, 7] {
+                let frame = source.frame(index);
+                let plan = check_frame_all_levels(&enc, &frame, &varied_base(enc.grid_for(&frame)));
+                assert!(!plan.f64_exact, "{what}: must fall back to the scalar expression");
+            }
+        }
+    }
+
+    /// A plan over hand-made coefficients (no frame behind it), flagged by the same
+    /// domain check `prepare_rate_plan` applies.
+    fn synthetic_plan(enc: &Encoder, blocks: &[(f64, f64, f64)]) -> RatePlan {
+        let mut plan = RatePlan::new();
+        for &(lead, tail, pixels) in blocks {
+            plan.lead.push(lead);
+            plan.tail.push(tail);
+            plan.pixels.push(pixels);
+        }
+        plan.f64_exact = enc.plan_is_f64_exact(&plan);
+        plan
+    }
+
+    fn scalar_uniform_total(enc: &Encoder, plan: &RatePlan, qp: Qp) -> u64 {
+        let factor = enc.qp_factor_table()[qp.value() as usize];
+        let (min_bpp, preset) = (enc.rd_model().min_bpp, enc.config().preset.rate_factor());
+        enc.config().header_bytes as u64
+            + (0..plan.lead.len())
+                .map(|b| {
+                    plan_block_bytes(
+                        plan.lead[b],
+                        factor,
+                        plan.tail[b],
+                        min_bpp,
+                        plan.pixels[b],
+                        preset,
+                    )
+                })
+                .sum::<u64>()
+    }
+
+    #[test]
+    fn lane_kernel_matches_scalar_oracle_on_edge_coefficients() {
+        let enc = Encoder::new(EncoderConfig::default());
+        // Zero-area edge blocks, products that are exact integers and exact halves (the
+        // round-to-even cases of the ceil trick), the bpp floor, and a block just inside
+        // the 2^31-bit bound at the largest QP factor.
+        let max_factor = enc.qp_factor_table().iter().copied().fold(0.0, f64::max);
+        let edge = [
+            (0.3, 1.0, 0.0),
+            (0.0, 1.0, 4096.0),
+            (0.3, 0.0, 4096.0),
+            (0.25, 1.0, 4096.0),
+            (0.125, 0.5, 4.0),
+            (0.5, 1.0, 1.0),
+            (1.5, 1.0, 1.0),
+            (1.0e-9, 1.0, 4096.0),
+            (0.3, 0.65, 3.0),
+            ((MAX_BLOCK_BITS - 1.0) / (max_factor * 4096.0), 1.0, 4096.0),
+        ];
+        let mut state = 0xD1B5_4A32_D192_ED03u64;
+        let mut unit = || {
+            state = state
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            (state >> 11) as f64 / (1u64 << 53) as f64
+        };
+        for len in 0..=33 {
+            let blocks: Vec<(f64, f64, f64)> = (0..len)
+                .map(|i| match i % 3 {
+                    0 => edge[(i / 3 + len) % edge.len()],
+                    _ => (0.3 * unit(), 0.1 + 0.55 * unit(), (4096.0 * unit()).floor()),
+                })
+                .collect();
+            let plan = synthetic_plan(&enc, &blocks);
+            assert!(
+                plan.f64_exact,
+                "length {len}: every coefficient is inside the domain"
+            );
+            for qp in 0..=51 {
+                assert_eq!(
+                    enc.predict_plan_uniform_size(&plan, Qp::new(qp)),
+                    scalar_uniform_total(&enc, &plan, Qp::new(qp)),
+                    "length {len}, qp {qp}"
+                );
+            }
+        }
+        // One block past the bound flips the whole plan to the scalar expression.
+        let past = synthetic_plan(
+            &enc,
+            &[(0.3, 1.0, 4096.0), (MAX_BLOCK_BITS / max_factor, 1.0, 1.0)],
+        );
+        assert!(!past.f64_exact);
+        assert_eq!(
+            enc.predict_plan_uniform_size(&past, Qp::new(0)),
+            scalar_uniform_total(&enc, &past, Qp::new(0))
+        );
+    }
+
+    /// The stated result of the search by exhaustive scan: `T` is the first level that
+    /// fits, the level is whichever of `T − 1`, `T` is closer (tie → `T`, bracket edges
+    /// clamp) — and that level must also minimise the error over the whole bracket.
+    fn exhaustive(lo: i32, hi: i32, budget_bits: f64, bits_at: impl Fn(i32) -> f64) -> (i32, i32) {
+        let over = |l: i32| bits_at(l) > budget_bits;
+        let boundary = (lo..=hi).find(|&l| !over(l)).unwrap_or(hi + 1);
+        let err = |l: i32| (bits_at(l) - budget_bits).abs();
+        let level = if boundary == lo {
+            lo
+        } else if boundary > hi || err(boundary - 1) < err(boundary) {
+            boundary - 1
+        } else {
+            boundary
+        };
+        if !budget_bits.is_nan() {
+            let least = (lo..=hi).map(err).fold(f64::INFINITY, f64::min);
+            assert!(
+                err(level) <= least,
+                "level {level} is not an argmin over {lo}..={hi}"
+            );
+        }
+        (level, boundary)
+    }
+
+    fn probe_bound(lo: i32, hi: i32) -> u32 {
+        let range = (hi - lo + 1) as u32;
+        2 * range.next_power_of_two().trailing_zeros() + 2
+    }
+
+    #[test]
+    fn boundary_search_is_independent_of_the_hint_on_step_functions() {
+        // Non-increasing size curves with plateaus of every shape: flat everywhere, one
+        // cliff, long flat runs between steps, strictly decreasing.
+        let mut state = 0xA076_1D64_78BD_642Fu64;
+        let mut next = |m: u32| {
+            state = state
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            ((state >> 33) as u32) % m
+        };
+        for case in 0..200 {
+            let (lo, hi) = if case % 2 == 0 { (-51, 51) } else { (0, 51) };
+            let flatness = [1, 2, 8, 40, 1000][case % 5];
+            let mut sizes = Vec::new();
+            let mut size = 200_000u32;
+            for _ in lo..=hi {
+                sizes.push(f64::from(size * 8));
+                if next(flatness) == 0 {
+                    size = size.saturating_sub(1 + next(9000));
+                }
+            }
+            let bits_at = |l: i32| sizes[(l - lo) as usize];
+            let budgets = [
+                0.0,
+                1.0e12,
+                f64::NAN,
+                sizes[next(sizes.len() as u32) as usize],
+                sizes[next(sizes.len() as u32) as usize] + 0.5,
+                (sizes[0] + sizes[sizes.len() - 1]) / 2.0,
+                f64::from(next(1_700_000)),
+            ];
+            for budget in budgets {
+                let (level, boundary) = exhaustive(lo, hi, budget, bits_at);
+                for hint in (lo - 2..=hi + 2).map(Some).chain([None]) {
+                    let found = search_boundary(lo, hi, budget, hint, bits_at);
+                    assert_eq!(
+                        (found.level, found.boundary),
+                        (level, boundary),
+                        "case {case}, budget {budget}, hint {hint:?}"
+                    );
+                    assert!(
+                        found.probes <= probe_bound(lo, hi),
+                        "{} probes, hint {hint:?}",
+                        found.probes
+                    );
+                }
+                // A hint on the boundary of an interior answer costs two probes.
+                if boundary > lo && boundary <= hi {
+                    assert_eq!(search_boundary(lo, hi, budget, Some(boundary), bits_at).probes, 2);
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn plan_search_matches_exhaustive_argmin_for_every_hint() {
+        let source = VideoSource::new(basketball_game(2), SourceConfig::fps30(5.0));
+        let plateau = RdModel {
+            min_bpp: 0.5,
+            ..RdModel::default()
+        };
+        for (rd, block_size) in [
+            (RdModel::default(), 64),
+            (RdModel::default(), 128),
+            (plateau, 128),
+        ] {
+            let enc = Encoder::with_rd_model(
+                EncoderConfig {
+                    block_size,
+                    ..EncoderConfig::default()
+                },
+                rd,
+            );
+            // Intra and inter frames.
+            for index in [0u64, 9] {
+                let frame = source.frame(index);
                 let dims = enc.grid_for(&frame);
-                // A non-trivial base map: QP varies across the grid.
-                let values: Vec<Qp> = (0..dims.len()).map(|i| Qp::new((i % 52) as i32)).collect();
-                let base = QpMap::from_values(dims, values);
-                check_frame_all_levels(&enc, &frame, &base);
+                let bases = [
+                    Some(varied_base(dims)),
+                    Some(QpMap::uniform(dims, Qp::new(51))),
+                    Some(QpMap::uniform(dims, Qp::new(0))),
+                    None,
+                ];
+                for base in &bases {
+                    let mut plan = RatePlan::new();
+                    enc.prepare_rate_plan(&frame, base.as_ref(), &mut plan);
+                    let (lo, hi) = if base.is_some() { (-51, 51) } else { (0, 51) };
+                    let bits_at = |l: i32| match base {
+                        Some(_) => (enc.predict_plan_offset_size(&plan, l) * 8) as f64,
+                        None => (enc.predict_plan_uniform_size(&plan, Qp::new(l)) * 8) as f64,
+                    };
+                    // Unreachable, trivially met, on a level's exact size, between levels.
+                    let budgets = [
+                        1.0,
+                        1.0e15,
+                        bits_at(lo + 20),
+                        (bits_at(lo + 30) + bits_at(lo + 31)) / 2.0,
+                        36_000.0,
+                    ];
+                    for budget in budgets {
+                        let (level, boundary) = exhaustive(lo, hi, budget, bits_at);
+                        for hint in (lo..=hi).map(Some).chain([None]) {
+                            let found = enc.search_rate_plan(&plan, budget, hint);
+                            assert_eq!(
+                                (found.level, found.boundary),
+                                (level, boundary),
+                                "frame {index}, block {block_size}, budget {budget}, hint {hint:?}"
+                            );
+                            assert!(found.probes <= probe_bound(lo, hi));
+                        }
+                    }
+                }
             }
         }
     }
