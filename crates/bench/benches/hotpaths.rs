@@ -10,7 +10,7 @@ use aivc_rtc::packetizer::{OutgoingFrame, Packetizer};
 use aivc_scene::templates::basketball_game;
 use aivc_scene::{Frame, SourceConfig, VideoSource};
 use aivc_semantics::{ClipModel, ClipParScratch, ClipScratch, TextQuery};
-use aivc_videocodec::{Decoder, EncodeParScratch, EncodedFrame, Encoder, EncoderConfig, Qp, QpMap};
+use aivc_videocodec::{Decoder, Encoder, EncoderConfig, Qp, QpMap};
 use aivchat_core::{ChatServer, ChatSession, QpAllocator, QpAllocatorConfig};
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
@@ -149,8 +149,8 @@ fn bench_pipeline_turn(c: &mut Criterion) {
 }
 
 fn bench_parallel_stages(c: &mut Criterion) {
-    // The data-parallel stage forms on the machine's pool (AIVC_POOL_SIZE overrides); with
-    // one lane these measure the sequential delegation, with N lanes the real speedup.
+    // The data-parallel CLIP form on the machine's pool (AIVC_POOL_SIZE overrides); with
+    // one lane this measures the sequential delegation, with N lanes the real speedup.
     let pool = MiniPool::new(MiniPool::env_lanes());
     let source = VideoSource::new(basketball_game(1), SourceConfig::fps30(5.0));
     let frame = source.frame(0);
@@ -164,16 +164,6 @@ fn bench_parallel_stages(c: &mut Criterion) {
         b.iter(|| {
             let map = model.correlation_map_par(black_box(&frame), &query, &pool, &mut scratch);
             black_box(map.values().len())
-        });
-    });
-    let encoder = Encoder::new(EncoderConfig::default());
-    let qp_map = QpMap::uniform(encoder.grid_for(&frame), Qp::new(32));
-    c.bench_function("encode_1080p_frame_uniform_qp_par", |b| {
-        let mut scratch = EncodeParScratch::new();
-        let mut out = EncodedFrame::placeholder();
-        b.iter(|| {
-            encoder.encode_into_par(black_box(&frame), &qp_map, &pool, &mut scratch, &mut out);
-            black_box(out.total_bytes())
         });
     });
 }

@@ -160,9 +160,8 @@ fn main() {
     let max_delta = deltas.iter().copied().fold(f64::NEG_INFINITY, f64::max);
     // The steal diagnosis needs a spread of independent entries: a handful of `--only`
     // regressions clustering is just as consistent with a real localized regression.
-    let uniform_slowdown = deltas.len() >= 5
-        && min_delta > tolerance
-        && (1.0 + max_delta) / (1.0 + min_delta) < 1.0 + tolerance;
+    let uniform_slowdown =
+        deltas.len() >= 5 && min_delta > tolerance && (1.0 + max_delta) / (1.0 + min_delta) < 1.0 + tolerance;
     if uniform_slowdown {
         eprintln!(
             "bench_check: every entry regressed by a similar factor ({:+.1} % to {:+.1} %) — \

@@ -20,11 +20,11 @@
 //! on ordinary noise.
 
 use aivc_bench::hotpath_suite::{
-    measure_all_hotpaths, measure_hotpaths_matching, measure_turn_breakdown,
-    measure_warm_turn_breakdown, BaselineFile, METHODOLOGY, PROFILE,
+    measure_all_hotpaths, measure_hotpaths_matching, measure_turn_breakdown, measure_warm_turn_breakdown,
+    BaselineFile, METHODOLOGY, PROFILE,
 };
-use aivc_bench::HotpathMeasurement;
 use aivc_bench::print_section;
+use aivc_bench::HotpathMeasurement;
 use aivc_par::MiniPool;
 use std::io::Write;
 
@@ -104,8 +104,7 @@ fn record_only(only: &[String], pool_lanes: usize, runs: usize) {
         eprintln!("--only updates an existing {path}, which could not be read: {e}");
         std::process::exit(2);
     });
-    let mut baseline: BaselineFile =
-        serde_json::from_str(&existing).expect("existing baseline parses");
+    let mut baseline: BaselineFile = serde_json::from_str(&existing).expect("existing baseline parses");
     for name in only {
         let known = baseline.hotpaths.iter().any(|m| &m.name == name)
             || baseline.turn_breakdown.iter().any(|m| &m.name == name)
@@ -187,8 +186,7 @@ fn record_only(only: &[String], pool_lanes: usize, runs: usize) {
         .filter(|n| baseline.warm_turn_breakdown.iter().any(|m| &m.name == *n))
         .collect();
     if !warm_names.is_empty() {
-        let measured =
-            measure_max_of(runs, || measure_warm_turn_breakdown(SAMPLES, TARGET_SAMPLE_MS));
+        let measured = measure_max_of(runs, || measure_warm_turn_breakdown(SAMPLES, TARGET_SAMPLE_MS));
         for m in measured {
             if !warm_names.iter().any(|n| **n == m.name) {
                 continue;
@@ -283,8 +281,7 @@ fn main() {
     ));
     print_section("Chat-turn budget (pipeline_turn_1080p decomposed)", &table);
 
-    let warm_turn_breakdown =
-        measure_max_of(runs, || measure_warm_turn_breakdown(SAMPLES, TARGET_SAMPLE_MS));
+    let warm_turn_breakdown = measure_max_of(runs, || measure_warm_turn_breakdown(SAMPLES, TARGET_SAMPLE_MS));
     let warm_total = warm_turn_breakdown
         .iter()
         .find(|m| m.name == "warm_turn_total")

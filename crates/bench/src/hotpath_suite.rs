@@ -13,8 +13,8 @@ use aivc_scene::{Concept, Frame, GridDims, Rect, Scene, SceneObject, SourceConfi
 use aivc_semantics::{ClipModel, ClipParScratch, ClipScratch, TextQuery};
 use aivc_sim::SimDuration;
 use aivc_videocodec::{
-    DecodeScratch, DecodedFrame, Decoder, EncodeParScratch, EncodeScratch, EncodedFrame, Encoder,
-    EncoderConfig, Qp, QpMap, RatePlan,
+    DecodeScratch, DecodedFrame, Decoder, EncodeScratch, EncodedFrame, Encoder, EncoderConfig, Qp, QpMap,
+    RatePlan,
 };
 use aivchat_core::{
     ChatServer, ChatSession, Conversation, ConversationChatServer, NetSessionOptions, QpAllocator,
@@ -298,9 +298,9 @@ pub fn measure_hotpaths_matching(
         ));
     }
 
-    // 7. The data-parallel stage forms, on a pool of `pool_lanes` lanes. With one lane
-    // both delegate to the sequential paths, so these medians double as a check that the
-    // delegation adds nothing; with N lanes they measure the real speedup (the lane count
+    // 7. The data-parallel CLIP form, on a pool of `pool_lanes` lanes. With one lane it
+    // delegates to the sequential path, so this median doubles as a check that the
+    // delegation adds nothing; with N lanes it measures the real speedup (the lane count
     // is recorded alongside — see `BaselineFile`).
     let pool = MiniPool::new(pool_lanes);
     if wants(only, "clip_correlation_map_1080p_par") {
@@ -319,23 +319,6 @@ pub fn measure_hotpaths_matching(
             || {
                 let map = model.correlation_map_par(black_box(&frame), &query, &pool, &mut scratch);
                 map.values().len()
-            },
-        ));
-    }
-    if wants(only, "encode_1080p_frame_uniform_qp_par") {
-        let source = VideoSource::new(basketball_game(1), SourceConfig::fps30(5.0));
-        let frame = source.frame(0);
-        let encoder = Encoder::new(EncoderConfig::default());
-        let qp_map = QpMap::uniform(encoder.grid_for(&frame), Qp::new(32));
-        let mut scratch = EncodeParScratch::new();
-        let mut out = EncodedFrame::placeholder();
-        hotpaths.push(measure_hotpath(
-            "encode_1080p_frame_uniform_qp_par",
-            samples,
-            target_sample_ms,
-            || {
-                encoder.encode_into_par(black_box(&frame), &qp_map, &pool, &mut scratch, &mut out);
-                out.total_bytes()
             },
         ));
     }

@@ -1,18 +1,19 @@
 //! The multi-core smoke gate the ROADMAP asked for: on a runner with more than one core,
-//! the data-parallel stage forms must actually be faster than their sequential
-//! equivalents — `correlation_map_par` and `encode_into_par` at a fixed 4-lane pool must
-//! each achieve ≥ 1.5× the sequential throughput. On a single-core runner the parallel
-//! paths degenerate to sequential delegation plus dispatch overhead, so the gate skips
-//! (the committed `BENCH_hotpaths.json` was recorded on such a box — see ROADMAP.md).
+//! the data-parallel CLIP form must actually be faster than its sequential equivalent —
+//! `correlation_map_par` at a fixed 4-lane pool must achieve ≥ 1.5× the sequential
+//! throughput. On a single-core runner the parallel path degenerates to sequential
+//! delegation plus dispatch overhead, so the gate skips (the committed
+//! `BENCH_hotpaths.json` was recorded on such a box — see ROADMAP.md). The encode has no
+//! parallel form: a planned 1080p encode is a few microseconds, less than one pool
+//! dispatch.
 //!
 //! This is a *smoke* gate, not a benchmark: medians over short batches, a generous
-//! threshold (the PR 3 targets were ≥ 2.5× CLIP / ≥ 2× encode at 4 lanes), and
-//! bit-identical outputs already proven by the equivalence property tests.
+//! threshold (the PR 3 target was ≥ 2.5× at 4 lanes), and bit-identical outputs already
+//! proven by the equivalence property tests.
 
 use aivc_par::MiniPool;
 use aivc_scene::{SourceConfig, VideoSource};
 use aivc_semantics::{ClipModel, ClipParScratch, ClipScratch, TextQuery};
-use aivc_videocodec::{EncodeParScratch, EncodeScratch, EncodedFrame, Encoder, EncoderConfig, Qp, QpMap};
 use std::hint::black_box;
 use std::time::Instant;
 
@@ -36,7 +37,7 @@ fn median_secs_per_call(reps: usize, batch: usize, mut f: impl FnMut()) -> f64 {
 }
 
 #[test]
-fn par_stage_forms_speed_up_at_four_lanes_on_multicore() {
+fn par_clip_speeds_up_at_four_lanes_on_multicore() {
     let cores = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1);
     if cores < 2 {
         println!("skipping par speedup gate: runner reports {cores} core(s)");
@@ -74,32 +75,8 @@ fn par_stage_forms_speed_up_at_four_lanes_on_multicore() {
         "correlation_map_par speedup at {LANES} lanes: {clip_speedup:.2}x (seq {seq:.2e}s, par {par:.2e}s)"
     );
 
-    // --- ROI encode, sequential vs 4-lane parallel.
-    let encoder = Encoder::new(EncoderConfig::default());
-    let qp_map = QpMap::uniform(encoder.grid_for(&frame), Qp::new(32));
-    let mut seq_scratch = EncodeScratch::new();
-    let mut seq_out = EncodedFrame::placeholder();
-    let seq = median_secs_per_call(15, 8, || {
-        encoder.encode_into(black_box(&frame), &qp_map, &mut seq_scratch, &mut seq_out);
-        black_box(seq_out.total_bytes());
-    });
-    let mut par_scratch = EncodeParScratch::new();
-    let mut par_out = EncodedFrame::placeholder();
-    let par = median_secs_per_call(15, 8, || {
-        encoder.encode_into_par(black_box(&frame), &qp_map, &pool, &mut par_scratch, &mut par_out);
-        black_box(par_out.total_bytes());
-    });
-    let encode_speedup = seq / par;
-    println!(
-        "encode_into_par speedup at {LANES} lanes: {encode_speedup:.2}x (seq {seq:.2e}s, par {par:.2e}s)"
-    );
-
     assert!(
         clip_speedup >= target,
         "correlation_map_par speedup {clip_speedup:.2}x below the {target}x gate on a {cores}-core runner"
-    );
-    assert!(
-        encode_speedup >= target,
-        "encode_into_par speedup {encode_speedup:.2}x below the {target}x gate on a {cores}-core runner"
     );
 }

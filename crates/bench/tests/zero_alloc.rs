@@ -26,8 +26,7 @@ use aivc_semantics::{ClipModel, ClipParScratch, ClipScratch, TextQuery};
 use aivc_sim::SimDuration;
 use aivc_sim::{EventQueue, SimTime};
 use aivc_videocodec::{
-    DecodeScratch, DecodedFrame, Decoder, EncodeParScratch, EncodeScratch, EncodedFrame, Encoder,
-    EncoderConfig, QpMap,
+    DecodeScratch, DecodedFrame, Decoder, EncodeScratch, EncodedFrame, Encoder, EncoderConfig, QpMap,
 };
 use aivchat_core::{
     ChatServer, ChatSession, Conversation, ConversationChatServer, NetSessionOptions, QpAllocator,
@@ -190,7 +189,8 @@ fn main() {
         "allocate_into allocated {eq2_allocs} times across 1000 post-warmup iterations"
     );
 
-    // --- encode_into: a 1080p ROI encode through a warmed scratch (coverage-Arc cache hits).
+    // --- encode_into: a 1080p ROI encode through a warmed scratch (plan, block list and
+    // coverage table all refilled in place).
     let mut encode_scratch = EncodeScratch::new();
     let mut encoded = EncodedFrame::placeholder();
     for _ in 0..3 {
@@ -251,10 +251,10 @@ fn main() {
         "ChatSession::run_turn allocated {turn_allocs} times across 10 post-warmup turns"
     );
 
-    // --- the data-parallel paths: same hot loops spread across a MiniPool. Pool and lane
-    // scratches are part of warmup; post-warmup parallel sections must not allocate either
-    // (raw-pointer job dispatch, per-lane scratches created once, static chunk→lane
-    // mapping keeping every lane's caches warm).
+    // --- the data-parallel CLIP path: the same hot loop spread across a MiniPool. Pool
+    // and lane scratches are part of warmup; post-warmup parallel sections must not
+    // allocate either (raw-pointer job dispatch, per-lane scratches created once, static
+    // chunk→lane mapping keeping every lane's caches warm).
     let pool_lanes = MiniPool::env_lanes_or(MiniPool::available_lanes().max(2));
     let pool = MiniPool::new(pool_lanes);
 
@@ -271,32 +271,6 @@ fn main() {
     assert_eq!(
         clip_par_allocs, 0,
         "correlation_map_par ({pool_lanes} lanes) allocated {clip_par_allocs} times across 25 post-warmup iterations"
-    );
-
-    let mut encode_par = EncodeParScratch::new();
-    let mut encoded_par = EncodedFrame::placeholder();
-    for _ in 0..3 {
-        encoder.encode_into_par(&frame, &qp_map, &pool, &mut encode_par, &mut encoded_par);
-    }
-    let before = allocations();
-    for _ in 0..100 {
-        encoder.encode_into_par(
-            black_box(&frame),
-            &qp_map,
-            &pool,
-            &mut encode_par,
-            &mut encoded_par,
-        );
-        black_box(encoded_par.total_bytes());
-    }
-    let encode_par_allocs = allocations() - before;
-    assert_eq!(
-        encode_par_allocs, 0,
-        "encode_into_par ({pool_lanes} lanes) allocated {encode_par_allocs} times across 100 post-warmup iterations"
-    );
-    assert_eq!(
-        encoded_par, encoded,
-        "parallel encode output diverged from the sequential output"
     );
 
     // --- the multi-session ChatServer: steady-state turns across the pool. After each
@@ -341,6 +315,37 @@ fn main() {
     assert_eq!(
         conversation_allocs, 0,
         "Conversation::run_turn_in_place allocated {conversation_allocs} times across {measured_turns} post-warmup turns"
+    );
+
+    // --- motion: the same, cycling sixteen *distinct* moving windows (the end-to-end
+    // benchmark's inputs: the basketball clip, window starts 0.35 s apart, 4 frames at
+    // 12 fps). Every frame's object coverage differs from the slot's previous occupant;
+    // frames carry it as one table refilled in place, so once every window has been seen
+    // a turn is as heap-free under motion as on a repeated window.
+    let clip = VideoSource::new(basketball_game(1), SourceConfig::fps30(6.0));
+    let windows: Vec<Vec<Frame>> = (0..16)
+        .map(|k| {
+            (0..4)
+                .map(|i| clip.frame_at(k as f64 * 0.35 + i as f64 / 12.0))
+                .collect()
+        })
+        .collect();
+    let mut options = NetSessionOptions::ai_oriented(11, PathConfig::paper_section_2_2(0.0));
+    options.capture_fps = 12.0;
+    let mut moving = Conversation::with_defaults(options, SimDuration::from_millis(200));
+    for window in windows.iter().chain(&windows) {
+        let _ = moving.run_turn(window, &question);
+    }
+    moving.reserve_turns(windows.len(), 4);
+    let before = allocations();
+    for window in &windows {
+        let report = moving.run_turn_in_place(black_box(window), &question);
+        black_box(report.answer.visual_tokens);
+    }
+    let moving_allocs = allocations() - before;
+    assert_eq!(
+        moving_allocs, 0,
+        "a warm Conversation allocated {moving_allocs} times across sixteen distinct moving windows"
     );
 
     // --- the think gap: between turns the conversation keeps the transport alive —

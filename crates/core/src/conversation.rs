@@ -570,7 +570,10 @@ mod tests {
             lens[3..].iter().all(|&l| l == warm),
             "pool size kept moving after warmup (leak or lost buffer): {lens:?}"
         );
-        assert!(warm <= 8, "pool larger than any plausible in-flight peak: {lens:?}");
+        assert!(
+            warm <= 8,
+            "pool larger than any plausible in-flight peak: {lens:?}"
+        );
     }
 
     #[test]

@@ -60,7 +60,5 @@ pub use scenarios::{
     ContentionScenario, ContentionScenarioReport, ConversationScenario, ConversationScenarioReport, Scenario,
     ScenarioReport,
 };
-pub use server::{
-    ChatServer, ConversationChatServer, NetworkedChatServer, ServerError, ServingReport,
-};
+pub use server::{ChatServer, ConversationChatServer, NetworkedChatServer, ServerError, ServingReport};
 pub use session::{AiVideoChatSession, ChatSession, ChatTurnReport, PipelineTurnReport, SessionOptions};

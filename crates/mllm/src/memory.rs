@@ -36,8 +36,8 @@ impl LongTermMemory {
     /// Ingests a decoded frame (typically from the latency-insensitive enhancement layer).
     pub fn ingest(&mut self, frame: &DecodedFrame) {
         self.frames_ingested += 1;
-        for block in &frame.blocks {
-            for (object_id, coverage) in block.object_coverage.iter() {
+        for (block, covered_by) in frame.blocks.iter().zip(frame.coverage.iter()) {
+            for (object_id, coverage) in covered_by {
                 if *coverage < 0.05 {
                     continue;
                 }

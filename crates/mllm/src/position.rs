@@ -66,7 +66,7 @@ mod tests {
             width: 64,
             height: 64,
             block_size: 64,
-            blocks: Vec::new(),
+            ..DecodedFrame::placeholder()
         }
     }
 

@@ -323,7 +323,10 @@ impl FrameAssembler {
         let idx = (frame_id - self.base_id) as usize;
         while self.slots.len() <= idx {
             let state = self.pool.pop().unwrap_or_default();
-            self.slots.push_back(FrameSlot { tracked: false, state });
+            self.slots.push_back(FrameSlot {
+                tracked: false,
+                state,
+            });
         }
         let slot = &mut self.slots[idx];
         if !slot.tracked {

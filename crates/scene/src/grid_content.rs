@@ -18,6 +18,76 @@
 
 use crate::frame::Frame;
 use crate::geometry::{GridDims, Rect};
+use serde::{Deserialize, Serialize};
+
+/// Per-cell `(object_id, fraction)` coverage lists for a whole grid in one CSR table: cell
+/// `i`'s list is `entries[offsets[i]..offsets[i + 1]]`, in placement order — exactly
+/// `RegionContent::object_coverage` for that cell's rectangle. One table per frame is
+/// what the codec's frames carry instead of a list per block, so handing coverage from
+/// the raster to an encoded frame to a decoded frame is two slice copies.
+#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+pub struct CoverageTable {
+    /// `cells + 1` prefix offsets into `entries` (empty for a table of no cells).
+    offsets: Vec<u32>,
+    /// Every cell's entries, concatenated in cell order.
+    entries: Vec<(u32, f64)>,
+}
+
+impl CoverageTable {
+    /// Number of cells in the table.
+    pub fn cells(&self) -> usize {
+        self.offsets.len().saturating_sub(1)
+    }
+
+    /// Cell `idx`'s coverage list.
+    pub fn cell(&self, idx: usize) -> &[(u32, f64)] {
+        &self.entries[self.offsets[idx] as usize..self.offsets[idx + 1] as usize]
+    }
+
+    /// Every cell's coverage list, in cell order.
+    pub fn iter(&self) -> impl Iterator<Item = &[(u32, f64)]> + '_ {
+        self.offsets
+            .windows(2)
+            .map(|w| &self.entries[w[0] as usize..w[1] as usize])
+    }
+
+    /// The cells `object_id` covers by at least `min_cover`, in cell order, each with the
+    /// covering fraction of its first such entry — `cell(i).iter().find(..)` for every
+    /// `i`, but scanning the entries (a few per object) rather than the cells.
+    pub fn cells_covered_by(
+        &self,
+        object_id: u32,
+        min_cover: f64,
+    ) -> impl Iterator<Item = (usize, f64)> + '_ {
+        let mut previous = usize::MAX;
+        self.entries
+            .iter()
+            .enumerate()
+            .filter(move |(_, (id, frac))| *id == object_id && *frac >= min_cover)
+            .filter_map(move |(at, &(_, frac))| {
+                let cell = self.offsets.partition_point(|&start| start as usize <= at) - 1;
+                (std::mem::replace(&mut previous, cell) != cell).then_some((cell, frac))
+            })
+    }
+
+    /// Appends one cell with the given coverage list.
+    pub fn push_cell(&mut self, coverage: &[(u32, f64)]) {
+        if self.offsets.is_empty() {
+            self.offsets.push(0);
+        }
+        self.entries.extend_from_slice(coverage);
+        self.offsets.push(self.entries.len() as u32);
+    }
+
+    /// Makes this table a copy of `other`, keeping its own buffers (no allocation once
+    /// they have grown to the frame's size).
+    pub fn copy_from(&mut self, other: &CoverageTable) {
+        self.offsets.clear();
+        self.offsets.extend_from_slice(&other.offsets);
+        self.entries.clear();
+        self.entries.extend_from_slice(&other.entries);
+    }
+}
 
 /// Per-cell content descriptors for a whole frame grid, stored as structure-of-arrays so
 /// downstream per-block kernels walk unit-stride memory.
@@ -34,12 +104,8 @@ pub struct GridContent {
     background_fraction: Vec<f64>,
     /// Pixel area of each (possibly edge-clipped) cell.
     area: Vec<u64>,
-    /// Prefix offsets into [`GridContent::cov_entries`]; cell `i`'s coverage list is
-    /// `cov_entries[cov_offsets[i]..cov_offsets[i + 1]]`.
-    cov_offsets: Vec<u32>,
-    /// `(object_id, fraction)` coverage entries for all cells, concatenated in cell order,
-    /// each cell's slice in placement order — exactly `RegionContent::object_coverage`.
-    cov_entries: Vec<(u32, f64)>,
+    /// Per-cell `(object_id, fraction)` coverage lists.
+    coverage: CoverageTable,
     /// Per-cell write cursor (pass 1: entry counts; pass 2: entries written so far).
     cursor: Vec<u32>,
     /// Per-cell running coverage total before the `min(1.0)` cap.
@@ -77,8 +143,7 @@ impl GridContent {
             detail: Vec::new(),
             background_fraction: Vec::new(),
             area: Vec::new(),
-            cov_offsets: Vec::new(),
-            cov_entries: Vec::new(),
+            coverage: CoverageTable::default(),
             cursor: Vec::new(),
             covered: Vec::new(),
         }
@@ -107,7 +172,8 @@ impl GridContent {
         self.area.reserve(n);
         for row in 0..dims.rows {
             for col in 0..dims.cols {
-                self.area.push(dims.cell_rect(row, col, frame.width, frame.height).area());
+                self.area
+                    .push(dims.cell_rect(row, col, frame.width, frame.height).area());
             }
         }
         let frame_rect = frame.rect();
@@ -140,16 +206,17 @@ impl GridContent {
             }
         }
         // Prefix-sum the counts into offsets, then replay the placements to fill entries.
-        self.cov_offsets.clear();
-        self.cov_offsets.reserve(n + 1);
+        let CoverageTable { offsets, entries } = &mut self.coverage;
+        offsets.clear();
+        offsets.reserve(n + 1);
         let mut total = 0u32;
-        self.cov_offsets.push(0);
+        offsets.push(0);
         for &count in &self.cursor {
             total += count;
-            self.cov_offsets.push(total);
+            offsets.push(total);
         }
-        self.cov_entries.clear();
-        self.cov_entries.resize(total as usize, (0, 0.0));
+        entries.clear();
+        entries.resize(total as usize, (0, 0.0));
         self.cursor.fill(0);
         for placement in &frame.placements {
             if frame.object(placement.object_id).is_none() {
@@ -168,8 +235,8 @@ impl GridContent {
                     if frac <= 0.0 {
                         continue;
                     }
-                    let slot = self.cov_offsets[idx] as usize + self.cursor[idx] as usize;
-                    self.cov_entries[slot] = (placement.object_id, frac);
+                    let slot = offsets[idx] as usize + self.cursor[idx] as usize;
+                    entries[slot] = (placement.object_id, frac);
                     self.cursor[idx] += 1;
                 }
             }
@@ -220,9 +287,12 @@ impl GridContent {
     /// Cell `idx`'s `(object_id, fraction)` coverage list, in placement order — the same
     /// entries `region_content_into` would report for that cell's rectangle.
     pub fn coverage(&self, idx: usize) -> &[(u32, f64)] {
-        let start = self.cov_offsets[idx] as usize;
-        let end = self.cov_offsets[idx + 1] as usize;
-        &self.cov_entries[start..end]
+        self.coverage.cell(idx)
+    }
+
+    /// Every cell's coverage list as one table (see [`CoverageTable`]).
+    pub fn coverage_table(&self) -> &CoverageTable {
+        &self.coverage
     }
 }
 
@@ -240,13 +310,19 @@ mod tests {
         let dims = grid.dims();
         assert_eq!(dims, GridDims::for_frame(frame.width, frame.height, cell));
         let mut content = RegionContent::empty();
+        let mut rebuilt = CoverageTable::default();
         for row in 0..dims.rows {
             for col in 0..dims.cols {
                 let idx = dims.index(row, col);
                 let rect = dims.cell_rect(row, col, frame.width, frame.height);
                 frame.region_content_into(&rect, &mut content);
+                rebuilt.push_cell(&content.object_coverage);
                 let at = |v: &[f64]| v[idx];
-                assert_eq!(at(grid.complexity()), content.complexity, "complexity {row},{col}");
+                assert_eq!(
+                    at(grid.complexity()),
+                    content.complexity,
+                    "complexity {row},{col}"
+                );
                 assert_eq!(at(grid.motion()), content.motion, "motion {row},{col}");
                 assert_eq!(at(grid.detail()), content.detail, "detail {row},{col}");
                 assert_eq!(
@@ -254,18 +330,63 @@ mod tests {
                     content.background_fraction,
                     "bg {row},{col}"
                 );
-                assert_eq!(grid.coverage(idx), &content.object_coverage[..], "coverage {row},{col}");
+                assert_eq!(
+                    grid.coverage(idx),
+                    &content.object_coverage[..],
+                    "coverage {row},{col}"
+                );
                 assert_eq!(grid.area()[idx], rect.area(), "area {row},{col}");
+            }
+        }
+        // The table as a whole: cell-by-cell construction and an in-place copy over stale
+        // contents both reproduce it.
+        assert_eq!(grid.coverage_table().cells(), dims.len());
+        assert_eq!(&rebuilt, grid.coverage_table());
+        let mut copy = CoverageTable::default();
+        copy.push_cell(&[(9, 0.5)]);
+        copy.copy_from(grid.coverage_table());
+        assert_eq!(&copy, grid.coverage_table());
+        assert!(copy.iter().eq((0..dims.len()).map(|idx| grid.coverage(idx))));
+        // The per-object query is the per-cell `find`, for present and absent objects.
+        for object_id in frame.placements.iter().map(|p| p.object_id).chain([4_242]) {
+            for min_cover in [0.0, 0.02, 0.5, 1.0] {
+                let by_cell: Vec<(usize, f64)> = (0..dims.len())
+                    .filter_map(|idx| {
+                        grid.coverage(idx)
+                            .iter()
+                            .find(|(id, f)| *id == object_id && *f >= min_cover)
+                            .map(|&(_, f)| (idx, f))
+                    })
+                    .collect();
+                let by_entry: Vec<(usize, f64)> = copy.cells_covered_by(object_id, min_cover).collect();
+                assert_eq!(by_entry, by_cell, "object {object_id}, min cover {min_cover}");
             }
         }
     }
 
-    fn busy_scene() -> Scene {
-        let mut s = Scene::new("busy", 1920, 1080).with_background(
-            0.25,
-            0.05,
-            vec![(Concept::new("court"), 1.0)],
+    #[test]
+    fn coverage_query_reports_a_cell_once_for_its_first_matching_entry() {
+        let mut table = CoverageTable::default();
+        assert_eq!(table.cells(), 0);
+        table.push_cell(&[]);
+        table.push_cell(&[(7, 0.01), (7, 0.4), (3, 0.2), (7, 0.9)]);
+        table.push_cell(&[]);
+        table.push_cell(&[(3, 1.0)]);
+        assert_eq!(table.cells(), 4);
+        assert_eq!(
+            table.cells_covered_by(7, 0.05).collect::<Vec<_>>(),
+            vec![(1, 0.4)]
         );
+        assert_eq!(
+            table.cells_covered_by(3, 0.0).collect::<Vec<_>>(),
+            vec![(1, 0.2), (3, 1.0)]
+        );
+        assert_eq!(table.cells_covered_by(7, f64::NAN).count(), 0);
+    }
+
+    fn busy_scene() -> Scene {
+        let mut s =
+            Scene::new("busy", 1920, 1080).with_background(0.25, 0.05, vec![(Concept::new("court"), 1.0)]);
         s.add_object(
             SceneObject::new(1, "scoreboard", Rect::new(100, 40, 320, 160))
                 .with_concept("scoreboard", 1.0)

@@ -32,6 +32,7 @@ pub use corpus::{Corpus, VideoClip};
 pub use fact::{FactCategory, SceneFact};
 pub use frame::{Frame, RegionContent};
 pub use geometry::{GridDims, Rect};
+pub use grid_content::CoverageTable;
 pub use object::SceneObject;
 pub use scene::Scene;
 pub use source::{SourceConfig, VideoSource};

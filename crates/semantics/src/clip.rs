@@ -1547,11 +1547,8 @@ mod tests {
         // Empty input for phase A: only background concepts contribute.
         use aivc_scene::Scene;
         let model = ClipModel::mobile_default();
-        let scene = Scene::new("empty", 640, 384).with_background(
-            0.3,
-            0.1,
-            vec![(Concept::new("grass"), 1.0)],
-        );
+        let scene =
+            Scene::new("empty", 640, 384).with_background(0.3, 0.1, vec![(Concept::new("grass"), 1.0)]);
         let frame = Frame::sample(&scene, 0, 0, 0.0);
         let query = TextQuery::from_words("grass season", model.ontology());
         let naive = model.correlation_map_naive(&frame, &query);

@@ -342,7 +342,11 @@ mod tests {
         while let Some((t, (tag, is_run))) = q.pop() {
             fired.push((t.as_micros(), tag, is_run));
             if is_run && t.as_micros() < 5 {
-                q.schedule_with_seq(SimTime::from_micros(t.as_micros() + 1), run.seq(), (tag + 100, true));
+                q.schedule_with_seq(
+                    SimTime::from_micros(t.as_micros() + 1),
+                    run.seq(),
+                    (tag + 100, true),
+                );
             }
         }
         // At every shared instant the re-armed run (older seq) pops before the rival.
@@ -351,7 +355,10 @@ mod tests {
             .filter(|(t, _, _)| *t >= 1 && *t <= 5)
             .map(|&(_, _, is_run)| is_run)
             .collect();
-        assert_eq!(runs_first, vec![true, false, true, false, true, false, true, false, true, false]);
+        assert_eq!(
+            runs_first,
+            vec![true, false, true, false, true, false, true, false, true, false]
+        );
     }
 
     #[test]

@@ -8,12 +8,11 @@
 use crate::frame::{EncodedFrame, FrameType};
 use crate::qp::Qp;
 use crate::rd::RdModel;
-use aivc_scene::{GridDims, Rect};
+use aivc_scene::{CoverageTable, GridDims, Rect};
 use serde::{Deserialize, Serialize};
-use std::sync::Arc;
 
 /// One decoded block.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct DecodedBlock {
     /// Flat raster index.
     pub index: usize,
@@ -26,8 +25,6 @@ pub struct DecodedBlock {
     pub quality: f64,
     /// Detail requirement of the block's content.
     pub detail: f64,
-    /// Object coverage, shared with the encoded block (an `Arc` bump, not a copy).
-    pub object_coverage: Arc<[(u32, f64)]>,
 }
 
 /// A decoded frame, the MLLM-facing representation of what survived encoding + transport.
@@ -50,6 +47,9 @@ pub struct DecodedFrame {
     pub block_size: u32,
     /// Decoded blocks in raster order.
     pub blocks: Vec<DecodedBlock>,
+    /// Object coverage of each block, copied from the encoded frame's table (read through
+    /// [`DecodedFrame::coverage`]).
+    pub coverage: CoverageTable,
 }
 
 impl DecodedFrame {
@@ -65,7 +65,13 @@ impl DecodedFrame {
             height: 0,
             block_size: 1,
             blocks: Vec::new(),
+            coverage: CoverageTable::default(),
         }
+    }
+
+    /// Coverage of block `idx` by scene objects: `(object_id, fraction of block area)`.
+    pub fn coverage(&self, idx: usize) -> &[(u32, f64)] {
+        self.coverage.cell(idx)
     }
 
     /// The block grid of this frame.
@@ -127,20 +133,15 @@ impl DecodedFrame {
     ) -> Option<f64> {
         let mut weighted = 0.0;
         let mut weight = 0.0;
-        for b in &self.blocks {
-            if let Some((_, frac)) = b
-                .object_coverage
-                .iter()
-                .find(|(id, f)| *id == object_id && *f >= min_cover)
-            {
-                let q = if b.received {
-                    rd.block_quality(b.qp, detail)
-                } else {
-                    rd.concealment_quality(detail)
-                };
-                weighted += frac * q;
-                weight += frac;
-            }
+        for (idx, frac) in self.coverage.cells_covered_by(object_id, min_cover) {
+            let b = &self.blocks[idx];
+            let q = if b.received {
+                rd.block_quality(b.qp, detail)
+            } else {
+                rd.concealment_quality(detail)
+            };
+            weighted += frac * q;
+            weight += frac;
         }
         if weight == 0.0 {
             None
@@ -173,15 +174,9 @@ impl DecodedFrame {
     pub fn object_quality(&self, object_id: u32, min_cover: f64) -> Option<f64> {
         let mut weighted = 0.0;
         let mut weight = 0.0;
-        for b in &self.blocks {
-            if let Some((_, frac)) = b
-                .object_coverage
-                .iter()
-                .find(|(id, f)| *id == object_id && *f >= min_cover)
-            {
-                weighted += frac * b.quality;
-                weight += frac;
-            }
+        for (idx, frac) in self.coverage.cells_covered_by(object_id, min_cover) {
+            weighted += frac * self.blocks[idx].quality;
+            weight += frac;
         }
         if weight == 0.0 {
             None
@@ -246,9 +241,9 @@ impl Decoder {
 
     /// [`Decoder::decode_with_received`] into a caller-owned frame buffer.
     ///
-    /// `out` is refilled in place (its block vector keeps its capacity) and the per-block
-    /// object-coverage lists are `Arc`-shared with the encoded blocks, so once the buffers
-    /// have grown to the frame's block count a decode performs zero heap allocations.
+    /// `out` is refilled in place (its block vector and coverage table keep their capacity),
+    /// so once the buffers have grown to the frame's size a decode performs zero heap
+    /// allocations.
     /// Output is bit-identical to [`Decoder::decode_with_received`] (see the equivalence
     /// tests).
     pub fn decode_into(
@@ -277,9 +272,9 @@ impl Decoder {
                         self.rd.concealment_quality(b.detail)
                     },
                     detail: b.detail,
-                    object_coverage: b.object_coverage.clone(),
                 }),
         );
+        out.coverage.copy_from(&encoded.coverage);
         out.frame_index = encoded.frame_index;
         out.capture_ts_us = encoded.capture_ts_us;
         out.received_at_us = received_at_us;
@@ -369,6 +364,64 @@ mod tests {
         ] {
             dec.decode_into(&e, &received, at, &mut scratch, &mut out);
             assert_eq!(out, dec.decode_with_received(&e, &received, at), "{received:?}");
+        }
+    }
+
+    /// Moving, odd-geometry and object-free frames, each with its encoder block size.
+    fn flat_frame_cases() -> Vec<(aivc_scene::Frame, u32)> {
+        let mut cases = Vec::new();
+        let game = VideoSource::new(basketball_game(3), SourceConfig::fps30(3.0));
+        for t in [0.0, 0.37, 1.9] {
+            cases.push((game.frame_at(t), 64));
+        }
+        let mut odd = basketball_game(2);
+        odd.width = 1000;
+        odd.height = 700;
+        let odd = VideoSource::new(odd, SourceConfig::fps30(3.0));
+        cases.push((odd.frame_at(0.5), 64));
+        cases.push((odd.frame_at(1.1), 48));
+        let empty = aivc_scene::Scene::new("empty", 640, 384).with_background(0.3, 0.1, vec![]);
+        cases.push((aivc_scene::Frame::sample(&empty, 0, 0, 0.0), 64));
+        cases
+    }
+
+    #[test]
+    fn flat_frame_coverage_matches_region_content_through_encode_and_decode() {
+        let mut content = aivc_scene::RegionContent::empty();
+        for (frame, block_size) in flat_frame_cases() {
+            let enc = Encoder::new(EncoderConfig {
+                block_size,
+                ..EncoderConfig::default()
+            });
+            let dims = enc.grid_for(&frame);
+            let e = enc.encode_uniform(&frame, Qp::new(33));
+            // Half the bytes lost: coverage is carried for concealed blocks too.
+            let d = Decoder::new().decode_with_received(&e, &[(0, e.total_bytes() / 2)], None);
+            assert_eq!(e.coverage.cells(), dims.len());
+            assert_eq!(d.coverage.cells(), dims.len());
+            for idx in 0..dims.len() {
+                let (row, col) = dims.position(idx);
+                let cell = dims.cell_rect(row, col, frame.width, frame.height);
+                frame.region_content_into(&cell, &mut content);
+                assert_eq!(e.coverage(idx), &content.object_coverage[..], "encoded {idx}");
+                assert_eq!(d.coverage(idx), &content.object_coverage[..], "decoded {idx}");
+            }
+        }
+    }
+
+    #[test]
+    fn flat_frame_serde_round_trip() {
+        for (frame, block_size) in flat_frame_cases() {
+            let enc = Encoder::new(EncoderConfig {
+                block_size,
+                ..EncoderConfig::default()
+            });
+            let e = enc.encode_uniform(&frame, Qp::new(29));
+            let d = Decoder::new().decode_with_received(&e, &[(0, e.total_bytes() / 3)], Some(77));
+            let e_back: EncodedFrame = serde_json::from_str(&serde_json::to_string(&e).unwrap()).unwrap();
+            let d_back: DecodedFrame = serde_json::from_str(&serde_json::to_string(&d).unwrap()).unwrap();
+            assert_eq!(e_back, e);
+            assert_eq!(d_back, d);
         }
     }
 

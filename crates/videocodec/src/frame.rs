@@ -2,12 +2,13 @@
 //!
 //! An [`EncodedFrame`] is the unit handed to the RTC packetizer: a byte length, a frame
 //! type and a list of [`EncodedBlock`]s laid out contiguously in raster order. Blocks carry
-//! everything downstream stages need (QP, encoded quality, detail, object coverage), which
-//! keeps the decoder and the MLLM simulator independent of the original scene.
+//! everything downstream stages need (QP, encoded quality, detail) as plain `Copy` data and
+//! the frame carries one [`CoverageTable`] of per-block object coverage, which keeps the
+//! decoder and the MLLM simulator independent of the original scene.
 
 use crate::qp::Qp;
+use aivc_scene::CoverageTable;
 use serde::{Deserialize, Serialize};
-use std::sync::Arc;
 
 /// Whether a frame was coded without reference (intra/IDR) or predicted (inter/P).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
@@ -19,7 +20,7 @@ pub enum FrameType {
 }
 
 /// One coded CTU/block.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct EncodedBlock {
     /// Flat raster index into the frame's block grid.
     pub index: usize,
@@ -37,11 +38,6 @@ pub struct EncodedBlock {
     pub complexity: f64,
     /// Motion of the content (copied from the scene descriptor).
     pub motion: f64,
-    /// Coverage of the block by scene objects: `(object_id, fraction of block area)`.
-    ///
-    /// Shared (`Arc`) rather than owned: the decoder and downstream stages keep a reference
-    /// to the same coverage list instead of cloning a `Vec` per block per stage.
-    pub object_coverage: Arc<[(u32, f64)]>,
 }
 
 /// A complete encoded frame.
@@ -66,6 +62,9 @@ pub struct EncodedFrame {
     pub grid_rows: u32,
     /// Coded blocks in raster order. Offsets are contiguous and start at `header_bytes`.
     pub blocks: Vec<EncodedBlock>,
+    /// Coverage of each block by scene objects — `(object_id, fraction of block area)`
+    /// lists, one cell per block (read through [`EncodedFrame::coverage`]).
+    pub coverage: CoverageTable,
     /// Frame-level header/parameter-set overhead in bytes.
     pub header_bytes: u32,
 }
@@ -84,8 +83,14 @@ impl EncodedFrame {
             grid_cols: 0,
             grid_rows: 0,
             blocks: Vec::new(),
+            coverage: CoverageTable::default(),
             header_bytes: 0,
         }
+    }
+
+    /// Coverage of block `idx` by scene objects: `(object_id, fraction of block area)`.
+    pub fn coverage(&self, idx: usize) -> &[(u32, f64)] {
+        self.coverage.cell(idx)
     }
 
     /// Total coded size of the frame in bytes (header + all block payloads).
@@ -148,14 +153,9 @@ impl EncodedFrame {
 
     /// Bits allocated to blocks whose object coverage includes `object_id` (≥ `min_cover`).
     pub fn bits_on_object(&self, object_id: u32, min_cover: f64) -> u64 {
-        self.blocks
-            .iter()
-            .filter(|b| {
-                b.object_coverage
-                    .iter()
-                    .any(|(id, f)| *id == object_id && *f >= min_cover)
-            })
-            .map(|b| b.byte_len as u64 * 8)
+        self.coverage
+            .cells_covered_by(object_id, min_cover)
+            .map(|(idx, _)| self.blocks[idx].byte_len as u64 * 8)
             .sum()
     }
 }
@@ -185,6 +185,7 @@ mod tests {
 
     fn frame_with_blocks(lens: &[u32]) -> EncodedFrame {
         let mut offset = 100u64; // header
+        let mut coverage = CoverageTable::default();
         let blocks = lens
             .iter()
             .enumerate()
@@ -198,12 +199,8 @@ mod tests {
                     detail: 0.5,
                     complexity: 0.5,
                     motion: 0.2,
-                    object_coverage: if i == 0 {
-                        vec![(7, 1.0)].into()
-                    } else {
-                        Vec::new().into()
-                    },
                 };
+                coverage.push_cell(if i == 0 { &[(7, 1.0)] } else { &[] });
                 offset += *len as u64;
                 b
             })
@@ -218,6 +215,7 @@ mod tests {
             grid_cols: lens.len() as u32,
             grid_rows: 1,
             blocks,
+            coverage,
             header_bytes: 100,
         }
     }

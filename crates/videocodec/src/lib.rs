@@ -16,9 +16,9 @@
 //!   bitrate matching is reproduced explicitly ([`ratecontrol::match_bitrate_qp`]).
 //!
 //! The encoder consumes [`aivc_scene::Frame`] content descriptors and produces
-//! [`EncodedFrame`]s whose blocks carry everything downstream consumers need (bytes, QP,
-//! decoded quality, object coverage), so the decoder and the MLLM simulator never have to
-//! reach back into the scene.
+//! [`EncodedFrame`]s that carry everything downstream consumers need (per-block bytes, QP
+//! and decoded quality, plus one per-frame object-coverage table), so the decoder and the
+//! MLLM simulator never have to reach back into the scene.
 
 pub mod decoder;
 pub mod encoder;
@@ -32,7 +32,7 @@ pub mod rd;
 pub mod transcode;
 
 pub use decoder::{DecodeScratch, DecodedBlock, DecodedFrame, Decoder};
-pub use encoder::{EncodeParScratch, EncodeScratch, Encoder, EncoderConfig};
+pub use encoder::{EncodeScratch, Encoder, EncoderConfig};
 pub use frame::{EncodedBlock, EncodedFrame, FrameType};
 pub use gop::GopStructure;
 pub use qp::{Qp, QpMap};

@@ -1,34 +1,37 @@
-//! Per-frame rate plan: the QP-independent half of the rate law, hoisted out of the
-//! rate-control probe loop, plus the one budget search that runs on it.
+//! Per-frame rate plan: the QP-independent half of the rate law, computed once per frame,
+//! plus the one rate kernel that probes *and* encodes from it and the one budget search
+//! that runs on it.
 //!
-//! [`Encoder::predict_map_size`] re-rasterizes the frame's [`GridContent`] and re-derives
-//! each block's content factors on **every** call — fine for a single prediction, ruinous
-//! for a search that probes the same frame several times per capture (see DESIGN.md
-//! §"Where the warm turn's microsecond goes"). A [`RatePlan`] folds everything that does
-//! not depend on QP into per-block coefficients once per frame:
+//! A [`RatePlan`] rasterizes the frame's [`GridContent`] once and folds everything of the
+//! rate law ([`crate::RdModel::block_bits_with_factor`]) that does not depend on QP into
+//! per-block coefficients:
 //!
 //! * `lead[b]  = intra_bpp_at_ref * content_factor(b)` — the rate law's first product,
 //! * `tail[b]  = type_factor(b)` (exactly `1.0` on intra frames),
 //! * `pixels[b]` as `f64`, and the frame's base QP per block when probing offsets.
 //!
-//! A probe then evaluates, per block, the rate kernel's expression —
-//! `((lead · qp_factor) · tail).max(min_bpp)`, `ceil(· pixels)`, `ceil(· preset / 8)`,
-//! `max(1)` — so every predicted size is bit-for-bit equal to
-//! [`Encoder::predict_map_size`] (and therefore to a real encode), which the equivalence
-//! tests below pin for every probe level. Multiplying by a `tail` of exactly `1.0` is an
-//! IEEE identity, so collapsing the intra/inter split into one expression is lossless.
+//! A block's coded size is then `((lead · qp_factor) · tail).max(min_bpp)`,
+//! `ceil(· pixels)`, `ceil(· preset / 8)`, `max(1)` — the scalar rate law's exact
+//! expression sequence (multiplying by a `tail` of exactly `1.0` is an IEEE identity, so
+//! collapsing the intra/inter split into one expression is lossless). Rate-control probes
+//! **sum** that per-block count over a candidate QP assignment
+//! ([`Encoder::predict_plan_offset_size`], [`Encoder::predict_plan_uniform_size`]); the
+//! encode **writes** it per block ([`Encoder::encode_into_planned`]). Both go through the
+//! same kernel, so the size a probe predicts is the size the encode produces by
+//! construction; the equivalence tests below pin every block at every level against the
+//! scalar rate law.
 //!
-//! **The probe kernel stays in `f64`.** The scalar expression calls `ceil` twice and
-//! casts `f64 → u64 → f64 → u32` per block; the kernel instead walks the plan in
+//! **The kernel stays in `f64`.** The scalar expression calls `ceil` twice and casts
+//! `f64 → u64 → f64 → u32` per block; the kernel instead walks the plan in
 //! [`RATE_LANES`]-wide chunks and rounds up with `r = (x + 2^52) − 2^52; r + (r < x)`:
 //! for `0 ≤ x < 2^51` the first sum lands where the `f64` grid spacing is exactly 1, so
 //! `r` is `x` rounded to the nearest integer and the compare restores the ceiling — no
 //! libm call, no integer cast, straight-line SIMD. Per-block byte counts are integers
-//! below `2^32` and are summed per lane in `f64`; every partial sum is an integer below
-//! `2^53`, hence exact and independent of summation order. Whether a plan's blocks all
-//! stay inside that domain (finite non-negative coefficients, no block reaching `2^31`
+//! below `2^32` and probes sum them per lane in `f64`; every partial sum is an integer
+//! below `2^53`, hence exact and independent of summation order. Whether a plan's blocks
+//! all stay inside that domain (finite non-negative coefficients, no block reaching `2^31`
 //! bits at the largest QP factor) is decided once in [`Encoder::prepare_rate_plan`];
-//! a plan outside it probes with the scalar expression.
+//! a plan outside it probes and encodes with the scalar expression.
 //!
 //! **One search.** [`Encoder::search_rate_plan`] finds the boundary level `T` — the
 //! first level of the bracket whose predicted size fits the budget — and returns
@@ -39,10 +42,12 @@
 use crate::encoder::Encoder;
 use crate::frame::FrameType;
 use crate::qp::{Qp, QpMap, QP_MAX, QP_MIN};
-use crate::rd::RATE_LANES;
 use aivc_scene::grid_content::GridContent;
 use aivc_scene::{Frame, GridDims};
 
+/// Lane count of the rate kernel: eight f64 lanes span two AVX2 registers (or four
+/// SSE2/NEON ones), enough for LLVM to keep the whole rate law in vector registers.
+pub(crate) const RATE_LANES: usize = 8;
 /// `2^52`: adding it to `0 ≤ x < 2^51` rounds `x` to an integer (see the module docs).
 const ROUND_TO_INT: f64 = 4_503_599_627_370_496.0;
 /// A block whose bit count could reach this leaves the all-`f64` kernel's domain: its byte
@@ -53,11 +58,16 @@ const MAX_PRESET_FACTOR: f64 = 8.0;
 /// Most blocks the all-`f64` kernel accepts: keeps the byte total below `2^53`.
 const MAX_EXACT_BLOCKS: usize = 1 << 20;
 
-/// Reusable per-frame probe state for rate-control searches. Buffers retain capacity
-/// across frames, so a warm conversation prepares plans without touching the allocator.
+/// Reusable per-frame rate state: what rate-control probes sum and what the encode of the
+/// same frame writes its blocks from. Buffers retain capacity across frames, so a warm
+/// conversation prepares plans without touching the allocator.
 #[derive(Debug, Clone)]
 pub struct RatePlan {
     dims: GridDims,
+    /// `(index, capture_ts_us, frame_type)` of the frame the plan was prepared for:
+    /// [`Encoder::encode_into_planned`] takes its raster and bytes from the plan, so it
+    /// refuses a plan that was prepared for another frame.
+    stamp: (u64, u64, FrameType),
     /// `intra_bpp_at_ref * content_factor` per block (the rate law's first product).
     lead: Vec<f64>,
     /// `type_factor` per block — exactly `1.0` on intra frames.
@@ -73,7 +83,8 @@ pub struct RatePlan {
     /// Whether every block stays inside the all-`f64` kernel's exact domain at every QP
     /// (decided by [`Encoder::prepare_rate_plan`]; see the module docs).
     f64_exact: bool,
-    /// Private raster scratch (capacity reused across frames).
+    /// The frame's content raster (capacity reused across frames): source of the
+    /// coefficients above and of the encode's block descriptors and coverage table.
     grid: GridContent,
 }
 
@@ -92,6 +103,7 @@ impl RatePlan {
                 rows: 0,
                 cell: 1,
             },
+            stamp: (0, 0, FrameType::Intra),
             lead: Vec::new(),
             tail: Vec::new(),
             pixels: Vec::new(),
@@ -105,6 +117,10 @@ impl RatePlan {
     /// Grid geometry of the prepared frame.
     pub fn dims(&self) -> GridDims {
         self.dims
+    }
+
+    pub(crate) fn stamp(&self) -> (u64, u64, FrameType) {
+        self.stamp
     }
 
     pub(crate) fn grid(&self) -> &GridContent {
@@ -137,6 +153,7 @@ impl Encoder {
         let dims = self.grid_for(frame);
         let frame_type = self.config().gop.frame_type(frame.index);
         plan.dims = dims;
+        plan.stamp = (frame.index, frame.capture_ts_us, frame_type);
         plan.lead.clear();
         plan.tail.clear();
         plan.pixels.clear();
@@ -150,8 +167,8 @@ impl Encoder {
         );
         let grid = &plan.grid;
         for idx in 0..dims.len() {
-            // The identical clamp + content/type factor expressions of the encoder's rate
-            // kernel (`block_bytes_one` / `block_bytes_batch`), evaluated once per frame.
+            // The identical clamp + content/type factor expressions of the scalar rate law
+            // (`RdModel::block_bits_with_factor`), evaluated once per frame.
             let content_factor = 0.08 + 0.92 * grid.complexity()[idx].clamp(0.0, 1.0);
             let tail = match frame_type {
                 FrameType::Intra => 1.0,
@@ -197,8 +214,8 @@ impl Encoder {
     }
 
     /// Predicted total size in bytes of encoding the planned frame with its base QP map
-    /// offset uniformly by `level` — bit-identical to building the offset map with
-    /// [`QpMap::offset_all_into`] and calling [`Encoder::predict_map_size`] on it.
+    /// offset uniformly by `level` — the size of an encode with the map
+    /// [`QpMap::offset_all_into`] builds for that level.
     pub fn predict_plan_offset_size(&self, plan: &RatePlan, level: i32) -> u64 {
         assert!(
             plan.has_base,
@@ -214,10 +231,53 @@ impl Encoder {
     }
 
     /// Predicted total size in bytes of encoding the planned frame at a single uniform
-    /// `qp` — bit-identical to [`Encoder::predict_uniform_size`].
+    /// `qp`.
     pub fn predict_plan_uniform_size(&self, plan: &RatePlan, qp: Qp) -> u64 {
         let factor = self.qp_factor_table()[qp.value() as usize];
         self.plan_total_bytes(plan, |_, factors| factors.fill(factor))
+    }
+
+    /// Predicted total size in bytes of encoding the planned frame with `qp_map`.
+    pub(crate) fn predict_plan_map_size(&self, plan: &RatePlan, qp_map: &QpMap) -> u64 {
+        let table = self.qp_factor_table();
+        self.plan_total_bytes(plan, |first, factors| {
+            let qps = &qp_map.values()[first..first + factors.len()];
+            for (factor, qp) in factors.iter_mut().zip(qps) {
+                *factor = table[qp.value() as usize];
+            }
+        })
+    }
+
+    /// Coded byte counts of blocks `first..first + factors.len()` (at most one
+    /// [`RATE_LANES`]-wide chunk) at the given QP factors, written to the front of `out` —
+    /// what the probes sum, block for block, by the same choice of all-`f64` kernel or
+    /// scalar expression.
+    #[inline]
+    pub(crate) fn plan_chunk_bytes(
+        &self,
+        plan: &RatePlan,
+        first: usize,
+        factors: &[f64],
+        out: &mut [u32; RATE_LANES],
+    ) {
+        let preset_factor = self.config().preset.rate_factor();
+        let min_bpp = self.rd_model().min_bpp;
+        let end = first + factors.len();
+        let coefficients = plan.lead[first..end]
+            .iter()
+            .zip(factors)
+            .zip(&plan.tail[first..end])
+            .zip(&plan.pixels[first..end]);
+        if plan.f64_exact {
+            // Branch-free over unit-stride slices: the loop LLVM turns into SIMD.
+            for (bytes, (((&lead, &factor), &tail), &pixels)) in out.iter_mut().zip(coefficients) {
+                *bytes = plan_block_bytes_f64(lead, factor, tail, min_bpp, pixels, preset_factor) as u32;
+            }
+        } else {
+            for (bytes, (((&lead, &factor), &tail), &pixels)) in out.iter_mut().zip(coefficients) {
+                *bytes = plan_block_bytes(lead, factor, tail, min_bpp, pixels, preset_factor);
+            }
+        }
     }
 
     /// Header plus every block's byte count. `factors_from(first, out)` writes the QP
@@ -239,7 +299,7 @@ impl Encoder {
                 factors_from(first, &mut factor[..width]);
                 for (lane, &f) in factor[..width].iter().enumerate() {
                     let b = first + lane;
-                    total += plan_block_bytes(lead[b], f, tail[b], min_bpp, pixels[b], preset_factor);
+                    total += plan_block_bytes(lead[b], f, tail[b], min_bpp, pixels[b], preset_factor) as u64;
                 }
             }
             return total;
@@ -386,9 +446,9 @@ fn search_boundary(
 }
 
 /// One block's coded byte count from plan coefficients — the exact expression sequence of
-/// the encoder's rate kernel: `bpp = ((lead·qp_factor)·tail).max(min_bpp)` (left-assoc,
+/// the scalar rate law: `bpp = ((lead·qp_factor)·tail).max(min_bpp)` (left-assoc,
 /// matching `intra_bpp·content·qp_factor·type`), `bits = ceil(bpp·pixels)`, then the
-/// preset/`ceil`/`max(1)` byte epilogue. Probes a plan outside the all-`f64` kernel's
+/// preset/`ceil`/`max(1)` byte epilogue. Serves a plan outside the all-`f64` kernel's
 /// domain, and is the oracle the kernel is tested against.
 #[inline]
 fn plan_block_bytes(
@@ -398,10 +458,10 @@ fn plan_block_bytes(
     min_bpp: f64,
     pixels: f64,
     preset_factor: f64,
-) -> u64 {
+) -> u32 {
     let bpp = ((lead * qp_factor) * tail).max(min_bpp);
     let bits = (bpp * pixels).ceil() as u64;
-    (((bits as f64 * preset_factor) / 8.0).ceil() as u32).max(1) as u64
+    (((bits as f64 * preset_factor) / 8.0).ceil() as u32).max(1)
 }
 
 /// [`plan_block_bytes`] without leaving `f64` — equal to it whenever the plan is
@@ -443,26 +503,64 @@ mod tests {
     use aivc_scene::templates::{basketball_game, lecture_slides};
     use aivc_scene::{SourceConfig, VideoSource};
 
+    /// The scalar rate law for one block of the plan's raster: [`RdModel::block_bits_with_factor`]
+    /// followed by the preset/`ceil`/`max(1)` byte epilogue — what every planned byte count
+    /// must equal.
+    fn scalar_block_bytes(enc: &Encoder, plan: &RatePlan, idx: usize, qp: Qp) -> u32 {
+        let grid = plan.grid();
+        let bits = enc.rd_model().block_bits_with_factor(
+            enc.qp_factor_table()[qp.value() as usize],
+            grid.area()[idx],
+            grid.complexity()[idx],
+            grid.motion()[idx],
+            plan.stamp().2,
+        );
+        (((bits as f64 * enc.config().preset.rate_factor()) / 8.0).ceil() as u32).max(1)
+    }
+
+    /// Encodes `frame` with `map` from `plan` and checks every block's `byte_len` against
+    /// the scalar rate law; returns the encode's total size.
+    fn planned_encode_matches_scalar_law(enc: &Encoder, frame: &Frame, map: &QpMap, plan: &RatePlan) -> u64 {
+        let mut out = crate::frame::EncodedFrame::placeholder();
+        enc.encode_into_planned(frame, map, plan, &mut EncodeScratch::new(), &mut out);
+        let mut total = enc.config().header_bytes as u64;
+        for (idx, block) in out.blocks.iter().enumerate() {
+            let expected = scalar_block_bytes(enc, plan, idx, map.get_index(idx));
+            assert_eq!(block.byte_len, expected, "block {idx} of frame {}", frame.index);
+            assert_eq!(block.byte_offset, total, "offset of block {idx}");
+            total += expected as u64;
+        }
+        assert_eq!(out.total_bytes(), total);
+        total
+    }
+
+    /// At every offset level and every uniform QP: each planned block equals the scalar
+    /// rate law, and the probe equals the encode's size.
     fn check_frame_all_levels(enc: &Encoder, frame: &Frame, base: &QpMap) -> RatePlan {
         let mut plan = RatePlan::new();
         enc.prepare_rate_plan(frame, Some(base), &mut plan);
-        let mut scratch = EncodeScratch::new();
-        let mut probe = QpMap::empty();
+        let mut map = QpMap::empty();
         for level in -51..=51 {
-            base.offset_all_into(level, &mut probe);
-            let reference = enc.predict_map_size(frame, &probe, &mut scratch);
+            base.offset_all_into(level, &mut map);
+            let encoded = planned_encode_matches_scalar_law(enc, frame, &map, &plan);
             assert_eq!(
                 enc.predict_plan_offset_size(&plan, level),
-                reference,
+                encoded,
                 "offset level {level} diverges for frame {}",
                 frame.index
             );
+            assert_eq!(
+                enc.predict_plan_map_size(&plan, &map),
+                encoded,
+                "map probe, level {level}"
+            );
         }
         for qp in 0..=51 {
-            let reference = enc.predict_uniform_size(frame, Qp::new(qp));
+            map.fill_uniform(plan.dims(), Qp::new(qp));
+            let encoded = planned_encode_matches_scalar_law(enc, frame, &map, &plan);
             assert_eq!(
                 enc.predict_plan_uniform_size(&plan, Qp::new(qp)),
-                reference,
+                encoded,
                 "uniform qp {qp} diverges for frame {}",
                 frame.index
             );
@@ -476,7 +574,7 @@ mod tests {
     }
 
     #[test]
-    fn plan_probes_match_predict_map_size_for_every_level() {
+    fn planned_bytes_and_probes_match_the_scalar_rate_law_at_every_level() {
         // 1080p at these block sizes gives grids of 510, 920, 135 and 60 blocks: whole
         // lane chunks only (920) and remainders of 6, 7 and 4.
         for (template, preset, block_size) in [
@@ -505,7 +603,7 @@ mod tests {
     }
 
     #[test]
-    fn plan_probes_match_predict_map_size_outside_the_f64_domain() {
+    fn planned_bytes_and_probes_match_the_scalar_rate_law_outside_the_f64_domain() {
         let source = VideoSource::new(basketball_game(1), SourceConfig::fps30(5.0));
         for (what, rd) in [
             (
@@ -587,7 +685,7 @@ mod tests {
                         min_bpp,
                         plan.pixels[b],
                         preset,
-                    )
+                    ) as u64
                 })
                 .sum::<u64>()
     }
@@ -797,7 +895,7 @@ mod tests {
     }
 
     #[test]
-    fn encode_into_planned_matches_encode_into() {
+    fn encode_entry_points_agree_block_for_block() {
         let enc = Encoder::new(EncoderConfig::default());
         let source = VideoSource::new(basketball_game(4), SourceConfig::fps30(5.0));
         let mut plan = RatePlan::new();
@@ -805,16 +903,36 @@ mod tests {
         let mut plain_scratch = EncodeScratch::new();
         let mut planned = crate::frame::EncodedFrame::placeholder();
         let mut plain = crate::frame::EncodedFrame::placeholder();
-        for index in [0u64, 5, 17] {
+        // Scratches, plan and outputs are reused across an intra frame, moving inter
+        // frames and a revisit.
+        for index in [0u64, 5, 17, 5] {
             let frame = source.frame(index);
             let dims = enc.grid_for(&frame);
-            let base = QpMap::uniform(dims, Qp::new(28));
+            let base = varied_base(dims);
             enc.prepare_rate_plan(&frame, Some(&base), &mut plan);
             let mut map = QpMap::empty();
             base.offset_all_into(-6, &mut map);
             enc.encode_into_planned(&frame, &map, &plan, &mut planned_scratch, &mut planned);
             enc.encode_into(&frame, &map, &mut plain_scratch, &mut plain);
-            assert_eq!(planned, plain, "planned encode diverges on frame {index}");
+            let allocating = enc.encode_with_qp_map(&frame, &map);
+            assert_eq!(planned.blocks.len(), dims.len());
+            for (idx, block) in allocating.blocks.iter().enumerate() {
+                assert_eq!(
+                    &planned.blocks[idx], block,
+                    "planned block {idx} of frame {index}"
+                );
+                assert_eq!(
+                    &plain.blocks[idx], block,
+                    "encode_into block {idx} of frame {index}"
+                );
+                assert_eq!(planned.coverage(idx), allocating.coverage(idx), "coverage {idx}");
+            }
+            assert_eq!(planned, allocating, "planned encode diverges on frame {index}");
+            assert_eq!(plain, allocating, "encode_into diverges on frame {index}");
+            assert_eq!(
+                enc.predict_map_size(&frame, &map, &mut plain_scratch),
+                allocating.total_bytes()
+            );
         }
     }
 
@@ -828,13 +946,12 @@ mod tests {
             let dims = enc.grid_for(&frame);
             let base = QpMap::uniform(dims, Qp::new(30));
             enc.prepare_rate_plan(&frame, Some(&base), &mut plan);
-            let mut scratch = EncodeScratch::new();
-            let mut probe = QpMap::empty();
+            let mut map = QpMap::empty();
             for level in [-51, -13, 0, 9, 51] {
-                base.offset_all_into(level, &mut probe);
+                base.offset_all_into(level, &mut map);
                 assert_eq!(
                     enc.predict_plan_offset_size(&plan, level),
-                    enc.predict_map_size(&frame, &probe, &mut scratch),
+                    planned_encode_matches_scalar_law(&enc, &frame, &map, &plan),
                     "level {level} diverges after plan reuse on frame {index}"
                 );
             }

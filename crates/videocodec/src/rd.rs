@@ -57,10 +57,6 @@ impl Default for RdModel {
     }
 }
 
-/// Lane count of [`RdModel::block_bits_batch`]: eight f64 lanes span two AVX2 registers
-/// (or four NEON ones), enough for LLVM to keep the whole rate law in vector registers.
-pub const RATE_LANES: usize = 8;
-
 impl RdModel {
     /// The QP-dependent factor of the exponential rate law — the only transcendental in
     /// [`RdModel::block_bits`]. Exposed so encode loops can precompute a 52-entry lookup
@@ -102,44 +98,6 @@ impl RdModel {
         };
         let bpp = (self.intra_bpp_at_ref * content_factor * qp_factor * type_factor).max(self.min_bpp);
         (bpp * pixels as f64).ceil() as u64
-    }
-
-    /// Eight [`RdModel::block_bits_with_factor`] evaluations in lockstep. Every lane runs
-    /// the identical expression on its own inputs — the rate law is element-wise, so each
-    /// lane's result is bit-identical to the scalar call by construction, and the
-    /// fixed-width loops lower to straight-line SIMD (clamps → vector min/max, the factor
-    /// products → vector multiplies) under the release profile.
-    pub fn block_bits_batch(
-        &self,
-        qp_factor: &[f64; RATE_LANES],
-        pixels: &[u64; RATE_LANES],
-        complexity: &[f64; RATE_LANES],
-        motion: &[f64; RATE_LANES],
-        frame_type: FrameType,
-        out: &mut [u64; RATE_LANES],
-    ) {
-        let mut bpp = [0.0f64; RATE_LANES];
-        match frame_type {
-            FrameType::Intra => {
-                for lane in 0..RATE_LANES {
-                    let content_factor = 0.08 + 0.92 * complexity[lane].clamp(0.0, 1.0);
-                    bpp[lane] = (self.intra_bpp_at_ref * content_factor * qp_factor[lane])
-                        .max(self.min_bpp);
-                }
-            }
-            FrameType::Inter => {
-                for lane in 0..RATE_LANES {
-                    let content_factor = 0.08 + 0.92 * complexity[lane].clamp(0.0, 1.0);
-                    let type_factor = self.inter_base_fraction
-                        + self.inter_motion_fraction * motion[lane].clamp(0.0, 1.0);
-                    bpp[lane] = (self.intra_bpp_at_ref * content_factor * qp_factor[lane] * type_factor)
-                        .max(self.min_bpp);
-                }
-            }
-        }
-        for lane in 0..RATE_LANES {
-            out[lane] = (bpp[lane] * pixels[lane] as f64).ceil() as u64;
-        }
     }
 
     /// Recognition quality in `[0, 1]` of a block encoded at `qp` whose content requires
@@ -263,34 +221,6 @@ mod tests {
                     (q - target).abs() < 0.12,
                     "detail {detail} target {target} got {q}"
                 );
-            }
-        }
-    }
-
-    #[test]
-    fn batched_rate_matches_scalar_lane_for_lane() {
-        let m = RdModel::default();
-        // Includes out-of-range complexity/motion (clamped) and mixed pixel counts.
-        let complexity = [0.0, 0.05, 0.3, 0.5, 0.77, 1.0, 1.4, -0.2];
-        let motion = [0.0, 1.0, 0.5, 0.25, 0.9, 0.1, -0.3, 2.0];
-        let pixels = [4096u64, 4096, 2048, 64, 4096, 1000, 4096, 512];
-        let qps = [0, 10, 22, 30, 37, 44, 51, 26];
-        let mut qp_factor = [0.0; RATE_LANES];
-        for (f, &qp) in qp_factor.iter_mut().zip(&qps) {
-            *f = m.qp_factor(Qp::new(qp));
-        }
-        for frame_type in [FrameType::Intra, FrameType::Inter] {
-            let mut out = [0u64; RATE_LANES];
-            m.block_bits_batch(&qp_factor, &pixels, &complexity, &motion, frame_type, &mut out);
-            for lane in 0..RATE_LANES {
-                let scalar = m.block_bits(
-                    Qp::new(qps[lane]),
-                    pixels[lane],
-                    complexity[lane],
-                    motion[lane],
-                    frame_type,
-                );
-                assert_eq!(out[lane], scalar, "lane {lane} {frame_type:?}");
             }
         }
     }

@@ -10,8 +10,8 @@
 use aivchat::core::{Conversation, ConversationChatServer, NetSessionOptions};
 use aivchat::mllm::{Question, QuestionFormat};
 use aivchat::netsim::{
-    BandwidthTrace, FaultEpisode, FaultKind, FaultSchedule, LinkConfig, LossModel, PathConfig,
-    SimDuration, SimTime,
+    BandwidthTrace, FaultEpisode, FaultKind, FaultSchedule, LinkConfig, LossModel, PathConfig, SimDuration,
+    SimTime,
 };
 use aivchat::par::MiniPool;
 use aivchat::scene::templates::basketball_game;
@@ -70,12 +70,7 @@ fn random_faults(rng: &mut ChaCha8Rng) -> FaultSchedule {
 
 /// AI-oriented session options over a 10 Mbps / 30 ms uplink carrying the given i.i.d.
 /// loss and fault schedule, with delivery coalescing switched per the flag under test.
-fn faulty_options(
-    seed: u64,
-    loss: f64,
-    faults: FaultSchedule,
-    coalesce: bool,
-) -> NetSessionOptions {
+fn faulty_options(seed: u64, loss: f64, faults: FaultSchedule, coalesce: bool) -> NetSessionOptions {
     let path = PathConfig {
         uplink: LinkConfig {
             bandwidth: BandwidthTrace::constant(10e6),

@@ -1,6 +1,7 @@
 //! Property-based tests of the core models' invariants across crates: Eq. 1 bounds, Eq. 2
 //! monotonicity (and LUT ≡ `powf` equivalence), R-D monotonicity, accuracy monotonicity in
-//! quality, and incremental-correlation ≡ full-recompute equivalence.
+//! quality, incremental-correlation ≡ full-recompute equivalence, and the encode entry
+//! points agreeing block for block.
 
 use aivchat::core::{ChatServer, ChatSession, QpAllocator, QpAllocatorConfig};
 use aivchat::mllm::{MllmChat, Question, QuestionFormat};
@@ -9,7 +10,7 @@ use aivchat::scene::templates::TemplateKind;
 use aivchat::scene::{Frame, SourceConfig, VideoSource};
 use aivchat::semantics::{ClipModel, ClipParScratch, ClipScratch, TextQuery};
 use aivchat::videocodec::{
-    Decoder, EncodeParScratch, EncodedFrame, Encoder, EncoderConfig, FrameType, Qp, QpMap, RdModel,
+    Decoder, EncodeScratch, EncodedFrame, Encoder, EncoderConfig, FrameType, Qp, QpMap, RatePlan, RdModel,
 };
 use proptest::prelude::*;
 
@@ -117,9 +118,9 @@ proptest! {
     }
 }
 
-// The parallel-equivalence properties run whole turns and full-frame encodes per case, so
-// they use fewer cases than the scalar properties above (each case already sweeps pool
-// sizes 1, 2 and 8).
+// The parallel-equivalence and encode-equivalence properties run whole turns and several
+// full-frame encodes per case, so they use fewer cases than the scalar properties above
+// (each parallel case already sweeps pool sizes 1, 2 and 8).
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(8))]
 
@@ -148,11 +149,12 @@ proptest! {
         }
     }
 
-    /// The data-parallel ROI encode is bit-identical to the allocating reference for every
-    /// pool size, frame and QP map — including byte offsets, which are a prefix sum the
-    /// parallel path reassembles sequentially.
+    /// The three encode entry points are one walk: a warm `encode_into` scratch, a planned
+    /// encode (plan prepared with or without a base map) and the allocating form agree
+    /// block for block — bytes, offsets, quality and the coverage table — for every
+    /// frame and QP map, and a complete decode hands the coverage table on unchanged.
     #[test]
-    fn parallel_encode_is_pool_size_independent(
+    fn encode_entry_points_agree_block_for_block(
         template_idx in 0usize..5,
         seed in 0u64..20,
         frame_idx in 0u64..60,
@@ -161,7 +163,8 @@ proptest! {
         split in 1u32..8,
     ) {
         let scene = TemplateKind::ALL[template_idx].build(seed);
-        let frame = VideoSource::new(scene, SourceConfig::fps30(3.0)).frame(frame_idx);
+        let source = VideoSource::new(scene, SourceConfig::fps30(3.0));
+        let frame = source.frame(frame_idx);
         let encoder = Encoder::new(EncoderConfig::default());
         let dims = encoder.grid_for(&frame);
         let mut map = QpMap::uniform(dims, Qp::new(high_qp));
@@ -171,13 +174,21 @@ proptest! {
             }
         }
         let reference = encoder.encode_with_qp_map(&frame, &map);
-        for lanes in [1usize, 2, 8, MiniPool::env_lanes()] {
-            let pool = MiniPool::new(lanes);
-            let mut scratch = EncodeParScratch::new();
-            let mut out = EncodedFrame::placeholder();
-            encoder.encode_into_par(&frame, &map, &pool, &mut scratch, &mut out);
+        // A scratch and output that last held another frame at another map.
+        let mut scratch = EncodeScratch::new();
+        let mut out = EncodedFrame::placeholder();
+        let other = source.frame((frame_idx + 17) % 60);
+        encoder.encode_into(&other, &QpMap::uniform(dims, Qp::new(low_qp)), &mut scratch, &mut out);
+        encoder.encode_into(&frame, &map, &mut scratch, &mut out);
+        prop_assert_eq!(&out, &reference);
+        let mut plan = RatePlan::new();
+        for base in [None, Some(&map)] {
+            encoder.prepare_rate_plan(&frame, base, &mut plan);
+            encoder.encode_into_planned(&frame, &map, &plan, &mut scratch, &mut out);
             prop_assert_eq!(&out, &reference);
         }
+        let decoded = Decoder::new().decode_complete(&reference, None);
+        prop_assert_eq!(&decoded.coverage, &reference.coverage);
     }
 
     /// ChatServer turns are bit-identical for any pool size and deterministic across runs:
