@@ -374,12 +374,12 @@ pub fn measure_hotpaths_matching(
         ));
     }
 
-    // 10. Networked-fleet throughput: 256 persistent conversations lane-sharded across
-    // the pool by the ConversationChatServer, every one with its own emulated uplink,
-    // congestion controller and event timeline. One iteration is one warm turn on every
+    // 10. Networked-fleet throughput: 256 persistent conversations spread across the
+    // pool by the ConversationChatServer, every one with its own emulated uplink,
+    // congestion controller and event kernel. One iteration is one warm turn on every
     // session (256 session-turns), so ns/session-turn = median / 256 — the serving-side
-    // counterpart of `conversation_turn_warm`, with kernel merging, shard dispatch and
-    // per-session state at fleet scale on the clock.
+    // counterpart of `conversation_turn_warm`, with pool dispatch and per-session state
+    // at fleet scale on the clock.
     if wants(only, "conversation_fleet_throughput_256") {
         let source = VideoSource::new(basketball_game(1), SourceConfig::fps30(5.0));
         let frames: Vec<Frame> = (0..4).map(|i| source.frame(i * 15)).collect();

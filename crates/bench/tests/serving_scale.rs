@@ -1,8 +1,8 @@
-//! Fleet-scale serving checks for the lane-sharded [`ConversationChatServer`]:
+//! Fleet-scale serving checks for the [`ConversationChatServer`]:
 //!
 //! 1. **Bit-identity at scale** — a large fleet run is byte-for-byte identical across
-//!    pool sizes 1, 2 and 8 (the per-lane shared-kernel merge must not perturb any
-//!    session, per the contract in `server.rs`);
+//!    pool sizes 1, 2 and 8 (which lane a conversation's private kernel runs on must not
+//!    perturb it, per the contract in `server.rs`);
 //! 2. **Exact metrics reconciliation** — the always-on atomic rollup equals the
 //!    per-session `NetTurnReport` sums, at every pool size;
 //! 3. **Throughput smoke** — the fleet sustains a sane session-turns/sec rate

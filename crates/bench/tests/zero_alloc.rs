@@ -370,11 +370,11 @@ fn main() {
         "Conversation turns with think gaps allocated {think_allocs} times across {think_cycles} post-warmup cycles"
     );
 
-    // --- the lane-sharded ConversationChatServer: several long-lived conversations
-    // multiplexed onto one kernel per pool lane, with the always-on metrics layer
-    // engaged. Steady-state fleet turns are allocation-free: shared event queues sit at
-    // their high-water mark, per-turn plans reuse a retained buffer, reports are
-    // overwritten in place, and every counter bump is a relaxed atomic RMW — no heap.
+    // --- the ConversationChatServer: several long-lived conversations, each on its own
+    // kernel, spread over the pool lanes with the always-on metrics layer engaged.
+    // Steady-state fleet turns are allocation-free: every event queue sits at its
+    // high-water mark, reports are overwritten in place, and every counter bump is a
+    // relaxed atomic RMW — no heap.
     let conv_template = {
         let mut o = NetSessionOptions::ai_oriented(9, PathConfig::paper_section_2_2(0.0));
         o.capture_fps = 12.0;
@@ -392,11 +392,11 @@ fn main() {
         conv_server.run_turns(black_box(&turn_frames), &question);
         black_box(conv_server.report(0).frames_delivered);
     }
-    let sharded_allocs = allocations() - before;
+    let fleet_allocs = allocations() - before;
     assert_eq!(
-        sharded_allocs, 0,
+        fleet_allocs, 0,
         "ConversationChatServer::run_turns ({pool_lanes} lanes, 4 sessions) allocated \
-         {sharded_allocs} times across {measured_server_turns} post-warmup fleet turns"
+         {fleet_allocs} times across {measured_server_turns} post-warmup fleet turns"
     );
 
     // Reading the always-on counters is also heap-free: snapshots are plain Copy values.

@@ -6,9 +6,9 @@
 //! tenant at once. This module multiplexes K persistent conversation timelines onto **one**
 //! `aivc-sim` event queue and **one** [`SharedLink`]:
 //!
-//! * every tenant keeps its own [`NetCompute`]/[`GccController`]/[`Transport`] — exactly
-//!   the state a [`crate::Conversation`] owns — but its uplink packets ride a shared
-//!   bottleneck as one flow among K (+ cross-traffic), via
+//! * every tenant is a `conversation::Member` — exactly the state a
+//!   [`crate::Conversation`] owns, minus the private kernel — but its uplink packets ride
+//!   a shared bottleneck as one flow among K (+ cross-traffic), via
 //!   [`crate::net_turn::UplinkPort::Shared`];
 //! * tenant turn lifecycles become events ([`MtEvent::TurnBegin`]/[`MtEvent::TurnEnd`])
 //!   on the global timeline, so turns of different tenants interleave packet-by-packet in
@@ -31,15 +31,11 @@
 //! deterministic, and no integer-microsecond schedule in the registry exhibits the tie.
 
 use crate::context_aware::StreamerConfig;
-use crate::conversation::ConversationReport;
-use crate::net_session::{FaultTelemetry, NetSessionOptions, NetTurnReport};
-use crate::net_turn::{
-    begin_turn_window, conclude_turn_window, finish_turn, NetCompute, NetEvent, NetEventSink, PacketRun,
-    Transport, TurnMachine, TurnPlan, UplinkPort,
-};
+use crate::conversation::{ConversationReport, Member};
+use crate::net_session::NetSessionOptions;
+use crate::net_turn::{NetEvent, NetEventSink, PacketRun, TurnPlan, UplinkPort};
 use aivc_mllm::Question;
-use aivc_netsim::{jain_index, FaultKind, LatencyStats, LinkConfig, LinkCounters, Packet, SharedLink};
-use aivc_rtc::cc::GccController;
+use aivc_netsim::{jain_index, FaultKind, LinkConfig, LinkCounters, Packet, SharedLink};
 use aivc_scene::Frame;
 use aivc_semantics::ClipModel;
 use aivc_sim::{Actor, SimDuration, SimTime, Simulation};
@@ -66,9 +62,10 @@ pub struct TenantSpec {
     pub join_at: SimTime,
     /// Think time inserted between consecutive turns.
     pub think: SimDuration,
-    /// Session options. `options.path.uplink` must equal the shared link's config so
-    /// propagation delays and outage reporting see the bottleneck the packets really
-    /// ride; the private uplink it configures sits idle (its RNG is never drawn from).
+    /// Session options. `options.path.uplink` must match the shared link's config in
+    /// propagation delay and fault schedule (checked by [`run_contention`]) so feedback
+    /// timing and outage reporting see the bottleneck the packets really ride; the
+    /// private uplink it configures sits idle (its RNG is never drawn from).
     pub options: NetSessionOptions,
     /// The scripted turns.
     pub turns: Vec<TenantTurn>,
@@ -280,26 +277,17 @@ impl NetEventSink for TenantSink<'_> {
     }
 }
 
-/// Per-tenant engine state: everything a [`crate::Conversation`] owns, minus the private
-/// simulation (the timeline is global here).
+/// Per-tenant engine state: the conversation itself (a [`Member`] — the timeline is
+/// global here) plus its script and the watchdog's bookkeeping.
 struct TenantState {
     spec: TenantSpec,
-    compute: NetCompute,
-    gcc: GccController,
-    transport: Transport,
+    member: Member,
     /// Turns whose window has opened (≥ turns reported; they differ while one is live).
     turns_begun: usize,
-    /// The live (or most recent) turn's plan.
-    plan: Option<TurnPlan>,
     /// `[first capture, last capture]` of the live turn — the span inside which a
     /// fairness window is *eligible* for starvation accounting (a tenant thinking or
     /// draining is silent by design, not starved).
     capture_span: Option<(SimTime, SimTime)>,
-    reports: Vec<NetTurnReport>,
-    estimate_at_turn_start_bps: Vec<f64>,
-    carryover_queue_delay_ms: Vec<f64>,
-    turn_target_swing_bps: Vec<f64>,
-    frame_latencies: Vec<SimDuration>,
     starve_streak: u32,
     starvation_events: u64,
     /// `delivered_bytes` of this tenant's flow at the last fairness tick.
@@ -308,41 +296,12 @@ struct TenantState {
 
 impl TenantState {
     fn finished(&self) -> bool {
-        self.reports.len() >= self.spec.turns.len()
+        self.member.turns.len() >= self.spec.turns.len()
     }
 
     /// Mid-conversation: the first window has opened and the last turn has not reported.
     fn mid_conversation(&self) -> bool {
         self.turns_begun > 0 && !self.finished()
-    }
-
-    /// Assembles this tenant's [`ConversationReport`], mirroring
-    /// [`crate::Conversation::report`].
-    fn conversation_report(&self) -> ConversationReport {
-        let mut latency = LatencyStats::new();
-        for d in &self.frame_latencies {
-            latency.record(*d);
-        }
-        let mean_goodput_bps = if self.reports.is_empty() {
-            0.0
-        } else {
-            self.reports.iter().map(|t| t.goodput_bps).sum::<f64>() / self.reports.len() as f64
-        };
-        let mut resilience = FaultTelemetry::default();
-        for t in &self.reports {
-            resilience.absorb(&t.resilience);
-        }
-        ConversationReport {
-            turns: self.reports.clone(),
-            estimate_at_turn_start_bps: self.estimate_at_turn_start_bps.clone(),
-            carryover_queue_delay_ms: self.carryover_queue_delay_ms.clone(),
-            turn_target_swing_bps: self.turn_target_swing_bps.clone(),
-            p50_frame_latency_ms: latency.percentile_ms(0.5),
-            p95_frame_latency_ms: latency.p95_ms(),
-            mean_goodput_bps,
-            nacks_suppressed: self.transport.nacks_suppressed(),
-            resilience,
-        }
     }
 }
 
@@ -394,90 +353,64 @@ impl ContentionMachine {
             .count()
             .max(1);
         let t = &mut self.tenants[tenant];
-        let idx = t.turns_begun;
-        debug_assert!(idx < t.spec.turns.len(), "turn begin past the script");
-        if idx == 0 && self.admission.enabled {
-            t.gcc
+        let turn = &t.spec.turns[t.turns_begun];
+        if t.turns_begun == 0 && self.admission.enabled {
+            t.member
+                .gcc
                 .clamp_estimate(self.nominal_bps * self.admission.fair_share_cap / active as f64);
         }
-        t.estimate_at_turn_start_bps.push(t.gcc.estimate_bps());
-        t.carryover_queue_delay_ms
-            .push(self.shared.backlog(now).as_millis_f64());
-        let frame_count = t.spec.turns[idx].frames.len();
-        let plan = begin_turn_window(
-            &mut t.compute,
-            &mut t.transport,
+        let port = UplinkPort::Shared {
+            link: &mut self.shared,
+            flow: tenant,
+        };
+        t.member.begin_turn(
             now,
+            &port,
             &mut TenantSink { tenant, sim },
-            frame_count,
-            &t.spec.turns[idx].question,
+            turn.frames.len(),
+            &turn.question,
         );
-        let interval_us = (1e6 / t.compute.options.capture_fps).round() as u64;
-        let last_capture = SimTime::from_micros(now.as_micros() + (frame_count as u64 - 1) * interval_us);
-        t.capture_span = Some((now, last_capture));
-        t.plan = Some(plan);
+        t.capture_span = Some((now, t.member.plan.last_capture));
         t.turns_begun += 1;
         // One microsecond past the deadline: every event at the deadline itself (which a
         // single-tenant `run_until(horizon)` drains inclusively) pops first, by time; the
         // integer-microsecond clock leaves nothing in between.
         sim.schedule_at(
-            plan.horizon + SimDuration::from_micros(1),
+            t.member.plan.horizon + SimDuration::from_micros(1),
             MtEvent::TurnEnd { tenant },
         );
     }
 
     fn on_turn_end(&mut self, tenant: usize, sim: &mut Simulation<MtEvent>) {
-        let shared = &mut self.shared;
         let t = &mut self.tenants[tenant];
-        let plan = t.plan.expect("turn end without a live turn");
-        let idx = t.turns_begun - 1;
-        let turn = &t.spec.turns[idx];
-        let report = conclude_turn_window(
-            &mut t.compute,
-            &mut t.gcc,
-            &mut t.transport,
-            &UplinkPort::Shared {
-                link: shared,
-                flow: tenant,
-            },
-            &plan,
-            turn.frames.len(),
-            &turn.question,
-        );
-        t.turn_target_swing_bps.push(t.transport.turn_target_swing_bps());
-        t.frame_latencies
-            .extend_from_slice(&t.transport.turn_frame_latencies);
-        finish_turn(&mut t.transport);
-        t.reports.push(report);
+        let turn = &t.spec.turns[t.turns_begun - 1];
+        let port = UplinkPort::Shared {
+            link: &mut self.shared,
+            flow: tenant,
+        };
+        t.member.conclude_turn(&port, turn.frames.len(), &turn.question);
         t.capture_span = None;
         if t.turns_begun < t.spec.turns.len() {
-            sim.schedule_at(plan.horizon + t.spec.think, MtEvent::TurnBegin { tenant });
+            sim.schedule_at(
+                t.member.plan.horizon + t.spec.think,
+                MtEvent::TurnBegin { tenant },
+            );
         }
     }
 
     fn on_net(&mut self, tenant: usize, now: SimTime, ev: NetEvent, sim: &mut Simulation<MtEvent>) {
-        let shared = &mut self.shared;
         let t = &mut self.tenants[tenant];
-        let Some(plan) = t.plan else {
-            debug_assert!(false, "net event before the tenant's first turn");
-            return;
+        // A tenant's first event is scheduled by its first `TurnBegin`, so a turn has
+        // begun. Between windows the frame slice is only nominally live: capture events
+        // exist strictly inside a window, and nothing else reads frames.
+        let frames: &[Frame] = &t.spec.turns[t.turns_begun - 1].frames;
+        let port = UplinkPort::Shared {
+            link: &mut self.shared,
+            flow: tenant,
         };
-        // Between windows the frame slice is only nominally live: capture events exist
-        // strictly inside a window, and nothing else reads frames.
-        let idx = t.turns_begun.saturating_sub(1);
-        let frames: &[Frame] = &t.spec.turns[idx].frames;
-        let mut machine = TurnMachine {
-            compute: &mut t.compute,
-            gcc: &mut t.gcc,
-            t: &mut t.transport,
-            frames,
-            window: plan.window,
-            port: UplinkPort::Shared {
-                link: shared,
-                flow: tenant,
-            },
-        };
-        machine.handle(now, ev, &mut TenantSink { tenant, sim });
+        t.member
+            .machine(frames, port)
+            .handle(now, ev, &mut TenantSink { tenant, sim });
     }
 
     fn on_cross(&mut self, source: usize, now: SimTime, sim: &mut Simulation<MtEvent>) {
@@ -541,7 +474,7 @@ impl ContentionMachine {
                     // Escalate the tenant's own degradation ladder: force_fallback makes
                     // `in_fallback()` true, so its next capture rides the SoftFallback
                     // rung and its sending rate steps down toward survivability.
-                    t.gcc.force_fallback();
+                    t.member.gcc.force_fallback();
                 }
             }
         }
@@ -572,6 +505,16 @@ pub fn run_contention(config: &ContentionConfig, tenants: Vec<TenantSpec>) -> Co
             t.turns.iter().all(|turn| !turn.frames.is_empty()),
             "every scripted turn needs at least one frame"
         );
+        // The transport times loss reports and the NACK budget off the private uplink's
+        // propagation delay, and turn reports read outage exposure off its fault
+        // schedule — both must describe the link the packets really ride.
+        let private = &t.options.path.uplink;
+        assert!(
+            private.propagation_delay == config.shared_uplink.propagation_delay
+                && private.faults == config.shared_uplink.faults,
+            "tenant {:?}: options.path.uplink must match the shared link's propagation delay and faults",
+            t.label
+        );
     }
     let tenant_count = tenants.len();
     let flow_count = tenant_count + config.cross_traffic.len();
@@ -585,52 +528,34 @@ pub fn run_contention(config: &ContentionConfig, tenants: Vec<TenantSpec>) -> Co
         .map(|e| e.end())
         .max();
 
+    // The global horizon: every tenant's final answer deadline, plus the 1 µs TurnEnd
+    // offset.
+    let mut global_end = SimTime::ZERO;
+    for t in &tenants {
+        let (mut begin, mut horizon) = (t.join_at, t.join_at);
+        for turn in &t.turns {
+            horizon = TurnPlan::new(&t.options, 0, begin, turn.frames.len()).horizon;
+            begin = horizon + t.think;
+        }
+        global_end = global_end.max(horizon + SimDuration::from_micros(1));
+    }
+
     let states: Vec<TenantState> = tenants
         .into_iter()
-        .map(|spec| {
-            let gcc = GccController::new(spec.options.gcc);
-            let transport = Transport::new(&spec.options, gcc.estimate_bps());
-            let compute = NetCompute::new(
+        .map(|spec| TenantState {
+            member: Member::new(
                 spec.options.clone(),
                 StreamerConfig::default(),
                 ClipModel::mobile_default(),
-            );
-            TenantState {
-                spec,
-                compute,
-                gcc,
-                transport,
-                turns_begun: 0,
-                plan: None,
-                capture_span: None,
-                reports: Vec::new(),
-                estimate_at_turn_start_bps: Vec::new(),
-                carryover_queue_delay_ms: Vec::new(),
-                turn_target_swing_bps: Vec::new(),
-                frame_latencies: Vec::new(),
-                starve_streak: 0,
-                starvation_events: 0,
-                window_bytes_snapshot: 0,
-            }
+            ),
+            spec,
+            turns_begun: 0,
+            capture_span: None,
+            starve_streak: 0,
+            starvation_events: 0,
+            window_bytes_snapshot: 0,
         })
         .collect();
-
-    // The global horizon: every tenant's final answer deadline (replicating the window
-    // arithmetic of `begin_turn_window` exactly), plus the 1 µs TurnEnd offset.
-    let mut global_end = SimTime::ZERO;
-    for t in &states {
-        let o = &t.compute.options;
-        let interval_us = (1e6 / o.capture_fps).round() as u64;
-        let drain_us = (o.drain_secs.max(0.0) * 1e6).round() as u64;
-        let mut begin = t.spec.join_at.as_micros();
-        let mut horizon = begin;
-        for turn in &t.spec.turns {
-            let last_capture = begin + (turn.frames.len() as u64 - 1) * interval_us;
-            horizon = last_capture + drain_us;
-            begin = horizon + t.spec.think.as_micros();
-        }
-        global_end = global_end.max(SimTime::from_micros(horizon + 1));
-    }
 
     let cross: Vec<CrossState> = config
         .cross_traffic
@@ -701,7 +626,7 @@ pub fn run_contention(config: &ContentionConfig, tenants: Vec<TenantSpec>) -> Co
                 tenant_bytes[i] as f64 / total_tenant_bytes as f64
             },
             starvation_events: t.starvation_events,
-            conversation: t.conversation_report(),
+            conversation: t.member.report(),
         })
         .collect();
     ContentionReport {
@@ -809,6 +734,28 @@ mod tests {
             }],
         );
         assert_eq!(report.tenants[0].conversation, expected);
+    }
+
+    /// A tenant whose private uplink config disagrees with the shared link would time
+    /// its loss reports off the wrong propagation delay and report outages the shared
+    /// link never had (or miss the ones it has): rejected at input.
+    #[test]
+    #[should_panic(expected = "must match the shared link's propagation delay and faults")]
+    fn tenant_uplink_config_must_match_the_shared_link() {
+        let uplink = LinkConfig::constant(4e6, SimDuration::from_millis(30), 300, LossModel::None);
+        let mut options = tenant_options(1, &uplink, 8.0);
+        options.path.uplink.propagation_delay = SimDuration::from_millis(80);
+        run_contention(
+            &base_config(uplink, 1, 4e6),
+            vec![TenantSpec {
+                label: "mismatched".into(),
+                mode: "ai_oriented".into(),
+                join_at: SimTime::ZERO,
+                think: SimDuration::ZERO,
+                options,
+                turns: turn_script(0, 1, 4, 8.0),
+            }],
+        );
     }
 
     #[test]

@@ -1,15 +1,15 @@
 //! Continuous multi-turn conversations: [`Conversation`].
 //!
 //! The paper's §2.2 loop is conversational — an MLLM chat is a *sequence* of turns over
-//! one long-lived connection. [`crate::NetworkedChatSession`] restarts its transport clock
-//! at `t = 0` every turn, which throws away exactly the state a real conversation carries:
-//! GCC warm-up, pacer backlog, in-flight packets, NACK history and the bandwidth trace's
-//! position. A [`Conversation`] keeps **one timeline**: the `aivc-sim` kernel's clock and
-//! event queue, the emulated link (and therefore the trace cursor and bottleneck queue),
-//! the congestion controller, pacer, packetizer sequence space, RTX store and FEC/NACK
-//! machinery all persist across turns. Turn `k + 1` starts at the simulated time turn `k`'s
-//! answer deadline passed, plus the user's think time, during which in-flight packets keep
-//! arriving and pending retransmissions keep flowing.
+//! one long-lived connection, and everything a real connection carries from one turn to
+//! the next matters: GCC warm-up, pacer backlog, in-flight packets, NACK history and the
+//! bandwidth trace's position. A [`Conversation`] keeps **one timeline**: the `aivc-sim`
+//! kernel's clock and event queue, the emulated link (and therefore the trace cursor and
+//! bottleneck queue), the congestion controller, pacer, packetizer sequence space, RTX
+//! store and FEC/NACK machinery all persist across turns. Turn `k + 1` starts at the
+//! simulated time turn `k`'s answer deadline passed, plus the user's think time, during
+//! which in-flight packets keep arriving and pending retransmissions keep flowing. A
+//! single turn is simply a conversation that runs one.
 //!
 //! What this buys, measurably (the [`ConversationReport`] cross-turn aggregates):
 //!
@@ -23,15 +23,19 @@
 //!   the number a service-level objective would actually track.
 //!
 //! Memory stays bounded by the live turn: once a turn is reported, its reassembly, FEC and
-//! sequence-mapping state is retired (`net_turn::finish_turn`), so a conversation can run
-//! indefinitely — the steady-state benchmark (`conversation_turn_warm`) runs thousands of
-//! turns on one instance.
+//! sequence-mapping state is retired (`net_turn::conclude_turn_window`), so a conversation
+//! can run indefinitely — the steady-state benchmark (`conversation_turn_warm`) runs
+//! thousands of turns on one instance.
+//!
+//! The conversation's state minus its timeline is a [`Member`]: the private driver here
+//! and the shared-link driver in [`crate::contention`] both own one per conversation and
+//! differ only in whose kernel the events ride and which uplink the packets take.
 
 use crate::context_aware::StreamerConfig;
 use crate::net_session::{FaultTelemetry, NetSessionOptions, NetTurnReport};
 use crate::net_turn::{
-    begin_turn_window, conclude_turn_window, drain_gap, finish_turn, run_turn_window, NetCompute, NetEvent,
-    NetEventSink, Transport, TurnMachine, TurnPlan, TurnWindow, UplinkPort,
+    begin_turn_window, conclude_turn_window, NetCompute, NetEvent, NetEventSink, Transport, TurnMachine,
+    TurnPlan, UplinkPort,
 };
 use aivc_mllm::Question;
 use aivc_netsim::{LatencyStats, LinkCounters};
@@ -154,22 +158,147 @@ impl ConversationReport {
     }
 }
 
+/// Everything one conversation owns except its timeline: the chat pipeline, the
+/// congestion controller, the transport and the per-turn history behind the
+/// [`ConversationReport`]. The driver owns the kernel and hands every call the
+/// [`UplinkPort`] the packets ride.
+#[derive(Debug)]
+pub(crate) struct Member {
+    compute: NetCompute,
+    pub(crate) gcc: GccController,
+    transport: Transport,
+    /// The live (or most recent) turn's plan.
+    pub(crate) plan: TurnPlan,
+    pub(crate) turns: Vec<NetTurnReport>,
+    estimate_at_turn_start_bps: Vec<f64>,
+    carryover_queue_delay_ms: Vec<f64>,
+    turn_target_swing_bps: Vec<f64>,
+    frame_latencies: Vec<SimDuration>,
+}
+
+impl Member {
+    pub(crate) fn new(options: NetSessionOptions, config: StreamerConfig, clip_model: ClipModel) -> Self {
+        let gcc = GccController::new(options.gcc);
+        Self {
+            transport: Transport::new(&options, gcc.estimate_bps()),
+            compute: NetCompute::new(options, config, clip_model),
+            gcc,
+            plan: TurnPlan::default(),
+            turns: Vec::new(),
+            estimate_at_turn_start_bps: Vec::new(),
+            carryover_queue_delay_ms: Vec::new(),
+            turn_target_swing_bps: Vec::new(),
+            frame_latencies: Vec::new(),
+        }
+    }
+
+    /// Opens the next turn window at `now`: records the turn-start estimate and the
+    /// backlog inherited on `port`, then schedules the captures into `sink`. The driver
+    /// drains its timeline to the new `plan.horizon`, routing this member's events to
+    /// [`Member::machine`], and then calls [`Member::conclude_turn`].
+    pub(crate) fn begin_turn(
+        &mut self,
+        now: SimTime,
+        port: &UplinkPort<'_>,
+        sink: &mut impl NetEventSink,
+        frame_count: usize,
+        question: &Question,
+    ) {
+        self.estimate_at_turn_start_bps.push(self.gcc.estimate_bps());
+        self.carryover_queue_delay_ms
+            .push(self.transport.uplink_backlog_ms(port, now));
+        self.plan = begin_turn_window(
+            &mut self.compute,
+            &mut self.transport,
+            now,
+            sink,
+            frame_count,
+            question,
+        );
+    }
+
+    /// The event handler for this member's transport events. `frames` is the open turn's
+    /// capture window; between turns (deliveries, polls, retransmissions only — no
+    /// capture is pending) it is not read and may be empty.
+    pub(crate) fn machine<'a>(&'a mut self, frames: &'a [Frame], port: UplinkPort<'a>) -> TurnMachine<'a> {
+        TurnMachine {
+            compute: &mut self.compute,
+            gcc: &mut self.gcc,
+            t: &mut self.transport,
+            frames,
+            plan: self.plan,
+            port,
+        }
+    }
+
+    /// Concludes the open turn once the timeline drained to its horizon: decode, answer
+    /// and report, then record the turn's swing and latencies. Returns the stored report.
+    pub(crate) fn conclude_turn(
+        &mut self,
+        port: &UplinkPort<'_>,
+        frame_count: usize,
+        question: &Question,
+    ) -> &NetTurnReport {
+        let report = conclude_turn_window(
+            &mut self.compute,
+            &mut self.gcc,
+            &mut self.transport,
+            port,
+            &self.plan,
+            frame_count,
+            question,
+        );
+        self.turn_target_swing_bps
+            .push(self.transport.turn_target_swing_bps());
+        self.frame_latencies
+            .extend_from_slice(&self.transport.turn_frame_latencies);
+        self.turns.push(report);
+        self.turns.last().expect("just pushed")
+    }
+
+    /// Roll-up of the fault telemetry across every turn run so far.
+    fn fault_telemetry(&self) -> FaultTelemetry {
+        let mut resilience = FaultTelemetry::default();
+        for t in &self.turns {
+            resilience.absorb(&t.resilience);
+        }
+        resilience
+    }
+
+    /// Assembles the conversation-level report (per-turn reports + cross-turn aggregates).
+    pub(crate) fn report(&self) -> ConversationReport {
+        let mut latency = LatencyStats::new();
+        for d in &self.frame_latencies {
+            latency.record(*d);
+        }
+        let mean_goodput_bps = if self.turns.is_empty() {
+            0.0
+        } else {
+            self.turns.iter().map(|t| t.goodput_bps).sum::<f64>() / self.turns.len() as f64
+        };
+        ConversationReport {
+            turns: self.turns.clone(),
+            estimate_at_turn_start_bps: self.estimate_at_turn_start_bps.clone(),
+            carryover_queue_delay_ms: self.carryover_queue_delay_ms.clone(),
+            turn_target_swing_bps: self.turn_target_swing_bps.clone(),
+            p50_frame_latency_ms: latency.percentile_ms(0.5),
+            p95_frame_latency_ms: latency.p95_ms(),
+            mean_goodput_bps,
+            nacks_suppressed: self.transport.nacks_suppressed(),
+            resilience: self.fault_telemetry(),
+        }
+    }
+}
+
 /// One continuous multi-turn conversation over a persistent transport timeline. See the
 /// module docs; construct with [`Conversation::with_defaults`], run turns with
 /// [`Conversation::run_turn`] (the configured think gap is inserted automatically between
 /// turns), and read the cross-turn aggregates with [`Conversation::report`].
 #[derive(Debug)]
 pub struct Conversation {
-    compute: NetCompute,
-    gcc: GccController,
-    transport: Transport,
+    member: Member,
     sim: Simulation<NetEvent>,
     think_gap: SimDuration,
-    turns: Vec<NetTurnReport>,
-    estimate_at_turn_start_bps: Vec<f64>,
-    carryover_queue_delay_ms: Vec<f64>,
-    turn_target_swing_bps: Vec<f64>,
-    frame_latencies: Vec<SimDuration>,
 }
 
 impl Conversation {
@@ -182,19 +311,10 @@ impl Conversation {
         clip_model: ClipModel,
         think_gap: SimDuration,
     ) -> Self {
-        let gcc = GccController::new(options.gcc);
-        let transport = Transport::new(&options, gcc.estimate_bps());
         Self {
-            compute: NetCompute::new(options, config, clip_model),
-            gcc,
-            transport,
+            member: Member::new(options, config, clip_model),
             sim: Simulation::new(),
             think_gap,
-            turns: Vec::new(),
-            estimate_at_turn_start_bps: Vec::new(),
-            carryover_queue_delay_ms: Vec::new(),
-            turn_target_swing_bps: Vec::new(),
-            frame_latencies: Vec::new(),
         }
     }
 
@@ -211,7 +331,7 @@ impl Conversation {
 
     /// The session options.
     pub fn options(&self) -> &NetSessionOptions {
-        &self.compute.options
+        &self.member.compute.options
     }
 
     /// The current simulated time — the conversation's single monotonic clock.
@@ -221,24 +341,24 @@ impl Conversation {
 
     /// The congestion controller's current bandwidth estimate in bits per second.
     pub fn bandwidth_estimate_bps(&self) -> f64 {
-        self.gcc.estimate_bps()
+        self.member.gcc.estimate_bps()
     }
 
     /// Number of turns run so far.
     pub fn turn_count(&self) -> usize {
-        self.turns.len()
+        self.member.turns.len()
     }
 
     /// The per-turn reports so far.
     pub fn turns(&self) -> &[NetTurnReport] {
-        &self.turns
+        &self.member.turns
     }
 
     /// A point-in-time reading of this conversation's always-on serving counters —
     /// relaxed atomics the transport ticks as it works, aggregated here entirely off the
     /// hot path (see the `aivc-metrics` crate docs for the ordering rationale).
     pub fn metrics_snapshot(&self) -> aivc_metrics::SessionSnapshot {
-        self.transport.metrics_handle().snapshot()
+        self.member.transport.metrics_snapshot()
     }
 
     /// Snapshot of the conversation's cumulative uplink [`LinkCounters`] — offered,
@@ -246,37 +366,29 @@ impl Conversation {
     /// packets since the conversation began. Reads the emulator's existing totals; the
     /// transport hot path keeps no extra bookkeeping for it.
     pub fn link_counters(&self) -> LinkCounters {
-        self.transport.uplink_counters()
+        self.member.transport.uplink_counters()
     }
 
     /// Roll-up of the fault telemetry across every turn run so far (same aggregation as
     /// [`Conversation::report`], available mid-conversation without assembling a report).
     pub fn fault_telemetry(&self) -> FaultTelemetry {
-        let mut resilience = FaultTelemetry::default();
-        for t in &self.turns {
-            resilience.absorb(&t.resilience);
-        }
-        resilience
+        self.member.fault_telemetry()
     }
 
     /// Number of idle pooled run buffers in the transport — the buffer-pool
     /// reuse/leak invariant tests read this.
     #[cfg(test)]
     pub(crate) fn run_pool_len(&self) -> usize {
-        self.transport.run_pool_len()
+        self.member.transport.run_pool_len()
     }
 
     /// Advances the timeline by `gap` without capturing frames: in-flight packets arrive,
     /// NACK polls fire, retransmissions flow. [`Conversation::run_turn`] already inserts
     /// the configured think gap between turns; use this for extra idle time.
     pub fn think(&mut self, gap: SimDuration) {
-        drain_gap(
-            &mut self.compute,
-            &mut self.gcc,
-            &mut self.transport,
-            &mut self.sim,
-            gap,
-        );
+        let horizon = self.sim.now() + gap;
+        self.sim
+            .run_until(horizon, &mut self.member.machine(&[], UplinkPort::Private));
     }
 
     /// Runs the next turn of the conversation, starting at the current simulated time
@@ -292,149 +404,35 @@ impl Conversation {
     /// [`Conversation::reserve_turns`], a warmed conversation's turn is allocation-free
     /// end to end (the `zero_alloc` harness asserts exactly that).
     pub fn run_turn_in_place(&mut self, frames: &[Frame], question: &Question) -> &NetTurnReport {
-        if !self.turns.is_empty() && self.think_gap > SimDuration::ZERO {
+        if !self.member.turns.is_empty() && self.think_gap > SimDuration::ZERO {
             self.think(self.think_gap);
         }
-        self.estimate_at_turn_start_bps.push(self.gcc.estimate_bps());
-        self.carryover_queue_delay_ms
-            .push(self.transport.uplink_backlog_ms(self.sim.now()));
-        let report = run_turn_window(
-            &mut self.compute,
-            &mut self.gcc,
-            &mut self.transport,
-            &mut self.sim,
-            frames,
-            question,
-        );
-        self.turn_target_swing_bps
-            .push(self.transport.turn_target_swing_bps());
-        self.frame_latencies
-            .extend_from_slice(&self.transport.turn_frame_latencies);
-        finish_turn(&mut self.transport);
-        self.turns.push(report);
-        self.turns.last().expect("just pushed")
+        let port = UplinkPort::Private;
+        self.member
+            .begin_turn(self.sim.now(), &port, &mut self.sim, frames.len(), question);
+        // On return the clock sits exactly at the answer deadline; later events (late
+        // packets, pending polls) stay queued for the think gap and the next window.
+        let horizon = self.member.plan.horizon;
+        self.sim
+            .run_until(horizon, &mut self.member.machine(frames, UplinkPort::Private));
+        self.member.conclude_turn(&port, frames.len(), question)
     }
 
     /// Pre-grows the per-turn history vectors for `additional_turns` more turns of
     /// `frames_per_turn` frames each, so the pushes inside those turns are guaranteed
     /// not to reallocate. Purely an optimization — capacity is a lower bound, never a cap.
     pub fn reserve_turns(&mut self, additional_turns: usize, frames_per_turn: usize) {
-        self.turns.reserve(additional_turns);
-        self.estimate_at_turn_start_bps.reserve(additional_turns);
-        self.carryover_queue_delay_ms.reserve(additional_turns);
-        self.turn_target_swing_bps.reserve(additional_turns);
-        self.frame_latencies.reserve(additional_turns * frames_per_turn);
-    }
-
-    /// The configured think gap.
-    pub(crate) fn think_gap(&self) -> SimDuration {
-        self.think_gap
-    }
-
-    /// Opens this conversation's next turn window on an *external* timeline at `now` —
-    /// the lane-sharded server's per-lane kernel — doing exactly the pre-window
-    /// bookkeeping [`Conversation::run_turn_in_place`] does on the private one: push the
-    /// turn-start estimate and the inherited backlog, then schedule the captures into
-    /// `sink`. The caller drains the timeline to the returned plan's horizon (routing
-    /// this session's events to [`Conversation::handle_net`]) and then calls
-    /// [`Conversation::conclude_turn_on`].
-    pub(crate) fn begin_turn_on(
-        &mut self,
-        now: SimTime,
-        sink: &mut impl NetEventSink,
-        frame_count: usize,
-        question: &Question,
-    ) -> TurnPlan {
-        self.estimate_at_turn_start_bps.push(self.gcc.estimate_bps());
-        self.carryover_queue_delay_ms
-            .push(self.transport.uplink_backlog_ms(now));
-        begin_turn_window(
-            &mut self.compute,
-            &mut self.transport,
-            now,
-            sink,
-            frame_count,
-            question,
-        )
-    }
-
-    /// Concludes a turn opened by [`Conversation::begin_turn_on`] after the external
-    /// timeline drained to the plan's horizon: decode + answer + report, then the same
-    /// post-window bookkeeping as [`Conversation::run_turn_in_place`] (swing, latencies,
-    /// retirement, history push). Returns the stored report.
-    pub(crate) fn conclude_turn_on(
-        &mut self,
-        plan: &TurnPlan,
-        frame_count: usize,
-        question: &Question,
-    ) -> &NetTurnReport {
-        let report = conclude_turn_window(
-            &mut self.compute,
-            &mut self.gcc,
-            &mut self.transport,
-            &UplinkPort::Private,
-            plan,
-            frame_count,
-            question,
-        );
-        self.turn_target_swing_bps
-            .push(self.transport.turn_target_swing_bps());
-        self.frame_latencies
-            .extend_from_slice(&self.transport.turn_frame_latencies);
-        finish_turn(&mut self.transport);
-        self.turns.push(report);
-        self.turns.last().expect("just pushed")
-    }
-
-    /// Handles one of this conversation's transport events on an external timeline — the
-    /// per-event [`TurnMachine`] construction the multi-tenant contention engine also
-    /// uses. `live` carries the frames and window of the open turn; `None` is a
-    /// think-time drain (deliveries, polls, retransmissions only — no captures pending).
-    pub(crate) fn handle_net(
-        &mut self,
-        now: SimTime,
-        event: NetEvent,
-        live: Option<(&[Frame], TurnWindow)>,
-        sink: &mut impl NetEventSink,
-    ) {
-        let (frames, window) = match live {
-            Some((frames, window)) => (frames, window),
-            None => (&[][..], TurnWindow::drain_at(self.transport.frames_sent(), now)),
-        };
-        let mut machine = TurnMachine {
-            compute: &mut self.compute,
-            gcc: &mut self.gcc,
-            t: &mut self.transport,
-            frames,
-            window,
-            port: UplinkPort::Private,
-        };
-        machine.handle(now, event, sink);
+        let m = &mut self.member;
+        m.turns.reserve(additional_turns);
+        m.estimate_at_turn_start_bps.reserve(additional_turns);
+        m.carryover_queue_delay_ms.reserve(additional_turns);
+        m.turn_target_swing_bps.reserve(additional_turns);
+        m.frame_latencies.reserve(additional_turns * frames_per_turn);
     }
 
     /// Assembles the conversation-level report (per-turn reports + cross-turn aggregates).
     pub fn report(&self) -> ConversationReport {
-        let mut latency = LatencyStats::new();
-        for d in &self.frame_latencies {
-            latency.record(*d);
-        }
-        let mean_goodput_bps = if self.turns.is_empty() {
-            0.0
-        } else {
-            self.turns.iter().map(|t| t.goodput_bps).sum::<f64>() / self.turns.len() as f64
-        };
-        let resilience = self.fault_telemetry();
-        ConversationReport {
-            turns: self.turns.clone(),
-            estimate_at_turn_start_bps: self.estimate_at_turn_start_bps.clone(),
-            carryover_queue_delay_ms: self.carryover_queue_delay_ms.clone(),
-            turn_target_swing_bps: self.turn_target_swing_bps.clone(),
-            p50_frame_latency_ms: latency.percentile_ms(0.5),
-            p95_frame_latency_ms: latency.p95_ms(),
-            mean_goodput_bps,
-            nacks_suppressed: self.transport.nacks_suppressed(),
-            resilience,
-        }
+        self.member.report()
     }
 }
 
@@ -488,7 +486,9 @@ mod tests {
         let before = warm.metrics_snapshot();
         for t in 8..72 {
             warm.run_turn(&window(t), &q);
-            twin.compute.set_rate_hint([None, Some(51), Some(-51)][t % 3]);
+            twin.member
+                .compute
+                .set_rate_hint([None, Some(51), Some(-51)][t % 3]);
             twin.run_turn(&window(t), &q);
         }
         let after = warm.metrics_snapshot();
@@ -627,7 +627,7 @@ mod tests {
         }
         // Retirement pruned every reported turn: only in-flight remnants may remain.
         assert!(
-            conv.transport.tracked_state_is_bounded(),
+            conv.member.transport.tracked_state_is_bounded(),
             "transport state grew unbounded"
         );
     }
@@ -644,7 +644,7 @@ mod tests {
 
     /// Regression test for the retired-then-late sequence hazard: on a slow, high-latency
     /// link, packets still in flight when the answer deadline fires arrive during the
-    /// think gap — *after* `finish_turn` retired their sequence numbers. The ring/bitset
+    /// think gap — *after* the turn's conclusion retired their sequence numbers. The ring/bitset
     /// stores must reject them as counted drops (`late_seq_drops`), not underflow
     /// `seq - base` and panic.
     #[test]

@@ -12,20 +12,22 @@
 //!   transmission, decode, MLLM inference) against the 300 ms conversational bound (§1);
 //! * [`session`] — the full AI Video Chat turn: capture → encode → RTC over the emulated
 //!   uplink → decode → MLLM answer, with per-stage latency accounting;
-//! * [`net_session`] — the network-in-the-loop turn: per-frame GCC feedback → ABR target →
-//!   encode-at-bitrate → FEC/NACK recovery → decode, on a trace-driven emulated uplink
-//!   (single-turn driver of the shared `net_turn` engine over the `aivc-sim` kernel);
-//! * [`conversation`] — continuous multi-turn conversations: one persistent transport
+//! * [`net_session`] — the network-in-the-loop turn's options and report: per-frame GCC
+//!   feedback → ABR target → encode-at-bitrate → FEC/NACK recovery → decode, on a
+//!   trace-driven emulated uplink (the loop itself is the private `net_turn` engine over
+//!   the `aivc-sim` kernel);
+//! * [`conversation`] — the engine's private-timeline driver: one persistent transport
 //!   timeline (clock, link, trace cursor, GCC, pacer, in-flight packets) across every
-//!   turn, with think-time gaps and cross-turn aggregates ([`ConversationReport`]);
-//! * [`contention`] — shared-bottleneck multi-tenant contention: K conversations plus
+//!   turn of a conversation — a single networked turn is its first — with think-time
+//!   gaps and cross-turn aggregates ([`ConversationReport`]);
+//! * [`contention`] — the engine's shared-link driver: K conversations plus
 //!   cross-traffic contending for one [`aivc_netsim::SharedLink`] on one simulation
 //!   timeline, with windowed Jain fairness, a per-tenant starvation watchdog, fair-share
 //!   admission and tenant-isolated recovery ([`ContentionReport`]);
 //! * [`server`] — the multi-session throughput engines ([`ChatServer`] for pure compute,
-//!   [`NetworkedChatServer`] for network-in-the-loop turns, [`ConversationChatServer`]
-//!   for continuous conversations): N independent sessions executing turns across a
-//!   scoped thread pool, bit-identically for any pool size;
+//!   [`ConversationChatServer`] for network-in-the-loop conversations, each on its own
+//!   kernel): N independent sessions executing turns across a scoped thread pool,
+//!   bit-identically for any pool size;
 //! * [`scenarios`] — the registry of named, seeded network scenarios and the engine that
 //!   reports traditional vs AI-oriented ABR on each (the golden-fixture substrate);
 //! * [`eval`] — the Figure 9 experiment: DeViBench accuracy of ours vs the baseline across
@@ -55,10 +57,10 @@ pub use context_aware::{ContextAwareStreamer, StreamerConfig};
 pub use conversation::{Conversation, ConversationReport};
 pub use eval::{run_accuracy_vs_bitrate, AccuracyPoint, MethodKind};
 pub use latency::{LatencyBudget, RESPONSE_LATENCY_TARGET_MS};
-pub use net_session::{NetSessionOptions, NetTurnReport, NetworkedChatSession};
+pub use net_session::{NetSessionOptions, NetTurnReport};
 pub use scenarios::{
     ContentionScenario, ContentionScenarioReport, ConversationScenario, ConversationScenarioReport, Scenario,
     ScenarioReport,
 };
-pub use server::{ChatServer, ConversationChatServer, NetworkedChatServer, ServerError, ServingReport};
+pub use server::{ChatServer, ConversationChatServer, ServingReport};
 pub use session::{AiVideoChatSession, ChatSession, ChatTurnReport, PipelineTurnReport, SessionOptions};

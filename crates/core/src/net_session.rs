@@ -1,8 +1,9 @@
-//! Network-in-the-loop chat turns: [`NetworkedChatSession`].
+//! The network-in-the-loop turn's vocabulary: [`NetSessionOptions`] in, [`NetTurnReport`]
+//! out.
 //!
 //! [`crate::ChatSession`] answers the paper's *compute* question — what one conversational
-//! turn costs the client and the cloud. This module answers the *network* question of
-//! §2.2 / Figure 3: what happens to a turn when its packets traverse a real (emulated)
+//! turn costs the client and the cloud. The networked turn answers the *network* question
+//! of §2.2 / Figure 3: what happens to a turn when its packets traverse a real (emulated)
 //! uplink whose capacity varies over time. Every frame of a turn closes the loop
 //!
 //! ```text
@@ -16,28 +17,20 @@
 //! functions of the network — which is exactly the regime in which the paper argues for
 //! `AiOriented` over `Traditional` ABR.
 //!
-//! Since the simulation-kernel refactor the event loop itself lives in the shared turn
-//! engine (`net_turn`, an [`aivc_sim::Actor`] over the `aivc-sim` kernel) and this type is
-//! the *single-turn* driver of it: every [`NetworkedChatSession::run_turn`] starts a fresh
-//! transport timeline at `t = 0` with an empty bottleneck queue — identical options and
+//! The event loop lives in the turn engine (`net_turn`, an [`aivc_sim::Actor`] over the
+//! `aivc-sim` kernel) and is driven by [`crate::Conversation`]: one persistent timeline
+//! per conversation, on which a single turn is just the first. Identical options and
 //! seeds reproduce bit-identical [`NetTurnReport`]s, which the scenario engine
-//! ([`crate::scenarios`]) relies on for its golden regression fixtures. The
-//! [`GccController`] still persists across turns (a conversation keeps its bandwidth
-//! knowledge). For the *continuous* timeline — one link, trace cursor, pacer backlog and
-//! in-flight packet set shared by every turn — see [`crate::Conversation`].
+//! ([`crate::scenarios`]) relies on for its golden regression fixtures.
 
-use crate::context_aware::StreamerConfig;
-use crate::net_turn::{run_turn_window, NetCompute, Transport};
 use crate::session::StreamingMode;
-use aivc_mllm::{Answer, Question};
+use aivc_mllm::Answer;
 use aivc_netsim::PathConfig;
-use aivc_rtc::cc::{GccConfig, GccController};
+use aivc_rtc::cc::GccConfig;
 use aivc_rtc::fec::{AdaptiveFecConfig, FecConfig};
 use aivc_rtc::nack::NackConfig;
 use aivc_rtc::AbrPolicy;
-use aivc_scene::Frame;
-use aivc_semantics::ClipModel;
-use aivc_sim::{SimDuration, Simulation};
+use aivc_sim::SimDuration;
 use serde::{Deserialize, Serialize, Value};
 
 /// Options of one networked chat session.
@@ -64,8 +57,8 @@ pub struct NetSessionOptions {
     /// Deadline-aware NACK suppression: when true, the receiver drops (never sends) a
     /// retransmission request whose expected arrival — RTT estimate plus a pacing guard —
     /// lands past the turn's conversational deadline; such an RTX is wasted uplink that
-    /// competes with the next frame's media. Off by default (the pre-kernel behaviour the
-    /// single-turn golden fixtures pin); conversation scenarios enable it.
+    /// competes with the next frame's media. Off by default (the behaviour the
+    /// single-turn scenario fixtures pin); conversation scenarios enable it.
     pub deadline_aware_nack: bool,
     /// Capture rate of the turn window in frames per second.
     pub capture_fps: f64,
@@ -364,87 +357,6 @@ impl NetTurnReport {
     }
 }
 
-/// One long-lived AI Video Chat session whose turns run through the emulated network.
-///
-/// The compute stages (CLIP → Eq. 2 → ROI encode → decode → MLLM) are the same ones
-/// [`crate::ChatSession`] runs, with the same scratch-reuse structure; what changes is that
-/// each frame's **bitrate target comes from the congestion controller** and each frame's
-/// **decodable bytes come from the emulated link**. The [`GccController`] persists across
-/// turns (a conversation keeps its bandwidth knowledge); transport time restarts at zero
-/// each turn with an empty bottleneck queue — use [`crate::Conversation`] when the
-/// transport itself should persist.
-#[derive(Debug, Clone)]
-pub struct NetworkedChatSession {
-    compute: NetCompute,
-    gcc: GccController,
-    /// Always-on serving counters. Session-owned (not transport-owned) because this
-    /// session rebuilds its transport every turn — the handle persists so counters
-    /// accumulate across the session's whole lifetime.
-    metrics: std::sync::Arc<aivc_metrics::SessionCounters>,
-}
-
-impl NetworkedChatSession {
-    /// Creates a session with explicit compute configuration.
-    pub fn new(options: NetSessionOptions, config: StreamerConfig, clip_model: ClipModel) -> Self {
-        Self {
-            gcc: GccController::new(options.gcc),
-            compute: NetCompute::new(options, config, clip_model),
-            metrics: std::sync::Arc::new(aivc_metrics::SessionCounters::new()),
-        }
-    }
-
-    /// A point-in-time reading of this session's always-on counters (off the hot path).
-    pub fn metrics_snapshot(&self) -> aivc_metrics::SessionSnapshot {
-        self.metrics.snapshot()
-    }
-
-    /// A session with the paper's compute defaults (γ = 3 allocator, medium-preset encoder,
-    /// Mobile-CLIP-class model).
-    pub fn with_defaults(options: NetSessionOptions) -> Self {
-        Self::new(options, StreamerConfig::default(), ClipModel::mobile_default())
-    }
-
-    /// The session options.
-    pub fn options(&self) -> &NetSessionOptions {
-        &self.compute.options
-    }
-
-    /// The congestion controller's current bandwidth estimate in bits per second.
-    pub fn bandwidth_estimate_bps(&self) -> f64 {
-        self.gcc.estimate_bps()
-    }
-
-    /// Runs one networked chat turn over a window of captured frames.
-    ///
-    /// Frame `i` is captured at simulated time `i / capture_fps`. At each capture the
-    /// sender first ingests every feedback report that has had time to travel back, updates
-    /// the GCC estimate, asks the ABR policy for a target and encodes the frame to that
-    /// budget (QP-offset search on the Eq. 2 map); packets are FEC-protected, paced, and
-    /// pushed through the emulated uplink, with NACK/RTX and FEC recovery racing the
-    /// conversational deadline. After `drain_secs` past the last capture, whatever arrived
-    /// is decoded (missing blocks conceal) and the MLLM answers.
-    ///
-    /// The transport timeline is fresh per call (clock at zero, empty queue, packets in
-    /// flight at the deadline discarded) — the single-turn semantics the golden fixtures
-    /// pin down.
-    pub fn run_turn(&mut self, frames: &[Frame], question: &Question) -> NetTurnReport {
-        let mut transport = Transport::with_metrics(
-            &self.compute.options,
-            self.gcc.estimate_bps(),
-            std::sync::Arc::clone(&self.metrics),
-        );
-        let mut sim = Simulation::new();
-        run_turn_window(
-            &mut self.compute,
-            &mut self.gcc,
-            &mut transport,
-            &mut sim,
-            frames,
-            question,
-        )
-    }
-}
-
 /// A convenience used by the scenario engine: a queue sized to `queue_ms` of buffering at
 /// `nominal_bps` — how testbeds provision the bottleneck buffer for a trace whose rates
 /// vary around a nominal capacity.
@@ -455,10 +367,16 @@ pub fn queue_bytes_for(nominal_bps: f64, queue_ms: u64) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use aivc_mllm::QuestionFormat;
+    use crate::Conversation;
+    use aivc_mllm::{Question, QuestionFormat};
     use aivc_netsim::{BandwidthTrace, LinkConfig, LossModel, SimDuration, SimTime};
     use aivc_scene::templates::basketball_game;
-    use aivc_scene::{SourceConfig, VideoSource};
+    use aivc_scene::{Frame, SourceConfig, VideoSource};
+
+    /// The first turn of a fresh conversation: clock at zero, empty queue, cold GCC.
+    fn run_one_turn(options: NetSessionOptions, frames: &[Frame]) -> NetTurnReport {
+        Conversation::with_defaults(options, SimDuration::ZERO).run_turn(frames, &question())
+    }
 
     fn window(fps: f64, secs: f64) -> Vec<Frame> {
         let source = VideoSource::new(basketball_game(1), SourceConfig::fps30(6.0));
@@ -503,9 +421,8 @@ mod tests {
         let mut options = NetSessionOptions::traditional(11, path).with_resilience();
         options.capture_fps = 12.0;
         options.gcc.initial_estimate_bps = 4_000_000.0;
-        let mut session = NetworkedChatSession::with_defaults(options);
         let frames = window(12.0, 2.0);
-        let report = session.run_turn(&frames, &question());
+        let report = run_one_turn(options, &frames);
         assert_eq!(report.frames_sent, frames.len(), "shed frames still occupy slots");
         assert!(
             report.resilience.frames_shed > 0,
@@ -521,9 +438,8 @@ mod tests {
 
     #[test]
     fn networked_turn_completes_and_answers_on_a_good_link() {
-        let mut session = NetworkedChatSession::with_defaults(NetSessionOptions::ai_oriented(3, good_path()));
         let frames = window(12.0, 3.0);
-        let report = session.run_turn(&frames, &question());
+        let report = run_one_turn(NetSessionOptions::ai_oriented(3, good_path()), &frames);
         assert_eq!(report.frames_sent, frames.len());
         assert!(report.frames_delivered > frames.len() * 9 / 10);
         assert!(
@@ -544,9 +460,10 @@ mod tests {
     #[test]
     fn turns_are_deterministic() {
         let run = || {
-            let mut session =
-                NetworkedChatSession::with_defaults(NetSessionOptions::ai_oriented(7, stepdown_path()));
-            session.run_turn(&window(12.0, 3.0), &question())
+            run_one_turn(
+                NetSessionOptions::ai_oriented(7, stepdown_path()),
+                &window(12.0, 3.0),
+            )
         };
         assert_eq!(run(), run());
     }
@@ -554,10 +471,8 @@ mod tests {
     #[test]
     fn traditional_abr_rides_the_estimate_higher_than_ai_oriented() {
         let frames = window(12.0, 3.0);
-        let mut trad = NetworkedChatSession::with_defaults(NetSessionOptions::traditional(5, good_path()));
-        let mut ai = NetworkedChatSession::with_defaults(NetSessionOptions::ai_oriented(5, good_path()));
-        let trad_report = trad.run_turn(&frames, &question());
-        let ai_report = ai.run_turn(&frames, &question());
+        let trad_report = run_one_turn(NetSessionOptions::traditional(5, good_path()), &frames);
+        let ai_report = run_one_turn(NetSessionOptions::ai_oriented(5, good_path()), &frames);
         assert!(
             trad_report.mean_target_bitrate_bps > ai_report.mean_target_bitrate_bps * 2.0,
             "trad {} vs ai {}",
@@ -569,13 +484,12 @@ mod tests {
     #[test]
     fn step_down_punishes_traditional_more_than_ai_oriented() {
         let frames = window(12.0, 3.0);
-        let q = question();
         let mut trad_opts = NetSessionOptions::traditional(11, stepdown_path());
         trad_opts.gcc.initial_estimate_bps = 2_500_000.0;
         let mut ai_opts = NetSessionOptions::ai_oriented(11, stepdown_path());
         ai_opts.gcc.initial_estimate_bps = 2_500_000.0;
-        let trad_report = NetworkedChatSession::with_defaults(trad_opts).run_turn(&frames, &q);
-        let ai_report = NetworkedChatSession::with_defaults(ai_opts).run_turn(&frames, &q);
+        let trad_report = run_one_turn(trad_opts, &frames);
+        let ai_report = run_one_turn(ai_opts, &frames);
         // The paper's §3.2 / Figure 3 contract: the accuracy floor *maintains* answer
         // accuracy while the estimate-rider loses frames to the collapsed link...
         assert!(u8::from(ai_report.answer.correct) >= u8::from(trad_report.answer.correct));
@@ -597,26 +511,10 @@ mod tests {
     }
 
     #[test]
-    fn gcc_estimate_persists_across_turns() {
-        let mut session =
-            NetworkedChatSession::with_defaults(NetSessionOptions::traditional(13, good_path()));
-        let frames = window(12.0, 2.0);
-        let q = question();
-        let initial = session.bandwidth_estimate_bps();
-        session.run_turn(&frames, &q);
-        let after_one = session.bandwidth_estimate_bps();
-        assert_ne!(initial, after_one);
-        // A later turn starts from the learned estimate, not from the configured initial.
-        let second = session.run_turn(&frames, &q);
-        assert_eq!(second.final_estimate_bps, session.bandwidth_estimate_bps());
-    }
-
-    #[test]
     fn fec_recovers_frames_under_loss() {
         let mut path = good_path();
         path.uplink.loss = LossModel::Iid { rate: 0.06 };
-        let mut session = NetworkedChatSession::with_defaults(NetSessionOptions::ai_oriented(17, path));
-        let report = session.run_turn(&window(12.0, 3.0), &question());
+        let report = run_one_turn(NetSessionOptions::ai_oriented(17, path), &window(12.0, 3.0));
         assert!(report.packets_lost > 0);
         assert!(
             report.fec_recovered_frames > 0 || report.retransmissions_sent > 0,

@@ -1,7 +1,7 @@
-//! The shared network-turn engine: one [`Actor`] state machine over the `aivc-sim`
-//! kernel, driven by both [`crate::NetworkedChatSession`] (fresh transport every turn —
-//! the pre-kernel semantics, byte-for-byte) and [`crate::Conversation`] (one persistent
-//! transport timeline across every turn of a conversation).
+//! The network-turn engine: one state machine over the `aivc-sim` kernel for the §2.2
+//! loop (capture → context-aware encode → RTC → MLLM answers inside the deadline), with
+//! exactly two drivers — [`crate::Conversation`]'s private timeline and
+//! [`crate::contention`]'s shared-link timeline.
 //!
 //! The split is deliberate:
 //!
@@ -15,17 +15,19 @@
 //!   [`Actor::on_event`]: the capture → encode → packetize → protect → pace → send →
 //!   arrive → recover loop of §2.2.
 //!
-//! The engine never owns the [`Simulation`]: the caller does, which is what decides the
-//! semantics. A fresh simulation per turn restarts the clock at zero and discards
-//! in-flight events at the deadline (the single-turn contract the golden fixtures pin);
-//! a persistent simulation keeps the clock, the queue backlog, the trace cursor and every
-//! in-flight packet across turn boundaries (the conversation contract).
+//! The engine never owns the [`Simulation`]: a driver does, and a driver exists per set
+//! of conversations that actually exchange events. Conversations on private links never
+//! interact, so each runs on its own `Simulation<NetEvent>` — a fleet server needs no
+//! timeline of its own; conversations contending for one [`SharedLink`] interleave
+//! packet by packet and ride one global timeline ([`NetEventSink`] tags their events on
+//! the way in). Either way the clock, the queue backlog, the trace cursor and every
+//! in-flight packet persist across turn boundaries.
 
 use crate::allocator::QpAllocator;
 use crate::context_aware::StreamerConfig;
 use crate::net_session::{FaultTelemetry, NetSessionOptions, NetTurnReport};
 use crate::session::StreamingMode;
-use aivc_metrics::SessionCounters;
+use aivc_metrics::{SessionCounters, SessionSnapshot};
 use aivc_mllm::{MllmChat, MllmScratch, Question};
 use aivc_netsim::emulator::Direction;
 use aivc_netsim::link::LinkCounters;
@@ -43,11 +45,9 @@ use aivc_sim::{Actor, SimDuration, SimTime, Simulation};
 use aivc_videocodec::{
     DecodeScratch, DecodedFrame, Decoder, EncodeScratch, EncodedFrame, Encoder, Qp, QpMap, RatePlan,
 };
-use std::sync::Arc;
 
 /// Events of the networked turn's discrete-event loop. Frame indices are *global* across
-/// the owning timeline (a conversation numbers its frames continuously; a single-turn
-/// session always starts at zero).
+/// the owning timeline (a conversation numbers its frames continuously).
 #[derive(Debug)]
 pub(crate) enum NetEvent {
     /// Frame `i` is captured: drain mature feedback into GCC, pick the ABR target, encode
@@ -409,31 +409,16 @@ pub(crate) struct Transport {
     turn_captures_suppressed: u64,
     turn_probes_sent: u64,
     // --- always-on serving metrics ---
-    /// The session's always-on counters. Shared by `Arc`: the owning session keeps a
-    /// handle too, so counters survive transport rebuilds (a `NetworkedChatSession`
-    /// builds a fresh transport every turn). Note `Transport: Clone` clones the *handle*
-    /// — a cloned transport keeps ticking the same counters, which is what the
-    /// lane-sharded server wants and what ad-hoc copies must not forget.
-    metrics: Arc<SessionCounters>,
+    /// The session's always-on counters (snapshot off the hot path).
+    metrics: SessionCounters,
     /// `nack_gen.nacks_suppressed()` at the last report — per-turn commit delta.
     nacks_suppressed_reported: u64,
 }
 
 impl Transport {
     /// A fresh transport on `options.path`, with the pacer tuned to the congestion
-    /// controller's current estimate (exactly how a turn begins). Owns a fresh counter
-    /// set; sessions that rebuild their transport per turn pass a persistent handle via
-    /// [`Transport::with_metrics`] instead.
+    /// controller's current estimate (exactly how a turn begins).
     pub(crate) fn new(options: &NetSessionOptions, initial_estimate_bps: f64) -> Self {
-        Self::with_metrics(options, initial_estimate_bps, Arc::new(SessionCounters::new()))
-    }
-
-    /// Like [`Transport::new`], but ticking the caller-owned `metrics` counters.
-    pub(crate) fn with_metrics(
-        options: &NetSessionOptions,
-        initial_estimate_bps: f64,
-        metrics: Arc<SessionCounters>,
-    ) -> Self {
         Self {
             emulator: NetworkEmulator::new(options.path.clone(), options.seed),
             packetizer: Packetizer::default(),
@@ -475,14 +460,14 @@ impl Transport {
             turn_frames_shed: 0,
             turn_captures_suppressed: 0,
             turn_probes_sent: 0,
-            metrics,
+            metrics: SessionCounters::new(),
             nacks_suppressed_reported: 0,
         }
     }
 
-    /// A handle to the session's always-on counters (snapshot off the hot path).
-    pub(crate) fn metrics_handle(&self) -> Arc<SessionCounters> {
-        Arc::clone(&self.metrics)
+    /// A point-in-time reading of the session's always-on counters.
+    pub(crate) fn metrics_snapshot(&self) -> SessionSnapshot {
+        self.metrics.snapshot()
     }
 
     /// Number of frames handed to this transport so far (= the next global frame id).
@@ -500,10 +485,10 @@ impl Transport {
             .filter(|slot| *slot < self.outgoing.len())
     }
 
-    /// The uplink's current queueing backlog in milliseconds — what a new turn inherits
-    /// from its predecessor on a shared timeline.
-    pub(crate) fn uplink_backlog_ms(&self, now: SimTime) -> f64 {
-        self.emulator.uplink().backlog(now).as_millis_f64()
+    /// The current queueing backlog, in milliseconds, of the uplink `port` sends on —
+    /// what a new turn inherits from the traffic before it.
+    pub(crate) fn uplink_backlog_ms(&self, port: &UplinkPort<'_>, now: SimTime) -> f64 {
+        port.backlog_ms(&self.emulator, now)
     }
 
     /// Snapshot of the private uplink's cumulative counters (reads existing totals; no
@@ -626,42 +611,51 @@ impl Transport {
     }
 }
 
-/// One turn's window geometry on the shared timeline.
-#[derive(Debug, Clone, Copy)]
-pub(crate) struct TurnWindow {
+/// One planned turn window: its geometry on the timeline, the last capture and the
+/// answer deadline the driver must drain to before concluding. The default (all-zero)
+/// plan stands for "no turn opened yet" — no event can be pending then.
+#[derive(Debug, Clone, Copy, Default)]
+pub(crate) struct TurnPlan {
     /// Global id of the turn's first frame.
     base: usize,
     /// Capture time of the turn's first frame, in absolute µs.
     start_us: u64,
     frame_interval_us: u64,
+    pub(crate) last_capture: SimTime,
+    pub(crate) horizon: SimTime,
 }
 
-impl TurnWindow {
-    fn capture_ts_us(&self, global: usize) -> u64 {
-        self.start_us + (global - self.base) as u64 * self.frame_interval_us
-    }
-
-    /// A dummy window for think-time drains: no captures are pending, so only `base`
-    /// anchors bookkeeping (mirrors [`drain_gap`]'s internal construction — external
-    /// drivers like the lane-sharded server need the same shape).
-    pub(crate) fn drain_at(base: usize, start: SimTime) -> Self {
+impl TurnPlan {
+    /// The plan of a `frame_count`-frame turn whose first frame (global id `base`) is
+    /// captured at `start`: one capture per `1 / capture_fps`, the answer deadline
+    /// `drain_secs` after the last. The only place this arithmetic lives.
+    pub(crate) fn new(options: &NetSessionOptions, base: usize, start: SimTime, frame_count: usize) -> Self {
+        let frame_interval_us = (1e6 / options.capture_fps).round() as u64;
+        let last_capture_us = start.as_micros() + (frame_count as u64 - 1) * frame_interval_us;
+        let drain_us = (options.drain_secs.max(0.0) * 1e6).round() as u64;
         Self {
             base,
             start_us: start.as_micros(),
-            frame_interval_us: 1,
+            frame_interval_us,
+            last_capture: SimTime::from_micros(last_capture_us),
+            horizon: SimTime::from_micros(last_capture_us + drain_us),
         }
+    }
+
+    fn capture_ts_us(&self, global: usize) -> u64 {
+        self.start_us + (global - self.base) as u64 * self.frame_interval_us
     }
 }
 
 /// The actor: borrows the compute and transport halves for one drain and handles the
-/// turn's events. During think-time drains (between turns of a conversation) `frames` is
-/// empty — no capture events are pending then, only deliveries, polls and feedback.
+/// turn's events. `plan` is the live turn's, or — between turns, when `frames` is empty
+/// and only deliveries, polls and feedback are pending — the most recent one's.
 pub(crate) struct TurnMachine<'a> {
     pub(crate) compute: &'a mut NetCompute,
     pub(crate) gcc: &'a mut GccController,
     pub(crate) t: &'a mut Transport,
     pub(crate) frames: &'a [Frame],
-    pub(crate) window: TurnWindow,
+    pub(crate) plan: TurnPlan,
     pub(crate) port: UplinkPort<'a>,
 }
 
@@ -731,7 +725,7 @@ impl TurnMachine<'_> {
                     t.metrics.pacer_rate_clamps.inc();
                 }
 
-                let local = i - self.window.base;
+                let local = i - self.plan.base;
                 debug_assert_eq!(
                     t.retired_below + t.outgoing.len(),
                     i,
@@ -746,7 +740,7 @@ impl TurnMachine<'_> {
                     // simply reads as never delivered (the decoder conceals the gap).
                     t.outgoing.push(OutgoingFrame {
                         frame_id: i as u64,
-                        capture_ts_us: self.window.capture_ts_us(i),
+                        capture_ts_us: self.plan.capture_ts_us(i),
                         size_bytes: 0,
                         is_keyframe: false,
                     });
@@ -822,7 +816,7 @@ impl TurnMachine<'_> {
                 let encoded = &self.compute.encoded_slots[local];
                 let frame_out = OutgoingFrame {
                     frame_id: i as u64,
-                    capture_ts_us: self.window.capture_ts_us(i),
+                    capture_ts_us: self.plan.capture_ts_us(i),
                     size_bytes: encoded.total_bytes(),
                     is_keyframe: encoded.frame_type == aivc_videocodec::FrameType::Intra,
                 };
@@ -1087,60 +1081,12 @@ impl TurnMachine<'_> {
     }
 }
 
-/// Runs one chat-turn window on the given timeline, starting at `sim.now()`:
-/// schedules the captures, drains every event up to the turn's answer deadline, decodes
-/// whatever (partially) arrived and lets the MLLM answer.
-///
-/// On return the simulation clock sits exactly at the deadline; events beyond it (late
-/// packets, pending polls) stay queued — a persistent caller carries them into the next
-/// window, a single-turn caller drops the timeline.
-pub(crate) fn run_turn_window(
-    compute: &mut NetCompute,
-    gcc: &mut GccController,
-    transport: &mut Transport,
-    sim: &mut Simulation<NetEvent>,
-    frames: &[Frame],
-    question: &Question,
-) -> NetTurnReport {
-    assert!(!frames.is_empty(), "a chat turn needs at least one frame");
-    let now = sim.now();
-    let plan = begin_turn_window(compute, transport, now, sim, frames.len(), question);
-
-    {
-        let mut machine = TurnMachine {
-            compute,
-            gcc,
-            t: transport,
-            frames,
-            window: plan.window,
-            port: UplinkPort::Private,
-        };
-        sim.run_until(plan.horizon, &mut machine);
-    }
-
-    conclude_turn_window(
-        compute,
-        gcc,
-        transport,
-        &UplinkPort::Private,
-        &plan,
-        frames.len(),
-        question,
-    )
-}
-
-/// One planned turn window: its geometry on the timeline plus the answer deadline the
-/// caller must drain to before concluding.
-#[derive(Debug, Clone, Copy)]
-pub(crate) struct TurnPlan {
-    pub(crate) window: TurnWindow,
-    pub(crate) horizon: SimTime,
-}
-
-/// Opens a turn window starting at `now`: refreshes the query, arms the deadline-aware
-/// NACK budget, resets the per-turn counters and schedules the capture events into
-/// `sink`. The caller then drains the timeline to the returned horizon (with a
-/// [`TurnMachine`] owning the matching window) and calls [`conclude_turn_window`].
+/// Opens a `frame_count`-frame turn window starting at `now`: refreshes the query, arms
+/// the deadline-aware NACK budget, resets the per-turn counters and schedules the capture
+/// events into `sink`. The driver then drains its timeline to the returned plan's horizon
+/// (with a [`TurnMachine`] holding the plan) and calls [`conclude_turn_window`]. Events
+/// past the horizon (late packets, pending polls) stay queued for the think gap and the
+/// next window.
 pub(crate) fn begin_turn_window(
     compute: &mut NetCompute,
     transport: &mut Transport,
@@ -1149,39 +1095,35 @@ pub(crate) fn begin_turn_window(
     frame_count: usize,
     question: &Question,
 ) -> TurnPlan {
+    assert!(frame_count > 0, "a chat turn needs at least one frame");
     compute.refresh_query(question);
     let opts = &compute.options;
-
-    let fps = opts.capture_fps;
-    let frame_interval_us = (1e6 / fps).round() as u64;
-    let window = TurnWindow {
-        base: transport.frames_sent(),
-        start_us: now.as_micros(),
-        frame_interval_us,
-    };
-    let last_capture_us = window.capture_ts_us(window.base + frame_count - 1);
-    let horizon = SimTime::from_micros(last_capture_us + (opts.drain_secs.max(0.0) * 1e6).round() as u64);
+    let plan = TurnPlan::new(opts, transport.frames_sent(), now, frame_count);
 
     if opts.deadline_aware_nack {
         // Expected NACK → RTX arrival: the request rides the downlink, the retransmission
         // rides the uplink, plus a pacing/serialization guard.
         let recovery_estimate =
             SimDuration::from_micros(transport.down_prop_us + transport.up_prop_us + 10_000);
-        transport.nack_gen.set_deadline(Some(horizon), recovery_estimate);
+        transport
+            .nack_gen
+            .set_deadline(Some(plan.horizon), recovery_estimate);
     }
     transport.begin_turn();
     for i in 0..frame_count {
+        let global = plan.base + i;
         sink.schedule_net(
-            SimTime::from_micros(window.capture_ts_us(window.base + i)),
-            NetEvent::Capture(window.base + i),
+            SimTime::from_micros(plan.capture_ts_us(global)),
+            NetEvent::Capture(global),
         );
     }
-    TurnPlan { window, horizon }
+    plan
 }
 
-/// Concludes a drained turn window: decodes what arrived, lets the MLLM answer, and
-/// assembles the report. `port` must be the same uplink the machine sent on — it is only
-/// read here, for the per-turn fault-counter deltas.
+/// Concludes a drained turn window: decodes what arrived, lets the MLLM answer,
+/// assembles the report and retires the reported frames ([`Transport::retire_below`]).
+/// `port` must be the same uplink the machine sent on — it is only read here, for the
+/// per-turn fault-counter deltas.
 pub(crate) fn conclude_turn_window(
     compute: &mut NetCompute,
     gcc: &mut GccController,
@@ -1191,7 +1133,6 @@ pub(crate) fn conclude_turn_window(
     frame_count: usize,
     question: &Question,
 ) -> NetTurnReport {
-    let window = plan.window;
     let horizon = plan.horizon;
     let fps = compute.options.capture_fps;
 
@@ -1199,7 +1140,7 @@ pub(crate) fn conclude_turn_window(
     // per-frame vectors slide with retirement, so this turn's frames start at the slot
     // its global base translates to (callers retire all prior turns before a new one, so
     // in practice the slice is the whole live window).
-    let base_slot = window.base - transport.retired_below;
+    let base_slot = plan.base - transport.retired_below;
     let mut decoded_count = 0usize;
     let mut frames_delivered = 0usize;
     let mut received_bits: u64 = 0;
@@ -1271,7 +1212,7 @@ pub(crate) fn conclude_turn_window(
             .path
             .uplink
             .faults
-            .outage_overlap(SimTime::from_micros(window.start_us), horizon)
+            .outage_overlap(SimTime::from_micros(plan.start_us), horizon)
             .as_millis_f64(),
         time_to_recover_ms,
         degradation_events: transport.turn_degradation_events,
@@ -1320,7 +1261,7 @@ pub(crate) fn conclude_turn_window(
             m.deadline_missed.inc();
         }
     }
-    NetTurnReport {
+    let report = NetTurnReport {
         answer,
         frames_sent: frame_count,
         frames_delivered,
@@ -1335,39 +1276,9 @@ pub(crate) fn conclude_turn_window(
         retransmissions_sent: transport.turn_retransmissions_sent,
         final_estimate_bps: gcc.estimate_bps(),
         resilience,
-    }
-    // Callers on a persistent timeline retire the reported frames via `finish_turn`.
-}
-
-/// Post-report bookkeeping for persistent timelines: retires every reported frame's
-/// transport state (memory stays bounded by the live turn) — see
-/// [`Transport::retire_below`].
-pub(crate) fn finish_turn(transport: &mut Transport) {
+    };
+    // The turn is reported: retire its frames' transport state, so memory stays bounded
+    // by the live turn however long the conversation runs.
     transport.retire_below(transport.frames_sent());
-}
-
-/// Drains in-flight events (deliveries, polls, feedback, retransmissions) for `gap` of
-/// simulated time without capturing any frames — the user's think time between turns.
-pub(crate) fn drain_gap(
-    compute: &mut NetCompute,
-    gcc: &mut GccController,
-    transport: &mut Transport,
-    sim: &mut Simulation<NetEvent>,
-    gap: SimDuration,
-) {
-    let horizon = sim.now() + gap;
-    let window = TurnWindow {
-        base: transport.frames_sent(),
-        start_us: sim.now().as_micros(),
-        frame_interval_us: 1,
-    };
-    let mut machine = TurnMachine {
-        compute,
-        gcc,
-        t: transport,
-        frames: &[],
-        window,
-        port: UplinkPort::Private,
-    };
-    sim.run_until(horizon, &mut machine);
+    report
 }

@@ -2,12 +2,12 @@
 //! congestion/scheduling change is evaluated.
 //!
 //! A [`Scenario`] bundles a time-varying uplink ([`BandwidthTrace`] + loss model), a seed
-//! and a turn shape. [`run_scenario`] pushes one chat turn through the network-in-the-loop
-//! session ([`crate::NetworkedChatSession`]) **twice** — once with traditional
-//! estimate-riding ABR and once with the paper's AI-oriented accuracy-floor ABR — and once
-//! more as a small multi-session [`crate::NetworkedChatServer`] workload, then reports
-//! goodput, per-frame latency percentiles, loss/recovery counters and answer accuracy side
-//! by side (§2.2 / §3.2, Figure 3).
+//! and a turn shape. [`run_scenario`] pushes one chat turn through a fresh one-turn
+//! [`crate::Conversation`] **twice** — once with traditional estimate-riding ABR and once
+//! with the paper's AI-oriented accuracy-floor ABR — and once more as a small
+//! multi-session [`crate::ConversationChatServer`] workload, then reports goodput,
+//! per-frame latency percentiles, loss/recovery counters and answer accuracy side by side
+//! (§2.2 / §3.2, Figure 3).
 //!
 //! Everything is deterministic: a given registry entry reproduces bit-identical
 //! [`ScenarioReport`]s across runs and pool sizes, which the golden regression fixtures
@@ -19,8 +19,8 @@ use crate::contention::{
     TenantSpec, TenantTurn,
 };
 use crate::conversation::{Conversation, ConversationReport};
-use crate::net_session::{queue_bytes_for, NetSessionOptions, NetTurnReport, NetworkedChatSession};
-use crate::server::NetworkedChatServer;
+use crate::net_session::{queue_bytes_for, NetSessionOptions, NetTurnReport};
+use crate::server::ConversationChatServer;
 use aivc_mllm::{Question, QuestionFormat};
 use aivc_netsim::{
     BandwidthTrace, FaultEpisode, FaultKind, FaultSchedule, LinkConfig, LossModel, PathConfig, SimDuration,
@@ -269,7 +269,7 @@ pub fn by_name(name: &str) -> Option<Scenario> {
 }
 
 /// The per-scenario report: both ABR modes side by side plus a small multi-session
-/// [`NetworkedChatServer`] run.
+/// [`ConversationChatServer`] run.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct ScenarioReport {
     /// The scenario's registry name.
@@ -298,12 +298,11 @@ fn run_modes_on(
     frames: &[Frame],
     question: &Question,
 ) -> (NetTurnReport, NetTurnReport) {
-    let mut traditional = NetworkedChatSession::with_defaults(scenario.options(false));
-    let mut ai = NetworkedChatSession::with_defaults(scenario.options(true));
-    (
-        traditional.run_turn(frames, question),
-        ai.run_turn(frames, question),
-    )
+    let run = |ai_oriented| {
+        Conversation::with_defaults(scenario.options(ai_oriented), SimDuration::ZERO)
+            .run_turn(frames, question)
+    };
+    (run(false), run(true))
 }
 
 /// Sessions the multi-session leg of [`run_scenario`] uses.
@@ -315,7 +314,12 @@ pub const SERVER_SESSIONS: usize = 3;
 pub fn run_scenario(scenario: &Scenario, pool_size: usize) -> ScenarioReport {
     let (frames, question) = scenario.turn();
     let (traditional, ai_oriented) = run_modes_on(scenario, &frames, &question);
-    let mut server = NetworkedChatServer::new(pool_size, SERVER_SESSIONS, scenario.options(true));
+    let mut server = ConversationChatServer::new(
+        pool_size,
+        SERVER_SESSIONS,
+        scenario.options(true),
+        SimDuration::ZERO,
+    );
     server.run_turns(&frames, &question);
     ScenarioReport {
         scenario: scenario.name.to_string(),

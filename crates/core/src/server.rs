@@ -1,14 +1,16 @@
-//! [`ChatServer`] — the multi-session throughput engine.
+//! The multi-session throughput engines: [`ChatServer`] and [`ConversationChatServer`].
 //!
 //! The paper's deployment story is not one user: a production AI-video-chat service runs
 //! *many* concurrent conversations, and the ROADMAP's north star is serving heavy traffic
-//! as fast as the hardware allows. [`ChatServer`] owns N independent [`ChatSession`]s and
-//! runs each session's chat turn across a [`MiniPool`], one session per pool chunk, with a
-//! **static** session→lane mapping (session `i` always executes on lane `i % lanes`):
+//! as fast as the hardware allows. A server owns N independent sessions — compute-only
+//! [`ChatSession`]s or network-in-the-loop [`Conversation`]s, each of the latter on its
+//! **own** event kernel — and runs each session's chat turn across a [`MiniPool`], one
+//! session per pool chunk, with a **static** session→lane mapping (session `i` always
+//! executes on lane `i % lanes`):
 //!
 //! * **bit-identical results for any pool size** — a session's turn touches only the
-//!   session's own state, so where it runs cannot change what it computes (proven by the
-//!   pool-size-independence property tests);
+//!   session's own state (its clock and event queue included), so where it runs cannot
+//!   change what it computes (proven by the pool-size-independence property tests);
 //! * **allocation-free steady state** — every session owns its scratches, reports are
 //!   plain values overwritten in place, and the pool dispatches without allocating, so
 //!   post-warmup `run_turns` performs zero heap allocations (guarded by
@@ -21,57 +23,14 @@
 //! cores at server scale (DESIGN.md §"Threading model").
 
 use crate::conversation::{Conversation, ConversationReport};
-use crate::net_session::{FaultTelemetry, NetSessionOptions, NetTurnReport, NetworkedChatSession};
-use crate::net_turn::{NetEvent, NetEventSink, PacketRun, TurnPlan};
+use crate::net_session::{FaultTelemetry, NetSessionOptions, NetTurnReport};
 use crate::session::{ChatSession, PipelineTurnReport};
 use aivc_metrics::SessionSnapshot;
 use aivc_mllm::{Answer, Question};
 use aivc_netsim::LinkCounters;
 use aivc_par::MiniPool;
 use aivc_scene::Frame;
-use aivc_sim::{Actor, SimDuration, SimTime, Simulation};
-
-/// Why a fleet of conversations was rejected at server admission
-/// ([`ConversationChatServer::try_with_sessions`]). Lane shards merge member timelines
-/// into one kernel, and that merge is only bit-identical to private timelines when every
-/// member is fresh and shares the fleet's turn geometry — violations are structural
-/// errors the caller can surface (rejecting one session, fixing its options) rather than
-/// a process abort.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ServerError {
-    /// Conversation `index` has already run (turns recorded or its clock moved): lane
-    /// shards need fresh timelines so every member's phase boundaries coincide from
-    /// turn zero.
-    SessionNotFresh {
-        /// Position of the offending conversation in the submitted fleet.
-        index: usize,
-    },
-    /// Conversation `index` differs from the fleet's first member in turn geometry
-    /// (think gap, capture fps or drain window): members of a shard must share their
-    /// phase boundaries or the pool-size bit-identity contract is lost.
-    MixedGeometry {
-        /// Position of the offending conversation in the submitted fleet.
-        index: usize,
-    },
-}
-
-impl std::fmt::Display for ServerError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            ServerError::SessionNotFresh { index } => write!(
-                f,
-                "conversation {index} has already run: lane shards need fresh timelines"
-            ),
-            ServerError::MixedGeometry { index } => write!(
-                f,
-                "conversation {index} differs in turn geometry (think gap / fps / drain): \
-                 lane shards need a uniform fleet"
-            ),
-        }
-    }
-}
-
-impl std::error::Error for ServerError {}
+use aivc_sim::SimDuration;
 
 /// A session type a server can pool: one long-lived object per user whose turn produces a
 /// plain-value report carrying the MLLM's [`Answer`]. Both server variants share the
@@ -106,7 +65,7 @@ impl TurnSession for ChatSession {
     }
 }
 
-impl TurnSession for NetworkedChatSession {
+impl TurnSession for Conversation {
     type Report = NetTurnReport;
 
     fn placeholder_report() -> NetTurnReport {
@@ -114,7 +73,7 @@ impl TurnSession for NetworkedChatSession {
     }
 
     fn turn_report(&mut self, frames: &[Frame], question: &Question) -> NetTurnReport {
-        self.run_turn(frames, question)
+        self.run_turn_in_place(frames, question).clone()
     }
 
     fn answer(report: &NetTurnReport) -> &Answer {
@@ -131,7 +90,7 @@ struct ServerSlot<S: TurnSession> {
 
 /// The shared engine behind both server variants: N independent sessions of one type,
 /// spread across a [`MiniPool`] with the static session→lane mapping the module docs
-/// describe. Private — the public surface is [`ChatServer`] and [`NetworkedChatServer`].
+/// describe. Private — the public surface is [`ChatServer`] and [`ConversationChatServer`].
 #[derive(Debug)]
 struct SessionPool<S: TurnSession> {
     pool: MiniPool,
@@ -271,271 +230,21 @@ impl PipelineTurnReport {
     }
 }
 
-/// The network-in-the-loop counterpart of [`ChatServer`]: N independent
-/// [`NetworkedChatSession`]s — each with its own emulated path, congestion controller and
-/// MLLM — executing turns across a [`MiniPool`] with the same static session→lane mapping.
-///
-/// A networked session's turn touches only the session's own state (its emulator is seeded
-/// per session and recreated per turn), so, exactly as for [`ChatServer`], **results are
-/// bit-identical for any pool size** and deterministic across runs — the property the
-/// scenario engine's golden fixtures and the pool-sweep tests pin down.
-#[derive(Debug)]
-pub struct NetworkedChatServer {
-    inner: SessionPool<NetworkedChatSession>,
-}
-
-impl NetworkedChatServer {
-    /// Creates a server of `session_count` sessions sharing `template`'s network and ABR
-    /// configuration, with per-session seeds `template.seed + i` (independent loss/jitter
-    /// streams and answer draws per user) on a pool of `pool_size` lanes.
-    pub fn new(pool_size: usize, session_count: usize, template: NetSessionOptions) -> Self {
-        Self::with_sessions(
-            MiniPool::new(pool_size),
-            (0..session_count)
-                .map(|i| {
-                    let mut options = template.clone();
-                    options.seed = template.seed.wrapping_add(i as u64);
-                    NetworkedChatSession::with_defaults(options)
-                })
-                .collect(),
-        )
-    }
-
-    /// Creates a server from explicit sessions and a pool.
-    pub fn with_sessions(pool: MiniPool, sessions: Vec<NetworkedChatSession>) -> Self {
-        Self {
-            inner: SessionPool::with_sessions(pool, sessions),
-        }
-    }
-
-    /// Number of pool lanes turns are spread across.
-    pub fn pool_size(&self) -> usize {
-        self.inner.pool.lanes()
-    }
-
-    /// Number of sessions the server owns.
-    pub fn session_count(&self) -> usize {
-        self.inner.slots.len()
-    }
-
-    /// Runs one networked chat turn on every session (session `i` on lane `i % lanes`).
-    /// Per-session results are bit-identical to calling
-    /// [`NetworkedChatSession::run_turn`] directly, for any pool size.
-    pub fn run_turns(&mut self, frames: &[Frame], question: &Question) {
-        self.inner.run_turns(frames, question);
-    }
-
-    /// The latest report of every session, in session order.
-    pub fn reports(&self) -> impl Iterator<Item = &NetTurnReport> {
-        self.inner.reports()
-    }
-
-    /// The latest report of session `index`.
-    pub fn report(&self, index: usize) -> &NetTurnReport {
-        &self.inner.slots[index].report
-    }
-
-    /// Fraction of the latest turn's answers that were correct.
-    pub fn correct_fraction(&self) -> f64 {
-        self.inner.correct_fraction()
-    }
-
-    /// Mean model-assigned probability of a correct answer across sessions.
-    pub fn mean_probability_correct(&self) -> f64 {
-        self.inner.mean_probability_correct()
-    }
-}
-
-/// One conversation pinned to a lane shard: the long-lived session plus the in-place
-/// report of its latest turn.
-#[derive(Debug)]
-struct ConversationSlot {
-    session: Conversation,
-    report: NetTurnReport,
-}
-
-/// An event on a shard's kernel: a member conversation's transport event, tagged with the
-/// member's position in the shard (the dslab actor-tagging pattern, same as the
-/// multi-tenant contention engine's `MtEvent::Net`).
-#[derive(Debug)]
-struct LaneEvent {
-    member: u32,
-    inner: NetEvent,
-}
-
-/// Tags a member's [`NetEvent`]s on their way into the shard kernel.
-struct LaneSink<'a> {
-    member: u32,
-    sim: &'a mut Simulation<LaneEvent>,
-}
-
-impl NetEventSink for LaneSink<'_> {
-    fn schedule_net(&mut self, when: SimTime, event: NetEvent) {
-        self.sim.schedule_at(
-            when,
-            LaneEvent {
-                member: self.member,
-                inner: event,
-            },
-        );
-    }
-
-    fn schedule_net_run(&mut self, when: SimTime, mut run: PacketRun) {
-        // The run's seq lives on the *shard* timeline — the wrapped event's insertion seq.
-        run.seq = self.sim.next_seq();
-        self.sim.schedule_at(
-            when,
-            LaneEvent {
-                member: self.member,
-                inner: NetEvent::UplinkRun(run),
-            },
-        );
-    }
-
-    fn reschedule_net_run(&mut self, when: SimTime, run: PacketRun) {
-        self.sim.schedule_at_with_seq(
-            when,
-            run.seq,
-            LaneEvent {
-                member: self.member,
-                inner: NetEvent::UplinkRun(run),
-            },
-        );
-    }
-}
-
-/// The per-event dispatcher over a shard's members. During a turn drain every member has
-/// a plan (its live window geometry); during a think drain `plans` is empty and events
-/// are deliveries/polls/feedback only.
-struct ShardActor<'a> {
-    members: &'a mut [ConversationSlot],
-    plans: &'a [TurnPlan],
-    frames: &'a [Frame],
-}
-
-impl Actor for ShardActor<'_> {
-    type Event = LaneEvent;
-
-    fn on_event(&mut self, now: SimTime, event: LaneEvent, sim: &mut Simulation<LaneEvent>) {
-        let m = event.member as usize;
-        let live = self.plans.get(m).map(|plan| (self.frames, plan.window));
-        self.members[m].session.handle_net(
-            now,
-            event.inner,
-            live,
-            &mut LaneSink {
-                member: event.member,
-                sim,
-            },
-        );
-    }
-}
-
-/// One lane's shard: **one** `aivc-sim` kernel shared by every conversation pinned to the
-/// lane, instead of one kernel per conversation. Sessions on a shard are mutually
-/// independent — their events are member-tagged and never interact — so sharing the
-/// event queue changes *which heap* an event pops from, never what any session computes:
-/// restricted to one member, the (time, insertion-order) pop order on the shared kernel
-/// is exactly the pop order on a private one. That is the induction behind the
-/// bit-identical-for-any-pool-size contract, and it requires the uniform turn geometry
-/// [`ConversationChatServer::with_sessions`] asserts (same think gap, capture fps and
-/// drain window, so every member's phase boundaries coincide).
-#[derive(Debug)]
-struct ConversationShard {
-    sim: Simulation<LaneEvent>,
-    members: Vec<ConversationSlot>,
-    /// Reusable per-turn plan buffer (capacity retained across turns).
-    plans: Vec<TurnPlan>,
-}
-
-impl ConversationShard {
-    fn new() -> Self {
-        Self {
-            sim: Simulation::new(),
-            members: Vec::new(),
-            plans: Vec::new(),
-        }
-    }
-
-    /// Advances every member by one turn on the shared kernel: think-drain, open every
-    /// member's window, drain to the common horizon, conclude in member order.
-    fn run_turn(&mut self, frames: &[Frame], question: &Question) {
-        if self.members.is_empty() {
-            return;
-        }
-        // Think gap (uniform across members, asserted at construction): in-flight
-        // packets arrive, polls fire, retransmissions flow — no captures pending.
-        let think = self.members[0].session.think_gap();
-        if self.members[0].session.turn_count() > 0 && think > SimDuration::ZERO {
-            let horizon = self.sim.now() + think;
-            let mut actor = ShardActor {
-                members: &mut self.members,
-                plans: &[],
-                frames: &[],
-            };
-            self.sim.run_until(horizon, &mut actor);
-        }
-        // Open every member's turn window at the common start time.
-        let now = self.sim.now();
-        self.plans.clear();
-        for (m, slot) in self.members.iter_mut().enumerate() {
-            let plan = slot.session.begin_turn_on(
-                now,
-                &mut LaneSink {
-                    member: m as u32,
-                    sim: &mut self.sim,
-                },
-                frames.len(),
-                question,
-            );
-            self.plans.push(plan);
-        }
-        // Uniform geometry ⇒ one shared answer deadline.
-        let horizon = self.plans[0].horizon;
-        debug_assert!(
-            self.plans.iter().all(|p| p.horizon == horizon),
-            "lane members must share the turn horizon"
-        );
-        let mut actor = ShardActor {
-            members: &mut self.members,
-            plans: &self.plans,
-            frames,
-        };
-        self.sim.run_until(horizon, &mut actor);
-        // Conclude in member order (pure per-member state reads — order-independent).
-        for (m, slot) in self.members.iter_mut().enumerate() {
-            let report = slot
-                .session
-                .conclude_turn_on(&self.plans[m], frames.len(), question);
-            slot.report.clone_from(report);
-        }
-    }
-}
-
-/// The conversational counterpart of [`NetworkedChatServer`]: N independent long-lived
-/// [`Conversation`]s — each with its own persistent transport, congestion controller,
-/// in-flight packet set and think-time rhythm — executing turns across a [`MiniPool`]
-/// with the same static session→lane mapping.
-///
-/// Unlike the other servers, conversations here do **not** each own a private event
-/// kernel: every lane runs *one* shared `aivc-sim` kernel ([`ConversationShard`]) that
-/// multiplexes all of its pinned sessions' events — tens of thousands of sessions cost
-/// lane-many kernels, not session-many. Session `i` is pinned to lane `i % lanes` (as
-/// everywhere else) and sits at shard position `i / lanes`, so reports merge back into
-/// global session order deterministically.
+/// The network-in-the-loop counterpart of [`ChatServer`]: N independent long-lived
+/// [`Conversation`]s — each with its own event kernel, persistent transport, congestion
+/// controller, in-flight packet set and think-time rhythm — executing turns across a
+/// [`MiniPool`] with the same static session→lane mapping.
 ///
 /// Each call to [`ConversationChatServer::run_turns`] advances *every* conversation by
-/// one turn on its timeline (turn `k + 1` starts where turn `k`'s deadline left the
-/// clock, plus the common think gap). Member events are tagged and never interact, so
-/// **results are bit-identical for any pool size** and deterministic across runs —
-/// property-tested at pool sizes 1/2/8.
+/// one turn on **its own** timeline (turn `k + 1` starts where turn `k`'s deadline left
+/// that conversation's clock, plus its think gap). Conversations never exchange events,
+/// so the server has no timeline of its own and nothing to restrict: fleets may mix
+/// think gaps, capture rates and drain windows, and may include conversations that have
+/// already run turns. **Results are bit-identical for any pool size** and deterministic
+/// across runs — property-tested at pool sizes 1/2/8.
 #[derive(Debug)]
 pub struct ConversationChatServer {
-    pool: MiniPool,
-    shards: Vec<ConversationShard>,
-    /// Per-lane scratch handed to the pool — the shards own all real state.
-    lane_units: Vec<()>,
-    sessions: usize,
+    inner: SessionPool<Conversation>,
 }
 
 impl ConversationChatServer {
@@ -561,156 +270,79 @@ impl ConversationChatServer {
     }
 
     /// Creates a server from explicit conversations and a pool.
-    ///
-    /// # Panics
-    ///
-    /// Panics on the fleet-admission errors [`ConversationChatServer::try_with_sessions`]
-    /// reports structurally — a convenience for callers constructing fleets from uniform
-    /// templates, where admission cannot fail.
     pub fn with_sessions(pool: MiniPool, sessions: Vec<Conversation>) -> Self {
-        match Self::try_with_sessions(pool, sessions) {
-            Ok(server) => server,
-            Err(e) => panic!("{e}"),
-        }
-    }
-
-    /// Creates a server from explicit conversations and a pool, validating fleet
-    /// admission.
-    ///
-    /// The lane-sharded kernels require every conversation to be fresh (no turns run, the
-    /// clock at zero) and the fleet's turn geometry to be uniform — same think gap,
-    /// capture fps and drain window — so that all members of a shard share their phase
-    /// boundaries. Mixed-geometry fleets would interleave correctly but lose the
-    /// bit-identity contract, so they are rejected with [`ServerError::MixedGeometry`]
-    /// (or [`ServerError::SessionNotFresh`]) instead of being silently admitted.
-    pub fn try_with_sessions(pool: MiniPool, sessions: Vec<Conversation>) -> Result<Self, ServerError> {
-        if let Some(first) = sessions.first() {
-            for (i, s) in sessions.iter().enumerate() {
-                if s.turn_count() != 0 || s.now() != SimTime::ZERO {
-                    return Err(ServerError::SessionNotFresh { index: i });
-                }
-                if s.think_gap() != first.think_gap()
-                    || s.options().capture_fps != first.options().capture_fps
-                    || s.options().drain_secs != first.options().drain_secs
-                {
-                    return Err(ServerError::MixedGeometry { index: i });
-                }
-            }
-        }
-        Ok(Self::admit_sessions(pool, sessions))
-    }
-
-    /// Shards validated sessions across the pool's lanes.
-    fn admit_sessions(pool: MiniPool, sessions: Vec<Conversation>) -> Self {
-        let lanes = pool.lanes();
-        let mut shards: Vec<ConversationShard> = (0..lanes).map(|_| ConversationShard::new()).collect();
-        let sessions_count = sessions.len();
-        for (i, session) in sessions.into_iter().enumerate() {
-            shards[i % lanes].members.push(ConversationSlot {
-                session,
-                report: NetTurnReport::placeholder(),
-            });
-        }
         Self {
-            lane_units: vec![(); lanes],
-            pool,
-            shards,
-            sessions: sessions_count,
+            inner: SessionPool::with_sessions(pool, sessions),
         }
     }
 
-    /// Number of pool lanes turns are spread across (= lane shards / kernels).
+    /// Number of pool lanes turns are spread across.
     pub fn pool_size(&self) -> usize {
-        self.pool.lanes()
+        self.inner.pool.lanes()
     }
 
     /// Number of conversations the server owns.
     pub fn session_count(&self) -> usize {
-        self.sessions
+        self.inner.slots.len()
     }
 
-    /// The slot of global session `index` (lane `index % lanes`, position
-    /// `index / lanes` — the static pinning, inverted).
-    fn slot(&self, index: usize) -> &ConversationSlot {
-        let lanes = self.pool.lanes();
-        &self.shards[index % lanes].members[index / lanes]
+    fn sessions(&self) -> impl Iterator<Item = &Conversation> {
+        self.inner.slots.iter().map(|slot| &slot.session)
     }
 
-    fn slots(&self) -> impl Iterator<Item = &ConversationSlot> {
-        (0..self.sessions).map(|i| self.slot(i))
-    }
-
-    /// Advances every conversation by one turn — each lane's kernel drains all of its
-    /// pinned sessions' events in one merged chronological pass. Per-session results are
-    /// bit-identical to calling [`Conversation::run_turn`] directly, for any pool size.
+    /// Advances every conversation by one turn (conversation `i` on lane `i % lanes`).
+    /// Per-session results are bit-identical to calling [`Conversation::run_turn`]
+    /// directly, for any pool size.
     pub fn run_turns(&mut self, frames: &[Frame], question: &Question) {
-        if self.sessions == 0 {
-            return;
-        }
-        let chunks = self.shards.len();
-        self.pool
-            .for_each_chunk(&mut self.shards, chunks, &mut self.lane_units, |_, shards, ()| {
-                for shard in shards {
-                    shard.run_turn(frames, question);
-                }
-            });
+        self.inner.run_turns(frames, question);
     }
 
     /// Pre-grows every conversation's history vectors (see
     /// [`Conversation::reserve_turns`]) so warmed steady-state turns never reallocate.
     pub fn reserve_turns(&mut self, additional_turns: usize, frames_per_turn: usize) {
-        for shard in &mut self.shards {
-            shard.plans.reserve(shard.members.len());
-            for slot in &mut shard.members {
-                slot.session.reserve_turns(additional_turns, frames_per_turn);
-            }
+        for slot in &mut self.inner.slots {
+            slot.session.reserve_turns(additional_turns, frames_per_turn);
         }
     }
 
     /// The latest per-turn report of every conversation, in session order.
     pub fn reports(&self) -> impl Iterator<Item = &NetTurnReport> {
-        self.slots().map(|slot| &slot.report)
+        self.inner.reports()
     }
 
     /// The latest per-turn report of conversation `index`.
     pub fn report(&self, index: usize) -> &NetTurnReport {
-        &self.slot(index).report
+        &self.inner.slots[index].report
     }
 
     /// The full cross-turn report of conversation `index`.
     pub fn conversation_report(&self, index: usize) -> ConversationReport {
-        self.slot(index).session.report()
+        self.inner.slots[index].session.report()
     }
 
     /// A point-in-time reading of conversation `index`'s always-on counters.
     pub fn metrics_snapshot(&self, index: usize) -> SessionSnapshot {
-        self.slot(index).session.metrics_snapshot()
+        self.inner.slots[index].session.metrics_snapshot()
     }
 
     /// The whole fleet's always-on counters, summed across sessions. Relaxed-atomic
     /// reads plus plain adds — entirely off the turn hot path.
     pub fn fleet_metrics(&self) -> SessionSnapshot {
         let mut total = SessionSnapshot::default();
-        for slot in self.slots() {
-            total.accumulate(&slot.session.metrics_snapshot());
+        for session in self.sessions() {
+            total.accumulate(&session.metrics_snapshot());
         }
         total
     }
 
     /// Fraction of the latest turn's answers that were correct.
     pub fn correct_fraction(&self) -> f64 {
-        if self.sessions == 0 {
-            return 0.0;
-        }
-        self.reports().filter(|r| r.answer.correct).count() as f64 / self.sessions as f64
+        self.inner.correct_fraction()
     }
 
     /// Mean model-assigned probability of a correct answer across conversations.
     pub fn mean_probability_correct(&self) -> f64 {
-        if self.sessions == 0 {
-            return 0.0;
-        }
-        self.reports().map(|r| r.answer.probability_correct).sum::<f64>() / self.sessions as f64
+        self.inner.mean_probability_correct()
     }
 
     /// One fleet-level serving snapshot: session and turn counts, every conversation's
@@ -723,8 +355,7 @@ impl ConversationChatServer {
         let mut resilience = FaultTelemetry::default();
         let mut counters = SessionSnapshot::default();
         let mut turns_completed = 0;
-        for slot in self.slots() {
-            let session = &slot.session;
+        for session in self.sessions() {
             turns_completed += session.turn_count();
             let c = session.link_counters();
             uplink.offered += c.offered;
@@ -910,23 +541,6 @@ mod tests {
     }
 
     #[test]
-    fn networked_server_reports_match_standalone_sessions() {
-        let frames = window();
-        let q = question();
-        let mut server = NetworkedChatServer::new(2, 3, net_template(40));
-        server.run_turns(&frames, &q);
-        for i in 0..3 {
-            let mut options = net_template(40);
-            options.seed += i as u64;
-            let mut standalone = NetworkedChatSession::with_defaults(options);
-            assert_eq!(server.report(i), &standalone.run_turn(&frames, &q), "session {i}");
-        }
-        assert_eq!(server.session_count(), 3);
-        assert_eq!(server.pool_size(), 2);
-        assert!(server.mean_probability_correct() > 0.5);
-    }
-
-    #[test]
     fn conversation_server_matches_standalone_conversations_across_turns() {
         let q = question();
         let think = SimDuration::from_millis(600);
@@ -1001,16 +615,6 @@ mod tests {
         assert_eq!(collect(8), sequential);
     }
 
-    #[test]
-    fn empty_networked_server_is_well_behaved() {
-        let mut server = NetworkedChatServer::new(2, 0, net_template(1));
-        server.run_turns(&window(), &question());
-        assert_eq!(server.session_count(), 0);
-        assert_eq!(server.correct_fraction(), 0.0);
-        assert_eq!(server.mean_probability_correct(), 0.0);
-        assert_eq!(server.reports().count(), 0);
-    }
-
     /// The always-on counter rollup reconciles *exactly* with per-session report sums —
     /// at every pool size. Turn-committed counters are batch-added at turn conclusion
     /// from the same numbers the `NetTurnReport` carries, so any drift here means an
@@ -1066,56 +670,56 @@ mod tests {
         assert!(!line.contains("NaN"), "{line}");
     }
 
-    /// Mixed-geometry fleets would silently break the shared-kernel bit-identity
-    /// contract, so construction rejects them loudly.
+    /// Every conversation runs on its own kernel, so a fleet needs no common geometry
+    /// and no fresh members: mixed think gaps, capture rates and drain windows plus a
+    /// conversation that has already run a turn serve exactly like the same
+    /// conversations standalone, at any pool size, and the counter rollup still
+    /// reconciles exactly with the report sums.
     #[test]
-    #[should_panic(expected = "uniform fleet")]
-    fn sharded_server_rejects_mixed_turn_geometry() {
-        let a = Conversation::with_defaults(net_template(5), SimDuration::from_millis(100));
-        let mut other = net_template(6);
-        other.capture_fps = 12.0;
-        let b = Conversation::with_defaults(other, SimDuration::from_millis(100));
-        let _ = ConversationChatServer::with_sessions(MiniPool::new(2), vec![a, b]);
-    }
-
-    /// The fallible constructor reports fleet-admission violations structurally —
-    /// naming the offending session — so a caller can reject or fix one conversation
-    /// instead of aborting the process.
-    #[test]
-    fn try_with_sessions_reports_the_offending_session() {
-        // Geometry mismatch in any of the three fields names the divergent member.
-        let a = Conversation::with_defaults(net_template(5), SimDuration::from_millis(100));
-        let b = Conversation::with_defaults(net_template(6), SimDuration::from_millis(250));
-        let err = ConversationChatServer::try_with_sessions(MiniPool::new(2), vec![a, b])
-            .expect_err("mixed think gaps must be rejected");
-        assert_eq!(err, ServerError::MixedGeometry { index: 1 });
-        assert!(err.to_string().contains("uniform fleet"), "{err}");
-
-        let a = Conversation::with_defaults(net_template(5), SimDuration::from_millis(100));
-        let mut other = net_template(6);
-        other.drain_secs = 9.0;
-        let c = Conversation::with_defaults(other, SimDuration::from_millis(100));
-        let err = ConversationChatServer::try_with_sessions(MiniPool::new(2), vec![a, c])
-            .expect_err("mixed drain windows must be rejected");
-        assert_eq!(err, ServerError::MixedGeometry { index: 1 });
-
-        // A conversation that has already run carries history the shared kernel
-        // cannot replay; admission rejects it as not fresh.
-        let mut used = Conversation::with_defaults(net_template(5), SimDuration::from_millis(100));
-        used.run_turn(&window(), &question());
-        let fresh = Conversation::with_defaults(net_template(5), SimDuration::from_millis(100));
-        let err = ConversationChatServer::try_with_sessions(MiniPool::new(2), vec![fresh, used])
-            .expect_err("a used conversation must be rejected");
-        assert_eq!(err, ServerError::SessionNotFresh { index: 1 });
-        assert!(err.to_string().contains("fresh timelines"), "{err}");
-
-        // A uniform, fresh fleet is admitted and shards as before.
-        let fleet = (0..4)
-            .map(|i| Conversation::with_defaults(net_template(i), SimDuration::from_millis(100)))
-            .collect();
-        let server = ConversationChatServer::try_with_sessions(MiniPool::new(2), fleet)
-            .expect("uniform fresh fleet admits");
-        assert_eq!(server.session_count(), 4);
-        assert_eq!(server.pool_size(), 2);
+    fn mixed_geometry_and_used_members_match_standalone_at_any_pool_size() {
+        let q = question();
+        let fleet = || {
+            let geometry = [
+                (100u64, 8.0, 0.3),
+                (250, 12.0, 0.3),
+                (100, 8.0, 0.9),
+                (250, 12.0, 0.9),
+            ];
+            let mut fleet: Vec<Conversation> = geometry
+                .iter()
+                .enumerate()
+                .map(|(i, &(think_ms, fps, drain_secs))| {
+                    let mut options = net_template(50 + i as u64);
+                    options.capture_fps = fps;
+                    options.drain_secs = drain_secs;
+                    Conversation::with_defaults(options, SimDuration::from_millis(think_ms))
+                })
+                .collect();
+            fleet[1].run_turn(&window(), &q);
+            fleet
+        };
+        let mut standalone = fleet();
+        for session in &mut standalone {
+            for t in 0..3 {
+                session.run_turn(&turn_window(t), &q);
+            }
+        }
+        for pool_size in [1usize, 2, 8] {
+            let mut server = ConversationChatServer::with_sessions(MiniPool::new(pool_size), fleet());
+            for t in 0..3 {
+                server.run_turns(&turn_window(t), &q);
+            }
+            let mut sent = 0;
+            let mut lost = 0;
+            for (i, expected) in standalone.iter().enumerate() {
+                let report = server.conversation_report(i);
+                assert_eq!(report, expected.report(), "pool {pool_size} conversation {i}");
+                sent += report.turns.iter().map(|t| t.frames_sent as u64).sum::<u64>();
+                lost += report.turns.iter().map(|t| t.packets_lost).sum::<u64>();
+            }
+            let fleet_metrics = server.fleet_metrics();
+            assert_eq!(fleet_metrics.frames_sent, sent, "pool {pool_size}");
+            assert_eq!(fleet_metrics.packets_lost, lost, "pool {pool_size}");
+        }
     }
 }

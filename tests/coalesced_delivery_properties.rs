@@ -5,7 +5,7 @@
 //! identical to the per-packet event path it replaces. These properties drive both paths
 //! over randomized loss rates and fault schedules (outages, burst-loss storms, RTT
 //! spikes, duplication, reordering) and compare complete [`ConversationReport`]s, for
-//! standalone conversations and for lane-sharded fleets at several pool sizes.
+//! standalone conversations and for server fleets at several pool sizes.
 
 use aivchat::core::{Conversation, ConversationChatServer, NetSessionOptions};
 use aivchat::mllm::{Question, QuestionFormat};
@@ -119,7 +119,7 @@ proptest! {
         prop_assert_eq!(run(true), run(false));
     }
 
-    /// The same equivalence holds for a lane-sharded fleet at every pool size: a
+    /// The same equivalence holds for a served fleet at every pool size: a
     /// coalesced fleet at pools 1, 2 and 8 matches the per-packet single-lane reference
     /// session for session. (Pool 8 over 5 sessions also exercises empty lanes.)
     #[test]
@@ -139,8 +139,7 @@ proptest! {
                     Conversation::with_defaults(options, SimDuration::from_millis(400))
                 })
                 .collect();
-            let mut server = ConversationChatServer::try_with_sessions(MiniPool::new(pool), fleet)
-                .expect("uniform fresh fleet admits");
+            let mut server = ConversationChatServer::with_sessions(MiniPool::new(pool), fleet);
             for _ in 0..2 {
                 server.run_turns(&frames, &q);
             }

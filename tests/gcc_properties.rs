@@ -1,5 +1,5 @@
 //! Property tests of the GCC-style congestion controller: the §2.2 control loop the
-//! network-in-the-loop chat turns ([`aivchat::core::NetworkedChatSession`]) close into the
+//! network-in-the-loop chat turns ([`aivchat::core::Conversation`]) close into the
 //! ABR policy. Whatever feedback the network produces, the estimate must stay a sane,
 //! bounded, finite bitrate — an estimator that can go NaN, negative or out of bounds would
 //! poison every downstream encode target.

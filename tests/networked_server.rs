@@ -1,14 +1,12 @@
 //! Determinism and pool-independence of the networked multi-session server: extending the
-//! PR 3 pool-independence properties to the network-in-the-loop path. `NetworkedChatServer`
-//! results must be bit-identical for any pool size (including the CI-pinned
-//! `AIVC_POOL_SIZE` configuration) and across repeated runs — sessions share nothing, so
-//! where a session's turn executes cannot change what its network or its MLLM did.
+//! PR 3 pool-independence properties to the network-in-the-loop path.
+//! `ConversationChatServer` results must be bit-identical for any pool size (including the
+//! CI-pinned `AIVC_POOL_SIZE` configuration) and across repeated runs — conversations share
+//! nothing, not even a clock, so where a turn executes cannot change what its network or
+//! its MLLM did.
 
 use aivchat::core::scenarios::{by_name, conversation_by_name};
-use aivchat::core::{
-    Conversation, ConversationChatServer, ConversationReport, NetSessionOptions, NetTurnReport,
-    NetworkedChatServer, NetworkedChatSession,
-};
+use aivchat::core::{Conversation, ConversationChatServer, ConversationReport, NetSessionOptions};
 use aivchat::mllm::{Question, QuestionFormat};
 use aivchat::par::MiniPool;
 use aivchat::scene::templates::basketball_game;
@@ -34,52 +32,6 @@ fn template(seed: u64) -> NetSessionOptions {
     options.seed = seed;
     options.capture_fps = 8.0;
     options
-}
-
-/// Two turns per session (the second exercises the warm scratches and the persistent GCC
-/// estimate) for every pool size, collected for comparison.
-fn collect(pool_size: usize, sessions: usize, seed: u64) -> Vec<NetTurnReport> {
-    let frames = window();
-    let q = question();
-    let mut server = NetworkedChatServer::new(pool_size, sessions, template(seed));
-    server.run_turns(&frames, &q);
-    server.run_turns(&frames, &q);
-    server.reports().cloned().collect()
-}
-
-#[test]
-fn networked_server_results_are_independent_of_pool_size() {
-    let sequential = collect(1, 5, 900);
-    assert_eq!(collect(2, 5, 900), sequential, "pool size 2 diverged");
-    assert_eq!(collect(8, 5, 900), sequential, "pool size 8 diverged");
-    // The CI-pinned configuration (AIVC_POOL_SIZE ∈ {1, 4}) must agree too.
-    assert_eq!(
-        collect(MiniPool::env_lanes(), 5, 900),
-        sequential,
-        "env pool diverged"
-    );
-}
-
-#[test]
-fn networked_server_is_deterministic_across_runs() {
-    assert_eq!(collect(2, 4, 77), collect(2, 4, 77));
-}
-
-#[test]
-fn networked_server_matches_standalone_sessions_after_multiple_turns() {
-    let frames = window();
-    let q = question();
-    let mut server = NetworkedChatServer::new(3, 4, template(55));
-    server.run_turns(&frames, &q);
-    server.run_turns(&frames, &q);
-    for i in 0..4 {
-        let mut options = template(55);
-        options.seed += i as u64;
-        let mut standalone = NetworkedChatSession::with_defaults(options);
-        standalone.run_turn(&frames, &q);
-        let expected = standalone.run_turn(&frames, &q);
-        assert_eq!(server.report(i), &expected, "session {i}");
-    }
 }
 
 /// Three turns of a 4-conversation server on a continuous timeline, for a pool size.
@@ -140,11 +92,13 @@ fn conversation_server_matches_standalone_conversations() {
 
 #[test]
 fn sessions_see_independent_network_randomness() {
-    let reports = collect(2, 5, 1234);
+    let mut server = ConversationChatServer::new(2, 5, template(1234), SimDuration::ZERO);
+    server.run_turns(&window(), &question());
+    server.run_turns(&window(), &question());
     // Same path and question, different seeds: the loss processes differ, so at least two
     // sessions must observe different packet-loss counts (the step-down link loses packets
     // at 1% i.i.d. plus queue drops).
-    let losses: Vec<u64> = reports.iter().map(|r| r.packets_lost).collect();
+    let losses: Vec<u64> = server.reports().map(|r| r.packets_lost).collect();
     assert!(
         losses.iter().any(|&l| l != losses[0]),
         "all sessions saw identical loss patterns: {losses:?}"
