@@ -9,7 +9,7 @@ use aivc_par::MiniPool;
 use aivc_rtc::packetizer::{OutgoingFrame, Packetizer};
 use aivc_scene::templates::basketball_game;
 use aivc_scene::{Frame, SourceConfig, VideoSource};
-use aivc_semantics::{ClipModel, ClipParScratch, ClipScratch, TextQuery};
+use aivc_semantics::{ClipModel, ClipScratch, TextQuery};
 use aivc_videocodec::{Decoder, Encoder, EncoderConfig, Qp, QpMap};
 use aivchat_core::{ChatServer, ChatSession, QpAllocator, QpAllocatorConfig};
 use criterion::{criterion_group, criterion_main, Criterion};
@@ -148,26 +148,6 @@ fn bench_pipeline_turn(c: &mut Criterion) {
     });
 }
 
-fn bench_parallel_stages(c: &mut Criterion) {
-    // The data-parallel CLIP form on the machine's pool (AIVC_POOL_SIZE overrides); with
-    // one lane this measures the sequential delegation, with N lanes the real speedup.
-    let pool = MiniPool::new(MiniPool::env_lanes());
-    let source = VideoSource::new(basketball_game(1), SourceConfig::fps30(5.0));
-    let frame = source.frame(0);
-    let model = ClipModel::mobile_default();
-    let query = TextQuery::from_words(
-        "Could you tell me the present score of the game?",
-        model.ontology(),
-    );
-    c.bench_function("clip_correlation_map_1080p_par", |b| {
-        let mut scratch = ClipParScratch::new();
-        b.iter(|| {
-            let map = model.correlation_map_par(black_box(&frame), &query, &pool, &mut scratch);
-            black_box(map.values().len())
-        });
-    });
-}
-
 fn bench_throughput(c: &mut Criterion) {
     // N independent sessions per iteration, spread across the pool: the multi-user serving
     // scenario. turns/sec = sessions × 1e9 / (ns/iter).
@@ -202,6 +182,6 @@ fn bench_mllm_answer(c: &mut Criterion) {
 criterion_group! {
     name = benches;
     config = Criterion::default().sample_size(20);
-    targets = bench_packetizer, bench_encoder, bench_decoder, bench_clip_correlation, bench_clip_incremental, bench_qp_allocation, bench_mllm_answer, bench_pipeline_turn, bench_parallel_stages, bench_throughput
+    targets = bench_packetizer, bench_encoder, bench_decoder, bench_clip_correlation, bench_clip_incremental, bench_qp_allocation, bench_mllm_answer, bench_pipeline_turn, bench_throughput
 }
 criterion_main!(benches);

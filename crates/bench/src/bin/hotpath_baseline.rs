@@ -7,7 +7,7 @@
 //! measured against: medians must not regress by more than 5 % (see ROADMAP.md;
 //! `scripts/bench-check.sh` enforces it).
 //!
-//! The `_par` and `pipeline_throughput_*` entries run on a pool of `AIVC_POOL_SIZE` lanes
+//! The `pipeline_throughput_*` and fleet-throughput entries run on a pool of `AIVC_POOL_SIZE` lanes
 //! (default: the machine's available parallelism); the recorded lane count is written into
 //! the JSON, since parallel medians are only comparable at equal lane counts.
 //!
@@ -123,9 +123,7 @@ fn record_only(only: &[String], pool_lanes: usize, runs: usize) {
         }
     }
     let parallel_entry = |name: &str| {
-        name.ends_with("_par")
-            || name.starts_with("pipeline_throughput_")
-            || name.starts_with("conversation_fleet_throughput_")
+        name.starts_with("pipeline_throughput_") || name.starts_with("conversation_fleet_throughput_")
     };
     if only.iter().any(|n| parallel_entry(n)) && pool_lanes != baseline.pool_lanes {
         eprintln!(
@@ -229,7 +227,7 @@ fn sessions_in(name: &str) -> Option<u64> {
 
 fn main() {
     let pool_lanes = MiniPool::env_lanes();
-    println!("(pool lanes for _par / throughput entries: {pool_lanes})");
+    println!("(pool lanes for throughput entries: {pool_lanes})");
     let (only, runs) = parse_args();
     if runs > 1 {
         println!("(recording each entry as the max median over {runs} measurement runs)");

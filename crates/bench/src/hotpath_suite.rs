@@ -5,12 +5,11 @@
 use crate::{measure_hotpath, HotpathMeasurement};
 use aivc_mllm::{MllmChat, MllmScratch, Question, QuestionFormat};
 use aivc_netsim::PathConfig;
-use aivc_par::MiniPool;
 use aivc_rtc::packetizer::{OutgoingFrame, Packetizer};
 use aivc_rtc::rtp::RtpPacket;
 use aivc_scene::templates::basketball_game;
 use aivc_scene::{Concept, Frame, GridDims, Rect, Scene, SceneObject, SourceConfig, VideoSource};
-use aivc_semantics::{ClipModel, ClipParScratch, ClipScratch, TextQuery};
+use aivc_semantics::{ClipModel, ClipScratch, TextQuery};
 use aivc_sim::SimDuration;
 use aivc_videocodec::{
     DecodeScratch, DecodedFrame, Decoder, EncodeScratch, EncodedFrame, Encoder, EncoderConfig, Qp, QpMap,
@@ -36,8 +35,8 @@ pub struct BaselineFile {
     pub profile: String,
     /// Methodology note for readers of the JSON.
     pub methodology: String,
-    /// Pool lanes the `_par` and `pipeline_throughput_*` entries were recorded with
-    /// ([`MiniPool::env_lanes`] at record time) — parallel medians are only comparable
+    /// Pool lanes the `pipeline_throughput_*` and fleet-throughput entries were recorded with
+    /// (`MiniPool::env_lanes` at record time) — parallel medians are only comparable
     /// across runs with the same lane count.
     pub pool_lanes: usize,
     /// The recorded hot-path medians (gated by `bench_check`).
@@ -106,9 +105,9 @@ pub fn dirty_fraction(a: &Frame, b: &Frame) -> f64 {
 
 /// Measures every tracked hot path (the same set `benches/hotpaths.rs` tracks), in the
 /// order they appear in `BENCH_hotpaths.json`. `pool_lanes` sizes the pool behind the
-/// `_par` and `pipeline_throughput_*` entries — callers pass [`MiniPool::env_lanes`] when
-/// recording and the committed file's `pool_lanes` when regression-checking, so compared
-/// medians always come from equal lane counts.
+/// `pipeline_throughput_*` and `conversation_fleet_throughput_*` entries — callers pass
+/// `MiniPool::env_lanes` when recording and the committed file's `pool_lanes` when
+/// regression-checking, so compared medians always come from equal lane counts.
 pub fn measure_all_hotpaths(
     samples: usize,
     target_sample_ms: f64,
@@ -298,32 +297,7 @@ pub fn measure_hotpaths_matching(
         ));
     }
 
-    // 7. The data-parallel CLIP form, on a pool of `pool_lanes` lanes. With one lane it
-    // delegates to the sequential path, so this median doubles as a check that the
-    // delegation adds nothing; with N lanes it measures the real speedup (the lane count
-    // is recorded alongside — see `BaselineFile`).
-    let pool = MiniPool::new(pool_lanes);
-    if wants(only, "clip_correlation_map_1080p_par") {
-        let source = VideoSource::new(basketball_game(1), SourceConfig::fps30(5.0));
-        let frame = source.frame(0);
-        let model = ClipModel::mobile_default();
-        let query = TextQuery::from_words(
-            "Could you tell me the present score of the game?",
-            model.ontology(),
-        );
-        let mut scratch = ClipParScratch::new();
-        hotpaths.push(measure_hotpath(
-            "clip_correlation_map_1080p_par",
-            samples,
-            target_sample_ms,
-            || {
-                let map = model.correlation_map_par(black_box(&frame), &query, &pool, &mut scratch);
-                map.values().len()
-            },
-        ));
-    }
-
-    // 8. Multi-session throughput: N independent ChatSessions, each running the full
+    // 7. Multi-session throughput: N independent ChatSessions, each running the full
     // 4-frame 1080p turn, spread across the pool by the ChatServer. One iteration is one
     // turn on every session, so turns/sec = sessions × 1e9 / median (printed by
     // `hotpath_baseline`). Sessions share nothing — scaling is expected to be near-linear
@@ -347,7 +321,7 @@ pub fn measure_hotpaths_matching(
         ));
     }
 
-    // 9. A steady-state turn inside a continuous conversation: the persistent-timeline
+    // 8. A steady-state turn inside a continuous conversation: the persistent-timeline
     // engine with the event queue, emulator, congestion controller, pacer and every
     // compute scratch already warm. One iteration = one more turn of the same long-lived
     // conversation (4-frame 1080p window through the emulated 10 Mbps uplink, 200 ms
@@ -374,7 +348,7 @@ pub fn measure_hotpaths_matching(
         ));
     }
 
-    // 10. Networked-fleet throughput: 256 persistent conversations spread across the
+    // 9. Networked-fleet throughput: 256 persistent conversations spread across the
     // pool by the ConversationChatServer, every one with its own emulated uplink,
     // congestion controller and event kernel. One iteration is one warm turn on every
     // session (256 session-turns), so ns/session-turn = median / 256 — the serving-side

@@ -8,11 +8,11 @@
 //! This target sets `harness = false` (a plain `main`) so the process has exactly one
 //! thread of its own: libtest's harness threads allocate sporadically and would pollute
 //! the global counter (observed as a rare flaky nonzero count when this ran under
-//! `#[test]`). The `MiniPool` workers spawned for the parallel sections below are fine:
-//! between sections they park on a condvar, and during sections they run exactly the
-//! allocation-free per-frame code this test is counting.
+//! `#[test]`). The `MiniPool` workers spawned for the pooled-server sections below are
+//! fine: between sections they park on a condvar, and during sections they run exactly
+//! the allocation-free per-turn code this test is counting.
 //!
-//! The pool size for the parallel sections comes from `AIVC_POOL_SIZE` (CI runs both a
+//! The pool size for the server sections comes from `AIVC_POOL_SIZE` (CI runs both a
 //! 1-worker and a multi-worker configuration); the default exercises at least two lanes so
 //! the threaded dispatch path is always covered.
 
@@ -22,7 +22,7 @@ use aivc_par::MiniPool;
 use aivc_rtc::packetizer::{OutgoingFrame, Packetizer};
 use aivc_scene::templates::{basketball_game, dog_park};
 use aivc_scene::{Frame, SourceConfig, VideoSource};
-use aivc_semantics::{ClipModel, ClipParScratch, ClipScratch, TextQuery};
+use aivc_semantics::{ClipModel, ClipScratch, TextQuery};
 use aivc_sim::SimDuration;
 use aivc_sim::{EventQueue, SimTime};
 use aivc_videocodec::{
@@ -251,27 +251,10 @@ fn main() {
         "ChatSession::run_turn allocated {turn_allocs} times across 10 post-warmup turns"
     );
 
-    // --- the data-parallel CLIP path: the same hot loop spread across a MiniPool. Pool
-    // and lane scratches are part of warmup; post-warmup parallel sections must not
-    // allocate either (raw-pointer job dispatch, per-lane scratches created once, static
-    // chunk→lane mapping keeping every lane's caches warm).
+    // --- the pooled servers below spread whole sessions across a MiniPool (no stage has a
+    // parallel form of its own): pool start-up is part of warmup, post-warmup server turns
+    // must not allocate (raw-pointer job dispatch, static session→lane mapping).
     let pool_lanes = MiniPool::env_lanes_or(MiniPool::available_lanes().max(2));
-    let pool = MiniPool::new(pool_lanes);
-
-    let mut clip_par = ClipParScratch::new();
-    for _ in 0..3 {
-        let _ = model.correlation_map_par(&frame, &query, &pool, &mut clip_par);
-    }
-    let before = allocations();
-    for _ in 0..25 {
-        let map = model.correlation_map_par(black_box(&frame), &query, &pool, &mut clip_par);
-        black_box(map.values().len());
-    }
-    let clip_par_allocs = allocations() - before;
-    assert_eq!(
-        clip_par_allocs, 0,
-        "correlation_map_par ({pool_lanes} lanes) allocated {clip_par_allocs} times across 25 post-warmup iterations"
-    );
 
     // --- the multi-session ChatServer: steady-state turns across the pool. After each
     // session's warmup turn, a whole server turn (8 sessions × the full pipeline) performs

@@ -1,28 +1,40 @@
 //! The CLIP-model facade: text encoder + patch encoder + Eq. 1.
 //!
-//! [`ClipModel::correlation_map`] implements the paper's §3.2 procedure verbatim: partition
-//! the frame into N×N patches, embed each patch with the visual encoder, embed the user
-//! words with the language encoder, and output the cosine similarity ρ_mn per patch.
+//! [`ClipModel::correlation_map`] implements the paper's §3.2 procedure: partition the
+//! frame into N×N patches, embed each patch with the visual encoder, embed the user words
+//! with the language encoder, and output the cosine similarity ρ_mn per patch.
+//!
+//! **One pipeline.** For a fixed query and frame content, a patch's ρ is a pure function
+//! of its `(coverage list, background fraction)`, and a frame holds far fewer distinct
+//! such *classes* than patches (a 1080p frame of the benchmark scene: 510 patches, ≈ 23
+//! classes). Every scratch-taking form — full, coherent, explicit update — therefore marks
+//! the cells it has to evaluate in one bitset and runs the same three steps over them:
+//! *classify* each cell into a per-call [`ClassTable`], *evaluate* the distinct classes
+//! [`RHO_LANES`] at a time, *scatter* `rho[class]` back to the cells. The table lives for
+//! one call, so nothing persists across frames and nothing can go stale; each class runs
+//! exactly the f64 sequence each of its patches would have run, so every map is
+//! bit-identical to [`ClipModel::correlation_map_naive`].
 
 use crate::embedding::Embedding;
 use crate::importance::ImportanceMap;
 use crate::text::TextQuery;
 use crate::vision::{ConceptSpace, PatchEncoder};
-use aivc_par::MiniPool;
 use aivc_scene::grid_content::GridContent;
 use aivc_scene::{Concept, Frame, GridDims, Ontology, Rect, RegionContent};
 use serde::{Deserialize, Serialize};
 
-/// Chunks handed to the pool per lane by the data-parallel paths: a few per lane smooth
-/// out load imbalance across patch rows while keeping chunks large enough that the
-/// per-chunk dispatch cost stays invisible next to the per-patch work.
-const PAR_CHUNKS_PER_LANE: usize = 4;
-
-/// Lane width of the Eq. 1 vector kernel: patches evaluated in lockstep by
-/// [`patch_rho_batch`]. Eight f64 lanes fill two AVX2 registers (four NEON ones) per
-/// step, and the lane-transposed tile (`dim × 8` values — 4 kB at `dim = 64`) stays
-/// comfortably inside L1 alongside the query embedding.
+/// Lane width of the Eq. 1 vector kernel: classes evaluated in lockstep by
+/// [`ClipModel::evaluate_classes`]. Eight f64 lanes fill two AVX2 registers (four NEON
+/// ones) per step, and the lane-transposed tile (`dim × 8` values — 4 kB at `dim = 64`)
+/// stays comfortably inside L1 alongside the query embedding.
 const RHO_LANES: usize = 8;
+
+/// Marks an unused [`ClassTable`] hash slot; class ids stay below it.
+const EMPTY_SLOT: u16 = u16::MAX;
+
+/// Dirty-bitset words classified into one [`ClassTable`]: 1023 × 64 cells keep every
+/// class id of a segment below [`EMPTY_SLOT`], so `u16` ids serve any frame size.
+const SEGMENT_WORDS: usize = 1023;
 
 /// CLIP model configuration.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -68,139 +80,33 @@ impl ClipConfig {
     }
 }
 
-/// Reusable buffers for [`ClipModel::correlation_map_with`].
-///
-/// One scratch per streaming turn (or per thread) removes every per-frame heap allocation
-/// from the correlation hot path: the output map, the per-patch region descriptor, the
-/// concept-pooling accumulators and the per-frame object→concept index lists all live here
-/// and are reused, and the text-query embedding is memoized so a multi-frame turn encodes
-/// the user's words exactly once.
-#[derive(Debug, Clone)]
-pub struct ClipScratch {
-    /// Per-patch region descriptor (filled by [`Frame::region_content_into`]) — used by the
-    /// incremental paths, where only a handful of patches are touched per frame.
-    content: RegionContent,
-    /// Whole-frame patch-grid raster used by the full paths: one placement-by-placement
-    /// rasterization replaces the per-patch `region_content_into` walk (bit-identical
-    /// coverage lists and background fractions, a fraction of the intersection work).
-    grid: GridContent,
-    /// `(object_id, start, end)` — each frame object's slice of [`ClipScratch::flat`].
+/// A frame's concept content resolved to embedding-table indices: what Eq. 1 reads per
+/// class instead of `BTreeMap<Concept, _>` string look-ups. Valid for every frame sharing
+/// the [`frame_fingerprint`] (and model) it was resolved for.
+#[derive(Debug, Clone, Default)]
+struct ResolvedConcepts {
+    /// `(object_id, start, end)` — each frame object's slice of [`ResolvedConcepts::flat`].
     object_entries: Vec<(u32, u32, u32)>,
-    /// Flattened `(concept_index, weight)` lists for every object of the current frame.
+    /// Flattened `(concept_index, weight)` lists for every object of the frame.
     flat: Vec<(u32, f64)>,
     /// Resolved `(concept_index, weight)` list of the frame's background concepts.
     background_flat: Vec<(u32, f64)>,
-    /// Embeddings of out-of-ontology concepts encountered in the current frame; indices
-    /// `>= ConceptSpace::len()` in the flat lists point here (offset by the table length).
+    /// Embeddings of out-of-ontology concepts; indices `>= ConceptSpace::len()` in the flat
+    /// lists point here (offset by the table length). Persists across frames: a seeded
+    /// direction depends only on the concept name and the model's dim, and the flat lists
+    /// that reference it are rebuilt on every resolve, so stale entries are merely unused —
+    /// while repeated out-of-ontology concepts stay allocation-free across a turn.
     extra: Vec<(Concept, Embedding)>,
-    /// Concept-pooling accumulator.
-    accumulator: Embedding,
-    /// Unit-norm form of the accumulator.
-    normalized: Embedding,
-    /// Per-lane concept-pooling accumulators of the vector kernel: lane `l` owns the
-    /// contiguous slice `[l·dim, (l+1)·dim)`, so phase A writes stay unit-stride.
-    lane_acc: Vec<f64>,
-    /// Lane-transposed (dimension-major SoA) copy of the accumulators: dimension `d`'s
-    /// values for all [`RHO_LANES`] lanes sit side by side at `[d·LANES, (d+1)·LANES)`,
-    /// the layout phase B's lockstep reductions walk with unit stride.
-    tile: Vec<f64>,
-    /// The query whose embedding is currently memoized.
-    cached_query: Option<TextQuery>,
-    /// Memoized text embedding of [`ClipScratch::cached_query`].
-    query_embedding: Embedding,
-    /// Memoized [`Embedding::norm`] of [`ClipScratch::query_embedding`] (same f64 value
-    /// the scalar path recomputes per patch inside `cosine`).
-    query_norm: f64,
-    /// The output map, refilled in place.
-    map: ImportanceMap,
-    /// Object placements `(id, rect)` of the frame [`ClipScratch::map`] was computed for
-    /// (the temporal-coherence state behind [`ClipModel::correlation_map_coherent`]).
-    prev_placements: Vec<(u32, Rect)>,
-    /// Content fingerprint (objects, concepts, background, geometry) of that frame.
-    prev_fingerprint: u64,
-    /// Whether [`ClipScratch::map`] holds a result the incremental paths may update.
-    prev_valid: bool,
-    /// Scratch list of dirty patch indices.
-    dirty: Vec<u32>,
 }
 
-impl Default for ClipScratch {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl ClipScratch {
-    /// Creates an empty scratch.
-    pub fn new() -> Self {
-        Self {
-            content: RegionContent::empty(),
-            grid: GridContent::new(),
-            object_entries: Vec::new(),
-            flat: Vec::new(),
-            background_flat: Vec::new(),
-            extra: Vec::new(),
-            accumulator: Embedding::zeros(0),
-            normalized: Embedding::zeros(0),
-            lane_acc: Vec::new(),
-            tile: Vec::new(),
-            cached_query: None,
-            query_embedding: Embedding::zeros(0),
-            query_norm: 0.0,
-            map: ImportanceMap::empty(),
-            prev_placements: Vec::new(),
-            prev_fingerprint: 0,
-            prev_valid: false,
-            dirty: Vec::new(),
-        }
-    }
-
-    /// Moves the most recent result out of the scratch.
-    pub fn take_map(&mut self) -> ImportanceMap {
-        self.prev_valid = false;
-        std::mem::replace(&mut self.map, ImportanceMap::empty())
-    }
-
-    /// Records which frame the scratch's map now describes, enabling later incremental
-    /// updates against it.
-    fn record_prev(&mut self, frame: &Frame) {
-        self.prev_placements.clear();
-        self.prev_placements
-            .extend(frame.placements.iter().map(|p| (p.object_id, p.region)));
-        self.prev_fingerprint = frame_fingerprint(frame);
-        self.prev_valid = true;
-    }
-
-    /// Ensures the memoized text embedding matches `query` (and the model's embedding
-    /// dimension), re-encoding only on change.
-    ///
-    /// A scratch is intended to be reused with one model at a time; switching models
-    /// mid-scratch is detected by dimension (which also guards the `extra` cache) and falls
-    /// back to re-encoding rather than panicking on a dimension mismatch. Two same-dim
-    /// models with different ontologies still require separate scratches.
-    fn memoize_query(&mut self, model: &ClipModel, query: &TextQuery) {
-        if self.query_embedding.dim() != model.config.dim {
-            self.cached_query = None;
-            self.extra.clear();
-        }
-        if self.cached_query.as_ref() != Some(query) {
-            self.query_embedding = model.encode_text(query);
-            self.query_norm = self.query_embedding.norm();
-            self.cached_query = Some(query.clone());
-        }
-    }
-
-    /// Resolves the frame's object and background concepts to table indices, reusing the
-    /// flat buffers. Out-of-ontology concepts get deterministic directions in
-    /// [`ClipScratch::extra`] (identical values to [`ConceptSpace::concept_embedding`]).
-    fn prepare_frame(&mut self, model: &ClipModel, frame: &Frame) {
+impl ResolvedConcepts {
+    /// Resolves the frame's object and background concepts, reusing the flat buffers.
+    /// Out-of-ontology concepts get deterministic directions in `extra` (identical values
+    /// to [`ConceptSpace::concept_embedding`]).
+    fn resolve_frame(&mut self, model: &ClipModel, frame: &Frame) {
         self.object_entries.clear();
         self.flat.clear();
         self.background_flat.clear();
-        // `extra` deliberately persists across frames: a seeded direction depends only on
-        // the concept name and the (dimension-guarded) model dim, and the flat lists that
-        // reference it are rebuilt every frame, so stale entries are merely unused — while
-        // repeated out-of-ontology concepts stay allocation-free across a turn.
         for object in &frame.objects {
             let start = self.flat.len() as u32;
             for (concept, weight) in &object.concepts {
@@ -230,56 +136,270 @@ impl ClipScratch {
         ));
         table_len + (self.extra.len() - 1) as u32
     }
-}
 
-/// Per-lane working state of the data-parallel correlation path: exactly the buffers one
-/// evaluation of [`patch_rho`] mutates. Everything else a patch needs (the flat concept
-/// lists, the memoized query embedding) is shared read-only across lanes.
-#[derive(Debug, Clone)]
-struct ClipLaneScratch {
-    /// Concept-pooling accumulator for this lane (scalar-tail patches).
-    accumulator: Embedding,
-    /// Unit-norm form of the accumulator for this lane (scalar-tail patches).
-    normalized: Embedding,
-    /// This pool lane's private [`ClipScratch::lane_acc`] for the vector kernel.
-    lane_acc: Vec<f64>,
-    /// This pool lane's private [`ClipScratch::tile`] for the vector kernel.
-    tile: Vec<f64>,
-}
-
-impl ClipLaneScratch {
-    fn new() -> Self {
-        Self {
-            accumulator: Embedding::zeros(0),
-            normalized: Embedding::zeros(0),
-            lane_acc: Vec::new(),
-            tile: Vec::new(),
+    fn embedding<'a>(&'a self, model: &'a ClipModel, concept_idx: u32) -> &'a Embedding {
+        let table_len = model.space.len() as u32;
+        if concept_idx < table_len {
+            model.space.embedding_at(concept_idx)
+        } else {
+            &self.extra[(concept_idx - table_len) as usize].1
         }
     }
 }
 
-/// Reusable buffers for [`ClipModel::correlation_map_par`]: the sequential scratch (which
-/// owns the output map, the query memo and the shared per-frame concept lists) plus one
-/// private lane scratch per pool lane, created on first use and reused ever after — so
-/// post-warmup parallel evaluations perform zero heap allocations, exactly like the
-/// sequential path.
+/// The distinct `(coverage list, background fraction)` classes among the cells of one
+/// evaluation, keyed bit-exactly (`f64::to_bits`) and found through an open-addressing
+/// hash table, so a frame whose every patch is its own class costs O(1) expected
+/// comparisons per cell, not a scan over the classes seen so far.
 #[derive(Debug, Clone, Default)]
-pub struct ClipParScratch {
-    /// The sequential scratch; also serves `pool_size = 1` delegation unchanged.
-    seq: ClipScratch,
-    /// One private working set per pool lane.
-    lanes: Vec<ClipLaneScratch>,
+struct ClassTable {
+    /// CSR offsets: class `c`'s coverage list is `entries[offsets[c]..offsets[c + 1]]`.
+    offsets: Vec<u32>,
+    /// Every class's `(object_id, fraction)` entries, concatenated in class order.
+    entries: Vec<(u32, f64)>,
+    /// Background fraction per class.
+    background: Vec<f64>,
+    /// Open-addressing slots (linear probing, load ≤ ½) holding class ids.
+    slots: Vec<u16>,
+    /// ρ per class, padded to a whole number of lane batches.
+    rho: Vec<f64>,
+    /// Occupied slots inspected by [`ClassTable::classify`] since the table was created.
+    #[cfg(test)]
+    key_comparisons: usize,
 }
 
-impl ClipParScratch {
+impl ClassTable {
+    const MIN_SLOTS: usize = 16;
+
+    fn clear(&mut self) {
+        self.offsets.clear();
+        self.offsets.push(0);
+        self.entries.clear();
+        self.background.clear();
+        self.slots.fill(EMPTY_SLOT);
+    }
+
+    fn len(&self) -> usize {
+        self.background.len()
+    }
+
+    fn coverage(&self, class: usize) -> &[(u32, f64)] {
+        &self.entries[self.offsets[class] as usize..self.offsets[class + 1] as usize]
+    }
+
+    fn key_hash(coverage: &[(u32, f64)], background: f64) -> usize {
+        let mut hash = background.to_bits();
+        for &(object_id, fraction) in coverage {
+            for word in [object_id as u64, fraction.to_bits()] {
+                // Fractions such as 1.0 vary only in their top bits; folding the product's
+                // high half down keeps the low (slot-index) bits well mixed.
+                hash = (hash ^ word).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+                hash ^= hash >> 32;
+            }
+        }
+        hash as usize
+    }
+
+    /// The id of the class with exactly this key, added if no earlier cell had it.
+    fn classify(&mut self, coverage: &[(u32, f64)], background: f64) -> u16 {
+        if self.len() * 2 >= self.slots.len() {
+            self.grow();
+        }
+        let mask = self.slots.len() - 1;
+        let mut slot = Self::key_hash(coverage, background) & mask;
+        while self.slots[slot] != EMPTY_SLOT {
+            let class = self.slots[slot] as usize;
+            #[cfg(test)]
+            {
+                self.key_comparisons += 1;
+            }
+            let known = self.coverage(class);
+            if self.background[class].to_bits() == background.to_bits()
+                && known.len() == coverage.len()
+                && known
+                    .iter()
+                    .zip(coverage)
+                    .all(|(a, b)| a.0 == b.0 && a.1.to_bits() == b.1.to_bits())
+            {
+                return class as u16;
+            }
+            slot = (slot + 1) & mask;
+        }
+        let class = self.len();
+        debug_assert!(class < EMPTY_SLOT as usize, "segment holds too many classes");
+        self.slots[slot] = class as u16;
+        self.entries.extend_from_slice(coverage);
+        self.offsets.push(self.entries.len() as u32);
+        self.background.push(background);
+        class as u16
+    }
+
+    /// Doubles the slot table and re-seats every class.
+    fn grow(&mut self) {
+        let len = (self.slots.len() * 2).max(Self::MIN_SLOTS);
+        self.slots.clear();
+        self.slots.resize(len, EMPTY_SLOT);
+        for class in 0..self.len() {
+            let mut slot = Self::key_hash(self.coverage(class), self.background[class]) & (len - 1);
+            while self.slots[slot] != EMPTY_SLOT {
+                slot = (slot + 1) & (len - 1);
+            }
+            self.slots[slot] = class as u16;
+        }
+    }
+}
+
+/// Reusable buffers for the scratch-taking correlation forms.
+///
+/// One scratch per streaming turn (or per thread) removes every per-frame heap allocation
+/// from the correlation hot path: the output map, the cell descriptor, the class table,
+/// the lane accumulators and the resolved concept lists all live here and are reused. It
+/// also carries what may outlive a frame: the text-query embedding (a multi-frame turn
+/// encodes the user's words once), the resolved concept lists (kept by the incremental
+/// forms while the frame's content fingerprint holds) and the coherence state that lets
+/// [`ClipModel::correlation_map_coherent`] update the previous map in place. All of it is
+/// bound to the identity of the model that produced it: handing the scratch to a different
+/// model drops it, so a scratch may be shared between models (at the price of a full
+/// recompute on every switch).
+#[derive(Debug, Clone)]
+pub struct ClipScratch {
+    /// Identity of the model the memoized state below belongs to.
+    model: Option<u64>,
+    /// One cell's region descriptor (filled by [`Frame::region_content_into`]) — the cell
+    /// source when only a few cells are dirty.
+    content: RegionContent,
+    /// Whole-frame patch-grid raster — the cell source when most cells are dirty: one
+    /// placement-by-placement rasterization replaces the per-cell `region_content_into`
+    /// walk (bit-identical coverage lists and background fractions, a fraction of the
+    /// intersection work).
+    grid: GridContent,
+    /// Concept lists of the frame [`ClipScratch::map`] describes.
+    concepts: ResolvedConcepts,
+    /// Cells to evaluate, one bit per cell of the patch grid.
+    dirty: Vec<u64>,
+    /// Per-call class table of the dirty cells.
+    classes: ClassTable,
+    /// Class id of each dirty cell of the current segment, in cell order.
+    cell_class: Vec<u16>,
+    /// Per-lane concept-pooling accumulators of the vector kernel: lane `l` owns the
+    /// contiguous slice `[l·dim, (l+1)·dim)`, so phase A writes stay unit-stride.
+    lane_acc: Vec<f64>,
+    /// Lane-transposed (dimension-major SoA) copy of the accumulators: dimension `d`'s
+    /// values for all [`RHO_LANES`] lanes sit side by side at `[d·LANES, (d+1)·LANES)`,
+    /// the layout phase B's lockstep reductions walk with unit stride.
+    tile: Vec<f64>,
+    /// The query whose embedding is currently memoized.
+    cached_query: Option<TextQuery>,
+    /// Memoized text embedding of [`ClipScratch::cached_query`].
+    query_embedding: Embedding,
+    /// Memoized [`Embedding::norm`] of [`ClipScratch::query_embedding`] (the f64 value
+    /// `Embedding::cosine` recomputes per patch).
+    query_norm: f64,
+    /// The output map, refilled in place.
+    map: ImportanceMap,
+    /// Object placements `(id, rect)` of the frame [`ClipScratch::map`] was computed for
+    /// (the temporal-coherence state behind [`ClipModel::correlation_map_coherent`]).
+    prev_placements: Vec<(u32, Rect)>,
+    /// Content fingerprint (objects, concepts, background, geometry) of that frame.
+    prev_fingerprint: u64,
+    /// Whether [`ClipScratch::map`] and [`ClipScratch::concepts`] hold a result the
+    /// incremental paths may build on.
+    prev_valid: bool,
+}
+
+impl Default for ClipScratch {
+    fn default() -> Self {
+        Self::new()
+    }
+}
+
+impl ClipScratch {
     /// Creates an empty scratch.
     pub fn new() -> Self {
-        Self::default()
+        Self {
+            model: None,
+            content: RegionContent::empty(),
+            grid: GridContent::new(),
+            concepts: ResolvedConcepts::default(),
+            dirty: Vec::new(),
+            classes: ClassTable::default(),
+            cell_class: Vec::new(),
+            lane_acc: Vec::new(),
+            tile: Vec::new(),
+            cached_query: None,
+            query_embedding: Embedding::zeros(0),
+            query_norm: 0.0,
+            map: ImportanceMap::empty(),
+            prev_placements: Vec::new(),
+            prev_fingerprint: 0,
+            prev_valid: false,
+        }
     }
 
     /// Moves the most recent result out of the scratch.
     pub fn take_map(&mut self) -> ImportanceMap {
-        self.seq.take_map()
+        self.prev_valid = false;
+        std::mem::replace(&mut self.map, ImportanceMap::empty())
+    }
+
+    /// Binds the scratch to `model`. Everything memoized — the query embedding, the
+    /// out-of-ontology directions, the resolved concept lists, the coherence state — was
+    /// computed against one model's configuration and concept table, so a different model
+    /// (even one of equal `dim` and `patch_size`) starts from nothing.
+    fn bind_model(&mut self, model: &ClipModel) {
+        if self.model != Some(model.identity) {
+            self.model = Some(model.identity);
+            self.cached_query = None;
+            self.concepts.extra.clear();
+            self.prev_valid = false;
+        }
+    }
+
+    /// Records which frame the scratch's map and concept lists now describe, enabling
+    /// later incremental updates against them.
+    fn record_prev(&mut self, frame: &Frame, fingerprint: u64) {
+        self.prev_placements.clear();
+        self.prev_placements
+            .extend(frame.placements.iter().map(|p| (p.object_id, p.region)));
+        self.prev_fingerprint = fingerprint;
+        self.prev_valid = true;
+    }
+
+    /// Ensures the memoized text embedding matches `query`, re-encoding only on change.
+    fn memoize_query(&mut self, model: &ClipModel, query: &TextQuery) {
+        if self.cached_query.as_ref() != Some(query) {
+            self.query_embedding = model.encode_text(query);
+            self.query_norm = self.query_embedding.norm();
+            self.cached_query = Some(query.clone());
+        }
+    }
+
+    /// Whether the memoized query has no recognizable concept ([`Embedding::is_zero`]).
+    fn query_is_empty(&self) -> bool {
+        self.query_norm < 1e-12
+    }
+
+    /// Whether the scratch holds a previous result the incremental paths may update for
+    /// this frame geometry and query (the memoized query must match byte-for-byte so the
+    /// retained patch values were computed against the same embedding; the model is
+    /// vouched for by [`ClipScratch::bind_model`]).
+    fn can_update_incrementally(&self, frame: &Frame, query: &TextQuery, dims: GridDims) -> bool {
+        self.prev_valid
+            && self.map.dims() == dims
+            && self.map.width() == frame.width
+            && self.map.height() == frame.height
+            && self.cached_query.as_ref() == Some(query)
+    }
+
+    /// Clears the dirty set of a `cells`-cell grid (`all` instead marks every cell).
+    fn reset_dirty(&mut self, cells: usize, all: bool) {
+        self.dirty.clear();
+        self.dirty
+            .resize(cells.div_ceil(64), if all { u64::MAX } else { 0 });
+        if let (true, Some(last)) = (all, self.dirty.last_mut()) {
+            // Bits past the grid's last cell stay clear.
+            *last >>= (64 - cells % 64) % 64;
+        }
     }
 }
 
@@ -289,16 +409,33 @@ pub struct ClipModel {
     config: ClipConfig,
     ontology: Ontology,
     space: ConceptSpace,
+    /// Hash of everything a correlation map depends on besides frame and query — the
+    /// configuration and the concept table (names and embeddings, in index order) — which
+    /// a [`ClipScratch`] remembers to notice that it changed hands.
+    identity: u64,
 }
 
 impl ClipModel {
     /// Builds the model over an ontology.
     pub fn new(config: ClipConfig, ontology: Ontology) -> Self {
         let space = ConceptSpace::build(&ontology, config.dim);
+        let mut identity = fnv_u64(0xcbf2_9ce4_8422_2325, config.dim as u64);
+        identity = fnv_u64(identity, config.patch_size as u64);
+        identity = fnv_u64(identity, config.patch_encode_latency_us.to_bits());
+        identity = fnv_u64(identity, config.text_encode_latency_us);
+        identity = fnv_u64(identity, config.similarity_bias.to_bits());
+        for (idx, concept) in ontology.concepts().enumerate() {
+            debug_assert_eq!(space.concept_index(concept), Some(idx as u32));
+            identity = fnv_bytes(identity, concept.name().as_bytes());
+            for value in space.embedding_at(idx as u32).values() {
+                identity = (identity ^ value.to_bits()).wrapping_mul(0x1000_0000_01b3);
+            }
+        }
         Self {
             config,
             ontology,
             space,
+            identity,
         }
     }
 
@@ -334,7 +471,8 @@ impl ClipModel {
     /// degrades gracefully to near-uniform QP.
     ///
     /// This convenience form allocates its own scratch; per-frame loops should hold a
-    /// [`ClipScratch`] and call [`ClipModel::correlation_map_with`] instead, which is
+    /// [`ClipScratch`] and call [`ClipModel::correlation_map_with`] (or, for consecutive
+    /// frames of a video, [`ClipModel::correlation_map_coherent`]) instead, which is
     /// allocation-free after warmup and encodes the text query only once per turn.
     pub fn correlation_map(&self, frame: &Frame, query: &TextQuery) -> ImportanceMap {
         let mut scratch = ClipScratch::new();
@@ -342,229 +480,68 @@ impl ClipModel {
         scratch.take_map()
     }
 
-    /// [`ClipModel::correlation_map`] with caller-owned scratch buffers.
+    /// [`ClipModel::correlation_map`] with caller-owned scratch buffers: every cell is
+    /// evaluated, whatever the scratch held before.
     ///
     /// The returned map lives inside `scratch` and is valid until the next call. After the
-    /// first call with a given frame/query shape, the routine performs no heap allocation:
-    /// the text embedding is memoized per [`TextQuery`], the frame's object-concept lists
-    /// are resolved once per frame into index-keyed flat buffers, and every per-patch
-    /// accumulator is reused. Output is bit-identical to the naive per-patch procedure
-    /// (see the equivalence tests).
+    /// first call with a given frame/query shape, the routine performs no heap allocation.
+    /// Output is bit-identical to the naive per-patch procedure (see the equivalence tests).
     pub fn correlation_map_with<'s>(
         &self,
         frame: &Frame,
         query: &TextQuery,
         scratch: &'s mut ClipScratch,
     ) -> &'s ImportanceMap {
-        let dims = GridDims::for_frame(frame.width, frame.height, self.config.patch_size);
-        scratch.memoize_query(self, query);
-        scratch.map.begin_refill(dims, frame.width, frame.height);
-        if scratch.query_embedding.is_zero() {
-            for _ in 0..dims.len() {
-                scratch.map.push_value(0.0);
-            }
-            scratch.map.finish_refill();
-            scratch.record_prev(frame);
-            return &scratch.map;
-        }
-        scratch.prepare_frame(self, frame);
-        scratch.grid.fill(frame, self.config.patch_size);
-        let bias = self.config.similarity_bias;
-        let background_weight = PatchEncoder::new(&self.space).background_weight();
-        let query_norm = scratch.query_norm;
-        let ClipScratch {
-            grid,
-            object_entries,
-            flat,
-            background_flat,
-            extra,
-            accumulator,
-            normalized,
-            lane_acc,
-            tile,
-            query_embedding,
-            map,
-            ..
-        } = scratch;
-        let grid = &*grid;
-        let total = dims.len();
-        let mut rho = [0.0f64; RHO_LANES];
-        let mut idx = 0usize;
-        while idx + RHO_LANES <= total {
-            patch_rho_batch_grid(
-                self,
-                grid,
-                idx,
-                bias,
-                background_weight,
-                object_entries,
-                flat,
-                background_flat,
-                extra,
-                lane_acc,
-                tile,
-                query_embedding,
-                query_norm,
-                &mut rho,
-            );
-            for &value in &rho {
-                map.push_value(value);
-            }
-            idx += RHO_LANES;
-        }
-        // Scalar tail: fewer than RHO_LANES patches remain.
-        while idx < total {
-            let calibrated = patch_rho_cell(
-                self,
-                grid,
-                idx,
-                bias,
-                background_weight,
-                object_entries,
-                flat,
-                background_flat,
-                extra,
-                accumulator,
-                normalized,
-                query_embedding,
-            );
-            map.push_value(calibrated);
-            idx += 1;
-        }
-        scratch.map.finish_refill();
-        scratch.record_prev(frame);
-        &scratch.map
+        scratch.bind_model(self);
+        self.full_map(frame, query, frame_fingerprint(frame), scratch)
     }
 
-    /// Data-parallel form of [`ClipModel::correlation_map_with`]: the patch grid is split
-    /// into contiguous raster-order chunks (≈ groups of patch rows) and evaluated across
-    /// the pool's lanes, each lane writing its disjoint slice of the output map through its
-    /// own private accumulators.
-    ///
-    /// Output is **bit-identical** to the sequential path for any pool size: every patch
-    /// runs the exact same [`patch_rho`] procedure against the same shared per-frame
-    /// concept lists, and patch values never depend on one another (see the equivalence
-    /// tests and `tests/model_properties.rs`). With a one-lane pool this delegates to
-    /// [`ClipModel::correlation_map_with`] — the sequential path stays the default.
-    /// Post-warmup calls perform no heap allocation (lane scratches are created once).
-    pub fn correlation_map_par<'s>(
+    /// The full evaluation behind [`ClipModel::correlation_map_with`] and every fallback
+    /// of the incremental forms: re-encodes the query if it changed, re-resolves the
+    /// frame's concepts, and evaluates the whole grid.
+    fn full_map<'s>(
         &self,
         frame: &Frame,
         query: &TextQuery,
-        pool: &MiniPool,
-        scratch: &'s mut ClipParScratch,
+        fingerprint: u64,
+        scratch: &'s mut ClipScratch,
     ) -> &'s ImportanceMap {
-        if pool.lanes() == 1 {
-            return self.correlation_map_with(frame, query, &mut scratch.seq);
-        }
         let dims = GridDims::for_frame(frame.width, frame.height, self.config.patch_size);
-        scratch.seq.memoize_query(self, query);
-        if scratch.seq.query_embedding.is_zero() {
-            // refill_values_mut zero-fills, which is exactly the empty-query map.
-            let _ = scratch.seq.map.refill_values_mut(dims, frame.width, frame.height);
-            scratch.seq.map.finish_refill();
-            scratch.seq.record_prev(frame);
-            return &scratch.seq.map;
+        scratch.memoize_query(self, query);
+        scratch.concepts.resolve_frame(self, frame);
+        // Zero-filled, which is already the empty-query map.
+        scratch.map.begin_refill(dims, frame.width, frame.height);
+        if !scratch.query_is_empty() {
+            scratch.reset_dirty(dims.len(), true);
+            self.evaluate_dirty(frame, scratch);
         }
-        scratch.seq.prepare_frame(self, frame);
-        scratch.seq.grid.fill(frame, self.config.patch_size);
-        while scratch.lanes.len() < pool.lanes() {
-            scratch.lanes.push(ClipLaneScratch::new());
-        }
-        let bias = self.config.similarity_bias;
-        let background_weight = PatchEncoder::new(&self.space).background_weight();
-        let query_norm = scratch.seq.query_norm;
-        let ClipParScratch { seq, lanes } = scratch;
-        let seq_ref = &mut *seq;
-        let ClipScratch {
-            grid,
-            object_entries,
-            flat,
-            background_flat,
-            extra,
-            query_embedding,
-            map,
-            ..
-        } = seq_ref;
-        // Shared read-only views for the lanes.
-        let grid: &GridContent = grid;
-        let object_entries: &[(u32, u32, u32)] = object_entries;
-        let flat: &[(u32, f64)] = flat;
-        let background_flat: &[(u32, f64)] = background_flat;
-        let extra: &[(Concept, Embedding)] = extra;
-        let query_embedding: &Embedding = query_embedding;
-        let values = map.refill_values_mut(dims, frame.width, frame.height);
-        let chunks = (pool.lanes() * PAR_CHUNKS_PER_LANE).min(values.len());
-        pool.for_each_chunk(values, chunks, lanes, |ctx, part, lane| {
-            let mut rho = [0.0f64; RHO_LANES];
-            let mut offset = 0usize;
-            while offset + RHO_LANES <= part.len() {
-                patch_rho_batch_grid(
-                    self,
-                    grid,
-                    ctx.start + offset,
-                    bias,
-                    background_weight,
-                    object_entries,
-                    flat,
-                    background_flat,
-                    extra,
-                    &mut lane.lane_acc,
-                    &mut lane.tile,
-                    query_embedding,
-                    query_norm,
-                    &mut rho,
-                );
-                part[offset..offset + RHO_LANES].copy_from_slice(&rho);
-                offset += RHO_LANES;
-            }
-            // Scalar tail of this chunk.
-            for (tail_offset, value) in part.iter_mut().enumerate().skip(offset) {
-                let idx = ctx.start + tail_offset;
-                // Same ρ-range invariant `ImportanceMap::push_value` asserts on the
-                // sequential path; direct slice writes must not lose it.
-                *value = patch_rho_cell(
-                    self,
-                    grid,
-                    idx,
-                    bias,
-                    background_weight,
-                    object_entries,
-                    flat,
-                    background_flat,
-                    extra,
-                    &mut lane.accumulator,
-                    &mut lane.normalized,
-                    query_embedding,
-                );
-                debug_assert!((-1.0..=1.0).contains(value), "rho out of [-1, 1]");
-            }
-        });
-        seq.map.finish_refill();
-        seq.record_prev(frame);
-        &seq.map
+        scratch.record_prev(frame, fingerprint);
+        &scratch.map
     }
 
     /// Incremental form of [`ClipModel::correlation_map_with`], exploiting the temporal
-    /// coherence of video: only patches whose content could have changed since the previous
-    /// frame are recomputed; everything else keeps its value from the map already held in
-    /// `scratch`.
+    /// coherence of video: only patches whose content can have changed since the previous
+    /// frame are re-evaluated; everything else keeps its value from the map already held
+    /// in `scratch`, and the resolved concept lists are kept too.
     ///
-    /// The dirty set is derived automatically from object motion — every patch overlapping
-    /// the previous *or* current placement of an object that moved. When no compatible
-    /// previous result exists (first frame, scene/query/geometry change, stolen map), the
-    /// call transparently falls back to the full recompute, so this is a drop-in
-    /// replacement for `correlation_map_with` with identical output for any frame sequence
-    /// (see the equivalence tests and `tests/model_properties.rs`).
+    /// The dirty set is derived from object motion — every patch overlapping the previous
+    /// *or* current placement of an object that moved, minus the patches lying fully
+    /// inside both (see [`mark_moved`]). When no compatible previous result exists (first
+    /// frame, scene/query/geometry/model change, stolen map), the call transparently falls
+    /// back to the full evaluation, so this is a drop-in replacement for
+    /// `correlation_map_with` with identical output for any frame sequence (see the
+    /// equivalence tests and `tests/model_properties.rs`).
     pub fn correlation_map_coherent<'s>(
         &self,
         frame: &Frame,
         query: &TextQuery,
         scratch: &'s mut ClipScratch,
     ) -> &'s ImportanceMap {
+        scratch.bind_model(self);
         let dims = GridDims::for_frame(frame.width, frame.height, self.config.patch_size);
-        if !self.can_update_incrementally(frame, query, scratch, dims)
-            || scratch.prev_fingerprint != frame_fingerprint(frame)
+        let fingerprint = frame_fingerprint(frame);
+        if !scratch.can_update_incrementally(frame, query, dims)
+            || scratch.prev_fingerprint != fingerprint
             || scratch.prev_placements.len() != frame.placements.len()
             || !scratch
                 .prev_placements
@@ -572,32 +549,23 @@ impl ClipModel {
                 .zip(&frame.placements)
                 .all(|((id, _), p)| *id == p.object_id)
         {
-            return self.correlation_map_with(frame, query, scratch);
+            return self.full_map(frame, query, fingerprint, scratch);
         }
-        if scratch.query_embedding.is_zero() {
-            // The all-zero map is frame-independent; only the coherence state moves on.
-            scratch.record_prev(frame);
-            return &scratch.map;
-        }
-        // Dirty = patches overlapping the old or new rect of any object that moved.
-        let ClipScratch {
-            prev_placements,
-            dirty,
-            ..
-        } = scratch;
-        dirty.clear();
-        for ((_, prev_rect), placement) in prev_placements.iter().zip(&frame.placements) {
+        // Same objects, same concepts, same query: only the rects can differ, and moving
+        // them on is all the coherence state needs.
+        scratch.reset_dirty(dims.len(), false);
+        let mut moved = false;
+        for ((_, prev_rect), placement) in scratch.prev_placements.iter_mut().zip(&frame.placements) {
             if *prev_rect != placement.region {
-                mark_dirty_cells(dims, frame.width, frame.height, prev_rect, dirty);
-                mark_dirty_cells(dims, frame.width, frame.height, &placement.region, dirty);
+                mark_moved(dims, frame, prev_rect, &placement.region, &mut scratch.dirty);
+                *prev_rect = placement.region;
+                moved = true;
             }
         }
-        dirty.sort_unstable();
-        dirty.dedup();
-        if !scratch.dirty.is_empty() {
-            self.recompute_dirty_patches(frame, scratch);
+        // The all-zero map of an empty query is frame-independent.
+        if moved && !scratch.query_is_empty() {
+            self.evaluate_dirty(frame, scratch);
         }
-        scratch.record_prev(frame);
         &scratch.map
     }
 
@@ -605,9 +573,9 @@ impl ClipModel {
     /// indices into the patch grid).
     ///
     /// Contract: `dirty_patches` must include every patch whose content changed versus the
-    /// frame the scratch's map was computed for — the routine recomputes exactly those
+    /// frame the scratch's map was computed for — the routine re-evaluates exactly those
     /// patches and trusts the rest. A superset (including the full range) is always safe.
-    /// When no compatible previous result exists, falls back to the full recompute and the
+    /// When no compatible previous result exists, falls back to the full evaluation and the
     /// dirty set is ignored. Out-of-range indices are ignored.
     pub fn correlation_map_update<'s>(
         &self,
@@ -616,127 +584,124 @@ impl ClipModel {
         dirty_patches: &[usize],
         scratch: &'s mut ClipScratch,
     ) -> &'s ImportanceMap {
+        scratch.bind_model(self);
         let dims = GridDims::for_frame(frame.width, frame.height, self.config.patch_size);
-        if !self.can_update_incrementally(frame, query, scratch, dims) {
-            return self.correlation_map_with(frame, query, scratch);
+        let fingerprint = frame_fingerprint(frame);
+        if !scratch.can_update_incrementally(frame, query, dims) {
+            return self.full_map(frame, query, fingerprint, scratch);
         }
-        if scratch.query_embedding.is_zero() {
-            scratch.record_prev(frame);
-            return &scratch.map;
+        if scratch.prev_fingerprint != fingerprint {
+            // The caller vouches for the dirty set, not for the concept lists.
+            scratch.concepts.resolve_frame(self, frame);
         }
-        scratch.dirty.clear();
-        scratch.dirty.extend(
-            dirty_patches
-                .iter()
-                .filter(|&&i| i < dims.len())
-                .map(|&i| i as u32),
-        );
-        scratch.dirty.sort_unstable();
-        scratch.dirty.dedup();
-        if !scratch.dirty.is_empty() {
-            self.recompute_dirty_patches(frame, scratch);
+        if !scratch.query_is_empty() {
+            scratch.reset_dirty(dims.len(), false);
+            for &idx in dirty_patches.iter().filter(|&&idx| idx < dims.len()) {
+                scratch.dirty[idx / 64] |= 1 << (idx % 64);
+            }
+            self.evaluate_dirty(frame, scratch);
         }
-        scratch.record_prev(frame);
+        scratch.record_prev(frame, fingerprint);
         &scratch.map
     }
 
-    /// Whether the scratch holds a previous result the incremental paths may update for
-    /// this frame geometry and query (the memoized query must match byte-for-byte so the
-    /// retained patch values were computed against the same embedding).
-    fn can_update_incrementally(
-        &self,
-        frame: &Frame,
-        query: &TextQuery,
-        scratch: &ClipScratch,
-        dims: GridDims,
-    ) -> bool {
-        scratch.prev_valid
-            && scratch.map.dims() == dims
-            && scratch.map.width() == frame.width
-            && scratch.map.height() == frame.height
-            && scratch.query_embedding.dim() == self.config.dim
-            && scratch.cached_query.as_ref() == Some(query)
-    }
-
-    /// Recomputes the patches listed in `scratch.dirty` in place, through exactly the same
-    /// per-patch procedure as the full path.
-    fn recompute_dirty_patches(&self, frame: &Frame, scratch: &mut ClipScratch) {
-        scratch.prepare_frame(self, frame);
+    /// The one Eq. 1 pipeline: classify → evaluate → scatter over the cells marked in
+    /// `scratch.dirty`, writing their ρ into the map in place. Expects the query memo and
+    /// the concept lists to be current.
+    ///
+    /// A cell's `(coverage list, background fraction)` comes from the whole-frame raster
+    /// when most of the grid is dirty and from a per-cell `region_content_into` otherwise;
+    /// the two produce equal lists by construction (see [`GridContent`]).
+    fn evaluate_dirty(&self, frame: &Frame, scratch: &mut ClipScratch) {
         let dims = scratch.map.dims();
-        let bias = self.config.similarity_bias;
-        let background_weight = PatchEncoder::new(&self.space).background_weight();
-        let query_norm = scratch.query_norm;
+        let dirty_cells: usize = scratch.dirty.iter().map(|w| w.count_ones() as usize).sum();
+        let rasterize = dirty_cells * 2 > dims.len();
+        if rasterize {
+            scratch.grid.fill(frame, self.config.patch_size);
+        }
         let ClipScratch {
             content,
-            object_entries,
-            flat,
-            background_flat,
-            extra,
-            accumulator,
-            normalized,
+            grid,
+            concepts,
+            dirty,
+            classes,
+            cell_class,
             lane_acc,
             tile,
             query_embedding,
+            query_norm,
             map,
-            dirty,
             ..
         } = scratch;
-        let mut rects = [Rect::new(0, 0, 0, 0); RHO_LANES];
-        let mut rho = [0.0f64; RHO_LANES];
-        for group in dirty.chunks(RHO_LANES) {
-            if group.len() == RHO_LANES {
-                for (rect, &idx) in rects.iter_mut().zip(group) {
-                    let (row, col) = dims.position(idx as usize);
-                    *rect = dims.cell_rect(row, col, frame.width, frame.height);
-                }
-                patch_rho_batch(
-                    self,
-                    frame,
-                    &rects,
-                    bias,
-                    background_weight,
-                    content,
-                    object_entries,
-                    flat,
-                    background_flat,
-                    extra,
-                    lane_acc,
-                    tile,
-                    query_embedding,
-                    query_norm,
-                    &mut rho,
-                );
-                for (&idx, &value) in group.iter().zip(&rho) {
-                    map.set_value(idx as usize, value);
-                }
-            } else {
-                // Scalar tail: fewer than RHO_LANES dirty patches remain.
-                for &idx in group {
-                    let (row, col) = dims.position(idx as usize);
+        for (segment, words) in dirty.chunks(SEGMENT_WORDS).enumerate() {
+            let base = segment * SEGMENT_WORDS * 64;
+            classes.clear();
+            cell_class.clear();
+            for idx in set_bits(words, base) {
+                cell_class.push(if rasterize {
+                    classes.classify(grid.coverage(idx), grid.background_fraction()[idx])
+                } else {
+                    let (row, col) = dims.position(idx);
                     let rect = dims.cell_rect(row, col, frame.width, frame.height);
-                    let calibrated = patch_rho(
-                        self,
-                        frame,
-                        &rect,
-                        bias,
-                        background_weight,
-                        content,
-                        object_entries,
-                        flat,
-                        background_flat,
-                        extra,
-                        accumulator,
-                        normalized,
-                        query_embedding,
-                    );
-                    map.set_value(idx as usize, calibrated);
-                }
+                    frame.region_content_into(&rect, content);
+                    classes.classify(&content.object_coverage, content.background_fraction)
+                });
+            }
+            self.evaluate_classes(concepts, classes, lane_acc, tile, query_embedding, *query_norm);
+            for (idx, &class) in set_bits(words, base).zip(cell_class.iter()) {
+                map.set_value(idx, classes.rho[class as usize]);
             }
         }
     }
 
+    /// Eq. 1 for every class of the table, [`RHO_LANES`] classes in lockstep — the vector
+    /// kernel.
+    ///
+    /// Phase A pools each class's concepts scalar-per-lane into lane `l`'s contiguous slice
+    /// of `lane_acc` (same products, same order as the naive path, unit-stride writes).
+    /// Phase B ([`rho_reduce_lanes`]) then runs the normalize → cosine reductions for all
+    /// eight lanes at once. The last batch is padded with empty lanes: a lane's reduction
+    /// reads only its own accumulator, so what sits in the other lanes — a real class or
+    /// zeros — cannot change its bits, and no scalar tail is needed.
+    fn evaluate_classes(
+        &self,
+        concepts: &ResolvedConcepts,
+        classes: &mut ClassTable,
+        lane_acc: &mut Vec<f64>,
+        tile: &mut Vec<f64>,
+        query_embedding: &Embedding,
+        query_norm: f64,
+    ) {
+        let dim = self.config.dim;
+        let bias = self.config.similarity_bias;
+        let background_weight = PatchEncoder::new(&self.space).background_weight();
+        lane_acc.resize(RHO_LANES * dim, 0.0);
+        tile.resize(RHO_LANES * dim, 0.0);
+        classes.rho.clear();
+        let mut rho = [0.0f64; RHO_LANES];
+        for batch in (0..classes.len()).step_by(RHO_LANES) {
+            lane_acc.fill(0.0);
+            for (class, acc) in (batch..classes.len()).zip(lane_acc.chunks_exact_mut(dim)) {
+                pool_patch_concepts(
+                    self,
+                    concepts,
+                    classes.coverage(class),
+                    classes.background[class],
+                    background_weight,
+                    |embedding, w| {
+                        for (a, b) in acc.iter_mut().zip(embedding.values()) {
+                            *a += b * w;
+                        }
+                    },
+                );
+            }
+            rho_reduce_lanes(lane_acc, tile, query_embedding, query_norm, bias, &mut rho);
+            classes.rho.extend_from_slice(&rho);
+        }
+    }
+
     /// The original, allocation-per-patch implementation of [`ClipModel::correlation_map`],
-    /// kept as the reference the optimized path is proven bit-identical against.
+    /// kept as the reference the pipeline is proven bit-identical against.
     #[doc(hidden)]
     pub fn correlation_map_naive(&self, frame: &Frame, query: &TextQuery) -> ImportanceMap {
         let dims = GridDims::for_frame(frame.width, frame.height, self.config.patch_size);
@@ -752,6 +717,8 @@ impl ClipModel {
                 let rect = dims.cell_rect(row, col, frame.width, frame.height);
                 let patch_embedding = patch_encoder.embed_patch(frame, &rect);
                 let raw = patch_embedding.cosine(&text_embedding);
+                // Contrastive calibration: subtract the unrelated-pair baseline and rescale
+                // so the reported correlation still spans [-1, 1].
                 let calibrated = ((raw - bias) / (1.0 - bias)).clamp(-1.0, 1.0);
                 rho.push(calibrated);
             }
@@ -768,252 +735,51 @@ impl ClipModel {
     }
 }
 
-/// Phase A of every ρ path: pools one patch's concepts given its coverage list and
+/// Phase A of the pipeline: pools one class's concepts given its coverage list and
 /// background fraction, invoking `add(embedding, weight)` in exactly the order
 /// `PatchEncoder::embed_patch` + `ConceptSpace::pool` visit them — objects in coverage
-/// order, then background concepts — so every caller accumulates the identical f64
-/// sequence regardless of where the coverage came from (a `region_content_into` call or
-/// the [`GridContent`] raster, which produce equal lists by construction).
-#[allow(clippy::too_many_arguments)]
+/// order, then background concepts — so the accumulated f64 sequence is the naive path's
+/// regardless of where the coverage came from.
 fn pool_patch_concepts(
     model: &ClipModel,
+    concepts: &ResolvedConcepts,
     coverage: &[(u32, f64)],
     background_fraction: f64,
     background_weight: f64,
-    object_entries: &[(u32, u32, u32)],
-    flat: &[(u32, f64)],
-    background_flat: &[(u32, f64)],
-    extra: &[(Concept, Embedding)],
     mut add: impl FnMut(&Embedding, f64),
 ) {
-    let table_len = model.space.len() as u32;
     for &(object_id, object_coverage) in coverage {
-        let Some(&(_, start, end)) = object_entries.iter().find(|(id, _, _)| *id == object_id) else {
+        let Some(&(_, start, end)) = concepts.object_entries.iter().find(|(id, _, _)| *id == object_id)
+        else {
             continue;
         };
-        for &(concept_idx, concept_weight) in &flat[start as usize..end as usize] {
+        for &(concept_idx, concept_weight) in &concepts.flat[start as usize..end as usize] {
             let w = object_coverage * concept_weight;
-            if w <= 0.0 {
-                continue;
+            if w > 0.0 {
+                add(concepts.embedding(model, concept_idx), w);
             }
-            let embedding = if concept_idx < table_len {
-                model.space.embedding_at(concept_idx)
-            } else {
-                &extra[(concept_idx - table_len) as usize].1
-            };
-            add(embedding, w);
         }
     }
-    for &(concept_idx, base_weight) in background_flat {
+    for &(concept_idx, base_weight) in &concepts.background_flat {
         let w = background_fraction * base_weight * background_weight;
-        if w <= 0.0 {
-            continue;
+        if w > 0.0 {
+            add(concepts.embedding(model, concept_idx), w);
         }
-        let embedding = if concept_idx < table_len {
-            model.space.embedding_at(concept_idx)
-        } else {
-            &extra[(concept_idx - table_len) as usize].1
-        };
-        add(embedding, w);
     }
 }
 
-/// One patch of Eq. 1 through the index-keyed table and reused buffers: pools the patch's
-/// concepts exactly as `PatchEncoder::embed_patch` + `ConceptSpace::pool` do — same
-/// products, same accumulation order — then applies the contrastive calibration. Used by
-/// the incremental paths (which touch few patches per frame, so a per-patch
-/// `region_content_into` beats rasterizing the whole grid).
-#[allow(clippy::too_many_arguments)]
-fn patch_rho(
-    model: &ClipModel,
-    frame: &Frame,
-    rect: &Rect,
-    bias: f64,
-    background_weight: f64,
-    content: &mut RegionContent,
-    object_entries: &[(u32, u32, u32)],
-    flat: &[(u32, f64)],
-    background_flat: &[(u32, f64)],
-    extra: &[(Concept, Embedding)],
-    accumulator: &mut Embedding,
-    normalized: &mut Embedding,
-    query_embedding: &Embedding,
-) -> f64 {
-    frame.region_content_into(rect, content);
-    accumulator.reset_zero(model.config.dim);
-    pool_patch_concepts(
-        model,
-        &content.object_coverage,
-        content.background_fraction,
-        background_weight,
-        object_entries,
-        flat,
-        background_flat,
-        extra,
-        |embedding, w| accumulator.add_scaled(embedding, w),
-    );
-    normalized.assign_normalized_from(accumulator);
-    let raw = normalized.cosine(query_embedding);
-    // Contrastive calibration: subtract the unrelated-pair baseline and rescale so the
-    // reported correlation still spans [-1, 1].
-    ((raw - bias) / (1.0 - bias)).clamp(-1.0, 1.0)
-}
-
-/// [`patch_rho`] reading cell `idx` of the whole-frame raster instead of running
-/// `region_content_into` — the scalar tail of the grid-fed full paths. Bit-identical to
-/// [`patch_rho`] because the raster's coverage list and background fraction equal the
-/// per-region walk's and the pooling/normalize/cosine sequence is shared.
-#[allow(clippy::too_many_arguments)]
-fn patch_rho_cell(
-    model: &ClipModel,
-    grid: &GridContent,
-    idx: usize,
-    bias: f64,
-    background_weight: f64,
-    object_entries: &[(u32, u32, u32)],
-    flat: &[(u32, f64)],
-    background_flat: &[(u32, f64)],
-    extra: &[(Concept, Embedding)],
-    accumulator: &mut Embedding,
-    normalized: &mut Embedding,
-    query_embedding: &Embedding,
-) -> f64 {
-    accumulator.reset_zero(model.config.dim);
-    pool_patch_concepts(
-        model,
-        grid.coverage(idx),
-        grid.background_fraction()[idx],
-        background_weight,
-        object_entries,
-        flat,
-        background_flat,
-        extra,
-        |embedding, w| accumulator.add_scaled(embedding, w),
-    );
-    normalized.assign_normalized_from(accumulator);
-    let raw = normalized.cosine(query_embedding);
-    ((raw - bias) / (1.0 - bias)).clamp(-1.0, 1.0)
-}
-
-/// [`patch_rho`] over [`RHO_LANES`] patches in lockstep — the Eq. 1 vector kernel.
+/// Phase B of the pipeline: transpose the lane accumulators into the dimension-major
+/// tile (dimension `d`'s eight lane values adjacent), then run the normalize → cosine →
+/// calibration reductions for all [`RHO_LANES`] lanes in lockstep — every per-dimension
+/// step walks unit-stride memory and the fixed-width lane loops are the axis LLVM turns
+/// into packed SIMD.
 ///
-/// Phase A pools each patch's concepts scalar-per-lane into lane `l`'s contiguous slice of
-/// `lane_acc`, running exactly `patch_rho`'s accumulation sequence (same products, same
-/// order, unit-stride writes). Phase B then runs the normalize → cosine reductions for all
-/// eight lanes simultaneously: the accumulators are transposed into the dimension-major SoA
-/// `tile` (dimension `d`'s eight lane values adjacent), so every per-dimension step walks
-/// unit-stride memory and the fixed-width lane loops are the axis LLVM turns into packed
-/// SIMD. Bit-identity to the scalar path holds because each *lane's* reduction still sums
-/// in ascending-dimension order — the exact order of [`Embedding::norm`] and
+/// Bit-identity to the naive path holds because each *lane's* reduction still sums in
+/// ascending-dimension order — the exact order of [`Embedding::norm`] and
 /// [`Embedding::dot`] — and lanes never mix. The `norm < 1e-12` copy branch of
-/// [`Embedding::assign_normalized_from`] is reproduced branchlessly by dividing by 1.0
-/// (IEEE division by 1.0 is exact), and `query_norm` is the memoized value of the same
-/// deterministic `norm()` the scalar `cosine` recomputes per patch.
-#[allow(clippy::too_many_arguments)]
-fn patch_rho_batch(
-    model: &ClipModel,
-    frame: &Frame,
-    rects: &[Rect; RHO_LANES],
-    bias: f64,
-    background_weight: f64,
-    content: &mut RegionContent,
-    object_entries: &[(u32, u32, u32)],
-    flat: &[(u32, f64)],
-    background_flat: &[(u32, f64)],
-    extra: &[(Concept, Embedding)],
-    lane_acc: &mut Vec<f64>,
-    tile: &mut Vec<f64>,
-    query_embedding: &Embedding,
-    query_norm: f64,
-    out: &mut [f64; RHO_LANES],
-) {
-    let dim = model.config.dim;
-    ensure_lane_buffers(lane_acc, tile, dim);
-    // Phase A: pool each lane's concepts — the scalar `patch_rho` loop verbatim, writing
-    // into the lane's private contiguous accumulator slice.
-    for (lane, rect) in rects.iter().enumerate() {
-        frame.region_content_into(rect, content);
-        let acc = &mut lane_acc[lane * dim..(lane + 1) * dim];
-        pool_patch_concepts(
-            model,
-            &content.object_coverage,
-            content.background_fraction,
-            background_weight,
-            object_entries,
-            flat,
-            background_flat,
-            extra,
-            |embedding, w| {
-                for (a, b) in acc.iter_mut().zip(embedding.values()) {
-                    *a += b * w;
-                }
-            },
-        );
-    }
-    rho_reduce_lanes(lane_acc, tile, query_embedding, query_norm, bias, out);
-}
-
-/// [`patch_rho_batch`] fed by the whole-frame raster: the eight consecutive patches
-/// starting at `base` pool straight from [`GridContent`]'s per-cell coverage lists —
-/// no per-patch placement intersections at all — then share the same lockstep phase B.
-/// This is the kernel the full (non-incremental) correlation paths run.
-#[allow(clippy::too_many_arguments)]
-fn patch_rho_batch_grid(
-    model: &ClipModel,
-    grid: &GridContent,
-    base: usize,
-    bias: f64,
-    background_weight: f64,
-    object_entries: &[(u32, u32, u32)],
-    flat: &[(u32, f64)],
-    background_flat: &[(u32, f64)],
-    extra: &[(Concept, Embedding)],
-    lane_acc: &mut Vec<f64>,
-    tile: &mut Vec<f64>,
-    query_embedding: &Embedding,
-    query_norm: f64,
-    out: &mut [f64; RHO_LANES],
-) {
-    let dim = model.config.dim;
-    ensure_lane_buffers(lane_acc, tile, dim);
-    for lane in 0..RHO_LANES {
-        let idx = base + lane;
-        let acc = &mut lane_acc[lane * dim..(lane + 1) * dim];
-        pool_patch_concepts(
-            model,
-            grid.coverage(idx),
-            grid.background_fraction()[idx],
-            background_weight,
-            object_entries,
-            flat,
-            background_flat,
-            extra,
-            |embedding, w| {
-                for (a, b) in acc.iter_mut().zip(embedding.values()) {
-                    *a += b * w;
-                }
-            },
-        );
-    }
-    rho_reduce_lanes(lane_acc, tile, query_embedding, query_norm, bias, out);
-}
-
-/// Sizes (or zeroes) the per-lane accumulator block and its transposed tile for `dim`.
-fn ensure_lane_buffers(lane_acc: &mut Vec<f64>, tile: &mut Vec<f64>, dim: usize) {
-    if lane_acc.len() != RHO_LANES * dim {
-        lane_acc.clear();
-        lane_acc.resize(RHO_LANES * dim, 0.0);
-        tile.clear();
-        tile.resize(RHO_LANES * dim, 0.0);
-    } else {
-        lane_acc.fill(0.0);
-    }
-    debug_assert_eq!(tile.len(), lane_acc.len());
-}
-
-/// Phase B of the vector kernel, shared by both batch variants: transpose the lane
-/// accumulators into the dimension-major tile, then run the normalize → cosine →
-/// calibration reductions for all [`RHO_LANES`] lanes in lockstep.
+/// [`Embedding::normalized`] is reproduced branchlessly by dividing by 1.0 (IEEE division
+/// by 1.0 is exact), and `query_norm` is the memoized value of the same deterministic
+/// `norm()` that `Embedding::cosine` recomputes per patch.
 fn rho_reduce_lanes(
     lane_acc: &[f64],
     tile: &mut [f64],
@@ -1035,8 +801,8 @@ fn rho_reduce_lanes(
             norm_sq[lane] += row[lane] * row[lane];
         }
     }
-    // A unit divisor reproduces `assign_normalized_from`'s `norm < 1e-12` copy branch
-    // exactly (x / 1.0 == x), keeping the division loop below branch-free.
+    // A unit divisor reproduces the `norm < 1e-12` copy branch exactly (x / 1.0 == x),
+    // keeping the division loop below branch-free.
     let mut divisor = [1.0f64; RHO_LANES];
     for (div, &n_sq) in divisor.iter_mut().zip(&norm_sq) {
         let n = n_sq.sqrt();
@@ -1065,20 +831,39 @@ fn rho_reduce_lanes(
     }
 }
 
-/// Pushes the flat indices of every grid cell overlapping `rect` (clipped to the frame).
-fn mark_dirty_cells(dims: GridDims, width: u32, height: u32, rect: &Rect, dirty: &mut Vec<u32>) {
-    let r = rect.intersect(&Rect::new(0, 0, width, height));
-    if r.is_empty() {
-        return;
-    }
-    let cell = dims.cell as i64;
-    let col0 = (r.x / cell) as u32;
-    let row0 = (r.y / cell) as u32;
-    let col1 = (((r.right() - 1) / cell) as u32).min(dims.cols - 1);
-    let row1 = (((r.bottom() - 1) / cell) as u32).min(dims.rows - 1);
-    for row in row0..=row1 {
-        for col in col0..=col1 {
-            dirty.push(dims.index(row, col) as u32);
+/// Indices (offset by `base`) of the bits set in `words`, ascending.
+fn set_bits(words: &[u64], base: usize) -> impl Iterator<Item = usize> + '_ {
+    words.iter().enumerate().flat_map(move |(at, &word)| {
+        let rest = |w: u64| (w != 0).then_some(w);
+        std::iter::successors(rest(word), move |&w| rest(w & (w - 1)))
+            .map(move |w| base + at * 64 + w.trailing_zeros() as usize)
+    })
+}
+
+/// Marks the cells whose coverage can differ after one placement moved from `old` to
+/// `new`: every cell overlapping either rect, minus the cells lying fully inside both —
+/// the object covers those at exactly 1.0 before and after, and any *other* object that
+/// changed over them marks them itself.
+fn mark_moved(dims: GridDims, frame: &Frame, old: &Rect, new: &Rect, dirty: &mut [u64]) {
+    let unchanged = old.intersect(new);
+    for rect in [old, new] {
+        let r = rect.intersect(&frame.rect());
+        if r.is_empty() {
+            continue;
+        }
+        let cell = dims.cell as i64;
+        let col0 = (r.x / cell) as u32;
+        let row0 = (r.y / cell) as u32;
+        let col1 = (((r.right() - 1) / cell) as u32).min(dims.cols - 1);
+        let row1 = (((r.bottom() - 1) / cell) as u32).min(dims.rows - 1);
+        for row in row0..=row1 {
+            for col in col0..=col1 {
+                let cell_rect = dims.cell_rect(row, col, frame.width, frame.height);
+                if cell_rect.intersect(&unchanged) != cell_rect {
+                    let idx = dims.index(row, col);
+                    dirty[idx / 64] |= 1 << (idx % 64);
+                }
+            }
         }
     }
 }
@@ -1333,8 +1118,8 @@ mod tests {
 
     #[test]
     fn scratch_survives_model_switch_with_different_dim() {
-        // Sharing one scratch across models is discouraged but must not panic: the memoized
-        // query embedding and the extra-concept cache are invalidated by dimension.
+        // Sharing one scratch across models costs a full recompute per switch but is safe:
+        // everything memoized is bound to the model's identity (see `bind_model`).
         let coarse = ClipModel::mobile_default();
         let wide = ClipModel::new(
             ClipConfig {
@@ -1431,74 +1216,6 @@ mod tests {
     }
 
     #[test]
-    fn parallel_path_is_bit_identical_to_sequential_for_every_pool_size() {
-        let model = ClipModel::mobile_default();
-        let source = VideoSource::new(basketball_game(1), SourceConfig::fps30(5.0));
-        let query = TextQuery::from_words(
-            "Could you tell me the present score of the game?",
-            model.ontology(),
-        );
-        for lanes in [1usize, 2, 3, 8] {
-            let pool = MiniPool::new(lanes);
-            let mut scratch = ClipParScratch::new();
-            for frame_idx in [0u64, 15, 30, 0] {
-                let frame = source.frame(frame_idx);
-                let naive = model.correlation_map_naive(&frame, &query);
-                let par = model.correlation_map_par(&frame, &query, &pool, &mut scratch);
-                assert_eq!(par, &naive, "lanes {lanes} frame {frame_idx}");
-            }
-        }
-    }
-
-    #[test]
-    fn parallel_path_handles_empty_queries_and_query_switches() {
-        let model = ClipModel::mobile_default();
-        let pool = MiniPool::new(4);
-        let mut scratch = ClipParScratch::new();
-        let frame = frame_of(dog_park(1));
-        // Empty query: the all-zero map, same as the naive path.
-        let empty = TextQuery::from_words("qqq zzz", model.ontology());
-        let map = model.correlation_map_par(&frame, &empty, &pool, &mut scratch);
-        assert_eq!(map, &model.correlation_map_naive(&frame, &empty));
-        // Switching to a real query through the same scratch still matches.
-        let real = TextQuery::from_words("Is the dog erect-eared?", model.ontology());
-        let map = model.correlation_map_par(&frame, &real, &pool, &mut scratch);
-        assert_eq!(map, &model.correlation_map_naive(&frame, &real));
-        // And the scratch composes with the sequential/coherent paths: the recorded
-        // coherence state lets a follow-up frame take the incremental path correctly.
-        let source = VideoSource::new(dog_park(1), SourceConfig::fps30(5.0));
-        let next = source.frame(1);
-        let coherent = model.correlation_map_coherent(&next, &real, &mut scratch.seq);
-        assert_eq!(coherent, &model.correlation_map_naive(&next, &real));
-    }
-
-    #[test]
-    fn parallel_path_matches_on_out_of_ontology_concepts() {
-        use aivc_scene::{Scene, SceneObject};
-        let mut scene = Scene::new("novel", 1920, 1080).with_background(
-            0.2,
-            0.1,
-            vec![(Concept::new("mystery-backdrop"), 1.0)],
-        );
-        scene.add_object(
-            SceneObject::new(1, "gizmo", aivc_scene::Rect::new(640, 256, 512, 384))
-                .with_concept("unheard-of-gizmo", 1.0)
-                .with_detail(0.5)
-                .with_texture(0.5),
-        );
-        let model = ClipModel::mobile_default();
-        let frame = Frame::sample(&scene, 0, 0, 0.0);
-        let query = TextQuery::from_concepts("find the gizmo", ["unheard-of-gizmo"]);
-        let naive = model.correlation_map_naive(&frame, &query);
-        let pool = MiniPool::new(3);
-        let mut scratch = ClipParScratch::new();
-        assert_eq!(
-            model.correlation_map_par(&frame, &query, &pool, &mut scratch),
-            &naive
-        );
-    }
-
-    #[test]
     fn batch_kernel_matches_naive_for_every_tail_length() {
         // Frame sizes chosen so the patch count sweeps 1..=20 plus the 1080p grid (510):
         // pure-tail grids (fewer patches than the 8 kernel lanes), exact multiples of the
@@ -1533,12 +1250,6 @@ mod tests {
             let mut scratch = ClipScratch::new();
             let optimized = model.correlation_map_with(&frame, &query, &mut scratch);
             assert_eq!(optimized, &naive, "{patches} patches ({cols}x{rows})");
-            for lanes in [2usize, 8] {
-                let pool = MiniPool::new(lanes);
-                let mut par_scratch = ClipParScratch::new();
-                let par = model.correlation_map_par(&frame, &query, &pool, &mut par_scratch);
-                assert_eq!(par, &naive, "{patches} patches, {lanes} lanes");
-            }
         }
     }
 
@@ -1565,5 +1276,274 @@ mod tests {
             model.correlation_map(&frame, &q),
             model.correlation_map(&frame, &q)
         );
+    }
+
+    #[test]
+    fn scratch_shared_by_two_models_recomputes_for_the_second() {
+        // Equal `dim` and `patch_size`, so nothing but the model identity tells them apart:
+        // a calibration-bias change, an ontology with one more relation, one more concept.
+        let first = ClipModel::mobile_default();
+        let unbiased = ClipModel::new(
+            ClipConfig {
+                similarity_bias: 0.0,
+                ..ClipConfig::mobile_clip()
+            },
+            Ontology::standard(),
+        );
+        let mut related = Ontology::standard();
+        related.relate("score", "grass", 0.9);
+        let related = ClipModel::new(ClipConfig::mobile_clip(), related);
+        let mut grown = Ontology::standard();
+        grown.add_concept("aardvark"); // sorts first: shifts every table index
+        let grown = ClipModel::new(ClipConfig::mobile_clip(), grown);
+        let frame = frame_of(basketball_game(1));
+        let query = TextQuery::from_words("Could you tell me the present score?", first.ontology());
+        assert_ne!(
+            first.correlation_map_naive(&frame, &query),
+            unbiased.correlation_map_naive(&frame, &query)
+        );
+        let everything: Vec<usize> = (0..510).collect();
+        for second in [&unbiased, &related, &grown] {
+            let expected = second.correlation_map_naive(&frame, &query);
+            let mut scratch = ClipScratch::new();
+            let _ = first.correlation_map_coherent(&frame, &query, &mut scratch);
+            assert_eq!(
+                second.correlation_map_coherent(&frame, &query, &mut scratch),
+                &expected
+            );
+            let _ = first.correlation_map_coherent(&frame, &query, &mut scratch);
+            assert_eq!(
+                second.correlation_map_update(&frame, &query, &[], &mut scratch),
+                &expected
+            );
+            let _ = first.correlation_map_update(&frame, &query, &everything, &mut scratch);
+            assert_eq!(
+                second.correlation_map_with(&frame, &query, &mut scratch),
+                &expected
+            );
+            // And back again.
+            let back = first.correlation_map_coherent(&frame, &query, &mut scratch);
+            assert_eq!(back, &first.correlation_map_naive(&frame, &query));
+        }
+    }
+
+    /// Deterministic generator for the property-style tests below.
+    struct Lcg(u64);
+
+    impl Lcg {
+        /// A value in `lo..hi`.
+        fn range(&mut self, lo: i64, hi: i64) -> i64 {
+            self.0 = self
+                .0
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            lo + ((self.0 >> 33) % (hi - lo) as u64) as i64
+        }
+    }
+
+    /// The dirty-cell count of the rule the tight dirty set replaced: every cell
+    /// overlapping the old or the new rect of a placement that moved.
+    fn rect_union_rule_cells(
+        dims: GridDims,
+        frame: &Frame,
+        before: &[aivc_scene::frame::ObjectPlacement],
+    ) -> usize {
+        let mut dirty = vec![false; dims.len()];
+        for (old, new) in before.iter().zip(&frame.placements) {
+            if old.region == new.region {
+                continue;
+            }
+            for (idx, cell_dirty) in dirty.iter_mut().enumerate() {
+                let (row, col) = dims.position(idx);
+                let cell = dims.cell_rect(row, col, frame.width, frame.height);
+                *cell_dirty |= [old, new].iter().any(|p| !cell.intersect(&p.region).is_empty());
+            }
+        }
+        dirty.iter().filter(|d| **d).count()
+    }
+
+    #[test]
+    fn tight_dirty_set_matches_a_fresh_map_and_never_exceeds_the_rect_union_rule() {
+        use aivc_scene::{Scene, SceneObject};
+        let model = ClipModel::mobile_default();
+        let query = TextQuery::from_words("score scoreboard crowd", model.ontology());
+        let (mut tight_total, mut union_total) = (0usize, 0usize);
+        for seed in 0..10u64 {
+            let mut rng = Lcg(seed);
+            // Neither edge is a multiple of the 64-pixel patch.
+            let (width, height) = (700 + 37 * seed as u32, 410 + 23 * seed as u32);
+            let mut scene = Scene::new("motion", width, height).with_background(
+                0.3,
+                0.1,
+                vec![(Concept::new("court"), 0.6)],
+            );
+            for (id, concept) in ["scoreboard", "crowd", "player", "score", "jersey", "unheard-of"]
+                .into_iter()
+                .enumerate()
+            {
+                scene.add_object(
+                    SceneObject::new(id as u32 + 1, concept, Rect::new(0, 0, 1, 1))
+                        .with_concept(concept, 0.9),
+                );
+            }
+            let mut frame = Frame::sample(&scene, 0, 0, 0.0);
+            for placement in &mut frame.placements {
+                // Large enough to hold whole cells, so "fully inside both" occurs.
+                placement.region = Rect::new(
+                    rng.range(-100, width as i64),
+                    rng.range(-100, height as i64),
+                    rng.range(40, 400) as u32,
+                    rng.range(40, 300) as u32,
+                );
+            }
+            let dims = GridDims::for_frame(width, height, model.config().patch_size);
+            let mut scratch = ClipScratch::new();
+            let _ = model.correlation_map_coherent(&frame, &query, &mut scratch);
+            for step in 0..60 {
+                let before = frame.placements.clone();
+                let count = frame.placements.len() as i64;
+                for _ in 0..rng.range(1, 4) {
+                    let at = rng.range(0, count) as usize;
+                    let other = rng.range(0, count) as usize;
+                    let r = frame.placements[at].region;
+                    frame.placements[at].region = match rng.range(0, 5) {
+                        // Sub-cell move.
+                        0 => r.translated(rng.range(-20, 21), rng.range(-20, 21)),
+                        // Jump anywhere, including off the frame.
+                        1 => Rect::new(
+                            rng.range(-500, width as i64 + 200),
+                            rng.range(-400, height as i64 + 200),
+                            r.w,
+                            r.h,
+                        ),
+                        // Resize in place.
+                        2 => Rect::new(r.x, r.y, rng.range(1, 500) as u32, rng.range(1, 400) as u32),
+                        // Cross another object: land on top of it.
+                        3 => frame.placements[other]
+                            .region
+                            .translated(rng.range(-30, 31), rng.range(-30, 31)),
+                        // Leave the frame.
+                        _ => Rect::new(width as i64 + 10, r.y, r.w, r.h),
+                    };
+                }
+                let coherent = model.correlation_map_coherent(&frame, &query, &mut scratch);
+                assert_eq!(
+                    coherent,
+                    &model.correlation_map(&frame, &query),
+                    "seed {seed} step {step}"
+                );
+                let tight: usize = scratch.dirty.iter().map(|w| w.count_ones() as usize).sum();
+                let union = rect_union_rule_cells(dims, &frame, &before);
+                assert!(tight <= union, "seed {seed} step {step}: {tight} > {union}");
+                tight_total += tight;
+                union_total += union;
+            }
+        }
+        assert!(
+            tight_total < union_total,
+            "the sub-cell moves should have skipped interior cells: {tight_total} vs {union_total}"
+        );
+    }
+
+    #[test]
+    fn a_frame_whose_every_patch_is_its_own_class_classifies_in_constant_comparisons() {
+        // One small object per patch, each of a different id and a staggered size: no two
+        // patches share a class, the worst case for the class table.
+        use aivc_scene::{Scene, SceneObject};
+        let (width, height) = (1920u32, 1080u32);
+        let mut scene = Scene::new("confetti", width, height).with_background(
+            0.3,
+            0.1,
+            vec![(Concept::new("court"), 0.6)],
+        );
+        let dims = GridDims::for_frame(width, height, 64);
+        for idx in 0..dims.len() {
+            let (row, col) = dims.position(idx);
+            let region = Rect::new(
+                col as i64 * 64 + (idx % 7) as i64,
+                row as i64 * 64 + (idx % 5) as i64,
+                8 + (idx % 40) as u32,
+                8 + (idx % 31) as u32,
+            );
+            let concept = ["scoreboard", "crowd", "score", "unheard-of"][idx % 4];
+            scene.add_object(SceneObject::new(idx as u32 + 1, "fleck", region).with_concept(concept, 0.8));
+        }
+        let frame = Frame::sample(&scene, 0, 0, 0.0);
+        let model = ClipModel::mobile_default();
+        let query = TextQuery::from_words("score scoreboard", model.ontology());
+        let naive = model.correlation_map_naive(&frame, &query);
+        let mut scratch = ClipScratch::new();
+        assert_eq!(model.correlation_map_with(&frame, &query, &mut scratch), &naive);
+        assert_eq!(scratch.classes.len(), dims.len());
+        assert!(
+            scratch.classes.key_comparisons <= 2 * dims.len(),
+            "{} key comparisons for {} cells",
+            scratch.classes.key_comparisons,
+            dims.len()
+        );
+        // The per-cell source (few dirty cells) classifies the same way.
+        let some: Vec<usize> = (0..dims.len()).step_by(3).collect();
+        assert_eq!(
+            model.correlation_map_update(&frame, &query, &some, &mut scratch),
+            &naive
+        );
+        assert_eq!(scratch.classes.len(), some.len());
+    }
+
+    #[test]
+    fn concept_lists_are_kept_while_valid_and_re_resolved_when_not() {
+        let model = ClipModel::mobile_default();
+        let source = VideoSource::new(basketball_game(1), SourceConfig::fps30(5.0));
+        let score = TextQuery::from_words("score", model.ontology());
+        let crowd = TextQuery::from_words("How many spectators can be seen?", model.ontology());
+        let mut scratch = ClipScratch::new();
+        // A trailing entry no object's slice refers to: harmless to the maps, gone after
+        // any re-resolution.
+        let plant = |scratch: &mut ClipScratch| scratch.concepts.flat.push((0, 0.0));
+        let planted = |scratch: &ClipScratch, frame: &Frame| {
+            let mut fresh = ResolvedConcepts::default();
+            fresh.resolve_frame(&model, frame);
+            assert_eq!(scratch.concepts.object_entries, fresh.object_entries);
+            assert_eq!(scratch.concepts.background_flat, fresh.background_flat);
+            match scratch.concepts.flat.strip_suffix(&[(0, 0.0)]) {
+                Some(rest) if rest == fresh.flat => true,
+                _ => {
+                    assert_eq!(scratch.concepts.flat, fresh.flat);
+                    false
+                }
+            }
+        };
+        let _ = model.correlation_map_coherent(&source.frame(0), &score, &mut scratch);
+        plant(&mut scratch);
+        // Same scene, same query, objects moved: the lists are kept.
+        let frame = source.frame(1);
+        let map = model.correlation_map_coherent(&frame, &score, &mut scratch);
+        assert_eq!(map, &model.correlation_map_naive(&frame, &score));
+        assert!(planted(&scratch, &frame));
+        // A query change re-resolves.
+        let frame = source.frame(2);
+        let map = model.correlation_map_coherent(&frame, &crowd, &mut scratch);
+        assert_eq!(map, &model.correlation_map_naive(&frame, &crowd));
+        assert!(!planted(&scratch, &frame));
+        // A fingerprint change (an object's concept edited) re-resolves — on the coherent
+        // path and on the explicit-update path, which trusts only the dirty set.
+        plant(&mut scratch);
+        let mut edited = source.frame(3);
+        edited.objects[0].concepts[0].0 = Concept::new("grass");
+        let map = model.correlation_map_coherent(&edited, &crowd, &mut scratch);
+        assert_eq!(map, &model.correlation_map_naive(&edited, &crowd));
+        assert!(!planted(&scratch, &edited));
+        plant(&mut scratch);
+        edited.objects[0].concepts[0].0 = Concept::new("unheard-of");
+        let everything: Vec<usize> = (0..510).collect();
+        let map = model.correlation_map_update(&edited, &crowd, &everything, &mut scratch);
+        assert_eq!(map, &model.correlation_map_naive(&edited, &crowd));
+        assert!(!planted(&scratch, &edited));
+        // A stolen map re-resolves.
+        plant(&mut scratch);
+        let _ = scratch.take_map();
+        let map = model.correlation_map_coherent(&edited, &crowd, &mut scratch);
+        assert_eq!(map, &model.correlation_map_naive(&edited, &crowd));
+        assert!(!planted(&scratch, &edited));
     }
 }

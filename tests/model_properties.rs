@@ -7,12 +7,14 @@ use aivchat::core::{ChatServer, ChatSession, QpAllocator, QpAllocatorConfig};
 use aivchat::mllm::{MllmChat, Question, QuestionFormat};
 use aivchat::par::MiniPool;
 use aivchat::scene::templates::TemplateKind;
-use aivchat::scene::{Frame, SourceConfig, VideoSource};
-use aivchat::semantics::{ClipModel, ClipParScratch, ClipScratch, TextQuery};
+use aivchat::scene::{Frame, Ontology, Rect, Scene, SceneObject, SourceConfig, VideoSource};
+use aivchat::semantics::{ClipConfig, ClipModel, ClipScratch, TextQuery};
 use aivchat::videocodec::{
     Decoder, EncodeScratch, EncodedFrame, Encoder, EncoderConfig, FrameType, Qp, QpMap, RatePlan, RdModel,
 };
 use proptest::prelude::*;
+use rand::{Rng, SeedableRng};
+use rand_chacha::ChaCha8Rng;
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
@@ -118,36 +120,92 @@ proptest! {
     }
 }
 
-// The parallel-equivalence and encode-equivalence properties run whole turns and several
-// full-frame encodes per case, so they use fewer cases than the scalar properties above
-// (each parallel case already sweeps pool sizes 1, 2 and 8).
+// Random scenes are cheap (small frames) and vary in many more ways than the templates do,
+// so this property gets more cases.
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// Every scratch-taking correlation form is the one classify → evaluate → scatter
+    /// pipeline, so all of them — full, coherent (cold, then warm onto an unrelated layout
+    /// of the same objects), explicit update with a superset dirty set — equal the naive
+    /// per-patch reference bit for bit, over random scenes with overlapping objects,
+    /// objects partly or fully outside the frame, out-of-ontology and zero-weight
+    /// concepts, an empty query, and frame sizes the patch size does not divide.
+    #[test]
+    fn every_correlation_form_matches_naive_on_random_scenes(
+        seed in 0u64..1_000_000,
+        width in 100u32..900,
+        height in 70u32..600,
+        object_count in 0usize..14,
+        config in [ClipConfig::mobile_clip(), ClipConfig::mobile_clip_fine()],
+        query_idx in 0usize..4,
+    ) {
+        const CONCEPTS: [&str; 8] =
+            ["scoreboard", "score", "crowd", "grass", "dog-head", "jersey", "unheard-of-gizmo", "mystery-widget"];
+        let mut rng = ChaCha8Rng::seed_from_u64(seed);
+        let mut scene = Scene::new("random", width, height).with_background(
+            0.3,
+            0.1,
+            vec![("court".into(), 0.7), ("mystery-backdrop".into(), rng.gen_range(0.0..1.0))],
+        );
+        for id in 0..object_count as u32 {
+            let mut object = SceneObject::new(id + 1, "thing", Rect::new(0, 0, 1, 1));
+            for _ in 0..rng.gen_range(0..4) {
+                // One weight in four is exactly zero.
+                let weight = if rng.gen_range(0..4) == 0 { 0.0 } else { rng.gen_range(0.05..1.0) };
+                object = object.with_concept(CONCEPTS[rng.gen_range(0..CONCEPTS.len())], weight);
+            }
+            scene.add_object(object);
+        }
+        // Rects from well outside the frame to well inside it, any size up to the frame's:
+        // they overlap each other, straddle the borders, and sometimes miss the frame.
+        let layout = |rng: &mut ChaCha8Rng| {
+            let mut frame = Frame::sample(&scene, 0, 0, 0.0);
+            for placement in &mut frame.placements {
+                placement.region = Rect::new(
+                    rng.gen_range(-(width as i64)..width as i64 + 100),
+                    rng.gen_range(-(height as i64)..height as i64 + 100),
+                    rng.gen_range(1..=width),
+                    rng.gen_range(1..=height),
+                );
+            }
+            frame
+        };
+        let frame_a = layout(&mut rng);
+        let frame_b = layout(&mut rng);
+        let model = ClipModel::new(config, Ontology::standard());
+        let query = match query_idx {
+            0 => TextQuery::from_words("what is the score on the scoreboard", model.ontology()),
+            1 => TextQuery::from_concepts("find the gizmo", ["unheard-of-gizmo"]),
+            2 => TextQuery::from_words("qqq zzz", model.ontology()), // empty query
+            _ => TextQuery::from_words_and_concepts("is the dog on the grass", model.ontology(), ["mystery-widget"]),
+        };
+        let naive_a = model.correlation_map_naive(&frame_a, &query);
+        let naive_b = model.correlation_map_naive(&frame_b, &query);
+
+        let mut scratch = ClipScratch::new();
+        prop_assert_eq!(model.correlation_map_with(&frame_a, &query, &mut scratch), &naive_a);
+        prop_assert_eq!(model.correlation_map_coherent(&frame_b, &query, &mut scratch), &naive_b);
+        let mut scratch = ClipScratch::new();
+        prop_assert_eq!(model.correlation_map_coherent(&frame_a, &query, &mut scratch), &naive_a);
+        prop_assert_eq!(model.correlation_map_coherent(&frame_b, &query, &mut scratch), &naive_b);
+        prop_assert_eq!(model.correlation_map_coherent(&frame_a, &query, &mut scratch), &naive_a);
+
+        // Explicit update: the cells whose value differs plus arbitrary extras.
+        let mut dirty: Vec<usize> = (0..naive_a.dims().len())
+            .filter(|&i| naive_a.values()[i].to_bits() != naive_b.values()[i].to_bits() || rng.gen_range(0..5) == 0)
+            .collect();
+        dirty.push(usize::MAX);
+        let updated = model.correlation_map_update(&frame_b, &query, &dirty, &mut scratch);
+        prop_assert_eq!(updated, &naive_b);
+    }
+}
+
+// The encode-equivalence and pooled-server properties run several full-frame encodes or
+// whole turns per case, so they use fewer cases than the scalar properties above (each
+// server case already sweeps pool sizes 1, 2 and 8).
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(8))]
-
-    /// The data-parallel correlation map is bit-identical to the naive recompute for every
-    /// pool size, template, frame and question — where a patch runs must never change what
-    /// it computes.
-    #[test]
-    fn parallel_correlation_is_pool_size_independent(
-        template_idx in 0usize..5,
-        seed in 0u64..20,
-        fact_idx in 0usize..4,
-        frame_idx in 0u64..60,
-    ) {
-        let scene = TemplateKind::ALL[template_idx].build(seed);
-        let fact = &scene.facts[fact_idx % scene.facts.len()];
-        let model = ClipModel::mobile_default();
-        let query = TextQuery::from_words_and_concepts(&fact.question, model.ontology(), fact.query_concepts.clone());
-        let frame = VideoSource::new(scene.clone(), SourceConfig::fps30(3.0)).frame(frame_idx);
-        let reference = model.correlation_map_naive(&frame, &query);
-        // 1, 2, 8 lanes always; plus the CI-pinned AIVC_POOL_SIZE configuration.
-        for lanes in [1usize, 2, 8, MiniPool::env_lanes()] {
-            let pool = MiniPool::new(lanes);
-            let mut scratch = ClipParScratch::new();
-            let par = model.correlation_map_par(&frame, &query, &pool, &mut scratch);
-            prop_assert_eq!(par, &reference);
-        }
-    }
 
     /// The three encode entry points are one walk: a warm `encode_into` scratch, a planned
     /// encode (plan prepared with or without a base map) and the allocating form agree
