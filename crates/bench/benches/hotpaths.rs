@@ -7,10 +7,11 @@ use aivc_bench::hotpath_suite::coherence_scene;
 use aivc_mllm::{MllmChat, Question, QuestionFormat};
 use aivc_par::MiniPool;
 use aivc_rtc::packetizer::{OutgoingFrame, Packetizer};
+use aivc_scene::grid_content::GridContent;
 use aivc_scene::templates::basketball_game;
 use aivc_scene::{Frame, SourceConfig, VideoSource};
 use aivc_semantics::{ClipModel, ClipScratch, TextQuery};
-use aivc_videocodec::{Decoder, Encoder, EncoderConfig, Qp, QpMap};
+use aivc_videocodec::{Decoder, EncodeScratch, EncodedFrame, Encoder, EncoderConfig, Qp, QpMap};
 use aivchat_core::{ChatServer, ChatSession, QpAllocator, QpAllocatorConfig};
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
@@ -46,11 +47,22 @@ fn bench_packetizer(c: &mut Criterion) {
 }
 
 fn bench_encoder(c: &mut Criterion) {
-    let source = VideoSource::new(basketball_game(1), SourceConfig::fps30(5.0));
-    let frame = source.frame(0);
+    // A held scratch over two alternating frames of the coherence scene: the encode's plan
+    // refreshes the blocks that moved, then the walk writes all 510.
+    let source = VideoSource::new(coherence_scene(), SourceConfig::fps30(1.0));
+    let frames = [source.frame(0), source.frame(1)];
     let encoder = Encoder::new(EncoderConfig::default());
+    let map = QpMap::uniform(encoder.grid_for(&frames[0]), Qp::new(32));
     c.bench_function("encode_1080p_frame_uniform_qp", |b| {
-        b.iter(|| black_box(encoder.encode_uniform(black_box(&frame), Qp::new(32))));
+        let mut scratch = EncodeScratch::new();
+        let mut encoded = EncodedFrame::placeholder();
+        let mut toggle = false;
+        b.iter(|| {
+            toggle = !toggle;
+            let frame = &frames[usize::from(toggle)];
+            encoder.encode_into(black_box(frame), &map, &mut scratch, &mut encoded);
+            black_box(encoded.total_bytes())
+        });
     });
 }
 
@@ -106,6 +118,23 @@ fn bench_clip_incremental(c: &mut Criterion) {
             let frame = if toggle { &frame_b } else { &frame_a };
             let map = model.correlation_map_coherent(black_box(frame), &query, &mut scratch);
             black_box(map.values().len())
+        });
+    });
+}
+
+fn bench_grid_update(c: &mut Criterion) {
+    // The primitive under the incremental CLIP map and the rate plan: one raster update at
+    // the same ~10 % dirty rate.
+    let source = VideoSource::new(coherence_scene(), SourceConfig::fps30(1.0));
+    let frames = [source.frame(0), source.frame(1)];
+    c.bench_function("grid_content_update_10pct_dirty", |b| {
+        let mut grid = GridContent::new();
+        grid.update(&frames[0], 64);
+        let mut toggle = false;
+        b.iter(|| {
+            toggle = !toggle;
+            grid.update(black_box(&frames[usize::from(toggle)]), 64);
+            black_box(grid.dirty_cells().count())
         });
     });
 }
@@ -182,6 +211,6 @@ fn bench_mllm_answer(c: &mut Criterion) {
 criterion_group! {
     name = benches;
     config = Criterion::default().sample_size(20);
-    targets = bench_packetizer, bench_encoder, bench_decoder, bench_clip_correlation, bench_clip_incremental, bench_qp_allocation, bench_mllm_answer, bench_pipeline_turn, bench_throughput
+    targets = bench_packetizer, bench_encoder, bench_decoder, bench_clip_correlation, bench_clip_incremental, bench_grid_update, bench_qp_allocation, bench_mllm_answer, bench_pipeline_turn, bench_throughput
 }
 criterion_main!(benches);

@@ -7,6 +7,7 @@ use aivc_mllm::{MllmChat, MllmScratch, Question, QuestionFormat};
 use aivc_netsim::PathConfig;
 use aivc_rtc::packetizer::{OutgoingFrame, Packetizer};
 use aivc_rtc::rtp::RtpPacket;
+use aivc_scene::grid_content::GridContent;
 use aivc_scene::templates::basketball_game;
 use aivc_scene::{Concept, Frame, GridDims, Rect, Scene, SceneObject, SourceConfig, VideoSource};
 use aivc_semantics::{ClipModel, ClipScratch, TextQuery};
@@ -154,16 +155,27 @@ pub fn measure_hotpaths_matching(
         ));
     }
 
-    // 2. Uniform-QP encode of a 1080p frame.
+    // 2. Uniform-QP encode of a 1080p frame through a held scratch, alternating the two
+    // coherence-scene frames: the encode's plan refreshes the ~10 % of blocks that moved
+    // (re-encoding one frame would measure the nothing-moved path), then walks all 510.
     if wants(only, "encode_1080p_frame_uniform_qp") {
-        let source = VideoSource::new(basketball_game(1), SourceConfig::fps30(5.0));
-        let frame = source.frame(0);
+        let source = VideoSource::new(coherence_scene(), SourceConfig::fps30(1.0));
+        let frames = [source.frame(0), source.frame(1)];
         let encoder = Encoder::new(EncoderConfig::default());
+        let map = QpMap::uniform(encoder.grid_for(&frames[0]), Qp::new(32));
+        let mut scratch = EncodeScratch::new();
+        let mut encoded = EncodedFrame::placeholder();
+        let mut toggle = false;
         hotpaths.push(measure_hotpath(
             "encode_1080p_frame_uniform_qp",
             samples,
             target_sample_ms,
-            || black_box(encoder.encode_uniform(black_box(&frame), Qp::new(32))),
+            || {
+                toggle = !toggle;
+                let frame = &frames[usize::from(toggle)];
+                encoder.encode_into(black_box(frame), &map, &mut scratch, &mut encoded);
+                encoded.total_bytes()
+            },
         ));
     }
 
@@ -231,6 +243,26 @@ pub fn measure_hotpaths_matching(
                 let frame = if toggle { &frame_b } else { &frame_a };
                 let map = model.correlation_map_coherent(black_box(frame), &query, &mut scratch);
                 map.values().len()
+            },
+        ));
+    }
+
+    // 3c. The primitive under both of the above: one incremental raster update at the same
+    // ~10 % dirty rate (mark the moved cells, recompute them, splice the coverage table).
+    if wants(only, "grid_content_update_10pct_dirty") {
+        let source = VideoSource::new(coherence_scene(), SourceConfig::fps30(1.0));
+        let frames = [source.frame(0), source.frame(1)];
+        let mut grid = GridContent::new();
+        grid.update(&frames[0], 64);
+        let mut toggle = false;
+        hotpaths.push(measure_hotpath(
+            "grid_content_update_10pct_dirty",
+            samples,
+            target_sample_ms,
+            || {
+                toggle = !toggle;
+                grid.update(black_box(&frames[usize::from(toggle)]), 64);
+                grid.dirty_cells().count()
             },
         ));
     }

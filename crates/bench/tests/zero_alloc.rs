@@ -278,9 +278,9 @@ fn main() {
     // encodes → packetize + FEC protect → pace → emulated link → reassembly → decode →
     // MLLM answer → report + retirement, all through the discrete-event loop. On a clean
     // (lossless, jitter-free) path the steady state touches only ring buffers and
-    // reusable scratches, so post-warmup turns are allocation-free end to end. Loss
-    // recovery (NACK lists, retransmission batches) is event-driven repair work, not
-    // steady state, and is deliberately outside this guarantee.
+    // reusable scratches, so post-warmup turns are allocation-free end to end. (Loss
+    // repair is inside the guarantee too: the moving-window section below runs on the
+    // paper's 1 % loss path.)
     let mut options = NetSessionOptions::ai_oriented(7, PathConfig::paper_section_2_2(0.0));
     options.capture_fps = 12.0;
     let mut conversation = Conversation::with_defaults(options, SimDuration::from_millis(200));
@@ -300,11 +300,20 @@ fn main() {
         "Conversation::run_turn_in_place allocated {conversation_allocs} times across {measured_turns} post-warmup turns"
     );
 
-    // --- motion: the same, cycling sixteen *distinct* moving windows (the end-to-end
-    // benchmark's inputs: the basketball clip, window starts 0.35 s apart, 4 frames at
-    // 12 fps). Every frame's object coverage differs from the slot's previous occupant;
-    // frames carry it as one table refilled in place, so once every window has been seen
-    // a turn is as heap-free under motion as on a repeated window.
+    // --- motion and loss: the same, cycling sixteen *distinct* moving windows (the
+    // end-to-end benchmark's inputs: the basketball clip, window starts 0.35 s apart, 4
+    // frames at 12 fps) on the benchmark's path, `paper_section_2_2(0.01)` — 1 % i.i.d.
+    // loss, so about one turn in six loses a packet. Every frame's object coverage differs
+    // from the slot's previous occupant; frames carry it as one table refilled in place
+    // and the rasters splice only the cells that moved. On a turn that loses a packet, gap
+    // detection, the NACK poll, the retransmission and XOR recovery all run from buffers
+    // kept across turns (the NACK generator's pending list is a sorted `Vec` that is never
+    // dropped; `FecRecovery::recoverable` hands its index back by value), so repair is as
+    // heap-free as delivery. What may still allocate is a high-water buffer's next
+    // doubling when a rarer loss pattern stacks one more concurrent event than any turn
+    // before it did (the event queue's slab and heap, the pending-feedback ring: one
+    // doubling each inside the first 320 turns at this seed, none in the 3 000 after) —
+    // warm-up growth, not per-turn work, hence the twenty warm-up passes.
     let clip = VideoSource::new(basketball_game(1), SourceConfig::fps30(6.0));
     let windows: Vec<Vec<Frame>> = (0..16)
         .map(|k| {
@@ -313,22 +322,29 @@ fn main() {
                 .collect()
         })
         .collect();
-    let mut options = NetSessionOptions::ai_oriented(11, PathConfig::paper_section_2_2(0.0));
+    let mut options = NetSessionOptions::ai_oriented(11, PathConfig::paper_section_2_2(0.01));
     options.capture_fps = 12.0;
     let mut moving = Conversation::with_defaults(options, SimDuration::from_millis(200));
-    for window in windows.iter().chain(&windows) {
+    for window in windows.iter().cycle().take(20 * windows.len()) {
         let _ = moving.run_turn(window, &question);
     }
-    moving.reserve_turns(windows.len(), 4);
-    let before = allocations();
-    for window in &windows {
+    let measured_passes = 4;
+    moving.reserve_turns(measured_passes * windows.len(), 4);
+    let (before, mut packets_lost) = (allocations(), 0);
+    for window in windows.iter().cycle().take(measured_passes * windows.len()) {
         let report = moving.run_turn_in_place(black_box(window), &question);
+        packets_lost += report.packets_lost;
         black_box(report.answer.visual_tokens);
     }
     let moving_allocs = allocations() - before;
+    assert!(
+        packets_lost >= 4,
+        "the measured turns must exercise loss repair (lost {packets_lost} packets)"
+    );
     assert_eq!(
         moving_allocs, 0,
-        "a warm Conversation allocated {moving_allocs} times across sixteen distinct moving windows"
+        "a warm Conversation allocated {moving_allocs} times across {measured_passes} passes \
+         over sixteen distinct moving windows at 1 % loss"
     );
 
     // --- the think gap: between turns the conversation keeps the transport alive —

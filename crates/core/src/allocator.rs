@@ -277,17 +277,29 @@ impl QpAllocator {
     /// [`QpAllocator::allocate`] into a caller-owned map. Resampling happens on the fly
     /// (nearest-center per target cell, identical values to [`ImportanceMap::resample`]), so
     /// once `out` has grown to the encoder grid the call performs no heap allocation.
+    ///
+    /// Raster-order neighbours of one patch class share their ρ bit for bit (a 1080p frame
+    /// holds ≈ 23 classes over 510 cells), so the table is consulted once per run of equal
+    /// ρ: a one-entry `(ρ bits → QP)` memo, exact because Eq. 2 is a pure function of ρ.
     pub fn allocate_into(&self, importance: &ImportanceMap, encoder_grid: GridDims, out: &mut QpMap) {
+        let mut run: Option<(u64, Qp)> = None;
+        let mut qp_for = |rho: f64| match run {
+            Some((bits, qp)) if bits == rho.to_bits() => qp,
+            _ => {
+                let qp = self.qp_for_rho(rho);
+                run = Some((rho.to_bits(), qp));
+                qp
+            }
+        };
         out.begin_refill(encoder_grid);
         if importance.dims() == encoder_grid {
-            for rho in importance.values() {
-                out.push_value(self.qp_for_rho(*rho));
+            for &rho in importance.values() {
+                out.push_value(qp_for(rho));
             }
         } else {
             for row in 0..encoder_grid.rows {
                 for col in 0..encoder_grid.cols {
-                    let rho = importance.nearest_value_for_cell(encoder_grid, row, col);
-                    out.push_value(self.qp_for_rho(rho));
+                    out.push_value(qp_for(importance.nearest_value_for_cell(encoder_grid, row, col)));
                 }
             }
         }
@@ -502,5 +514,47 @@ mod tests {
         let a = QpAllocator::new(QpAllocatorConfig::paper());
         assert_eq!(a.qp_for_rho(7.0).value(), 0);
         assert_eq!(a.qp_for_rho(-7.0).value(), 51);
+    }
+
+    #[test]
+    fn allocate_into_matches_the_per_cell_reference_on_runs_and_edge_values() {
+        // Long runs, alternating values, signed zeros (equal values, different bits) and the
+        // endpoints — on the equal-grid branch and on the resampled one. (A map cannot hold
+        // NaN or |ρ| > 1: `ImportanceMap::new` rejects them.)
+        let patch_grid = GridDims::for_frame(640, 384, 64);
+        let edge = [0.0, -0.0, 1.0, -1.0, 0.3, -0.3, 1.0, 1.0];
+        let patterns: [Box<dyn Fn(usize) -> f64>; 4] = [
+            Box::new(|i| if i < 37 { 0.25 } else { -0.75 }),
+            Box::new(|i| if i % 2 == 0 { 0.6 } else { -0.6 }),
+            Box::new(move |i| edge[i % edge.len()]),
+            Box::new(move |i| edge[(i / 5) % edge.len()]),
+        ];
+        for config in [
+            QpAllocatorConfig::paper(),
+            QpAllocatorConfig::with_gamma(0.5),
+            QpAllocatorConfig::with_gamma(-1.0), // no table: the reference path, memoized
+        ] {
+            let allocator = QpAllocator::new(config);
+            for pattern in &patterns {
+                let values: Vec<f64> = (0..patch_grid.len()).map(pattern).collect();
+                let importance = ImportanceMap::new(patch_grid, 640, 384, values);
+                let mut out = QpMap::empty();
+                for cell in [64, 32, 48, 200] {
+                    let grid = GridDims::for_frame(640, 384, cell);
+                    allocator.allocate_into(&importance, grid, &mut out);
+                    assert_eq!(out.dims(), grid);
+                    for row in 0..grid.rows {
+                        for col in 0..grid.cols {
+                            let rho = importance.nearest_value_for_cell(grid, row, col);
+                            assert_eq!(
+                                out.get(row, col),
+                                allocator.qp_for_rho_reference(rho),
+                                "cell {cell} ({row}, {col}) rho {rho}"
+                            );
+                        }
+                    }
+                }
+            }
+        }
     }
 }

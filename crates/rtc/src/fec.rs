@@ -277,9 +277,14 @@ impl FecRecovery {
     }
 
     /// Records a received media packet. Returns nothing; use [`FecRecovery::recoverable`].
+    /// A second arrival of the same packet (original and retransmission, or a late
+    /// original after XOR recovery) is already on record, so the list never outgrows the
+    /// group and a pooled table's buffers stop growing after its first lossy turn.
     pub fn on_media(&mut self, frame_id: u64, group: u32, packet_index: usize) {
         if let Some(state) = self.group_mut(frame_id, group) {
-            state.received.push(packet_index);
+            if !state.received.contains(&packet_index) {
+                state.received.push(packet_index);
+            }
         }
     }
 
@@ -290,26 +295,21 @@ impl FecRecovery {
         }
     }
 
-    /// The media packet indices of `frame_id`/`group` that can be recovered right now
-    /// (exactly one missing media packet and the parity packet present).
-    pub fn recoverable(&self, frame_id: u64, group: u32) -> Vec<usize> {
-        let Some(state) = self.group(frame_id, group) else {
-            return Vec::new();
+    /// The media packet index of `frame_id`/`group` that can be recovered right now — at
+    /// most one: exactly one media packet missing and the parity packet present. The
+    /// iterator owns its item and nothing is allocated: the arrival path asks on every
+    /// packet of a lossy turn and feeds the answer straight back into this state.
+    pub fn recoverable(&self, frame_id: u64, group: u32) -> std::option::IntoIter<usize> {
+        let only_missing = || {
+            let state = self.group(frame_id, group).filter(|s| s.parity_received)?;
+            let mut missing = state
+                .expected
+                .iter()
+                .filter(|i| !state.received.contains(i))
+                .copied();
+            missing.next().filter(|_| missing.next().is_none())
         };
-        if !state.parity_received {
-            return Vec::new();
-        }
-        let missing: Vec<usize> = state
-            .expected
-            .iter()
-            .filter(|i| !state.received.contains(i))
-            .copied()
-            .collect();
-        if missing.len() == 1 {
-            missing
-        } else {
-            Vec::new()
-        }
+        only_missing().into_iter()
     }
 
     /// Drops group state for frames below `frame_id` — the history bound a long-lived
@@ -392,9 +392,9 @@ mod tests {
         rec.on_media(7, 0, 2);
         rec.on_media(7, 0, 3);
         // Missing: packet 1. Not recoverable until parity arrives.
-        assert!(rec.recoverable(7, 0).is_empty());
+        assert_eq!(rec.recoverable(7, 0).next(), None);
         rec.on_parity(7, 0);
-        assert_eq!(rec.recoverable(7, 0), vec![1]);
+        assert_eq!(rec.recoverable(7, 0).collect::<Vec<_>>(), vec![1]);
     }
 
     #[test]
@@ -406,7 +406,7 @@ mod tests {
         rec.on_media(7, 0, 0);
         rec.on_media(7, 0, 3);
         rec.on_parity(7, 0);
-        assert!(rec.recoverable(7, 0).is_empty());
+        assert_eq!(rec.recoverable(7, 0).next(), None);
     }
 
     #[test]
@@ -480,6 +480,6 @@ mod tests {
             rec.on_media(1, 0, i);
         }
         rec.on_parity(1, 0);
-        assert!(rec.recoverable(1, 0).is_empty());
+        assert_eq!(rec.recoverable(1, 0).next(), None);
     }
 }

@@ -9,7 +9,6 @@ use crate::rtp::RtpPacket;
 use crate::seq_ring::{SeqBitset, SeqRing};
 use aivc_sim::{SimDuration, SimTime};
 use serde::{Deserialize, Serialize};
-use std::collections::BTreeMap;
 
 /// Configuration of the receiver's NACK generator.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -49,7 +48,10 @@ struct PendingNack {
 pub struct NackGenerator {
     config: NackConfig,
     highest_seen: Option<u64>,
-    pending: BTreeMap<u64, PendingNack>,
+    /// Missing sequences, ascending. Gaps are detected in ascending order, so detection
+    /// appends, and the buffer is kept across turns: a conversation that loses a packet
+    /// now and then never allocates for it again.
+    pending: Vec<(u64, PendingNack)>,
     /// Receive history as a bitset ring: one bit per sequence, no per-arrival node
     /// allocations, retired wholesale at turn bounds.
     received: SeqBitset,
@@ -76,7 +78,7 @@ impl NackGenerator {
         Self {
             config,
             highest_seen: None,
-            pending: BTreeMap::new(),
+            pending: Vec::new(),
             received: SeqBitset::new(),
             nacks_sent: 0,
             deadline: None,
@@ -122,19 +124,26 @@ impl NackGenerator {
             // in history, nothing to drop or detect.
             return;
         }
-        self.pending.remove(&sequence);
+        if let Ok(at) = self.pending.binary_search_by_key(&sequence, |&(seq, _)| seq) {
+            self.pending.remove(at);
+        }
         match self.highest_seen {
             None => self.highest_seen = Some(sequence),
             Some(h) if sequence > h => {
-                // Everything between h+1 and sequence-1 is now known missing.
+                // Everything between h+1 and sequence-1 is now known missing — all of it
+                // above every sequence recorded so far, so appending keeps the order.
+                debug_assert!(self.pending.last().is_none_or(|&(seq, _)| seq <= h));
                 for missing in (h + 1)..sequence {
                     if !self.received.contains(missing) {
-                        self.pending.entry(missing).or_insert(PendingNack {
-                            detected_at: now,
-                            last_sent: None,
-                            retries: 0,
-                            deadline: self.deadline,
-                        });
+                        self.pending.push((
+                            missing,
+                            PendingNack {
+                                detected_at: now,
+                                last_sent: None,
+                                retries: 0,
+                                deadline: self.deadline,
+                            },
+                        ));
                     }
                 }
                 self.highest_seen = Some(sequence);
@@ -164,7 +173,7 @@ impl NackGenerator {
             max_retries,
         } = self.config;
         let recovery_estimate = self.recovery_estimate;
-        self.pending.retain(|&seq, state| {
+        self.pending.retain_mut(|(seq, state)| {
             if state.retries >= max_retries {
                 return false;
             }
@@ -184,7 +193,7 @@ impl NackGenerator {
             if guard_passed && retry_ok {
                 state.last_sent = Some(now);
                 state.retries += 1;
-                due.push(seq);
+                due.push(*seq);
             }
             true
         });
@@ -204,7 +213,8 @@ impl NackGenerator {
     pub fn forget_below(&mut self, seq: u64) {
         self.retire_bound = self.retire_bound.max(seq);
         self.received.forget_below(seq);
-        self.pending = self.pending.split_off(&seq);
+        let retired = self.pending.partition_point(|&(pending, _)| pending < seq);
+        self.pending.drain(..retired);
         if let Some(floor) = seq.checked_sub(1) {
             self.highest_seen = Some(self.highest_seen.map_or(floor, |h| h.max(floor)));
         }

@@ -8,16 +8,22 @@
 //! `region_content_into` walk in O(placements × cells-touched) instead of
 //! O(cells × placements).
 //!
+//! Consecutive captures differ in a few placements' rects, so [`GridContent::update`]
+//! recomputes only the cells those moves can have changed and reports them to whoever
+//! derives per-cell state from the raster (see [`GridContent`]).
+//!
 //! **Bit-identity.** For every cell, the placements contributing to it are visited in
 //! placement order (the outer loop ascends placements, and a placement touches a cell at
 //! most once), each contribution uses the same `coverage_by` value on the same operands,
 //! and the background/clamp finalization applies the same expressions in the same order —
 //! so every per-cell f64 accumulation sequence is *identical* to the scalar walk's, not
 //! merely close (property-tested in this module and relied on by the encoder and CLIP
-//! golden fixtures).
+//! golden fixtures). An update keeps that: a clean cell's inputs are bit-equal, a dirty
+//! cell runs the same sequence, so an updated raster equals a fresh fill in every array.
 
 use crate::frame::Frame;
 use crate::geometry::{GridDims, Rect};
+use crate::object::SceneObject;
 use serde::{Deserialize, Serialize};
 
 /// Per-cell `(object_id, fraction)` coverage lists for a whole grid in one CSR table: cell
@@ -79,6 +85,28 @@ impl CoverageTable {
         self.offsets.push(self.entries.len() as u32);
     }
 
+    /// Copies cells `range` of this table into `next` (sized already), whose entries up to
+    /// `written` hold the cells before them; returns where the cell after them starts.
+    fn carry_cells(&self, range: std::ops::Range<usize>, next: &mut CoverageTable, written: usize) -> usize {
+        let (from, to) = (
+            self.offsets[range.start] as usize,
+            self.offsets[range.end] as usize,
+        );
+        let end = written + (to - from);
+        for (new, old) in next.entries[written..end].iter_mut().zip(&self.entries[from..to]) {
+            *new = *old;
+        }
+        let shift = (written as u32).wrapping_sub(from as u32);
+        let carried = range.start + 1..=range.end;
+        for (new, old) in next.offsets[carried.clone()]
+            .iter_mut()
+            .zip(&self.offsets[carried])
+        {
+            *new = old.wrapping_add(shift);
+        }
+        end
+    }
+
     /// Makes this table a copy of `other`, keeping its own buffers (no allocation once
     /// they have grown to the frame's size).
     pub fn copy_from(&mut self, other: &CoverageTable) {
@@ -89,8 +117,49 @@ impl CoverageTable {
     }
 }
 
+/// One placement of the remembered capture, resolved for rasterization.
+#[derive(Debug, Clone, Copy, PartialEq)]
+struct Placed {
+    object_id: u32,
+    region: Rect,
+    /// `[texture_complexity, motion, detail]` of the frame object the id names (the first
+    /// such object, as [`Frame::object`] finds it); `None` when the frame has none.
+    content: Option<[f64; 3]>,
+    /// Inclusive cell range `(row0, col0, row1, col1)` the region overlaps once clipped to
+    /// the frame — every cell in it is covered by a positive fraction. `None` when the
+    /// placement contributes nothing: no such object, or wholly off the frame.
+    cells: Option<(u32, u32, u32, u32)>,
+}
+
+/// What a rasterization reads of one frame object, and of the frame's background.
+fn object_key(object: &SceneObject) -> (u32, [u64; 3]) {
+    let content = [object.texture_complexity, object.motion, object.detail];
+    (object.id, content.map(f64::to_bits))
+}
+
+fn background_key(frame: &Frame) -> [u64; 2] {
+    [frame.background_complexity, frame.background_motion].map(f64::to_bits)
+}
+
+impl Placed {
+    fn cells_of(&self, dims: GridDims, frame_rect: &Rect) -> Option<(u32, u32, u32, u32)> {
+        let clipped = self.region.intersect(frame_rect);
+        (self.content.is_some() && !clipped.is_empty()).then(|| cell_range(dims, &clipped))
+    }
+}
+
 /// Per-cell content descriptors for a whole frame grid, stored as structure-of-arrays so
 /// downstream per-block kernels walk unit-stride memory.
+///
+/// **Incremental form.** The raster remembers everything [`GridContent::fill`] read from
+/// the capture it last rasterized — frame size and cell, background complexity and motion,
+/// every object's id / `texture_complexity` / `motion` / `detail` in order, and every
+/// placement's `(object id, rect)` in order. [`GridContent::update`] compares the next
+/// capture against that key: if only rects differ it recomputes just the cells a moved
+/// placement can have changed (see [`mark_moved`]) and splices their coverage lists into
+/// the table; any other difference — or no previous capture — is a full `fill`. Either way
+/// [`GridContent::dirty_cells`] then lists the cells whose descriptors were recomputed, so
+/// a consumer holding per-cell state derived from the raster refreshes exactly those.
 #[derive(Debug, Clone)]
 pub struct GridContent {
     dims: GridDims,
@@ -100,16 +169,26 @@ pub struct GridContent {
     motion: Vec<f64>,
     /// Area-weighted detail per cell.
     detail: Vec<f64>,
-    /// Background fraction per cell.
+    /// Background fraction per cell (during a fill: the running coverage total before the
+    /// `min(1.0)` cap, converted by the finalize pass).
     background_fraction: Vec<f64>,
     /// Pixel area of each (possibly edge-clipped) cell.
     area: Vec<u64>,
     /// Per-cell `(object_id, fraction)` coverage lists.
     coverage: CoverageTable,
-    /// Per-cell write cursor (pass 1: entry counts; pass 2: entries written so far).
-    cursor: Vec<u32>,
-    /// Per-cell running coverage total before the `min(1.0)` cap.
-    covered: Vec<f64>,
+    /// The table an update splices into before swapping it with `coverage`; a fill uses
+    /// its offsets as the per-cell write cursor. Entries reserved to the exact total.
+    spare: CoverageTable,
+    /// Of the remembered capture: frame `(width, height)` (`dims` holds the cell) and the
+    /// bits of its background complexity and motion.
+    size: (u32, u32),
+    background: [u64; 2],
+    /// `(id, bits of [texture_complexity, motion, detail])` of its objects, in order.
+    objects: Vec<(u32, [u64; 3])>,
+    /// Its placements, in order.
+    prev_placements: Vec<Placed>,
+    /// One bit per cell: recomputed by the last `fill` (all) or `update`.
+    dirty: Vec<u64>,
 }
 
 impl Default for GridContent {
@@ -129,6 +208,63 @@ fn cell_range(dims: GridDims, clipped: &Rect) -> (u32, u32, u32, u32) {
     (row0, col0, row1, col1)
 }
 
+/// Sets bits `start..end`.
+fn set_bit_range(words: &mut [u64], start: usize, end: usize) {
+    if start >= end {
+        return;
+    }
+    let (first, last) = (start / 64, (end - 1) / 64);
+    let head = u64::MAX << (start % 64);
+    let tail = u64::MAX >> (63 - (end - 1) % 64);
+    if first == last {
+        words[first] |= head & tail;
+    } else {
+        words[first] |= head;
+        words[first + 1..last].fill(u64::MAX);
+        words[last] |= tail;
+    }
+}
+
+/// Marks the cells whose coverage can differ after one placement moved from `old` to
+/// `new`: every cell overlapping either rect, minus the cells lying fully inside both —
+/// the object covers those at exactly 1.0 before and after, and any *other* placement
+/// that changed over them marks them itself. Works a row of the grid at a time: the cells
+/// inside both rects form one cell rectangle, cut out of each rect's cell range.
+fn mark_moved(dims: GridDims, size: (u32, u32), old: &Rect, new: &Rect, dirty: &mut [u64]) {
+    let (width, height) = size;
+    let both = old.intersect(new);
+    // Cells `lo..=hi` along one axis whose (frame-clipped) span lies inside `from..to`.
+    let inside = |from: i64, to: i64, extent: u32, cells: u32| {
+        let cell = dims.cell as i64;
+        let lo = if from <= 0 { 0 } else { (from + cell - 1) / cell };
+        let hi = if to >= extent as i64 {
+            cells as i64 - 1
+        } else {
+            to.div_euclid(cell) - 1
+        };
+        (lo, hi)
+    };
+    let (keep_col0, keep_col1) = inside(both.x, both.right(), width, dims.cols);
+    let (keep_row0, keep_row1) = inside(both.y, both.bottom(), height, dims.rows);
+    let keeps = !both.is_empty() && keep_col0 <= keep_col1;
+    for rect in [old, new] {
+        let clipped = rect.intersect(&Rect::new(0, 0, width, height));
+        if clipped.is_empty() {
+            continue;
+        }
+        let (row0, col0, row1, col1) = cell_range(dims, &clipped);
+        for row in row0..=row1 {
+            let at = |col: i64| dims.index(row, 0) + col as usize;
+            if keeps && (keep_row0..=keep_row1).contains(&(row as i64)) {
+                set_bit_range(dirty, at(col0 as i64), at(keep_col0));
+                set_bit_range(dirty, at(keep_col1 + 1), at(col1 as i64 + 1));
+            } else {
+                set_bit_range(dirty, at(col0 as i64), at(col1 as i64 + 1));
+            }
+        }
+    }
+}
+
 impl GridContent {
     /// Creates an empty grid (refilled in place by [`GridContent::fill`]).
     pub fn new() -> Self {
@@ -144,30 +280,37 @@ impl GridContent {
             background_fraction: Vec::new(),
             area: Vec::new(),
             coverage: CoverageTable::default(),
-            cursor: Vec::new(),
-            covered: Vec::new(),
+            spare: CoverageTable::default(),
+            size: (0, 0),
+            background: [0; 2],
+            objects: Vec::new(),
+            prev_placements: Vec::new(),
+            dirty: Vec::new(),
         }
     }
 
-    /// Rasterizes `frame` onto the `cell`-sized grid, reusing every buffer. After the first
-    /// fill of a given geometry, refills perform no heap allocation unless the total
-    /// coverage-entry count grows past the retained capacity.
+    /// Rasterizes `frame` onto the `cell`-sized grid from scratch, reusing every buffer,
+    /// remembers it as the capture the next [`GridContent::update`] is relative to, and
+    /// marks every cell dirty. After the first fill of a given geometry, refills perform
+    /// no heap allocation unless the total coverage-entry count grows past the retained
+    /// capacity.
     pub fn fill(&mut self, frame: &Frame, cell: u32) {
         let dims = GridDims::for_frame(frame.width, frame.height, cell);
         self.dims = dims;
         let n = dims.len();
+        self.remember(frame);
         for buf in [
             &mut self.complexity,
             &mut self.motion,
             &mut self.detail,
-            &mut self.covered,
             &mut self.background_fraction,
         ] {
             buf.clear();
             buf.resize(n, 0.0);
         }
-        self.cursor.clear();
-        self.cursor.resize(n, 0);
+        let cursor = &mut self.spare.offsets;
+        cursor.clear();
+        cursor.resize(n + 1, 0);
         self.area.clear();
         self.area.reserve(n);
         for row in 0..dims.rows {
@@ -176,82 +319,236 @@ impl GridContent {
                     .push(dims.cell_rect(row, col, frame.width, frame.height).area());
             }
         }
-        let frame_rect = frame.rect();
         // Pass 1: per-cell entry counts plus the ordered scalar accumulations (coverage
         // totals and frac-weighted content), placement-outer so each cell sees its
         // contributors in placement order.
-        for placement in &frame.placements {
-            let Some(obj) = frame.object(placement.object_id) else {
+        for placed in &self.prev_placements {
+            let (Some((row0, col0, row1, col1)), Some([texture, motion, detail])) =
+                (placed.cells, placed.content)
+            else {
                 continue;
             };
-            let clipped = placement.region.intersect(&frame_rect);
-            if clipped.is_empty() {
-                continue;
-            }
-            let (row0, col0, row1, col1) = cell_range(dims, &clipped);
             for row in row0..=row1 {
                 for col in col0..=col1 {
                     let idx = dims.index(row, col);
                     let rect = dims.cell_rect(row, col, frame.width, frame.height);
-                    let frac = rect.coverage_by(&placement.region);
-                    if frac <= 0.0 {
-                        continue;
-                    }
-                    self.cursor[idx] += 1;
-                    self.covered[idx] += frac;
-                    self.complexity[idx] += frac * obj.texture_complexity;
-                    self.motion[idx] += frac * obj.motion;
-                    self.detail[idx] += frac * obj.detail;
+                    // Positive: the range holds exactly the cells the region overlaps.
+                    let frac = rect.coverage_by(&placed.region);
+                    cursor[idx] += 1;
+                    self.background_fraction[idx] += frac;
+                    self.complexity[idx] += frac * texture;
+                    self.motion[idx] += frac * motion;
+                    self.detail[idx] += frac * detail;
                 }
             }
         }
         // Prefix-sum the counts into offsets, then replay the placements to fill entries.
         let CoverageTable { offsets, entries } = &mut self.coverage;
         offsets.clear();
-        offsets.reserve(n + 1);
+        offsets.reserve_exact(n + 1);
         let mut total = 0u32;
         offsets.push(0);
-        for &count in &self.cursor {
+        for &count in &cursor[..n] {
             total += count;
             offsets.push(total);
         }
         entries.clear();
+        entries.reserve_exact(total as usize);
         entries.resize(total as usize, (0, 0.0));
-        self.cursor.fill(0);
-        for placement in &frame.placements {
-            if frame.object(placement.object_id).is_none() {
+        cursor.fill(0);
+        for placed in &self.prev_placements {
+            let Some((row0, col0, row1, col1)) = placed.cells else {
                 continue;
-            }
-            let clipped = placement.region.intersect(&frame_rect);
-            if clipped.is_empty() {
-                continue;
-            }
-            let (row0, col0, row1, col1) = cell_range(dims, &clipped);
+            };
             for row in row0..=row1 {
                 for col in col0..=col1 {
                     let idx = dims.index(row, col);
                     let rect = dims.cell_rect(row, col, frame.width, frame.height);
-                    let frac = rect.coverage_by(&placement.region);
-                    if frac <= 0.0 {
-                        continue;
-                    }
-                    let slot = offsets[idx] as usize + self.cursor[idx] as usize;
-                    entries[slot] = (placement.object_id, frac);
-                    self.cursor[idx] += 1;
+                    let frac = rect.coverage_by(&placed.region);
+                    let slot = offsets[idx] as usize + cursor[idx] as usize;
+                    entries[slot] = (placed.object_id, frac);
+                    cursor[idx] += 1;
                 }
             }
         }
         // Finalize: the exact background/clamp epilogue of `region_content_into`.
         for idx in 0..n {
-            let covered = self.covered[idx].min(1.0);
-            let background_fraction = (1.0 - covered).max(0.0);
-            self.complexity[idx] =
-                (self.complexity[idx] + background_fraction * frame.background_complexity).clamp(0.0, 1.0);
-            self.motion[idx] =
-                (self.motion[idx] + background_fraction * frame.background_motion).clamp(0.0, 1.0);
-            self.detail[idx] = self.detail[idx].clamp(0.0, 1.0);
-            self.background_fraction[idx] = background_fraction;
+            self.finalize_cell(idx, frame);
         }
+        self.dirty.clear();
+        self.dirty.resize(n.div_ceil(64), 0);
+        set_bit_range(&mut self.dirty, 0, n);
+    }
+
+    /// The background/clamp epilogue of `region_content_into` for cell `idx`, whose
+    /// `background_fraction` slot holds the running coverage total.
+    fn finalize_cell(&mut self, idx: usize, frame: &Frame) {
+        let covered = self.background_fraction[idx].min(1.0);
+        let background_fraction = (1.0 - covered).max(0.0);
+        self.complexity[idx] =
+            (self.complexity[idx] + background_fraction * frame.background_complexity).clamp(0.0, 1.0);
+        self.motion[idx] = (self.motion[idx] + background_fraction * frame.background_motion).clamp(0.0, 1.0);
+        self.detail[idx] = self.detail[idx].clamp(0.0, 1.0);
+        self.background_fraction[idx] = background_fraction;
+    }
+
+    /// Records everything a rasterization of `frame` on `self.dims` reads.
+    fn remember(&mut self, frame: &Frame) {
+        self.size = (frame.width, frame.height);
+        self.background = background_key(frame);
+        self.objects.clear();
+        self.objects.extend(frame.objects.iter().map(object_key));
+        let (dims, frame_rect) = (self.dims, frame.rect());
+        self.prev_placements.clear();
+        self.prev_placements.extend(frame.placements.iter().map(|p| {
+            let mut placed = Placed {
+                object_id: p.object_id,
+                region: p.region,
+                content: frame
+                    .object(p.object_id)
+                    .map(|o| [o.texture_complexity, o.motion, o.detail]),
+                cells: None,
+            };
+            placed.cells = placed.cells_of(dims, &frame_rect);
+            placed
+        }));
+    }
+
+    /// Whether `frame` differs from the remembered capture in placement rects at most.
+    fn same_but_for_rects(&self, frame: &Frame, cell: u32) -> bool {
+        let (objects, placements) = (&self.objects, &self.prev_placements);
+        self.dims == GridDims::for_frame(frame.width, frame.height, cell)
+            && self.size == (frame.width, frame.height)
+            && self.background == background_key(frame)
+            && objects.len() == frame.objects.len()
+            && placements.len() == frame.placements.len()
+            && objects
+                .iter()
+                .zip(&frame.objects)
+                .all(|(key, o)| *key == object_key(o))
+            && placements
+                .iter()
+                .zip(&frame.placements)
+                .all(|(placed, p)| placed.object_id == p.object_id)
+    }
+
+    /// Brings the raster to `frame` at the cost of what changed since the capture it holds:
+    /// when the two differ in placement rects only, exactly the cells [`mark_moved`] marks
+    /// are recomputed — by `fill`'s own expression sequence, so the result equals a fresh
+    /// `fill` bit for bit — and their coverage lists spliced into the table; otherwise this
+    /// is [`GridContent::fill`]. Allocation-free once the buffers have grown.
+    pub fn update(&mut self, frame: &Frame, cell: u32) {
+        if !self.same_but_for_rects(frame, cell) {
+            return self.fill(frame, cell);
+        }
+        let (dims, frame_rect) = (self.dims, frame.rect());
+        self.dirty.fill(0);
+        for (placed, placement) in self.prev_placements.iter_mut().zip(&frame.placements) {
+            if placed.region != placement.region {
+                if placed.content.is_some() {
+                    mark_moved(
+                        dims,
+                        self.size,
+                        &placed.region,
+                        &placement.region,
+                        &mut self.dirty,
+                    );
+                }
+                placed.region = placement.region;
+                placed.cells = placed.cells_of(dims, &frame_rect);
+            }
+        }
+        if self.dirty.iter().all(|&word| word == 0) {
+            return;
+        }
+        // Every cell of a placement's range holds one entry for it, so the new table's
+        // size is known before it is built.
+        let total: usize = self
+            .prev_placements
+            .iter()
+            .filter_map(|placed| placed.cells)
+            .map(|(row0, col0, row1, col1)| ((row1 - row0 + 1) * (col1 - col0 + 1)) as usize)
+            .sum();
+        let n = dims.len();
+        let mut next = std::mem::take(&mut self.spare);
+        next.offsets.clear();
+        next.offsets.reserve_exact(n + 1);
+        next.offsets.resize(n + 1, 0);
+        next.entries.clear();
+        next.entries.reserve_exact(total);
+        next.entries.resize(total, (0, 0.0));
+        // `carried` cells and `written` entries of the new table are in place; `row`
+        // follows the ascending dirty cells without dividing. A plain word loop: driving
+        // this body from the `dirty_cells()` iterator measured ≈ 20 % slower per update.
+        let (mut carried, mut written) = (0usize, 0usize);
+        let (cols, mut row, mut row_start) = (dims.cols as usize, 0u32, 0usize);
+        for word in 0..self.dirty.len() {
+            let mut bits = self.dirty[word];
+            while bits != 0 {
+                let idx = word * 64 + bits.trailing_zeros() as usize;
+                bits &= bits - 1;
+                written = self.coverage.carry_cells(carried..idx, &mut next, written);
+                while idx >= row_start + cols {
+                    row += 1;
+                    row_start += cols;
+                }
+                written = self.recompute_cell(idx, row, (idx - row_start) as u32, frame, &mut next, written);
+                carried = idx + 1;
+            }
+        }
+        written = self.coverage.carry_cells(carried..n, &mut next, written);
+        debug_assert_eq!(written, total);
+        self.spare = std::mem::replace(&mut self.coverage, next);
+    }
+
+    /// Recomputes cell `idx` = `(row, col)` from the remembered placements — `fill`'s
+    /// accumulation and epilogue for one cell — writing its coverage list to `next` from
+    /// entry `written` on; returns where the next cell's list starts.
+    fn recompute_cell(
+        &mut self,
+        idx: usize,
+        row: u32,
+        col: u32,
+        frame: &Frame,
+        next: &mut CoverageTable,
+        mut written: usize,
+    ) -> usize {
+        let rect = self.dims.cell_rect(row, col, frame.width, frame.height);
+        let (mut covered, mut complexity, mut motion, mut detail) = (0.0f64, 0.0f64, 0.0f64, 0.0f64);
+        for placed in &self.prev_placements {
+            let (Some((row0, col0, row1, col1)), Some(content)) = (placed.cells, placed.content) else {
+                continue;
+            };
+            if row < row0 || row > row1 || col < col0 || col > col1 {
+                continue;
+            }
+            let frac = rect.coverage_by(&placed.region);
+            debug_assert!(frac > 0.0, "a cell of the range is covered");
+            next.entries[written] = (placed.object_id, frac);
+            written += 1;
+            covered += frac;
+            complexity += frac * content[0];
+            motion += frac * content[1];
+            detail += frac * content[2];
+        }
+        next.offsets[idx + 1] = written as u32;
+        self.background_fraction[idx] = covered;
+        self.complexity[idx] = complexity;
+        self.motion[idx] = motion;
+        self.detail[idx] = detail;
+        self.finalize_cell(idx, frame);
+        written
+    }
+
+    /// The cells whose descriptors the last [`GridContent::fill`] (every cell) or
+    /// [`GridContent::update`] recomputed, ascending; all others hold what they held
+    /// before that call.
+    pub fn dirty_cells(&self) -> impl Iterator<Item = usize> + Clone + '_ {
+        self.dirty.iter().enumerate().flat_map(|(at, &word)| {
+            let rest = |w: u64| (w != 0).then_some(w);
+            std::iter::successors(rest(word), move |&w| rest(w & (w - 1)))
+                .map(move |w| at * 64 + w.trailing_zeros() as usize)
+        })
     }
 
     /// The grid this content was rasterized for.
@@ -475,5 +772,205 @@ mod tests {
         assert_eq!(grid.dims(), GridDims::for_frame(256, 192, 64));
         grid.fill(&big, 64);
         assert_matches_scalar_walk(&big, 64);
+    }
+
+    /// Deterministic generator for the motion-sequence tests.
+    struct Lcg(u64);
+
+    impl Lcg {
+        /// A value in `lo..hi`.
+        fn range(&mut self, lo: i64, hi: i64) -> i64 {
+            self.0 = self
+                .0
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            lo + ((self.0 >> 33) % (hi - lo) as u64) as i64
+        }
+
+        fn unit(&mut self) -> f64 {
+            self.range(0, 1001) as f64 / 1000.0
+        }
+    }
+
+    fn bits(values: &[f64]) -> Vec<u64> {
+        values.iter().map(|v| v.to_bits()).collect()
+    }
+
+    fn table_bits(table: &CoverageTable) -> (&[u32], Vec<(u32, u64)>) {
+        (
+            &table.offsets,
+            table.entries.iter().map(|&(id, f)| (id, f.to_bits())).collect(),
+        )
+    }
+
+    /// Every array, `area` and the whole coverage table, bit for bit.
+    fn assert_same_raster(updated: &GridContent, fresh: &GridContent, what: &str) {
+        assert_eq!(updated.dims(), fresh.dims(), "{what}: dims");
+        assert_eq!(
+            bits(updated.complexity()),
+            bits(fresh.complexity()),
+            "{what}: complexity"
+        );
+        assert_eq!(bits(updated.motion()), bits(fresh.motion()), "{what}: motion");
+        assert_eq!(bits(updated.detail()), bits(fresh.detail()), "{what}: detail");
+        assert_eq!(
+            bits(updated.background_fraction()),
+            bits(fresh.background_fraction()),
+            "{what}: background"
+        );
+        assert_eq!(updated.area(), fresh.area(), "{what}: area");
+        assert_eq!(
+            table_bits(updated.coverage_table()),
+            table_bits(fresh.coverage_table()),
+            "{what}: coverage table"
+        );
+    }
+
+    /// The tight rule cell by cell: overlapping the old or the new rect of a placement
+    /// that moved (`union`), minus — per moved placement — the cells inside both (`tight`).
+    /// Placements of unknown objects contribute nothing and mark nothing.
+    fn dirty_rule_oracle(dims: GridDims, before: &Frame, after: &Frame) -> (Vec<bool>, Vec<bool>) {
+        let (mut tight, mut union) = (vec![false; dims.len()], vec![false; dims.len()]);
+        for (old, new) in before.placements.iter().zip(&after.placements) {
+            if old.region == new.region || after.object(new.object_id).is_none() {
+                continue;
+            }
+            let both = old.region.intersect(&new.region);
+            for idx in 0..dims.len() {
+                let (row, col) = dims.position(idx);
+                let cell = dims.cell_rect(row, col, after.width, after.height);
+                if [old, new].iter().any(|p| !cell.intersect(&p.region).is_empty()) {
+                    union[idx] = true;
+                    tight[idx] |= cell.intersect(&both) != cell;
+                }
+            }
+        }
+        (tight, union)
+    }
+
+    #[test]
+    fn updated_raster_equals_a_fresh_fill_after_every_step_of_random_motion() {
+        let (mut incremental_steps, mut tight_total, mut union_total) = (0usize, 0usize, 0usize);
+        for seed in 0..12u64 {
+            let mut rng = Lcg(seed);
+            let mut scene = busy_scene();
+            scene.width = 700 + 37 * seed as u32;
+            scene.height = 410 + 23 * seed as u32;
+            let mut frame = Frame::sample(&scene, 0, 0, 0.0);
+            // A placement naming no object, and a second placement of object 2.
+            frame.placements.push(ObjectPlacement {
+                object_id: 999,
+                region: Rect::new(10, 10, 300, 200),
+            });
+            frame.placements.push(ObjectPlacement {
+                object_id: 2,
+                region: Rect::new(50, 60, 130, 90),
+            });
+            let mut cell = 64;
+            let mut grid = GridContent::new();
+            let mut fresh = GridContent::new();
+            grid.update(&frame, cell);
+            assert_eq!(grid.dirty_cells().count(), grid.dims().len(), "first capture");
+            for step in 0..80 {
+                let before = frame.clone();
+                let (width, height) = (frame.width as i64, frame.height as i64);
+                let count = frame.placements.len() as i64;
+                match rng.range(0, 16) {
+                    // Background, an object's content, the object list, frame size, cell.
+                    0 => frame.background_complexity = rng.unit(),
+                    1 => frame.background_motion = rng.unit(),
+                    2 => {
+                        let object = &mut frame.objects[rng.range(0, 4) as usize];
+                        match rng.range(0, 3) {
+                            0 => object.texture_complexity = rng.unit(),
+                            1 => object.motion = rng.unit(),
+                            _ => object.detail = rng.unit(),
+                        }
+                    }
+                    3 => {
+                        // A duplicate id: `Frame::object` keeps finding the first.
+                        let mut twin = frame.objects[0].clone();
+                        twin.texture_complexity = rng.unit();
+                        frame.objects.push(twin);
+                    }
+                    4 if frame.objects.len() > 4 => {
+                        frame.objects.pop();
+                    }
+                    5 => {
+                        frame.width = (width + rng.range(-40, 41)) as u32;
+                        frame.height = (height + rng.range(-30, 31)) as u32;
+                    }
+                    6 => cell = [32, 48, 64, 200][rng.range(0, 4) as usize],
+                    7 => frame.placements.swap(0, 1),
+                    // Everything else moves one to three placements.
+                    _ => {
+                        for _ in 0..rng.range(1, 4) {
+                            let at = rng.range(0, count) as usize;
+                            let other = rng.range(0, count) as usize;
+                            let r = frame.placements[at].region;
+                            frame.placements[at].region = match rng.range(0, 6) {
+                                // Sub-cell move.
+                                0 => r.translated(rng.range(-20, 21), rng.range(-20, 21)),
+                                // Jump anywhere, including off the frame.
+                                1 => Rect::new(
+                                    rng.range(-500, width + 200),
+                                    rng.range(-400, height + 200),
+                                    r.w,
+                                    r.h,
+                                ),
+                                // Resize in place (possibly to nothing).
+                                2 => Rect::new(r.x, r.y, rng.range(0, 500) as u32, rng.range(0, 400) as u32),
+                                // Cross another placement: land on top of it.
+                                3 => frame.placements[other]
+                                    .region
+                                    .translated(rng.range(-30, 31), rng.range(-30, 31)),
+                                // Leave the frame; come back covering all of it.
+                                4 => Rect::new(width + 10, r.y, r.w, r.h),
+                                _ => Rect::new(-5, -5, frame.width + 10, frame.height + 10),
+                            };
+                        }
+                    }
+                }
+                let same_key = frame.objects == before.objects
+                    && (frame.width, frame.height) == (before.width, before.height)
+                    && frame.background_complexity.to_bits() == before.background_complexity.to_bits()
+                    && frame.background_motion.to_bits() == before.background_motion.to_bits()
+                    && grid.dims().cell == cell
+                    && frame
+                        .placements
+                        .iter()
+                        .zip(&before.placements)
+                        .all(|(a, b)| a.object_id == b.object_id);
+                grid.update(&frame, cell);
+                fresh.fill(&frame, cell);
+                let what = format!("seed {seed} step {step}");
+                assert_same_raster(&grid, &fresh, &what);
+                let dims = grid.dims();
+                let marked: Vec<usize> = grid.dirty_cells().collect();
+                if same_key {
+                    let (tight, union) = dirty_rule_oracle(dims, &before, &frame);
+                    let expected: Vec<usize> = (0..dims.len()).filter(|&idx| tight[idx]).collect();
+                    assert_eq!(marked, expected, "{what}: dirty set");
+                    assert!(
+                        marked.iter().all(|&idx| union[idx]),
+                        "{what}: beyond the rect rule"
+                    );
+                    incremental_steps += 1;
+                    tight_total += marked.len();
+                    union_total += union.iter().filter(|&&u| u).count();
+                } else {
+                    assert_eq!(marked.len(), dims.len(), "{what}: a changed key marks everything");
+                }
+                // The same capture again marks nothing and changes nothing.
+                grid.update(&frame, cell);
+                assert_eq!(grid.dirty_cells().count(), 0, "{what}: repeated frame");
+                assert_same_raster(&grid, &fresh, &what);
+            }
+        }
+        assert!(incremental_steps > 400, "{incremental_steps} incremental steps");
+        assert!(
+            tight_total < union_total,
+            "moves should have skipped interior cells: {tight_total} vs {union_total}"
+        );
     }
 }

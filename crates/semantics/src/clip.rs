@@ -7,20 +7,26 @@
 //! **One pipeline.** For a fixed query and frame content, a patch's ρ is a pure function
 //! of its `(coverage list, background fraction)`, and a frame holds far fewer distinct
 //! such *classes* than patches (a 1080p frame of the benchmark scene: 510 patches, ≈ 23
-//! classes). Every scratch-taking form — full, coherent, explicit update — therefore marks
-//! the cells it has to evaluate in one bitset and runs the same three steps over them:
-//! *classify* each cell into a per-call [`ClassTable`], *evaluate* the distinct classes
-//! [`RHO_LANES`] at a time, *scatter* `rho[class]` back to the cells. The table lives for
-//! one call, so nothing persists across frames and nothing can go stale; each class runs
-//! exactly the f64 sequence each of its patches would have run, so every map is
-//! bit-identical to [`ClipModel::correlation_map_naive`].
+//! classes). Both scratch-taking forms — full and coherent — bring the scratch's patch-grid
+//! raster ([`GridContent`]) to the frame and run the same three steps over the cells they
+//! have to evaluate — every cell, or the cells the raster recomputed: *classify* each cell
+//! into a per-call [`ClassTable`], *evaluate* the distinct classes [`RHO_LANES`] at a time,
+//! *scatter* `rho[class]` back to the cells. The table lives for one call, so it cannot go
+//! stale; each class runs exactly the f64 sequence each of its patches would have run, so
+//! every map is bit-identical to [`ClipModel::correlation_map_naive`].
+//!
+//! **What moved is the raster's decision.** [`GridContent::update`] remembers the previous
+//! capture and reports the cells whose coverage can differ; this module only decides
+//! whether the map it holds is still *about* that capture (same model, query, concept
+//! fingerprint and geometry) — if so the raster's dirty cells are re-evaluated, otherwise
+//! all of them.
 
 use crate::embedding::Embedding;
 use crate::importance::ImportanceMap;
 use crate::text::TextQuery;
 use crate::vision::{ConceptSpace, PatchEncoder};
 use aivc_scene::grid_content::GridContent;
-use aivc_scene::{Concept, Frame, GridDims, Ontology, Rect, RegionContent};
+use aivc_scene::{Concept, Frame, GridDims, Ontology};
 use serde::{Deserialize, Serialize};
 
 /// Lane width of the Eq. 1 vector kernel: classes evaluated in lockstep by
@@ -32,9 +38,9 @@ const RHO_LANES: usize = 8;
 /// Marks an unused [`ClassTable`] hash slot; class ids stay below it.
 const EMPTY_SLOT: u16 = u16::MAX;
 
-/// Dirty-bitset words classified into one [`ClassTable`]: 1023 × 64 cells keep every
-/// class id of a segment below [`EMPTY_SLOT`], so `u16` ids serve any frame size.
-const SEGMENT_WORDS: usize = 1023;
+/// Cells classified into one [`ClassTable`]: that many keep every class id of a segment
+/// below [`EMPTY_SLOT`], so `u16` ids serve any frame size.
+const SEGMENT_CELLS: usize = EMPTY_SLOT as usize;
 
 /// CLIP model configuration.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -252,34 +258,29 @@ impl ClassTable {
 /// Reusable buffers for the scratch-taking correlation forms.
 ///
 /// One scratch per streaming turn (or per thread) removes every per-frame heap allocation
-/// from the correlation hot path: the output map, the cell descriptor, the class table,
+/// from the correlation hot path: the output map, the patch-grid raster, the class table,
 /// the lane accumulators and the resolved concept lists all live here and are reused. It
 /// also carries what may outlive a frame: the text-query embedding (a multi-frame turn
-/// encodes the user's words once), the resolved concept lists (kept by the incremental
-/// forms while the frame's content fingerprint holds) and the coherence state that lets
-/// [`ClipModel::correlation_map_coherent`] update the previous map in place. All of it is
-/// bound to the identity of the model that produced it: handing the scratch to a different
-/// model drops it, so a scratch may be shared between models (at the price of a full
-/// recompute on every switch).
+/// encodes the user's words once), the raster of the previous capture (which knows what
+/// moved since), and the map plus resolved concept lists, which
+/// [`ClipModel::correlation_map_coherent`] keeps while they are still about that capture —
+/// same model, same query, same concept fingerprint, same geometry, map not taken. The
+/// model is checked by identity: handing the scratch to a different model drops the memo,
+/// so a scratch may be shared between models (at the price of a full recompute on every
+/// switch).
 #[derive(Debug, Clone)]
 pub struct ClipScratch {
     /// Identity of the model the memoized state below belongs to.
     model: Option<u64>,
-    /// One cell's region descriptor (filled by [`Frame::region_content_into`]) — the cell
-    /// source when only a few cells are dirty.
-    content: RegionContent,
-    /// Whole-frame patch-grid raster — the cell source when most cells are dirty: one
-    /// placement-by-placement rasterization replaces the per-cell `region_content_into`
-    /// walk (bit-identical coverage lists and background fractions, a fraction of the
-    /// intersection work).
+    /// Patch-grid raster of the frame [`ClipScratch::map`] describes, brought forward
+    /// capture by capture: the one source of every cell's coverage list and background
+    /// fraction, and of which cells changed.
     grid: GridContent,
     /// Concept lists of the frame [`ClipScratch::map`] describes.
     concepts: ResolvedConcepts,
-    /// Cells to evaluate, one bit per cell of the patch grid.
-    dirty: Vec<u64>,
-    /// Per-call class table of the dirty cells.
+    /// Per-call class table of the evaluated cells.
     classes: ClassTable,
-    /// Class id of each dirty cell of the current segment, in cell order.
+    /// Class id of each evaluated cell of the current segment, in cell order.
     cell_class: Vec<u16>,
     /// Per-lane concept-pooling accumulators of the vector kernel: lane `l` owns the
     /// contiguous slice `[l·dim, (l+1)·dim)`, so phase A writes stay unit-stride.
@@ -297,10 +298,8 @@ pub struct ClipScratch {
     query_norm: f64,
     /// The output map, refilled in place.
     map: ImportanceMap,
-    /// Object placements `(id, rect)` of the frame [`ClipScratch::map`] was computed for
-    /// (the temporal-coherence state behind [`ClipModel::correlation_map_coherent`]).
-    prev_placements: Vec<(u32, Rect)>,
-    /// Content fingerprint (objects, concepts, background, geometry) of that frame.
+    /// Content fingerprint (objects, concepts, background, geometry) of the frame
+    /// [`ClipScratch::map`] was computed for.
     prev_fingerprint: u64,
     /// Whether [`ClipScratch::map`] and [`ClipScratch::concepts`] hold a result the
     /// incremental paths may build on.
@@ -318,10 +317,8 @@ impl ClipScratch {
     pub fn new() -> Self {
         Self {
             model: None,
-            content: RegionContent::empty(),
             grid: GridContent::new(),
             concepts: ResolvedConcepts::default(),
-            dirty: Vec::new(),
             classes: ClassTable::default(),
             cell_class: Vec::new(),
             lane_acc: Vec::new(),
@@ -330,7 +327,6 @@ impl ClipScratch {
             query_embedding: Embedding::zeros(0),
             query_norm: 0.0,
             map: ImportanceMap::empty(),
-            prev_placements: Vec::new(),
             prev_fingerprint: 0,
             prev_valid: false,
         }
@@ -355,16 +351,6 @@ impl ClipScratch {
         }
     }
 
-    /// Records which frame the scratch's map and concept lists now describe, enabling
-    /// later incremental updates against them.
-    fn record_prev(&mut self, frame: &Frame, fingerprint: u64) {
-        self.prev_placements.clear();
-        self.prev_placements
-            .extend(frame.placements.iter().map(|p| (p.object_id, p.region)));
-        self.prev_fingerprint = fingerprint;
-        self.prev_valid = true;
-    }
-
     /// Ensures the memoized text embedding matches `query`, re-encoding only on change.
     fn memoize_query(&mut self, model: &ClipModel, query: &TextQuery) {
         if self.cached_query.as_ref() != Some(query) {
@@ -379,7 +365,7 @@ impl ClipScratch {
         self.query_norm < 1e-12
     }
 
-    /// Whether the scratch holds a previous result the incremental paths may update for
+    /// Whether the scratch holds a previous result the coherent form may update for
     /// this frame geometry and query (the memoized query must match byte-for-byte so the
     /// retained patch values were computed against the same embedding; the model is
     /// vouched for by [`ClipScratch::bind_model`]).
@@ -389,17 +375,6 @@ impl ClipScratch {
             && self.map.width() == frame.width
             && self.map.height() == frame.height
             && self.cached_query.as_ref() == Some(query)
-    }
-
-    /// Clears the dirty set of a `cells`-cell grid (`all` instead marks every cell).
-    fn reset_dirty(&mut self, cells: usize, all: bool) {
-        self.dirty.clear();
-        self.dirty
-            .resize(cells.div_ceil(64), if all { u64::MAX } else { 0 });
-        if let (true, Some(last)) = (all, self.dirty.last_mut()) {
-            // Bits past the grid's last cell stay clear.
-            *last >>= (64 - cells % 64) % 64;
-        }
     }
 }
 
@@ -492,31 +467,8 @@ impl ClipModel {
         query: &TextQuery,
         scratch: &'s mut ClipScratch,
     ) -> &'s ImportanceMap {
-        scratch.bind_model(self);
-        self.full_map(frame, query, frame_fingerprint(frame), scratch)
-    }
-
-    /// The full evaluation behind [`ClipModel::correlation_map_with`] and every fallback
-    /// of the incremental forms: re-encodes the query if it changed, re-resolves the
-    /// frame's concepts, and evaluates the whole grid.
-    fn full_map<'s>(
-        &self,
-        frame: &Frame,
-        query: &TextQuery,
-        fingerprint: u64,
-        scratch: &'s mut ClipScratch,
-    ) -> &'s ImportanceMap {
-        let dims = GridDims::for_frame(frame.width, frame.height, self.config.patch_size);
-        scratch.memoize_query(self, query);
-        scratch.concepts.resolve_frame(self, frame);
-        // Zero-filled, which is already the empty-query map.
-        scratch.map.begin_refill(dims, frame.width, frame.height);
-        if !scratch.query_is_empty() {
-            scratch.reset_dirty(dims.len(), true);
-            self.evaluate_dirty(frame, scratch);
-        }
-        scratch.record_prev(frame, fingerprint);
-        &scratch.map
+        scratch.prev_valid = false;
+        self.correlation_map_coherent(frame, query, scratch)
     }
 
     /// Incremental form of [`ClipModel::correlation_map_with`], exploiting the temporal
@@ -524,13 +476,14 @@ impl ClipModel {
     /// frame are re-evaluated; everything else keeps its value from the map already held
     /// in `scratch`, and the resolved concept lists are kept too.
     ///
-    /// The dirty set is derived from object motion — every patch overlapping the previous
-    /// *or* current placement of an object that moved, minus the patches lying fully
-    /// inside both (see [`mark_moved`]). When no compatible previous result exists (first
-    /// frame, scene/query/geometry/model change, stolen map), the call transparently falls
-    /// back to the full evaluation, so this is a drop-in replacement for
-    /// `correlation_map_with` with identical output for any frame sequence (see the
-    /// equivalence tests and `tests/model_properties.rs`).
+    /// Which patches those are is the scratch raster's call ([`GridContent::update`]: every
+    /// patch overlapping the previous *or* current placement of an object that moved,
+    /// minus the patches lying fully inside both; every patch when the capture differs in
+    /// more than rects). When the map held is not about the previous capture (first frame,
+    /// concept/query/geometry/model change, stolen map), the call re-encodes the query if
+    /// it changed, re-resolves the frame's concepts and evaluates the whole grid, so this
+    /// is a drop-in replacement for `correlation_map_with` with identical output for any
+    /// frame sequence (see the equivalence tests and `tests/model_properties.rs`).
     pub fn correlation_map_coherent<'s>(
         &self,
         frame: &Frame,
@@ -540,90 +493,41 @@ impl ClipModel {
         scratch.bind_model(self);
         let dims = GridDims::for_frame(frame.width, frame.height, self.config.patch_size);
         let fingerprint = frame_fingerprint(frame);
-        if !scratch.can_update_incrementally(frame, query, dims)
-            || scratch.prev_fingerprint != fingerprint
-            || scratch.prev_placements.len() != frame.placements.len()
-            || !scratch
-                .prev_placements
-                .iter()
-                .zip(&frame.placements)
-                .all(|((id, _), p)| *id == p.object_id)
-        {
-            return self.full_map(frame, query, fingerprint, scratch);
-        }
-        // Same objects, same concepts, same query: only the rects can differ, and moving
-        // them on is all the coherence state needs.
-        scratch.reset_dirty(dims.len(), false);
-        let mut moved = false;
-        for ((_, prev_rect), placement) in scratch.prev_placements.iter_mut().zip(&frame.placements) {
-            if *prev_rect != placement.region {
-                mark_moved(dims, frame, prev_rect, &placement.region, &mut scratch.dirty);
-                *prev_rect = placement.region;
-                moved = true;
-            }
-        }
-        // The all-zero map of an empty query is frame-independent.
-        if moved && !scratch.query_is_empty() {
-            self.evaluate_dirty(frame, scratch);
-        }
-        &scratch.map
-    }
-
-    /// Low-level incremental update with a caller-supplied dirty-patch set (flat raster
-    /// indices into the patch grid).
-    ///
-    /// Contract: `dirty_patches` must include every patch whose content changed versus the
-    /// frame the scratch's map was computed for — the routine re-evaluates exactly those
-    /// patches and trusts the rest. A superset (including the full range) is always safe.
-    /// When no compatible previous result exists, falls back to the full evaluation and the
-    /// dirty set is ignored. Out-of-range indices are ignored.
-    pub fn correlation_map_update<'s>(
-        &self,
-        frame: &Frame,
-        query: &TextQuery,
-        dirty_patches: &[usize],
-        scratch: &'s mut ClipScratch,
-    ) -> &'s ImportanceMap {
-        scratch.bind_model(self);
-        let dims = GridDims::for_frame(frame.width, frame.height, self.config.patch_size);
-        let fingerprint = frame_fingerprint(frame);
-        if !scratch.can_update_incrementally(frame, query, dims) {
-            return self.full_map(frame, query, fingerprint, scratch);
-        }
-        if scratch.prev_fingerprint != fingerprint {
-            // The caller vouches for the dirty set, not for the concept lists.
+        scratch.grid.update(frame, self.config.patch_size);
+        let kept =
+            scratch.can_update_incrementally(frame, query, dims) && scratch.prev_fingerprint == fingerprint;
+        if !kept {
+            scratch.memoize_query(self, query);
             scratch.concepts.resolve_frame(self, frame);
+            // Zero-filled, which is already the (frame-independent) empty-query map.
+            scratch.map.begin_refill(dims, frame.width, frame.height);
+            scratch.prev_fingerprint = fingerprint;
+            scratch.prev_valid = true;
         }
         if !scratch.query_is_empty() {
-            scratch.reset_dirty(dims.len(), false);
-            for &idx in dirty_patches.iter().filter(|&&idx| idx < dims.len()) {
-                scratch.dirty[idx / 64] |= 1 << (idx % 64);
+            // The raster is read while the rest of the scratch is written.
+            let grid = std::mem::take(&mut scratch.grid);
+            if kept {
+                self.evaluate_cells(&grid, grid.dirty_cells(), scratch);
+            } else {
+                self.evaluate_cells(&grid, 0..dims.len(), scratch);
             }
-            self.evaluate_dirty(frame, scratch);
+            scratch.grid = grid;
         }
-        scratch.record_prev(frame, fingerprint);
         &scratch.map
     }
 
-    /// The one Eq. 1 pipeline: classify → evaluate → scatter over the cells marked in
-    /// `scratch.dirty`, writing their ρ into the map in place. Expects the query memo and
-    /// the concept lists to be current.
-    ///
-    /// A cell's `(coverage list, background fraction)` comes from the whole-frame raster
-    /// when most of the grid is dirty and from a per-cell `region_content_into` otherwise;
-    /// the two produce equal lists by construction (see [`GridContent`]).
-    fn evaluate_dirty(&self, frame: &Frame, scratch: &mut ClipScratch) {
-        let dims = scratch.map.dims();
-        let dirty_cells: usize = scratch.dirty.iter().map(|w| w.count_ones() as usize).sum();
-        let rasterize = dirty_cells * 2 > dims.len();
-        if rasterize {
-            scratch.grid.fill(frame, self.config.patch_size);
-        }
+    /// The one Eq. 1 pipeline: classify → evaluate → scatter over `cells` of the raster
+    /// (ascending), writing their ρ into the map in place. Expects the query memo and the
+    /// concept lists to be current.
+    fn evaluate_cells(
+        &self,
+        grid: &GridContent,
+        mut cells: impl Iterator<Item = usize> + Clone,
+        scratch: &mut ClipScratch,
+    ) {
         let ClipScratch {
-            content,
-            grid,
             concepts,
-            dirty,
             classes,
             cell_class,
             lane_acc,
@@ -633,23 +537,18 @@ impl ClipModel {
             map,
             ..
         } = scratch;
-        for (segment, words) in dirty.chunks(SEGMENT_WORDS).enumerate() {
-            let base = segment * SEGMENT_WORDS * 64;
+        loop {
             classes.clear();
             cell_class.clear();
-            for idx in set_bits(words, base) {
-                cell_class.push(if rasterize {
-                    classes.classify(grid.coverage(idx), grid.background_fraction()[idx])
-                } else {
-                    let (row, col) = dims.position(idx);
-                    let rect = dims.cell_rect(row, col, frame.width, frame.height);
-                    frame.region_content_into(&rect, content);
-                    classes.classify(&content.object_coverage, content.background_fraction)
-                });
+            for idx in cells.clone().take(SEGMENT_CELLS) {
+                cell_class.push(classes.classify(grid.coverage(idx), grid.background_fraction()[idx]));
             }
             self.evaluate_classes(concepts, classes, lane_acc, tile, query_embedding, *query_norm);
-            for (idx, &class) in set_bits(words, base).zip(cell_class.iter()) {
+            for (idx, &class) in cells.by_ref().take(SEGMENT_CELLS).zip(cell_class.iter()) {
                 map.set_value(idx, classes.rho[class as usize]);
+            }
+            if cell_class.len() < SEGMENT_CELLS {
+                break;
             }
         }
     }
@@ -828,43 +727,6 @@ fn rho_reduce_lanes(
         };
         *value = ((raw - bias) / (1.0 - bias)).clamp(-1.0, 1.0);
         debug_assert!((-1.0..=1.0).contains(value), "rho out of [-1, 1]");
-    }
-}
-
-/// Indices (offset by `base`) of the bits set in `words`, ascending.
-fn set_bits(words: &[u64], base: usize) -> impl Iterator<Item = usize> + '_ {
-    words.iter().enumerate().flat_map(move |(at, &word)| {
-        let rest = |w: u64| (w != 0).then_some(w);
-        std::iter::successors(rest(word), move |&w| rest(w & (w - 1)))
-            .map(move |w| base + at * 64 + w.trailing_zeros() as usize)
-    })
-}
-
-/// Marks the cells whose coverage can differ after one placement moved from `old` to
-/// `new`: every cell overlapping either rect, minus the cells lying fully inside both —
-/// the object covers those at exactly 1.0 before and after, and any *other* object that
-/// changed over them marks them itself.
-fn mark_moved(dims: GridDims, frame: &Frame, old: &Rect, new: &Rect, dirty: &mut [u64]) {
-    let unchanged = old.intersect(new);
-    for rect in [old, new] {
-        let r = rect.intersect(&frame.rect());
-        if r.is_empty() {
-            continue;
-        }
-        let cell = dims.cell as i64;
-        let col0 = (r.x / cell) as u32;
-        let row0 = (r.y / cell) as u32;
-        let col1 = (((r.right() - 1) / cell) as u32).min(dims.cols - 1);
-        let row1 = (((r.bottom() - 1) / cell) as u32).min(dims.rows - 1);
-        for row in row0..=row1 {
-            for col in col0..=col1 {
-                let cell_rect = dims.cell_rect(row, col, frame.width, frame.height);
-                if cell_rect.intersect(&unchanged) != cell_rect {
-                    let idx = dims.index(row, col);
-                    dirty[idx / 64] |= 1 << (idx % 64);
-                }
-            }
-        }
     }
 }
 
@@ -1182,26 +1044,6 @@ mod tests {
     }
 
     #[test]
-    fn explicit_dirty_update_matches_full_recompute() {
-        let model = ClipModel::mobile_default();
-        let mut scratch = ClipScratch::new();
-        let source = VideoSource::new(basketball_game(1), SourceConfig::fps30(5.0));
-        let query = TextQuery::from_words("score", model.ontology());
-        let a = source.frame(0);
-        let b = source.frame(1);
-        let _ = model.correlation_map_with(&a, &query, &mut scratch);
-        // The full range is always a safe dirty set.
-        let dims = model.correlation_map_naive(&b, &query).dims();
-        let everything: Vec<usize> = (0..dims.len()).collect();
-        let updated = model.correlation_map_update(&b, &query, &everything, &mut scratch);
-        assert_eq!(updated, &model.correlation_map_naive(&b, &query));
-        // Out-of-range indices are ignored; an empty dirty set on an identical frame is a
-        // no-op that still matches.
-        let updated = model.correlation_map_update(&b, &query, &[usize::MAX], &mut scratch);
-        assert_eq!(updated, &model.correlation_map_naive(&b, &query));
-    }
-
-    #[test]
     fn taking_the_map_invalidates_the_coherence_state() {
         let model = ClipModel::mobile_default();
         let mut scratch = ClipScratch::new();
@@ -1302,7 +1144,6 @@ mod tests {
             first.correlation_map_naive(&frame, &query),
             unbiased.correlation_map_naive(&frame, &query)
         );
-        let everything: Vec<usize> = (0..510).collect();
         for second in [&unbiased, &related, &grown] {
             let expected = second.correlation_map_naive(&frame, &query);
             let mut scratch = ClipScratch::new();
@@ -1311,12 +1152,7 @@ mod tests {
                 second.correlation_map_coherent(&frame, &query, &mut scratch),
                 &expected
             );
-            let _ = first.correlation_map_coherent(&frame, &query, &mut scratch);
-            assert_eq!(
-                second.correlation_map_update(&frame, &query, &[], &mut scratch),
-                &expected
-            );
-            let _ = first.correlation_map_update(&frame, &query, &everything, &mut scratch);
+            let _ = first.correlation_map_with(&frame, &query, &mut scratch);
             assert_eq!(
                 second.correlation_map_with(&frame, &query, &mut scratch),
                 &expected
@@ -1341,7 +1177,7 @@ mod tests {
         }
     }
 
-    /// The dirty-cell count of the rule the tight dirty set replaced: every cell
+    /// The dirty-cell count of the rule the raster's tight dirty set replaced: every cell
     /// overlapping the old or the new rect of a placement that moved.
     fn rect_union_rule_cells(
         dims: GridDims,
@@ -1432,7 +1268,7 @@ mod tests {
                     &model.correlation_map(&frame, &query),
                     "seed {seed} step {step}"
                 );
-                let tight: usize = scratch.dirty.iter().map(|w| w.count_ones() as usize).sum();
+                let tight = scratch.grid.dirty_cells().count();
                 let union = rect_union_rule_cells(dims, &frame, &before);
                 assert!(tight <= union, "seed {seed} step {step}: {tight} > {union}");
                 tight_total += tight;
@@ -1481,13 +1317,16 @@ mod tests {
             scratch.classes.key_comparisons,
             dims.len()
         );
-        // The per-cell source (few dirty cells) classifies the same way.
-        let some: Vec<usize> = (0..dims.len()).step_by(3).collect();
+        // Moving one fleck re-evaluates (and classifies) only the cells it touched.
+        let mut moved = frame.clone();
+        moved.placements[200].region = moved.placements[200].region.translated(3, 0);
+        let naive = model.correlation_map_naive(&moved, &query);
         assert_eq!(
-            model.correlation_map_update(&frame, &query, &some, &mut scratch),
+            model.correlation_map_coherent(&moved, &query, &mut scratch),
             &naive
         );
-        assert_eq!(scratch.classes.len(), some.len());
+        assert_eq!(scratch.classes.len(), scratch.grid.dirty_cells().count());
+        assert!((1..=2).contains(&scratch.classes.len()));
     }
 
     #[test]
@@ -1525,20 +1364,23 @@ mod tests {
         let map = model.correlation_map_coherent(&frame, &crowd, &mut scratch);
         assert_eq!(map, &model.correlation_map_naive(&frame, &crowd));
         assert!(!planted(&scratch, &frame));
-        // A fingerprint change (an object's concept edited) re-resolves — on the coherent
-        // path and on the explicit-update path, which trusts only the dirty set.
+        // A fingerprint change (an object's concept edited) re-resolves, although the
+        // raster sees the same objects at the same rects.
         plant(&mut scratch);
         let mut edited = source.frame(3);
         edited.objects[0].concepts[0].0 = Concept::new("grass");
         let map = model.correlation_map_coherent(&edited, &crowd, &mut scratch);
         assert_eq!(map, &model.correlation_map_naive(&edited, &crowd));
         assert!(!planted(&scratch, &edited));
+        assert_eq!(scratch.grid.dirty_cells().count(), 62);
+        // An edit the raster's key covers but the fingerprint does not (an object's
+        // texture): every cell re-evaluated, the lists kept.
         plant(&mut scratch);
-        edited.objects[0].concepts[0].0 = Concept::new("unheard-of");
-        let everything: Vec<usize> = (0..510).collect();
-        let map = model.correlation_map_update(&edited, &crowd, &everything, &mut scratch);
+        edited.objects[0].texture_complexity = 0.123;
+        let map = model.correlation_map_coherent(&edited, &crowd, &mut scratch);
         assert_eq!(map, &model.correlation_map_naive(&edited, &crowd));
-        assert!(!planted(&scratch, &edited));
+        assert_eq!(scratch.grid.dirty_cells().count(), 510);
+        assert!(planted(&scratch, &edited));
         // A stolen map re-resolves.
         plant(&mut scratch);
         let _ = scratch.take_map();

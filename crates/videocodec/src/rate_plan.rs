@@ -2,8 +2,8 @@
 //! plus the one rate kernel that probes *and* encodes from it and the one budget search
 //! that runs on it.
 //!
-//! A [`RatePlan`] rasterizes the frame's [`GridContent`] once and folds everything of the
-//! rate law ([`crate::RdModel::block_bits_with_factor`]) that does not depend on QP into
+//! A [`RatePlan`] holds the frame's [`GridContent`] raster and everything of the rate law
+//! ([`crate::RdModel::block_bits_with_factor`]) that does not depend on QP, folded into
 //! per-block coefficients:
 //!
 //! * `lead[b]  = intra_bpp_at_ref * content_factor(b)` — the rate law's first product,
@@ -20,6 +20,14 @@
 //! same kernel, so the size a probe predicts is the size the encode produces by
 //! construction; the equivalence tests below pin every block at every level against the
 //! scalar rate law.
+//!
+//! **A capture costs what changed.** The plan remembers the capture it was last prepared
+//! for: its raster is brought forward with [`GridContent::update`], and only the blocks
+//! that call recomputed get new coefficients (`tail` for every block when the GOP flips
+//! intra ↔ inter). It also remembers *whose* coefficients it holds — the encoder's
+//! `(RdModel, EncoderConfig)` — and starts over when prepared by another encoder, so a
+//! plan may be handed between encoders. Either way it equals a freshly built plan field
+//! for field (tests below).
 //!
 //! **The kernel stays in `f64`.** The scalar expression calls `ceil` twice and casts
 //! `f64 → u64 → f64 → u32` per block; the kernel instead walks the plan in
@@ -39,9 +47,10 @@
 //! `(plan, budget)`; the caller's hint (the previous frame's `T`) only decides where
 //! probing starts.
 
-use crate::encoder::Encoder;
+use crate::encoder::{Encoder, EncoderConfig};
 use crate::frame::FrameType;
 use crate::qp::{Qp, QpMap, QP_MAX, QP_MIN};
+use crate::rd::RdModel;
 use aivc_scene::grid_content::GridContent;
 use aivc_scene::{Frame, GridDims};
 
@@ -60,7 +69,9 @@ const MAX_EXACT_BLOCKS: usize = 1 << 20;
 
 /// Reusable per-frame rate state: what rate-control probes sum and what the encode of the
 /// same frame writes its blocks from. Buffers retain capacity across frames, so a warm
-/// conversation prepares plans without touching the allocator.
+/// conversation prepares plans without touching the allocator, and the state of the
+/// previous capture is kept so the next one refreshes only the blocks that changed (see
+/// the module docs for what is remembered and what invalidates it).
 #[derive(Debug, Clone)]
 pub struct RatePlan {
     dims: GridDims,
@@ -83,9 +94,12 @@ pub struct RatePlan {
     /// Whether every block stays inside the all-`f64` kernel's exact domain at every QP
     /// (decided by [`Encoder::prepare_rate_plan`]; see the module docs).
     f64_exact: bool,
-    /// The frame's content raster (capacity reused across frames): source of the
+    /// The frame's content raster, updated from capture to capture: source of the
     /// coefficients above and of the encode's block descriptors and coverage table.
     grid: GridContent,
+    /// The rate model and configuration of the encoder that last prepared the plan —
+    /// whose `lead` / `tail` / `f64_exact` it therefore holds.
+    owner: Option<(RdModel, EncoderConfig)>,
 }
 
 impl Default for RatePlan {
@@ -111,6 +125,7 @@ impl RatePlan {
             has_base: false,
             f64_exact: false,
             grid: GridContent::default(),
+            owner: None,
         }
     }
 
@@ -143,54 +158,82 @@ pub struct RateSearch {
 }
 
 impl Encoder {
-    /// Prepares `plan` for rate-control probes over `frame`: rasterizes the content grid
-    /// once and folds every QP-independent term of the rate law into per-block
-    /// coefficients. With `base` supplied, the plan also snapshots the per-block base QP
-    /// so [`Encoder::predict_plan_offset_size`] can probe uniform offsets on top of it
-    /// (the context-aware search); without it only
-    /// [`Encoder::predict_plan_uniform_size`] is valid (the baseline search).
+    /// Prepares `plan` for rate-control probes over `frame`: brings the content raster to
+    /// the frame and folds every QP-independent term of the rate law into per-block
+    /// coefficients — for the blocks the raster recomputed when the plan last served this
+    /// encoder (every `tail` too when the frame type flipped), for all of them otherwise.
+    /// With `base` supplied, the plan also snapshots the per-block base QP so
+    /// [`Encoder::predict_plan_offset_size`] can probe uniform offsets on top of it (the
+    /// context-aware search); without it only [`Encoder::predict_plan_uniform_size`] is
+    /// valid (the baseline search).
     pub fn prepare_rate_plan(&self, frame: &Frame, base: Option<&QpMap>, plan: &mut RatePlan) {
         let dims = self.grid_for(frame);
+        let blocks = dims.len();
         let frame_type = self.config().gop.frame_type(frame.index);
+        let flipped = plan.stamp.2 != frame_type;
+        let owner = Some((*self.rd_model(), *self.config()));
+        let rebuild = plan.owner != owner;
+        plan.owner = owner;
         plan.dims = dims;
         plan.stamp = (frame.index, frame.capture_ts_us, frame_type);
-        plan.lead.clear();
-        plan.tail.clear();
-        plan.pixels.clear();
-        plan.base_qp.clear();
-        plan.grid.fill(frame, self.config().block_size);
+        plan.grid.update(frame, self.config().block_size);
         let rd = self.rd_model();
-        let (intra_bpp, inter_base, inter_motion) = (
-            rd.intra_bpp_at_ref,
-            rd.inter_base_fraction,
-            rd.inter_motion_fraction,
-        );
-        let grid = &plan.grid;
-        for idx in 0..dims.len() {
-            // The identical clamp + content/type factor expressions of the scalar rate law
-            // (`RdModel::block_bits_with_factor`), evaluated once per frame.
+        let RatePlan {
+            grid,
+            lead,
+            tail,
+            pixels,
+            ..
+        } = &mut *plan;
+        // A raster of another geometry comes back all dirty, so every slot is rewritten.
+        lead.resize(blocks, 0.0);
+        tail.resize(blocks, 0.0);
+        pixels.resize(blocks, 0.0);
+        // The identical clamp + content/type factor expressions of the scalar rate law
+        // (`RdModel::block_bits_with_factor`).
+        let tail_of = |idx: usize| match frame_type {
+            FrameType::Intra => 1.0,
+            FrameType::Inter => {
+                rd.inter_base_fraction + rd.inter_motion_fraction * grid.motion()[idx].clamp(0.0, 1.0)
+            }
+        };
+        let mut refresh = |idx: usize| {
             let content_factor = 0.08 + 0.92 * grid.complexity()[idx].clamp(0.0, 1.0);
-            let tail = match frame_type {
-                FrameType::Intra => 1.0,
-                FrameType::Inter => inter_base + inter_motion * grid.motion()[idx].clamp(0.0, 1.0),
-            };
-            plan.lead.push(intra_bpp * content_factor);
-            plan.tail.push(tail);
-            plan.pixels.push(grid.area()[idx] as f64);
+            lead[idx] = rd.intra_bpp_at_ref * content_factor;
+            tail[idx] = tail_of(idx);
+            pixels[idx] = grid.area()[idx] as f64;
+        };
+        if rebuild {
+            (0..blocks).for_each(&mut refresh);
+        } else {
+            grid.dirty_cells().for_each(&mut refresh);
+            if flipped {
+                for (idx, tail) in tail.iter_mut().enumerate() {
+                    *tail = tail_of(idx);
+                }
+            }
         }
-        plan.f64_exact = self.plan_is_f64_exact(plan);
+        // Clean blocks keep their verdict: only a plan that was inside the domain with
+        // these very coefficients can be judged by its dirty blocks alone.
+        plan.f64_exact = if rebuild || flipped || !plan.f64_exact {
+            self.blocks_are_f64_exact(plan, 0..blocks)
+        } else {
+            self.blocks_are_f64_exact(plan, plan.grid.dirty_cells())
+        };
         plan.has_base = base.is_some();
+        plan.base_qp.clear();
         if let Some(base) = base {
             assert_eq!(base.dims(), dims, "base QP map grid does not match plan grid");
             plan.base_qp.extend(base.values().iter().map(|q| q.value()));
         }
     }
 
-    /// Whether the all-`f64` probe kernel equals the scalar expression on every block of
-    /// `plan` at every QP. With every coefficient non-negative a block's bit count is
-    /// monotone in the QP factor, so bounding it at the table's largest factor bounds it
-    /// at every level; a NaN anywhere fails a comparison.
-    fn plan_is_f64_exact(&self, plan: &RatePlan) -> bool {
+    /// Whether the all-`f64` probe kernel equals the scalar expression on the given
+    /// `blocks` of `plan` at every QP (and the encoder and block count are inside its
+    /// domain at all). With every coefficient non-negative a block's bit count is monotone
+    /// in the QP factor, so bounding it at the table's largest factor bounds it at every
+    /// level; a NaN anywhere fails a comparison.
+    fn blocks_are_f64_exact(&self, plan: &RatePlan, mut blocks: impl Iterator<Item = usize>) -> bool {
         let factors = self.qp_factor_table();
         let max_factor = factors.iter().copied().fold(0.0, f64::max);
         let min_bpp = self.rd_model().min_bpp;
@@ -198,19 +241,15 @@ impl Encoder {
             && !min_bpp.is_nan()
             && (0.0..=MAX_PRESET_FACTOR).contains(&self.config().preset.rate_factor())
             && plan.lead.len() <= MAX_EXACT_BLOCKS
-            && plan
-                .lead
-                .iter()
-                .zip(&plan.tail)
-                .zip(&plan.pixels)
-                .all(|((&lead, &tail), &pixels)| {
-                    let max_bpp = (lead * max_factor) * tail;
-                    lead >= 0.0
-                        && tail >= 0.0
-                        && pixels >= 0.0
-                        && max_bpp < f64::INFINITY
-                        && max_bpp.max(min_bpp) * pixels < MAX_BLOCK_BITS
-                })
+            && blocks.all(|b| {
+                let (lead, tail, pixels) = (plan.lead[b], plan.tail[b], plan.pixels[b]);
+                let max_bpp = (lead * max_factor) * tail;
+                lead >= 0.0
+                    && tail >= 0.0
+                    && pixels >= 0.0
+                    && max_bpp < f64::INFINITY
+                    && max_bpp.max(min_bpp) * pixels < MAX_BLOCK_BITS
+            })
     }
 
     /// Predicted total size in bytes of encoding the planned frame with its base QP map
@@ -668,7 +707,7 @@ mod tests {
             plan.tail.push(tail);
             plan.pixels.push(pixels);
         }
-        plan.f64_exact = enc.plan_is_f64_exact(&plan);
+        plan.f64_exact = enc.blocks_are_f64_exact(&plan, 0..blocks.len());
         plan
     }
 
@@ -956,5 +995,177 @@ mod tests {
                 );
             }
         }
+    }
+
+    /// Deterministic generator for the motion-sequence test.
+    struct Lcg(u64);
+
+    impl Lcg {
+        /// A value in `lo..hi`.
+        fn range(&mut self, lo: i64, hi: i64) -> i64 {
+            self.0 = self
+                .0
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            lo + ((self.0 >> 33) % (hi - lo) as u64) as i64
+        }
+    }
+
+    /// One step of a capture sequence: mostly motion (sub-cell moves, jumps, resizes, a
+    /// placement landing on another, leaving the frame), now and then an edit to what the
+    /// raster's key covers (background, an object's content, the object list, frame size).
+    fn step_frame(rng: &mut Lcg, frame: &mut Frame) {
+        use aivc_scene::Rect;
+        let (width, height) = (frame.width as i64, frame.height as i64);
+        let count = frame.placements.len() as i64;
+        match rng.range(0, 14) {
+            0 => frame.background_complexity = rng.range(0, 101) as f64 / 100.0,
+            1 => {
+                frame.objects[rng.range(0, 3) as usize].texture_complexity = rng.range(0, 101) as f64 / 100.0
+            }
+            2 => frame.objects[rng.range(0, 3) as usize].motion = rng.range(0, 101) as f64 / 100.0,
+            3 => {
+                let twin = frame.objects[rng.range(0, 3) as usize].clone();
+                frame.objects.push(twin);
+            }
+            4 => {
+                frame.width = (width + rng.range(-40, 41)) as u32;
+                frame.height = (height + rng.range(-30, 31)) as u32;
+            }
+            // Nothing moved at all.
+            5 => {}
+            _ => {
+                for _ in 0..rng.range(1, 4) {
+                    let at = rng.range(0, count) as usize;
+                    let other = rng.range(0, count) as usize;
+                    let r = frame.placements[at].region;
+                    frame.placements[at].region = match rng.range(0, 5) {
+                        0 => r.translated(rng.range(-20, 21), rng.range(-20, 21)),
+                        1 => Rect::new(
+                            rng.range(-300, width + 100),
+                            rng.range(-200, height + 100),
+                            r.w,
+                            r.h,
+                        ),
+                        2 => Rect::new(r.x, r.y, rng.range(1, 400) as u32, rng.range(1, 300) as u32),
+                        3 => frame.placements[other]
+                            .region
+                            .translated(rng.range(-30, 31), rng.range(-30, 31)),
+                        _ => Rect::new(width + 10, r.y, r.w, r.h),
+                    };
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn a_plan_carried_across_captures_and_encoders_equals_a_fresh_plan() {
+        let bits = |values: &[f64]| values.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        let gop3 = EncoderConfig {
+            gop: crate::gop::GopStructure::new(3),
+            ..EncoderConfig::default()
+        };
+        let with_rd = |config: EncoderConfig, rd: RdModel| Encoder::with_rd_model(config, rd);
+        // Differing in `RdModel`, in `block_size` and preset, and two models outside the
+        // all-`f64` domain (entered and left as the plan changes hands).
+        let encoders = [
+            Encoder::new(gop3),
+            with_rd(
+                gop3,
+                RdModel {
+                    inter_motion_fraction: 0.4,
+                    ..RdModel::default()
+                },
+            ),
+            Encoder::new(EncoderConfig {
+                block_size: 48,
+                preset: Preset::Slower,
+                ..gop3
+            }),
+            with_rd(
+                gop3,
+                RdModel {
+                    intra_bpp_at_ref: 4.0e6,
+                    ..RdModel::default()
+                },
+            ),
+            with_rd(
+                gop3,
+                RdModel {
+                    intra_bpp_at_ref: f64::NAN,
+                    ..RdModel::default()
+                },
+            ),
+            Encoder::new(EncoderConfig::default()),
+        ];
+        let (mut kept_verdicts, mut left_domain) = (0usize, 0usize);
+        for seed in 0..6u64 {
+            let mut rng = Lcg(seed);
+            let mut scene = basketball_game(seed);
+            scene.width = 700 + 37 * seed as u32;
+            scene.height = 410 + 23 * seed as u32;
+            let mut frame = VideoSource::new(scene, SourceConfig::fps30(5.0)).frame(0);
+            let mut plan = RatePlan::new();
+            let mut scratch = EncodeScratch::new();
+            let (mut carried_out, mut fresh_out) = (
+                crate::frame::EncodedFrame::placeholder(),
+                crate::frame::EncodedFrame::placeholder(),
+            );
+            let mut current = 0usize;
+            for step in 0..90 {
+                step_frame(&mut rng, &mut frame);
+                // Any GOP position: intra → inter, inter → intra, inter → inter, and (under
+                // the default 60-frame GOP) long inter runs.
+                frame.index = rng.range(0, 7) as u64;
+                frame.capture_ts_us = step * 33_333;
+                if rng.range(0, 4) == 0 {
+                    current = rng.range(0, encoders.len() as i64) as usize;
+                }
+                let enc = &encoders[current];
+                let base = (rng.range(0, 2) == 0).then(|| varied_base(enc.grid_for(&frame)));
+                let was_exact = plan.f64_exact;
+                enc.prepare_rate_plan(&frame, base.as_ref(), &mut plan);
+                let mut fresh = RatePlan::new();
+                enc.prepare_rate_plan(&frame, base.as_ref(), &mut fresh);
+                let what = format!("seed {seed} step {step} encoder {current}");
+                assert_eq!(plan.dims, fresh.dims, "{what}: dims");
+                assert_eq!(plan.stamp, fresh.stamp, "{what}: stamp");
+                assert_eq!(bits(&plan.lead), bits(&fresh.lead), "{what}: lead");
+                assert_eq!(bits(&plan.tail), bits(&fresh.tail), "{what}: tail");
+                assert_eq!(bits(&plan.pixels), bits(&fresh.pixels), "{what}: pixels");
+                assert_eq!(plan.base_qp, fresh.base_qp, "{what}: base_qp");
+                assert_eq!(plan.has_base, fresh.has_base, "{what}: has_base");
+                assert_eq!(plan.f64_exact, fresh.f64_exact, "{what}: f64_exact");
+                kept_verdicts += usize::from(was_exact && plan.f64_exact);
+                left_domain += usize::from(was_exact && !plan.f64_exact);
+                let mut map = QpMap::empty();
+                for level in -51..=51 {
+                    if let Some(base) = &base {
+                        assert_eq!(
+                            enc.predict_plan_offset_size(&plan, level),
+                            enc.predict_plan_offset_size(&fresh, level),
+                            "{what}: offset {level}"
+                        );
+                        base.offset_all_into(level, &mut map);
+                    } else {
+                        map.fill_uniform(plan.dims(), Qp::new(level));
+                    }
+                    assert_eq!(
+                        enc.predict_plan_uniform_size(&plan, Qp::new(level)),
+                        enc.predict_plan_uniform_size(&fresh, Qp::new(level)),
+                        "{what}: uniform {level}"
+                    );
+                    if level % 17 == 0 {
+                        enc.encode_into_planned(&frame, &map, &plan, &mut scratch, &mut carried_out);
+                        enc.encode_into_planned(&frame, &map, &fresh, &mut scratch, &mut fresh_out);
+                        assert_eq!(carried_out, fresh_out, "{what}: encode at level {level}");
+                    }
+                }
+            }
+        }
+        assert!(
+            kept_verdicts > 100 && left_domain > 5,
+            "{kept_verdicts} kept, {left_domain} left"
+        );
     }
 }

@@ -56,9 +56,9 @@ proptest! {
         }
     }
 
-    /// Incremental correlation (arbitrary dirty supersets of the true dirty set, and the
-    /// automatic coherent path) is bit-identical to a full recompute, for every template,
-    /// frame step and question.
+    /// The coherent path — full on frame A, incremental onto frame B, back onto A, then a
+    /// repeat of A — is bit-identical to a full recompute, for every template, frame step
+    /// and question; so is a scratch whose first frame came through the full form.
     #[test]
     fn incremental_correlation_matches_full_recompute(
         template_idx in 0usize..5,
@@ -66,7 +66,6 @@ proptest! {
         fact_idx in 0usize..4,
         start in 0u64..30,
         step in 1u64..40,
-        extra_dirty in 0usize..600,
     ) {
         let scene = TemplateKind::ALL[template_idx].build(seed);
         let fact = &scene.facts[fact_idx % scene.facts.len()];
@@ -75,30 +74,16 @@ proptest! {
         let source = VideoSource::new(scene.clone(), SourceConfig::fps30(3.0));
         let frame_a = source.frame(start);
         let frame_b = source.frame(start + step);
+        let full_a = model.correlation_map_naive(&frame_a, &query);
         let full_b = model.correlation_map_naive(&frame_b, &query);
 
-        // The automatic coherent path: full on frame A, incremental onto frame B.
         let mut scratch = ClipScratch::new();
-        let _ = model.correlation_map_coherent(&frame_a, &query, &mut scratch);
-        let coherent = model.correlation_map_coherent(&frame_b, &query, &mut scratch);
-        prop_assert_eq!(coherent, &full_b);
-
-        // The explicit path: the true dirty set (patches whose value differs between the
-        // two full maps) plus an arbitrary extra index must reproduce the full recompute.
-        let full_a = model.correlation_map_naive(&frame_a, &query);
-        let mut dirty: Vec<usize> = full_a
-            .values()
-            .iter()
-            .zip(full_b.values())
-            .enumerate()
-            .filter(|(_, (a, b))| a.to_bits() != b.to_bits())
-            .map(|(i, _)| i)
-            .collect();
-        dirty.push(extra_dirty % full_b.dims().len());
+        for (frame, full) in [(&frame_a, &full_a), (&frame_b, &full_b), (&frame_a, &full_a), (&frame_a, &full_a)] {
+            prop_assert_eq!(model.correlation_map_coherent(frame, &query, &mut scratch), full);
+        }
         let mut scratch = ClipScratch::new();
-        let _ = model.correlation_map_with(&frame_a, &query, &mut scratch);
-        let updated = model.correlation_map_update(&frame_b, &query, &dirty, &mut scratch);
-        prop_assert_eq!(updated, &full_b);
+        prop_assert_eq!(model.correlation_map_with(&frame_a, &query, &mut scratch), &full_a);
+        prop_assert_eq!(model.correlation_map_coherent(&frame_b, &query, &mut scratch), &full_b);
     }
 
     /// Block bits are monotone non-increasing in QP and monotone non-decreasing in
@@ -126,9 +111,9 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
     /// Every scratch-taking correlation form is the one classify → evaluate → scatter
-    /// pipeline, so all of them — full, coherent (cold, then warm onto an unrelated layout
-    /// of the same objects), explicit update with a superset dirty set — equal the naive
-    /// per-patch reference bit for bit, over random scenes with overlapping objects,
+    /// pipeline over the one raster, so all of them — full, coherent (cold, then warm onto
+    /// an unrelated layout of the same objects, then onto single-placement nudges of it) —
+    /// equal the naive per-patch reference bit for bit, over random scenes with overlapping objects,
     /// objects partly or fully outside the frame, out-of-ontology and zero-weight
     /// concepts, an empty query, and frame sizes the patch size does not divide.
     #[test]
@@ -191,13 +176,23 @@ proptest! {
         prop_assert_eq!(model.correlation_map_coherent(&frame_b, &query, &mut scratch), &naive_b);
         prop_assert_eq!(model.correlation_map_coherent(&frame_a, &query, &mut scratch), &naive_a);
 
-        // Explicit update: the cells whose value differs plus arbitrary extras.
-        let mut dirty: Vec<usize> = (0..naive_a.dims().len())
-            .filter(|&i| naive_a.values()[i].to_bits() != naive_b.values()[i].to_bits() || rng.gen_range(0..5) == 0)
-            .collect();
-        dirty.push(usize::MAX);
-        let updated = model.correlation_map_update(&frame_b, &query, &dirty, &mut scratch);
-        prop_assert_eq!(updated, &naive_b);
+        // A sequence of small steps from there: one placement nudged, resized or dropped
+        // off the frame at a time, the coherent map checked after each.
+        let mut frame = frame_a;
+        for _ in 0..6 {
+            if frame.placements.is_empty() {
+                break;
+            }
+            let at = rng.gen_range(0..frame.placements.len());
+            let r = frame.placements[at].region;
+            frame.placements[at].region = match rng.gen_range(0..3) {
+                0 => r.translated(rng.gen_range(-40..=40), rng.gen_range(-40..=40)),
+                1 => Rect::new(r.x, r.y, rng.gen_range(1..=width), rng.gen_range(1..=height)),
+                _ => Rect::new(width as i64 + 5, r.y, r.w, r.h),
+            };
+            let naive = model.correlation_map_naive(&frame, &query);
+            prop_assert_eq!(model.correlation_map_coherent(&frame, &query, &mut scratch), &naive);
+        }
     }
 }
 
