@@ -30,11 +30,12 @@ use aivc_videocodec::{
 };
 use aivchat_core::{
     ChatServer, ChatSession, Conversation, ConversationChatServer, NetSessionOptions, QpAllocator,
-    QpAllocatorConfig,
+    QpAllocatorConfig, StreamerConfig,
 };
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::hint::black_box;
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
 
 struct CountingAllocator;
 
@@ -369,18 +370,38 @@ fn main() {
         "Conversation turns with think gaps allocated {think_allocs} times across {think_cycles} post-warmup cycles"
     );
 
-    // --- the ConversationChatServer: several long-lived conversations, each on its own
-    // kernel, spread over the pool lanes with the always-on metrics layer engaged.
-    // Steady-state fleet turns are allocation-free: every event queue sits at its
-    // high-water mark, reports are overwritten in place, and every counter bump is a
-    // relaxed atomic RMW — no heap.
+    // --- the ConversationChatServer: long-lived conversations, each on its own kernel,
+    // spread over the pool lanes with the always-on metrics layer engaged. A conversation
+    // owns what it carries between turns; the frame buffers of a turn belong to its *lane*,
+    // which lends them to each of its sessions in order. So the fleet holds two sessions
+    // per lane, a 64-px-CTU one and then a 32-px-CTU one (4× the block records for the same
+    // frames): the lane's buffers grow to the larger session's size during warm-up and the
+    // smaller one is served from them afterwards. Once each lane has served its largest
+    // member, fleet turns are allocation-free: every event queue sits at its high-water
+    // mark, reports are overwritten in place, and every counter bump is a relaxed atomic
+    // RMW — no heap.
     let conv_template = {
         let mut o = NetSessionOptions::ai_oriented(9, PathConfig::paper_section_2_2(0.0));
         o.capture_fps = 12.0;
         o
     };
-    let mut conv_server =
-        ConversationChatServer::new(pool_lanes, 4, conv_template, SimDuration::from_millis(200));
+    let fleet_sessions = 2 * pool_lanes;
+    let fleet_model = Arc::new(ClipModel::mobile_default());
+    let fleet = (0..fleet_sessions)
+        .map(|i| {
+            let mut options = conv_template.clone();
+            options.seed += i as u64;
+            let mut config = StreamerConfig::default();
+            config.encoder.block_size = if i < pool_lanes { 64 } else { 32 };
+            Conversation::new(
+                options,
+                config,
+                Arc::clone(&fleet_model),
+                SimDuration::from_millis(200),
+            )
+        })
+        .collect();
+    let mut conv_server = ConversationChatServer::with_sessions(MiniPool::new(pool_lanes), fleet);
     for _ in 0..3 {
         conv_server.run_turns(&turn_frames, &question);
     }
@@ -394,8 +415,8 @@ fn main() {
     let fleet_allocs = allocations() - before;
     assert_eq!(
         fleet_allocs, 0,
-        "ConversationChatServer::run_turns ({pool_lanes} lanes, 4 sessions) allocated \
-         {fleet_allocs} times across {measured_server_turns} post-warmup fleet turns"
+        "ConversationChatServer::run_turns ({pool_lanes} lanes, {fleet_sessions} sessions of two \
+         geometries) allocated {fleet_allocs} times across {measured_server_turns} post-warmup fleet turns"
     );
 
     // Reading the always-on counters is also heap-free: snapshots are plain Copy values.

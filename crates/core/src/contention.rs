@@ -33,13 +33,14 @@
 use crate::context_aware::StreamerConfig;
 use crate::conversation::{ConversationReport, Member};
 use crate::net_session::NetSessionOptions;
-use crate::net_turn::{NetEvent, NetEventSink, PacketRun, TurnPlan, UplinkPort};
+use crate::net_turn::{NetEvent, NetEventSink, PacketRun, TurnPlan, TurnScratch, UplinkPort};
 use aivc_mllm::Question;
 use aivc_netsim::{jain_index, FaultKind, LinkConfig, LinkCounters, Packet, SharedLink};
 use aivc_scene::Frame;
 use aivc_semantics::ClipModel;
 use aivc_sim::{Actor, SimDuration, SimTime, Simulation};
 use serde::{Deserialize, Serialize};
+use std::sync::Arc;
 
 /// One scripted turn of a tenant's conversation.
 #[derive(Debug, Clone, PartialEq)]
@@ -282,6 +283,8 @@ impl NetEventSink for TenantSink<'_> {
 struct TenantState {
     spec: TenantSpec,
     member: Member,
+    /// Tenants' turns overlap on the shared kernel, so each holds its own frame buffers.
+    scratch: TurnScratch,
     /// Turns whose window has opened (≥ turns reported; they differ while one is live).
     turns_begun: usize,
     /// `[first capture, last capture]` of the live turn — the span inside which a
@@ -388,7 +391,7 @@ impl ContentionMachine {
             link: &mut self.shared,
             flow: tenant,
         };
-        t.member.conclude_turn(&port, turn.frames.len(), &turn.question);
+        t.member.conclude_turn(&mut t.scratch, &port, &turn.question);
         t.capture_span = None;
         if t.turns_begun < t.spec.turns.len() {
             sim.schedule_at(
@@ -409,7 +412,7 @@ impl ContentionMachine {
             flow: tenant,
         };
         t.member
-            .machine(frames, port)
+            .machine(&mut t.scratch, frames, port)
             .handle(now, ev, &mut TenantSink { tenant, sim });
     }
 
@@ -540,14 +543,17 @@ pub fn run_contention(config: &ContentionConfig, tenants: Vec<TenantSpec>) -> Co
         global_end = global_end.max(horizon + SimDuration::from_micros(1));
     }
 
+    // One model per run: it is immutable, and a registry leg is up to 30 tenants.
+    let model = Arc::new(ClipModel::mobile_default());
     let states: Vec<TenantState> = tenants
         .into_iter()
         .map(|spec| TenantState {
             member: Member::new(
                 spec.options.clone(),
                 StreamerConfig::default(),
-                ClipModel::mobile_default(),
+                Arc::clone(&model),
             ),
+            scratch: TurnScratch::default(),
             spec,
             turns_begun: 0,
             capture_span: None,

@@ -35,7 +35,7 @@ use crate::context_aware::StreamerConfig;
 use crate::net_session::{FaultTelemetry, NetSessionOptions, NetTurnReport};
 use crate::net_turn::{
     begin_turn_window, conclude_turn_window, NetCompute, NetEvent, NetEventSink, Transport, TurnMachine,
-    TurnPlan, UplinkPort,
+    TurnPlan, TurnScratch, UplinkPort,
 };
 use aivc_mllm::Question;
 use aivc_netsim::{LatencyStats, LinkCounters};
@@ -44,6 +44,7 @@ use aivc_scene::Frame;
 use aivc_semantics::ClipModel;
 use aivc_sim::{SimDuration, SimTime, Simulation};
 use serde::{Deserialize, Serialize, Value};
+use std::sync::Arc;
 
 /// The report of a whole conversation: every turn's [`NetTurnReport`] plus the cross-turn
 /// aggregates only a shared timeline can produce.
@@ -158,10 +159,10 @@ impl ConversationReport {
     }
 }
 
-/// Everything one conversation owns except its timeline: the chat pipeline, the
-/// congestion controller, the transport and the per-turn history behind the
-/// [`ConversationReport`]. The driver owns the kernel and hands every call the
-/// [`UplinkPort`] the packets ride.
+/// Everything one conversation carries from turn to turn except its timeline: the chat
+/// pipeline, the congestion controller, the transport and the per-turn history behind the
+/// [`ConversationReport`]. The driver owns the kernel and the [`TurnScratch`], and hands
+/// every call the [`UplinkPort`] the packets ride.
 #[derive(Debug)]
 pub(crate) struct Member {
     compute: NetCompute,
@@ -177,7 +178,11 @@ pub(crate) struct Member {
 }
 
 impl Member {
-    pub(crate) fn new(options: NetSessionOptions, config: StreamerConfig, clip_model: ClipModel) -> Self {
+    pub(crate) fn new(
+        options: NetSessionOptions,
+        config: StreamerConfig,
+        clip_model: Arc<ClipModel>,
+    ) -> Self {
         let gcc = GccController::new(options.gcc);
         Self {
             transport: Transport::new(&options, gcc.estimate_bps()),
@@ -219,10 +224,16 @@ impl Member {
 
     /// The event handler for this member's transport events. `frames` is the open turn's
     /// capture window; between turns (deliveries, polls, retransmissions only — no
-    /// capture is pending) it is not read and may be empty.
-    pub(crate) fn machine<'a>(&'a mut self, frames: &'a [Frame], port: UplinkPort<'a>) -> TurnMachine<'a> {
+    /// capture is pending) neither it nor `scratch` is read, and it may be empty.
+    pub(crate) fn machine<'a>(
+        &'a mut self,
+        scratch: &'a mut TurnScratch,
+        frames: &'a [Frame],
+        port: UplinkPort<'a>,
+    ) -> TurnMachine<'a> {
         TurnMachine {
             compute: &mut self.compute,
+            scratch,
             gcc: &mut self.gcc,
             t: &mut self.transport,
             frames,
@@ -231,21 +242,22 @@ impl Member {
         }
     }
 
-    /// Concludes the open turn once the timeline drained to its horizon: decode, answer
-    /// and report, then record the turn's swing and latencies. Returns the stored report.
+    /// Concludes the open turn once the timeline drained to its horizon: decode (out of
+    /// the `scratch` the turn's machine encoded into), answer and report, then record the
+    /// turn's swing and latencies. Returns the stored report.
     pub(crate) fn conclude_turn(
         &mut self,
+        scratch: &mut TurnScratch,
         port: &UplinkPort<'_>,
-        frame_count: usize,
         question: &Question,
     ) -> &NetTurnReport {
         let report = conclude_turn_window(
             &mut self.compute,
+            scratch,
             &mut self.gcc,
             &mut self.transport,
             port,
             &self.plan,
-            frame_count,
             question,
         );
         self.turn_target_swing_bps
@@ -299,22 +311,28 @@ pub struct Conversation {
     member: Member,
     sim: Simulation<NetEvent>,
     think_gap: SimDuration,
+    /// The frame buffers of standalone turns. A conversation served by a fleet runs on
+    /// its lane's scratch instead and never grows this one.
+    scratch: TurnScratch,
 }
 
 impl Conversation {
     /// Creates a conversation with explicit compute configuration. `think_gap` is the
     /// user's think time inserted before every turn after the first (in-flight packets
-    /// keep arriving and pending retransmissions keep flowing during it).
+    /// keep arriving and pending retransmissions keep flowing during it). The model is
+    /// immutable, so conversations may share one: pass a [`ClipModel`] by value or clone
+    /// an `Arc<ClipModel>` handle.
     pub fn new(
         options: NetSessionOptions,
         config: StreamerConfig,
-        clip_model: ClipModel,
+        clip_model: impl Into<Arc<ClipModel>>,
         think_gap: SimDuration,
     ) -> Self {
         Self {
-            member: Member::new(options, config, clip_model),
+            member: Member::new(options, config, clip_model.into()),
             sim: Simulation::new(),
             think_gap,
+            scratch: TurnScratch::default(),
         }
     }
 
@@ -386,9 +404,17 @@ impl Conversation {
     /// NACK polls fire, retransmissions flow. [`Conversation::run_turn`] already inserts
     /// the configured think gap between turns; use this for extra idle time.
     pub fn think(&mut self, gap: SimDuration) {
+        let mut scratch = std::mem::take(&mut self.scratch);
+        self.think_on(&mut scratch, gap);
+        self.scratch = scratch;
+    }
+
+    fn think_on(&mut self, scratch: &mut TurnScratch, gap: SimDuration) {
         let horizon = self.sim.now() + gap;
-        self.sim
-            .run_until(horizon, &mut self.member.machine(&[], UplinkPort::Private));
+        self.sim.run_until(
+            horizon,
+            &mut self.member.machine(scratch, &[], UplinkPort::Private),
+        );
     }
 
     /// Runs the next turn of the conversation, starting at the current simulated time
@@ -404,8 +430,22 @@ impl Conversation {
     /// [`Conversation::reserve_turns`], a warmed conversation's turn is allocation-free
     /// end to end (the `zero_alloc` harness asserts exactly that).
     pub fn run_turn_in_place(&mut self, frames: &[Frame], question: &Question) -> &NetTurnReport {
+        let mut scratch = std::mem::take(&mut self.scratch);
+        self.run_turn_on(&mut scratch, frames, question);
+        self.scratch = scratch;
+        self.member.turns.last().expect("the turn just pushed its report")
+    }
+
+    /// The turn itself, on the frame buffers of whoever drives it: the conversation's own
+    /// for a standalone turn, the lane's when a fleet serves it. The one code path.
+    pub(crate) fn run_turn_on(
+        &mut self,
+        scratch: &mut TurnScratch,
+        frames: &[Frame],
+        question: &Question,
+    ) -> &NetTurnReport {
         if !self.member.turns.is_empty() && self.think_gap > SimDuration::ZERO {
-            self.think(self.think_gap);
+            self.think_on(scratch, self.think_gap);
         }
         let port = UplinkPort::Private;
         self.member
@@ -413,9 +453,11 @@ impl Conversation {
         // On return the clock sits exactly at the answer deadline; later events (late
         // packets, pending polls) stay queued for the think gap and the next window.
         let horizon = self.member.plan.horizon;
-        self.sim
-            .run_until(horizon, &mut self.member.machine(frames, UplinkPort::Private));
-        self.member.conclude_turn(&port, frames.len(), question)
+        self.sim.run_until(
+            horizon,
+            &mut self.member.machine(scratch, frames, UplinkPort::Private),
+        );
+        self.member.conclude_turn(scratch, &port, question)
     }
 
     /// Pre-grows the per-turn history vectors for `additional_turns` more turns of
@@ -587,6 +629,39 @@ mod tests {
             conv.report()
         };
         assert_eq!(run(), run());
+    }
+
+    /// The model is immutable, so sharing one handle between conversations (what a fleet
+    /// and a contention run do) cannot be told from giving each its own build.
+    #[test]
+    fn conversations_sharing_one_model_handle_match_separately_built_ones() {
+        let q = question();
+        let think = SimDuration::from_millis(300);
+        let shared = Arc::new(ClipModel::mobile_default());
+        let mut pairs: Vec<[Conversation; 2]> = (0..2)
+            .map(|i| {
+                [
+                    Conversation::new(
+                        options(40 + i),
+                        StreamerConfig::default(),
+                        Arc::clone(&shared),
+                        think,
+                    ),
+                    Conversation::with_defaults(options(40 + i), think),
+                ]
+            })
+            .collect();
+        // Interleaved, so the two sharing conversations alternate on the one model.
+        for t in 0..3 {
+            for pair in &mut pairs {
+                for conv in pair {
+                    conv.run_turn(&window(t * 4), &q);
+                }
+            }
+        }
+        for [sharing, owning] in &pairs {
+            assert_eq!(sharing.report(), owning.report());
+        }
     }
 
     #[test]

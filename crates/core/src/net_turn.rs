@@ -5,13 +5,17 @@
 //!
 //! The split is deliberate:
 //!
-//! * [`NetCompute`] owns everything the *chat pipeline* needs — CLIP model and scratch,
-//!   Eq. 2 allocator, encoder/decoder and their per-slot scratches, the MLLM responder —
-//!   exactly the scratch-reuse structure of [`crate::ChatSession`];
+//! * [`NetCompute`] owns what the *chat pipeline* carries from turn to turn — the model
+//!   handle, Eq. 2 allocator, encoder/decoder, MLLM responder, and the scratches whose
+//!   contents a later turn reads (`ClipScratch`, `RatePlan`, the rate hint, the query memo);
+//! * [`TurnScratch`] holds the frame buffers that live inside one turn — written at
+//!   capture, read at the same turn's deadline — so it belongs to whoever *drives* turns
+//!   one at a time (a fleet lane, a standalone conversation, a contention tenant), not to
+//!   the session;
 //! * [`Transport`] owns everything the *network* needs — the emulated path, packetizer,
 //!   pacer, RTX store, FEC encode/recovery, reassembly, NACK generation, and the pending
 //!   congestion feedback — plus the per-turn counters the report reads;
-//! * [`TurnMachine`] borrows both for the duration of a drain and implements
+//! * [`TurnMachine`] borrows all three for the duration of a drain and implements
 //!   [`Actor::on_event`]: the capture → encode → packetize → protect → pace → send →
 //!   arrive → recover loop of §2.2.
 //!
@@ -45,6 +49,7 @@ use aivc_sim::{Actor, SimDuration, SimTime, Simulation};
 use aivc_videocodec::{
     DecodeScratch, DecodedFrame, Decoder, EncodeScratch, EncodedFrame, Encoder, Qp, QpMap, RatePlan,
 };
+use std::sync::Arc;
 
 /// Events of the networked turn's discrete-event loop. Frame indices are *global* across
 /// the owning timeline (a conversation numbers its frames continuously).
@@ -200,38 +205,75 @@ enum DegradationLevel {
     OutageSuppress,
 }
 
-/// The compute half of a networked session: the chat pipeline and every reusable scratch.
+/// The compute half of a networked session: the chat pipeline and the state it carries
+/// from one turn to the next. A field belongs here only if a later turn reads what an
+/// earlier turn wrote; everything written and read inside one turn is [`TurnScratch`].
 #[derive(Debug, Clone)]
 pub(crate) struct NetCompute {
     pub(crate) options: NetSessionOptions,
-    clip_model: ClipModel,
+    /// Immutable after `new`, so a fleet or contention run builds one and shares it.
+    clip_model: Arc<ClipModel>,
     allocator: QpAllocator,
     encoder: Encoder,
     decoder: Decoder,
     responder: MllmChat,
     clip: ClipScratch,
-    qp_map: QpMap,
-    /// Scratch map the rate-control search refills for the one real encode.
-    probe_map: QpMap,
     /// Per-frame probe coefficients (grid raster + QP-independent rate terms), prepared
     /// once per capture so the budget search's probes never re-rasterize the frame.
     rate_plan: RatePlan,
     /// The previous capture's search boundary — where the next search starts probing.
     /// Never changes what a search returns (`Encoder::search_rate_plan`).
     rate_hint: Option<i32>,
-    encode_scratches: Vec<EncodeScratch>,
-    /// The committed encode of each turn slot (needed again at decode time). Slots are
-    /// turn-local: a conversation reuses them every turn.
-    encoded_slots: Vec<EncodedFrame>,
-    decode_scratch: DecodeScratch,
-    decoded: Vec<DecodedFrame>,
-    mllm: MllmScratch,
     cached_question: Option<Question>,
     query: TextQuery,
 }
 
+/// The turn-transient half of the chat pipeline: every buffer a capture writes and the
+/// same turn's deadline reads, and nothing a later turn depends on. One per *driver of
+/// whole turns* — a [`crate::server`] lane (shared by all the lane's sessions, one turn
+/// at a time), a standalone [`crate::Conversation`], a contention tenant (tenants' turns
+/// overlap on the shared kernel, so each owns one). All-empty until its first turn.
+#[derive(Debug)]
+pub(crate) struct TurnScratch {
+    qp_map: QpMap,
+    /// Scratch map the rate-control search refills for the one real encode.
+    probe_map: QpMap,
+    encode_scratches: Vec<EncodeScratch>,
+    /// The committed encode of each turn slot (needed again at decode time).
+    encoded_slots: Vec<EncodedFrame>,
+    /// `turn` at the moment each slot was last encoded. A shed or suppressed capture
+    /// leaves its slot holding an earlier turn's frame — on a lane, another session's —
+    /// which must never be decoded (see [`conclude_turn_window`]).
+    slot_turn: Vec<u64>,
+    /// Turns concluded on this scratch so far.
+    turn: u64,
+    decode_scratch: DecodeScratch,
+    decoded: Vec<DecodedFrame>,
+    mllm: MllmScratch,
+}
+
+impl Default for TurnScratch {
+    fn default() -> Self {
+        Self {
+            qp_map: QpMap::empty(),
+            probe_map: QpMap::empty(),
+            encode_scratches: Vec::new(),
+            encoded_slots: Vec::new(),
+            slot_turn: Vec::new(),
+            turn: 0,
+            decode_scratch: DecodeScratch::new(),
+            decoded: Vec::new(),
+            mllm: MllmScratch::new(),
+        }
+    }
+}
+
 impl NetCompute {
-    pub(crate) fn new(options: NetSessionOptions, config: StreamerConfig, clip_model: ClipModel) -> Self {
+    pub(crate) fn new(
+        options: NetSessionOptions,
+        config: StreamerConfig,
+        clip_model: Arc<ClipModel>,
+    ) -> Self {
         Self {
             allocator: QpAllocator::new(config.allocator),
             encoder: Encoder::new(config.encoder),
@@ -240,15 +282,8 @@ impl NetCompute {
             clip_model,
             options,
             clip: ClipScratch::new(),
-            qp_map: QpMap::empty(),
-            probe_map: QpMap::empty(),
             rate_plan: RatePlan::new(),
             rate_hint: None,
-            encode_scratches: Vec::new(),
-            encoded_slots: Vec::new(),
-            decode_scratch: DecodeScratch::new(),
-            decoded: Vec::new(),
-            mllm: MllmScratch::new(),
             cached_question: None,
             query: TextQuery::from_concepts("", std::iter::empty::<String>()),
         }
@@ -274,21 +309,27 @@ impl NetCompute {
         self.rate_hint = hint;
     }
 
-    /// Encodes `frame` into turn slot `slot` at the closest achievable size to
-    /// `budget_bits`, and returns how many probes the search took.
+    /// Encodes `frame` into turn slot `slot` of `scratch` at the closest achievable size
+    /// to `budget_bits`, and returns how many probes the search took.
     ///
     /// Context-aware mode searches a uniform QP offset on top of the frame's Eq. 2 map
     /// (coded bits are monotone decreasing in the offset — the same §3.2 bitrate-matching
     /// procedure `ContextAwareStreamer::encode_at_bitrate` uses, but per frame and per
     /// target); baseline mode searches the single uniform QP a traditional WebRTC
     /// encoder's rate control would pick.
-    fn encode_slot_to_budget(&mut self, slot: usize, frame: &Frame, budget_bits: f64) -> u32 {
-        if self.encode_scratches.len() <= slot {
-            self.encode_scratches.resize_with(slot + 1, EncodeScratch::new);
-        }
-        if self.encoded_slots.len() <= slot {
-            self.encoded_slots
+    fn encode_slot_to_budget(
+        &mut self,
+        scratch: &mut TurnScratch,
+        slot: usize,
+        frame: &Frame,
+        budget_bits: f64,
+    ) -> u32 {
+        if scratch.encoded_slots.len() <= slot {
+            scratch.encode_scratches.resize_with(slot + 1, EncodeScratch::new);
+            scratch
+                .encoded_slots
                 .resize_with(slot + 1, EncodedFrame::placeholder);
+            scratch.slot_turn.resize(slot + 1, u64::MAX);
         }
         let grid = self.encoder.grid_for(frame);
         // One rate plan per capture: the grid raster and every QP-independent rate term
@@ -300,9 +341,10 @@ impl NetCompute {
                 let importance = self
                     .clip_model
                     .correlation_map_coherent(frame, &self.query, &mut self.clip);
-                self.allocator.allocate_into(importance, grid, &mut self.qp_map);
+                self.allocator
+                    .allocate_into(importance, grid, &mut scratch.qp_map);
                 self.encoder
-                    .prepare_rate_plan(frame, Some(&self.qp_map), &mut self.rate_plan)
+                    .prepare_rate_plan(frame, Some(&scratch.qp_map), &mut self.rate_plan)
             }
             StreamingMode::Baseline => self.encoder.prepare_rate_plan(frame, None, &mut self.rate_plan),
         }
@@ -315,21 +357,22 @@ impl NetCompute {
             .search_rate_plan(&self.rate_plan, budget_bits, self.rate_hint);
         self.rate_hint = Some(search.boundary);
         // One real encode, at the level the search settled on.
-        let mut probe_map = std::mem::replace(&mut self.probe_map, QpMap::empty());
         match self.options.mode {
-            StreamingMode::ContextAware => self.qp_map.offset_all_into(search.level, &mut probe_map),
-            StreamingMode::Baseline => probe_map.fill_uniform(grid, Qp::new(search.level)),
+            StreamingMode::ContextAware => scratch
+                .qp_map
+                .offset_all_into(search.level, &mut scratch.probe_map),
+            StreamingMode::Baseline => scratch.probe_map.fill_uniform(grid, Qp::new(search.level)),
         }
         // `encode_into_planned` reuses the raster the plan just filled for this frame —
         // bit-identical to `encode_into`, one rasterization cheaper.
         self.encoder.encode_into_planned(
             frame,
-            &probe_map,
+            &scratch.probe_map,
             &self.rate_plan,
-            &mut self.encode_scratches[slot],
-            &mut self.encoded_slots[slot],
+            &mut scratch.encode_scratches[slot],
+            &mut scratch.encoded_slots[slot],
         );
-        self.probe_map = probe_map;
+        scratch.slot_turn[slot] = scratch.turn;
         search.probes
     }
 }
@@ -618,6 +661,7 @@ impl Transport {
 pub(crate) struct TurnPlan {
     /// Global id of the turn's first frame.
     base: usize,
+    frame_count: usize,
     /// Capture time of the turn's first frame, in absolute µs.
     start_us: u64,
     frame_interval_us: u64,
@@ -635,6 +679,7 @@ impl TurnPlan {
         let drain_us = (options.drain_secs.max(0.0) * 1e6).round() as u64;
         Self {
             base,
+            frame_count,
             start_us: start.as_micros(),
             frame_interval_us,
             last_capture: SimTime::from_micros(last_capture_us),
@@ -647,11 +692,13 @@ impl TurnPlan {
     }
 }
 
-/// The actor: borrows the compute and transport halves for one drain and handles the
-/// turn's events. `plan` is the live turn's, or — between turns, when `frames` is empty
-/// and only deliveries, polls and feedback are pending — the most recent one's.
+/// The actor: borrows the compute and transport halves and the driver's turn scratch for
+/// one drain and handles the turn's events. `plan` is the live turn's, or — between turns,
+/// when `frames` is empty and only deliveries, polls and feedback are pending (none of
+/// which touches `scratch`) — the most recent one's.
 pub(crate) struct TurnMachine<'a> {
     pub(crate) compute: &'a mut NetCompute,
+    pub(crate) scratch: &'a mut TurnScratch,
     pub(crate) gcc: &'a mut GccController,
     pub(crate) t: &'a mut Transport,
     pub(crate) frames: &'a [Frame],
@@ -808,12 +855,12 @@ impl TurnMachine<'_> {
                 };
 
                 // --- Encode frame i to the per-frame budget the target implies.
-                let probes = self
-                    .compute
-                    .encode_slot_to_budget(local, &self.frames[local], budget_bits);
+                let probes =
+                    self.compute
+                        .encode_slot_to_budget(self.scratch, local, &self.frames[local], budget_bits);
                 t.metrics.rate_searches.inc();
                 t.metrics.rate_probes.add(u64::from(probes));
-                let encoded = &self.compute.encoded_slots[local];
+                let encoded = &self.scratch.encoded_slots[local];
                 let frame_out = OutgoingFrame {
                     frame_id: i as u64,
                     capture_ts_us: self.plan.capture_ts_us(i),
@@ -1123,17 +1170,18 @@ pub(crate) fn begin_turn_window(
 /// Concludes a drained turn window: decodes what arrived, lets the MLLM answer,
 /// assembles the report and retires the reported frames ([`Transport::retire_below`]).
 /// `port` must be the same uplink the machine sent on — it is only read here, for the
-/// per-turn fault-counter deltas.
+/// per-turn fault-counter deltas — and `scratch` the one the machine encoded into.
 pub(crate) fn conclude_turn_window(
     compute: &mut NetCompute,
+    scratch: &mut TurnScratch,
     gcc: &mut GccController,
     transport: &mut Transport,
     port: &UplinkPort<'_>,
     plan: &TurnPlan,
-    frame_count: usize,
     question: &Question,
 ) -> NetTurnReport {
     let horizon = plan.horizon;
+    let frame_count = plan.frame_count;
     let fps = compute.options.capture_fps;
 
     // --- Deadline reached: decode whatever (partially) arrived, in capture order. The
@@ -1173,25 +1221,34 @@ pub(crate) fn conclude_turn_window(
         if status.received_ranges.is_empty() {
             continue;
         }
-        if compute.decoded.len() <= decoded_count {
-            compute.decoded.push(DecodedFrame::placeholder());
+        // Only a capture that was really encoded is expected by the assembler (a shed or
+        // suppressed one has no `view`), so the slot read here is this turn's own — never
+        // the frame an earlier turn, or on a lane another session, left in it.
+        debug_assert_eq!(
+            scratch.slot_turn[local], scratch.turn,
+            "turn slot {local} was not encoded in the turn that decodes it"
+        );
+        if scratch.decoded.len() <= decoded_count {
+            scratch.decoded.push(DecodedFrame::placeholder());
         }
         compute.decoder.decode_into(
-            &compute.encoded_slots[local],
+            &scratch.encoded_slots[local],
             status.received_ranges,
             status.completed_at.map(|t| t.as_micros()),
-            &mut compute.decode_scratch,
-            &mut compute.decoded[decoded_count],
+            &mut scratch.decode_scratch,
+            &mut scratch.decoded[decoded_count],
         );
         decoded_count += 1;
     }
+    // The turn is over for the scratch: whatever its slots hold is stale from here on.
+    scratch.turn += 1;
 
     // --- The MLLM answers over everything that decoded before the deadline.
     let answer = compute.responder.respond_with(
         question,
-        &compute.decoded[..decoded_count],
+        &scratch.decoded[..decoded_count],
         compute.options.seed,
-        &mut compute.mllm,
+        &mut scratch.mllm,
     );
 
     // --- Resilience telemetry: outage exposure, recovery time, ladder activity, and the

@@ -11,26 +11,32 @@
 //! * **bit-identical results for any pool size** — a session's turn touches only the
 //!   session's own state (its clock and event queue included), so where it runs cannot
 //!   change what it computes (proven by the pool-size-independence property tests);
-//! * **allocation-free steady state** — every session owns its scratches, reports are
-//!   plain values overwritten in place, and the pool dispatches without allocating, so
-//!   post-warmup `run_turns` performs zero heap allocations (guarded by
-//!   `crates/bench/tests/zero_alloc.rs`);
-//! * **near-linear scaling** — sessions share nothing, so throughput scales with lanes up
-//!   to the core count (the `pipeline_throughput_{1,8,64}_sessions` benchmarks).
+//! * **allocation-free steady state** — a session owns what it carries between turns, its
+//!   lane owns the buffers a turn only uses while it runs ([`TurnSession::Lane`]), reports
+//!   are plain values overwritten in place, and the pool dispatches without allocating, so
+//!   once every lane has served its largest session `run_turns` performs zero heap
+//!   allocations (guarded by `crates/bench/tests/zero_alloc.rs`);
+//! * **near-linear scaling** — sessions share nothing mutable (one immutable `ClipModel`
+//!   per server, behind an `Arc`), so throughput scales with lanes up to the core count
+//!   (the `pipeline_throughput_{1,8,64}_sessions` benchmarks).
 //!
 //! Sessions running on server lanes use the sequential stage paths internally — the pool
 //! rejects nested parallel sections, and across-session parallelism already saturates the
 //! cores at server scale (DESIGN.md §"Threading model").
 
+use crate::context_aware::StreamerConfig;
 use crate::conversation::{Conversation, ConversationReport};
 use crate::net_session::{FaultTelemetry, NetSessionOptions, NetTurnReport};
+use crate::net_turn::TurnScratch;
 use crate::session::{ChatSession, PipelineTurnReport};
 use aivc_metrics::SessionSnapshot;
 use aivc_mllm::{Answer, Question};
 use aivc_netsim::LinkCounters;
 use aivc_par::MiniPool;
 use aivc_scene::Frame;
+use aivc_semantics::ClipModel;
 use aivc_sim::SimDuration;
+use std::sync::Arc;
 
 /// A session type a server can pool: one long-lived object per user whose turn produces a
 /// plain-value report carrying the MLLM's [`Answer`]. Both server variants share the
@@ -39,11 +45,15 @@ trait TurnSession: Send + std::fmt::Debug {
     /// The per-turn report type, overwritten in place in the session's slot.
     type Report: Clone + Send + std::fmt::Debug;
 
+    /// What a turn needs only while it runs and no later turn reads: the pool keeps one
+    /// per *lane*, and a lane lends it to each of its sessions in turn.
+    type Lane: Default + Send + std::fmt::Debug;
+
     /// The all-zero report a slot starts from.
     fn placeholder_report() -> Self::Report;
 
-    /// Runs one turn and returns its report.
-    fn turn_report(&mut self, frames: &[Frame], question: &Question) -> Self::Report;
+    /// Runs one turn on the lane's scratch and returns its report.
+    fn turn_report(&mut self, frames: &[Frame], question: &Question, lane: &mut Self::Lane) -> Self::Report;
 
     /// The answer inside a report (for the service-level quality aggregates).
     fn answer(report: &Self::Report) -> &Answer;
@@ -51,12 +61,14 @@ trait TurnSession: Send + std::fmt::Debug {
 
 impl TurnSession for ChatSession {
     type Report = PipelineTurnReport;
+    /// A `ChatSession` still owns all of its buffers (ROADMAP item 4 retires or ports it).
+    type Lane = ();
 
     fn placeholder_report() -> PipelineTurnReport {
         PipelineTurnReport::placeholder()
     }
 
-    fn turn_report(&mut self, frames: &[Frame], question: &Question) -> PipelineTurnReport {
+    fn turn_report(&mut self, frames: &[Frame], question: &Question, (): &mut ()) -> PipelineTurnReport {
         self.run_turn(frames, question)
     }
 
@@ -67,13 +79,19 @@ impl TurnSession for ChatSession {
 
 impl TurnSession for Conversation {
     type Report = NetTurnReport;
+    type Lane = TurnScratch;
 
     fn placeholder_report() -> NetTurnReport {
         NetTurnReport::placeholder()
     }
 
-    fn turn_report(&mut self, frames: &[Frame], question: &Question) -> NetTurnReport {
-        self.run_turn_in_place(frames, question).clone()
+    fn turn_report(
+        &mut self,
+        frames: &[Frame],
+        question: &Question,
+        lane: &mut TurnScratch,
+    ) -> NetTurnReport {
+        self.run_turn_on(lane, frames, question).clone()
     }
 
     fn answer(report: &NetTurnReport) -> &Answer {
@@ -95,14 +113,14 @@ struct ServerSlot<S: TurnSession> {
 struct SessionPool<S: TurnSession> {
     pool: MiniPool,
     slots: Vec<ServerSlot<S>>,
-    /// Per-lane scratch handed to the pool — the sessions own all real state, so the
-    /// lanes need none; sized to the lane count once.
-    lane_units: Vec<()>,
+    /// One turn scratch per lane, lent to each of the lane's sessions for the length of
+    /// its turn: a fleet's turn-transient memory scales with lanes, not with sessions.
+    lane_units: Vec<S::Lane>,
 }
 
 impl<S: TurnSession> SessionPool<S> {
     fn with_sessions(pool: MiniPool, sessions: Vec<S>) -> Self {
-        let lane_units = vec![(); pool.lanes()];
+        let lane_units = (0..pool.lanes()).map(|_| S::Lane::default()).collect();
         Self {
             pool,
             slots: sessions
@@ -122,9 +140,9 @@ impl<S: TurnSession> SessionPool<S> {
         }
         let chunks = self.slots.len();
         self.pool
-            .for_each_chunk(&mut self.slots, chunks, &mut self.lane_units, |_, slots, ()| {
+            .for_each_chunk(&mut self.slots, chunks, &mut self.lane_units, |_, slots, lane| {
                 for slot in slots {
-                    slot.report = slot.session.turn_report(frames, question);
+                    slot.report = slot.session.turn_report(frames, question, lane);
                 }
             });
     }
@@ -160,12 +178,19 @@ pub struct ChatServer {
 impl ChatServer {
     /// Creates a server with `session_count` default sessions (seeds `base_seed + i`, so
     /// every session is an independent, reproducible conversation) on a pool of
-    /// `pool_size` lanes.
+    /// `pool_size` lanes. The sessions share one [`ClipModel`].
     pub fn new(pool_size: usize, session_count: usize, base_seed: u64) -> Self {
+        let model = Arc::new(ClipModel::mobile_default());
         Self::with_sessions(
             MiniPool::new(pool_size),
             (0..session_count)
-                .map(|i| ChatSession::with_defaults(base_seed.wrapping_add(i as u64)))
+                .map(|i| {
+                    ChatSession::new(
+                        StreamerConfig::default(),
+                        Arc::clone(&model),
+                        base_seed.wrapping_add(i as u64),
+                    )
+                })
                 .collect(),
         )
     }
@@ -250,26 +275,29 @@ pub struct ConversationChatServer {
 impl ConversationChatServer {
     /// Creates a server of `session_count` conversations sharing `template`'s network and
     /// ABR configuration, with per-session seeds `template.seed + i` and a common
-    /// `think_gap`, on a pool of `pool_size` lanes.
+    /// `think_gap`, on a pool of `pool_size` lanes. The conversations share one
+    /// [`ClipModel`], built here.
     pub fn new(
         pool_size: usize,
         session_count: usize,
         template: NetSessionOptions,
         think_gap: SimDuration,
     ) -> Self {
+        let model = Arc::new(ClipModel::mobile_default());
         Self::with_sessions(
             MiniPool::new(pool_size),
             (0..session_count)
                 .map(|i| {
                     let mut options = template.clone();
                     options.seed = template.seed.wrapping_add(i as u64);
-                    Conversation::with_defaults(options, think_gap)
+                    Conversation::new(options, StreamerConfig::default(), Arc::clone(&model), think_gap)
                 })
                 .collect(),
         )
     }
 
-    /// Creates a server from explicit conversations and a pool.
+    /// Creates a server from explicit conversations and a pool. Each conversation keeps
+    /// the model it was built with (its own or a shared handle).
     pub fn with_sessions(pool: MiniPool, sessions: Vec<Conversation>) -> Self {
         Self {
             inner: SessionPool::with_sessions(pool, sessions),
@@ -670,44 +698,110 @@ mod tests {
         assert!(!line.contains("NaN"), "{line}");
     }
 
-    /// Every conversation runs on its own kernel, so a fleet needs no common geometry
-    /// and no fresh members: mixed think gaps, capture rates and drain windows plus a
-    /// conversation that has already run a turn serve exactly like the same
-    /// conversations standalone, at any pool size, and the counter rollup still
-    /// reconciles exactly with the report sums.
+    /// A window of `count` frames of the basketball clip squeezed onto a `width` × `height`
+    /// canvas (objects keep their 1080p coordinates and are clipped) — a second frame
+    /// geometry for the buffers a lane carries from one session's turn into the next.
+    fn sized_window(width: u32, height: u32, first: u64, count: u64) -> Vec<Frame> {
+        let mut scene = basketball_game(1);
+        (scene.width, scene.height) = (width, height);
+        let source = VideoSource::new(scene, SourceConfig::fps30(6.0));
+        (0..count).map(|i| source.frame(first + i * 11)).collect()
+    }
+
+    /// A fleet whose members differ in everything a lane's turn scratch could leak from
+    /// one session into the next: think gap, capture rate and drain window, context-aware
+    /// next to baseline encoding, a 64-px next to a 32-px CTU grid (4× the block records
+    /// for the same frame), a blackout with the degradation ladder on — its suppressed and
+    /// shed captures leave their slot holding whatever the lane's previous session encoded
+    /// there — and a member that has already run a turn of its own.
+    fn mixed_fleet(q: &Question) -> Vec<Conversation> {
+        use aivc_netsim::FaultSchedule;
+        use aivc_sim::SimTime;
+        // (think ms, capture fps, drain s, baseline, blackout, CTU px)
+        let members = [
+            (100u64, 8.0, 0.3, false, false, 64u32),
+            (250, 12.0, 0.3, true, false, 64),
+            (100, 8.0, 0.9, false, true, 64),
+            (250, 12.0, 0.9, false, false, 32),
+            (100, 8.0, 0.3, true, true, 64),
+            (250, 8.0, 0.3, false, false, 64),
+        ];
+        let mut fleet: Vec<Conversation> = members
+            .iter()
+            .enumerate()
+            .map(
+                |(i, &(think_ms, fps, drain_secs, baseline, blackout, block_size))| {
+                    let seed = 50 + i as u64;
+                    let path = aivc_netsim::PathConfig::paper_section_2_2(0.01);
+                    let mut options = if baseline {
+                        NetSessionOptions::traditional(seed, path)
+                    } else {
+                        NetSessionOptions::ai_oriented(seed, path)
+                    };
+                    options.capture_fps = fps;
+                    options.drain_secs = drain_secs;
+                    if blackout {
+                        // Half a second of silence from the second capture of the second
+                        // (six-frame) turn on, which opens one think gap after the first
+                        // (two-frame) turn's deadline.
+                        let second_turn_secs = 1.0 / fps + drain_secs + think_ms as f64 / 1e3;
+                        options = options.with_resilience();
+                        options.path.uplink.faults = FaultSchedule::blackout(
+                            SimTime::from_secs_f64(second_turn_secs + 1.5 / fps),
+                            SimDuration::from_millis(500),
+                        );
+                    }
+                    let mut config = StreamerConfig::default();
+                    config.encoder.block_size = block_size;
+                    Conversation::new(
+                        options,
+                        config,
+                        ClipModel::mobile_default(),
+                        SimDuration::from_millis(think_ms),
+                    )
+                },
+            )
+            .collect();
+        fleet[5].run_turn(&window(), q);
+        fleet
+    }
+
+    /// Turns of 2, then 6, then 3 frames, 1080p → 720p → 1080p: every slot of a lane's
+    /// scratch is reused across frame counts and geometries.
+    fn mixed_turns() -> [Vec<Frame>; 3] {
+        [
+            sized_window(1920, 1080, 0, 2),
+            sized_window(1280, 720, 30, 6),
+            sized_window(1920, 1080, 90, 3),
+        ]
+    }
+
+    /// Every conversation runs on its own kernel and carries its own state, so a fleet
+    /// needs no common geometry and no fresh members, and the scratch its lanes lend out
+    /// carries nothing: the fleet of [`mixed_fleet`] serves exactly like the same
+    /// conversations standalone, at any pool size (any grouping of members onto lanes),
+    /// and the counter rollup still reconciles exactly with the report sums.
     #[test]
     fn mixed_geometry_and_used_members_match_standalone_at_any_pool_size() {
         let q = question();
-        let fleet = || {
-            let geometry = [
-                (100u64, 8.0, 0.3),
-                (250, 12.0, 0.3),
-                (100, 8.0, 0.9),
-                (250, 12.0, 0.9),
-            ];
-            let mut fleet: Vec<Conversation> = geometry
-                .iter()
-                .enumerate()
-                .map(|(i, &(think_ms, fps, drain_secs))| {
-                    let mut options = net_template(50 + i as u64);
-                    options.capture_fps = fps;
-                    options.drain_secs = drain_secs;
-                    Conversation::with_defaults(options, SimDuration::from_millis(think_ms))
-                })
-                .collect();
-            fleet[1].run_turn(&window(), &q);
-            fleet
-        };
-        let mut standalone = fleet();
+        let turns = mixed_turns();
+        let mut standalone = mixed_fleet(&q);
         for session in &mut standalone {
-            for t in 0..3 {
-                session.run_turn(&turn_window(t), &q);
+            for frames in &turns {
+                session.run_turn(frames, &q);
             }
         }
+        for blacked_out in [2, 4] {
+            let resilience = standalone[blacked_out].fault_telemetry();
+            assert!(
+                resilience.captures_suppressed + resilience.frames_shed > 0,
+                "member {blacked_out} must leave captures unencoded: {resilience:?}"
+            );
+        }
         for pool_size in [1usize, 2, 8] {
-            let mut server = ConversationChatServer::with_sessions(MiniPool::new(pool_size), fleet());
-            for t in 0..3 {
-                server.run_turns(&turn_window(t), &q);
+            let mut server = ConversationChatServer::with_sessions(MiniPool::new(pool_size), mixed_fleet(&q));
+            for frames in &turns {
+                server.run_turns(frames, &q);
             }
             let mut sent = 0;
             let mut lost = 0;
@@ -721,5 +815,51 @@ mod tests {
             assert_eq!(fleet_metrics.frames_sent, sent, "pool {pool_size}");
             assert_eq!(fleet_metrics.packets_lost, lost, "pool {pool_size}");
         }
+    }
+
+    /// Whose scratch a turn runs on is invisible to the conversation: one that alternates
+    /// fleet turns (the lane's scratch, shared with a neighbour) with standalone turns and
+    /// think gaps (its own) reports exactly what an all-standalone twin does.
+    #[test]
+    fn alternating_standalone_and_fleet_turns_match_an_all_standalone_twin() {
+        let q = question();
+        let think = SimDuration::from_millis(300);
+        let pair = || -> Vec<Conversation> {
+            (0..2)
+                .map(|i| Conversation::with_defaults(net_template(30 + i), think))
+                .collect()
+        };
+        let mut twins = pair();
+        let mut server = ConversationChatServer::with_sessions(MiniPool::new(1), pair());
+        for t in 0..6 {
+            let frames = turn_window(t);
+            if t % 2 == 0 {
+                server.run_turns(&frames, &q);
+                for twin in &mut twins {
+                    twin.run_turn(&frames, &q);
+                }
+            } else {
+                // Only member 0 steps outside the fleet; its neighbour keeps the lane busy.
+                for member in [&mut server.inner.slots[0].session, &mut twins[0]] {
+                    member.run_turn(&frames, &q);
+                    member.think(SimDuration::from_millis(150));
+                }
+            }
+        }
+        for (i, twin) in twins.iter().enumerate() {
+            assert_eq!(server.conversation_report(i), twin.report(), "conversation {i}");
+        }
+    }
+
+    /// A server builds one model and hands every session a handle to it.
+    #[test]
+    fn a_server_builds_one_model_for_all_its_sessions() {
+        let chat = ChatServer::new(2, 5, 1);
+        let first = chat.inner.slots[0].session.clip_model() as *const ClipModel;
+        assert!(chat
+            .inner
+            .slots
+            .iter()
+            .all(|slot| std::ptr::eq(slot.session.clip_model(), first)));
     }
 }

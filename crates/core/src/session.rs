@@ -25,6 +25,7 @@ use aivc_scene::{Frame, VideoSource};
 use aivc_semantics::{ClipModel, ClipScratch, TextQuery};
 use aivc_videocodec::{DecodeScratch, DecodedFrame, Decoder, EncodeScratch, EncodedFrame, Encoder, QpMap};
 use serde::{Deserialize, Serialize};
+use std::sync::Arc;
 
 /// Which streaming method the session uses on the uplink.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -284,7 +285,8 @@ pub struct PipelineTurnReport {
 #[derive(Debug, Clone)]
 pub struct ChatSession {
     seed: u64,
-    clip_model: ClipModel,
+    /// Immutable after `new`, so a server builds one and its sessions share it.
+    clip_model: Arc<ClipModel>,
     allocator: QpAllocator,
     encoder: Encoder,
     decoder: Decoder,
@@ -309,8 +311,9 @@ pub struct ChatSession {
 }
 
 impl ChatSession {
-    /// Creates a session with explicit streamer configuration and CLIP model.
-    pub fn new(config: StreamerConfig, clip_model: ClipModel, seed: u64) -> Self {
+    /// Creates a session with explicit streamer configuration and CLIP model — a
+    /// [`ClipModel`] by value, or an `Arc<ClipModel>` handle shared with other sessions.
+    pub fn new(config: StreamerConfig, clip_model: impl Into<Arc<ClipModel>>, seed: u64) -> Self {
         Self {
             seed,
             allocator: QpAllocator::new(config.allocator),
@@ -318,7 +321,7 @@ impl ChatSession {
             decoder: Decoder::new(),
             packetizer: Packetizer::default(),
             responder: MllmChat::responder(seed ^ 0x5EED),
-            clip_model,
+            clip_model: clip_model.into(),
             clip: ClipScratch::new(),
             qp_map: QpMap::empty(),
             encode_scratches: Vec::new(),

@@ -229,6 +229,15 @@ impl AnswerModel {
         I: ExactSizeIterator<Item = &'a DecodedFrame> + Clone,
     {
         let perceived = self.perceived_evidence_quality_iter(question, frames.clone());
+        self.probability_given(question, perceived, frames)
+    }
+
+    /// The answer probability once the evidence has been scored: `perceived` must be
+    /// [`AnswerModel::perceived_evidence_quality_iter`] of the same question and frames.
+    fn probability_given<'a, I>(&self, question: &Question, perceived: f64, frames: I) -> f64
+    where
+        I: ExactSizeIterator<Item = &'a DecodedFrame> + Clone,
+    {
         let threshold = self.calibration.threshold_per_detail * question.required_detail;
         let x = (perceived - threshold) / self.calibration.slope;
         let mut answerable = 1.0 / (1.0 + (-x).exp());
@@ -254,7 +263,15 @@ impl AnswerModel {
     where
         I: ExactSizeIterator<Item = &'a DecodedFrame> + Clone,
     {
-        let p = self.probability_correct_iter(question, frames);
+        self.draw_correct(
+            question,
+            self.probability_correct_iter(question, frames),
+            context_tag,
+        )
+    }
+
+    /// The frozen-seed Bernoulli draw at probability `p`.
+    fn draw_correct(&self, question: &Question, p: f64, context_tag: u64) -> bool {
         let seed = self
             .seed_stream
             .wrapping_mul(0x9E37_79B9_7F4A_7C15)
@@ -262,6 +279,28 @@ impl AnswerModel {
             .wrapping_add(context_tag.wrapping_mul(0x85EB_CA6B));
         let mut rng = ChaCha8Rng::seed_from_u64(seed);
         rng.gen_bool(p.clamp(0.0, 1.0))
+    }
+
+    /// `(perceived evidence quality, probability correct, sampled outcome)` from one walk
+    /// over the evidence — what [`AnswerModel::perceived_evidence_quality_iter`],
+    /// [`AnswerModel::probability_correct_iter`] and [`AnswerModel::answer_is_correct_iter`]
+    /// return, bit for bit, without the latter two each re-scoring every evidence block.
+    pub(crate) fn assess_iter<'a, I>(
+        &self,
+        question: &Question,
+        frames: I,
+        context_tag: u64,
+    ) -> (f64, f64, bool)
+    where
+        I: ExactSizeIterator<Item = &'a DecodedFrame> + Clone,
+    {
+        let perceived = self.perceived_evidence_quality_iter(question, frames.clone());
+        let probability = self.probability_given(question, perceived, frames);
+        (
+            perceived,
+            probability,
+            self.draw_correct(question, probability, context_tag),
+        )
     }
 }
 

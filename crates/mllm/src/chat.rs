@@ -156,15 +156,7 @@ impl MllmChat {
         };
         let considered = &taken[taken.len() - frames_kept..];
         let frames = considered.iter().map(|&i| &offered[i]);
-        let probability = self
-            .answer_model
-            .probability_correct_iter(question, frames.clone());
-        let perceived = self
-            .answer_model
-            .perceived_evidence_quality_iter(question, frames.clone());
-        let correct = self
-            .answer_model
-            .answer_is_correct_iter(question, frames, context_tag);
+        let (perceived, probability, correct) = self.answer_model.assess_iter(question, frames, context_tag);
         let latency = self.latency_model.typical(visual_tokens);
         Answer {
             correct,
@@ -282,6 +274,81 @@ mod tests {
                     chat.respond(&q, &offered, tag),
                     "qp {qp} count {count}"
                 );
+            }
+        }
+    }
+
+    /// `respond_with` scores the evidence once and derives the probability and the draw
+    /// from that score; the public `AnswerModel` forms each re-score it. Same inputs, same
+    /// expressions — so every float must agree to the bit, whichever branch of the
+    /// accuracy model the question takes and whatever transport loss concealed.
+    #[test]
+    fn respond_with_equals_the_three_call_formulation_bit_for_bit() {
+        let scene = aivc_scene::templates::dog_park(1);
+        let source = VideoSource::new(scene.clone(), SourceConfig::fps30(4.0));
+        let enc = Encoder::new(EncoderConfig::default());
+        let dec = Decoder::new();
+        // Four frames 1 s apart (the 2 fps sampler admits them all): complete, then
+        // losing the tail, the middle and all but the head of the bitstream.
+        let offered: Vec<DecodedFrame> = (0..4u64)
+            .map(|i| {
+                let encoded = enc.encode_uniform(&source.frame(i * 30), Qp::new(26 + 6 * i as i32));
+                let total = encoded.total_bytes();
+                let received = [
+                    vec![(0, total)],
+                    vec![(0, total * 2 / 3)],
+                    vec![(0, total / 3), (total * 2 / 3, total)],
+                    vec![(0, total / 8)],
+                ];
+                dec.decode_with_received(&encoded, &received[i as usize], Some(i * 1_000_000))
+            })
+            .collect();
+        assert!(offered.iter().skip(1).all(|f| f.received_fraction() < 1.0));
+
+        let temporal = scene
+            .facts
+            .iter()
+            .find(|f| f.multi_frame)
+            .expect("a temporal fact");
+        let evidence = scene
+            .facts
+            .iter()
+            .find(|f| !f.multi_frame && !f.evidence_objects.is_empty())
+            .expect("a single-frame fact with evidence objects");
+        let mut gist = Question::from_fact(evidence, QuestionFormat::MultipleChoice);
+        gist.evidence_objects.clear();
+        let mut temporal_gist = gist.clone();
+        temporal_gist.multi_frame = true;
+        let questions = [
+            Question::from_fact(evidence, QuestionFormat::FreeResponse),
+            Question::from_fact(temporal, QuestionFormat::FreeResponse),
+            gist,
+            temporal_gist,
+        ];
+
+        let chat = MllmChat::responder(8);
+        let model = chat.answer_model();
+        let mut scratch = MllmScratch::new();
+        for question in &questions {
+            // One frame starves the temporal questions of their second view.
+            for offered in [&offered[..], &offered[..1], &[]] {
+                for tag in [0u64, 3, 11] {
+                    let answer = chat.respond_with(question, offered, tag, &mut scratch);
+                    assert_eq!(answer.frames_ingested, offered.len());
+                    let (taken, _) = chat.ingest(offered);
+                    let kept = &taken[taken.len() - answer.frames_ingested..];
+                    assert_eq!(
+                        answer.perceived_evidence_quality.to_bits(),
+                        model.perceived_evidence_quality(question, kept).to_bits(),
+                        "{question:?}"
+                    );
+                    assert_eq!(
+                        answer.probability_correct.to_bits(),
+                        model.probability_correct(question, kept).to_bits(),
+                        "{question:?}"
+                    );
+                    assert_eq!(answer.correct, model.answer_is_correct(question, kept, tag));
+                }
             }
         }
     }
