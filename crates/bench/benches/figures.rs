@@ -3,20 +3,18 @@
 //! the `aivc-bench` binaries (see DESIGN.md §4).
 
 use aivc_devibench::{Pipeline, PipelineConfig};
-use aivc_rtc::session::synthetic_frame_schedule;
-use aivc_rtc::{SessionConfig, VideoSession};
+use aivc_netsim::LossModel;
 use aivc_scene::Corpus;
 use aivchat_core::run_accuracy_vs_bitrate;
+use aivchat_core::scenarios::{held_rate_sender, stream_for};
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
 
 fn bench_fig3_kernel(c: &mut Criterion) {
-    let frames = synthetic_frame_schedule(2_000_000.0, 30.0, 5.0, 60, 6.0);
-    c.bench_function("fig3_session_5s_2mbps_5pct_loss", |b| {
-        b.iter(|| {
-            let session = VideoSession::new(SessionConfig::paper_fig3(0.05, 2_000_000.0, 7));
-            black_box(session.run(black_box(&frames)))
-        });
+    // One Figure 3 point, conversation build included (the sweep builds one per point).
+    let options = held_rate_sender(7, LossModel::Iid { rate: 0.05 }, 2_000_000.0);
+    c.bench_function("fig3_stream_6s_2mbps_5pct_loss", |b| {
+        b.iter(|| black_box(stream_for(black_box(options.clone()), 6.0)));
     });
 }
 

@@ -3,11 +3,18 @@
 //! AI Video Chat's latency budget leaves little room for retransmission round trips; FEC
 //! trades uplink bitrate for latency. This ablation quantifies that trade on the paper's
 //! 10 Mbps / 30 ms link.
+//!
+//! The sender is the turn engine (`Conversation`, uniform-QP encoder, ABR held at
+//! 800 kbps), with FEC and RTX taken from `NetSessionOptions::{fec, enable_retransmission}`.
+//! Every frame is coded to 800 kbps / 30 — the synthetic schedule's 6× key frames are gone —
+//! each frame has its 2-s turn's 300 ms answer deadline to complete instead of a 5-s tail,
+//! and the uplink rate is what the link delivered (`LinkCounters::delivered_bytes`) per
+//! second of video rather than what the sender offered.
 
 use aivc_bench::{kbps, print_section, write_json, Scale};
 use aivc_netsim::LossModel;
-use aivc_rtc::session::synthetic_frame_schedule;
-use aivc_rtc::{FecConfig, SessionConfig, VideoSession};
+use aivc_rtc::FecConfig;
+use aivchat_core::scenarios::{held_rate_sender, stream_for};
 use serde::Serialize;
 
 #[derive(Serialize)]
@@ -24,7 +31,6 @@ fn main() {
     let scale = Scale::from_env();
     let secs = scale.pick(15.0, 60.0, 400.0);
     let bitrate = 800_000.0;
-    let frames = synthetic_frame_schedule(bitrate, 30.0, secs, 60, 6.0);
 
     let loss_models = [
         ("iid 3%", LossModel::Iid { rate: 0.03 }),
@@ -38,19 +44,19 @@ fn main() {
             ("FEC(4) + RTX", FecConfig::with_group_size(4), true),
             ("none", FecConfig::disabled(), false),
         ] {
-            let mut config = SessionConfig::paper_fig3(0.0, bitrate, 77);
-            config.path.uplink.loss = loss;
-            config.fec = fec;
-            config.enable_retransmission = rtx;
-            let stats = VideoSession::new(config).run(&frames).stats;
-            let mut latency = stats.transmission_latency();
+            let mut options = held_rate_sender(77, loss, bitrate);
+            options.fec = fec;
+            options.enable_retransmission = rtx;
+            let (conversation, mut latency) = stream_for(options, secs);
+            let sent = conversation.metrics_snapshot();
+            let video_secs = sent.frames_sent as f64 / conversation.options().capture_fps;
             rows.push(FecRow {
                 loss_model: loss_name.to_string(),
                 recovery: recovery.to_string(),
                 mean_latency_ms: latency.mean_ms(),
                 p95_latency_ms: latency.p95_ms(),
-                completion_rate: stats.completion_rate(),
-                uplink_bitrate_bps: stats.uplink_bitrate_bps(),
+                completion_rate: sent.frames_delivered as f64 / sent.frames_sent as f64,
+                uplink_bitrate_bps: conversation.link_counters().delivered_bytes as f64 * 8.0 / video_secs,
             });
         }
     }

@@ -4,13 +4,20 @@
 //! jittery link and reports the per-stage latency budget and the answer probability:
 //! the buffer adds tens of milliseconds of latency and changes nothing about what the MLLM
 //! perceives.
+//!
+//! The turn is a one-turn `Conversation` at the engine's AI-oriented defaults, 30 fps:
+//! each frame coded to its own budget under the GCC-driven ABR at the 430 kbps floor (not
+//! one QP offset matched over the window at a fixed rate), FEC(4) + RTX, 300 ms answer
+//! deadline. The engine's receiver has no jitter buffer; `LatencyBudget::of_last_turn`
+//! replays one over the turn's arrivals, so both rows price the same turn.
 
 use aivc_bench::{print_section, write_json, Scale};
 use aivc_mllm::{Question, QuestionFormat};
 use aivc_netsim::{LinkConfig, LossModel, PathConfig, SimDuration};
+use aivc_rtc::jitter::JitterBufferConfig;
 use aivc_scene::templates::basketball_game;
 use aivc_scene::{SourceConfig, VideoSource};
-use aivchat_core::{AiVideoChatSession, SessionOptions};
+use aivchat_core::{Conversation, LatencyBudget, NetSessionOptions};
 use serde::Serialize;
 
 #[derive(Serialize)]
@@ -42,20 +49,25 @@ fn main() {
         downlink: LinkConfig::constant(20e6, SimDuration::from_millis(30), 300, LossModel::None),
     };
 
+    let mut options = NetSessionOptions::ai_oriented(11, jittery_path);
+    options.capture_fps = 30.0;
+    let frames = source.window(source.duration_secs() - window_secs, window_secs, 30.0);
+    let mut conversation = Conversation::with_defaults(options, SimDuration::ZERO);
+    let report = conversation.run_turn(&frames, &question);
+
     let mut rows = Vec::new();
-    for use_jitter_buffer in [true, false] {
-        let mut options = SessionOptions::default_context_aware(11);
-        options.path = jittery_path.clone();
-        options.window_secs = window_secs;
-        options.use_jitter_buffer = use_jitter_buffer;
-        let report = AiVideoChatSession::new(options).run_turn(&source, &question);
+    for (jitter_buffer, config) in [
+        (true, JitterBufferConfig::traditional()),
+        (false, JitterBufferConfig::disabled()),
+    ] {
+        let latency = LatencyBudget::of_last_turn(&conversation, &frames, config);
         rows.push(JitterRow {
-            jitter_buffer: use_jitter_buffer,
-            total_latency_ms: report.latency.total_ms(),
-            jitter_buffer_ms: report.latency.jitter_buffer_ms,
-            transmission_ms: report.latency.transmission_ms,
+            jitter_buffer,
+            total_latency_ms: latency.total_ms(),
+            jitter_buffer_ms: latency.jitter_buffer_ms,
+            transmission_ms: latency.transmission_ms,
             probability_correct: report.answer.probability_correct,
-            meets_300ms_target: report.latency.meets_target(),
+            meets_300ms_target: latency.meets_target(),
         });
     }
 

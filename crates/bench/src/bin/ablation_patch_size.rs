@@ -43,7 +43,7 @@ fn main() {
         let p = responder.answer_model().probability_correct(&question, &frames);
         rows.push(PatchRow {
             patch_size,
-            clip_latency_ms: streamer.clip_latency_us(1920, 1080) as f64 / 1_000.0,
+            clip_latency_ms: streamer.clip_model().inference_latency_us(1920, 1080) as f64 / 1_000.0,
             achieved_bps: enc.achieved_bitrate_bps,
             probability_correct: p,
         });

@@ -3,13 +3,19 @@
 //! AI Video Chat sends video up and receives only audio/text down. This ablation measures
 //! how the chat turn's transmission latency responds to throttling each direction
 //! independently — showing that the uplink is the binding constraint.
+//!
+//! Each row is a one-turn `Conversation` at the engine's AI-oriented defaults, 30 fps:
+//! each frame coded to its own budget under the GCC-driven ABR at the 430 kbps floor (not
+//! one QP offset matched over the window at a fixed rate), FEC(4) + RTX, 300 ms answer
+//! deadline. The downlink carries the NACK feedback.
 
 use aivc_bench::{print_section, write_json, Scale};
 use aivc_mllm::{Question, QuestionFormat};
 use aivc_netsim::{LinkConfig, LossModel, PathConfig, SimDuration};
+use aivc_rtc::jitter::JitterBufferConfig;
 use aivc_scene::templates::basketball_game;
 use aivc_scene::{SourceConfig, VideoSource};
-use aivchat_core::{AiVideoChatSession, SessionOptions};
+use aivchat_core::{Conversation, LatencyBudget, NetSessionOptions};
 use serde::Serialize;
 
 #[derive(Serialize)]
@@ -45,14 +51,16 @@ fn main() {
                 LossModel::None,
             ),
         };
-        let mut options = SessionOptions::default_context_aware(21);
-        options.path = path;
-        options.window_secs = window_secs;
-        let report = AiVideoChatSession::new(options).run_turn(&source, &question);
+        let mut options = NetSessionOptions::ai_oriented(21, path);
+        options.capture_fps = 30.0;
+        let frames = source.window(source.duration_secs() - window_secs, window_secs, 30.0);
+        let mut conversation = Conversation::with_defaults(options, SimDuration::ZERO);
+        let report = conversation.run_turn(&frames, &question);
+        let latency = LatencyBudget::of_last_turn(&conversation, &frames, JitterBufferConfig::disabled());
         rows.push(AsymRow {
             uplink_mbps: up_mbps,
             downlink_mbps: down_mbps,
-            transmission_ms: report.latency.transmission_ms,
+            transmission_ms: latency.transmission_ms,
             frames_delivered: report.frames_delivered,
             probability_correct: report.answer.probability_correct,
         });

@@ -6,10 +6,20 @@
 //! rates, and reports mean / p95 per-frame transmission latency. The paper's observations
 //! under test: (1) latency explodes once bitrate exceeds bandwidth; (2) below bandwidth,
 //! latency still grows with bitrate because more packets mean more retransmission exposure.
+//!
+//! The sender is the turn engine itself (`Conversation`, uniform-QP encoder, ABR held at
+//! the swept rate, NACK/RTX, no FEC), not a transport-only loop fed a synthetic size
+//! schedule. Two things follow. Every frame is coded to `bitrate / 30`, so the old
+//! schedule's 6× key-frame burst every 60 frames is gone and the high-rate tails are
+//! tighter (9 Mbps / 0 % loss: p95 ≈ 62 ms where the bursty schedule read 179 ms). And each
+//! point is a run of 2-s turns, each with the engine's 300 ms answer deadline, instead of
+//! one stream with a 5-s tail: a frame still incomplete at its turn's deadline counts
+//! against completion and has no latency sample, so the over-capacity rows show up as
+//! collapsed completion with latencies bounded by a turn, not as multi-second means.
 
 use aivc_bench::{kbps, print_section, write_json, Scale};
-use aivc_rtc::session::synthetic_frame_schedule;
-use aivc_rtc::{SessionConfig, VideoSession};
+use aivc_netsim::LossModel;
+use aivchat_core::scenarios::{held_rate_sender, stream_for};
 use serde::Serialize;
 
 #[derive(Serialize)]
@@ -34,18 +44,19 @@ fn main() {
 
     for &loss in &losses {
         for &bitrate in &bitrates {
-            let frames = synthetic_frame_schedule(bitrate, 30.0, secs_per_point, 60, 6.0);
-            let session = VideoSession::new(SessionConfig::paper_fig3(loss, bitrate, 42));
-            let stats = session.run(&frames).stats;
-            let mut latency = stats.transmission_latency();
+            let options = held_rate_sender(42, LossModel::Iid { rate: loss }, bitrate);
+            let (conversation, mut latency) = stream_for(options, secs_per_point);
+            let sent = conversation.metrics_snapshot();
             points.push(Fig3Point {
                 bitrate_bps: bitrate,
                 loss_rate: loss,
                 mean_latency_ms: latency.mean_ms(),
                 p95_latency_ms: latency.p95_ms(),
                 p99_latency_ms: latency.p99_ms(),
-                completion_rate: stats.completion_rate(),
-                retransmission_rate: stats.retransmission_rate(),
+                completion_rate: sent.frames_delivered as f64 / sent.frames_sent as f64,
+                // No FEC, so every uplink packet is media or a retransmission.
+                retransmission_rate: sent.retransmissions_sent as f64
+                    / (sent.packets_sent - sent.retransmissions_sent) as f64,
             });
         }
     }

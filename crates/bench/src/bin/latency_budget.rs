@@ -3,13 +3,22 @@
 //! Runs a full chat turn under three configurations (traditional RTC at ABR-chosen bitrate
 //! with a jitter buffer; AI-oriented ultra-low-bitrate without a jitter buffer; the same on
 //! a degraded network) and prints the per-stage breakdown against the 300 ms target.
+//!
+//! Each configuration is a one-turn `Conversation` at 30 fps with the engine's recovery
+//! defaults (FEC(4) + RTX, 300 ms answer deadline), each frame coded to its own budget
+//! rather than one QP matched over the window. The traditional leg holds the ABR at
+//! 6 Mbps — intra frames no longer burst, so arrivals are smooth — and is priced with a
+//! jitter buffer replayed over them; the AI-oriented legs run the GCC-driven ABR at the
+//! 430 kbps floor, where FEC repairs most of the 5 % leg's losses without a round trip.
 
 use aivc_bench::{print_section, write_json, Scale};
 use aivc_mllm::{Question, QuestionFormat};
-use aivc_netsim::PathConfig;
+use aivc_netsim::{PathConfig, SimDuration};
+use aivc_rtc::jitter::JitterBufferConfig;
+use aivc_rtc::AbrPolicy;
 use aivc_scene::templates::basketball_game;
 use aivc_scene::{SourceConfig, VideoSource};
-use aivchat_core::{AiVideoChatSession, SessionOptions, RESPONSE_LATENCY_TARGET_MS};
+use aivchat_core::{Conversation, LatencyBudget, NetSessionOptions, RESPONSE_LATENCY_TARGET_MS};
 use serde::Serialize;
 
 #[derive(Serialize)]
@@ -28,31 +37,35 @@ fn main() {
     let source = VideoSource::new(scene.clone(), SourceConfig::fps30(6.0));
     let question = Question::from_fact(&scene.facts[0], QuestionFormat::FreeResponse);
 
-    let mut configs: Vec<(String, SessionOptions)> = Vec::new();
-    // Traditional: ABR-style bitrate near the link capacity, jitter buffer on.
-    let mut traditional = SessionOptions::default_baseline(3);
-    traditional.target_bitrate_bps = 6_000_000.0;
-    traditional.use_jitter_buffer = true;
-    traditional.window_secs = window;
-    configs.push(("traditional RTC (6 Mbps, jitter buffer)".into(), traditional));
-    // AI-oriented: ultra-low bitrate, context-aware, no jitter buffer.
-    let mut ai = SessionOptions::default_context_aware(3);
-    ai.window_secs = window;
-    configs.push(("AI-oriented (430 kbps, context-aware, no buffer)".into(), ai));
-    // Same, on a loss-degraded network.
-    let mut degraded = SessionOptions::default_context_aware(3);
-    degraded.window_secs = window;
-    degraded.path = PathConfig::paper_section_2_2(0.05);
-    configs.push(("AI-oriented, 5% loss".into(), degraded));
+    let ai = |loss| NetSessionOptions::ai_oriented(3, PathConfig::paper_section_2_2(loss));
+    let mut traditional = NetSessionOptions::traditional(3, PathConfig::paper_section_2_2(0.01));
+    traditional.abr = AbrPolicy::held_at(6_000_000.0);
+    let (buffered, unbuffered) = (JitterBufferConfig::traditional(), JitterBufferConfig::disabled());
+    let configs = [
+        // Traditional: ABR-style bitrate near the link capacity, jitter buffer on.
+        ("traditional RTC (6 Mbps, jitter buffer)", traditional, buffered),
+        // AI-oriented: ultra-low bitrate, context-aware, no jitter buffer.
+        (
+            "AI-oriented (430 kbps, context-aware, no buffer)",
+            ai(0.01),
+            unbuffered,
+        ),
+        // Same, on a loss-degraded network.
+        ("AI-oriented, 5% loss", ai(0.05), unbuffered),
+    ];
 
     let mut rows = Vec::new();
-    for (name, options) in configs {
-        let report = AiVideoChatSession::new(options).run_turn(&source, &question);
+    for (name, mut options, jitter_buffer) in configs {
+        options.capture_fps = 30.0;
+        let frames = source.window(source.duration_secs() - window, window, 30.0);
+        let mut conversation = Conversation::with_defaults(options, SimDuration::ZERO);
+        let report = conversation.run_turn(&frames, &question);
+        let latency = LatencyBudget::of_last_turn(&conversation, &frames, jitter_buffer);
         rows.push(BudgetRow {
-            configuration: name,
-            breakdown: report.latency.to_line(),
-            total_ms: report.latency.total_ms(),
-            meets_target: report.latency.meets_target(),
+            configuration: name.to_string(),
+            breakdown: latency.to_line(),
+            total_ms: latency.total_ms(),
+            meets_target: latency.meets_target(),
             probability_correct: report.answer.probability_correct,
         });
     }

@@ -501,9 +501,17 @@ impl ContentionMachine {
 
 /// Runs a full contention experiment: K tenant conversations plus cross-traffic on one
 /// shared bottleneck, from time zero to the last tenant's final answer deadline.
+///
+/// # Panics
+///
+/// Panics when there is no tenant, a scripted turn has no frame, a tenant's options fail
+/// [`NetSessionOptions::validate`], or its private uplink disagrees with the shared link.
 pub fn run_contention(config: &ContentionConfig, tenants: Vec<TenantSpec>) -> ContentionReport {
     assert!(!tenants.is_empty(), "a contention run needs at least one tenant");
     for t in &tenants {
+        if let Err(e) = t.options.validate() {
+            panic!("tenant {:?}: {e}", t.label);
+        }
         assert!(
             t.turns.iter().all(|turn| !turn.frames.is_empty()),
             "every scripted turn needs at least one frame"
@@ -762,6 +770,31 @@ mod tests {
                 turns: turn_script(0, 1, 4, 8.0),
             }],
         );
+    }
+
+    /// A rate the turn clock cannot step by is rejected before the horizon arithmetic
+    /// reads it, with the tenant and the field named.
+    #[test]
+    fn tenant_capture_fps_is_validated_at_input() {
+        let uplink = LinkConfig::constant(4e6, SimDuration::from_millis(30), 300, LossModel::None);
+        for fps in [0.0, -1.0, f64::NAN, f64::INFINITY] {
+            let tenant = TenantSpec {
+                label: "bad-clock".into(),
+                mode: "ai_oriented".into(),
+                join_at: SimTime::ZERO,
+                think: SimDuration::ZERO,
+                options: tenant_options(1, &uplink, fps),
+                turns: turn_script(0, 1, 4, 8.0),
+            };
+            let config = base_config(uplink.clone(), 1, 4e6);
+            let panic = std::panic::catch_unwind(|| run_contention(&config, vec![tenant]))
+                .expect_err("an invalid capture_fps must not run");
+            let message = panic.downcast_ref::<String>().expect("a formatted panic message");
+            assert!(
+                message.contains("bad-clock") && message.contains("capture_fps"),
+                "{message}"
+            );
+        }
     }
 
     #[test]

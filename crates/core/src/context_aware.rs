@@ -204,12 +204,6 @@ impl ContextAwareStreamer {
             .collect();
         (decoded, encode)
     }
-
-    /// The per-turn client-side compute latency added by the CLIP pass, in microseconds
-    /// (the paper's "client-side computation" discussion).
-    pub fn clip_latency_us(&self, width: u32, height: u32) -> u64 {
-        self.clip_model.inference_latency_us(width, height)
-    }
 }
 
 #[cfg(test)]
@@ -299,13 +293,6 @@ mod tests {
         let query = TextQuery::from_words("xyzzy", streamer.clip_model().ontology());
         let qp_map = streamer.qp_map_for(&frame, &query);
         assert_eq!(qp_map.min_qp(), qp_map.max_qp());
-    }
-
-    #[test]
-    fn clip_latency_is_a_few_milliseconds() {
-        let streamer = ContextAwareStreamer::default();
-        let us = streamer.clip_latency_us(1920, 1080);
-        assert!(us > 1_000 && us < 30_000, "{us} us");
     }
 
     #[test]

@@ -32,7 +32,7 @@
 //! differ only in whose kernel the events ride and which uplink the packets take.
 
 use crate::context_aware::StreamerConfig;
-use crate::net_session::{FaultTelemetry, NetSessionOptions, NetTurnReport};
+use crate::net_session::{FaultTelemetry, FrameDelivery, NetSessionOptions, NetTurnReport};
 use crate::net_turn::{
     begin_turn_window, conclude_turn_window, NetCompute, NetEvent, NetEventSink, Transport, TurnMachine,
     TurnPlan, TurnScratch, UplinkPort,
@@ -165,7 +165,7 @@ impl ConversationReport {
 /// every call the [`UplinkPort`] the packets ride.
 #[derive(Debug)]
 pub(crate) struct Member {
-    compute: NetCompute,
+    pub(crate) compute: NetCompute,
     pub(crate) gcc: GccController,
     transport: Transport,
     /// The live (or most recent) turn's plan.
@@ -263,7 +263,7 @@ impl Member {
         self.turn_target_swing_bps
             .push(self.transport.turn_target_swing_bps());
         self.frame_latencies
-            .extend_from_slice(&self.transport.turn_frame_latencies);
+            .extend(self.transport.turn_deliveries.iter().map(FrameDelivery::latency));
         self.turns.push(report);
         self.turns.last().expect("just pushed")
     }
@@ -308,7 +308,7 @@ impl Member {
 /// turns), and read the cross-turn aggregates with [`Conversation::report`].
 #[derive(Debug)]
 pub struct Conversation {
-    member: Member,
+    pub(crate) member: Member,
     sim: Simulation<NetEvent>,
     think_gap: SimDuration,
     /// The frame buffers of standalone turns. A conversation served by a fleet runs on
@@ -322,12 +322,19 @@ impl Conversation {
     /// keep arriving and pending retransmissions keep flowing during it). The model is
     /// immutable, so conversations may share one: pass a [`ClipModel`] by value or clone
     /// an `Arc<ClipModel>` handle.
+    ///
+    /// # Panics
+    ///
+    /// Panics when `options` fail [`NetSessionOptions::validate`].
     pub fn new(
         options: NetSessionOptions,
         config: StreamerConfig,
         clip_model: impl Into<Arc<ClipModel>>,
         think_gap: SimDuration,
     ) -> Self {
+        if let Err(e) = options.validate() {
+            panic!("{e}");
+        }
         Self {
             member: Member::new(options, config, clip_model.into()),
             sim: Simulation::new(),
@@ -391,6 +398,15 @@ impl Conversation {
     /// [`Conversation::report`], available mid-conversation without assembling a report).
     pub fn fault_telemetry(&self) -> FaultTelemetry {
         self.member.fault_telemetry()
+    }
+
+    /// The frames the most recent turn delivered before its deadline, in capture order:
+    /// capture time, send start and completion of each. Overwritten by the next turn —
+    /// a caller that wants a distribution over many turns (Figure 3's mean / p99) folds
+    /// this after each one; the conversation itself keeps only the latencies behind
+    /// [`ConversationReport`]'s percentiles.
+    pub fn last_turn_deliveries(&self) -> &[FrameDelivery] {
+        &self.member.transport.turn_deliveries
     }
 
     /// Number of idle pooled run buffers in the transport — the buffer-pool
@@ -565,6 +581,33 @@ mod tests {
             after_first.as_micros() + 500_000 + (3.0 / 8.0 * 1e6) as u64 + 300_000
         );
         assert_eq!(conv.turn_count(), 2);
+    }
+
+    /// The per-turn delivery record is the most recent turn's only, and what the
+    /// conversation keeps of it — the latencies behind its percentiles — is exactly its
+    /// `latency()` column.
+    #[test]
+    fn last_turn_deliveries_are_overwritten_per_turn_and_feed_the_report() {
+        let mut conv = Conversation::with_defaults(options(29), SimDuration::from_millis(500));
+        assert!(conv.last_turn_deliveries().is_empty());
+        let mut folded = Vec::new();
+        for t in 0..3 {
+            let previous_deadline = conv.now().as_micros();
+            let report = conv.run_turn(&window(t * 4), &question());
+            let deliveries = conv.last_turn_deliveries();
+            assert_eq!(deliveries.len(), report.frames_delivered);
+            assert!(deliveries.is_sorted_by_key(|d| d.capture_ts_us));
+            for d in deliveries {
+                // This turn's frame, sent after capture, a propagation delay on the wire
+                // at least, complete by the deadline.
+                assert!(d.capture_ts_us >= previous_deadline, "turn {t}");
+                assert!(d.send_start.as_micros() >= d.capture_ts_us);
+                assert!(d.latency() >= SimDuration::from_millis(30));
+                assert!(d.completed_at <= conv.now());
+            }
+            folded.extend(deliveries.iter().map(FrameDelivery::latency));
+        }
+        assert_eq!(conv.member.frame_latencies, folded);
     }
 
     #[test]

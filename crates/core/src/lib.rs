@@ -9,9 +9,10 @@
 //!   the baseline at equal actual bitrates (§3.2);
 //! * [`baseline`] — the context-agnostic uniform-QP baseline;
 //! * [`latency`] — the end-to-end response-latency budget (capture, CLIP, encode,
-//!   transmission, decode, MLLM inference) against the 300 ms conversational bound (§1);
-//! * [`session`] — the full AI Video Chat turn: capture → encode → RTC over the emulated
-//!   uplink → decode → MLLM answer, with per-stage latency accounting;
+//!   transmission, decode, MLLM inference) against the 300 ms conversational bound (§1),
+//!   read off a [`Conversation`] turn;
+//! * [`session`] — the compute-only turn ([`ChatSession`]: what one turn costs client and
+//!   cloud, no network) and the [`session::StreamingMode`] both session types share;
 //! * [`net_session`] — the network-in-the-loop turn's options and report: per-frame GCC
 //!   feedback → ABR target → encode-at-bitrate → FEC/NACK recovery → decode, on a
 //!   trace-driven emulated uplink (the loop itself is the private `net_turn` engine over
@@ -57,10 +58,10 @@ pub use context_aware::{ContextAwareStreamer, StreamerConfig};
 pub use conversation::{Conversation, ConversationReport};
 pub use eval::{run_accuracy_vs_bitrate, AccuracyPoint, MethodKind};
 pub use latency::{LatencyBudget, RESPONSE_LATENCY_TARGET_MS};
-pub use net_session::{NetSessionOptions, NetTurnReport};
+pub use net_session::{FrameDelivery, NetSessionOptions, NetSessionOptionsError, NetTurnReport};
 pub use scenarios::{
     ContentionScenario, ContentionScenarioReport, ConversationScenario, ConversationScenarioReport, Scenario,
     ScenarioReport,
 };
 pub use server::{ChatServer, ConversationChatServer, ServingReport};
-pub use session::{AiVideoChatSession, ChatSession, ChatTurnReport, PipelineTurnReport, SessionOptions};
+pub use session::{ChatSession, PipelineTurnReport};

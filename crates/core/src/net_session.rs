@@ -9,7 +9,7 @@
 //! ```text
 //! BandwidthTrace ──► Link ──► per-packet feedback ──► GccController ──► AbrPolicy
 //!       ▲                                                                  │
-//!       └── FEC/NACK recovery ◄── packetize ◄── encode_at_bitrate ◄────────┘
+//!       └── FEC/NACK recovery ◄── packetize ◄── encode to target / fps ◄───┘
 //! ```
 //!
 //! so the target bitrate, per-frame transmission latency, the set of frames (and frame
@@ -30,7 +30,7 @@ use aivc_rtc::cc::GccConfig;
 use aivc_rtc::fec::{AdaptiveFecConfig, FecConfig};
 use aivc_rtc::nack::NackConfig;
 use aivc_rtc::AbrPolicy;
-use aivc_sim::SimDuration;
+use aivc_sim::{SimDuration, SimTime};
 use serde::{Deserialize, Serialize, Value};
 
 /// Options of one networked chat session.
@@ -132,6 +132,43 @@ impl NetSessionOptions {
             ..Self::ai_oriented(seed, path)
         }
     }
+
+    /// Checks the fields a caller can set to a value the turn clock cannot run on.
+    /// [`crate::Conversation::new`] and [`crate::run_contention`] call this and panic with
+    /// the error's message, so a bad value fails at construction instead of corrupting
+    /// simulated time. (`drain_secs` needs no check: the turn plan reads it through
+    /// `.max(0.0)`, which maps negatives and NaN to an immediate deadline.)
+    pub fn validate(&self) -> Result<(), NetSessionOptionsError> {
+        // `contains` is false for NaN; the bounds keep `1e6 / capture_fps` between the
+        // clock's 1 µs resolution and 1e12 µs, far from overflowing a turn's last capture.
+        if (1e-6..=1e6).contains(&self.capture_fps) {
+            Ok(())
+        } else {
+            Err(NetSessionOptionsError::CaptureFps(self.capture_fps))
+        }
+    }
+}
+
+/// Why [`NetSessionOptions::validate`] rejected a set of options.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub enum NetSessionOptionsError {
+    /// `capture_fps` is not a rate the µs turn clock can step by. The clock advances
+    /// `1e6 / capture_fps` µs per capture: zero (or a vanishing rate) overflows it; a
+    /// negative, NaN or infinite rate collapses the window to a point and reports
+    /// bitrates over a zero-length turn.
+    CaptureFps(f64),
+}
+
+impl core::fmt::Display for NetSessionOptionsError {
+    fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
+        match self {
+            NetSessionOptionsError::CaptureFps(fps) => write!(
+                f,
+                "session options invalid: capture_fps must be within 1e-6..=1e6 frames per \
+                 second (the turn clock steps 1e6 / capture_fps µs per capture), got {fps}"
+            ),
+        }
+    }
 }
 
 /// The graceful-degradation ladder's knobs. When enabled, the turn engine steps down
@@ -222,6 +259,26 @@ impl FaultTelemetry {
         self.packets_duplicated += other.packets_duplicated;
         self.packets_reordered += other.packets_reordered;
         self.outage_drops += other.outage_drops;
+    }
+}
+
+/// One frame the receiver completed before its turn's deadline, in capture order — what
+/// [`crate::Conversation::last_turn_deliveries`] lists. Times are on the conversation's
+/// timeline.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct FrameDelivery {
+    /// When the frame was captured, in µs.
+    pub capture_ts_us: u64,
+    /// When its first media packet left the pacer.
+    pub send_start: SimTime,
+    /// When its last missing byte arrived.
+    pub completed_at: SimTime,
+}
+
+impl FrameDelivery {
+    /// Transmission latency, send start → complete reception: the Figure 3 metric.
+    pub fn latency(&self) -> SimDuration {
+        self.completed_at.saturating_since(self.send_start)
     }
 }
 
@@ -379,12 +436,7 @@ mod tests {
     }
 
     fn window(fps: f64, secs: f64) -> Vec<Frame> {
-        let source = VideoSource::new(basketball_game(1), SourceConfig::fps30(6.0));
-        let start = source.duration_secs() - secs;
-        let count = (secs * fps) as usize;
-        (0..count)
-            .map(|i| source.frame_at(start + i as f64 / fps))
-            .collect()
+        VideoSource::new(basketball_game(1), SourceConfig::fps30(6.0)).window(6.0 - secs, secs, fps)
     }
 
     fn question() -> Question {
@@ -407,6 +459,35 @@ mod tests {
             },
             downlink: LinkConfig::constant(100e6, SimDuration::from_millis(30), 300, LossModel::None),
         }
+    }
+
+    /// Zero used to overflow `TurnPlan::new`; -1, NaN and inf ran and serialized 1e13-bps
+    /// reports. Each now fails `validate` — and therefore `Conversation::new`, in debug
+    /// and release alike — with a message naming the field and the value.
+    #[test]
+    fn capture_fps_the_turn_clock_cannot_step_by_is_rejected_at_construction() {
+        let options = |capture_fps: f64| NetSessionOptions {
+            capture_fps,
+            ..NetSessionOptions::ai_oriented(1, good_path())
+        };
+        let inf = f64::INFINITY;
+        for fps in [0.0, -1.0, f64::NAN, inf, -inf, 1e-300, 1e300] {
+            let error = options(fps).validate().expect_err("must be rejected");
+            let message = error.to_string();
+            assert!(message.contains("capture_fps"), "{message}");
+            assert!(message.ends_with(&format!("got {fps}")), "{message}");
+            let panic =
+                std::panic::catch_unwind(|| Conversation::with_defaults(options(fps), SimDuration::ZERO))
+                    .expect_err("an invalid capture_fps must not build a conversation");
+            assert_eq!(panic.downcast_ref::<String>(), Some(&message));
+        }
+        for fps in [1e-6, 0.5, 12.0, 240.0, 1e6] {
+            assert_eq!(options(fps).validate(), Ok(()), "{fps}");
+        }
+        // A NaN or negative `drain_secs` is an immediate deadline, not an error.
+        let mut immediate = options(12.0);
+        immediate.drain_secs = f64::NAN;
+        assert_eq!(immediate.validate(), Ok(()));
     }
 
     #[test]

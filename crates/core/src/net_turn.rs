@@ -29,7 +29,7 @@
 
 use crate::allocator::QpAllocator;
 use crate::context_aware::StreamerConfig;
-use crate::net_session::{FaultTelemetry, NetSessionOptions, NetTurnReport};
+use crate::net_session::{FaultTelemetry, FrameDelivery, NetSessionOptions, NetTurnReport};
 use crate::session::StreamingMode;
 use aivc_metrics::{SessionCounters, SessionSnapshot};
 use aivc_mllm::{MllmChat, MllmScratch, Question};
@@ -212,11 +212,11 @@ enum DegradationLevel {
 pub(crate) struct NetCompute {
     pub(crate) options: NetSessionOptions,
     /// Immutable after `new`, so a fleet or contention run builds one and shares it.
-    clip_model: Arc<ClipModel>,
+    pub(crate) clip_model: Arc<ClipModel>,
     allocator: QpAllocator,
-    encoder: Encoder,
+    pub(crate) encoder: Encoder,
     decoder: Decoder,
-    responder: MllmChat,
+    pub(crate) responder: MllmChat,
     clip: ClipScratch,
     /// Per-frame probe coefficients (grid raster + QP-independent rate terms), prepared
     /// once per capture so the budget search's probes never re-rasterize the frame.
@@ -432,8 +432,9 @@ pub(crate) struct Transport {
     turn_target_sum: f64,
     turn_target_min: f64,
     turn_target_max: f64,
-    /// Frame transmission latencies recorded at the current turn's deadline.
-    pub(crate) turn_frame_latencies: Vec<SimDuration>,
+    /// The frames delivered by the current turn's deadline, in capture order (recorded at
+    /// the deadline, cleared when the next turn opens).
+    pub(crate) turn_deliveries: Vec<FrameDelivery>,
     /// Reusable percentile scratch for the turn report (cleared each turn).
     latency_scratch: LatencyStats,
     // --- resilience bookkeeping ---
@@ -493,7 +494,7 @@ impl Transport {
             turn_target_sum: 0.0,
             turn_target_min: f64::INFINITY,
             turn_target_max: f64::NEG_INFINITY,
-            turn_frame_latencies: Vec::new(),
+            turn_deliveries: Vec::new(),
             latency_scratch: LatencyStats::new(),
             degradation_level: DegradationLevel::Normal,
             pending_outage_recovery: None,
@@ -547,7 +548,7 @@ impl Transport {
         self.turn_target_sum = 0.0;
         self.turn_target_min = f64::INFINITY;
         self.turn_target_max = f64::NEG_INFINITY;
-        self.turn_frame_latencies.clear();
+        self.turn_deliveries.clear();
         self.turn_degradation_events = 0;
         self.turn_frames_shed = 0;
         self.turn_captures_suppressed = 0;
@@ -1208,13 +1209,17 @@ pub(crate) fn conclude_turn_window(
                     recovered_at = Some(done);
                 }
             }
-            if let (Some(done), Some(start)) = (
+            if let (Some(completed_at), Some(send_start)) = (
                 status.completed_at,
                 transport.progress[base_slot + local].send_start,
             ) {
-                let elapsed = done.saturating_since(start);
-                transport.latency_scratch.record(elapsed);
-                transport.turn_frame_latencies.push(elapsed);
+                let delivery = FrameDelivery {
+                    capture_ts_us: frame_out.capture_ts_us,
+                    send_start,
+                    completed_at,
+                };
+                transport.latency_scratch.record(delivery.latency());
+                transport.turn_deliveries.push(delivery);
             }
         }
         received_bits += status.received_bytes * 8;

@@ -23,10 +23,11 @@ use crate::net_session::{queue_bytes_for, NetSessionOptions, NetTurnReport};
 use crate::server::ConversationChatServer;
 use aivc_mllm::{Question, QuestionFormat};
 use aivc_netsim::{
-    BandwidthTrace, FaultEpisode, FaultKind, FaultSchedule, LinkConfig, LossModel, PathConfig, SimDuration,
-    SimTime,
+    BandwidthTrace, FaultEpisode, FaultKind, FaultSchedule, LatencyStats, LinkConfig, LossModel, PathConfig,
+    SimDuration, SimTime,
 };
 use aivc_par::MiniPool;
+use aivc_rtc::{AbrPolicy, FecConfig};
 use aivc_scene::templates::basketball_game;
 use aivc_scene::{Frame, SourceConfig, VideoSource};
 use serde::{Deserialize, Serialize};
@@ -79,11 +80,7 @@ impl Scenario {
         let source = VideoSource::new(scene.clone(), SourceConfig::fps30(6.0));
         let question = Question::from_fact(&scene.facts[1], QuestionFormat::FreeResponse);
         let start = (source.duration_secs() - self.window_secs).max(0.0);
-        let count = (self.window_secs * self.capture_fps).floor().max(1.0) as usize;
-        let frames = (0..count)
-            .map(|i| source.frame_at(start + i as f64 / self.capture_fps))
-            .collect();
-        (frames, question)
+        (source.window(start, self.window_secs, self.capture_fps), question)
     }
 }
 
@@ -337,6 +334,49 @@ pub fn run_registry(pool_size: usize) -> Vec<ScenarioReport> {
 }
 
 // ---------------------------------------------------------------------------------------
+// The §2.2 held-rate stream (Figure 3's sweep point)
+// ---------------------------------------------------------------------------------------
+
+/// The §2.2 prototype on the turn engine: the paper's 10 Mbps / 30 ms path with `loss` on
+/// the uplink, and a sender of 30 fps uniform-QP video with the ABR held at `bitrate_bps`
+/// — every frame coded to `bitrate_bps / 30` whatever the congestion controller
+/// estimates, the pacer at 2.5× that rate — recovering by NACK/RTX, without FEC.
+pub fn held_rate_sender(seed: u64, loss: LossModel, bitrate_bps: f64) -> NetSessionOptions {
+    let mut options = NetSessionOptions::traditional(seed, PathConfig::paper_section_2_2(0.0));
+    options.path.uplink.loss = loss;
+    options.abr = AbrPolicy::held_at(bitrate_bps);
+    options.capture_fps = 30.0;
+    options.fec = FecConfig::disabled();
+    options
+}
+
+/// Seconds of video per turn of [`stream_for`]. The engine keeps a turn's encoded frames
+/// until its deadline, so a long stream is cut into short turns instead of run as one.
+const STREAM_TURN_SECS: f64 = 2.0;
+
+/// Streams `secs` seconds (rounded up to whole 2-s turns) of the looping basketball clip
+/// through a fresh [`Conversation`] as back-to-back turns with no think gap. Returns the
+/// conversation — its counters, link counters and per-turn reports are the packet-level
+/// results — and the transmission latency of every frame that made its turn's deadline
+/// (`drain_secs` after the turn's last capture).
+pub fn stream_for(options: NetSessionOptions, secs: f64) -> (Conversation, LatencyStats) {
+    let scene = basketball_game(1);
+    let question = Question::from_fact(&scene.facts[0], QuestionFormat::FreeResponse);
+    let source = VideoSource::new(scene, SourceConfig::fps30(6.0));
+    let fps = options.capture_fps;
+    let mut conversation = Conversation::with_defaults(options, SimDuration::ZERO);
+    let mut latency = LatencyStats::new();
+    for turn in 0..(secs / STREAM_TURN_SECS).ceil() as usize {
+        let frames = source.window(turn as f64 * STREAM_TURN_SECS, STREAM_TURN_SECS, fps);
+        conversation.run_turn_in_place(&frames, &question);
+        for delivery in conversation.last_turn_deliveries() {
+            latency.record(delivery.latency());
+        }
+    }
+    (conversation, latency)
+}
+
+// ---------------------------------------------------------------------------------------
 // Multi-turn conversation scenarios (the continuous-timeline engine, `crate::Conversation`)
 // ---------------------------------------------------------------------------------------
 
@@ -404,13 +444,8 @@ impl ConversationScenario {
             &scene.facts[turn % scene.facts.len()],
             QuestionFormat::FreeResponse,
         );
-        let duration = source.duration_secs();
-        let count = (self.window_secs * self.capture_fps).floor().max(1.0) as usize;
-        let start = (turn as f64 * self.window_secs) % duration;
-        let frames = (0..count)
-            .map(|i| source.frame_at((start + i as f64 / self.capture_fps) % duration))
-            .collect();
-        (frames, question)
+        let start = (turn as f64 * self.window_secs) % source.duration_secs();
+        (source.window(start, self.window_secs, self.capture_fps), question)
     }
 }
 
@@ -643,19 +678,18 @@ impl ContentionScenario {
     pub fn tenant_turns(&self, tenant: usize) -> Vec<TenantTurn> {
         let scene = basketball_game(1);
         let source = VideoSource::new(scene.clone(), SourceConfig::fps30(6.0));
-        let duration = source.duration_secs();
-        let count = (self.window_secs * self.capture_fps).floor().max(1.0) as usize;
         (0..self.turns)
             .map(|turn| {
                 let question = Question::from_fact(
                     &scene.facts[(turn + tenant) % scene.facts.len()],
                     QuestionFormat::FreeResponse,
                 );
-                let start = ((turn as f64 + tenant as f64 * 0.37) * self.window_secs) % duration;
-                let frames = (0..count)
-                    .map(|i| source.frame_at((start + i as f64 / self.capture_fps) % duration))
-                    .collect();
-                TenantTurn { frames, question }
+                let start =
+                    ((turn as f64 + tenant as f64 * 0.37) * self.window_secs) % source.duration_secs();
+                TenantTurn {
+                    frames: source.window(start, self.window_secs, self.capture_fps),
+                    question,
+                }
             })
             .collect()
     }

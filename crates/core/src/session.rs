@@ -1,256 +1,30 @@
-//! The end-to-end AI Video Chat turn, in two forms:
-//!
-//! * [`AiVideoChatSession`] — the *experiment* session: capture → (context-aware) encode →
-//!   RTC over the emulated uplink → decode → MLLM answer, with a per-stage latency budget
-//!   (Figure 1's loop).
-//! * [`ChatSession`] — the *hot-path* session: one long-lived object owning every reuse
-//!   buffer of the per-frame compute pipeline (CLIP scratch, QP-map buffer, encode/decode
-//!   scratches, packet buffer, MLLM sampling scratch), so repeated turns perform zero
-//!   post-warmup heap allocations. This is the `pipeline_turn_1080p` hot path guarded by
-//!   `crates/bench/tests/zero_alloc.rs` and `BENCH_hotpaths.json`.
+//! The compute-only chat turn: [`ChatSession`], one long-lived object owning every reuse
+//! buffer of the per-frame pipeline (CLIP scratch, QP-map buffer, encode/decode scratches,
+//! packet buffer, MLLM sampling scratch), so repeated turns perform zero post-warmup heap
+//! allocations. This is the `pipeline_turn_1080p` hot path guarded by
+//! `crates/bench/tests/zero_alloc.rs` and `BENCH_hotpaths.json`. The networked turn —
+//! the same pipeline with the emulated uplink in the loop — is [`crate::Conversation`];
+//! the two share [`StreamingMode`], which is defined here.
 
 use crate::allocator::QpAllocator;
-use crate::baseline::ContextAgnosticBaseline;
-use crate::context_aware::{ContextAwareStreamer, StreamerConfig};
-use crate::latency::LatencyBudget;
-use aivc_mllm::{Answer, InferenceLatencyModel, MllmChat, MllmScratch, Question};
-use aivc_netsim::PathConfig;
-use aivc_rtc::jitter::JitterBufferConfig;
-use aivc_rtc::nack::NackConfig;
-use aivc_rtc::pacer::PacerConfig;
+use crate::context_aware::StreamerConfig;
+use aivc_mllm::{Answer, MllmChat, MllmScratch, Question};
 use aivc_rtc::packetizer::Packetizer;
 use aivc_rtc::rtp::RtpPacket;
-use aivc_rtc::{FecConfig, JitterBuffer, OutgoingFrame, SessionConfig, SessionStats, VideoSession};
-use aivc_scene::{Frame, VideoSource};
+use aivc_rtc::OutgoingFrame;
+use aivc_scene::Frame;
 use aivc_semantics::{ClipModel, ClipScratch, TextQuery};
 use aivc_videocodec::{DecodeScratch, DecodedFrame, Decoder, EncodeScratch, EncodedFrame, Encoder, QpMap};
 use serde::{Deserialize, Serialize};
 use std::sync::Arc;
 
-/// Which streaming method the session uses on the uplink.
+/// Which streaming method a session uses on the uplink.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub enum StreamingMode {
     /// Context-aware QP allocation (the paper's contribution).
     ContextAware,
     /// Uniform-QP baseline at the same target bitrate.
     Baseline,
-}
-
-/// Options of one chat session.
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct SessionOptions {
-    /// Seed for all stochastic components.
-    pub seed: u64,
-    /// Network path between client and cloud.
-    pub path: PathConfig,
-    /// Streaming method.
-    pub mode: StreamingMode,
-    /// Target uplink video bitrate in bits per second.
-    pub target_bitrate_bps: f64,
-    /// How many seconds of video precede (and are relevant to) the question.
-    pub window_secs: f64,
-    /// Capture frames per second actually pushed into the transport for this turn.
-    ///
-    /// Kept moderate by default so a single turn stays cheap to simulate; the redundancy
-    /// analysis of Figure 2 uses the full camera rate separately.
-    pub capture_fps: f64,
-    /// Whether the receiver runs a traditional jitter buffer (AI mode removes it, §2.1).
-    pub use_jitter_buffer: bool,
-}
-
-impl SessionOptions {
-    /// A good-network default: the paper's 10 Mbps / 30 ms path, context-aware streaming at
-    /// ~430 Kbps, no jitter buffer.
-    pub fn default_context_aware(seed: u64) -> Self {
-        Self {
-            seed,
-            path: PathConfig::paper_section_2_2(0.01),
-            mode: StreamingMode::ContextAware,
-            target_bitrate_bps: 430_000.0,
-            window_secs: 4.0,
-            capture_fps: 30.0,
-            use_jitter_buffer: false,
-        }
-    }
-
-    /// The corresponding baseline configuration at the same bitrate.
-    pub fn default_baseline(seed: u64) -> Self {
-        Self {
-            mode: StreamingMode::Baseline,
-            ..Self::default_context_aware(seed)
-        }
-    }
-}
-
-/// The report of one chat turn.
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct ChatTurnReport {
-    /// The MLLM's answer (correctness, probability, inference latency, tokens).
-    pub answer: Answer,
-    /// The per-stage latency budget of the turn.
-    pub latency: LatencyBudget,
-    /// Achieved uplink video bitrate in bits per second.
-    pub achieved_bitrate_bps: f64,
-    /// Frames handed to the transport.
-    pub frames_sent: usize,
-    /// Frames that were completely received.
-    pub frames_delivered: usize,
-    /// Transport-level statistics.
-    pub transport: SessionStats,
-}
-
-/// One end-to-end AI Video Chat session.
-#[derive(Debug, Clone)]
-pub struct AiVideoChatSession {
-    options: SessionOptions,
-    streamer: ContextAwareStreamer,
-    baseline: ContextAgnosticBaseline,
-    responder: MllmChat,
-    decoder: Decoder,
-}
-
-impl AiVideoChatSession {
-    /// Creates a session.
-    pub fn new(options: SessionOptions) -> Self {
-        Self {
-            responder: MllmChat::responder(options.seed ^ 0x5EED),
-            streamer: ContextAwareStreamer::default(),
-            baseline: ContextAgnosticBaseline::default(),
-            decoder: Decoder::new(),
-            options,
-        }
-    }
-
-    /// The session options.
-    pub fn options(&self) -> &SessionOptions {
-        &self.options
-    }
-
-    /// Runs one chat turn: the user asks `question` about the last `window_secs` of `source`.
-    pub fn run_turn(&self, source: &VideoSource, question: &Question) -> ChatTurnReport {
-        let opts = &self.options;
-        // --- Capture: the frames of the question window, at the turn's capture rate.
-        let window_start = (source.duration_secs() - opts.window_secs).max(0.0);
-        let frame_count = (opts.window_secs * opts.capture_fps).floor().max(1.0) as usize;
-        let frames: Vec<_> = (0..frame_count)
-            .map(|i| source.frame_at(window_start + i as f64 / opts.capture_fps))
-            .collect();
-        let fps = opts.capture_fps;
-
-        // --- Encode with the selected method at the target bitrate.
-        let (encoded, achieved_bitrate, context_compute_ms): (Vec<EncodedFrame>, f64, f64) = match opts.mode {
-            StreamingMode::ContextAware => {
-                let query = self.streamer.query_for_question(question);
-                let enc = self
-                    .streamer
-                    .encode_at_bitrate(&frames, &query, fps, opts.target_bitrate_bps);
-                let clip_ms =
-                    self.streamer.clip_latency_us(frames[0].width, frames[0].height) as f64 / 1_000.0;
-                (enc.encoded, enc.achieved_bitrate_bps, clip_ms)
-            }
-            StreamingMode::Baseline => {
-                let enc = self
-                    .baseline
-                    .encode_at_bitrate(&frames, fps, opts.target_bitrate_bps);
-                (enc.encoded, enc.achieved_bitrate_bps, 0.0)
-            }
-        };
-
-        // --- Transport over the emulated uplink.
-        let outgoing: Vec<OutgoingFrame> = encoded
-            .iter()
-            .map(|e| OutgoingFrame {
-                frame_id: e.frame_index,
-                capture_ts_us: e.capture_ts_us,
-                size_bytes: e.total_bytes(),
-                is_keyframe: e.frame_type == aivc_videocodec::FrameType::Intra,
-            })
-            .collect();
-        let transport_config = SessionConfig {
-            path: opts.path.clone(),
-            seed: opts.seed,
-            fec: FecConfig::disabled(),
-            nack: NackConfig::default(),
-            enable_retransmission: true,
-            pacer: PacerConfig::from_target_bitrate(opts.target_bitrate_bps, 2.5),
-            jitter_buffer: if opts.use_jitter_buffer {
-                JitterBufferConfig::traditional()
-            } else {
-                JitterBufferConfig::disabled()
-            },
-            encode_latency_us: self.streamer.encoder().encode_latency_us(),
-            feedback_packet_bytes: 80,
-        };
-        let transport = VideoSession::new(transport_config).run(&outgoing).stats;
-
-        // --- Decode what arrived.
-        let mut decoded: Vec<DecodedFrame> = Vec::new();
-        for (enc, record) in encoded.iter().zip(&transport.frames) {
-            if record.received_ranges.is_empty() {
-                continue;
-            }
-            let received_at = record.completed_at.map(|t| t.as_micros());
-            decoded.push(
-                self.decoder
-                    .decode_with_received(enc, &record.received_ranges, received_at),
-            );
-        }
-
-        // --- MLLM answers.
-        let answer = self.responder.respond(question, &decoded, opts.seed);
-
-        // --- Latency budget. Transmission is the completion latency of the frames that
-        // actually made it; the jitter-buffer term is the extra release delay (zero in AI mode).
-        let mut jb = JitterBuffer::new(if opts.use_jitter_buffer {
-            JitterBufferConfig::traditional()
-        } else {
-            JitterBufferConfig::disabled()
-        });
-        let mut jitter_extra_ms = 0.0;
-        let mut completed = 0usize;
-        for record in &transport.frames {
-            if let Some(done) = record.completed_at {
-                let release = jb.on_frame(done, record.capture_ts_us);
-                jitter_extra_ms += release.saturating_since(done).as_millis_f64();
-                completed += 1;
-            }
-        }
-        // The response-time critical path pays the prefill of the *newest* frame only:
-        // streaming MLLM services prefill earlier frames as they arrive (while the user is
-        // still speaking), so at question time the pending work is the fixed prefill, the
-        // latest frame's visual tokens and the first decode step. The full (non-incremental)
-        // latency is still available in `answer.latency`.
-        let per_frame_tokens = if answer.frames_ingested == 0 {
-            0
-        } else {
-            answer.visual_tokens / answer.frames_ingested as u32
-        };
-        let incremental_inference_ms = InferenceLatencyModel::new(self.responder.config())
-            .typical(per_frame_tokens)
-            .time_to_first_token_ms;
-        let latency = LatencyBudget {
-            capture_ms: 1_000.0 / fps / 2.0,
-            context_compute_ms,
-            encode_ms: self.streamer.encoder().encode_latency_us() as f64 / 1_000.0,
-            transmission_ms: transport.mean_transmission_latency_ms(),
-            jitter_buffer_ms: if completed == 0 {
-                0.0
-            } else {
-                jitter_extra_ms / completed as f64
-            },
-            decode_ms: 2.0,
-            inference_ms: incremental_inference_ms,
-        };
-
-        ChatTurnReport {
-            answer,
-            latency,
-            achieved_bitrate_bps: achieved_bitrate,
-            frames_sent: outgoing.len(),
-            frames_delivered: transport.completed_frames(),
-            transport,
-        }
-    }
 }
 
 /// The report of one [`ChatSession::run_turn`] — plain values only, so producing it
@@ -278,10 +52,10 @@ pub struct PipelineTurnReport {
 /// the session, so after a warmup turn the whole pipeline performs **zero heap
 /// allocations** (proven by `crates/bench/tests/zero_alloc.rs`).
 ///
-/// The emulated network of [`AiVideoChatSession`] is deliberately absent here: transport
-/// emulation models *simulated time*, not per-frame compute, and stays in the experiment
-/// session. `ChatSession` answers the question the paper's frame budget asks — how much
-/// client/server work one conversational turn costs.
+/// The emulated network of [`crate::Conversation`] is deliberately absent here: transport
+/// emulation models *simulated time*, not per-frame compute. `ChatSession` answers the
+/// question the paper's frame budget asks — how much client/server work one
+/// conversational turn costs.
 #[derive(Debug, Clone)]
 pub struct ChatSession {
     seed: u64,
@@ -431,9 +205,10 @@ impl ChatSession {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::context_aware::ContextAwareStreamer;
     use aivc_mllm::QuestionFormat;
     use aivc_scene::templates::basketball_game;
-    use aivc_scene::SourceConfig;
+    use aivc_scene::{SourceConfig, VideoSource};
 
     fn source() -> VideoSource {
         VideoSource::new(basketball_game(1), SourceConfig::fps30(6.0))
@@ -445,60 +220,6 @@ mod tests {
 
     fn logo_question() -> Question {
         Question::from_fact(&basketball_game(1).facts[1], QuestionFormat::FreeResponse)
-    }
-
-    #[test]
-    fn context_aware_turn_completes_and_answers_well() {
-        let session = AiVideoChatSession::new(SessionOptions::default_context_aware(3));
-        let report = session.run_turn(&source(), &score_question());
-        assert!(report.frames_sent > 0);
-        assert!(report.frames_delivered > 0);
-        assert!(
-            report.answer.probability_correct > 0.7,
-            "p {}",
-            report.answer.probability_correct
-        );
-        assert!(report.latency.total_ms() > 200.0);
-        assert!(
-            report.latency.transmission_ms < 100.0,
-            "net {}",
-            report.latency.transmission_ms
-        );
-        // Ultra-low bitrate: well below 1 Mbps.
-        assert!(report.achieved_bitrate_bps < 1_000_000.0);
-    }
-
-    #[test]
-    fn context_aware_beats_baseline_on_detail_question_at_same_bitrate() {
-        let ours = AiVideoChatSession::new(SessionOptions::default_context_aware(5));
-        let baseline = AiVideoChatSession::new(SessionOptions::default_baseline(5));
-        let q = logo_question();
-        let ours_report = ours.run_turn(&source(), &q);
-        let base_report = baseline.run_turn(&source(), &q);
-        // Comparable achieved bitrates...
-        let ratio = ours_report.achieved_bitrate_bps / base_report.achieved_bitrate_bps;
-        assert!(ratio > 0.5 && ratio < 2.0, "bitrate ratio {ratio}");
-        // ...but much better evidence quality / answer probability for ours.
-        assert!(
-            ours_report.answer.probability_correct > base_report.answer.probability_correct + 0.2,
-            "ours {} vs baseline {}",
-            ours_report.answer.probability_correct,
-            base_report.answer.probability_correct
-        );
-    }
-
-    #[test]
-    fn jitter_buffer_adds_latency_but_not_accuracy() {
-        let mut with_jb_opts = SessionOptions::default_context_aware(7);
-        with_jb_opts.use_jitter_buffer = true;
-        let with_jb = AiVideoChatSession::new(with_jb_opts).run_turn(&source(), &score_question());
-        let without_jb = AiVideoChatSession::new(SessionOptions::default_context_aware(7))
-            .run_turn(&source(), &score_question());
-        assert!(with_jb.latency.jitter_buffer_ms > without_jb.latency.jitter_buffer_ms);
-        assert_eq!(without_jb.latency.jitter_buffer_ms, 0.0);
-        // The MLLM's probability of answering correctly is unchanged (jitter is irrelevant
-        // to MLLM perception, §2.1).
-        assert!((with_jb.answer.probability_correct - without_jb.answer.probability_correct).abs() < 0.05);
     }
 
     #[test]
@@ -558,16 +279,5 @@ mod tests {
         assert_eq!(fresh.run_turn(&frames, &logo_question()), logo);
         // And the two questions genuinely produce different QP decisions downstream.
         assert_ne!(score.encoded_bytes, logo.encoded_bytes);
-    }
-
-    #[test]
-    fn turns_are_deterministic() {
-        let a = AiVideoChatSession::new(SessionOptions::default_context_aware(9))
-            .run_turn(&source(), &score_question());
-        let b = AiVideoChatSession::new(SessionOptions::default_context_aware(9))
-            .run_turn(&source(), &score_question());
-        assert_eq!(a.answer, b.answer);
-        assert_eq!(a.frames_delivered, b.frames_delivered);
-        assert!((a.latency.total_ms() - b.latency.total_ms()).abs() < 1e-9);
     }
 }

@@ -35,7 +35,7 @@ pub use packet::{Packet, PacketId};
 pub use queue::DropTailQueue;
 pub use shared::SharedLink;
 pub use stats::{jain_index, LatencyStats, RunningStats};
-// The simulation substrate (virtual clock + event queue) lives in `aivc-sim`; re-exported
-// here so existing `aivc_netsim::{SimTime, EventQueue}` users keep working unchanged.
-pub use aivc_sim::{EventQueue, SimDuration, SimTime};
+// The virtual clock lives in `aivc-sim`; its two time types are re-exported here because
+// every link, trace and fault signature speaks them.
+pub use aivc_sim::{SimDuration, SimTime};
 pub use trace::BandwidthTrace;

@@ -130,12 +130,6 @@ impl LatencyStats {
         self.sorted = false;
     }
 
-    /// Records a latency in milliseconds directly.
-    pub fn record_ms(&mut self, ms: f64) {
-        self.samples_ms.push(ms);
-        self.sorted = false;
-    }
-
     /// Number of samples.
     pub fn count(&self) -> usize {
         self.samples_ms.len()
@@ -241,9 +235,9 @@ mod tests {
     #[test]
     fn percentile_after_interleaved_records() {
         let mut l = LatencyStats::new();
-        l.record_ms(10.0);
+        l.record(SimDuration::from_millis(10));
         let _ = l.median_ms();
-        l.record_ms(1000.0);
+        l.record(SimDuration::from_millis(1000));
         assert!(l.p99_ms() >= 999.0);
     }
 
@@ -251,8 +245,8 @@ mod tests {
     fn merge_combines_samples() {
         let mut a = LatencyStats::new();
         let mut b = LatencyStats::new();
-        a.record_ms(1.0);
-        b.record_ms(3.0);
+        a.record(SimDuration::from_millis(1));
+        b.record(SimDuration::from_millis(3));
         a.merge(&b);
         assert_eq!(a.count(), 2);
         assert!((a.mean_ms() - 2.0).abs() < 1e-12);

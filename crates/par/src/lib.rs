@@ -143,6 +143,14 @@ impl Default for MiniPool {
     }
 }
 
+/// The lane count an `AIVC_POOL_SIZE` value asks for: at least one lane, `fallback` when
+/// the variable is unset or not a number.
+fn lanes_from(value: Option<&str>, fallback: usize) -> usize {
+    value
+        .and_then(|v| v.parse::<usize>().ok())
+        .map_or(fallback, |n| n.max(1))
+}
+
 impl MiniPool {
     /// Creates a pool with `lanes` parallel lanes (clamped to at least 1). `lanes - 1`
     /// worker threads are spawned; a pool of one lane spawns none and runs everything
@@ -195,10 +203,7 @@ impl MiniPool {
     /// unset or unparsable — the one place the variable is interpreted, so every harness
     /// (benches, `bench_check`, the zero-alloc proof) clamps and falls back identically.
     pub fn env_lanes_or(fallback: usize) -> usize {
-        std::env::var("AIVC_POOL_SIZE")
-            .ok()
-            .and_then(|v| v.parse::<usize>().ok())
-            .map_or(fallback, |n| n.max(1))
+        lanes_from(std::env::var("AIVC_POOL_SIZE").ok().as_deref(), fallback)
     }
 
     /// Number of parallel lanes (worker threads + the participating caller). Always ≥ 1.
@@ -568,9 +573,13 @@ mod tests {
 
     #[test]
     fn env_lanes_parses_and_clamps() {
-        // Not setting the variable here (process-global); just exercise the fallbacks.
+        // The parse is tested on explicit values: the variable itself is process-global
+        // and CI exports it.
+        assert_eq!(lanes_from(None, 7), 7);
+        assert_eq!(lanes_from(Some("0"), 7), 1);
+        assert_eq!(lanes_from(Some("3"), 7), 3);
+        assert_eq!(lanes_from(Some("x"), 7), 7);
         assert!(MiniPool::env_lanes() >= 1);
-        assert_eq!(MiniPool::env_lanes_or(7), 7);
     }
 
     #[test]

@@ -61,6 +61,16 @@ impl AbrPolicy {
         }
     }
 
+    /// A policy pinned to `bitrate_bps` whatever the estimate says — both clamps at the
+    /// rate. The fixed-rate sender of the §2.2 sweep (Figure 3's x axis).
+    pub fn held_at(bitrate_bps: f64) -> Self {
+        Self {
+            min_bitrate_bps: bitrate_bps,
+            max_bitrate_bps: bitrate_bps,
+            ..Self::traditional()
+        }
+    }
+
     /// The target bitrate given the congestion controller's current bandwidth estimate.
     pub fn target_bitrate(&self, bandwidth_estimate_bps: f64) -> f64 {
         let raw = match self.mode {
@@ -109,6 +119,14 @@ mod tests {
         let ai = AbrPolicy::ai_oriented(430_000.0);
         let estimate = 10e6;
         assert!(ai.target_bitrate(estimate) < trad.target_bitrate(estimate) / 10.0);
+    }
+
+    #[test]
+    fn held_policy_ignores_the_estimate() {
+        let p = AbrPolicy::held_at(12e6);
+        for estimate in [0.0, 1e5, 12e6, 1e9] {
+            assert_eq!(p.target_bitrate(estimate), 12e6);
+        }
     }
 
     #[test]

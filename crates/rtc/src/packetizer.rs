@@ -423,13 +423,6 @@ impl FrameAssembler {
         })
     }
 
-    /// Status of every known frame, in frame-id order.
-    pub fn all_statuses(&self) -> Vec<AssemblyStatus> {
-        (0..self.slots.len() as u64)
-            .filter_map(|offset| self.status(self.base_id + offset))
-            .collect()
-    }
-
     /// Drops reassembly state for frames below `frame_id` — the history bound a
     /// long-lived conversation applies once a turn has been decoded and answered.
     /// Retired states keep their buffers (in the pool) for the next turn's frames.

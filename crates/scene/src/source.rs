@@ -98,6 +98,16 @@ impl VideoSource {
         self.frame(index)
     }
 
+    /// What a camera running at `fps` films in the `secs` seconds from `start_secs` on: one
+    /// frame per `1 / fps` (at least one), each the clip's nearest, wrapping at the clip's
+    /// end — so a long run can be cut into consecutive windows of a short clip.
+    pub fn window(&self, start_secs: f64, secs: f64, fps: f64) -> Vec<Frame> {
+        let count = (secs * fps).floor().max(1.0) as usize;
+        (0..count)
+            .map(|i| self.frame_at((start_secs + i as f64 / fps) % self.duration_secs()))
+            .collect()
+    }
+
     /// Iterates over every captured frame, in order.
     pub fn frames(&self) -> FrameIter<'_> {
         FrameIter {
@@ -194,6 +204,15 @@ mod tests {
         assert_eq!(sampled.len(), 4); // frames 0, 15, 30, 45
         assert_eq!(sampled[0].index, 0);
         assert_eq!(sampled[1].index, 15);
+    }
+
+    #[test]
+    fn window_steps_at_its_own_rate_and_wraps() {
+        let src = source(); // 30 FPS, 2 s
+        let indices = |w: Vec<Frame>| w.iter().map(|f| f.index).collect::<Vec<_>>();
+        assert_eq!(indices(src.window(0.0, 0.4, 10.0)), [0, 3, 6, 9]);
+        assert_eq!(indices(src.window(1.9, 0.3, 10.0)), [57, 0, 3]);
+        assert_eq!(indices(src.window(4.0, 0.0, 30.0)), [0]);
     }
 
     #[test]

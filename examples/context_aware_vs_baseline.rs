@@ -8,8 +8,13 @@
 //! Run with: `cargo run --release --example context_aware_vs_baseline`
 
 use aivchat::core::baseline::sample_frames;
-use aivchat::core::{AiVideoChatSession, ContextAgnosticBaseline, ContextAwareStreamer, SessionOptions};
+use aivchat::core::session::StreamingMode;
+use aivchat::core::{
+    ContextAgnosticBaseline, ContextAwareStreamer, Conversation, LatencyBudget, NetSessionOptions,
+};
 use aivchat::mllm::{Question, QuestionFormat};
+use aivchat::netsim::{PathConfig, SimDuration};
+use aivchat::rtc::jitter::JitterBufferConfig;
 use aivchat::scene::templates::basketball_game;
 use aivchat::scene::{SourceConfig, VideoSource};
 
@@ -43,20 +48,24 @@ fn main() {
         );
     }
 
-    // --- And what does that do to the answer? Run the full chat turn with both methods.
-    let ours_turn =
-        AiVideoChatSession::new(SessionOptions::default_context_aware(9)).run_turn(&source, &question);
-    let base_turn = AiVideoChatSession::new(SessionOptions::default_baseline(9)).run_turn(&source, &question);
-    println!(
-        "\nContext-aware: P(correct) = {:.2}, evidence quality {:.2}, {} ",
-        ours_turn.answer.probability_correct,
-        ours_turn.answer.perceived_evidence_quality,
-        ours_turn.latency.to_line()
-    );
-    println!(
-        "Baseline:      P(correct) = {:.2}, evidence quality {:.2}, {} ",
-        base_turn.answer.probability_correct,
-        base_turn.answer.perceived_evidence_quality,
-        base_turn.latency.to_line()
-    );
+    // --- And what does that do to the answer? Run the full networked chat turn — same
+    // path, same AI-oriented rate target — with each encoding method.
+    println!();
+    for (label, mode) in [
+        ("Context-aware:", StreamingMode::ContextAware),
+        ("Baseline:     ", StreamingMode::Baseline),
+    ] {
+        let mut options = NetSessionOptions::ai_oriented(9, PathConfig::paper_section_2_2(0.01));
+        options.mode = mode;
+        options.capture_fps = 30.0;
+        let window = source.window(source.duration_secs() - 4.0, 4.0, options.capture_fps);
+        let mut conversation = Conversation::with_defaults(options, SimDuration::ZERO);
+        let answer = conversation.run_turn(&window, &question).answer;
+        println!(
+            "{label} P(correct) = {:.2}, evidence quality {:.2}, {} ",
+            answer.probability_correct,
+            answer.perceived_evidence_quality,
+            LatencyBudget::of_last_turn(&conversation, &window, JitterBufferConfig::disabled()).to_line()
+        );
+    }
 }

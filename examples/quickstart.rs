@@ -7,8 +7,10 @@
 //!
 //! Run with: `cargo run --release --example quickstart`
 
-use aivchat::core::{AiVideoChatSession, SessionOptions};
+use aivchat::core::{Conversation, LatencyBudget, NetSessionOptions};
 use aivchat::mllm::{Question, QuestionFormat};
+use aivchat::netsim::{PathConfig, SimDuration};
+use aivchat::rtc::jitter::JitterBufferConfig;
 use aivchat::scene::templates::basketball_game;
 use aivchat::scene::{SourceConfig, VideoSource};
 
@@ -22,10 +24,15 @@ fn main() {
     let question = Question::from_fact(fact, QuestionFormat::FreeResponse);
     println!("User: \"{}\"", question.text);
 
-    // One chat turn with the paper's default setup: 430 kbps context-aware uplink over a
-    // 10 Mbps / 30 ms network, no jitter buffer.
-    let session = AiVideoChatSession::new(SessionOptions::default_context_aware(42));
-    let report = session.run_turn(&source, &question);
+    // One chat turn with the paper's default setup: context-aware encoding at the 430 kbps
+    // accuracy floor over a 10 Mbps / 30 ms network, no jitter buffer. The turn is the
+    // first of a conversation and covers the clip's last four seconds, captured at 30 fps.
+    let mut options = NetSessionOptions::ai_oriented(42, PathConfig::paper_section_2_2(0.01));
+    options.capture_fps = 30.0;
+    let frames = source.window(source.duration_secs() - 4.0, 4.0, options.capture_fps);
+    let mut conversation = Conversation::with_defaults(options, SimDuration::ZERO);
+    let report = conversation.run_turn(&frames, &question);
+    let latency = LatencyBudget::of_last_turn(&conversation, &frames, JitterBufferConfig::disabled());
 
     println!(
         "AI answered {} (P(correct) = {:.2}), ground truth: \"{}\"",
@@ -44,5 +51,5 @@ fn main() {
         report.frames_sent,
         report.answer.visual_tokens
     );
-    println!("Latency budget: {}", report.latency.to_line());
+    println!("Latency budget: {}", latency.to_line());
 }

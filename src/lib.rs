@@ -4,18 +4,19 @@
 //! DESIGN.md for the paper-to-module map.
 //!
 //! ```
-//! use aivchat::core::{AiVideoChatSession, SessionOptions};
+//! use aivchat::core::{Conversation, NetSessionOptions};
 //! use aivchat::mllm::{Question, QuestionFormat};
+//! use aivchat::netsim::{PathConfig, SimDuration};
 //! use aivchat::scene::{templates::basketball_game, SourceConfig, VideoSource};
 //!
 //! let scene = basketball_game(1);
 //! let source = VideoSource::new(scene.clone(), SourceConfig::fps30(4.0));
 //! let question = Question::from_fact(&scene.facts[0], QuestionFormat::FreeResponse);
 //! // A deliberately tiny turn so the doc test stays fast; see examples/ for realistic runs.
-//! let mut options = SessionOptions::default_context_aware(1);
-//! options.window_secs = 0.5;
+//! let mut options = NetSessionOptions::ai_oriented(1, PathConfig::paper_section_2_2(0.01));
 //! options.capture_fps = 4.0;
-//! let report = AiVideoChatSession::new(options).run_turn(&source, &question);
+//! let frames = source.window(3.5, 0.5, options.capture_fps);
+//! let report = Conversation::with_defaults(options, SimDuration::ZERO).run_turn(&frames, &question);
 //! assert!(report.frames_delivered > 0);
 //! ```
 

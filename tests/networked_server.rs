@@ -15,10 +15,7 @@ use aivchat::sim::SimDuration;
 
 /// A compact turn window (2 s at 8 fps) so the pool sweep stays fast.
 fn window() -> Vec<Frame> {
-    let source = VideoSource::new(basketball_game(1), SourceConfig::fps30(6.0));
-    let fps = 8.0;
-    let start = source.duration_secs() - 2.0;
-    (0..16).map(|i| source.frame_at(start + i as f64 / fps)).collect()
+    VideoSource::new(basketball_game(1), SourceConfig::fps30(6.0)).window(4.0, 2.0, 8.0)
 }
 
 fn question() -> Question {

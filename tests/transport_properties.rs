@@ -1,21 +1,29 @@
 //! Integration + property tests of the transport stack against the network emulator:
-//! the §2.2 measurement invariants that Figure 3 relies on.
+//! the §2.2 measurement invariants that Figure 3 relies on, on the turn engine — a
+//! `Conversation` streaming uniform-QP video with its ABR held at the rate under test
+//! (the sender `fig3_latency_vs_bitrate` sweeps), NACK/RTX recovery unless a test says
+//! otherwise.
 
-use aivchat::netsim::{LossModel, SimDuration};
-use aivchat::rtc::session::synthetic_frame_schedule;
-use aivchat::rtc::{SessionConfig, VideoSession};
+use aivchat::core::scenarios::{held_rate_sender, stream_for};
+use aivchat::core::Conversation;
+use aivchat::netsim::{LossModel, SimDuration, SimTime};
+use aivchat::rtc::jitter::{JitterBuffer, JitterBufferConfig};
+use aivchat::rtc::FecConfig;
 use proptest::prelude::*;
+use rand::Rng;
+
+fn completion(conversation: &Conversation) -> f64 {
+    let sent = conversation.metrics_snapshot();
+    sent.frames_delivered as f64 / sent.frames_sent as f64
+}
 
 #[test]
 fn latency_grows_monotonically_with_bitrate_below_capacity() {
     // §2.2, second observation, checked across a sweep rather than a single pair.
     let mut previous = 0.0;
     for bitrate in [400_000.0, 1_000_000.0, 2_500_000.0, 5_000_000.0, 8_000_000.0] {
-        let frames = synthetic_frame_schedule(bitrate, 30.0, 15.0, 60, 6.0);
-        let stats = VideoSession::new(SessionConfig::paper_fig3(0.02, bitrate, 11))
-            .run(&frames)
-            .stats;
-        let mean = stats.mean_transmission_latency_ms();
+        let (_, latency) = stream_for(held_rate_sender(11, LossModel::Iid { rate: 0.02 }, bitrate), 8.0);
+        let mean = latency.mean_ms();
         assert!(
             mean + 1.5 >= previous,
             "latency decreased from {previous} to {mean} at {bitrate} bps"
@@ -26,44 +34,99 @@ fn latency_grows_monotonically_with_bitrate_below_capacity() {
 
 #[test]
 fn exceeding_the_bandwidth_is_catastrophic() {
-    let below = {
-        let frames = synthetic_frame_schedule(8_000_000.0, 30.0, 10.0, 60, 6.0);
-        VideoSession::new(SessionConfig::paper_fig3(0.0, 8_000_000.0, 3))
-            .run(&frames)
-            .stats
-    };
-    let above = {
-        let frames = synthetic_frame_schedule(13_000_000.0, 30.0, 10.0, 60, 6.0);
-        VideoSession::new(SessionConfig::paper_fig3(0.0, 13_000_000.0, 3))
-            .run(&frames)
-            .stats
-    };
-    assert!(above.mean_transmission_latency_ms() > below.mean_transmission_latency_ms() * 3.0);
+    let (below, below_latency) = stream_for(held_rate_sender(3, LossModel::None, 8_000_000.0), 6.0);
+    let (above, above_latency) = stream_for(held_rate_sender(3, LossModel::None, 13_000_000.0), 6.0);
+    assert_eq!(completion(&below), 1.0);
+    // Past the 10 Mbps link the queue fills within the first turn: the few frames that
+    // still make their deadline take several times longer, and most never do.
+    assert!(above_latency.mean_ms() > below_latency.mean_ms() * 3.0);
+    assert!(completion(&above) < 0.5, "completion {}", completion(&above));
+}
+
+#[test]
+fn loss_triggers_retransmissions_and_raises_tail_latency() {
+    let run = |loss| stream_for(held_rate_sender(4, loss, 2_000_000.0), 8.0);
+    let (clean, mut clean_latency) = run(LossModel::None);
+    let (lossy, mut lossy_latency) = run(LossModel::Iid { rate: 0.05 });
+    // Clean: every frame arrives the 30 ms propagation delay plus a few packets'
+    // serialization after it was sent, at the held rate, and nothing is retransmitted.
+    assert_eq!(completion(&clean), 1.0);
+    let mean = clean_latency.mean_ms();
+    assert!(mean > 30.0 && mean < 40.0, "mean {mean}");
+    assert_eq!(clean.metrics_snapshot().retransmissions_sent, 0);
+    for turn in clean.turns() {
+        assert_eq!(turn.mean_target_bitrate_bps, 2_000_000.0);
+        let achieved = turn.achieved_bitrate_bps;
+        assert!((achieved - 2e6).abs() < 0.03 * 2e6, "achieved {achieved}");
+    }
+    // Lossy: retransmission recovers nearly all frames, a round trip later.
+    assert!(lossy.metrics_snapshot().retransmissions_sent > 0);
+    let (clean_p95, lossy_p95) = (clean_latency.p95_ms(), lossy_latency.p95_ms());
+    assert!(
+        lossy_p95 > clean_p95 + 20.0,
+        "lossy p95 {lossy_p95} vs clean p95 {clean_p95}"
+    );
+    assert!(completion(&lossy) > 0.97);
+}
+
+#[test]
+fn fec_recovers_single_losses_without_a_round_trip_at_extra_uplink_cost() {
+    let rtx_only = held_rate_sender(5, LossModel::Iid { rate: 0.03 }, 2_000_000.0);
+    let mut fec_only = rtx_only.clone();
+    fec_only.fec = FecConfig::with_group_size(4);
+    fec_only.enable_retransmission = false;
+    let (rtx_only, mut rtx_latency) = stream_for(rtx_only, 8.0);
+    let (fec_only, mut fec_latency) = stream_for(fec_only, 8.0);
+    let (rtx_sent, fec_sent) = (rtx_only.metrics_snapshot(), fec_only.metrics_snapshot());
+    assert!(fec_sent.fec_recovered_frames > 0);
+    assert_eq!(fec_sent.retransmissions_sent, 0);
+    // Parity repairs a loss on arrival; a retransmission costs a round trip.
+    let (fec_p95, rtx_p95) = (fec_latency.p95_ms(), rtx_latency.p95_ms());
+    assert!(fec_p95 + 20.0 < rtx_p95, "fec p95 {fec_p95} vs rtx p95 {rtx_p95}");
+    assert!(completion(&fec_only) > 0.97);
+    // ...at the cost of extra uplink packets and bytes.
+    assert!(fec_sent.packets_sent > rtx_sent.packets_sent);
+    assert!(fec_only.link_counters().delivered_bytes > rtx_only.link_counters().delivered_bytes);
+}
+
+#[test]
+fn without_recovery_frames_stay_incomplete_but_still_decode() {
+    let mut options = held_rate_sender(6, LossModel::Iid { rate: 0.05 }, 2_000_000.0);
+    options.enable_retransmission = false;
+    let (conversation, _) = stream_for(options, 6.0);
+    assert!(completion(&conversation) < 0.9);
+    assert_eq!(conversation.metrics_snapshot().retransmissions_sent, 0);
+    for turn in conversation.turns() {
+        // A frame missing a packet is not delivered, but the bytes that did arrive still
+        // reach the decoder, and never more of them than were coded.
+        assert!(turn.frames_delivered < turn.frames_sent);
+        assert_eq!(turn.frames_decoded, turn.frames_sent);
+        assert!(turn.goodput_bps < turn.achieved_bitrate_bps);
+    }
 }
 
 #[test]
 fn bursty_loss_is_harder_on_the_tail_than_iid_loss() {
     // A single seed is noisy at the p99: for some streams the bursty run gets lucky. The
     // property the paper relies on is statistical, so compare means over a seed sweep.
-    let run = |loss: LossModel, seed: u64| {
-        let bitrate = 1_500_000.0;
-        let frames = synthetic_frame_schedule(bitrate, 30.0, 30.0, 60, 6.0);
-        let mut config = SessionConfig::paper_fig3(0.0, bitrate, seed);
-        config.path.uplink.loss = loss;
-        VideoSession::new(config).run(&frames).stats
-    };
     let seeds = [11u64, 13, 17, 19, 23, 29];
     let mut iid_p99_sum = 0.0;
     let mut bursty_p99_sum = 0.0;
     let mut iid_completion_sum = 0.0;
     let mut bursty_completion_sum = 0.0;
     for &seed in &seeds {
-        let iid = run(LossModel::Iid { rate: 0.04 }, seed);
-        let bursty = run(LossModel::bursty(0.04, 10.0), seed);
-        iid_p99_sum += iid.transmission_latency().p99_ms();
-        bursty_p99_sum += bursty.transmission_latency().p99_ms();
-        iid_completion_sum += iid.completion_rate();
-        bursty_completion_sum += bursty.completion_rate();
+        let (iid, mut iid_latency) = stream_for(
+            held_rate_sender(seed, LossModel::Iid { rate: 0.04 }, 1_500_000.0),
+            30.0,
+        );
+        let (bursty, mut bursty_latency) = stream_for(
+            held_rate_sender(seed, LossModel::bursty(0.04, 10.0), 1_500_000.0),
+            30.0,
+        );
+        iid_p99_sum += iid_latency.p99_ms();
+        bursty_p99_sum += bursty_latency.p99_ms();
+        iid_completion_sum += completion(&iid);
+        bursty_completion_sum += completion(&bursty);
     }
     let n = seeds.len() as f64;
     assert!(
@@ -87,33 +150,31 @@ proptest! {
         loss in 0.0f64..0.08,
         seed in 0u64..50,
     ) {
-        let frames = synthetic_frame_schedule(bitrate, 30.0, 6.0, 60, 6.0);
-        let stats = VideoSession::new(SessionConfig::paper_fig3(loss, bitrate, seed)).run(&frames).stats;
-        prop_assert!(stats.completion_rate() > 0.93, "completion {}", stats.completion_rate());
-        for frame in &stats.frames {
-            if let Some(latency) = frame.transmission_latency_ms() {
-                prop_assert!(latency >= 30.0 - 1e-6, "latency {latency} below propagation delay");
-            }
-        }
-        // Conservation: every frame's received bytes never exceed its size.
-        for frame in &stats.frames {
-            prop_assert!(frame.received_fraction() <= 1.0 + 1e-9);
+        let (conversation, mut latency) = stream_for(held_rate_sender(seed, LossModel::Iid { rate: loss }, bitrate), 4.0);
+        prop_assert!(completion(&conversation) > 0.93, "completion {}", completion(&conversation));
+        let fastest = latency.percentile_ms(0.0);
+        prop_assert!(fastest >= 30.0 - 1e-6, "latency {fastest} below propagation delay");
+        // Conservation: the receiver never holds more media bytes than the encoder produced.
+        for turn in conversation.turns() {
+            prop_assert!(turn.goodput_bps <= turn.achieved_bitrate_bps);
         }
     }
 
-    /// The jitter buffer never releases a frame before it is complete, at any jitter level.
+    /// The jitter buffer never releases a frame before it is complete, whatever the
+    /// arrival pattern — late, bunched or out of capture order — and a disabled buffer
+    /// releases on arrival.
     #[test]
-    fn jitter_buffer_release_is_causal(max_jitter_ms in 0u64..60, seed in 0u64..20) {
-        let bitrate = 800_000.0;
-        let frames = synthetic_frame_schedule(bitrate, 30.0, 5.0, 60, 6.0);
-        let mut config = SessionConfig::paper_fig3(0.01, bitrate, seed);
-        config.path.uplink.max_jitter = SimDuration::from_millis(max_jitter_ms);
-        config.jitter_buffer = aivchat::rtc::jitter::JitterBufferConfig::traditional();
-        let stats = VideoSession::new(config).run(&frames).stats;
-        for frame in &stats.frames {
-            if let (Some(done), Some(released)) = (frame.completed_at, frame.released_at) {
-                prop_assert!(released >= done);
-            }
+    fn jitter_buffer_release_is_causal(max_jitter_ms in 0u64..400, seed in 0u64..1_000) {
+        let mut rng = case_rng("jitter_buffer_arrivals", seed as u32);
+        let mut traditional = JitterBuffer::new(JitterBufferConfig::traditional());
+        let mut disabled = JitterBuffer::new(JitterBufferConfig::disabled());
+        for frame in 0..200u64 {
+            let capture_ts_us = frame * 33_333;
+            let arrival = SimTime::from_micros(capture_ts_us + 30_000 + rng.gen_range(0..=max_jitter_ms * 1_000));
+            let release = traditional.on_frame(arrival, capture_ts_us);
+            prop_assert!(release >= arrival);
+            prop_assert!(release <= arrival + SimDuration::from_millis(200));
+            prop_assert_eq!(disabled.on_frame(arrival, capture_ts_us), arrival);
         }
     }
 }
