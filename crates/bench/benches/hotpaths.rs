@@ -1,18 +1,17 @@
-//! Criterion micro-benchmarks of the hot paths: packetization, CTU encoding, CLIP
-//! correlation (full and incremental), the QP allocator, the MLLM accuracy model and the
-//! full chat turn. `aivc_bench::hotpath_suite` measures the same scenarios for the
-//! committed baseline.
+//! Criterion micro-benchmarks of the per-stage hot paths: packetization, CTU encoding,
+//! decoding, CLIP correlation (full and incremental), the raster update, the QP allocator
+//! and the MLLM accuracy model. `aivc_bench::hotpath_suite` measures the same scenarios for
+//! the committed baseline, next to the turn- and fleet-level entries.
 
 use aivc_bench::hotpath_suite::coherence_scene;
 use aivc_mllm::{MllmChat, Question, QuestionFormat};
-use aivc_par::MiniPool;
 use aivc_rtc::packetizer::{OutgoingFrame, Packetizer};
 use aivc_scene::grid_content::GridContent;
 use aivc_scene::templates::basketball_game;
-use aivc_scene::{Frame, SourceConfig, VideoSource};
+use aivc_scene::{SourceConfig, VideoSource};
 use aivc_semantics::{ClipModel, ClipScratch, TextQuery};
 use aivc_videocodec::{Decoder, EncodeScratch, EncodedFrame, Encoder, EncoderConfig, Qp, QpMap};
-use aivchat_core::{ChatServer, ChatSession, QpAllocator, QpAllocatorConfig};
+use aivchat_core::{QpAllocator, QpAllocatorConfig};
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
 
@@ -162,38 +161,6 @@ fn bench_qp_allocation(c: &mut Criterion) {
     });
 }
 
-fn bench_pipeline_turn(c: &mut Criterion) {
-    let source = VideoSource::new(basketball_game(1), SourceConfig::fps30(5.0));
-    let frames: Vec<Frame> = (0..4).map(|i| source.frame(i * 15)).collect();
-    let question = Question::from_fact(&basketball_game(1).facts[0], QuestionFormat::MultipleChoice);
-    c.bench_function("pipeline_turn_1080p", |b| {
-        // One long-lived session: every stage reuses the session's scratch buffers, so
-        // post-warmup turns are allocation-free end to end.
-        let mut session = ChatSession::with_defaults(1);
-        b.iter(|| {
-            let report = session.run_turn(black_box(&frames), &question);
-            black_box(report.answer.visual_tokens)
-        });
-    });
-}
-
-fn bench_throughput(c: &mut Criterion) {
-    // N independent sessions per iteration, spread across the pool: the multi-user serving
-    // scenario. turns/sec = sessions × 1e9 / (ns/iter).
-    let source = VideoSource::new(basketball_game(1), SourceConfig::fps30(5.0));
-    let frames: Vec<Frame> = (0..4).map(|i| source.frame(i * 15)).collect();
-    let question = Question::from_fact(&basketball_game(1).facts[0], QuestionFormat::MultipleChoice);
-    for session_count in [1usize, 8, 64] {
-        c.bench_function(&format!("pipeline_throughput_{session_count}_sessions"), |b| {
-            let mut server = ChatServer::new(MiniPool::env_lanes(), session_count, 1);
-            b.iter(|| {
-                server.run_turns(black_box(&frames), &question);
-                black_box(server.report(0).packets)
-            });
-        });
-    }
-}
-
 fn bench_mllm_answer(c: &mut Criterion) {
     let source = VideoSource::new(basketball_game(1), SourceConfig::fps30(5.0));
     let encoder = Encoder::new(EncoderConfig::default());
@@ -211,6 +178,6 @@ fn bench_mllm_answer(c: &mut Criterion) {
 criterion_group! {
     name = benches;
     config = Criterion::default().sample_size(20);
-    targets = bench_packetizer, bench_encoder, bench_decoder, bench_clip_correlation, bench_clip_incremental, bench_grid_update, bench_qp_allocation, bench_mllm_answer, bench_pipeline_turn, bench_throughput
+    targets = bench_packetizer, bench_encoder, bench_decoder, bench_clip_correlation, bench_clip_incremental, bench_grid_update, bench_qp_allocation, bench_mllm_answer
 }
 criterion_main!(benches);

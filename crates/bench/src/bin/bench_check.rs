@@ -18,10 +18,10 @@
 //! host CPU steal ("box noise — re-run") and exits 2 instead of reporting a phantom
 //! code regression: real regressions are localized to the code path that changed.
 //!
-//! The `pipeline_throughput_*` and fleet-throughput entries are re-measured **at the committed
-//! file's `pool_lanes`** (overridable with `AIVC_POOL_SIZE`), so the comparison is always
-//! lane-count-for-lane-count; the `turn_breakdown` section is documentation and is not
-//! re-measured here (every stage it decomposes is already gated individually).
+//! The fleet-throughput entries are re-measured **at the committed file's `pool_lanes`**
+//! (overridable with `AIVC_POOL_SIZE`), so the comparison is always lane-count-for-lane-count;
+//! the `warm_turn_breakdown` section is documentation and is not re-measured here (the whole
+//! warm turn it decomposes is gated as `conversation_turn_warm`).
 
 use aivc_bench::hotpath_suite::{measure_hotpaths_matching, BaselineFile};
 use aivc_bench::print_section;

@@ -21,7 +21,7 @@ struct ObjectBits {
 fn main() {
     let scene = basketball_game(1);
     let source = VideoSource::new(scene.clone(), SourceConfig::fps30(10.0));
-    let frames = aivchat_core::baseline::sample_frames(&source, 4);
+    let frames = source.sample_frames(4);
     let question = Question::from_fact(&scene.facts[1], QuestionFormat::FreeResponse); // jersey logo
     let streamer = ContextAwareStreamer::default();
     let baseline = ContextAgnosticBaseline::default();

@@ -1,13 +1,13 @@
 //! The committed hot-path performance baseline.
 //!
 //! Measures the per-frame hot paths (via [`aivc_bench::hotpath_suite`], the same suite
-//! `bench_check` re-measures and `benches/hotpaths.rs` tracks) plus the per-stage
-//! decomposition of the chat turn, and writes `BENCH_hotpaths.json` into the current
+//! `bench_check` re-measures; `benches/hotpaths.rs` tracks its stage entries) plus the per-stage
+//! decomposition of the warm chat turn, and writes `BENCH_hotpaths.json` into the current
 //! directory. The committed copy at the repo root is the trajectory every later perf PR is
 //! measured against: medians must not regress by more than 5 % (see ROADMAP.md;
 //! `scripts/bench-check.sh` enforces it).
 //!
-//! The `pipeline_throughput_*` and fleet-throughput entries run on a pool of `AIVC_POOL_SIZE` lanes
+//! The fleet-throughput entries run on a pool of `AIVC_POOL_SIZE` lanes
 //! (default: the machine's available parallelism); the recorded lane count is written into
 //! the JSON, since parallel medians are only comparable at equal lane counts.
 //!
@@ -20,8 +20,8 @@
 //! on ordinary noise.
 
 use aivc_bench::hotpath_suite::{
-    measure_all_hotpaths, measure_hotpaths_matching, measure_turn_breakdown, measure_warm_turn_breakdown,
-    BaselineFile, METHODOLOGY, PROFILE,
+    measure_all_hotpaths, measure_hotpaths_matching, measure_warm_turn_breakdown, BaselineFile, METHODOLOGY,
+    PROFILE,
 };
 use aivc_bench::print_section;
 use aivc_bench::HotpathMeasurement;
@@ -97,7 +97,7 @@ fn measure_max_of(
 
 /// Surgical re-record: re-measures only the named entries and splices their new medians
 /// into the existing `BENCH_hotpaths.json`, leaving every other committed number
-/// untouched. Names may come from either the `hotpaths` or the `turn_breakdown` section.
+/// untouched. Names may come from either the `hotpaths` or the `warm_turn_breakdown` section.
 fn record_only(only: &[String], pool_lanes: usize, runs: usize) {
     let path = "BENCH_hotpaths.json";
     let existing = std::fs::read_to_string(path).unwrap_or_else(|e| {
@@ -107,25 +107,16 @@ fn record_only(only: &[String], pool_lanes: usize, runs: usize) {
     let mut baseline: BaselineFile = serde_json::from_str(&existing).expect("existing baseline parses");
     for name in only {
         let known = baseline.hotpaths.iter().any(|m| &m.name == name)
-            || baseline.turn_breakdown.iter().any(|m| &m.name == name)
             || baseline.warm_turn_breakdown.iter().any(|m| &m.name == name);
         if !known {
             eprintln!("unknown entry {name:?}; known entries:");
-            for m in baseline
-                .hotpaths
-                .iter()
-                .chain(&baseline.turn_breakdown)
-                .chain(&baseline.warm_turn_breakdown)
-            {
+            for m in baseline.hotpaths.iter().chain(&baseline.warm_turn_breakdown) {
                 eprintln!("  {}", m.name);
             }
             std::process::exit(2);
         }
     }
-    let parallel_entry = |name: &str| {
-        name.starts_with("pipeline_throughput_") || name.starts_with("conversation_fleet_throughput_")
-    };
-    if only.iter().any(|n| parallel_entry(n)) && pool_lanes != baseline.pool_lanes {
+    if only.iter().any(|n| sessions_in(n).is_some()) && pool_lanes != baseline.pool_lanes {
         eprintln!(
             "cannot re-record parallel entries at {pool_lanes} lanes into a {}-lane baseline; \
              set AIVC_POOL_SIZE={} or re-record the whole file",
@@ -147,28 +138,6 @@ fn record_only(only: &[String], pool_lanes: usize, runs: usize) {
         for m in measured {
             let slot = baseline
                 .hotpaths
-                .iter_mut()
-                .find(|b| b.name == m.name)
-                .expect("validated above");
-            table.push_str(&format!(
-                "| {} | {:.1} | {:.1} |\n",
-                m.name, slot.median_ns_per_iter, m.median_ns_per_iter
-            ));
-            *slot = m;
-        }
-    }
-    let breakdown_names: Vec<&String> = only
-        .iter()
-        .filter(|n| baseline.turn_breakdown.iter().any(|m| &m.name == *n))
-        .collect();
-    if !breakdown_names.is_empty() {
-        let measured = measure_max_of(runs, || measure_turn_breakdown(SAMPLES, TARGET_SAMPLE_MS));
-        for m in measured {
-            if !breakdown_names.iter().any(|n| **n == m.name) {
-                continue;
-            }
-            let slot = baseline
-                .turn_breakdown
                 .iter_mut()
                 .find(|b| b.name == m.name)
                 .expect("validated above");
@@ -213,16 +182,10 @@ fn write_baseline(path: &str, baseline: &BaselineFile) {
     println!("(baseline written to {path})");
 }
 
-/// `pipeline_throughput_N_sessions` / `conversation_fleet_throughput_N` → `N` (how many
-/// session-turns one iteration performs).
+/// `conversation_fleet_throughput_N` → `N` (how many session-turns one iteration of a
+/// pooled entry performs).
 fn sessions_in(name: &str) -> Option<u64> {
-    if let Some(n) = name.strip_prefix("conversation_fleet_throughput_") {
-        return n.parse().ok();
-    }
-    name.strip_prefix("pipeline_throughput_")?
-        .strip_suffix("_sessions")?
-        .parse()
-        .ok()
+    name.strip_prefix("conversation_fleet_throughput_")?.parse().ok()
 }
 
 fn main() {
@@ -251,33 +214,6 @@ fn main() {
         ));
     }
     print_section("Hot-path baseline", &table);
-
-    let turn_breakdown = measure_max_of(runs, || measure_turn_breakdown(SAMPLES, TARGET_SAMPLE_MS));
-    let total = turn_breakdown
-        .iter()
-        .find(|m| m.name == "turn_total_pipeline")
-        .map_or(f64::NAN, |m| m.median_ns_per_iter);
-    let stage_sum: f64 = turn_breakdown
-        .iter()
-        .filter(|m| m.name != "turn_total_pipeline")
-        .map(|m| m.median_ns_per_iter)
-        .sum();
-    let mut table = String::from("| turn stage | median ns | share of turn |\n| --- | --- | --- |\n");
-    for m in &turn_breakdown {
-        table.push_str(&format!(
-            "| {} | {:.0} | {:.1} % |\n",
-            m.name,
-            m.median_ns_per_iter,
-            100.0 * m.median_ns_per_iter / total
-        ));
-    }
-    table.push_str(&format!(
-        "\nstage sum {:.0} ns vs whole turn {:.0} ns — {:.1} % accounted for\n",
-        stage_sum,
-        total,
-        100.0 * stage_sum / total
-    ));
-    print_section("Chat-turn budget (pipeline_turn_1080p decomposed)", &table);
 
     let warm_turn_breakdown = measure_max_of(runs, || measure_warm_turn_breakdown(SAMPLES, TARGET_SAMPLE_MS));
     let warm_total = warm_turn_breakdown
@@ -312,7 +248,6 @@ fn main() {
         methodology: METHODOLOGY.to_string(),
         pool_lanes,
         hotpaths,
-        turn_breakdown,
         warm_turn_breakdown,
     };
     write_baseline("BENCH_hotpaths.json", &baseline);

@@ -16,10 +16,7 @@ use aivc_videocodec::{
     DecodeScratch, DecodedFrame, Decoder, EncodeScratch, EncodedFrame, Encoder, EncoderConfig, Qp, QpMap,
     RatePlan,
 };
-use aivchat_core::{
-    ChatServer, ChatSession, Conversation, ConversationChatServer, NetSessionOptions, QpAllocator,
-    QpAllocatorConfig,
-};
+use aivchat_core::{Conversation, ConversationChatServer, NetSessionOptions, QpAllocator, QpAllocatorConfig};
 use serde::{Deserialize, Serialize};
 use std::hint::black_box;
 
@@ -36,16 +33,12 @@ pub struct BaselineFile {
     pub profile: String,
     /// Methodology note for readers of the JSON.
     pub methodology: String,
-    /// Pool lanes the `pipeline_throughput_*` and fleet-throughput entries were recorded with
+    /// Pool lanes the fleet-throughput entries were recorded with
     /// (`MiniPool::env_lanes` at record time) — parallel medians are only comparable
     /// across runs with the same lane count.
     pub pool_lanes: usize,
     /// The recorded hot-path medians (gated by `bench_check`).
     pub hotpaths: Vec<HotpathMeasurement>,
-    /// The per-stage decomposition of `pipeline_turn_1080p` (documentation of the turn's
-    /// real budget — see DESIGN.md §"The chat-turn budget"; not regression-gated, since
-    /// every stage is already gated individually above).
-    pub turn_breakdown: Vec<HotpathMeasurement>,
     /// The per-stage decomposition of `conversation_turn_warm` (documentation of where
     /// the warm networked turn's microsecond goes — see DESIGN.md §"Where the warm
     /// turn's microsecond goes"; not regression-gated: the whole warm turn is gated
@@ -104,9 +97,10 @@ pub fn dirty_fraction(a: &Frame, b: &Frame) -> f64 {
     dirty.iter().filter(|d| **d).count() as f64 / dims.len() as f64
 }
 
-/// Measures every tracked hot path (the same set `benches/hotpaths.rs` tracks), in the
+/// Measures every tracked hot path (the stage entries `benches/hotpaths.rs` also tracks,
+/// then the warm networked turn and the served fleet), in the
 /// order they appear in `BENCH_hotpaths.json`. `pool_lanes` sizes the pool behind the
-/// `pipeline_throughput_*` and `conversation_fleet_throughput_*` entries — callers pass
+/// `conversation_fleet_throughput_*` entries — callers pass
 /// `MiniPool::env_lanes` when recording and the committed file's `pool_lanes` when
 /// regression-checking, so compared medians always come from equal lane counts.
 pub fn measure_all_hotpaths(
@@ -310,50 +304,7 @@ pub fn measure_hotpaths_matching(
         ));
     }
 
-    // 6. The full chat turn: a long-lived ChatSession over a 4-frame 1080p window running
-    // CLIP (incremental) → Eq. 2 → ROI encode → packetize → decode → MLLM respond, with
-    // zero post-warmup heap allocations (guarded by tests/zero_alloc.rs).
-    if wants(only, "pipeline_turn_1080p") {
-        let source = VideoSource::new(basketball_game(1), SourceConfig::fps30(5.0));
-        let frames: Vec<Frame> = (0..4).map(|i| source.frame(i * 15)).collect();
-        let question = Question::from_fact(&basketball_game(1).facts[0], QuestionFormat::MultipleChoice);
-        let mut session = ChatSession::with_defaults(1);
-        hotpaths.push(measure_hotpath(
-            "pipeline_turn_1080p",
-            samples,
-            target_sample_ms,
-            || {
-                let report = session.run_turn(black_box(&frames), &question);
-                report.answer.visual_tokens
-            },
-        ));
-    }
-
-    // 7. Multi-session throughput: N independent ChatSessions, each running the full
-    // 4-frame 1080p turn, spread across the pool by the ChatServer. One iteration is one
-    // turn on every session, so turns/sec = sessions × 1e9 / median (printed by
-    // `hotpath_baseline`). Sessions share nothing — scaling is expected to be near-linear
-    // in lanes up to the core count.
-    for session_count in [1usize, 8, 64, 1024] {
-        if !wants(only, &format!("pipeline_throughput_{session_count}_sessions")) {
-            continue;
-        }
-        let source = VideoSource::new(basketball_game(1), SourceConfig::fps30(5.0));
-        let frames: Vec<Frame> = (0..4).map(|i| source.frame(i * 15)).collect();
-        let question = Question::from_fact(&basketball_game(1).facts[0], QuestionFormat::MultipleChoice);
-        let mut server = ChatServer::new(pool_lanes, session_count, 1);
-        hotpaths.push(measure_hotpath(
-            &format!("pipeline_throughput_{session_count}_sessions"),
-            samples,
-            target_sample_ms,
-            || {
-                server.run_turns(black_box(&frames), &question);
-                server.report(0).packets
-            },
-        ));
-    }
-
-    // 8. A steady-state turn inside a continuous conversation: the persistent-timeline
+    // 6. A steady-state turn inside a continuous conversation: the persistent-timeline
     // engine with the event queue, emulator, congestion controller, pacer and every
     // compute scratch already warm. One iteration = one more turn of the same long-lived
     // conversation (4-frame 1080p window through the emulated 10 Mbps uplink, 200 ms
@@ -380,7 +331,7 @@ pub fn measure_hotpaths_matching(
         ));
     }
 
-    // 9. Networked-fleet throughput: 256 persistent conversations spread across the
+    // 7. Networked-fleet throughput: 256 persistent conversations spread across the
     // pool by the ConversationChatServer, every one with its own emulated uplink,
     // congestion controller and event kernel. One iteration is one warm turn on every
     // session (256 session-turns), so ns/session-turn = median / 256 — the serving-side
@@ -409,184 +360,6 @@ pub fn measure_hotpaths_matching(
     }
 
     hotpaths
-}
-
-/// Measures each stage of `pipeline_turn_1080p` in isolation but in the turn's exact
-/// context — same 4-frame 1080p window, same question, same long-lived scratches, same
-/// incremental CLIP state — so the stage medians decompose the turn's budget instead of
-/// re-measuring the single-frame scenarios (whose inputs differ: one turn runs every stage
-/// **four times**, and its CLIP calls run at the window's inter-frame dirty rate, not on a
-/// cold frame). The whole-turn median is appended last under the name
-/// `turn_total_pipeline`, so `sum(stages) / total` quantifies the accounting gap — see
-/// DESIGN.md §"The chat-turn budget".
-pub fn measure_turn_breakdown(samples: usize, target_sample_ms: f64) -> Vec<HotpathMeasurement> {
-    let source = VideoSource::new(basketball_game(1), SourceConfig::fps30(5.0));
-    let frames: Vec<Frame> = (0..4).map(|i| source.frame(i * 15)).collect();
-    let question = Question::from_fact(&basketball_game(1).facts[0], QuestionFormat::MultipleChoice);
-    let seed = 1u64; // matches the `pipeline_turn_1080p` session
-    let model = ClipModel::mobile_default();
-    let query = TextQuery::from_words_and_concepts(
-        &question.text,
-        model.ontology(),
-        question.query_concepts.iter().cloned(),
-    );
-    let allocator = QpAllocator::new(QpAllocatorConfig::paper());
-    let encoder = Encoder::new(EncoderConfig::default());
-    let decoder = Decoder::new();
-    let mut out = Vec::new();
-
-    // Stage 1 — Eq. 1, incremental across the window (the turn's CLIP work: the dirty
-    // fraction is set by the window's inter-frame motion, including the wrap back to the
-    // first frame at the turn boundary).
-    {
-        let mut clip = ClipScratch::new();
-        out.push(measure_hotpath(
-            "turn_clip_coherent_4f",
-            samples,
-            target_sample_ms,
-            || {
-                let mut patches = 0usize;
-                for frame in &frames {
-                    patches += model
-                        .correlation_map_coherent(black_box(frame), &query, &mut clip)
-                        .values()
-                        .len();
-                }
-                patches
-            },
-        ));
-    }
-
-    // Per-frame inputs for the later stages, computed exactly as the turn computes them.
-    let importance: Vec<_> = frames.iter().map(|f| model.correlation_map(f, &query)).collect();
-    let qp_maps: Vec<QpMap> = importance
-        .iter()
-        .zip(&frames)
-        .map(|(imp, f)| allocator.allocate(imp, encoder.grid_for(f)))
-        .collect();
-    let encoded: Vec<EncodedFrame> = frames
-        .iter()
-        .zip(&qp_maps)
-        .map(|(f, m)| encoder.encode_with_qp_map(f, m))
-        .collect();
-    let decoded: Vec<DecodedFrame> = encoded.iter().map(|e| decoder.decode_complete(e, None)).collect();
-
-    // Stage 2 — Eq. 2 through the threshold table, one QP map per frame.
-    {
-        let mut qp_map = QpMap::empty();
-        out.push(measure_hotpath(
-            "turn_eq2_alloc_4f",
-            samples,
-            target_sample_ms,
-            || {
-                let mut blocks = 0usize;
-                for (imp, frame) in importance.iter().zip(&frames) {
-                    allocator.allocate_into(black_box(imp), encoder.grid_for(frame), &mut qp_map);
-                    blocks += qp_map.values().len();
-                }
-                blocks
-            },
-        ));
-    }
-
-    // Stage 3 — ROI encode, one scratch per frame slot (the session's layout).
-    {
-        let mut scratches: Vec<EncodeScratch> = (0..frames.len()).map(|_| EncodeScratch::new()).collect();
-        let mut buffer = EncodedFrame::placeholder();
-        out.push(measure_hotpath(
-            "turn_encode_4f",
-            samples,
-            target_sample_ms,
-            || {
-                let mut bytes = 0u64;
-                for ((frame, map), scratch) in frames.iter().zip(&qp_maps).zip(&mut scratches) {
-                    encoder.encode_into(black_box(frame), map, scratch, &mut buffer);
-                    bytes += buffer.total_bytes();
-                }
-                bytes
-            },
-        ));
-    }
-
-    // Stage 4 — RTP packetization of the four encoded frames.
-    {
-        let mut packetizer = Packetizer::default();
-        let mut packets: Vec<RtpPacket> = Vec::new();
-        let outgoing: Vec<OutgoingFrame> = encoded
-            .iter()
-            .map(|e| OutgoingFrame {
-                frame_id: e.frame_index,
-                capture_ts_us: e.capture_ts_us,
-                size_bytes: e.total_bytes(),
-                is_keyframe: e.frame_type == aivc_videocodec::FrameType::Intra,
-            })
-            .collect();
-        out.push(measure_hotpath(
-            "turn_packetize_4f",
-            samples,
-            target_sample_ms,
-            || {
-                let mut count = 0usize;
-                for frame in &outgoing {
-                    packetizer.packetize_into(black_box(frame), &mut packets);
-                    count += packets.len();
-                }
-                count
-            },
-        ));
-    }
-
-    // Stage 5 — full-frame decode of the four encoded frames.
-    {
-        let mut scratch = DecodeScratch::new();
-        let mut buffers: Vec<DecodedFrame> =
-            (0..encoded.len()).map(|_| DecodedFrame::placeholder()).collect();
-        out.push(measure_hotpath(
-            "turn_decode_4f",
-            samples,
-            target_sample_ms,
-            || {
-                let mut blocks = 0usize;
-                for (e, buffer) in encoded.iter().zip(&mut buffers) {
-                    let total = e.total_bytes();
-                    decoder.decode_into(black_box(e), &[(0, total)], None, &mut scratch, buffer);
-                    blocks += buffer.blocks.len();
-                }
-                blocks
-            },
-        ));
-    }
-
-    // Stage 6 — the MLLM response over the turn's decoded frames.
-    {
-        let chat = MllmChat::responder(seed ^ 0x5EED);
-        let mut scratch = MllmScratch::new();
-        out.push(measure_hotpath(
-            "turn_mllm_respond",
-            samples,
-            target_sample_ms,
-            || {
-                let answer = chat.respond_with(black_box(&question), &decoded, seed, &mut scratch);
-                answer.visual_tokens
-            },
-        ));
-    }
-
-    // The whole turn, for the gap computation.
-    {
-        let mut session = ChatSession::with_defaults(seed);
-        out.push(measure_hotpath(
-            "turn_total_pipeline",
-            samples,
-            target_sample_ms,
-            || {
-                let report = session.run_turn(black_box(&frames), &question);
-                report.answer.visual_tokens
-            },
-        ));
-    }
-
-    out
 }
 
 /// Measures each stage of `conversation_turn_warm` in isolation but in the warm
@@ -619,8 +392,9 @@ pub fn measure_warm_turn_breakdown(samples: usize, target_sample_ms: f64) -> Vec
     let budget_bits = options.abr.target_bitrate(options.gcc.initial_estimate_bps) / options.capture_fps;
     let mut out = Vec::new();
 
-    // Stage 1 — Eq. 1, incremental across the window (identical to the pipeline turn's
-    // CLIP stage: the networked turn runs the same coherent path per capture).
+    // Stage 1 — Eq. 1, incremental across the window (the turn's CLIP work: the dirty
+    // fraction is set by the window's inter-frame motion, including the wrap back to the
+    // first frame at the turn boundary).
     {
         let mut clip = ClipScratch::new();
         out.push(measure_hotpath(
@@ -842,12 +616,6 @@ mod tests {
                 iters_per_sample: 3,
                 samples: 30,
             }],
-            turn_breakdown: vec![HotpathMeasurement {
-                name: "turn_stage".to_string(),
-                median_ns_per_iter: 7.5,
-                iters_per_sample: 9,
-                samples: 30,
-            }],
             warm_turn_breakdown: vec![HotpathMeasurement {
                 name: "warm_stage".to_string(),
                 median_ns_per_iter: 3.5,
@@ -861,6 +629,6 @@ mod tests {
         assert_eq!(back.hotpaths[0].name, "x");
         assert_eq!(back.hotpaths[0].median_ns_per_iter, 12.5);
         assert_eq!(back.pool_lanes, 4);
-        assert_eq!(back.turn_breakdown[0].name, "turn_stage");
+        assert_eq!(back.warm_turn_breakdown[0].name, "warm_stage");
     }
 }

@@ -6,7 +6,7 @@
 //! 2. **Exact metrics reconciliation** — the always-on atomic rollup equals the
 //!    per-session `NetTurnReport` sums, at every pool size;
 //! 3. **Throughput smoke** — the fleet sustains a sane session-turns/sec rate
-//!    (regression-gated properly by `pipeline_throughput_1024_sessions` in
+//!    (regression-gated properly by `conversation_fleet_throughput_256` in
 //!    `BENCH_hotpaths.json`; this is a works-at-all check, not a perf gate);
 //! 4. **Bytes-budget audit** — a fleet's live heap is `intercept + slope × sessions`: the
 //!    slope is what one more warm conversation costs, the intercept what the server holds

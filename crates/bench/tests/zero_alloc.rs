@@ -2,17 +2,18 @@
 //! a counting global allocator observes zero allocations across many post-warmup iterations
 //! of `Packetizer::packetize_into`, `ClipModel::correlation_map_with`,
 //! `QpAllocator::allocate_into` (Eq. 2), `Encoder::encode_into`, `Decoder::decode_into`,
-//! and the full `ChatSession::run_turn` pipeline (CLIP → QP → encode → packetize → decode →
-//! MLLM respond).
+//! and the full chat turn — a warm `Conversation` (CLIP → QP → rate match → encode →
+//! packetize → emulated link → decode → MLLM respond), standalone, through think gaps, and
+//! served as a pooled fleet.
 //!
 //! This target sets `harness = false` (a plain `main`) so the process has exactly one
 //! thread of its own: libtest's harness threads allocate sporadically and would pollute
 //! the global counter (observed as a rare flaky nonzero count when this ran under
-//! `#[test]`). The `MiniPool` workers spawned for the pooled-server sections below are
+//! `#[test]`). The `MiniPool` workers spawned for the pooled-server section below are
 //! fine: between sections they park on a condvar, and during sections they run exactly
 //! the allocation-free per-turn code this test is counting.
 //!
-//! The pool size for the server sections comes from `AIVC_POOL_SIZE` (CI runs both a
+//! The pool size for the server section comes from `AIVC_POOL_SIZE` (CI runs both a
 //! 1-worker and a multi-worker configuration); the default exercises at least two lanes so
 //! the threaded dispatch path is always covered.
 
@@ -29,8 +30,7 @@ use aivc_videocodec::{
     DecodeScratch, DecodedFrame, Decoder, EncodeScratch, EncodedFrame, Encoder, EncoderConfig, QpMap,
 };
 use aivchat_core::{
-    ChatServer, ChatSession, Conversation, ConversationChatServer, NetSessionOptions, QpAllocator,
-    QpAllocatorConfig, StreamerConfig,
+    Conversation, ConversationChatServer, NetSessionOptions, QpAllocator, QpAllocatorConfig, StreamerConfig,
 };
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::hint::black_box;
@@ -233,47 +233,8 @@ fn main() {
         "decode_into allocated {decode_allocs} times across 200 post-warmup iterations"
     );
 
-    // --- the full chat turn: a long-lived ChatSession over a 4-frame 1080p window,
-    // CLIP (incremental) → Eq. 2 → ROI encode → packetize → decode → MLLM respond.
     let turn_frames: Vec<Frame> = (0..4).map(|i| source.frame(i * 15)).collect();
     let question = Question::from_fact(&basketball_game(1).facts[0], QuestionFormat::MultipleChoice);
-    let mut session = ChatSession::with_defaults(3);
-    for _ in 0..2 {
-        let _ = session.run_turn(&turn_frames, &question);
-    }
-    let before = allocations();
-    for _ in 0..10 {
-        let report = session.run_turn(black_box(&turn_frames), &question);
-        black_box(report.answer.visual_tokens);
-    }
-    let turn_allocs = allocations() - before;
-    assert_eq!(
-        turn_allocs, 0,
-        "ChatSession::run_turn allocated {turn_allocs} times across 10 post-warmup turns"
-    );
-
-    // --- the pooled servers below spread whole sessions across a MiniPool (no stage has a
-    // parallel form of its own): pool start-up is part of warmup, post-warmup server turns
-    // must not allocate (raw-pointer job dispatch, static session→lane mapping).
-    let pool_lanes = MiniPool::env_lanes_or(MiniPool::available_lanes().max(2));
-
-    // --- the multi-session ChatServer: steady-state turns across the pool. After each
-    // session's warmup turn, a whole server turn (8 sessions × the full pipeline) performs
-    // zero heap allocations — reports are plain values overwritten in place.
-    let mut server = ChatServer::new(pool_lanes, 8, 3);
-    for _ in 0..2 {
-        server.run_turns(&turn_frames, &question);
-    }
-    let before = allocations();
-    for _ in 0..5 {
-        server.run_turns(black_box(&turn_frames), &question);
-        black_box(server.report(0).packets);
-    }
-    let server_allocs = allocations() - before;
-    assert_eq!(
-        server_allocs, 0,
-        "ChatServer::run_turns ({pool_lanes} lanes, 8 sessions) allocated {server_allocs} times across 5 post-warmup turns"
-    );
 
     // --- a warm networked Conversation turn: think gap → captures → rate-adapted ROI
     // encodes → packetize + FEC protect → pace → emulated link → reassembly → decode →
@@ -371,15 +332,18 @@ fn main() {
     );
 
     // --- the ConversationChatServer: long-lived conversations, each on its own kernel,
-    // spread over the pool lanes with the always-on metrics layer engaged. A conversation
-    // owns what it carries between turns; the frame buffers of a turn belong to its *lane*,
-    // which lends them to each of its sessions in order. So the fleet holds two sessions
-    // per lane, a 64-px-CTU one and then a 32-px-CTU one (4× the block records for the same
-    // frames): the lane's buffers grow to the larger session's size during warm-up and the
-    // smaller one is served from them afterwards. Once each lane has served its largest
-    // member, fleet turns are allocation-free: every event queue sits at its high-water
-    // mark, reports are overwritten in place, and every counter bump is a relaxed atomic
-    // RMW — no heap.
+    // spread whole over the lanes of a MiniPool (no stage has a parallel form of its own)
+    // with the always-on metrics layer engaged. Pool start-up is part of warmup; post-warmup
+    // fleet turns must not allocate (raw-pointer job dispatch, static session→lane mapping).
+    // A conversation owns what it carries between turns; the frame buffers of a turn belong
+    // to its *lane*, which lends them to each of its sessions in order. So the fleet holds
+    // two sessions per lane, a 64-px-CTU one and then a 32-px-CTU one (4× the block records
+    // for the same frames): the lane's buffers grow to the larger session's size during
+    // warm-up and the smaller one is served from them afterwards. Once each lane has served
+    // its largest member, fleet turns are allocation-free: every event queue sits at its
+    // high-water mark, reports are overwritten in place, and every counter bump is a relaxed
+    // atomic RMW — no heap.
+    let pool_lanes = MiniPool::env_lanes_or(MiniPool::available_lanes().max(2));
     let conv_template = {
         let mut o = NetSessionOptions::ai_oriented(9, PathConfig::paper_section_2_2(0.0));
         o.capture_fps = 12.0;

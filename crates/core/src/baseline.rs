@@ -5,7 +5,9 @@
 //! regions the chat cares about.
 
 use aivc_scene::{Frame, VideoSource};
-use aivc_videocodec::{match_bitrate_qp, DecodedFrame, Decoder, EncodedFrame, Encoder, EncoderConfig, Qp};
+use aivc_videocodec::{
+    DecodedFrame, Decoder, EncodeScratch, EncodedFrame, Encoder, EncoderConfig, Qp, QpMap, RatePlan,
+};
 use serde::{Deserialize, Serialize};
 
 /// Result of encoding a set of frames with the baseline.
@@ -47,16 +49,37 @@ impl ContextAgnosticBaseline {
     }
 
     /// Encodes `frames` at the uniform QP whose actual bitrate best matches
-    /// `target_bitrate_bps` (the paper's trial-and-error procedure).
+    /// `target_bitrate_bps` (the paper's trial-and-error procedure): one rate plan per
+    /// frame, one QP for the set so its mean rate hits the target
+    /// ([`Encoder::search_rate_plans`]), one encode per frame from its plan.
     pub fn encode_at_bitrate(&self, frames: &[Frame], fps: f64, target_bitrate_bps: f64) -> BaselineEncode {
-        let matched = match_bitrate_qp(&self.encoder, frames, fps, target_bitrate_bps);
-        let qp = Qp::new(matched.qp_or_offset);
+        let plans: Vec<RatePlan> = frames
+            .iter()
+            .map(|f| self.encoder.rate_plan_for(f, None))
+            .collect();
+        let qp = Qp::new(
+            self.encoder
+                .search_rate_plans(&plans, fps, target_bitrate_bps, None)
+                .level,
+        );
+        let mut scratch = EncodeScratch::new();
         let encoded: Vec<EncodedFrame> = frames
             .iter()
-            .map(|f| self.encoder.encode_uniform(f, qp))
+            .zip(&plans)
+            .map(|(f, plan)| {
+                let mut out = EncodedFrame::placeholder();
+                self.encoder.encode_into_planned(
+                    f,
+                    &QpMap::uniform(plan.dims(), qp),
+                    plan,
+                    &mut scratch,
+                    &mut out,
+                );
+                out
+            })
             .collect();
         let achieved =
-            encoded.iter().map(|e| e.total_bits()).sum::<u64>() as f64 / encoded.len().max(1) as f64 * fps;
+            encoded.iter().map(|e| e.total_bits()).sum::<u64>() as f64 / encoded.len() as f64 * fps;
         BaselineEncode {
             qp,
             achieved_bitrate_bps: achieved,
@@ -72,7 +95,7 @@ impl ContextAgnosticBaseline {
         target_bitrate_bps: f64,
         max_frames: usize,
     ) -> (Vec<DecodedFrame>, BaselineEncode) {
-        let frames = sample_frames(source, max_frames);
+        let frames = source.sample_frames(max_frames);
         let encode = self.encode_at_bitrate(&frames, source.config().fps, target_bitrate_bps);
         let decoded = encode
             .encoded
@@ -81,20 +104,6 @@ impl ContextAgnosticBaseline {
             .collect();
         (decoded, encode)
     }
-}
-
-/// Samples up to `max_frames` frames uniformly across a clip.
-pub fn sample_frames(source: &VideoSource, max_frames: usize) -> Vec<Frame> {
-    assert!(max_frames > 0);
-    let total = source.frame_count().max(1);
-    let step = (total as f64 / max_frames as f64).max(1.0);
-    let mut out = Vec::new();
-    let mut i = 0.0;
-    while (i as u64) < total && out.len() < max_frames {
-        out.push(source.frame(i as u64));
-        i += step;
-    }
-    out
 }
 
 #[cfg(test)]
@@ -110,7 +119,7 @@ mod tests {
     #[test]
     fn baseline_hits_target_bitrate() {
         let baseline = ContextAgnosticBaseline::default();
-        let frames = sample_frames(&source(), 10);
+        let frames = source().sample_frames(10);
         for target in [430_000.0, 850_000.0, 2_000_000.0] {
             let result = baseline.encode_at_bitrate(&frames, 30.0, target);
             let err = (result.achieved_bitrate_bps - target).abs() / target;
@@ -125,7 +134,7 @@ mod tests {
     #[test]
     fn lower_bitrate_means_higher_qp_and_lower_quality() {
         let baseline = ContextAgnosticBaseline::default();
-        let frames = sample_frames(&source(), 6);
+        let frames = source().sample_frames(6);
         let low = baseline.encode_at_bitrate(&frames, 30.0, 430_000.0);
         let high = baseline.encode_at_bitrate(&frames, 30.0, 1_700_000.0);
         assert!(low.qp.value() > high.qp.value());
@@ -139,13 +148,5 @@ mod tests {
         assert_eq!(decoded.len(), 6);
         assert_eq!(decoded.len(), encode.encoded.len());
         assert!(decoded[0].received_fraction() == 1.0);
-    }
-
-    #[test]
-    fn sample_frames_spread_over_clip() {
-        let frames = sample_frames(&source(), 5);
-        assert_eq!(frames.len(), 5);
-        assert!(frames.windows(2).all(|w| w[0].index < w[1].index));
-        assert!(frames.last().unwrap().index > 200);
     }
 }

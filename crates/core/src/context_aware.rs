@@ -10,12 +10,19 @@
 //! 4. because the raw Eq. 2 map lands at whatever bitrate it lands at, apply a uniform QP
 //!    *offset* found by trial and error so the actual bitrate matches the experiment's
 //!    target (this is the paper's footnote about matching ours and baseline bitrates).
+//!
+//! Step 4 is the one search the turn engine also runs ([`Encoder::search_rate_plans`] over
+//! prepared [`RatePlan`]s); what differs is the unit matched. Here — the offline Figure 9 /
+//! Figure 10 form — one offset serves a whole set of frames so their *mean* rate hits the
+//! target; a [`crate::Conversation`] matches every capture to its own per-frame budget.
 
 use crate::allocator::{QpAllocator, QpAllocatorConfig};
 use aivc_mllm::Question;
 use aivc_scene::{Frame, VideoSource};
 use aivc_semantics::{ClipModel, ClipScratch, ImportanceMap, TextQuery};
-use aivc_videocodec::{DecodedFrame, Decoder, EncodedFrame, Encoder, EncoderConfig, QpMap};
+use aivc_videocodec::{
+    DecodedFrame, Decoder, EncodeScratch, EncodedFrame, Encoder, EncoderConfig, QpMap, RatePlan,
+};
 use serde::{Deserialize, Serialize};
 
 /// Configuration of the context-aware streamer.
@@ -110,19 +117,6 @@ impl ContextAwareStreamer {
         self.allocator.allocate(&importance, self.encoder.grid_for(frame))
     }
 
-    /// [`ContextAwareStreamer::qp_map_for`] with caller-owned CLIP scratch, so multi-frame
-    /// turns encode the text query once and run the patch loop allocation-free.
-    pub fn qp_map_for_with(&self, frame: &Frame, query: &TextQuery, scratch: &mut ClipScratch) -> QpMap {
-        let importance = self.clip_model.correlation_map_with(frame, query, scratch);
-        self.allocator.allocate(importance, self.encoder.grid_for(frame))
-    }
-
-    /// Encodes one frame with the CLIP-informed QP map (no bitrate matching).
-    pub fn encode_frame(&self, frame: &Frame, query: &TextQuery) -> EncodedFrame {
-        let qp_map = self.qp_map_for(frame, query);
-        self.encoder.encode_with_qp_map(frame, &qp_map)
-    }
-
     /// Encodes `frames` so the actual mean bitrate matches `target_bitrate_bps`, by finding
     /// a uniform QP offset on top of the per-frame Eq. 2 maps (trial and error, §3.2).
     pub fn encode_at_bitrate(
@@ -133,7 +127,7 @@ impl ContextAwareStreamer {
         target_bitrate_bps: f64,
     ) -> ContextAwareEncode {
         assert!(!frames.is_empty());
-        // One scratch across the turn: the query is encoded exactly once, the per-patch
+        // One scratch across the set: the query is encoded exactly once, the per-patch
         // CLIP loop reuses its buffers from the second frame on, and consecutive frames
         // recompute only the patches object motion dirtied (bit-identical to the full
         // recompute — see the `correlation_map_coherent` equivalence tests).
@@ -147,41 +141,36 @@ impl ContextAwareStreamer {
                 self.allocator.allocate(importance, self.encoder.grid_for(f))
             })
             .collect();
-        // Binary search the offset (bits are monotone decreasing in the offset).
-        let measure = |offset: i32| -> Vec<EncodedFrame> {
-            frames
-                .iter()
-                .zip(&maps)
-                .map(|(f, m)| self.encoder.encode_with_qp_map(f, &m.offset_all(offset)))
-                .collect()
-        };
-        let rate_of = |encoded: &[EncodedFrame]| -> f64 {
-            encoded.iter().map(|e| e.total_bits()).sum::<u64>() as f64 / encoded.len() as f64 * fps
-        };
-        let mut lo = -51i32;
-        let mut hi = 51i32;
-        let mut best_offset = 0i32;
-        let mut best_encoded = measure(0);
-        let mut best_rate = rate_of(&best_encoded);
-        while lo <= hi {
-            let mid = (lo + hi) / 2;
-            let encoded = measure(mid);
-            let rate = rate_of(&encoded);
-            if (rate - target_bitrate_bps).abs() < (best_rate - target_bitrate_bps).abs() {
-                best_offset = mid;
-                best_rate = rate;
-                best_encoded = encoded;
-            }
-            if rate > target_bitrate_bps {
-                lo = mid + 1;
-            } else {
-                hi = mid - 1;
-            }
-        }
+        // One rate plan per frame on its Eq. 2 map, one offset for the whole set (coded
+        // bits are monotone decreasing in the offset), then one real encode per frame from
+        // the plan the probes summed — so the rate the search predicted is the rate coded.
+        let plans: Vec<RatePlan> = frames
+            .iter()
+            .zip(&maps)
+            .map(|(f, map)| self.encoder.rate_plan_for(f, Some(map)))
+            .collect();
+        let qp_offset = self
+            .encoder
+            .search_rate_plans(&plans, fps, target_bitrate_bps, None)
+            .level;
+        let mut scratch = EncodeScratch::new();
+        let encoded: Vec<EncodedFrame> = frames
+            .iter()
+            .zip(&maps)
+            .zip(&plans)
+            .map(|((f, map), plan)| {
+                let mut out = EncodedFrame::placeholder();
+                self.encoder
+                    .encode_into_planned(f, &map.offset_all(qp_offset), plan, &mut scratch, &mut out);
+                out
+            })
+            .collect();
+        let achieved_bitrate_bps =
+            encoded.iter().map(|e| e.total_bits()).sum::<u64>() as f64 / encoded.len() as f64 * fps;
         ContextAwareEncode {
-            qp_offset: best_offset,
-            achieved_bitrate_bps: best_rate,
-            encoded: best_encoded,
+            qp_offset,
+            achieved_bitrate_bps,
+            encoded,
         }
     }
 
@@ -194,7 +183,7 @@ impl ContextAwareStreamer {
         target_bitrate_bps: f64,
         max_frames: usize,
     ) -> (Vec<DecodedFrame>, ContextAwareEncode) {
-        let frames = crate::baseline::sample_frames(source, max_frames);
+        let frames = source.sample_frames(max_frames);
         let query = self.query_for_question(question);
         let encode = self.encode_at_bitrate(&frames, &query, source.config().fps, target_bitrate_bps);
         let decoded = encode
@@ -209,7 +198,7 @@ impl ContextAwareStreamer {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::baseline::{sample_frames, ContextAgnosticBaseline};
+    use crate::baseline::ContextAgnosticBaseline;
     use aivc_mllm::QuestionFormat;
     use aivc_scene::templates::basketball_game;
     use aivc_scene::SourceConfig;
@@ -249,7 +238,7 @@ mod tests {
     #[test]
     fn bitrate_matching_reaches_target() {
         let streamer = ContextAwareStreamer::default();
-        let frames = sample_frames(&source(), 6);
+        let frames = source().sample_frames(6);
         let query = streamer.query_for_question(&logo_question());
         for target in [430_000.0, 850_000.0] {
             let encode = streamer.encode_at_bitrate(&frames, &query, 30.0, target);
@@ -268,7 +257,7 @@ mod tests {
         // chat-important regions.
         let streamer = ContextAwareStreamer::default();
         let baseline = ContextAgnosticBaseline::default();
-        let frames = sample_frames(&source(), 4);
+        let frames = source().sample_frames(4);
         let question = logo_question();
         let query = streamer.query_for_question(&question);
         let target = 450_000.0;

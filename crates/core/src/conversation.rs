@@ -35,7 +35,7 @@ use crate::context_aware::StreamerConfig;
 use crate::net_session::{FaultTelemetry, FrameDelivery, NetSessionOptions, NetTurnReport};
 use crate::net_turn::{
     begin_turn_window, conclude_turn_window, NetCompute, NetEvent, NetEventSink, Transport, TurnMachine,
-    TurnPlan, TurnScratch, UplinkPort,
+    TurnPlan, TurnScratch, UplinkPort, EMPTY_TURN_WINDOW,
 };
 use aivc_mllm::Question;
 use aivc_netsim::{LatencyStats, LinkCounters};
@@ -437,6 +437,11 @@ impl Conversation {
     /// (plus the configured think gap, for every turn after the first). The transport —
     /// link, trace cursor, queue backlog, GCC, pacer, sequence space, recovery machinery —
     /// is exactly as the previous turn left it.
+    ///
+    /// # Panics
+    ///
+    /// Panics on an empty `frames` window, before anything has moved: the clock, the
+    /// transport and the history behind [`Conversation::report`] are as they were.
     pub fn run_turn(&mut self, frames: &[Frame], question: &Question) -> NetTurnReport {
         self.run_turn_in_place(frames, question).clone()
     }
@@ -460,6 +465,8 @@ impl Conversation {
         frames: &[Frame],
         question: &Question,
     ) -> &NetTurnReport {
+        // Before the think gap drains and `begin_turn` records the turn-start history.
+        assert!(!frames.is_empty(), "{EMPTY_TURN_WINDOW}");
         if !self.member.turns.is_empty() && self.think_gap > SimDuration::ZERO {
             self.think_on(scratch, self.think_gap);
         }
@@ -563,6 +570,114 @@ mod tests {
             "the twin's scrambled hints must cost probes, not results"
         );
         assert_eq!(warm.report(), twin.report());
+    }
+
+    /// The engine's per-capture rate match is the offline streamers' whole-set match over a
+    /// set of one: on a clean link with the ABR held, a turn codes exactly the bits
+    /// `encode_at_bitrate` codes for each of its frames alone at the held rate, and the
+    /// MLLM answers exactly as it does over a lossless decode of those frames.
+    #[test]
+    fn a_held_rate_turn_codes_what_the_offline_streamers_code_frame_by_frame() {
+        use crate::baseline::ContextAgnosticBaseline;
+        use crate::context_aware::ContextAwareStreamer;
+        use crate::session::StreamingMode;
+        use aivc_mllm::MllmChat;
+        use aivc_rtc::AbrPolicy;
+        use aivc_videocodec::{Decoder, EncodedFrame};
+        let q = question();
+        let frames = window(0);
+        // A power-of-two frame rate: the engine compares a frame's bits with `rate / fps`,
+        // the offline match `bits · fps` with the rate, and at 8 fps the two agree to the bit.
+        let (fps, held_bps) = (8.0, 600_000.0);
+        let streamer = ContextAwareStreamer::default();
+        let baseline = ContextAgnosticBaseline::default();
+        let query = streamer.query_for_question(&q);
+        for mode in [StreamingMode::ContextAware, StreamingMode::Baseline] {
+            let mut o = NetSessionOptions::ai_oriented(17, PathConfig::paper_section_2_2(0.0));
+            o.mode = mode;
+            o.capture_fps = fps;
+            o.abr = AbrPolicy::held_at(held_bps);
+            let seed = o.seed;
+            let report = Conversation::with_defaults(o, SimDuration::ZERO).run_turn(&frames, &q);
+            let encoded: Vec<EncodedFrame> = frames
+                .iter()
+                .map(|frame| {
+                    let alone = std::slice::from_ref(frame);
+                    let mut set = match mode {
+                        StreamingMode::ContextAware => {
+                            streamer.encode_at_bitrate(alone, &query, fps, held_bps).encoded
+                        }
+                        StreamingMode::Baseline => baseline.encode_at_bitrate(alone, fps, held_bps).encoded,
+                    };
+                    set.remove(0)
+                })
+                .collect();
+            let coded_bits: u64 = encoded.iter().map(EncodedFrame::total_bits).sum();
+            assert_eq!(
+                report.achieved_bitrate_bps,
+                coded_bits as f64 / (frames.len() as f64 / fps),
+                "{mode:?}"
+            );
+            assert_eq!(report.frames_decoded, frames.len(), "{mode:?}");
+            let decoded: Vec<_> = encoded
+                .iter()
+                .map(|e| Decoder::new().decode_complete(e, None))
+                .collect();
+            let expected = MllmChat::responder(seed ^ 0x5EED).respond(&q, &decoded, seed);
+            assert_eq!(report.answer, expected, "{mode:?}");
+        }
+    }
+
+    /// A conversation that changes its question between turns re-derives its query: on a
+    /// clean link the second turn — coded bits and answer — is that of a twin that asked
+    /// the second question from the start, and sees other evidence than its own first
+    /// turn over the same window did.
+    #[test]
+    fn a_question_switch_between_turns_matches_a_twin_that_always_asked_it() {
+        let scene = basketball_game(1);
+        let score = Question::from_fact(&scene.facts[0], QuestionFormat::FreeResponse);
+        let logo = question();
+        let clean = |seed| {
+            let mut o = NetSessionOptions::ai_oriented(seed, PathConfig::paper_section_2_2(0.0));
+            o.capture_fps = 8.0;
+            Conversation::with_defaults(o, SimDuration::from_millis(300))
+        };
+        let (mut switching, mut constant) = (clean(17), clean(17));
+        let frames = window(0);
+        let first = switching.run_turn(&frames, &score);
+        constant.run_turn(&frames, &logo);
+        let second = switching.run_turn(&frames, &logo);
+        let twin = constant.run_turn(&frames, &logo);
+        assert_eq!(second.achieved_bitrate_bps, twin.achieved_bitrate_bps);
+        assert_eq!(second.answer, twin.answer);
+        assert_ne!(
+            first.answer.perceived_evidence_quality,
+            second.answer.perceived_evidence_quality
+        );
+    }
+
+    /// An empty capture window is refused before anything moves — the think gap is not
+    /// drained and no turn-start history is pushed — so the conversation carries on exactly
+    /// like a twin that never saw the call.
+    #[test]
+    fn an_empty_window_is_rejected_before_the_conversation_moves() {
+        let q = question();
+        let pair = || Conversation::with_defaults(options(37), SimDuration::from_millis(400));
+        let (mut conv, mut twin) = (pair(), pair());
+        conv.run_turn(&window(0), &q);
+        twin.run_turn(&window(0), &q);
+        let (now, report) = (conv.now(), conv.report());
+        let panic = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| conv.run_turn(&[], &q)))
+            .expect_err("an empty window must be rejected");
+        assert_eq!(
+            panic.downcast_ref::<String>().map(String::as_str),
+            Some(EMPTY_TURN_WINDOW)
+        );
+        assert_eq!(conv.now(), now);
+        assert_eq!(conv.report(), report);
+        assert_eq!(conv.metrics_snapshot(), twin.metrics_snapshot());
+        assert_eq!(conv.run_turn(&window(4), &q), twin.run_turn(&window(4), &q));
+        assert_eq!(conv.report(), twin.report());
     }
 
     #[test]

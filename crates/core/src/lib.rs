@@ -4,31 +4,30 @@
 //!
 //! * [`allocator`] — Eq. 2: mapping per-patch semantic correlation ρ (Eq. 1, from
 //!   `aivc-semantics`) to per-CTU quantization parameters with temperature γ = 3;
-//! * [`context_aware`] — the context-aware streamer: user words → CLIP correlation map →
-//!   QP map → ROI encode, plus the trial-and-error bitrate matching used to compare against
-//!   the baseline at equal actual bitrates (§3.2);
-//! * [`baseline`] — the context-agnostic uniform-QP baseline;
+//! * [`context_aware`] — the offline context-aware streamer: user words → CLIP correlation
+//!   map → QP map → ROI encode of a frame set, with the trial-and-error bitrate matching
+//!   used to compare against the baseline at equal actual bitrates (§3.2; the search itself
+//!   is `aivc_videocodec`'s, the one the turn engine runs per capture);
+//! * [`baseline`] — the context-agnostic uniform-QP baseline, matched the same way;
 //! * [`latency`] — the end-to-end response-latency budget (capture, CLIP, encode,
 //!   transmission, decode, MLLM inference) against the 300 ms conversational bound (§1),
 //!   read off a [`Conversation`] turn;
-//! * [`session`] — the compute-only turn ([`ChatSession`]: what one turn costs client and
-//!   cloud, no network) and the [`session::StreamingMode`] both session types share;
+//! * [`session`] — [`session::StreamingMode`], the encoder a session puts on its uplink;
 //! * [`net_session`] — the network-in-the-loop turn's options and report: per-frame GCC
 //!   feedback → ABR target → encode-at-bitrate → FEC/NACK recovery → decode, on a
 //!   trace-driven emulated uplink (the loop itself is the private `net_turn` engine over
 //!   the `aivc-sim` kernel);
-//! * [`conversation`] — the engine's private-timeline driver: one persistent transport
-//!   timeline (clock, link, trace cursor, GCC, pacer, in-flight packets) across every
-//!   turn of a conversation — a single networked turn is its first — with think-time
-//!   gaps and cross-turn aggregates ([`ConversationReport`]);
+//! * [`conversation`] — the one session type, and the engine's private-timeline driver:
+//!   one persistent transport timeline (clock, link, trace cursor, GCC, pacer, in-flight
+//!   packets) across every turn of a conversation — a single networked turn is its first —
+//!   with think-time gaps and cross-turn aggregates ([`ConversationReport`]);
 //! * [`contention`] — the engine's shared-link driver: K conversations plus
 //!   cross-traffic contending for one [`aivc_netsim::SharedLink`] on one simulation
 //!   timeline, with windowed Jain fairness, a per-tenant starvation watchdog, fair-share
 //!   admission and tenant-isolated recovery ([`ContentionReport`]);
-//! * [`server`] — the multi-session throughput engines ([`ChatServer`] for pure compute,
-//!   [`ConversationChatServer`] for network-in-the-loop conversations, each on its own
-//!   kernel): N independent sessions executing turns across a scoped thread pool,
-//!   bit-identically for any pool size;
+//! * [`server`] — the multi-session throughput engine ([`ConversationChatServer`]): N
+//!   independent conversations, each on its own kernel, executing turns across a scoped
+//!   thread pool, bit-identically for any pool size;
 //! * [`scenarios`] — the registry of named, seeded network scenarios and the engine that
 //!   reports traditional vs AI-oriented ABR on each (the golden-fixture substrate);
 //! * [`eval`] — the Figure 9 experiment: DeViBench accuracy of ours vs the baseline across
@@ -63,5 +62,4 @@ pub use scenarios::{
     ContentionScenario, ContentionScenarioReport, ConversationScenario, ConversationScenarioReport, Scenario,
     ScenarioReport,
 };
-pub use server::{ChatServer, ConversationChatServer, ServingReport};
-pub use session::{ChatSession, PipelineTurnReport};
+pub use server::{ConversationChatServer, ServingReport};

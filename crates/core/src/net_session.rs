@@ -1,10 +1,10 @@
 //! The network-in-the-loop turn's vocabulary: [`NetSessionOptions`] in, [`NetTurnReport`]
 //! out.
 //!
-//! [`crate::ChatSession`] answers the paper's *compute* question — what one conversational
-//! turn costs the client and the cloud. The networked turn answers the *network* question
-//! of §2.2 / Figure 3: what happens to a turn when its packets traverse a real (emulated)
-//! uplink whose capacity varies over time. Every frame of a turn closes the loop
+//! A chat turn is the whole §2.2 loop — the compute the paper's frame budget asks about
+//! (CLIP, Eq. 2, encode, decode, MLLM) *and* the network question of Figure 3: what happens
+//! to a turn when its packets traverse a real (emulated) uplink whose capacity varies over
+//! time. Every frame of a turn closes the loop
 //!
 //! ```text
 //! BandwidthTrace ──► Link ──► per-packet feedback ──► GccController ──► AbrPolicy

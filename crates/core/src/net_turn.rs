@@ -289,8 +289,8 @@ impl NetCompute {
         }
     }
 
-    /// Re-derives the text query only when the question changes (same memoization as
-    /// [`crate::ChatSession`]).
+    /// Re-derives the text query only when the question changes, so a conversation that
+    /// keeps asking one question builds its query once.
     fn refresh_query(&mut self, question: &Question) {
         if self.cached_question.as_ref() != Some(question) {
             self.query = TextQuery::from_words_and_concepts(
@@ -313,10 +313,12 @@ impl NetCompute {
     /// to `budget_bits`, and returns how many probes the search took.
     ///
     /// Context-aware mode searches a uniform QP offset on top of the frame's Eq. 2 map
-    /// (coded bits are monotone decreasing in the offset — the same §3.2 bitrate-matching
-    /// procedure `ContextAwareStreamer::encode_at_bitrate` uses, but per frame and per
-    /// target); baseline mode searches the single uniform QP a traditional WebRTC
-    /// encoder's rate control would pick.
+    /// (coded bits are monotone decreasing in the offset); baseline mode searches the
+    /// single uniform QP a traditional WebRTC encoder's rate control would pick. Either way
+    /// it is §3.2's bitrate match, and the search the offline
+    /// `ContextAwareStreamer::encode_at_bitrate` / `ContextAgnosticBaseline::encode_at_bitrate`
+    /// run over a whole frame set (`Encoder::search_rate_plans`) — here over a set of one,
+    /// so every capture meets its own budget.
     fn encode_slot_to_budget(
         &mut self,
         scratch: &mut TurnScratch,
@@ -1129,6 +1131,11 @@ impl TurnMachine<'_> {
     }
 }
 
+/// Why a turn over no frames is refused: there is no capture to schedule, no deadline to
+/// place and nothing for the MLLM to look at. Drivers check their window before anything
+/// moves; [`begin_turn_window`] is the backstop.
+pub(crate) const EMPTY_TURN_WINDOW: &str = "a chat turn needs at least one frame";
+
 /// Opens a `frame_count`-frame turn window starting at `now`: refreshes the query, arms
 /// the deadline-aware NACK budget, resets the per-turn counters and schedules the capture
 /// events into `sink`. The driver then drains its timeline to the returned plan's horizon
@@ -1143,7 +1150,7 @@ pub(crate) fn begin_turn_window(
     frame_count: usize,
     question: &Question,
 ) -> TurnPlan {
-    assert!(frame_count > 0, "a chat turn needs at least one frame");
+    assert!(frame_count > 0, "{EMPTY_TURN_WINDOW}");
     compute.refresh_query(question);
     let opts = &compute.options;
     let plan = TurnPlan::new(opts, transport.frames_sent(), now, frame_count);

@@ -1,10 +1,9 @@
-//! The multi-session throughput engines: [`ChatServer`] and [`ConversationChatServer`].
+//! The multi-session throughput engine: [`ConversationChatServer`].
 //!
 //! The paper's deployment story is not one user: a production AI-video-chat service runs
 //! *many* concurrent conversations, and the ROADMAP's north star is serving heavy traffic
-//! as fast as the hardware allows. A server owns N independent sessions — compute-only
-//! [`ChatSession`]s or network-in-the-loop [`Conversation`]s, each of the latter on its
-//! **own** event kernel — and runs each session's chat turn across a [`MiniPool`], one
+//! as fast as the hardware allows. The server owns N independent [`Conversation`]s, each
+//! on its **own** event kernel, and runs each one's chat turn across a [`MiniPool`], one
 //! session per pool chunk, with a **static** session→lane mapping (session `i` always
 //! executes on lane `i % lanes`):
 //!
@@ -12,13 +11,14 @@
 //!   session's own state (its clock and event queue included), so where it runs cannot
 //!   change what it computes (proven by the pool-size-independence property tests);
 //! * **allocation-free steady state** — a session owns what it carries between turns, its
-//!   lane owns the buffers a turn only uses while it runs ([`TurnSession::Lane`]), reports
-//!   are plain values overwritten in place, and the pool dispatches without allocating, so
-//!   once every lane has served its largest session `run_turns` performs zero heap
-//!   allocations (guarded by `crates/bench/tests/zero_alloc.rs`);
+//!   lane owns the buffers a turn only uses while it runs (one `TurnScratch` per lane),
+//!   reports are plain values overwritten in place, and the pool dispatches without
+//!   allocating, so once every lane has served its largest session `run_turns` performs
+//!   zero heap allocations (guarded by `crates/bench/tests/zero_alloc.rs`);
 //! * **near-linear scaling** — sessions share nothing mutable (one immutable `ClipModel`
 //!   per server, behind an `Arc`), so throughput scales with lanes up to the core count
-//!   (the `pipeline_throughput_{1,8,64}_sessions` benchmarks).
+//!   (the `conversation_fleet_throughput_256` benchmark and the end-to-end benchmark's
+//!   `fleet64_ai_warm` workload).
 //!
 //! Sessions running on server lanes use the sequential stage paths internally — the pool
 //! rejects nested parallel sections, and across-session parallelism already saturates the
@@ -27,10 +27,9 @@
 use crate::context_aware::StreamerConfig;
 use crate::conversation::{Conversation, ConversationReport};
 use crate::net_session::{FaultTelemetry, NetSessionOptions, NetTurnReport};
-use crate::net_turn::TurnScratch;
-use crate::session::{ChatSession, PipelineTurnReport};
+use crate::net_turn::{TurnScratch, EMPTY_TURN_WINDOW};
 use aivc_metrics::SessionSnapshot;
-use aivc_mllm::{Answer, Question};
+use aivc_mllm::Question;
 use aivc_netsim::LinkCounters;
 use aivc_par::MiniPool;
 use aivc_scene::Frame;
@@ -38,227 +37,18 @@ use aivc_semantics::ClipModel;
 use aivc_sim::SimDuration;
 use std::sync::Arc;
 
-/// A session type a server can pool: one long-lived object per user whose turn produces a
-/// plain-value report carrying the MLLM's [`Answer`]. Both server variants share the
-/// pooling machinery ([`SessionPool`]) through this trait.
-trait TurnSession: Send + std::fmt::Debug {
-    /// The per-turn report type, overwritten in place in the session's slot.
-    type Report: Clone + Send + std::fmt::Debug;
-
-    /// What a turn needs only while it runs and no later turn reads: the pool keeps one
-    /// per *lane*, and a lane lends it to each of its sessions in turn.
-    type Lane: Default + Send + std::fmt::Debug;
-
-    /// The all-zero report a slot starts from.
-    fn placeholder_report() -> Self::Report;
-
-    /// Runs one turn on the lane's scratch and returns its report.
-    fn turn_report(&mut self, frames: &[Frame], question: &Question, lane: &mut Self::Lane) -> Self::Report;
-
-    /// The answer inside a report (for the service-level quality aggregates).
-    fn answer(report: &Self::Report) -> &Answer;
-}
-
-impl TurnSession for ChatSession {
-    type Report = PipelineTurnReport;
-    /// A `ChatSession` still owns all of its buffers (ROADMAP item 4 retires or ports it).
-    type Lane = ();
-
-    fn placeholder_report() -> PipelineTurnReport {
-        PipelineTurnReport::placeholder()
-    }
-
-    fn turn_report(&mut self, frames: &[Frame], question: &Question, (): &mut ()) -> PipelineTurnReport {
-        self.run_turn(frames, question)
-    }
-
-    fn answer(report: &PipelineTurnReport) -> &Answer {
-        &report.answer
-    }
-}
-
-impl TurnSession for Conversation {
-    type Report = NetTurnReport;
-    type Lane = TurnScratch;
-
-    fn placeholder_report() -> NetTurnReport {
-        NetTurnReport::placeholder()
-    }
-
-    fn turn_report(
-        &mut self,
-        frames: &[Frame],
-        question: &Question,
-        lane: &mut TurnScratch,
-    ) -> NetTurnReport {
-        self.run_turn_on(lane, frames, question).clone()
-    }
-
-    fn answer(report: &NetTurnReport) -> &Answer {
-        &report.answer
-    }
-}
-
-/// One session slot: the long-lived session plus the in-place report of its latest turn.
+/// One session slot: the long-lived conversation plus the in-place report of its latest
+/// turn.
 #[derive(Debug)]
-struct ServerSlot<S: TurnSession> {
-    session: S,
-    report: S::Report,
+struct ServerSlot {
+    session: Conversation,
+    report: NetTurnReport,
 }
 
-/// The shared engine behind both server variants: N independent sessions of one type,
-/// spread across a [`MiniPool`] with the static session→lane mapping the module docs
-/// describe. Private — the public surface is [`ChatServer`] and [`ConversationChatServer`].
-#[derive(Debug)]
-struct SessionPool<S: TurnSession> {
-    pool: MiniPool,
-    slots: Vec<ServerSlot<S>>,
-    /// One turn scratch per lane, lent to each of the lane's sessions for the length of
-    /// its turn: a fleet's turn-transient memory scales with lanes, not with sessions.
-    lane_units: Vec<S::Lane>,
-}
-
-impl<S: TurnSession> SessionPool<S> {
-    fn with_sessions(pool: MiniPool, sessions: Vec<S>) -> Self {
-        let lane_units = (0..pool.lanes()).map(|_| S::Lane::default()).collect();
-        Self {
-            pool,
-            slots: sessions
-                .into_iter()
-                .map(|session| ServerSlot {
-                    session,
-                    report: S::placeholder_report(),
-                })
-                .collect(),
-            lane_units,
-        }
-    }
-
-    fn run_turns(&mut self, frames: &[Frame], question: &Question) {
-        if self.slots.is_empty() {
-            return;
-        }
-        let chunks = self.slots.len();
-        self.pool
-            .for_each_chunk(&mut self.slots, chunks, &mut self.lane_units, |_, slots, lane| {
-                for slot in slots {
-                    slot.report = slot.session.turn_report(frames, question, lane);
-                }
-            });
-    }
-
-    fn reports(&self) -> impl Iterator<Item = &S::Report> {
-        self.slots.iter().map(|slot| &slot.report)
-    }
-
-    fn correct_fraction(&self) -> f64 {
-        if self.slots.is_empty() {
-            return 0.0;
-        }
-        self.reports().filter(|r| S::answer(r).correct).count() as f64 / self.slots.len() as f64
-    }
-
-    fn mean_probability_correct(&self) -> f64 {
-        if self.slots.is_empty() {
-            return 0.0;
-        }
-        self.reports()
-            .map(|r| S::answer(r).probability_correct)
-            .sum::<f64>()
-            / self.slots.len() as f64
-    }
-}
-
-/// A pool of independent chat sessions executing turns in parallel. See the module docs.
-#[derive(Debug)]
-pub struct ChatServer {
-    inner: SessionPool<ChatSession>,
-}
-
-impl ChatServer {
-    /// Creates a server with `session_count` default sessions (seeds `base_seed + i`, so
-    /// every session is an independent, reproducible conversation) on a pool of
-    /// `pool_size` lanes. The sessions share one [`ClipModel`].
-    pub fn new(pool_size: usize, session_count: usize, base_seed: u64) -> Self {
-        let model = Arc::new(ClipModel::mobile_default());
-        Self::with_sessions(
-            MiniPool::new(pool_size),
-            (0..session_count)
-                .map(|i| {
-                    ChatSession::new(
-                        StreamerConfig::default(),
-                        Arc::clone(&model),
-                        base_seed.wrapping_add(i as u64),
-                    )
-                })
-                .collect(),
-        )
-    }
-
-    /// Creates a server from explicit sessions and a pool.
-    pub fn with_sessions(pool: MiniPool, sessions: Vec<ChatSession>) -> Self {
-        Self {
-            inner: SessionPool::with_sessions(pool, sessions),
-        }
-    }
-
-    /// Number of pool lanes turns are spread across.
-    pub fn pool_size(&self) -> usize {
-        self.inner.pool.lanes()
-    }
-
-    /// Number of sessions the server owns.
-    pub fn session_count(&self) -> usize {
-        self.inner.slots.len()
-    }
-
-    /// Runs one chat turn on **every** session — all users ask `question` about the same
-    /// captured window — spreading sessions across the pool (session `i` on lane
-    /// `i % lanes`, deterministically). Each session's report replaces its previous one in
-    /// place; read them back with [`ChatServer::reports`] or [`ChatServer::report`].
-    ///
-    /// Per-session results are bit-identical to calling [`ChatSession::run_turn`] directly,
-    /// for any pool size. After every session's warmup turn, the call performs no heap
-    /// allocation.
-    pub fn run_turns(&mut self, frames: &[Frame], question: &Question) {
-        self.inner.run_turns(frames, question);
-    }
-
-    /// The latest report of every session, in session order.
-    pub fn reports(&self) -> impl Iterator<Item = &PipelineTurnReport> {
-        self.inner.reports()
-    }
-
-    /// The latest report of session `index`.
-    pub fn report(&self, index: usize) -> &PipelineTurnReport {
-        &self.inner.slots[index].report
-    }
-
-    /// Fraction of the latest turn's answers that were correct — the service-level quality
-    /// signal a deployment would watch.
-    pub fn correct_fraction(&self) -> f64 {
-        self.inner.correct_fraction()
-    }
-}
-
-impl PipelineTurnReport {
-    /// The all-zero report sessions start from (every field is overwritten by the first
-    /// turn). Plain values only, so slot initialization and replacement never allocate.
-    pub fn placeholder() -> Self {
-        Self {
-            answer: Answer::default(),
-            frames_processed: 0,
-            encoded_bytes: 0,
-            packets: 0,
-            mean_encoded_quality: 0.0,
-        }
-    }
-}
-
-/// The network-in-the-loop counterpart of [`ChatServer`]: N independent long-lived
-/// [`Conversation`]s — each with its own event kernel, persistent transport, congestion
-/// controller, in-flight packet set and think-time rhythm — executing turns across a
-/// [`MiniPool`] with the same static session→lane mapping.
+/// A fleet of N independent long-lived [`Conversation`]s — each with its own event kernel,
+/// persistent transport, congestion controller, in-flight packet set and think-time
+/// rhythm — executing turns across a [`MiniPool`] with the static session→lane mapping
+/// the module docs describe.
 ///
 /// Each call to [`ConversationChatServer::run_turns`] advances *every* conversation by
 /// one turn on **its own** timeline (turn `k + 1` starts where turn `k`'s deadline left
@@ -269,7 +59,11 @@ impl PipelineTurnReport {
 /// across runs — property-tested at pool sizes 1/2/8.
 #[derive(Debug)]
 pub struct ConversationChatServer {
-    inner: SessionPool<Conversation>,
+    pool: MiniPool,
+    slots: Vec<ServerSlot>,
+    /// One turn scratch per lane, lent to each of the lane's sessions for the length of
+    /// its turn: a fleet's turn-transient memory scales with lanes, not with sessions.
+    lane_scratches: Vec<TurnScratch>,
 }
 
 impl ConversationChatServer {
@@ -299,58 +93,87 @@ impl ConversationChatServer {
     /// Creates a server from explicit conversations and a pool. Each conversation keeps
     /// the model it was built with (its own or a shared handle).
     pub fn with_sessions(pool: MiniPool, sessions: Vec<Conversation>) -> Self {
+        let lane_scratches = (0..pool.lanes()).map(|_| TurnScratch::default()).collect();
         Self {
-            inner: SessionPool::with_sessions(pool, sessions),
+            pool,
+            slots: sessions
+                .into_iter()
+                .map(|session| ServerSlot {
+                    session,
+                    report: NetTurnReport::placeholder(),
+                })
+                .collect(),
+            lane_scratches,
         }
     }
 
     /// Number of pool lanes turns are spread across.
     pub fn pool_size(&self) -> usize {
-        self.inner.pool.lanes()
+        self.pool.lanes()
     }
 
     /// Number of conversations the server owns.
     pub fn session_count(&self) -> usize {
-        self.inner.slots.len()
+        self.slots.len()
     }
 
     fn sessions(&self) -> impl Iterator<Item = &Conversation> {
-        self.inner.slots.iter().map(|slot| &slot.session)
+        self.slots.iter().map(|slot| &slot.session)
     }
 
     /// Advances every conversation by one turn (conversation `i` on lane `i % lanes`).
-    /// Per-session results are bit-identical to calling [`Conversation::run_turn`]
-    /// directly, for any pool size.
+    /// Each session's report replaces its previous one in place. Per-session results are
+    /// bit-identical to calling [`Conversation::run_turn`] directly, for any pool size.
+    ///
+    /// # Panics
+    ///
+    /// Panics on an empty `frames` window, before any conversation has moved.
     pub fn run_turns(&mut self, frames: &[Frame], question: &Question) {
-        self.inner.run_turns(frames, question);
+        // Checked once for the whole fleet: inside the pool the panic would surface only
+        // after every other lane had run its turn.
+        assert!(!frames.is_empty(), "{EMPTY_TURN_WINDOW}");
+        if self.slots.is_empty() {
+            return;
+        }
+        let chunks = self.slots.len();
+        self.pool.for_each_chunk(
+            &mut self.slots,
+            chunks,
+            &mut self.lane_scratches,
+            |_, slots, scratch| {
+                for slot in slots {
+                    slot.report = slot.session.run_turn_on(scratch, frames, question).clone();
+                }
+            },
+        );
     }
 
     /// Pre-grows every conversation's history vectors (see
     /// [`Conversation::reserve_turns`]) so warmed steady-state turns never reallocate.
     pub fn reserve_turns(&mut self, additional_turns: usize, frames_per_turn: usize) {
-        for slot in &mut self.inner.slots {
+        for slot in &mut self.slots {
             slot.session.reserve_turns(additional_turns, frames_per_turn);
         }
     }
 
     /// The latest per-turn report of every conversation, in session order.
     pub fn reports(&self) -> impl Iterator<Item = &NetTurnReport> {
-        self.inner.reports()
+        self.slots.iter().map(|slot| &slot.report)
     }
 
     /// The latest per-turn report of conversation `index`.
     pub fn report(&self, index: usize) -> &NetTurnReport {
-        &self.inner.slots[index].report
+        &self.slots[index].report
     }
 
     /// The full cross-turn report of conversation `index`.
     pub fn conversation_report(&self, index: usize) -> ConversationReport {
-        self.inner.slots[index].session.report()
+        self.slots[index].session.report()
     }
 
     /// A point-in-time reading of conversation `index`'s always-on counters.
     pub fn metrics_snapshot(&self, index: usize) -> SessionSnapshot {
-        self.inner.slots[index].session.metrics_snapshot()
+        self.slots[index].session.metrics_snapshot()
     }
 
     /// The whole fleet's always-on counters, summed across sessions. Relaxed-atomic
@@ -363,14 +186,21 @@ impl ConversationChatServer {
         total
     }
 
-    /// Fraction of the latest turn's answers that were correct.
+    /// Fraction of the latest turn's answers that were correct — the service-level quality
+    /// signal a deployment would watch.
     pub fn correct_fraction(&self) -> f64 {
-        self.inner.correct_fraction()
+        if self.slots.is_empty() {
+            return 0.0;
+        }
+        self.reports().filter(|r| r.answer.correct).count() as f64 / self.slots.len() as f64
     }
 
     /// Mean model-assigned probability of a correct answer across conversations.
     pub fn mean_probability_correct(&self) -> f64 {
-        self.inner.mean_probability_correct()
+        if self.slots.is_empty() {
+            return 0.0;
+        }
+        self.reports().map(|r| r.answer.probability_correct).sum::<f64>() / self.slots.len() as f64
     }
 
     /// One fleet-level serving snapshot: session and turn counts, every conversation's
@@ -496,71 +326,6 @@ mod tests {
         Question::from_fact(&basketball_game(1).facts[0], QuestionFormat::FreeResponse)
     }
 
-    #[test]
-    fn server_reports_match_standalone_sessions() {
-        let frames = window();
-        let q = question();
-        let mut server = ChatServer::new(4, 6, 100);
-        server.run_turns(&frames, &q);
-        for i in 0..6 {
-            let mut standalone = ChatSession::with_defaults(100 + i as u64);
-            let expected = standalone.run_turn(&frames, &q);
-            assert_eq!(server.report(i), &expected, "session {i}");
-        }
-    }
-
-    #[test]
-    fn results_are_independent_of_pool_size() {
-        let frames = window();
-        let q = question();
-        let collect = |pool_size: usize| {
-            let mut server = ChatServer::new(pool_size, 5, 7);
-            // Two turns: the second exercises the warm, allocation-free steady state.
-            server.run_turns(&frames, &q);
-            server.run_turns(&frames, &q);
-            server.reports().cloned().collect::<Vec<_>>()
-        };
-        let sequential = collect(1);
-        assert_eq!(collect(2), sequential);
-        assert_eq!(collect(8), sequential);
-    }
-
-    #[test]
-    fn server_turns_are_deterministic_across_runs() {
-        let frames = window();
-        let q = question();
-        let run = || {
-            let mut server = ChatServer::new(2, 8, 42);
-            server.run_turns(&frames, &q);
-            server.reports().cloned().collect::<Vec<_>>()
-        };
-        assert_eq!(run(), run());
-        // All sessions saw the same evidence, so aggregate quality is high.
-        let mut server = ChatServer::new(2, 8, 42);
-        server.run_turns(&frames, &q);
-        assert!(server.correct_fraction() > 0.5);
-        assert_eq!(server.session_count(), 8);
-        assert_eq!(server.pool_size(), 2);
-    }
-
-    #[test]
-    fn empty_server_and_empty_reports_are_well_behaved() {
-        let mut server = ChatServer::new(2, 0, 1);
-        server.run_turns(&window(), &question());
-        assert_eq!(server.session_count(), 0);
-        assert_eq!(server.correct_fraction(), 0.0);
-        assert_eq!(server.reports().count(), 0);
-    }
-
-    #[test]
-    fn more_sessions_than_lanes_all_get_served() {
-        let frames = window();
-        let q = question();
-        let mut server = ChatServer::new(3, 11, 9);
-        server.run_turns(&frames, &q);
-        assert!(server.reports().all(|r| r.frames_processed == frames.len()));
-    }
-
     fn net_template(seed: u64) -> NetSessionOptions {
         let mut options =
             NetSessionOptions::ai_oriented(seed, aivc_netsim::PathConfig::paper_section_2_2(0.01));
@@ -684,7 +449,12 @@ mod tests {
     /// report must say "no data", not render `NaN%` or claim `0%` correct.
     #[test]
     fn empty_fleet_serving_report_renders_without_dividing_by_zero() {
-        let server = ConversationChatServer::new(2, 0, net_template(1), SimDuration::from_millis(100));
+        let mut server = ConversationChatServer::new(2, 0, net_template(1), SimDuration::from_millis(100));
+        server.run_turns(&turn_window(0), &question());
+        assert_eq!((server.session_count(), server.pool_size()), (0, 2));
+        assert_eq!(server.reports().count(), 0);
+        assert_eq!(server.correct_fraction(), 0.0);
+        assert_eq!(server.mean_probability_correct(), 0.0);
         let report = server.serving_report();
         assert_eq!(report.sessions, 0);
         assert_eq!(report.turns_completed, 0);
@@ -840,7 +610,7 @@ mod tests {
                 }
             } else {
                 // Only member 0 steps outside the fleet; its neighbour keeps the lane busy.
-                for member in [&mut server.inner.slots[0].session, &mut twins[0]] {
+                for member in [&mut server.slots[0].session, &mut twins[0]] {
                     member.run_turn(&frames, &q);
                     member.think(SimDuration::from_millis(150));
                 }
@@ -851,15 +621,42 @@ mod tests {
         }
     }
 
-    /// A server builds one model and hands every session a handle to it.
+    /// A server builds one model and hands every conversation a handle to it.
     #[test]
     fn a_server_builds_one_model_for_all_its_sessions() {
-        let chat = ChatServer::new(2, 5, 1);
-        let first = chat.inner.slots[0].session.clip_model() as *const ClipModel;
-        assert!(chat
-            .inner
-            .slots
-            .iter()
-            .all(|slot| std::ptr::eq(slot.session.clip_model(), first)));
+        let server = ConversationChatServer::new(2, 5, net_template(1), SimDuration::from_millis(100));
+        let model_of = |slot: &ServerSlot| Arc::as_ptr(&slot.session.member.compute.clip_model);
+        let first = model_of(&server.slots[0]);
+        assert!(server.slots.iter().all(|slot| model_of(slot) == first));
+    }
+
+    /// An empty capture window is rejected for the whole fleet before any lane starts:
+    /// every conversation — clock, history, counters — is where it was, and the fleet's
+    /// next real turn equals that of a fleet that never saw the empty call.
+    #[test]
+    fn an_empty_window_is_rejected_before_any_conversation_moves() {
+        let q = question();
+        let fleet = || ConversationChatServer::new(2, 3, net_template(20), SimDuration::from_millis(400));
+        let (mut server, mut twin) = (fleet(), fleet());
+        server.run_turns(&turn_window(0), &q);
+        twin.run_turns(&turn_window(0), &q);
+        let clocks = |s: &ConversationChatServer| s.sessions().map(Conversation::now).collect::<Vec<_>>();
+        let before = clocks(&server);
+        let panic = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| server.run_turns(&[], &q)))
+            .expect_err("an empty window must be rejected");
+        assert_eq!(
+            panic.downcast_ref::<String>().map(String::as_str),
+            Some(EMPTY_TURN_WINDOW)
+        );
+        assert_eq!(clocks(&server), before);
+        for i in 0..3 {
+            assert_eq!(server.conversation_report(i), twin.conversation_report(i));
+        }
+        server.run_turns(&turn_window(1), &q);
+        twin.run_turns(&turn_window(1), &q);
+        for i in 0..3 {
+            assert_eq!(server.conversation_report(i), twin.conversation_report(i));
+        }
+        assert_eq!(server.fleet_metrics(), twin.fleet_metrics());
     }
 }

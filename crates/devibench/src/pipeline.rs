@@ -142,8 +142,9 @@ impl Pipeline {
                 cfg.frames_per_clip,
             );
             // Encoding wall-clock: both renditions plus the trial-and-error iterations the
-            // rate matching needed (the paper's footnote complains about exactly this cost).
-            let trials = 8.0; // binary-search iterations per rendition (measured by match_bitrate_qp)
+            // rate matching needed (the paper's footnote complains about exactly this cost):
+            // the mean of the two renditions' measured probe counts.
+            let trials = f64::from(original_summary.probes + degraded_summary.probes) / 2.0;
             cost.encoding_secs += clip.duration_secs * 0.35 * 2.0 * trials / 2.0;
             debug_assert!(original_summary.mean_quality >= degraded_summary.mean_quality);
 

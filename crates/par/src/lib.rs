@@ -218,7 +218,7 @@ impl MiniPool {
     /// finished, so borrows held by `job` never escape the section. Nested sections are
     /// rejected with a panic: a job must not call back into any pool (the deterministic
     /// chunk→lane mapping and the per-lane scratch ownership both assume one flat section
-    /// at a time; `ChatSession`s running on server lanes therefore use the sequential
+    /// at a time; conversations running on server lanes therefore use the sequential
     /// stage paths internally). Sections from *different* threads on the same pool are
     /// serialized (second caller blocks until the first section completes).
     pub fn run(&self, job: &(dyn Fn(usize) + Sync)) {

@@ -108,6 +108,22 @@ impl VideoSource {
             .collect()
     }
 
+    /// Up to `max_frames` frames spread uniformly over the clip, starting at frame 0 — the
+    /// handful of instants an offline evaluation shows the MLLM (it only consumes ~2 FPS
+    /// anyway, §2.1).
+    pub fn sample_frames(&self, max_frames: usize) -> Vec<Frame> {
+        assert!(max_frames > 0, "must sample at least one frame");
+        let total = self.frame_count().max(1);
+        let step = (total as f64 / max_frames as f64).max(1.0);
+        let mut out = Vec::new();
+        let mut i = 0.0;
+        while (i as u64) < total && out.len() < max_frames {
+            out.push(self.frame(i as u64));
+            i += step;
+        }
+        out
+    }
+
     /// Iterates over every captured frame, in order.
     pub fn frames(&self) -> FrameIter<'_> {
         FrameIter {
@@ -213,6 +229,15 @@ mod tests {
         assert_eq!(indices(src.window(0.0, 0.4, 10.0)), [0, 3, 6, 9]);
         assert_eq!(indices(src.window(1.9, 0.3, 10.0)), [57, 0, 3]);
         assert_eq!(indices(src.window(4.0, 0.0, 30.0)), [0]);
+    }
+
+    #[test]
+    fn sample_frames_spread_over_the_clip_and_cap_at_its_length() {
+        let src = source(); // 60 frames
+        let indices = |frames: Vec<Frame>| frames.iter().map(|f| f.index).collect::<Vec<_>>();
+        assert_eq!(indices(src.sample_frames(5)), [0, 12, 24, 36, 48]);
+        assert_eq!(indices(src.sample_frames(1)), [0]);
+        assert_eq!(src.sample_frames(1000).len(), 60);
     }
 
     #[test]

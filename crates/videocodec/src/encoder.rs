@@ -311,15 +311,6 @@ impl Encoder {
         self.encode_with_qp_map(frame, &QpMap::uniform(dims, qp))
     }
 
-    /// Predicted size in bytes of encoding `frame` at uniform `qp` — the size
-    /// [`Encoder::encode_uniform`] produces, without building the block list. Used by
-    /// rate control.
-    pub fn predict_uniform_size(&self, frame: &Frame, qp: Qp) -> u64 {
-        let mut plan = RatePlan::new();
-        self.prepare_rate_plan(frame, None, &mut plan);
-        self.predict_plan_uniform_size(&plan, qp)
-    }
-
     /// Predicted total size in bytes of encoding `frame` with `qp_map` — the size
     /// [`Encoder::encode_into`] produces (same plan, same rate kernel), without building
     /// the block list.
@@ -421,17 +412,6 @@ mod tests {
         // And total size should land in the same order of magnitude as the uniform encode.
         let ratio = roi.total_bytes() as f64 / uniform.total_bytes() as f64;
         assert!(ratio > 0.4 && ratio < 2.5, "ratio {ratio}");
-    }
-
-    #[test]
-    fn predict_uniform_size_matches_actual_encode() {
-        let enc = Encoder::new(EncoderConfig::default());
-        let frame = test_frame();
-        for qp in [20, 32, 45] {
-            let predicted = enc.predict_uniform_size(&frame, Qp::new(qp));
-            let actual = enc.encode_uniform(&frame, Qp::new(qp)).total_bytes();
-            assert_eq!(predicted, actual, "qp {qp}");
-        }
     }
 
     #[test]

@@ -12,8 +12,10 @@
 //! * decoded quality is a *monotone decreasing* function of QP, and detail-rich content
 //!   loses "recognizability" at lower QP than flat content;
 //! * per-region (CTU) QP maps shift bits between regions at ~constant total bitrate;
-//! * rate control hits a target bitrate only approximately, so the paper's trial-and-error
-//!   bitrate matching is reproduced explicitly ([`ratecontrol::match_bitrate_qp`]).
+//! * no QP lands a stream exactly on a target bitrate, so the paper's trial-and-error
+//!   bitrate matching is reproduced explicitly — one boundary search over prepared rate
+//!   plans, per capture in the turn engine ([`Encoder::search_rate_plan`]) and per frame
+//!   set offline ([`Encoder::search_rate_plans`]).
 //!
 //! The encoder consumes [`aivc_scene::Frame`] content descriptors and produces
 //! [`EncodedFrame`]s that carry everything downstream consumers need (per-block bytes, QP
@@ -27,7 +29,6 @@ pub mod gop;
 pub mod qp;
 pub mod quality;
 pub mod rate_plan;
-pub mod ratecontrol;
 pub mod rd;
 pub mod transcode;
 
@@ -38,6 +39,5 @@ pub use gop::GopStructure;
 pub use qp::{Qp, QpMap};
 pub use quality::{frame_quality, region_quality};
 pub use rate_plan::{RatePlan, RateSearch};
-pub use ratecontrol::{match_bitrate_qp, RateController, RateControllerConfig};
 pub use rd::RdModel;
 pub use transcode::{transcode_clip, TranscodeSummary};

@@ -45,7 +45,11 @@
 //! first level of the bracket whose predicted size fits the budget — and returns
 //! whichever of `T − 1`, `T` lands closer. That result is a pure function of
 //! `(plan, budget)`; the caller's hint (the previous frame's `T`) only decides where
-//! probing starts.
+//! probing starts. The turn engine matches every capture to its own budget this way; the
+//! offline whole-clip match of §3.2 (one level for a set of frames, so their *mean* rate
+//! hits the target) is the same search over the summed plans
+//! ([`Encoder::search_rate_plans`]), of which the per-frame search is the one-plan case.
+//! No other module bisects a level against a budget.
 
 use crate::encoder::{Encoder, EncoderConfig};
 use crate::frame::FrameType;
@@ -228,6 +232,14 @@ impl Encoder {
         }
     }
 
+    /// A fresh plan prepared for `frame` — the allocating form of
+    /// [`Encoder::prepare_rate_plan`] for one-shot (offline) callers.
+    pub fn rate_plan_for(&self, frame: &Frame, base: Option<&QpMap>) -> RatePlan {
+        let mut plan = RatePlan::new();
+        self.prepare_rate_plan(frame, base, &mut plan);
+        plan
+    }
+
     /// Whether the all-`f64` probe kernel equals the scalar expression on the given
     /// `blocks` of `plan` at every QP (and the encoder and block count are inside its
     /// domain at all). With every coefficient non-negative a block's bit count is monotone
@@ -390,14 +402,49 @@ impl Encoder {
     /// bracketed, then bisects; without a hint it bisects the whole bracket. On a
     /// stationary link consecutive frames share their boundary and two probes settle it.
     pub fn search_rate_plan(&self, plan: &RatePlan, budget_bits: f64, hint: Option<i32>) -> RateSearch {
-        if plan.has_base {
+        // A one-frame set at one frame per second: its mean rate is the frame's size in
+        // bits (`x / 1.0 * 1.0` is `x` exactly).
+        self.search_rate_plans(std::slice::from_ref(plan), 1.0, budget_bits, hint)
+    }
+
+    /// [`Encoder::search_rate_plan`] for a whole set of frames: finds the **one** level —
+    /// applied to every plan of the set — at which the set's mean bitrate at `fps`,
+    /// `Σ predicted bits / plans.len() · fps`, best matches `target_bitrate_bps`. This is
+    /// the paper's whole-clip match (§3.2's footnote; Figure 9 compares at matched *mean*
+    /// rates), where the per-frame search above gives every capture its own level. The
+    /// plans must all have been prepared with a base map or all without.
+    pub fn search_rate_plans(
+        &self,
+        plans: &[RatePlan],
+        fps: f64,
+        target_bitrate_bps: f64,
+        hint: Option<i32>,
+    ) -> RateSearch {
+        let has_base = plans.first().expect("need at least one rate plan").has_base;
+        assert!(
+            plans.iter().all(|plan| plan.has_base == has_base),
+            "a set is searched on offsets or on uniform QPs, not a mix"
+        );
+        let count = plans.len() as f64;
+        let mean_rate = |bytes: u64| (bytes * 8) as f64 / count * fps;
+        if has_base {
             let (lo, hi) = (-(QP_MAX as i32), QP_MAX as i32);
-            search_boundary(lo, hi, budget_bits, hint, |level| {
-                (self.predict_plan_offset_size(plan, level) * 8) as f64
+            search_boundary(lo, hi, target_bitrate_bps, hint, |level| {
+                mean_rate(
+                    plans
+                        .iter()
+                        .map(|plan| self.predict_plan_offset_size(plan, level))
+                        .sum(),
+                )
             })
         } else {
-            search_boundary(QP_MIN as i32, QP_MAX as i32, budget_bits, hint, |qp| {
-                (self.predict_plan_uniform_size(plan, Qp::new(qp)) * 8) as f64
+            search_boundary(QP_MIN as i32, QP_MAX as i32, target_bitrate_bps, hint, |qp| {
+                mean_rate(
+                    plans
+                        .iter()
+                        .map(|plan| self.predict_plan_uniform_size(plan, Qp::new(qp)))
+                        .sum(),
+                )
             })
         }
     }
@@ -890,10 +937,18 @@ mod tests {
                 },
                 rd,
             );
-            // Intra and inter frames.
-            for index in [0u64, 9] {
-                let frame = source.frame(index);
-                let dims = enc.grid_for(&frame);
+            // One frame against its size in bits (the engine's per-capture search; intra,
+            // then inter) and sets of 2 and 8 frames against their mean bitrate (the offline
+            // whole-clip match), intra and inter mixed — frame 60 opens the second GOP.
+            let sets: [(&[u64], f64); 4] = [
+                (&[0], 1.0),
+                (&[9], 1.0),
+                (&[0, 9], 30.0),
+                (&[3, 0, 17, 60, 9, 31, 61, 44], 12.0),
+            ];
+            for (indices, fps) in sets {
+                let frames: Vec<Frame> = indices.iter().map(|&index| source.frame(index)).collect();
+                let dims = enc.grid_for(&frames[0]);
                 let bases = [
                     Some(varied_base(dims)),
                     Some(QpMap::uniform(dims, Qp::new(51))),
@@ -901,36 +956,112 @@ mod tests {
                     None,
                 ];
                 for base in &bases {
-                    let mut plan = RatePlan::new();
-                    enc.prepare_rate_plan(&frame, base.as_ref(), &mut plan);
+                    let plans = plans_for(&enc, &frames, base.as_ref());
                     let (lo, hi) = if base.is_some() { (-51, 51) } else { (0, 51) };
-                    let bits_at = |l: i32| match base {
-                        Some(_) => (enc.predict_plan_offset_size(&plan, l) * 8) as f64,
-                        None => (enc.predict_plan_uniform_size(&plan, Qp::new(l)) * 8) as f64,
-                    };
+                    // The whole curve once; the exhaustive side reads it back.
+                    let curve: Vec<f64> = (lo..=hi).map(|l| mean_rate_at(&enc, &plans, l, fps)).collect();
+                    let bits_at = |l: i32| curve[(l - lo) as usize];
                     // Unreachable, trivially met, on a level's exact size, between levels.
                     let budgets = [
                         1.0,
                         1.0e15,
                         bits_at(lo + 20),
                         (bits_at(lo + 30) + bits_at(lo + 31)) / 2.0,
-                        36_000.0,
+                        36_000.0 * fps,
                     ];
+                    // Every hint for one plan; every sixth for a set, whose probes cost a
+                    // pass over every plan.
+                    let stride = if plans.len() == 1 { 1 } else { 6 };
                     for budget in budgets {
                         let (level, boundary) = exhaustive(lo, hi, budget, bits_at);
-                        for hint in (lo..=hi).map(Some).chain([None]) {
-                            let found = enc.search_rate_plan(&plan, budget, hint);
+                        for hint in (lo..=hi).step_by(stride).map(Some).chain([None]) {
+                            let found = enc.search_rate_plans(&plans, fps, budget, hint);
                             assert_eq!(
                                 (found.level, found.boundary),
                                 (level, boundary),
-                                "frame {index}, block {block_size}, budget {budget}, hint {hint:?}"
+                                "frames {indices:?}, block {block_size}, budget {budget}, hint {hint:?}"
                             );
                             assert!(found.probes <= probe_bound(lo, hi));
+                            if let [plan] = &plans[..] {
+                                assert_eq!(enc.search_rate_plan(plan, budget, hint), found);
+                            }
                         }
                     }
                 }
             }
         }
+    }
+
+    /// One fresh plan per frame, on `base` when given.
+    fn plans_for(enc: &Encoder, frames: &[Frame], base: Option<&QpMap>) -> Vec<RatePlan> {
+        frames
+            .iter()
+            .map(|frame| enc.rate_plan_for(frame, base))
+            .collect()
+    }
+
+    /// `Σ bits / n · fps` of the planned set at `level` — an offset when the plans carry a
+    /// base map, a uniform QP otherwise.
+    fn mean_rate_at(enc: &Encoder, plans: &[RatePlan], level: i32, fps: f64) -> f64 {
+        let bytes: u64 = plans
+            .iter()
+            .map(|plan| {
+                if plan.has_base {
+                    enc.predict_plan_offset_size(plan, level)
+                } else {
+                    enc.predict_plan_uniform_size(plan, Qp::new(level))
+                }
+            })
+            .sum();
+        (bytes * 8) as f64 / plans.len() as f64 * fps
+    }
+
+    /// §3.2's trial-and-error match on a one-second window: every reachable target is met
+    /// to within a QP step, a lower target never gets a lower QP, an unreachable one
+    /// clamps to QP 51 — and without a hint the search is a plain bisection of the 52
+    /// uniform levels, six probes at most.
+    #[test]
+    fn uniform_set_search_meets_targets_in_six_probes_and_clamps_when_unreachable() {
+        let enc = Encoder::new(EncoderConfig::default());
+        let source = VideoSource::new(basketball_game(1), SourceConfig::fps30(10.0));
+        let frames: Vec<Frame> = (0..30).map(|index| source.frame(index)).collect();
+        let plans = plans_for(&enc, &frames, None);
+        let mut previous_qp = QP_MAX as i32;
+        for target in [1_000.0, 400_000.0, 850_000.0, 2_000_000.0, 6_000_000.0] {
+            let found = enc.search_rate_plans(&plans, 30.0, target, None);
+            assert!(found.probes <= 6, "target {target}: {} probes", found.probes);
+            assert!(found.level <= previous_qp, "target {target}: QP rose");
+            previous_qp = found.level;
+            if target == 1_000.0 {
+                // 1 kbps is impossible.
+                assert_eq!((found.level, found.boundary), (51, 52));
+                continue;
+            }
+            // A single QP step changes the rate by ~12 %, so accept 20 % error.
+            let achieved = mean_rate_at(&enc, &plans, found.level, 30.0);
+            let err = (achieved - target).abs() / target;
+            assert!(err < 0.2, "target {target}: achieved {achieved} (err {err})");
+        }
+        assert!(previous_qp < 30, "6 Mbps must land well below the 400 kbps QP");
+    }
+
+    /// The context-aware form: an offset on top of a deliberately expensive base map
+    /// brings the set to the target, in the seven probes a bisection of the 103 offsets
+    /// takes.
+    #[test]
+    fn offset_set_search_brings_an_expensive_base_map_to_the_target_in_seven_probes() {
+        let enc = Encoder::new(EncoderConfig::default());
+        let source = VideoSource::new(lecture_slides(4), SourceConfig::fps30(10.0));
+        let frames: Vec<Frame> = (0..10).map(|index| source.frame(index)).collect();
+        let base = QpMap::uniform(enc.grid_for(&frames[0]), Qp::new(22));
+        let plans = plans_for(&enc, &frames, Some(&base));
+        let target = 900_000.0;
+        let found = enc.search_rate_plans(&plans, 30.0, target, None);
+        assert!(found.probes <= 7, "{} probes", found.probes);
+        assert!(found.level > 0, "expected a positive offset to shrink the stream");
+        let achieved = mean_rate_at(&enc, &plans, found.level, 30.0);
+        let err = (achieved - target).abs() / target;
+        assert!(err < 0.25, "achieved {achieved} (err {err})");
     }
 
     #[test]

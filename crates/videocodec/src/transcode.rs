@@ -9,7 +9,7 @@
 use crate::decoder::{DecodedFrame, Decoder};
 use crate::encoder::Encoder;
 use crate::qp::Qp;
-use crate::ratecontrol::match_bitrate_qp;
+use crate::rate_plan::RatePlan;
 use aivc_scene::VideoSource;
 use serde::{Deserialize, Serialize};
 
@@ -22,6 +22,9 @@ pub struct TranscodeSummary {
     pub achieved_bitrate_bps: f64,
     /// Uniform QP selected by the trial-and-error search.
     pub qp: Qp,
+    /// Trial encodes the search took to settle on it ([`crate::RateSearch::probes`]) — the
+    /// cost the paper's §3.2 footnote complains about, and what DeViBench's ledger prices.
+    pub probes: u32,
     /// Number of frames transcoded.
     pub frames: usize,
     /// Mean decoded quality across the transcoded frames.
@@ -37,39 +40,36 @@ pub fn transcode_clip(
     target_bitrate_bps: f64,
     max_frames: usize,
 ) -> (Vec<DecodedFrame>, TranscodeSummary) {
-    assert!(max_frames > 0, "must transcode at least one frame");
-    let total = source.frame_count().max(1);
-
     // Rate matching uses a contiguous window of one GOP (or the whole clip if shorter) so the
     // intra/inter frame mix — and therefore the measured bitrate — matches what encoding the
-    // full clip would produce.
+    // full clip would produce: one plan per frame of the window, one QP for the set.
+    let total = source.frame_count().max(1);
     let gop_len = encoder.config().gop.length as u64;
     let rate_window = gop_len.clamp(1, total.min(120));
-    let rate_probe: Vec<_> = (0..rate_window).map(|idx| source.frame(idx)).collect();
-    let matched = match_bitrate_qp(encoder, &rate_probe, source.config().fps, target_bitrate_bps);
-    let qp = Qp::new(matched.qp_or_offset);
-    let achieved = matched.achieved_bitrate_bps;
+    let plans: Vec<RatePlan> = (0..rate_window)
+        .map(|idx| encoder.rate_plan_for(&source.frame(idx), None))
+        .collect();
+    let fps = source.config().fps;
+    let search = encoder.search_rate_plans(&plans, fps, target_bitrate_bps, None);
+    let qp = Qp::new(search.level);
+    let window_bytes: u64 = plans
+        .iter()
+        .map(|plan| encoder.predict_plan_uniform_size(plan, qp))
+        .sum();
+    let achieved = (window_bytes * 8) as f64 / plans.len() as f64 * fps;
 
-    // The MLLM-facing decoded frames are sampled uniformly across the clip (it only looks at
-    // ~2 FPS anyway, §2.1).
-    let step = (total as f64 / max_frames as f64).max(1.0);
-    let mut indices = Vec::new();
-    let mut i = 0.0;
-    while (i as u64) < total && indices.len() < max_frames {
-        indices.push(i as u64);
-        i += step;
-    }
     let decoder = Decoder::new();
-    let mut decoded = Vec::with_capacity(indices.len());
-    for &idx in &indices {
-        let e = encoder.encode_uniform(&source.frame(idx), qp);
-        decoded.push(decoder.decode_complete(&e, None));
-    }
+    let decoded: Vec<DecodedFrame> = source
+        .sample_frames(max_frames)
+        .iter()
+        .map(|frame| decoder.decode_complete(&encoder.encode_uniform(frame, qp), None))
+        .collect();
     let mean_quality = decoded.iter().map(|d| d.mean_quality()).sum::<f64>() / decoded.len().max(1) as f64;
     let summary = TranscodeSummary {
         target_bitrate_bps,
         achieved_bitrate_bps: achieved,
         qp,
+        probes: search.probes,
         frames: decoded.len(),
         mean_quality,
     };
@@ -95,6 +95,7 @@ mod tests {
         let err = (summary.achieved_bitrate_bps - 200_000.0).abs() / 200_000.0;
         assert!(err < 0.5, "achieved {}", summary.achieved_bitrate_bps);
         assert!(summary.qp.value() > 35, "200 kbps should need a high QP");
+        assert!((1..=6).contains(&summary.probes), "{} probes", summary.probes);
     }
 
     #[test]

@@ -7,7 +7,6 @@
 //!
 //! Run with: `cargo run --release --example context_aware_vs_baseline`
 
-use aivchat::core::baseline::sample_frames;
 use aivchat::core::session::StreamingMode;
 use aivchat::core::{
     ContextAgnosticBaseline, ContextAwareStreamer, Conversation, LatencyBudget, NetSessionOptions,
@@ -28,7 +27,7 @@ fn main() {
     // --- Where do the bits go? Encode a few frames with both methods at the same bitrate.
     let streamer = ContextAwareStreamer::default();
     let baseline = ContextAgnosticBaseline::default();
-    let frames = sample_frames(&source, 4);
+    let frames = source.sample_frames(4);
     let query = streamer.query_for_question(&question);
     let ours = streamer.encode_at_bitrate(&frames, &query, 30.0, 430_000.0);
     let theirs = baseline.encode_at_bitrate(&frames, 30.0, 430_000.0);

@@ -1,14 +1,14 @@
 #!/usr/bin/env bash
-# Hot-path regression gate: re-measures every tracked hot path — including the
-# `pipeline_throughput_{1,8,64,1024}_sessions` / `conversation_fleet_throughput_256`
-# multi-session entries — and fails if any median regressed more than the tolerance
-# versus the committed BENCH_hotpaths.json.
-# Throughput entries are re-measured at the committed file's recorded
+# Hot-path regression gate: re-measures every tracked hot path — the per-stage entries,
+# the warm networked turn (`conversation_turn_warm`) and the multi-session
+# `conversation_fleet_throughput_256` — and fails if any median regressed more than the
+# tolerance versus the committed BENCH_hotpaths.json.
+# The throughput entry is re-measured at the committed file's recorded
 # `pool_lanes` (override with AIVC_POOL_SIZE) so comparisons are lane-for-lane.
 #
 #   ./scripts/bench-check.sh                     # 5 % tolerance (the ROADMAP rule)
 #   BENCH_CHECK_TOLERANCE=0.10 ./scripts/bench-check.sh   # relaxed (noisy CI runners)
-#   AIVC_POOL_SIZE=8 ./scripts/bench-check.sh    # force a pool size for the throughput entries
+#   AIVC_POOL_SIZE=8 ./scripts/bench-check.sh    # force a pool size for the throughput entry
 #   ./scripts/bench-check.sh path/to/other.json  # compare against a different baseline
 #   ./scripts/bench-check.sh --only <name>       # gate just the named entries
 #

@@ -1,10 +1,14 @@
 //! Property-based tests of the core models' invariants across crates: Eq. 1 bounds, Eq. 2
 //! monotonicity (and LUT ≡ `powf` equivalence), R-D monotonicity, accuracy monotonicity in
-//! quality, incremental-correlation ≡ full-recompute equivalence, and the encode entry
-//! points agreeing block for block.
+//! quality, incremental-correlation ≡ full-recompute equivalence, the encode entry
+//! points agreeing block for block, and a served fleet ≡ standalone conversations at any
+//! pool size.
 
-use aivchat::core::{ChatServer, ChatSession, QpAllocator, QpAllocatorConfig};
+use aivchat::core::{
+    Conversation, ConversationChatServer, NetSessionOptions, QpAllocator, QpAllocatorConfig,
+};
 use aivchat::mllm::{MllmChat, Question, QuestionFormat};
+use aivchat::netsim::{PathConfig, SimDuration};
 use aivchat::par::MiniPool;
 use aivchat::scene::templates::TemplateKind;
 use aivchat::scene::{Frame, Ontology, Rect, Scene, SceneObject, SourceConfig, VideoSource};
@@ -243,10 +247,17 @@ proptest! {
         let decoded = Decoder::new().decode_complete(&reference, None);
         prop_assert_eq!(&decoded.coverage, &reference.coverage);
     }
+}
 
-    /// ChatServer turns are bit-identical for any pool size and deterministic across runs:
-    /// per-session reports equal the standalone sessions' reports no matter how many lanes
-    /// the turns were spread over, across multiple (warm) turns.
+// Every case of the fleet property runs whole networked turns on five servers: ten cases
+// vary every dimension and cost a debug build what the 24 compute-only cases used to.
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(10))]
+
+    /// `ConversationChatServer` turns are bit-identical for any pool size and deterministic
+    /// across runs: every conversation's report — a cold turn, a think gap and a warm turn
+    /// on the paper's 1 % loss path — equals the standalone conversation's no matter how
+    /// many lanes the fleet was spread over, for any scene, question, seed and fleet size.
     #[test]
     fn parallel_chat_server_is_pool_size_independent_and_deterministic(
         template_idx in 0usize..5,
@@ -260,22 +271,27 @@ proptest! {
         let question = Question::from_fact(fact, QuestionFormat::MultipleChoice);
         let source = VideoSource::new(scene.clone(), SourceConfig::fps30(3.0));
         let frames: Vec<Frame> = (0..3).map(|i| source.frame(i * 10)).collect();
+        let template = NetSessionOptions::ai_oriented(base_seed, PathConfig::paper_section_2_2(0.01));
+        let think = SimDuration::from_millis(200);
         let run = |pool_size: usize| {
-            let mut server = ChatServer::new(pool_size, session_count, base_seed);
-            server.run_turns(&frames, &question); // warmup turn
-            server.run_turns(&frames, &question); // steady-state turn
-            server.reports().cloned().collect::<Vec<_>>()
+            let mut server = ConversationChatServer::new(pool_size, session_count, template.clone(), think);
+            server.run_turns(&frames, &question); // cold turn
+            server.run_turns(&frames, &question); // warm turn
+            (0..session_count).map(|i| server.conversation_report(i)).collect::<Vec<_>>()
         };
         let sequential = run(1);
         prop_assert_eq!(&run(2), &sequential);
         prop_assert_eq!(&run(8), &sequential);
         prop_assert_eq!(&run(8), &sequential); // determinism across runs at equal pool size
         prop_assert_eq!(&run(MiniPool::env_lanes()), &sequential); // the CI-pinned config
-        // And each report equals the standalone session's second turn.
+        // And each report equals the standalone conversation's.
         for (i, report) in sequential.iter().enumerate() {
-            let mut session = ChatSession::with_defaults(base_seed.wrapping_add(i as u64));
-            let _ = session.run_turn(&frames, &question);
-            prop_assert_eq!(report, &session.run_turn(&frames, &question));
+            let mut options = template.clone();
+            options.seed = base_seed.wrapping_add(i as u64);
+            let mut conversation = Conversation::with_defaults(options, think);
+            conversation.run_turn(&frames, &question);
+            conversation.run_turn(&frames, &question);
+            prop_assert_eq!(report, &conversation.report());
         }
     }
 }
