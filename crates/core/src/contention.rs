@@ -86,15 +86,18 @@ pub struct CrossTrafficSpec {
     pub stop: SimTime,
 }
 
+/// How many *consecutive* starving fairness windows escalate a tenant's degradation
+/// ladder: one sub-floor window is noise, two in a row while transmitting is starvation.
+const STARVING_WINDOWS_TO_ESCALATE: u32 = 2;
+
 /// Starvation-watchdog configuration.
 #[derive(Debug, Clone, Copy, Serialize, Deserialize)]
 pub struct StarvationConfig {
     /// Master switch.
     pub enabled: bool,
-    /// Windowed-goodput floor (bits per second) below which a tenant counts as starving.
+    /// Windowed-goodput floor (bits per second) below which a tenant counts as starving
+    /// once it stays there for two consecutive windows.
     pub floor_bps: f64,
-    /// How many *consecutive* starving windows escalate the tenant's degradation ladder.
-    pub consecutive_windows: u32,
 }
 
 impl StarvationConfig {
@@ -103,7 +106,6 @@ impl StarvationConfig {
         Self {
             enabled: false,
             floor_bps: 0.0,
-            consecutive_windows: u32::MAX,
         }
     }
 }
@@ -111,20 +113,15 @@ impl StarvationConfig {
 /// Late-joiner admission configuration.
 #[derive(Debug, Clone, Copy, Serialize, Deserialize)]
 pub struct AdmissionConfig {
-    /// Master switch.
+    /// Master switch: a joiner's initial estimate is clamped to its fair share,
+    /// `nominal_bps / active_tenants`.
     pub enabled: bool,
-    /// A joiner's initial estimate is clamped to
-    /// `nominal_bps * fair_share_cap / active_tenants`.
-    pub fair_share_cap: f64,
 }
 
 impl AdmissionConfig {
     /// Admission control off: joiners start from their configured initial estimate.
     pub fn disabled() -> Self {
-        Self {
-            enabled: false,
-            fair_share_cap: 1.0,
-        }
+        Self { enabled: false }
     }
 }
 
@@ -358,9 +355,7 @@ impl ContentionMachine {
         let t = &mut self.tenants[tenant];
         let turn = &t.spec.turns[t.turns_begun];
         if t.turns_begun == 0 && self.admission.enabled {
-            t.member
-                .gcc
-                .clamp_estimate(self.nominal_bps * self.admission.fair_share_cap / active as f64);
+            t.member.gcc.clamp_estimate(self.nominal_bps / active as f64);
         }
         let port = UplinkPort::Shared {
             link: &mut self.shared,
@@ -455,7 +450,6 @@ impl ContentionMachine {
         if self.starvation.enabled {
             let window_start = SimTime::from_micros(now.as_micros().saturating_sub(self.fairness_window_us));
             let floor = self.starvation.floor_bps;
-            let needed = self.starvation.consecutive_windows;
             for (i, t) in self.tenants.iter_mut().enumerate() {
                 // Eligible only when the whole window sits inside the tenant's capture
                 // phase: goodput during think time or the post-capture drain is low by
@@ -471,7 +465,7 @@ impl ContentionMachine {
                 } else {
                     t.starve_streak = 0;
                 }
-                if t.starve_streak >= needed {
+                if t.starve_streak >= STARVING_WINDOWS_TO_ESCALATE {
                     t.starvation_events += 1;
                     t.starve_streak = 0;
                     // Escalate the tenant's own degradation ladder: force_fallback makes
@@ -777,22 +771,50 @@ mod tests {
     #[test]
     fn tenant_capture_fps_is_validated_at_input() {
         let uplink = LinkConfig::constant(4e6, SimDuration::from_millis(30), 300, LossModel::None);
-        for fps in [0.0, -1.0, f64::NAN, f64::INFINITY] {
+        let with = |edit: &dyn Fn(&mut NetSessionOptions)| {
+            let mut options = tenant_options(1, &uplink, 8.0);
+            edit(&mut options);
+            options
+        };
+        let mut rejected: Vec<(&str, NetSessionOptions)> = [0.0, -1.0, f64::NAN, f64::INFINITY]
+            .into_iter()
+            .map(|fps| ("capture_fps", tenant_options(1, &uplink, fps)))
+            .collect();
+        for secs in [f64::INFINITY, f64::NAN, -1.0] {
+            rejected.push(("drain_secs", with(&|o| o.drain_secs = secs)));
+        }
+        rejected.extend([
+            (
+                "abr.bitrate_bps",
+                with(&|o| o.abr = aivc_rtc::AbrPolicy::held_at(f64::NAN)),
+            ),
+            (
+                "abr.accuracy_floor_bps",
+                with(&|o| o.abr = aivc_rtc::AbrPolicy::ai_oriented(0.0)),
+            ),
+            ("gcc.min_bps", with(&|o| o.gcc.min_bps = o.gcc.max_bps * 2.0)),
+            (
+                "gcc.initial_estimate_bps",
+                with(&|o| o.gcc.initial_estimate_bps = f64::NEG_INFINITY),
+            ),
+        ]);
+        for (field, options) in rejected {
+            let expected = options.validate().expect_err(field).to_string();
             let tenant = TenantSpec {
                 label: "bad-clock".into(),
                 mode: "ai_oriented".into(),
                 join_at: SimTime::ZERO,
                 think: SimDuration::ZERO,
-                options: tenant_options(1, &uplink, fps),
+                options,
                 turns: turn_script(0, 1, 4, 8.0),
             };
             let config = base_config(uplink.clone(), 1, 4e6);
             let panic = std::panic::catch_unwind(|| run_contention(&config, vec![tenant]))
-                .expect_err("an invalid capture_fps must not run");
+                .expect_err("invalid options must not run");
             let message = panic.downcast_ref::<String>().expect("a formatted panic message");
             assert!(
-                message.contains("bad-clock") && message.contains("capture_fps"),
-                "{message}"
+                message.contains("bad-clock") && message.contains(field) && message.ends_with(&expected),
+                "{field}: {message}"
             );
         }
     }
@@ -856,7 +878,6 @@ mod tests {
         config.starvation = StarvationConfig {
             enabled: true,
             floor_bps: 100_000.0,
-            consecutive_windows: 2,
         };
         let tenants = (0..3)
             .map(|i| TenantSpec {
@@ -880,10 +901,7 @@ mod tests {
     fn admission_clamps_a_late_joiner_to_its_fair_share() {
         let uplink = LinkConfig::constant(6e6, SimDuration::from_millis(30), 300, LossModel::None);
         let mut config = base_config(uplink.clone(), 17, 6e6);
-        config.admission = AdmissionConfig {
-            enabled: true,
-            fair_share_cap: 1.0,
-        };
+        config.admission = AdmissionConfig { enabled: true };
         let mut joiner_options = tenant_options(50, &uplink, 8.0);
         joiner_options.gcc.initial_estimate_bps = 20e6; // wildly optimistic
         let tenants = vec![

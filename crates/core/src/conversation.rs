@@ -364,6 +364,12 @@ impl Conversation {
         self.sim.now()
     }
 
+    /// Events the conversation's kernel has popped so far: how much work its timeline did,
+    /// as a count that is the same on every box.
+    pub fn events_popped(&self) -> u64 {
+        self.sim.events_popped()
+    }
+
     /// The congestion controller's current bandwidth estimate in bits per second.
     pub fn bandwidth_estimate_bps(&self) -> f64 {
         self.member.gcc.estimate_bps()

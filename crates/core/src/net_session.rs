@@ -65,8 +65,6 @@ pub struct NetSessionOptions {
     /// How long after the last capture the receiver keeps collecting in-flight packets
     /// before the MLLM must answer (the conversational deadline).
     pub drain_secs: f64,
-    /// Size of a feedback (NACK) packet on the wire, in bytes.
-    pub feedback_packet_bytes: u32,
     /// Adaptive FEC: parity group size driven by the live loss estimate, with the media
     /// budget shaved so media + parity never exceeds the ABR target. Disabled by default
     /// (the static [`NetSessionOptions::fec`] group size rules, bit for bit).
@@ -102,7 +100,6 @@ impl NetSessionOptions {
             // The conversational response budget (§1's 300 ms): frames still in flight
             // this long after the question was asked miss the answer.
             drain_secs: 0.3,
-            feedback_packet_bytes: 80,
             adaptive_fec: AdaptiveFecConfig::disabled(),
             degradation: DegradationConfig::disabled(),
             coalesce_delivery: true,
@@ -110,13 +107,11 @@ impl NetSessionOptions {
     }
 
     /// Turns the full outage-resilience stack on: the GCC feedback watchdog (200 ms
-    /// timeout, 0.7 decay, 1.25× recovery ramp), loss-driven adaptive FEC, and the
-    /// graceful-degradation ladder. Fault scenarios opt in through this; everything else
-    /// keeps the off-by-default behaviour the golden fixtures pin.
+    /// timeout), loss-driven adaptive FEC, and the graceful-degradation ladder. Fault
+    /// scenarios opt in through this; everything else keeps the off-by-default behaviour
+    /// the golden fixtures pin.
     pub fn with_resilience(mut self) -> Self {
         self.gcc.watchdog_timeout = SimDuration::from_millis(200);
-        self.gcc.watchdog_beta = 0.7;
-        self.gcc.recovery_ramp_factor = 1.25;
         self.adaptive_fec.enabled = true;
         self.degradation.enabled = true;
         self
@@ -133,21 +128,84 @@ impl NetSessionOptions {
         }
     }
 
-    /// Checks the fields a caller can set to a value the turn clock cannot run on.
+    /// Checks every field a caller can set to a value the engine cannot run on.
     /// [`crate::Conversation::new`] and [`crate::run_contention`] call this and panic with
-    /// the error's message, so a bad value fails at construction instead of corrupting
-    /// simulated time. (`drain_secs` needs no check: the turn plan reads it through
-    /// `.max(0.0)`, which maps negatives and NaN to an immediate deadline.)
+    /// the error's message, so a bad value fails at construction instead of overflowing
+    /// the clock or panicking inside `f64::clamp` in the middle of a turn. The structs are
+    /// destructured without `..`: a new field does not compile until its check (or its
+    /// reason for needing none) is written here. `path` is not checked yet.
     pub fn validate(&self) -> Result<(), NetSessionOptionsError> {
+        use NetSessionOptionsError as E;
+        let &NetSessionOptions {
+            seed: _,
+            path: _,
+            abr,
+            mode: _,
+            gcc:
+                GccConfig {
+                    initial_estimate_bps,
+                    min_bps,
+                    max_bps,
+                    watchdog_timeout,
+                },
+            // Any group size runs: 0 is FEC off, `u32::MAX` one parity packet per frame.
+            fec: FecConfig { group_size: _ },
+            nack: NackConfig { reorder_guard },
+            enable_retransmission: _,
+            deadline_aware_nack: _,
+            capture_fps,
+            drain_secs,
+            adaptive_fec: AdaptiveFecConfig { enabled: _ },
+            degradation: DegradationConfig { enabled: _ },
+            coalesce_delivery: _,
+        } = self;
         // `contains` is false for NaN; the bounds keep `1e6 / capture_fps` between the
         // clock's 1 µs resolution and 1e12 µs, far from overflowing a turn's last capture.
-        if (1e-6..=1e6).contains(&self.capture_fps) {
-            Ok(())
-        } else {
-            Err(NetSessionOptionsError::CaptureFps(self.capture_fps))
+        if !(1e-6..=1e6).contains(&capture_fps) {
+            return Err(E::CaptureFps(capture_fps));
         }
+        if !(0.0..=MAX_TIMER_SECS).contains(&drain_secs) {
+            return Err(E::DrainSecs(drain_secs));
+        }
+        // Written so that NaN fails the comparison.
+        let rate = |field, value: f64| {
+            if value > 0.0 && value <= MAX_RATE_BPS {
+                Ok(())
+            } else {
+                Err(E::Rate { field, value })
+            }
+        };
+        match abr {
+            AbrPolicy::Traditional => {}
+            AbrPolicy::AiOriented { accuracy_floor_bps } => {
+                rate("abr.accuracy_floor_bps", accuracy_floor_bps)?
+            }
+            AbrPolicy::Held { bitrate_bps } => rate("abr.bitrate_bps", bitrate_bps)?,
+        }
+        rate("gcc.initial_estimate_bps", initial_estimate_bps)?;
+        if !(0.0 < min_bps && min_bps <= max_bps && max_bps <= MAX_RATE_BPS) {
+            return Err(E::GccBounds { min_bps, max_bps });
+        }
+        let max_timer = SimDuration::from_secs_f64(MAX_TIMER_SECS);
+        if watchdog_timeout != SimDuration::ZERO
+            && !(SimDuration::from_millis(1)..=max_timer).contains(&watchdog_timeout)
+        {
+            return Err(E::WatchdogTimeout(watchdog_timeout));
+        }
+        if reorder_guard > max_timer {
+            return Err(E::ReorderGuard(reorder_guard));
+        }
+        Ok(())
     }
 }
+
+/// Longest deadline or timer the options may ask for, in seconds: 1e12 µs, so a clock
+/// that has run for millennia still adds one without overflowing its `u64`.
+const MAX_TIMER_SECS: f64 = 1e6;
+/// Largest bitrate the options may carry, in bits per second: far past any link, and small
+/// enough that a turn's sum of per-frame targets (`f64::MAX` held for two frames is `inf`
+/// in the report) and the pacer's 2.5× stay finite.
+const MAX_RATE_BPS: f64 = 1e12;
 
 /// Why [`NetSessionOptions::validate`] rejected a set of options.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -157,46 +215,94 @@ pub enum NetSessionOptionsError {
     /// negative, NaN or infinite rate collapses the window to a point and reports
     /// bitrates over a zero-length turn.
     CaptureFps(f64),
+    /// `drain_secs` is not a deadline the turn plan can add to the last capture: an
+    /// infinite one saturates the µs conversion and wraps the horizon; a negative or NaN
+    /// one used to mean "immediate" silently — `0.0` says that.
+    DrainSecs(f64),
+    /// A bitrate (the ABR's accuracy floor or held rate, the congestion controller's
+    /// starting estimate) is not a positive number of bits per second up to 1e12: NaN
+    /// panics inside `f64::clamp`, zero or a negative rate asks the encoder for nothing,
+    /// and an astronomical one sums to `inf` in the turn report.
+    Rate {
+        /// The option, as a path from [`NetSessionOptions`].
+        field: &'static str,
+        /// The rejected value.
+        value: f64,
+    },
+    /// The congestion controller's bounds are not `0 < min_bps ≤ max_bps ≤ 1e12`: every
+    /// estimate update clamps into them, and `f64::clamp` panics on an inverted or NaN
+    /// pair.
+    GccBounds {
+        /// `gcc.min_bps` as given.
+        min_bps: f64,
+        /// `gcc.max_bps` as given.
+        max_bps: f64,
+    },
+    /// `gcc.watchdog_timeout` is neither zero (watchdog off) nor a step the watchdog can
+    /// count silence in: it decays once per elapsed timeout, so a microsecond timeout
+    /// spins through a think gap and a huge one overflows the clock it is added to.
+    WatchdogTimeout(SimDuration),
+    /// `nack.reorder_guard` is longer than any deadline and overflows the clock it is
+    /// added to.
+    ReorderGuard(SimDuration),
 }
 
 impl core::fmt::Display for NetSessionOptionsError {
     fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
+        f.write_str("session options invalid: ")?;
         match self {
             NetSessionOptionsError::CaptureFps(fps) => write!(
                 f,
-                "session options invalid: capture_fps must be within 1e-6..=1e6 frames per \
-                 second (the turn clock steps 1e6 / capture_fps µs per capture), got {fps}"
+                "capture_fps must be within 1e-6..=1e6 frames per second (the turn clock \
+                 steps 1e6 / capture_fps µs per capture), got {fps}"
+            ),
+            NetSessionOptionsError::DrainSecs(secs) => write!(
+                f,
+                "drain_secs must be within 0..=1e6 seconds (0 is an immediate deadline), \
+                 got {secs}"
+            ),
+            NetSessionOptionsError::Rate { field, value } => {
+                write!(
+                    f,
+                    "{field} must be positive and at most 1e12 bits per second, got {value}"
+                )
+            }
+            NetSessionOptionsError::GccBounds { min_bps, max_bps } => write!(
+                f,
+                "gcc.min_bps and gcc.max_bps must satisfy 0 < min_bps <= max_bps <= 1e12 \
+                 bits per second, got {min_bps} and {max_bps}"
+            ),
+            NetSessionOptionsError::WatchdogTimeout(timeout) => write!(
+                f,
+                "gcc.watchdog_timeout must be zero (off) or within 1 ms..=1e6 s, got {} µs",
+                timeout.as_micros()
+            ),
+            NetSessionOptionsError::ReorderGuard(guard) => write!(
+                f,
+                "nack.reorder_guard must be at most 1e6 s, got {} µs",
+                guard.as_micros()
             ),
         }
     }
 }
 
-/// The graceful-degradation ladder's knobs. When enabled, the turn engine steps down
+/// The graceful-degradation ladder's switch. When enabled, the turn engine steps down
 /// under stress instead of failing abruptly: a watchdog-declared outage suppresses
 /// captures (sending tiny probes instead, so the first post-outage feedback can return);
-/// a deep send backlog sheds whole late frames before their parity is even built; after
-/// recovery the congestion controller's ramp stages the climb back. Disabled by default —
-/// the ladder never engages and the pre-ladder behaviour is preserved bit for bit.
+/// a send backlog deeper than 150 ms sheds whole late frames before their parity is even
+/// built; after recovery the congestion controller's ramp stages the climb back. Disabled
+/// by default — the ladder never engages and the pre-ladder behaviour is preserved bit for
+/// bit.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct DegradationConfig {
     /// Master switch for the ladder.
     pub enabled: bool,
-    /// Uplink backlog (ms of queueing) beyond which a newly captured frame is shed whole:
-    /// encoding and sending it would only arrive after the conversational deadline while
-    /// deepening the queue for its successors.
-    pub shed_backlog_ms: f64,
-    /// Wire size of the keep-alive probe sent on each suppressed capture tick.
-    pub probe_packet_bytes: u32,
 }
 
 impl DegradationConfig {
     /// Ladder off (the default).
     pub fn disabled() -> Self {
-        Self {
-            enabled: false,
-            shed_backlog_ms: 150.0,
-            probe_packet_bytes: 200,
-        }
+        Self { enabled: false }
     }
 }
 
@@ -484,17 +590,31 @@ mod tests {
         for fps in [1e-6, 0.5, 12.0, 240.0, 1e6] {
             assert_eq!(options(fps).validate(), Ok(()), "{fps}");
         }
-        // A NaN or negative `drain_secs` is an immediate deadline, not an error.
-        let mut immediate = options(12.0);
-        immediate.drain_secs = f64::NAN;
-        assert_eq!(immediate.validate(), Ok(()));
+        // `0.0` is the explicit immediate deadline; NaN, a negative or an infinite one —
+        // which used to mean "immediate" silently, or wrap the horizon — is an error.
+        let drain = |drain_secs: f64| NetSessionOptions {
+            drain_secs,
+            ..options(12.0)
+        };
+        for secs in [0.0, 0.3, 1e6] {
+            assert_eq!(drain(secs).validate(), Ok(()), "{secs}");
+        }
+        for secs in [f64::NAN, -1.0, inf, -inf, 1.1e6] {
+            assert_eq!(
+                drain(secs)
+                    .validate()
+                    .map_err(|e| e.to_string().ends_with(&format!("got {secs}"))),
+                Err(true),
+                "{secs}"
+            );
+        }
     }
 
     #[test]
     fn degradation_ladder_sheds_late_frames_under_deep_backlog() {
         // A 400 kbps pipe with a cold controller that believes 4 Mbps: the pacer floods
-        // the bottleneck queue far past `shed_backlog_ms`, so the SoftFallback rung must
-        // shed whole late frames instead of encoding into a standing queue.
+        // the bottleneck queue far past the 150 ms shed threshold, so the SoftFallback rung
+        // must shed whole late frames instead of encoding into a standing queue.
         let path = PathConfig {
             uplink: LinkConfig::constant(400e3, SimDuration::from_millis(30), 300, LossModel::None),
             downlink: LinkConfig::constant(100e6, SimDuration::from_millis(30), 300, LossModel::None),

@@ -38,7 +38,7 @@ use aivc_netsim::link::LinkCounters;
 use aivc_netsim::{DeliveryOutcome, LatencyStats, NetworkEmulator, Packet, SharedLink};
 use aivc_rtc::cc::{FeedbackFold, GccController, PacketFeedback};
 use aivc_rtc::fec::{group_of_index, FecEncoder, FecRecovery};
-use aivc_rtc::nack::{NackGenerator, RtxQueue};
+use aivc_rtc::nack::{NackGenerator, RtxQueue, RETRY_INTERVAL};
 use aivc_rtc::pacer::{Pacer, PacerConfig};
 use aivc_rtc::packetizer::{FrameAssembler, OutgoingFrame, Packetizer};
 use aivc_rtc::rtp::{PayloadKind, RtpPacket};
@@ -187,6 +187,15 @@ pub(crate) struct NetFrameProgress {
     pub(crate) send_start: Option<SimTime>,
     pub(crate) fec_recovered: bool,
 }
+
+/// Uplink backlog (ms of queueing) beyond which the ladder sheds a newly captured frame
+/// whole: encoding and sending it would only arrive after the conversational deadline
+/// while deepening the queue for its successors.
+const SHED_BACKLOG_MS: f64 = 150.0;
+/// Wire size of the keep-alive probe sent on each suppressed capture tick.
+const PROBE_PACKET_BYTES: u32 = 200;
+/// Size of a feedback (NACK) packet on the wire, in bytes.
+const FEEDBACK_PACKET_BYTES: u32 = 80;
 
 /// The graceful-degradation ladder's current rung. The ladder only moves when
 /// [`crate::net_session::DegradationConfig::enabled`] — otherwise the transport stays
@@ -679,7 +688,7 @@ impl TurnPlan {
     pub(crate) fn new(options: &NetSessionOptions, base: usize, start: SimTime, frame_count: usize) -> Self {
         let frame_interval_us = (1e6 / options.capture_fps).round() as u64;
         let last_capture_us = start.as_micros() + (frame_count as u64 - 1) * frame_interval_us;
-        let drain_us = (options.drain_secs.max(0.0) * 1e6).round() as u64;
+        let drain_us = (options.drain_secs * 1e6).round() as u64;
         Self {
             base,
             frame_count,
@@ -756,7 +765,7 @@ impl TurnMachine<'_> {
                     DegradationLevel::Normal
                 } else if self.gcc.is_silent() {
                     DegradationLevel::OutageSuppress
-                } else if self.gcc.in_fallback() || backlog_ms > deg.shed_backlog_ms {
+                } else if self.gcc.in_fallback() || backlog_ms > SHED_BACKLOG_MS {
                     DegradationLevel::SoftFallback
                 } else {
                     DegradationLevel::Normal
@@ -782,7 +791,7 @@ impl TurnMachine<'_> {
                     "captures must arrive in frame order"
                 );
                 let suppress = level == DegradationLevel::OutageSuppress;
-                let shed = level == DegradationLevel::SoftFallback && backlog_ms > deg.shed_backlog_ms;
+                let shed = level == DegradationLevel::SoftFallback && backlog_ms > SHED_BACKLOG_MS;
                 if suppress || shed {
                     // Placeholder bookkeeping keeps the frame-order invariant and slot
                     // indexing intact: the frame's slot exists, but nothing is encoded,
@@ -805,7 +814,7 @@ impl TurnMachine<'_> {
                     // The keep-alive probe rides the suppressed capture tick: a tiny
                     // uplink packet whose feedback (or continued silence) tells the
                     // watchdog whether the path is back.
-                    let probe = Packet::new(t.next_net_packet_id, deg.probe_packet_bytes, now).with_flow(0);
+                    let probe = Packet::new(t.next_net_packet_id, PROBE_PACKET_BYTES, now).with_flow(0);
                     t.next_net_packet_id += 1;
                     t.turn_probes_sent += 1;
                     t.metrics.packets_sent.inc();
@@ -816,7 +825,7 @@ impl TurnMachine<'_> {
                             PacketFeedback {
                                 sent_at: now,
                                 arrived_at: Some(arrival),
-                                size_bytes: deg.probe_packet_bytes,
+                                size_bytes: PROBE_PACKET_BYTES,
                             },
                         )),
                         None => {
@@ -832,7 +841,7 @@ impl TurnMachine<'_> {
                                     PacketFeedback {
                                         sent_at: now,
                                         arrived_at: None,
-                                        size_bytes: deg.probe_packet_bytes,
+                                        size_bytes: PROBE_PACKET_BYTES,
                                     },
                                 ));
                             }
@@ -1021,7 +1030,7 @@ impl TurnMachine<'_> {
                     t.recycle_nack_buf(due);
                 } else {
                     let fb_packet =
-                        Packet::new(t.next_net_packet_id, opts.feedback_packet_bytes, now).with_flow(1);
+                        Packet::new(t.next_net_packet_id, FEEDBACK_PACKET_BYTES, now).with_flow(1);
                     t.next_net_packet_id += 1;
                     match t.emulator.send(Direction::Downlink, &fb_packet, now).arrival() {
                         Some(arrival) => sink.schedule_net(arrival, NetEvent::FeedbackArrival(due)),
@@ -1030,7 +1039,7 @@ impl TurnMachine<'_> {
                 }
                 if t.nack_gen.pending_count() > 0 && !t.poll_outstanding {
                     t.poll_outstanding = true;
-                    sink.schedule_net(now + opts.nack.retry_interval, NetEvent::ReceiverPoll);
+                    sink.schedule_net(now + RETRY_INTERVAL, NetEvent::ReceiverPoll);
                 }
             }
             NetEvent::FeedbackArrival(sequences) => {

@@ -742,7 +742,6 @@ pub fn contention_registry() -> Vec<ContentionScenario> {
             starvation: StarvationConfig {
                 enabled: true,
                 floor_bps: 120_000.0,
-                consecutive_windows: 2,
             },
             admission: AdmissionConfig::disabled(),
             cross_traffic: Vec::new(),
@@ -778,12 +777,8 @@ pub fn contention_registry() -> Vec<ContentionScenario> {
             starvation: StarvationConfig {
                 enabled: true,
                 floor_bps: 120_000.0,
-                consecutive_windows: 2,
             },
-            admission: AdmissionConfig {
-                enabled: true,
-                fair_share_cap: 1.0,
-            },
+            admission: AdmissionConfig { enabled: true },
             cross_traffic: Vec::new(),
             pinned_ai: None,
         },
@@ -813,7 +808,6 @@ pub fn contention_registry() -> Vec<ContentionScenario> {
             starvation: StarvationConfig {
                 enabled: true,
                 floor_bps: 350_000.0,
-                consecutive_windows: 2,
             },
             admission: AdmissionConfig::disabled(),
             cross_traffic: vec![CrossTrafficSpec {
@@ -850,7 +844,6 @@ pub fn contention_registry() -> Vec<ContentionScenario> {
             starvation: StarvationConfig {
                 enabled: true,
                 floor_bps: 200_000.0,
-                consecutive_windows: 2,
             },
             admission: AdmissionConfig::disabled(),
             cross_traffic: Vec::new(),

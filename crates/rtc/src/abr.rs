@@ -9,81 +9,64 @@
 
 use serde::{Deserialize, Serialize};
 
-/// Which objective the ABR pursues.
+/// Fraction of the bandwidth estimate a sender dares to use (WebRTC uses ~0.85–0.95): the
+/// traditional policy rides it, the AI-oriented one never exceeds it.
+const UTILIZATION: f64 = 0.85;
+/// Safety headroom the AI-oriented policy keeps on top of its accuracy floor.
+const HEADROOM: f64 = 1.1;
+/// Lowest bitrate the encoder can produce meaningfully.
+const MIN_BITRATE_BPS: f64 = 150_000.0;
+/// Highest bitrate worth sending.
+const MAX_BITRATE_BPS: f64 = 8_000_000.0;
+
+/// The sender's rate objective. Build one with [`AbrPolicy::traditional`],
+/// [`AbrPolicy::ai_oriented`] or [`AbrPolicy::held_at`].
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub enum AbrMode {
+pub enum AbrPolicy {
     /// Traditional WebRTC-style ABR: ride the bandwidth estimate at a safety margin.
-    Traditional {
-        /// Fraction of the estimate to use (WebRTC uses ~0.85–0.95).
-        utilization: f64,
-    },
+    Traditional,
     /// AI-oriented ABR: use the smallest bitrate that keeps MLLM accuracy, never more than
     /// the link can carry.
     AiOriented {
         /// The minimum bitrate (bps) at which the context-aware encoder maintains accuracy
         /// for the current chat context (provided by the accuracy-vs-bitrate profile).
         accuracy_floor_bps: f64,
-        /// Safety headroom multiplier applied on top of the floor (e.g. 1.1).
-        headroom: f64,
     },
-}
-
-/// ABR policy with output clamping.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct AbrPolicy {
-    /// Objective mode.
-    pub mode: AbrMode,
-    /// Lowest bitrate the encoder can produce meaningfully.
-    pub min_bitrate_bps: f64,
-    /// Highest bitrate worth sending.
-    pub max_bitrate_bps: f64,
+    /// Pinned to one bitrate whatever the estimate says: the fixed-rate sender of the
+    /// §2.2 sweep (Figure 3's x axis).
+    Held {
+        /// The bitrate every frame is coded to, in bps.
+        bitrate_bps: f64,
+    },
 }
 
 impl AbrPolicy {
     /// A traditional policy with WebRTC-like defaults.
     pub fn traditional() -> Self {
-        Self {
-            mode: AbrMode::Traditional { utilization: 0.85 },
-            min_bitrate_bps: 150_000.0,
-            max_bitrate_bps: 8_000_000.0,
-        }
+        Self::Traditional
     }
 
     /// An AI-oriented policy with the given accuracy floor.
     pub fn ai_oriented(accuracy_floor_bps: f64) -> Self {
-        Self {
-            mode: AbrMode::AiOriented {
-                accuracy_floor_bps,
-                headroom: 1.1,
-            },
-            min_bitrate_bps: 150_000.0,
-            max_bitrate_bps: 8_000_000.0,
-        }
+        Self::AiOriented { accuracy_floor_bps }
     }
 
-    /// A policy pinned to `bitrate_bps` whatever the estimate says — both clamps at the
-    /// rate. The fixed-rate sender of the §2.2 sweep (Figure 3's x axis).
+    /// A policy pinned to `bitrate_bps` whatever the estimate says.
     pub fn held_at(bitrate_bps: f64) -> Self {
-        Self {
-            min_bitrate_bps: bitrate_bps,
-            max_bitrate_bps: bitrate_bps,
-            ..Self::traditional()
-        }
+        Self::Held { bitrate_bps }
     }
 
     /// The target bitrate given the congestion controller's current bandwidth estimate.
     pub fn target_bitrate(&self, bandwidth_estimate_bps: f64) -> f64 {
-        let raw = match self.mode {
-            AbrMode::Traditional { utilization } => bandwidth_estimate_bps * utilization,
-            AbrMode::AiOriented {
-                accuracy_floor_bps,
-                headroom,
-            } => {
-                // Never exceed what the link can carry, but otherwise stick to the floor.
-                (accuracy_floor_bps * headroom).min(bandwidth_estimate_bps * 0.85)
+        let within_clamps = |raw: f64| raw.clamp(MIN_BITRATE_BPS, MAX_BITRATE_BPS);
+        match *self {
+            Self::Traditional => within_clamps(bandwidth_estimate_bps * UTILIZATION),
+            // Never exceed what the link can carry, but otherwise stick to the floor.
+            Self::AiOriented { accuracy_floor_bps } => {
+                within_clamps((accuracy_floor_bps * HEADROOM).min(bandwidth_estimate_bps * UTILIZATION))
             }
-        };
-        raw.clamp(self.min_bitrate_bps, self.max_bitrate_bps)
+            Self::Held { bitrate_bps } => bitrate_bps,
+        }
     }
 }
 
@@ -126,6 +109,18 @@ mod tests {
         let p = AbrPolicy::held_at(12e6);
         for estimate in [0.0, 1e5, 12e6, 1e9] {
             assert_eq!(p.target_bitrate(estimate), 12e6);
+        }
+        // `Held` replaced a traditional policy with both clamps at the rate: the two
+        // forms agree wherever the sweep holds a rate, inside the old clamps or not.
+        assert_eq!(p, AbrPolicy::Held { bitrate_bps: 12e6 });
+        for rate in [1.0, 200e3, 473e3, 6e6, 16e6, 1e12] {
+            for estimate in [0.0, 1e5, 1e6, 12e6, 1e9, f64::INFINITY] {
+                let both_clamps_at_the_rate = (estimate * 0.85_f64).clamp(rate, rate);
+                assert_eq!(
+                    AbrPolicy::held_at(rate).target_bitrate(estimate),
+                    both_clamps_at_the_rate
+                );
+            }
         }
     }
 

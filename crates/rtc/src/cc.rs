@@ -16,6 +16,24 @@ use serde::{Deserialize, Serialize};
 /// EWMA smoothing factor for the live loss estimate (the adaptive-FEC driver).
 const LOSS_EWMA_ALPHA: f64 = 0.3;
 
+/// Delay-gradient threshold (ms per report interval) above which overuse is declared;
+/// growth needs the trend below half of it.
+const OVERUSE_THRESHOLD_MS: f64 = 2.0;
+/// Multiplicative decrease on overuse or heavy loss.
+const BETA: f64 = 0.85;
+/// Multiplicative increase when the network is underused and loss is low.
+const INCREASE_FACTOR: f64 = 1.06;
+/// Loss fraction above which the loss-based controller backs off.
+const HIGH_LOSS_THRESHOLD: f64 = 0.10;
+/// Loss fraction below which increase is allowed.
+const LOW_LOSS_THRESHOLD: f64 = 0.02;
+/// Multiplicative decay per elapsed watchdog timeout of silence, and per
+/// [`GccController::force_fallback`].
+const WATCHDOG_BETA: f64 = 0.7;
+/// Multiplicative ramp per feedback report while recovering from a fallback, until the
+/// pre-fallback estimate is regained or congestion pushes back.
+const RECOVERY_RAMP_FACTOR: f64 = 1.25;
+
 /// Per-packet feedback the receiver reports back to the sender.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct PacketFeedback {
@@ -89,26 +107,11 @@ pub struct GccConfig {
     pub min_bps: f64,
     /// Upper bound of the estimate.
     pub max_bps: f64,
-    /// Delay-gradient threshold (ms per report interval) above which we declare overuse.
-    pub overuse_threshold_ms: f64,
-    /// Multiplicative decrease factor on overuse or heavy loss.
-    pub beta: f64,
-    /// Multiplicative increase factor when the network is underused and loss is low.
-    pub increase_factor: f64,
-    /// Loss fraction above which the loss-based controller backs off.
-    pub high_loss_threshold: f64,
-    /// Loss fraction below which increase is allowed.
-    pub low_loss_threshold: f64,
     /// Feedback watchdog timeout: with no feedback for this long the controller stops
     /// riding its stale estimate and decays multiplicatively instead.
     /// [`SimDuration::ZERO`] (the default) disables the watchdog entirely, preserving the
     /// pre-watchdog behaviour bit for bit.
     pub watchdog_timeout: SimDuration,
-    /// Multiplicative decay applied once per elapsed `watchdog_timeout` of silence.
-    pub watchdog_beta: f64,
-    /// Multiplicative ramp applied per feedback report while recovering from a fallback,
-    /// until the pre-fallback estimate is regained or congestion pushes back.
-    pub recovery_ramp_factor: f64,
 }
 
 impl Default for GccConfig {
@@ -117,14 +120,7 @@ impl Default for GccConfig {
             initial_estimate_bps: 1_000_000.0,
             min_bps: 100_000.0,
             max_bps: 50_000_000.0,
-            overuse_threshold_ms: 2.0,
-            beta: 0.85,
-            increase_factor: 1.06,
-            high_loss_threshold: 0.10,
-            low_loss_threshold: 0.02,
             watchdog_timeout: SimDuration::ZERO,
-            watchdog_beta: 0.7,
-            recovery_ramp_factor: 1.25,
         }
     }
 }
@@ -212,8 +208,8 @@ impl GccController {
 
     /// Forces one fallback step, as if an external supervisor (e.g. a starvation
     /// watchdog on a shared bottleneck) decided this sender must back off now. The
-    /// current estimate is remembered as the recovery target, the estimate decays by
-    /// [`GccConfig::watchdog_beta`], and [`GccController::in_fallback`] turns true so the
+    /// current estimate is remembered as the recovery target, the estimate takes one
+    /// watchdog decay step (× 0.7), and [`GccController::in_fallback`] turns true so the
     /// transport's degradation ladder engages; the ordinary feedback-driven ramp then
     /// recovers toward the remembered target. Unlike the silence watchdog this neither
     /// marks the controller silent nor counts in `watchdog_fallbacks` — the caller owns
@@ -222,7 +218,7 @@ impl GccController {
         if self.pre_fallback_bps.is_none() {
             self.pre_fallback_bps = Some(self.estimate_bps);
         }
-        self.estimate_bps = (self.estimate_bps * self.config.watchdog_beta).max(self.config.min_bps);
+        self.estimate_bps = (self.estimate_bps * WATCHDOG_BETA).max(self.config.min_bps);
         self.state = CcState::Decrease;
     }
 
@@ -235,10 +231,9 @@ impl GccController {
 
     /// Drives the feedback watchdog forward to `now`. Call this on a steady cadence (the
     /// capture tick is natural). If [`GccConfig::watchdog_timeout`] has elapsed with no
-    /// feedback, the estimate decays by [`GccConfig::watchdog_beta`] — once per elapsed
-    /// timeout interval, regardless of how often this is polled — instead of the sender
-    /// riding a stale estimate into a dead radio. Returns `true` if at least one decay
-    /// step fired at this poll.
+    /// feedback, the estimate decays × 0.7 — once per elapsed timeout interval, regardless
+    /// of how often this is polled — instead of the sender riding a stale estimate into a
+    /// dead radio. Returns `true` if at least one decay step fired at this poll.
     pub fn poll_watchdog(&mut self, now: SimTime) -> bool {
         if self.config.watchdog_timeout == SimDuration::ZERO {
             return false;
@@ -256,7 +251,7 @@ impl GccController {
             if self.pre_fallback_bps.is_none() {
                 self.pre_fallback_bps = Some(self.estimate_bps);
             }
-            self.estimate_bps = (self.estimate_bps * self.config.watchdog_beta).max(self.config.min_bps);
+            self.estimate_bps = (self.estimate_bps * WATCHDOG_BETA).max(self.config.min_bps);
             self.state = CcState::Decrease;
             self.silent = true;
             self.watchdog_fallbacks += 1;
@@ -319,8 +314,8 @@ impl GccController {
         let Some(target) = self.pre_fallback_bps else {
             return;
         };
-        self.estimate_bps = (self.estimate_bps * self.config.recovery_ramp_factor)
-            .clamp(self.config.min_bps, self.config.max_bps);
+        self.estimate_bps =
+            (self.estimate_bps * RECOVERY_RAMP_FACTOR).clamp(self.config.min_bps, self.config.max_bps);
         self.state = CcState::Increase;
         if self.estimate_bps >= target.min(self.config.max_bps) {
             self.pre_fallback_bps = None;
@@ -359,15 +354,15 @@ impl GccController {
             trend
         };
 
-        let overusing = delay_trend_ms > self.config.overuse_threshold_ms;
-        let heavy_loss = loss_fraction > self.config.high_loss_threshold;
-        let low_loss = loss_fraction < self.config.low_loss_threshold;
+        let overusing = delay_trend_ms > OVERUSE_THRESHOLD_MS;
+        let heavy_loss = loss_fraction > HIGH_LOSS_THRESHOLD;
+        let low_loss = loss_fraction < LOW_LOSS_THRESHOLD;
 
         if overusing || heavy_loss {
-            self.estimate_bps *= self.config.beta;
+            self.estimate_bps *= BETA;
             self.state = CcState::Decrease;
-        } else if low_loss && delay_trend_ms < self.config.overuse_threshold_ms * 0.5 {
-            self.estimate_bps *= self.config.increase_factor;
+        } else if low_loss && delay_trend_ms < OVERUSE_THRESHOLD_MS * 0.5 {
+            self.estimate_bps *= INCREASE_FACTOR;
             self.state = CcState::Increase;
         } else {
             self.state = CcState::Hold;

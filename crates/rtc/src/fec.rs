@@ -43,48 +43,44 @@ impl FecConfig {
     }
 }
 
+/// Smallest adaptive parity group (heaviest protection, overhead 1/2).
+const MIN_GROUP_SIZE: u32 = 2;
+/// Largest adaptive parity group (leanest protection, overhead 1/12).
+const MAX_GROUP_SIZE: u32 = 12;
+/// Overhead headroom over the raw loss estimate: protect three times the observed loss.
+const SAFETY_FACTOR: f64 = 3.0;
+
 /// Adaptive FEC sizing: drives the parity group size from the congestion controller's
 /// live loss estimate instead of a fixed configuration.
 ///
-/// The target parity overhead is `loss_estimate × safety_factor` (protect a bit more than
-/// the observed loss), converted to a group size `k = round(1 / overhead)` and clamped to
-/// `[min_group_size, max_group_size]` — small groups (more parity) under heavy loss, large
-/// groups (lean parity) on clean links. Disabled by default: the static
-/// [`FecConfig::group_size`] keeps ruling, preserving existing behaviour bit for bit.
+/// The target parity overhead is `loss_estimate × 3` (protect a bit more than the observed
+/// loss), converted to a group size `k = round(1 / overhead)` and clamped to `[2, 12]` —
+/// small groups (more parity) under heavy loss, large groups (lean parity) on clean links.
+/// Disabled by default: the static [`FecConfig::group_size`] keeps ruling, preserving
+/// existing behaviour bit for bit.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct AdaptiveFecConfig {
     /// Master switch; `false` (default) keeps the static group size.
     pub enabled: bool,
-    /// Smallest allowed group (heaviest protection, overhead `1/min`).
-    pub min_group_size: u32,
-    /// Largest allowed group (leanest protection, overhead `1/max`).
-    pub max_group_size: u32,
-    /// Overhead headroom over the raw loss estimate.
-    pub safety_factor: f64,
 }
 
 impl AdaptiveFecConfig {
     /// Adaptation off: the static [`FecConfig`] group size stays in force.
     pub fn disabled() -> Self {
-        Self {
-            enabled: false,
-            min_group_size: 2,
-            max_group_size: 12,
-            safety_factor: 3.0,
-        }
+        Self { enabled: false }
     }
 
     /// The group size to protect the next frame with, given the live smoothed loss
     /// estimate; `fallback` (the static configured size) is returned when adaptation is
-    /// off. The returned size is always within `[min_group_size, max_group_size]`, so the
-    /// parity overhead `1/k` is bounded and the media budget shave stays bounded too.
+    /// off. An adapted size is always within `[2, 12]`, so the parity overhead `1/k` is
+    /// bounded and the media budget shave stays bounded too.
     pub fn group_for_loss(&self, loss_estimate: f64, fallback: u32) -> u32 {
         if !self.enabled {
             return fallback;
         }
-        let overhead = (loss_estimate.clamp(0.0, 1.0) * self.safety_factor)
-            .clamp(1.0 / self.max_group_size as f64, 1.0 / self.min_group_size as f64);
-        ((1.0 / overhead).round() as u32).clamp(self.min_group_size, self.max_group_size)
+        let overhead = (loss_estimate.clamp(0.0, 1.0) * SAFETY_FACTOR)
+            .clamp(1.0 / MAX_GROUP_SIZE as f64, 1.0 / MIN_GROUP_SIZE as f64);
+        ((1.0 / overhead).round() as u32).clamp(MIN_GROUP_SIZE, MAX_GROUP_SIZE)
     }
 }
 
@@ -411,20 +407,24 @@ mod tests {
 
     #[test]
     fn adaptive_sizing_tracks_loss_up_and_down_within_clamps() {
-        let cfg = AdaptiveFecConfig {
-            enabled: true,
-            ..AdaptiveFecConfig::disabled()
-        };
+        let cfg = AdaptiveFecConfig { enabled: true };
         // Clean link: leanest protection.
-        assert_eq!(cfg.group_for_loss(0.0, 4), cfg.max_group_size);
+        assert_eq!(cfg.group_for_loss(0.0, 4), MAX_GROUP_SIZE);
         // Catastrophic loss: heaviest protection.
-        assert_eq!(cfg.group_for_loss(0.5, 4), cfg.min_group_size);
+        assert_eq!(cfg.group_for_loss(0.5, 4), MIN_GROUP_SIZE);
+        // The form that read (min, max, safety) from fields, at the one value each ever had.
+        let with_fields = |loss: f64, min: u32, max: u32, safety: f64| {
+            let overhead = (loss.clamp(0.0, 1.0) * safety).clamp(1.0 / max as f64, 1.0 / min as f64);
+            ((1.0 / overhead).round() as u32).clamp(min, max)
+        };
         // Rising loss never increases the group size (more loss ⇒ more parity).
         let mut prev = u32::MAX;
         for step in 0..=50u32 {
-            let g = cfg.group_for_loss(step as f64 / 100.0, 4);
+            let loss = step as f64 / 100.0;
+            let g = cfg.group_for_loss(loss, 4);
             assert!(g <= prev, "group size must fall (or hold) as loss rises");
-            assert!((cfg.min_group_size..=cfg.max_group_size).contains(&g));
+            assert!((MIN_GROUP_SIZE..=MAX_GROUP_SIZE).contains(&g));
+            assert_eq!(g, with_fields(loss, 2, 12, 3.0), "loss {loss}");
             prev = g;
         }
         // 10% loss × safety 3.0 → 30% overhead → group ≈ 3.

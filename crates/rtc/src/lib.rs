@@ -26,7 +26,7 @@ pub mod packetizer;
 pub mod rtp;
 pub mod seq_ring;
 
-pub use abr::{AbrMode, AbrPolicy};
+pub use abr::AbrPolicy;
 pub use cc::{CcState, FeedbackFold, GccConfig, GccController, PacketFeedback};
 pub use fec::{group_of_index, AdaptiveFecConfig, FecConfig, FecEncoder, FecRecovery};
 pub use jitter::JitterBuffer;

@@ -10,23 +10,24 @@ use crate::seq_ring::{SeqBitset, SeqRing};
 use aivc_sim::{SimDuration, SimTime};
 use serde::{Deserialize, Serialize};
 
+/// Minimum spacing between successive NACKs for the same sequence number — and therefore
+/// the cadence a receiver re-polls [`NackGenerator::due_nacks_into`] at while gaps remain.
+pub const RETRY_INTERVAL: SimDuration = SimDuration::from_millis(70);
+
+/// How many times one sequence number is NACKed before the receiver gives up on it.
+pub const MAX_RETRIES: u32 = 4;
+
 /// Configuration of the receiver's NACK generator.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct NackConfig {
     /// How long to wait after detecting a gap before requesting it (reordering guard).
     pub reorder_guard: SimDuration,
-    /// Minimum spacing between successive NACKs for the same sequence number.
-    pub retry_interval: SimDuration,
-    /// Maximum times one sequence number is NACKed before giving up.
-    pub max_retries: u32,
 }
 
 impl Default for NackConfig {
     fn default() -> Self {
         Self {
             reorder_guard: SimDuration::from_millis(5),
-            retry_interval: SimDuration::from_millis(70),
-            max_retries: 4,
         }
     }
 }
@@ -153,7 +154,7 @@ impl NackGenerator {
     }
 
     /// The sequences that should be NACKed at `now`. Each returned sequence's retry state is
-    /// updated, so calling this repeatedly paces retries at `retry_interval`.
+    /// updated, so calling this repeatedly paces retries at [`RETRY_INTERVAL`].
     pub fn due_nacks(&mut self, now: SimTime) -> Vec<u64> {
         let mut due = Vec::new();
         self.due_nacks_into(now, &mut due);
@@ -167,14 +168,10 @@ impl NackGenerator {
     pub fn due_nacks_into(&mut self, now: SimTime, due: &mut Vec<u64>) {
         let before = due.len();
         let mut suppressed = 0u64;
-        let NackConfig {
-            reorder_guard,
-            retry_interval,
-            max_retries,
-        } = self.config;
+        let NackConfig { reorder_guard } = self.config;
         let recovery_estimate = self.recovery_estimate;
         self.pending.retain_mut(|(seq, state)| {
-            if state.retries >= max_retries {
+            if state.retries >= MAX_RETRIES {
                 return false;
             }
             // Deadline cutoff: if the retransmission would arrive after the gap's
@@ -188,7 +185,7 @@ impl NackGenerator {
             let guard_passed = now >= state.detected_at + reorder_guard;
             let retry_ok = match state.last_sent {
                 None => true,
-                Some(last) => now >= last + retry_interval,
+                Some(last) => now >= last + RETRY_INTERVAL,
             };
             if guard_passed && retry_ok {
                 state.last_sent = Some(now);
@@ -325,18 +322,19 @@ mod tests {
 
     #[test]
     fn retries_are_paced_and_bounded() {
-        let cfg = NackConfig {
-            max_retries: 2,
-            ..NackConfig::default()
-        };
-        let mut g = NackGenerator::new(cfg);
+        let mut g = NackGenerator::new(NackConfig::default());
         g.on_packet(0, SimTime::ZERO);
         g.on_packet(2, SimTime::ZERO);
-        assert_eq!(g.due_nacks(SimTime::from_millis(10)), vec![1]);
-        assert_eq!(g.due_nacks(SimTime::from_millis(90)), vec![1]);
-        // Exhausted after max_retries.
-        assert!(g.due_nacks(SimTime::from_millis(200)).is_empty());
-        assert_eq!(g.nacks_sent(), 2);
+        // One request per RETRY_INTERVAL (70 ms) once the guard has passed, never sooner.
+        for round in 0..u64::from(MAX_RETRIES) {
+            let t = 10 + round * 80;
+            assert_eq!(g.due_nacks(SimTime::from_millis(t)), vec![1], "round {round}");
+            assert!(g.due_nacks(SimTime::from_millis(t + 69)).is_empty());
+        }
+        // Exhausted after MAX_RETRIES: the record is dropped, nothing resurfaces.
+        assert!(g.due_nacks(SimTime::from_millis(1_000)).is_empty());
+        assert_eq!(g.pending_count(), 0);
+        assert_eq!(g.nacks_sent(), u64::from(MAX_RETRIES));
     }
 
     #[test]

@@ -51,6 +51,7 @@ pub trait Actor {
 pub struct Simulation<E> {
     queue: EventQueue<E>,
     now: SimTime,
+    popped: u64,
 }
 
 impl<E> Default for Simulation<E> {
@@ -65,6 +66,7 @@ impl<E> Simulation<E> {
         Self {
             queue: EventQueue::new(),
             now: SimTime::ZERO,
+            popped: 0,
         }
     }
 
@@ -116,9 +118,16 @@ impl<E> Simulation<E> {
         self.queue.len()
     }
 
+    /// Events popped so far — the deterministic measure of how much work the timeline has
+    /// done, which a test can hold to a budget where wall-clock would be noise.
+    pub fn events_popped(&self) -> u64 {
+        self.popped
+    }
+
     /// Pops the earliest pending event and advances the clock to its firing time.
     pub fn pop(&mut self) -> Option<(SimTime, E)> {
         let (time, event) = self.queue.pop()?;
+        self.popped += 1;
         self.now = self.now.max(time);
         Some((self.now, event))
     }
@@ -178,6 +187,7 @@ mod tests {
         };
         sim.run_until(SimTime::from_micros(50), &mut actor);
         assert_eq!(actor.fired, vec![(10, 1), (20, 2), (30, 3)]);
+        assert_eq!(sim.events_popped(), 3);
         assert_eq!(sim.now(), SimTime::from_micros(50));
         assert_eq!(sim.pending(), 1, "the beyond-horizon event survives the window");
         // The next window picks the survivor up.

@@ -91,7 +91,6 @@ proptest! {
             starvation: StarvationConfig {
                 enabled: true,
                 floor_bps: 100_000.0,
-                consecutive_windows: 2,
             },
             admission: AdmissionConfig::disabled(),
             cross_traffic: Vec::new(),

@@ -4,7 +4,7 @@
 
 use aivchat::netsim::SimTime;
 use aivchat::rtc::fec::{FecConfig, FecEncoder, FecRecovery};
-use aivchat::rtc::nack::{NackConfig, NackGenerator, RtxQueue};
+use aivchat::rtc::nack::{NackConfig, NackGenerator, RtxQueue, MAX_RETRIES};
 use aivchat::rtc::packetizer::{OutgoingFrame, Packetizer};
 use proptest::prelude::*;
 use rand::{Rng, SeedableRng};
@@ -104,17 +104,15 @@ proptest! {
 
     /// Whatever the arrival/loss/reordering pattern, the NACK generator (a) never requests
     /// a sequence that has already arrived, (b) never requests any sequence more than
-    /// `max_retries` times, and (c) eventually stops requesting everything.
+    /// [`MAX_RETRIES`] times, and (c) eventually stops requesting everything.
     #[test]
     fn nack_generator_never_rerequests_acked_and_respects_budget(
         seed in 0u64..10_000,
         stream_len in 2u64..120,
         loss_percent in 0u32..60,
-        max_retries in 1u32..6,
     ) {
         let mut rng = ChaCha8Rng::seed_from_u64(seed);
-        let config = NackConfig { max_retries, ..NackConfig::default() };
-        let mut gen = NackGenerator::new(config);
+        let mut gen = NackGenerator::new(NackConfig::default());
         let mut received: BTreeSet<u64> = BTreeSet::new();
         let mut request_counts: std::collections::BTreeMap<u64, u32> = std::collections::BTreeMap::new();
         let mut now_ms = 0u64;
@@ -142,7 +140,7 @@ proptest! {
             }
         }
         // Drain the generator far past every guard/retry interval.
-        for round in 0..(max_retries as u64 + 3) {
+        for round in 0..(u64::from(MAX_RETRIES) + 3) {
             now_ms += 500 + round;
             for due in gen.due_nacks(SimTime::from_millis(now_ms)) {
                 prop_assert!(!received.contains(&due));
@@ -150,7 +148,7 @@ proptest! {
             }
         }
         for (&seq, &count) in &request_counts {
-            prop_assert!(count <= max_retries, "seq {seq} requested {count} > {max_retries} times");
+            prop_assert!(count <= MAX_RETRIES, "seq {seq} requested {count} > {MAX_RETRIES} times");
         }
         // Budget exhausted: nothing left pending, nothing more requested.
         prop_assert_eq!(gen.pending_count(), 0);
