@@ -76,7 +76,7 @@ pub fn kbps(bps: f64) -> String {
 /// One hot-path measurement, as recorded in `BENCH_hotpaths.json`.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct HotpathMeasurement {
-    /// Hot-path name (matches the criterion bench name).
+    /// Hot-path name (one of `hotpath_suite::ENTRIES`).
     pub name: String,
     /// Median nanoseconds per iteration across the samples.
     pub median_ns_per_iter: f64,
@@ -86,10 +86,10 @@ pub struct HotpathMeasurement {
     pub samples: usize,
 }
 
-/// Measures a closure the same way the vendored criterion does: warm up, pick an iteration
-/// count that fills `target_sample_ms` per sample, then report the median ns/iteration over
-/// `samples` samples. Used by the `hotpath_baseline` runner so the committed baseline and
-/// `cargo bench` agree on methodology.
+/// Measures a closure: warm up for 150 ms, pick an iteration count that fills
+/// `target_sample_ms` per sample, then report the median ns/iteration over `samples`
+/// samples. The one stopwatch behind [`hotpath_suite`], so the committed baseline and the
+/// `bench_check` gate agree on methodology.
 pub fn measure_hotpath<O>(
     name: &str,
     samples: usize,

@@ -22,7 +22,6 @@ pub mod fault;
 pub mod link;
 pub mod loss;
 pub mod packet;
-pub mod queue;
 pub mod shared;
 pub mod stats;
 pub mod trace;
@@ -32,7 +31,6 @@ pub use fault::{FaultEpisode, FaultKind, FaultSchedule};
 pub use link::{DeliveryOutcome, Link, LinkConfig, LinkCounters};
 pub use loss::LossModel;
 pub use packet::{Packet, PacketId};
-pub use queue::DropTailQueue;
 pub use shared::SharedLink;
 pub use stats::{jain_index, LatencyStats, RunningStats};
 // The virtual clock lives in `aivc-sim`; its two time types are re-exported here because

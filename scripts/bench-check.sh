@@ -1,6 +1,7 @@
 #!/usr/bin/env bash
-# Hot-path regression gate: re-measures every tracked hot path — the per-stage entries,
-# the warm networked turn (`conversation_turn_warm`) and the multi-session
+# Hot-path regression gate and recorder — the `bench_check` binary, the one runner of the
+# one suite (`aivc_bench::hotpath_suite`): re-measures every tracked hot path — the
+# per-stage entries, the warm networked turn (`conversation_turn_warm`) and the multi-session
 # `conversation_fleet_throughput_256` — and fails if any median regressed more than the
 # tolerance versus the committed BENCH_hotpaths.json.
 # The throughput entry is re-measured at the committed file's recorded
@@ -21,8 +22,7 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 if [ "${1:-}" = "--record" ]; then
-  shift
-  exec cargo run --release -p aivc-bench --bin hotpath_baseline -- --max-of 3 "$@"
+  exec cargo run --release -p aivc-bench --bin bench_check -- --max-of 3 "$@"
 fi
 # The default baseline goes first so an explicitly passed path (a later positional
 # argument) overrides it.
