@@ -10,8 +10,10 @@ use aivc_mllm::{MllmChat, Question, QuestionFormat};
 use aivc_scene::templates::basketball_game;
 use aivc_scene::{SourceConfig, VideoSource};
 use aivc_semantics::ClipModel;
-use aivchat_core::{ContextAwareStreamer, QpAllocatorConfig, StreamerConfig};
+use aivchat_core::session::StreamingMode;
+use aivchat_core::{QpAllocatorConfig, Streamer, StreamerConfig};
 use serde::Serialize;
+use std::sync::Arc;
 
 #[derive(Serialize)]
 struct GammaRow {
@@ -28,6 +30,7 @@ fn main() {
     let source = VideoSource::new(scene.clone(), SourceConfig::fps30(10.0));
     let question = Question::from_fact(&scene.facts[1], QuestionFormat::FreeResponse);
     let responder = MllmChat::responder(5);
+    let model = Arc::new(ClipModel::mobile_default());
     let mut rows = Vec::new();
 
     for gamma in [0.5, 1.0, 2.0, 3.0, 5.0, 8.0] {
@@ -35,7 +38,7 @@ fn main() {
             allocator: QpAllocatorConfig::with_gamma(gamma),
             ..StreamerConfig::default()
         };
-        let streamer = ContextAwareStreamer::new(config, ClipModel::mobile_default());
+        let streamer = Streamer::new(StreamingMode::ContextAware, config, Arc::clone(&model));
         let (frames, enc) = streamer.offline_decode(&source, &question, 430_000.0, frames_per_clip);
         let perceived = responder
             .answer_model()

@@ -9,8 +9,10 @@ use aivc_mllm::{MllmChat, Question, QuestionFormat};
 use aivc_scene::templates::street_scene;
 use aivc_scene::{Ontology, SourceConfig, VideoSource};
 use aivc_semantics::{ClipConfig, ClipModel};
-use aivchat_core::{ContextAwareStreamer, StreamerConfig};
+use aivchat_core::session::StreamingMode;
+use aivchat_core::{Streamer, StreamerConfig};
 use serde::Serialize;
+use std::sync::Arc;
 
 #[derive(Serialize)]
 struct PatchRow {
@@ -35,9 +37,10 @@ fn main() {
             patch_size,
             ..ClipConfig::mobile_clip()
         };
-        let streamer = ContextAwareStreamer::new(
+        let streamer = Streamer::new(
+            StreamingMode::ContextAware,
             StreamerConfig::default(),
-            ClipModel::new(clip_config, Ontology::standard()),
+            Arc::new(ClipModel::new(clip_config, Ontology::standard())),
         );
         let (frames, enc) = streamer.offline_decode(&source, &question, 430_000.0, frames_per_clip);
         let p = responder.answer_model().probability_correct(&question, &frames);

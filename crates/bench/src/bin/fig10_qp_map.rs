@@ -8,7 +8,8 @@ use aivc_bench::{kbps, print_section, write_json};
 use aivc_mllm::{Question, QuestionFormat};
 use aivc_scene::templates::basketball_game;
 use aivc_scene::{SourceConfig, VideoSource};
-use aivchat_core::{ContextAgnosticBaseline, ContextAwareStreamer};
+use aivchat_core::session::StreamingMode;
+use aivchat_core::Streamer;
 use serde::Serialize;
 
 #[derive(Serialize)]
@@ -23,14 +24,14 @@ fn main() {
     let source = VideoSource::new(scene.clone(), SourceConfig::fps30(10.0));
     let frames = source.sample_frames(4);
     let question = Question::from_fact(&scene.facts[1], QuestionFormat::FreeResponse); // jersey logo
-    let streamer = ContextAwareStreamer::default();
-    let baseline = ContextAgnosticBaseline::default();
+    let streamer = Streamer::with_defaults(StreamingMode::ContextAware);
+    let baseline = Streamer::with_defaults(StreamingMode::Baseline);
     let target = 430_000.0;
 
     let query = streamer.query_for_question(&question);
     let ours = streamer.encode_at_bitrate(&frames, &query, 30.0, target);
-    let theirs = baseline.encode_at_bitrate(&frames, 30.0, target);
-    let qp_map = streamer.qp_map_for(&frames[0], &query).offset_all(ours.qp_offset);
+    let theirs = baseline.encode_at_bitrate(&frames, &query, 30.0, target);
+    let qp_map = streamer.qp_map_for(&frames[0], &query).offset_all(ours.level);
 
     let mut rows = Vec::new();
     for object in &scene.objects {
@@ -44,9 +45,9 @@ fn main() {
     let mut body = format!(
         "Question: \"{}\"\n\nBaseline: uniform QP {} at {} | Ours: CLIP-informed map (offset {:+}) at {}\n\n",
         question.text,
-        theirs.qp.value(),
+        theirs.level,
         kbps(theirs.achieved_bitrate_bps),
-        ours.qp_offset,
+        ours.level,
         kbps(ours.achieved_bitrate_bps),
     );
     body.push_str("| object | ours (bits, frame 0) | baseline (bits, frame 0) |\n|---|---|---|\n");

@@ -206,13 +206,6 @@ pub struct ContentionReport {
 }
 
 impl ContentionReport {
-    /// Every tenant observed a finite outage recovery (`time_to_recover_ms`).
-    pub fn all_tenants_recovered(&self) -> bool {
-        self.tenants
-            .iter()
-            .all(|t| t.conversation.resilience.time_to_recover_ms.is_some())
-    }
-
     /// Total starvation escalations across tenants.
     pub fn starvation_events_total(&self) -> u64 {
         self.tenants.iter().map(|t| t.starvation_events).sum()

@@ -1,31 +1,38 @@
-//! Context-Aware Video Streaming (§3.2): user words → CLIP correlation → Eq. 2 QP map →
-//! ROI encode, at a bitrate matched to the baseline.
+//! The §3.2 sender: user words → CLIP correlation (Eq. 1) → Eq. 2 QP map → trial-and-error
+//! bitrate match → ROI encode, with "no context" — one uniform QP chosen by the same match —
+//! as its degenerate case ([`StreamingMode::Baseline`], the method Figures 9 and 10 compare
+//! against).
 //!
-//! The streamer reproduces the paper's procedure:
+//! [`Streamer`] is the only sender in the tree, and its two steps are the only places that
+//! branch on the mode:
 //!
-//! 1. run (Mobile-)CLIP over the latest frame and the current user words to get the
-//!    per-patch semantic correlation ρ_mn (Eq. 1);
-//! 2. map ρ_mn to per-CTU QPs with Eq. 2 (γ = 3);
-//! 3. encode with region-wise QP control;
-//! 4. because the raw Eq. 2 map lands at whatever bitrate it lands at, apply a uniform QP
-//!    *offset* found by trial and error so the actual bitrate matches the experiment's
-//!    target (this is the paper's footnote about matching ours and baseline bitrates).
+//! 1. `plan_frame` — context-aware: run (Mobile-)CLIP over the frame and the user's words
+//!    for the per-patch correlation ρ_mn (Eq. 1), map it to per-CTU QPs with Eq. 2 (γ = 3)
+//!    and prepare the frame's [`RatePlan`] on that map; baseline: prepare the plan alone;
+//! 2. `encode_at_level` — because the raw Eq. 2 map lands at whatever bitrate it lands at,
+//!    the match finds one *level* (a uniform offset on the map; for the baseline the
+//!    uniform QP itself) and the frame is coded once at it, from the plan the match probed.
 //!
-//! Step 4 is the one search the turn engine also runs ([`Encoder::search_rate_plans`] over
-//! prepared [`RatePlan`]s); what differs is the unit matched. Here — the offline Figure 9 /
-//! Figure 10 form — one offset serves a whole set of frames so their *mean* rate hits the
-//! target; a [`crate::Conversation`] matches every capture to its own per-frame budget.
+//! Between the two sits the one search of the tree ([`Encoder::search_rate_plans`]); what
+//! differs between callers is the unit matched. A [`crate::Conversation`] runs the steps per
+//! capture around [`Encoder::search_rate_plan`], so every frame meets its own budget;
+//! [`Streamer::encode_at_bitrate`] — the offline Figure 9 / Figure 10 form — runs them
+//! around one search over a whole frame set, so the set's *mean* rate hits the target.
 
 use crate::allocator::{QpAllocator, QpAllocatorConfig};
+use crate::net_session::{capture_fps_is_valid, rate_bps_is_valid};
+use crate::net_turn::EMPTY_TURN_WINDOW;
+use crate::session::StreamingMode;
 use aivc_mllm::Question;
 use aivc_scene::{Frame, VideoSource};
-use aivc_semantics::{ClipModel, ClipScratch, ImportanceMap, TextQuery};
+use aivc_semantics::{ClipModel, ClipScratch, TextQuery};
 use aivc_videocodec::{
-    DecodedFrame, Decoder, EncodeScratch, EncodedFrame, Encoder, EncoderConfig, QpMap, RatePlan,
+    DecodedFrame, Decoder, EncodeScratch, EncodedFrame, Encoder, EncoderConfig, Qp, QpMap, RatePlan,
 };
 use serde::{Deserialize, Serialize};
+use std::sync::Arc;
 
-/// Configuration of the context-aware streamer.
+/// Configuration of the sender.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct StreamerConfig {
     /// Eq. 2 allocation parameters.
@@ -43,51 +50,73 @@ impl Default for StreamerConfig {
     }
 }
 
-/// Result of a context-aware encode of a set of frames.
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct ContextAwareEncode {
-    /// The QP offset applied on top of the Eq. 2 map to match the target bitrate.
-    pub qp_offset: i32,
-    /// Achieved mean bitrate in bits per second.
+/// A set of frames coded at one matched level.
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+pub struct MatchedEncode {
+    /// What the trial-and-error match settled on: the uniform offset applied on top of the
+    /// Eq. 2 maps (context-aware, `-51..=51`) or the uniform QP itself (baseline, `0..=51`).
+    pub level: i32,
+    /// Achieved mean bitrate over the encoded frames, in bits per second.
     pub achieved_bitrate_bps: f64,
     /// The encoded frames.
     pub encoded: Vec<EncodedFrame>,
 }
 
-/// The context-aware streamer.
+/// The two QP maps a frame passes through on its way to the encoder.
 #[derive(Debug, Clone)]
-pub struct ContextAwareStreamer {
-    config: StreamerConfig,
-    clip_model: ClipModel,
-    allocator: QpAllocator,
-    encoder: Encoder,
-    decoder: Decoder,
+pub(crate) struct QpMaps {
+    /// The frame's Eq. 2 map — what `plan_frame` leaves (untouched in baseline mode).
+    eq2: QpMap,
+    /// The map the one real encode runs on, refilled by `encode_at_level`.
+    at_level: QpMap,
 }
 
-impl Default for ContextAwareStreamer {
+impl Default for QpMaps {
     fn default() -> Self {
-        Self::new(StreamerConfig::default(), ClipModel::mobile_default())
+        Self {
+            eq2: QpMap::empty(),
+            at_level: QpMap::empty(),
+        }
     }
 }
 
-impl ContextAwareStreamer {
-    /// Creates a streamer.
-    pub fn new(config: StreamerConfig, clip_model: ClipModel) -> Self {
+/// The §3.2 sender, in either mode.
+#[derive(Debug, Clone)]
+pub struct Streamer {
+    mode: StreamingMode,
+    /// Immutable after construction, so a fleet or contention run builds one and shares it.
+    clip_model: Arc<ClipModel>,
+    allocator: QpAllocator,
+    encoder: Encoder,
+}
+
+impl Streamer {
+    /// Creates a sender.
+    pub fn new(mode: StreamingMode, config: StreamerConfig, clip_model: Arc<ClipModel>) -> Self {
         Self {
+            mode,
+            clip_model,
             allocator: QpAllocator::new(config.allocator),
             encoder: Encoder::new(config.encoder),
-            decoder: Decoder::new(),
-            clip_model,
-            config,
         }
     }
 
-    /// The configuration.
-    pub fn config(&self) -> StreamerConfig {
-        self.config
+    /// A sender with the paper's defaults: γ = 3 allocator, medium-preset encoder,
+    /// Mobile-CLIP.
+    pub fn with_defaults(mode: StreamingMode) -> Self {
+        Self::new(
+            mode,
+            StreamerConfig::default(),
+            Arc::new(ClipModel::mobile_default()),
+        )
     }
 
-    /// The underlying encoder (shared with the baseline for fairness).
+    /// The mode.
+    pub fn mode(&self) -> StreamingMode {
+        self.mode
+    }
+
+    /// The encoder (the same in both modes, for fairness).
     pub fn encoder(&self) -> &Encoder {
         &self.encoder
     }
@@ -106,90 +135,137 @@ impl ContextAwareStreamer {
         )
     }
 
-    /// Step 1: the Eq. 1 correlation map for a frame and user words.
-    pub fn correlation_map(&self, frame: &Frame, query: &TextQuery) -> ImportanceMap {
-        self.clip_model.correlation_map(frame, query)
+    /// Eq. 1 then Eq. 2: the CLIP-informed QP map of `frame` on the encoder's grid.
+    fn eq2_map_into(&self, frame: &Frame, query: &TextQuery, clip: &mut ClipScratch, out: &mut QpMap) {
+        let importance = self.clip_model.correlation_map_coherent(frame, query, clip);
+        self.allocator
+            .allocate_into(importance, self.encoder.grid_for(frame), out);
     }
 
-    /// Steps 1–2: the CLIP-informed QP map for a frame (the Figure 10(c) artifact).
+    /// The CLIP-informed QP map a context-aware sender starts from (the Figure 10(c)
+    /// artifact), before any bitrate match.
     pub fn qp_map_for(&self, frame: &Frame, query: &TextQuery) -> QpMap {
-        let importance = self.correlation_map(frame, query);
-        self.allocator.allocate(&importance, self.encoder.grid_for(frame))
+        let mut map = QpMap::empty();
+        self.eq2_map_into(frame, query, &mut ClipScratch::new(), &mut map);
+        map
     }
 
-    /// Encodes `frames` so the actual mean bitrate matches `target_bitrate_bps`, by finding
-    /// a uniform QP offset on top of the per-frame Eq. 2 maps (trial and error, §3.2).
+    /// Step 1: prepares `plan` for `frame` — on the frame's Eq. 2 map (left in `maps`) when
+    /// context-aware, bare otherwise. `clip` and `plan` may carry the previous capture; both
+    /// then refresh only what moved, to the same bits as fresh ones. The baseline reads
+    /// neither `query` nor `clip`.
+    pub(crate) fn plan_frame(
+        &self,
+        frame: &Frame,
+        query: &TextQuery,
+        clip: &mut ClipScratch,
+        maps: &mut QpMaps,
+        plan: &mut RatePlan,
+    ) {
+        match self.mode {
+            StreamingMode::ContextAware => {
+                self.eq2_map_into(frame, query, clip, &mut maps.eq2);
+                self.encoder.prepare_rate_plan(frame, Some(&maps.eq2), plan);
+            }
+            StreamingMode::Baseline => self.encoder.prepare_rate_plan(frame, None, plan),
+        }
+    }
+
+    /// Step 2: the one real encode of a planned frame, at the `level` the match over `plan`
+    /// settled on. `encode_into_planned` reuses the raster the plan holds for this frame —
+    /// bit-identical to `encode_into`, one rasterization cheaper.
+    pub(crate) fn encode_at_level(
+        &self,
+        frame: &Frame,
+        level: i32,
+        maps: &mut QpMaps,
+        plan: &RatePlan,
+        scratch: &mut EncodeScratch,
+        out: &mut EncodedFrame,
+    ) {
+        match self.mode {
+            StreamingMode::ContextAware => maps.eq2.offset_all_into(level, &mut maps.at_level),
+            StreamingMode::Baseline => maps.at_level.fill_uniform(plan.dims(), Qp::new(level)),
+        }
+        self.encoder
+            .encode_into_planned(frame, &maps.at_level, plan, scratch, out);
+    }
+
+    /// Encodes `frames` at the one level at which their actual mean bitrate at `fps` best
+    /// matches `target_bitrate_bps` (trial and error, §3.2): one plan per frame, one search
+    /// over the set (coded bits never grow with the level), one encode per frame from the
+    /// plan the probes summed — so the rate the search predicted is the rate coded.
+    ///
+    /// # Panics
+    ///
+    /// Panics, before any plan is built, on an empty frame set, an `fps` outside
+    /// `1e-6..=1e6` or a target that is not a positive rate up to 1e12 bps — the bounds
+    /// [`crate::NetSessionOptions::validate`] holds `capture_fps` and the ABR's rates to.
     pub fn encode_at_bitrate(
         &self,
         frames: &[Frame],
         query: &TextQuery,
         fps: f64,
         target_bitrate_bps: f64,
-    ) -> ContextAwareEncode {
-        assert!(!frames.is_empty());
-        // One scratch across the set: the query is encoded exactly once, the per-patch
-        // CLIP loop reuses its buffers from the second frame on, and consecutive frames
-        // recompute only the patches object motion dirtied (bit-identical to the full
-        // recompute — see the `correlation_map_coherent` equivalence tests).
-        let mut clip_scratch = ClipScratch::new();
-        let maps: Vec<QpMap> = frames
-            .iter()
-            .map(|f| {
-                let importance = self
-                    .clip_model
-                    .correlation_map_coherent(f, query, &mut clip_scratch);
-                self.allocator.allocate(importance, self.encoder.grid_for(f))
-            })
-            .collect();
-        // One rate plan per frame on its Eq. 2 map, one offset for the whole set (coded
-        // bits are monotone decreasing in the offset), then one real encode per frame from
-        // the plan the probes summed — so the rate the search predicted is the rate coded.
-        let plans: Vec<RatePlan> = frames
-            .iter()
-            .zip(&maps)
-            .map(|(f, map)| self.encoder.rate_plan_for(f, Some(map)))
-            .collect();
-        let qp_offset = self
+    ) -> MatchedEncode {
+        assert!(!frames.is_empty(), "{EMPTY_TURN_WINDOW}");
+        assert!(
+            capture_fps_is_valid(fps),
+            "fps must be within 1e-6..=1e6 frames per second, got {fps}"
+        );
+        assert!(
+            rate_bps_is_valid(target_bitrate_bps),
+            "target_bitrate_bps must be positive and at most 1e12 bits per second, got {target_bitrate_bps}"
+        );
+        // One CLIP scratch across the set: the query is encoded once and consecutive frames
+        // recompute only the patches object motion dirtied.
+        let mut clip = ClipScratch::new();
+        let mut maps = vec![QpMaps::default(); frames.len()];
+        let mut plans = vec![RatePlan::new(); frames.len()];
+        for ((frame, maps), plan) in frames.iter().zip(&mut maps).zip(&mut plans) {
+            self.plan_frame(frame, query, &mut clip, maps, plan);
+        }
+        let level = self
             .encoder
             .search_rate_plans(&plans, fps, target_bitrate_bps, None)
             .level;
         let mut scratch = EncodeScratch::new();
         let encoded: Vec<EncodedFrame> = frames
             .iter()
-            .zip(&maps)
+            .zip(&mut maps)
             .zip(&plans)
-            .map(|((f, map), plan)| {
+            .map(|((frame, maps), plan)| {
                 let mut out = EncodedFrame::placeholder();
-                self.encoder
-                    .encode_into_planned(f, &map.offset_all(qp_offset), plan, &mut scratch, &mut out);
+                self.encode_at_level(frame, level, maps, plan, &mut scratch, &mut out);
                 out
             })
             .collect();
         let achieved_bitrate_bps =
             encoded.iter().map(|e| e.total_bits()).sum::<u64>() as f64 / encoded.len() as f64 * fps;
-        ContextAwareEncode {
-            qp_offset,
+        MatchedEncode {
+            level,
             achieved_bitrate_bps,
             encoded,
         }
     }
 
-    /// Offline convenience mirroring [`crate::baseline::ContextAgnosticBaseline::offline_decode`]:
-    /// sample, encode at a matched bitrate, decode losslessly.
+    /// Encodes the MLLM-visible frames of a clip (≤ `max_frames`, spread over the clip) at a
+    /// matched bitrate and decodes them losslessly (no transport), for offline evaluation.
     pub fn offline_decode(
         &self,
         source: &VideoSource,
         question: &Question,
         target_bitrate_bps: f64,
         max_frames: usize,
-    ) -> (Vec<DecodedFrame>, ContextAwareEncode) {
+    ) -> (Vec<DecodedFrame>, MatchedEncode) {
         let frames = source.sample_frames(max_frames);
         let query = self.query_for_question(question);
         let encode = self.encode_at_bitrate(&frames, &query, source.config().fps, target_bitrate_bps);
+        let decoder = Decoder::new();
         let decoded = encode
             .encoded
             .iter()
-            .map(|e| self.decoder.decode_complete(e, None))
+            .map(|e| decoder.decode_complete(e, None))
             .collect();
         (decoded, encode)
     }
@@ -198,27 +274,37 @@ impl ContextAwareStreamer {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::baseline::ContextAgnosticBaseline;
     use aivc_mllm::QuestionFormat;
     use aivc_scene::templates::basketball_game;
     use aivc_scene::SourceConfig;
+    use StreamingMode::{Baseline, ContextAware};
 
     fn source() -> VideoSource {
         VideoSource::new(basketball_game(1), SourceConfig::fps30(10.0))
     }
 
+    fn question(fact: usize) -> Question {
+        Question::from_fact(&basketball_game(1).facts[fact], QuestionFormat::FreeResponse)
+    }
+
+    /// The jersey-logo question: a small evidence region (object 3).
     fn logo_question() -> Question {
-        Question::from_fact(&basketball_game(1).facts[1], QuestionFormat::FreeResponse)
+        question(1)
+    }
+
+    /// Both senders on one model, context-aware first.
+    fn both_modes() -> [Streamer; 2] {
+        let model = Arc::new(ClipModel::mobile_default());
+        [ContextAware, Baseline]
+            .map(|mode| Streamer::new(mode, StreamerConfig::default(), Arc::clone(&model)))
     }
 
     #[test]
     fn qp_map_is_low_on_evidence_and_high_on_background() {
-        let streamer = ContextAwareStreamer::default();
+        let streamer = Streamer::with_defaults(ContextAware);
         let frame = source().frame(0);
-        let question = logo_question();
-        let query = streamer.query_for_question(&question);
+        let query = streamer.query_for_question(&logo_question());
         let qp_map = streamer.qp_map_for(&frame, &query);
-        let grid = streamer.encoder().grid_for(&frame);
         // The jersey-logo evidence region (object 3) sits around (880, 420, 90, 60).
         let logo_cell = (420 / 64, 880 / 64);
         let background_cell = (1000 / 64, 1800 / 64);
@@ -232,22 +318,60 @@ mod tests {
             qp_logo < 20,
             "evidence region should get a near-lossless QP, got {qp_logo}"
         );
-        assert_eq!(qp_map.dims(), grid);
+        assert_eq!(qp_map.dims(), streamer.encoder().grid_for(&frame));
     }
 
     #[test]
-    fn bitrate_matching_reaches_target() {
-        let streamer = ContextAwareStreamer::default();
+    fn empty_query_degrades_to_near_uniform_map() {
+        let streamer = Streamer::with_defaults(ContextAware);
+        let query = TextQuery::from_words("xyzzy", streamer.clip_model().ontology());
+        let qp_map = streamer.qp_map_for(&source().frame(0), &query);
+        assert_eq!(qp_map.min_qp(), qp_map.max_qp());
+    }
+
+    #[test]
+    fn bitrate_matching_reaches_target_in_both_modes() {
         let frames = source().sample_frames(6);
-        let query = streamer.query_for_question(&logo_question());
-        for target in [430_000.0, 850_000.0] {
-            let encode = streamer.encode_at_bitrate(&frames, &query, 30.0, target);
-            let err = (encode.achieved_bitrate_bps - target).abs() / target;
+        for streamer in both_modes() {
+            let query = streamer.query_for_question(&logo_question());
+            for target in [430_000.0, 850_000.0, 2_000_000.0] {
+                let encode = streamer.encode_at_bitrate(&frames, &query, 30.0, target);
+                let err = (encode.achieved_bitrate_bps - target).abs() / target;
+                assert!(
+                    err < 0.5,
+                    "{:?} target {target}: achieved {}",
+                    streamer.mode(),
+                    encode.achieved_bitrate_bps
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn lower_bitrate_means_a_higher_level_and_lower_quality_in_both_modes() {
+        let frames = source().sample_frames(6);
+        for streamer in both_modes() {
+            let query = streamer.query_for_question(&logo_question());
+            let low = streamer.encode_at_bitrate(&frames, &query, 30.0, 430_000.0);
+            let high = streamer.encode_at_bitrate(&frames, &query, 30.0, 1_700_000.0);
+            assert!(low.level > high.level, "{:?}", streamer.mode());
             assert!(
-                err < 0.5,
-                "target {target}: achieved {}",
-                encode.achieved_bitrate_bps
+                low.encoded[0].mean_encoded_quality() < high.encoded[0].mean_encoded_quality(),
+                "{:?}",
+                streamer.mode()
             );
+        }
+    }
+
+    #[test]
+    fn offline_decode_is_complete_and_deterministic_in_both_modes() {
+        for streamer in both_modes() {
+            let (decoded, encode) = streamer.offline_decode(&source(), &logo_question(), 850_000.0, 6);
+            assert_eq!(decoded.len(), 6);
+            assert_eq!(decoded.len(), encode.encoded.len());
+            assert!(decoded.iter().all(|d| d.received_fraction() == 1.0));
+            let again = streamer.offline_decode(&source(), &logo_question(), 850_000.0, 6);
+            assert_eq!((decoded, encode), again, "{:?}", streamer.mode());
         }
     }
 
@@ -255,14 +379,12 @@ mod tests {
     fn at_matched_bitrate_evidence_region_gets_more_bits_than_baseline() {
         // The Figure 10 claim: similar total bitrate, but ours concentrates bits on the
         // chat-important regions.
-        let streamer = ContextAwareStreamer::default();
-        let baseline = ContextAgnosticBaseline::default();
+        let [streamer, baseline] = both_modes();
         let frames = source().sample_frames(4);
-        let question = logo_question();
-        let query = streamer.query_for_question(&question);
+        let query = streamer.query_for_question(&logo_question());
         let target = 450_000.0;
         let ours = streamer.encode_at_bitrate(&frames, &query, 30.0, target);
-        let theirs = baseline.encode_at_bitrate(&frames, 30.0, target);
+        let theirs = baseline.encode_at_bitrate(&frames, &query, 30.0, target);
         // Bits spent on the logo object (id 3) in the first frame.
         let ours_logo = ours.encoded[0].bits_on_object(3, 0.05);
         let theirs_logo = theirs.encoded[0].bits_on_object(3, 0.05);
@@ -275,22 +397,72 @@ mod tests {
         assert!(ratio > 0.6 && ratio < 1.7, "bitrate ratio {ratio}");
     }
 
+    /// What lets the Figure 9 loop decode the baseline once per clip: the baseline's encode
+    /// is a function of the frames and the rate alone — the query changes no byte of it,
+    /// and its CLIP scratch is never written — while the context-aware encode follows it.
     #[test]
-    fn empty_query_degrades_to_near_uniform_map() {
-        let streamer = ContextAwareStreamer::default();
-        let frame = source().frame(0);
-        let query = TextQuery::from_words("xyzzy", streamer.clip_model().ontology());
-        let qp_map = streamer.qp_map_for(&frame, &query);
-        assert_eq!(qp_map.min_qp(), qp_map.max_qp());
+    fn the_baseline_ignores_the_query_and_never_touches_its_clip_scratch() {
+        let [streamer, baseline] = both_modes();
+        let frames = source().sample_frames(3);
+        let [score, logo] = [0, 1].map(|fact| baseline.query_for_question(&question(fact)));
+        assert_ne!(score, logo);
+        assert_eq!(
+            baseline.encode_at_bitrate(&frames, &score, 30.0, 430_000.0),
+            baseline.encode_at_bitrate(&frames, &logo, 30.0, 430_000.0)
+        );
+        assert_ne!(
+            streamer.encode_at_bitrate(&frames, &score, 30.0, 430_000.0),
+            streamer.encode_at_bitrate(&frames, &logo, 30.0, 430_000.0)
+        );
+        let untouched = format!("{:?}", ClipScratch::new());
+        let (mut clip, mut maps, mut plan) = (ClipScratch::new(), QpMaps::default(), RatePlan::new());
+        for frame in &frames {
+            baseline.plan_frame(frame, &logo, &mut clip, &mut maps, &mut plan);
+            assert_eq!(format!("{clip:?}"), untouched);
+        }
+        streamer.plan_frame(&frames[0], &logo, &mut clip, &mut maps, &mut plan);
+        assert_ne!(format!("{clip:?}"), untouched);
     }
 
+    /// The offline entry checks its inputs once, before any plan is built, in both modes:
+    /// each of these used to code at the top of the bracket, report a NaN or negative
+    /// achieved rate, or fail without a message from inside the search.
     #[test]
-    fn offline_decode_is_deterministic() {
-        let streamer = ContextAwareStreamer::default();
-        let question = logo_question();
-        let a = streamer.offline_decode(&source(), &question, 500_000.0, 4);
-        let b = streamer.offline_decode(&source(), &question, 500_000.0, 4);
-        assert_eq!(a.0, b.0);
-        assert_eq!(a.1.qp_offset, b.1.qp_offset);
+    fn encode_at_bitrate_rejects_an_empty_set_and_rates_it_cannot_match() {
+        let frames = source().sample_frames(2);
+        let (nan, inf) = (f64::NAN, f64::INFINITY);
+        let mut cases: Vec<(&[Frame], f64, f64, String)> = vec![
+            (&[], 30.0, 430_000.0, EMPTY_TURN_WINDOW.to_string()),
+            (&[], nan, nan, EMPTY_TURN_WINDOW.to_string()),
+        ];
+        cases.extend([nan, -30.0, 0.0, inf, 1.1e6].map(|fps| {
+            let message = format!("fps must be within 1e-6..=1e6 frames per second, got {fps}");
+            (&frames[..], fps, 430_000.0, message)
+        }));
+        cases.extend([nan, 0.0, -1.0, inf, 1.1e12].map(|bps| {
+            let message =
+                format!("target_bitrate_bps must be positive and at most 1e12 bits per second, got {bps}");
+            (&frames[..], 30.0, bps, message)
+        }));
+        for streamer in both_modes() {
+            let query = streamer.query_for_question(&logo_question());
+            for (frames, fps, target, message) in &cases {
+                let panic = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                    streamer.encode_at_bitrate(frames, &query, *fps, *target)
+                }))
+                .expect_err("invalid input must be rejected");
+                assert_eq!(
+                    panic.downcast_ref::<String>(),
+                    Some(message),
+                    "{:?} fps {fps} target {target}",
+                    streamer.mode()
+                );
+            }
+            // The bounds themselves are accepted, and what comes back is finite.
+            for (fps, target) in [(1e-6, 1.0), (1e6, 1e12), (30.0, 5e-324)] {
+                let encode = streamer.encode_at_bitrate(&frames, &query, fps, target);
+                assert!(encode.achieved_bitrate_bps.is_finite() && encode.achieved_bitrate_bps > 0.0);
+            }
+        }
     }
 }

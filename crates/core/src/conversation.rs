@@ -578,14 +578,13 @@ mod tests {
         assert_eq!(warm.report(), twin.report());
     }
 
-    /// The engine's per-capture rate match is the offline streamers' whole-set match over a
-    /// set of one: on a clean link with the ABR held, a turn codes exactly the bits
+    /// The engine's per-capture rate match is the offline sender's whole-set match over a
+    /// set of one, in both modes: on a clean link with the ABR held, a turn codes exactly the bits
     /// `encode_at_bitrate` codes for each of its frames alone at the held rate, and the
     /// MLLM answers exactly as it does over a lossless decode of those frames.
     #[test]
     fn a_held_rate_turn_codes_what_the_offline_streamers_code_frame_by_frame() {
-        use crate::baseline::ContextAgnosticBaseline;
-        use crate::context_aware::ContextAwareStreamer;
+        use crate::context_aware::{Streamer, StreamerConfig};
         use crate::session::StreamingMode;
         use aivc_mllm::MllmChat;
         use aivc_rtc::AbrPolicy;
@@ -595,10 +594,10 @@ mod tests {
         // A power-of-two frame rate: the engine compares a frame's bits with `rate / fps`,
         // the offline match `bits · fps` with the rate, and at 8 fps the two agree to the bit.
         let (fps, held_bps) = (8.0, 600_000.0);
-        let streamer = ContextAwareStreamer::default();
-        let baseline = ContextAgnosticBaseline::default();
-        let query = streamer.query_for_question(&q);
+        let model = Arc::new(ClipModel::mobile_default());
         for mode in [StreamingMode::ContextAware, StreamingMode::Baseline] {
+            let offline = Streamer::new(mode, StreamerConfig::default(), Arc::clone(&model));
+            let query = offline.query_for_question(&q);
             let mut o = NetSessionOptions::ai_oriented(17, PathConfig::paper_section_2_2(0.0));
             o.mode = mode;
             o.capture_fps = fps;
@@ -609,13 +608,10 @@ mod tests {
                 .iter()
                 .map(|frame| {
                     let alone = std::slice::from_ref(frame);
-                    let mut set = match mode {
-                        StreamingMode::ContextAware => {
-                            streamer.encode_at_bitrate(alone, &query, fps, held_bps).encoded
-                        }
-                        StreamingMode::Baseline => baseline.encode_at_bitrate(alone, fps, held_bps).encoded,
-                    };
-                    set.remove(0)
+                    offline
+                        .encode_at_bitrate(alone, &query, fps, held_bps)
+                        .encoded
+                        .remove(0)
                 })
                 .collect();
             let coded_bits: u64 = encoded.iter().map(EncodedFrame::total_bits).sum();

@@ -8,35 +8,19 @@
 //! reports the same curve; the *shape* (ours stays flat and high, the baseline collapses)
 //! is the claim under test.
 
-use crate::baseline::ContextAgnosticBaseline;
-use crate::context_aware::ContextAwareStreamer;
+use crate::context_aware::{Streamer, StreamerConfig};
+use crate::session::StreamingMode;
 use aivc_mllm::{MllmChat, Question, QuestionFormat};
 use aivc_scene::Corpus;
+use aivc_semantics::ClipModel;
 use serde::{Deserialize, Serialize};
-
-/// Which method a point belongs to.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub enum MethodKind {
-    /// Uniform-QP baseline.
-    Baseline,
-    /// Context-aware streaming (ours).
-    ContextAware,
-}
-
-impl std::fmt::Display for MethodKind {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            MethodKind::Baseline => f.write_str("baseline"),
-            MethodKind::ContextAware => f.write_str("context-aware"),
-        }
-    }
-}
+use std::sync::Arc;
 
 /// One point of the Figure 9 curve.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct AccuracyPoint {
     /// Method.
-    pub method: MethodKind,
+    pub method: StreamingMode,
     /// Requested target bitrate in bits per second.
     pub target_bitrate_bps: f64,
     /// Mean achieved bitrate across clips in bits per second.
@@ -63,13 +47,15 @@ pub fn run_accuracy_vs_bitrate(
     frames_per_clip: usize,
     seed: u64,
 ) -> Vec<AccuracyPoint> {
-    let streamer = ContextAwareStreamer::default();
-    let baseline = ContextAgnosticBaseline::default();
+    let model = Arc::new(ClipModel::mobile_default());
+    // In draw-tag order: the baseline's answers draw under tag 0, ours under tag 1.
+    let senders = [StreamingMode::Baseline, StreamingMode::ContextAware]
+        .map(|mode| Streamer::new(mode, StreamerConfig::default(), Arc::clone(&model)));
     let responder = MllmChat::responder(seed);
     let mut points = Vec::new();
 
     for (b_idx, &bitrate) in bitrates_bps.iter().enumerate() {
-        for method in [MethodKind::Baseline, MethodKind::ContextAware] {
+        for (draw_tag, sender) in senders.iter().enumerate() {
             let mut correct = 0usize;
             let mut questions = 0usize;
             let mut prob_sum = 0.0;
@@ -85,37 +71,25 @@ pub fn run_accuracy_vs_bitrate(
                     .filter(|f| f.required_detail >= min_detail)
                     .map(|f| Question::from_fact(f, QuestionFormat::FreeResponse))
                     .collect();
-                if sensitive.is_empty() {
-                    continue;
-                }
-                // The baseline's encode does not depend on the question, so do it once per clip.
-                let baseline_decode = if method == MethodKind::Baseline {
-                    Some(baseline.offline_decode(&source, bitrate, frames_per_clip))
-                } else {
-                    None
-                };
+                // The baseline's encode does not depend on the question (test-asserted in
+                // `context_aware`), so it is done once per clip, under the first one.
+                let per_clip = sensitive
+                    .first()
+                    .filter(|_| sender.mode() == StreamingMode::Baseline)
+                    .map(|question| sender.offline_decode(&source, question, bitrate, frames_per_clip));
                 for (q_idx, question) in sensitive.iter().enumerate() {
-                    let (frames, achieved) = match method {
-                        MethodKind::Baseline => {
-                            let (frames, enc) = baseline_decode.as_ref().unwrap();
-                            (frames.clone(), enc.achieved_bitrate_bps)
-                        }
-                        MethodKind::ContextAware => {
-                            let (frames, enc) =
-                                streamer.offline_decode(&source, question, bitrate, frames_per_clip);
-                            (frames, enc.achieved_bitrate_bps)
+                    let per_question;
+                    let (frames, encode) = match &per_clip {
+                        Some(shared) => shared,
+                        None => {
+                            per_question = sender.offline_decode(&source, question, bitrate, frames_per_clip);
+                            &per_question
                         }
                     };
-                    achieved_sum += achieved;
+                    achieved_sum += encode.achieved_bitrate_bps;
                     achieved_count += 1;
-                    let tag = (b_idx as u64) << 40
-                        | (clip.id) << 20
-                        | (q_idx as u64) << 4
-                        | match method {
-                            MethodKind::Baseline => 0,
-                            MethodKind::ContextAware => 1,
-                        };
-                    let answer = responder.respond(question, &frames, tag);
+                    let tag = (b_idx as u64) << 40 | (clip.id) << 20 | (q_idx as u64) << 4 | draw_tag as u64;
+                    let answer = responder.respond(question, frames, tag);
                     questions += 1;
                     prob_sum += answer.probability_correct;
                     if answer.correct {
@@ -124,7 +98,7 @@ pub fn run_accuracy_vs_bitrate(
                 }
             }
             points.push(AccuracyPoint {
-                method,
+                method: sender.mode(),
                 target_bitrate_bps: bitrate,
                 achieved_bitrate_bps: if achieved_count == 0 {
                     0.0
@@ -193,10 +167,10 @@ mod tests {
                 .copied()
                 .unwrap()
         };
-        let base_high = find(MethodKind::Baseline, 850_000.0);
-        let base_low = find(MethodKind::Baseline, 430_000.0);
-        let ours_high = find(MethodKind::ContextAware, 850_000.0);
-        let ours_low = find(MethodKind::ContextAware, 430_000.0);
+        let base_high = find(StreamingMode::Baseline, 850_000.0);
+        let base_low = find(StreamingMode::Baseline, 430_000.0);
+        let ours_high = find(StreamingMode::ContextAware, 850_000.0);
+        let ours_low = find(StreamingMode::ContextAware, 430_000.0);
 
         // Baseline collapses when the bitrate is halved.
         assert!(

@@ -71,7 +71,8 @@ impl LatencyBudget {
         }
         let clip_us = match conversation.options().mode {
             StreamingMode::ContextAware => compute
-                .clip_model
+                .sender
+                .clip_model()
                 .inference_latency_us(frames[0].width, frames[0].height),
             StreamingMode::Baseline => 0,
         };
@@ -82,7 +83,7 @@ impl LatencyBudget {
         Self {
             capture_ms: 1_000.0 / conversation.options().capture_fps / 2.0,
             context_compute_ms: clip_us as f64 / 1_000.0,
-            encode_ms: compute.encoder.encode_latency_us() as f64 / 1_000.0,
+            encode_ms: compute.sender.encoder().encode_latency_us() as f64 / 1_000.0,
             transmission_ms: transmission_ms / delivered,
             jitter_buffer_ms: buffered_ms / delivered,
             decode_ms: 2.0,
@@ -111,12 +112,6 @@ impl LatencyBudget {
     /// The share of the total spent outside the MLLM (the part RTC research can optimize).
     pub fn network_side_ms(&self) -> f64 {
         self.total_ms() - self.inference_ms
-    }
-
-    /// The time left for everything except inference if the total must meet the target
-    /// (the paper's "at most 68 ms" computation).
-    pub fn transport_budget_ms(&self) -> f64 {
-        (RESPONSE_LATENCY_TARGET_MS - self.inference_ms).max(0.0)
     }
 
     /// Renders a one-line breakdown, used by the examples and the experiment harness.
@@ -257,16 +252,6 @@ mod tests {
         assert!((b.total_ms() - 296.0).abs() < 1e-9);
         assert!(b.meets_target());
         assert!((b.network_side_ms() - 58.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn paper_68ms_computation() {
-        // §1: inference 232 ms inside a 300 ms budget leaves at most 68 ms for transport.
-        let b = LatencyBudget {
-            inference_ms: 232.0,
-            ..LatencyBudget::default()
-        };
-        assert!((b.transport_budget_ms() - 68.0).abs() < 1e-9);
     }
 
     #[test]

@@ -4,15 +4,16 @@
 //!
 //! * [`allocator`] — Eq. 2: mapping per-patch semantic correlation ρ (Eq. 1, from
 //!   `aivc-semantics`) to per-CTU quantization parameters with temperature γ = 3;
-//! * [`context_aware`] — the offline context-aware streamer: user words → CLIP correlation
-//!   map → QP map → ROI encode of a frame set, with the trial-and-error bitrate matching
-//!   used to compare against the baseline at equal actual bitrates (§3.2; the search itself
-//!   is `aivc_videocodec`'s, the one the turn engine runs per capture);
-//! * [`baseline`] — the context-agnostic uniform-QP baseline, matched the same way;
+//! * [`context_aware`] — the §3.2 sender ([`Streamer`]), in either [`session::StreamingMode`]:
+//!   user words → CLIP correlation map → QP map → trial-and-error bitrate match → ROI
+//!   encode, with the uniform-QP baseline as its no-context case. The turn engine runs its
+//!   two steps per capture; `encode_at_bitrate` runs them over a frame set, which is how
+//!   the figures compare the two modes at equal actual bitrates (the search itself is
+//!   `aivc_videocodec`'s);
 //! * [`latency`] — the end-to-end response-latency budget (capture, CLIP, encode,
 //!   transmission, decode, MLLM inference) against the 300 ms conversational bound (§1),
 //!   read off a [`Conversation`] turn;
-//! * [`session`] — [`session::StreamingMode`], the encoder a session puts on its uplink;
+//! * [`session`] — [`session::StreamingMode`], which of the two a sender is;
 //! * [`net_session`] — the network-in-the-loop turn's options and report: per-frame GCC
 //!   feedback → ABR target → encode-at-bitrate → FEC/NACK recovery → decode, on a
 //!   trace-driven emulated uplink (the loop itself is the private `net_turn` engine over
@@ -34,7 +35,6 @@
 //!   matched bitrates.
 
 pub mod allocator;
-pub mod baseline;
 pub mod contention;
 pub mod context_aware;
 pub mod conversation;
@@ -46,16 +46,15 @@ pub mod scenarios;
 pub mod server;
 pub mod session;
 
-pub use aivc_metrics::{SessionCounters, SessionSnapshot};
+pub use aivc_metrics::SessionSnapshot;
 pub use allocator::{QpAllocator, QpAllocatorConfig};
-pub use baseline::ContextAgnosticBaseline;
 pub use contention::{
     run_contention, AdmissionConfig, ContentionConfig, ContentionReport, CrossTrafficSpec, StarvationConfig,
     TenantReport, TenantSpec, TenantTurn,
 };
-pub use context_aware::{ContextAwareStreamer, StreamerConfig};
+pub use context_aware::{MatchedEncode, Streamer, StreamerConfig};
 pub use conversation::{Conversation, ConversationReport};
-pub use eval::{run_accuracy_vs_bitrate, AccuracyPoint, MethodKind};
+pub use eval::{run_accuracy_vs_bitrate, AccuracyPoint};
 pub use latency::{LatencyBudget, RESPONSE_LATENCY_TARGET_MS};
 pub use net_session::{FrameDelivery, NetSessionOptions, NetSessionOptionsError, NetTurnReport};
 pub use scenarios::{

@@ -159,17 +159,14 @@ impl NetSessionOptions {
             degradation: DegradationConfig { enabled: _ },
             coalesce_delivery: _,
         } = self;
-        // `contains` is false for NaN; the bounds keep `1e6 / capture_fps` between the
-        // clock's 1 µs resolution and 1e12 µs, far from overflowing a turn's last capture.
-        if !(1e-6..=1e6).contains(&capture_fps) {
+        if !capture_fps_is_valid(capture_fps) {
             return Err(E::CaptureFps(capture_fps));
         }
         if !(0.0..=MAX_TIMER_SECS).contains(&drain_secs) {
             return Err(E::DrainSecs(drain_secs));
         }
-        // Written so that NaN fails the comparison.
         let rate = |field, value: f64| {
-            if value > 0.0 && value <= MAX_RATE_BPS {
+            if rate_bps_is_valid(value) {
                 Ok(())
             } else {
                 Err(E::Rate { field, value })
@@ -206,6 +203,20 @@ const MAX_TIMER_SECS: f64 = 1e6;
 /// enough that a turn's sum of per-frame targets (`f64::MAX` held for two frames is `inf`
 /// in the report) and the pacer's 2.5× stay finite.
 const MAX_RATE_BPS: f64 = 1e12;
+
+/// Whether the µs turn clock can step by `fps`. `contains` is false for NaN; the bounds keep
+/// `1e6 / fps` between the clock's 1 µs resolution and 1e12 µs, far from overflowing a
+/// turn's last capture. Also what the offline [`crate::Streamer::encode_at_bitrate`] holds
+/// its `fps` to.
+pub(crate) fn capture_fps_is_valid(fps: f64) -> bool {
+    (1e-6..=1e6).contains(&fps)
+}
+
+/// Whether `bps` is a positive bitrate up to [`MAX_RATE_BPS`], written so that NaN fails the
+/// comparison.
+pub(crate) fn rate_bps_is_valid(bps: f64) -> bool {
+    bps > 0.0 && bps <= MAX_RATE_BPS
+}
 
 /// Why [`NetSessionOptions::validate`] rejected a set of options.
 #[derive(Debug, Clone, Copy, PartialEq)]

@@ -5,9 +5,10 @@
 //!
 //! The split is deliberate:
 //!
-//! * [`NetCompute`] owns what the *chat pipeline* carries from turn to turn — the model
-//!   handle, Eq. 2 allocator, encoder/decoder, MLLM responder, and the scratches whose
-//!   contents a later turn reads (`ClipScratch`, `RatePlan`, the rate hint, the query memo);
+//! * [`NetCompute`] owns what the *chat pipeline* carries from turn to turn — the §3.2
+//!   sender ([`Streamer`]: model handle, Eq. 2 allocator, encoder), the decoder, the MLLM
+//!   responder, and the scratches whose contents a later turn reads (`ClipScratch`,
+//!   `RatePlan`, the rate hint, the query memo), which it lends to the sender per capture;
 //! * [`TurnScratch`] holds the frame buffers that live inside one turn — written at
 //!   capture, read at the same turn's deadline — so it belongs to whoever *drives* turns
 //!   one at a time (a fleet lane, a standalone conversation, a contention tenant), not to
@@ -27,11 +28,9 @@
 //! the way in). Either way the clock, the queue backlog, the trace cursor and every
 //! in-flight packet persist across turn boundaries.
 
-use crate::allocator::QpAllocator;
-use crate::context_aware::StreamerConfig;
+use crate::context_aware::{QpMaps, Streamer, StreamerConfig};
 use crate::net_session::{FaultTelemetry, FrameDelivery, NetSessionOptions, NetTurnReport};
-use crate::session::StreamingMode;
-use aivc_metrics::{SessionCounters, SessionSnapshot};
+use aivc_metrics::SessionSnapshot;
 use aivc_mllm::{MllmChat, MllmScratch, Question};
 use aivc_netsim::emulator::Direction;
 use aivc_netsim::link::LinkCounters;
@@ -46,9 +45,7 @@ use aivc_rtc::seq_ring::SeqRing;
 use aivc_scene::Frame;
 use aivc_semantics::{ClipModel, ClipScratch, TextQuery};
 use aivc_sim::{Actor, SimDuration, SimTime, Simulation};
-use aivc_videocodec::{
-    DecodeScratch, DecodedFrame, Decoder, EncodeScratch, EncodedFrame, Encoder, Qp, QpMap, RatePlan,
-};
+use aivc_videocodec::{DecodeScratch, DecodedFrame, Decoder, EncodeScratch, EncodedFrame, RatePlan};
 use std::sync::Arc;
 
 /// Events of the networked turn's discrete-event loop. Frame indices are *global* across
@@ -220,10 +217,8 @@ enum DegradationLevel {
 #[derive(Debug, Clone)]
 pub(crate) struct NetCompute {
     pub(crate) options: NetSessionOptions,
-    /// Immutable after `new`, so a fleet or contention run builds one and shares it.
-    pub(crate) clip_model: Arc<ClipModel>,
-    allocator: QpAllocator,
-    pub(crate) encoder: Encoder,
+    /// The §3.2 sender in `options.mode`.
+    pub(crate) sender: Streamer,
     decoder: Decoder,
     pub(crate) responder: MllmChat,
     clip: ClipScratch,
@@ -244,9 +239,8 @@ pub(crate) struct NetCompute {
 /// overlap on the shared kernel, so each owns one). All-empty until its first turn.
 #[derive(Debug)]
 pub(crate) struct TurnScratch {
-    qp_map: QpMap,
-    /// Scratch map the rate-control search refills for the one real encode.
-    probe_map: QpMap,
+    /// The capture's Eq. 2 map and the map its one real encode runs on.
+    qp_maps: QpMaps,
     encode_scratches: Vec<EncodeScratch>,
     /// The committed encode of each turn slot (needed again at decode time).
     encoded_slots: Vec<EncodedFrame>,
@@ -264,8 +258,7 @@ pub(crate) struct TurnScratch {
 impl Default for TurnScratch {
     fn default() -> Self {
         Self {
-            qp_map: QpMap::empty(),
-            probe_map: QpMap::empty(),
+            qp_maps: QpMaps::default(),
             encode_scratches: Vec::new(),
             encoded_slots: Vec::new(),
             slot_turn: Vec::new(),
@@ -284,11 +277,9 @@ impl NetCompute {
         clip_model: Arc<ClipModel>,
     ) -> Self {
         Self {
-            allocator: QpAllocator::new(config.allocator),
-            encoder: Encoder::new(config.encoder),
+            sender: Streamer::new(options.mode, config, clip_model),
             decoder: Decoder::new(),
             responder: MllmChat::responder(options.seed ^ 0x5EED),
-            clip_model,
             options,
             clip: ClipScratch::new(),
             rate_plan: RatePlan::new(),
@@ -302,11 +293,7 @@ impl NetCompute {
     /// keeps asking one question builds its query once.
     fn refresh_query(&mut self, question: &Question) {
         if self.cached_question.as_ref() != Some(question) {
-            self.query = TextQuery::from_words_and_concepts(
-                &question.text,
-                self.clip_model.ontology(),
-                question.query_concepts.iter().cloned(),
-            );
+            self.query = self.sender.query_for_question(question);
             self.cached_question = Some(question.clone());
         }
     }
@@ -321,13 +308,10 @@ impl NetCompute {
     /// Encodes `frame` into turn slot `slot` of `scratch` at the closest achievable size
     /// to `budget_bits`, and returns how many probes the search took.
     ///
-    /// Context-aware mode searches a uniform QP offset on top of the frame's Eq. 2 map
-    /// (coded bits are monotone decreasing in the offset); baseline mode searches the
-    /// single uniform QP a traditional WebRTC encoder's rate control would pick. Either way
-    /// it is §3.2's bitrate match, and the search the offline
-    /// `ContextAwareStreamer::encode_at_bitrate` / `ContextAgnosticBaseline::encode_at_bitrate`
-    /// run over a whole frame set (`Encoder::search_rate_plans`) — here over a set of one,
-    /// so every capture meets its own budget.
+    /// This is §3.2's bitrate match as [`Streamer::encode_at_bitrate`] runs it over a whole
+    /// frame set — the sender's two steps around the one search — here over a set of one,
+    /// so every capture meets its own budget, with the session's scratches standing in for
+    /// fresh ones.
     fn encode_slot_to_budget(
         &mut self,
         scratch: &mut TurnScratch,
@@ -342,43 +326,30 @@ impl NetCompute {
                 .resize_with(slot + 1, EncodedFrame::placeholder);
             scratch.slot_turn.resize(slot + 1, u64::MAX);
         }
-        let grid = self.encoder.grid_for(frame);
         // One rate plan per capture: the grid raster and every QP-independent rate term
         // are folded into per-block coefficients once, so each probe of the search is a
         // tight pass over the plan instead of a full re-rasterization (see DESIGN.md
         // §"Where the warm turn's microsecond goes").
-        match self.options.mode {
-            StreamingMode::ContextAware => {
-                let importance = self
-                    .clip_model
-                    .correlation_map_coherent(frame, &self.query, &mut self.clip);
-                self.allocator
-                    .allocate_into(importance, grid, &mut scratch.qp_map);
-                self.encoder
-                    .prepare_rate_plan(frame, Some(&scratch.qp_map), &mut self.rate_plan)
-            }
-            StreamingMode::Baseline => self.encoder.prepare_rate_plan(frame, None, &mut self.rate_plan),
-        }
+        self.sender.plan_frame(
+            frame,
+            &self.query,
+            &mut self.clip,
+            &mut scratch.qp_maps,
+            &mut self.rate_plan,
+        );
         // Plan probes predict the coded size without materializing blocks — byte-exact
         // with a real encode (test-asserted). The level found is a pure function of
         // (plan, budget); the previous capture's boundary only tells the search where to
         // start, which on a slowly moving target settles it in two probes.
         let search = self
-            .encoder
+            .sender
+            .encoder()
             .search_rate_plan(&self.rate_plan, budget_bits, self.rate_hint);
         self.rate_hint = Some(search.boundary);
-        // One real encode, at the level the search settled on.
-        match self.options.mode {
-            StreamingMode::ContextAware => scratch
-                .qp_map
-                .offset_all_into(search.level, &mut scratch.probe_map),
-            StreamingMode::Baseline => scratch.probe_map.fill_uniform(grid, Qp::new(search.level)),
-        }
-        // `encode_into_planned` reuses the raster the plan just filled for this frame —
-        // bit-identical to `encode_into`, one rasterization cheaper.
-        self.encoder.encode_into_planned(
+        self.sender.encode_at_level(
             frame,
-            &scratch.probe_map,
+            search.level,
+            &mut scratch.qp_maps,
             &self.rate_plan,
             &mut scratch.encode_scratches[slot],
             &mut scratch.encoded_slots[slot],
@@ -464,8 +435,9 @@ pub(crate) struct Transport {
     turn_captures_suppressed: u64,
     turn_probes_sent: u64,
     // --- always-on serving metrics ---
-    /// The session's always-on counters (snapshot off the hot path).
-    metrics: SessionCounters,
+    /// The session's always-on counters: written here, copied out by
+    /// [`Transport::metrics_snapshot`].
+    metrics: SessionSnapshot,
     /// `nack_gen.nacks_suppressed()` at the last report — per-turn commit delta.
     nacks_suppressed_reported: u64,
 }
@@ -515,14 +487,14 @@ impl Transport {
             turn_frames_shed: 0,
             turn_captures_suppressed: 0,
             turn_probes_sent: 0,
-            metrics: SessionCounters::new(),
+            metrics: SessionSnapshot::default(),
             nacks_suppressed_reported: 0,
         }
     }
 
-    /// A point-in-time reading of the session's always-on counters.
+    /// A copy of the session's always-on counters as they stand.
     pub(crate) fn metrics_snapshot(&self) -> SessionSnapshot {
-        self.metrics.snapshot()
+        self.metrics
     }
 
     /// Number of frames handed to this transport so far (= the next global frame id).
@@ -781,7 +753,7 @@ impl TurnMachine<'_> {
                 t.turn_target_min = t.turn_target_min.min(target_bps);
                 t.turn_target_max = t.turn_target_max.max(target_bps);
                 if t.pacer.set_rate(target_bps * 2.5, now) {
-                    t.metrics.pacer_rate_clamps.inc();
+                    t.metrics.pacer_rate_clamps += 1;
                 }
 
                 let local = i - self.plan.base;
@@ -817,7 +789,7 @@ impl TurnMachine<'_> {
                     let probe = Packet::new(t.next_net_packet_id, PROBE_PACKET_BYTES, now).with_flow(0);
                     t.next_net_packet_id += 1;
                     t.turn_probes_sent += 1;
-                    t.metrics.packets_sent.inc();
+                    t.metrics.packets_sent += 1;
                     let outcome = self.port.send(&mut t.emulator, &probe, now);
                     match outcome.arrival() {
                         Some(arrival) => t.cc_pending.push((
@@ -870,8 +842,8 @@ impl TurnMachine<'_> {
                 let probes =
                     self.compute
                         .encode_slot_to_budget(self.scratch, local, &self.frames[local], budget_bits);
-                t.metrics.rate_searches.inc();
-                t.metrics.rate_probes.add(u64::from(probes));
+                t.metrics.rate_searches += 1;
+                t.metrics.rate_probes += u64::from(probes);
                 let encoded = &self.scratch.encoded_slots[local];
                 let frame_out = OutgoingFrame {
                     frame_id: i as u64,
@@ -905,7 +877,7 @@ impl TurnMachine<'_> {
                 };
                 for (pi, p) in t.media.iter().enumerate() {
                     if !t.seq_to_media.insert(p.header.sequence, (i, pi)) {
-                        t.metrics.late_seq_drops.inc();
+                        t.metrics.late_seq_drops += 1;
                     }
                     let _ = t.rtx.remember(p);
                     let when = t.pacer.schedule_send(p.wire_size(), now);
@@ -948,7 +920,7 @@ impl TurnMachine<'_> {
                 t.nack_gen.on_packet(packet.header.sequence, now);
                 let late_now = t.nack_gen.late_drops();
                 if late_now > late_before {
-                    t.metrics.late_seq_drops.add(late_now - late_before);
+                    t.metrics.late_seq_drops += late_now - late_before;
                 }
                 let frame_idx = packet.header.frame_id as usize;
                 if frame_idx >= t.retired_below {
@@ -1057,7 +1029,7 @@ impl TurnMachine<'_> {
                     if let Some(p) = t.rtx.retransmit_one(old_seq, || packetizer.allocate_sequence()) {
                         if let Some(mapping) = t.seq_to_media.get(old_seq).copied() {
                             if !t.seq_to_media.insert(p.header.sequence, mapping) {
-                                t.metrics.late_seq_drops.inc();
+                                t.metrics.late_seq_drops += 1;
                             }
                         }
                         let when = t.pacer.schedule_send(p.wire_size(), now);
@@ -1080,7 +1052,7 @@ impl TurnMachine<'_> {
     /// once per due departure, in departure order).
     fn deliver_uplink<S: NetEventSink>(&mut self, now: SimTime, packet: RtpPacket, sink: &mut S) {
         let t = &mut *self.t;
-        t.metrics.packets_sent.inc();
+        t.metrics.packets_sent += 1;
         let frame_idx = packet.header.frame_id as usize;
         if let Some(entry) = t.live_slot(frame_idx).map(|s| &mut t.progress[s]) {
             if entry.send_start.is_none() && packet.header.kind == PayloadKind::Media {
@@ -1283,6 +1255,7 @@ pub(crate) fn conclude_turn_window(
         _ => None,
     };
     let uplink_counters = port.counters(&transport.emulator);
+    let uplink_faults = uplink_counters.since(&transport.counters_reported);
     let watchdog_fallbacks_now = gcc.watchdog_fallbacks();
     let resilience = FaultTelemetry {
         outage_ms: compute
@@ -1298,9 +1271,9 @@ pub(crate) fn conclude_turn_window(
         captures_suppressed: transport.turn_captures_suppressed,
         probes_sent: transport.turn_probes_sent,
         watchdog_fallbacks: watchdog_fallbacks_now - transport.watchdog_fallbacks_reported,
-        packets_duplicated: uplink_counters.duplicated - transport.counters_reported.duplicated,
-        packets_reordered: uplink_counters.reordered - transport.counters_reported.reordered,
-        outage_drops: uplink_counters.outage_drops - transport.counters_reported.outage_drops,
+        packets_duplicated: uplink_faults.duplicated,
+        packets_reordered: uplink_faults.reordered,
+        outage_drops: uplink_faults.outage_drops,
     };
     transport.counters_reported = uplink_counters;
     transport.watchdog_fallbacks_reported = watchdog_fallbacks_now;
@@ -1319,26 +1292,23 @@ pub(crate) fn conclude_turn_window(
     // carries* — this is what makes the fleet rollup reconcile exactly against
     // per-session report sums at any pool size. Event-site commits would not: losses in
     // a think gap bump per-turn counters that `begin_turn` resets before any report
-    // reads them. One batch of relaxed adds per turn, off the per-packet path.
-    {
-        let m = &transport.metrics;
-        m.frames_sent.add(frame_count as u64);
-        m.frames_delivered.add(frames_delivered as u64);
-        m.fec_recovered_frames.add(fec_recovered_frames);
-        m.packets_lost.add(transport.turn_packets_lost);
-        m.retransmissions_sent.add(transport.turn_retransmissions_sent);
-        m.frames_shed.add(transport.turn_frames_shed);
-        m.captures_suppressed.add(transport.turn_captures_suppressed);
-        m.watchdog_fallbacks.add(resilience.watchdog_fallbacks);
-        let nacks_suppressed_now = transport.nack_gen.nacks_suppressed();
-        m.nacks_suppressed
-            .add(nacks_suppressed_now - transport.nacks_suppressed_reported);
-        transport.nacks_suppressed_reported = nacks_suppressed_now;
-        if decoded_count == 0 {
-            // Nothing decoded by the answer deadline: the turn's answer shipped blind.
-            m.deadline_missed.inc();
-        }
-    }
+    // reads them. One batch of adds per turn, off the per-packet path.
+    let nacks_suppressed_now = transport.nack_gen.nacks_suppressed();
+    transport.metrics.accumulate(&SessionSnapshot {
+        frames_sent: frame_count as u64,
+        frames_delivered: frames_delivered as u64,
+        fec_recovered_frames,
+        packets_lost: transport.turn_packets_lost,
+        retransmissions_sent: transport.turn_retransmissions_sent,
+        nacks_suppressed: nacks_suppressed_now - transport.nacks_suppressed_reported,
+        frames_shed: transport.turn_frames_shed,
+        captures_suppressed: transport.turn_captures_suppressed,
+        // Nothing decoded by the answer deadline: the turn's answer shipped blind.
+        deadline_missed: u64::from(decoded_count == 0),
+        watchdog_fallbacks: resilience.watchdog_fallbacks,
+        ..SessionSnapshot::default()
+    });
+    transport.nacks_suppressed_reported = nacks_suppressed_now;
     let report = NetTurnReport {
         answer,
         frames_sent: frame_count,

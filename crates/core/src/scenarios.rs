@@ -328,11 +328,6 @@ pub fn run_scenario(scenario: &Scenario, pool_size: usize) -> ScenarioReport {
     }
 }
 
-/// Runs the whole registry, in registry order.
-pub fn run_registry(pool_size: usize) -> Vec<ScenarioReport> {
-    registry().iter().map(|s| run_scenario(s, pool_size)).collect()
-}
-
 // ---------------------------------------------------------------------------------------
 // The §2.2 held-rate stream (Figure 3's sweep point)
 // ---------------------------------------------------------------------------------------
@@ -570,14 +565,6 @@ pub fn run_conversation_scenario(scenario: &ConversationScenario) -> Conversatio
         traditional: run_conversation_mode(scenario, false),
         ai_oriented: run_conversation_mode(scenario, true),
     }
-}
-
-/// Runs the whole conversation registry, in registry order.
-pub fn run_conversation_registry() -> Vec<ConversationScenarioReport> {
-    conversation_registry()
-        .iter()
-        .map(run_conversation_scenario)
-        .collect()
 }
 
 // ---------------------------------------------------------------------------------------
@@ -884,14 +871,6 @@ pub fn run_contention_scenario(scenario: &ContentionScenario) -> ContentionScena
         traditional: run_contention_mode(scenario, false),
         ai_oriented: run_contention_mode(scenario, true),
     }
-}
-
-/// Runs the whole contention registry, in registry order.
-pub fn run_contention_registry() -> Vec<ContentionScenarioReport> {
-    contention_registry()
-        .iter()
-        .map(run_contention_scenario)
-        .collect()
 }
 
 /// Runs the contention registry as independent cells across a [`MiniPool`] of

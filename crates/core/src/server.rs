@@ -215,15 +215,7 @@ impl ConversationChatServer {
         let mut turns_completed = 0;
         for session in self.sessions() {
             turns_completed += session.turn_count();
-            let c = session.link_counters();
-            uplink.offered += c.offered;
-            uplink.delivered += c.delivered;
-            uplink.delivered_bytes += c.delivered_bytes;
-            uplink.dropped_queue += c.dropped_queue;
-            uplink.lost_random += c.lost_random;
-            uplink.duplicated += c.duplicated;
-            uplink.reordered += c.reordered;
-            uplink.outage_drops += c.outage_drops;
+            uplink.add(&session.link_counters());
             resilience.absorb(&session.fault_telemetry());
             counters.accumulate(&session.metrics_snapshot());
         }
@@ -262,22 +254,6 @@ impl ServingReport {
     /// rendering it as `0%` (or `NaN%`) would misreport "no data" as "all wrong".
     pub fn percent_correct(&self) -> Option<f64> {
         (self.turns_completed > 0).then_some(self.correct_fraction * 100.0)
-    }
-
-    /// Mean uplink packets lost per completed turn, or `None` before any turn ran.
-    pub fn packets_lost_per_turn(&self) -> Option<f64> {
-        (self.turns_completed > 0).then(|| self.counters.packets_lost as f64 / self.turns_completed as f64)
-    }
-
-    /// Mean retransmissions per completed turn, or `None` before any turn ran.
-    pub fn retransmissions_per_turn(&self) -> Option<f64> {
-        (self.turns_completed > 0)
-            .then(|| self.counters.retransmissions_sent as f64 / self.turns_completed as f64)
-    }
-
-    /// Mean turns completed per session, or `None` on an empty fleet.
-    pub fn turns_per_session(&self) -> Option<f64> {
-        (self.sessions > 0).then(|| self.turns_completed as f64 / self.sessions as f64)
     }
 }
 
@@ -459,9 +435,6 @@ mod tests {
         assert_eq!(report.sessions, 0);
         assert_eq!(report.turns_completed, 0);
         assert_eq!(report.percent_correct(), None);
-        assert_eq!(report.packets_lost_per_turn(), None);
-        assert_eq!(report.retransmissions_per_turn(), None);
-        assert_eq!(report.turns_per_session(), None);
         let line = report.to_string();
         assert!(line.contains("serving 0 sessions"), "{line}");
         assert!(line.contains("-% correct"), "{line}");
@@ -625,7 +598,8 @@ mod tests {
     #[test]
     fn a_server_builds_one_model_for_all_its_sessions() {
         let server = ConversationChatServer::new(2, 5, net_template(1), SimDuration::from_millis(100));
-        let model_of = |slot: &ServerSlot| Arc::as_ptr(&slot.session.member.compute.clip_model);
+        let model_of =
+            |slot: &ServerSlot| std::ptr::from_ref(slot.session.member.compute.sender.clip_model());
         let first = model_of(&server.slots[0]);
         assert!(server.slots.iter().all(|slot| model_of(slot) == first));
     }

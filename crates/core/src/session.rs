@@ -1,4 +1,5 @@
-//! [`StreamingMode`]: which encoder a [`crate::Conversation`] puts on its uplink.
+//! [`StreamingMode`]: which of its two modes a [`crate::Streamer`] — a session's uplink
+//! sender, or an offline one — runs in.
 
 use serde::{Deserialize, Serialize};
 
@@ -9,4 +10,14 @@ pub enum StreamingMode {
     ContextAware,
     /// Uniform-QP baseline at the same target bitrate.
     Baseline,
+}
+
+/// The label the figures print.
+impl std::fmt::Display for StreamingMode {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.write_str(match self {
+            StreamingMode::ContextAware => "context-aware",
+            StreamingMode::Baseline => "baseline",
+        })
+    }
 }

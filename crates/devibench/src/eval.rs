@@ -7,7 +7,6 @@
 //! exact quantity plotted on Figure 9's y-axis.
 
 use crate::dataset::Dataset;
-use crate::qa::QaSample;
 use aivc_mllm::MllmChat;
 use aivc_scene::FactCategory;
 use aivc_videocodec::DecodedFrame;
@@ -87,46 +86,6 @@ where
             0.0
         } else {
             prob_sum / dataset.samples.len() as f64
-        },
-        per_category,
-    }
-}
-
-/// Evaluates accuracy over an explicit sample list with per-sample frame sets (used when the
-/// per-sample context, e.g. the user words, changes what the sender transmits).
-pub fn evaluate_samples(
-    samples: &[(QaSample, Vec<DecodedFrame>)],
-    responder: &MllmChat,
-    context_tag: u64,
-) -> EvalOutcome {
-    let mut correct = 0usize;
-    let mut prob_sum = 0.0;
-    let mut per_category_counts: BTreeMap<FactCategory, (usize, usize)> = BTreeMap::new();
-    for (idx, (sample, frames)) in samples.iter().enumerate() {
-        let answer = responder.respond(
-            &sample.question,
-            frames,
-            context_tag.wrapping_mul(0x1_0000).wrapping_add(idx as u64),
-        );
-        prob_sum += answer.probability_correct;
-        let entry = per_category_counts.entry(sample.category).or_insert((0, 0));
-        entry.1 += 1;
-        if answer.correct {
-            correct += 1;
-            entry.0 += 1;
-        }
-    }
-    let per_category = per_category_counts
-        .into_iter()
-        .map(|(cat, (c, n))| (cat, if n == 0 { 0.0 } else { c as f64 / n as f64 }))
-        .collect();
-    EvalOutcome {
-        questions: samples.len(),
-        correct,
-        mean_probability_correct: if samples.is_empty() {
-            0.0
-        } else {
-            prob_sum / samples.len() as f64
         },
         per_category,
     }

@@ -131,12 +131,6 @@ impl AnswerModel {
         }
     }
 
-    /// Overrides the calibration (used by calibration sweeps).
-    pub fn with_calibration(mut self, calibration: AccuracyCalibration) -> Self {
-        self.calibration = calibration;
-        self
-    }
-
     /// The calibration in use.
     pub fn calibration(&self) -> AccuracyCalibration {
         self.calibration

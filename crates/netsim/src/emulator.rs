@@ -38,15 +38,6 @@ impl PathConfig {
             downlink: LinkConfig::constant(100e6, SimDuration::from_millis(30), 300, LossModel::None),
         }
     }
-
-    /// An asymmetric mobile-like path: limited uplink, roomier downlink.
-    pub fn asymmetric_mobile(uplink_bps: f64, downlink_bps: f64, rtt: SimDuration, loss: f64) -> Self {
-        let owd = SimDuration::from_micros(rtt.as_micros() / 2);
-        Self {
-            uplink: LinkConfig::constant(uplink_bps, owd, 300, LossModel::Iid { rate: loss }),
-            downlink: LinkConfig::constant(downlink_bps, owd, 300, LossModel::Iid { rate: loss }),
-        }
-    }
 }
 
 /// Direction of travel through the emulator.
@@ -100,11 +91,6 @@ impl NetworkEmulator {
         self.uplink.take_duplicate()
     }
 
-    /// The current uplink one-way base delay (propagation only, no queueing).
-    pub fn uplink_propagation(&self) -> SimDuration {
-        self.uplink.config().propagation_delay
-    }
-
     /// Resets both directions' dynamic state.
     pub fn reset(&mut self) {
         self.uplink.reset();
@@ -156,27 +142,6 @@ mod tests {
         );
         assert!(up.arrival().unwrap().as_micros() >= 30_000);
         assert!(down.arrival().unwrap().as_micros() >= 30_000);
-        assert_eq!(emu.uplink_propagation(), SimDuration::from_millis(30));
-    }
-
-    #[test]
-    fn asymmetric_path_uplink_is_tighter() {
-        let cfg = PathConfig::asymmetric_mobile(4e6, 40e6, SimDuration::from_millis(40), 0.0);
-        let mut emu = NetworkEmulator::new(cfg, 3);
-        // The same packet takes ~10x longer to serialize on the uplink.
-        let up = emu.send(
-            Direction::Uplink,
-            &Packet::new(0, 5_000, SimTime::ZERO),
-            SimTime::ZERO,
-        );
-        let down = emu.send(
-            Direction::Downlink,
-            &Packet::new(1, 5_000, SimTime::ZERO),
-            SimTime::ZERO,
-        );
-        let up_latency = up.arrival().unwrap().as_micros();
-        let down_latency = down.arrival().unwrap().as_micros();
-        assert!(up_latency > down_latency, "{up_latency} vs {down_latency}");
     }
 
     #[test]

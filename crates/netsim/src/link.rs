@@ -148,6 +148,54 @@ pub struct LinkCounters {
 }
 
 impl LinkCounters {
+    /// Adds `other` into `self`, counter by counter — per-flow attribution and fleet
+    /// rollups. Destructured without `..`: a new counter does not compile until it is
+    /// summed here.
+    pub fn add(&mut self, other: &LinkCounters) {
+        let LinkCounters {
+            offered,
+            delivered,
+            dropped_queue,
+            lost_random,
+            delivered_bytes,
+            duplicated,
+            reordered,
+            outage_drops,
+        } = *other;
+        self.offered += offered;
+        self.delivered += delivered;
+        self.dropped_queue += dropped_queue;
+        self.lost_random += lost_random;
+        self.delivered_bytes += delivered_bytes;
+        self.duplicated += duplicated;
+        self.reordered += reordered;
+        self.outage_drops += outage_drops;
+    }
+
+    /// What the link did since `earlier`, an earlier reading of the same counters.
+    pub fn since(&self, earlier: &LinkCounters) -> LinkCounters {
+        let LinkCounters {
+            offered,
+            delivered,
+            dropped_queue,
+            lost_random,
+            delivered_bytes,
+            duplicated,
+            reordered,
+            outage_drops,
+        } = *earlier;
+        LinkCounters {
+            offered: self.offered - offered,
+            delivered: self.delivered - delivered,
+            dropped_queue: self.dropped_queue - dropped_queue,
+            lost_random: self.lost_random - lost_random,
+            delivered_bytes: self.delivered_bytes - delivered_bytes,
+            duplicated: self.duplicated - duplicated,
+            reordered: self.reordered - reordered,
+            outage_drops: self.outage_drops - outage_drops,
+        }
+    }
+
     /// Fraction of offered packets that did not arrive.
     pub fn loss_fraction(&self) -> f64 {
         if self.offered == 0 {

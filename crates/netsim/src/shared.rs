@@ -53,15 +53,7 @@ impl SharedLink {
         let before = self.link.counters();
         let outcome = self.link.send(packet, now);
         let after = self.link.counters();
-        let f = &mut self.per_flow[flow];
-        f.offered += after.offered - before.offered;
-        f.delivered += after.delivered - before.delivered;
-        f.dropped_queue += after.dropped_queue - before.dropped_queue;
-        f.lost_random += after.lost_random - before.lost_random;
-        f.delivered_bytes += after.delivered_bytes - before.delivered_bytes;
-        f.duplicated += after.duplicated - before.duplicated;
-        f.reordered += after.reordered - before.reordered;
-        f.outage_drops += after.outage_drops - before.outage_drops;
+        self.per_flow[flow].add(&after.since(&before));
         outcome
     }
 
@@ -105,15 +97,7 @@ mod tests {
     fn sum(link: &SharedLink) -> LinkCounters {
         let mut total = LinkCounters::default();
         for f in 0..link.flow_count() {
-            let c = link.flow_counters(f);
-            total.offered += c.offered;
-            total.delivered += c.delivered;
-            total.dropped_queue += c.dropped_queue;
-            total.lost_random += c.lost_random;
-            total.delivered_bytes += c.delivered_bytes;
-            total.duplicated += c.duplicated;
-            total.reordered += c.reordered;
-            total.outage_drops += c.outage_drops;
+            total.add(&link.flow_counters(f));
         }
         total
     }

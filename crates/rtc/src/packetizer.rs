@@ -373,28 +373,6 @@ impl FrameAssembler {
         now_complete && !was_complete
     }
 
-    /// The missing byte ranges of a frame (empty when complete or unknown).
-    pub fn missing_ranges(&self, frame_id: u64) -> Vec<(u64, u64)> {
-        let Some(state) = self.state(frame_id) else {
-            return Vec::new();
-        };
-        if state.size_bytes == 0 {
-            return Vec::new();
-        }
-        let mut missing = Vec::new();
-        let mut cursor = 0u64;
-        for &(s, e) in &state.ranges {
-            if s > cursor {
-                missing.push((cursor, s));
-            }
-            cursor = cursor.max(e);
-        }
-        if cursor < state.size_bytes {
-            missing.push((cursor, state.size_bytes));
-        }
-        missing
-    }
-
     /// Borrowed reassembly view of a frame — same facts as [`FrameAssembler::status`]
     /// without cloning the range list. Per-turn report paths use this.
     pub fn view(&self, frame_id: u64) -> Option<FrameView<'_>> {
@@ -517,7 +495,7 @@ mod tests {
     }
 
     #[test]
-    fn missing_ranges_reflect_unreceived_packets() {
+    fn a_retransmission_closes_the_gap_a_lost_packet_left() {
         let mut p = Packetizer::default();
         let f = frame(5_000);
         let packets = p.packetize(&f);
@@ -530,7 +508,6 @@ mod tests {
             }
         }
         assert!(!asm.status(1).unwrap().complete);
-        assert_eq!(asm.missing_ranges(1), vec![(1_352, 2_704)]);
         // Retransmission closes the gap.
         let done = asm.on_packet(&packets[1].as_retransmission(999), SimTime::from_millis(80));
         assert!(done);

@@ -59,11 +59,6 @@ impl RegionContent {
             .map(|(_, f)| *f)
             .unwrap_or(0.0)
     }
-
-    /// True when any object covers at least `min_fraction` of the region.
-    pub fn has_object_coverage(&self, min_fraction: f64) -> bool {
-        self.object_coverage.iter().any(|(_, f)| *f >= min_fraction)
-    }
 }
 
 /// A captured frame: object layout plus references to scene-wide content parameters.

@@ -434,11 +434,6 @@ impl ClipModel {
         self.space.pool(&query.concepts)
     }
 
-    /// Convenience: builds a [`TextQuery`] from raw words and encodes it.
-    pub fn encode_words(&self, words: &str) -> Embedding {
-        self.encode_text(&TextQuery::from_words(words, &self.ontology))
-    }
-
     /// Computes the per-patch semantic correlation map ρ_mn (Eq. 1) for a frame and query.
     ///
     /// An empty query (no recognizable concepts) yields an all-zero map: with nothing to

@@ -16,11 +16,6 @@ impl Embedding {
         }
     }
 
-    /// Builds an embedding from raw components.
-    pub fn from_vec(values: Vec<f64>) -> Self {
-        Self { values }
-    }
-
     /// Dimensionality.
     pub fn dim(&self) -> usize {
         self.values.len()
@@ -57,25 +52,6 @@ impl Embedding {
         }
         Embedding {
             values: self.values.iter().map(|v| v / n).collect(),
-        }
-    }
-
-    /// Resets this embedding to the zero vector of dimension `dim`, reusing its allocation.
-    pub fn reset_zero(&mut self, dim: usize) {
-        self.values.clear();
-        self.values.resize(dim, 0.0);
-    }
-
-    /// Overwrites `self` with the unit-norm form of `src` (or a plain copy when `src` is
-    /// numerically zero), reusing `self`'s allocation. Produces exactly the values of
-    /// [`Embedding::normalized`].
-    pub fn assign_normalized_from(&mut self, src: &Embedding) {
-        self.values.clear();
-        let n = src.norm();
-        if n < 1e-12 {
-            self.values.extend_from_slice(&src.values);
-        } else {
-            self.values.extend(src.values.iter().map(|v| v / n));
         }
     }
 

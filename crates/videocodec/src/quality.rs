@@ -21,36 +21,12 @@ pub fn region_quality(frame: &DecodedFrame, region: &Rect) -> f64 {
     frame.region_quality(region)
 }
 
-/// A PSNR-like score in dB derived from recognition quality, for readers who want a familiar
-/// scale: maps quality 0 → ~20 dB and quality 1 → ~48 dB, monotonically.
-pub fn pseudo_psnr_db(quality: f64) -> f64 {
-    20.0 + 28.0 * quality.clamp(0.0, 1.0)
-}
-
-/// Detail-weighted quality: the mean of block quality weighted by the block's detail
-/// requirement. This correlates with answerability of detail-rich questions far better than
-/// the plain mean — it is the quantity context-aware streaming implicitly maximizes.
-pub fn detail_weighted_quality(frame: &DecodedFrame) -> f64 {
-    let mut num = 0.0;
-    let mut den = 0.0;
-    for b in &frame.blocks {
-        let w = b.detail.max(1e-6);
-        num += w * b.quality;
-        den += w;
-    }
-    if den == 0.0 {
-        0.0
-    } else {
-        num / den
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::decoder::Decoder;
     use crate::encoder::{Encoder, EncoderConfig};
-    use crate::qp::{Qp, QpMap};
+    use crate::qp::Qp;
     use aivc_scene::templates::basketball_game;
     use aivc_scene::{SourceConfig, VideoSource};
 
@@ -64,46 +40,6 @@ mod tests {
     #[test]
     fn frame_quality_decreases_with_qp() {
         assert!(frame_quality(&decoded_at(24)) > frame_quality(&decoded_at(44)));
-    }
-
-    #[test]
-    fn pseudo_psnr_monotone_and_bounded() {
-        assert!(pseudo_psnr_db(0.0) < pseudo_psnr_db(0.5));
-        assert!(pseudo_psnr_db(0.5) < pseudo_psnr_db(1.0));
-        assert_eq!(pseudo_psnr_db(-1.0), 20.0);
-        assert_eq!(pseudo_psnr_db(2.0), 48.0);
-    }
-
-    #[test]
-    fn detail_weighted_quality_tracks_detail_regions() {
-        // Start from a uniform high-QP encode, then spend bits only on the detail-rich
-        // blocks: the detail-weighted metric must improve markedly more than the plain mean,
-        // because the plain mean is dominated by the (unchanged) low-detail majority.
-        let source = VideoSource::new(basketball_game(1), SourceConfig::fps30(10.0));
-        let frame = source.frame(0);
-        let enc = Encoder::new(EncoderConfig::default());
-        let dims = enc.grid_for(&frame);
-
-        let baseline_map = QpMap::uniform(dims, Qp::new(46));
-        let mut favour_detail = QpMap::uniform(dims, Qp::new(46));
-        for row in 0..dims.rows {
-            for col in 0..dims.cols {
-                let cell = dims.cell_rect(row, col, frame.width, frame.height);
-                if frame.region_content(&cell).detail > 0.5 {
-                    favour_detail.set(row, col, Qp::new(22));
-                }
-            }
-        }
-        let dec = Decoder::new();
-        let a = dec.decode_complete(&enc.encode_with_qp_map(&frame, &favour_detail), None);
-        let b = dec.decode_complete(&enc.encode_with_qp_map(&frame, &baseline_map), None);
-        let detail_gain = detail_weighted_quality(&a) - detail_weighted_quality(&b);
-        let mean_gain = frame_quality(&a) - frame_quality(&b);
-        assert!(detail_gain > 0.1, "detail-weighted gain too small: {detail_gain}");
-        assert!(
-            detail_gain > mean_gain * 2.0,
-            "detail-weighted metric ({detail_gain}) should react far more than the mean ({mean_gain})"
-        );
     }
 
     #[test]

@@ -111,16 +111,6 @@ impl RdModel {
         1.0 / (1.0 + x.exp())
     }
 
-    /// The QP at which `block_quality` crosses `target_quality` for the given detail level
-    /// (useful for inverse queries in tests and in the rate allocator).
-    pub fn qp_for_quality(&self, target_quality: f64, detail: f64) -> Qp {
-        let target = target_quality.clamp(1e-6, 1.0 - 1e-6);
-        let detail = detail.clamp(0.0, 1.0);
-        let qp50 = self.quality_qp50_flat - self.quality_qp50_detail_shift * detail;
-        let qp = qp50 + self.quality_slope * ((1.0 - target) / target).ln();
-        Qp::from_f64(qp)
-    }
-
     /// The quality assigned to a block that was lost in transit and had to be concealed
     /// from neighbouring/previous content. Concealment preserves almost none of the detail.
     pub fn concealment_quality(&self, detail: f64) -> f64 {
@@ -208,21 +198,6 @@ mod tests {
         let pose = m.block_quality(Qp::new(42), 0.2);
         assert!(text < 0.25, "text quality {text}");
         assert!(pose > 0.6, "pose quality {pose}");
-    }
-
-    #[test]
-    fn qp_for_quality_inverts_block_quality() {
-        let m = RdModel::default();
-        for &detail in &[0.1, 0.5, 0.9] {
-            for &target in &[0.3, 0.5, 0.8] {
-                let qp = m.qp_for_quality(target, detail);
-                let q = m.block_quality(qp, detail);
-                assert!(
-                    (q - target).abs() < 0.12,
-                    "detail {detail} target {target} got {q}"
-                );
-            }
-        }
     }
 
     #[test]

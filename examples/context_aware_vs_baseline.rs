@@ -8,9 +8,7 @@
 //! Run with: `cargo run --release --example context_aware_vs_baseline`
 
 use aivchat::core::session::StreamingMode;
-use aivchat::core::{
-    ContextAgnosticBaseline, ContextAwareStreamer, Conversation, LatencyBudget, NetSessionOptions,
-};
+use aivchat::core::{Conversation, LatencyBudget, NetSessionOptions, Streamer};
 use aivchat::mllm::{Question, QuestionFormat};
 use aivchat::netsim::{PathConfig, SimDuration};
 use aivchat::rtc::jitter::JitterBufferConfig;
@@ -25,17 +23,17 @@ fn main() {
     println!("User: \"{}\" (ground truth: {})\n", question.text, fact.answer);
 
     // --- Where do the bits go? Encode a few frames with both methods at the same bitrate.
-    let streamer = ContextAwareStreamer::default();
-    let baseline = ContextAgnosticBaseline::default();
+    let streamer = Streamer::with_defaults(StreamingMode::ContextAware);
+    let baseline = Streamer::with_defaults(StreamingMode::Baseline);
     let frames = source.sample_frames(4);
     let query = streamer.query_for_question(&question);
     let ours = streamer.encode_at_bitrate(&frames, &query, 30.0, 430_000.0);
-    let theirs = baseline.encode_at_bitrate(&frames, 30.0, 430_000.0);
+    let theirs = baseline.encode_at_bitrate(&frames, &query, 30.0, 430_000.0);
     println!(
         "Matched bitrates: ours {:.0} kbps vs baseline {:.0} kbps (uniform QP {})",
         ours.achieved_bitrate_bps / 1_000.0,
         theirs.achieved_bitrate_bps / 1_000.0,
-        theirs.qp.value()
+        theirs.level
     );
     println!("\nBits on each object in the first frame (ours vs baseline):");
     for object in &scene.objects {

@@ -1,7 +1,8 @@
 //! Integration tests: the DeViBench pipeline statistics and the Figure 9 shape, run at a
 //! reduced scale.
 
-use aivchat::core::{run_accuracy_vs_bitrate, MethodKind};
+use aivchat::core::run_accuracy_vs_bitrate;
+use aivchat::core::session::StreamingMode;
 use aivchat::devibench::{CostModel, Pipeline, PipelineConfig};
 use aivchat::scene::Corpus;
 
@@ -46,9 +47,9 @@ fn figure9_shape_holds_at_reduced_scale() {
             .copied()
             .unwrap()
     };
-    let base_high = get(MethodKind::Baseline, 850_000.0);
-    let base_low = get(MethodKind::Baseline, 430_000.0);
-    let ours_low = get(MethodKind::ContextAware, 430_000.0);
+    let base_high = get(StreamingMode::Baseline, 850_000.0);
+    let base_low = get(StreamingMode::Baseline, 430_000.0);
+    let ours_low = get(StreamingMode::ContextAware, 430_000.0);
 
     // Who wins and by roughly what factor: at ~430 kbps ours clearly beats the baseline,
     // and roughly matches the baseline running at double the bitrate.
