@@ -33,10 +33,7 @@ fn main() {
     let mut rows = Vec::new();
 
     for patch_size in [32u32, 64, 128] {
-        let clip_config = ClipConfig {
-            patch_size,
-            ..ClipConfig::mobile_clip()
-        };
+        let clip_config = ClipConfig { patch_size };
         let streamer = Streamer::new(
             StreamingMode::ContextAware,
             StreamerConfig::default(),

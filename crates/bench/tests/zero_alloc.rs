@@ -337,12 +337,12 @@ fn main() {
     // fleet turns must not allocate (raw-pointer job dispatch, static session→lane mapping).
     // A conversation owns what it carries between turns; the frame buffers of a turn belong
     // to its *lane*, which lends them to each of its sessions in order. So the fleet holds
-    // two sessions per lane, a 64-px-CTU one and then a 32-px-CTU one (4× the block records
-    // for the same frames): the lane's buffers grow to the larger session's size during
-    // warm-up and the smaller one is served from them afterwards. Once each lane has served
-    // its largest member, fleet turns are allocation-free: every event queue sits at its
-    // high-water mark, reports are overwritten in place, and every counter bump is a relaxed
-    // atomic RMW — no heap.
+    // two sessions per lane and its turns alternate between a 1080p and a 720p window (the
+    // smaller grid's block records fit the larger one's buffers): the lane's buffers and each
+    // conversation's rasters grow to the larger geometry during warm-up and the smaller one
+    // is served from them afterwards. Once each lane has served both, fleet turns are
+    // allocation-free: every event queue sits at its high-water mark, reports are
+    // overwritten in place, and every counter bump is a plain `u64` add — no heap.
     let pool_lanes = MiniPool::env_lanes_or(MiniPool::available_lanes().max(2));
     let conv_template = {
         let mut o = NetSessionOptions::ai_oriented(9, PathConfig::paper_section_2_2(0.0));
@@ -355,31 +355,36 @@ fn main() {
         .map(|i| {
             let mut options = conv_template.clone();
             options.seed += i as u64;
-            let mut config = StreamerConfig::default();
-            config.encoder.block_size = if i < pool_lanes { 64 } else { 32 };
             Conversation::new(
                 options,
-                config,
+                StreamerConfig::default(),
                 Arc::clone(&fleet_model),
                 SimDuration::from_millis(200),
             )
         })
         .collect();
     let mut conv_server = ConversationChatServer::with_sessions(MiniPool::new(pool_lanes), fleet);
-    for _ in 0..3 {
-        conv_server.run_turns(&turn_frames, &question);
+    let small_frames: Vec<Frame> = {
+        let mut scene = basketball_game(1);
+        (scene.width, scene.height) = (1280, 720);
+        let small = VideoSource::new(scene, SourceConfig::fps30(5.0));
+        (0..4).map(|i| small.frame(i * 15)).collect()
+    };
+    let geometries = [&turn_frames, &small_frames];
+    for turn in 0..4 {
+        conv_server.run_turns(geometries[turn % 2], &question);
     }
-    let measured_server_turns = 5;
+    let measured_server_turns = 6;
     conv_server.reserve_turns(measured_server_turns, turn_frames.len());
     let before = allocations();
-    for _ in 0..measured_server_turns {
-        conv_server.run_turns(black_box(&turn_frames), &question);
+    for turn in 0..measured_server_turns {
+        conv_server.run_turns(black_box(geometries[turn % 2]), &question);
         black_box(conv_server.report(0).frames_delivered);
     }
     let fleet_allocs = allocations() - before;
     assert_eq!(
         fleet_allocs, 0,
-        "ConversationChatServer::run_turns ({pool_lanes} lanes, {fleet_sessions} sessions of two \
+        "ConversationChatServer::run_turns ({pool_lanes} lanes, {fleet_sessions} sessions, two frame \
          geometries) allocated {fleet_allocs} times across {measured_server_turns} post-warmup fleet turns"
     );
 

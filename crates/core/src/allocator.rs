@@ -9,67 +9,71 @@
 //! so a perfectly correlated patch (ρ = 1) gets QP 0 (near lossless), an anti-correlated
 //! patch (ρ = −1) gets QP 51 (coarsest), and the temperature γ "aggressively penalizes
 //! irrelevant regions" by bending the curve so that moderately correlated patches already
-//! receive fairly high QP.
+//! receive fairly high QP. γ is the one value a caller chooses (`ablation_gamma` sweeps it);
+//! it must be finite and positive — Eq. 2 is monotone non-increasing in ρ exactly then.
 //!
 //! ## The threshold table
 //!
 //! The produced QP is quantized to an integer in `0..=51`, so evaluating the transcendental
 //! `powf` once per CTU (≈ 8k calls per 1080p frame at 32-px patches) is wasted work: the ρ
 //! axis partitions into at most 52 intervals, one per output QP. [`QpAllocator::new`]
-//! computes the exact interval boundaries once per configuration — each boundary is refined
-//! to the *exact* `f64` where the reference `powf` expression changes its rounded output —
-//! and [`QpAllocator::qp_for_rho`] then answers through a 256-bucket jump index over the
-//! segment table (constant-time bucket lookup plus a scan of the few segments sharing the
-//! bucket), bit-identical to the reference path (see the exhaustive sweep in the tests and
-//! the property tests in `tests/model_properties.rs`).
+//! computes the exact interval boundaries once — each boundary is refined to the *exact*
+//! `f64` where the `powf` expression changes its rounded output — and
+//! [`QpAllocator::qp_for_rho`] answers through a 256-bucket jump index over the segment
+//! table (constant-time bucket lookup plus a scan of the few segments sharing the bucket).
+//! The table is the only production path; the `powf` expression
+//! ([`QpAllocator::qp_for_rho_reference`]) is what it is built from and the oracle the
+//! tests compare it against, bit for bit (the exhaustive sweep below and the property
+//! tests in `tests/model_properties.rs`).
 
 use aivc_scene::GridDims;
 use aivc_semantics::ImportanceMap;
 use aivc_videocodec::{Qp, QpMap};
 use serde::{Deserialize, Serialize};
 
-/// Configuration of the Eq. 2 allocator.
-///
-/// ## Clamp semantics
-///
-/// `min_qp`/`max_qp` clamp the *raw* Eq. 2 value before rounding, so at the extremes the
-/// clamps win over the curve: ρ = 1 produces exactly `min_qp` and ρ = −1 produces exactly
-/// `max_qp`, for every temperature γ > 0 (including γ < 1, which bends the curve the other
-/// way but keeps the same endpoints). Values above 51 are saturated to 51 by [`Qp`] itself.
-/// A configuration with `min_qp > max_qp` has no consistent meaning and is rejected by
-/// [`QpAllocator::new`].
+/// Configuration of the Eq. 2 allocator: the temperature. The produced QP spans the whole
+/// `0..=51` range — ρ = 1 gives exactly 0 and ρ = −1 exactly 51 for every γ.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct QpAllocatorConfig {
-    /// Temperature coefficient γ (paper: 3).
+    /// Temperature coefficient γ (paper: 3). Finite and positive.
     pub gamma: f64,
-    /// Optional lower clamp on the produced QP (0 = disabled). Useful for ablations: the
-    /// paper's rule allows QP 0, which spends extreme bitrate on tiny regions.
-    pub min_qp: u8,
-    /// Optional upper clamp on the produced QP (51 = disabled).
-    pub max_qp: u8,
 }
 
 impl Default for QpAllocatorConfig {
     fn default() -> Self {
-        Self {
-            gamma: 3.0,
-            min_qp: 0,
-            max_qp: 51,
-        }
+        Self { gamma: 3.0 }
     }
 }
 
 impl QpAllocatorConfig {
-    /// The paper's exact setting (γ = 3, no extra clamping).
+    /// The paper's exact setting (γ = 3).
     pub fn paper() -> Self {
         Self::default()
     }
 
     /// A variant with a different temperature (for the γ ablation).
     pub fn with_gamma(gamma: f64) -> Self {
-        Self {
-            gamma,
-            ..Self::default()
+        Self { gamma }
+    }
+}
+
+/// Why [`QpAllocator::try_new`] rejected a configuration.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub enum QpAllocatorConfigError {
+    /// γ is not a finite positive number: at γ ≤ 0 Eq. 2 stops decreasing in ρ (a constant,
+    /// or a curve that rewards irrelevance) and a NaN or infinite γ has no curve at all, so
+    /// there is no threshold table to build.
+    Gamma(f64),
+}
+
+impl core::fmt::Display for QpAllocatorConfigError {
+    fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
+        match self {
+            QpAllocatorConfigError::Gamma(gamma) => write!(
+                f,
+                "allocator config invalid: gamma must be finite and positive (Eq. 2 is monotone in \
+                 rho only then), got {gamma}"
+            ),
         }
     }
 }
@@ -100,9 +104,16 @@ struct ThresholdTable {
 }
 
 impl ThresholdTable {
+    /// The QP of the segment holding `rho`, which the caller clamped into `[-1, 1]`. A NaN
+    /// — which no [`ImportanceMap`] holds — fails every comparison below and answers as
+    /// ρ = −1, the irrelevant end.
+    // Out of line on purpose: `allocate_into` gets here once per run of equal ρ (≈ 23 times
+    // for a 1080p frame's 510 cells), and inlined the scan loops crowd its per-cell loop
+    // (`eq2_qp_allocation` 1.19 µs against 0.92 µs).
+    #[inline(never)]
     fn lookup(&self, rho: f64) -> Qp {
-        // rho is clamped to [-1, 1] by the caller, so the bucket index is in range after
-        // the min (rho = 1.0 maps to LUT_BUCKETS and is pulled back).
+        // The bucket index is in range after the min (rho = 1.0 maps to LUT_BUCKETS and is
+        // pulled back; a NaN casts to 0).
         let bucket = (((rho + 1.0) * (LUT_BUCKETS as f64 / 2.0)) as usize).min(LUT_BUCKETS - 1);
         let mut i = self.bucket_start[bucket] as usize;
         while i + 1 < self.segments.len() && self.segments[i + 1].start_rho <= rho {
@@ -120,16 +131,8 @@ impl ThresholdTable {
 /// The Eq. 2 QP allocator.
 #[derive(Debug, Clone)]
 pub struct QpAllocator {
-    config: QpAllocatorConfig,
-    /// `None` when the configuration is outside the monotone regime (γ ≤ 0 or non-finite)
-    /// — then every call falls back to the reference `powf` path.
-    table: Option<ThresholdTable>,
-}
-
-impl Default for QpAllocator {
-    fn default() -> Self {
-        Self::new(QpAllocatorConfig::default())
-    }
+    gamma: f64,
+    table: ThresholdTable,
 }
 
 /// Maps an `f64` to a totally ordered `u64` (monotone bijection over all non-NaN values),
@@ -153,58 +156,52 @@ fn from_ordered_bits(o: u64) -> f64 {
 }
 
 impl QpAllocator {
-    /// Creates an allocator, precomputing the ρ-threshold table for its configuration.
+    /// Creates an allocator, precomputing the ρ-threshold table for its temperature.
     ///
-    /// Panics when `min_qp > max_qp` (see [`QpAllocatorConfig`]'s clamp semantics).
+    /// # Panics
+    ///
+    /// Panics with [`QpAllocator::try_new`]'s error when γ is not finite and positive.
     pub fn new(config: QpAllocatorConfig) -> Self {
-        assert!(
-            config.min_qp <= config.max_qp,
-            "QpAllocatorConfig: min_qp ({}) must not exceed max_qp ({})",
-            config.min_qp,
-            config.max_qp
-        );
-        Self {
-            table: Self::build_table(config),
-            config,
+        Self::try_new(config).unwrap_or_else(|error| panic!("{error}"))
+    }
+
+    /// [`QpAllocator::new`], returning the rejection instead of panicking with it.
+    pub fn try_new(config: QpAllocatorConfig) -> Result<Self, QpAllocatorConfigError> {
+        let QpAllocatorConfig { gamma } = config;
+        if !(gamma.is_finite() && gamma > 0.0) {
+            return Err(QpAllocatorConfigError::Gamma(gamma));
         }
+        Ok(Self {
+            gamma,
+            table: Self::build_table(gamma),
+        })
     }
 
-    /// The configuration.
-    pub fn config(&self) -> QpAllocatorConfig {
-        self.config
-    }
-
-    /// Eq. 2 for a single correlation value.
-    ///
-    /// Answers from the precomputed threshold table — a constant-time bucket jump plus a
-    /// short scan instead of a `powf` — bit-identical to
-    /// [`QpAllocator::qp_for_rho_reference`].
+    /// Eq. 2 for a single correlation value, from the precomputed threshold table — a
+    /// constant-time bucket jump plus a short scan instead of a `powf`.
     pub fn qp_for_rho(&self, rho: f64) -> Qp {
-        let Some(table) = &self.table else {
-            return self.qp_for_rho_reference(rho);
-        };
-        if rho.is_nan() {
-            return self.qp_for_rho_reference(rho);
-        }
-        table.lookup(rho.clamp(-1.0, 1.0))
+        self.table.lookup(rho.clamp(-1.0, 1.0))
     }
 
-    /// The original transcendental evaluation of Eq. 2, kept as the reference the threshold
-    /// table is constructed from and proven bit-identical against.
+    /// The transcendental evaluation of Eq. 2: what the threshold table is constructed from,
+    /// and the oracle the tests prove it bit-identical against.
     #[doc(hidden)]
     pub fn qp_for_rho_reference(&self, rho: f64) -> Qp {
-        reference_qp(self.config, rho)
+        reference_qp(self.gamma, rho)
     }
 
-    /// Builds the ρ-threshold table: walk the (monotone non-increasing) quantized curve from
-    /// ρ = −1 to ρ = 1, bisecting each output transition down to the exact `f64` boundary.
-    /// Returns `None` outside the monotone regime or if a verification sweep finds any
-    /// disagreement with the reference (e.g. a hypothetical non-monotone `powf` wobble).
-    fn build_table(config: QpAllocatorConfig) -> Option<ThresholdTable> {
-        if !config.gamma.is_finite() || config.gamma <= 0.0 {
-            return None;
-        }
-        let reference = |rho: f64| reference_qp(config, rho);
+    /// Builds the ρ-threshold table for a finite positive γ: walk the (monotone
+    /// non-increasing) quantized curve from ρ = −1 to ρ = 1, bisecting each output
+    /// transition down to the exact `f64` boundary, then check the result against the
+    /// `powf` expression it was built from.
+    ///
+    /// # Panics
+    ///
+    /// Panics if that check fails. Bisection finds every boundary exactly when `powf` is
+    /// monotone across each rounding step, which IEEE 754 recommends and libm delivers but
+    /// neither promises; a table that disagreed with its own definition must not be served.
+    fn build_table(gamma: f64) -> ThresholdTable {
+        let reference = |rho: f64| reference_qp(gamma, rho);
         let mut segments = vec![Segment {
             start_rho: -1.0,
             qp: reference(-1.0),
@@ -212,9 +209,10 @@ impl QpAllocator {
         let final_qp = reference(1.0);
         while segments.last().unwrap().qp != final_qp {
             // 52 distinct outputs at most; more transitions would mean non-monotonicity.
-            if segments.len() > 52 {
-                return None;
-            }
+            assert!(
+                segments.len() <= 52,
+                "Eq. 2 at gamma {gamma} steps more than 52 times: powf is not monotone here"
+            );
             let last = *segments.last().unwrap();
             // Bisect for the smallest rho in (last.start_rho, 1] whose output differs.
             let mut lo = ordered_bits(last.start_rho);
@@ -243,40 +241,30 @@ impl QpAllocator {
             segments,
             bucket_start,
         };
-        // Verification sweep: the table must reproduce the reference everywhere, including
-        // one ulp on either side of every boundary. Bisection alone guarantees this only if
-        // the reference is perfectly monotone, which IEEE `powf` does not promise.
-        for i in 0..=4096u32 {
-            let rho = -1.0 + 2.0 * i as f64 / 4096.0;
-            if table.lookup(rho) != reference(rho) {
-                return None;
-            }
+        // The table must reproduce the expression everywhere, including one ulp on either
+        // side of every boundary.
+        let sweep = (0..=4096u32).map(|i| -1.0 + 2.0 * i as f64 / 4096.0);
+        let edges = table.segments[1..]
+            .iter()
+            .flat_map(|s| [from_ordered_bits(ordered_bits(s.start_rho) - 1), s.start_rho]);
+        for rho in sweep.chain(edges) {
+            assert!(
+                table.lookup(rho) == reference(rho),
+                "Eq. 2 threshold table at gamma {gamma} disagrees with powf at rho {rho}: powf is not \
+                 monotone here"
+            );
         }
-        for s in &table.segments[1..] {
-            let before = from_ordered_bits(ordered_bits(s.start_rho) - 1);
-            for rho in [before, s.start_rho] {
-                if table.lookup(rho) != reference(rho) {
-                    return None;
-                }
-            }
-        }
-        Some(table)
+        table
     }
 
-    /// Converts a per-patch importance map into a per-CTU QP map on the encoder's grid.
+    /// Converts a per-patch importance map into a per-CTU QP map on the encoder's grid,
+    /// written into a caller-owned map.
     ///
     /// When the CLIP patch grid and the encoder CTU grid differ, the importance map is
-    /// resampled first (nearest-center), exactly as a real implementation would feed
-    /// Kvazaar's ROI interface.
-    pub fn allocate(&self, importance: &ImportanceMap, encoder_grid: GridDims) -> QpMap {
-        let mut out = QpMap::empty();
-        self.allocate_into(importance, encoder_grid, &mut out);
-        out
-    }
-
-    /// [`QpAllocator::allocate`] into a caller-owned map. Resampling happens on the fly
-    /// (nearest-center per target cell, identical values to [`ImportanceMap::resample`]), so
-    /// once `out` has grown to the encoder grid the call performs no heap allocation.
+    /// resampled on the fly (nearest-center per target cell, identical values to
+    /// [`ImportanceMap::resample`]), exactly as a real implementation would feed Kvazaar's
+    /// ROI interface; once `out` has grown to the encoder grid the call performs no heap
+    /// allocation.
     ///
     /// Raster-order neighbours of one patch class share their ρ bit for bit (a 1080p frame
     /// holds ≈ 23 classes over 510 cells), so the table is consulted once per run of equal
@@ -307,12 +295,12 @@ impl QpAllocator {
     }
 }
 
-/// The transcendental Eq. 2 evaluation (clamp ρ → normalize → `powf` → clamp → round).
-fn reference_qp(config: QpAllocatorConfig, rho: f64) -> Qp {
+/// The transcendental Eq. 2 evaluation (clamp ρ → normalize → `powf` → round). The raw
+/// value lies in `[0, 51]` for every ρ and every γ > 0, so rounding lands on a legal QP.
+fn reference_qp(gamma: f64, rho: f64) -> Qp {
     let rho = rho.clamp(-1.0, 1.0);
     let normalized = (rho + 1.0) / 2.0;
-    let raw = 51.0 * (1.0 - normalized.powf(config.gamma));
-    Qp::from_f64(raw.clamp(config.min_qp as f64, config.max_qp as f64))
+    Qp::from_f64(51.0 * (1.0 - normalized.powf(gamma)))
 }
 
 #[cfg(test)]
@@ -352,84 +340,44 @@ mod tests {
     }
 
     #[test]
-    fn clamping_limits_the_range() {
-        let a = QpAllocator::new(QpAllocatorConfig {
-            gamma: 3.0,
-            min_qp: 20,
-            max_qp: 46,
-        });
-        assert_eq!(a.qp_for_rho(1.0).value(), 20);
-        assert_eq!(a.qp_for_rho(-1.0).value(), 46);
-    }
-
-    #[test]
-    fn clamps_win_at_the_extremes_for_every_temperature() {
-        // The documented contract: ρ = 1 ⇒ exactly min_qp, ρ = −1 ⇒ exactly max_qp,
-        // regardless of γ — including γ < 1, which flattens the curve near ρ = −1.
-        for gamma in [0.25, 0.5, 1.0, 2.0, 3.0, 5.0, 10.0] {
-            for (min_qp, max_qp) in [(0, 51), (10, 40), (26, 26), (0, 1), (50, 51)] {
-                let a = QpAllocator::new(QpAllocatorConfig {
-                    gamma,
-                    min_qp,
-                    max_qp,
-                });
-                assert_eq!(a.qp_for_rho(1.0).value(), min_qp, "gamma {gamma}");
-                assert_eq!(a.qp_for_rho(-1.0).value(), max_qp, "gamma {gamma}");
-                // And every value in between respects both clamps.
-                for i in 0..=100 {
-                    let qp = a.qp_for_rho(-1.0 + 2.0 * i as f64 / 100.0).value();
-                    assert!((min_qp..=max_qp).contains(&qp));
-                }
+    fn a_gamma_eq2_is_not_monotone_for_is_rejected_by_name() {
+        for gamma in [f64::NAN, 0.0, -0.0, -1.0, f64::INFINITY, f64::NEG_INFINITY] {
+            let config = QpAllocatorConfig::with_gamma(gamma);
+            let error = QpAllocator::try_new(config).expect_err("must be rejected");
+            let message = error.to_string();
+            assert!(message.contains("gamma"), "{message}");
+            assert!(message.ends_with(&format!("got {gamma}")), "{message}");
+            let panic =
+                std::panic::catch_unwind(|| QpAllocator::new(config)).expect_err("new must refuse it too");
+            assert_eq!(panic.downcast_ref::<String>(), Some(&message));
+        }
+        // The extremes of what is accepted still build a table that is Eq. 2.
+        for gamma in [5e-324, 1e-9, 1e9, f64::MAX] {
+            let a = QpAllocator::new(QpAllocatorConfig::with_gamma(gamma));
+            for i in 0..=1000 {
+                let rho = -1.0 + 2.0 * i as f64 / 1000.0;
+                assert_eq!(
+                    a.qp_for_rho(rho),
+                    a.qp_for_rho_reference(rho),
+                    "gamma {gamma} rho {rho}"
+                );
             }
         }
     }
 
     #[test]
-    fn clamps_above_51_saturate() {
-        // Qp itself clamps to the H.265 legal range, so an out-of-range max_qp behaves as 51.
-        let a = QpAllocator::new(QpAllocatorConfig {
-            gamma: 3.0,
-            min_qp: 0,
-            max_qp: 200,
-        });
-        assert_eq!(a.qp_for_rho(-1.0).value(), 51);
-        let reference = QpAllocator::new(QpAllocatorConfig::paper());
-        for i in 0..=100 {
-            let rho = -1.0 + 2.0 * i as f64 / 100.0;
-            assert_eq!(a.qp_for_rho(rho), reference.qp_for_rho(rho));
-        }
-    }
-
-    #[test]
-    #[should_panic(expected = "min_qp")]
-    fn inverted_clamp_is_rejected() {
-        let _ = QpAllocator::new(QpAllocatorConfig {
-            gamma: 3.0,
-            min_qp: 40,
-            max_qp: 20,
-        });
-    }
-
-    #[test]
     fn lut_is_bit_identical_to_reference_on_a_dense_sweep() {
         // Exhaustive equivalence over a fine ρ grid for the paper γ, the ablation γs and
-        // sub-1 temperatures, with and without clamps.
-        for gamma in [0.25, 0.5, 1.0, 2.0, 3.0, 5.0, 8.0] {
-            for (min_qp, max_qp) in [(0, 51), (12, 44), (26, 26)] {
-                let a = QpAllocator::new(QpAllocatorConfig {
-                    gamma,
-                    min_qp,
-                    max_qp,
-                });
-                assert!(a.table.is_some(), "gamma {gamma} should use the table");
-                for i in 0..=100_000u32 {
-                    let rho = -1.0 + 2.0 * i as f64 / 100_000.0;
-                    assert_eq!(
-                        a.qp_for_rho(rho),
-                        a.qp_for_rho_reference(rho),
-                        "gamma {gamma} clamp ({min_qp},{max_qp}) rho {rho}"
-                    );
-                }
+        // sub-1 temperatures.
+        for gamma in [0.05, 0.25, 0.5, 1.0, 2.0, 3.0, 5.0, 8.0, 12.0] {
+            let a = QpAllocator::new(QpAllocatorConfig::with_gamma(gamma));
+            for i in 0..=100_000u32 {
+                let rho = -1.0 + 2.0 * i as f64 / 100_000.0;
+                assert_eq!(
+                    a.qp_for_rho(rho),
+                    a.qp_for_rho_reference(rho),
+                    "gamma {gamma} rho {rho}"
+                );
             }
         }
     }
@@ -437,31 +385,27 @@ mod tests {
     #[test]
     fn lut_has_at_most_52_entries() {
         let a = QpAllocator::new(QpAllocatorConfig::paper());
-        let segments = &a.table.as_ref().unwrap().segments;
+        let segments = &a.table.segments;
         assert!(segments.len() <= 52, "{} segments", segments.len());
         // The paper configuration produces the full QP range, so all 52 values appear.
         assert_eq!(segments.len(), 52);
     }
 
     #[test]
-    fn non_monotone_gamma_falls_back_to_reference() {
-        // γ ≤ 0 makes Eq. 2 non-decreasing (or constant) in ρ; the table builder declines
-        // and the allocator answers through the reference path.
-        for gamma in [0.0, -1.0, f64::NAN, f64::INFINITY] {
-            let a = QpAllocator::new(QpAllocatorConfig::with_gamma(gamma));
-            assert!(a.table.is_none(), "gamma {gamma}");
-            for rho in [-1.0, -0.3, 0.0, 0.7, 1.0] {
-                assert_eq!(a.qp_for_rho(rho), a.qp_for_rho_reference(rho));
-            }
-        }
-    }
-
-    #[test]
     fn out_of_range_and_non_finite_rho_match_reference() {
         let a = QpAllocator::new(QpAllocatorConfig::paper());
-        for rho in [7.0, -7.0, f64::INFINITY, f64::NEG_INFINITY, f64::NAN] {
+        for rho in [7.0, -7.0, f64::INFINITY, f64::NEG_INFINITY] {
             assert_eq!(a.qp_for_rho(rho), a.qp_for_rho_reference(rho), "rho {rho}");
         }
+        // No map holds a NaN; one handed in directly answers as the irrelevant end.
+        assert_eq!(a.qp_for_rho(f64::NAN), a.qp_for_rho(-1.0));
+    }
+
+    /// `allocate_into` a fresh map.
+    fn allocate(allocator: &QpAllocator, importance: &ImportanceMap, grid: GridDims) -> QpMap {
+        let mut out = QpMap::empty();
+        allocator.allocate_into(importance, grid, &mut out);
+        out
     }
 
     #[test]
@@ -475,19 +419,19 @@ mod tests {
         );
         let allocator = QpAllocator::new(QpAllocatorConfig::paper());
         // Same grid: direct mapping.
-        let map = allocator.allocate(&importance, patch_grid);
+        let map = allocate(&allocator, &importance, patch_grid);
         assert_eq!(map.get(0, 0).value(), 0);
         assert_eq!(map.get(1, 0).value(), 51);
         // Finer encoder grid: values are replicated onto sub-cells.
         let fine_grid = GridDims::for_frame(256, 128, 32);
-        let fine = allocator.allocate(&importance, fine_grid);
+        let fine = allocate(&allocator, &importance, fine_grid);
         assert_eq!(fine.dims(), fine_grid);
         assert_eq!(fine.get(0, 0).value(), 0);
         assert_eq!(fine.get(0, 1).value(), 0);
     }
 
     #[test]
-    fn allocate_into_matches_allocate_and_reuses_the_buffer() {
+    fn allocate_into_a_reused_buffer_matches_a_fresh_one() {
         let patch_grid = GridDims::for_frame(256, 128, 64);
         let importance = ImportanceMap::new(
             patch_grid,
@@ -505,7 +449,7 @@ mod tests {
             GridDims::for_frame(256, 128, 16),
         ] {
             allocator.allocate_into(&importance, grid, &mut out);
-            assert_eq!(out, allocator.allocate(&importance, grid));
+            assert_eq!(out, allocate(&allocator, &importance, grid));
         }
     }
 
@@ -529,12 +473,9 @@ mod tests {
             Box::new(move |i| edge[i % edge.len()]),
             Box::new(move |i| edge[(i / 5) % edge.len()]),
         ];
-        for config in [
-            QpAllocatorConfig::paper(),
-            QpAllocatorConfig::with_gamma(0.5),
-            QpAllocatorConfig::with_gamma(-1.0), // no table: the reference path, memoized
-        ] {
-            let allocator = QpAllocator::new(config);
+        // The paper γ, the ablation set and the ends of the property tests' range.
+        for gamma in [3.0, 0.5, 1.0, 2.0, 5.0, 8.0, 0.05, 12.0] {
+            let allocator = QpAllocator::new(QpAllocatorConfig::with_gamma(gamma));
             for pattern in &patterns {
                 let values: Vec<f64> = (0..patch_grid.len()).map(pattern).collect();
                 let importance = ImportanceMap::new(patch_grid, 640, 384, values);

@@ -32,7 +32,7 @@
 
 use crate::context_aware::StreamerConfig;
 use crate::conversation::{ConversationReport, Member};
-use crate::net_session::NetSessionOptions;
+use crate::net_session::{validate_link, NetSessionOptions};
 use crate::net_turn::{NetEvent, NetEventSink, PacketRun, TurnPlan, TurnScratch, UplinkPort};
 use aivc_mllm::Question;
 use aivc_netsim::{jain_index, FaultKind, LinkConfig, LinkCounters, Packet, SharedLink};
@@ -491,10 +491,14 @@ impl ContentionMachine {
 ///
 /// # Panics
 ///
-/// Panics when there is no tenant, a scripted turn has no frame, a tenant's options fail
-/// [`NetSessionOptions::validate`], or its private uplink disagrees with the shared link.
+/// Panics when there is no tenant, a scripted turn has no frame, the shared link or a
+/// tenant's options fail [`NetSessionOptions::validate`]'s checks, or a tenant's private
+/// uplink disagrees with the shared link.
 pub fn run_contention(config: &ContentionConfig, tenants: Vec<TenantSpec>) -> ContentionReport {
     assert!(!tenants.is_empty(), "a contention run needs at least one tenant");
+    if let Err(e) = validate_link("shared_uplink", &config.shared_uplink) {
+        panic!("{e}");
+    }
     for t in &tenants {
         if let Err(e) = t.options.validate() {
             panic!("tenant {:?}: {e}", t.label);
@@ -809,6 +813,34 @@ mod tests {
                 message.contains("bad-clock") && message.contains(field) && message.ends_with(&expected),
                 "{field}: {message}"
             );
+        }
+    }
+
+    /// The shared link is held to what `NetSessionOptions::validate` holds a private one to.
+    #[test]
+    fn a_shared_uplink_that_cannot_run_is_rejected_at_input() {
+        let uplink = LinkConfig::constant(4e6, SimDuration::from_millis(30), 300, LossModel::None);
+        let mut no_queue = uplink.clone();
+        no_queue.queue_capacity_bytes = 0;
+        let mut far = uplink.clone();
+        far.propagation_delay = SimDuration::from_micros(u64::MAX);
+        for (shared, needle) in [
+            (no_queue, "shared_uplink.queue_capacity_bytes"),
+            (far, "shared_uplink.propagation_delay"),
+        ] {
+            let tenant = TenantSpec {
+                label: "fine".into(),
+                mode: "ai_oriented".into(),
+                join_at: SimTime::ZERO,
+                think: SimDuration::ZERO,
+                options: tenant_options(1, &uplink, 8.0),
+                turns: turn_script(0, 1, 4, 8.0),
+            };
+            let config = base_config(shared, 1, 4e6);
+            let panic = std::panic::catch_unwind(|| run_contention(&config, vec![tenant]))
+                .expect_err("an invalid shared link must not run");
+            let message = panic.downcast_ref::<String>().expect("a formatted panic message");
+            assert!(message.contains(needle), "{needle}: {message}");
         }
     }
 

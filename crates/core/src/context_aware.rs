@@ -25,29 +25,22 @@ use crate::net_turn::EMPTY_TURN_WINDOW;
 use crate::session::StreamingMode;
 use aivc_mllm::Question;
 use aivc_scene::{Frame, VideoSource};
-use aivc_semantics::{ClipModel, ClipScratch, TextQuery};
+use aivc_semantics::{ClipConfig, ClipModel, ClipScratch, TextQuery};
 use aivc_videocodec::{
     DecodedFrame, Decoder, EncodeScratch, EncodedFrame, Encoder, EncoderConfig, Qp, QpMap, RatePlan,
 };
 use serde::{Deserialize, Serialize};
 use std::sync::Arc;
 
-/// Configuration of the sender.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+/// Configuration of the sender. With the [`ClipModel`] handed to [`Streamer::new`] it is
+/// everything a sender is built from, and two values in all: γ here, the patch size there
+/// (DESIGN.md §3c, "what a sender can be built with").
+#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
 pub struct StreamerConfig {
-    /// Eq. 2 allocation parameters.
+    /// Eq. 2's temperature (default: the paper's γ = 3).
     pub allocator: QpAllocatorConfig,
-    /// Encoder settings (CTU size, GOP, preset).
+    /// Field-less: the encoder's settings are constants of `aivc_videocodec`.
     pub encoder: EncoderConfig,
-}
-
-impl Default for StreamerConfig {
-    fn default() -> Self {
-        Self {
-            allocator: QpAllocatorConfig::paper(),
-            encoder: EncoderConfig::default(),
-        }
-    }
 }
 
 /// A set of frames coded at one matched level.
@@ -92,17 +85,29 @@ pub struct Streamer {
 
 impl Streamer {
     /// Creates a sender.
+    ///
+    /// # Panics
+    ///
+    /// Panics with [`QpAllocator::try_new`]'s error when γ is not finite and positive. (The
+    /// other value, the patch size, was checked when the model was built.)
     pub fn new(mode: StreamingMode, config: StreamerConfig, clip_model: Arc<ClipModel>) -> Self {
+        // Everything a sender can be built with, destructured without `..`: a new field does
+        // not compile until DESIGN.md §3c's sender table names the two callers that need it
+        // to differ.
+        let StreamerConfig {
+            allocator: allocator @ QpAllocatorConfig { gamma: _ },
+            encoder: encoder @ EncoderConfig {},
+        } = config;
+        let ClipConfig { patch_size: _ } = clip_model.config();
         Self {
             mode,
             clip_model,
-            allocator: QpAllocator::new(config.allocator),
-            encoder: Encoder::new(config.encoder),
+            allocator: QpAllocator::new(allocator),
+            encoder: Encoder::new(encoder),
         }
     }
 
-    /// A sender with the paper's defaults: γ = 3 allocator, medium-preset encoder,
-    /// Mobile-CLIP.
+    /// A sender with the paper's defaults: γ = 3 allocator, Mobile-CLIP at 64-px patches.
     pub fn with_defaults(mode: StreamingMode) -> Self {
         Self::new(
             mode,

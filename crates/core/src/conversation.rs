@@ -325,7 +325,8 @@ impl Conversation {
     ///
     /// # Panics
     ///
-    /// Panics when `options` fail [`NetSessionOptions::validate`].
+    /// Panics when `options` fail [`NetSessionOptions::validate`], or `config`'s γ
+    /// [`crate::QpAllocator::try_new`], with that error's message.
     pub fn new(
         options: NetSessionOptions,
         config: StreamerConfig,
@@ -343,8 +344,8 @@ impl Conversation {
         }
     }
 
-    /// A conversation with the paper's compute defaults (γ = 3 allocator, medium-preset
-    /// encoder, Mobile-CLIP-class model).
+    /// A conversation with the paper's compute defaults (γ = 3 allocator, Mobile-CLIP-class
+    /// model at 64-px patches).
     pub fn with_defaults(options: NetSessionOptions, think_gap: SimDuration) -> Self {
         Self::new(
             options,

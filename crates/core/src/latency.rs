@@ -12,6 +12,7 @@ use crate::session::StreamingMode;
 use aivc_mllm::InferenceLatencyModel;
 use aivc_rtc::jitter::{JitterBuffer, JitterBufferConfig};
 use aivc_scene::Frame;
+use aivc_videocodec::encoder::ENCODE_LATENCY_US;
 use serde::{Deserialize, Serialize};
 
 /// The conversational response-latency target in milliseconds (§1, citing [18]).
@@ -83,7 +84,7 @@ impl LatencyBudget {
         Self {
             capture_ms: 1_000.0 / conversation.options().capture_fps / 2.0,
             context_compute_ms: clip_us as f64 / 1_000.0,
-            encode_ms: compute.sender.encoder().encode_latency_us() as f64 / 1_000.0,
+            encode_ms: ENCODE_LATENCY_US as f64 / 1_000.0,
             transmission_ms: transmission_ms / delivered,
             jitter_buffer_ms: buffered_ms / delivered,
             decode_ms: 2.0,

@@ -47,7 +47,7 @@ pub mod server;
 pub mod session;
 
 pub use aivc_metrics::SessionSnapshot;
-pub use allocator::{QpAllocator, QpAllocatorConfig};
+pub use allocator::{QpAllocator, QpAllocatorConfig, QpAllocatorConfigError};
 pub use contention::{
     run_contention, AdmissionConfig, ContentionConfig, ContentionReport, CrossTrafficSpec, StarvationConfig,
     TenantReport, TenantSpec, TenantTurn,

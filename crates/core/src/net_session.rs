@@ -25,10 +25,11 @@
 
 use crate::session::StreamingMode;
 use aivc_mllm::Answer;
-use aivc_netsim::PathConfig;
+use aivc_netsim::{BandwidthTraceError, LinkConfig, PathConfig};
 use aivc_rtc::cc::GccConfig;
 use aivc_rtc::fec::{AdaptiveFecConfig, FecConfig};
 use aivc_rtc::nack::NackConfig;
+use aivc_rtc::rtp::DEFAULT_MTU_BYTES;
 use aivc_rtc::AbrPolicy;
 use aivc_sim::{SimDuration, SimTime};
 use serde::{Deserialize, Serialize, Value};
@@ -133,12 +134,15 @@ impl NetSessionOptions {
     /// the error's message, so a bad value fails at construction instead of overflowing
     /// the clock or panicking inside `f64::clamp` in the middle of a turn. The structs are
     /// destructured without `..`: a new field does not compile until its check (or its
-    /// reason for needing none) is written here. `path` is not checked yet.
+    /// reason for needing none) is written here.
     pub fn validate(&self) -> Result<(), NetSessionOptionsError> {
         use NetSessionOptionsError as E;
         let &NetSessionOptions {
             seed: _,
-            path: _,
+            path: PathConfig {
+                ref uplink,
+                ref downlink,
+            },
             abr,
             mode: _,
             gcc:
@@ -192,8 +196,46 @@ impl NetSessionOptions {
         if reorder_guard > max_timer {
             return Err(E::ReorderGuard(reorder_guard));
         }
-        Ok(())
+        validate_link("path.uplink", uplink)?;
+        validate_link("path.downlink", downlink)
     }
+}
+
+/// Checks a link the engine is about to send packets over — built by hand or deserialized,
+/// so past every constructor — naming it `link` in the error: what
+/// [`NetSessionOptions::validate`] holds both directions of `path` to, and
+/// [`crate::run_contention`] its `shared_uplink`.
+pub(crate) fn validate_link(link: &'static str, config: &LinkConfig) -> Result<(), NetSessionOptionsError> {
+    use NetSessionOptionsError as E;
+    let LinkConfig {
+        bandwidth,
+        propagation_delay,
+        queue_capacity_bytes,
+        // Every probability is clamped into [0, 1] where it is drawn.
+        loss: _,
+        max_jitter,
+        // Built through `FaultSchedule::try_new`; a link never adds an episode's times.
+        faults: _,
+    } = config;
+    bandwidth
+        .validate()
+        .map_err(|error| E::LinkBandwidth { link, error })?;
+    let max_timer = SimDuration::from_secs_f64(MAX_TIMER_SECS);
+    for (field, value) in [
+        ("propagation_delay", *propagation_delay),
+        ("max_jitter", *max_jitter),
+    ] {
+        if value > max_timer {
+            return Err(E::LinkDelay { link, field, value });
+        }
+    }
+    if *queue_capacity_bytes < u64::from(DEFAULT_MTU_BYTES) {
+        return Err(E::LinkQueue {
+            link,
+            queue_capacity_bytes: *queue_capacity_bytes,
+        });
+    }
+    Ok(())
 }
 
 /// Longest deadline or timer the options may ask for, in seconds: 1e12 µs, so a clock
@@ -256,6 +298,35 @@ pub enum NetSessionOptionsError {
     /// `nack.reorder_guard` is longer than any deadline and overflows the clock it is
     /// added to.
     ReorderGuard(SimDuration),
+    /// A link's bandwidth trace fails [`aivc_netsim::BandwidthTrace::validate`]: the link
+    /// divides every packet's bits by the segment's rate, so a zero, subnormal or NaN rate
+    /// overflows its clock and an infinite one never queues; a deserialized trace may also
+    /// be empty or out of order.
+    LinkBandwidth {
+        /// The link, as a path from the options (`path.uplink`, `path.downlink`) or the
+        /// contention configuration (`shared_uplink`).
+        link: &'static str,
+        /// What the trace's own check found.
+        error: BandwidthTraceError,
+    },
+    /// A link's `propagation_delay` or `max_jitter` is longer than any deadline and
+    /// overflows the arrival time it is added to.
+    LinkDelay {
+        /// The link, as in [`NetSessionOptionsError::LinkBandwidth`].
+        link: &'static str,
+        /// `propagation_delay` or `max_jitter`.
+        field: &'static str,
+        /// The rejected value.
+        value: SimDuration,
+    },
+    /// A link's drop-tail queue holds less than one MTU packet, so it drops everything it
+    /// is offered and no turn can deliver a frame.
+    LinkQueue {
+        /// The link, as in [`NetSessionOptionsError::LinkBandwidth`].
+        link: &'static str,
+        /// The rejected capacity.
+        queue_capacity_bytes: u64,
+    },
 }
 
 impl core::fmt::Display for NetSessionOptionsError {
@@ -292,6 +363,20 @@ impl core::fmt::Display for NetSessionOptionsError {
                 f,
                 "nack.reorder_guard must be at most 1e6 s, got {} µs",
                 guard.as_micros()
+            ),
+            NetSessionOptionsError::LinkBandwidth { link, error } => write!(f, "{link}.bandwidth: {error}"),
+            NetSessionOptionsError::LinkDelay { link, field, value } => write!(
+                f,
+                "{link}.{field} must be at most 1e6 s, got {} µs",
+                value.as_micros()
+            ),
+            NetSessionOptionsError::LinkQueue {
+                link,
+                queue_capacity_bytes,
+            } => write!(
+                f,
+                "{link}.queue_capacity_bytes must hold at least one {DEFAULT_MTU_BYTES}-byte packet, got \
+                 {queue_capacity_bytes}"
             ),
         }
     }
@@ -619,6 +704,79 @@ mod tests {
                 "{secs}"
             );
         }
+    }
+
+    /// `link` as a deserializer would hand it over — past `BandwidthTrace`'s constructors —
+    /// with its (constant) rate replaced by `rate_bps`.
+    fn link_with_rate(link: &LinkConfig, rate_bps: f64) -> LinkConfig {
+        fn replace(value: &mut Value, from: f64, to: f64) {
+            match value {
+                Value::F64(x) if *x == from => *x = to,
+                Value::Array(items) => items.iter_mut().for_each(|item| replace(item, from, to)),
+                Value::Object(fields) => fields.iter_mut().for_each(|(_, item)| replace(item, from, to)),
+                _ => {}
+            }
+        }
+        let mut value = link.to_value();
+        replace(&mut value, link.bandwidth.rate_at(SimTime::ZERO), rate_bps);
+        Deserialize::from_value(&value).expect("still a well-formed link")
+    }
+
+    /// `path` used to be skipped: a deserialized 0 / subnormal / NaN / infinite rate
+    /// overflowed the link's clock or never queued, an over-long delay overflowed an arrival
+    /// time, and a queue under one MTU dropped every packet of every turn. Each now fails
+    /// `validate` — and `Conversation::new` with the same words — naming link and field.
+    #[test]
+    fn a_path_the_links_cannot_run_is_rejected_at_construction() {
+        type Edit = Box<dyn Fn(&mut PathConfig)>;
+        let mut cases: Vec<(Edit, String)> = Vec::new();
+        for rate in [0.0, -1.0, 5e-324, f64::NAN, f64::INFINITY, f64::MAX] {
+            let rule = format!("segment 0's rate must be within 1..=1e12 bits per second, got {rate}");
+            cases.push((
+                Box::new(move |p| p.uplink = link_with_rate(&p.uplink, rate)),
+                format!("path.uplink.bandwidth: bandwidth trace invalid: {rule}"),
+            ));
+            cases.push((
+                Box::new(move |p| p.downlink = link_with_rate(&p.downlink, rate)),
+                format!("path.downlink.bandwidth: bandwidth trace invalid: {rule}"),
+            ));
+        }
+        let too_long = SimDuration::from_secs_f64(1e6) + SimDuration::from_micros(1);
+        cases.push((
+            Box::new(move |p| p.uplink.propagation_delay = too_long),
+            "path.uplink.propagation_delay must be at most 1e6 s, got 1000000000001 µs".into(),
+        ));
+        cases.push((
+            Box::new(|p| p.downlink.max_jitter = SimDuration::from_micros(u64::MAX)),
+            format!(
+                "path.downlink.max_jitter must be at most 1e6 s, got {} µs",
+                u64::MAX
+            ),
+        ));
+        for bytes in [0, 1_399] {
+            cases.push((
+                Box::new(move |p| p.uplink.queue_capacity_bytes = bytes),
+                format!(
+                    "path.uplink.queue_capacity_bytes must hold at least one 1400-byte packet, got {bytes}"
+                ),
+            ));
+        }
+        for (edit, rule) in cases {
+            let mut options = NetSessionOptions::ai_oriented(1, good_path());
+            edit(&mut options.path);
+            let message = options.validate().expect_err(&rule).to_string();
+            assert_eq!(message, format!("session options invalid: {rule}"));
+            let panic = std::panic::catch_unwind(|| Conversation::with_defaults(options, SimDuration::ZERO))
+                .expect_err("an invalid path must not build a conversation");
+            assert_eq!(panic.downcast_ref::<String>(), Some(&message));
+        }
+        // The bounds themselves are accepted.
+        let mut options = NetSessionOptions::ai_oriented(1, good_path());
+        options.path.uplink = link_with_rate(&options.path.uplink, 1.0);
+        options.path.downlink = link_with_rate(&options.path.downlink, 1e12);
+        options.path.uplink.propagation_delay = SimDuration::from_secs_f64(1e6);
+        options.path.uplink.queue_capacity_bytes = 1_400;
+        assert_eq!(options.validate(), Ok(()));
     }
 
     #[test]

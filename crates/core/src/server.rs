@@ -291,7 +291,8 @@ mod tests {
     use super::*;
     use aivc_mllm::QuestionFormat;
     use aivc_scene::templates::basketball_game;
-    use aivc_scene::{SourceConfig, VideoSource};
+    use aivc_scene::{Ontology, SourceConfig, VideoSource};
+    use aivc_semantics::ClipConfig;
 
     fn window() -> Vec<Frame> {
         let source = VideoSource::new(basketball_game(1), SourceConfig::fps30(6.0));
@@ -453,14 +454,14 @@ mod tests {
 
     /// A fleet whose members differ in everything a lane's turn scratch could leak from
     /// one session into the next: think gap, capture rate and drain window, context-aware
-    /// next to baseline encoding, a 64-px next to a 32-px CTU grid (4× the block records
-    /// for the same frame), a blackout with the degradation ladder on — its suppressed and
+    /// next to baseline encoding, a 64-px next to a 32-px CLIP patch grid (resampled onto
+    /// the CTU grid), a blackout with the degradation ladder on — its suppressed and
     /// shed captures leave their slot holding whatever the lane's previous session encoded
     /// there — and a member that has already run a turn of its own.
     fn mixed_fleet(q: &Question) -> Vec<Conversation> {
         use aivc_netsim::FaultSchedule;
         use aivc_sim::SimTime;
-        // (think ms, capture fps, drain s, baseline, blackout, CTU px)
+        // (think ms, capture fps, drain s, baseline, blackout, patch px)
         let members = [
             (100u64, 8.0, 0.3, false, false, 64u32),
             (250, 12.0, 0.3, true, false, 64),
@@ -473,7 +474,7 @@ mod tests {
             .iter()
             .enumerate()
             .map(
-                |(i, &(think_ms, fps, drain_secs, baseline, blackout, block_size))| {
+                |(i, &(think_ms, fps, drain_secs, baseline, blackout, patch_size))| {
                     let seed = 50 + i as u64;
                     let path = aivc_netsim::PathConfig::paper_section_2_2(0.01);
                     let mut options = if baseline {
@@ -494,12 +495,10 @@ mod tests {
                             SimDuration::from_millis(500),
                         );
                     }
-                    let mut config = StreamerConfig::default();
-                    config.encoder.block_size = block_size;
                     Conversation::new(
                         options,
-                        config,
-                        ClipModel::mobile_default(),
+                        StreamerConfig::default(),
+                        ClipModel::new(ClipConfig { patch_size }, Ontology::standard()),
                         SimDuration::from_millis(think_ms),
                     )
                 },

@@ -18,7 +18,7 @@
 
 use crate::config::MllmConfig;
 use aivc_scene::{FactCategory, SceneFact};
-use aivc_videocodec::{DecodedFrame, RdModel};
+use aivc_videocodec::DecodedFrame;
 use rand::Rng;
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
@@ -114,9 +114,6 @@ impl Default for AccuracyCalibration {
 pub struct AnswerModel {
     config: MllmConfig,
     calibration: AccuracyCalibration,
-    /// The R-D model used to judge how much of the *question's* required detail survives a
-    /// block's QP. Kept identical to the encoder's model so perception and encoding agree.
-    rd: RdModel,
     seed_stream: u64,
 }
 
@@ -126,7 +123,6 @@ impl AnswerModel {
         Self {
             config,
             calibration: AccuracyCalibration::default(),
-            rd: RdModel::default(),
             seed_stream,
         }
     }
@@ -158,22 +154,16 @@ impl AnswerModel {
             // No specific evidence: the question is about the gist; use the mean frame quality
             // conditioned on the question's detail requirement.
             let count = frames.len();
-            let mean = frames
-                .map(|f| f.mean_quality_for_detail(detail, &self.rd))
-                .sum::<f64>()
-                / count as f64;
+            let mean = frames.map(|f| f.mean_quality_for_detail(detail)).sum::<f64>() / count as f64;
             return mean;
         }
         let mut worst_evidence: f64 = 1.0;
         for &object_id in &question.evidence_objects {
             let mut best_view: Option<f64> = None;
             for frame in frames.clone() {
-                if let Some(q) = frame.object_quality_for_detail(
-                    object_id,
-                    self.calibration.min_object_coverage,
-                    detail,
-                    &self.rd,
-                ) {
+                if let Some(q) =
+                    frame.object_quality_for_detail(object_id, self.calibration.min_object_coverage, detail)
+                {
                     best_view = Some(best_view.map_or(q, |b: f64| b.max(q)));
                 }
             }
@@ -397,7 +387,7 @@ mod tests {
         let perceived = m.perceived_evidence_quality(&q, &frames);
         let logo_quality = frames
             .iter()
-            .filter_map(|f| f.object_quality_for_detail(3, 0.02, q.required_detail, &RdModel::default()))
+            .filter_map(|f| f.object_quality_for_detail(3, 0.02, q.required_detail))
             .fold(0.0_f64, f64::max);
         assert!(perceived <= logo_quality + 1e-9);
     }

@@ -36,4 +36,4 @@ pub use stats::{jain_index, LatencyStats};
 // The virtual clock lives in `aivc-sim`; its two time types are re-exported here because
 // every link, trace and fault signature speaks them.
 pub use aivc_sim::{SimDuration, SimTime};
-pub use trace::BandwidthTrace;
+pub use trace::{BandwidthTrace, BandwidthTraceError};

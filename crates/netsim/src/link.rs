@@ -281,7 +281,10 @@ impl Link {
         }
 
         // Tail-drop check against the standing queue.
-        if self.backlog_bytes(now) + packet.size_bytes as u64 > self.config.queue_capacity_bytes {
+        // Saturating: a backlog left by a slow segment, read at a fast one, is past `u64::MAX`
+        // bytes (and past any capacity).
+        if self.backlog_bytes(now).saturating_add(packet.size_bytes as u64) > self.config.queue_capacity_bytes
+        {
             self.counters.dropped_queue += 1;
             return DeliveryOutcome::DroppedQueueFull;
         }

@@ -21,35 +21,110 @@ pub struct BandwidthTrace {
     loop_period_us: u64,
 }
 
+/// Slowest rate a trace may hold, in bits per second. The link divides a packet's bits by
+/// the rate to get its serialization time: at 1 bps an MTU takes hours but stays a finite
+/// number of microseconds, where a subnormal rate overflows the clock.
+pub const MIN_RATE_BPS: f64 = 1.0;
+/// Fastest rate a trace may hold, in bits per second: far past any link, and finite — an
+/// infinite rate serializes everything in zero time and never builds a queue.
+pub const MAX_RATE_BPS: f64 = 1e12;
+
+/// Why a trace was rejected by [`BandwidthTrace::try_from_segments`] /
+/// [`BandwidthTrace::try_constant`], or a deserialized one by [`BandwidthTrace::validate`].
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub enum BandwidthTraceError {
+    /// The trace has no segment, so no rate at any time.
+    NoSegments,
+    /// The first segment does not start at time zero (the beginning would have no rate), or
+    /// a later one does not start strictly after its predecessor (`rate_at` would be
+    /// ambiguous).
+    SegmentStart {
+        /// Index of the offending segment.
+        segment: usize,
+    },
+    /// A segment's rate is outside [`MIN_RATE_BPS`]`..=`[`MAX_RATE_BPS`] (or NaN).
+    Rate {
+        /// Index of the offending segment.
+        segment: usize,
+        /// Its rate as given.
+        rate_bps: f64,
+    },
+}
+
+impl core::fmt::Display for BandwidthTraceError {
+    fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
+        f.write_str("bandwidth trace invalid: ")?;
+        match *self {
+            BandwidthTraceError::NoSegments => f.write_str("a trace needs at least one segment"),
+            BandwidthTraceError::SegmentStart { segment } => write!(
+                f,
+                "the first segment must start at t=0 and start times must be strictly increasing, \
+                 segment {segment}'s is not"
+            ),
+            BandwidthTraceError::Rate { segment, rate_bps } => write!(
+                f,
+                "segment {segment}'s rate must be within 1..=1e12 bits per second, got {rate_bps}"
+            ),
+        }
+    }
+}
+
 impl BandwidthTrace {
     /// A constant-rate trace.
+    ///
+    /// # Panics
+    ///
+    /// Panics with [`BandwidthTrace::try_constant`]'s error when the rate is rejected.
     pub fn constant(rate_bps: f64) -> Self {
-        assert!(rate_bps > 0.0, "bandwidth must be positive");
-        Self {
-            segments: vec![(0, rate_bps)],
-            loop_period_us: 0,
-        }
+        Self::from_segments(vec![(SimTime::ZERO, rate_bps)])
+    }
+
+    /// A constant-rate trace, or why `rate_bps` cannot be one.
+    pub fn try_constant(rate_bps: f64) -> Result<Self, BandwidthTraceError> {
+        Self::try_from_segments(vec![(SimTime::ZERO, rate_bps)])
     }
 
     /// Builds a trace from explicit `(start_time, rate_bps)` segments.
     ///
     /// Segments must be sorted by start time and the first must start at time zero.
+    ///
+    /// # Panics
+    ///
+    /// Panics with [`BandwidthTrace::try_from_segments`]'s error when they are rejected.
     pub fn from_segments(segments: Vec<(SimTime, f64)>) -> Self {
-        assert!(!segments.is_empty(), "trace needs at least one segment");
-        assert_eq!(segments[0].0, SimTime::ZERO, "first segment must start at t=0");
-        let mut prev = 0u64;
-        for (i, (t, rate)) in segments.iter().enumerate() {
-            assert!(*rate > 0.0, "segment {i} has non-positive rate");
-            assert!(
-                i == 0 || t.as_micros() > prev,
-                "segments must be strictly increasing"
-            );
-            prev = t.as_micros();
-        }
-        Self {
+        Self::try_from_segments(segments).unwrap_or_else(|error| panic!("{error}"))
+    }
+
+    /// [`BandwidthTrace::from_segments`], returning the rejection instead of panicking
+    /// with it.
+    pub fn try_from_segments(segments: Vec<(SimTime, f64)>) -> Result<Self, BandwidthTraceError> {
+        let trace = Self {
             segments: segments.into_iter().map(|(t, r)| (t.as_micros(), r)).collect(),
             loop_period_us: 0,
+        };
+        trace.validate()?;
+        Ok(trace)
+    }
+
+    /// Checks what the constructors guarantee — what a deserialized trace, which bypassed
+    /// them, is held to before a link divides by its rates.
+    pub fn validate(&self) -> Result<(), BandwidthTraceError> {
+        use BandwidthTraceError as E;
+        if self.segments.is_empty() {
+            return Err(E::NoSegments);
         }
+        let mut after = None;
+        for (segment, &(start, rate_bps)) in self.segments.iter().enumerate() {
+            if after.map_or(start != 0, |previous| start <= previous) {
+                return Err(E::SegmentStart { segment });
+            }
+            // `contains` is false for NaN.
+            if !(MIN_RATE_BPS..=MAX_RATE_BPS).contains(&rate_bps) {
+                return Err(E::Rate { segment, rate_bps });
+            }
+            after = Some(start);
+        }
+        Ok(())
     }
 
     /// Makes the trace repeat with the given period: `rate_at(t)` becomes
@@ -227,6 +302,69 @@ mod tests {
         for i in 0..60 {
             let r = a.rate_at(SimTime::from_secs_f64(i as f64));
             assert!((1e6..=10e6).contains(&r));
+        }
+    }
+
+    /// `5e-324` used to overflow the link's clock and `+∞` to serialize in zero time; NaN, 0
+    /// and −1 were assertions without a `Result`. Each is now a structured rejection the
+    /// panicking constructors repeat word for word.
+    #[test]
+    fn rates_a_link_cannot_divide_by_are_rejected_by_name() {
+        let inf = f64::INFINITY;
+        for rate in [f64::NAN, inf, -inf, 0.0, -1.0, 5e-324, 0.999, 1.1e12, f64::MAX] {
+            let error = BandwidthTrace::try_constant(rate).expect_err("must be rejected");
+            assert!(
+                matches!(error, BandwidthTraceError::Rate { segment: 0, .. }),
+                "{error:?}"
+            );
+            let message = error.to_string();
+            assert!(message.ends_with(&format!("got {rate}")), "{message}");
+            let panic =
+                std::panic::catch_unwind(|| BandwidthTrace::constant(rate)).expect_err("constant too");
+            assert_eq!(panic.downcast_ref::<String>(), Some(&message));
+            let stepped = vec![(SimTime::ZERO, 1e6), (SimTime::from_millis(5), rate)];
+            assert_eq!(
+                BandwidthTrace::try_from_segments(stepped).map_err(|e| e.to_string()),
+                Err(message.replace("segment 0", "segment 1"))
+            );
+        }
+        for rate in [1.0, 430e3, 1e12] {
+            assert_eq!(
+                BandwidthTrace::try_constant(rate).map(|t| t.rate_at(SimTime::ZERO)),
+                Ok(rate)
+            );
+        }
+        assert_eq!(
+            BandwidthTrace::try_from_segments(vec![]),
+            Err(BandwidthTraceError::NoSegments)
+        );
+    }
+
+    /// A deserialized trace bypasses the constructors (the derive fills the private fields
+    /// as these literals do); `validate` holds it to the same rules.
+    #[test]
+    fn a_deserialized_trace_is_held_to_the_constructors_rules() {
+        let raw = |segments: &[(u64, f64)]| BandwidthTrace {
+            segments: segments.to_vec(),
+            loop_period_us: 0,
+        };
+        assert_eq!(raw(&[(0, 8e6), (10_000, 2e6)]).validate(), Ok(()));
+        for (trace, expected) in [
+            (raw(&[]), BandwidthTraceError::NoSegments),
+            (raw(&[(7, 1e6)]), BandwidthTraceError::SegmentStart { segment: 0 }),
+            (
+                raw(&[(0, 1e6), (9, 2e6), (9, 3e6)]),
+                BandwidthTraceError::SegmentStart { segment: 2 },
+            ),
+            (
+                raw(&[(0, 1e6), (9, 0.0)]),
+                BandwidthTraceError::Rate {
+                    segment: 1,
+                    rate_bps: 0.0,
+                },
+            ),
+        ] {
+            assert_eq!(trace.validate(), Err(expected), "{trace:?}");
         }
     }
 

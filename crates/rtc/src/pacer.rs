@@ -8,13 +8,11 @@
 use aivc_sim::{SimDuration, SimTime};
 use serde::{Deserialize, Serialize};
 
-/// Pacer configuration.
+/// Pacer configuration: the rate. The bucket's depth is the constant [`BURST_BYTES`].
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct PacerConfig {
-    /// Pacing rate in bits per second. `f64::INFINITY` sends bursts immediately.
+    /// Pacing rate in bits per second, at least [`MIN_PACING_RATE_BPS`].
     pub pacing_rate_bps: f64,
-    /// Maximum burst the bucket may accumulate, in bytes.
-    pub burst_bytes: u64,
 }
 
 /// The documented pacing floor, in bits per second.
@@ -28,20 +26,27 @@ pub struct PacerConfig {
 /// recovery probes still flow.
 pub const MIN_PACING_RATE_BPS: f64 = 100_000.0;
 
+/// Maximum burst the bucket may accumulate, in bytes: about seven MTU packets leave back to
+/// back after an idle period, the rest of a frame at the pacing rate.
+pub const BURST_BYTES: f64 = 10_000.0;
+
+/// `rate` when it is a rate the pacer can divide by, [`MIN_PACING_RATE_BPS`] otherwise. The
+/// negated `>=` is deliberate: it is false for NaN, so zero, a denormal, a negative rate and
+/// NaN all land on the floor rather than poisoning every subsequent departure time.
+#[allow(clippy::neg_cmp_op_on_partial_ord)]
+fn floored(rate_bps: f64) -> f64 {
+    if !(rate_bps >= MIN_PACING_RATE_BPS) {
+        MIN_PACING_RATE_BPS
+    } else {
+        rate_bps
+    }
+}
+
 impl PacerConfig {
     /// WebRTC-style pacing at `multiplier` × the media target bitrate.
     pub fn from_target_bitrate(target_bps: f64, multiplier: f64) -> Self {
         Self {
-            pacing_rate_bps: (target_bps * multiplier).max(MIN_PACING_RATE_BPS),
-            burst_bytes: 10_000,
-        }
-    }
-
-    /// No pacing: packets leave back to back.
-    pub fn unpaced() -> Self {
-        Self {
-            pacing_rate_bps: f64::INFINITY,
-            burst_bytes: u64::MAX,
+            pacing_rate_bps: floored(target_bps * multiplier),
         }
     }
 }
@@ -55,20 +60,16 @@ pub struct Pacer {
 }
 
 impl Pacer {
-    /// Creates a pacer; the bucket starts full. A finite configured rate below
+    /// Creates a pacer; the bucket starts full. A configured rate below
     /// [`MIN_PACING_RATE_BPS`] (or NaN) is clamped to the floor — a hand-built
     /// [`PacerConfig`] must not be able to wedge `schedule_send` with a zero/denormal
     /// divisor any more than [`Pacer::set_rate`] can.
     pub fn new(config: PacerConfig) -> Self {
-        let mut config = config;
-        // The negated `>=` is deliberate: it is false for NaN, so a NaN rate clamps too.
-        #[allow(clippy::neg_cmp_op_on_partial_ord)]
-        if !(config.pacing_rate_bps >= MIN_PACING_RATE_BPS) {
-            config.pacing_rate_bps = MIN_PACING_RATE_BPS;
-        }
         Self {
-            config,
-            tokens_bytes: config.burst_bytes as f64,
+            config: PacerConfig {
+                pacing_rate_bps: floored(config.pacing_rate_bps),
+            },
+            tokens_bytes: BURST_BYTES,
             last_refill: SimTime::ZERO,
         }
     }
@@ -76,6 +77,17 @@ impl Pacer {
     /// The configuration.
     pub fn config(&self) -> PacerConfig {
         self.config
+    }
+
+    /// Credits the tokens earned since the last refill, at the current rate, up to `now`
+    /// (never looking earlier than the last committed departure), and returns that instant.
+    fn refill(&mut self, now: SimTime) -> SimTime {
+        let effective_now = now.max(self.last_refill);
+        let elapsed = effective_now.saturating_since(self.last_refill).as_secs_f64();
+        self.tokens_bytes =
+            (self.tokens_bytes + elapsed * self.config.pacing_rate_bps / 8.0).min(BURST_BYTES);
+        self.last_refill = effective_now;
+        effective_now
     }
 
     /// Updates the pacing rate in place at time `now`, keeping the bucket level and the
@@ -92,23 +104,10 @@ impl Pacer {
     /// to the floor; the return value reports whether the clamp engaged so callers can
     /// count it.
     pub fn set_rate(&mut self, pacing_rate_bps: f64, now: SimTime) -> bool {
-        if !self.config.pacing_rate_bps.is_infinite() {
-            let effective_now = now.max(self.last_refill);
-            let elapsed = effective_now.saturating_since(self.last_refill).as_secs_f64();
-            self.tokens_bytes = (self.tokens_bytes + elapsed * self.config.pacing_rate_bps / 8.0)
-                .min(self.config.burst_bytes as f64);
-            self.last_refill = effective_now;
-        }
-        // `>=` is false for NaN too, so a NaN rate lands on the floor rather than
-        // poisoning every subsequent departure time.
-        #[allow(clippy::neg_cmp_op_on_partial_ord)]
-        let clamped = !(pacing_rate_bps >= MIN_PACING_RATE_BPS);
-        self.config.pacing_rate_bps = if clamped {
-            MIN_PACING_RATE_BPS
-        } else {
-            pacing_rate_bps
-        };
-        clamped
+        self.refill(now);
+        self.config.pacing_rate_bps = floored(pacing_rate_bps);
+        // Also true for NaN, which equals nothing.
+        self.config.pacing_rate_bps != pacing_rate_bps
     }
 
     /// Returns the earliest time at or after `now` at which a packet of `size_bytes` may be
@@ -119,15 +118,7 @@ impl Pacer {
     /// never departs before an earlier one (this keeps sequence numbers in order on the
     /// wire and avoids spurious NACKs).
     pub fn schedule_send(&mut self, size_bytes: u32, now: SimTime) -> SimTime {
-        if self.config.pacing_rate_bps.is_infinite() {
-            return now;
-        }
-        // Never look earlier than the last committed departure.
-        let effective_now = now.max(self.last_refill);
-        let elapsed = effective_now.saturating_since(self.last_refill).as_secs_f64();
-        self.tokens_bytes = (self.tokens_bytes + elapsed * self.config.pacing_rate_bps / 8.0)
-            .min(self.config.burst_bytes as f64);
-        self.last_refill = effective_now;
+        let effective_now = self.refill(now);
         if self.tokens_bytes >= size_bytes as f64 {
             self.tokens_bytes -= size_bytes as f64;
             return effective_now;
@@ -146,31 +137,26 @@ impl Pacer {
 mod tests {
     use super::*;
 
-    #[test]
-    fn unpaced_sends_immediately() {
-        let mut p = Pacer::new(PacerConfig::unpaced());
-        for i in 0..100u64 {
-            assert_eq!(
-                p.schedule_send(1_400, SimTime::from_millis(i)),
-                SimTime::from_millis(i)
-            );
-        }
+    fn pacer(pacing_rate_bps: f64) -> Pacer {
+        Pacer::new(PacerConfig { pacing_rate_bps })
+    }
+
+    /// A pacer at `pacing_rate_bps` whose initial burst has just left at `at`.
+    fn drained(pacing_rate_bps: f64, at: SimTime) -> Pacer {
+        let mut p = pacer(pacing_rate_bps);
+        assert_eq!(
+            p.schedule_send(BURST_BYTES as u32, at),
+            at,
+            "the burst rides the full bucket"
+        );
+        p
     }
 
     #[test]
     fn paced_sends_at_configured_rate() {
         // 1 Mbps pacing, 1250-byte packets -> 10 ms per packet once the burst is exhausted.
-        let mut p = Pacer::new(
-            Pacer::new(PacerConfig {
-                pacing_rate_bps: 1e6,
-                burst_bytes: 1_250,
-            })
-            .config(),
-        );
-        let t0 = SimTime::ZERO;
-        let first = p.schedule_send(1_250, t0);
-        assert_eq!(first, t0, "first packet rides the initial burst");
-        let second = p.schedule_send(1_250, t0);
+        let mut p = drained(1e6, SimTime::ZERO);
+        let second = p.schedule_send(1_250, SimTime::ZERO);
         assert_eq!(second.as_micros(), 10_000);
         let third = p.schedule_send(1_250, second);
         assert_eq!(third.as_micros(), 20_000);
@@ -178,18 +164,13 @@ mod tests {
 
     #[test]
     fn idle_time_refills_the_bucket_up_to_burst() {
-        let mut p = Pacer::new(PacerConfig {
-            pacing_rate_bps: 1e6,
-            burst_bytes: 2_500,
-        });
-        // Exhaust the bucket.
-        let _ = p.schedule_send(2_500, SimTime::ZERO);
-        // Wait 100 ms: bucket refills to its 2500-byte cap, so two 1250-byte packets go
-        // immediately.
+        let mut p = drained(1e6, SimTime::ZERO);
+        // 100 ms at 1 Mbps earns 12.5 kB, capped at the 10 kB bucket: eight 1250-byte
+        // packets go immediately, the ninth must wait.
         let later = SimTime::from_millis(100);
-        assert_eq!(p.schedule_send(1_250, later), later);
-        assert_eq!(p.schedule_send(1_250, later), later);
-        // The third must wait.
+        for _ in 0..8 {
+            assert_eq!(p.schedule_send(1_250, later), later);
+        }
         assert!(p.schedule_send(1_250, later) > later);
     }
 
@@ -201,11 +182,7 @@ mod tests {
 
     #[test]
     fn set_rate_keeps_committed_departures_in_order() {
-        let mut p = Pacer::new(PacerConfig {
-            pacing_rate_bps: 1e6,
-            burst_bytes: 1_250,
-        });
-        let _ = p.schedule_send(1_250, SimTime::ZERO);
+        let mut p = drained(1e6, SimTime::ZERO);
         let committed = p.schedule_send(1_250, SimTime::ZERO);
         assert_eq!(committed.as_micros(), 10_000);
         // Raising the rate must not let a later packet depart before `committed`.
@@ -215,16 +192,16 @@ mod tests {
         // And the floor matches `PacerConfig::from_target_bitrate`'s.
         assert!(p.set_rate(1.0, SimTime::ZERO));
         assert_eq!(p.config().pacing_rate_bps, MIN_PACING_RATE_BPS);
+        assert_eq!(
+            PacerConfig::from_target_bitrate(1.0, 2.5).pacing_rate_bps,
+            MIN_PACING_RATE_BPS
+        );
     }
 
     #[test]
     fn set_rate_settles_accrual_at_the_old_rate() {
         // 100 kbps floor rate, bucket drained at t=0.
-        let mut p = Pacer::new(PacerConfig {
-            pacing_rate_bps: 100_000.0,
-            burst_bytes: 10_000,
-        });
-        let _ = p.schedule_send(10_000, SimTime::ZERO);
+        let mut p = drained(100_000.0, SimTime::ZERO);
         // 80 ms of idle at 100 kbps earns exactly 1000 bytes. Switching to a 25 Mbps rate
         // at t=80ms must not retroactively credit the idle time at 25 Mbps (250 kB).
         let t = SimTime::from_millis(80);
@@ -237,13 +214,9 @@ mod tests {
 
     #[test]
     fn new_clamps_a_zero_or_denormal_configured_rate() {
-        for bad in [0.0, f64::MIN_POSITIVE, -1.0, f64::NAN] {
-            let mut p = Pacer::new(PacerConfig {
-                pacing_rate_bps: bad,
-                burst_bytes: 1_250,
-            });
+        for bad in [0.0, f64::MIN_POSITIVE, -1.0, f64::NAN, f64::NEG_INFINITY] {
+            let mut p = drained(bad, SimTime::ZERO);
             assert_eq!(p.config().pacing_rate_bps, MIN_PACING_RATE_BPS, "rate {bad}");
-            let _ = p.schedule_send(1_250, SimTime::ZERO);
             let t = p.schedule_send(1_250, SimTime::ZERO);
             assert!(t.as_micros() < 1_000_000, "finite departure, got {t:?}");
         }
@@ -255,14 +228,11 @@ mod tests {
         // and the controller calls set_rate with it. The pacer must clamp to the floor,
         // keep departure times finite and monotone through the outage, and resume full
         // speed when the estimate recovers.
-        let mut p = Pacer::new(PacerConfig {
-            pacing_rate_bps: 5e6,
-            burst_bytes: 2_500,
-        });
-        // Drain the burst at the blackout instant itself: idle time before the decay is
-        // credited at the old rate (by design), so draining earlier would let the bucket
+        //
+        // The burst is drained at the blackout instant itself: idle time before the decay
+        // is credited at the old rate (by design), so draining earlier would let the bucket
         // legitimately re-fill and mask the wait this test is about.
-        let _ = p.schedule_send(2_500, SimTime::from_millis(10));
+        let mut p = drained(5e6, SimTime::from_millis(10));
         for bad in [1e-3, 0.0, f64::MIN_POSITIVE, f64::NAN] {
             assert!(p.set_rate(bad, SimTime::from_millis(10)), "rate {bad}");
             assert_eq!(p.config().pacing_rate_bps, MIN_PACING_RATE_BPS);
@@ -283,10 +253,7 @@ mod tests {
 
     #[test]
     fn scheduled_times_are_monotone() {
-        let mut p = Pacer::new(PacerConfig {
-            pacing_rate_bps: 3e6,
-            burst_bytes: 5_000,
-        });
+        let mut p = pacer(3e6);
         let mut last = SimTime::ZERO;
         for i in 0..200u64 {
             let now = SimTime::from_micros(i * 100);

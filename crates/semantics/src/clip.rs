@@ -42,47 +42,42 @@ const EMPTY_SLOT: u16 = u16::MAX;
 /// below [`EMPTY_SLOT`], so `u16` ids serve any frame size.
 const SEGMENT_CELLS: usize = EMPTY_SLOT as usize;
 
-/// CLIP model configuration.
+/// Shared embedding dimension `d` of the Mobile-CLIP-like prototype (§3.2).
+const EMBEDDING_DIM: usize = 64;
+/// Per-patch visual-encoder compute latency in microseconds on the reference mobile device
+/// (Mobile-CLIP class models run a 1080p patch grid in a few milliseconds).
+const PATCH_ENCODE_LATENCY_US: f64 = 14.0;
+/// Text-encoder latency in microseconds.
+const TEXT_ENCODE_LATENCY_US: u64 = 1_500;
+/// Contrastive calibration bias: the typical cosine similarity between *unrelated*
+/// text/patch pairs, subtracted (and rescaled) before reporting ρ. Raw CLIP similarities
+/// cluster well above zero even for unrelated pairs; calibrating them keeps Eq. 2 from
+/// spending bitrate on regions that are merely "scene-typical".
+const SIMILARITY_BIAS: f64 = 0.22;
+
+/// CLIP model configuration: the patch size, the one value the paper's experiments vary
+/// (`ablation_patch_size`); dimension, latencies and calibration bias are the constants above.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct ClipConfig {
-    /// Shared embedding dimension `d`.
-    pub dim: usize,
-    /// Patch edge length `N` in pixels.
+    /// Patch edge length `N` in pixels; at least 1.
     pub patch_size: u32,
-    /// Per-patch visual-encoder compute latency in microseconds on the reference mobile
-    /// device (Mobile-CLIP class models run a 1080p patch grid in a few milliseconds).
-    pub patch_encode_latency_us: f64,
-    /// Text-encoder latency in microseconds.
-    pub text_encode_latency_us: u64,
-    /// Contrastive calibration bias: the typical cosine similarity between *unrelated*
-    /// text/patch pairs, subtracted (and rescaled) before reporting ρ. Raw CLIP similarities
-    /// cluster well above zero even for unrelated pairs; calibrating them keeps Eq. 2 from
-    /// spending bitrate on regions that are merely "scene-typical".
-    pub similarity_bias: f64,
 }
 
 impl ClipConfig {
-    /// The Mobile-CLIP-like configuration used by the paper's prototype (§3.2):
-    /// 64-dimensional shared space, 64-pixel patches.
+    /// The paper's prototype (§3.2): Mobile-CLIP-like, 64-pixel patches.
     pub fn mobile_clip() -> Self {
-        Self {
-            dim: 64,
-            patch_size: 64,
-            patch_encode_latency_us: 14.0,
-            text_encode_latency_us: 1_500,
-            similarity_bias: 0.22,
-        }
+        Self { patch_size: 64 }
     }
+}
 
-    /// A finer-grained (more expensive) configuration for the patch-size ablation.
-    pub fn mobile_clip_fine() -> Self {
-        Self {
-            dim: 64,
-            patch_size: 32,
-            patch_encode_latency_us: 14.0,
-            text_encode_latency_us: 1_500,
-            similarity_bias: 0.22,
-        }
+/// Why [`ClipModel::try_new`] rejected a configuration: `patch_size` is zero, and a frame
+/// cannot be partitioned into patches of no pixels.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct ZeroPatchSize;
+
+impl core::fmt::Display for ZeroPatchSize {
+    fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
+        f.write_str("CLIP config invalid: patch_size must be at least 1 pixel, got 0")
     }
 }
 
@@ -138,7 +133,7 @@ impl ResolvedConcepts {
         }
         self.extra.push((
             concept.clone(),
-            Embedding::seeded_direction(concept.name(), model.config.dim),
+            Embedding::seeded_direction(concept.name(), EMBEDDING_DIM),
         ));
         table_len + (self.extra.len() - 1) as u32
     }
@@ -340,8 +335,9 @@ impl ClipScratch {
 
     /// Binds the scratch to `model`. Everything memoized — the query embedding, the
     /// out-of-ontology directions, the resolved concept lists, the coherence state — was
-    /// computed against one model's configuration and concept table, so a different model
-    /// (even one of equal `dim` and `patch_size`) starts from nothing.
+    /// computed against one model's concept table, so a model over another ontology starts
+    /// from nothing. (One that differs in `patch_size` alone shares the table; the patch grid
+    /// of the map held is compared per call.)
     fn bind_model(&mut self, model: &ClipModel) {
         if self.model != Some(model.identity) {
             self.model = Some(model.identity);
@@ -384,21 +380,29 @@ pub struct ClipModel {
     config: ClipConfig,
     ontology: Ontology,
     space: ConceptSpace,
-    /// Hash of everything a correlation map depends on besides frame and query — the
-    /// configuration and the concept table (names and embeddings, in index order) — which
-    /// a [`ClipScratch`] remembers to notice that it changed hands.
+    /// Hash of the concept table (names and embeddings, in index order) — everything a
+    /// scratch's memos depend on besides frame, query and patch grid, which it compares
+    /// itself — so a [`ClipScratch`] notices that it changed hands.
     identity: u64,
 }
 
 impl ClipModel {
     /// Builds the model over an ontology.
+    ///
+    /// # Panics
+    ///
+    /// Panics with [`ClipModel::try_new`]'s error when `patch_size` is zero.
     pub fn new(config: ClipConfig, ontology: Ontology) -> Self {
-        let space = ConceptSpace::build(&ontology, config.dim);
-        let mut identity = fnv_u64(0xcbf2_9ce4_8422_2325, config.dim as u64);
-        identity = fnv_u64(identity, config.patch_size as u64);
-        identity = fnv_u64(identity, config.patch_encode_latency_us.to_bits());
-        identity = fnv_u64(identity, config.text_encode_latency_us);
-        identity = fnv_u64(identity, config.similarity_bias.to_bits());
+        Self::try_new(config, ontology).unwrap_or_else(|error| panic!("{error}"))
+    }
+
+    /// [`ClipModel::new`], returning the rejection instead of panicking with it.
+    pub fn try_new(config: ClipConfig, ontology: Ontology) -> Result<Self, ZeroPatchSize> {
+        if config.patch_size == 0 {
+            return Err(ZeroPatchSize);
+        }
+        let space = ConceptSpace::build(&ontology, EMBEDDING_DIM);
+        let mut identity = 0xcbf2_9ce4_8422_2325;
         for (idx, concept) in ontology.concepts().enumerate() {
             debug_assert_eq!(space.concept_index(concept), Some(idx as u32));
             identity = fnv_bytes(identity, concept.name().as_bytes());
@@ -406,12 +410,12 @@ impl ClipModel {
                 identity = (identity ^ value.to_bits()).wrapping_mul(0x1000_0000_01b3);
             }
         }
-        Self {
+        Ok(Self {
             config,
             ontology,
             space,
             identity,
-        }
+        })
     }
 
     /// Builds the model with the standard ontology and Mobile-CLIP configuration.
@@ -566,16 +570,14 @@ impl ClipModel {
         query_embedding: &Embedding,
         query_norm: f64,
     ) {
-        let dim = self.config.dim;
-        let bias = self.config.similarity_bias;
         let background_weight = PatchEncoder::new(&self.space).background_weight();
-        lane_acc.resize(RHO_LANES * dim, 0.0);
-        tile.resize(RHO_LANES * dim, 0.0);
+        lane_acc.resize(RHO_LANES * EMBEDDING_DIM, 0.0);
+        tile.resize(RHO_LANES * EMBEDDING_DIM, 0.0);
         classes.rho.clear();
         let mut rho = [0.0f64; RHO_LANES];
         for batch in (0..classes.len()).step_by(RHO_LANES) {
             lane_acc.fill(0.0);
-            for (class, acc) in (batch..classes.len()).zip(lane_acc.chunks_exact_mut(dim)) {
+            for (class, acc) in (batch..classes.len()).zip(lane_acc.chunks_exact_mut(EMBEDDING_DIM)) {
                 pool_patch_concepts(
                     self,
                     concepts,
@@ -589,7 +591,7 @@ impl ClipModel {
                     },
                 );
             }
-            rho_reduce_lanes(lane_acc, tile, query_embedding, query_norm, bias, &mut rho);
+            rho_reduce_lanes(lane_acc, tile, query_embedding, query_norm, &mut rho);
             classes.rho.extend_from_slice(&rho);
         }
     }
@@ -604,7 +606,6 @@ impl ClipModel {
             return ImportanceMap::uniform(dims, frame.width, frame.height, 0.0);
         }
         let patch_encoder = PatchEncoder::new(&self.space);
-        let bias = self.config.similarity_bias;
         let mut rho = Vec::with_capacity(dims.len());
         for row in 0..dims.rows {
             for col in 0..dims.cols {
@@ -613,7 +614,7 @@ impl ClipModel {
                 let raw = patch_embedding.cosine(&text_embedding);
                 // Contrastive calibration: subtract the unrelated-pair baseline and rescale
                 // so the reported correlation still spans [-1, 1].
-                let calibrated = ((raw - bias) / (1.0 - bias)).clamp(-1.0, 1.0);
+                let calibrated = ((raw - SIMILARITY_BIAS) / (1.0 - SIMILARITY_BIAS)).clamp(-1.0, 1.0);
                 rho.push(calibrated);
             }
         }
@@ -624,8 +625,7 @@ impl ClipModel {
     /// Used by the end-to-end latency budget (the paper's "client-side computation" concern).
     pub fn inference_latency_us(&self, frame_width: u32, frame_height: u32) -> u64 {
         let dims = GridDims::for_frame(frame_width, frame_height, self.config.patch_size);
-        self.config.text_encode_latency_us
-            + (dims.len() as f64 * self.config.patch_encode_latency_us).round() as u64
+        TEXT_ENCODE_LATENCY_US + (dims.len() as f64 * PATCH_ENCODE_LATENCY_US).round() as u64
     }
 }
 
@@ -679,7 +679,6 @@ fn rho_reduce_lanes(
     tile: &mut [f64],
     query_embedding: &Embedding,
     query_norm: f64,
-    bias: f64,
     out: &mut [f64; RHO_LANES],
 ) {
     let dim = lane_acc.len() / RHO_LANES;
@@ -720,7 +719,7 @@ fn rho_reduce_lanes(
         } else {
             (dot[lane] / (na * query_norm)).clamp(-1.0, 1.0)
         };
-        *value = ((raw - bias) / (1.0 - bias)).clamp(-1.0, 1.0);
+        *value = ((raw - SIMILARITY_BIAS) / (1.0 - SIMILARITY_BIAS)).clamp(-1.0, 1.0);
         debug_assert!((-1.0..=1.0).contains(value), "rho out of [-1, 1]");
     }
 }
@@ -874,13 +873,42 @@ mod tests {
     #[test]
     fn finer_patches_give_finer_grid_and_more_latency() {
         let coarse = ClipModel::new(ClipConfig::mobile_clip(), Ontology::standard());
-        let fine = ClipModel::new(ClipConfig::mobile_clip_fine(), Ontology::standard());
+        let fine = ClipModel::new(ClipConfig { patch_size: 32 }, Ontology::standard());
         let frame = frame_of(basketball_game(1));
         let q = TextQuery::from_words("score", coarse.ontology());
         assert!(
             fine.correlation_map(&frame, &q).dims().len() > coarse.correlation_map(&frame, &q).dims().len()
         );
         assert!(fine.inference_latency_us(1920, 1080) > coarse.inference_latency_us(1920, 1080));
+    }
+
+    #[test]
+    fn a_zero_patch_size_is_rejected_at_construction() {
+        let config = ClipConfig { patch_size: 0 };
+        let error = ClipModel::try_new(config, Ontology::standard()).expect_err("must be rejected");
+        assert_eq!(error, ZeroPatchSize);
+        let message = error.to_string();
+        assert!(
+            message.contains("patch_size") && message.ends_with("got 0"),
+            "{message}"
+        );
+        let panic = std::panic::catch_unwind(|| ClipModel::new(config, Ontology::standard()))
+            .expect_err("new must refuse it too");
+        assert_eq!(panic.downcast_ref::<String>(), Some(&message));
+        // One pixel and one patch for the whole frame both run.
+        let frame = Frame::sample(
+            &aivc_scene::Scene::new("tiny", 7, 5).with_background(0.3, 0.1, vec![]),
+            0,
+            0,
+            0.0,
+        );
+        for patch_size in [1, u32::MAX] {
+            let model = ClipModel::new(ClipConfig { patch_size }, Ontology::standard());
+            let query = TextQuery::from_words("score", model.ontology());
+            let map = model.correlation_map(&frame, &query);
+            assert_eq!(map, model.correlation_map_naive(&frame, &query));
+            assert_eq!(map.dims().len(), if patch_size == 1 { 35 } else { 1 });
+        }
     }
 
     #[test]
@@ -971,29 +999,6 @@ mod tests {
         let mut scratch = ClipScratch::new();
         let optimized = model.correlation_map_with(&frame, &query, &mut scratch);
         assert_eq!(optimized, &naive);
-    }
-
-    #[test]
-    fn scratch_survives_model_switch_with_different_dim() {
-        // Sharing one scratch across models costs a full recompute per switch but is safe:
-        // everything memoized is bound to the model's identity (see `bind_model`).
-        let coarse = ClipModel::mobile_default();
-        let wide = ClipModel::new(
-            ClipConfig {
-                dim: 128,
-                ..ClipConfig::mobile_clip()
-            },
-            Ontology::standard(),
-        );
-        let frame = frame_of(basketball_game(1));
-        let query = TextQuery::from_words("score", coarse.ontology());
-        let mut scratch = ClipScratch::new();
-        let a = coarse.correlation_map_with(&frame, &query, &mut scratch).clone();
-        let b = wide.correlation_map_with(&frame, &query, &mut scratch).clone();
-        let c = coarse.correlation_map_with(&frame, &query, &mut scratch);
-        assert_eq!(c, &a);
-        assert_eq!(&b, &wide.correlation_map_naive(&frame, &query));
-        assert_eq!(&a, &coarse.correlation_map_naive(&frame, &query));
     }
 
     #[test]
@@ -1117,16 +1122,11 @@ mod tests {
 
     #[test]
     fn scratch_shared_by_two_models_recomputes_for_the_second() {
-        // Equal `dim` and `patch_size`, so nothing but the model identity tells them apart:
-        // a calibration-bias change, an ontology with one more relation, one more concept.
+        // A finer patch grid over the same concept table (told apart by the map's grid), and
+        // equal patch sizes with nothing but the model identity to tell them apart: an
+        // ontology with one more relation, one more concept.
         let first = ClipModel::mobile_default();
-        let unbiased = ClipModel::new(
-            ClipConfig {
-                similarity_bias: 0.0,
-                ..ClipConfig::mobile_clip()
-            },
-            Ontology::standard(),
-        );
+        let fine = ClipModel::new(ClipConfig { patch_size: 32 }, Ontology::standard());
         let mut related = Ontology::standard();
         related.relate("score", "grass", 0.9);
         let related = ClipModel::new(ClipConfig::mobile_clip(), related);
@@ -1135,11 +1135,7 @@ mod tests {
         let grown = ClipModel::new(ClipConfig::mobile_clip(), grown);
         let frame = frame_of(basketball_game(1));
         let query = TextQuery::from_words("Could you tell me the present score?", first.ontology());
-        assert_ne!(
-            first.correlation_map_naive(&frame, &query),
-            unbiased.correlation_map_naive(&frame, &query)
-        );
-        for second in [&unbiased, &related, &grown] {
+        for second in [&fine, &related, &grown] {
             let expected = second.correlation_map_naive(&frame, &query);
             let mut scratch = ClipScratch::new();
             let _ = first.correlation_map_coherent(&frame, &query, &mut scratch);

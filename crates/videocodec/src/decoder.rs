@@ -7,7 +7,7 @@
 
 use crate::frame::{EncodedFrame, FrameType};
 use crate::qp::Qp;
-use crate::rd::RdModel;
+use crate::rd;
 use aivc_scene::{CoverageTable, GridDims, Rect};
 use serde::{Deserialize, Serialize};
 
@@ -124,21 +124,15 @@ impl DecodedFrame {
     /// detail level), this asks: "how well would content requiring `detail` of fine detail be
     /// perceived from these blocks?" — the quantity the MLLM accuracy model needs, because a
     /// coarse question about a detailed object is still easy at high QP.
-    pub fn object_quality_for_detail(
-        &self,
-        object_id: u32,
-        min_cover: f64,
-        detail: f64,
-        rd: &RdModel,
-    ) -> Option<f64> {
+    pub fn object_quality_for_detail(&self, object_id: u32, min_cover: f64, detail: f64) -> Option<f64> {
         let mut weighted = 0.0;
         let mut weight = 0.0;
         for (idx, frac) in self.coverage.cells_covered_by(object_id, min_cover) {
             let b = &self.blocks[idx];
             let q = if b.received {
-                rd.block_quality(b.qp, detail)
+                rd::block_quality(b.qp, detail)
             } else {
-                rd.concealment_quality(detail)
+                rd::concealment_quality(detail)
             };
             weighted += frac * q;
             weight += frac;
@@ -152,7 +146,7 @@ impl DecodedFrame {
 
     /// Question-conditioned mean quality over the whole frame (see
     /// [`DecodedFrame::object_quality_for_detail`]).
-    pub fn mean_quality_for_detail(&self, detail: f64, rd: &RdModel) -> f64 {
+    pub fn mean_quality_for_detail(&self, detail: f64) -> f64 {
         if self.blocks.is_empty() {
             return 0.0;
         }
@@ -160,9 +154,9 @@ impl DecodedFrame {
             .iter()
             .map(|b| {
                 if b.received {
-                    rd.block_quality(b.qp, detail)
+                    rd::block_quality(b.qp, detail)
                 } else {
-                    rd.concealment_quality(detail)
+                    rd::concealment_quality(detail)
                 }
             })
             .sum::<f64>()
@@ -203,14 +197,12 @@ impl DecodeScratch {
 
 /// The decoder.
 #[derive(Debug, Clone, Default)]
-pub struct Decoder {
-    rd: RdModel,
-}
+pub struct Decoder;
 
 impl Decoder {
-    /// Creates a decoder with the default R-D model (used only for concealment quality).
+    /// Creates a decoder.
     pub fn new() -> Self {
-        Self::default()
+        Self
     }
 
     /// Decodes a frame that arrived completely (no transport loss).
@@ -269,7 +261,7 @@ impl Decoder {
                     quality: if ok {
                         b.encoded_quality
                     } else {
-                        self.rd.concealment_quality(b.detail)
+                        rd::concealment_quality(b.detail)
                     },
                     detail: b.detail,
                 }),
@@ -367,32 +359,29 @@ mod tests {
         }
     }
 
-    /// Moving, odd-geometry and object-free frames, each with its encoder block size.
-    fn flat_frame_cases() -> Vec<(aivc_scene::Frame, u32)> {
+    /// Moving, odd-geometry and object-free frames.
+    fn flat_frame_cases() -> Vec<aivc_scene::Frame> {
         let mut cases = Vec::new();
         let game = VideoSource::new(basketball_game(3), SourceConfig::fps30(3.0));
         for t in [0.0, 0.37, 1.9] {
-            cases.push((game.frame_at(t), 64));
+            cases.push(game.frame_at(t));
         }
         let mut odd = basketball_game(2);
         odd.width = 1000;
         odd.height = 700;
         let odd = VideoSource::new(odd, SourceConfig::fps30(3.0));
-        cases.push((odd.frame_at(0.5), 64));
-        cases.push((odd.frame_at(1.1), 48));
+        cases.push(odd.frame_at(0.5));
+        cases.push(odd.frame_at(1.1));
         let empty = aivc_scene::Scene::new("empty", 640, 384).with_background(0.3, 0.1, vec![]);
-        cases.push((aivc_scene::Frame::sample(&empty, 0, 0, 0.0), 64));
+        cases.push(aivc_scene::Frame::sample(&empty, 0, 0, 0.0));
         cases
     }
 
     #[test]
     fn flat_frame_coverage_matches_region_content_through_encode_and_decode() {
         let mut content = aivc_scene::RegionContent::empty();
-        for (frame, block_size) in flat_frame_cases() {
-            let enc = Encoder::new(EncoderConfig {
-                block_size,
-                ..EncoderConfig::default()
-            });
+        for frame in flat_frame_cases() {
+            let enc = Encoder::new(EncoderConfig::default());
             let dims = enc.grid_for(&frame);
             let e = enc.encode_uniform(&frame, Qp::new(33));
             // Half the bytes lost: coverage is carried for concealed blocks too.
@@ -411,11 +400,8 @@ mod tests {
 
     #[test]
     fn flat_frame_serde_round_trip() {
-        for (frame, block_size) in flat_frame_cases() {
-            let enc = Encoder::new(EncoderConfig {
-                block_size,
-                ..EncoderConfig::default()
-            });
+        for frame in flat_frame_cases() {
+            let enc = Encoder::new(EncoderConfig::default());
             let e = enc.encode_uniform(&frame, Qp::new(29));
             let d = Decoder::new().decode_with_received(&e, &[(0, e.total_bytes() / 3)], Some(77));
             let e_back: EncodedFrame = serde_json::from_str(&serde_json::to_string(&e).unwrap()).unwrap();

@@ -1,15 +1,15 @@
 //! The encoder: scene frame + QP map → [`EncodedFrame`].
 //!
-//! Mirrors the knobs the paper actually turns on Kvazaar: CTU size, GOP structure, a preset
-//! efficiency factor (medium vs slower), and — crucially — an externally supplied per-CTU QP
-//! map (Kvazaar's `--roi` style control) which is how Context-Aware Video Streaming injects
-//! its CLIP-informed allocation (§3.2).
+//! Mirrors the one Kvazaar configuration the paper's prototype runs — 64-px CTUs, a
+//! periodic GOP, the medium preset — and the one control its experiments turn: an
+//! externally supplied per-CTU QP map (Kvazaar's `--roi` style control), which is how
+//! Context-Aware Video Streaming injects its CLIP-informed allocation (§3.2).
 
 use crate::frame::{EncodedBlock, EncodedFrame};
-use crate::gop::GopStructure;
+use crate::gop;
 use crate::qp::{Qp, QpMap};
-use crate::rate_plan::{RatePlan, RATE_LANES};
-use crate::rd::RdModel;
+use crate::rate_plan::{plan_chunk_bytes, RatePlan, RATE_LANES};
+use crate::rd;
 use aivc_scene::{Frame, GridDims};
 use serde::{Deserialize, Serialize};
 
@@ -17,83 +17,36 @@ use serde::{Deserialize, Serialize};
 /// per-encoder QP-factor lookup table.
 const QP_TABLE: usize = 52;
 
-/// Encoder speed preset. Slower presets squeeze more quality out of each bit, which the
-/// paper's "Client-side computation" discussion proposes as a fairness ablation.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub enum Preset {
-    /// Fast preset: ~15 % worse compression than medium.
-    Fast,
-    /// The default used in the paper's experiments.
-    Medium,
-    /// Slower preset: ~12 % better compression than medium.
-    Slower,
-}
+/// CTU edge length in pixels (HEVC's default).
+pub const BLOCK_SIZE: u32 = 64;
+/// Per-frame header overhead in bytes (SPS/PPS amortized + slice headers).
+pub const HEADER_BYTES: u32 = 120;
+/// Per-frame encode latency on the reference device, in microseconds (1080p
+/// hardware-assisted encode is a few milliseconds) — read by the latency budget.
+pub const ENCODE_LATENCY_US: u64 = 4_000;
 
-impl Preset {
-    /// Multiplier applied to every block's bit cost.
-    pub fn rate_factor(self) -> f64 {
-        match self {
-            Preset::Fast => 1.15,
-            Preset::Medium => 1.0,
-            Preset::Slower => 0.88,
-        }
-    }
+/// What an [`Encoder`] is built from: nothing — block size, GOP, header size, encode latency
+/// and the rate–distortion model are constants ([`BLOCK_SIZE`], [`gop::GOP_LENGTH`],
+/// [`HEADER_BYTES`], [`ENCODE_LATENCY_US`], [`crate::rd`]). The type remains because the
+/// benchmark's replay builds `Encoder::new(config.encoder)`.
+#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
+pub struct EncoderConfig {}
 
-    /// Encoding compute cost relative to medium (used by the latency budget accounting).
-    pub fn compute_factor(self) -> f64 {
-        match self {
-            Preset::Fast => 0.55,
-            Preset::Medium => 1.0,
-            Preset::Slower => 2.6,
-        }
-    }
-}
-
-/// Encoder configuration.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct EncoderConfig {
-    /// CTU edge length in pixels (64 is HEVC's default).
-    pub block_size: u32,
-    /// GOP structure.
-    pub gop: GopStructure,
-    /// Speed preset.
-    pub preset: Preset,
-    /// Per-frame header overhead in bytes (SPS/PPS amortized + slice headers).
-    pub header_bytes: u32,
-    /// Per-frame encode latency on the reference device at medium preset, in microseconds
-    /// (1080p hardware-assisted encode is a few milliseconds).
-    pub base_encode_latency_us: u64,
-}
-
-impl Default for EncoderConfig {
-    fn default() -> Self {
-        Self {
-            block_size: 64,
-            gop: GopStructure::default(),
-            preset: Preset::Medium,
-            header_bytes: 120,
-            base_encode_latency_us: 4_000,
-        }
-    }
-}
-
-/// Reusable buffers for [`Encoder::encode_into`] and [`Encoder::predict_map_size`].
+/// Reusable buffers for [`Encoder::encode_into`].
 ///
-/// Every encode walks a [`RatePlan`]; the entry points that are not handed one prepare
-/// this scratch-owned plan, whose buffers (and the caller's output frame) are refilled in
-/// place, so after one encode of a frame geometry the encode path performs no heap
-/// allocation.
+/// Every encode walks a [`RatePlan`]; [`Encoder::encode_into`], which is not handed one,
+/// prepares this scratch-owned plan, whose buffers (and the caller's output frame) are
+/// refilled in place, so after one encode of a frame geometry the encode path performs no
+/// heap allocation.
 #[derive(Debug, Clone, Default)]
 pub struct EncodeScratch {
-    /// The plan [`Encoder::encode_into`] / [`Encoder::predict_map_size`] prepare for
-    /// their frame ([`Encoder::encode_into_planned`] walks its caller's instead).
+    /// The plan [`Encoder::encode_into`] prepares for its frame
+    /// ([`Encoder::encode_into_planned`] walks its caller's instead).
     plan: RatePlan,
-    /// Memo of the last `(qp, detail)` → quality evaluation. `block_quality` is a pure
+    /// Memo of the last `(qp, detail)` → quality evaluation. [`rd::block_quality`] is a pure
     /// function and most of a frame is background (`detail` exactly 0.0) at one or two
     /// distinct QPs, so this one-entry memo removes the bulk of the per-block `exp` calls
-    /// while returning the identical f64 (same inputs ⇒ the memoized same output). It is
-    /// emptied at the start of every encode: the R-D model behind it belongs to the
-    /// encoder, and a scratch may serve more than one.
+    /// while returning the identical f64 (same inputs ⇒ the memoized same output).
     quality_memo: QualityMemo,
 }
 
@@ -117,14 +70,14 @@ impl Default for QualityMemo {
 }
 
 impl QualityMemo {
-    /// `rd.block_quality(qp, detail)`, evaluated only when the inputs differ from the
+    /// `rd::block_quality(qp, detail)`, evaluated only when the inputs differ from the
     /// previous call's.
-    fn quality(&mut self, rd: &RdModel, qp: Qp, detail: f64) -> f64 {
+    fn quality(&mut self, qp: Qp, detail: f64) -> f64 {
         if self.qp != qp.value() as u16 || self.detail_bits != detail.to_bits() {
             *self = QualityMemo {
                 qp: qp.value() as u16,
                 detail_bits: detail.to_bits(),
-                quality: rd.block_quality(qp, detail),
+                quality: rd::block_quality(qp, detail),
             };
         }
         self.quality
@@ -141,43 +94,22 @@ impl EncodeScratch {
 /// The encoder.
 #[derive(Debug, Clone)]
 pub struct Encoder {
-    config: EncoderConfig,
-    rd: RdModel,
-    /// `qp_factors[qp] == rd.qp_factor(qp)` for every representable QP — the rate law's
+    /// `qp_factors[qp] == rd::qp_factor(qp)` for every representable QP — the rate law's
     /// only transcendental, hoisted out of the per-block loop into a 52-entry table.
     qp_factors: [f64; QP_TABLE],
 }
 
 impl Encoder {
-    /// Creates an encoder with the default R-D model.
-    pub fn new(config: EncoderConfig) -> Self {
-        Self::with_rd_model(config, RdModel::default())
-    }
-
-    /// Creates an encoder with an explicit R-D model (used by calibration tests).
-    pub fn with_rd_model(config: EncoderConfig, rd: RdModel) -> Self {
+    /// Creates the encoder.
+    pub fn new(_config: EncoderConfig) -> Self {
         let mut qp_factors = [0.0; QP_TABLE];
         for (qp, factor) in qp_factors.iter_mut().enumerate() {
-            *factor = rd.qp_factor(Qp::new(qp as i32));
+            *factor = rd::qp_factor(Qp::new(qp as i32));
         }
-        Self {
-            config,
-            rd,
-            qp_factors,
-        }
+        Self { qp_factors }
     }
 
-    /// The encoder configuration.
-    pub fn config(&self) -> &EncoderConfig {
-        &self.config
-    }
-
-    /// The R-D model in use.
-    pub fn rd_model(&self) -> &RdModel {
-        &self.rd
-    }
-
-    /// The hoisted 52-entry `qp_factors` table (`qp_factors[qp] == rd.qp_factor(qp)`),
+    /// The hoisted 52-entry `qp_factors` table (`qp_factors[qp] == rd::qp_factor(qp)`),
     /// read by every rate-plan probe and by the encode walk.
     pub(crate) fn qp_factor_table(&self) -> &[f64; QP_TABLE] {
         &self.qp_factors
@@ -185,30 +117,15 @@ impl Encoder {
 
     /// The CTU grid an encode of `frame` will use.
     pub fn grid_for(&self, frame: &Frame) -> GridDims {
-        GridDims::for_frame(frame.width, frame.height, self.config.block_size)
+        GridDims::for_frame(frame.width, frame.height, BLOCK_SIZE)
     }
 
-    /// Per-frame encode latency for this configuration, in microseconds.
-    pub fn encode_latency_us(&self) -> u64 {
-        (self.config.base_encode_latency_us as f64 * self.config.preset.compute_factor()).round() as u64
-    }
-
-    /// Encodes a frame with a per-CTU QP map. The map's grid must match [`Encoder::grid_for`].
-    ///
-    /// Allocates a fresh [`EncodedFrame`] per call; per-frame loops should hold an
-    /// [`EncodeScratch`] and an output buffer and call [`Encoder::encode_into`] instead,
-    /// which is allocation-free after warmup.
-    pub fn encode_with_qp_map(&self, frame: &Frame, qp_map: &QpMap) -> EncodedFrame {
-        let mut out = EncodedFrame::placeholder();
-        self.encode_into(frame, qp_map, &mut EncodeScratch::new(), &mut out);
-        out
-    }
-
-    /// [`Encoder::encode_with_qp_map`] into a caller-owned frame buffer: prepares the
-    /// scratch's plan for `frame` and runs [`Encoder::encode_into_planned`] on it. `out`
-    /// is refilled in place (its block vector and coverage table keep their capacity), so
-    /// after warmup — one encode of each frame geometry — an encode performs zero heap
-    /// allocations, whether or not the frame's content moved.
+    /// Encodes `frame` with a per-CTU QP map (whose grid must match [`Encoder::grid_for`])
+    /// into a caller-owned frame buffer: prepares the scratch's plan for `frame` and runs
+    /// [`Encoder::encode_into_planned`] on it. `out` is refilled in place (its block vector
+    /// and coverage table keep their capacity), so after warmup — one encode of each frame
+    /// geometry — an encode performs zero heap allocations, whether or not the frame's
+    /// content moved.
     pub fn encode_into(
         &self,
         frame: &Frame,
@@ -248,7 +165,7 @@ impl Encoder {
         out: &mut EncodedFrame,
     ) {
         let dims = self.grid_for(frame);
-        let frame_type = self.config.gop.frame_type(frame.index);
+        let frame_type = gop::frame_type(frame.index);
         assert_eq!(qp_map.dims(), dims, "QP map grid does not match frame grid");
         assert_eq!(
             plan.dims(),
@@ -260,7 +177,6 @@ impl Encoder {
             (frame.index, frame.capture_ts_us, frame_type),
             "rate plan is stale: it was prepared for another frame"
         );
-        *quality_memo = QualityMemo::default();
         let grid = plan.grid();
         let (detail, complexity, motion) = (grid.detail(), grid.complexity(), grid.motion());
         let qps = qp_map.values();
@@ -268,7 +184,7 @@ impl Encoder {
         out.coverage.copy_from(grid.coverage_table());
         out.blocks.clear();
         out.blocks.reserve(dims.len());
-        let mut offset = self.config.header_bytes as u64;
+        let mut offset = HEADER_BYTES as u64;
         let mut factors = [0.0f64; RATE_LANES];
         let mut bytes = [0u32; RATE_LANES];
         for first in (0..dims.len()).step_by(RATE_LANES) {
@@ -276,7 +192,7 @@ impl Encoder {
             for (factor, qp) in factors.iter_mut().zip(&qps[first..first + width]) {
                 *factor = self.qp_factors[qp.value() as usize];
             }
-            self.plan_chunk_bytes(plan, first, &factors[..width], &mut bytes);
+            plan_chunk_bytes(plan, first, &factors[..width], &mut bytes);
             for (lane, &byte_len) in bytes[..width].iter().enumerate() {
                 let index = first + lane;
                 let qp = qps[index];
@@ -285,7 +201,7 @@ impl Encoder {
                     byte_offset: offset,
                     byte_len,
                     qp,
-                    encoded_quality: quality_memo.quality(&self.rd, qp, detail[index]),
+                    encoded_quality: quality_memo.quality(qp, detail[index]),
                     detail: detail[index],
                     complexity: complexity[index],
                     motion: motion[index],
@@ -299,29 +215,20 @@ impl Encoder {
         out.frame_type = frame_type;
         out.width = frame.width;
         out.height = frame.height;
-        out.block_size = self.config.block_size;
+        out.block_size = BLOCK_SIZE;
         out.grid_cols = dims.cols;
         out.grid_rows = dims.rows;
-        out.header_bytes = self.config.header_bytes;
+        out.header_bytes = HEADER_BYTES;
     }
 
-    /// Encodes a frame at a single, uniform QP (the context-agnostic baseline).
+    /// Encodes a frame at a single, uniform QP (the context-agnostic baseline) into a fresh
+    /// [`EncodedFrame`] — the one-shot form for offline callers; per-frame loops hold an
+    /// [`EncodeScratch`] and an output buffer and call [`Encoder::encode_into`].
     pub fn encode_uniform(&self, frame: &Frame, qp: Qp) -> EncodedFrame {
-        let dims = self.grid_for(frame);
-        self.encode_with_qp_map(frame, &QpMap::uniform(dims, qp))
-    }
-
-    /// Predicted total size in bytes of encoding `frame` with `qp_map` — the size
-    /// [`Encoder::encode_into`] produces (same plan, same rate kernel), without building
-    /// the block list.
-    pub fn predict_map_size(&self, frame: &Frame, qp_map: &QpMap, scratch: &mut EncodeScratch) -> u64 {
-        assert_eq!(
-            qp_map.dims(),
-            self.grid_for(frame),
-            "QP map grid does not match frame grid"
-        );
-        self.prepare_rate_plan(frame, None, &mut scratch.plan);
-        self.predict_plan_map_size(&scratch.plan, qp_map)
+        let mut out = EncodedFrame::placeholder();
+        let map = QpMap::uniform(self.grid_for(frame), qp);
+        self.encode_into(frame, &map, &mut EncodeScratch::new(), &mut out);
+        out
     }
 }
 
@@ -331,6 +238,13 @@ mod tests {
     use crate::frame::FrameType;
     use aivc_scene::templates::basketball_game;
     use aivc_scene::{SourceConfig, VideoSource};
+
+    /// `encode_into` through a fresh scratch and output.
+    fn encode(enc: &Encoder, frame: &Frame, map: &QpMap) -> EncodedFrame {
+        let mut out = EncodedFrame::placeholder();
+        enc.encode_into(frame, map, &mut EncodeScratch::new(), &mut out);
+        out
+    }
 
     fn test_frame() -> Frame {
         let source = VideoSource::new(basketball_game(1), SourceConfig::fps30(10.0));
@@ -393,7 +307,7 @@ mod tests {
                 map.set(row, col, Qp::new(24));
             }
         }
-        let roi = enc.encode_with_qp_map(&frame, &map);
+        let roi = encode(&enc, &frame, &map);
         let uniform = enc.encode_uniform(&frame, Qp::new(32));
         // Left-half blocks should hold far more bytes than right-half blocks.
         let left: u64 = roi
@@ -415,21 +329,6 @@ mod tests {
     }
 
     #[test]
-    fn slower_preset_is_smaller_and_costlier() {
-        let medium = Encoder::new(EncoderConfig::default());
-        let slower = Encoder::new(EncoderConfig {
-            preset: Preset::Slower,
-            ..EncoderConfig::default()
-        });
-        let frame = test_frame();
-        assert!(
-            slower.encode_uniform(&frame, Qp::new(32)).total_bytes()
-                < medium.encode_uniform(&frame, Qp::new(32)).total_bytes()
-        );
-        assert!(slower.encode_latency_us() > medium.encode_latency_us());
-    }
-
-    #[test]
     fn capture_timestamp_is_propagated() {
         let enc = Encoder::new(EncoderConfig::default());
         let source = VideoSource::new(basketball_game(1), SourceConfig::fps30(10.0));
@@ -440,19 +339,19 @@ mod tests {
     }
 
     #[test]
-    fn encode_into_is_identical_to_encode_with_qp_map() {
+    fn encode_into_through_a_reused_scratch_equals_a_fresh_encode() {
         let enc = Encoder::new(EncoderConfig::default());
         let source = VideoSource::new(basketball_game(1), SourceConfig::fps30(10.0));
         let mut scratch = EncodeScratch::new();
         let mut out = EncodedFrame::placeholder();
         // Consecutive frames, a jump and a revisit through the same scratch/buffer match
-        // the allocating path.
+        // an encode through fresh ones.
         for i in [0u64, 1, 2, 30, 0] {
             let frame = source.frame(i);
             let dims = enc.grid_for(&frame);
             let map = QpMap::uniform(dims, Qp::new(31));
             enc.encode_into(&frame, &map, &mut scratch, &mut out);
-            assert_eq!(out, enc.encode_with_qp_map(&frame, &map), "frame {i}");
+            assert_eq!(out, encode(&enc, &frame, &map), "frame {i}");
         }
     }
 
@@ -475,7 +374,7 @@ mod tests {
         for frame in [&big, &small, &big] {
             let map = QpMap::uniform(enc.grid_for(frame), Qp::new(33));
             enc.encode_into(frame, &map, &mut scratch, &mut out);
-            assert_eq!(out, enc.encode_with_qp_map(frame, &map));
+            assert_eq!(out, encode(&enc, frame, &map));
         }
     }
 
@@ -487,25 +386,22 @@ mod tests {
     fn assert_blocks_match_scalar_walk(enc: &Encoder, frame: &Frame, map: &QpMap, encoded: &EncodedFrame) {
         let dims = enc.grid_for(frame);
         assert_eq!(encoded.blocks.len(), dims.len());
-        let frame_type = enc.config().gop.frame_type(frame.index);
-        let preset_factor = enc.config().preset.rate_factor();
+        let frame_type = gop::frame_type(frame.index);
         let mut content = aivc_scene::RegionContent::empty();
-        let mut offset = enc.config().header_bytes as u64;
+        let mut offset = HEADER_BYTES as u64;
         for (idx, block) in encoded.blocks.iter().enumerate() {
             let (row, col) = dims.position(idx);
             let rect = dims.cell_rect(row, col, frame.width, frame.height);
             frame.region_content_into(&rect, &mut content);
             let qp = map.get_index(idx);
-            let bits =
-                enc.rd_model()
-                    .block_bits(qp, rect.area(), content.complexity, content.motion, frame_type);
-            let bytes = (((bits as f64 * preset_factor) / 8.0).ceil() as u32).max(1);
+            let bits = rd::block_bits(qp, rect.area(), content.complexity, content.motion, frame_type);
+            let bytes = ((bits as f64 / 8.0).ceil() as u32).max(1);
             assert_eq!(block.byte_len, bytes, "bytes {idx}");
             assert_eq!(block.byte_offset, offset, "offset {idx}");
             assert_eq!(block.qp, qp, "qp {idx}");
             assert_eq!(
                 block.encoded_quality,
-                enc.rd_model().block_quality(qp, content.detail),
+                rd::block_quality(qp, content.detail),
                 "quality {idx}"
             );
             assert_eq!(block.detail, content.detail, "detail {idx}");
@@ -548,7 +444,7 @@ mod tests {
                     .map(|idx| Qp::new(20 + (idx as i32 * 7) % 28))
                     .collect();
                 let map = QpMap::from_values(dims, values);
-                let encoded = enc.encode_with_qp_map(&frame, &map);
+                let encoded = encode(&enc, &frame, &map);
                 assert_blocks_match_scalar_walk(&enc, &frame, &map, &encoded);
             }
         }
@@ -558,7 +454,6 @@ mod tests {
     fn predict_map_size_matches_actual_encode_for_roi_maps() {
         let enc = Encoder::new(EncoderConfig::default());
         let source = VideoSource::new(basketball_game(1), SourceConfig::fps30(10.0));
-        let mut scratch = EncodeScratch::new();
         for i in [0u64, 1, 7] {
             let frame = source.frame(i);
             let dims = enc.grid_for(&frame);
@@ -568,39 +463,10 @@ mod tests {
                     map.set(row, col, Qp::new(23));
                 }
             }
-            let predicted = enc.predict_map_size(&frame, &map, &mut scratch);
-            let actual = enc.encode_with_qp_map(&frame, &map).total_bytes();
+            let predicted = enc.predict_plan_map_size(&enc.rate_plan_for(&frame, None), &map);
+            let actual = encode(&enc, &frame, &map).total_bytes();
             assert_eq!(predicted, actual, "frame {i}");
         }
-    }
-
-    #[test]
-    fn quality_memo_does_not_leak_between_encoders_sharing_a_scratch() {
-        // Without the scoreboard, block 0 is pure background like the last block — so at a
-        // uniform QP the memo entry the first encoder's walk ends on matches the second
-        // encoder's leading blocks, and a memo that survived the encode would hand them
-        // the first model's quality.
-        let mut scene = basketball_game(1);
-        scene.objects.retain(|object| object.id != 1);
-        let frame = VideoSource::new(scene, SourceConfig::fps30(10.0)).frame(0);
-        let first = Encoder::new(EncoderConfig::default());
-        let steeper = RdModel {
-            quality_slope: RdModel::default().quality_slope * 2.0,
-            ..RdModel::default()
-        };
-        let second = Encoder::with_rd_model(EncoderConfig::default(), steeper);
-        let map = QpMap::uniform(first.grid_for(&frame), Qp::new(40));
-        let mut shared = EncodeScratch::new();
-        let mut out = EncodedFrame::placeholder();
-        first.encode_into(&frame, &map, &mut shared, &mut out);
-        assert!(out.coverage(0).is_empty() && out.coverage(out.blocks.len() - 1).is_empty());
-        let first_background = out.blocks[0].encoded_quality;
-        second.encode_into(&frame, &map, &mut shared, &mut out);
-        let fresh = second.encode_with_qp_map(&frame, &map);
-        for (idx, (shared, fresh)) in out.blocks.iter().zip(&fresh.blocks).enumerate() {
-            assert_eq!(shared.encoded_quality, fresh.encoded_quality, "block {idx}");
-        }
-        assert_ne!(out.blocks[0].encoded_quality, first_background);
     }
 
     #[test]
@@ -622,6 +488,6 @@ mod tests {
         let enc = Encoder::new(EncoderConfig::default());
         let frame = test_frame();
         let wrong = QpMap::uniform(GridDims::for_frame(64, 64, 64), Qp::new(30));
-        let _ = enc.encode_with_qp_map(&frame, &wrong);
+        let _ = encode(&enc, &frame, &wrong);
     }
 }

@@ -2,55 +2,21 @@
 //!
 //! Real-time encoders use periodic IDR frames (or intra refresh) so a receiver can join or
 //! recover; the GOP length trades bitrate (intra frames are several times larger) against
-//! recovery latency. The RTC experiments use a 2-second GOP by default, Kvazaar's low-delay
-//! default ballpark.
+//! recovery latency. The prototype runs one periodic GOP, Kvazaar's low-delay default
+//! ballpark.
 
 use crate::frame::FrameType;
-use serde::{Deserialize, Serialize};
 
-/// Periodic GOP: frame 0 is intra, then every `length`-th frame after it.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub struct GopStructure {
-    /// Distance between intra frames, in frames. `1` means all-intra.
-    pub length: u32,
-}
+/// Distance between intra frames, in frames: 2 s at 30 FPS, 1 s at 60 FPS. Frame 0 is
+/// intra, then every `GOP_LENGTH`-th frame after it.
+pub const GOP_LENGTH: u64 = 60;
 
-impl GopStructure {
-    /// Creates a GOP of the given length (≥ 1).
-    pub fn new(length: u32) -> Self {
-        assert!(length >= 1, "GOP length must be at least 1");
-        Self { length }
-    }
-
-    /// All-intra coding (every frame is a keyframe).
-    pub fn all_intra() -> Self {
-        Self { length: 1 }
-    }
-
-    /// A GOP spanning `seconds` at `fps` (rounded, at least 1).
-    pub fn from_seconds(seconds: f64, fps: f64) -> Self {
-        Self::new(((seconds * fps).round() as u32).max(1))
-    }
-
-    /// The frame type of frame `index`.
-    pub fn frame_type(&self, index: u64) -> FrameType {
-        if index.is_multiple_of(self.length as u64) {
-            FrameType::Intra
-        } else {
-            FrameType::Inter
-        }
-    }
-
-    /// Fraction of frames that are intra-coded.
-    pub fn intra_fraction(&self) -> f64 {
-        1.0 / self.length as f64
-    }
-}
-
-impl Default for GopStructure {
-    /// 60-frame GOP (2 s at 30 FPS / 1 s at 60 FPS).
-    fn default() -> Self {
-        Self { length: 60 }
+/// The frame type of frame `index`.
+pub fn frame_type(index: u64) -> FrameType {
+    if index.is_multiple_of(GOP_LENGTH) {
+        FrameType::Intra
+    } else {
+        FrameType::Inter
     }
 }
 
@@ -59,37 +25,12 @@ mod tests {
     use super::*;
 
     #[test]
-    fn frame_zero_is_always_intra() {
-        for len in [1, 2, 30, 60, 300] {
-            assert_eq!(GopStructure::new(len).frame_type(0), FrameType::Intra);
-        }
-    }
-
-    #[test]
     fn periodicity() {
-        let gop = GopStructure::new(30);
-        assert_eq!(gop.frame_type(30), FrameType::Intra);
-        assert_eq!(gop.frame_type(29), FrameType::Inter);
-        assert_eq!(gop.frame_type(31), FrameType::Inter);
-        assert_eq!(gop.frame_type(90), FrameType::Intra);
-    }
-
-    #[test]
-    fn all_intra() {
-        let gop = GopStructure::all_intra();
-        assert!((0..100).all(|i| gop.frame_type(i) == FrameType::Intra));
-        assert_eq!(gop.intra_fraction(), 1.0);
-    }
-
-    #[test]
-    fn from_seconds() {
-        assert_eq!(GopStructure::from_seconds(2.0, 30.0).length, 60);
-        assert_eq!(GopStructure::from_seconds(0.0, 30.0).length, 1);
-    }
-
-    #[test]
-    #[should_panic(expected = "at least 1")]
-    fn zero_length_rejected() {
-        let _ = GopStructure::new(0);
+        assert_eq!(frame_type(0), FrameType::Intra);
+        assert_eq!(frame_type(1), FrameType::Inter);
+        assert_eq!(frame_type(GOP_LENGTH - 1), FrameType::Inter);
+        assert_eq!(frame_type(GOP_LENGTH), FrameType::Intra);
+        assert_eq!(frame_type(GOP_LENGTH + 1), FrameType::Inter);
+        assert_eq!(frame_type(3 * GOP_LENGTH), FrameType::Intra);
     }
 }

@@ -35,9 +35,7 @@ pub mod transcode;
 pub use decoder::{DecodeScratch, DecodedBlock, DecodedFrame, Decoder};
 pub use encoder::{EncodeScratch, Encoder, EncoderConfig};
 pub use frame::{EncodedBlock, EncodedFrame, FrameType};
-pub use gop::GopStructure;
 pub use qp::{Qp, QpMap};
 pub use quality::{frame_quality, region_quality};
 pub use rate_plan::{RatePlan, RateSearch};
-pub use rd::RdModel;
 pub use transcode::{transcode_clip, TranscodeSummary};

@@ -8,6 +8,7 @@
 
 use crate::decoder::{DecodedFrame, Decoder};
 use crate::encoder::Encoder;
+use crate::gop::GOP_LENGTH;
 use crate::qp::Qp;
 use crate::rate_plan::RatePlan;
 use aivc_scene::VideoSource;
@@ -44,8 +45,7 @@ pub fn transcode_clip(
     // intra/inter frame mix — and therefore the measured bitrate — matches what encoding the
     // full clip would produce: one plan per frame of the window, one QP for the set.
     let total = source.frame_count().max(1);
-    let gop_len = encoder.config().gop.length as u64;
-    let rate_window = gop_len.clamp(1, total.min(120));
+    let rate_window = GOP_LENGTH.min(total);
     let plans: Vec<RatePlan> = (0..rate_window)
         .map(|idx| encoder.rate_plan_for(&source.frame(idx), None))
         .collect();

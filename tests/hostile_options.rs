@@ -1,24 +1,27 @@
-//! Hostile options never panic: every numeric field a caller can still set on
-//! [`NetSessionOptions`] (outside `path`) is thrown the values input tends to hurt with —
-//! NaN, ±∞, 0, −1, a subnormal, `MAX` — next to a valid one. Either `validate()` names the
-//! field and `Conversation::new` refuses with exactly that message before anything moves, or
-//! three turns on the lossy §2.2 path finish with a report whose every serialized number is
-//! finite, after a bounded number of kernel events. Nothing else is acceptable: not a `clamp` or
-//! overflow panic in the middle of a turn, not a timeline that spins.
+//! Hostile options never panic: every numeric field a caller can still set — on
+//! [`NetSessionOptions`] in the first property; on the sender (γ, the CLIP patch size), on
+//! both links of `path` (rate, delays, queue) and in the frames themselves in the second —
+//! is thrown the values input tends to hurt with — NaN, ±∞, 0, −1, a subnormal, `MAX` — next
+//! to a valid one. Either a structured error names the field and the constructor refuses
+//! with exactly that message before anything moves, or three turns on the lossy §2.2 path
+//! finish with a report whose every serialized number is finite, after a bounded number of
+//! kernel events. Nothing else is acceptable: not a `clamp` or overflow panic in the middle
+//! of a turn, not a timeline that spins. (A frame has no constructor to refuse it: one with a
+//! NaN content descriptor is refused, by name, where it enters the codec.)
 //!
 //! Run in debug and release (CI does): overflow checks differ between the profiles, which
 //! is how an infinite `drain_secs` used to fail two different ways.
 
 use aivchat::core::session::StreamingMode;
-use aivchat::core::{Conversation, NetSessionOptions, StreamerConfig};
+use aivchat::core::{Conversation, NetSessionOptions, QpAllocator, QpAllocatorConfig, StreamerConfig};
 use aivchat::mllm::{Question, QuestionFormat};
-use aivchat::netsim::{PathConfig, SimDuration};
+use aivchat::netsim::{LinkConfig, PathConfig, SimDuration, SimTime};
 use aivchat::rtc::AbrPolicy;
 use aivchat::scene::templates::basketball_game;
-use aivchat::scene::{SourceConfig, VideoSource};
-use aivchat::semantics::ClipModel;
+use aivchat::scene::{Frame, Ontology, SourceConfig, VideoSource};
+use aivchat::semantics::{ClipConfig, ClipModel};
 use proptest::prelude::*;
-use serde::{Serialize, Value};
+use serde::{Deserialize, Serialize, Value};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::{Arc, OnceLock};
 
@@ -66,6 +69,98 @@ fn non_finite(value: &Value, path: &str) -> Option<String> {
     }
 }
 
+/// `link` as a deserializer would hand it over — past `BandwidthTrace`'s constructors, which
+/// refuse these rates themselves — with its (constant) rate replaced by `rate_bps`.
+fn link_with_rate(link: &LinkConfig, rate_bps: f64) -> LinkConfig {
+    fn replace(value: &mut Value, from: f64, to: f64) {
+        match value {
+            Value::F64(x) if *x == from => *x = to,
+            Value::Array(items) => items.iter_mut().for_each(|item| replace(item, from, to)),
+            Value::Object(fields) => fields.iter_mut().for_each(|(_, item)| replace(item, from, to)),
+            _ => {}
+        }
+    }
+    let mut value = link.to_value();
+    replace(&mut value, link.bandwidth.rate_at(SimTime::ZERO), rate_bps);
+    Deserialize::from_value(&value).expect("still a well-formed link")
+}
+
+fn panic_message(panic: Box<dyn std::any::Any + Send>) -> Option<String> {
+    panic
+        .downcast_ref::<String>()
+        .cloned()
+        .or_else(|| panic.downcast_ref::<&str>().map(|s| s.to_string()))
+}
+
+/// The contract of both properties. `verdict` is what the structured checks said; `build`
+/// must panic with exactly that message, or — after an `Ok` — build a conversation that
+/// runs `turns` to a finite report inside the event budget. With `frame_refusal` set, the
+/// frames are ones the codec must refuse instead, by a message starting with it.
+fn refused_by_name_or_runs_to_a_finite_report(
+    verdict: Result<(), String>,
+    build: impl FnOnce() -> Conversation,
+    turns: &[Vec<Frame>],
+    question: &Question,
+    frame_refusal: Option<&str>,
+) -> Result<(), TestCaseError> {
+    let built = catch_unwind(AssertUnwindSafe(build));
+    let mut conversation = match (verdict, built) {
+        (Ok(()), Ok(conversation)) => conversation,
+        (Err(error), Err(panic)) => {
+            prop_assert_eq!(panic_message(panic), Some(error));
+            return Ok(());
+        }
+        (verdict, built) => {
+            return Err(TestCaseError::fail(format!(
+                "the structured check said {verdict:?} but the constructor {}",
+                if built.is_ok() { "built" } else { "panicked" }
+            )))
+        }
+    };
+    let ran = catch_unwind(AssertUnwindSafe(|| {
+        for frames in turns {
+            conversation.run_turn_in_place(frames, question);
+        }
+        conversation
+    }));
+    let conversation = match (ran, frame_refusal) {
+        (Ok(conversation), None) => conversation,
+        (Err(panic), Some(refusal)) => {
+            let message = panic_message(panic).unwrap_or_default();
+            prop_assert!(
+                message.starts_with(refusal),
+                "refused, but not by name: {message}"
+            );
+            return Ok(());
+        }
+        (Ok(_), Some(refusal)) => {
+            return Err(TestCaseError::fail(format!(
+                "frames that must be refused ({refusal}) ran"
+            )))
+        }
+        (Err(panic), None) => {
+            return Err(TestCaseError::fail(format!(
+                "validated input panicked mid-turn: {:?}",
+                panic_message(panic)
+            )))
+        }
+    };
+    prop_assert!(
+        conversation.events_popped() <= EVENT_BUDGET,
+        "{} kernel events for three turns",
+        conversation.events_popped()
+    );
+    prop_assert_eq!(non_finite(&conversation.report().to_value(), "report"), None);
+    Ok(())
+}
+
+/// Three one-second windows of the 12-fps capture both properties run.
+fn three_turns(source: &VideoSource) -> Vec<Vec<Frame>> {
+    (0..3)
+        .map(|turn| source.window(turn as f64 * 1.5, 1.0, 12.0))
+        .collect()
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(384))]
 
@@ -106,54 +201,98 @@ proptest! {
         options.capture_fps = capture_fps;
         options.drain_secs = drain_secs;
 
-        let verdict = options.validate();
         // `with_defaults` with the model shared: most cases are refused, none needs its own.
         static MODEL: OnceLock<Arc<ClipModel>> = OnceLock::new();
         let model = Arc::clone(MODEL.get_or_init(|| Arc::new(ClipModel::mobile_default())));
         let think_gap = SimDuration::from_millis(200);
-        let built = catch_unwind(AssertUnwindSafe(|| {
-            Conversation::new(options.clone(), StreamerConfig::default(), model, think_gap)
-        }));
-        let mut conversation = match (verdict, built) {
-            (Ok(()), Ok(conversation)) => conversation,
+        // When `validate()` passes, `capture_fps` is the valid 12.
+        let scene = basketball_game(7);
+        let question = Question::from_fact(&scene.facts[0], QuestionFormat::FreeResponse);
+        let turns = three_turns(&VideoSource::new(scene, SourceConfig::fps30(6.0)));
+        refused_by_name_or_runs_to_a_finite_report(
+            options.validate().map_err(|e| e.to_string()),
+            || Conversation::new(options.clone(), StreamerConfig::default(), model, think_gap),
+            &turns,
+            &question,
+            None,
+        )?;
+    }
+
+    /// What a sender is built with, what its packets ride and what it is shown: γ, the CLIP
+    /// patch size, both links of the path (deserialized, so past every constructor) and the
+    /// frames — a 320×180 capture, so that a one-pixel patch grid stays small — among them a
+    /// 1×1 one and one whose first object's `texture_complexity` is NaN.
+    #[test]
+    fn hostile_sender_path_and_frames_are_refused_by_name_or_run_to_a_finite_report(
+        seed in hostile_u64(42),
+        context_aware in AnyBool,
+        gamma in hostile_f64(3.0),
+        patch_size in [0u32, 1, u32::MAX, 64, 64, 64, 32, 64],
+        up_rate in hostile_f64(10e6),
+        down_rate in hostile_f64(100e6),
+        up_delay_us in hostile_u64(30_000),
+        down_delay_us in hostile_u64(30_000),
+        up_jitter_us in hostile_u64(2_000),
+        up_queue in [0u64, 1, u64::MAX, 375_000, 375_000, 375_000, 375_000, 1_400],
+        down_queue in [0u64, u64::MAX, 3_750_000, 3_750_000, 3_750_000, 3_750_000],
+        frame_kind in [0usize, 0, 0, 0, 1, 2],
+    ) {
+        let mut options = NetSessionOptions::ai_oriented(seed, PathConfig::paper_section_2_2(0.15));
+        if !context_aware {
+            options.mode = StreamingMode::Baseline;
+        }
+        options.path.uplink = link_with_rate(&options.path.uplink, up_rate);
+        options.path.downlink = link_with_rate(&options.path.downlink, down_rate);
+        options.path.uplink.propagation_delay = SimDuration::from_micros(up_delay_us);
+        options.path.downlink.propagation_delay = SimDuration::from_micros(down_delay_us);
+        options.path.uplink.max_jitter = SimDuration::from_micros(up_jitter_us);
+        options.path.uplink.queue_capacity_bytes = up_queue;
+        options.path.downlink.queue_capacity_bytes = down_queue;
+        let config = StreamerConfig {
+            allocator: QpAllocatorConfig::with_gamma(gamma),
+            ..StreamerConfig::default()
+        };
+
+        // The model is built first, by the caller; its refusal is its own constructor's.
+        let clip_config = ClipConfig { patch_size };
+        let model = match (
+            ClipModel::try_new(clip_config, Ontology::standard()),
+            catch_unwind(|| ClipModel::new(clip_config, Ontology::standard())),
+        ) {
+            (Ok(_), Ok(model)) => model,
             (Err(error), Err(panic)) => {
-                prop_assert_eq!(panic.downcast_ref::<String>(), Some(&error.to_string()));
+                prop_assert_eq!(panic_message(panic), Some(error.to_string()));
                 return Ok(());
             }
             (verdict, built) => {
                 return Err(TestCaseError::fail(format!(
-                    "validate() said {verdict:?} but Conversation::new {}",
+                    "try_new said {:?} but ClipModel::new {}",
+                    verdict.err(),
                     if built.is_ok() { "built" } else { "panicked" }
                 )))
             }
         };
+        // `Conversation::new` checks the options, then builds the sender.
+        let verdict = options
+            .validate()
+            .map_err(|e| e.to_string())
+            .and_then(|()| QpAllocator::try_new(config.allocator).map(drop).map_err(|e| e.to_string()));
 
-        // `validate()` passed, so `capture_fps` is the valid 12: three one-second windows.
-        let scene = basketball_game(7);
+        let mut scene = basketball_game(7);
+        (scene.width, scene.height) = if frame_kind == 2 { (1, 1) } else { (320, 180) };
         let question = Question::from_fact(&scene.facts[0], QuestionFormat::FreeResponse);
-        let source = VideoSource::new(scene, SourceConfig::fps30(6.0));
-        let ran = catch_unwind(AssertUnwindSafe(|| {
-            for turn in 0..3 {
-                let frames = source.window(turn as f64 * 1.5, 1.0, capture_fps);
-                conversation.run_turn_in_place(&frames, &question);
+        let mut turns = three_turns(&VideoSource::new(scene, SourceConfig::fps30(6.0)));
+        if frame_kind == 1 {
+            for frame in turns.iter_mut().flatten() {
+                frame.objects[0].texture_complexity = f64::NAN;
             }
-            conversation
-        }));
-        let conversation = match ran {
-            Ok(conversation) => conversation,
-            Err(panic) => {
-                let message = panic
-                    .downcast_ref::<String>()
-                    .cloned()
-                    .or_else(|| panic.downcast_ref::<&str>().map(|s| s.to_string()));
-                return Err(TestCaseError::fail(format!("validated options panicked mid-turn: {message:?}")));
-            }
-        };
-        prop_assert!(
-            conversation.events_popped() <= EVENT_BUDGET,
-            "{} kernel events for three turns",
-            conversation.events_popped()
-        );
-        prop_assert_eq!(non_finite(&conversation.report().to_value(), "report"), None);
+        }
+        refused_by_name_or_runs_to_a_finite_report(
+            verdict,
+            || Conversation::new(options.clone(), config, model, SimDuration::from_millis(200)),
+            &turns,
+            &question,
+            (frame_kind == 1).then_some("frame 0 cannot be coded: block "),
+        )?;
     }
 }

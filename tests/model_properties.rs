@@ -14,7 +14,7 @@ use aivchat::scene::templates::TemplateKind;
 use aivchat::scene::{Frame, Ontology, Rect, Scene, SceneObject, SourceConfig, VideoSource};
 use aivchat::semantics::{ClipConfig, ClipModel, ClipScratch, TextQuery};
 use aivchat::videocodec::{
-    Decoder, EncodeScratch, EncodedFrame, Encoder, EncoderConfig, FrameType, Qp, QpMap, RatePlan, RdModel,
+    rd, Decoder, EncodeScratch, EncodedFrame, Encoder, EncoderConfig, FrameType, Qp, QpMap, RatePlan,
 };
 use proptest::prelude::*;
 use rand::{Rng, SeedableRng};
@@ -36,26 +36,21 @@ proptest! {
     }
 
     /// The Eq. 2 threshold-table allocator is bit-identical to the transcendental `powf`
-    /// path for arbitrary ρ ∈ [−1, 1] (and out-of-range ρ), for the paper γ, every γ the
-    /// ablation sweeps, and arbitrary temperatures — with and without clamping.
+    /// oracle for arbitrary ρ ∈ [−1, 1] (and out-of-range ρ), for the paper γ, every γ the
+    /// ablation sweeps, and arbitrary temperatures.
     #[test]
     fn eq2_lut_is_bit_identical_to_powf(
         rho in -1.0f64..=1.0,
         wild_rho in -5.0f64..5.0,
         gamma_ablation in [0.5f64, 1.0, 2.0, 3.0, 5.0, 8.0],
         gamma_arbitrary in 0.05f64..12.0,
-        min_qp in 0u8..=26,
-        max_qp in 26u8..=51,
     ) {
         for gamma in [gamma_ablation, gamma_arbitrary] {
-            let plain = QpAllocator::new(QpAllocatorConfig::with_gamma(gamma));
-            let clamped = QpAllocator::new(QpAllocatorConfig { gamma, min_qp, max_qp });
-            for allocator in [&plain, &clamped] {
-                for r in [rho, wild_rho, -1.0, 1.0] {
-                    let lut = allocator.qp_for_rho(r);
-                    let reference = allocator.qp_for_rho_reference(r);
-                    prop_assert!(lut == reference, "gamma {gamma} rho {r}: {lut} != {reference}");
-                }
+            let allocator = QpAllocator::new(QpAllocatorConfig::with_gamma(gamma));
+            for r in [rho, wild_rho, -1.0, 1.0] {
+                let lut = allocator.qp_for_rho(r);
+                let reference = allocator.qp_for_rho_reference(r);
+                prop_assert!(lut == reference, "gamma {gamma} rho {r}: {lut} != {reference}");
             }
         }
     }
@@ -98,14 +93,13 @@ proptest! {
         motion in 0.0f64..1.0,
         qp in 0i32..50,
     ) {
-        let rd = RdModel::default();
-        let bits = |q: i32, c: f64| rd.block_bits(Qp::new(q), 64 * 64, c, motion, FrameType::Inter);
+        let bits = |q: i32, c: f64| rd::block_bits(Qp::new(q), 64 * 64, c, motion, FrameType::Inter);
         prop_assert!(bits(qp, complexity) >= bits(qp + 1, complexity));
         if complexity < 0.95 {
             prop_assert!(bits(qp, complexity + 0.05) >= bits(qp, complexity));
         }
         // Quality is monotone too.
-        prop_assert!(rd.block_quality(Qp::new(qp), 0.5) >= rd.block_quality(Qp::new(qp + 1), 0.5));
+        prop_assert!(rd::block_quality(Qp::new(qp), 0.5) >= rd::block_quality(Qp::new(qp + 1), 0.5));
     }
 }
 
@@ -126,7 +120,7 @@ proptest! {
         width in 100u32..900,
         height in 70u32..600,
         object_count in 0usize..14,
-        config in [ClipConfig::mobile_clip(), ClipConfig::mobile_clip_fine()],
+        config in [ClipConfig { patch_size: 64 }, ClipConfig { patch_size: 32 }],
         query_idx in 0usize..4,
     ) {
         const CONCEPTS: [&str; 8] =
@@ -206,8 +200,8 @@ proptest! {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(8))]
 
-    /// The three encode entry points are one walk: a warm `encode_into` scratch, a planned
-    /// encode (plan prepared with or without a base map) and the allocating form agree
+    /// The encode entry points are one walk: `encode_into` through a fresh scratch, through
+    /// a warm one, and a planned encode (plan prepared with or without a base map) agree
     /// block for block — bytes, offsets, quality and the coverage table — for every
     /// frame and QP map, and a complete decode hands the coverage table on unchanged.
     #[test]
@@ -230,7 +224,8 @@ proptest! {
                 map.set(row, col, Qp::new(low_qp));
             }
         }
-        let reference = encoder.encode_with_qp_map(&frame, &map);
+        let mut reference = EncodedFrame::placeholder();
+        encoder.encode_into(&frame, &map, &mut EncodeScratch::new(), &mut reference);
         // A scratch and output that last held another frame at another map.
         let mut scratch = EncodeScratch::new();
         let mut out = EncodedFrame::placeholder();
