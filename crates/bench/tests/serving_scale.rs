@@ -17,7 +17,7 @@
 //! The fleet size defaults to 128 sessions so the check is always on; CI's
 //! `serving-suite` job exports `AIVC_SERVING_SCALE=1` to run the 1024-session
 //! configuration (release profile — a debug run of 1024 conversations is pointlessly
-//! slow), and `AIVC_SERVING_SCALE=10k` runs 10 240 sessions at pools 1 and 2 (≈ 1.2 GB
+//! slow), and `AIVC_SERVING_SCALE=10k` runs 10 240 sessions at pools 1 and 2 (≈ 0.7 GB
 //! live; opt-in). At every size a strided sample of the fleet is also compared with the
 //! same conversations run standalone.
 //!
@@ -187,11 +187,12 @@ fn main() {
     // slope x 10k of headroom) from what a server costs whatever its size (the intercept:
     // one `ClipModel`, one turn scratch per lane — this fleet runs two — and the pool).
     // Allocation sizes are deterministic, so each ceiling sits 5 % above the measured
-    // value: 110.1 KiB per conversation (398 KiB while every conversation owned a model and
-    // its turn's frame buffers; 455 KiB before frames carried one coverage table instead of
-    // an `Arc` per block) and 526.5–528.0 KiB per two-lane server (one ≈ 52 KiB model and
-    // two turn scratches of ≈ 237 KiB). Anything that grows either by more than that has to
-    // raise it here.
+    // value: 66.6 KiB per conversation (110.1 KiB while CLIP kept a raster of its own next
+    // to the rate plan's and its per-call buffers; 398 KiB while every conversation owned a
+    // model and its turn's frame buffers; 455 KiB before frames carried one coverage table
+    // instead of an `Arc` per block) and 549.2 KiB per two-lane server (one ≈ 52 KiB model
+    // and two turn scratches of ≈ 248 KiB, CLIP's work buffers included). Anything that
+    // grows either by more than that has to raise it here.
     let audit_sessions = if sessions > 128 { 256 } else { 64 };
     let small = warm_fleet_bytes(audit_sessions, &windows, &question, think);
     let large = warm_fleet_bytes(2 * audit_sessions, &windows, &question, think);
@@ -204,8 +205,8 @@ fn main() {
         intercept / 1024.0,
         2 * audit_sessions
     );
-    const PER_SESSION_CEILING_BYTES: f64 = 116.0 * 1024.0;
-    const PER_SERVER_CEILING_BYTES: f64 = 555.0 * 1024.0;
+    const PER_SESSION_CEILING_BYTES: f64 = 70.0 * 1024.0;
+    const PER_SERVER_CEILING_BYTES: f64 = 577.0 * 1024.0;
     assert!(
         slope > 0.0 && slope < PER_SESSION_CEILING_BYTES,
         "per-conversation heap {:.1} KiB outside budget (ceiling {:.0} KiB)",

@@ -22,8 +22,8 @@ use aivc_netsim::PathConfig;
 use aivc_par::MiniPool;
 use aivc_rtc::packetizer::{OutgoingFrame, Packetizer};
 use aivc_scene::templates::{basketball_game, dog_park};
-use aivc_scene::{Frame, SourceConfig, VideoSource};
-use aivc_semantics::{ClipModel, ClipScratch, TextQuery};
+use aivc_scene::{Frame, Ontology, SourceConfig, VideoSource};
+use aivc_semantics::{ClipConfig, ClipModel, ClipScratch, TextQuery};
 use aivc_sim::SimDuration;
 use aivc_sim::{EventQueue, SimTime};
 use aivc_videocodec::{
@@ -335,13 +335,15 @@ fn main() {
     // spread whole over the lanes of a MiniPool (no stage has a parallel form of its own)
     // with the always-on metrics layer engaged. Pool start-up is part of warmup; post-warmup
     // fleet turns must not allocate (raw-pointer job dispatch, static session→lane mapping).
-    // A conversation owns what it carries between turns; the frame buffers of a turn belong
-    // to its *lane*, which lends them to each of its sessions in order. So the fleet holds
-    // two sessions per lane and its turns alternate between a 1080p and a 720p window (the
-    // smaller grid's block records fit the larger one's buffers): the lane's buffers and each
-    // conversation's rasters grow to the larger geometry during warm-up and the smaller one
-    // is served from them afterwards. Once each lane has served both, fleet turns are
-    // allocation-free: every event queue sits at its high-water mark, reports are
+    // A conversation owns what it carries between turns; the frame buffers of a turn and the
+    // CLIP work buffers of a capture belong to its *lane*, which lends them to each of its
+    // sessions in order. So the fleet holds two sessions per lane — a 64-px one, whose CLIP
+    // reads its rate plan's raster, then a 32-px one, whose 4× finer patch grid is where the
+    // lane's CLIP buffers grow — and its turns alternate between a 1080p and a 720p window
+    // (the smaller grid's block records fit the larger one's buffers): the lane's buffers
+    // and each conversation's rasters grow to the larger geometry during warm-up and the
+    // smaller one is served from them afterwards. Once each lane has served both, fleet
+    // turns are allocation-free: every event queue sits at its high-water mark, reports are
     // overwritten in place, and every counter bump is a plain `u64` add — no heap.
     let pool_lanes = MiniPool::env_lanes_or(MiniPool::available_lanes().max(2));
     let conv_template = {
@@ -350,15 +352,17 @@ fn main() {
         o
     };
     let fleet_sessions = 2 * pool_lanes;
-    let fleet_model = Arc::new(ClipModel::mobile_default());
+    let fleet_models =
+        [64, 32].map(|patch_size| Arc::new(ClipModel::new(ClipConfig { patch_size }, Ontology::standard())));
     let fleet = (0..fleet_sessions)
         .map(|i| {
             let mut options = conv_template.clone();
             options.seed += i as u64;
+            // Session `i` runs on lane `i % pool_lanes`: each lane's first session is 64-px.
             Conversation::new(
                 options,
                 StreamerConfig::default(),
-                Arc::clone(&fleet_model),
+                Arc::clone(&fleet_models[i / pool_lanes]),
                 SimDuration::from_millis(200),
             )
         })

@@ -32,7 +32,9 @@
 
 use crate::context_aware::StreamerConfig;
 use crate::conversation::{ConversationReport, Member};
-use crate::net_session::{validate_link, NetSessionOptions};
+use crate::net_session::{
+    rate_bps_is_valid, validate_link, NetSessionOptions, NetSessionOptionsError, MAX_RATE_BPS,
+};
 use crate::net_turn::{NetEvent, NetEventSink, PacketRun, TurnPlan, TurnScratch, UplinkPort};
 use aivc_mllm::Question;
 use aivc_netsim::{jain_index, FaultKind, LinkConfig, LinkCounters, Packet, SharedLink};
@@ -143,6 +145,136 @@ pub struct ContentionConfig {
     pub admission: AdmissionConfig,
     /// Background cross-traffic sources.
     pub cross_traffic: Vec<CrossTrafficSpec>,
+}
+
+impl ContentionConfig {
+    /// Checks every field to a value the engine can run on — what
+    /// [`NetSessionOptions::validate`] is for a tenant. [`run_contention`] calls this and
+    /// panics with the error's message before it builds any state. Destructured without
+    /// `..`: a new field does not compile until its check (or its reason for needing none)
+    /// is written here.
+    pub fn validate(&self) -> Result<(), ContentionConfigError> {
+        use ContentionConfigError as E;
+        let ContentionConfig {
+            shared_uplink,
+            shared_seed: _,
+            nominal_bps,
+            fairness_window,
+            starvation:
+                StarvationConfig {
+                    enabled: _,
+                    floor_bps,
+                },
+            admission: AdmissionConfig { enabled: _ },
+            cross_traffic,
+        } = self;
+        validate_link("shared_uplink", shared_uplink).map_err(E::SharedUplink)?;
+        if !rate_bps_is_valid(*nominal_bps) {
+            return Err(E::NominalBps(*nominal_bps));
+        }
+        if *fairness_window == SimDuration::ZERO {
+            return Err(E::FairnessWindow);
+        }
+        if !(floor_bps.is_finite() && *floor_bps >= 0.0) {
+            return Err(E::StarvationFloor(*floor_bps));
+        }
+        for (source, spec) in cross_traffic.iter().enumerate() {
+            let &CrossTrafficSpec {
+                rate_bps,
+                packet_bytes,
+                start,
+                stop,
+            } = spec;
+            if !(1.0..=MAX_RATE_BPS).contains(&rate_bps) {
+                return Err(E::CrossTrafficRate { source, rate_bps });
+            }
+            if packet_bytes == 0 {
+                return Err(E::CrossTrafficPacketBytes { source });
+            }
+            if start >= stop {
+                return Err(E::CrossTrafficWindow { source, start, stop });
+            }
+        }
+        Ok(())
+    }
+}
+
+/// Why [`ContentionConfig::validate`] rejected a configuration.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub enum ContentionConfigError {
+    /// `shared_uplink` fails the checks a session's own links are held to (its message is
+    /// that check's, naming `shared_uplink`).
+    SharedUplink(NetSessionOptionsError),
+    /// `nominal_bps` is not a positive rate up to 1e12 bits per second: admission divides it
+    /// among the active tenants and clamps a joiner's estimate to the share, so a NaN one
+    /// was accepted silently and handed on.
+    NominalBps(f64),
+    /// `fairness_window` is zero: the fairness tick would re-arm at the same instant (it was
+    /// silently read as one microsecond).
+    FairnessWindow,
+    /// `starvation.floor_bps` is NaN, infinite or negative: no windowed goodput compares
+    /// below a NaN floor, and every one compares below an infinite one.
+    StarvationFloor(f64),
+    /// A cross-traffic source's rate is not within 1..=1e12 bits per second. Its send
+    /// interval is `packet_bytes · 8 / rate_bps` seconds: a zero rate makes it `u64::MAX` µs,
+    /// which overflows the clock it is added to; a NaN one collapses it to one microsecond,
+    /// flooding the kernel with a send per microsecond.
+    CrossTrafficRate {
+        /// The source's index in `cross_traffic`.
+        source: usize,
+        /// The rejected rate.
+        rate_bps: f64,
+    },
+    /// A cross-traffic source sends packets of no bytes, which collapses its send interval
+    /// to one microsecond.
+    CrossTrafficPacketBytes {
+        /// The source's index in `cross_traffic`.
+        source: usize,
+    },
+    /// A cross-traffic source's sending window `[start, stop)` is empty.
+    CrossTrafficWindow {
+        /// The source's index in `cross_traffic`.
+        source: usize,
+        /// `start` as given.
+        start: SimTime,
+        /// `stop` as given.
+        stop: SimTime,
+    },
+}
+
+impl core::fmt::Display for ContentionConfigError {
+    fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
+        const INVALID: &str = "contention config invalid:";
+        match self {
+            ContentionConfigError::SharedUplink(error) => write!(f, "{error}"),
+            ContentionConfigError::NominalBps(bps) => write!(
+                f,
+                "{INVALID} nominal_bps must be positive and at most 1e12 bits per second, got {bps}"
+            ),
+            ContentionConfigError::FairnessWindow => {
+                write!(f, "{INVALID} fairness_window must be longer than zero")
+            }
+            ContentionConfigError::StarvationFloor(bps) => write!(
+                f,
+                "{INVALID} starvation.floor_bps must be finite and at least 0 bits per second, got {bps}"
+            ),
+            ContentionConfigError::CrossTrafficRate { source, rate_bps } => write!(
+                f,
+                "{INVALID} cross_traffic[{source}].rate_bps must be within 1..=1e12 bits per second, got \
+                 {rate_bps}"
+            ),
+            ContentionConfigError::CrossTrafficPacketBytes { source } => write!(
+                f,
+                "{INVALID} cross_traffic[{source}].packet_bytes must be at least 1, got 0"
+            ),
+            ContentionConfigError::CrossTrafficWindow { source, start, stop } => write!(
+                f,
+                "{INVALID} cross_traffic[{source}] must start before it stops, got start {} µs and stop {} µs",
+                start.as_micros(),
+                stop.as_micros()
+            ),
+        }
+    }
 }
 
 /// One fairness-telemetry sample: shares over the window ending at `end_ms`.
@@ -491,12 +623,12 @@ impl ContentionMachine {
 ///
 /// # Panics
 ///
-/// Panics when there is no tenant, a scripted turn has no frame, the shared link or a
-/// tenant's options fail [`NetSessionOptions::validate`]'s checks, or a tenant's private
-/// uplink disagrees with the shared link.
+/// Panics when there is no tenant, a scripted turn has no frame, `config` fails
+/// [`ContentionConfig::validate`] or a tenant's options [`NetSessionOptions::validate`], or
+/// a tenant's private uplink disagrees with the shared link.
 pub fn run_contention(config: &ContentionConfig, tenants: Vec<TenantSpec>) -> ContentionReport {
     assert!(!tenants.is_empty(), "a contention run needs at least one tenant");
-    if let Err(e) = validate_link("shared_uplink", &config.shared_uplink) {
+    if let Err(e) = config.validate() {
         panic!("{e}");
     }
     for t in &tenants {
@@ -574,7 +706,7 @@ pub fn run_contention(config: &ContentionConfig, tenants: Vec<TenantSpec>) -> Co
         })
         .collect();
 
-    let fairness_window_us = config.fairness_window.as_micros().max(1);
+    let fairness_window_us = config.fairness_window.as_micros();
     let mut machine = ContentionMachine {
         tenants: states,
         cross,
@@ -842,6 +974,94 @@ mod tests {
             let message = panic.downcast_ref::<String>().expect("a formatted panic message");
             assert!(message.contains(needle), "{needle}: {message}");
         }
+    }
+
+    /// Each rule of `ContentionConfig::validate`, broken alone, is refused by name before
+    /// the run builds anything — among them the cross-traffic rate of zero whose send
+    /// interval used to overflow the clock (an add-overflow panic in debug, a hang in
+    /// release) and the NaN rate and empty packets that used to collapse it to a send per
+    /// microsecond — while the bounds themselves pass.
+    #[test]
+    fn a_contention_config_the_engine_cannot_run_is_refused_by_name() {
+        let uplink = LinkConfig::constant(4e6, SimDuration::from_millis(30), 300, LossModel::None);
+        fn cross(rate_bps: f64, packet_bytes: u32, start_ms: u64, stop_ms: u64) -> CrossTrafficSpec {
+            CrossTrafficSpec {
+                rate_bps,
+                packet_bytes,
+                start: SimTime::from_millis(start_ms),
+                stop: SimTime::from_millis(stop_ms),
+            }
+        }
+        type Edit = Box<dyn Fn(&mut ContentionConfig)>;
+        let mut cases: Vec<(&str, Edit)> = Vec::new();
+        for bps in [f64::NAN, 0.0, -1.0, f64::INFINITY, 1.1e12] {
+            cases.push((
+                "nominal_bps",
+                Box::new(move |c| {
+                    c.nominal_bps = bps;
+                    c.admission = AdmissionConfig { enabled: true };
+                }),
+            ));
+        }
+        cases.push((
+            "fairness_window",
+            Box::new(|c| c.fairness_window = SimDuration::ZERO),
+        ));
+        for floor_bps in [f64::NAN, -1.0, f64::INFINITY] {
+            cases.push((
+                "starvation.floor_bps",
+                Box::new(move |c| {
+                    c.starvation = StarvationConfig {
+                        enabled: true,
+                        floor_bps,
+                    }
+                }),
+            ));
+        }
+        for rate in [0.0, f64::NAN, 0.5, -2e6, f64::INFINITY, 2e12] {
+            cases.push((
+                "cross_traffic[1].rate_bps",
+                Box::new(move |c| {
+                    c.cross_traffic = vec![cross(1e6, 1_200, 0, 400), cross(rate, 1_200, 0, 400)]
+                }),
+            ));
+        }
+        cases.push((
+            "cross_traffic[0].packet_bytes",
+            Box::new(|c| c.cross_traffic = vec![cross(1e6, 0, 0, 400)]),
+        ));
+        for (start, stop) in [(400, 400), (500, 400)] {
+            cases.push((
+                "cross_traffic[0] must start before it stops",
+                Box::new(move |c| c.cross_traffic = vec![cross(1e6, 1_200, start, stop)]),
+            ));
+        }
+        for (needle, edit) in &cases {
+            let mut config = base_config(uplink.clone(), 1, 4e6);
+            edit(&mut config);
+            let expected = config.validate().expect_err(needle).to_string();
+            assert!(
+                expected.starts_with("contention config invalid: ") && expected.contains(needle),
+                "{expected}"
+            );
+            let tenant = TenantSpec {
+                label: "fine".into(),
+                mode: "ai_oriented".into(),
+                join_at: SimTime::ZERO,
+                think: SimDuration::ZERO,
+                options: tenant_options(1, &uplink, 8.0),
+                turns: turn_script(0, 1, 4, 8.0),
+            };
+            let panic = std::panic::catch_unwind(|| run_contention(&config, vec![tenant]))
+                .expect_err("an invalid config must not run");
+            assert_eq!(panic.downcast_ref::<String>(), Some(&expected), "{needle}");
+        }
+        // The edges of every rule are accepted.
+        let mut config = base_config(uplink, 1, 1e12);
+        config.fairness_window = SimDuration::from_micros(1);
+        config.starvation.floor_bps = 0.0;
+        config.cross_traffic = vec![cross(1.0, 1, 0, 1), cross(1e12, u32::MAX, 0, 1)];
+        assert_eq!(config.validate(), Ok(()));
     }
 
     #[test]

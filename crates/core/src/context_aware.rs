@@ -6,9 +6,10 @@
 //! [`Streamer`] is the only sender in the tree, and its two steps are the only places that
 //! branch on the mode:
 //!
-//! 1. `plan_frame` — context-aware: run (Mobile-)CLIP over the frame and the user's words
-//!    for the per-patch correlation ρ_mn (Eq. 1), map it to per-CTU QPs with Eq. 2 (γ = 3)
-//!    and prepare the frame's [`RatePlan`] on that map; baseline: prepare the plan alone;
+//! 1. `plan_frame` — prepare the frame's [`RatePlan`] (which rasterizes the capture onto
+//!    the CTU grid); context-aware, also run (Mobile-)CLIP over that raster and the user's
+//!    words for the per-patch correlation ρ_mn (Eq. 1) — N = 64, so patches are CTUs — map
+//!    it to per-CTU QPs with Eq. 2 (γ = 3) and set that map as the plan's base;
 //! 2. `encode_at_level` — because the raw Eq. 2 map lands at whatever bitrate it lands at,
 //!    the match finds one *level* (a uniform offset on the map; for the baseline the
 //!    uniform QP itself) and the frame is coded once at it, from the plan the match probed.
@@ -24,8 +25,10 @@ use crate::net_session::{capture_fps_is_valid, rate_bps_is_valid};
 use crate::net_turn::EMPTY_TURN_WINDOW;
 use crate::session::StreamingMode;
 use aivc_mllm::Question;
+use aivc_scene::grid_content::GridContent;
 use aivc_scene::{Frame, VideoSource};
-use aivc_semantics::{ClipConfig, ClipModel, ClipScratch, TextQuery};
+use aivc_semantics::{ClipConfig, ClipMemo, ClipModel, ClipWork, TextQuery};
+use aivc_videocodec::encoder::BLOCK_SIZE;
 use aivc_videocodec::{
     DecodedFrame, Decoder, EncodeScratch, EncodedFrame, Encoder, EncoderConfig, Qp, QpMap, RatePlan,
 };
@@ -53,6 +56,15 @@ pub struct MatchedEncode {
     pub achieved_bitrate_bps: f64,
     /// The encoded frames.
     pub encoded: Vec<EncodedFrame>,
+}
+
+/// What a context-aware sender carries from one capture to the next besides its rate plan:
+/// the Eq. 1 memo, and the patch-grid raster of a model whose patches are not the CTUs —
+/// never built for the paper's 64-px model, which reads the plan's raster.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct ClipState {
+    memo: ClipMemo,
+    patch_raster: Option<Box<GridContent>>,
 }
 
 /// The two QP maps a frame passes through on its way to the encoder.
@@ -140,39 +152,51 @@ impl Streamer {
         )
     }
 
-    /// Eq. 1 then Eq. 2: the CLIP-informed QP map of `frame` on the encoder's grid.
-    fn eq2_map_into(&self, frame: &Frame, query: &TextQuery, clip: &mut ClipScratch, out: &mut QpMap) {
-        let importance = self.clip_model.correlation_map_coherent(frame, query, clip);
-        self.allocator
-            .allocate_into(importance, self.encoder.grid_for(frame), out);
-    }
-
     /// The CLIP-informed QP map a context-aware sender starts from (the Figure 10(c)
     /// artifact), before any bitrate match.
     pub fn qp_map_for(&self, frame: &Frame, query: &TextQuery) -> QpMap {
         let mut map = QpMap::empty();
-        self.eq2_map_into(frame, query, &mut ClipScratch::new(), &mut map);
+        let importance = self.clip_model.correlation_map(frame, query);
+        self.allocator
+            .allocate_into(&importance, self.encoder.grid_for(frame), &mut map);
         map
     }
 
-    /// Step 1: prepares `plan` for `frame` — on the frame's Eq. 2 map (left in `maps`) when
-    /// context-aware, bare otherwise. `clip` and `plan` may carry the previous capture; both
-    /// then refresh only what moved, to the same bits as fresh ones. The baseline reads
-    /// neither `query` nor `clip`.
+    /// Step 1: prepares `plan` for `frame` and, when context-aware, leaves the frame's
+    /// Eq. 2 map in `maps` and sets it as the plan's base. The plan's raster is the one
+    /// raster of the capture: Eq. 1 reads it when the model's patches are the CTUs (the
+    /// paper's N = 64); a model on another patch grid reads `clip`'s own raster instead,
+    /// which a 64-px sender never builds. `clip` and `plan` may carry the previous capture;
+    /// both then refresh only what moved, to the same bits as fresh ones. The baseline
+    /// reads none of `query`, `clip` and `work`.
     pub(crate) fn plan_frame(
         &self,
         frame: &Frame,
         query: &TextQuery,
-        clip: &mut ClipScratch,
+        clip: &mut ClipState,
+        work: &mut ClipWork,
         maps: &mut QpMaps,
         plan: &mut RatePlan,
     ) {
+        self.encoder.prepare_rate_plan(frame, None, plan);
         match self.mode {
             StreamingMode::ContextAware => {
-                self.eq2_map_into(frame, query, clip, &mut maps.eq2);
-                self.encoder.prepare_rate_plan(frame, Some(&maps.eq2), plan);
+                let patch_size = self.clip_model.config().patch_size;
+                let raster = if patch_size == BLOCK_SIZE {
+                    plan.raster()
+                } else {
+                    let raster = clip.patch_raster.get_or_insert_with(Box::default);
+                    raster.update(frame, patch_size);
+                    raster
+                };
+                let importance =
+                    self.clip_model
+                        .correlation_map_on_raster(raster, frame, query, &mut clip.memo, work);
+                self.allocator
+                    .allocate_into(importance, plan.dims(), &mut maps.eq2);
+                plan.set_base(&maps.eq2);
             }
-            StreamingMode::Baseline => self.encoder.prepare_rate_plan(frame, None, plan),
+            StreamingMode::Baseline => {}
         }
     }
 
@@ -222,14 +246,20 @@ impl Streamer {
             rate_bps_is_valid(target_bitrate_bps),
             "target_bitrate_bps must be positive and at most 1e12 bits per second, got {target_bitrate_bps}"
         );
-        // One CLIP scratch across the set: the query is encoded once and consecutive frames
+        // One plan brought forward across the set and copied out per frame, and one CLIP
+        // memo reading its raster: the query is encoded once and consecutive frames
         // recompute only the patches object motion dirtied.
-        let mut clip = ClipScratch::new();
+        let (mut clip, mut work) = (ClipState::default(), ClipWork::new());
+        let mut running = RatePlan::new();
         let mut maps = vec![QpMaps::default(); frames.len()];
-        let mut plans = vec![RatePlan::new(); frames.len()];
-        for ((frame, maps), plan) in frames.iter().zip(&mut maps).zip(&mut plans) {
-            self.plan_frame(frame, query, &mut clip, maps, plan);
-        }
+        let plans: Vec<RatePlan> = frames
+            .iter()
+            .zip(&mut maps)
+            .map(|(frame, maps)| {
+                self.plan_frame(frame, query, &mut clip, &mut work, maps, &mut running);
+                running.clone()
+            })
+            .collect();
         let level = self
             .encoder
             .search_rate_plans(&plans, fps, target_bitrate_bps, None)
@@ -279,9 +309,12 @@ impl Streamer {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{Conversation, NetSessionOptions};
     use aivc_mllm::QuestionFormat;
+    use aivc_netsim::PathConfig;
     use aivc_scene::templates::basketball_game;
-    use aivc_scene::SourceConfig;
+    use aivc_scene::{Ontology, SourceConfig};
+    use aivc_sim::SimDuration;
     use StreamingMode::{Baseline, ContextAware};
 
     fn source() -> VideoSource {
@@ -404,9 +437,10 @@ mod tests {
 
     /// What lets the Figure 9 loop decode the baseline once per clip: the baseline's encode
     /// is a function of the frames and the rate alone — the query changes no byte of it,
-    /// and its CLIP scratch is never written — while the context-aware encode follows it.
+    /// and its CLIP state and work buffers are never written — while the context-aware
+    /// encode follows it.
     #[test]
-    fn the_baseline_ignores_the_query_and_never_touches_its_clip_scratch() {
+    fn the_baseline_ignores_the_query_and_never_touches_its_clip_state() {
         let [streamer, baseline] = both_modes();
         let frames = source().sample_frames(3);
         let [score, logo] = [0, 1].map(|fact| baseline.query_for_question(&question(fact)));
@@ -419,14 +453,81 @@ mod tests {
             streamer.encode_at_bitrate(&frames, &score, 30.0, 430_000.0),
             streamer.encode_at_bitrate(&frames, &logo, 30.0, 430_000.0)
         );
-        let untouched = format!("{:?}", ClipScratch::new());
-        let (mut clip, mut maps, mut plan) = (ClipScratch::new(), QpMaps::default(), RatePlan::new());
+        let untouched = format!("{:?}", (ClipState::default(), ClipWork::new()));
+        let (mut clip, mut work) = (ClipState::default(), ClipWork::new());
+        let (mut maps, mut plan) = (QpMaps::default(), RatePlan::new());
         for frame in &frames {
-            baseline.plan_frame(frame, &logo, &mut clip, &mut maps, &mut plan);
-            assert_eq!(format!("{clip:?}"), untouched);
+            baseline.plan_frame(frame, &logo, &mut clip, &mut work, &mut maps, &mut plan);
+            assert_eq!(format!("{:?}", (&clip, &work)), untouched);
         }
-        streamer.plan_frame(&frames[0], &logo, &mut clip, &mut maps, &mut plan);
-        assert_ne!(format!("{clip:?}"), untouched);
+        streamer.plan_frame(&frames[0], &logo, &mut clip, &mut work, &mut maps, &mut plan);
+        assert_ne!(format!("{:?}", (&clip, &work)), untouched);
+    }
+
+    /// The one-raster rule: a capture planned by a 64-px sender updates the plan's raster
+    /// exactly once and no other — CLIP reads it, and the sender's own patch raster is never
+    /// built — while a 32-px sender updates its patch raster once next to it. Either way the
+    /// Eq. 2 map is the one a fresh scratch computes.
+    #[test]
+    fn a_64_px_capture_updates_one_raster_and_a_32_px_capture_two() {
+        let model = |patch_size| Arc::new(ClipModel::new(ClipConfig { patch_size }, Ontology::standard()));
+        let frames = source().sample_frames(6);
+        for patch_size in [64, 32] {
+            let streamer = Streamer::new(ContextAware, StreamerConfig::default(), model(patch_size));
+            let query = streamer.query_for_question(&logo_question());
+            let (mut clip, mut work) = (ClipState::default(), ClipWork::new());
+            let (mut maps, mut plan) = (QpMaps::default(), RatePlan::new());
+            for (index, frame) in frames.iter().enumerate() {
+                // A raster not built yet reads as generation 0, as a fresh one does.
+                let patch = clip.patch_raster.as_ref().map_or(0, |raster| raster.generation());
+                let before = (plan.raster().generation(), patch);
+                streamer.plan_frame(frame, &query, &mut clip, &mut work, &mut maps, &mut plan);
+                let what = format!("{patch_size} px, frame {index}");
+                assert!(plan.raster().follows(before.0), "{what}: plan raster");
+                if patch_size == BLOCK_SIZE {
+                    assert!(clip.patch_raster.is_none(), "{what}: patch raster built");
+                } else {
+                    let raster = clip.patch_raster.as_ref().expect("a 32-px sender's raster");
+                    assert!(raster.follows(before.1), "{what}: patch raster");
+                }
+                assert_eq!(maps.eq2, streamer.qp_map_for(frame, &query), "{what}: Eq. 2 map");
+            }
+        }
+    }
+
+    /// FNV-1a of a conversation report's `Debug` rendering.
+    fn report_digest(report: &crate::ConversationReport) -> u64 {
+        format!("{report:?}")
+            .bytes()
+            .fold(0xcbf2_9ce4_8422_2325, |hash, b| {
+                (hash ^ u64::from(b)).wrapping_mul(0x1000_0000_01b3)
+            })
+    }
+
+    /// Three lossy turns of a 32-px and a 64-px conversation report exactly what they did
+    /// while CLIP owned a raster of its own (digests taken at that commit): sharing the
+    /// plan's raster moved no bit, on the shared grid or off it.
+    #[test]
+    fn conversations_at_either_patch_size_report_what_they_did_with_two_rasters() {
+        for (patch_size, digest) in [(32, 0x1aaa_0fc4_b1d3_34bd), (64, 0xe23b_f854_212a_1cf3)] {
+            let model = ClipModel::new(ClipConfig { patch_size }, Ontology::standard());
+            let mut options = NetSessionOptions::ai_oriented(5, PathConfig::paper_section_2_2(0.01));
+            options.capture_fps = 8.0;
+            let mut conversation = Conversation::new(
+                options,
+                StreamerConfig::default(),
+                model,
+                SimDuration::from_millis(300),
+            );
+            let clip = source();
+            for turn in 0..3usize {
+                let frames: Vec<Frame> = (0..4)
+                    .map(|i| clip.frame(((turn * 4 + i) * 11 % 290) as u64))
+                    .collect();
+                conversation.run_turn(&frames, &question(turn % 2));
+            }
+            assert_eq!(report_digest(&conversation.report()), digest, "{patch_size} px");
+        }
     }
 
     /// The offline entry checks its inputs once, before any plan is built, in both modes:

@@ -49,8 +49,8 @@ pub mod session;
 pub use aivc_metrics::SessionSnapshot;
 pub use allocator::{QpAllocator, QpAllocatorConfig, QpAllocatorConfigError};
 pub use contention::{
-    run_contention, AdmissionConfig, ContentionConfig, ContentionReport, CrossTrafficSpec, StarvationConfig,
-    TenantReport, TenantSpec, TenantTurn,
+    run_contention, AdmissionConfig, ContentionConfig, ContentionConfigError, ContentionReport,
+    CrossTrafficSpec, StarvationConfig, TenantReport, TenantSpec, TenantTurn,
 };
 pub use context_aware::{MatchedEncode, Streamer, StreamerConfig};
 pub use conversation::{Conversation, ConversationReport};

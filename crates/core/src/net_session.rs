@@ -244,7 +244,7 @@ const MAX_TIMER_SECS: f64 = 1e6;
 /// Largest bitrate the options may carry, in bits per second: far past any link, and small
 /// enough that a turn's sum of per-frame targets (`f64::MAX` held for two frames is `inf`
 /// in the report) and the pacer's 2.5× stay finite.
-const MAX_RATE_BPS: f64 = 1e12;
+pub(crate) const MAX_RATE_BPS: f64 = 1e12;
 
 /// Whether the µs turn clock can step by `fps`. `contains` is false for NaN; the bounds keep
 /// `1e6 / fps` between the clock's 1 µs resolution and 1e12 µs, far from overflowing a

@@ -7,12 +7,14 @@
 //!
 //! * [`NetCompute`] owns what the *chat pipeline* carries from turn to turn — the §3.2
 //!   sender ([`Streamer`]: model handle, Eq. 2 allocator, encoder), the decoder, the MLLM
-//!   responder, and the scratches whose contents a later turn reads (`ClipScratch`,
-//!   `RatePlan`, the rate hint, the query memo), which it lends to the sender per capture;
-//! * [`TurnScratch`] holds the frame buffers that live inside one turn — written at
-//!   capture, read at the same turn's deadline — so it belongs to whoever *drives* turns
-//!   one at a time (a fleet lane, a standalone conversation, a contention tenant), not to
-//!   the session;
+//!   responder, and the state a later turn reads (the `RatePlan` — whose raster is the
+//!   conversation's one rasterization of each capture, read by CLIP too — the Eq. 1 memo,
+//!   the rate hint, the query memo), which it lends to the sender per capture;
+//! * [`TurnScratch`] holds the buffers that live inside one turn — the Eq. 1 work buffers,
+//!   written and read inside one capture, and the frame buffers written at capture and
+//!   read at the same turn's deadline — so it belongs to whoever *drives* turns one at a
+//!   time (a fleet lane, a standalone conversation, a contention tenant), not to the
+//!   session;
 //! * [`Transport`] owns everything the *network* needs — the emulated path, packetizer,
 //!   pacer, RTX store, FEC encode/recovery, reassembly, NACK generation, and the pending
 //!   congestion feedback — plus the per-turn counters the report reads;
@@ -28,7 +30,7 @@
 //! the way in). Either way the clock, the queue backlog, the trace cursor and every
 //! in-flight packet persist across turn boundaries.
 
-use crate::context_aware::{QpMaps, Streamer, StreamerConfig};
+use crate::context_aware::{ClipState, QpMaps, Streamer, StreamerConfig};
 use crate::net_session::{FaultTelemetry, FrameDelivery, NetSessionOptions, NetTurnReport};
 use aivc_metrics::SessionSnapshot;
 use aivc_mllm::{MllmChat, MllmScratch, Question};
@@ -43,7 +45,7 @@ use aivc_rtc::packetizer::{FrameAssembler, OutgoingFrame, Packetizer};
 use aivc_rtc::rtp::{PayloadKind, RtpPacket};
 use aivc_rtc::seq_ring::SeqRing;
 use aivc_scene::Frame;
-use aivc_semantics::{ClipModel, ClipScratch, TextQuery};
+use aivc_semantics::{ClipModel, ClipWork, TextQuery};
 use aivc_sim::{Actor, SimDuration, SimTime, Simulation};
 use aivc_videocodec::{DecodeScratch, DecodedFrame, Decoder, EncodeScratch, EncodedFrame, RatePlan};
 use std::sync::Arc;
@@ -221,9 +223,11 @@ pub(crate) struct NetCompute {
     pub(crate) sender: Streamer,
     decoder: Decoder,
     pub(crate) responder: MllmChat,
-    clip: ClipScratch,
-    /// Per-frame probe coefficients (grid raster + QP-independent rate terms), prepared
-    /// once per capture so the budget search's probes never re-rasterize the frame.
+    /// The Eq. 1 memo (and, off the CTU grid, the patch raster) carried across captures.
+    clip: ClipState,
+    /// Per-frame probe coefficients and the capture's grid raster, prepared once per
+    /// capture: CLIP scores the raster, the budget search's probes never re-rasterize the
+    /// frame, and the encode writes its blocks from it.
     rate_plan: RatePlan,
     /// The previous capture's search boundary — where the next search starts probing.
     /// Never changes what a search returns (`Encoder::search_rate_plan`).
@@ -232,13 +236,15 @@ pub(crate) struct NetCompute {
     query: TextQuery,
 }
 
-/// The turn-transient half of the chat pipeline: every buffer a capture writes and the
-/// same turn's deadline reads, and nothing a later turn depends on. One per *driver of
+/// The turn-transient half of the chat pipeline: every buffer a capture writes and reads
+/// itself or the same turn's deadline reads, and nothing a later turn depends on. One per *driver of
 /// whole turns* — a [`crate::server`] lane (shared by all the lane's sessions, one turn
 /// at a time), a standalone [`crate::Conversation`], a contention tenant (tenants' turns
 /// overlap on the shared kernel, so each owns one). All-empty until its first turn.
 #[derive(Debug)]
 pub(crate) struct TurnScratch {
+    /// Eq. 1's class table and lane accumulators, used inside each capture's CLIP call.
+    clip_work: ClipWork,
     /// The capture's Eq. 2 map and the map its one real encode runs on.
     qp_maps: QpMaps,
     encode_scratches: Vec<EncodeScratch>,
@@ -258,6 +264,7 @@ pub(crate) struct TurnScratch {
 impl Default for TurnScratch {
     fn default() -> Self {
         Self {
+            clip_work: ClipWork::new(),
             qp_maps: QpMaps::default(),
             encode_scratches: Vec::new(),
             encoded_slots: Vec::new(),
@@ -281,7 +288,7 @@ impl NetCompute {
             decoder: Decoder::new(),
             responder: MllmChat::responder(options.seed ^ 0x5EED),
             options,
-            clip: ClipScratch::new(),
+            clip: ClipState::default(),
             rate_plan: RatePlan::new(),
             rate_hint: None,
             cached_question: None,
@@ -334,6 +341,7 @@ impl NetCompute {
             frame,
             &self.query,
             &mut self.clip,
+            &mut scratch.clip_work,
             &mut scratch.qp_maps,
             &mut self.rate_plan,
         );

@@ -7,19 +7,27 @@
 //! **One pipeline.** For a fixed query and frame content, a patch's ρ is a pure function
 //! of its `(coverage list, background fraction)`, and a frame holds far fewer distinct
 //! such *classes* than patches (a 1080p frame of the benchmark scene: 510 patches, ≈ 23
-//! classes). Both scratch-taking forms — full and coherent — bring the scratch's patch-grid
-//! raster ([`GridContent`]) to the frame and run the same three steps over the cells they
-//! have to evaluate — every cell, or the cells the raster recomputed: *classify* each cell
-//! into a per-call [`ClassTable`], *evaluate* the distinct classes [`RHO_LANES`] at a time,
-//! *scatter* `rho[class]` back to the cells. The table lives for one call, so it cannot go
-//! stale; each class runs exactly the f64 sequence each of its patches would have run, so
-//! every map is bit-identical to [`ClipModel::correlation_map_naive`].
+//! classes). Every form ends in one entry, [`ClipModel::correlation_map_on_raster`], which
+//! reads a patch-grid raster ([`GridContent`]) of the frame and runs the same three steps
+//! over the cells it has to evaluate — every cell, or the cells the raster recomputed:
+//! *classify* each cell into a per-call [`ClassTable`], *evaluate* the distinct classes
+//! [`RHO_LANES`] at a time, *scatter* `rho[class]` back to the cells. The table lives for
+//! one call, so it cannot go stale; each class runs exactly the f64 sequence each of its
+//! patches would have run, so every map is bit-identical to
+//! [`ClipModel::correlation_map_naive`].
+//!
+//! **The raster is borrowed.** The entry owns no raster: what it keeps across captures is
+//! a [`ClipMemo`] (query embedding, map, resolved concepts, fingerprint), and its per-call
+//! buffers are a separate [`ClipWork`]. The turn engine lends it the rate plan's CTU raster
+//! — the paper's 64-px patches *are* the CTUs — so a conversation rasterizes each capture
+//! once; [`ClipScratch`] bundles a raster of its own for every other caller, and
+//! [`ClipModel::correlation_map_coherent`] is "update that raster, call the entry".
 //!
 //! **What moved is the raster's decision.** [`GridContent::update`] remembers the previous
 //! capture and reports the cells whose coverage can differ; this module only decides
 //! whether the map it holds is still *about* that capture (same model, query, concept
-//! fingerprint and geometry) — if so the raster's dirty cells are re-evaluated, otherwise
-//! all of them.
+//! fingerprint and geometry, and a raster one update past the generation the memo last
+//! read) — if so the raster's dirty cells are re-evaluated, otherwise all of them.
 
 use crate::embedding::Embedding;
 use crate::importance::ImportanceMap;
@@ -250,90 +258,66 @@ impl ClassTable {
     }
 }
 
-/// Reusable buffers for the scratch-taking correlation forms.
+/// What Eq. 1 carries from one capture of a video to the next: the text-query embedding (a
+/// multi-frame turn encodes the user's words once), the map of the previous capture and the
+/// frame's resolved concept lists, kept while they are still *about* the raster being read
+/// — same model, same query, same concept fingerprint, same geometry, and a raster updated
+/// exactly once since the memo last read it ([`GridContent::follows`]) — so only the cells
+/// that update recomputed are re-evaluated. The model is checked by identity: handing the memo to a
+/// different model drops it, so a memo may be shared between models (at the price of a full
+/// recompute on every switch).
 ///
-/// One scratch per streaming turn (or per thread) removes every per-frame heap allocation
-/// from the correlation hot path: the output map, the patch-grid raster, the class table,
-/// the lane accumulators and the resolved concept lists all live here and are reused. It
-/// also carries what may outlive a frame: the text-query embedding (a multi-frame turn
-/// encodes the user's words once), the raster of the previous capture (which knows what
-/// moved since), and the map plus resolved concept lists, which
-/// [`ClipModel::correlation_map_coherent`] keeps while they are still about that capture —
-/// same model, same query, same concept fingerprint, same geometry, map not taken. The
-/// model is checked by identity: handing the scratch to a different model drops the memo,
-/// so a scratch may be shared between models (at the price of a full recompute on every
-/// switch).
+/// A memo holds no raster of its own: [`ClipModel::correlation_map_on_raster`] reads one it
+/// is lent (a conversation's rate plan holds the CTU raster its 64-px patches share), and a
+/// [`ClipScratch`] bundles one with a memo for callers without a raster to lend.
 #[derive(Debug, Clone)]
-pub struct ClipScratch {
+pub struct ClipMemo {
     /// Identity of the model the memoized state below belongs to.
     model: Option<u64>,
-    /// Patch-grid raster of the frame [`ClipScratch::map`] describes, brought forward
-    /// capture by capture: the one source of every cell's coverage list and background
-    /// fraction, and of which cells changed.
-    grid: GridContent,
-    /// Concept lists of the frame [`ClipScratch::map`] describes.
+    /// Concept lists of the frame [`ClipMemo::map`] describes.
     concepts: ResolvedConcepts,
-    /// Per-call class table of the evaluated cells.
-    classes: ClassTable,
-    /// Class id of each evaluated cell of the current segment, in cell order.
-    cell_class: Vec<u16>,
-    /// Per-lane concept-pooling accumulators of the vector kernel: lane `l` owns the
-    /// contiguous slice `[l·dim, (l+1)·dim)`, so phase A writes stay unit-stride.
-    lane_acc: Vec<f64>,
-    /// Lane-transposed (dimension-major SoA) copy of the accumulators: dimension `d`'s
-    /// values for all [`RHO_LANES`] lanes sit side by side at `[d·LANES, (d+1)·LANES)`,
-    /// the layout phase B's lockstep reductions walk with unit stride.
-    tile: Vec<f64>,
     /// The query whose embedding is currently memoized.
     cached_query: Option<TextQuery>,
-    /// Memoized text embedding of [`ClipScratch::cached_query`].
+    /// Memoized text embedding of [`ClipMemo::cached_query`].
     query_embedding: Embedding,
-    /// Memoized [`Embedding::norm`] of [`ClipScratch::query_embedding`] (the f64 value
+    /// Memoized [`Embedding::norm`] of [`ClipMemo::query_embedding`] (the f64 value
     /// `Embedding::cosine` recomputes per patch).
     query_norm: f64,
     /// The output map, refilled in place.
     map: ImportanceMap,
     /// Content fingerprint (objects, concepts, background, geometry) of the frame
-    /// [`ClipScratch::map`] was computed for.
+    /// [`ClipMemo::map`] was computed for.
     prev_fingerprint: u64,
-    /// Whether [`ClipScratch::map`] and [`ClipScratch::concepts`] hold a result the
-    /// incremental paths may build on.
+    /// [`GridContent::generation`] of the raster [`ClipMemo::map`] was computed from.
+    raster_generation: u64,
+    /// Whether [`ClipMemo::map`] and [`ClipMemo::concepts`] hold a result the incremental
+    /// path may build on.
     prev_valid: bool,
 }
 
-impl Default for ClipScratch {
+impl Default for ClipMemo {
     fn default() -> Self {
         Self::new()
     }
 }
 
-impl ClipScratch {
-    /// Creates an empty scratch.
+impl ClipMemo {
+    /// Creates an empty memo.
     pub fn new() -> Self {
         Self {
             model: None,
-            grid: GridContent::new(),
             concepts: ResolvedConcepts::default(),
-            classes: ClassTable::default(),
-            cell_class: Vec::new(),
-            lane_acc: Vec::new(),
-            tile: Vec::new(),
             cached_query: None,
             query_embedding: Embedding::zeros(0),
             query_norm: 0.0,
             map: ImportanceMap::empty(),
             prev_fingerprint: 0,
+            raster_generation: 0,
             prev_valid: false,
         }
     }
 
-    /// Moves the most recent result out of the scratch.
-    pub fn take_map(&mut self) -> ImportanceMap {
-        self.prev_valid = false;
-        std::mem::replace(&mut self.map, ImportanceMap::empty())
-    }
-
-    /// Binds the scratch to `model`. Everything memoized — the query embedding, the
+    /// Binds the memo to `model`. Everything memoized — the query embedding, the
     /// out-of-ontology directions, the resolved concept lists, the coherence state — was
     /// computed against one model's concept table, so a model over another ontology starts
     /// from nothing. (One that differs in `patch_size` alone shares the table; the patch grid
@@ -361,16 +345,71 @@ impl ClipScratch {
         self.query_norm < 1e-12
     }
 
-    /// Whether the scratch holds a previous result the coherent form may update for
-    /// this frame geometry and query (the memoized query must match byte-for-byte so the
+    /// Whether the memo holds a previous result the incremental path may update for this
+    /// frame geometry and query (the memoized query must match byte-for-byte so the
     /// retained patch values were computed against the same embedding; the model is
-    /// vouched for by [`ClipScratch::bind_model`]).
+    /// vouched for by [`ClipMemo::bind_model`]).
     fn can_update_incrementally(&self, frame: &Frame, query: &TextQuery, dims: GridDims) -> bool {
         self.prev_valid
             && self.map.dims() == dims
             && self.map.width() == frame.width
             && self.map.height() == frame.height
             && self.cached_query.as_ref() == Some(query)
+    }
+}
+
+/// The per-call work buffers of Eq. 1: the class table, each evaluated cell's class id and
+/// the vector kernel's lane accumulators. Written and read inside one call, so one set
+/// serves any number of memos in turn — a fleet lane lends its one set to each of its
+/// sessions. Allocation-free once grown to the largest patch grid served.
+#[derive(Debug, Clone, Default)]
+pub struct ClipWork {
+    /// Per-call class table of the evaluated cells.
+    classes: ClassTable,
+    /// Class id of each evaluated cell of the current segment, in cell order.
+    cell_class: Vec<u16>,
+    /// Per-lane concept-pooling accumulators of the vector kernel: lane `l` owns the
+    /// contiguous slice `[l·dim, (l+1)·dim)`, so phase A writes stay unit-stride.
+    lane_acc: Vec<f64>,
+    /// Lane-transposed (dimension-major SoA) copy of the accumulators: dimension `d`'s
+    /// values for all [`RHO_LANES`] lanes sit side by side at `[d·LANES, (d+1)·LANES)`,
+    /// the layout phase B's lockstep reductions walk with unit stride.
+    tile: Vec<f64>,
+}
+
+impl ClipWork {
+    /// Creates empty work buffers.
+    pub fn new() -> Self {
+        Self::default()
+    }
+}
+
+/// Everything the raster-owning correlation forms need: a patch-grid raster brought to
+/// each frame they are handed, the [`ClipMemo`] that reads it, and [`ClipWork`] buffers.
+///
+/// One scratch per video (or per thread) removes every per-frame heap allocation from the
+/// correlation hot path. [`ClipModel::correlation_map_with`] and
+/// [`ClipModel::correlation_map_coherent`] update the scratch's raster and then run the one
+/// Eq. 1 entry, [`ClipModel::correlation_map_on_raster`], on it — so these forms and a
+/// caller lending its own raster share one pipeline.
+#[derive(Debug, Clone, Default)]
+pub struct ClipScratch {
+    /// Patch-grid raster of the frames handed in, brought forward capture by capture.
+    raster: GridContent,
+    memo: ClipMemo,
+    work: ClipWork,
+}
+
+impl ClipScratch {
+    /// Creates an empty scratch.
+    pub fn new() -> Self {
+        Self::default()
+    }
+
+    /// Moves the most recent result out of the scratch.
+    pub fn take_map(&mut self) -> ImportanceMap {
+        self.memo.prev_valid = false;
+        std::mem::replace(&mut self.memo.map, ImportanceMap::empty())
     }
 }
 
@@ -381,8 +420,8 @@ pub struct ClipModel {
     ontology: Ontology,
     space: ConceptSpace,
     /// Hash of the concept table (names and embeddings, in index order) — everything a
-    /// scratch's memos depend on besides frame, query and patch grid, which it compares
-    /// itself — so a [`ClipScratch`] notices that it changed hands.
+    /// memo depends on besides frame, query, patch grid and raster, which it compares
+    /// itself — so a [`ClipMemo`] notices that it changed hands.
     identity: u64,
 }
 
@@ -466,85 +505,119 @@ impl ClipModel {
         query: &TextQuery,
         scratch: &'s mut ClipScratch,
     ) -> &'s ImportanceMap {
-        scratch.prev_valid = false;
+        scratch.memo.prev_valid = false;
         self.correlation_map_coherent(frame, query, scratch)
     }
 
     /// Incremental form of [`ClipModel::correlation_map_with`], exploiting the temporal
-    /// coherence of video: only patches whose content can have changed since the previous
-    /// frame are re-evaluated; everything else keeps its value from the map already held
-    /// in `scratch`, and the resolved concept lists are kept too.
-    ///
-    /// Which patches those are is the scratch raster's call ([`GridContent::update`]: every
-    /// patch overlapping the previous *or* current placement of an object that moved,
-    /// minus the patches lying fully inside both; every patch when the capture differs in
-    /// more than rects). When the map held is not about the previous capture (first frame,
-    /// concept/query/geometry/model change, stolen map), the call re-encodes the query if
-    /// it changed, re-resolves the frame's concepts and evaluates the whole grid, so this
-    /// is a drop-in replacement for `correlation_map_with` with identical output for any
-    /// frame sequence (see the equivalence tests and `tests/model_properties.rs`).
+    /// coherence of video: brings the scratch's raster to `frame` ([`GridContent::update`])
+    /// and runs [`ClipModel::correlation_map_on_raster`] on it, so only patches whose
+    /// content can have changed since the previous frame are re-evaluated. A drop-in
+    /// replacement for `correlation_map_with` with identical output for any frame sequence
+    /// (see the equivalence tests and `tests/model_properties.rs`).
     pub fn correlation_map_coherent<'s>(
         &self,
         frame: &Frame,
         query: &TextQuery,
         scratch: &'s mut ClipScratch,
     ) -> &'s ImportanceMap {
-        scratch.bind_model(self);
+        scratch.raster.update(frame, self.config.patch_size);
+        self.correlation_map_on_raster(
+            &scratch.raster,
+            frame,
+            query,
+            &mut scratch.memo,
+            &mut scratch.work,
+        )
+    }
+
+    /// The one Eq. 1 entry: the correlation map of `frame` from `raster` — a raster of
+    /// `frame` on this model's patch grid (filled or updated with `patch_size`), owned by
+    /// the caller — kept in `memo` and computed in `work`.
+    ///
+    /// When the map `memo` holds is about the raster's previous content (same model, query,
+    /// concept fingerprint and geometry, and the raster [`GridContent::follows`] the
+    /// generation the memo last read), only the raster's dirty cells are re-evaluated —
+    /// every patch overlapping the previous *or* current placement of an object that moved,
+    /// minus the patches lying fully inside both. Otherwise (first frame, concept, query,
+    /// geometry or model change, a raster update the memo did not see, a different raster,
+    /// a stolen map) the query is re-encoded if it changed, the frame's concepts are
+    /// re-resolved and the whole grid is evaluated. Either way the map is bit-identical to
+    /// [`ClipModel::correlation_map_naive`].
+    ///
+    /// # Panics
+    ///
+    /// Panics when `raster` is not on this model's patch grid for `frame`.
+    pub fn correlation_map_on_raster<'m>(
+        &self,
+        raster: &GridContent,
+        frame: &Frame,
+        query: &TextQuery,
+        memo: &'m mut ClipMemo,
+        work: &mut ClipWork,
+    ) -> &'m ImportanceMap {
         let dims = GridDims::for_frame(frame.width, frame.height, self.config.patch_size);
+        assert_eq!(
+            raster.dims(),
+            dims,
+            "the raster is not on the model's patch grid for this frame"
+        );
+        memo.bind_model(self);
         let fingerprint = frame_fingerprint(frame);
-        scratch.grid.update(frame, self.config.patch_size);
-        let kept =
-            scratch.can_update_incrementally(frame, query, dims) && scratch.prev_fingerprint == fingerprint;
+        let kept = memo.can_update_incrementally(frame, query, dims)
+            && memo.prev_fingerprint == fingerprint
+            && raster.follows(memo.raster_generation);
+        memo.raster_generation = raster.generation();
         if !kept {
-            scratch.memoize_query(self, query);
-            scratch.concepts.resolve_frame(self, frame);
+            memo.memoize_query(self, query);
+            memo.concepts.resolve_frame(self, frame);
             // Zero-filled, which is already the (frame-independent) empty-query map.
-            scratch.map.begin_refill(dims, frame.width, frame.height);
-            scratch.prev_fingerprint = fingerprint;
-            scratch.prev_valid = true;
+            memo.map.begin_refill(dims, frame.width, frame.height);
+            memo.prev_fingerprint = fingerprint;
+            memo.prev_valid = true;
         }
-        if !scratch.query_is_empty() {
-            // The raster is read while the rest of the scratch is written.
-            let grid = std::mem::take(&mut scratch.grid);
+        if !memo.query_is_empty() {
             if kept {
-                self.evaluate_cells(&grid, grid.dirty_cells(), scratch);
+                self.evaluate_cells(raster, raster.dirty_cells(), memo, work);
             } else {
-                self.evaluate_cells(&grid, 0..dims.len(), scratch);
+                self.evaluate_cells(raster, 0..dims.len(), memo, work);
             }
-            scratch.grid = grid;
         }
-        &scratch.map
+        &memo.map
     }
 
     /// The one Eq. 1 pipeline: classify → evaluate → scatter over `cells` of the raster
-    /// (ascending), writing their ρ into the map in place. Expects the query memo and the
-    /// concept lists to be current.
+    /// (ascending), writing their ρ into the memo's map in place. Expects the query memo and
+    /// the concept lists to be current.
     fn evaluate_cells(
         &self,
         grid: &GridContent,
         mut cells: impl Iterator<Item = usize> + Clone,
-        scratch: &mut ClipScratch,
+        memo: &mut ClipMemo,
+        work: &mut ClipWork,
     ) {
-        let ClipScratch {
-            concepts,
+        let ClipWork {
             classes,
             cell_class,
             lane_acc,
             tile,
-            query_embedding,
-            query_norm,
-            map,
-            ..
-        } = scratch;
+        } = work;
         loop {
             classes.clear();
             cell_class.clear();
             for idx in cells.clone().take(SEGMENT_CELLS) {
                 cell_class.push(classes.classify(grid.coverage(idx), grid.background_fraction()[idx]));
             }
-            self.evaluate_classes(concepts, classes, lane_acc, tile, query_embedding, *query_norm);
+            self.evaluate_classes(
+                &memo.concepts,
+                classes,
+                lane_acc,
+                tile,
+                &memo.query_embedding,
+                memo.query_norm,
+            );
             for (idx, &class) in cells.by_ref().take(SEGMENT_CELLS).zip(cell_class.iter()) {
-                map.set_value(idx, classes.rho[class as usize]);
+                memo.map.set_value(idx, classes.rho[class as usize]);
             }
             if cell_class.len() < SEGMENT_CELLS {
                 break;
@@ -1259,7 +1332,7 @@ mod tests {
                     &model.correlation_map(&frame, &query),
                     "seed {seed} step {step}"
                 );
-                let tight = scratch.grid.dirty_cells().count();
+                let tight = scratch.raster.dirty_cells().count();
                 let union = rect_union_rule_cells(dims, &frame, &before);
                 assert!(tight <= union, "seed {seed} step {step}: {tight} > {union}");
                 tight_total += tight;
@@ -1270,6 +1343,154 @@ mod tests {
             tight_total < union_total,
             "the sub-cell moves should have skipped interior cells: {tight_total} vs {union_total}"
         );
+    }
+
+    /// The entry on a borrowed raster, whatever the lender did to it between two reads:
+    /// brought it forward once (the engine's case: the rate plan's raster, one update per
+    /// capture), twice (a capture the memo never saw), handed over a clone at the generation
+    /// just read (`encode_at_bitrate`'s per-frame plans) or one a clone brought forward on
+    /// its own, or a raster of the same frames with another history. Every map equals the
+    /// naive one bit for bit, and only the first case is served incrementally.
+    #[test]
+    fn borrowed_raster_reads_match_naive_after_any_lender_history() {
+        use aivc_scene::{Scene, SceneObject};
+        let model = ClipModel::mobile_default();
+        let patch = model.config().patch_size;
+        let query = TextQuery::from_words("score scoreboard crowd", model.ontology());
+        let (mut incremental, mut full) = (0usize, 0usize);
+        for seed in 0..8u64 {
+            let mut rng = Lcg(seed ^ 0xB0B);
+            let (width, height) = (640 + 53 * seed as u32, 384 + 29 * seed as u32);
+            let mut scene = Scene::new("walk", width, height).with_background(
+                0.3,
+                0.1,
+                vec![(Concept::new("court"), 0.6)],
+            );
+            for (id, concept) in ["scoreboard", "crowd", "player", "score"].into_iter().enumerate() {
+                scene.add_object(
+                    SceneObject::new(id as u32 + 1, concept, Rect::new(0, 0, 1, 1))
+                        .with_concept(concept, 0.9),
+                );
+            }
+            let mut frame = Frame::sample(&scene, 0, 0, 0.0);
+            let walk = |frame: &mut Frame, rng: &mut Lcg| {
+                let at = rng.range(0, frame.placements.len() as i64) as usize;
+                let r = frame.placements[at].region;
+                frame.placements[at].region = match rng.range(0, 3) {
+                    0 => r.translated(rng.range(-40, 41), rng.range(-40, 41)),
+                    1 => Rect::new(
+                        rng.range(-100, width as i64),
+                        rng.range(-100, height as i64),
+                        rng.range(20, 300) as u32,
+                        rng.range(20, 200) as u32,
+                    ),
+                    _ => r,
+                };
+            };
+            walk(&mut frame, &mut rng);
+            let (mut lent, mut other) = (GridContent::new(), GridContent::new());
+            lent.update(&frame, patch);
+            let (mut memo, mut work) = (ClipMemo::new(), ClipWork::new());
+            let mut read = |raster: &GridContent, frame: &Frame, memo: &mut ClipMemo, what: &str| {
+                if memo.prev_valid && raster.follows(memo.raster_generation) {
+                    incremental += 1;
+                } else {
+                    full += 1;
+                }
+                let map = model.correlation_map_on_raster(raster, frame, &query, memo, &mut work);
+                assert_eq!(
+                    map,
+                    &model.correlation_map_naive(frame, &query),
+                    "seed {seed}: {what}"
+                );
+            };
+            read(&lent, &frame, &mut memo, "first read");
+            for step in 0..40 {
+                walk(&mut frame, &mut rng);
+                lent.update(&frame, patch);
+                match rng.range(0, 5) {
+                    0 => {
+                        walk(&mut frame, &mut rng);
+                        lent.update(&frame, patch);
+                        read(
+                            &lent,
+                            &frame,
+                            &mut memo,
+                            &format!("step {step}: two updates later"),
+                        );
+                    }
+                    1 => {
+                        read(
+                            &lent,
+                            &frame,
+                            &mut memo,
+                            &format!("step {step}: one update later"),
+                        );
+                        let clone = lent.clone();
+                        read(
+                            &clone,
+                            &frame,
+                            &mut memo,
+                            &format!("step {step}: clone, same generation"),
+                        );
+                    }
+                    2 => {
+                        read(
+                            &lent,
+                            &frame,
+                            &mut memo,
+                            &format!("step {step}: one update later"),
+                        );
+                        let mut clone = lent.clone();
+                        let mut moved = frame.clone();
+                        walk(&mut moved, &mut rng);
+                        clone.update(&moved, patch);
+                        read(
+                            &clone,
+                            &moved,
+                            &mut memo,
+                            &format!("step {step}: clone brought forward"),
+                        );
+                        read(
+                            &lent,
+                            &frame,
+                            &mut memo,
+                            &format!("step {step}: back to the lender"),
+                        );
+                    }
+                    3 => {
+                        other.update(&frame, patch);
+                        read(
+                            &other,
+                            &frame,
+                            &mut memo,
+                            &format!("step {step}: another history"),
+                        );
+                    }
+                    _ => read(
+                        &lent,
+                        &frame,
+                        &mut memo,
+                        &format!("step {step}: one update later"),
+                    ),
+                }
+            }
+        }
+        assert!(
+            incremental > 100 && full > 100,
+            "{incremental} incremental and {full} full reads"
+        );
+        // A raster that is not of the frame on the model's grid is refused, not misread.
+        let frame = frame_of(basketball_game(1));
+        let mut coarse = GridContent::new();
+        coarse.fill(&frame, 2 * patch);
+        for raster in [GridContent::new(), coarse] {
+            let refused = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                let (mut memo, mut work) = (ClipMemo::new(), ClipWork::new());
+                let _ = model.correlation_map_on_raster(&raster, &frame, &query, &mut memo, &mut work);
+            }));
+            assert!(refused.is_err(), "a raster of {:?} was read", raster.dims());
+        }
     }
 
     #[test]
@@ -1301,11 +1522,11 @@ mod tests {
         let naive = model.correlation_map_naive(&frame, &query);
         let mut scratch = ClipScratch::new();
         assert_eq!(model.correlation_map_with(&frame, &query, &mut scratch), &naive);
-        assert_eq!(scratch.classes.len(), dims.len());
+        assert_eq!(scratch.work.classes.len(), dims.len());
         assert!(
-            scratch.classes.key_comparisons <= 2 * dims.len(),
+            scratch.work.classes.key_comparisons <= 2 * dims.len(),
             "{} key comparisons for {} cells",
-            scratch.classes.key_comparisons,
+            scratch.work.classes.key_comparisons,
             dims.len()
         );
         // Moving one fleck re-evaluates (and classifies) only the cells it touched.
@@ -1316,8 +1537,8 @@ mod tests {
             model.correlation_map_coherent(&moved, &query, &mut scratch),
             &naive
         );
-        assert_eq!(scratch.classes.len(), scratch.grid.dirty_cells().count());
-        assert!((1..=2).contains(&scratch.classes.len()));
+        assert_eq!(scratch.work.classes.len(), scratch.raster.dirty_cells().count());
+        assert!((1..=2).contains(&scratch.work.classes.len()));
     }
 
     #[test]
@@ -1329,16 +1550,16 @@ mod tests {
         let mut scratch = ClipScratch::new();
         // A trailing entry no object's slice refers to: harmless to the maps, gone after
         // any re-resolution.
-        let plant = |scratch: &mut ClipScratch| scratch.concepts.flat.push((0, 0.0));
+        let plant = |scratch: &mut ClipScratch| scratch.memo.concepts.flat.push((0, 0.0));
         let planted = |scratch: &ClipScratch, frame: &Frame| {
             let mut fresh = ResolvedConcepts::default();
             fresh.resolve_frame(&model, frame);
-            assert_eq!(scratch.concepts.object_entries, fresh.object_entries);
-            assert_eq!(scratch.concepts.background_flat, fresh.background_flat);
-            match scratch.concepts.flat.strip_suffix(&[(0, 0.0)]) {
+            assert_eq!(scratch.memo.concepts.object_entries, fresh.object_entries);
+            assert_eq!(scratch.memo.concepts.background_flat, fresh.background_flat);
+            match scratch.memo.concepts.flat.strip_suffix(&[(0, 0.0)]) {
                 Some(rest) if rest == fresh.flat => true,
                 _ => {
-                    assert_eq!(scratch.concepts.flat, fresh.flat);
+                    assert_eq!(scratch.memo.concepts.flat, fresh.flat);
                     false
                 }
             }
@@ -1363,14 +1584,14 @@ mod tests {
         let map = model.correlation_map_coherent(&edited, &crowd, &mut scratch);
         assert_eq!(map, &model.correlation_map_naive(&edited, &crowd));
         assert!(!planted(&scratch, &edited));
-        assert_eq!(scratch.grid.dirty_cells().count(), 62);
+        assert_eq!(scratch.raster.dirty_cells().count(), 62);
         // An edit the raster's key covers but the fingerprint does not (an object's
         // texture): every cell re-evaluated, the lists kept.
         plant(&mut scratch);
         edited.objects[0].texture_complexity = 0.123;
         let map = model.correlation_map_coherent(&edited, &crowd, &mut scratch);
         assert_eq!(map, &model.correlation_map_naive(&edited, &crowd));
-        assert_eq!(scratch.grid.dirty_cells().count(), 510);
+        assert_eq!(scratch.raster.dirty_cells().count(), 510);
         assert!(planted(&scratch, &edited));
         // A stolen map re-resolves.
         plant(&mut scratch);

@@ -25,7 +25,7 @@ pub mod importance;
 pub mod text;
 pub mod vision;
 
-pub use clip::{ClipConfig, ClipModel, ClipScratch, ZeroPatchSize};
+pub use clip::{ClipConfig, ClipMemo, ClipModel, ClipScratch, ClipWork, ZeroPatchSize};
 pub use embedding::Embedding;
 pub use importance::ImportanceMap;
 pub use text::TextQuery;

@@ -177,7 +177,7 @@ impl Encoder {
             (frame.index, frame.capture_ts_us, frame_type),
             "rate plan is stale: it was prepared for another frame"
         );
-        let grid = plan.grid();
+        let grid = plan.raster();
         let (detail, complexity, motion) = (grid.detail(), grid.complexity(), grid.motion());
         let qps = qp_map.values();
 

@@ -26,6 +26,13 @@
 //! that call recomputed get new coefficients (`tail` for every block when the GOP flips
 //! intra ↔ inter). It equals a freshly built plan field for field (tests below).
 //!
+//! **The conversation's one raster.** The plan owns the raster because the encode reads
+//! it; everyone else borrows it ([`RatePlan::raster`]). The §3.2 sender's CLIP patches are
+//! the CTUs, so the context-aware step prepares the plan *first*, scores Eq. 1 on the
+//! plan's raster, and only then hands the plan its Eq. 2 base map ([`RatePlan::set_base`])
+//! — the coefficients never depended on it. One `update` per capture serves the rate law,
+//! the encode and CLIP.
+//!
 //! **The kernel stays in `f64`.** The scalar expression calls `ceil` twice and casts
 //! `f64 → u64 → f64 → u32` per block; the kernel instead walks the plan in
 //! [`RATE_LANES`]-wide chunks and rounds up with `r = (x + 2^52) − 2^52; r + (r < x)`:
@@ -127,8 +134,29 @@ impl RatePlan {
         self.stamp
     }
 
-    pub(crate) fn grid(&self) -> &GridContent {
+    /// The prepared frame's content raster on the CTU grid ([`crate::encoder::BLOCK_SIZE`]):
+    /// the conversation's one raster, which CLIP reads when its patches are CTUs.
+    pub fn raster(&self) -> &GridContent {
         &self.grid
+    }
+
+    /// Snapshots `base` as the per-block base QP the plan's offset probes apply their level
+    /// to ([`Encoder::predict_plan_offset_size`]) and selects the offset bracket. The rate
+    /// coefficients do not depend on it, so a plan is prepared first and its base map —
+    /// computed from the plan's own raster — set afterwards.
+    ///
+    /// # Panics
+    ///
+    /// Panics when `base` is not on the prepared frame's grid.
+    pub fn set_base(&mut self, base: &QpMap) {
+        assert_eq!(
+            base.dims(),
+            self.dims,
+            "base QP map grid does not match plan grid"
+        );
+        self.has_base = true;
+        self.base_qp.clear();
+        self.base_qp.extend(base.values().iter().map(|q| q.value()));
     }
 }
 
@@ -150,10 +178,11 @@ impl Encoder {
     /// Prepares `plan` for rate-control probes over `frame`: brings the content raster to
     /// the frame and folds every QP-independent term of the rate law into per-block
     /// coefficients — for the blocks the raster recomputed (every `tail` too when the frame
-    /// type flipped). With `base` supplied, the plan also snapshots the per-block base QP so
-    /// [`Encoder::predict_plan_offset_size`] can probe uniform offsets on top of it (the
-    /// context-aware search); without it only [`Encoder::predict_plan_uniform_size`] is
-    /// valid (the baseline search).
+    /// type flipped). With `base` supplied, the plan also snapshots the per-block base QP
+    /// ([`RatePlan::set_base`]) so [`Encoder::predict_plan_offset_size`] can probe uniform
+    /// offsets on top of it (the context-aware search); without it only
+    /// [`Encoder::predict_plan_uniform_size`] is valid (the baseline search) until a base is
+    /// set.
     ///
     /// # Panics
     ///
@@ -207,11 +236,10 @@ impl Encoder {
                 *tail = tail_of(idx);
             }
         }
-        plan.has_base = base.is_some();
+        plan.has_base = false;
         plan.base_qp.clear();
         if let Some(base) = base {
-            assert_eq!(base.dims(), dims, "base QP map grid does not match plan grid");
-            plan.base_qp.extend(base.values().iter().map(|q| q.value()));
+            plan.set_base(base);
         }
     }
 
@@ -483,7 +511,7 @@ mod tests {
     /// followed by the `ceil`/`max(1)` byte epilogue — what every planned byte count must
     /// equal.
     fn scalar_block_bytes(enc: &Encoder, plan: &RatePlan, idx: usize, qp: Qp) -> u32 {
-        let grid = plan.grid();
+        let grid = plan.raster();
         let bits = rd::block_bits_with_factor(
             enc.qp_factor_table()[qp.value() as usize],
             grid.area()[idx],
@@ -1007,7 +1035,14 @@ mod tests {
                 frame.index = [0, 1, 2, 59, 60, 61, 120][rng.range(0, 7) as usize];
                 frame.capture_ts_us = step * 33_333;
                 let base = (rng.range(0, 2) == 0).then(|| varied_base(enc.grid_for(&frame)));
-                enc.prepare_rate_plan(&frame, base.as_ref(), &mut plan);
+                // The context-aware sender's order — plan, then base — half the time.
+                match &base {
+                    Some(base) if rng.range(0, 2) == 0 => {
+                        enc.prepare_rate_plan(&frame, None, &mut plan);
+                        plan.set_base(base);
+                    }
+                    _ => enc.prepare_rate_plan(&frame, base.as_ref(), &mut plan),
+                }
                 let fresh = enc.rate_plan_for(&frame, base.as_ref());
                 let what = format!("seed {seed} step {step}");
                 assert_eq!(plan.dims, fresh.dims, "{what}: dims");

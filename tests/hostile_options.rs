@@ -1,7 +1,8 @@
 //! Hostile options never panic: every numeric field a caller can still set — on
 //! [`NetSessionOptions`] in the first property; on the sender (γ, the CLIP patch size), on
-//! both links of `path` (rate, delays, queue) and in the frames themselves in the second —
-//! is thrown the values input tends to hurt with — NaN, ±∞, 0, −1, a subnormal, `MAX` — next
+//! both links of `path` (rate, delays, queue) and in the frames themselves in the second; on
+//! a [`ContentionConfig`] (nominal rate, fairness window, starvation floor, a cross-traffic
+//! source) in the third — is thrown the values input tends to hurt with — NaN, ±∞, 0, −1, a subnormal, `MAX` — next
 //! to a valid one. Either a structured error names the field and the constructor refuses
 //! with exactly that message before anything moves, or three turns on the lossy §2.2 path
 //! finish with a report whose every serialized number is finite, after a bounded number of
@@ -13,7 +14,10 @@
 //! is how an infinite `drain_secs` used to fail two different ways.
 
 use aivchat::core::session::StreamingMode;
-use aivchat::core::{Conversation, NetSessionOptions, QpAllocator, QpAllocatorConfig, StreamerConfig};
+use aivchat::core::{
+    run_contention, AdmissionConfig, ContentionConfig, Conversation, CrossTrafficSpec, NetSessionOptions,
+    QpAllocator, QpAllocatorConfig, StarvationConfig, StreamerConfig, TenantSpec, TenantTurn,
+};
 use aivchat::mllm::{Question, QuestionFormat};
 use aivchat::netsim::{LinkConfig, PathConfig, SimDuration, SimTime};
 use aivchat::rtc::AbrPolicy;
@@ -294,5 +298,73 @@ proptest! {
             &question,
             (frame_kind == 1).then_some("frame 0 cannot be coded: block "),
         )?;
+    }
+
+    /// What a contention run is configured with besides its links and tenants: the nominal
+    /// rate admission divides, the fairness window, the starvation floor and one
+    /// cross-traffic source's rate, packet size and sending window. Either
+    /// `ContentionConfig::validate` names the field and `run_contention` refuses with exactly
+    /// that message before anything runs, or one tenant's turn on the lossy §2.2 path
+    /// finishes with a finite report. (A window of one microsecond is legal and ticks a
+    /// million times per simulated second, so the window is thrown 0 and `MAX` only.)
+    #[test]
+    fn hostile_contention_configs_are_refused_by_name_or_run_to_a_finite_report(
+        nominal_bps in hostile_f64(4e6),
+        admission in AnyBool,
+        fairness_window_us in [0u64, u64::MAX, 500_000, 500_000, 500_000, 500_000],
+        floor_bps in hostile_f64(100_000.0),
+        cross_rate_bps in hostile_f64(300_000.0),
+        packet_bytes in [0u32, 1, u32::MAX, 1_200, 1_200, 1_200],
+        start_us in hostile_u64(100_000),
+        stop_us in hostile_u64(600_000),
+    ) {
+        let path = PathConfig::paper_section_2_2(0.15);
+        let config = ContentionConfig {
+            shared_uplink: path.uplink.clone(),
+            shared_seed: 42,
+            nominal_bps,
+            fairness_window: SimDuration::from_micros(fairness_window_us),
+            starvation: StarvationConfig { enabled: true, floor_bps },
+            admission: AdmissionConfig { enabled: admission },
+            cross_traffic: vec![CrossTrafficSpec {
+                rate_bps: cross_rate_bps,
+                packet_bytes,
+                start: SimTime::from_micros(start_us),
+                stop: SimTime::from_micros(stop_us),
+            }],
+        };
+        let mut scene = basketball_game(7);
+        (scene.width, scene.height) = (320, 180);
+        let question = Question::from_fact(&scene.facts[0], QuestionFormat::FreeResponse);
+        let mut options = NetSessionOptions::ai_oriented(42, path);
+        options.capture_fps = 12.0;
+        let tenant = TenantSpec {
+            label: "tenant-0".into(),
+            mode: "ai_oriented".into(),
+            join_at: SimTime::ZERO,
+            think: SimDuration::from_millis(200),
+            options,
+            turns: vec![TenantTurn {
+                frames: three_turns(&VideoSource::new(scene, SourceConfig::fps30(6.0))).remove(0),
+                question,
+            }],
+        };
+        let verdict = config.validate().map_err(|e| e.to_string());
+        match (verdict, catch_unwind(AssertUnwindSafe(|| run_contention(&config, vec![tenant])))) {
+            (Ok(()), Ok(report)) => {
+                prop_assert_eq!(report.tenants[0].conversation.turns.len(), 1);
+                prop_assert_eq!(non_finite(&report.to_value(), "report"), None);
+            }
+            (Err(error), Err(panic)) => prop_assert_eq!(panic_message(panic), Some(error)),
+            (verdict, ran) => {
+                return Err(TestCaseError::fail(format!(
+                    "validate said {verdict:?} but run_contention {}",
+                    match ran {
+                        Ok(_) => "ran".to_string(),
+                        Err(panic) => format!("panicked: {:?}", panic_message(panic)),
+                    }
+                )))
+            }
+        }
     }
 }
