@@ -956,9 +956,15 @@ mod tests {
         no_queue.queue_capacity_bytes = 0;
         let mut far = uplink.clone();
         far.propagation_delay = SimDuration::from_micros(u64::MAX);
+        let mut nan_loss = uplink.clone();
+        nan_loss.loss = LossModel::Iid { rate: f64::NAN };
         for (shared, needle) in [
             (no_queue, "shared_uplink.queue_capacity_bytes"),
             (far, "shared_uplink.propagation_delay"),
+            (
+                nan_loss,
+                "shared_uplink.loss.rate must be a probability within 0..=1, got NaN",
+            ),
         ] {
             let tenant = TenantSpec {
                 label: "fine".into(),

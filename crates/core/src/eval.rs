@@ -122,8 +122,8 @@ pub fn run_accuracy_vs_bitrate(
     points
 }
 
-/// Renders the points as a markdown table, paper values alongside (used by the Figure 9
-/// harness and EXPERIMENTS.md).
+/// Renders the points as a markdown table, paper values alongside (used by the
+/// `fig9_accuracy_vs_bitrate` harness).
 pub fn accuracy_table(points: &[AccuracyPoint]) -> String {
     let mut out = String::from(
         "| method | target kbps | achieved kbps | accuracy | mean P(correct) | questions |\n|---|---|---|---|---|---|\n",

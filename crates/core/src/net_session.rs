@@ -25,7 +25,8 @@
 
 use crate::session::StreamingMode;
 use aivc_mllm::Answer;
-use aivc_netsim::{BandwidthTraceError, LinkConfig, PathConfig};
+use aivc_netsim::fault::FaultScheduleError;
+use aivc_netsim::{BandwidthTraceError, LinkConfig, LossModel, PathConfig};
 use aivc_rtc::cc::GccConfig;
 use aivc_rtc::fec::{AdaptiveFecConfig, FecConfig};
 use aivc_rtc::nack::NackConfig;
@@ -211,11 +212,9 @@ pub(crate) fn validate_link(link: &'static str, config: &LinkConfig) -> Result<(
         bandwidth,
         propagation_delay,
         queue_capacity_bytes,
-        // Every probability is clamped into [0, 1] where it is drawn.
-        loss: _,
+        loss,
         max_jitter,
-        // Built through `FaultSchedule::try_new`; a link never adds an episode's times.
-        faults: _,
+        faults,
     } = config;
     bandwidth
         .validate()
@@ -235,7 +234,30 @@ pub(crate) fn validate_link(link: &'static str, config: &LinkConfig) -> Result<(
             queue_capacity_bytes: *queue_capacity_bytes,
         });
     }
-    Ok(())
+    let probability = |field, value: f64| {
+        // `contains` is false for NaN, which `f64::clamp` would hand to the draw as it is.
+        if (0.0..=1.0).contains(&value) {
+            Ok(())
+        } else {
+            Err(E::LinkLoss { link, field, value })
+        }
+    };
+    match *loss {
+        LossModel::None => {}
+        LossModel::Iid { rate } => probability("loss.rate", rate)?,
+        LossModel::GilbertElliott {
+            p_good_to_bad,
+            p_bad_to_good,
+            loss_good,
+            loss_bad,
+        } => {
+            probability("loss.p_good_to_bad", p_good_to_bad)?;
+            probability("loss.p_bad_to_good", p_bad_to_good)?;
+            probability("loss.loss_good", loss_good)?;
+            probability("loss.loss_bad", loss_bad)?;
+        }
+    }
+    faults.validate().map_err(|error| E::LinkFaults { link, error })
 }
 
 /// Longest deadline or timer the options may ask for, in seconds: 1e12 µs, so a clock
@@ -327,6 +349,24 @@ pub enum NetSessionOptionsError {
         /// The rejected capacity.
         queue_capacity_bytes: u64,
     },
+    /// A probability of a link's loss model is NaN or outside `[0, 1]`: a NaN one ran as a
+    /// loss-free link and one above 1 as a dead one, silently.
+    LinkLoss {
+        /// The link, as in [`NetSessionOptionsError::LinkBandwidth`].
+        link: &'static str,
+        /// The probability, as a path from the link (`loss.rate`, `loss.p_good_to_bad`, …).
+        field: &'static str,
+        /// The rejected value.
+        value: f64,
+    },
+    /// A link's fault schedule breaks [`aivc_netsim::FaultSchedule::try_new`]'s rules — a
+    /// deserialized one, which no constructor saw.
+    LinkFaults {
+        /// The link, as in [`NetSessionOptionsError::LinkBandwidth`].
+        link: &'static str,
+        /// What the schedule's own check found.
+        error: FaultScheduleError,
+    },
 }
 
 impl core::fmt::Display for NetSessionOptionsError {
@@ -378,6 +418,13 @@ impl core::fmt::Display for NetSessionOptionsError {
                 "{link}.queue_capacity_bytes must hold at least one {DEFAULT_MTU_BYTES}-byte packet, got \
                  {queue_capacity_bytes}"
             ),
+            NetSessionOptionsError::LinkLoss { link, field, value } => {
+                write!(
+                    f,
+                    "{link}.{field} must be a probability within 0..=1, got {value}"
+                )
+            }
+            NetSessionOptionsError::LinkFaults { link, error } => write!(f, "{link}.faults: {error}"),
         }
     }
 }
@@ -709,6 +756,23 @@ mod tests {
     /// `link` as a deserializer would hand it over — past `BandwidthTrace`'s constructors —
     /// with its (constant) rate replaced by `rate_bps`.
     fn link_with_rate(link: &LinkConfig, rate_bps: f64) -> LinkConfig {
+        deserialized_with(link, link.bandwidth.rate_at(SimTime::ZERO), rate_bps)
+    }
+
+    /// `link` with a 100 ms burst-loss episode whose rate is `loss_rate`, deserialized past
+    /// `FaultSchedule::try_new`.
+    fn link_with_burst_loss(link: &LinkConfig, loss_rate: f64) -> LinkConfig {
+        let mut valid = link.clone();
+        valid.faults = aivc_netsim::FaultSchedule::new(vec![aivc_netsim::FaultEpisode {
+            start: SimTime::ZERO,
+            duration: SimDuration::from_millis(100),
+            kind: aivc_netsim::FaultKind::BurstLoss { loss_rate: 0.25 },
+        }]);
+        deserialized_with(&valid, 0.25, loss_rate)
+    }
+
+    /// `link` serialized, every `from` in it replaced by `to`, and deserialized again.
+    fn deserialized_with(link: &LinkConfig, from: f64, to: f64) -> LinkConfig {
         fn replace(value: &mut Value, from: f64, to: f64) {
             match value {
                 Value::F64(x) if *x == from => *x = to,
@@ -718,14 +782,16 @@ mod tests {
             }
         }
         let mut value = link.to_value();
-        replace(&mut value, link.bandwidth.rate_at(SimTime::ZERO), rate_bps);
+        replace(&mut value, from, to);
         Deserialize::from_value(&value).expect("still a well-formed link")
     }
 
     /// `path` used to be skipped: a deserialized 0 / subnormal / NaN / infinite rate
     /// overflowed the link's clock or never queued, an over-long delay overflowed an arrival
-    /// time, and a queue under one MTU dropped every packet of every turn. Each now fails
-    /// `validate` — and `Conversation::new` with the same words — naming link and field.
+    /// time, a queue under one MTU dropped every packet of every turn, and a NaN loss
+    /// probability — of the loss model or of a deserialized fault episode — ran loss-free
+    /// (1.5 lost everything). Each now fails `validate` — and
+    /// `Conversation::new` with the same words — naming link and field.
     #[test]
     fn a_path_the_links_cannot_run_is_rejected_at_construction() {
         type Edit = Box<dyn Fn(&mut PathConfig)>;
@@ -761,6 +827,30 @@ mod tests {
                 ),
             ));
         }
+        for value in [f64::NAN, -0.1, 1.5, f64::INFINITY] {
+            cases.push((
+                Box::new(move |p| p.uplink.loss = LossModel::Iid { rate: value }),
+                format!("path.uplink.loss.rate must be a probability within 0..=1, got {value}"),
+            ));
+            cases.push((
+                Box::new(move |p| {
+                    p.downlink.loss = LossModel::GilbertElliott {
+                        p_good_to_bad: 0.01,
+                        p_bad_to_good: value,
+                        loss_good: 0.0,
+                        loss_bad: 1.0,
+                    }
+                }),
+                format!("path.downlink.loss.p_bad_to_good must be a probability within 0..=1, got {value}"),
+            ));
+            cases.push((
+                Box::new(move |p| p.uplink = link_with_burst_loss(&p.uplink, value)),
+                format!(
+                    "path.uplink.faults: fault schedule invalid: episode 0's probability must be within \
+                     0..=1, got {value}"
+                ),
+            ));
+        }
         for (edit, rule) in cases {
             let mut options = NetSessionOptions::ai_oriented(1, good_path());
             edit(&mut options.path);
@@ -773,9 +863,16 @@ mod tests {
         // The bounds themselves are accepted.
         let mut options = NetSessionOptions::ai_oriented(1, good_path());
         options.path.uplink = link_with_rate(&options.path.uplink, 1.0);
-        options.path.downlink = link_with_rate(&options.path.downlink, 1e12);
+        options.path.downlink = link_with_burst_loss(&link_with_rate(&options.path.downlink, 1e12), 1.0);
         options.path.uplink.propagation_delay = SimDuration::from_secs_f64(1e6);
         options.path.uplink.queue_capacity_bytes = 1_400;
+        options.path.uplink.loss = LossModel::Iid { rate: 1.0 };
+        options.path.downlink.loss = LossModel::GilbertElliott {
+            p_good_to_bad: 0.0,
+            p_bad_to_good: 1.0,
+            loss_good: 0.0,
+            loss_bad: 1.0,
+        };
         assert_eq!(options.validate(), Ok(()));
     }
 

@@ -303,10 +303,10 @@ fn run_modes_on(
 }
 
 /// Sessions the multi-session leg of [`run_scenario`] uses.
-pub const SERVER_SESSIONS: usize = 3;
+const SERVER_SESSIONS: usize = 3;
 
 /// Runs one scenario end to end: both single-session ABR modes plus a
-/// [`SERVER_SESSIONS`]-session server workload spread over `pool_size` lanes. The result
+/// `SERVER_SESSIONS`-session server workload spread over `pool_size` lanes. The result
 /// is bit-identical for any `pool_size` (sessions share nothing).
 pub fn run_scenario(scenario: &Scenario, pool_size: usize) -> ScenarioReport {
     let (frames, question) = scenario.turn();
@@ -662,7 +662,7 @@ impl ContentionScenario {
     /// tenant-specific offset and rotates through the facts from a tenant-specific
     /// phase, so tenants ask different questions about different windows —
     /// deterministically.
-    pub fn tenant_turns(&self, tenant: usize) -> Vec<TenantTurn> {
+    fn tenant_turns(&self, tenant: usize) -> Vec<TenantTurn> {
         let scene = basketball_game(1);
         let source = VideoSource::new(scene.clone(), SourceConfig::fps30(6.0));
         (0..self.turns)
@@ -857,7 +857,7 @@ pub struct ContentionScenarioReport {
 }
 
 /// Runs one contention scenario under one ABR leg.
-pub fn run_contention_mode(scenario: &ContentionScenario, ai_oriented: bool) -> ContentionReport {
+fn run_contention_mode(scenario: &ContentionScenario, ai_oriented: bool) -> ContentionReport {
     let specs = (0..scenario.tenants)
         .map(|t| scenario.tenant_spec(t, ai_oriented))
         .collect();

@@ -252,7 +252,7 @@ impl ServingReport {
     /// Percentage of the latest turn's answers that were correct, or `None` on an empty
     /// fleet / before any turn ran — a 0-session server has no answer quality, and
     /// rendering it as `0%` (or `NaN%`) would misreport "no data" as "all wrong".
-    pub fn percent_correct(&self) -> Option<f64> {
+    fn percent_correct(&self) -> Option<f64> {
         (self.turns_completed > 0).then_some(self.correct_fraction * 100.0)
     }
 }

@@ -48,7 +48,7 @@ impl Dataset {
     }
 
     /// The number of distinct (category, temporal-dependency) type combinations present.
-    pub fn type_count(&self) -> usize {
+    fn type_count(&self) -> usize {
         let types: std::collections::BTreeSet<_> =
             self.samples.iter().map(|s| (s.category, s.multi_frame)).collect();
         types.len()
@@ -72,16 +72,6 @@ impl Dataset {
             .enumerate()
             .flat_map(|(i, s)| s.validate().into_iter().map(move |p| format!("sample {i}: {p}")))
             .collect()
-    }
-
-    /// Serializes the dataset to a JSON string (the open-source release format).
-    pub fn to_json(&self) -> String {
-        serde_json::to_string_pretty(self).expect("dataset is always serializable")
-    }
-
-    /// Deserializes a dataset from JSON.
-    pub fn from_json(json: &str) -> Result<Self, serde_json::Error> {
-        serde_json::from_str(json)
     }
 }
 
@@ -161,16 +151,6 @@ mod tests {
         assert!(d.validate().is_empty());
         d.samples[0].correct_option = 3;
         assert!(!d.validate().is_empty());
-    }
-
-    #[test]
-    fn json_roundtrip() {
-        let d = dataset();
-        let json = d.to_json();
-        let back = Dataset::from_json(&json).unwrap();
-        assert_eq!(back.len(), d.len());
-        assert_eq!(back.samples[0].answer, "a");
-        assert_eq!(back.corpus_duration_secs, 600.0);
     }
 
     #[test]

@@ -89,11 +89,6 @@ impl CandidateGenerator {
         self
     }
 
-    /// The underlying generator role.
-    pub fn role(&self) -> &QaGenerator {
-        &self.role
-    }
-
     /// Generates candidates for one clip after "watching" its high-quality decode.
     ///
     /// `original_frames` is the decode of the original (high-bitrate) clip — the left half of

@@ -24,11 +24,6 @@ pub struct QaSample {
 }
 
 impl QaSample {
-    /// The option letter ("A".."D") of the correct answer.
-    pub fn correct_letter(&self) -> char {
-        (b'A' + self.correct_option as u8) as char
-    }
-
     /// Validates internal consistency; returns problems (empty when valid).
     pub fn validate(&self) -> Vec<String> {
         let mut problems = Vec::new();
@@ -83,7 +78,6 @@ mod tests {
     #[test]
     fn valid_sample_passes_validation() {
         assert!(sample().validate().is_empty());
-        assert_eq!(sample().correct_letter(), 'B');
     }
 
     #[test]

@@ -53,7 +53,7 @@ impl CategoryDistribution {
     }
 
     /// Share of samples that need multiple frames (the paper reports 34.45 %).
-    pub fn multi_frame_share(&self) -> f64 {
+    fn multi_frame_share(&self) -> f64 {
         let total = self.multi_frame + self.single_frame;
         if total == 0 {
             0.0

@@ -14,7 +14,8 @@
 //! quality across the sampled frames; the probability of a correct answer is a logistic
 //! function of (perceived quality − quality threshold), where the threshold grows with the
 //! question's detail requirement, scaled by model capability and floored at the guessing
-//! rate. All constants are here, in one place, and are documented in EXPERIMENTS.md.
+//! rate. All constants are here, in one place; DESIGN.md §2's MLLM bullet states the
+//! properties they must keep.
 
 use crate::config::MllmConfig;
 use aivc_scene::{FactCategory, SceneFact};
@@ -80,7 +81,7 @@ impl Question {
 
 /// Calibration constants of the accuracy model.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct AccuracyCalibration {
+struct AccuracyCalibration {
     /// Quality threshold per unit of detail requirement: a question with `required_detail`
     /// needs roughly `threshold_per_detail * required_detail` decoded quality on its
     /// evidence to become answerable.
@@ -127,11 +128,6 @@ impl AnswerModel {
         }
     }
 
-    /// The calibration in use.
-    pub fn calibration(&self) -> AccuracyCalibration {
-        self.calibration
-    }
-
     /// The *perceived evidence quality* of a question over the frames the MLLM sampled:
     /// per evidence object, the best view across frames; across evidence objects, the worst
     /// (all evidence must be legible).
@@ -142,7 +138,7 @@ impl AnswerModel {
     /// [`AnswerModel::perceived_evidence_quality`] over any re-iterable frame view — the
     /// form `MllmChat::respond_with` uses to score sampled frames without cloning them.
     /// Identical arithmetic (same accumulation order) to the slice form.
-    pub fn perceived_evidence_quality_iter<'a, I>(&self, question: &Question, frames: I) -> f64
+    fn perceived_evidence_quality_iter<'a, I>(&self, question: &Question, frames: I) -> f64
     where
         I: ExactSizeIterator<Item = &'a DecodedFrame> + Clone,
     {
@@ -175,12 +171,7 @@ impl AnswerModel {
 
     /// True when a multi-frame (temporal) question has its evidence visible in at least two
     /// of the sampled frames, i.e. the motion/temporal change is actually observable.
-    pub fn has_temporal_evidence(&self, question: &Question, frames: &[DecodedFrame]) -> bool {
-        self.has_temporal_evidence_iter(question, frames.iter())
-    }
-
-    /// Iterator form of [`AnswerModel::has_temporal_evidence`].
-    pub fn has_temporal_evidence_iter<'a, I>(&self, question: &Question, frames: I) -> bool
+    fn has_temporal_evidence_iter<'a, I>(&self, question: &Question, frames: I) -> bool
     where
         I: ExactSizeIterator<Item = &'a DecodedFrame> + Clone,
     {
@@ -208,7 +199,7 @@ impl AnswerModel {
     }
 
     /// Iterator form of [`AnswerModel::probability_correct`].
-    pub fn probability_correct_iter<'a, I>(&self, question: &Question, frames: I) -> f64
+    fn probability_correct_iter<'a, I>(&self, question: &Question, frames: I) -> f64
     where
         I: ExactSizeIterator<Item = &'a DecodedFrame> + Clone,
     {
@@ -243,7 +234,7 @@ impl AnswerModel {
     }
 
     /// Iterator form of [`AnswerModel::answer_is_correct`].
-    pub fn answer_is_correct_iter<'a, I>(&self, question: &Question, frames: I, context_tag: u64) -> bool
+    fn answer_is_correct_iter<'a, I>(&self, question: &Question, frames: I, context_tag: u64) -> bool
     where
         I: ExactSizeIterator<Item = &'a DecodedFrame> + Clone,
     {

@@ -9,9 +9,6 @@
 //!   frames/pixels are redundant.
 //! * **Tokenization** ([`tokens`]) — visual tokens are budgeted by context length; more
 //!   pixels ⇒ more tokens ⇒ more prefill latency.
-//! * **Positional encoding** ([`position`]) — frame order/time is derived from *capture*
-//!   timestamps, not arrival times, which is why network jitter does not affect MLLM
-//!   perception and the jitter buffer can be removed (§2.1).
 //! * **Latency** ([`latency`]) — autoregressive inference costs ≥232 ms even for audio-only
 //!   input (§1), leaving ≤68 ms for everything else in a 300 ms budget.
 //! * **Accuracy** ([`accuracy`]) — the probability of answering a question correctly is a
@@ -20,15 +17,11 @@
 //!   (§3.1's footnote). This is the model behind the Figure 9 reproduction.
 //! * **Roles** ([`roles`]) — the same simulator, parameterized differently, plays the
 //!   DeViBench pipeline roles: responder, QA generator, QA filter and cross-verifier.
-//! * **Memory** ([`memory`]) — a long-term memory sketch for the paper's §4 discussion of
-//!   semantic-layered streaming.
 
 pub mod accuracy;
 pub mod chat;
 pub mod config;
 pub mod latency;
-pub mod memory;
-pub mod position;
 pub mod roles;
 pub mod sampler;
 pub mod tokens;
@@ -37,8 +30,6 @@ pub use accuracy::{AnswerModel, Question, QuestionFormat};
 pub use chat::{Answer, MllmChat, MllmScratch};
 pub use config::{MllmConfig, MllmProfile};
 pub use latency::InferenceLatencyModel;
-pub use memory::LongTermMemory;
-pub use position::positional_encoding;
 pub use roles::{CrossVerifier, QaFilter, QaGenerator};
 pub use sampler::{Downsampler, FrameSampler};
 pub use tokens::VisionTokenizer;

@@ -44,7 +44,7 @@ impl FrameSampler {
     }
 
     /// Creates a sampler with an explicit rate limit.
-    pub fn with_max_fps(max_fps: f64) -> Self {
+    fn with_max_fps(max_fps: f64) -> Self {
         assert!(max_fps > 0.0, "max fps must be positive");
         Self {
             max_fps,
@@ -55,7 +55,7 @@ impl FrameSampler {
     }
 
     /// Minimum capture-timestamp spacing between ingested frames, in microseconds.
-    pub fn min_spacing_us(&self) -> u64 {
+    fn min_spacing_us(&self) -> u64 {
         (1_000_000.0 / self.max_fps).round() as u64
     }
 
@@ -101,16 +101,6 @@ pub struct DownsampleDecision {
     pub linear_scale: f64,
 }
 
-impl DownsampleDecision {
-    /// Fraction of source pixels discarded before the MLLM ever sees them.
-    pub fn discarded_fraction(&self) -> f64 {
-        if self.source_pixels == 0 {
-            return 0.0;
-        }
-        1.0 - self.retained_pixels as f64 / self.source_pixels as f64
-    }
-}
-
 /// Applies the model's per-frame pixel budget.
 #[derive(Debug, Clone, Copy)]
 pub struct Downsampler {
@@ -123,12 +113,6 @@ impl Downsampler {
         Self {
             max_pixels: config.max_pixels_per_frame,
         }
-    }
-
-    /// Creates a downsampler with an explicit budget.
-    pub fn with_max_pixels(max_pixels: u64) -> Self {
-        assert!(max_pixels > 0);
-        Self { max_pixels }
     }
 
     /// Computes the downsampling applied to a `width x height` frame.
@@ -195,19 +179,20 @@ mod tests {
 
     #[test]
     fn downsampler_caps_1080p_to_budget() {
-        let d = Downsampler::with_max_pixels(602_112);
+        let d = Downsampler::new(&MllmConfig::qwen_omni_like());
         let decision = d.decide(1920, 1080);
+        assert_eq!(decision.source_pixels, 1920 * 1080);
         assert!(decision.retained_pixels <= 602_112);
         assert!(decision.linear_scale < 0.56 && decision.linear_scale > 0.5);
-        assert!(decision.discarded_fraction() > 0.7);
+        assert!(decision.retained_pixels < decision.source_pixels * 3 / 10);
     }
 
     #[test]
     fn small_frames_pass_through() {
-        let d = Downsampler::with_max_pixels(602_112);
+        let d = Downsampler::new(&MllmConfig::qwen_omni_like());
         let decision = d.decide(640, 480);
         assert_eq!(decision.linear_scale, 1.0);
-        assert_eq!(decision.discarded_fraction(), 0.0);
+        assert_eq!(decision.retained_pixels, decision.source_pixels);
     }
 
     #[test]

@@ -21,14 +21,6 @@ pub struct PathConfig {
 }
 
 impl PathConfig {
-    /// A symmetric path.
-    pub fn symmetric(config: LinkConfig) -> Self {
-        Self {
-            uplink: config.clone(),
-            downlink: config,
-        }
-    }
-
     /// The paper's §2.2 measurement path with the given uplink loss rate; feedback flows on a
     /// clean, high-capacity downlink (100 Mbps) so feedback loss does not pollute the uplink
     /// latency measurement — matching how testbeds isolate the variable under study.

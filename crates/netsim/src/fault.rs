@@ -29,9 +29,10 @@
 //!
 //! Validation: construction rejects outage layouts whose reporting would be ambiguous —
 //! [`FaultKind::Outage`] episodes must be sorted by start time and pairwise disjoint
-//! (half-open windows; touching is fine). Everything else may overlap and appear in any
-//! order; schedule order then *is* the composition order, and reordering a schedule is a
-//! semantic change (it permutes RNG draws) — which is why construction never sorts.
+//! (half-open windows; touching is fine) — and any probability outside `[0, 1]`. Everything
+//! else may overlap and appear in any order; schedule order then *is* the composition order,
+//! and reordering a schedule is a semantic change (it permutes RNG draws) — which is why
+//! construction never sorts.
 
 use aivc_sim::{SimDuration, SimTime};
 use rand::Rng;
@@ -109,8 +110,9 @@ pub struct FaultAction {
     pub reordered: bool,
 }
 
-/// Why a proposed fault schedule was rejected by [`FaultSchedule::try_new`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+/// Why a proposed fault schedule was rejected by [`FaultSchedule::try_new`], or a
+/// deserialized one by [`FaultSchedule::validate`].
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum FaultScheduleError {
     /// Two [`FaultKind::Outage`] episodes overlap in time. Overlapping outages would
     /// double-count in [`FaultSchedule::outage_overlap`], silently inflating reported
@@ -129,6 +131,15 @@ pub enum FaultScheduleError {
         /// Index (in schedule order) of the outage that starts before its predecessor.
         index: usize,
     },
+    /// A [`FaultKind::BurstLoss`] `loss_rate` or a [`FaultKind::Duplicate`] /
+    /// [`FaultKind::Reorder`] `probability` is NaN or outside `[0, 1]`. Each is drawn as a
+    /// Bernoulli probability, and a NaN one would silently never fire.
+    Probability {
+        /// Index (in schedule order) of the offending episode.
+        index: usize,
+        /// The rejected value.
+        value: f64,
+    },
 }
 
 impl core::fmt::Display for FaultScheduleError {
@@ -144,13 +155,18 @@ impl core::fmt::Display for FaultScheduleError {
                 "fault schedule invalid: outage episode {index} starts before the previous \
                  outage (outages must be sorted by start time)"
             ),
+            FaultScheduleError::Probability { index, value } => write!(
+                f,
+                "fault schedule invalid: episode {index}'s probability must be within 0..=1, \
+                 got {value}"
+            ),
         }
     }
 }
 
 /// A serializable schedule of timed fault episodes. See the module docs for composition
 /// semantics. Construct with [`FaultSchedule::try_new`] (fallible) or
-/// [`FaultSchedule::new`] (panics on invalid input), or chain the episode builders.
+/// [`FaultSchedule::new`] (panics on invalid input).
 ///
 /// Validity: [`FaultKind::Outage`] episodes must be sorted by start and pairwise disjoint
 /// (half-open windows, so an outage may start exactly where the previous one ends).
@@ -182,39 +198,50 @@ impl FaultSchedule {
         }
     }
 
-    /// A schedule from explicit episodes, rejecting invalid outage layouts:
-    /// outage episodes must be sorted by start time and pairwise disjoint.
+    /// A schedule from explicit episodes, rejecting invalid outage layouts — outage
+    /// episodes must be sorted by start time and pairwise disjoint — and probabilities
+    /// outside `[0, 1]`.
     pub fn try_new(episodes: Vec<FaultEpisode>) -> Result<Self, FaultScheduleError> {
-        let mut prev: Option<(usize, &FaultEpisode)> = None;
-        for (i, e) in episodes.iter().enumerate() {
-            if !matches!(e.kind, FaultKind::Outage) {
-                continue;
-            }
-            if let Some((pi, p)) = prev {
-                if e.start < p.start {
-                    return Err(FaultScheduleError::UnsortedOutages { index: i });
-                }
-                if e.start < p.end() {
-                    return Err(FaultScheduleError::OverlappingOutages { first: pi, second: i });
-                }
-            }
-            prev = Some((i, e));
-        }
-        Ok(Self { episodes })
+        let schedule = Self { episodes };
+        schedule.validate()?;
+        Ok(schedule)
     }
 
-    /// Appends an episode (builder style).
-    ///
-    /// # Panics
-    ///
-    /// Panics when appending the episode violates the outage invariants of
-    /// [`FaultSchedule::try_new`].
-    pub fn with_episode(mut self, episode: FaultEpisode) -> Self {
-        self.episodes.push(episode);
-        match Self::try_new(self.episodes) {
-            Ok(s) => s,
-            Err(e) => panic!("{e}"),
+    /// Why the schedule breaks [`FaultSchedule::try_new`]'s rules, if it does — the check a
+    /// deserialized schedule, which no constructor saw, is held to.
+    pub fn validate(&self) -> Result<(), FaultScheduleError> {
+        let mut prev: Option<(usize, &FaultEpisode)> = None;
+        for (i, e) in self.episodes.iter().enumerate() {
+            let probability = match e.kind {
+                FaultKind::Outage => {
+                    if let Some((pi, p)) = prev {
+                        if e.start < p.start {
+                            return Err(FaultScheduleError::UnsortedOutages { index: i });
+                        }
+                        if e.start < p.end() {
+                            return Err(FaultScheduleError::OverlappingOutages { first: pi, second: i });
+                        }
+                    }
+                    prev = Some((i, e));
+                    continue;
+                }
+                FaultKind::RttSpike { extra_delay: _ } => continue,
+                FaultKind::BurstLoss { loss_rate } => loss_rate,
+                FaultKind::Duplicate { probability }
+                | FaultKind::Reorder {
+                    probability,
+                    max_delay: _,
+                } => probability,
+            };
+            // `contains` is false for NaN.
+            if !(0.0..=1.0).contains(&probability) {
+                return Err(FaultScheduleError::Probability {
+                    index: i,
+                    value: probability,
+                });
+            }
         }
+        Ok(())
     }
 
     /// A single blackout of `duration` starting at `start`.
@@ -234,13 +261,6 @@ impl FaultSchedule {
     /// The episodes, in evaluation order.
     pub fn episodes(&self) -> &[FaultEpisode] {
         &self.episodes
-    }
-
-    /// True when an [`FaultKind::Outage`] episode is active at `t`.
-    pub fn outage_at(&self, t: SimTime) -> bool {
-        self.episodes
-            .iter()
-            .any(|e| matches!(e.kind, FaultKind::Outage) && e.contains(t))
     }
 
     /// Total [`FaultKind::Outage`] time within `[from, to)` — the denominator of a turn's
@@ -323,7 +343,6 @@ mod tests {
     fn empty_schedule_is_empty_and_overlap_free() {
         let s = FaultSchedule::none();
         assert!(s.is_empty());
-        assert!(!s.outage_at(ms(5)));
         assert_eq!(s.outage_overlap(ms(0), ms(100)), SimDuration::ZERO);
     }
 
@@ -482,6 +501,52 @@ mod tests {
         assert_eq!(err, FaultScheduleError::UnsortedOutages { index: 1 });
     }
 
+    /// A NaN probability used to run as "never" and 1.5 as "always": `gen_bool` is handed
+    /// the value as it stands. Each is now refused by episode index.
+    #[test]
+    fn try_new_rejects_probabilities_outside_0_1() {
+        let kinds: [fn(f64) -> FaultKind; 3] = [
+            |loss_rate| FaultKind::BurstLoss { loss_rate },
+            |probability| FaultKind::Duplicate { probability },
+            |probability| FaultKind::Reorder {
+                probability,
+                max_delay: dur_ms(20),
+            },
+        ];
+        let schedule = |kind: FaultKind| {
+            vec![
+                FaultEpisode {
+                    start: ms(0),
+                    duration: dur_ms(100),
+                    kind: FaultKind::Outage,
+                },
+                FaultEpisode {
+                    start: ms(0),
+                    duration: dur_ms(100),
+                    kind,
+                },
+            ]
+        };
+        for kind in kinds {
+            for value in [f64::NAN, -0.1, 1.5, f64::INFINITY, f64::NEG_INFINITY] {
+                let error = FaultSchedule::try_new(schedule(kind(value))).expect_err("must be rejected");
+                assert!(
+                    matches!(error, FaultScheduleError::Probability { index: 1, value: v } if v.to_bits() == value.to_bits()),
+                    "{error:?}"
+                );
+                assert_eq!(
+                    error.to_string(),
+                    format!(
+                        "fault schedule invalid: episode 1's probability must be within 0..=1, got {value}"
+                    )
+                );
+            }
+            for value in [0.0, 1.0] {
+                assert!(FaultSchedule::try_new(schedule(kind(value))).is_ok(), "{value}");
+            }
+        }
+    }
+
     #[test]
     fn try_new_accepts_touching_outages() {
         // Half-open windows: an outage may begin exactly where the previous one ends.
@@ -555,22 +620,19 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "starts before the previous outage")]
-    fn with_episode_panics_on_unsorted_outage() {
-        let _ = FaultSchedule::blackout(ms(1_000), dur_ms(100)).with_episode(FaultEpisode {
-            start: ms(0),
-            duration: dur_ms(100),
-            kind: FaultKind::Outage,
-        });
-    }
-
-    #[test]
     fn schedules_round_trip_through_serde() {
-        let s = FaultSchedule::blackout(ms(1_200), dur_ms(500)).with_episode(FaultEpisode {
-            start: ms(2_000),
-            duration: dur_ms(300),
-            kind: FaultKind::BurstLoss { loss_rate: 0.5 },
-        });
+        let s = FaultSchedule::new(vec![
+            FaultEpisode {
+                start: ms(1_200),
+                duration: dur_ms(500),
+                kind: FaultKind::Outage,
+            },
+            FaultEpisode {
+                start: ms(2_000),
+                duration: dur_ms(300),
+                kind: FaultKind::BurstLoss { loss_rate: 0.5 },
+            },
+        ]);
         use serde::{Deserialize, Serialize};
         let back = FaultSchedule::from_value(&s.to_value()).unwrap();
         assert_eq!(s, back);

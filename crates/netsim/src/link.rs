@@ -118,11 +118,6 @@ impl DeliveryOutcome {
             _ => None,
         }
     }
-
-    /// True when the packet did not reach the receiver.
-    pub fn is_lost(&self) -> bool {
-        !matches!(self, DeliveryOutcome::Delivered { .. })
-    }
 }
 
 /// Counters describing everything a link has done so far.
@@ -473,7 +468,6 @@ mod tests {
         let backlog_before = link.backlog(t);
         let during = link.send(&Packet::new(1, 1_250, t), t);
         assert_eq!(during, DeliveryOutcome::DroppedOutage);
-        assert!(during.is_lost());
         assert_eq!(link.backlog(t), backlog_before);
         // After: delivered again, and the counter recorded exactly one outage drop.
         let t = SimTime::from_millis(300);

@@ -35,29 +35,6 @@ pub enum LossModel {
 }
 
 impl LossModel {
-    /// The long-run average loss rate implied by the model.
-    pub fn mean_loss_rate(&self) -> f64 {
-        match *self {
-            LossModel::None => 0.0,
-            LossModel::Iid { rate } => rate.clamp(0.0, 1.0),
-            LossModel::GilbertElliott {
-                p_good_to_bad,
-                p_bad_to_good,
-                loss_good,
-                loss_bad,
-            } => {
-                // Stationary distribution of the two-state chain.
-                let denom = p_good_to_bad + p_bad_to_good;
-                if denom <= 0.0 {
-                    return loss_good.clamp(0.0, 1.0);
-                }
-                let pi_bad = p_good_to_bad / denom;
-                let pi_good = 1.0 - pi_bad;
-                (pi_good * loss_good + pi_bad * loss_bad).clamp(0.0, 1.0)
-            }
-        }
-    }
-
     /// A bursty model with the given average loss rate and mean burst length (in packets).
     ///
     /// Useful for ablations: same average rate as an i.i.d. model, very different impact on
@@ -150,7 +127,6 @@ mod tests {
     #[test]
     fn bursty_mean_rate_matches_target() {
         let model = LossModel::bursty(0.05, 8.0);
-        assert!((model.mean_loss_rate() - 0.05).abs() < 1e-9);
         let mut p = LossProcess::new(model, 11);
         let n = 400_000;
         let losses = (0..n).filter(|_| p.next_is_lost()).count();
@@ -191,11 +167,5 @@ mod tests {
         };
         assert_eq!(seq(5), seq(5));
         assert_ne!(seq(5), seq(6));
-    }
-
-    #[test]
-    fn mean_loss_rate_iid() {
-        assert_eq!(LossModel::Iid { rate: 0.1 }.mean_loss_rate(), 0.1);
-        assert_eq!(LossModel::None.mean_loss_rate(), 0.0);
     }
 }

@@ -87,11 +87,6 @@ impl LatencyStats {
         self.samples_ms[idx]
     }
 
-    /// Median latency in milliseconds.
-    pub fn median_ms(&mut self) -> f64 {
-        self.percentile_ms(0.5)
-    }
-
     /// 95th-percentile latency in milliseconds.
     pub fn p95_ms(&mut self) -> f64 {
         self.percentile_ms(0.95)
@@ -100,11 +95,6 @@ impl LatencyStats {
     /// 99th-percentile latency in milliseconds.
     pub fn p99_ms(&mut self) -> f64 {
         self.percentile_ms(0.99)
-    }
-
-    /// Maximum latency in milliseconds.
-    pub fn max_ms(&self) -> f64 {
-        self.samples_ms.iter().copied().fold(0.0, f64::max)
     }
 
     /// Merges another collector's samples into this one.
@@ -125,18 +115,18 @@ mod tests {
             l.record(SimDuration::from_millis(i));
         }
         assert_eq!(l.count(), 100);
-        assert!((l.median_ms() - 50.0).abs() <= 1.0);
+        assert!((l.percentile_ms(0.5) - 50.0).abs() <= 1.0);
         assert!((l.p95_ms() - 95.0).abs() <= 1.0);
         assert!((l.p99_ms() - 99.0).abs() <= 1.0);
         assert!((l.mean_ms() - 50.5).abs() < 1e-9);
-        assert_eq!(l.max_ms(), 100.0);
+        assert_eq!(l.percentile_ms(1.0), 100.0);
     }
 
     #[test]
     fn percentile_after_interleaved_records() {
         let mut l = LatencyStats::new();
         l.record(SimDuration::from_millis(10));
-        let _ = l.median_ms();
+        let _ = l.percentile_ms(0.5);
         l.record(SimDuration::from_millis(1000));
         assert!(l.p99_ms() >= 999.0);
     }

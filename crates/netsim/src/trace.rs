@@ -24,13 +24,13 @@ pub struct BandwidthTrace {
 /// Slowest rate a trace may hold, in bits per second. The link divides a packet's bits by
 /// the rate to get its serialization time: at 1 bps an MTU takes hours but stays a finite
 /// number of microseconds, where a subnormal rate overflows the clock.
-pub const MIN_RATE_BPS: f64 = 1.0;
+const MIN_RATE_BPS: f64 = 1.0;
 /// Fastest rate a trace may hold, in bits per second: far past any link, and finite — an
 /// infinite rate serializes everything in zero time and never builds a queue.
 pub const MAX_RATE_BPS: f64 = 1e12;
 
-/// Why a trace was rejected by [`BandwidthTrace::try_from_segments`] /
-/// [`BandwidthTrace::try_constant`], or a deserialized one by [`BandwidthTrace::validate`].
+/// Why a trace was rejected by [`BandwidthTrace::constant`] / [`BandwidthTrace::from_segments`]
+/// (which panic with it), or a deserialized one by [`BandwidthTrace::validate`].
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum BandwidthTraceError {
     /// The trace has no segment, so no rate at any time.
@@ -42,7 +42,7 @@ pub enum BandwidthTraceError {
         /// Index of the offending segment.
         segment: usize,
     },
-    /// A segment's rate is outside [`MIN_RATE_BPS`]`..=`[`MAX_RATE_BPS`] (or NaN).
+    /// A segment's rate is outside `MIN_RATE_BPS..=`[`MAX_RATE_BPS`] (or NaN).
     Rate {
         /// Index of the offending segment.
         segment: usize,
@@ -74,14 +74,9 @@ impl BandwidthTrace {
     ///
     /// # Panics
     ///
-    /// Panics with [`BandwidthTrace::try_constant`]'s error when the rate is rejected.
+    /// Panics with the [`BandwidthTraceError`] when the rate is rejected.
     pub fn constant(rate_bps: f64) -> Self {
         Self::from_segments(vec![(SimTime::ZERO, rate_bps)])
-    }
-
-    /// A constant-rate trace, or why `rate_bps` cannot be one.
-    pub fn try_constant(rate_bps: f64) -> Result<Self, BandwidthTraceError> {
-        Self::try_from_segments(vec![(SimTime::ZERO, rate_bps)])
     }
 
     /// Builds a trace from explicit `(start_time, rate_bps)` segments.
@@ -90,14 +85,14 @@ impl BandwidthTrace {
     ///
     /// # Panics
     ///
-    /// Panics with [`BandwidthTrace::try_from_segments`]'s error when they are rejected.
+    /// Panics with the [`BandwidthTraceError`] when they are rejected.
     pub fn from_segments(segments: Vec<(SimTime, f64)>) -> Self {
         Self::try_from_segments(segments).unwrap_or_else(|error| panic!("{error}"))
     }
 
     /// [`BandwidthTrace::from_segments`], returning the rejection instead of panicking
     /// with it.
-    pub fn try_from_segments(segments: Vec<(SimTime, f64)>) -> Result<Self, BandwidthTraceError> {
+    fn try_from_segments(segments: Vec<(SimTime, f64)>) -> Result<Self, BandwidthTraceError> {
         let trace = Self {
             segments: segments.into_iter().map(|(t, r)| (t.as_micros(), r)).collect(),
             loop_period_us: 0,
@@ -312,7 +307,8 @@ mod tests {
     fn rates_a_link_cannot_divide_by_are_rejected_by_name() {
         let inf = f64::INFINITY;
         for rate in [f64::NAN, inf, -inf, 0.0, -1.0, 5e-324, 0.999, 1.1e12, f64::MAX] {
-            let error = BandwidthTrace::try_constant(rate).expect_err("must be rejected");
+            let error =
+                BandwidthTrace::try_from_segments(vec![(SimTime::ZERO, rate)]).expect_err("must be rejected");
             assert!(
                 matches!(error, BandwidthTraceError::Rate { segment: 0, .. }),
                 "{error:?}"
@@ -330,7 +326,8 @@ mod tests {
         }
         for rate in [1.0, 430e3, 1e12] {
             assert_eq!(
-                BandwidthTrace::try_constant(rate).map(|t| t.rate_at(SimTime::ZERO)),
+                BandwidthTrace::try_from_segments(vec![(SimTime::ZERO, rate)])
+                    .map(|t| t.rate_at(SimTime::ZERO)),
                 Ok(rate)
             );
         }

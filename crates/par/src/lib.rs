@@ -137,12 +137,6 @@ pub struct ChunkCtx {
     pub start: usize,
 }
 
-impl Default for MiniPool {
-    fn default() -> Self {
-        Self::with_available_parallelism()
-    }
-}
-
 /// The lane count an `AIVC_POOL_SIZE` value asks for: at least one lane, `fallback` when
 /// the variable is unset or not a number.
 fn lanes_from(value: Option<&str>, fallback: usize) -> usize {
@@ -179,11 +173,6 @@ impl MiniPool {
             })
             .collect();
         Self { inner, workers }
-    }
-
-    /// A pool sized to the machine (`std::thread::available_parallelism`).
-    pub fn with_available_parallelism() -> Self {
-        Self::new(Self::available_lanes())
     }
 
     /// The machine's available parallelism (1 if it cannot be determined).

@@ -166,14 +166,6 @@ impl GccController {
         }
     }
 
-    /// Creates a controller with default configuration and the given starting estimate.
-    pub fn with_initial(initial_bps: f64) -> Self {
-        Self::new(GccConfig {
-            initial_estimate_bps: initial_bps,
-            ..GccConfig::default()
-        })
-    }
-
     /// The current bandwidth estimate in bits per second.
     pub fn estimate_bps(&self) -> f64 {
         self.estimate_bps
@@ -334,7 +326,7 @@ impl GccController {
     }
 
     /// [`GccController::on_feedback_report`] on a pre-built [`FeedbackFold`].
-    pub fn on_feedback_fold(&mut self, fold: &FeedbackFold) {
+    fn on_feedback_fold(&mut self, fold: &FeedbackFold) {
         if fold.is_empty() {
             return;
         }
@@ -376,6 +368,14 @@ mod tests {
     use super::*;
     use aivc_sim::SimDuration;
 
+    /// A controller with the default configuration and the given starting estimate.
+    fn controller(initial_estimate_bps: f64) -> GccController {
+        GccController::new(GccConfig {
+            initial_estimate_bps,
+            ..GccConfig::default()
+        })
+    }
+
     fn report(owd_ms: u64, count: usize, lost: usize, base_ms: u64) -> Vec<PacketFeedback> {
         (0..count)
             .map(|i| {
@@ -395,7 +395,7 @@ mod tests {
 
     #[test]
     fn stable_delay_low_loss_increases_estimate() {
-        let mut cc = GccController::with_initial(2e6);
+        let mut cc = controller(2e6);
         for round in 0..20u64 {
             cc.on_feedback_report(&report(35, 50, 0, round * 100));
         }
@@ -405,7 +405,7 @@ mod tests {
 
     #[test]
     fn rising_delay_backs_off() {
-        let mut cc = GccController::with_initial(8e6);
+        let mut cc = controller(8e6);
         // Delay ramps up 10 ms per report: classic queue build-up.
         for round in 0..10u64 {
             cc.on_feedback_report(&report(30 + round * 10, 50, 0, round * 100));
@@ -416,7 +416,7 @@ mod tests {
 
     #[test]
     fn heavy_loss_backs_off_even_with_flat_delay() {
-        let mut cc = GccController::with_initial(5e6);
+        let mut cc = controller(5e6);
         for round in 0..5u64 {
             cc.on_feedback_report(&report(30, 50, 10, round * 100)); // 20% loss
         }
@@ -425,7 +425,7 @@ mod tests {
 
     #[test]
     fn moderate_loss_holds() {
-        let mut cc = GccController::with_initial(5e6);
+        let mut cc = controller(5e6);
         cc.on_feedback_report(&report(30, 100, 0, 0));
         let before = cc.estimate_bps();
         cc.on_feedback_report(&report(30, 100, 5, 100)); // 5% loss: between thresholds
@@ -448,14 +448,14 @@ mod tests {
 
     #[test]
     fn empty_report_is_ignored() {
-        let mut cc = GccController::with_initial(1e6);
+        let mut cc = controller(1e6);
         cc.on_feedback_report(&[]);
         assert_eq!(cc.estimate_bps(), 1e6);
     }
 
     #[test]
     fn all_lost_report_backs_off() {
-        let mut cc = GccController::with_initial(4e6);
+        let mut cc = controller(4e6);
         cc.on_feedback_report(&report(30, 20, 20, 0));
         assert!(cc.estimate_bps() < 4e6);
     }
@@ -470,7 +470,7 @@ mod tests {
 
     #[test]
     fn disabled_watchdog_never_fires() {
-        let mut cc = GccController::with_initial(5e6);
+        let mut cc = controller(5e6);
         assert!(!cc.poll_watchdog(SimTime::from_secs_f64(3_600.0)));
         assert_eq!(cc.estimate_bps(), 5e6);
         assert!(!cc.is_silent());
@@ -552,7 +552,7 @@ mod tests {
 
     #[test]
     fn force_fallback_backs_off_without_silence_or_watchdog_counts() {
-        let mut cc = GccController::with_initial(4e6);
+        let mut cc = controller(4e6);
         cc.force_fallback();
         assert!((cc.estimate_bps() - 4e6 * 0.7).abs() < 1.0);
         assert_eq!(cc.state(), CcState::Decrease);
@@ -578,7 +578,7 @@ mod tests {
 
     #[test]
     fn clamp_estimate_caps_above_but_respects_the_floor() {
-        let mut cc = GccController::with_initial(6e6);
+        let mut cc = controller(6e6);
         cc.clamp_estimate(2e6);
         assert_eq!(cc.estimate_bps(), 2e6);
         cc.clamp_estimate(5e6); // clamping never raises
@@ -601,7 +601,7 @@ mod tests {
 
     #[test]
     fn loss_estimate_tracks_observed_loss_up_and_down() {
-        let mut cc = GccController::with_initial(5e6);
+        let mut cc = controller(5e6);
         assert_eq!(cc.loss_estimate(), 0.0);
         for round in 0..30u64 {
             cc.on_feedback_report(&report(30, 100, 20, round * 100)); // 20% loss

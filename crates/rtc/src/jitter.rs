@@ -49,7 +49,6 @@ pub struct JitterBuffer {
     /// Exponentially weighted mean of |inter-arrival − inter-capture| in microseconds.
     jitter_estimate_us: f64,
     last_arrival: Option<(SimTime, u64)>,
-    frames_observed: u64,
 }
 
 impl JitterBuffer {
@@ -59,17 +58,16 @@ impl JitterBuffer {
             config,
             jitter_estimate_us: 0.0,
             last_arrival: None,
-            frames_observed: 0,
         }
     }
 
     /// Whether the buffer is a no-op (AI mode).
-    pub fn is_disabled(&self) -> bool {
+    fn is_disabled(&self) -> bool {
         self.config.max_delay == SimDuration::ZERO
     }
 
     /// Current adaptive target delay.
-    pub fn target_delay(&self) -> SimDuration {
+    fn target_delay(&self) -> SimDuration {
         if self.is_disabled() {
             return SimDuration::ZERO;
         }
@@ -81,7 +79,6 @@ impl JitterBuffer {
     /// Observes a completed frame (arrival + capture time) and returns the time at which the
     /// receiver releases it downstream (to the renderer, or to the MLLM).
     pub fn on_frame(&mut self, arrival: SimTime, capture_ts_us: u64) -> SimTime {
-        self.frames_observed += 1;
         if let Some((prev_arrival, prev_capture)) = self.last_arrival {
             let inter_arrival = arrival.saturating_since(prev_arrival).as_micros() as f64;
             let inter_capture = capture_ts_us.saturating_sub(prev_capture) as f64;
@@ -91,16 +88,6 @@ impl JitterBuffer {
         }
         self.last_arrival = Some((arrival, capture_ts_us));
         arrival + self.target_delay()
-    }
-
-    /// Number of frames observed.
-    pub fn frames_observed(&self) -> u64 {
-        self.frames_observed
-    }
-
-    /// Current jitter estimate in milliseconds.
-    pub fn jitter_estimate_ms(&self) -> f64 {
-        self.jitter_estimate_us / 1_000.0
     }
 }
 
@@ -126,7 +113,7 @@ mod tests {
             jb.on_frame(SimTime::from_micros(i * 33_333 + 40_000), i * 33_333);
         }
         assert_eq!(jb.target_delay(), SimDuration::from_millis(10));
-        assert!(jb.jitter_estimate_ms() < 0.2);
+        assert!(jb.jitter_estimate_us < 200.0);
     }
 
     #[test]

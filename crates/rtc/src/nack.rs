@@ -56,7 +56,6 @@ pub struct NackGenerator {
     /// Receive history as a bitset ring: one bit per sequence, no per-arrival node
     /// allocations, retired wholesale at turn bounds.
     received: SeqBitset,
-    nacks_sent: u64,
     /// Deadline stamped into newly detected gaps (None = no deadline awareness).
     deadline: Option<SimTime>,
     /// Expected NACK → retransmission arrival delay (feedback downlink + pacing + uplink),
@@ -81,7 +80,6 @@ impl NackGenerator {
             highest_seen: None,
             pending: Vec::new(),
             received: SeqBitset::new(),
-            nacks_sent: 0,
             deadline: None,
             recovery_estimate: SimDuration::ZERO,
             nacks_suppressed: 0,
@@ -166,7 +164,6 @@ impl NackGenerator {
     /// deadline-hopeless records are dropped in the same in-order pass). The steady-state
     /// poll path reuses one pooled buffer per feedback packet through this.
     pub fn due_nacks_into(&mut self, now: SimTime, due: &mut Vec<u64>) {
-        let before = due.len();
         let mut suppressed = 0u64;
         let NackConfig { reorder_guard } = self.config;
         let recovery_estimate = self.recovery_estimate;
@@ -194,7 +191,6 @@ impl NackGenerator {
             }
             true
         });
-        self.nacks_sent += (due.len() - before) as u64;
         self.nacks_suppressed += suppressed;
     }
 
@@ -220,11 +216,6 @@ impl NackGenerator {
     /// Number of sequences currently believed missing.
     pub fn pending_count(&self) -> usize {
         self.pending.len()
-    }
-
-    /// Total NACK requests emitted so far.
-    pub fn nacks_sent(&self) -> u64 {
-        self.nacks_sent
     }
 
     /// Arrivals dropped because their sequence was already retired.
@@ -334,7 +325,6 @@ mod tests {
         // Exhausted after MAX_RETRIES: the record is dropped, nothing resurfaces.
         assert!(g.due_nacks(SimTime::from_millis(1_000)).is_empty());
         assert_eq!(g.pending_count(), 0);
-        assert_eq!(g.nacks_sent(), u64::from(MAX_RETRIES));
     }
 
     #[test]
@@ -355,7 +345,6 @@ mod tests {
         assert_eq!(g.nacks_suppressed(), 2);
         // Nothing resurfaces later.
         assert!(g.due_nacks(SimTime::from_millis(200)).is_empty());
-        assert_eq!(g.nacks_sent(), 1);
     }
 
     #[test]

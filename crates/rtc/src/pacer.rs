@@ -8,10 +8,10 @@
 use aivc_sim::{SimDuration, SimTime};
 use serde::{Deserialize, Serialize};
 
-/// Pacer configuration: the rate. The bucket's depth is the constant [`BURST_BYTES`].
+/// Pacer configuration: the rate. The bucket's depth is the constant `BURST_BYTES`.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct PacerConfig {
-    /// Pacing rate in bits per second, at least [`MIN_PACING_RATE_BPS`].
+    /// Pacing rate in bits per second, at least `MIN_PACING_RATE_BPS`.
     pub pacing_rate_bps: f64,
 }
 
@@ -24,13 +24,13 @@ pub struct PacerConfig {
 /// [`PacerConfig::from_target_bitrate`]) is clamped to at least this floor; at 100 kbps
 /// an MTU packet departs in ~120 ms, slow enough to starve nothing and fast enough that
 /// recovery probes still flow.
-pub const MIN_PACING_RATE_BPS: f64 = 100_000.0;
+const MIN_PACING_RATE_BPS: f64 = 100_000.0;
 
 /// Maximum burst the bucket may accumulate, in bytes: about seven MTU packets leave back to
 /// back after an idle period, the rest of a frame at the pacing rate.
-pub const BURST_BYTES: f64 = 10_000.0;
+const BURST_BYTES: f64 = 10_000.0;
 
-/// `rate` when it is a rate the pacer can divide by, [`MIN_PACING_RATE_BPS`] otherwise. The
+/// `rate` when it is a rate the pacer can divide by, `MIN_PACING_RATE_BPS` otherwise. The
 /// negated `>=` is deliberate: it is false for NaN, so zero, a denormal, a negative rate and
 /// NaN all land on the floor rather than poisoning every subsequent departure time.
 #[allow(clippy::neg_cmp_op_on_partial_ord)]
@@ -61,7 +61,7 @@ pub struct Pacer {
 
 impl Pacer {
     /// Creates a pacer; the bucket starts full. A configured rate below
-    /// [`MIN_PACING_RATE_BPS`] (or NaN) is clamped to the floor — a hand-built
+    /// `MIN_PACING_RATE_BPS` (or NaN) is clamped to the floor — a hand-built
     /// [`PacerConfig`] must not be able to wedge `schedule_send` with a zero/denormal
     /// divisor any more than [`Pacer::set_rate`] can.
     pub fn new(config: PacerConfig) -> Self {
@@ -99,7 +99,7 @@ impl Pacer {
     /// elapsed is credited at the rate it was earned rather than retroactively at the new
     /// one (an upward rate step must not mint an unearned burst).
     ///
-    /// Rates below [`MIN_PACING_RATE_BPS`] — including zero, denormals, and NaN, which a
+    /// Rates below `MIN_PACING_RATE_BPS` — including zero, denormals, and NaN, which a
     /// watchdog-decayed congestion estimate can produce under a long outage — are clamped
     /// to the floor; the return value reports whether the clamp engaged so callers can
     /// count it.

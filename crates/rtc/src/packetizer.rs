@@ -71,8 +71,7 @@ impl Packetizer {
     /// Splits a frame into media packets covering its full byte range.
     ///
     /// Allocates a fresh `Vec` per call; per-frame loops should reuse a buffer via
-    /// [`Packetizer::packetize_into`] (or stream packets with [`Packetizer::packets`])
-    /// instead — the transport session does.
+    /// [`Packetizer::packetize_into`] instead — the transport session does.
     pub fn packetize(&mut self, frame: &OutgoingFrame) -> Vec<RtpPacket> {
         let mut packets = Vec::new();
         self.packetize_into(frame, &mut packets);
@@ -86,9 +85,8 @@ impl Packetizer {
         packets.clear();
         let payload = self.max_payload() as u64;
         let count = packet_count(frame.size_bytes, payload);
-        // A `Range::map` extend rather than the `Packets` iterator: the range is
-        // `TrustedLen`, so `extend` takes std's exact-size fast path (one reservation, no
-        // per-item capacity checks). Contents are identical to driving `Packets`.
+        // A `Range::map` extend: the range is `TrustedLen`, so `extend` takes std's
+        // exact-size fast path (one reservation, no per-item capacity checks).
         let mut sequence = self.next_sequence;
         let frame = *frame;
         packets.extend((0..count).map(|i| {
@@ -111,71 +109,7 @@ impl Packetizer {
         }));
         self.next_sequence = sequence;
     }
-
-    /// The packets of a frame as a lazy iterator — the zero-buffer form of
-    /// [`Packetizer::packetize`]. Sequence numbers are allocated as the iterator advances,
-    /// so drive it to completion before packetizing the next frame.
-    ///
-    /// The returned [`Packets`] is an [`ExactSizeIterator`] with a precise `size_hint`, so
-    /// downstream collectors (`Vec::extend`, `collect`) preallocate exactly once.
-    pub fn packets<'a>(&'a mut self, frame: &OutgoingFrame) -> Packets<'a> {
-        let payload = self.max_payload() as u64;
-        let count = packet_count(frame.size_bytes, payload);
-        Packets {
-            frame: *frame,
-            payload,
-            count,
-            next: 0,
-            packetizer: self,
-        }
-    }
 }
-
-/// Lazy media-packet iterator over one frame (see [`Packetizer::packets`]).
-///
-/// Exactly `packet_count` items are produced; `size_hint` is precise at every point of the
-/// iteration, and [`ExactSizeIterator::len`] reports the packets still to come.
-#[derive(Debug)]
-pub struct Packets<'a> {
-    packetizer: &'a mut Packetizer,
-    frame: OutgoingFrame,
-    payload: u64,
-    count: u64,
-    next: u64,
-}
-
-impl Iterator for Packets<'_> {
-    type Item = RtpPacket;
-
-    fn next(&mut self) -> Option<RtpPacket> {
-        if self.next >= self.count {
-            return None;
-        }
-        let i = self.next;
-        self.next += 1;
-        let start = i * self.payload;
-        let end = ((i + 1) * self.payload).min(self.frame.size_bytes);
-        Some(RtpPacket {
-            header: RtpHeader {
-                sequence: self.packetizer.allocate_sequence(),
-                capture_ts_us: self.frame.capture_ts_us,
-                frame_id: self.frame.frame_id,
-                marker: i + 1 == self.count,
-                kind: PayloadKind::Media,
-            },
-            payload_start: start,
-            payload_end: end,
-            fec_group: None,
-        })
-    }
-
-    fn size_hint(&self) -> (usize, Option<usize>) {
-        let remaining = (self.count - self.next) as usize;
-        (remaining, Some(remaining))
-    }
-}
-
-impl ExactSizeIterator for Packets<'_> {}
 
 /// Number of media packets a frame of `size_bytes` needs at the given per-packet payload.
 fn packet_count(size_bytes: u64, payload: u64) -> u64 {
@@ -264,8 +198,7 @@ struct FrameSlot {
     state: FrameState,
 }
 
-/// Borrowed view of one frame's reassembly progress — the allocation-free twin of
-/// [`AssemblyStatus`] (which clones the range list) for per-turn hot paths.
+/// Borrowed view of one frame's reassembly progress.
 #[derive(Debug, Clone, Copy)]
 pub struct FrameView<'a> {
     /// Capture timestamp.
@@ -282,27 +215,6 @@ pub struct FrameView<'a> {
     pub first_arrival: Option<SimTime>,
     /// The received byte ranges, sorted and disjoint.
     pub received_ranges: &'a [(u64, u64)],
-}
-
-/// Snapshot of one frame's reassembly progress.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct AssemblyStatus {
-    /// Frame identifier.
-    pub frame_id: u64,
-    /// Capture timestamp.
-    pub capture_ts_us: u64,
-    /// Total frame size in bytes.
-    pub size_bytes: u64,
-    /// Bytes received so far.
-    pub received_bytes: u64,
-    /// Whether every byte has arrived.
-    pub complete: bool,
-    /// When the frame became complete (if it did).
-    pub completed_at: Option<SimTime>,
-    /// When the first packet of the frame arrived (if any).
-    pub first_arrival: Option<SimTime>,
-    /// The received byte ranges, sorted and disjoint.
-    pub received_ranges: Vec<(u64, u64)>,
 }
 
 impl FrameAssembler {
@@ -373,8 +285,8 @@ impl FrameAssembler {
         now_complete && !was_complete
     }
 
-    /// Borrowed reassembly view of a frame — same facts as [`FrameAssembler::status`]
-    /// without cloning the range list. Per-turn report paths use this.
+    /// The reassembly view of a frame, if the assembler knows about it. Per-turn report
+    /// paths use this; it borrows the range list rather than cloning it.
     pub fn view(&self, frame_id: u64) -> Option<FrameView<'_>> {
         self.state(frame_id).map(|state| FrameView {
             capture_ts_us: state.capture_ts_us,
@@ -384,20 +296,6 @@ impl FrameAssembler {
             completed_at: state.completed_at,
             first_arrival: state.first_arrival,
             received_ranges: &state.ranges,
-        })
-    }
-
-    /// The reassembly status of a frame, if the assembler knows about it.
-    pub fn status(&self, frame_id: u64) -> Option<AssemblyStatus> {
-        self.view(frame_id).map(|view| AssemblyStatus {
-            frame_id,
-            capture_ts_us: view.capture_ts_us,
-            size_bytes: view.size_bytes,
-            received_bytes: view.received_bytes,
-            complete: view.complete,
-            completed_at: view.completed_at,
-            first_arrival: view.first_arrival,
-            received_ranges: view.received_ranges.to_vec(),
         })
     }
 
@@ -487,7 +385,7 @@ mod tests {
             completed = asm.on_packet(pk, SimTime::from_millis(10 + i as u64));
         }
         assert!(completed);
-        let status = asm.status(1).unwrap();
+        let status = asm.view(1).unwrap();
         assert!(status.complete);
         assert_eq!(status.received_bytes, 5_000);
         assert_eq!(status.completed_at, Some(SimTime::from_millis(13)));
@@ -507,14 +405,11 @@ mod tests {
                 asm.on_packet(pk, SimTime::from_millis(5));
             }
         }
-        assert!(!asm.status(1).unwrap().complete);
+        assert!(!asm.view(1).unwrap().complete);
         // Retransmission closes the gap.
         let done = asm.on_packet(&packets[1].as_retransmission(999), SimTime::from_millis(80));
         assert!(done);
-        assert_eq!(
-            asm.status(1).unwrap().completed_at,
-            Some(SimTime::from_millis(80))
-        );
+        assert_eq!(asm.view(1).unwrap().completed_at, Some(SimTime::from_millis(80)));
     }
 
     #[test]
@@ -526,7 +421,7 @@ mod tests {
         asm.expect_frame(&f);
         assert!(asm.on_packet(&packets[0], SimTime::from_millis(1)));
         assert!(!asm.on_packet(&packets[0], SimTime::from_millis(2)));
-        assert_eq!(asm.status(1).unwrap().completed_at, Some(SimTime::from_millis(1)));
+        assert_eq!(asm.view(1).unwrap().completed_at, Some(SimTime::from_millis(1)));
     }
 
     #[test]
@@ -590,63 +485,6 @@ mod tests {
         let capacity = buffer.capacity();
         reused.packetize_into(&frame(100_000), &mut buffer);
         assert_eq!(buffer.capacity(), capacity, "buffer should not regrow");
-    }
-
-    #[test]
-    fn iterator_form_is_identical_to_packetize() {
-        for size in equivalence_sizes() {
-            let mut fresh = Packetizer::default();
-            let mut streaming = Packetizer::default();
-            let f = frame(size);
-            let allocated = fresh.packetize(&f);
-            let streamed: Vec<RtpPacket> = streaming.packets(&f).collect();
-            assert_eq!(streamed, allocated, "size {size}");
-        }
-    }
-
-    #[test]
-    fn iterator_allocates_sequences_lazily() {
-        let mut p = Packetizer::default();
-        let f = frame(5_000);
-        {
-            let mut iter = p.packets(&f);
-            let first = iter.next().unwrap();
-            assert_eq!(first.header.sequence, 0);
-            // Drop the iterator after one packet: only one sequence was consumed.
-        }
-        assert_eq!(p.next_sequence(), 1);
-    }
-
-    #[test]
-    fn packets_iterator_is_exact_size_at_every_step() {
-        let mut p = Packetizer::default();
-        for size in equivalence_sizes() {
-            let f = frame(size);
-            let mut iter = p.packets(&f);
-            let expected = packet_count(size, Packetizer::default().max_payload() as u64) as usize;
-            assert_eq!(iter.len(), expected, "size {size}");
-            assert_eq!(iter.size_hint(), (expected, Some(expected)));
-            let mut produced = 0usize;
-            while let Some(_pk) = iter.next() {
-                produced += 1;
-                let remaining = expected - produced;
-                assert_eq!(iter.len(), remaining, "size {size} after {produced}");
-                assert_eq!(iter.size_hint(), (remaining, Some(remaining)));
-            }
-            assert_eq!(produced, expected);
-        }
-    }
-
-    #[test]
-    fn collectors_preallocate_from_the_size_hint() {
-        let mut p = Packetizer::default();
-        let f = frame(100_000);
-        let collected: Vec<RtpPacket> = p.packets(&f).collect();
-        // An exact lower bound means a single up-front reservation: capacity == length.
-        assert_eq!(collected.capacity(), collected.len());
-        let mut extended: Vec<RtpPacket> = Vec::new();
-        extended.extend(p.packets(&f));
-        assert_eq!(extended.capacity(), extended.len());
     }
 
     #[test]

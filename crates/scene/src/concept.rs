@@ -112,7 +112,7 @@ impl Ontology {
     }
 
     /// Direct relation weight between two concepts (0 when none was declared).
-    pub fn direct_relatedness(&self, a: &Concept, b: &Concept) -> f64 {
+    fn direct_relatedness(&self, a: &Concept, b: &Concept) -> f64 {
         if a == b {
             return 1.0;
         }
@@ -182,18 +182,6 @@ impl Ontology {
             }
         }
         table
-    }
-
-    /// All concepts whose relatedness to `query` is at least `threshold`, most related first.
-    pub fn related_to(&self, query: &Concept, threshold: f64) -> Vec<(Concept, f64)> {
-        let mut out: Vec<(Concept, f64)> = self
-            .concepts
-            .iter()
-            .map(|c| (c.clone(), self.relatedness(query, c)))
-            .filter(|(_, w)| *w >= threshold)
-            .collect();
-        out.sort_by(|a, b| b.1.partial_cmp(&a.1).unwrap().then_with(|| a.0.cmp(&b.0)));
-        out
     }
 
     /// The standard ontology used by the built-in scene templates.
@@ -397,14 +385,6 @@ mod tests {
         o.relate("b", "a", 0.7);
         o.relate("a", "b", 0.5);
         assert!((o.direct_relatedness(&"a".into(), &"b".into()) - 0.7).abs() < 1e-12);
-    }
-
-    #[test]
-    fn related_to_sorted_descending() {
-        let o = Ontology::standard();
-        let rel = o.related_to(&"dog".into(), 0.2);
-        assert!(rel.windows(2).all(|w| w[0].1 >= w[1].1));
-        assert_eq!(rel[0].0, Concept::new("dog"));
     }
 
     #[test]

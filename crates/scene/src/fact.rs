@@ -59,22 +59,6 @@ impl FactCategory {
             FactCategory::SpatialUnderstanding => "spatial understanding",
         }
     }
-
-    /// How quality-sensitive questions in this category typically are, in `[0, 1]`.
-    ///
-    /// Text and counting need fine detail; object presence and coarse actions survive heavy
-    /// compression (this is exactly why only 8 % of StreamingBench questions flip at
-    /// 200 Kbps, §2.3).
-    pub fn typical_detail_requirement(self) -> f64 {
-        match self {
-            FactCategory::TextRich => 0.85,
-            FactCategory::Counting => 0.75,
-            FactCategory::AttributePerception => 0.6,
-            FactCategory::SpatialUnderstanding => 0.45,
-            FactCategory::ActionPerception => 0.35,
-            FactCategory::ObjectPerception => 0.25,
-        }
-    }
 }
 
 impl std::fmt::Display for FactCategory {
@@ -171,20 +155,6 @@ mod tests {
     fn paper_shares_sum_to_one() {
         let total: f64 = FactCategory::ALL.iter().map(|c| c.paper_share()).sum();
         assert!((total - 1.0).abs() < 0.005, "total = {total}");
-    }
-
-    #[test]
-    fn text_rich_is_most_detail_demanding() {
-        let max = FactCategory::ALL
-            .iter()
-            .max_by(|a, b| {
-                a.typical_detail_requirement()
-                    .partial_cmp(&b.typical_detail_requirement())
-                    .unwrap()
-            })
-            .copied()
-            .unwrap();
-        assert_eq!(max, FactCategory::TextRich);
     }
 
     #[test]

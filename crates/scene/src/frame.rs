@@ -50,15 +50,6 @@ impl RegionContent {
             background_fraction: 1.0,
         }
     }
-
-    /// Coverage fraction of a specific object in this region.
-    pub fn coverage_of(&self, object_id: u32) -> f64 {
-        self.object_coverage
-            .iter()
-            .find(|(id, _)| *id == object_id)
-            .map(|(_, f)| *f)
-            .unwrap_or(0.0)
-    }
 }
 
 /// A captured frame: object layout plus references to scene-wide content parameters.
@@ -207,6 +198,15 @@ impl Frame {
 mod tests {
     use super::*;
 
+    /// Coverage fraction of `object_id` in a region's content (0 when absent).
+    fn coverage_of(content: &RegionContent, object_id: u32) -> f64 {
+        content
+            .object_coverage
+            .iter()
+            .find(|(id, _)| *id == object_id)
+            .map_or(0.0, |(_, f)| *f)
+    }
+
     fn test_scene() -> Scene {
         let mut s = Scene::new("t", 640, 480).with_background(0.2, 0.1, vec![(Concept::new("court"), 1.0)]);
         s.add_object(
@@ -229,7 +229,7 @@ mod tests {
     fn full_coverage_region_matches_object() {
         let f = Frame::sample(&test_scene(), 0, 0, 0.0);
         let c = f.region_content(&Rect::new(0, 0, 320, 240));
-        assert!((c.coverage_of(1) - 1.0).abs() < 1e-12);
+        assert!((coverage_of(&c, 1) - 1.0).abs() < 1e-12);
         assert!((c.complexity - 0.8).abs() < 1e-9);
         assert!((c.detail - 0.9).abs() < 1e-9);
         assert!(c.background_fraction.abs() < 1e-12);
@@ -250,7 +250,7 @@ mod tests {
         let f = Frame::sample(&test_scene(), 0, 0, 0.0);
         // Straddles the scoreboard (left half) and background (right half).
         let c = f.region_content(&Rect::new(160, 0, 320, 240));
-        assert!((c.coverage_of(1) - 0.5).abs() < 1e-9);
+        assert!((coverage_of(&c, 1) - 0.5).abs() < 1e-9);
         let expected = 0.5 * 0.8 + 0.5 * 0.2;
         assert!((c.complexity - expected).abs() < 1e-9);
     }
@@ -271,7 +271,7 @@ mod tests {
         assert_eq!(dims.cols, 10);
         assert_eq!(dims.rows, 8 /* 480/64 = 7.5 -> 8 */);
         // Top-left cell fully inside scoreboard.
-        assert!((cells[0].coverage_of(1) - 1.0).abs() < 1e-12);
+        assert!((coverage_of(&cells[0], 1) - 1.0).abs() < 1e-12);
     }
 
     #[test]

@@ -116,23 +116,6 @@ impl SceneObject {
         let y = bounce(self.region.y as f64 + self.velocity.1 * t_secs, travel_y);
         Rect::new(x.round() as i64, y.round() as i64, self.region.w, self.region.h).clamped_to(width, height)
     }
-
-    /// The dominant concept (highest weight), if any.
-    pub fn dominant_concept(&self) -> Option<&Concept> {
-        self.concepts
-            .iter()
-            .max_by(|a, b| a.1.partial_cmp(&b.1).unwrap())
-            .map(|(c, _)| c)
-    }
-
-    /// True when the object carries text content or a `text`-family concept.
-    pub fn is_text_rich(&self) -> bool {
-        self.text_content.is_some()
-            || self
-                .concepts
-                .iter()
-                .any(|(c, w)| *w > 0.5 && (c.name() == "text" || c.name() == "number"))
-    }
 }
 
 /// Reflects a coordinate into `[0, travel]` (triangle-wave / elastic bounce).
@@ -169,9 +152,9 @@ mod tests {
     #[test]
     fn builder_sets_fields() {
         let o = obj();
-        assert_eq!(o.dominant_concept().unwrap().name(), "scoreboard");
+        assert_eq!(o.concepts[0].0.name(), "scoreboard");
         assert_eq!(o.attribute("home-score"), Some("78"));
-        assert!(o.is_text_rich());
+        assert_eq!(o.text_content.as_deref(), Some("HOME 78 - 74 AWAY"));
         assert!((o.detail - 0.9).abs() < 1e-12);
     }
 

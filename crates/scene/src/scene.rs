@@ -96,22 +96,6 @@ impl Scene {
             .collect()
     }
 
-    /// Fraction of the canvas covered by objects whose detail exceeds `detail_threshold`.
-    ///
-    /// This is a rough measure of how much of the frame actually matters for detail-rich
-    /// questions — the paper's observation is that it is usually small, which is what makes
-    /// context-aware bit allocation profitable.
-    pub fn detail_area_fraction(&self, detail_threshold: f64) -> f64 {
-        let total = self.pixel_count() as f64;
-        let covered: f64 = self
-            .objects
-            .iter()
-            .filter(|o| o.detail >= detail_threshold)
-            .map(|o| o.region.clamped_to(self.width, self.height).area() as f64)
-            .sum();
-        (covered / total).min(1.0)
-    }
-
     /// Validates internal consistency (object regions inside canvas after clamping, fact
     /// evidence referencing existing objects). Returns a list of problems, empty when valid.
     pub fn validate(&self) -> Vec<String> {
@@ -192,15 +176,6 @@ mod tests {
         let s = scene();
         assert_eq!(s.quality_sensitive_facts(0.5).len(), 1);
         assert_eq!(s.quality_sensitive_facts(0.95).len(), 0);
-    }
-
-    #[test]
-    fn detail_area_fraction_is_small_for_detail_regions() {
-        let s = scene();
-        let frac = s.detail_area_fraction(0.8);
-        // Only the 400x100 scoreboard out of 1280x720.
-        assert!((frac - (400.0 * 100.0) / (1280.0 * 720.0)).abs() < 1e-9);
-        assert!(frac < 0.05);
     }
 
     #[test]

@@ -19,14 +19,6 @@ pub struct SourceConfig {
 }
 
 impl SourceConfig {
-    /// A 60 FPS source (the paper's example rate).
-    pub fn fps60(duration_secs: f64) -> Self {
-        Self {
-            fps: 60.0,
-            duration_secs,
-        }
-    }
-
     /// A 30 FPS source (typical RTC camera).
     pub fn fps30(duration_secs: f64) -> Self {
         Self {
@@ -82,7 +74,7 @@ impl VideoSource {
     }
 
     /// Capture timestamp (µs) of frame `index`.
-    pub fn timestamp_us(&self, index: u64) -> u64 {
+    fn timestamp_us(&self, index: u64) -> u64 {
         (index as f64 * 1_000_000.0 / self.config.fps).round() as u64
     }
 
@@ -130,20 +122,6 @@ impl VideoSource {
             source: self,
             next: 0,
         }
-    }
-
-    /// Iterates over frames sampled at a lower rate (`target_fps`), e.g. the ≤2 FPS an MLLM
-    /// actually processes. Always includes frame 0.
-    pub fn frames_at_fps(&self, target_fps: f64) -> Vec<Frame> {
-        assert!(target_fps > 0.0);
-        let step = (self.config.fps / target_fps).max(1.0);
-        let mut out = Vec::new();
-        let mut i = 0.0_f64;
-        while (i.round() as u64) < self.frame_count() {
-            out.push(self.frame(i.round() as u64));
-            i += step;
-        }
-        out
     }
 }
 
@@ -214,15 +192,6 @@ mod tests {
     }
 
     #[test]
-    fn downsampled_fps_produces_expected_count() {
-        let src = source(); // 30 FPS, 2 s
-        let sampled = src.frames_at_fps(2.0);
-        assert_eq!(sampled.len(), 4); // frames 0, 15, 30, 45
-        assert_eq!(sampled[0].index, 0);
-        assert_eq!(sampled[1].index, 15);
-    }
-
-    #[test]
     fn window_steps_at_its_own_rate_and_wraps() {
         let src = source(); // 30 FPS, 2 s
         let indices = |w: Vec<Frame>| w.iter().map(|f| f.index).collect::<Vec<_>>();
@@ -248,8 +217,11 @@ mod tests {
     }
 
     #[test]
-    fn fps60_config() {
-        let c = SourceConfig::fps60(1.0);
+    fn sixty_fps_config_counts_and_spaces_frames() {
+        let c = SourceConfig {
+            fps: 60.0,
+            duration_secs: 1.0,
+        };
         assert_eq!(c.frame_count(), 60);
         assert_eq!(c.frame_interval_us(), 16_667);
     }

@@ -8,7 +8,7 @@
 //!   spectators, a player covering his mouth);
 //! * [`dog_park`] — the Figure 5 scenario (dog ears, grass implying the season);
 //! * [`lecture_slides`] — text-rich content, DeViBench's dominant category;
-//! * [`cooking_show`] — attribute/action-heavy content;
+//! * cooking shows ([`TemplateKind::Cooking`]) — attribute/action-heavy content;
 //! * [`street_scene`] — counting/spatial content with small text (license plates).
 
 use crate::concept::Concept;
@@ -21,9 +21,9 @@ use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 
 /// The canvas used by all templates: 1080p, the paper's example capture resolution.
-pub const CANVAS_W: u32 = 1920;
+const CANVAS_W: u32 = 1920;
 /// Canvas height, see [`CANVAS_W`].
-pub const CANVAS_H: u32 = 1080;
+const CANVAS_H: u32 = 1080;
 
 /// Identifiers of the built-in templates, in corpus rotation order.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -534,7 +534,7 @@ pub fn lecture_slides(seed: u64) -> Scene {
 }
 
 /// Cooking show: action- and attribute-heavy with a small recipe card (text).
-pub fn cooking_show(seed: u64) -> Scene {
+fn cooking_show(seed: u64) -> Scene {
     let mut r = rng(seed, 4);
     let mut s = Scene::new("cooking-show", CANVAS_W, CANVAS_H).with_background(
         0.4,

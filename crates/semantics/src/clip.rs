@@ -73,7 +73,7 @@ pub struct ClipConfig {
 
 impl ClipConfig {
     /// The paper's prototype (§3.2): Mobile-CLIP-like, 64-pixel patches.
-    pub fn mobile_clip() -> Self {
+    fn mobile_clip() -> Self {
         Self { patch_size: 64 }
     }
 }
@@ -407,7 +407,7 @@ impl ClipScratch {
     }
 
     /// Moves the most recent result out of the scratch.
-    pub fn take_map(&mut self) -> ImportanceMap {
+    fn take_map(&mut self) -> ImportanceMap {
         self.memo.prev_valid = false;
         std::mem::replace(&mut self.memo.map, ImportanceMap::empty())
     }
@@ -473,7 +473,7 @@ impl ClipModel {
     }
 
     /// Encodes user words into the shared space — φ_l(T) in Eq. 1.
-    pub fn encode_text(&self, query: &TextQuery) -> Embedding {
+    fn encode_text(&self, query: &TextQuery) -> Embedding {
         self.space.pool(&query.concepts)
     }
 

@@ -1,9 +1,9 @@
 //! Importance maps: the per-patch semantic correlation ρ_mn of Eq. 1, as a grid.
 //!
 //! The map is produced by [`crate::ClipModel::correlation_map`] and consumed by the
-//! context-aware QP allocator (Eq. 2 in `aivchat-core`). It also provides utilities used by
-//! the Figure 5 harness (top regions, ASCII heat map) and by resampling onto the encoder's
-//! CTU grid when the patch size and CTU size differ.
+//! context-aware QP allocator (Eq. 2 in `aivchat-core`). It also provides the ASCII heat map
+//! of the Figure 5 harness and nearest-center sampling onto the encoder's CTU grid when the
+//! patch size and CTU size differ.
 
 use aivc_scene::GridDims;
 use serde::{Deserialize, Serialize};
@@ -89,73 +89,25 @@ impl ImportanceMap {
     }
 
     /// Maximum correlation in the map.
-    pub fn max_rho(&self) -> f64 {
+    fn max_rho(&self) -> f64 {
         self.rho.iter().copied().fold(-1.0, f64::max)
     }
 
     /// Minimum correlation in the map.
-    pub fn min_rho(&self) -> f64 {
+    fn min_rho(&self) -> f64 {
         self.rho.iter().copied().fold(1.0, f64::min)
     }
 
-    /// Mean correlation.
-    pub fn mean_rho(&self) -> f64 {
-        if self.rho.is_empty() {
-            return 0.0;
-        }
-        self.rho.iter().sum::<f64>() / self.rho.len() as f64
-    }
-
-    /// The `k` most important patches as `(row, col, rho)`, best first.
-    pub fn top_k(&self, k: usize) -> Vec<(u32, u32, f64)> {
-        let mut indexed: Vec<(usize, f64)> = self.rho.iter().copied().enumerate().collect();
-        indexed.sort_by(|a, b| b.1.partial_cmp(&a.1).unwrap().then_with(|| a.0.cmp(&b.0)));
-        indexed
-            .into_iter()
-            .take(k)
-            .map(|(i, r)| {
-                let (row, col) = self.dims.position(i);
-                (row, col, r)
-            })
-            .collect()
-    }
-
-    /// Fraction of patches whose correlation is at least `threshold`.
-    pub fn fraction_above(&self, threshold: f64) -> f64 {
-        if self.rho.is_empty() {
-            return 0.0;
-        }
-        self.rho.iter().filter(|r| **r >= threshold).count() as f64 / self.rho.len() as f64
-    }
-
-    /// The value a resample onto `target` would place at the target cell `(row, col)`
-    /// (nearest-center sampling). Shared by [`ImportanceMap::resample`] and consumers that
-    /// resample on the fly without materializing the intermediate map (the Eq. 2 allocator's
-    /// `allocate_into` in `aivchat-core`).
+    /// The value a resample onto `target`, another grid over the same frame, would place at
+    /// the target cell `(row, col)` (nearest-center sampling) — how the Eq. 2 allocator's
+    /// `allocate_into` in `aivchat-core` reads a map whose patch size differs from the CTU
+    /// size without materializing the resampled map.
     pub fn nearest_value_for_cell(&self, target: GridDims, row: u32, col: u32) -> f64 {
         let rect = target.cell_rect(row, col, self.width, self.height);
         let (cx, cy) = rect.center();
         let src_col = ((cx / self.dims.cell as f64) as u32).min(self.dims.cols - 1);
         let src_row = ((cy / self.dims.cell as f64) as u32).min(self.dims.rows - 1);
         self.get(src_row, src_col)
-    }
-
-    /// Resamples the map onto another grid over the same frame (nearest-center sampling).
-    ///
-    /// Needed when the CLIP patch size (e.g. 32 px) differs from the encoder CTU size (64 px).
-    pub fn resample(&self, target: GridDims) -> ImportanceMap {
-        let mut rho = Vec::with_capacity(target.len());
-        for row in 0..target.rows {
-            for col in 0..target.cols {
-                rho.push(self.nearest_value_for_cell(target, row, col));
-            }
-        }
-        ImportanceMap {
-            dims: target,
-            width: self.width,
-            height: self.height,
-            rho,
-        }
     }
 
     /// Renders a coarse ASCII heat map (`.` low, `#` high) for terminal inspection
@@ -192,38 +144,30 @@ mod tests {
         let m = map();
         assert_eq!(m.max_rho(), 0.9);
         assert_eq!(m.min_rho(), -0.5);
-        assert!((m.mean_rho() - 0.2125).abs() < 1e-12);
-        assert!((m.fraction_above(0.3) - 4.0 / 8.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn top_k_sorted_descending() {
-        let m = map();
-        let top = m.top_k(3);
-        assert_eq!(top.len(), 3);
-        assert_eq!(top[0], (0, 0, 0.9));
-        assert_eq!(top[1], (1, 1, 0.7));
-        assert!(top[1].2 >= top[2].2);
     }
 
     #[test]
     fn resample_to_finer_grid_preserves_values() {
         let m = map();
-        // The top-left 2x2 patch of the finer (8 x 4) grid falls inside the original (0,0) cell.
-        let finer = m.resample(GridDims::for_frame(256, 128, 32));
-        assert_eq!(finer.get(0, 0), 0.9);
-        assert_eq!(finer.get(1, 1), 0.9);
-        assert_eq!(finer.dims().cols, 8);
-        // And overall bounds are preserved.
-        assert!(finer.max_rho() <= m.max_rho() + 1e-12);
-        assert!(finer.min_rho() >= m.min_rho() - 1e-12);
+        // The finer (8 x 4) grid's cell (r, c) falls inside the original cell (r / 2, c / 2).
+        let finer = GridDims::for_frame(256, 128, 32);
+        assert_eq!(finer.cols, 8);
+        for row in 0..finer.rows {
+            for col in 0..finer.cols {
+                assert_eq!(m.nearest_value_for_cell(finer, row, col), m.get(row / 2, col / 2));
+            }
+        }
     }
 
     #[test]
     fn resample_to_same_grid_is_identity() {
         let m = map();
-        let same = m.resample(m.dims());
-        assert_eq!(same.values(), m.values());
+        let dims = m.dims();
+        for row in 0..dims.rows {
+            for col in 0..dims.cols {
+                assert_eq!(m.nearest_value_for_cell(dims, row, col), m.get(row, col));
+            }
+        }
     }
 
     #[test]

@@ -84,7 +84,7 @@ impl ConceptSpace {
 
     /// The embedding of a concept. Unknown concepts get a deterministic direction of their
     /// own (they simply will not correlate with anything in the ontology).
-    pub fn concept_embedding(&self, concept: &Concept) -> Embedding {
+    fn concept_embedding(&self, concept: &Concept) -> Embedding {
         match self.index.get(concept) {
             Some(&i) => self.table[i as usize].clone(),
             None => Embedding::seeded_direction(concept.name(), self.dim),

@@ -43,7 +43,7 @@ pub trait Actor {
 /// A monotonic virtual clock plus the pending-event queue: the complete simulation state
 /// of one timeline.
 ///
-/// The kernel is deliberately *driveable from outside*: callers may [`Simulation::pop_due`]
+/// The kernel is deliberately *driveable from outside*: callers may [`Simulation::pop`]
 /// events themselves, or hand an [`Actor`] to [`Simulation::run_until`]. Both advance the
 /// same clock, so phases of direct driving (a turn runner collecting per-turn statistics)
 /// and actor-driven draining (think-time gaps between turns) compose on one timeline.
@@ -82,11 +82,6 @@ impl<E> Simulation<E> {
     /// order breaks the tie).
     pub fn schedule_at(&mut self, time: SimTime, event: E) -> EventId {
         self.queue.schedule(time.max(self.now), event)
-    }
-
-    /// Schedules `event` after `delay` from now.
-    pub fn schedule_after(&mut self, delay: SimDuration, event: E) -> EventId {
-        self.queue.schedule(self.now + delay, event)
     }
 
     /// Schedules `event` at `time` under a previously issued sequence number, so a
@@ -136,7 +131,7 @@ impl<E> Simulation<E> {
     /// clock to its firing time. Events beyond the horizon stay queued — with a persistent
     /// timeline they fire in a later window (this is what lets in-flight packets survive a
     /// turn boundary).
-    pub fn pop_due(&mut self, horizon: SimTime) -> Option<(SimTime, E)> {
+    fn pop_due(&mut self, horizon: SimTime) -> Option<(SimTime, E)> {
         if self.queue.peek_time()? > horizon {
             return None;
         }
@@ -169,7 +164,7 @@ mod tests {
             self.fired.push((now.as_micros(), event));
             if Some(event) == self.chain_from {
                 // A handler scheduling inside the window must fire in the same drain.
-                sim.schedule_after(SimDuration::from_micros(1), event + 100);
+                sim.schedule_at(now + SimDuration::from_micros(1), event + 100);
             }
         }
     }

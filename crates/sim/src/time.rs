@@ -97,11 +97,6 @@ impl SimDuration {
     pub fn as_secs_f64(self) -> f64 {
         self.0 as f64 / 1e6
     }
-
-    /// Scales the duration by a non-negative factor.
-    pub fn mul_f64(self, factor: f64) -> SimDuration {
-        SimDuration((self.0 as f64 * factor.max(0.0)).round() as u64)
-    }
 }
 
 impl Add<SimDuration> for SimTime {
@@ -178,15 +173,6 @@ mod tests {
             SimTime::from_millis(1) - SimTime::from_millis(5),
             SimDuration::ZERO
         );
-    }
-
-    #[test]
-    fn duration_scaling() {
-        assert_eq!(
-            SimDuration::from_millis(10).mul_f64(2.5),
-            SimDuration::from_micros(25_000)
-        );
-        assert_eq!(SimDuration::from_millis(10).mul_f64(-1.0), SimDuration::ZERO);
     }
 
     #[test]

@@ -8,7 +8,7 @@
 use crate::frame::{EncodedFrame, FrameType};
 use crate::qp::Qp;
 use crate::rd;
-use aivc_scene::{CoverageTable, GridDims, Rect};
+use aivc_scene::{CoverageTable, GridDims};
 use serde::{Deserialize, Serialize};
 
 /// One decoded block.
@@ -93,29 +93,6 @@ impl DecodedFrame {
             return 0.0;
         }
         self.blocks.iter().filter(|b| b.received).count() as f64 / self.blocks.len() as f64
-    }
-
-    /// Area-weighted mean decoded quality of the blocks overlapping `region`.
-    pub fn region_quality(&self, region: &Rect) -> f64 {
-        let grid = self.grid();
-        let mut weighted = 0.0;
-        let mut weight = 0.0;
-        for row in 0..grid.rows {
-            for col in 0..grid.cols {
-                let cell = grid.cell_rect(row, col, self.width, self.height);
-                let overlap = cell.intersect(region).area() as f64;
-                if overlap > 0.0 {
-                    let idx = grid.index(row, col);
-                    weighted += overlap * self.blocks[idx].quality;
-                    weight += overlap;
-                }
-            }
-        }
-        if weight == 0.0 {
-            0.0
-        } else {
-            weighted / weight
-        }
     }
 
     /// Question-conditioned decoded quality of the blocks covering an object.
@@ -310,14 +287,16 @@ mod tests {
     }
 
     #[test]
-    fn region_quality_reflects_localized_loss() {
+    fn localized_loss_degrades_the_bottom_rows_not_the_top() {
         let e = encoded();
         // Drop the last third of the bitstream: the bottom rows of the frame lose quality,
         // the top row does not.
         let cutoff = e.total_bytes() * 2 / 3;
         let d = Decoder::new().decode_with_received(&e, &[(0, cutoff)], None);
-        let top = d.region_quality(&Rect::new(0, 0, e.width, 64));
-        let bottom = d.region_quality(&Rect::new(0, e.height as i64 - 64, e.width, 64));
+        let cols = d.grid().cols as usize;
+        let mean = |row: &[DecodedBlock]| row.iter().map(|b| b.quality).sum::<f64>() / row.len() as f64;
+        let top = mean(&d.blocks[..cols]);
+        let bottom = mean(&d.blocks[d.blocks.len() - cols..]);
         assert!(top > bottom, "top {top} bottom {bottom}");
     }
 
@@ -409,12 +388,5 @@ mod tests {
             assert_eq!(e_back, e);
             assert_eq!(d_back, d);
         }
-    }
-
-    #[test]
-    fn region_quality_outside_frame_is_zero() {
-        let e = encoded();
-        let d = Decoder::new().decode_complete(&e, None);
-        assert_eq!(d.region_quality(&Rect::new(100_000, 100_000, 10, 10)), 0.0);
     }
 }

@@ -120,27 +120,13 @@ impl EncodedFrame {
         self.blocks.iter().map(|b| b.qp.as_f64()).sum::<f64>() / self.blocks.len() as f64
     }
 
-    /// The byte range `[offset, offset + len)` occupied by each block, in raster order.
-    pub fn block_byte_ranges(&self) -> Vec<(u64, u64)> {
-        self.blocks
-            .iter()
-            .map(|b| (b.byte_offset, b.byte_offset + b.byte_len as u64))
-            .collect()
-    }
-
-    /// The blocks whose byte ranges are fully contained in the received byte set.
+    /// Which blocks have byte ranges fully contained in the received byte set, written into
+    /// a caller-owned buffer (cleared first) so per-frame decode loops stay allocation-free
+    /// after warmup.
     ///
     /// `received` is a sorted, non-overlapping list of `[start, end)` ranges produced by the
     /// RTC depacketizer. Blocks not fully covered are considered lost (HEVC cannot decode a
     /// truncated CTU) and will be concealed by the decoder.
-    pub fn blocks_covered_by(&self, received: &[(u64, u64)]) -> Vec<bool> {
-        let mut out = Vec::new();
-        self.blocks_covered_into(received, &mut out);
-        out
-    }
-
-    /// [`EncodedFrame::blocks_covered_by`] into a caller-owned buffer (cleared first), so
-    /// per-frame decode loops stay allocation-free after warmup.
     pub fn blocks_covered_into(&self, received: &[(u64, u64)], out: &mut Vec<bool>) {
         out.clear();
         out.reserve(self.blocks.len());
@@ -182,6 +168,13 @@ fn range_covered(start: u64, end: u64, received: &[(u64, u64)]) -> bool {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// [`EncodedFrame::blocks_covered_into`] into a fresh buffer.
+    fn covered_by(f: &EncodedFrame, received: &[(u64, u64)]) -> Vec<bool> {
+        let mut covered = Vec::new();
+        f.blocks_covered_into(received, &mut covered);
+        covered
+    }
 
     fn frame_with_blocks(lens: &[u32]) -> EncodedFrame {
         let mut offset = 100u64; // header
@@ -228,18 +221,9 @@ mod tests {
     }
 
     #[test]
-    fn block_ranges_are_contiguous() {
-        let f = frame_with_blocks(&[200, 300, 150]);
-        let ranges = f.block_byte_ranges();
-        assert_eq!(ranges[0], (100, 300));
-        assert_eq!(ranges[1], (300, 600));
-        assert_eq!(ranges[2], (600, 750));
-    }
-
-    #[test]
     fn full_coverage_marks_all_blocks_received() {
         let f = frame_with_blocks(&[200, 300, 150]);
-        let covered = f.blocks_covered_by(&[(0, f.total_bytes())]);
+        let covered = covered_by(&f, &[(0, f.total_bytes())]);
         assert!(covered.iter().all(|c| *c));
     }
 
@@ -247,21 +231,21 @@ mod tests {
     fn missing_middle_range_loses_only_middle_block() {
         let f = frame_with_blocks(&[200, 300, 150]);
         // Received: [0, 300) and [600, 750) — the middle block [300, 600) is missing.
-        let covered = f.blocks_covered_by(&[(0, 300), (600, 750)]);
+        let covered = covered_by(&f, &[(0, 300), (600, 750)]);
         assert_eq!(covered, vec![true, false, true]);
     }
 
     #[test]
     fn partial_block_coverage_counts_as_lost() {
         let f = frame_with_blocks(&[200, 300, 150]);
-        let covered = f.blocks_covered_by(&[(0, 500)]); // second block only half received
+        let covered = covered_by(&f, &[(0, 500)]); // second block only half received
         assert_eq!(covered, vec![true, false, false]);
     }
 
     #[test]
     fn adjacent_ranges_union_correctly() {
         let f = frame_with_blocks(&[200, 300, 150]);
-        let covered = f.blocks_covered_by(&[(0, 250), (250, 400), (400, 750)]);
+        let covered = covered_by(&f, &[(0, 250), (250, 400), (400, 750)]);
         assert!(covered.iter().all(|c| *c));
     }
 

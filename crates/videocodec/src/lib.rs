@@ -27,7 +27,6 @@ pub mod encoder;
 pub mod frame;
 pub mod gop;
 pub mod qp;
-pub mod quality;
 pub mod rate_plan;
 pub mod rd;
 pub mod transcode;
@@ -36,6 +35,5 @@ pub use decoder::{DecodeScratch, DecodedBlock, DecodedFrame, Decoder};
 pub use encoder::{EncodeScratch, Encoder, EncoderConfig};
 pub use frame::{EncodedBlock, EncodedFrame, FrameType};
 pub use qp::{Qp, QpMap};
-pub use quality::{frame_quality, region_quality};
 pub use rate_plan::{RatePlan, RateSearch};
 pub use transcode::{transcode_clip, TranscodeSummary};

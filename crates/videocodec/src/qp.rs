@@ -41,11 +41,6 @@ impl Qp {
     pub fn offset(self, delta: i32) -> Qp {
         Qp::new(self.0 as i32 + delta)
     }
-
-    /// The default QP used by the simulator's "medium" preset when no rate control runs.
-    pub fn default_medium() -> Qp {
-        Qp(32)
-    }
 }
 
 impl std::fmt::Display for Qp {

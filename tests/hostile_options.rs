@@ -1,9 +1,9 @@
 //! Hostile options never panic: every numeric field a caller can still set — on
-//! [`NetSessionOptions`] in the first property; on the sender (γ, the CLIP patch size), on
-//! both links of `path` (rate, delays, queue) and in the frames themselves in the second; on
-//! a [`ContentionConfig`] (nominal rate, fairness window, starvation floor, a cross-traffic
-//! source) in the third — is thrown the values input tends to hurt with — NaN, ±∞, 0, −1, a subnormal, `MAX` — next
-//! to a valid one. Either a structured error names the field and the constructor refuses
+//! [`NetSessionOptions`], the uplink's loss rate included, in the first property; on the
+//! sender (γ, the CLIP patch size), on both links of `path` (rate, delays, queue) and in the
+//! frames themselves in the second; on a [`ContentionConfig`] (nominal rate, fairness window,
+//! starvation floor, a cross-traffic source) in the third — is thrown the values input tends
+//! to hurt with — NaN, ±∞, 0, −1, a subnormal, `MAX` — next to a valid one. Either a structured error names the field and the constructor refuses
 //! with exactly that message before anything moves, or three turns on the lossy §2.2 path
 //! finish with a report whose every serialized number is finite, after a bounded number of
 //! kernel events. Nothing else is acceptable: not a `clamp` or overflow panic in the middle
@@ -19,7 +19,7 @@ use aivchat::core::{
     QpAllocator, QpAllocatorConfig, StarvationConfig, StreamerConfig, TenantSpec, TenantTurn,
 };
 use aivchat::mllm::{Question, QuestionFormat};
-use aivchat::netsim::{LinkConfig, PathConfig, SimDuration, SimTime};
+use aivchat::netsim::{LinkConfig, LossModel, PathConfig, SimDuration, SimTime};
 use aivchat::rtc::AbrPolicy;
 use aivchat::scene::templates::basketball_game;
 use aivchat::scene::{Frame, Ontology, SourceConfig, VideoSource};
@@ -183,8 +183,10 @@ proptest! {
         reorder_guard_us in hostile_u64(5_000),
         capture_fps in hostile_f64(12.0),
         drain_secs in hostile_f64(0.3),
+        uplink_loss in hostile_f64(0.15),
     ) {
         let mut options = NetSessionOptions::ai_oriented(seed, PathConfig::paper_section_2_2(0.15));
+        options.path.uplink.loss = LossModel::Iid { rate: uplink_loss };
         if resilient {
             options = options.with_resilience();
         }
