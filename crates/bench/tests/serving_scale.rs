@@ -10,9 +10,13 @@
 //!    `BENCH_hotpaths.json`; this is a works-at-all check, not a perf gate);
 //! 4. **Bytes-budget audit** — a fleet's live heap is `intercept + slope × sessions`: the
 //!    slope is what one more warm conversation costs, the intercept what the server holds
-//!    once whatever its size (one `ClipModel`, one turn scratch per lane, the pool). Both
+//!    once whatever its size (one `ClipModel`, one set of turn buffers per lane, the pool). Both
 //!    are measured from fleets of N and 2N sessions and each stays under its own
-//!    documented ceiling, so 10k+ sessions have a predictable footprint.
+//!    documented ceiling, so 10k+ sessions have a predictable footprint;
+//! 5. **Contention-tenant audit** — what one more tenant adds to the *peak* heap of a
+//!    `run_contention` (its conversation and its turn's encoded frames; the per-event
+//!    buffers are the run's, shared by all tenants), measured from runs of K and 2K
+//!    tenants and held under its own ceiling.
 //!
 //! The fleet size defaults to 128 sessions so the check is always on; CI's
 //! `serving-suite` job exports `AIVC_SERVING_SCALE=1` to run the 1024-session
@@ -29,20 +33,30 @@ use aivc_netsim::PathConfig;
 use aivc_scene::templates::basketball_game;
 use aivc_scene::{Frame, SourceConfig, VideoSource};
 use aivc_sim::SimDuration;
-use aivchat_core::{Conversation, ConversationChatServer, NetSessionOptions, SessionSnapshot};
+use aivchat_core::scenarios::{contention_by_name, ContentionScenario};
+use aivchat_core::{
+    run_contention, Conversation, ConversationChatServer, NetSessionOptions, SessionSnapshot,
+};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicI64, Ordering};
 use std::time::Instant;
 
 /// Tracks *live* heap bytes (alloc adds, dealloc subtracts), so a before/after diff
-/// around fleet construction + warmup is the fleet's resident heap footprint.
+/// around fleet construction + warmup is the fleet's resident heap footprint, and the
+/// high-water mark of that count since the last [`reset_peak`].
 struct ByteCounter;
 
 static LIVE_BYTES: AtomicI64 = AtomicI64::new(0);
+static PEAK_BYTES: AtomicI64 = AtomicI64::new(0);
+
+fn add_live(delta: i64) {
+    let live = LIVE_BYTES.fetch_add(delta, Ordering::Relaxed) + delta;
+    PEAK_BYTES.fetch_max(live, Ordering::Relaxed);
+}
 
 unsafe impl GlobalAlloc for ByteCounter {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        LIVE_BYTES.fetch_add(layout.size() as i64, Ordering::Relaxed);
+        add_live(layout.size() as i64);
         unsafe { System.alloc(layout) }
     }
 
@@ -52,7 +66,7 @@ unsafe impl GlobalAlloc for ByteCounter {
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        LIVE_BYTES.fetch_add(new_size as i64 - layout.size() as i64, Ordering::Relaxed);
+        add_live(new_size as i64 - layout.size() as i64);
         unsafe { System.realloc(ptr, layout, new_size) }
     }
 }
@@ -62,6 +76,13 @@ static GLOBAL: ByteCounter = ByteCounter;
 
 fn live_bytes() -> i64 {
     LIVE_BYTES.load(Ordering::Relaxed)
+}
+
+/// Restarts the high-water mark at what is live now, and returns that.
+fn reset_peak() -> i64 {
+    let live = live_bytes();
+    PEAK_BYTES.store(live, Ordering::Relaxed);
+    live
 }
 
 fn template(seed: u64) -> NetSessionOptions {
@@ -86,6 +107,24 @@ fn warm_fleet_bytes(sessions: usize, windows: &[Vec<Frame>], question: &Question
         server.run_turns(window, question);
     }
     (live_bytes() - before) as f64
+}
+
+/// Peak heap one `run_contention` of `scenario`'s first `tenants` tenants on AI-oriented
+/// ABR reaches above what was live when it started — the tenants' scripted frames are
+/// built beforehand, so only the engine and its report count.
+fn contention_peak_bytes(scenario: &ContentionScenario, tenants: usize) -> f64 {
+    let specs = (0..tenants)
+        .map(|tenant| scenario.tenant_spec(tenant, true))
+        .collect();
+    let config = scenario.config();
+    let before = reset_peak();
+    let report = run_contention(&config, specs);
+    let peak = PEAK_BYTES.load(Ordering::Relaxed);
+    assert!(report
+        .tenants
+        .iter()
+        .all(|t| t.conversation.turns.len() == scenario.turns));
+    (peak - before) as f64
 }
 
 fn main() {
@@ -161,7 +200,7 @@ fn main() {
     }
     println!("serving_scale: {sessions} sessions bit-identical across pools {pools:?}");
 
-    // A fleet member runs on its lane's turn scratch and the server's one model; the same
+    // A fleet member runs on its lane's turn buffers and the server's one model; the same
     // conversation standalone runs on its own of each. Sixteen members spread over the
     // fleet (and so over every position in a lane's service order) must not differ.
     for i in (0..sessions).step_by(sessions / 16) {
@@ -185,14 +224,15 @@ fn main() {
     // --- 4: bytes-budget audit. Fleets of N and 2N sessions separate what a conversation
     // costs (the slope README's serving-scale table quotes — a 10k-session box needs
     // slope x 10k of headroom) from what a server costs whatever its size (the intercept:
-    // one `ClipModel`, one turn scratch per lane — this fleet runs two — and the pool).
+    // one `ClipModel`, one set of turn buffers per lane — this fleet runs two — and the pool).
     // Allocation sizes are deterministic, so each ceiling sits 5 % above the measured
     // value: 66.6 KiB per conversation (110.1 KiB while CLIP kept a raster of its own next
     // to the rate plan's and its per-call buffers; 398 KiB while every conversation owned a
     // model and its turn's frame buffers; 455 KiB before frames carried one coverage table
-    // instead of an `Arc` per block) and 549.2 KiB per two-lane server (one ≈ 52 KiB model
-    // and two turn scratches of ≈ 248 KiB, CLIP's work buffers included). Anything that
-    // grows either by more than that has to raise it here.
+    // instead of an `Arc` per block) and 417.8 KiB per two-lane server (one ≈ 52 KiB model
+    // and two lanes' turn buffers of ≈ 183 KiB, CLIP's work buffers included; 549.2 KiB
+    // while block records carried an index, complexity and motion nothing read). Anything
+    // that grows either by more than that has to raise it here.
     let audit_sessions = if sessions > 128 { 256 } else { 64 };
     let small = warm_fleet_bytes(audit_sessions, &windows, &question, think);
     let large = warm_fleet_bytes(2 * audit_sessions, &windows, &question, think);
@@ -206,7 +246,7 @@ fn main() {
         2 * audit_sessions
     );
     const PER_SESSION_CEILING_BYTES: f64 = 70.0 * 1024.0;
-    const PER_SERVER_CEILING_BYTES: f64 = 577.0 * 1024.0;
+    const PER_SERVER_CEILING_BYTES: f64 = 439.0 * 1024.0;
     assert!(
         slope > 0.0 && slope < PER_SESSION_CEILING_BYTES,
         "per-conversation heap {:.1} KiB outside budget (ceiling {:.0} KiB)",
@@ -218,6 +258,31 @@ fn main() {
         "per-server heap {:.1} KiB outside budget (ceiling {:.0} KiB)",
         intercept / 1024.0,
         PER_SERVER_CEILING_BYTES / 1024.0
+    );
+
+    // --- 5: contention-tenant audit. `shared-blackout` with its four join times cycled
+    // over K and 2K tenants: the slope is what one more tenant adds to the run's peak (its
+    // conversation, its encoded window at the run's high-water mark, its report), the
+    // per-event buffers being the run's one set whatever K. The ceiling sits 5 % above the
+    // measured 367.0 KiB (809.4 KiB while every tenant owned a whole turn scratch and block
+    // records carried fields nothing read).
+    let mut scenario = contention_by_name("shared-blackout").expect("registered scenario");
+    let k = scenario.tenants;
+    scenario.joins = scenario.joins.iter().copied().cycle().take(2 * k).collect();
+    let small = contention_peak_bytes(&scenario, k);
+    let large = contention_peak_bytes(&scenario, 2 * k);
+    let per_tenant = (large - small) / k as f64;
+    println!(
+        "serving_scale: {:.1} KiB peak heap per contention tenant (slope), from runs of {k} and {} tenants",
+        per_tenant / 1024.0,
+        2 * k
+    );
+    const PER_TENANT_PEAK_CEILING_BYTES: f64 = 385.0 * 1024.0;
+    assert!(
+        per_tenant > 0.0 && per_tenant < PER_TENANT_PEAK_CEILING_BYTES,
+        "per-tenant peak heap {:.1} KiB outside budget (ceiling {:.0} KiB)",
+        per_tenant / 1024.0,
+        PER_TENANT_PEAK_CEILING_BYTES / 1024.0
     );
 
     println!("serving_scale: fleet checks passed ({sessions} sessions) ... ok");

@@ -35,7 +35,7 @@ use crate::conversation::{ConversationReport, Member};
 use crate::net_session::{
     rate_bps_is_valid, validate_link, NetSessionOptions, NetSessionOptionsError, MAX_RATE_BPS,
 };
-use crate::net_turn::{NetEvent, NetEventSink, PacketRun, TurnPlan, TurnScratch, UplinkPort};
+use crate::net_turn::{EncodedWindow, NetEvent, NetEventSink, PacketRun, TurnPlan, TurnScratch, UplinkPort};
 use aivc_mllm::Question;
 use aivc_netsim::{jain_index, FaultKind, LinkConfig, LinkCounters, Packet, SharedLink};
 use aivc_scene::Frame;
@@ -401,12 +401,14 @@ impl NetEventSink for TenantSink<'_> {
 }
 
 /// Per-tenant engine state: the conversation itself (a [`Member`] — the timeline is
-/// global here) plus its script and the watchdog's bookkeeping.
+/// global here) plus its script, its encoded window and the watchdog's bookkeeping.
 struct TenantState {
     spec: TenantSpec,
     member: Member,
-    /// Tenants' turns overlap on the shared kernel, so each holds its own frame buffers.
-    scratch: TurnScratch,
+    /// The live turn's encoded frames, which only this tenant's deadline decodes. Tenants'
+    /// turns overlap on the shared kernel, so each holds its own; the per-event buffers
+    /// are the run's one [`TurnScratch`].
+    window: EncodedWindow,
     /// Turns whose window has opened (≥ turns reported; they differ while one is live).
     turns_begun: usize,
     /// `[first capture, last capture]` of the live turn — the span inside which a
@@ -439,6 +441,8 @@ struct CrossState {
 /// The multi-tenant actor over the global timeline.
 struct ContentionMachine {
     tenants: Vec<TenantState>,
+    /// Every tenant's per-event buffers: events never overlap, so one set serves them all.
+    scratch: TurnScratch,
     cross: Vec<CrossState>,
     shared: SharedLink,
     starvation: StarvationConfig,
@@ -511,7 +515,8 @@ impl ContentionMachine {
             link: &mut self.shared,
             flow: tenant,
         };
-        t.member.conclude_turn(&mut t.scratch, &port, &turn.question);
+        t.member
+            .conclude_turn(&mut self.scratch, &mut t.window, port, &turn.question);
         t.capture_span = None;
         if t.turns_begun < t.spec.turns.len() {
             sim.schedule_at(
@@ -532,7 +537,7 @@ impl ContentionMachine {
             flow: tenant,
         };
         t.member
-            .machine(&mut t.scratch, frames, port)
+            .machine(&mut self.scratch, &mut t.window, frames, port)
             .handle(now, ev, &mut TenantSink { tenant, sim });
     }
 
@@ -684,7 +689,7 @@ pub fn run_contention(config: &ContentionConfig, tenants: Vec<TenantSpec>) -> Co
                 StreamerConfig::default(),
                 Arc::clone(&model),
             ),
-            scratch: TurnScratch::default(),
+            window: EncodedWindow::default(),
             spec,
             turns_begun: 0,
             capture_span: None,
@@ -709,6 +714,7 @@ pub fn run_contention(config: &ContentionConfig, tenants: Vec<TenantSpec>) -> Co
     let fairness_window_us = config.fairness_window.as_micros();
     let mut machine = ContentionMachine {
         tenants: states,
+        scratch: TurnScratch::default(),
         cross,
         shared,
         starvation: config.starvation,

@@ -34,8 +34,8 @@
 use crate::context_aware::StreamerConfig;
 use crate::net_session::{FaultTelemetry, FrameDelivery, NetSessionOptions, NetTurnReport};
 use crate::net_turn::{
-    begin_turn_window, conclude_turn_window, NetCompute, NetEvent, NetEventSink, Transport, TurnMachine,
-    TurnPlan, TurnScratch, UplinkPort, EMPTY_TURN_WINDOW,
+    begin_turn_window, conclude_turn_window, EncodedWindow, NetCompute, NetEvent, NetEventSink, Transport,
+    TurnMachine, TurnPlan, TurnScratch, UplinkPort, EMPTY_TURN_WINDOW,
 };
 use aivc_mllm::Question;
 use aivc_netsim::{LatencyStats, LinkCounters};
@@ -161,8 +161,8 @@ impl ConversationReport {
 
 /// Everything one conversation carries from turn to turn except its timeline: the chat
 /// pipeline, the congestion controller, the transport and the per-turn history behind the
-/// [`ConversationReport`]. The driver owns the kernel and the [`TurnScratch`], and hands
-/// every call the [`UplinkPort`] the packets ride.
+/// [`ConversationReport`]. The driver owns the kernel, the [`TurnScratch`] and the
+/// [`EncodedWindow`], and hands every call the [`UplinkPort`] the packets ride.
 #[derive(Debug)]
 pub(crate) struct Member {
     pub(crate) compute: NetCompute,
@@ -224,16 +224,18 @@ impl Member {
 
     /// The event handler for this member's transport events. `frames` is the open turn's
     /// capture window; between turns (deliveries, polls, retransmissions only — no
-    /// capture is pending) neither it nor `scratch` is read, and it may be empty.
+    /// capture is pending) neither it, `scratch` nor `window` is read, and it may be empty.
     pub(crate) fn machine<'a>(
         &'a mut self,
         scratch: &'a mut TurnScratch,
+        window: &'a mut EncodedWindow,
         frames: &'a [Frame],
         port: UplinkPort<'a>,
     ) -> TurnMachine<'a> {
         TurnMachine {
             compute: &mut self.compute,
             scratch,
+            window,
             gcc: &mut self.gcc,
             t: &mut self.transport,
             frames,
@@ -243,23 +245,16 @@ impl Member {
     }
 
     /// Concludes the open turn once the timeline drained to its horizon: decode (out of
-    /// the `scratch` the turn's machine encoded into), answer and report, then record the
+    /// the `window` the turn's machine encoded into), answer and report, then record the
     /// turn's swing and latencies. Returns the stored report.
     pub(crate) fn conclude_turn(
         &mut self,
         scratch: &mut TurnScratch,
-        port: &UplinkPort<'_>,
+        window: &mut EncodedWindow,
+        port: UplinkPort<'_>,
         question: &Question,
     ) -> &NetTurnReport {
-        let report = conclude_turn_window(
-            &mut self.compute,
-            scratch,
-            &mut self.gcc,
-            &mut self.transport,
-            port,
-            &self.plan,
-            question,
-        );
+        let report = conclude_turn_window(self.machine(scratch, window, &[], port), question);
         self.turn_target_swing_bps
             .push(self.transport.turn_target_swing_bps());
         self.frame_latencies
@@ -311,9 +306,11 @@ pub struct Conversation {
     pub(crate) member: Member,
     sim: Simulation<NetEvent>,
     think_gap: SimDuration,
-    /// The frame buffers of standalone turns. A conversation served by a fleet runs on
-    /// its lane's scratch instead and never grows this one.
+    /// The per-event buffers of standalone turns. A conversation served by a fleet runs
+    /// on its lane's instead and never grows these (nor `window`).
     scratch: TurnScratch,
+    /// The encoded frames of standalone turns.
+    window: EncodedWindow,
 }
 
 impl Conversation {
@@ -341,6 +338,7 @@ impl Conversation {
             sim: Simulation::new(),
             think_gap,
             scratch: TurnScratch::default(),
+            window: EncodedWindow::default(),
         }
     }
 
@@ -427,17 +425,14 @@ impl Conversation {
     /// NACK polls fire, retransmissions flow. [`Conversation::run_turn`] already inserts
     /// the configured think gap between turns; use this for extra idle time.
     pub fn think(&mut self, gap: SimDuration) {
-        let mut scratch = std::mem::take(&mut self.scratch);
-        self.think_on(&mut scratch, gap);
-        self.scratch = scratch;
-    }
-
-    fn think_on(&mut self, scratch: &mut TurnScratch, gap: SimDuration) {
-        let horizon = self.sim.now() + gap;
-        self.sim.run_until(
-            horizon,
-            &mut self.member.machine(scratch, &[], UplinkPort::Private),
-        );
+        let Self {
+            member,
+            sim,
+            scratch,
+            window,
+            ..
+        } = self;
+        think_on(member, sim, scratch, window, gap);
     }
 
     /// Runs the next turn of the conversation, starting at the current simulated time
@@ -458,36 +453,33 @@ impl Conversation {
     /// [`Conversation::reserve_turns`], a warmed conversation's turn is allocation-free
     /// end to end (the `zero_alloc` harness asserts exactly that).
     pub fn run_turn_in_place(&mut self, frames: &[Frame], question: &Question) -> &NetTurnReport {
-        let mut scratch = std::mem::take(&mut self.scratch);
-        self.run_turn_on(&mut scratch, frames, question);
-        self.scratch = scratch;
-        self.member.turns.last().expect("the turn just pushed its report")
+        let Self {
+            member,
+            sim,
+            think_gap,
+            scratch,
+            window,
+        } = self;
+        run_turn(member, sim, *think_gap, scratch, window, frames, question)
     }
 
-    /// The turn itself, on the frame buffers of whoever drives it: the conversation's own
-    /// for a standalone turn, the lane's when a fleet serves it. The one code path.
+    /// A turn on the buffers of the fleet lane that serves this conversation.
     pub(crate) fn run_turn_on(
         &mut self,
         scratch: &mut TurnScratch,
+        window: &mut EncodedWindow,
         frames: &[Frame],
         question: &Question,
     ) -> &NetTurnReport {
-        // Before the think gap drains and `begin_turn` records the turn-start history.
-        assert!(!frames.is_empty(), "{EMPTY_TURN_WINDOW}");
-        if !self.member.turns.is_empty() && self.think_gap > SimDuration::ZERO {
-            self.think_on(scratch, self.think_gap);
-        }
-        let port = UplinkPort::Private;
-        self.member
-            .begin_turn(self.sim.now(), &port, &mut self.sim, frames.len(), question);
-        // On return the clock sits exactly at the answer deadline; later events (late
-        // packets, pending polls) stay queued for the think gap and the next window.
-        let horizon = self.member.plan.horizon;
-        self.sim.run_until(
-            horizon,
-            &mut self.member.machine(scratch, frames, UplinkPort::Private),
-        );
-        self.member.conclude_turn(scratch, &port, question)
+        run_turn(
+            &mut self.member,
+            &mut self.sim,
+            self.think_gap,
+            scratch,
+            window,
+            frames,
+            question,
+        )
     }
 
     /// Pre-grows the per-turn history vectors for `additional_turns` more turns of
@@ -506,6 +498,48 @@ impl Conversation {
     pub fn report(&self) -> ConversationReport {
         self.member.report()
     }
+}
+
+/// Advances a conversation's timeline by `gap` with no turn open.
+fn think_on(
+    member: &mut Member,
+    sim: &mut Simulation<NetEvent>,
+    scratch: &mut TurnScratch,
+    window: &mut EncodedWindow,
+    gap: SimDuration,
+) {
+    let horizon = sim.now() + gap;
+    sim.run_until(
+        horizon,
+        &mut member.machine(scratch, window, &[], UplinkPort::Private),
+    );
+}
+
+/// The turn itself, on the turn buffers of whoever drives it: the conversation's own for a
+/// standalone turn, the lane's when a fleet serves it. The one code path.
+fn run_turn<'m>(
+    member: &'m mut Member,
+    sim: &mut Simulation<NetEvent>,
+    think_gap: SimDuration,
+    scratch: &mut TurnScratch,
+    window: &mut EncodedWindow,
+    frames: &[Frame],
+    question: &Question,
+) -> &'m NetTurnReport {
+    // Before the think gap drains and `begin_turn` records the turn-start history.
+    assert!(!frames.is_empty(), "{EMPTY_TURN_WINDOW}");
+    if !member.turns.is_empty() && think_gap > SimDuration::ZERO {
+        think_on(member, sim, scratch, window, think_gap);
+    }
+    member.begin_turn(sim.now(), &UplinkPort::Private, sim, frames.len(), question);
+    // On return the clock sits exactly at the answer deadline; later events (late
+    // packets, pending polls) stay queued for the think gap and the next window.
+    let horizon = member.plan.horizon;
+    sim.run_until(
+        horizon,
+        &mut member.machine(scratch, window, frames, UplinkPort::Private),
+    );
+    member.conclude_turn(scratch, window, UplinkPort::Private, question)
 }
 
 #[cfg(test)]

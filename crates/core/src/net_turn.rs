@@ -10,15 +10,18 @@
 //!   responder, and the state a later turn reads (the `RatePlan` — whose raster is the
 //!   conversation's one rasterization of each capture, read by CLIP too — the Eq. 1 memo,
 //!   the rate hint, the query memo), which it lends to the sender per capture;
-//! * [`TurnScratch`] holds the buffers that live inside one turn — the Eq. 1 work buffers,
-//!   written and read inside one capture, and the frame buffers written at capture and
-//!   read at the same turn's deadline — so it belongs to whoever *drives* turns one at a
-//!   time (a fleet lane, a standalone conversation, a contention tenant), not to the
-//!   session;
+//! * a turn's buffers belong to whoever *drives* turns, not to the session, and split by
+//!   when they are read. [`TurnScratch`] holds what is written and read inside one event —
+//!   a capture's Eq. 1 work buffers, QP maps and encode memo, a deadline's decoded frames
+//!   and MLLM work — so one serves every turn its owner drives, overlapping or not (a fleet
+//!   lane, a standalone conversation, a whole contention run). [`EncodedWindow`] holds
+//!   the turn's encoded frames, written at capture and read at the same turn's deadline
+//!   after other events have run, so turns that overlap need one each (a lane and a
+//!   standalone conversation own one, as does every contention tenant);
 //! * [`Transport`] owns everything the *network* needs — the emulated path, packetizer,
 //!   pacer, RTX store, FEC encode/recovery, reassembly, NACK generation, and the pending
 //!   congestion feedback — plus the per-turn counters the report reads;
-//! * [`TurnMachine`] borrows all three for the duration of a drain and implements
+//! * [`TurnMachine`] borrows all of them for the duration of a drain and implements
 //!   [`Actor::on_event`]: the capture → encode → packetize → protect → pace → send →
 //!   arrive → recover loop of §2.2.
 //!
@@ -215,7 +218,8 @@ enum DegradationLevel {
 
 /// The compute half of a networked session: the chat pipeline and the state it carries
 /// from one turn to the next. A field belongs here only if a later turn reads what an
-/// earlier turn wrote; everything written and read inside one turn is [`TurnScratch`].
+/// earlier turn wrote; everything written and read inside one turn is [`TurnScratch`] or
+/// [`EncodedWindow`].
 #[derive(Debug, Clone)]
 pub(crate) struct NetCompute {
     pub(crate) options: NetSessionOptions,
@@ -236,26 +240,19 @@ pub(crate) struct NetCompute {
     query: TextQuery,
 }
 
-/// The turn-transient half of the chat pipeline: every buffer a capture writes and reads
-/// itself or the same turn's deadline reads, and nothing a later turn depends on. One per *driver of
-/// whole turns* — a [`crate::server`] lane (shared by all the lane's sessions, one turn
-/// at a time), a standalone [`crate::Conversation`], a contention tenant (tenants' turns
-/// overlap on the shared kernel, so each owns one). All-empty until its first turn.
+/// The per-event buffers of the chat pipeline: each is written and read inside one
+/// `Capture` event or one turn's conclusion, so nothing in it outlives the event that
+/// filled it. One per *driver* — a [`crate::server`] lane (its sessions' turns in order),
+/// a standalone [`crate::Conversation`], a whole contention run (tenants' turns overlap
+/// on the shared kernel, its events never do). All-empty until its first turn.
 #[derive(Debug)]
 pub(crate) struct TurnScratch {
     /// Eq. 1's class table and lane accumulators, used inside each capture's CLIP call.
     clip_work: ClipWork,
     /// The capture's Eq. 2 map and the map its one real encode runs on.
     qp_maps: QpMaps,
-    encode_scratches: Vec<EncodeScratch>,
-    /// The committed encode of each turn slot (needed again at decode time).
-    encoded_slots: Vec<EncodedFrame>,
-    /// `turn` at the moment each slot was last encoded. A shed or suppressed capture
-    /// leaves its slot holding an earlier turn's frame — on a lane, another session's —
-    /// which must never be decoded (see [`conclude_turn_window`]).
-    slot_turn: Vec<u64>,
-    /// Turns concluded on this scratch so far.
-    turn: u64,
+    /// The encode's one-entry memo of the pure `rd::block_quality`.
+    encode: EncodeScratch,
     decode_scratch: DecodeScratch,
     decoded: Vec<DecodedFrame>,
     mllm: MllmScratch,
@@ -266,15 +263,29 @@ impl Default for TurnScratch {
         Self {
             clip_work: ClipWork::new(),
             qp_maps: QpMaps::default(),
-            encode_scratches: Vec::new(),
-            encoded_slots: Vec::new(),
-            slot_turn: Vec::new(),
-            turn: 0,
+            encode: EncodeScratch::new(),
             decode_scratch: DecodeScratch::new(),
             decoded: Vec::new(),
             mllm: MllmScratch::new(),
         }
     }
+}
+
+/// A turn's encoded frames: written at each capture and read at the same turn's deadline,
+/// after other events — on a contention run, other tenants' — have run. One per driver of
+/// turns one at a time — a lane (its sessions' turns in order), a standalone
+/// [`crate::Conversation`] — and one per contention tenant, since tenants' turns overlap.
+/// All-empty until its first turn.
+#[derive(Debug, Default)]
+pub(crate) struct EncodedWindow {
+    /// The committed encode of each turn slot (needed again at decode time).
+    slots: Vec<EncodedFrame>,
+    /// `turn` at the moment each slot was last encoded. A shed or suppressed capture
+    /// leaves its slot holding an earlier turn's frame — on a lane, another session's —
+    /// which must never be decoded (see [`conclude_turn_window`]).
+    slot_turn: Vec<u64>,
+    /// Turns concluded on this window so far.
+    turn: u64,
 }
 
 impl NetCompute {
@@ -312,7 +323,7 @@ impl NetCompute {
         self.rate_hint = hint;
     }
 
-    /// Encodes `frame` into turn slot `slot` of `scratch` at the closest achievable size
+    /// Encodes `frame` into turn slot `slot` of `window` at the closest achievable size
     /// to `budget_bits`, and returns how many probes the search took.
     ///
     /// This is §3.2's bitrate match as [`Streamer::encode_at_bitrate`] runs it over a whole
@@ -322,16 +333,14 @@ impl NetCompute {
     fn encode_slot_to_budget(
         &mut self,
         scratch: &mut TurnScratch,
+        window: &mut EncodedWindow,
         slot: usize,
         frame: &Frame,
         budget_bits: f64,
     ) -> u32 {
-        if scratch.encoded_slots.len() <= slot {
-            scratch.encode_scratches.resize_with(slot + 1, EncodeScratch::new);
-            scratch
-                .encoded_slots
-                .resize_with(slot + 1, EncodedFrame::placeholder);
-            scratch.slot_turn.resize(slot + 1, u64::MAX);
+        if window.slots.len() <= slot {
+            window.slots.resize_with(slot + 1, EncodedFrame::placeholder);
+            window.slot_turn.resize(slot + 1, u64::MAX);
         }
         // One rate plan per capture: the grid raster and every QP-independent rate term
         // are folded into per-block coefficients once, so each probe of the search is a
@@ -359,10 +368,10 @@ impl NetCompute {
             search.level,
             &mut scratch.qp_maps,
             &self.rate_plan,
-            &mut scratch.encode_scratches[slot],
-            &mut scratch.encoded_slots[slot],
+            &mut scratch.encode,
+            &mut window.slots[slot],
         );
-        scratch.slot_turn[slot] = scratch.turn;
+        window.slot_turn[slot] = window.turn;
         search.probes
     }
 }
@@ -684,13 +693,14 @@ impl TurnPlan {
     }
 }
 
-/// The actor: borrows the compute and transport halves and the driver's turn scratch for
+/// The actor: borrows the compute and transport halves and the driver's turn buffers for
 /// one drain and handles the turn's events. `plan` is the live turn's, or — between turns,
 /// when `frames` is empty and only deliveries, polls and feedback are pending (none of
-/// which touches `scratch`) — the most recent one's.
+/// which touches `scratch` or `window`) — the most recent one's.
 pub(crate) struct TurnMachine<'a> {
     pub(crate) compute: &'a mut NetCompute,
     pub(crate) scratch: &'a mut TurnScratch,
+    pub(crate) window: &'a mut EncodedWindow,
     pub(crate) gcc: &'a mut GccController,
     pub(crate) t: &'a mut Transport,
     pub(crate) frames: &'a [Frame],
@@ -847,12 +857,16 @@ impl TurnMachine<'_> {
                 };
 
                 // --- Encode frame i to the per-frame budget the target implies.
-                let probes =
-                    self.compute
-                        .encode_slot_to_budget(self.scratch, local, &self.frames[local], budget_bits);
+                let probes = self.compute.encode_slot_to_budget(
+                    self.scratch,
+                    self.window,
+                    local,
+                    &self.frames[local],
+                    budget_bits,
+                );
                 t.metrics.rate_searches += 1;
                 t.metrics.rate_probes += u64::from(probes);
-                let encoded = &self.scratch.encoded_slots[local];
+                let encoded = &self.window.slots[local];
                 let frame_out = OutgoingFrame {
                     frame_id: i as u64,
                     capture_ts_us: self.plan.capture_ts_us(i),
@@ -1166,17 +1180,20 @@ pub(crate) fn begin_turn_window(
 
 /// Concludes a drained turn window: decodes what arrived, lets the MLLM answer,
 /// assembles the report and retires the reported frames ([`Transport::retire_below`]).
-/// `port` must be the same uplink the machine sent on — it is only read here, for the
-/// per-turn fault-counter deltas — and `scratch` the one the machine encoded into.
-pub(crate) fn conclude_turn_window(
-    compute: &mut NetCompute,
-    scratch: &mut TurnScratch,
-    gcc: &mut GccController,
-    transport: &mut Transport,
-    port: &UplinkPort<'_>,
-    plan: &TurnPlan,
-    question: &Question,
-) -> NetTurnReport {
+/// `machine` must borrow what the turn's machine did: the same `window` it encoded into,
+/// and the same uplink `port` it sent on — only read here, for the per-turn fault-counter
+/// deltas. Its `frames` are not read.
+pub(crate) fn conclude_turn_window(machine: TurnMachine<'_>, question: &Question) -> NetTurnReport {
+    let TurnMachine {
+        compute,
+        scratch,
+        window,
+        gcc,
+        t: transport,
+        plan,
+        port,
+        ..
+    } = machine;
     let horizon = plan.horizon;
     let frame_count = plan.frame_count;
     let fps = compute.options.capture_fps;
@@ -1226,14 +1243,14 @@ pub(crate) fn conclude_turn_window(
         // suppressed one has no `view`), so the slot read here is this turn's own — never
         // the frame an earlier turn, or on a lane another session, left in it.
         debug_assert_eq!(
-            scratch.slot_turn[local], scratch.turn,
+            window.slot_turn[local], window.turn,
             "turn slot {local} was not encoded in the turn that decodes it"
         );
         if scratch.decoded.len() <= decoded_count {
             scratch.decoded.push(DecodedFrame::placeholder());
         }
         compute.decoder.decode_into(
-            &scratch.encoded_slots[local],
+            &window.slots[local],
             status.received_ranges,
             status.completed_at.map(|t| t.as_micros()),
             &mut scratch.decode_scratch,
@@ -1241,8 +1258,8 @@ pub(crate) fn conclude_turn_window(
         );
         decoded_count += 1;
     }
-    // The turn is over for the scratch: whatever its slots hold is stale from here on.
-    scratch.turn += 1;
+    // The turn is over for the window: whatever its slots hold is stale from here on.
+    window.turn += 1;
 
     // --- The MLLM answers over everything that decoded before the deadline.
     let answer = compute.responder.respond_with(

@@ -11,10 +11,10 @@
 //!   session's own state (its clock and event queue included), so where it runs cannot
 //!   change what it computes (proven by the pool-size-independence property tests);
 //! * **allocation-free steady state** — a session owns what it carries between turns, its
-//!   lane owns the buffers a turn only uses while it runs (one `TurnScratch` per lane),
-//!   reports are plain values overwritten in place, and the pool dispatches without
-//!   allocating, so once every lane has served its largest session `run_turns` performs
-//!   zero heap allocations (guarded by `crates/bench/tests/zero_alloc.rs`);
+//!   lane owns the buffers a turn only uses while it runs (one `TurnScratch` and one
+//!   `EncodedWindow` per lane), reports are plain values overwritten in place, and the pool
+//!   dispatches without allocating, so once every lane has served its largest session
+//!   `run_turns` performs zero heap allocations (guarded by `crates/bench/tests/zero_alloc.rs`);
 //! * **near-linear scaling** — sessions share nothing mutable (one immutable `ClipModel`
 //!   per server, behind an `Arc`), so throughput scales with lanes up to the core count
 //!   (the `conversation_fleet_throughput_256` benchmark and the end-to-end benchmark's
@@ -27,7 +27,7 @@
 use crate::context_aware::StreamerConfig;
 use crate::conversation::{Conversation, ConversationReport};
 use crate::net_session::{FaultTelemetry, NetSessionOptions, NetTurnReport};
-use crate::net_turn::{TurnScratch, EMPTY_TURN_WINDOW};
+use crate::net_turn::{EncodedWindow, TurnScratch, EMPTY_TURN_WINDOW};
 use aivc_metrics::SessionSnapshot;
 use aivc_mllm::Question;
 use aivc_netsim::LinkCounters;
@@ -61,9 +61,9 @@ struct ServerSlot {
 pub struct ConversationChatServer {
     pool: MiniPool,
     slots: Vec<ServerSlot>,
-    /// One turn scratch per lane, lent to each of the lane's sessions for the length of
-    /// its turn: a fleet's turn-transient memory scales with lanes, not with sessions.
-    lane_scratches: Vec<TurnScratch>,
+    /// One set of turn buffers per lane, lent to each of the lane's sessions for the length
+    /// of its turn: a fleet's turn-transient memory scales with lanes, not with sessions.
+    lane_buffers: Vec<(TurnScratch, EncodedWindow)>,
 }
 
 impl ConversationChatServer {
@@ -93,7 +93,7 @@ impl ConversationChatServer {
     /// Creates a server from explicit conversations and a pool. Each conversation keeps
     /// the model it was built with (its own or a shared handle).
     pub fn with_sessions(pool: MiniPool, sessions: Vec<Conversation>) -> Self {
-        let lane_scratches = (0..pool.lanes()).map(|_| TurnScratch::default()).collect();
+        let lane_buffers = (0..pool.lanes()).map(|_| Default::default()).collect();
         Self {
             pool,
             slots: sessions
@@ -103,7 +103,7 @@ impl ConversationChatServer {
                     report: NetTurnReport::placeholder(),
                 })
                 .collect(),
-            lane_scratches,
+            lane_buffers,
         }
     }
 
@@ -139,10 +139,13 @@ impl ConversationChatServer {
         self.pool.for_each_chunk(
             &mut self.slots,
             chunks,
-            &mut self.lane_scratches,
-            |_, slots, scratch| {
+            &mut self.lane_buffers,
+            |_, slots, (scratch, window)| {
                 for slot in slots {
-                    slot.report = slot.session.run_turn_on(scratch, frames, question).clone();
+                    slot.report = slot
+                        .session
+                        .run_turn_on(scratch, window, frames, question)
+                        .clone();
                 }
             },
         );
@@ -452,7 +455,7 @@ mod tests {
         (0..count).map(|i| source.frame(first + i * 11)).collect()
     }
 
-    /// A fleet whose members differ in everything a lane's turn scratch could leak from
+    /// A fleet whose members differ in everything a lane's turn buffers could leak from
     /// one session into the next: think gap, capture rate and drain window, context-aware
     /// next to baseline encoding, a 64-px next to a 32-px CLIP patch grid (resampled onto
     /// the CTU grid), a blackout with the degradation ladder on — its suppressed and
@@ -509,7 +512,7 @@ mod tests {
     }
 
     /// Turns of 2, then 6, then 3 frames, 1080p → 720p → 1080p: every slot of a lane's
-    /// scratch is reused across frame counts and geometries.
+    /// encoded window is reused across frame counts and geometries.
     fn mixed_turns() -> [Vec<Frame>; 3] {
         [
             sized_window(1920, 1080, 0, 2),

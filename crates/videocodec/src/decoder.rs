@@ -11,11 +11,9 @@ use crate::rd;
 use aivc_scene::{CoverageTable, GridDims};
 use serde::{Deserialize, Serialize};
 
-/// One decoded block.
+/// One decoded block; its flat raster index is its position in [`DecodedFrame::blocks`].
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct DecodedBlock {
-    /// Flat raster index.
-    pub index: usize,
     /// Whether the block's bytes all arrived.
     pub received: bool,
     /// The QP the block was encoded with (meaningful even when the block was lost).
@@ -232,7 +230,6 @@ impl Decoder {
                 .iter()
                 .zip(&scratch.covered)
                 .map(|(b, &ok)| DecodedBlock {
-                    index: b.index,
                     received: ok,
                     qp: b.qp,
                     quality: if ok {
@@ -265,6 +262,14 @@ mod tests {
     fn encoded() -> EncodedFrame {
         let source = VideoSource::new(basketball_game(1), SourceConfig::fps30(10.0));
         Encoder::new(EncoderConfig::default()).encode_uniform(&source.frame(0), Qp::new(30))
+    }
+
+    /// A frame holds one block record per CTU and a turn window a frame per capture, so a
+    /// field added back to either record grows every window: make it fail here first.
+    #[test]
+    fn block_records_stay_lean() {
+        assert_eq!(std::mem::size_of::<crate::EncodedBlock>(), 32);
+        assert_eq!(std::mem::size_of::<DecodedBlock>(), 24);
     }
 
     #[test]

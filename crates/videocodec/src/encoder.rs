@@ -40,9 +40,10 @@ pub struct EncoderConfig {}
 /// heap allocation.
 #[derive(Debug, Clone, Default)]
 pub struct EncodeScratch {
-    /// The plan [`Encoder::encode_into`] prepares for its frame
-    /// ([`Encoder::encode_into_planned`] walks its caller's instead).
-    plan: RatePlan,
+    /// The plan [`Encoder::encode_into`] prepares for its frame, built by its first call.
+    /// [`Encoder::encode_into_planned`] walks its caller's instead, so a scratch only ever
+    /// handed to it (a conversation's) stays the size of its memo.
+    plan: Option<Box<RatePlan>>,
     /// Memo of the last `(qp, detail)` → quality evaluation. [`rd::block_quality`] is a pure
     /// function and most of a frame is background (`detail` exactly 0.0) at one or two
     /// distinct QPs, so this one-entry memo removes the bulk of the per-block `exp` calls
@@ -134,6 +135,7 @@ impl Encoder {
         out: &mut EncodedFrame,
     ) {
         let EncodeScratch { plan, quality_memo } = scratch;
+        let plan = plan.get_or_insert_with(Box::default);
         self.prepare_rate_plan(frame, None, plan);
         self.encode_walk(frame, qp_map, plan, quality_memo, out);
     }
@@ -178,7 +180,7 @@ impl Encoder {
             "rate plan is stale: it was prepared for another frame"
         );
         let grid = plan.raster();
-        let (detail, complexity, motion) = (grid.detail(), grid.complexity(), grid.motion());
+        let detail = grid.detail();
         let qps = qp_map.values();
 
         out.coverage.copy_from(grid.coverage_table());
@@ -197,14 +199,11 @@ impl Encoder {
                 let index = first + lane;
                 let qp = qps[index];
                 out.blocks.push(EncodedBlock {
-                    index,
                     byte_offset: offset,
                     byte_len,
                     qp,
                     encoded_quality: quality_memo.quality(qp, detail[index]),
                     detail: detail[index],
-                    complexity: complexity[index],
-                    motion: motion[index],
                 });
                 offset += byte_len as u64;
             }
@@ -313,14 +312,16 @@ mod tests {
         let left: u64 = roi
             .blocks
             .iter()
-            .filter(|b| (b.index as u32 % dims.cols) < dims.cols / 2)
-            .map(|b| b.byte_len as u64)
+            .enumerate()
+            .filter(|(index, _)| (*index as u32 % dims.cols) < dims.cols / 2)
+            .map(|(_, b)| b.byte_len as u64)
             .sum();
         let right: u64 = roi
             .blocks
             .iter()
-            .filter(|b| (b.index as u32 % dims.cols) >= dims.cols / 2)
-            .map(|b| b.byte_len as u64)
+            .enumerate()
+            .filter(|(index, _)| (*index as u32 % dims.cols) >= dims.cols / 2)
+            .map(|(_, b)| b.byte_len as u64)
             .sum();
         assert!(left > right * 4, "left {left} right {right}");
         // And total size should land in the same order of magnitude as the uniform encode.
@@ -380,12 +381,15 @@ mod tests {
 
     /// Recomputes every block of `encoded` the naive way — a per-cell
     /// [`Frame::region_content_into`] walk feeding scalar R-D calls — and asserts exact
-    /// equality of every field. This is the ground-truth check that the grid raster, the
-    /// per-frame coverage table and the plan's rate kernel changed the encode's speed and
-    /// nothing else.
+    /// equality of every field, and of the complexity and motion the block's bytes were
+    /// priced from in the plan's raster. This is the ground-truth check that the grid
+    /// raster, the per-frame coverage table and the plan's rate kernel changed the encode's
+    /// speed and nothing else.
     fn assert_blocks_match_scalar_walk(enc: &Encoder, frame: &Frame, map: &QpMap, encoded: &EncodedFrame) {
         let dims = enc.grid_for(frame);
         assert_eq!(encoded.blocks.len(), dims.len());
+        let plan = enc.rate_plan_for(frame, None);
+        let (complexity, motion) = (plan.raster().complexity(), plan.raster().motion());
         let frame_type = gop::frame_type(frame.index);
         let mut content = aivc_scene::RegionContent::empty();
         let mut offset = HEADER_BYTES as u64;
@@ -405,8 +409,8 @@ mod tests {
                 "quality {idx}"
             );
             assert_eq!(block.detail, content.detail, "detail {idx}");
-            assert_eq!(block.complexity, content.complexity, "complexity {idx}");
-            assert_eq!(block.motion, content.motion, "motion {idx}");
+            assert_eq!(complexity[idx], content.complexity, "complexity {idx}");
+            assert_eq!(motion[idx], content.motion, "motion {idx}");
             assert_eq!(
                 encoded.coverage(idx),
                 &content.object_coverage[..],

@@ -19,11 +19,11 @@ pub enum FrameType {
     Inter,
 }
 
-/// One coded CTU/block.
+/// One coded CTU/block; its flat raster index is its position in [`EncodedFrame::blocks`].
+/// Only what the decoder and the MLLM read is kept: a frame holds one per CTU, and every
+/// turn window holds a frame per capture.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct EncodedBlock {
-    /// Flat raster index into the frame's block grid.
-    pub index: usize,
     /// Byte offset of this block's payload within the frame's bitstream.
     pub byte_offset: u64,
     /// Payload size of this block in bytes (≥ 1: every CTU costs at least a header).
@@ -34,10 +34,6 @@ pub struct EncodedBlock {
     pub encoded_quality: f64,
     /// Detail requirement of the content in the block (copied from the scene descriptor).
     pub detail: f64,
-    /// Spatial complexity of the content (copied from the scene descriptor).
-    pub complexity: f64,
-    /// Motion of the content (copied from the scene descriptor).
-    pub motion: f64,
 }
 
 /// A complete encoded frame.
@@ -184,14 +180,11 @@ mod tests {
             .enumerate()
             .map(|(i, len)| {
                 let b = EncodedBlock {
-                    index: i,
                     byte_offset: offset,
                     byte_len: *len,
                     qp: Qp::new(30),
                     encoded_quality: 0.8,
                     detail: 0.5,
-                    complexity: 0.5,
-                    motion: 0.2,
                 };
                 coverage.push_cell(if i == 0 { &[(7, 1.0)] } else { &[] });
                 offset += *len as u64;
