@@ -3,7 +3,7 @@
 //! 1. **Bit-identity at scale** — a large fleet run is byte-for-byte identical across
 //!    pool sizes 1, 2 and 8 (which lane a conversation's private kernel runs on must not
 //!    perturb it, per the contract in `server.rs`);
-//! 2. **Exact metrics reconciliation** — the always-on atomic rollup equals the
+//! 2. **Exact metrics reconciliation** — the always-on counter rollup equals the
 //!    per-session `NetTurnReport` sums, at every pool size;
 //! 3. **Throughput smoke** — the fleet sustains a sane session-turns/sec rate
 //!    (regression-gated properly by `conversation_fleet_throughput_256` in
@@ -16,7 +16,10 @@
 //! 5. **Contention-tenant audit** — what one more tenant adds to the *peak* heap of a
 //!    `run_contention` (its conversation and its turn's encoded frames; the per-event
 //!    buffers are the run's, shared by all tenants), measured from runs of K and 2K
-//!    tenants and held under its own ceiling.
+//!    tenants and held under its own ceiling;
+//! 6. **Capture audit** — what one more captured frame of a [`VideoSource`] holds (its
+//!    placements; the objects it shares with every frame of the source), measured from
+//!    windows of 64 and 128 frames and held under its own ceiling.
 //!
 //! The fleet size defaults to 128 sessions so the check is always on; CI's
 //! `serving-suite` job exports `AIVC_SERVING_SCALE=1` to run the 1024-session
@@ -127,6 +130,16 @@ fn contention_peak_bytes(scenario: &ContentionScenario, tenants: usize) -> f64 {
     (peak - before) as f64
 }
 
+/// Live heap a window of `frames` consecutive captures of `source` holds, in an
+/// exact-capacity `Vec`.
+fn window_bytes(source: &VideoSource, frames: u64) -> f64 {
+    let before = live_bytes();
+    let window: Vec<Frame> = (0..frames).map(|i| source.frame(i)).collect();
+    let bytes = live_bytes() - before;
+    assert_eq!(window.capacity(), frames as usize);
+    bytes as f64
+}
+
 fn main() {
     let scale = std::env::var("AIVC_SERVING_SCALE").unwrap_or_default();
     let (sessions, pools): (usize, &[usize]) = match scale.as_str() {
@@ -153,7 +166,7 @@ fn main() {
         let elapsed = start.elapsed();
         let fleet_mib = (live_bytes() - heap_before) as f64 / (1024.0 * 1024.0);
 
-        // Reconciliation: the atomic rollup equals per-session report sums, exactly.
+        // Reconciliation: the counter rollup equals per-session report sums, exactly.
         let mut fleet = SessionSnapshot::default();
         for i in 0..sessions {
             let snap = server.metrics_snapshot(i);
@@ -283,6 +296,23 @@ fn main() {
         "per-tenant peak heap {:.1} KiB outside budget (ceiling {:.0} KiB)",
         per_tenant / 1024.0,
         PER_TENANT_PEAK_CEILING_BYTES / 1024.0
+    );
+
+    // --- 6: capture audit. Windows of 64 and 128 frames of one 1080p basketball source: the
+    // slope is one frame's inline size plus its placements, the objects and background
+    // concepts being the source's one copy whatever the window. The ceiling sits 5 % above
+    // the measured 256 B — 96 inline, 160 of placements (2 406 B while every frame
+    // deep-copied the scene's objects and background concepts).
+    let small = window_bytes(&source, 64);
+    let large = window_bytes(&source, 128);
+    let per_frame = (large - small) / 64.0;
+    println!(
+        "serving_scale: {per_frame:.0} B live heap per captured frame (slope), from windows of 64 and 128"
+    );
+    const PER_FRAME_CEILING_BYTES: f64 = 269.0;
+    assert!(
+        per_frame > 0.0 && per_frame < PER_FRAME_CEILING_BYTES,
+        "per-frame heap {per_frame:.0} B outside budget (ceiling {PER_FRAME_CEILING_BYTES:.0} B)"
     );
 
     println!("serving_scale: fleet checks passed ({sessions} sessions) ... ok");

@@ -384,9 +384,9 @@ impl Conversation {
         &self.member.turns
     }
 
-    /// A point-in-time reading of this conversation's always-on serving counters —
-    /// relaxed atomics the transport ticks as it works, aggregated here entirely off the
-    /// hot path (see the `aivc-metrics` crate docs for the ordering rationale).
+    /// A point-in-time reading of this conversation's always-on serving counters — a copy
+    /// of the plain `SessionSnapshot` the transport ticks as it works, taken entirely off
+    /// the hot path (see the `aivc-metrics` crate docs for why no atomics are needed).
     pub fn metrics_snapshot(&self) -> aivc_metrics::SessionSnapshot {
         self.member.transport.metrics_snapshot()
     }

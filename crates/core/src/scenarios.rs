@@ -663,12 +663,12 @@ impl ContentionScenario {
     /// phase, so tenants ask different questions about different windows —
     /// deterministically.
     fn tenant_turns(&self, tenant: usize) -> Vec<TenantTurn> {
-        let scene = basketball_game(1);
-        let source = VideoSource::new(scene.clone(), SourceConfig::fps30(6.0));
+        let source = VideoSource::new(basketball_game(1), SourceConfig::fps30(6.0));
+        let facts = &source.scene().facts;
         (0..self.turns)
             .map(|turn| {
                 let question = Question::from_fact(
-                    &scene.facts[(turn + tenant) % scene.facts.len()],
+                    &facts[(turn + tenant) % facts.len()],
                     QuestionFormat::FreeResponse,
                 );
                 let start =

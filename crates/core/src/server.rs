@@ -179,8 +179,8 @@ impl ConversationChatServer {
         self.slots[index].session.metrics_snapshot()
     }
 
-    /// The whole fleet's always-on counters, summed across sessions. Relaxed-atomic
-    /// reads plus plain adds — entirely off the turn hot path.
+    /// The whole fleet's always-on counters, summed across sessions. One copy per session
+    /// plus plain adds — entirely off the turn hot path.
     pub fn fleet_metrics(&self) -> SessionSnapshot {
         let mut total = SessionSnapshot::default();
         for session in self.sessions() {

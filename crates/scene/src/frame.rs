@@ -12,6 +12,7 @@ use crate::geometry::{GridDims, Rect};
 use crate::object::SceneObject;
 use crate::scene::Scene;
 use serde::{Deserialize, Serialize};
+use std::sync::Arc;
 
 /// Per-object layout at a capture instant.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -52,7 +53,23 @@ impl RegionContent {
     }
 }
 
+/// What a frame shares with its scene's other frames: the objects and the background
+/// concepts, in that order.
+pub(crate) type SharedContent = (Arc<[SceneObject]>, Arc<[(Concept, f64)]>);
+
+/// One copy of `scene`'s [`SharedContent`].
+pub(crate) fn shared_content(scene: &Scene) -> SharedContent {
+    (
+        scene.objects.as_slice().into(),
+        scene.background_concepts.as_slice().into(),
+    )
+}
+
 /// A captured frame: object layout plus references to scene-wide content parameters.
+///
+/// Only `placements` is the frame's own; the objects and background concepts are handles
+/// to one immutable copy per source, so a clone costs the placements and two reference
+/// counts. Editing them (`Arc::make_mut`) copies on write and reaches no other frame.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct Frame {
     /// Sequential frame index within its clip (0-based).
@@ -70,19 +87,34 @@ pub struct Frame {
     pub background_complexity: f64,
     /// Background motion copied from the scene.
     pub background_motion: f64,
-    /// Background concepts copied from the scene.
-    pub background_concepts: Vec<(Concept, f64)>,
+    /// Background concepts (shared with every frame of its source).
+    pub background_concepts: Arc<[(Concept, f64)]>,
     /// Snapshot of every object's placement at the capture time.
     pub placements: Vec<ObjectPlacement>,
-    /// Full object descriptions (cloned from the scene so a frame is self-contained).
-    pub objects: Vec<SceneObject>,
+    /// Full object descriptions (shared with every frame of its source).
+    pub objects: Arc<[SceneObject]>,
 }
 
 impl Frame {
     /// Samples `scene` at `t_secs`, producing the frame with the given index and timestamp.
+    ///
+    /// The frame gets handles of its own to a copy of the scene's objects; a
+    /// [`VideoSource`](crate::VideoSource) makes that copy once and shares it.
     pub fn sample(scene: &Scene, index: u64, capture_ts_us: u64, t_secs: f64) -> Self {
-        let placements = scene
-            .objects
+        Self::sample_shared(scene, &shared_content(scene), index, capture_ts_us, t_secs)
+    }
+
+    /// [`Frame::sample`] with `shared` = `scene`'s objects and background concepts, whose
+    /// handles the frame clones instead of copying the content.
+    pub(crate) fn sample_shared(
+        scene: &Scene,
+        shared: &SharedContent,
+        index: u64,
+        capture_ts_us: u64,
+        t_secs: f64,
+    ) -> Self {
+        let (objects, background_concepts) = shared;
+        let placements = objects
             .iter()
             .map(|o| ObjectPlacement {
                 object_id: o.id,
@@ -96,9 +128,9 @@ impl Frame {
             height: scene.height,
             background_complexity: scene.background_complexity,
             background_motion: scene.background_motion,
-            background_concepts: scene.background_concepts.clone(),
+            background_concepts: Arc::clone(background_concepts),
             placements,
-            objects: scene.objects.clone(),
+            objects: Arc::clone(objects),
         }
     }
 

@@ -460,7 +460,7 @@ impl GridContent {
             && placements.len() == frame.placements.len()
             && objects
                 .iter()
-                .zip(&frame.objects)
+                .zip(frame.objects.iter())
                 .all(|(key, o)| *key == object_key(o))
             && placements
                 .iter()
@@ -651,6 +651,7 @@ mod tests {
     use crate::frame::{Frame, ObjectPlacement, RegionContent};
     use crate::object::SceneObject;
     use crate::scene::Scene;
+    use std::sync::Arc;
 
     fn assert_matches_scalar_walk(frame: &Frame, cell: u32) {
         let mut grid = GridContent::new();
@@ -931,7 +932,7 @@ mod tests {
                     0 => frame.background_complexity = rng.unit(),
                     1 => frame.background_motion = rng.unit(),
                     2 => {
-                        let object = &mut frame.objects[rng.range(0, 4) as usize];
+                        let object = &mut Arc::make_mut(&mut frame.objects)[rng.range(0, 4) as usize];
                         match rng.range(0, 3) {
                             0 => object.texture_complexity = rng.unit(),
                             1 => object.motion = rng.unit(),
@@ -942,10 +943,12 @@ mod tests {
                         // A duplicate id: `Frame::object` keeps finding the first.
                         let mut twin = frame.objects[0].clone();
                         twin.texture_complexity = rng.unit();
-                        frame.objects.push(twin);
+                        let mut objects = frame.objects.to_vec();
+                        objects.push(twin);
+                        frame.objects = objects.into();
                     }
                     4 if frame.objects.len() > 4 => {
-                        frame.objects.pop();
+                        frame.objects = frame.objects[..frame.objects.len() - 1].into();
                     }
                     5 => {
                         frame.width = (width + rng.range(-40, 41)) as u32;

@@ -5,7 +5,7 @@
 //! therefore exposes both an iterator over all captured frames and random access by time,
 //! so the MLLM-side sampler can pick its own (sparser) instants.
 
-use crate::frame::Frame;
+use crate::frame::{shared_content, Frame, SharedContent};
 use crate::scene::Scene;
 use serde::{Deserialize, Serialize};
 
@@ -39,9 +39,13 @@ impl SourceConfig {
 }
 
 /// A deterministic video source sampling a [`Scene`].
+///
+/// The scene's objects and background concepts are copied once, here, and every frame
+/// the source produces holds handles to that copy.
 #[derive(Debug, Clone)]
 pub struct VideoSource {
     scene: Scene,
+    shared: SharedContent,
     config: SourceConfig,
 }
 
@@ -50,7 +54,11 @@ impl VideoSource {
     pub fn new(scene: Scene, config: SourceConfig) -> Self {
         assert!(config.fps > 0.0, "fps must be positive");
         assert!(config.duration_secs > 0.0, "duration must be positive");
-        Self { scene, config }
+        Self {
+            shared: shared_content(&scene),
+            scene,
+            config,
+        }
     }
 
     /// The underlying scene.
@@ -81,7 +89,7 @@ impl VideoSource {
     /// Produces the frame with the given index.
     pub fn frame(&self, index: u64) -> Frame {
         let ts = self.timestamp_us(index);
-        Frame::sample(&self.scene, index, ts, ts as f64 / 1e6)
+        Frame::sample_shared(&self.scene, &self.shared, index, ts, ts as f64 / 1e6)
     }
 
     /// Produces the frame nearest to time `t_secs`.
@@ -207,6 +215,25 @@ mod tests {
         assert_eq!(indices(src.sample_frames(5)), [0, 12, 24, 36, 48]);
         assert_eq!(indices(src.sample_frames(1)), [0]);
         assert_eq!(src.sample_frames(1000).len(), 60);
+    }
+
+    #[test]
+    fn frames_share_the_scene_and_sharing_is_invisible() {
+        use std::sync::Arc;
+        let src = source();
+        let (a, b) = (src.frame(3), src.frame(40));
+        assert!(Arc::ptr_eq(&a.objects, &b.objects));
+        assert!(Arc::ptr_eq(&a.background_concepts, &b.background_concepts));
+        // The two entry points give one value.
+        let ts = src.timestamp_us(3);
+        assert_eq!(Frame::sample(src.scene(), 3, ts, ts as f64 / 1e6), a);
+        // An edit copies on write: neither the sibling nor a later capture sees it.
+        let mut edited = a.clone();
+        Arc::make_mut(&mut edited.objects)[0].texture_complexity = 0.123;
+        assert_ne!(edited, a);
+        assert!(!Arc::ptr_eq(&edited.objects, &b.objects));
+        assert_eq!(b.objects[0], src.scene().objects[0]);
+        assert_eq!(src.frame(3), a);
     }
 
     #[test]

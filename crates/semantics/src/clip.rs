@@ -116,7 +116,7 @@ impl ResolvedConcepts {
         self.object_entries.clear();
         self.flat.clear();
         self.background_flat.clear();
-        for object in &frame.objects {
+        for object in frame.objects.iter() {
             let start = self.flat.len() as u32;
             for (concept, weight) in &object.concepts {
                 let idx = self.resolve_concept(model, concept);
@@ -125,7 +125,7 @@ impl ResolvedConcepts {
             self.object_entries
                 .push((object.id, start, self.flat.len() as u32));
         }
-        for (concept, weight) in &frame.background_concepts {
+        for (concept, weight) in frame.background_concepts.iter() {
             let idx = self.resolve_concept(model, concept);
             self.background_flat.push((idx, *weight));
         }
@@ -816,7 +816,7 @@ fn frame_fingerprint(frame: &Frame) -> u64 {
     let mut hash = fnv_u64(0xcbf2_9ce4_8422_2325, frame.width as u64);
     hash = fnv_u64(hash, frame.height as u64);
     hash = fnv_u64(hash, frame.objects.len() as u64);
-    for object in &frame.objects {
+    for object in frame.objects.iter() {
         hash = fnv_u64(hash, object.id as u64);
         hash = fnv_u64(hash, object.concepts.len() as u64);
         for (concept, weight) in &object.concepts {
@@ -825,7 +825,7 @@ fn frame_fingerprint(frame: &Frame) -> u64 {
         }
     }
     hash = fnv_u64(hash, frame.background_concepts.len() as u64);
-    for (concept, weight) in &frame.background_concepts {
+    for (concept, weight) in frame.background_concepts.iter() {
         hash = fnv_bytes(hash, concept.name().as_bytes());
         hash = fnv_u64(hash, weight.to_bits());
     }
@@ -837,6 +837,7 @@ mod tests {
     use super::*;
     use aivc_scene::templates::{basketball_game, dog_park};
     use aivc_scene::{Rect, SourceConfig, VideoSource};
+    use std::sync::Arc;
 
     fn frame_of(scene: aivc_scene::Scene) -> Frame {
         VideoSource::new(scene, SourceConfig::fps30(5.0)).frame(0)
@@ -1580,7 +1581,7 @@ mod tests {
         // raster sees the same objects at the same rects.
         plant(&mut scratch);
         let mut edited = source.frame(3);
-        edited.objects[0].concepts[0].0 = Concept::new("grass");
+        Arc::make_mut(&mut edited.objects)[0].concepts[0].0 = Concept::new("grass");
         let map = model.correlation_map_coherent(&edited, &crowd, &mut scratch);
         assert_eq!(map, &model.correlation_map_naive(&edited, &crowd));
         assert!(!planted(&scratch, &edited));
@@ -1588,7 +1589,7 @@ mod tests {
         // An edit the raster's key covers but the fingerprint does not (an object's
         // texture): every cell re-evaluated, the lists kept.
         plant(&mut scratch);
-        edited.objects[0].texture_complexity = 0.123;
+        Arc::make_mut(&mut edited.objects)[0].texture_complexity = 0.123;
         let map = model.correlation_map_coherent(&edited, &crowd, &mut scratch);
         assert_eq!(map, &model.correlation_map_naive(&edited, &crowd));
         assert_eq!(scratch.raster.dirty_cells().count(), 510);

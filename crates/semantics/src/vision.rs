@@ -138,7 +138,7 @@ impl<'a> PatchEncoder<'a> {
                 weighted.push((concept.clone(), coverage * concept_weight));
             }
         }
-        for (concept, w) in &frame.background_concepts {
+        for (concept, w) in frame.background_concepts.iter() {
             weighted.push((
                 concept.clone(),
                 content.background_fraction * w * self.background_weight,

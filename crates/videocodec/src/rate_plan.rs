@@ -506,6 +506,7 @@ mod tests {
     use crate::rd;
     use aivc_scene::templates::{basketball_game, lecture_slides};
     use aivc_scene::{SourceConfig, VideoSource};
+    use std::sync::Arc;
 
     /// The scalar rate law for one block of the plan's raster: [`rd::block_bits_with_factor`]
     /// followed by the `ceil`/`max(1)` byte epilogue — what every planned byte count must
@@ -976,12 +977,17 @@ mod tests {
         match rng.range(0, 14) {
             0 => frame.background_complexity = rng.range(0, 101) as f64 / 100.0,
             1 => {
-                frame.objects[rng.range(0, 3) as usize].texture_complexity = rng.range(0, 101) as f64 / 100.0
+                Arc::make_mut(&mut frame.objects)[rng.range(0, 3) as usize].texture_complexity =
+                    rng.range(0, 101) as f64 / 100.0
             }
-            2 => frame.objects[rng.range(0, 3) as usize].motion = rng.range(0, 101) as f64 / 100.0,
+            2 => {
+                Arc::make_mut(&mut frame.objects)[rng.range(0, 3) as usize].motion =
+                    rng.range(0, 101) as f64 / 100.0
+            }
             3 => {
-                let twin = frame.objects[rng.range(0, 3) as usize].clone();
-                frame.objects.push(twin);
+                let mut objects = frame.objects.to_vec();
+                objects.push(objects[rng.range(0, 3) as usize].clone());
+                frame.objects = objects.into();
             }
             4 => {
                 frame.width = (width + rng.range(-40, 41)) as u32;
@@ -1087,9 +1093,15 @@ mod tests {
         enc.prepare_rate_plan(&clean, None, &mut plan);
         type Poison = fn(&mut Frame);
         let poisons: [(&str, Poison); 4] = [
-            ("complexity NaN", |f| f.objects[0].texture_complexity = f64::NAN),
-            ("motion NaN", |f| f.objects[1].motion = f64::NAN),
-            ("detail NaN", |f| f.objects[2].detail = f64::NAN),
+            ("complexity NaN", |f| {
+                Arc::make_mut(&mut f.objects)[0].texture_complexity = f64::NAN
+            }),
+            ("motion NaN", |f| {
+                Arc::make_mut(&mut f.objects)[1].motion = f64::NAN
+            }),
+            ("detail NaN", |f| {
+                Arc::make_mut(&mut f.objects)[2].detail = f64::NAN
+            }),
             ("complexity NaN", |f| f.background_complexity = f64::NAN),
         ];
         for (named, poison) in poisons {

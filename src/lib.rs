@@ -22,7 +22,7 @@
 
 /// DeViBench: the degraded-video understanding benchmark pipeline and dataset.
 pub use aivc_devibench as devibench;
-/// Always-on fleet-serving metrics (relaxed atomic counters, off-hot-path snapshots).
+/// Always-on fleet-serving metrics (one plain counter struct per session, off-hot-path snapshots).
 pub use aivc_metrics as metrics;
 /// The MLLM simulator (sampling, tokens, latency, accuracy, pipeline roles).
 pub use aivc_mllm as mllm;

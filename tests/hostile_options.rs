@@ -290,7 +290,7 @@ proptest! {
         let mut turns = three_turns(&VideoSource::new(scene, SourceConfig::fps30(6.0)));
         if frame_kind == 1 {
             for frame in turns.iter_mut().flatten() {
-                frame.objects[0].texture_complexity = f64::NAN;
+                Arc::make_mut(&mut frame.objects)[0].texture_complexity = f64::NAN;
             }
         }
         refused_by_name_or_runs_to_a_finite_report(
