@@ -1,4 +1,4 @@
-//! The hot-path measurement suite: the ten scenarios `bench_check` measures — to compare
+//! The hot-path measurement suite: the twelve scenarios `bench_check` measures — to compare
 //! against the committed `BENCH_hotpaths.json`, or with `--record` to write it — so the gate
 //! and the recorder always time exactly the same code.
 
@@ -28,14 +28,16 @@ const TARGET_SAMPLE_MS: f64 = 25.0;
 
 /// Every entry the suite measures, in the order [`measure_hotpaths_matching`] returns them
 /// and `BENCH_hotpaths.json` lists them.
-pub const ENTRIES: [&str; 10] = [
+pub const ENTRIES: [&str; 12] = [
     "packetize_100kB_frame",
     "encode_1080p_frame_uniform_qp",
     "decode_complete_1080p",
     "clip_correlation_map_1080p",
     "clip_correlation_update_10pct_dirty",
     "grid_content_update_10pct_dirty",
+    "clip_model_build",
     "eq2_qp_allocation",
+    "eq2_table_build",
     "mllm_respond_4_frames",
     "conversation_turn_warm",
     "conversation_fleet_throughput_256",
@@ -233,6 +235,12 @@ pub fn measure_hotpaths_matching(pool_lanes: usize, only: Option<&[String]>) -> 
         }));
     }
 
+    // 3d. Building the model: the ontology's one-hop closure and the concept space. A
+    // server or contention run builds one, and the benchmark's cold leg one per leg.
+    if wants(only, "clip_model_build") {
+        hotpaths.push(measure("clip_model_build", ClipModel::mobile_default));
+    }
+
     // 4. Eq. 2 QP allocation from an importance map (reuse API + threshold-table allocator;
     // zero allocations/iter).
     if wants(only, "eq2_qp_allocation") {
@@ -248,6 +256,14 @@ pub fn measure_hotpaths_matching(pool_lanes: usize, only: Option<&[String]>) -> 
         hotpaths.push(measure("eq2_qp_allocation", || {
             allocator.allocate_into(black_box(&importance), grid, &mut out);
             out.values().len()
+        }));
+    }
+
+    // 4b. Building the Eq. 2 threshold table at the paper's γ, its verification sweep
+    // included: what every sender a server or contention run builds costs.
+    if wants(only, "eq2_table_build") {
+        hotpaths.push(measure("eq2_table_build", || {
+            QpAllocator::new(black_box(QpAllocatorConfig::paper()))
         }));
     }
 

@@ -30,7 +30,7 @@
 //! here, whereas a `Conversation` would process it just after — both orders are
 //! deterministic, and no integer-microsecond schedule in the registry exhibits the tie.
 
-use crate::context_aware::StreamerConfig;
+use crate::context_aware::{Streamer, StreamerConfig};
 use crate::conversation::{ConversationReport, Member};
 use crate::net_session::{
     rate_bps_is_valid, validate_link, NetSessionOptions, NetSessionOptionsError, MAX_RATE_BPS,
@@ -679,16 +679,17 @@ pub fn run_contention(config: &ContentionConfig, tenants: Vec<TenantSpec>) -> Co
         global_end = global_end.max(horizon + SimDuration::from_micros(1));
     }
 
-    // One model per run: it is immutable, and a registry leg is up to 30 tenants.
-    let model = Arc::new(ClipModel::mobile_default());
+    // One sender per run — its model and Eq. 2 table are immutable, and a registry leg is
+    // up to 30 tenants — copied into every member in the member's own mode.
+    let sender = Streamer::new(
+        tenants[0].options.mode,
+        StreamerConfig::default(),
+        Arc::new(ClipModel::mobile_default()),
+    );
     let states: Vec<TenantState> = tenants
         .into_iter()
         .map(|spec| TenantState {
-            member: Member::new(
-                spec.options.clone(),
-                StreamerConfig::default(),
-                Arc::clone(&model),
-            ),
+            member: Member::new(spec.options.clone(), |mode| sender.clone_in_mode(mode)),
             window: EncodedWindow::default(),
             spec,
             turns_begun: 0,

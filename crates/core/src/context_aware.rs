@@ -128,6 +128,12 @@ impl Streamer {
         )
     }
 
+    /// A copy of this sender in `mode`. A server or contention run builds one sender (its
+    /// model handle and Eq. 2 table) and every member copies it in its own mode.
+    pub(crate) fn clone_in_mode(&self, mode: StreamingMode) -> Self {
+        Self { mode, ..self.clone() }
+    }
+
     /// The mode.
     pub fn mode(&self) -> StreamingMode {
         self.mode

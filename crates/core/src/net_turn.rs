@@ -33,8 +33,9 @@
 //! the way in). Either way the clock, the queue backlog, the trace cursor and every
 //! in-flight packet persist across turn boundaries.
 
-use crate::context_aware::{ClipState, QpMaps, Streamer, StreamerConfig};
+use crate::context_aware::{ClipState, QpMaps, Streamer};
 use crate::net_session::{FaultTelemetry, FrameDelivery, NetSessionOptions, NetTurnReport};
+use crate::session::StreamingMode;
 use aivc_metrics::SessionSnapshot;
 use aivc_mllm::{MllmChat, MllmScratch, Question};
 use aivc_netsim::emulator::Direction;
@@ -48,10 +49,9 @@ use aivc_rtc::packetizer::{FrameAssembler, OutgoingFrame, Packetizer};
 use aivc_rtc::rtp::{PayloadKind, RtpPacket};
 use aivc_rtc::seq_ring::SeqRing;
 use aivc_scene::Frame;
-use aivc_semantics::{ClipModel, ClipWork, TextQuery};
+use aivc_semantics::{ClipWork, TextQuery};
 use aivc_sim::{Actor, SimDuration, SimTime, Simulation};
 use aivc_videocodec::{DecodeScratch, DecodedFrame, Decoder, EncodeScratch, EncodedFrame, RatePlan};
-use std::sync::Arc;
 
 /// Events of the networked turn's discrete-event loop. Frame indices are *global* across
 /// the owning timeline (a conversation numbers its frames continuously).
@@ -289,13 +289,10 @@ pub(crate) struct EncodedWindow {
 }
 
 impl NetCompute {
-    pub(crate) fn new(
-        options: NetSessionOptions,
-        config: StreamerConfig,
-        clip_model: Arc<ClipModel>,
-    ) -> Self {
+    /// The compute half of a session on the sender `sender` makes in `options.mode`.
+    pub(crate) fn new(options: NetSessionOptions, sender: impl FnOnce(StreamingMode) -> Streamer) -> Self {
         Self {
-            sender: Streamer::new(options.mode, config, clip_model),
+            sender: sender(options.mode),
             decoder: Decoder::new(),
             responder: MllmChat::responder(options.seed ^ 0x5EED),
             options,

@@ -24,7 +24,7 @@
 //! rejects nested parallel sections, and across-session parallelism already saturates the
 //! cores at server scale (DESIGN.md §"Threading model").
 
-use crate::context_aware::StreamerConfig;
+use crate::context_aware::{Streamer, StreamerConfig};
 use crate::conversation::{Conversation, ConversationReport};
 use crate::net_session::{FaultTelemetry, NetSessionOptions, NetTurnReport};
 use crate::net_turn::{EncodedWindow, TurnScratch, EMPTY_TURN_WINDOW};
@@ -69,22 +69,27 @@ pub struct ConversationChatServer {
 impl ConversationChatServer {
     /// Creates a server of `session_count` conversations sharing `template`'s network and
     /// ABR configuration, with per-session seeds `template.seed + i` and a common
-    /// `think_gap`, on a pool of `pool_size` lanes. The conversations share one
-    /// [`ClipModel`], built here.
+    /// `think_gap`, on a pool of `pool_size` lanes. The conversations share what is
+    /// immutable, built here once: the [`ClipModel`] behind one `Arc`, and the sender's
+    /// Eq. 2 table, copied into each.
     pub fn new(
         pool_size: usize,
         session_count: usize,
         template: NetSessionOptions,
         think_gap: SimDuration,
     ) -> Self {
-        let model = Arc::new(ClipModel::mobile_default());
+        let sender = Streamer::new(
+            template.mode,
+            StreamerConfig::default(),
+            Arc::new(ClipModel::mobile_default()),
+        );
         Self::with_sessions(
             MiniPool::new(pool_size),
             (0..session_count)
                 .map(|i| {
                     let mut options = template.clone();
                     options.seed = template.seed.wrapping_add(i as u64);
-                    Conversation::new(options, StreamerConfig::default(), Arc::clone(&model), think_gap)
+                    Conversation::with_sender(options, |mode| sender.clone_in_mode(mode), think_gap)
                 })
                 .collect(),
         )

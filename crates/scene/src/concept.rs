@@ -149,8 +149,12 @@ impl Ontology {
     ///
     /// The pairwise form scans every concept per pair and clones two `String`s per
     /// look-up, which makes an all-pairs caller cubic in allocations; this resolves the
-    /// declared relations to ranks once and runs the same one-hop closure over a dense
-    /// matrix.
+    /// declared relations to ranks once and walks only the declared graph: from each
+    /// concept `a` to its neighbours `c`, then to theirs, `b`. A pair no such walk reaches
+    /// has a 0 for every hop, which never beats its direct weight (`relate` clamps weights
+    /// into `[0, 1]`), and a maximum does not depend on the order candidates arrive in — so
+    /// each entry is the dense `n³` closure's, bit for bit, in time proportional to the sum
+    /// over concepts of their squared degree.
     pub fn relatedness_table(&self) -> Vec<f64> {
         let n = self.concepts.len();
         let rank: BTreeMap<&Concept, usize> = self.concepts.iter().enumerate().map(|(i, c)| (c, i)).collect();
@@ -158,6 +162,7 @@ impl Ontology {
         for i in 0..n {
             direct[i * n + i] = 1.0;
         }
+        let mut neighbours = vec![Vec::new(); n];
         for ((a, b), &w) in &self.relations {
             // Only registered concepts are ever asked about (`relate` registers both ends).
             let (Some(&i), Some(&j)) = (rank.get(a), rank.get(b)) else {
@@ -165,16 +170,18 @@ impl Ontology {
             };
             direct[i * n + j] = w;
             direct[j * n + i] = w;
+            neighbours[i].push(j);
+            neighbours[j].push(i);
         }
         let mut table = direct.clone();
         for a in 0..n {
-            for b in 0..n {
-                if direct[a * n + b] >= 1.0 {
-                    continue;
-                }
-                let best = &mut table[a * n + b];
-                for c in (0..n).filter(|&c| c != a && c != b) {
+            for &c in neighbours[a].iter().filter(|&&c| c != a) {
+                for &b in neighbours[c].iter().filter(|&&b| b != c) {
+                    if direct[a * n + b] >= 1.0 {
+                        continue;
+                    }
                     let via = 0.5 * direct[a * n + c] * direct[c * n + b];
+                    let best = &mut table[a * n + b];
                     if via > *best {
                         *best = via;
                     }
@@ -314,9 +321,10 @@ mod tests {
 
     #[test]
     fn relatedness_table_matches_pairwise_relatedness_bit_for_bit() {
-        // A small pseudo-random ontology next to the standard one: dense enough that
-        // most pairs have several competing one-hop paths, with a few weight-1.0 edges.
-        let mut random = Ontology::new();
+        // Seeded pseudo-random ontologies next to the standard one, from a handful of edges
+        // over many concepts to several per concept over few — so that pairs range from
+        // unreachable to reached by many competing one-hop paths — with weight-1.0 and
+        // weight-0 edges, self-relations (ignored) and isolated concepts.
         let mut state = 0x9E37_79B9_7F4A_7C15u64;
         let mut next = || {
             state = state
@@ -324,21 +332,30 @@ mod tests {
                 .wrapping_add(1442695040888963407);
             (state >> 33) as u32
         };
-        for _ in 0..60 {
-            let (a, b) = (next() % 17, next() % 17);
-            let weight = if next() % 8 == 0 {
-                1.0
-            } else {
-                f64::from(next() % 1000) / 999.0
-            };
-            random.relate(
-                Concept::new(format!("c{a}")),
-                Concept::new(format!("c{b}")),
-                weight,
-            );
+        let mut ontologies = vec![Ontology::standard(), Ontology::new()];
+        for _ in 0..64 {
+            let mut random = Ontology::new();
+            let concepts = 2 + next() % 30;
+            let edges = next() % (4 * concepts);
+            for _ in 0..edges {
+                let (a, b) = (next() % concepts, next() % concepts);
+                let weight = match next() % 8 {
+                    0 => 1.0,
+                    1 => 0.0,
+                    _ => f64::from(next() % 1000) / 999.0,
+                };
+                random.relate(
+                    Concept::new(format!("c{a}")),
+                    Concept::new(format!("c{b}")),
+                    weight,
+                );
+            }
+            for i in 0..next() % 3 {
+                random.add_concept(Concept::new(format!("isolated{i}")));
+            }
+            ontologies.push(random);
         }
-        random.add_concept("isolated");
-        for o in [Ontology::standard(), random, Ontology::new()] {
+        for o in ontologies {
             let table = o.relatedness_table();
             let n = o.len();
             assert_eq!(table.len(), n * n);

@@ -24,9 +24,20 @@ impl TextQuery {
     pub fn from_words(text: &str, ontology: &Ontology) -> Self {
         let normalized = normalize(text);
         let padded = format!(" {normalized} ");
+        // The normalized text's words, empty when the text is (`split` then yields one "").
+        let words: Vec<&str> = normalized.split(' ').collect();
         let mut concepts = Vec::new();
         for concept in ontology.concepts() {
             let name = concept.name();
+            // Either surface form below starts with its first word between two spaces of
+            // `padded` — a whole word of the text — so a concept whose first word (up to a
+            // space, or for the spaced form also a hyphen) is not one cannot match: skip it
+            // before formatting anything.
+            let head = name.split(' ').next().unwrap_or_default();
+            let spaced_head = head.split('-').next().unwrap_or_default();
+            if !words.iter().any(|&word| word == head || word == spaced_head) {
+                continue;
+            }
             // A concept "dog-head" should match the surface forms "dog-head", "dog head".
             let surface = format!(" {} ", name.replace('-', " "));
             let hyphened = format!(" {name} ");
@@ -146,5 +157,86 @@ mod tests {
     #[test]
     fn normalization_handles_punctuation() {
         assert_eq!(normalize("The DOG'S head, please!"), "the dog head please");
+    }
+
+    /// The matcher without the word pre-filter: every concept's two surface forms searched
+    /// for in the padded text — what [`TextQuery::from_words`] must agree with.
+    fn from_words_reference(text: &str, ontology: &Ontology) -> TextQuery {
+        let normalized = normalize(text);
+        let padded = format!(" {normalized} ");
+        let mut concepts = Vec::new();
+        for concept in ontology.concepts() {
+            let name = concept.name();
+            let surface = format!(" {} ", name.replace('-', " "));
+            let hyphened = format!(" {name} ");
+            if padded.contains(&surface) || padded.contains(&hyphened) {
+                let weight = if name.contains('-') { 1.0 } else { 0.9 };
+                concepts.push((concept.clone(), weight));
+            }
+        }
+        TextQuery {
+            text: text.to_string(),
+            concepts,
+        }
+    }
+
+    /// The word pre-filter skips only concepts the substring matcher would reject: on
+    /// random texts — words, hyphens, possessives, punctuation, capitals and empty pieces —
+    /// over the standard ontology plus random names with spaces, empty hyphen segments,
+    /// leading or trailing hyphens and the empty name, both return the same concepts in the
+    /// same order with the same weights.
+    #[test]
+    fn word_prefilter_matches_the_substring_matcher() {
+        let mut state = 0x2545_F491_4F6C_DD1Du64;
+        let mut next = move |bound: usize| {
+            state = state
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            (state >> 33) as usize % bound
+        };
+        let words = [
+            "dog", "head", "ice", "cream", "a", "b", "x", "score", "floppy", "ears",
+        ];
+        let joints = ["-", " ", "--", "", "'s ", ", "];
+        let mut ontology = ontology();
+        ontology.add_concept("");
+        for _ in 0..120 {
+            let mut name = String::new();
+            if next(6) == 0 {
+                name.push('-');
+            }
+            for piece in 0..1 + next(3) {
+                if piece > 0 {
+                    name.push_str(["-", " ", "--", "- "][next(4)]);
+                }
+                name.push_str(words[next(words.len())]);
+            }
+            if next(6) == 0 {
+                name.push('-');
+            }
+            ontology.add_concept(name.as_str());
+        }
+        let vocabulary: Vec<String> = ontology.concepts().map(|c| c.name().to_string()).collect();
+        let mut matched = 0;
+        for _ in 0..4_000 {
+            let mut text = String::new();
+            for _ in 0..next(8) {
+                let mut piece = match next(3) {
+                    0 => vocabulary[next(vocabulary.len())].clone(),
+                    1 => words[next(words.len())].to_string(),
+                    _ => ["", "-", "'s", "?", "!", ".", "'"][next(7)].to_string(),
+                };
+                if next(5) == 0 {
+                    piece = piece.to_uppercase();
+                }
+                text.push_str(&piece);
+                text.push_str(joints[next(joints.len())]);
+            }
+            let query = TextQuery::from_words(&text, &ontology);
+            assert_eq!(query, from_words_reference(&text, &ontology), "text {text:?}");
+            matched += usize::from(!query.is_empty());
+        }
+        // Not vacuous: most texts name some concept.
+        assert!(matched > 2_000, "{matched} of 4000 texts matched a concept");
     }
 }
