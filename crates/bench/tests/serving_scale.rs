@@ -36,7 +36,7 @@ use aivc_netsim::PathConfig;
 use aivc_scene::templates::basketball_game;
 use aivc_scene::{Frame, SourceConfig, VideoSource};
 use aivc_sim::SimDuration;
-use aivchat_core::scenarios::{contention_by_name, ContentionScenario};
+use aivchat_core::scenarios::{by_name, ScenarioSpec};
 use aivchat_core::{
     run_contention, Conversation, ConversationChatServer, NetSessionOptions, SessionSnapshot,
 };
@@ -115,7 +115,7 @@ fn warm_fleet_bytes(sessions: usize, windows: &[Vec<Frame>], question: &Question
 /// Peak heap one `run_contention` of `scenario`'s first `tenants` tenants on AI-oriented
 /// ABR reaches above what was live when it started — the tenants' scripted frames are
 /// built beforehand, so only the engine and its report count.
-fn contention_peak_bytes(scenario: &ContentionScenario, tenants: usize) -> f64 {
+fn contention_peak_bytes(scenario: &ScenarioSpec, tenants: usize) -> f64 {
     let specs = (0..tenants)
         .map(|tenant| scenario.tenant_spec(tenant, true))
         .collect();
@@ -279,9 +279,11 @@ fn main() {
     // per-event buffers being the run's one set whatever K. The ceiling sits 5 % above the
     // measured 367.0 KiB (809.4 KiB while every tenant owned a whole turn scratch and block
     // records carried fields nothing read).
-    let mut scenario = contention_by_name("shared-blackout").expect("registered scenario");
+    let mut scenario = by_name("shared-blackout").expect("registered scenario");
     let k = scenario.tenants;
-    scenario.joins = scenario.joins.iter().copied().cycle().take(2 * k).collect();
+    scenario.tenants = 2 * k;
+    let joins = &mut scenario.sharing.as_mut().expect("a shared uplink").joins;
+    *joins = joins.iter().copied().cycle().take(2 * k).collect();
     let small = contention_peak_bytes(&scenario, k);
     let large = contention_peak_bytes(&scenario, 2 * k);
     let per_tenant = (large - small) / k as f64;

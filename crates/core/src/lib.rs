@@ -29,8 +29,10 @@
 //! * [`server`] — the multi-session throughput engine ([`ConversationChatServer`]): N
 //!   independent conversations, each on its own kernel, executing turns across a scoped
 //!   thread pool, bit-identically for any pool size;
-//! * [`scenarios`] — the registry of named, seeded network scenarios and the engine that
-//!   reports traditional vs AI-oriented ABR on each (the golden-fixture substrate);
+//! * [`scenarios`] — the one validated scenario description ([`ScenarioSpec`]: tenants ×
+//!   turns × window × think time on an uplink, warm or cold, shared or not), the registry of
+//!   its sixteen named, seeded entries, and the runs that report traditional vs AI-oriented
+//!   ABR on each (the golden-fixture substrate);
 //! * [`eval`] — the Figure 9 experiment: DeViBench accuracy of ours vs the baseline across
 //!   matched bitrates.
 
@@ -58,7 +60,6 @@ pub use eval::{run_accuracy_vs_bitrate, AccuracyPoint};
 pub use latency::{LatencyBudget, RESPONSE_LATENCY_TARGET_MS};
 pub use net_session::{FrameDelivery, NetSessionOptions, NetSessionOptionsError, NetTurnReport};
 pub use scenarios::{
-    ContentionScenario, ContentionScenarioReport, ConversationScenario, ConversationScenarioReport, Scenario,
-    ScenarioReport,
+    ContentionScenarioReport, ConversationScenarioReport, ScenarioReport, ScenarioSpec, ScenarioSpecError,
 };
 pub use server::{ConversationChatServer, ServingReport};

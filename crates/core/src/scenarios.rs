@@ -1,25 +1,24 @@
-//! The scenario engine: named, seeded network conditions under which every future
-//! congestion/scheduling change is evaluated.
+//! The scenario engine: named, seeded network conditions under which every congestion,
+//! scheduling and recovery change is evaluated.
 //!
-//! A [`Scenario`] bundles a time-varying uplink ([`BandwidthTrace`] + loss model), a seed
-//! and a turn shape. [`run_scenario`] pushes one chat turn through a fresh one-turn
-//! [`crate::Conversation`] **twice** — once with traditional estimate-riding ABR and once
-//! with the paper's AI-oriented accuracy-floor ABR — and once more as a small
-//! multi-session [`crate::ConversationChatServer`] workload, then reports goodput,
-//! per-frame latency percentiles, loss/recovery counters and answer accuracy side by side
-//! (§2.2 / §3.2, Figure 3).
-//!
-//! Everything is deterministic: a given registry entry reproduces bit-identical
-//! [`ScenarioReport`]s across runs and pool sizes, which the golden regression fixtures
+//! A [`ScenarioSpec`] describes one: tenants × turns × window × think time on an uplink (a
+//! [`BandwidthTrace`], a loss model and a fault schedule), started warm or cold, and — when
+//! its tenants share the uplink — how they share it. [`registry`] holds the sixteen entries
+//! the golden fixtures pin, and [`ScenarioSpec::validate`] is the one front door:
+//! [`ScenarioSpec::tenant_spec`] and every run entry panic with its message before they
+//! build anything. A run reports traditional estimate-riding ABR and the paper's AI-oriented
+//! accuracy floor side by side (§2.2 / §3.2, Figure 3), in the report of the spec's
+//! [fixture family](ScenarioSpec::fixture_family). Everything is deterministic: a registry
+//! entry reproduces bit-identical reports across runs and pool sizes, which the fixtures
 //! under `tests/fixtures/` pin down — transport behaviour changes must be intentional and
 //! reviewed alongside a fixture update.
 
 use crate::contention::{
-    run_contention, AdmissionConfig, ContentionConfig, ContentionReport, CrossTrafficSpec, StarvationConfig,
-    TenantSpec, TenantTurn,
+    run_contention, AdmissionConfig, ContentionConfig, ContentionConfigError, ContentionReport,
+    CrossTrafficSpec, StarvationConfig, TenantSpec, TenantTurn,
 };
 use crate::conversation::{Conversation, ConversationReport};
-use crate::net_session::{queue_bytes_for, NetSessionOptions, NetTurnReport};
+use crate::net_session::{queue_bytes_for, NetSessionOptions, NetSessionOptionsError, NetTurnReport};
 use crate::server::ConversationChatServer;
 use aivc_mllm::{Question, QuestionFormat};
 use aivc_netsim::{
@@ -29,243 +28,661 @@ use aivc_netsim::{
 use aivc_par::MiniPool;
 use aivc_rtc::{AbrPolicy, FecConfig};
 use aivc_scene::templates::basketball_game;
-use aivc_scene::{Frame, SourceConfig, VideoSource};
+use aivc_scene::{SourceConfig, VideoSource};
 use serde::{Deserialize, Serialize};
 
-/// One named network scenario.
+/// Capture rate of every turn window.
+const CAPTURE_FPS: f64 = 12.0;
+/// Length of the basketball clip every window is cut from (wrapping at its end), and so the
+/// longest window a spec may ask for.
+const CLIP_SECS: f64 = 6.0;
+/// A warm spec's starting estimate: what the turns before it left the controller holding.
+const WARM_ESTIMATE_BPS: f64 = 2_500_000.0;
+/// Width of a shared uplink's fairness-telemetry window.
+const FAIRNESS_WINDOW: SimDuration = SimDuration::from_millis(500);
+/// Most turns a spec may script: [`ScenarioSpec::tenant_spec`] builds every window up front
+/// (≈ 18 kB for a 6-s one), so a typo must not allocate the box away.
+const MAX_TURNS: usize = 1_000;
+/// Longest think or join time, in seconds — the options' own timer bound: 1e12 µs, which a
+/// clock that has run for millennia still adds without overflowing its `u64`.
+const MAX_TIMER_SECS: f64 = 1e6;
+/// Sessions in the server leg of [`run_scenario`].
+const SERVER_SESSIONS: usize = 3;
+
+/// One named scenario: what the registry's entries vary, and nothing they share. What they
+/// share is fixed: the 12-fps capture, the 6-s basketball clip, a clean 100 Mbps / 30 ms
+/// downlink, and — on a shared uplink — a 500 ms fairness window, an armed starvation
+/// watchdog and the trace's rate at t = 0 as the nominal rate admission divides.
 #[derive(Debug, Clone)]
-pub struct Scenario {
-    /// Registry key (also the fixture file name).
+pub struct ScenarioSpec {
+    /// Registry key (and, after the [fixture family](ScenarioSpec::fixture_family), the
+    /// fixture file name).
     pub name: &'static str,
     /// One-line description of the condition being modelled.
     pub summary: &'static str,
-    /// Seed for every stochastic process of the scenario.
+    /// Seed of every stochastic process. Tenant `t` of a shared uplink is seeded
+    /// `seed + 31 (t + 1)`, the link itself `seed`.
     pub seed: u64,
-    /// Length of the captured turn window in seconds.
+    /// Conversations on the uplink: one on a link of its own, any number on a shared one.
+    pub tenants: usize,
+    /// Chat turns per tenant.
+    pub turns: usize,
+    /// Length of each captured turn window, in seconds. Turn `k` of tenant `t` starts at
+    /// `(k + 0.37 t) · window_secs` into the clip (wrapping) and asks fact `k + t`.
     pub window_secs: f64,
-    /// Capture rate of the turn window.
-    pub capture_fps: f64,
-    /// When true, the session runs with the full outage-resilience stack on
+    /// Think time between a tenant's consecutive turns, in seconds.
+    pub think_secs: f64,
+    /// Whether the tenants join a conversation under way: the turn before (not run) left
+    /// the controller at 2.5 Mbps and the script starts at turn 1, with deadline-aware NACK
+    /// suppression off as the warm fixtures pin. Cold ones start from the default 1 Mbps,
+    /// so warm-up across turns shows, and drop retransmissions that cannot beat a deadline.
+    pub warm_start: bool,
+    /// When true, every tenant runs the full outage-resilience stack
     /// ([`NetSessionOptions::with_resilience`]): feedback watchdog, adaptive FEC and the
-    /// graceful-degradation ladder. Fault-injection scenarios set this; the pre-existing
-    /// registry entries keep it off, preserving their fixtures bit for bit.
+    /// graceful-degradation ladder.
     pub resilience: bool,
-    /// The bidirectional path (the uplink carries the video).
-    pub path: PathConfig,
+    /// The uplink the video rides: the bottleneck every tenant contends for when `sharing`
+    /// is set, the one tenant's own otherwise. Its trace may be shorter than the run —
+    /// looping traces span turns by design.
+    pub shared_uplink: LinkConfig,
+    /// How the tenants share `shared_uplink`; `None` gives the one tenant the link to itself.
+    pub sharing: Option<Sharing>,
 }
 
-impl Scenario {
-    /// The session options this scenario uses for the given ABR mode.
-    pub fn options(&self, ai_oriented: bool) -> NetSessionOptions {
-        let mut options = if ai_oriented {
-            NetSessionOptions::ai_oriented(self.seed, self.path.clone())
-        } else {
-            NetSessionOptions::traditional(self.seed, self.path.clone())
+/// The name the benchmark seeds specs by, which only a benchmark change may rename.
+pub type ContentionScenario = ScenarioSpec;
+
+/// How the tenants of a [`ScenarioSpec`] share its uplink: what a contention run adds to
+/// K conversations. The default pins no tenant, admits every joiner as it comes and sends no
+/// cross-traffic.
+#[derive(Debug, Clone, Default)]
+pub struct Sharing {
+    /// When each tenant's first turn begins, in seconds (one per tenant).
+    pub joins: Vec<f64>,
+    /// A tenant pinned to AI-oriented ABR in **both** report legs — the "does one accuracy
+    /// floor starve a traditional peer" probe.
+    pub pinned_ai: Option<usize>,
+    /// Windowed goodput below which the starvation watchdog counts a tenant as starving.
+    pub starvation_floor_bps: f64,
+    /// Late-joiner admission: a joiner's initial estimate is clamped to its fair share.
+    pub admission: bool,
+    /// Background cross-traffic sources.
+    pub cross_traffic: Vec<CrossTrafficSpec>,
+}
+
+impl ScenarioSpec {
+    /// One warm turn of the clip's last three seconds on a link of its own: the shape of the
+    /// registry's single-turn entries, which every other entry overrides where it differs.
+    fn one_turn(name: &'static str, summary: &'static str, seed: u64, shared_uplink: LinkConfig) -> Self {
+        Self {
+            name,
+            summary,
+            seed,
+            tenants: 1,
+            turns: 1,
+            window_secs: 3.0,
+            think_secs: 0.0,
+            warm_start: true,
+            resilience: false,
+            shared_uplink,
+            sharing: None,
+        }
+    }
+
+    /// Checks the spec before anything is built: its own fields here, the options every
+    /// tenant runs with through [`NetSessionOptions::validate`], and the contention
+    /// configuration through [`ContentionConfig::validate`]. [`ScenarioSpec::tenant_spec`]
+    /// and every run entry panic with the error's message. Destructured without `..`: a new
+    /// field does not compile until its check (or its reason for needing none) is written
+    /// here.
+    pub fn validate(&self) -> Result<(), ScenarioSpecError> {
+        use ScenarioSpecError as E;
+        let ScenarioSpec {
+            name: _,
+            summary: _,
+            seed: _,
+            tenants,
+            turns,
+            window_secs,
+            think_secs,
+            warm_start: _,
+            resilience: _,
+            // Both delegates below check it.
+            shared_uplink: _,
+            sharing,
+        } = self;
+        let tenants = *tenants;
+        if tenants == 0 || (sharing.is_none() && tenants != 1) {
+            return Err(E::Tenants(tenants));
+        }
+        if !(1..=MAX_TURNS).contains(turns) {
+            return Err(E::Turns(*turns));
+        }
+        if !(1.0 / CAPTURE_FPS..=CLIP_SECS).contains(window_secs) {
+            return Err(E::WindowSecs(*window_secs));
+        }
+        if !(0.0..=MAX_TIMER_SECS).contains(think_secs) {
+            return Err(E::ThinkSecs(*think_secs));
+        }
+        if let Some(Sharing {
+            joins,
+            pinned_ai,
+            // `config` hands these to `ContentionConfig::validate`.
+            starvation_floor_bps: _,
+            admission: _,
+            cross_traffic: _,
+        }) = sharing
+        {
+            if joins.len() != tenants {
+                return Err(E::Joins(tenants, joins.len()));
+            }
+            let late = joins
+                .iter()
+                .enumerate()
+                .find(|(_, secs)| !(0.0..=MAX_TIMER_SECS).contains(*secs));
+            if let Some((tenant, &secs)) = late {
+                return Err(E::JoinSecs(tenant, secs));
+            }
+            if let Some(tenant) = pinned_ai.filter(|&tenant| tenant >= tenants) {
+                return Err(E::PinnedAi(tenant, tenants));
+            }
+        }
+        // The options first: they check the uplink, whose rate at t = 0 `config` reads. Other
+        // tenants' options differ from these only in seed and ABR mode, which always pass.
+        self.tenant_options(0, false).validate().map_err(E::Options)?;
+        self.config().validate().map_err(E::Contention)
+    }
+
+    /// Panics with [`ScenarioSpec::validate`]'s message: what every entry does first.
+    fn assert_valid(&self) {
+        if let Err(error) = self.validate() {
+            panic!("{error}");
+        }
+    }
+
+    /// The family of this spec's golden fixture — its file name's prefix and its report:
+    /// `"contention"` when the tenants share the uplink, else `"scenario"` for one turn
+    /// and `"conversation"` for several.
+    pub fn fixture_family(&self) -> &'static str {
+        match (&self.sharing, self.turns) {
+            (Some(_), _) => "contention",
+            (None, 1) => "scenario",
+            (None, _) => "conversation",
+        }
+    }
+
+    /// The contention engine's configuration of this spec. Without `sharing` it is the one
+    /// tenant alone: no watchdog, no admission, no cross-traffic.
+    pub fn config(&self) -> ContentionConfig {
+        let alone = Sharing::default();
+        let sharing = self.sharing.as_ref().unwrap_or(&alone);
+        ContentionConfig {
+            shared_uplink: self.shared_uplink.clone(),
+            shared_seed: self.seed,
+            nominal_bps: self.shared_uplink.bandwidth.rate_at(SimTime::ZERO),
+            fairness_window: FAIRNESS_WINDOW,
+            starvation: StarvationConfig {
+                enabled: self.sharing.is_some(),
+                floor_bps: sharing.starvation_floor_bps,
+            },
+            admission: AdmissionConfig {
+                enabled: sharing.admission,
+            },
+            cross_traffic: sharing.cross_traffic.clone(),
+        }
+    }
+
+    /// Whether tenant `tenant` runs AI-oriented ABR in the given report leg.
+    fn tenant_is_ai(&self, tenant: usize, ai_oriented: bool) -> bool {
+        ai_oriented || self.sharing.as_ref().and_then(|s| s.pinned_ai) == Some(tenant)
+    }
+
+    /// Session options of one tenant in the given report leg. Its path carries the spec's
+    /// uplink (on a shared one, so that propagation and outage reporting describe the
+    /// bottleneck its packets really ride).
+    fn tenant_options(&self, tenant: usize, ai_oriented: bool) -> NetSessionOptions {
+        let path = PathConfig {
+            uplink: self.shared_uplink.clone(),
+            // A clean 30 ms feedback downlink, as in the paper's testbed.
+            downlink: LinkConfig::constant(100e6, SimDuration::from_millis(30), 300, LossModel::None),
         };
-        options.capture_fps = self.capture_fps;
-        // Scenarios model a mid-conversation turn: the controller already holds a
-        // several-Mbps estimate from earlier turns, so traditional ABR is immediately
-        // aggressive while AI-oriented ABR sticks to its floor.
-        options.gcc.initial_estimate_bps = 2_500_000.0;
+        let seed = match self.sharing {
+            Some(_) => self.seed.wrapping_add(31 * (tenant as u64 + 1)),
+            None => self.seed,
+        };
+        let mut options = if self.tenant_is_ai(tenant, ai_oriented) {
+            NetSessionOptions::ai_oriented(seed, path)
+        } else {
+            NetSessionOptions::traditional(seed, path)
+        };
+        options.capture_fps = CAPTURE_FPS;
+        if self.warm_start {
+            options.gcc.initial_estimate_bps = WARM_ESTIMATE_BPS;
+        } else {
+            options.deadline_aware_nack = true;
+        }
         if self.resilience {
             options = options.with_resilience();
         }
         options
     }
 
-    /// The turn window and question every scenario run uses (same scene and detail
-    /// question, so accuracy differences come from the network alone).
-    pub fn turn(&self) -> (Vec<Frame>, Question) {
-        let scene = basketball_game(1);
-        let source = VideoSource::new(scene.clone(), SourceConfig::fps30(6.0));
-        let question = Question::from_fact(&scene.facts[1], QuestionFormat::FreeResponse);
-        let start = (source.duration_secs() - self.window_secs).max(0.0);
-        (source.window(start, self.window_secs, self.capture_fps), question)
+    /// The scripted turns of one tenant: every tenant watches the same scene from its own
+    /// offset and rotates through the facts from its own phase, so tenants ask different
+    /// questions about different windows — deterministically.
+    fn tenant_turns(&self, tenant: usize) -> Vec<TenantTurn> {
+        let source = VideoSource::new(basketball_game(1), SourceConfig::fps30(CLIP_SECS));
+        let facts = &source.scene().facts;
+        let first = usize::from(self.warm_start);
+        (first..first + self.turns)
+            .map(|turn| {
+                let fact = &facts[(turn + tenant) % facts.len()];
+                let start =
+                    ((turn as f64 + tenant as f64 * 0.37) * self.window_secs) % source.duration_secs();
+                TenantTurn {
+                    frames: source.window(start, self.window_secs, CAPTURE_FPS),
+                    question: Question::from_fact(fact, QuestionFormat::FreeResponse),
+                }
+            })
+            .collect()
+    }
+
+    /// Everything tenant `tenant` runs with in the given report leg: options, join time,
+    /// think time and script.
+    ///
+    /// # Panics
+    ///
+    /// Panics with [`ScenarioSpec::validate`]'s message, or when `tenant` is not one of the
+    /// spec's tenants.
+    pub fn tenant_spec(&self, tenant: usize, ai_oriented: bool) -> TenantSpec {
+        self.assert_valid();
+        assert!(tenant < self.tenants, "`{}` has no tenant {tenant}", self.name);
+        let ai = self.tenant_is_ai(tenant, ai_oriented);
+        TenantSpec {
+            label: format!("tenant-{tenant}"),
+            mode: if ai { "ai_oriented" } else { "traditional" }.to_string(),
+            join_at: SimTime::from_secs_f64(self.sharing.as_ref().map_or(0.0, |s| s.joins[tenant])),
+            think: SimDuration::from_secs_f64(self.think_secs),
+            options: self.tenant_options(tenant, ai_oriented),
+            turns: self.tenant_turns(tenant),
+        }
     }
 }
 
-/// A clean 30 ms one-way downlink for feedback, as in the paper's testbed.
-fn clean_downlink() -> LinkConfig {
-    LinkConfig::constant(100e6, SimDuration::from_millis(30), 300, LossModel::None)
+/// Why [`ScenarioSpec::validate`] refused a spec.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub enum ScenarioSpecError {
+    /// `tenants` is zero, or not one on a link of the spec's own, which runs one
+    /// conversation.
+    Tenants(usize),
+    /// `turns` is zero, a run with nothing to report, or more than every window built up
+    /// front should hold.
+    Turns(usize),
+    /// `window_secs` is shorter than one capture or longer than the clip: an infinite
+    /// window asked the source for `usize::MAX` frames, and a NaN, zero or negative one
+    /// silently became one frame.
+    WindowSecs(f64),
+    /// `think_secs` is NaN, negative or past 1e6 s: the first two silently became no think
+    /// time, and an infinite one overflows the clock.
+    ThinkSecs(f64),
+    /// `sharing.joins` does not hold one join time per tenant (`tenant_spec` indexed past
+    /// its end): the number of tenants, then of join times.
+    Joins(usize, usize),
+    /// A join time is NaN, negative or past 1e6 s (the first two silently joined at zero,
+    /// an infinite one overflows the clock): the tenant, then its join time.
+    JoinSecs(usize, f64),
+    /// `sharing.pinned_ai` names no tenant (it was silently ignored): the pinned tenant,
+    /// then the number of tenants.
+    PinnedAi(usize, usize),
+    /// The tenants' options fail [`NetSessionOptions::validate`]: the uplink is what a spec
+    /// puts there that can (the message names `path.uplink`).
+    Options(NetSessionOptionsError),
+    /// The contention configuration fails [`ContentionConfig::validate`]: the starvation
+    /// floor or a cross-traffic source (the message names which).
+    Contention(ContentionConfigError),
 }
 
-fn uplink(bandwidth: BandwidthTrace, nominal_bps: f64, loss: LossModel) -> PathConfig {
-    uplink_with_faults(bandwidth, nominal_bps, loss, FaultSchedule::none())
-}
-
-/// [`uplink`] with a deterministic fault schedule composed over the uplink's sends.
-fn uplink_with_faults(
-    bandwidth: BandwidthTrace,
-    nominal_bps: f64,
-    loss: LossModel,
-    faults: FaultSchedule,
-) -> PathConfig {
-    PathConfig {
-        uplink: LinkConfig {
-            bandwidth,
-            propagation_delay: SimDuration::from_millis(30),
-            queue_capacity_bytes: queue_bytes_for(nominal_bps, 300),
-            loss,
-            max_jitter: SimDuration::ZERO,
-            faults,
-        },
-        downlink: clean_downlink(),
+impl core::fmt::Display for ScenarioSpecError {
+    fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
+        use ScenarioSpecError as E;
+        const INVALID: &str = "scenario spec invalid:";
+        match *self {
+            E::Tenants(n) => write!(
+                f,
+                "{INVALID} tenants must be 1 without `sharing` and at least 1 with it, got {n}"
+            ),
+            E::Turns(n) => write!(f, "{INVALID} turns must be within 1..={MAX_TURNS}, got {n}"),
+            E::WindowSecs(secs) => write!(
+                f,
+                "{INVALID} window_secs must be within one capture (1/{CAPTURE_FPS} s) and the \
+                 {CLIP_SECS}-s clip, got {secs}"
+            ),
+            E::ThinkSecs(secs) => write!(
+                f,
+                "{INVALID} think_secs must be within 0..={MAX_TIMER_SECS:e} seconds, got {secs}"
+            ),
+            E::Joins(tenants, n) => write!(
+                f,
+                "{INVALID} sharing.joins must hold one time per tenant ({tenants}), got {n}"
+            ),
+            E::JoinSecs(t, secs) => write!(
+                f,
+                "{INVALID} sharing.joins[{t}] must be within 0..={MAX_TIMER_SECS:e} seconds, got {secs}"
+            ),
+            E::PinnedAi(t, tenants) => write!(
+                f,
+                "{INVALID} sharing.pinned_ai must be one of the {tenants} tenants, got {t}"
+            ),
+            E::Options(error) => write!(f, "{error}"),
+            E::Contention(error) => write!(f, "{error}"),
+        }
     }
 }
 
-/// The scenario registry: ≥ 6 named, seeded network conditions covering the shapes the
-/// related adaptive-transport literature validates against (constant, step, periodic,
-/// random-walk, bursty loss, LTE-like segment schedules).
-pub fn registry() -> Vec<Scenario> {
+/// A registry uplink: 30 ms propagation, no jitter, and a drop-tail queue of 300 ms at the
+/// trace's starting rate.
+fn uplink(bandwidth: BandwidthTrace, loss: LossModel, faults: FaultSchedule) -> LinkConfig {
+    LinkConfig {
+        queue_capacity_bytes: queue_bytes_for(bandwidth.rate_at(SimTime::ZERO), 300),
+        bandwidth,
+        propagation_delay: SimDuration::from_millis(30),
+        loss,
+        max_jitter: SimDuration::ZERO,
+        faults,
+    }
+}
+
+/// The registry: sixteen named, seeded conditions with unique names. Eight single turns
+/// cover the shapes the adaptive-transport literature validates against (constant, step,
+/// periodic, random-walk, bursty loss, LTE-like segment schedules) and two fault schedules;
+/// four conversations pin a *conversation*'s behaviour — GCC warm-up across turns, queue
+/// carry-over, trace position spanning turns, NACK/RTX state surviving think gaps; four
+/// shared bottlenecks pin the *interaction* — fairness under faults, starvation-watchdog
+/// escalations, late-joiner admission, every tenant recovering from a shared outage.
+pub fn registry() -> Vec<ScenarioSpec> {
     let secs = SimTime::from_secs_f64;
+    let constant = BandwidthTrace::constant;
+    let iid = |rate| LossModel::Iid { rate };
+    let bursty = || LossModel::bursty(0.08, 16.0);
+    let ms = SimDuration::from_millis;
+    let none = FaultSchedule::none;
+    let blackout = |at, millis| FaultSchedule::blackout(secs(at), ms(millis));
+    let episode = |start, duration, kind| FaultEpisode {
+        start: secs(start),
+        duration: SimDuration::from_secs_f64(duration),
+        kind,
+    };
+    let lte_like = || {
+        BandwidthTrace::from_segments(vec![
+            (SimTime::ZERO, 12e6),
+            (secs(1.0), 5e6),
+            (secs(1.8), 0.9e6),
+            (secs(2.6), 3e6),
+            (secs(3.2), 10e6),
+        ])
+    };
+    let one_turn = ScenarioSpec::one_turn;
     vec![
-        Scenario {
-            name: "constant",
-            summary: "the paper's 10 Mbps / 30 ms link with 1% i.i.d. loss",
-            seed: 101,
-            window_secs: 3.0,
-            capture_fps: 12.0,
-            resilience: false,
-            path: uplink(
-                BandwidthTrace::constant(10e6),
-                10e6,
-                LossModel::Iid { rate: 0.01 },
-            ),
-        },
-        Scenario {
-            name: "step-down",
-            summary: "8 Mbps dropping to 1.2 Mbps mid-turn (handover / contention onset)",
-            seed: 202,
-            window_secs: 3.0,
-            capture_fps: 12.0,
-            resilience: false,
-            path: uplink(
-                BandwidthTrace::step(8e6, 1.2e6, secs(1.5)),
-                8e6,
-                LossModel::Iid { rate: 0.01 },
-            ),
-        },
-        Scenario {
-            name: "square-wave",
-            summary: "capacity oscillating 8 ↔ 1.5 Mbps every second (periodic cross traffic)",
-            seed: 303,
-            window_secs: 3.0,
-            capture_fps: 12.0,
-            resilience: false,
-            path: uplink(
+        one_turn(
+            "constant",
+            "the paper's 10 Mbps / 30 ms link with 1% i.i.d. loss",
+            101,
+            uplink(constant(10e6), iid(0.01), none()),
+        ),
+        one_turn(
+            "step-down",
+            "8 Mbps dropping to 1.2 Mbps mid-turn (handover / contention onset)",
+            202,
+            uplink(BandwidthTrace::step(8e6, 1.2e6, secs(1.5)), iid(0.01), none()),
+        ),
+        one_turn(
+            "square-wave",
+            "capacity oscillating 8 ↔ 1.5 Mbps every second (periodic cross traffic)",
+            303,
+            uplink(
                 BandwidthTrace::square_wave(8e6, 1.5e6, secs(1.0), secs(8.0)),
-                8e6,
-                LossModel::Iid { rate: 0.01 },
+                iid(0.01),
+                none(),
             ),
-        },
-        Scenario {
-            name: "random-walk",
-            summary: "a bounded multiplicative random walk between 1 and 9 Mbps",
-            seed: 404,
-            window_secs: 3.0,
-            capture_fps: 12.0,
-            resilience: false,
-            path: uplink(
+        ),
+        one_turn(
+            "random-walk",
+            "a bounded multiplicative random walk between 1 and 9 Mbps",
+            404,
+            uplink(
                 BandwidthTrace::random_walk(404, 5e6, 1e6, 9e6, secs(0.5), secs(8.0)),
-                5e6,
-                LossModel::Iid { rate: 0.01 },
+                iid(0.01),
+                none(),
             ),
-        },
-        Scenario {
-            name: "bursty-loss",
-            summary: "4 Mbps with Gilbert–Elliott bursts (8% mean loss, ~16-packet bursts)",
-            seed: 505,
-            window_secs: 3.0,
-            capture_fps: 12.0,
-            resilience: false,
-            path: uplink(BandwidthTrace::constant(4e6), 4e6, LossModel::bursty(0.08, 16.0)),
-        },
-        Scenario {
-            name: "lte-like",
-            summary: "LTE-like segments: 12 → 5 → 0.9 → 3 → 10 Mbps across the turn",
-            seed: 606,
-            window_secs: 3.0,
-            capture_fps: 12.0,
-            resilience: false,
-            path: uplink(
-                BandwidthTrace::from_segments(vec![
-                    (SimTime::ZERO, 12e6),
-                    (secs(1.0), 5e6),
-                    (secs(1.8), 0.9e6),
-                    (secs(2.6), 3e6),
-                    (secs(3.2), 10e6),
-                ]),
-                12e6,
-                LossModel::Iid { rate: 0.005 },
-            ),
-        },
-        Scenario {
-            name: "handover-blackout",
-            summary: "10 Mbps with a 500 ms total blackout mid-turn (radio handover) — the \
-                      watchdog falls back during the silence and the ladder suppresses \
-                      captures until feedback returns",
-            seed: 707,
-            window_secs: 3.0,
-            capture_fps: 12.0,
+        ),
+        one_turn(
+            "bursty-loss",
+            "4 Mbps with Gilbert–Elliott bursts (8% mean loss, ~16-packet bursts)",
+            505,
+            uplink(constant(4e6), bursty(), none()),
+        ),
+        one_turn(
+            "lte-like",
+            "LTE-like segments: 12 → 5 → 0.9 → 3 → 10 Mbps across the turn",
+            606,
+            uplink(lte_like(), iid(0.005), none()),
+        ),
+        ScenarioSpec {
             resilience: true,
-            path: uplink_with_faults(
-                BandwidthTrace::constant(10e6),
-                10e6,
-                LossModel::Iid { rate: 0.01 },
-                FaultSchedule::blackout(secs(1.2), SimDuration::from_millis(500)),
-            ),
+            ..one_turn(
+                "handover-blackout",
+                "10 Mbps with a 500 ms total blackout mid-turn (radio handover) — the \
+                 watchdog falls back during the silence and the ladder suppresses \
+                 captures until feedback returns",
+                707,
+                uplink(constant(10e6), iid(0.01), blackout(1.2, 500)),
+            )
         },
-        Scenario {
-            name: "rtt-spike-midturn",
-            summary: "8 Mbps where the path reroutes mid-turn: a 250 ms blackout at the \
-                      switch, +250 ms one-way delay for a second, and 5% duplication and \
-                      bounded reordering while the routes converge",
-            seed: 808,
-            window_secs: 3.0,
-            capture_fps: 12.0,
+        ScenarioSpec {
             resilience: true,
-            path: uplink_with_faults(
-                BandwidthTrace::constant(8e6),
-                8e6,
-                LossModel::Iid { rate: 0.005 },
-                FaultSchedule::new(vec![
-                    FaultEpisode {
-                        start: secs(1.0),
-                        duration: SimDuration::from_millis(250),
-                        kind: FaultKind::Outage,
-                    },
-                    FaultEpisode {
-                        start: secs(1.0),
-                        duration: SimDuration::from_secs_f64(1.0),
-                        kind: FaultKind::RttSpike {
-                            extra_delay: SimDuration::from_millis(250),
-                        },
-                    },
-                    FaultEpisode {
-                        start: secs(0.5),
-                        duration: SimDuration::from_secs_f64(2.0),
-                        kind: FaultKind::Duplicate { probability: 0.05 },
-                    },
-                    FaultEpisode {
-                        start: secs(0.5),
-                        duration: SimDuration::from_secs_f64(2.0),
-                        kind: FaultKind::Reorder {
-                            probability: 0.05,
-                            max_delay: SimDuration::from_millis(40),
-                        },
-                    },
-                ]),
-            ),
+            ..one_turn(
+                "rtt-spike-midturn",
+                "8 Mbps where the path reroutes mid-turn: a 250 ms blackout at the \
+                 switch, +250 ms one-way delay for a second, and 5% duplication and \
+                 bounded reordering while the routes converge",
+                808,
+                uplink(
+                    constant(8e6),
+                    iid(0.005),
+                    FaultSchedule::new(vec![
+                        episode(1.0, 0.25, FaultKind::Outage),
+                        episode(1.0, 1.0, FaultKind::RttSpike { extra_delay: ms(250) }),
+                        episode(0.5, 2.0, FaultKind::Duplicate { probability: 0.05 }),
+                        episode(
+                            0.5,
+                            2.0,
+                            FaultKind::Reorder {
+                                probability: 0.05,
+                                max_delay: ms(40),
+                            },
+                        ),
+                    ]),
+                ),
+            )
+        },
+        ScenarioSpec {
+            turns: 8,
+            window_secs: 1.5,
+            think_secs: 1.0,
+            warm_start: false,
+            ..one_turn(
+                "lte-8turn",
+                "an 8-turn conversation over a looping LTE-like trace (12→5→0.9→3→10 Mbps \
+                 per 4 s period) with 1 s think time — the trace wraps several times",
+                1_001,
+                uplink(
+                    lte_like().looping(SimDuration::from_secs_f64(4.0)),
+                    iid(0.005),
+                    none(),
+                ),
+            )
+        },
+        ScenarioSpec {
+            turns: 6,
+            window_secs: 1.5,
+            think_secs: 0.8,
+            warm_start: false,
+            ..one_turn(
+                "stepdown-mid-conversation",
+                "8 Mbps collapsing to 1.2 Mbps at t = 6 s — mid-conversation, between \
+                 turns, so only a warm controller sees it coming",
+                2_002,
+                uplink(BandwidthTrace::step(8e6, 1.2e6, secs(6.0)), iid(0.01), none()),
+            )
+        },
+        ScenarioSpec {
+            turns: 6,
+            window_secs: 1.5,
+            think_secs: 1.2,
+            warm_start: false,
+            ..one_turn(
+                "bursty-think-time",
+                "4 Mbps with Gilbert–Elliott bursts (8% mean loss, ~16-packet bursts) and \
+                 1.2 s think gaps — recovery state must survive the silences",
+                3_003,
+                uplink(constant(4e6), bursty(), none()),
+            )
+        },
+        ScenarioSpec {
+            turns: 6,
+            window_secs: 1.5,
+            think_secs: 1.2,
+            warm_start: false,
+            resilience: true,
+            ..one_turn(
+                "burst-storm-conversation",
+                "4 Mbps with Gilbert–Elliott bursts plus an injected loss storm (50% for \
+                 1 s) containing a 400 ms blackout that lands mid-turn — the resilience \
+                 stack degrades gracefully and recovers within the conversation",
+                4_004,
+                uplink(
+                    constant(4e6),
+                    bursty(),
+                    FaultSchedule::new(vec![
+                        episode(3.0, 1.0, FaultKind::BurstLoss { loss_rate: 0.5 }),
+                        episode(3.2, 0.4, FaultKind::Outage),
+                    ]),
+                ),
+            )
+        },
+        ScenarioSpec {
+            tenants: 4,
+            turns: 5,
+            window_secs: 1.0,
+            think_secs: 0.3,
+            warm_start: false,
+            resilience: true,
+            sharing: Some(Sharing {
+                joins: vec![0.0, 0.1, 0.2, 0.3],
+                starvation_floor_bps: 120_000.0,
+                ..Sharing::default()
+            }),
+            ..one_turn(
+                "shared-blackout",
+                "four staggered tenants on a 16 Mbps bottleneck that goes totally \
+                 dark for 500 ms mid-conversation — every tenant must degrade, \
+                 recover with finite time-to-recover, and share evenly again",
+                9_101,
+                uplink(constant(16e6), iid(0.005), blackout(3.2, 500)),
+            )
+        },
+        ScenarioSpec {
+            tenants: 4,
+            turns: 5,
+            window_secs: 1.0,
+            think_secs: 0.3,
+            warm_start: false,
+            resilience: true,
+            sharing: Some(Sharing {
+                joins: vec![0.0, 0.0, 0.0, 4.0],
+                starvation_floor_bps: 120_000.0,
+                admission: true,
+                ..Sharing::default()
+            }),
+            ..one_turn(
+                "hotspot-join",
+                "three incumbents on an 8 Mbps bottleneck, a fourth tenant joining \
+                 mid-conversation right as a 30% loss storm hits — admission clamps \
+                 the joiner to its fair share instead of letting it stampede",
+                9_202,
+                uplink(
+                    constant(8e6),
+                    iid(0.01),
+                    FaultSchedule::new(vec![episode(3.5, 1.5, FaultKind::BurstLoss { loss_rate: 0.3 })]),
+                ),
+            )
+        },
+        ScenarioSpec {
+            tenants: 3,
+            turns: 5,
+            window_secs: 1.0,
+            think_secs: 0.4,
+            warm_start: false,
+            resilience: true,
+            sharing: Some(Sharing {
+                joins: vec![0.0, 0.0, 0.0],
+                starvation_floor_bps: 350_000.0,
+                cross_traffic: vec![CrossTrafficSpec {
+                    rate_bps: 9.5e6,
+                    packet_bytes: 1_200,
+                    start: secs(2.0),
+                    stop: secs(6.0),
+                }],
+                ..Sharing::default()
+            }),
+            ..one_turn(
+                "cross-traffic-surge",
+                "three tenants on a 10 Mbps bottleneck while a 9.5 Mbps elastic \
+                 cross-traffic surge squeezes them for 4 s — the starvation \
+                 watchdog must notice sustained sub-floor goodput and escalate",
+                9_303,
+                uplink(constant(10e6), iid(0.005), none()),
+            )
+        },
+        ScenarioSpec {
+            tenants: 4,
+            turns: 5,
+            window_secs: 1.0,
+            think_secs: 0.3,
+            warm_start: false,
+            sharing: Some(Sharing {
+                joins: vec![0.0, 0.1, 0.2, 0.3],
+                pinned_ai: Some(0),
+                starvation_floor_bps: 200_000.0,
+                ..Sharing::default()
+            }),
+            ..one_turn(
+                "ai-floor-vs-traditional",
+                "one AI-oriented tenant holding its accuracy floor among three \
+                 traditional peers on a fault-free 5 Mbps bottleneck — does the \
+                 floor starve anyone? (watchdog armed, expected silent)",
+                9_404,
+                uplink(constant(5e6), iid(0.01), none()),
+            )
         },
     ]
 }
 
-/// Looks a scenario up by name.
-pub fn by_name(name: &str) -> Option<Scenario> {
-    registry().into_iter().find(|s| s.name == name)
+/// Looks a registry entry up by name.
+pub fn by_name(name: &str) -> Option<ScenarioSpec> {
+    registry().into_iter().find(|spec| spec.name == name)
 }
 
-/// The per-scenario report: both ABR modes side by side plus a small multi-session
+/// The registry entries whose tenants share the uplink, in registry order: the contention
+/// fixtures, and what the benchmark's `contention_cold` seeds by index.
+pub fn contention_registry() -> Vec<ScenarioSpec> {
+    let mut specs: Vec<_> = registry().into_iter().filter(|s| s.sharing.is_some()).collect();
+    // Collected in place, the four would keep the sixteen's allocation for as long as they live.
+    specs.shrink_to_fit();
+    specs
+}
+
+/// The report of a one-turn spec: both ABR modes side by side plus a small multi-session
 /// [`ConversationChatServer`] run.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct ScenarioReport {
@@ -283,43 +700,38 @@ pub struct ScenarioReport {
     pub server_mean_probability: f64,
 }
 
-/// Runs a scenario's single-session turns: `(traditional, ai_oriented)`.
-pub fn run_modes(scenario: &Scenario) -> (NetTurnReport, NetTurnReport) {
-    let (frames, question) = scenario.turn();
-    run_modes_on(scenario, &frames, &question)
+/// Runs a spec's one conversation on a link of its own under one ABR mode: tenant 0's
+/// script on a fresh [`Conversation`].
+///
+/// # Panics
+///
+/// Panics with [`ScenarioSpec::validate`]'s message before anything is built.
+pub fn run_conversation_mode(spec: &ScenarioSpec, ai_oriented: bool) -> ConversationReport {
+    let tenant = spec.tenant_spec(0, ai_oriented);
+    let mut conversation = Conversation::with_defaults(tenant.options, tenant.think);
+    for turn in &tenant.turns {
+        conversation.run_turn_in_place(&turn.frames, &turn.question);
+    }
+    conversation.report()
 }
 
-/// [`run_modes`] over an already-synthesized turn window.
-fn run_modes_on(
-    scenario: &Scenario,
-    frames: &[Frame],
-    question: &Question,
-) -> (NetTurnReport, NetTurnReport) {
-    let run = |ai_oriented| {
-        Conversation::with_defaults(scenario.options(ai_oriented), SimDuration::ZERO)
-            .run_turn(frames, question)
-    };
-    (run(false), run(true))
-}
-
-/// Sessions the multi-session leg of [`run_scenario`] uses.
-const SERVER_SESSIONS: usize = 3;
-
-/// Runs one scenario end to end: both single-session ABR modes plus a
-/// `SERVER_SESSIONS`-session server workload spread over `pool_size` lanes. The result
-/// is bit-identical for any `pool_size` (sessions share nothing).
-pub fn run_scenario(scenario: &Scenario, pool_size: usize) -> ScenarioReport {
-    let (frames, question) = scenario.turn();
-    let (traditional, ai_oriented) = run_modes_on(scenario, &frames, &question);
-    let mut server = ConversationChatServer::new(
-        pool_size,
-        SERVER_SESSIONS,
-        scenario.options(true),
-        SimDuration::ZERO,
-    );
-    server.run_turns(&frames, &question);
+/// Runs a one-turn spec end to end: its turn under both ABR modes plus a
+/// `SERVER_SESSIONS`-session server workload spread over `pool_size` lanes. The result is
+/// bit-identical for any `pool_size` (sessions share nothing).
+///
+/// # Panics
+///
+/// Panics with [`ScenarioSpec::validate`]'s message before anything is built, or when the
+/// spec has more than one turn.
+pub fn run_scenario(spec: &ScenarioSpec, pool_size: usize) -> ScenarioReport {
+    let tenant = spec.tenant_spec(0, true);
+    assert_eq!(spec.turns, 1, "a scenario report holds one turn per mode");
+    let turn = |ai_oriented| run_conversation_mode(spec, ai_oriented).turns.remove(0);
+    let (traditional, ai_oriented) = (turn(false), turn(true));
+    let mut server = ConversationChatServer::new(pool_size, SERVER_SESSIONS, tenant.options, tenant.think);
+    server.run_turns(&tenant.turns[0].frames, &tenant.turns[0].question);
     ScenarioReport {
-        scenario: scenario.name.to_string(),
+        scenario: spec.name.to_string(),
         traditional,
         ai_oriented,
         server_sessions: SERVER_SESSIONS,
@@ -357,7 +769,7 @@ const STREAM_TURN_SECS: f64 = 2.0;
 pub fn stream_for(options: NetSessionOptions, secs: f64) -> (Conversation, LatencyStats) {
     let scene = basketball_game(1);
     let question = Question::from_fact(&scene.facts[0], QuestionFormat::FreeResponse);
-    let source = VideoSource::new(scene, SourceConfig::fps30(6.0));
+    let source = VideoSource::new(scene, SourceConfig::fps30(CLIP_SECS));
     let fps = options.capture_fps;
     let mut conversation = Conversation::with_defaults(options, SimDuration::ZERO);
     let mut latency = LatencyStats::new();
@@ -371,173 +783,8 @@ pub fn stream_for(options: NetSessionOptions, secs: f64) -> (Conversation, Laten
     (conversation, latency)
 }
 
-// ---------------------------------------------------------------------------------------
-// Multi-turn conversation scenarios (the continuous-timeline engine, `crate::Conversation`)
-// ---------------------------------------------------------------------------------------
-
-/// One named multi-turn conversation scenario: a sequence of chat turns over one
-/// persistent transport timeline, with user think time between turns. Where the
-/// single-turn registry pins a *turn*'s behaviour, these pin a *conversation*'s —
-/// GCC warm-up across turns, queue carry-over, trace position spanning turns, NACK/RTX
-/// state surviving think gaps.
-#[derive(Debug, Clone)]
-pub struct ConversationScenario {
-    /// Registry key (also the fixture file name).
-    pub name: &'static str,
-    /// One-line description of the condition being modelled.
-    pub summary: &'static str,
-    /// Seed for every stochastic process of the scenario.
-    pub seed: u64,
-    /// Number of chat turns in the conversation.
-    pub turns: usize,
-    /// Length of each captured turn window in seconds.
-    pub window_secs: f64,
-    /// Capture rate of the turn windows.
-    pub capture_fps: f64,
-    /// The user's think time between consecutive turns, in seconds.
-    pub think_secs: f64,
-    /// When true, the session runs with the full outage-resilience stack on
-    /// ([`NetSessionOptions::with_resilience`]). Fault-injection scenarios set this; the
-    /// pre-existing registry entries keep it off, preserving their fixtures bit for bit.
-    pub resilience: bool,
-    /// The bidirectional path (the uplink carries the video). The uplink trace may be
-    /// shorter than the conversation — looping traces span turns by design.
-    pub path: PathConfig,
-}
-
-impl ConversationScenario {
-    /// The session options this scenario uses for the given ABR mode. Conversations start
-    /// **cold** (the default 1 Mbps initial estimate) so warm-up across turns is visible,
-    /// and enable deadline-aware NACK suppression — a retransmit that cannot beat a turn's
-    /// answer deadline is wasted uplink on a shared timeline.
-    pub fn options(&self, ai_oriented: bool) -> NetSessionOptions {
-        let mut options = if ai_oriented {
-            NetSessionOptions::ai_oriented(self.seed, self.path.clone())
-        } else {
-            NetSessionOptions::traditional(self.seed, self.path.clone())
-        };
-        options.capture_fps = self.capture_fps;
-        options.deadline_aware_nack = true;
-        if self.resilience {
-            options = options.with_resilience();
-        }
-        options
-    }
-
-    /// The think gap as a simulated duration.
-    pub fn think_gap(&self) -> SimDuration {
-        SimDuration::from_secs_f64(self.think_secs)
-    }
-
-    /// The captured window and question of turn `turn`. Successive turns advance through
-    /// the source video (wrapping at its end) and rotate through the scene's facts, so a
-    /// conversation asks about evolving content — deterministically.
-    pub fn turn(&self, turn: usize) -> (Vec<Frame>, Question) {
-        let scene = basketball_game(1);
-        let source = VideoSource::new(scene.clone(), SourceConfig::fps30(6.0));
-        let question = Question::from_fact(
-            &scene.facts[turn % scene.facts.len()],
-            QuestionFormat::FreeResponse,
-        );
-        let start = (turn as f64 * self.window_secs) % source.duration_secs();
-        (source.window(start, self.window_secs, self.capture_fps), question)
-    }
-}
-
-/// The conversation registry: ≥ 3 named, seeded multi-turn conditions.
-pub fn conversation_registry() -> Vec<ConversationScenario> {
-    let secs = SimTime::from_secs_f64;
-    vec![
-        ConversationScenario {
-            name: "lte-8turn",
-            summary: "an 8-turn conversation over a looping LTE-like trace (12→5→0.9→3→10 Mbps \
-                      per 4 s period) with 1 s think time — the trace wraps several times",
-            seed: 1_001,
-            turns: 8,
-            window_secs: 1.5,
-            capture_fps: 12.0,
-            think_secs: 1.0,
-            resilience: false,
-            path: uplink(
-                BandwidthTrace::from_segments(vec![
-                    (SimTime::ZERO, 12e6),
-                    (secs(1.0), 5e6),
-                    (secs(1.8), 0.9e6),
-                    (secs(2.6), 3e6),
-                    (secs(3.2), 10e6),
-                ])
-                .looping(SimDuration::from_secs_f64(4.0)),
-                12e6,
-                LossModel::Iid { rate: 0.005 },
-            ),
-        },
-        ConversationScenario {
-            name: "stepdown-mid-conversation",
-            summary: "8 Mbps collapsing to 1.2 Mbps at t = 6 s — mid-conversation, between \
-                      turns, so only a warm controller sees it coming",
-            seed: 2_002,
-            turns: 6,
-            window_secs: 1.5,
-            capture_fps: 12.0,
-            think_secs: 0.8,
-            resilience: false,
-            path: uplink(
-                BandwidthTrace::step(8e6, 1.2e6, secs(6.0)),
-                8e6,
-                LossModel::Iid { rate: 0.01 },
-            ),
-        },
-        ConversationScenario {
-            name: "bursty-think-time",
-            summary: "4 Mbps with Gilbert–Elliott bursts (8% mean loss, ~16-packet bursts) and \
-                      1.2 s think gaps — recovery state must survive the silences",
-            seed: 3_003,
-            turns: 6,
-            window_secs: 1.5,
-            capture_fps: 12.0,
-            think_secs: 1.2,
-            resilience: false,
-            path: uplink(BandwidthTrace::constant(4e6), 4e6, LossModel::bursty(0.08, 16.0)),
-        },
-        ConversationScenario {
-            name: "burst-storm-conversation",
-            summary: "4 Mbps with Gilbert–Elliott bursts plus an injected loss storm (50% for \
-                      1 s) containing a 400 ms blackout that lands mid-turn — the resilience \
-                      stack degrades gracefully and recovers within the conversation",
-            seed: 4_004,
-            turns: 6,
-            window_secs: 1.5,
-            capture_fps: 12.0,
-            think_secs: 1.2,
-            resilience: true,
-            path: uplink_with_faults(
-                BandwidthTrace::constant(4e6),
-                4e6,
-                LossModel::bursty(0.08, 16.0),
-                FaultSchedule::new(vec![
-                    FaultEpisode {
-                        start: SimTime::from_secs_f64(3.0),
-                        duration: SimDuration::from_secs_f64(1.0),
-                        kind: FaultKind::BurstLoss { loss_rate: 0.5 },
-                    },
-                    FaultEpisode {
-                        start: SimTime::from_secs_f64(3.2),
-                        duration: SimDuration::from_millis(400),
-                        kind: FaultKind::Outage,
-                    },
-                ]),
-            ),
-        },
-    ]
-}
-
-/// Looks a conversation scenario up by name.
-pub fn conversation_by_name(name: &str) -> Option<ConversationScenario> {
-    conversation_registry().into_iter().find(|s| s.name == name)
-}
-
-/// The per-conversation-scenario report: both ABR modes side by side, each a full
-/// cross-turn [`ConversationReport`].
+/// The report of a multi-turn spec on a link of its own: both ABR modes side by side, each
+/// a full cross-turn [`ConversationReport`].
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct ConversationScenarioReport {
     /// The scenario's registry name.
@@ -548,304 +795,17 @@ pub struct ConversationScenarioReport {
     pub ai_oriented: ConversationReport,
 }
 
-/// Runs one conversation scenario end to end under one ABR mode.
-pub fn run_conversation_mode(scenario: &ConversationScenario, ai_oriented: bool) -> ConversationReport {
-    let mut conversation = Conversation::with_defaults(scenario.options(ai_oriented), scenario.think_gap());
-    for turn in 0..scenario.turns {
-        let (frames, question) = scenario.turn(turn);
-        conversation.run_turn(&frames, &question);
-    }
-    conversation.report()
-}
-
-/// Runs one conversation scenario under both ABR modes.
-pub fn run_conversation_scenario(scenario: &ConversationScenario) -> ConversationScenarioReport {
+/// Runs a spec's one conversation under both ABR modes (see [`run_conversation_mode`]).
+pub fn run_conversation_scenario(spec: &ScenarioSpec) -> ConversationScenarioReport {
     ConversationScenarioReport {
-        scenario: scenario.name.to_string(),
-        traditional: run_conversation_mode(scenario, false),
-        ai_oriented: run_conversation_mode(scenario, true),
+        scenario: spec.name.to_string(),
+        traditional: run_conversation_mode(spec, false),
+        ai_oriented: run_conversation_mode(spec, true),
     }
 }
 
-// ---------------------------------------------------------------------------------------
-// Multi-tenant contention scenarios (the shared-bottleneck engine, `crate::contention`)
-// ---------------------------------------------------------------------------------------
-
-/// One named multi-tenant contention scenario: K persistent conversations (plus optional
-/// cross-traffic) contending for **one** shared bottleneck on one global timeline. Where
-/// the conversation registry pins a single tenant's continuous behaviour, these pin the
-/// *interaction*: fairness under faults, starvation-watchdog escalations, late-joiner
-/// admission and whether every tenant recovers from a shared outage.
-#[derive(Debug, Clone)]
-pub struct ContentionScenario {
-    /// Registry key (also the fixture file name).
-    pub name: &'static str,
-    /// One-line description of the condition being modelled.
-    pub summary: &'static str,
-    /// Seed for the shared link; tenant seeds are derived per tenant.
-    pub seed: u64,
-    /// Number of conversation tenants on the bottleneck.
-    pub tenants: usize,
-    /// Chat turns per tenant.
-    pub turns: usize,
-    /// Length of each captured turn window in seconds.
-    pub window_secs: f64,
-    /// Capture rate of the turn windows.
-    pub capture_fps: f64,
-    /// Think time between a tenant's consecutive turns, in seconds.
-    pub think_secs: f64,
-    /// Per-tenant join times in seconds (length = `tenants`).
-    pub joins: Vec<f64>,
-    /// When true, every tenant runs the full outage-resilience stack
-    /// ([`NetSessionOptions::with_resilience`]).
-    pub resilience: bool,
-    /// Nominal bottleneck rate — the admission fair-share denominator.
-    pub nominal_bps: f64,
-    /// The shared bottleneck every tenant contends for.
-    pub shared_uplink: LinkConfig,
-    /// Fairness-telemetry window in milliseconds.
-    pub fairness_window_ms: u64,
-    /// Starvation-watchdog settings.
-    pub starvation: StarvationConfig,
-    /// Late-joiner admission settings.
-    pub admission: AdmissionConfig,
-    /// Background cross-traffic sources.
-    pub cross_traffic: Vec<CrossTrafficSpec>,
-    /// A tenant pinned to AI-oriented ABR in **both** report legs — the
-    /// "does one accuracy floor starve a traditional peer" probe.
-    pub pinned_ai: Option<usize>,
-}
-
-impl ContentionScenario {
-    /// The engine configuration of this scenario.
-    pub fn config(&self) -> ContentionConfig {
-        ContentionConfig {
-            shared_uplink: self.shared_uplink.clone(),
-            shared_seed: self.seed,
-            nominal_bps: self.nominal_bps,
-            fairness_window: SimDuration::from_millis(self.fairness_window_ms),
-            starvation: self.starvation,
-            admission: self.admission,
-            cross_traffic: self.cross_traffic.clone(),
-        }
-    }
-
-    /// Whether tenant `tenant` runs AI-oriented ABR in the given report leg.
-    fn tenant_is_ai(&self, tenant: usize, ai_oriented: bool) -> bool {
-        ai_oriented || self.pinned_ai == Some(tenant)
-    }
-
-    /// Session options of one tenant. The tenant's path carries the **shared** uplink
-    /// config (so propagation and outage reporting describe the bottleneck its packets
-    /// really ride); conversations start cold and suppress deadline-hopeless NACKs, as in
-    /// the conversation registry.
-    pub fn tenant_options(&self, tenant: usize, ai_oriented: bool) -> NetSessionOptions {
-        let path = PathConfig {
-            uplink: self.shared_uplink.clone(),
-            downlink: clean_downlink(),
-        };
-        let seed = self.seed + 31 * (tenant as u64 + 1);
-        let mut options = if self.tenant_is_ai(tenant, ai_oriented) {
-            NetSessionOptions::ai_oriented(seed, path)
-        } else {
-            NetSessionOptions::traditional(seed, path)
-        };
-        options.capture_fps = self.capture_fps;
-        options.deadline_aware_nack = true;
-        if self.resilience {
-            options = options.with_resilience();
-        }
-        options
-    }
-
-    /// The scripted turns of one tenant: each tenant watches the same scene from a
-    /// tenant-specific offset and rotates through the facts from a tenant-specific
-    /// phase, so tenants ask different questions about different windows —
-    /// deterministically.
-    fn tenant_turns(&self, tenant: usize) -> Vec<TenantTurn> {
-        let source = VideoSource::new(basketball_game(1), SourceConfig::fps30(6.0));
-        let facts = &source.scene().facts;
-        (0..self.turns)
-            .map(|turn| {
-                let question = Question::from_fact(
-                    &facts[(turn + tenant) % facts.len()],
-                    QuestionFormat::FreeResponse,
-                );
-                let start =
-                    ((turn as f64 + tenant as f64 * 0.37) * self.window_secs) % source.duration_secs();
-                TenantTurn {
-                    frames: source.window(start, self.window_secs, self.capture_fps),
-                    question,
-                }
-            })
-            .collect()
-    }
-
-    /// The full spec of one tenant for the given report leg.
-    pub fn tenant_spec(&self, tenant: usize, ai_oriented: bool) -> TenantSpec {
-        TenantSpec {
-            label: format!("tenant-{tenant}"),
-            mode: if self.tenant_is_ai(tenant, ai_oriented) {
-                "ai_oriented"
-            } else {
-                "traditional"
-            }
-            .to_string(),
-            join_at: SimTime::from_secs_f64(self.joins[tenant]),
-            think: SimDuration::from_secs_f64(self.think_secs),
-            options: self.tenant_options(tenant, ai_oriented),
-            turns: self.tenant_turns(tenant),
-        }
-    }
-}
-
-/// The contention registry: named, seeded shared-bottleneck conditions.
-pub fn contention_registry() -> Vec<ContentionScenario> {
-    let secs = SimTime::from_secs_f64;
-    vec![
-        ContentionScenario {
-            name: "shared-blackout",
-            summary: "four staggered tenants on a 16 Mbps bottleneck that goes totally \
-                      dark for 500 ms mid-conversation — every tenant must degrade, \
-                      recover with finite time-to-recover, and share evenly again",
-            seed: 9_101,
-            tenants: 4,
-            turns: 5,
-            window_secs: 1.0,
-            capture_fps: 12.0,
-            think_secs: 0.3,
-            joins: vec![0.0, 0.1, 0.2, 0.3],
-            resilience: true,
-            nominal_bps: 16e6,
-            shared_uplink: LinkConfig {
-                bandwidth: BandwidthTrace::constant(16e6),
-                propagation_delay: SimDuration::from_millis(30),
-                queue_capacity_bytes: queue_bytes_for(16e6, 300),
-                loss: LossModel::Iid { rate: 0.005 },
-                max_jitter: SimDuration::ZERO,
-                faults: FaultSchedule::blackout(secs(3.2), SimDuration::from_millis(500)),
-            },
-            fairness_window_ms: 500,
-            starvation: StarvationConfig {
-                enabled: true,
-                floor_bps: 120_000.0,
-            },
-            admission: AdmissionConfig::disabled(),
-            cross_traffic: Vec::new(),
-            pinned_ai: None,
-        },
-        ContentionScenario {
-            name: "hotspot-join",
-            summary: "three incumbents on an 8 Mbps bottleneck, a fourth tenant joining \
-                      mid-conversation right as a 30% loss storm hits — admission clamps \
-                      the joiner to its fair share instead of letting it stampede",
-            seed: 9_202,
-            tenants: 4,
-            turns: 5,
-            window_secs: 1.0,
-            capture_fps: 12.0,
-            think_secs: 0.3,
-            joins: vec![0.0, 0.0, 0.0, 4.0],
-            resilience: true,
-            nominal_bps: 8e6,
-            shared_uplink: LinkConfig {
-                bandwidth: BandwidthTrace::constant(8e6),
-                propagation_delay: SimDuration::from_millis(30),
-                queue_capacity_bytes: queue_bytes_for(8e6, 300),
-                loss: LossModel::Iid { rate: 0.01 },
-                max_jitter: SimDuration::ZERO,
-                faults: FaultSchedule::new(vec![FaultEpisode {
-                    start: secs(3.5),
-                    duration: SimDuration::from_secs_f64(1.5),
-                    kind: FaultKind::BurstLoss { loss_rate: 0.3 },
-                }]),
-            },
-            fairness_window_ms: 500,
-            starvation: StarvationConfig {
-                enabled: true,
-                floor_bps: 120_000.0,
-            },
-            admission: AdmissionConfig { enabled: true },
-            cross_traffic: Vec::new(),
-            pinned_ai: None,
-        },
-        ContentionScenario {
-            name: "cross-traffic-surge",
-            summary: "three tenants on a 10 Mbps bottleneck while a 9.5 Mbps elastic \
-                      cross-traffic surge squeezes them for 4 s — the starvation \
-                      watchdog must notice sustained sub-floor goodput and escalate",
-            seed: 9_303,
-            tenants: 3,
-            turns: 5,
-            window_secs: 1.0,
-            capture_fps: 12.0,
-            think_secs: 0.4,
-            joins: vec![0.0, 0.0, 0.0],
-            resilience: true,
-            nominal_bps: 10e6,
-            shared_uplink: LinkConfig {
-                bandwidth: BandwidthTrace::constant(10e6),
-                propagation_delay: SimDuration::from_millis(30),
-                queue_capacity_bytes: queue_bytes_for(10e6, 300),
-                loss: LossModel::Iid { rate: 0.005 },
-                max_jitter: SimDuration::ZERO,
-                faults: FaultSchedule::none(),
-            },
-            fairness_window_ms: 500,
-            starvation: StarvationConfig {
-                enabled: true,
-                floor_bps: 350_000.0,
-            },
-            admission: AdmissionConfig::disabled(),
-            cross_traffic: vec![CrossTrafficSpec {
-                rate_bps: 9.5e6,
-                packet_bytes: 1_200,
-                start: secs(2.0),
-                stop: secs(6.0),
-            }],
-            pinned_ai: None,
-        },
-        ContentionScenario {
-            name: "ai-floor-vs-traditional",
-            summary: "one AI-oriented tenant holding its accuracy floor among three \
-                      traditional peers on a fault-free 5 Mbps bottleneck — does the \
-                      floor starve anyone? (watchdog armed, expected silent)",
-            seed: 9_404,
-            tenants: 4,
-            turns: 5,
-            window_secs: 1.0,
-            capture_fps: 12.0,
-            think_secs: 0.3,
-            joins: vec![0.0, 0.1, 0.2, 0.3],
-            resilience: false,
-            nominal_bps: 5e6,
-            shared_uplink: LinkConfig {
-                bandwidth: BandwidthTrace::constant(5e6),
-                propagation_delay: SimDuration::from_millis(30),
-                queue_capacity_bytes: queue_bytes_for(5e6, 300),
-                loss: LossModel::Iid { rate: 0.01 },
-                max_jitter: SimDuration::ZERO,
-                faults: FaultSchedule::none(),
-            },
-            fairness_window_ms: 500,
-            starvation: StarvationConfig {
-                enabled: true,
-                floor_bps: 200_000.0,
-            },
-            admission: AdmissionConfig::disabled(),
-            cross_traffic: Vec::new(),
-            pinned_ai: Some(0),
-        },
-    ]
-}
-
-/// Looks a contention scenario up by name.
-pub fn contention_by_name(name: &str) -> Option<ContentionScenario> {
-    contention_registry().into_iter().find(|s| s.name == name)
-}
-
-/// The per-contention-scenario report: both ABR legs side by side, each a full
-/// multi-tenant [`ContentionReport`]. A `pinned_ai` tenant stays AI-oriented in both.
+/// The report of a shared-uplink spec: both ABR legs side by side, each a full
+/// multi-tenant [`ContentionReport`]. A pinned tenant stays AI-oriented in both.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct ContentionScenarioReport {
     /// The scenario's registry name.
@@ -856,20 +816,23 @@ pub struct ContentionScenarioReport {
     pub ai_oriented: ContentionReport,
 }
 
-/// Runs one contention scenario under one ABR leg.
-fn run_contention_mode(scenario: &ContentionScenario, ai_oriented: bool) -> ContentionReport {
-    let specs = (0..scenario.tenants)
-        .map(|t| scenario.tenant_spec(t, ai_oriented))
-        .collect();
-    run_contention(&scenario.config(), specs)
-}
-
-/// Runs one contention scenario under both ABR legs.
-pub fn run_contention_scenario(scenario: &ContentionScenario) -> ContentionScenarioReport {
+/// Runs a spec's tenants on the contention engine under both ABR legs.
+///
+/// # Panics
+///
+/// Panics with [`ScenarioSpec::validate`]'s message before anything is built.
+pub fn run_contention_scenario(spec: &ScenarioSpec) -> ContentionScenarioReport {
+    spec.assert_valid();
+    let leg = |ai_oriented| {
+        let tenants = (0..spec.tenants)
+            .map(|t| spec.tenant_spec(t, ai_oriented))
+            .collect();
+        run_contention(&spec.config(), tenants)
+    };
     ContentionScenarioReport {
-        scenario: scenario.name.to_string(),
-        traditional: run_contention_mode(scenario, false),
-        ai_oriented: run_contention_mode(scenario, true),
+        scenario: spec.name.to_string(),
+        traditional: leg(false),
+        ai_oriented: leg(true),
     }
 }
 
@@ -879,14 +842,14 @@ pub fn run_contention_scenario(scenario: &ContentionScenario) -> ContentionScena
 /// size**, the same contract the server engines honour (pinned by the pool-sweep
 /// property tests).
 pub fn run_contention_cells(pool_size: usize) -> Vec<ContentionScenarioReport> {
-    let mut slots: Vec<(ContentionScenario, Option<ContentionScenarioReport>)> =
+    let mut slots: Vec<(ScenarioSpec, Option<ContentionScenarioReport>)> =
         contention_registry().into_iter().map(|s| (s, None)).collect();
     let pool = MiniPool::new(pool_size);
     let chunks = slots.len();
     let mut lane_units = vec![(); pool.lanes()];
     pool.for_each_chunk(&mut slots, chunks, &mut lane_units, |_, cells, ()| {
-        for (scenario, out) in cells.iter_mut() {
-            *out = Some(run_contention_scenario(scenario));
+        for (spec, out) in cells.iter_mut() {
+            *out = Some(run_contention_scenario(spec));
         }
     });
     slots
@@ -898,94 +861,149 @@ pub fn run_contention_cells(pool_size: usize) -> Vec<ContentionScenarioReport> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::panic::{catch_unwind, AssertUnwindSafe};
 
     #[test]
-    fn registry_has_at_least_six_unique_named_scenarios() {
+    fn one_registry_of_sixteen_uniquely_named_valid_entries() {
         let reg = registry();
-        assert!(reg.len() >= 6, "registry has {}", reg.len());
         let mut names: Vec<&str> = reg.iter().map(|s| s.name).collect();
         names.sort_unstable();
         names.dedup();
-        assert_eq!(names.len(), reg.len(), "scenario names must be unique");
-        assert!(by_name("step-down").is_some());
-        assert!(by_name("no-such-scenario").is_none());
-    }
-
-    #[test]
-    fn scenario_turns_are_reproducible() {
-        let scenario = by_name("constant").unwrap();
-        let (frames_a, q_a) = scenario.turn();
-        let (frames_b, q_b) = scenario.turn();
-        assert_eq!(frames_a, frames_b);
-        assert_eq!(q_a, q_b);
-        assert_eq!(frames_a.len(), 36);
-    }
-
-    #[test]
-    fn conversation_registry_has_at_least_three_unique_named_scenarios() {
-        let reg = conversation_registry();
-        assert!(reg.len() >= 3, "registry has {}", reg.len());
-        let mut names: Vec<&str> = reg.iter().map(|s| s.name).collect();
-        names.sort_unstable();
-        names.dedup();
+        assert_eq!(names.len(), 16, "one `by_name` serves every family");
+        for spec in &reg {
+            assert_eq!(spec.validate(), Ok(()), "{}", spec.name);
+        }
+        let family = |name| reg.iter().filter(|s| s.fixture_family() == name).count();
         assert_eq!(
-            names.len(),
-            reg.len(),
-            "conversation scenario names must be unique"
+            [family("scenario"), family("conversation"), family("contention")],
+            [8, 4, 4]
         );
-        assert!(conversation_by_name("lte-8turn").is_some());
-        assert!(conversation_by_name("no-such-conversation").is_none());
-        // At least one scenario exercises trace looping (the wrap-around satellite).
+        assert!(by_name("no-such-scenario").is_none());
+        // At least one entry exercises trace looping.
         assert!(reg
             .iter()
-            .any(|s| s.path.uplink.bandwidth.loop_period().is_some()));
+            .any(|s| s.shared_uplink.bandwidth.loop_period().is_some()));
+        // The acceptance scenario: K ≥ 4 tenants sharing one blackout.
+        let blackout = by_name("shared-blackout").unwrap();
+        assert!(blackout.tenants >= 4);
+        assert!(blackout
+            .shared_uplink
+            .faults
+            .episodes()
+            .iter()
+            .any(|e| matches!(e.kind, FaultKind::Outage)));
+    }
+
+    /// `validate`'s refusal of `spec`, after checking that `tenant_spec` and a run entry
+    /// panic with exactly its message.
+    fn refusal(spec: &ScenarioSpec) -> ScenarioSpecError {
+        let error = spec.validate().expect_err("the spec must be refused");
+        let panics = [
+            catch_unwind(AssertUnwindSafe(|| drop(spec.tenant_spec(0, true)))),
+            catch_unwind(AssertUnwindSafe(|| drop(run_contention_scenario(spec)))),
+        ];
+        for panic in panics {
+            let panic = panic.expect_err("refused before anything is built");
+            assert_eq!(panic.downcast_ref::<String>(), Some(&error.to_string()));
+        }
+        error
+    }
+
+    #[test]
+    fn joins_shorter_than_tenants_are_refused() {
+        let mut spec = by_name("shared-blackout").unwrap();
+        spec.tenants = 5;
+        assert_eq!(refusal(&spec), ScenarioSpecError::Joins(5, 4));
+    }
+
+    #[test]
+    fn a_pinned_tenant_that_does_not_exist_is_refused() {
+        let mut spec = by_name("ai-floor-vs-traditional").unwrap();
+        spec.sharing.as_mut().unwrap().pinned_ai = Some(4);
+        assert_eq!(refusal(&spec), ScenarioSpecError::PinnedAi(4, 4));
+    }
+
+    #[test]
+    fn nan_or_negative_think_and_join_times_are_refused() {
+        for secs in [f64::NAN, -1.0, f64::INFINITY] {
+            let mut spec = by_name("hotspot-join").unwrap();
+            spec.think_secs = secs;
+            assert!(matches!(refusal(&spec), ScenarioSpecError::ThinkSecs(_)));
+            let mut spec = by_name("hotspot-join").unwrap();
+            spec.sharing.as_mut().unwrap().joins[3] = secs;
+            assert!(matches!(refusal(&spec), ScenarioSpecError::JoinSecs(3, _)));
+        }
+    }
+
+    #[test]
+    fn windows_outside_one_capture_to_the_whole_clip_are_refused() {
+        for secs in [f64::INFINITY, f64::NAN, 0.0, -1.0, 0.05, 6.5] {
+            let mut spec = by_name("constant").unwrap();
+            spec.window_secs = secs;
+            assert!(matches!(refusal(&spec), ScenarioSpecError::WindowSecs(_)));
+        }
+    }
+
+    #[test]
+    fn tenant_and_turn_counts_a_run_cannot_hold_are_refused() {
+        let mut spec = by_name("lte-8turn").unwrap();
+        spec.tenants = 2;
+        assert_eq!(refusal(&spec), ScenarioSpecError::Tenants(2));
+        let mut spec = by_name("shared-blackout").unwrap();
+        spec.tenants = 0;
+        assert_eq!(refusal(&spec), ScenarioSpecError::Tenants(0));
+        for turns in [0, MAX_TURNS + 1] {
+            let mut spec = by_name("lte-8turn").unwrap();
+            spec.turns = turns;
+            assert_eq!(refusal(&spec), ScenarioSpecError::Turns(turns));
+        }
     }
 
     #[test]
     fn conversation_turns_are_reproducible_and_rotate_questions() {
-        let scenario = conversation_by_name("bursty-think-time").unwrap();
-        let (frames_a, q_a) = scenario.turn(2);
-        let (frames_b, q_b) = scenario.turn(2);
-        assert_eq!(frames_a, frames_b);
-        assert_eq!(q_a, q_b);
-        assert_eq!(frames_a.len(), 18);
-        let (_, q_other) = scenario.turn(3);
-        assert_ne!(q_a, q_other, "consecutive turns ask different questions");
+        let spec = by_name("bursty-think-time").unwrap();
+        let script = spec.tenant_spec(0, true).turns;
+        assert_eq!(script, spec.tenant_spec(0, false).turns);
+        assert_eq!(script[2].frames.len(), 18);
+        assert_ne!(
+            script[2].question, script[3].question,
+            "consecutive turns ask different questions"
+        );
     }
 
     #[test]
     fn fault_scenarios_engage_the_ladder_and_recover() {
-        let scenario = by_name("handover-blackout").unwrap();
-        assert!(scenario.resilience);
-        let (trad, ai) = run_modes(&scenario);
-        for (mode, r) in [("traditional", &trad), ("ai_oriented", &ai)] {
-            let res = &r.resilience;
-            assert_eq!(res.outage_ms, 500.0, "{mode}: the schedule's blackout length");
-            assert!(res.outage_drops > 0, "{mode}: blackout must drop sends");
-            assert!(res.watchdog_fallbacks > 0, "{mode}: watchdog must fire");
+        let spec = by_name("handover-blackout").unwrap();
+        assert!(spec.resilience);
+        for ai in [false, true] {
+            let report = run_conversation_mode(&spec, ai);
+            let res = &report.turns[0].resilience;
+            assert_eq!(res.outage_ms, 500.0, "ai={ai}: the schedule's blackout length");
+            assert!(res.outage_drops > 0, "ai={ai}: blackout must drop sends");
+            assert!(res.watchdog_fallbacks > 0, "ai={ai}: watchdog must fire");
             assert!(
                 res.captures_suppressed > 0 && res.probes_sent == res.captures_suppressed,
-                "{mode}: every suppressed capture sends one keep-alive probe"
+                "ai={ai}: every suppressed capture sends one keep-alive probe"
             );
-            assert!(res.degradation_events > 0, "{mode}: ladder transitions counted");
+            assert!(res.degradation_events > 0, "ai={ai}: ladder transitions counted");
             let ttr = res.time_to_recover_ms.unwrap_or(f64::NAN);
             assert!(
                 ttr.is_finite() && ttr > 0.0,
-                "{mode}: time_to_recover_ms must be finite, got {ttr}"
+                "ai={ai}: time_to_recover_ms must be finite, got {ttr}"
             );
         }
     }
 
     #[test]
     fn duplication_and_reordering_counters_are_surfaced() {
-        let scenario = by_name("rtt-spike-midturn").unwrap();
-        let (trad, ai) = run_modes(&scenario);
+        let spec = by_name("rtt-spike-midturn").unwrap();
+        let [trad, ai] = [false, true].map(|ai| run_conversation_mode(&spec, ai).resilience);
         assert!(
-            trad.resilience.packets_duplicated + ai.resilience.packets_duplicated > 0,
+            trad.packets_duplicated + ai.packets_duplicated > 0,
             "a 5% duplicate episode over two seconds must duplicate something"
         );
         assert!(
-            trad.resilience.packets_reordered + ai.resilience.packets_reordered > 0,
+            trad.packets_reordered + ai.packets_reordered > 0,
             "a 5% reorder episode over two seconds must reorder something"
         );
     }
@@ -994,17 +1012,17 @@ mod tests {
     fn fault_free_scenarios_report_quiet_telemetry() {
         // The serialization-omission condition behind fixture bit-identity: without a
         // fault schedule or the resilience stack, the telemetry stays all-default.
-        let scenario = by_name("constant").unwrap();
-        let (trad, ai) = run_modes(&scenario);
-        assert!(trad.resilience.is_quiet());
-        assert!(ai.resilience.is_quiet());
+        let spec = by_name("constant").unwrap();
+        for ai in [false, true] {
+            assert!(run_conversation_mode(&spec, ai).turns[0].resilience.is_quiet());
+        }
     }
 
     #[test]
     fn burst_storm_conversation_recovers_within_the_conversation() {
-        let scenario = conversation_by_name("burst-storm-conversation").unwrap();
-        assert!(scenario.resilience);
-        let report = run_conversation_mode(&scenario, true);
+        let spec = by_name("burst-storm-conversation").unwrap();
+        assert!(spec.resilience);
+        let report = run_conversation_mode(&spec, true);
         let res = &report.resilience;
         assert_eq!(res.outage_ms, 400.0);
         assert!(res.watchdog_fallbacks > 0);
@@ -1015,61 +1033,32 @@ mod tests {
     }
 
     #[test]
-    fn contention_registry_is_well_formed() {
-        let reg = contention_registry();
-        assert!(reg.len() >= 4, "registry has {}", reg.len());
-        let mut names: Vec<&str> = reg.iter().map(|s| s.name).collect();
-        names.sort_unstable();
-        names.dedup();
-        assert_eq!(names.len(), reg.len(), "contention scenario names must be unique");
-        for s in &reg {
-            assert_eq!(s.joins.len(), s.tenants, "{}: one join time per tenant", s.name);
-            assert!(s.tenants >= 3, "{}: contention needs several tenants", s.name);
-            if let Some(pinned) = s.pinned_ai {
-                assert!(pinned < s.tenants, "{}: pinned tenant exists", s.name);
-            }
-        }
-        assert!(contention_by_name("shared-blackout").is_some());
-        assert!(contention_by_name("no-such-contention").is_none());
-        // The acceptance scenario: K ≥ 4 tenants sharing one blackout.
-        let blackout = contention_by_name("shared-blackout").unwrap();
-        assert!(blackout.tenants >= 4);
-        assert!(blackout
-            .shared_uplink
-            .faults
-            .episodes()
-            .iter()
-            .any(|e| matches!(e.kind, FaultKind::Outage)));
-    }
-
-    #[test]
     fn contention_tenant_scripts_differ_between_tenants() {
-        let scenario = contention_by_name("shared-blackout").unwrap();
-        let a = scenario.tenant_turns(0);
-        let b = scenario.tenant_turns(1);
-        assert_eq!(a.len(), scenario.turns);
+        let spec = by_name("shared-blackout").unwrap();
+        let a = spec.tenant_turns(0);
+        let b = spec.tenant_turns(1);
+        assert_eq!(a.len(), spec.turns);
         assert_ne!(a[0].question, b[0].question, "tenants ask from different phases");
         assert_ne!(a[0].frames, b[0].frames, "tenants watch different windows");
         // And the scripts are reproducible.
-        assert_eq!(a, scenario.tenant_turns(0));
+        assert_eq!(a, spec.tenant_turns(0));
     }
 
     #[test]
     fn pinned_tenant_stays_ai_oriented_in_both_legs() {
-        let scenario = contention_by_name("ai-floor-vs-traditional").unwrap();
-        let trad_leg = scenario.tenant_spec(0, false);
-        assert_eq!(trad_leg.mode, "ai_oriented");
-        let peer = scenario.tenant_spec(1, false);
-        assert_eq!(peer.mode, "traditional");
-        let ai_leg = scenario.tenant_spec(1, true);
-        assert_eq!(ai_leg.mode, "ai_oriented");
+        let spec = by_name("ai-floor-vs-traditional").unwrap();
+        let mode = |tenant, ai| spec.tenant_spec(tenant, ai).mode;
+        assert_eq!(
+            [mode(0, false), mode(1, false), mode(1, true)],
+            ["ai_oriented", "traditional", "ai_oriented"]
+        );
     }
 
     #[test]
     fn options_differ_only_in_abr_objective() {
-        let scenario = by_name("bursty-loss").unwrap();
-        let trad = scenario.options(false);
-        let ai = scenario.options(true);
+        let spec = by_name("bursty-loss").unwrap();
+        let trad = spec.tenant_options(0, false);
+        let ai = spec.tenant_options(0, true);
         assert_eq!(trad.seed, ai.seed);
         assert_eq!(trad.capture_fps, ai.capture_fps);
         assert_ne!(

@@ -7,10 +7,17 @@
 //! Run with: `cargo run --release --example network_sweep`
 
 use aivchat::core::scenarios::{
-    contention_registry, conversation_registry, registry, run_contention_scenario, run_conversation_scenario,
-    run_scenario,
+    registry, run_contention_scenario, run_conversation_scenario, run_scenario, ScenarioSpec,
 };
 use aivchat::mllm::{InferenceLatencyModel, MllmConfig};
+
+/// The registry's entries of one fixture family, in registry order.
+fn family(name: &str) -> Vec<ScenarioSpec> {
+    registry()
+        .into_iter()
+        .filter(|s| s.fixture_family() == name)
+        .collect()
+}
 
 fn main() {
     // The transport budget left once MLLM inference is paid (§1's "at most 68 ms").
@@ -22,7 +29,7 @@ fn main() {
         "{:<12} {:<12} {:>10} {:>10} {:>9} {:>9} {:>7} {:>9} {:>8}",
         "scenario", "abr", "target", "goodput", "p50 (ms)", "p95 (ms)", "frames", "accuracy", "correct"
     );
-    for scenario in registry() {
+    for scenario in family("scenario") {
         let report = run_scenario(&scenario, 1);
         for (abr, turn) in [
             ("traditional", &report.traditional),
@@ -63,7 +70,7 @@ fn main() {
         "\n{:<26} {:<12} {:>6} {:>11} {:>11} {:>9} {:>9} {:>8} {:>8}",
         "conversation", "abr", "turns", "cold swing", "warm swing", "carry", "p95 (ms)", "correct", "nack-"
     );
-    for scenario in conversation_registry() {
+    for scenario in family("conversation") {
         let report = run_conversation_scenario(&scenario);
         for (abr, conv) in [
             ("traditional", &report.traditional),
@@ -100,7 +107,7 @@ fn main() {
         "\n{:<24} {:<12} {:>7} {:>6} {:>10} {:>13} {:>6} {:>9}",
         "contention", "abr", "tenants", "jain", "post-jain", "shares", "starv", "ttr (ms)"
     );
-    for scenario in contention_registry() {
+    for scenario in family("contention") {
         let report = run_contention_scenario(&scenario);
         for (abr, rep) in [
             ("traditional", &report.traditional),

@@ -7,13 +7,13 @@
 //! To refresh the fixtures after an intentional behaviour change:
 //! `AIVC_UPDATE_FIXTURES=1 cargo test --release --test contention_golden`
 
-use aivchat::core::scenarios::{contention_by_name, contention_registry, run_contention_scenario};
+use aivchat::core::scenarios::{by_name, contention_registry, run_contention_scenario, ScenarioSpec};
 use std::path::PathBuf;
 
-fn fixture_path(name: &str) -> PathBuf {
+fn fixture_path(scenario: &ScenarioSpec) -> PathBuf {
     PathBuf::from(env!("CARGO_MANIFEST_DIR"))
         .join("tests/fixtures")
-        .join(format!("contention_{name}.json"))
+        .join(format!("{}_{}.json", scenario.fixture_family(), scenario.name))
 }
 
 /// Every contention scenario, run end to end under both ABR legs, serialized and
@@ -24,7 +24,7 @@ fn golden_contention_reports_are_bit_stable() {
     for scenario in contention_registry() {
         let report = run_contention_scenario(&scenario);
         let json = serde_json::to_string_pretty(&report).expect("report serializes");
-        let path = fixture_path(scenario.name);
+        let path = fixture_path(&scenario);
         if update {
             std::fs::create_dir_all(path.parent().unwrap()).unwrap();
             std::fs::write(&path, format!("{json}\n")).unwrap();
@@ -50,7 +50,7 @@ fn golden_contention_reports_are_bit_stable() {
 /// reproduces the identical report (fresh shared link and tenants, same seeds).
 #[test]
 fn contention_runs_are_deterministic() {
-    let scenario = contention_by_name("shared-blackout").expect("registered scenario");
+    let scenario = by_name("shared-blackout").expect("registered scenario");
     assert_eq!(
         run_contention_scenario(&scenario),
         run_contention_scenario(&scenario)
@@ -63,7 +63,7 @@ fn contention_runs_are_deterministic() {
 /// (Jain ≥ 0.8), under both ABR legs.
 #[test]
 fn shared_blackout_every_tenant_recovers_and_shares_evenly() {
-    let scenario = contention_by_name("shared-blackout").unwrap();
+    let scenario = by_name("shared-blackout").unwrap();
     assert!(scenario.tenants >= 4);
     let report = run_contention_scenario(&scenario);
     for (leg, r) in [
@@ -106,7 +106,7 @@ fn shared_blackout_every_tenant_recovers_and_shares_evenly() {
 /// peers, watchdog armed — must stay completely quiet: the accuracy floor starves no one.
 #[test]
 fn watchdog_escalates_under_surge_and_stays_quiet_around_the_floor() {
-    let surge = run_contention_scenario(&contention_by_name("cross-traffic-surge").unwrap());
+    let surge = run_contention_scenario(&by_name("cross-traffic-surge").unwrap());
     for (leg, r) in [
         ("traditional", &surge.traditional),
         ("ai_oriented", &surge.ai_oriented),
@@ -121,7 +121,7 @@ fn watchdog_escalates_under_surge_and_stays_quiet_around_the_floor() {
         );
     }
 
-    let floor = run_contention_scenario(&contention_by_name("ai-floor-vs-traditional").unwrap());
+    let floor = run_contention_scenario(&by_name("ai-floor-vs-traditional").unwrap());
     for (leg, r) in [
         ("traditional", &floor.traditional),
         ("ai_oriented", &floor.ai_oriented),
@@ -142,7 +142,7 @@ fn watchdog_escalates_under_surge_and_stays_quiet_around_the_floor() {
 /// fair share, and still completes its conversation alongside the incumbents.
 #[test]
 fn hotspot_joiner_is_admitted_and_completes() {
-    let scenario = contention_by_name("hotspot-join").unwrap();
+    let scenario = by_name("hotspot-join").unwrap();
     let report = run_contention_scenario(&scenario);
     for (leg, r) in [
         ("traditional", &report.traditional),
@@ -158,7 +158,7 @@ fn hotspot_joiner_is_admitted_and_completes() {
         // Admission caps the joiner's first-turn estimate at nominal / active tenants.
         assert!(
             joiner.conversation.estimate_at_turn_start_bps[0]
-                <= scenario.nominal_bps / scenario.tenants as f64 + 1.0,
+                <= scenario.config().nominal_bps / scenario.tenants as f64 + 1.0,
             "{leg}: joiner started above its fair share"
         );
         assert!(

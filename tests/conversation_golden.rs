@@ -8,14 +8,21 @@
 //! `AIVC_UPDATE_FIXTURES=1 cargo test --release --test conversation_golden`
 
 use aivchat::core::scenarios::{
-    conversation_by_name, conversation_registry, run_conversation_mode, run_conversation_scenario,
+    by_name, registry, run_conversation_mode, run_conversation_scenario, ScenarioSpec,
 };
 use std::path::PathBuf;
 
-fn fixture_path(name: &str) -> PathBuf {
+fn fixture_path(scenario: &ScenarioSpec) -> PathBuf {
     PathBuf::from(env!("CARGO_MANIFEST_DIR"))
         .join("tests/fixtures")
-        .join(format!("conversation_{name}.json"))
+        .join(format!("{}_{}.json", scenario.fixture_family(), scenario.name))
+}
+
+/// The registry's multi-turn entries on a link of their own.
+fn conversations() -> impl Iterator<Item = ScenarioSpec> {
+    registry()
+        .into_iter()
+        .filter(|s| s.fixture_family() == "conversation")
 }
 
 /// Every conversation scenario, run end to end under both ABR modes, serialized and
@@ -23,10 +30,10 @@ fn fixture_path(name: &str) -> PathBuf {
 #[test]
 fn golden_conversation_reports_are_bit_stable() {
     let update = std::env::var("AIVC_UPDATE_FIXTURES").is_ok();
-    for scenario in conversation_registry() {
+    for scenario in conversations() {
         let report = run_conversation_scenario(&scenario);
         let json = serde_json::to_string_pretty(&report).expect("report serializes");
-        let path = fixture_path(scenario.name);
+        let path = fixture_path(&scenario);
         if update {
             std::fs::create_dir_all(path.parent().unwrap()).unwrap();
             std::fs::write(&path, format!("{json}\n")).unwrap();
@@ -52,7 +59,7 @@ fn golden_conversation_reports_are_bit_stable() {
 /// reproduces the identical report (fresh conversations, same seeds).
 #[test]
 fn conversation_runs_are_deterministic() {
-    let scenario = conversation_by_name("stepdown-mid-conversation").expect("registered scenario");
+    let scenario = by_name("stepdown-mid-conversation").expect("registered scenario");
     assert_eq!(
         run_conversation_scenario(&scenario),
         run_conversation_scenario(&scenario)
@@ -64,7 +71,7 @@ fn conversation_runs_are_deterministic() {
 /// turn `k` — nothing about the controller is reset at a turn boundary.
 #[test]
 fn transport_state_persists_across_every_turn_boundary() {
-    for scenario in conversation_registry() {
+    for scenario in conversations() {
         for ai in [false, true] {
             let report = run_conversation_mode(&scenario, ai);
             assert_eq!(report.turns.len(), scenario.turns, "{}", scenario.name);
@@ -80,7 +87,7 @@ fn transport_state_persists_across_every_turn_boundary() {
             // Turn 0 started from the configured initial estimate (the cold start).
             assert_eq!(
                 report.estimate_at_turn_start_bps[0],
-                scenario.options(ai).gcc.initial_estimate_bps,
+                scenario.tenant_spec(0, ai).options.gcc.initial_estimate_bps,
                 "{} (ai={ai})",
                 scenario.name
             );
@@ -94,7 +101,7 @@ fn transport_state_persists_across_every_turn_boundary() {
 /// without losing answer accuracy.
 #[test]
 fn accuracy_floor_beats_estimate_riding_across_a_whole_conversation() {
-    let scenario = conversation_by_name("stepdown-mid-conversation").unwrap();
+    let scenario = by_name("stepdown-mid-conversation").unwrap();
     let report = run_conversation_scenario(&scenario);
     let (trad, ai) = (&report.traditional, &report.ai_oriented);
     assert!(
@@ -137,10 +144,9 @@ fn accuracy_floor_beats_estimate_riding_across_a_whole_conversation() {
 /// explicit trace looping (wrap-around satellite) is what the scenario exercises.
 #[test]
 fn lte_conversation_spans_the_looping_trace() {
-    let scenario = conversation_by_name("lte-8turn").unwrap();
+    let scenario = by_name("lte-8turn").unwrap();
     let period = scenario
-        .path
-        .uplink
+        .shared_uplink
         .bandwidth
         .loop_period()
         .expect("lte-8turn uses a looping trace");

@@ -2,17 +2,24 @@
 //! [`NetSessionOptions`], the uplink's loss rate included, in the first property; on the
 //! sender (γ, the CLIP patch size), on both links of `path` (rate, delays, queue) and in the
 //! frames themselves in the second; on a [`ContentionConfig`] (nominal rate, fairness window,
-//! starvation floor, a cross-traffic source) in the third — is thrown the values input tends
-//! to hurt with — NaN, ±∞, 0, −1, a subnormal, `MAX` — next to a valid one. Either a structured error names the field and the constructor refuses
-//! with exactly that message before anything moves, or three turns on the lossy §2.2 path
-//! finish with a report whose every serialized number is finite, after a bounded number of
-//! kernel events. Nothing else is acceptable: not a `clamp` or overflow panic in the middle
-//! of a turn, not a timeline that spins. (A frame has no constructor to refuse it: one with a
-//! NaN content descriptor is refused, by name, where it enters the codec.)
+//! starvation floor, a cross-traffic source) in the third; on a registry scenario spec (its
+//! counts, window, think and join times, pinned tenant, starvation floor and a cross-traffic
+//! source) in the fourth — is thrown the values input tends to hurt with — NaN, ±∞, 0, −1, a
+//! subnormal, `MAX` — next to a valid one. Either a structured error names the field and the
+//! constructor refuses with exactly that message before anything moves, or three turns on the
+//! lossy §2.2 path finish with a report whose every serialized number is finite, after a
+//! bounded number of kernel events (a spec, instead, builds every tenant). Nothing else is
+//! acceptable: not a `clamp` or overflow panic in the middle of a turn, not a timeline that
+//! spins. (A frame has no constructor to refuse it: one with a NaN content descriptor is
+//! refused, by name, where it enters the codec.)
 //!
 //! Run in debug and release (CI does): overflow checks differ between the profiles, which
 //! is how an infinite `drain_secs` used to fail two different ways.
 
+use aivchat::core::scenarios::{
+    contention_registry, registry, run_contention_scenario, run_conversation_mode, run_conversation_scenario,
+    run_scenario,
+};
 use aivchat::core::session::StreamingMode;
 use aivchat::core::{
     run_contention, AdmissionConfig, ContentionConfig, Conversation, CrossTrafficSpec, NetSessionOptions,
@@ -366,6 +373,69 @@ proptest! {
                         Err(panic) => format!("panicked: {:?}", panic_message(panic)),
                     }
                 )))
+            }
+        }
+    }
+
+    /// What a registry entry varies, one value at a time: its tenant count, turn count,
+    /// window, think time, last join time, pinned tenant, starvation floor or a cross-traffic
+    /// source's rate (the last four on a shared-uplink entry). Either `ScenarioSpec::validate`
+    /// names the field and `tenant_spec` and every run entry refuse with exactly that message,
+    /// or every tenant's spec builds in both legs, with a script of captured turns and a join
+    /// time the clock can add a run to. The specs are not run: a 1e6-s think time is legal,
+    /// and slow.
+    #[test]
+    fn hostile_specs_are_refused_by_name_or_build_every_tenant(
+        entry in 0usize..16,
+        field in 0usize..8,
+        count in [0usize, 1, usize::MAX, 2],
+        secs in hostile_f64(1.0),
+    ) {
+        let mut spec = if field < 4 {
+            registry().swap_remove(entry)
+        } else {
+            contention_registry().swap_remove(entry % 4)
+        };
+        let sharing = spec.sharing.as_mut();
+        match field {
+            0 => spec.tenants = count,
+            1 => spec.turns = count,
+            2 => spec.window_secs = secs,
+            3 => spec.think_secs = secs,
+            4 => *sharing.unwrap().joins.last_mut().unwrap() = secs,
+            5 => sharing.unwrap().pinned_ai = Some(count),
+            6 => sharing.unwrap().starvation_floor_bps = secs,
+            _ => sharing.unwrap().cross_traffic = vec![CrossTrafficSpec {
+                rate_bps: secs,
+                packet_bytes: 1_200,
+                start: SimTime::ZERO,
+                stop: SimTime::from_micros(1_000_000),
+            }],
+        }
+        let Err(error) = spec.validate().map_err(|e| e.to_string()) else {
+            for tenant in 0..spec.tenants {
+                for ai_oriented in [false, true] {
+                    let built = spec.tenant_spec(tenant, ai_oriented);
+                    prop_assert!(!built.turns.is_empty() && built.turns.iter().all(|t| !t.frames.is_empty()));
+                    prop_assert!(built.join_at <= SimTime::from_micros(1_000_000_000_000), "{}", built.join_at);
+                }
+            }
+            return Ok(());
+        };
+        let entries: [(&str, &dyn Fn()); 5] = [
+            ("tenant_spec", &|| drop(spec.tenant_spec(0, true))),
+            ("run_scenario", &|| drop(run_scenario(&spec, 1))),
+            ("run_conversation_mode", &|| drop(run_conversation_mode(&spec, true))),
+            ("run_conversation_scenario", &|| drop(run_conversation_scenario(&spec))),
+            ("run_contention_scenario", &|| drop(run_contention_scenario(&spec))),
+        ];
+        for (name, run) in entries {
+            match catch_unwind(AssertUnwindSafe(run)) {
+                Err(panic) => prop_assert!(
+                    panic_message(panic).as_ref() == Some(&error),
+                    "{name} refused otherwise than validate's {error:?}"
+                ),
+                Ok(()) => return Err(TestCaseError::fail(format!("{name} built what validate refused: {error}"))),
             }
         }
     }

@@ -6,14 +6,22 @@
 //! To refresh the fixtures after an intentional behaviour change:
 //! `AIVC_UPDATE_FIXTURES=1 cargo test --release --test scenario_golden`
 
-use aivchat::core::scenarios::{by_name, registry, run_modes, run_scenario};
+use aivchat::core::scenarios::{by_name, registry, run_conversation_mode, run_scenario, ScenarioSpec};
+use aivchat::core::NetTurnReport;
 use aivchat::par::MiniPool;
 use std::path::PathBuf;
 
-fn fixture_path(name: &str) -> PathBuf {
+fn fixture_path(scenario: &ScenarioSpec) -> PathBuf {
     PathBuf::from(env!("CARGO_MANIFEST_DIR"))
         .join("tests/fixtures")
-        .join(format!("scenario_{name}.json"))
+        .join(format!("{}_{}.json", scenario.fixture_family(), scenario.name))
+}
+
+/// A one-turn scenario's turn under both ABR modes: `(traditional, ai_oriented)`.
+fn run_modes(name: &str) -> (NetTurnReport, NetTurnReport) {
+    let scenario = by_name(name).expect("registered scenario");
+    let turn = |ai| run_conversation_mode(&scenario, ai).turns.remove(0);
+    (turn(false), turn(true))
 }
 
 /// Every registry scenario, run end to end (both ABR modes + the multi-session server),
@@ -24,10 +32,13 @@ fn fixture_path(name: &str) -> PathBuf {
 #[test]
 fn golden_scenario_reports_are_bit_stable() {
     let update = std::env::var("AIVC_UPDATE_FIXTURES").is_ok();
-    for scenario in registry() {
+    for scenario in registry()
+        .into_iter()
+        .filter(|s| s.fixture_family() == "scenario")
+    {
         let report = run_scenario(&scenario, MiniPool::env_lanes());
         let json = serde_json::to_string_pretty(&report).expect("report serializes");
-        let path = fixture_path(scenario.name);
+        let path = fixture_path(&scenario);
         if update {
             std::fs::create_dir_all(path.parent().unwrap()).unwrap();
             std::fs::write(&path, format!("{json}\n")).unwrap();
@@ -53,8 +64,7 @@ fn golden_scenario_reports_are_bit_stable() {
 /// identical report (fresh sessions, same seeds).
 #[test]
 fn scenario_runs_are_deterministic() {
-    let scenario = by_name("square-wave").expect("registered scenario");
-    assert_eq!(run_modes(&scenario), run_modes(&scenario));
+    assert_eq!(run_modes("square-wave"), run_modes("square-wave"));
 }
 
 /// The acceptance contract of the scenario engine (paper §3.2 / Figure 3): on the adverse
@@ -64,8 +74,7 @@ fn scenario_runs_are_deterministic() {
 #[test]
 fn ai_oriented_matches_or_beats_traditional_accuracy_on_adverse_scenarios() {
     for name in ["step-down", "bursty-loss"] {
-        let scenario = by_name(name).expect("registered scenario");
-        let (traditional, ai) = run_modes(&scenario);
+        let (traditional, ai) = run_modes(name);
         assert!(
             u8::from(ai.answer.correct) >= u8::from(traditional.answer.correct),
             "{name}: ai answered {} but traditional {}",
@@ -99,7 +108,7 @@ fn ai_oriented_matches_or_beats_traditional_accuracy_on_adverse_scenarios() {
     }
     // Where capacity steps out from under the sender, the tail-latency gap is an order of
     // magnitude — the Figure 3 "enormous latency" region.
-    let (traditional, ai) = run_modes(&by_name("step-down").unwrap());
+    let (traditional, ai) = run_modes("step-down");
     assert!(
         ai.p95_frame_latency_ms < traditional.p95_frame_latency_ms / 3.0,
         "step-down: ai p95 {} vs traditional p95 {}",

@@ -5,7 +5,7 @@
 //! answers exactly as they were — a tenant decoding a neighbour's frames would answer
 //! about the wrong scene.
 
-use aivchat::core::scenarios::{contention_by_name, ContentionScenario};
+use aivchat::core::scenarios::{by_name, ScenarioSpec};
 use aivchat::core::{run_contention, ContentionReport, StarvationConfig};
 use aivchat::netsim::{LinkConfig, LossModel};
 use aivchat::scene::templates::dog_park;
@@ -14,7 +14,7 @@ use aivchat::sim::SimDuration;
 
 /// The AI-oriented leg of `scenario`, with tenants 1.. watching a dog park instead of
 /// their own windows when `swap_neighbours` (each turn the same number of frames).
-fn ai_leg(scenario: &ContentionScenario, swap_neighbours: bool) -> ContentionReport {
+fn ai_leg(scenario: &ScenarioSpec, swap_neighbours: bool) -> ContentionReport {
     let mut specs: Vec<_> = (0..scenario.tenants)
         .map(|tenant| scenario.tenant_spec(tenant, true))
         .collect();
@@ -25,21 +25,23 @@ fn ai_leg(scenario: &ContentionScenario, swap_neighbours: bool) -> ContentionRep
                 let frames = park.window(
                     k as f64 * scenario.window_secs,
                     scenario.window_secs,
-                    scenario.capture_fps,
+                    spec.options.capture_fps,
                 );
                 assert_eq!(frames.len(), turn.frames.len(), "{}: turn {k}", spec.label);
                 turn.frames = frames;
             }
         }
     }
-    run_contention(&scenario.config(), specs)
+    // Nothing but the frames may couple the tenants: the link never queues, the watchdog is off.
+    let mut config = scenario.config();
+    config.starvation = StarvationConfig::disabled();
+    run_contention(&config, specs)
 }
 
 #[test]
 fn a_tenant_never_decodes_another_tenants_frames() {
-    let mut scenario = contention_by_name("shared-blackout").expect("registered scenario");
+    let mut scenario = by_name("shared-blackout").expect("registered scenario");
     scenario.shared_uplink = LinkConfig::constant(100e6, SimDuration::from_millis(30), 300, LossModel::None);
-    scenario.starvation = StarvationConfig::disabled();
 
     let own = ai_leg(&scenario, false);
     let swapped = ai_leg(&scenario, true);
