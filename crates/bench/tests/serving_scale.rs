@@ -242,9 +242,10 @@ fn main() {
     // value: 66.6 KiB per conversation (110.1 KiB while CLIP kept a raster of its own next
     // to the rate plan's and its per-call buffers; 398 KiB while every conversation owned a
     // model and its turn's frame buffers; 455 KiB before frames carried one coverage table
-    // instead of an `Arc` per block) and 417.8 KiB per two-lane server (one ≈ 52 KiB model
-    // and two lanes' turn buffers of ≈ 183 KiB, CLIP's work buffers included; 549.2 KiB
-    // while block records carried an index, complexity and motion nothing read). Anything
+    // instead of an `Arc` per block) and 319.9 KiB per two-lane server (one ≈ 52 KiB model
+    // and two lanes' turn buffers of ≈ 134 KiB, CLIP's work buffers included; 417.8 KiB
+    // while block records stored an offset and a quality and a capture's encode copied QP
+    // maps, 549.2 KiB while they also carried an index, complexity and motion). Anything
     // that grows either by more than that has to raise it here.
     let audit_sessions = if sessions > 128 { 256 } else { 64 };
     let small = warm_fleet_bytes(audit_sessions, &windows, &question, think);
@@ -259,7 +260,7 @@ fn main() {
         2 * audit_sessions
     );
     const PER_SESSION_CEILING_BYTES: f64 = 70.0 * 1024.0;
-    const PER_SERVER_CEILING_BYTES: f64 = 439.0 * 1024.0;
+    const PER_SERVER_CEILING_BYTES: f64 = 336.0 * 1024.0;
     assert!(
         slope > 0.0 && slope < PER_SESSION_CEILING_BYTES,
         "per-conversation heap {:.1} KiB outside budget (ceiling {:.0} KiB)",
@@ -277,8 +278,9 @@ fn main() {
     // over K and 2K tenants: the slope is what one more tenant adds to the run's peak (its
     // conversation, its encoded window at the run's high-water mark, its report), the
     // per-event buffers being the run's one set whatever K. The ceiling sits 5 % above the
-    // measured 367.0 KiB (809.4 KiB while every tenant owned a whole turn scratch and block
-    // records carried fields nothing read).
+    // measured 271.2 KiB (367.0 KiB while block records stored an offset and a quality,
+    // 809.4 KiB while every tenant owned a whole turn scratch and block records carried
+    // fields nothing read).
     let mut scenario = by_name("shared-blackout").expect("registered scenario");
     let k = scenario.tenants;
     scenario.tenants = 2 * k;
@@ -292,7 +294,7 @@ fn main() {
         per_tenant / 1024.0,
         2 * k
     );
-    const PER_TENANT_PEAK_CEILING_BYTES: f64 = 385.0 * 1024.0;
+    const PER_TENANT_PEAK_CEILING_BYTES: f64 = 285.0 * 1024.0;
     assert!(
         per_tenant > 0.0 && per_tenant < PER_TENANT_PEAK_CEILING_BYTES,
         "per-tenant peak heap {:.1} KiB outside budget (ceiling {:.0} KiB)",

@@ -3,16 +3,18 @@
 //! as its degenerate case ([`StreamingMode::Baseline`], the method Figures 9 and 10 compare
 //! against).
 //!
-//! [`Streamer`] is the only sender in the tree, and its two steps are the only places that
-//! branch on the mode:
+//! [`Streamer`] is the only sender in the tree, and its first step is the only place that
+//! branches on the mode:
 //!
 //! 1. `plan_frame` — prepare the frame's [`RatePlan`] (which rasterizes the capture onto
 //!    the CTU grid); context-aware, also run (Mobile-)CLIP over that raster and the user's
 //!    words for the per-patch correlation ρ_mn (Eq. 1) — N = 64, so patches are CTUs — map
 //!    it to per-CTU QPs with Eq. 2 (γ = 3) and set that map as the plan's base;
-//! 2. `encode_at_level` — because the raw Eq. 2 map lands at whatever bitrate it lands at,
-//!    the match finds one *level* (a uniform offset on the map; for the baseline the
-//!    uniform QP itself) and the frame is coded once at it, from the plan the match probed.
+//! 2. [`Encoder::encode_at_level`] — because the raw Eq. 2 map lands at whatever bitrate it
+//!    lands at, the match finds one *level* (a uniform offset on the plan's base; for the
+//!    baseline, whose plan has none, the uniform QP itself) and the frame is coded once at
+//!    it, from the plan the match probed. The plan alone knows which, so this step does not
+//!    branch on the mode.
 //!
 //! Between the two sits the one search of the tree ([`Encoder::search_rate_plans`]); what
 //! differs between callers is the unit matched. A [`crate::Conversation`] runs the steps per
@@ -29,9 +31,7 @@ use aivc_scene::grid_content::GridContent;
 use aivc_scene::{Frame, VideoSource};
 use aivc_semantics::{ClipConfig, ClipMemo, ClipModel, ClipWork, TextQuery};
 use aivc_videocodec::encoder::BLOCK_SIZE;
-use aivc_videocodec::{
-    DecodedFrame, Decoder, EncodeScratch, EncodedFrame, Encoder, EncoderConfig, Qp, QpMap, RatePlan,
-};
+use aivc_videocodec::{DecodedFrame, Decoder, EncodedFrame, Encoder, EncoderConfig, QpMap, RatePlan};
 use serde::{Deserialize, Serialize};
 use std::sync::Arc;
 
@@ -65,24 +65,6 @@ pub struct MatchedEncode {
 pub(crate) struct ClipState {
     memo: ClipMemo,
     patch_raster: Option<Box<GridContent>>,
-}
-
-/// The two QP maps a frame passes through on its way to the encoder.
-#[derive(Debug, Clone)]
-pub(crate) struct QpMaps {
-    /// The frame's Eq. 2 map — what `plan_frame` leaves (untouched in baseline mode).
-    eq2: QpMap,
-    /// The map the one real encode runs on, refilled by `encode_at_level`.
-    at_level: QpMap,
-}
-
-impl Default for QpMaps {
-    fn default() -> Self {
-        Self {
-            eq2: QpMap::empty(),
-            at_level: QpMap::empty(),
-        }
-    }
 }
 
 /// The §3.2 sender, in either mode.
@@ -168,11 +150,11 @@ impl Streamer {
         map
     }
 
-    /// Step 1: prepares `plan` for `frame` and, when context-aware, leaves the frame's
-    /// Eq. 2 map in `maps` and sets it as the plan's base. The plan's raster is the one
-    /// raster of the capture: Eq. 1 reads it when the model's patches are the CTUs (the
-    /// paper's N = 64); a model on another patch grid reads `clip`'s own raster instead,
-    /// which a 64-px sender never builds. `clip` and `plan` may carry the previous capture;
+    /// Step 1: prepares `plan` for `frame` and, when context-aware, writes the frame's
+    /// Eq. 2 QPs into the plan's base. The plan's raster is the one raster of the capture:
+    /// Eq. 1 reads it when the model's patches are the CTUs (the paper's N = 64); a model
+    /// on another patch grid reads `clip`'s own raster instead, which a 64-px sender never
+    /// builds. `clip` and `plan` may carry the previous capture;
     /// both then refresh only what moved, to the same bits as fresh ones. The baseline
     /// reads none of `query`, `clip` and `work`.
     pub(crate) fn plan_frame(
@@ -181,7 +163,6 @@ impl Streamer {
         query: &TextQuery,
         clip: &mut ClipState,
         work: &mut ClipWork,
-        maps: &mut QpMaps,
         plan: &mut RatePlan,
     ) {
         self.encoder.prepare_rate_plan(frame, None, plan);
@@ -198,32 +179,10 @@ impl Streamer {
                 let importance =
                     self.clip_model
                         .correlation_map_on_raster(raster, frame, query, &mut clip.memo, work);
-                self.allocator
-                    .allocate_into(importance, plan.dims(), &mut maps.eq2);
-                plan.set_base(&maps.eq2);
+                plan.set_base_qps(self.allocator.qps(importance, plan.dims()));
             }
             StreamingMode::Baseline => {}
         }
-    }
-
-    /// Step 2: the one real encode of a planned frame, at the `level` the match over `plan`
-    /// settled on. `encode_into_planned` reuses the raster the plan holds for this frame —
-    /// bit-identical to `encode_into`, one rasterization cheaper.
-    pub(crate) fn encode_at_level(
-        &self,
-        frame: &Frame,
-        level: i32,
-        maps: &mut QpMaps,
-        plan: &RatePlan,
-        scratch: &mut EncodeScratch,
-        out: &mut EncodedFrame,
-    ) {
-        match self.mode {
-            StreamingMode::ContextAware => maps.eq2.offset_all_into(level, &mut maps.at_level),
-            StreamingMode::Baseline => maps.at_level.fill_uniform(plan.dims(), Qp::new(level)),
-        }
-        self.encoder
-            .encode_into_planned(frame, &maps.at_level, plan, scratch, out);
     }
 
     /// Encodes `frames` at the one level at which their actual mean bitrate at `fps` best
@@ -257,12 +216,10 @@ impl Streamer {
         // recompute only the patches object motion dirtied.
         let (mut clip, mut work) = (ClipState::default(), ClipWork::new());
         let mut running = RatePlan::new();
-        let mut maps = vec![QpMaps::default(); frames.len()];
         let plans: Vec<RatePlan> = frames
             .iter()
-            .zip(&mut maps)
-            .map(|(frame, maps)| {
-                self.plan_frame(frame, query, &mut clip, &mut work, maps, &mut running);
+            .map(|frame| {
+                self.plan_frame(frame, query, &mut clip, &mut work, &mut running);
                 running.clone()
             })
             .collect();
@@ -270,14 +227,12 @@ impl Streamer {
             .encoder
             .search_rate_plans(&plans, fps, target_bitrate_bps, None)
             .level;
-        let mut scratch = EncodeScratch::new();
         let encoded: Vec<EncodedFrame> = frames
             .iter()
-            .zip(&mut maps)
             .zip(&plans)
-            .map(|((frame, maps), plan)| {
+            .map(|(frame, plan)| {
                 let mut out = EncodedFrame::placeholder();
-                self.encode_at_level(frame, level, maps, plan, &mut scratch, &mut out);
+                self.encoder.encode_at_level(frame, plan, level, &mut out);
                 out
             })
             .collect();
@@ -461,19 +416,20 @@ mod tests {
         );
         let untouched = format!("{:?}", (ClipState::default(), ClipWork::new()));
         let (mut clip, mut work) = (ClipState::default(), ClipWork::new());
-        let (mut maps, mut plan) = (QpMaps::default(), RatePlan::new());
+        let mut plan = RatePlan::new();
         for frame in &frames {
-            baseline.plan_frame(frame, &logo, &mut clip, &mut work, &mut maps, &mut plan);
+            baseline.plan_frame(frame, &logo, &mut clip, &mut work, &mut plan);
             assert_eq!(format!("{:?}", (&clip, &work)), untouched);
         }
-        streamer.plan_frame(&frames[0], &logo, &mut clip, &mut work, &mut maps, &mut plan);
+        streamer.plan_frame(&frames[0], &logo, &mut clip, &mut work, &mut plan);
         assert_ne!(format!("{:?}", (&clip, &work)), untouched);
     }
 
     /// The one-raster rule: a capture planned by a 64-px sender updates the plan's raster
     /// exactly once and no other — CLIP reads it, and the sender's own patch raster is never
     /// built — while a 32-px sender updates its patch raster once next to it. Either way the
-    /// Eq. 2 map is the one a fresh scratch computes.
+    /// plan's base is the Eq. 2 map a fresh scratch computes: coded at level 0, every block
+    /// carries that map's QP.
     #[test]
     fn a_64_px_capture_updates_one_raster_and_a_32_px_capture_two() {
         let model = |patch_size| Arc::new(ClipModel::new(ClipConfig { patch_size }, Ontology::standard()));
@@ -482,12 +438,12 @@ mod tests {
             let streamer = Streamer::new(ContextAware, StreamerConfig::default(), model(patch_size));
             let query = streamer.query_for_question(&logo_question());
             let (mut clip, mut work) = (ClipState::default(), ClipWork::new());
-            let (mut maps, mut plan) = (QpMaps::default(), RatePlan::new());
+            let (mut plan, mut encoded) = (RatePlan::new(), EncodedFrame::placeholder());
             for (index, frame) in frames.iter().enumerate() {
                 // A raster not built yet reads as generation 0, as a fresh one does.
                 let patch = clip.patch_raster.as_ref().map_or(0, |raster| raster.generation());
                 let before = (plan.raster().generation(), patch);
-                streamer.plan_frame(frame, &query, &mut clip, &mut work, &mut maps, &mut plan);
+                streamer.plan_frame(frame, &query, &mut clip, &mut work, &mut plan);
                 let what = format!("{patch_size} px, frame {index}");
                 assert!(plan.raster().follows(before.0), "{what}: plan raster");
                 if patch_size == BLOCK_SIZE {
@@ -496,7 +452,13 @@ mod tests {
                     let raster = clip.patch_raster.as_ref().expect("a 32-px sender's raster");
                     assert!(raster.follows(before.1), "{what}: patch raster");
                 }
-                assert_eq!(maps.eq2, streamer.qp_map_for(frame, &query), "{what}: Eq. 2 map");
+                streamer.encoder().encode_at_level(frame, &plan, 0, &mut encoded);
+                let base: Vec<_> = encoded.blocks.iter().map(|block| block.qp).collect();
+                assert_eq!(
+                    base,
+                    streamer.qp_map_for(frame, &query).values(),
+                    "{what}: Eq. 2 map"
+                );
             }
         }
     }

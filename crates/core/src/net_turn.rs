@@ -12,8 +12,8 @@
 //!   the rate hint, the query memo), which it lends to the sender per capture;
 //! * a turn's buffers belong to whoever *drives* turns, not to the session, and split by
 //!   when they are read. [`TurnScratch`] holds what is written and read inside one event —
-//!   a capture's Eq. 1 work buffers, QP maps and encode memo, a deadline's decoded frames
-//!   and MLLM work — so one serves every turn its owner drives, overlapping or not (a fleet
+//!   a capture's Eq. 1 work buffers, a deadline's decode verdicts, decoded frames and MLLM
+//!   work — so one serves every turn its owner drives, overlapping or not (a fleet
 //!   lane, a standalone conversation, a whole contention run). [`EncodedWindow`] holds
 //!   the turn's encoded frames, written at capture and read at the same turn's deadline
 //!   after other events have run, so turns that overlap need one each (a lane and a
@@ -33,7 +33,7 @@
 //! the way in). Either way the clock, the queue backlog, the trace cursor and every
 //! in-flight packet persist across turn boundaries.
 
-use crate::context_aware::{ClipState, QpMaps, Streamer};
+use crate::context_aware::{ClipState, Streamer};
 use crate::net_session::{FaultTelemetry, FrameDelivery, NetSessionOptions, NetTurnReport};
 use crate::session::StreamingMode;
 use aivc_metrics::SessionSnapshot;
@@ -51,7 +51,7 @@ use aivc_rtc::seq_ring::SeqRing;
 use aivc_scene::Frame;
 use aivc_semantics::{ClipWork, TextQuery};
 use aivc_sim::{Actor, SimDuration, SimTime, Simulation};
-use aivc_videocodec::{DecodeScratch, DecodedFrame, Decoder, EncodeScratch, EncodedFrame, RatePlan};
+use aivc_videocodec::{DecodeScratch, DecodedFrame, Decoder, EncodedFrame, RatePlan};
 
 /// Events of the networked turn's discrete-event loop. Frame indices are *global* across
 /// the owning timeline (a conversation numbers its frames continuously).
@@ -249,10 +249,6 @@ pub(crate) struct NetCompute {
 pub(crate) struct TurnScratch {
     /// Eq. 1's class table and lane accumulators, used inside each capture's CLIP call.
     clip_work: ClipWork,
-    /// The capture's Eq. 2 map and the map its one real encode runs on.
-    qp_maps: QpMaps,
-    /// The encode's one-entry memo of the pure `rd::block_quality`.
-    encode: EncodeScratch,
     decode_scratch: DecodeScratch,
     decoded: Vec<DecodedFrame>,
     mllm: MllmScratch,
@@ -262,8 +258,6 @@ impl Default for TurnScratch {
     fn default() -> Self {
         Self {
             clip_work: ClipWork::new(),
-            qp_maps: QpMaps::default(),
-            encode: EncodeScratch::new(),
             decode_scratch: DecodeScratch::new(),
             decoded: Vec::new(),
             mllm: MllmScratch::new(),
@@ -348,7 +342,6 @@ impl NetCompute {
             &self.query,
             &mut self.clip,
             &mut scratch.clip_work,
-            &mut scratch.qp_maps,
             &mut self.rate_plan,
         );
         // Plan probes predict the coded size without materializing blocks — byte-exact
@@ -360,14 +353,9 @@ impl NetCompute {
             .encoder()
             .search_rate_plan(&self.rate_plan, budget_bits, self.rate_hint);
         self.rate_hint = Some(search.boundary);
-        self.sender.encode_at_level(
-            frame,
-            search.level,
-            &mut scratch.qp_maps,
-            &self.rate_plan,
-            &mut scratch.encode,
-            &mut window.slots[slot],
-        );
+        self.sender
+            .encoder()
+            .encode_at_level(frame, &self.rate_plan, search.level, &mut window.slots[slot]);
         window.slot_turn[slot] = window.turn;
         search.probes
     }

@@ -185,7 +185,9 @@ impl AnswerModel {
             frames
                 .clone()
                 .filter(|f| {
-                    f.object_quality(object_id, self.calibration.min_object_coverage)
+                    f.coverage
+                        .cells_covered_by(object_id, self.calibration.min_object_coverage)
+                        .next()
                         .is_some()
                 })
                 .count()

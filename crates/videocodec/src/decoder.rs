@@ -18,11 +18,20 @@ pub struct DecodedBlock {
     pub received: bool,
     /// The QP the block was encoded with (meaningful even when the block was lost).
     pub qp: Qp,
-    /// Recognition quality after decode (encoded quality if received, concealment quality
-    /// otherwise).
-    pub quality: f64,
     /// Detail requirement of the block's content.
     pub detail: f64,
+}
+
+impl DecodedBlock {
+    /// Recognition quality after decode: the encoded quality if the block arrived, the
+    /// concealment quality otherwise.
+    pub fn quality(&self) -> f64 {
+        if self.received {
+            rd::block_quality(self.qp, self.detail)
+        } else {
+            rd::concealment_quality(self.detail)
+        }
+    }
 }
 
 /// A decoded frame, the MLLM-facing representation of what survived encoding + transport.
@@ -82,7 +91,7 @@ impl DecodedFrame {
         if self.blocks.is_empty() {
             return 0.0;
         }
-        self.blocks.iter().map(|b| b.quality).sum::<f64>() / self.blocks.len() as f64
+        self.blocks.iter().map(DecodedBlock::quality).sum::<f64>() / self.blocks.len() as f64
     }
 
     /// Fraction of blocks that arrived intact.
@@ -95,7 +104,7 @@ impl DecodedFrame {
 
     /// Question-conditioned decoded quality of the blocks covering an object.
     ///
-    /// Unlike [`DecodedFrame::object_quality`] (which scores the block against its *content's*
+    /// Unlike [`DecodedBlock::quality`] (which scores the block against its *content's*
     /// detail level), this asks: "how well would content requiring `detail` of fine detail be
     /// perceived from these blocks?" — the quantity the MLLM accuracy model needs, because a
     /// coarse question about a detailed object is still easy at high QP.
@@ -136,22 +145,6 @@ impl DecodedFrame {
             })
             .sum::<f64>()
             / self.blocks.len() as f64
-    }
-
-    /// Mean decoded quality of the blocks covering a given object (coverage ≥ `min_cover`),
-    /// or `None` when the object is not visible in this frame.
-    pub fn object_quality(&self, object_id: u32, min_cover: f64) -> Option<f64> {
-        let mut weighted = 0.0;
-        let mut weight = 0.0;
-        for (idx, frac) in self.coverage.cells_covered_by(object_id, min_cover) {
-            weighted += frac * self.blocks[idx].quality;
-            weight += frac;
-        }
-        if weight == 0.0 {
-            None
-        } else {
-            Some(weighted / weight)
-        }
     }
 }
 
@@ -232,11 +225,6 @@ impl Decoder {
                 .map(|(b, &ok)| DecodedBlock {
                     received: ok,
                     qp: b.qp,
-                    quality: if ok {
-                        b.encoded_quality
-                    } else {
-                        rd::concealment_quality(b.detail)
-                    },
                     detail: b.detail,
                 }),
         );
@@ -268,8 +256,8 @@ mod tests {
     /// field added back to either record grows every window: make it fail here first.
     #[test]
     fn block_records_stay_lean() {
-        assert_eq!(std::mem::size_of::<crate::EncodedBlock>(), 32);
-        assert_eq!(std::mem::size_of::<DecodedBlock>(), 24);
+        assert_eq!(std::mem::size_of::<crate::EncodedBlock>(), 16);
+        assert_eq!(std::mem::size_of::<DecodedBlock>(), 16);
     }
 
     #[test]
@@ -299,7 +287,8 @@ mod tests {
         let cutoff = e.total_bytes() * 2 / 3;
         let d = Decoder::new().decode_with_received(&e, &[(0, cutoff)], None);
         let cols = d.grid().cols as usize;
-        let mean = |row: &[DecodedBlock]| row.iter().map(|b| b.quality).sum::<f64>() / row.len() as f64;
+        let mean =
+            |row: &[DecodedBlock]| row.iter().map(DecodedBlock::quality).sum::<f64>() / row.len() as f64;
         let top = mean(&d.blocks[..cols]);
         let bottom = mean(&d.blocks[d.blocks.len() - cols..]);
         assert!(top > bottom, "top {top} bottom {bottom}");
@@ -310,10 +299,10 @@ mod tests {
         let e = encoded();
         let d = Decoder::new().decode_complete(&e, None);
         // Object 1 is the scoreboard in the basketball template.
-        let q = d.object_quality(1, 0.05);
+        let q = d.object_quality_for_detail(1, 0.05, 0.5);
         assert!(q.is_some());
         assert!(q.unwrap() > 0.0);
-        assert!(d.object_quality(9_999, 0.05).is_none());
+        assert!(d.object_quality_for_detail(9_999, 0.05, 0.5).is_none());
     }
 
     #[test]

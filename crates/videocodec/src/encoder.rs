@@ -42,47 +42,8 @@ pub struct EncoderConfig {}
 pub struct EncodeScratch {
     /// The plan [`Encoder::encode_into`] prepares for its frame, built by its first call.
     /// [`Encoder::encode_into_planned`] walks its caller's instead, so a scratch only ever
-    /// handed to it (a conversation's) stays the size of its memo.
+    /// handed to it stays empty.
     plan: Option<Box<RatePlan>>,
-    /// Memo of the last `(qp, detail)` → quality evaluation. [`rd::block_quality`] is a pure
-    /// function and most of a frame is background (`detail` exactly 0.0) at one or two
-    /// distinct QPs, so this one-entry memo removes the bulk of the per-block `exp` calls
-    /// while returning the identical f64 (same inputs ⇒ the memoized same output).
-    quality_memo: QualityMemo,
-}
-
-/// See [`EncodeScratch::quality_memo`].
-#[derive(Debug, Clone, Copy)]
-struct QualityMemo {
-    /// `u16::MAX` marks the empty memo (no valid QP is above 51).
-    qp: u16,
-    detail_bits: u64,
-    quality: f64,
-}
-
-impl Default for QualityMemo {
-    fn default() -> Self {
-        Self {
-            qp: u16::MAX,
-            detail_bits: 0,
-            quality: 0.0,
-        }
-    }
-}
-
-impl QualityMemo {
-    /// `rd::block_quality(qp, detail)`, evaluated only when the inputs differ from the
-    /// previous call's.
-    fn quality(&mut self, qp: Qp, detail: f64) -> f64 {
-        if self.qp != qp.value() as u16 || self.detail_bits != detail.to_bits() {
-            *self = QualityMemo {
-                qp: qp.value() as u16,
-                detail_bits: detail.to_bits(),
-                quality: rd::block_quality(qp, detail),
-            };
-        }
-        self.quality
-    }
 }
 
 impl EncodeScratch {
@@ -122,8 +83,8 @@ impl Encoder {
     }
 
     /// Encodes `frame` with a per-CTU QP map (whose grid must match [`Encoder::grid_for`])
-    /// into a caller-owned frame buffer: prepares the scratch's plan for `frame` and runs
-    /// [`Encoder::encode_into_planned`] on it. `out` is refilled in place (its block vector
+    /// into a caller-owned frame buffer: prepares the scratch's plan for `frame` and walks
+    /// it as [`Encoder::encode_into_planned`] does. `out` is refilled in place (its block vector
     /// and coverage table keep their capacity), so after warmup — one encode of each frame
     /// geometry — an encode performs zero heap allocations, whether or not the frame's
     /// content moved.
@@ -134,10 +95,9 @@ impl Encoder {
         scratch: &mut EncodeScratch,
         out: &mut EncodedFrame,
     ) {
-        let EncodeScratch { plan, quality_memo } = scratch;
-        let plan = plan.get_or_insert_with(Box::default);
+        let plan = scratch.plan.get_or_insert_with(Box::default);
         self.prepare_rate_plan(frame, None, plan);
-        self.encode_walk(frame, qp_map, plan, quality_memo, out);
+        self.encode_map(frame, qp_map, plan, out);
     }
 
     /// Encodes `frame` with `qp_map` from the [`RatePlan`] a rate-control caller already
@@ -145,30 +105,56 @@ impl Encoder {
     /// coverage table come from the plan's raster, and every block's byte count from the
     /// plan's rate coefficients through the kernel the probes sum — so the size a probe
     /// predicted for this map is the size this encode produces. The plan must be the one
-    /// prepared for this very frame.
+    /// prepared for this very frame. The scratch is not read.
     pub fn encode_into_planned(
         &self,
         frame: &Frame,
         qp_map: &QpMap,
         plan: &RatePlan,
-        scratch: &mut EncodeScratch,
+        _scratch: &mut EncodeScratch,
         out: &mut EncodedFrame,
     ) {
-        self.encode_walk(frame, qp_map, plan, &mut scratch.quality_memo, out);
+        self.encode_map(frame, qp_map, plan, out);
     }
 
-    /// The one block walk behind every encode entry point.
+    /// The walk at the QPs of `qp_map`.
+    fn encode_map(&self, frame: &Frame, qp_map: &QpMap, plan: &RatePlan, out: &mut EncodedFrame) {
+        assert_eq!(
+            qp_map.dims(),
+            self.grid_for(frame),
+            "QP map grid does not match frame grid"
+        );
+        let qps = qp_map.values();
+        self.encode_walk(frame, plan, |index| qps[index], out);
+    }
+
+    /// Encodes `frame` from its prepared `plan` at the `level` a rate search over that plan
+    /// settled on: every block at its base QP plus `level`, clamped, when the plan has a
+    /// base map ([`RatePlan::set_base_qps`]), or at the uniform QP `level` without one —
+    /// the assignments [`Encoder::predict_plan_offset_size`] and
+    /// [`Encoder::predict_plan_uniform_size`] price, so the encode is the size its probe
+    /// predicted, and no QP map is built.
+    pub fn encode_at_level(&self, frame: &Frame, plan: &RatePlan, level: i32, out: &mut EncodedFrame) {
+        match plan.base_qps() {
+            Some(base) => self.encode_walk(frame, plan, |index| Qp::new(base[index] as i32 + level), out),
+            None => {
+                let qp = Qp::new(level);
+                self.encode_walk(frame, plan, |_| qp, out)
+            }
+        }
+    }
+
+    /// The one block walk behind every encode entry point: block `index` is coded at
+    /// `qp_at(index)`.
     fn encode_walk(
         &self,
         frame: &Frame,
-        qp_map: &QpMap,
         plan: &RatePlan,
-        quality_memo: &mut QualityMemo,
+        qp_at: impl Fn(usize) -> Qp,
         out: &mut EncodedFrame,
     ) {
         let dims = self.grid_for(frame);
         let frame_type = gop::frame_type(frame.index);
-        assert_eq!(qp_map.dims(), dims, "QP map grid does not match frame grid");
         assert_eq!(
             plan.dims(),
             dims,
@@ -181,32 +167,25 @@ impl Encoder {
         );
         let grid = plan.raster();
         let detail = grid.detail();
-        let qps = qp_map.values();
 
         out.coverage.copy_from(grid.coverage_table());
         out.blocks.clear();
         out.blocks.reserve(dims.len());
-        let mut offset = HEADER_BYTES as u64;
+        let mut qps = [Qp::new(0); RATE_LANES];
         let mut factors = [0.0f64; RATE_LANES];
         let mut bytes = [0u32; RATE_LANES];
         for first in (0..dims.len()).step_by(RATE_LANES) {
             let width = RATE_LANES.min(dims.len() - first);
-            for (factor, qp) in factors.iter_mut().zip(&qps[first..first + width]) {
-                *factor = self.qp_factors[qp.value() as usize];
+            for lane in 0..width {
+                qps[lane] = qp_at(first + lane);
+                factors[lane] = self.qp_factors[qps[lane].value() as usize];
             }
             plan_chunk_bytes(plan, first, &factors[..width], &mut bytes);
-            for (lane, &byte_len) in bytes[..width].iter().enumerate() {
-                let index = first + lane;
-                let qp = qps[index];
-                out.blocks.push(EncodedBlock {
-                    byte_offset: offset,
-                    byte_len,
-                    qp,
-                    encoded_quality: quality_memo.quality(qp, detail[index]),
-                    detail: detail[index],
-                });
-                offset += byte_len as u64;
-            }
+            out.blocks.extend((0..width).map(|lane| EncodedBlock {
+                byte_len: bytes[lane],
+                qp: qps[lane],
+                detail: detail[first + lane],
+            }));
         }
 
         out.frame_index = frame.index;
@@ -259,18 +238,6 @@ mod tests {
         assert_eq!(encoded.blocks.len(), dims.len());
         assert_eq!(encoded.grid_cols, dims.cols);
         assert_eq!(encoded.grid_rows, dims.rows);
-    }
-
-    #[test]
-    fn block_offsets_are_contiguous() {
-        let enc = Encoder::new(EncoderConfig::default());
-        let encoded = enc.encode_uniform(&test_frame(), Qp::new(32));
-        let mut expected = encoded.header_bytes as u64;
-        for b in &encoded.blocks {
-            assert_eq!(b.byte_offset, expected);
-            expected += b.byte_len as u64;
-        }
-        assert_eq!(encoded.total_bytes(), expected);
     }
 
     #[test]
@@ -392,7 +359,6 @@ mod tests {
         let (complexity, motion) = (plan.raster().complexity(), plan.raster().motion());
         let frame_type = gop::frame_type(frame.index);
         let mut content = aivc_scene::RegionContent::empty();
-        let mut offset = HEADER_BYTES as u64;
         for (idx, block) in encoded.blocks.iter().enumerate() {
             let (row, col) = dims.position(idx);
             let rect = dims.cell_rect(row, col, frame.width, frame.height);
@@ -401,10 +367,9 @@ mod tests {
             let bits = rd::block_bits(qp, rect.area(), content.complexity, content.motion, frame_type);
             let bytes = ((bits as f64 / 8.0).ceil() as u32).max(1);
             assert_eq!(block.byte_len, bytes, "bytes {idx}");
-            assert_eq!(block.byte_offset, offset, "offset {idx}");
             assert_eq!(block.qp, qp, "qp {idx}");
             assert_eq!(
-                block.encoded_quality,
+                block.encoded_quality(),
                 rd::block_quality(qp, content.detail),
                 "quality {idx}"
             );
@@ -416,7 +381,6 @@ mod tests {
                 &content.object_coverage[..],
                 "coverage {idx}"
             );
-            offset += bytes as u64;
         }
     }
 

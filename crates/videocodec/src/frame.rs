@@ -2,11 +2,14 @@
 //!
 //! An [`EncodedFrame`] is the unit handed to the RTC packetizer: a byte length, a frame
 //! type and a list of [`EncodedBlock`]s laid out contiguously in raster order. Blocks carry
-//! everything downstream stages need (QP, encoded quality, detail) as plain `Copy` data and
-//! the frame carries one [`CoverageTable`] of per-block object coverage, which keeps the
-//! decoder and the MLLM simulator independent of the original scene.
+//! what downstream stages read (byte count, QP, detail) as plain `Copy` data — a block's
+//! offset is the running sum of the lengths before it, and its encoded quality a pure
+//! function of its QP and detail, so neither is stored — and the frame carries one
+//! [`CoverageTable`] of per-block object coverage, which keeps the decoder and the MLLM
+//! simulator independent of the original scene.
 
 use crate::qp::Qp;
+use crate::rd;
 use aivc_scene::CoverageTable;
 use serde::{Deserialize, Serialize};
 
@@ -24,16 +27,19 @@ pub enum FrameType {
 /// turn window holds a frame per capture.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct EncodedBlock {
-    /// Byte offset of this block's payload within the frame's bitstream.
-    pub byte_offset: u64,
     /// Payload size of this block in bytes (≥ 1: every CTU costs at least a header).
     pub byte_len: u32,
     /// QP the block was coded with.
     pub qp: Qp,
-    /// Recognition quality of the block *as encoded* (before any transport loss).
-    pub encoded_quality: f64,
     /// Detail requirement of the content in the block (copied from the scene descriptor).
     pub detail: f64,
+}
+
+impl EncodedBlock {
+    /// Recognition quality of the block *as encoded* (before any transport loss).
+    pub fn encoded_quality(&self) -> f64 {
+        rd::block_quality(self.qp, self.detail)
+    }
 }
 
 /// A complete encoded frame.
@@ -56,7 +62,7 @@ pub struct EncodedFrame {
     pub grid_cols: u32,
     /// Number of block rows.
     pub grid_rows: u32,
-    /// Coded blocks in raster order. Offsets are contiguous and start at `header_bytes`.
+    /// Coded blocks in raster order, laid out contiguously from `header_bytes` on.
     pub blocks: Vec<EncodedBlock>,
     /// Coverage of each block by scene objects — `(object_id, fraction of block area)`
     /// lists, one cell per block (read through [`EncodedFrame::coverage`]).
@@ -105,7 +111,7 @@ impl EncodedFrame {
         if self.blocks.is_empty() {
             return 0.0;
         }
-        self.blocks.iter().map(|b| b.encoded_quality).sum::<f64>() / self.blocks.len() as f64
+        self.blocks.iter().map(EncodedBlock::encoded_quality).sum::<f64>() / self.blocks.len() as f64
     }
 
     /// Mean QP over blocks.
@@ -123,13 +129,31 @@ impl EncodedFrame {
     /// `received` is a sorted, non-overlapping list of `[start, end)` ranges produced by the
     /// RTC depacketizer. Blocks not fully covered are considered lost (HEVC cannot decode a
     /// truncated CTU) and will be concealed by the decoder.
+    ///
+    /// One merge pass: each block's range is the running sum of the lengths before it, and
+    /// the ranges are merged into runs of adjacent ones as the blocks reach them, so each
+    /// block is one comparison against the current run — O(blocks + ranges).
     pub fn blocks_covered_into(&self, received: &[(u64, u64)], out: &mut Vec<bool>) {
         out.clear();
         out.reserve(self.blocks.len());
+        // The merged run that ends past the current block's start (once one does), and the
+        // ranges not merged yet.
+        let (mut run, mut rest) = ((0, 0), received);
+        let mut start = self.header_bytes as u64;
         out.extend(self.blocks.iter().map(|b| {
-            let start = b.byte_offset;
-            let end = b.byte_offset + b.byte_len as u64;
-            range_covered(start, end, received)
+            let end = start + b.byte_len as u64;
+            while run.1 <= start {
+                let Some((&next, tail)) = rest.split_first() else {
+                    break;
+                };
+                (run, rest) = (next, tail);
+                while let Some((&(_, e), tail)) = rest.split_first().filter(|((s, _), _)| *s <= run.1) {
+                    (run.1, rest) = (run.1.max(e), tail);
+                }
+            }
+            let covered = run.0 <= start && end <= run.1;
+            start = end;
+            covered
         }));
     }
 
@@ -140,25 +164,6 @@ impl EncodedFrame {
             .map(|(idx, _)| self.blocks[idx].byte_len as u64 * 8)
             .sum()
     }
-}
-
-/// True when `[start, end)` is fully covered by the union of the sorted ranges in `received`.
-fn range_covered(start: u64, end: u64, received: &[(u64, u64)]) -> bool {
-    let mut cursor = start;
-    for &(s, e) in received {
-        if e <= cursor {
-            continue;
-        }
-        if s > cursor {
-            return false;
-        }
-        cursor = cursor.max(s).max(cursor);
-        cursor = e.max(cursor);
-        if cursor >= end {
-            return true;
-        }
-    }
-    cursor >= end
 }
 
 #[cfg(test)]
@@ -172,23 +177,54 @@ mod tests {
         covered
     }
 
+    /// True when `[start, end)` is fully covered by the union of the sorted ranges in
+    /// `received`.
+    fn range_covered(start: u64, end: u64, received: &[(u64, u64)]) -> bool {
+        let mut cursor = start;
+        for &(s, e) in received {
+            if e <= cursor {
+                continue;
+            }
+            if s > cursor {
+                return false;
+            }
+            cursor = e;
+            if cursor >= end {
+                return true;
+            }
+        }
+        cursor >= end
+    }
+
+    /// The per-block form [`EncodedFrame::blocks_covered_into`] replaced: every block
+    /// scans the whole range list.
+    fn covered_per_block(f: &EncodedFrame, received: &[(u64, u64)]) -> Vec<bool> {
+        let mut start = f.header_bytes as u64;
+        f.blocks
+            .iter()
+            .map(|b| {
+                let end = start + b.byte_len as u64;
+                let covered = range_covered(start, end, received);
+                start = end;
+                covered
+            })
+            .collect()
+    }
+
+    /// A 100-byte header and blocks of the given lengths (QP 30, detail 0.5); block 0 is
+    /// covered by object 7.
     fn frame_with_blocks(lens: &[u32]) -> EncodedFrame {
-        let mut offset = 100u64; // header
         let mut coverage = CoverageTable::default();
         let blocks = lens
             .iter()
             .enumerate()
             .map(|(i, len)| {
-                let b = EncodedBlock {
-                    byte_offset: offset,
+                coverage.push_cell(if i == 0 { &[(7, 1.0)] } else { &[] });
+                EncodedBlock {
                     byte_len: *len,
                     qp: Qp::new(30),
-                    encoded_quality: 0.8,
                     detail: 0.5,
-                };
-                coverage.push_cell(if i == 0 { &[(7, 1.0)] } else { &[] });
-                offset += *len as u64;
-                b
+                }
             })
             .collect();
         EncodedFrame {
@@ -242,6 +278,52 @@ mod tests {
         assert!(covered.iter().all(|c| *c));
     }
 
+    /// Deterministic generator for the range-set property.
+    struct Lcg(u64);
+
+    impl Lcg {
+        /// A value in `0..n`.
+        fn below(&mut self, n: u64) -> u64 {
+            self.0 = self
+                .0
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            (self.0 >> 33) % n
+        }
+    }
+
+    /// The merge pass equals the per-block scan on random sorted, non-overlapping range
+    /// sets: empty, the whole frame, gaps, adjacent ranges, zero-length ranges, ranges
+    /// inside the header and ranges past the frame's end.
+    #[test]
+    fn merge_pass_coverage_equals_the_per_block_scan_on_random_range_sets() {
+        let mut rng = Lcg(0x9E37_79B9_7F4A_7C15);
+        for case in 0..2_000 {
+            let lens: Vec<u32> = (0..rng.below(40)).map(|_| 1 + rng.below(300) as u32).collect();
+            let f = frame_with_blocks(&lens);
+            let total = f.total_bytes();
+            let mut received = Vec::new();
+            match case % 4 {
+                0 => {}
+                1 => received.push((0, total + rng.below(3))),
+                _ => {
+                    let mut at = rng.below(150);
+                    while at < total + 200 && received.len() < 60 {
+                        // Zero-length, short and long ranges; gaps of zero (adjacent) or more.
+                        let len = [0, 1 + rng.below(8), 1 + rng.below(400)][rng.below(3) as usize];
+                        received.push((at, at + len));
+                        at += len + [0, rng.below(4), rng.below(300)][rng.below(3) as usize];
+                    }
+                }
+            }
+            assert_eq!(
+                covered_by(&f, &received),
+                covered_per_block(&f, &received),
+                "case {case}: blocks {lens:?}, received {received:?}"
+            );
+        }
+    }
+
     #[test]
     fn bits_on_object_filters_by_coverage() {
         let f = frame_with_blocks(&[200, 300, 150]);
@@ -252,7 +334,7 @@ mod tests {
     #[test]
     fn mean_quality_and_qp() {
         let f = frame_with_blocks(&[200, 300]);
-        assert!((f.mean_encoded_quality() - 0.8).abs() < 1e-12);
+        assert_eq!(f.mean_encoded_quality(), rd::block_quality(Qp::new(30), 0.5));
         assert!((f.mean_qp() - 30.0).abs() < 1e-12);
     }
 }

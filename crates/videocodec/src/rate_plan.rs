@@ -16,10 +16,11 @@
 //! the intra/inter split into one expression is lossless). Rate-control probes **sum**
 //! that per-block count over a candidate QP assignment
 //! ([`Encoder::predict_plan_offset_size`], [`Encoder::predict_plan_uniform_size`]); the
-//! encode **writes** it per block ([`Encoder::encode_into_planned`]). Both go through the
-//! same kernel, so the size a probe predicts is the size the encode produces by
-//! construction; the equivalence tests below pin every block at every level against the
-//! scalar rate law.
+//! encode **writes** it per block at the level the search settled on
+//! ([`Encoder::encode_at_level`], or [`Encoder::encode_into_planned`] for an explicit QP
+//! map). Both go through the same kernel, so the size a probe predicts is the size the
+//! encode produces by construction; the equivalence tests below pin every block at every
+//! level against the scalar rate law.
 //!
 //! **A capture costs what changed.** The plan remembers the capture it was last prepared
 //! for: its raster is brought forward with [`GridContent::update`], and only the blocks
@@ -29,9 +30,9 @@
 //! **The conversation's one raster.** The plan owns the raster because the encode reads
 //! it; everyone else borrows it ([`RatePlan::raster`]). The §3.2 sender's CLIP patches are
 //! the CTUs, so the context-aware step prepares the plan *first*, scores Eq. 1 on the
-//! plan's raster, and only then hands the plan its Eq. 2 base map ([`RatePlan::set_base`])
-//! — the coefficients never depended on it. One `update` per capture serves the rate law,
-//! the encode and CLIP.
+//! plan's raster, and only then writes the Eq. 2 QPs into the plan's base
+//! ([`RatePlan::set_base_qps`]) — the coefficients never depended on it. One `update` per
+//! capture serves the rate law, the encode and CLIP.
 //!
 //! **The kernel stays in `f64`.** The scalar expression calls `ceil` twice and casts
 //! `f64 → u64 → f64 → u32` per block; the kernel instead walks the plan in
@@ -80,8 +81,8 @@ const ROUND_TO_INT: f64 = 4_503_599_627_370_496.0;
 pub struct RatePlan {
     dims: GridDims,
     /// `(index, capture_ts_us, frame_type)` of the frame the plan was prepared for:
-    /// [`Encoder::encode_into_planned`] takes its raster and bytes from the plan, so it
-    /// refuses a plan that was prepared for another frame.
+    /// an encode takes its raster and bytes from the plan, so it refuses a plan that was
+    /// prepared for another frame.
     stamp: (u64, u64, FrameType),
     /// `INTRA_BPP_AT_REF * content_factor` per block (the rate law's first product).
     lead: Vec<f64>,
@@ -89,8 +90,8 @@ pub struct RatePlan {
     tail: Vec<f64>,
     /// Block pixel counts, pre-converted to `f64`.
     pixels: Vec<f64>,
-    /// The base QP map snapshot offset probes apply their level to (empty when the plan
-    /// was prepared without a base map, i.e. for uniform probes only).
+    /// The base QP per block that offset probes and the level encode apply their level to
+    /// (empty when the plan has no base, i.e. for uniform levels only).
     base_qp: Vec<u8>,
     /// Whether the plan was prepared with a base map: selects the offset bracket
     /// `[-51, 51]` over the uniform bracket `[0, 51]` in [`Encoder::search_rate_plan`].
@@ -140,23 +141,29 @@ impl RatePlan {
         &self.grid
     }
 
-    /// Snapshots `base` as the per-block base QP the plan's offset probes apply their level
-    /// to ([`Encoder::predict_plan_offset_size`]) and selects the offset bracket. The rate
-    /// coefficients do not depend on it, so a plan is prepared first and its base map —
-    /// computed from the plan's own raster — set afterwards.
+    /// Sets the per-block base QP, in raster order, that the plan's offset probes
+    /// ([`Encoder::predict_plan_offset_size`]) and [`Encoder::encode_at_level`] apply their
+    /// level to, and selects the offset bracket. The rate coefficients do not depend on it,
+    /// so a plan is prepared first and its base — computed from the plan's own raster —
+    /// written afterwards, straight from the allocator.
     ///
     /// # Panics
     ///
-    /// Panics when `base` is not on the prepared frame's grid.
-    pub fn set_base(&mut self, base: &QpMap) {
+    /// Panics when `qps` does not yield one QP per block of the prepared frame's grid.
+    pub fn set_base_qps(&mut self, qps: impl IntoIterator<Item = Qp>) {
+        self.base_qp.clear();
+        qps.into_iter().for_each(|qp| self.base_qp.push(qp.value()));
         assert_eq!(
-            base.dims(),
-            self.dims,
-            "base QP map grid does not match plan grid"
+            self.base_qp.len(),
+            self.dims.len(),
+            "base QP count does not match plan grid"
         );
         self.has_base = true;
-        self.base_qp.clear();
-        self.base_qp.extend(base.values().iter().map(|q| q.value()));
+    }
+
+    /// The per-block base QPs, or `None` when the plan has no base (uniform levels only).
+    pub(crate) fn base_qps(&self) -> Option<&[u8]> {
+        self.has_base.then_some(&self.base_qp[..])
     }
 }
 
@@ -178,9 +185,9 @@ impl Encoder {
     /// Prepares `plan` for rate-control probes over `frame`: brings the content raster to
     /// the frame and folds every QP-independent term of the rate law into per-block
     /// coefficients — for the blocks the raster recomputed (every `tail` too when the frame
-    /// type flipped). With `base` supplied, the plan also snapshots the per-block base QP
-    /// ([`RatePlan::set_base`]) so [`Encoder::predict_plan_offset_size`] can probe uniform
-    /// offsets on top of it (the context-aware search); without it only
+    /// type flipped). With `base` supplied, the plan also snapshots its values as the
+    /// per-block base QP ([`RatePlan::set_base_qps`]) so [`Encoder::predict_plan_offset_size`]
+    /// can probe uniform offsets on top of it (the context-aware search); without it only
     /// [`Encoder::predict_plan_uniform_size`] is valid (the baseline search) until a base is
     /// set.
     ///
@@ -188,7 +195,8 @@ impl Encoder {
     ///
     /// This is where a frame enters the codec, so it is where one the rate kernel cannot
     /// code is refused: a block whose complexity, motion or detail is NaN (an object's or
-    /// the background's descriptor was not finite).
+    /// the background's descriptor was not finite). Panics too when `base` is not on the
+    /// frame's grid.
     pub fn prepare_rate_plan(&self, frame: &Frame, base: Option<&QpMap>, plan: &mut RatePlan) {
         let dims = self.grid_for(frame);
         let blocks = dims.len();
@@ -239,7 +247,8 @@ impl Encoder {
         plan.has_base = false;
         plan.base_qp.clear();
         if let Some(base) = base {
-            plan.set_base(base);
+            assert_eq!(base.dims(), dims, "base QP map grid does not match plan grid");
+            plan.set_base_qps(base.values().iter().copied());
         }
     }
 
@@ -251,9 +260,8 @@ impl Encoder {
         plan
     }
 
-    /// Predicted total size in bytes of encoding the planned frame with its base QP map
-    /// offset uniformly by `level` — the size of an encode with the map
-    /// [`QpMap::offset_all_into`] builds for that level.
+    /// Predicted total size in bytes of encoding the planned frame with its base QPs
+    /// offset uniformly by `level` — the size of [`Encoder::encode_at_level`] at that level.
     pub fn predict_plan_offset_size(&self, plan: &RatePlan, level: i32) -> u64 {
         assert!(
             plan.has_base,
@@ -541,7 +549,6 @@ mod tests {
         for (idx, block) in out.blocks.iter().enumerate() {
             let expected = scalar_block_bytes(enc, plan, idx, map.get_index(idx));
             assert_eq!(block.byte_len, expected, "block {idx} of frame {}", frame.index);
-            assert_eq!(block.byte_offset, total, "offset of block {idx}");
             total += expected as u64;
         }
         assert_eq!(out.total_bytes(), total);
@@ -611,6 +618,46 @@ mod tests {
             for index in [0u64, 7, 59, 60, 61] {
                 let frame = source.frame(index);
                 check_frame_all_levels(&enc, &frame, &varied_base(enc.grid_for(&frame)));
+            }
+        }
+    }
+
+    /// The level encode is the map encode of the level's map and the size its probe
+    /// predicts: at every offset on a plan with a base, at every uniform QP on one without,
+    /// on intra and inter frames, through one reused output and a carried plan.
+    #[test]
+    fn level_encode_equals_the_map_encode_and_the_probe_at_every_level() {
+        let enc = Encoder::new(EncoderConfig::default());
+        let mut scene = basketball_game(3);
+        (scene.width, scene.height) = (1000, 700);
+        let source = VideoSource::new(scene, SourceConfig::fps30(5.0));
+        let (mut plan, mut scratch) = (RatePlan::new(), EncodeScratch::new());
+        let (mut at_level, mut with_map) = (
+            crate::frame::EncodedFrame::placeholder(),
+            crate::frame::EncodedFrame::placeholder(),
+        );
+        for index in [0u64, 7, 60, 61] {
+            let frame = source.frame(index);
+            let base = varied_base(enc.grid_for(&frame));
+            for with_base in [true, false] {
+                enc.prepare_rate_plan(&frame, with_base.then_some(&base), &mut plan);
+                let levels = if with_base { -51..=51 } else { 0..=51 };
+                for level in levels {
+                    let (map, predicted) = if with_base {
+                        (base.offset_all(level), enc.predict_plan_offset_size(&plan, level))
+                    } else {
+                        let qp = Qp::new(level);
+                        (
+                            QpMap::uniform(plan.dims(), qp),
+                            enc.predict_plan_uniform_size(&plan, qp),
+                        )
+                    };
+                    enc.encode_at_level(&frame, &plan, level, &mut at_level);
+                    enc.encode_into_planned(&frame, &map, &plan, &mut scratch, &mut with_map);
+                    let what = format!("frame {index}, base {with_base}, level {level}");
+                    assert_eq!(at_level, with_map, "{what}");
+                    assert_eq!(at_level.total_bytes(), predicted, "{what}");
+                }
             }
         }
     }
@@ -1045,7 +1092,7 @@ mod tests {
                 match &base {
                     Some(base) if rng.range(0, 2) == 0 => {
                         enc.prepare_rate_plan(&frame, None, &mut plan);
-                        plan.set_base(base);
+                        plan.set_base_qps(base.values().iter().copied());
                     }
                     _ => enc.prepare_rate_plan(&frame, base.as_ref(), &mut plan),
                 }

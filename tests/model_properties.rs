@@ -202,7 +202,7 @@ proptest! {
 
     /// The encode entry points are one walk: `encode_into` through a fresh scratch, through
     /// a warm one, and a planned encode (plan prepared with or without a base map) agree
-    /// block for block — bytes, offsets, quality and the coverage table — for every
+    /// block for block — bytes, QP, detail and the coverage table — for every
     /// frame and QP map, and a complete decode hands the coverage table on unchanged.
     #[test]
     fn encode_entry_points_agree_block_for_block(
