@@ -258,17 +258,16 @@ impl QpAllocator {
     }
 
     /// Converts a per-patch importance map into a per-CTU QP map on the encoder's grid,
-    /// written into a caller-owned map: [`QpAllocator::qps`] collected, so once `out` has
-    /// grown to the encoder grid the call performs no heap allocation.
+    /// written into a caller-owned map: [`QpAllocator::qps_into`] pushed into it, so once
+    /// `out` has grown to the encoder grid the call performs no heap allocation.
     pub fn allocate_into(&self, importance: &ImportanceMap, encoder_grid: GridDims, out: &mut QpMap) {
         out.begin_refill(encoder_grid);
-        self.qps(importance, encoder_grid)
-            .for_each(|qp| out.push_value(qp));
+        self.qps_into(importance, encoder_grid, |qp| out.push_value(qp));
         out.finish_refill();
     }
 
-    /// Eq. 2 per cell of `encoder_grid`, in raster order — what the §3.2 sender writes
-    /// straight into its rate plan's base.
+    /// Eq. 2 per cell of `encoder_grid`, in raster order, handed to `push` — what the §3.2
+    /// sender writes straight into its rate plan's base.
     ///
     /// When the CLIP patch grid and the encoder CTU grid differ, the importance map is
     /// resampled on the fly (nearest-center per target cell, identical values to
@@ -278,54 +277,26 @@ impl QpAllocator {
     /// Raster-order neighbours of one patch class share their ρ bit for bit (a 1080p frame
     /// holds ≈ 23 classes over 510 cells), so the table is consulted once per run of equal
     /// ρ: a one-entry `(ρ bits → QP)` memo, exact because Eq. 2 is a pure function of ρ.
-    pub fn qps<'a>(
-        &'a self,
-        importance: &'a ImportanceMap,
-        encoder_grid: GridDims,
-    ) -> impl Iterator<Item = Qp> + 'a {
-        let rhos = if importance.dims() == encoder_grid {
-            CellRhos::Own(importance.values().iter().copied())
-        } else {
-            CellRhos::Resampled((0..encoder_grid.len()).map(move |index| {
-                let (row, col) = encoder_grid.position(index);
-                importance.nearest_value_for_cell(encoder_grid, row, col)
-            }))
-        };
+    pub fn qps_into(&self, importance: &ImportanceMap, encoder_grid: GridDims, mut push: impl FnMut(Qp)) {
         let mut run: Option<(u64, Qp)> = None;
-        rhos.map(move |rho| match run {
+        let mut qp_for = |rho: f64| match run {
             Some((bits, qp)) if bits == rho.to_bits() => qp,
             _ => {
                 let qp = self.qp_for_rho(rho);
                 run = Some((rho.to_bits(), qp));
                 qp
             }
-        })
-    }
-}
-
-/// ρ per encoder cell, for [`QpAllocator::qps`]: the map's own values when its grid is the
-/// encoder's, resampled otherwise — one iterator type for both forms.
-enum CellRhos<A, B> {
-    Own(A),
-    Resampled(B),
-}
-
-impl<A: Iterator<Item = f64>, B: Iterator<Item = f64>> Iterator for CellRhos<A, B> {
-    type Item = f64;
-
-    fn next(&mut self) -> Option<f64> {
-        match self {
-            CellRhos::Own(rhos) => rhos.next(),
-            CellRhos::Resampled(rhos) => rhos.next(),
-        }
-    }
-
-    // `allocate_into` and `RatePlan::set_base_qps` fold, so each form runs its own loop with
-    // no per-cell `match` (which cost `eq2_qp_allocation` ≈ 6 %).
-    fn fold<Acc, F: FnMut(Acc, f64) -> Acc>(self, init: Acc, f: F) -> Acc {
-        match self {
-            CellRhos::Own(rhos) => rhos.fold(init, f),
-            CellRhos::Resampled(rhos) => rhos.fold(init, f),
+        };
+        if importance.dims() == encoder_grid {
+            for &rho in importance.values() {
+                push(qp_for(rho));
+            }
+        } else {
+            for row in 0..encoder_grid.rows {
+                for col in 0..encoder_grid.cols {
+                    push(qp_for(importance.nearest_value_for_cell(encoder_grid, row, col)));
+                }
+            }
         }
     }
 }

@@ -179,7 +179,11 @@ impl Streamer {
                 let importance =
                     self.clip_model
                         .correlation_map_on_raster(raster, frame, query, &mut clip.memo, work);
-                plan.set_base_qps(self.allocator.qps(importance, plan.dims()));
+                let dims = plan.dims();
+                plan.set_base_qps(|qps| {
+                    self.allocator
+                        .qps_into(importance, dims, |qp| qps.push(qp.value()))
+                });
             }
             StreamingMode::Baseline => {}
         }

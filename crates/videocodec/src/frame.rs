@@ -130,28 +130,15 @@ impl EncodedFrame {
     /// RTC depacketizer. Blocks not fully covered are considered lost (HEVC cannot decode a
     /// truncated CTU) and will be concealed by the decoder.
     ///
-    /// One merge pass: each block's range is the running sum of the lengths before it, and
-    /// the ranges are merged into runs of adjacent ones as the blocks reach them, so each
-    /// block is one comparison against the current run — O(blocks + ranges).
+    /// A block's byte range starts at the running sum of the lengths before it, from
+    /// `header_bytes` on.
     pub fn blocks_covered_into(&self, received: &[(u64, u64)], out: &mut Vec<bool>) {
         out.clear();
         out.reserve(self.blocks.len());
-        // The merged run that ends past the current block's start (once one does), and the
-        // ranges not merged yet.
-        let (mut run, mut rest) = ((0, 0), received);
         let mut start = self.header_bytes as u64;
         out.extend(self.blocks.iter().map(|b| {
             let end = start + b.byte_len as u64;
-            while run.1 <= start {
-                let Some((&next, tail)) = rest.split_first() else {
-                    break;
-                };
-                (run, rest) = (next, tail);
-                while let Some((&(_, e), tail)) = rest.split_first().filter(|((s, _), _)| *s <= run.1) {
-                    (run.1, rest) = (run.1.max(e), tail);
-                }
-            }
-            let covered = run.0 <= start && end <= run.1;
+            let covered = range_covered(start, end, received);
             start = end;
             covered
         }));
@@ -166,6 +153,24 @@ impl EncodedFrame {
     }
 }
 
+/// True when `[start, end)` is fully covered by the union of the sorted ranges in `received`.
+fn range_covered(start: u64, end: u64, received: &[(u64, u64)]) -> bool {
+    let mut cursor = start;
+    for &(s, e) in received {
+        if e <= cursor {
+            continue;
+        }
+        if s > cursor {
+            return false;
+        }
+        cursor = e;
+        if cursor >= end {
+            return true;
+        }
+    }
+    cursor >= end
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -175,40 +180,6 @@ mod tests {
         let mut covered = Vec::new();
         f.blocks_covered_into(received, &mut covered);
         covered
-    }
-
-    /// True when `[start, end)` is fully covered by the union of the sorted ranges in
-    /// `received`.
-    fn range_covered(start: u64, end: u64, received: &[(u64, u64)]) -> bool {
-        let mut cursor = start;
-        for &(s, e) in received {
-            if e <= cursor {
-                continue;
-            }
-            if s > cursor {
-                return false;
-            }
-            cursor = e;
-            if cursor >= end {
-                return true;
-            }
-        }
-        cursor >= end
-    }
-
-    /// The per-block form [`EncodedFrame::blocks_covered_into`] replaced: every block
-    /// scans the whole range list.
-    fn covered_per_block(f: &EncodedFrame, received: &[(u64, u64)]) -> Vec<bool> {
-        let mut start = f.header_bytes as u64;
-        f.blocks
-            .iter()
-            .map(|b| {
-                let end = start + b.byte_len as u64;
-                let covered = range_covered(start, end, received);
-                start = end;
-                covered
-            })
-            .collect()
     }
 
     /// A 100-byte header and blocks of the given lengths (QP 30, detail 0.5); block 0 is
@@ -276,52 +247,6 @@ mod tests {
         let f = frame_with_blocks(&[200, 300, 150]);
         let covered = covered_by(&f, &[(0, 250), (250, 400), (400, 750)]);
         assert!(covered.iter().all(|c| *c));
-    }
-
-    /// Deterministic generator for the range-set property.
-    struct Lcg(u64);
-
-    impl Lcg {
-        /// A value in `0..n`.
-        fn below(&mut self, n: u64) -> u64 {
-            self.0 = self
-                .0
-                .wrapping_mul(6364136223846793005)
-                .wrapping_add(1442695040888963407);
-            (self.0 >> 33) % n
-        }
-    }
-
-    /// The merge pass equals the per-block scan on random sorted, non-overlapping range
-    /// sets: empty, the whole frame, gaps, adjacent ranges, zero-length ranges, ranges
-    /// inside the header and ranges past the frame's end.
-    #[test]
-    fn merge_pass_coverage_equals_the_per_block_scan_on_random_range_sets() {
-        let mut rng = Lcg(0x9E37_79B9_7F4A_7C15);
-        for case in 0..2_000 {
-            let lens: Vec<u32> = (0..rng.below(40)).map(|_| 1 + rng.below(300) as u32).collect();
-            let f = frame_with_blocks(&lens);
-            let total = f.total_bytes();
-            let mut received = Vec::new();
-            match case % 4 {
-                0 => {}
-                1 => received.push((0, total + rng.below(3))),
-                _ => {
-                    let mut at = rng.below(150);
-                    while at < total + 200 && received.len() < 60 {
-                        // Zero-length, short and long ranges; gaps of zero (adjacent) or more.
-                        let len = [0, 1 + rng.below(8), 1 + rng.below(400)][rng.below(3) as usize];
-                        received.push((at, at + len));
-                        at += len + [0, rng.below(4), rng.below(300)][rng.below(3) as usize];
-                    }
-                }
-            }
-            assert_eq!(
-                covered_by(&f, &received),
-                covered_per_block(&f, &received),
-                "case {case}: blocks {lens:?}, received {received:?}"
-            );
-        }
     }
 
     #[test]

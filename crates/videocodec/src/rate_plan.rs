@@ -145,14 +145,15 @@ impl RatePlan {
     /// ([`Encoder::predict_plan_offset_size`]) and [`Encoder::encode_at_level`] apply their
     /// level to, and selects the offset bracket. The rate coefficients do not depend on it,
     /// so a plan is prepared first and its base — computed from the plan's own raster —
-    /// written afterwards, straight from the allocator.
+    /// written afterwards, straight from the allocator: `fill` pushes one [`Qp::value`] per
+    /// block, in raster order, into the cleared base.
     ///
     /// # Panics
     ///
-    /// Panics when `qps` does not yield one QP per block of the prepared frame's grid.
-    pub fn set_base_qps(&mut self, qps: impl IntoIterator<Item = Qp>) {
+    /// Panics when `fill` does not push one QP per block of the prepared frame's grid.
+    pub fn set_base_qps(&mut self, fill: impl FnOnce(&mut Vec<u8>)) {
         self.base_qp.clear();
-        qps.into_iter().for_each(|qp| self.base_qp.push(qp.value()));
+        fill(&mut self.base_qp);
         assert_eq!(
             self.base_qp.len(),
             self.dims.len(),
@@ -248,7 +249,7 @@ impl Encoder {
         plan.base_qp.clear();
         if let Some(base) = base {
             assert_eq!(base.dims(), dims, "base QP map grid does not match plan grid");
-            plan.set_base_qps(base.values().iter().copied());
+            plan.set_base_qps(|qps| qps.extend(base.values().iter().map(|qp| qp.value())));
         }
     }
 
@@ -1092,7 +1093,7 @@ mod tests {
                 match &base {
                     Some(base) if rng.range(0, 2) == 0 => {
                         enc.prepare_rate_plan(&frame, None, &mut plan);
-                        plan.set_base_qps(base.values().iter().copied());
+                        plan.set_base_qps(|qps| qps.extend(base.values().iter().map(|qp| qp.value())));
                     }
                     _ => enc.prepare_rate_plan(&frame, base.as_ref(), &mut plan),
                 }
