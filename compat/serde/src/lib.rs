@@ -2,26 +2,23 @@
 //!
 //! The build environment has no access to crates.io, so this workspace vendors a minimal,
 //! API-compatible implementation of exactly the serde surface the codebase uses: the
-//! `Serialize`/`Deserialize` derive macros and (through `serde_json`) pretty JSON
-//! round-tripping. Instead of serde's visitor architecture, everything funnels through a
-//! concrete [`Value`] tree: `Serialize` renders a value into a tree, `Deserialize` rebuilds
-//! it from one. That keeps the derive macro (hand-written, no `syn`/`quote`) small while
-//! preserving lossless round-trips for every type in this workspace.
+//! `Serialize` derive macro and (through `serde_json`) JSON output. Instead of serde's
+//! visitor architecture, everything funnels through a concrete [`Value`] tree: `Serialize`
+//! renders a value into a tree, which `serde_json` writes. Nothing is deserialized: the
+//! workspace writes reports, fixtures and figures and reads none back into a typed value,
+//! and what JSON it does read (the hot-path baseline, the benchmark's own output) it walks
+//! as a [`Value`].
 //!
 //! Representation choices (documented because artifacts on disk depend on them):
 //! * structs → JSON objects keyed by field name;
-//! * tuple structs and tuples → JSON arrays;
+//! * tuple structs and pairs → JSON arrays;
 //! * unit enum variants → the variant name as a string;
 //! * data-carrying enum variants → a single-key object `{"Variant": ...}`;
-//! * maps/sets → arrays of `[key, value]` pairs / arrays (keys need not be strings);
-//! * `Option` → the value or `null` (missing object fields deserialize as `None`).
+//! * `Option` → the value or `null`.
 
-pub use serde_derive::{Deserialize, Serialize};
+pub use serde_derive::Serialize;
 
-use std::collections::{BTreeMap, BTreeSet};
-use std::sync::Arc;
-
-/// A deserialization/serialization error with a human-readable message.
+/// A serialization or JSON parse error with a human-readable message.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Error {
     message: String,
@@ -65,8 +62,7 @@ pub enum Value {
     Object(Vec<(String, Value)>),
 }
 
-/// A `null` with a `'static` lifetime, handed out for missing object fields so `Option`
-/// fields deserialize to `None`.
+/// A `null` with a `'static` lifetime, handed out for missing object fields.
 pub static NULL_VALUE: Value = Value::Null;
 
 impl Value {
@@ -85,16 +81,6 @@ impl Value {
         }
     }
 
-    /// Element `i` of an array.
-    pub fn index(&self, i: usize) -> Result<&Value, Error> {
-        match self {
-            Value::Array(items) => items.get(i).ok_or_else(|| {
-                Error::custom(format!("array index {i} out of bounds ({} items)", items.len()))
-            }),
-            other => Err(Error::custom(format!("expected array, found {}", other.kind()))),
-        }
-    }
-
     /// A short name of the value's kind, for error messages.
     pub fn kind(&self) -> &'static str {
         match self {
@@ -107,27 +93,12 @@ impl Value {
             Value::Object(_) => "object",
         }
     }
-
-    fn as_i128(&self) -> Option<i128> {
-        match *self {
-            Value::I64(v) => Some(v as i128),
-            Value::U64(v) => Some(v as i128),
-            Value::F64(v) if v.fract() == 0.0 && v.abs() < 9.0e18 => Some(v as i128),
-            _ => None,
-        }
-    }
 }
 
 /// Renders `self` into a [`Value`] tree.
 pub trait Serialize {
     /// The value-tree form of `self`.
     fn to_value(&self) -> Value;
-}
-
-/// Rebuilds `Self` from a [`Value`] tree.
-pub trait Deserialize: Sized {
-    /// Parses `Self` out of a value tree.
-    fn from_value(v: &Value) -> Result<Self, Error>;
 }
 
 // --- primitive impls -------------------------------------------------------------------
@@ -137,14 +108,6 @@ macro_rules! impl_signed {
         impl Serialize for $t {
             fn to_value(&self) -> Value {
                 Value::I64(*self as i64)
-            }
-        }
-        impl Deserialize for $t {
-            fn from_value(v: &Value) -> Result<Self, Error> {
-                let raw = v.as_i128().ok_or_else(|| {
-                    Error::custom(format!("expected integer, found {}", v.kind()))
-                })?;
-                <$t>::try_from(raw).map_err(|_| Error::custom(format!("integer {raw} out of range")))
             }
         }
     )*};
@@ -162,42 +125,9 @@ impl Serialize for u64 {
     }
 }
 
-impl Deserialize for u64 {
-    fn from_value(v: &Value) -> Result<Self, Error> {
-        let raw = v
-            .as_i128()
-            .ok_or_else(|| Error::custom(format!("expected integer, found {}", v.kind())))?;
-        u64::try_from(raw).map_err(|_| Error::custom(format!("integer {raw} out of range")))
-    }
-}
-
 impl Serialize for f64 {
     fn to_value(&self) -> Value {
         Value::F64(*self)
-    }
-}
-
-impl Deserialize for f64 {
-    fn from_value(v: &Value) -> Result<Self, Error> {
-        match *v {
-            Value::F64(x) => Ok(x),
-            Value::I64(x) => Ok(x as f64),
-            Value::U64(x) => Ok(x as f64),
-            Value::Null => Ok(f64::NAN),
-            ref other => Err(Error::custom(format!("expected number, found {}", other.kind()))),
-        }
-    }
-}
-
-impl Serialize for f32 {
-    fn to_value(&self) -> Value {
-        Value::F64(*self as f64)
-    }
-}
-
-impl Deserialize for f32 {
-    fn from_value(v: &Value) -> Result<Self, Error> {
-        f64::from_value(v).map(|x| x as f32)
     }
 }
 
@@ -207,77 +137,15 @@ impl Serialize for bool {
     }
 }
 
-impl Deserialize for bool {
-    fn from_value(v: &Value) -> Result<Self, Error> {
-        match v {
-            Value::Bool(b) => Ok(*b),
-            other => Err(Error::custom(format!("expected bool, found {}", other.kind()))),
-        }
-    }
-}
-
 impl Serialize for String {
     fn to_value(&self) -> Value {
         Value::Str(self.clone())
     }
 }
 
-impl Deserialize for String {
-    fn from_value(v: &Value) -> Result<Self, Error> {
-        match v {
-            Value::Str(s) => Ok(s.clone()),
-            other => Err(Error::custom(format!("expected string, found {}", other.kind()))),
-        }
-    }
-}
-
-impl Serialize for str {
-    fn to_value(&self) -> Value {
-        Value::Str(self.to_string())
-    }
-}
-
-impl Serialize for char {
-    fn to_value(&self) -> Value {
-        Value::Str(self.to_string())
-    }
-}
-
-impl Deserialize for char {
-    fn from_value(v: &Value) -> Result<Self, Error> {
-        let s = String::from_value(v)?;
-        let mut chars = s.chars();
-        match (chars.next(), chars.next()) {
-            (Some(c), None) => Ok(c),
-            _ => Err(Error::custom("expected single-character string")),
-        }
-    }
-}
-
 // --- composite impls -------------------------------------------------------------------
 
-impl<T: Serialize + ?Sized> Serialize for &T {
-    fn to_value(&self) -> Value {
-        (**self).to_value()
-    }
-}
-
 impl<T: Serialize> Serialize for Vec<T> {
-    fn to_value(&self) -> Value {
-        Value::Array(self.iter().map(Serialize::to_value).collect())
-    }
-}
-
-impl<T: Deserialize> Deserialize for Vec<T> {
-    fn from_value(v: &Value) -> Result<Self, Error> {
-        match v {
-            Value::Array(items) => items.iter().map(T::from_value).collect(),
-            other => Err(Error::custom(format!("expected array, found {}", other.kind()))),
-        }
-    }
-}
-
-impl<T: Serialize> Serialize for [T] {
     fn to_value(&self) -> Value {
         Value::Array(self.iter().map(Serialize::to_value).collect())
     }
@@ -292,101 +160,9 @@ impl<T: Serialize> Serialize for Option<T> {
     }
 }
 
-impl<T: Deserialize> Deserialize for Option<T> {
-    fn from_value(v: &Value) -> Result<Self, Error> {
-        match v {
-            Value::Null => Ok(None),
-            other => T::from_value(other).map(Some),
-        }
-    }
-}
-
-impl<T: Serialize + ?Sized> Serialize for Box<T> {
+impl<A: Serialize, B: Serialize> Serialize for (A, B) {
     fn to_value(&self) -> Value {
-        (**self).to_value()
-    }
-}
-
-impl<T: Deserialize> Deserialize for Box<T> {
-    fn from_value(v: &Value) -> Result<Self, Error> {
-        T::from_value(v).map(Box::new)
-    }
-}
-
-impl<T: Serialize + ?Sized> Serialize for Arc<T> {
-    fn to_value(&self) -> Value {
-        (**self).to_value()
-    }
-}
-
-impl<T: Deserialize> Deserialize for Arc<T> {
-    fn from_value(v: &Value) -> Result<Self, Error> {
-        T::from_value(v).map(Arc::new)
-    }
-}
-
-impl<T: Deserialize> Deserialize for Arc<[T]> {
-    fn from_value(v: &Value) -> Result<Self, Error> {
-        Vec::<T>::from_value(v).map(Arc::from)
-    }
-}
-
-macro_rules! impl_tuple {
-    ($(($($name:ident : $idx:tt),+))*) => {$(
-        impl<$($name: Serialize),+> Serialize for ($($name,)+) {
-            fn to_value(&self) -> Value {
-                Value::Array(vec![$(self.$idx.to_value()),+])
-            }
-        }
-        impl<$($name: Deserialize),+> Deserialize for ($($name,)+) {
-            fn from_value(v: &Value) -> Result<Self, Error> {
-                Ok(($($name::from_value(v.index($idx)?)?,)+))
-            }
-        }
-    )*};
-}
-
-impl_tuple! {
-    (A: 0)
-    (A: 0, B: 1)
-    (A: 0, B: 1, C: 2)
-    (A: 0, B: 1, C: 2, D: 3)
-}
-
-impl<K: Serialize, V: Serialize> Serialize for BTreeMap<K, V> {
-    fn to_value(&self) -> Value {
-        Value::Array(
-            self.iter()
-                .map(|(k, v)| Value::Array(vec![k.to_value(), v.to_value()]))
-                .collect(),
-        )
-    }
-}
-
-impl<K: Deserialize + Ord, V: Deserialize> Deserialize for BTreeMap<K, V> {
-    fn from_value(v: &Value) -> Result<Self, Error> {
-        match v {
-            Value::Array(items) => items
-                .iter()
-                .map(|pair| Ok((K::from_value(pair.index(0)?)?, V::from_value(pair.index(1)?)?)))
-                .collect(),
-            other => Err(Error::custom(format!(
-                "expected array of pairs, found {}",
-                other.kind()
-            ))),
-        }
-    }
-}
-
-impl<T: Serialize> Serialize for BTreeSet<T> {
-    fn to_value(&self) -> Value {
-        Value::Array(self.iter().map(Serialize::to_value).collect())
-    }
-}
-
-impl<T: Deserialize + Ord> Deserialize for BTreeSet<T> {
-    fn from_value(v: &Value) -> Result<Self, Error> {
-        Vec::<T>::from_value(v).map(|items| items.into_iter().collect())
+        Value::Array(vec![self.0.to_value(), self.1.to_value()])
     }
 }
 
@@ -396,31 +172,14 @@ impl Serialize for Value {
     }
 }
 
-impl Deserialize for Value {
-    fn from_value(v: &Value) -> Result<Self, Error> {
-        Ok(v.clone())
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
-    fn option_round_trip() {
-        assert_eq!(Option::<u32>::from_value(&Value::Null).unwrap(), None);
-        assert_eq!(Option::<u32>::from_value(&Value::I64(7)).unwrap(), Some(7));
+    fn option_serializes_as_its_value_or_null() {
         assert_eq!(Some(7u32).to_value(), Value::I64(7));
         assert_eq!(Option::<u32>::None.to_value(), Value::Null);
-    }
-
-    #[test]
-    fn map_round_trip_with_non_string_keys() {
-        let mut m = BTreeMap::new();
-        m.insert((1u32, 2u32), 3.5f64);
-        let v = m.to_value();
-        let back: BTreeMap<(u32, u32), f64> = Deserialize::from_value(&v).unwrap();
-        assert_eq!(back, m);
     }
 
     #[test]
@@ -430,16 +189,11 @@ mod tests {
         assert_eq!(obj.field("a").unwrap(), &Value::I64(1));
     }
 
+    /// A `u64` past `i64::MAX` keeps every bit, as `U64`.
     #[test]
     fn big_u64_round_trip() {
         let big = u64::MAX - 3;
-        assert_eq!(u64::from_value(&big.to_value()).unwrap(), big);
-    }
-
-    #[test]
-    fn arc_slice_round_trip() {
-        let arc: Arc<[(u32, f64)]> = vec![(1, 0.5), (2, 0.25)].into();
-        let back: Arc<[(u32, f64)]> = Deserialize::from_value(&arc.to_value()).unwrap();
-        assert_eq!(&*back, &*arc);
+        assert_eq!(big.to_value(), Value::U64(big));
+        assert_eq!(7u64.to_value(), Value::I64(7));
     }
 }

@@ -1,17 +1,19 @@
 //! Offline stand-in for `serde_derive`.
 //!
-//! A hand-written implementation of `#[derive(Serialize)]` / `#[derive(Deserialize)]` that
-//! parses the item declaration directly from the raw [`TokenStream`] — no `syn`, no `quote`
-//! (crates.io is unreachable in this build environment). It supports exactly the shapes
-//! this workspace uses:
+//! A hand-written implementation of `#[derive(Serialize)]` that parses the item declaration
+//! directly from the raw [`TokenStream`] — no `syn`, no `quote` (crates.io is unreachable in
+//! this build environment). There is no derive for reading: nothing in the workspace reads
+//! a typed value back. It supports exactly the shapes this workspace uses:
 //!
 //! * structs with named fields,
 //! * tuple structs (any arity, fields may be private — derives expand in-crate),
-//! * enums with unit, named-field and tuple variants,
+//! * enums with unit and named-field variants,
 //! * no generic parameters (none of the workspace's serialized types are generic).
 //!
-//! The generated code targets the value-model traits in the stand-in `serde` crate
-//! (`Serialize::to_value` / `Deserialize::from_value`).
+//! Any other shape (a unit struct, a tuple variant) is refused at expansion.
+//!
+//! The generated code targets the value-model trait in the stand-in `serde` crate
+//! (`Serialize::to_value`).
 
 use proc_macro::{Delimiter, TokenStream, TokenTree};
 
@@ -23,25 +25,11 @@ pub fn derive_serialize(input: TokenStream) -> TokenStream {
         .expect("serde_derive generated invalid Serialize impl")
 }
 
-#[proc_macro_derive(Deserialize)]
-pub fn derive_deserialize(input: TokenStream) -> TokenStream {
-    let item = parse_item(input);
-    gen_deserialize(&item)
-        .parse()
-        .expect("serde_derive generated invalid Deserialize impl")
-}
-
 enum Shape {
     NamedStruct(Vec<String>),
     TupleStruct(usize),
-    UnitStruct,
-    Enum(Vec<(String, VariantShape)>),
-}
-
-enum VariantShape {
-    Unit,
-    Named(Vec<String>),
-    Tuple(usize),
+    /// Each variant's name and, for a named-field variant, its fields.
+    Enum(Vec<(String, Option<Vec<String>>)>),
 }
 
 struct Item {
@@ -66,7 +54,7 @@ fn parse_item(input: TokenStream) -> Item {
             Some(TokenTree::Group(g)) if g.delimiter() == Delimiter::Parenthesis => {
                 Shape::TupleStruct(count_tuple_fields(g.stream()))
             }
-            _ => Shape::UnitStruct,
+            _ => panic!("serde_derive stand-in does not support unit structs (deriving on `{name}`)"),
         },
         "enum" => match tokens.get(i) {
             Some(TokenTree::Group(g)) if g.delimiter() == Delimiter::Brace => {
@@ -167,7 +155,7 @@ fn count_tuple_fields(stream: TokenStream) -> usize {
     count
 }
 
-fn parse_variants(stream: TokenStream) -> Vec<(String, VariantShape)> {
+fn parse_variants(stream: TokenStream) -> Vec<(String, Option<Vec<String>>)> {
     let tokens: Vec<TokenTree> = stream.into_iter().collect();
     let mut i = 0;
     let mut variants = Vec::new();
@@ -177,26 +165,20 @@ fn parse_variants(stream: TokenStream) -> Vec<(String, VariantShape)> {
             break;
         }
         let name = expect_ident(&tokens, &mut i);
-        let shape = match tokens.get(i) {
+        let fields = match tokens.get(i) {
             Some(TokenTree::Group(g)) if g.delimiter() == Delimiter::Brace => {
                 i += 1;
-                VariantShape::Named(parse_named_fields(g.stream()))
+                Some(parse_named_fields(g.stream()))
             }
             Some(TokenTree::Group(g)) if g.delimiter() == Delimiter::Parenthesis => {
-                i += 1;
-                VariantShape::Tuple(count_tuple_fields(g.stream()))
+                panic!("serde_derive stand-in does not support tuple variants (variant `{name}`)")
             }
-            _ => VariantShape::Unit,
+            _ => None,
         };
-        // Skip an optional `= discriminant` and the trailing comma.
-        if matches!(tokens.get(i), Some(TokenTree::Punct(p)) if p.as_char() == '=') {
-            i += 1;
-            skip_type(&tokens, &mut i);
-        }
         if matches!(tokens.get(i), Some(TokenTree::Punct(p)) if p.as_char() == ',') {
             i += 1;
         }
-        variants.push((name, shape));
+        variants.push((name, fields));
     }
     variants
 }
@@ -221,15 +203,14 @@ fn gen_serialize(item: &Item) -> String {
                 .collect();
             format!("::serde::Value::Array(::std::vec![{}])", items.join(", "))
         }
-        Shape::UnitStruct => "::serde::Value::Null".to_string(),
         Shape::Enum(variants) => {
             let arms: Vec<String> = variants
                 .iter()
-                .map(|(v, shape)| match shape {
-                    VariantShape::Unit => format!(
+                .map(|(v, fields)| match fields {
+                    None => format!(
                         "{name}::{v} => ::serde::Value::Str(::std::string::String::from(\"{v}\")),"
                     ),
-                    VariantShape::Named(fields) => {
+                    Some(fields) => {
                         let bind = fields.join(", ");
                         let pairs: Vec<String> = fields
                             .iter()
@@ -244,18 +225,6 @@ fn gen_serialize(item: &Item) -> String {
                             pairs.join(", ")
                         )
                     }
-                    VariantShape::Tuple(arity) => {
-                        let binds: Vec<String> = (0..*arity).map(|i| format!("x{i}")).collect();
-                        let items: Vec<String> = binds
-                            .iter()
-                            .map(|b| format!("::serde::Serialize::to_value({b})"))
-                            .collect();
-                        format!(
-                            "{name}::{v}({}) => ::serde::Value::Object(::std::vec![(::std::string::String::from(\"{v}\"), ::serde::Value::Array(::std::vec![{}]))]),",
-                            binds.join(", "),
-                            items.join(", ")
-                        )
-                    }
                 })
                 .collect();
             format!("match self {{ {} }}", arms.join(" "))
@@ -263,81 +232,5 @@ fn gen_serialize(item: &Item) -> String {
     };
     format!(
         "impl ::serde::Serialize for {name} {{\n    fn to_value(&self) -> ::serde::Value {{ {body} }}\n}}"
-    )
-}
-
-fn gen_deserialize(item: &Item) -> String {
-    let name = &item.name;
-    let body = match &item.shape {
-        Shape::NamedStruct(fields) => {
-            let inits: Vec<String> = fields
-                .iter()
-                .map(|f| format!("{f}: ::serde::Deserialize::from_value(v.field(\"{f}\")?)?"))
-                .collect();
-            format!("::std::result::Result::Ok({name} {{ {} }})", inits.join(", "))
-        }
-        Shape::TupleStruct(arity) => {
-            let inits: Vec<String> = (0..*arity)
-                .map(|i| format!("::serde::Deserialize::from_value(v.index({i})?)?"))
-                .collect();
-            format!("::std::result::Result::Ok({name}({}))", inits.join(", "))
-        }
-        Shape::UnitStruct => format!("::std::result::Result::Ok({name})"),
-        Shape::Enum(variants) => {
-            let unit_arms: Vec<String> = variants
-                .iter()
-                .filter(|(_, s)| matches!(s, VariantShape::Unit))
-                .map(|(v, _)| format!("\"{v}\" => ::std::result::Result::Ok({name}::{v}),"))
-                .collect();
-            let data_arms: Vec<String> = variants
-                .iter()
-                .filter_map(|(v, shape)| match shape {
-                    VariantShape::Unit => None,
-                    VariantShape::Named(fields) => {
-                        let inits: Vec<String> = fields
-                            .iter()
-                            .map(|f| format!("{f}: ::serde::Deserialize::from_value(inner.field(\"{f}\")?)?"))
-                            .collect();
-                        Some(format!(
-                            "\"{v}\" => ::std::result::Result::Ok({name}::{v} {{ {} }}),",
-                            inits.join(", ")
-                        ))
-                    }
-                    VariantShape::Tuple(arity) => {
-                        let inits: Vec<String> = (0..*arity)
-                            .map(|i| format!("::serde::Deserialize::from_value(inner.index({i})?)?"))
-                            .collect();
-                        Some(format!(
-                            "\"{v}\" => ::std::result::Result::Ok({name}::{v}({})),",
-                            inits.join(", ")
-                        ))
-                    }
-                })
-                .collect();
-            format!(
-                r#"match v {{
-                    ::serde::Value::Str(s) => match s.as_str() {{
-                        {unit_arms}
-                        other => ::std::result::Result::Err(::serde::Error::custom(
-                            ::std::format!("unknown variant `{{other}}` of {name}"))),
-                    }},
-                    ::serde::Value::Object(pairs) if pairs.len() == 1 => {{
-                        let (tag, inner) = &pairs[0];
-                        match tag.as_str() {{
-                            {data_arms}
-                            other => ::std::result::Result::Err(::serde::Error::custom(
-                                ::std::format!("unknown variant `{{other}}` of {name}"))),
-                        }}
-                    }}
-                    other => ::std::result::Result::Err(::serde::Error::custom(
-                        ::std::format!("expected {name} variant, found {{}}", other.kind()))),
-                }}"#,
-                unit_arms = unit_arms.join("\n                        "),
-                data_arms = data_arms.join("\n                            "),
-            )
-        }
-    };
-    format!(
-        "impl ::serde::Deserialize for {name} {{\n    fn from_value(v: &::serde::Value) -> ::std::result::Result<Self, ::serde::Error> {{\n        {body}\n    }}\n}}"
     )
 }

@@ -83,7 +83,7 @@ fn parse_args() -> Args {
 
 fn read_baseline(path: &str) -> BaselineFile {
     let json = std::fs::read_to_string(path).unwrap_or_else(|e| panic!("cannot read {path}: {e}"));
-    serde_json::from_str(&json).unwrap_or_else(|e| panic!("cannot parse {path}: {e:?}"))
+    BaselineFile::parse(&json).unwrap_or_else(|e| panic!("cannot parse {path}: {e}"))
 }
 
 /// `conversation_fleet_throughput_N` → `N` (how many session-turns one iteration of a

@@ -13,7 +13,7 @@ use aivc_semantics::{ClipModel, ClipScratch, TextQuery};
 use aivc_sim::SimDuration;
 use aivc_videocodec::{Decoder, EncodeScratch, EncodedFrame, Encoder, EncoderConfig, Qp, QpMap};
 use aivchat_core::{Conversation, ConversationChatServer, NetSessionOptions, QpAllocator, QpAllocatorConfig};
-use serde::{Deserialize, Serialize};
+use serde::{Error, Serialize, Value};
 use std::hint::black_box;
 
 /// Build profile every baseline is recorded under.
@@ -44,7 +44,7 @@ pub const ENTRIES: [&str; 12] = [
 ];
 
 /// The shape of `BENCH_hotpaths.json`.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, Serialize)]
 pub struct BaselineFile {
     /// Build profile the numbers were recorded under.
     pub profile: String,
@@ -56,6 +56,64 @@ pub struct BaselineFile {
     pub pool_lanes: usize,
     /// The recorded hot-path medians (gated by `bench_check`).
     pub hotpaths: Vec<HotpathMeasurement>,
+}
+
+impl BaselineFile {
+    /// Reads a baseline back from its JSON text, naming the key at fault when it cannot.
+    pub fn parse(json: &str) -> Result<Self, Error> {
+        let root = serde_json::from_str(json)?;
+        let Value::Array(entries) = required(&root, "hotpaths")? else {
+            return Err(Error::custom("`hotpaths` must be an array"));
+        };
+        let hotpaths = entries
+            .iter()
+            .enumerate()
+            .map(|(i, entry)| measurement(entry).map_err(|e| Error::custom(format!("hotpaths[{i}]: {e}"))));
+        Ok(Self {
+            profile: string(&root, "profile")?,
+            methodology: string(&root, "methodology")?,
+            pool_lanes: count(&root, "pool_lanes")?,
+            hotpaths: hotpaths.collect::<Result<_, _>>()?,
+        })
+    }
+}
+
+fn measurement(entry: &Value) -> Result<HotpathMeasurement, Error> {
+    let median_ns_per_iter = match *required(entry, "median_ns_per_iter")? {
+        Value::F64(x) => x,
+        Value::I64(n) => n as f64,
+        _ => return Err(Error::custom("`median_ns_per_iter` must be a number")),
+    };
+    Ok(HotpathMeasurement {
+        name: string(entry, "name")?,
+        median_ns_per_iter,
+        iters_per_sample: count(entry, "iters_per_sample")?,
+        samples: count(entry, "samples")?,
+    })
+}
+
+/// `object`'s `key`, which must be there.
+fn required<'a>(object: &'a Value, key: &str) -> Result<&'a Value, Error> {
+    match object.field(key)? {
+        Value::Null => Err(Error::custom(format!("`{key}` is missing"))),
+        value => Ok(value),
+    }
+}
+
+fn string(object: &Value, key: &str) -> Result<String, Error> {
+    match required(object, key)? {
+        Value::Str(s) => Ok(s.clone()),
+        _ => Err(Error::custom(format!("`{key}` must be a string"))),
+    }
+}
+
+fn count<T: TryFrom<i64>>(object: &Value, key: &str) -> Result<T, Error> {
+    match *required(object, key)? {
+        Value::I64(n) => {
+            T::try_from(n).map_err(|_| Error::custom(format!("`{key}` must be a count, got {n}")))
+        }
+        _ => Err(Error::custom(format!("`{key}` must be a count"))),
+    }
 }
 
 /// A 1080p scene whose two moving objects dirty ≈ 10 % of the 64-px patch grid per frame
@@ -357,11 +415,38 @@ mod tests {
             }],
         };
         let json = serde_json::to_string_pretty(&file).unwrap();
-        let back: BaselineFile = serde_json::from_str(&json).unwrap();
+        let back = BaselineFile::parse(&json).unwrap();
         assert_eq!(back.hotpaths.len(), 1);
         assert_eq!(back.hotpaths[0].name, "x");
         assert_eq!(back.hotpaths[0].median_ns_per_iter, 12.5);
         assert_eq!(back.pool_lanes, 4);
+    }
+
+    /// Each way a hand-edited baseline goes wrong is refused with the key it went wrong at.
+    #[test]
+    fn baseline_parse_names_the_key_at_fault() {
+        let entry = r#"{"name": "x", "median_ns_per_iter": 12.5, "iters_per_sample": 3, "samples": 30}"#;
+        let file = |pool_lanes: &str, hotpaths: &str| {
+            format!(
+                r#"{{"profile": "p", "methodology": "m", "pool_lanes": {pool_lanes}, "hotpaths": {hotpaths}}}"#
+            )
+        };
+        assert_eq!(
+            BaselineFile::parse(&file("1", &format!("[{entry}]"))).map(|f| f.hotpaths.len()),
+            Ok(1)
+        );
+        let error = |json: &str| BaselineFile::parse(json).map(drop).unwrap_err().to_string();
+        assert_eq!(
+            error(r#"{"profile": "p", "pool_lanes": 1, "hotpaths": []}"#),
+            "`methodology` is missing"
+        );
+        assert_eq!(error(&file(r#""1""#, "[]")), "`pool_lanes` must be a count");
+        assert_eq!(error(&file("-1", "[]")), "`pool_lanes` must be a count, got -1");
+        assert_eq!(
+            error(&file("1", &format!("[{}]", entry.replace("30", "-30")))),
+            "hotpaths[0]: `samples` must be a count, got -30"
+        );
+        assert_eq!(error(&file("1", entry)), "`hotpaths` must be an array");
     }
 
     /// The staleness check `bench_check` makes only on a full run on the reference box: the
@@ -370,7 +455,7 @@ mod tests {
     fn committed_baseline_lists_exactly_the_suite_entries() {
         let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_hotpaths.json");
         let json = std::fs::read_to_string(path).expect("the committed baseline is readable");
-        let file: BaselineFile = serde_json::from_str(&json).expect("the committed baseline parses");
+        let file = BaselineFile::parse(&json).expect("the committed baseline parses");
         // No section beyond `BaselineFile`'s fields: the file is what `--record` would write.
         assert_eq!(serde_json::to_string_pretty(&file).unwrap(), json);
         let names: Vec<&str> = file.hotpaths.iter().map(|m| m.name.as_str()).collect();

@@ -11,7 +11,7 @@
 
 pub mod hotpath_suite;
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 use std::io::Write;
 
 /// Experiment scale selected via the `AIVC_SCALE` environment variable.
@@ -74,7 +74,7 @@ pub fn kbps(bps: f64) -> String {
 }
 
 /// One hot-path measurement, as recorded in `BENCH_hotpaths.json`.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, Serialize)]
 pub struct HotpathMeasurement {
     /// Hot-path name (one of `hotpath_suite::ENTRIES`).
     pub name: String,

@@ -29,11 +29,10 @@
 use aivc_scene::GridDims;
 use aivc_semantics::ImportanceMap;
 use aivc_videocodec::{Qp, QpMap};
-use serde::{Deserialize, Serialize};
 
 /// Configuration of the Eq. 2 allocator: the temperature. The produced QP spans the whole
 /// `0..=51` range — ρ = 1 gives exactly 0 and ρ = −1 exactly 51 for every γ.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct QpAllocatorConfig {
     /// Temperature coefficient γ (paper: 3). Finite and positive.
     pub gamma: f64,

@@ -41,7 +41,7 @@ use aivc_netsim::{jain_index, FaultKind, LinkConfig, LinkCounters, Packet, Share
 use aivc_scene::Frame;
 use aivc_semantics::ClipModel;
 use aivc_sim::{Actor, SimDuration, SimTime, Simulation};
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 use std::sync::Arc;
 
 /// One scripted turn of a tenant's conversation.
@@ -76,7 +76,7 @@ pub struct TenantSpec {
 
 /// Background cross-traffic: fixed-size packets offered at a constant rate over
 /// `[start, stop)`, contending as one extra flow on the shared link.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct CrossTrafficSpec {
     /// Offered rate in bits per second.
     pub rate_bps: f64,
@@ -93,7 +93,7 @@ pub struct CrossTrafficSpec {
 const STARVING_WINDOWS_TO_ESCALATE: u32 = 2;
 
 /// Starvation-watchdog configuration.
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct StarvationConfig {
     /// Master switch.
     pub enabled: bool,
@@ -113,7 +113,7 @@ impl StarvationConfig {
 }
 
 /// Late-joiner admission configuration.
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct AdmissionConfig {
     /// Master switch: a joiner's initial estimate is clamped to its fair share,
     /// `nominal_bps / active_tenants`.
@@ -278,7 +278,7 @@ impl core::fmt::Display for ContentionConfigError {
 }
 
 /// One fairness-telemetry sample: shares over the window ending at `end_ms`.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct FairnessWindow {
     /// Window end, in milliseconds of global simulated time.
     pub end_ms: f64,
@@ -291,7 +291,7 @@ pub struct FairnessWindow {
 }
 
 /// Fairness telemetry over a whole contention run.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct FairnessReport {
     /// Sampling window width in milliseconds.
     pub window_ms: f64,
@@ -306,7 +306,7 @@ pub struct FairnessReport {
 }
 
 /// One tenant's slice of a [`ContentionReport`].
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct TenantReport {
     /// The tenant's label.
     pub label: String,
@@ -325,7 +325,7 @@ pub struct TenantReport {
 }
 
 /// The report of one multi-tenant contention run.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct ContentionReport {
     /// Per-tenant results, in tenant order.
     pub tenants: Vec<TenantReport>,

@@ -32,13 +32,12 @@ use aivc_scene::{Frame, VideoSource};
 use aivc_semantics::{ClipConfig, ClipMemo, ClipModel, ClipWork, TextQuery};
 use aivc_videocodec::encoder::BLOCK_SIZE;
 use aivc_videocodec::{DecodedFrame, Decoder, EncodedFrame, Encoder, EncoderConfig, QpMap, RatePlan};
-use serde::{Deserialize, Serialize};
 use std::sync::Arc;
 
 /// Configuration of the sender. With the [`ClipModel`] handed to [`Streamer::new`] it is
 /// everything a sender is built from, and two values in all: γ here, the patch size there
 /// (DESIGN.md §3c, "what a sender can be built with").
-#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct StreamerConfig {
     /// Eq. 2's temperature (default: the paper's γ = 3).
     pub allocator: QpAllocatorConfig,
@@ -47,7 +46,7 @@ pub struct StreamerConfig {
 }
 
 /// A set of frames coded at one matched level.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct MatchedEncode {
     /// What the trial-and-error match settled on: the uniform offset applied on top of the
     /// Eq. 2 maps (context-aware, `-51..=51`) or the uniform QP itself (baseline, `0..=51`).

@@ -44,7 +44,7 @@ use aivc_rtc::cc::GccController;
 use aivc_scene::Frame;
 use aivc_semantics::ClipModel;
 use aivc_sim::{SimDuration, SimTime, Simulation};
-use serde::{Deserialize, Serialize, Value};
+use serde::{Serialize, Value};
 use std::sync::Arc;
 
 /// The report of a whole conversation: every turn's [`NetTurnReport`] plus the cross-turn
@@ -112,25 +112,6 @@ impl Serialize for ConversationReport {
             fields.push(("resilience".to_string(), self.resilience.to_value()));
         }
         Value::Object(fields)
-    }
-}
-
-impl Deserialize for ConversationReport {
-    fn from_value(v: &Value) -> Result<Self, serde::Error> {
-        Ok(Self {
-            turns: Deserialize::from_value(v.field("turns")?)?,
-            estimate_at_turn_start_bps: Deserialize::from_value(v.field("estimate_at_turn_start_bps")?)?,
-            carryover_queue_delay_ms: Deserialize::from_value(v.field("carryover_queue_delay_ms")?)?,
-            turn_target_swing_bps: Deserialize::from_value(v.field("turn_target_swing_bps")?)?,
-            p50_frame_latency_ms: Deserialize::from_value(v.field("p50_frame_latency_ms")?)?,
-            p95_frame_latency_ms: Deserialize::from_value(v.field("p95_frame_latency_ms")?)?,
-            mean_goodput_bps: Deserialize::from_value(v.field("mean_goodput_bps")?)?,
-            nacks_suppressed: Deserialize::from_value(v.field("nacks_suppressed")?)?,
-            resilience: match v.field("resilience")? {
-                Value::Null => FaultTelemetry::default(),
-                present => Deserialize::from_value(present)?,
-            },
-        })
     }
 }
 

@@ -13,11 +13,11 @@ use crate::session::StreamingMode;
 use aivc_mllm::{MllmChat, Question, QuestionFormat};
 use aivc_scene::Corpus;
 use aivc_semantics::ClipModel;
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 use std::sync::Arc;
 
 /// One point of the Figure 9 curve.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
 pub struct AccuracyPoint {
     /// Method.
     pub method: StreamingMode,

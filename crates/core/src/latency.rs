@@ -13,13 +13,12 @@ use aivc_mllm::InferenceLatencyModel;
 use aivc_rtc::jitter::{JitterBuffer, JitterBufferConfig};
 use aivc_scene::Frame;
 use aivc_videocodec::encoder::ENCODE_LATENCY_US;
-use serde::{Deserialize, Serialize};
 
 /// The conversational response-latency target in milliseconds (§1, citing [18]).
 pub const RESPONSE_LATENCY_TARGET_MS: f64 = 300.0;
 
 /// Millisecond breakdown of one AI Video Chat turn.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct LatencyBudget {
     /// Camera capture / sensor latency.
     pub capture_ms: f64,

@@ -25,18 +25,17 @@
 
 use crate::session::StreamingMode;
 use aivc_mllm::Answer;
-use aivc_netsim::fault::FaultScheduleError;
-use aivc_netsim::{BandwidthTraceError, LinkConfig, LossModel, PathConfig};
+use aivc_netsim::{LinkConfig, LossModel, PathConfig};
 use aivc_rtc::cc::GccConfig;
 use aivc_rtc::fec::{AdaptiveFecConfig, FecConfig};
 use aivc_rtc::nack::NackConfig;
 use aivc_rtc::rtp::DEFAULT_MTU_BYTES;
 use aivc_rtc::AbrPolicy;
 use aivc_sim::{SimDuration, SimTime};
-use serde::{Deserialize, Serialize, Value};
+use serde::{Serialize, Value};
 
 /// Options of one networked chat session.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, Serialize)]
 pub struct NetSessionOptions {
     /// Seed for every stochastic component (network loss, jitter, MLLM answer draws).
     pub seed: u64,
@@ -202,23 +201,20 @@ impl NetSessionOptions {
     }
 }
 
-/// Checks a link the engine is about to send packets over — built by hand or deserialized,
-/// so past every constructor — naming it `link` in the error: what
-/// [`NetSessionOptions::validate`] holds both directions of `path` to, and
-/// [`crate::run_contention`] its `shared_uplink`.
+/// Checks the fields of a link the engine is about to send packets over that no constructor
+/// saw (its trace and fault schedule were checked when they were built), naming it `link`
+/// in the error: what [`NetSessionOptions::validate`] holds both directions of `path` to,
+/// and [`crate::run_contention`] its `shared_uplink`.
 pub(crate) fn validate_link(link: &'static str, config: &LinkConfig) -> Result<(), NetSessionOptionsError> {
     use NetSessionOptionsError as E;
     let LinkConfig {
-        bandwidth,
+        bandwidth: _,
         propagation_delay,
         queue_capacity_bytes,
         loss,
         max_jitter,
-        faults,
+        faults: _,
     } = config;
-    bandwidth
-        .validate()
-        .map_err(|error| E::LinkBandwidth { link, error })?;
     let max_timer = SimDuration::from_secs_f64(MAX_TIMER_SECS);
     for (field, value) in [
         ("propagation_delay", *propagation_delay),
@@ -257,7 +253,7 @@ pub(crate) fn validate_link(link: &'static str, config: &LinkConfig) -> Result<(
             probability("loss.loss_bad", loss_bad)?;
         }
     }
-    faults.validate().map_err(|error| E::LinkFaults { link, error })
+    Ok(())
 }
 
 /// Longest deadline or timer the options may ask for, in seconds: 1e12 µs, so a clock
@@ -320,21 +316,11 @@ pub enum NetSessionOptionsError {
     /// `nack.reorder_guard` is longer than any deadline and overflows the clock it is
     /// added to.
     ReorderGuard(SimDuration),
-    /// A link's bandwidth trace fails [`aivc_netsim::BandwidthTrace::validate`]: the link
-    /// divides every packet's bits by the segment's rate, so a zero, subnormal or NaN rate
-    /// overflows its clock and an infinite one never queues; a deserialized trace may also
-    /// be empty or out of order.
-    LinkBandwidth {
-        /// The link, as a path from the options (`path.uplink`, `path.downlink`) or the
-        /// contention configuration (`shared_uplink`).
-        link: &'static str,
-        /// What the trace's own check found.
-        error: BandwidthTraceError,
-    },
     /// A link's `propagation_delay` or `max_jitter` is longer than any deadline and
     /// overflows the arrival time it is added to.
     LinkDelay {
-        /// The link, as in [`NetSessionOptionsError::LinkBandwidth`].
+        /// The link, as a path from the options (`path.uplink`, `path.downlink`) or the
+        /// contention configuration (`shared_uplink`).
         link: &'static str,
         /// `propagation_delay` or `max_jitter`.
         field: &'static str,
@@ -344,7 +330,7 @@ pub enum NetSessionOptionsError {
     /// A link's drop-tail queue holds less than one MTU packet, so it drops everything it
     /// is offered and no turn can deliver a frame.
     LinkQueue {
-        /// The link, as in [`NetSessionOptionsError::LinkBandwidth`].
+        /// The link, as in [`NetSessionOptionsError::LinkDelay`].
         link: &'static str,
         /// The rejected capacity.
         queue_capacity_bytes: u64,
@@ -352,20 +338,12 @@ pub enum NetSessionOptionsError {
     /// A probability of a link's loss model is NaN or outside `[0, 1]`: a NaN one ran as a
     /// loss-free link and one above 1 as a dead one, silently.
     LinkLoss {
-        /// The link, as in [`NetSessionOptionsError::LinkBandwidth`].
+        /// The link, as in [`NetSessionOptionsError::LinkDelay`].
         link: &'static str,
         /// The probability, as a path from the link (`loss.rate`, `loss.p_good_to_bad`, …).
         field: &'static str,
         /// The rejected value.
         value: f64,
-    },
-    /// A link's fault schedule breaks [`aivc_netsim::FaultSchedule::try_new`]'s rules — a
-    /// deserialized one, which no constructor saw.
-    LinkFaults {
-        /// The link, as in [`NetSessionOptionsError::LinkBandwidth`].
-        link: &'static str,
-        /// What the schedule's own check found.
-        error: FaultScheduleError,
     },
 }
 
@@ -404,7 +382,6 @@ impl core::fmt::Display for NetSessionOptionsError {
                 "nack.reorder_guard must be at most 1e6 s, got {} µs",
                 guard.as_micros()
             ),
-            NetSessionOptionsError::LinkBandwidth { link, error } => write!(f, "{link}.bandwidth: {error}"),
             NetSessionOptionsError::LinkDelay { link, field, value } => write!(
                 f,
                 "{link}.{field} must be at most 1e6 s, got {} µs",
@@ -424,7 +401,6 @@ impl core::fmt::Display for NetSessionOptionsError {
                     "{link}.{field} must be a probability within 0..=1, got {value}"
                 )
             }
-            NetSessionOptionsError::LinkFaults { link, error } => write!(f, "{link}.faults: {error}"),
         }
     }
 }
@@ -436,7 +412,7 @@ impl core::fmt::Display for NetSessionOptionsError {
 /// built; after recovery the congestion controller's ramp stages the climb back. Disabled
 /// by default — the ladder never engages and the pre-ladder behaviour is preserved bit for
 /// bit.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
 pub struct DegradationConfig {
     /// Master switch for the ladder.
     pub enabled: bool,
@@ -459,7 +435,7 @@ impl Default for DegradationConfig {
 /// whenever fault injection and the resilience stack are off, in which case it is omitted
 /// from the serialized report — the off-by-default contract that keeps the pre-fault
 /// golden fixtures byte-for-byte identical.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Serialize)]
 pub struct FaultTelemetry {
     /// Scheduled uplink outage time overlapping the turn window, in ms.
     pub outage_ms: f64,
@@ -534,10 +510,10 @@ impl FrameDelivery {
 /// The report of one networked chat turn — plain values only, so server slots can replace
 /// reports in place.
 ///
-/// Serialization note: `Serialize`/`Deserialize` are implemented by hand (not derived)
-/// so the `resilience` block is **omitted** when quiet. The pre-fault golden fixtures
-/// never contained the field; emitting an all-zero block would change every fixture byte
-/// stream, and the vendored serde derive has no field-skipping attribute support.
+/// Serialization note: `Serialize` is implemented by hand (not derived) so the `resilience`
+/// block is **omitted** when quiet. The pre-fault golden fixtures never contained the
+/// field; emitting an all-zero block would change every fixture byte stream, and the
+/// vendored serde derive has no field-skipping attribute support.
 #[derive(Debug, Clone, PartialEq)]
 pub struct NetTurnReport {
     /// The MLLM's answer over everything the receiver could decode before the deadline.
@@ -617,30 +593,6 @@ impl Serialize for NetTurnReport {
     }
 }
 
-impl Deserialize for NetTurnReport {
-    fn from_value(v: &Value) -> Result<Self, serde::Error> {
-        Ok(Self {
-            answer: Deserialize::from_value(v.field("answer")?)?,
-            frames_sent: Deserialize::from_value(v.field("frames_sent")?)?,
-            frames_delivered: Deserialize::from_value(v.field("frames_delivered")?)?,
-            frames_decoded: Deserialize::from_value(v.field("frames_decoded")?)?,
-            mean_target_bitrate_bps: Deserialize::from_value(v.field("mean_target_bitrate_bps")?)?,
-            achieved_bitrate_bps: Deserialize::from_value(v.field("achieved_bitrate_bps")?)?,
-            goodput_bps: Deserialize::from_value(v.field("goodput_bps")?)?,
-            p50_frame_latency_ms: Deserialize::from_value(v.field("p50_frame_latency_ms")?)?,
-            p95_frame_latency_ms: Deserialize::from_value(v.field("p95_frame_latency_ms")?)?,
-            packets_lost: Deserialize::from_value(v.field("packets_lost")?)?,
-            fec_recovered_frames: Deserialize::from_value(v.field("fec_recovered_frames")?)?,
-            retransmissions_sent: Deserialize::from_value(v.field("retransmissions_sent")?)?,
-            final_estimate_bps: Deserialize::from_value(v.field("final_estimate_bps")?)?,
-            resilience: match v.field("resilience")? {
-                Value::Null => FaultTelemetry::default(),
-                present => Deserialize::from_value(present)?,
-            },
-        })
-    }
-}
-
 impl NetTurnReport {
     /// The all-zero report server slots start from.
     pub fn placeholder() -> Self {
@@ -675,7 +627,11 @@ mod tests {
     use super::*;
     use crate::Conversation;
     use aivc_mllm::{Question, QuestionFormat};
-    use aivc_netsim::{BandwidthTrace, LinkConfig, LossModel, SimDuration, SimTime};
+    use aivc_netsim::fault::FaultScheduleError;
+    use aivc_netsim::{
+        BandwidthTrace, BandwidthTraceError, FaultEpisode, FaultKind, FaultSchedule, LinkConfig, LossModel,
+        SimDuration, SimTime,
+    };
     use aivc_scene::templates::basketball_game;
     use aivc_scene::{Frame, SourceConfig, VideoSource};
 
@@ -704,7 +660,7 @@ mod tests {
                 queue_capacity_bytes: queue_bytes_for(8e6, 300),
                 loss: LossModel::Iid { rate: 0.01 },
                 max_jitter: SimDuration::ZERO,
-                faults: aivc_netsim::FaultSchedule::none(),
+                faults: FaultSchedule::none(),
             },
             downlink: LinkConfig::constant(100e6, SimDuration::from_millis(30), 300, LossModel::None),
         }
@@ -753,60 +709,84 @@ mod tests {
         }
     }
 
-    /// `link` as a deserializer would hand it over — past `BandwidthTrace`'s constructors —
-    /// with its (constant) rate replaced by `rate_bps`.
-    fn link_with_rate(link: &LinkConfig, rate_bps: f64) -> LinkConfig {
-        deserialized_with(link, link.bandwidth.rate_at(SimTime::ZERO), rate_bps)
+    /// `link` with its (constant) rate replaced by `rate_bps`, or why `BandwidthTrace` refuses it.
+    fn link_with_rate(link: &LinkConfig, rate_bps: f64) -> Result<LinkConfig, BandwidthTraceError> {
+        let segments = || vec![(SimTime::ZERO, rate_bps)];
+        let bandwidth = built_by_both(
+            || BandwidthTrace::try_from_segments(segments()),
+            || BandwidthTrace::from_segments(segments()),
+        )?;
+        Ok(LinkConfig {
+            bandwidth,
+            ..link.clone()
+        })
     }
 
-    /// `link` with a 100 ms burst-loss episode whose rate is `loss_rate`, deserialized past
-    /// `FaultSchedule::try_new`.
-    fn link_with_burst_loss(link: &LinkConfig, loss_rate: f64) -> LinkConfig {
-        let mut valid = link.clone();
-        valid.faults = aivc_netsim::FaultSchedule::new(vec![aivc_netsim::FaultEpisode {
-            start: SimTime::ZERO,
-            duration: SimDuration::from_millis(100),
-            kind: aivc_netsim::FaultKind::BurstLoss { loss_rate: 0.25 },
-        }]);
-        deserialized_with(&valid, 0.25, loss_rate)
+    /// `link` with a 100 ms burst-loss episode whose rate is `loss_rate`, or why
+    /// `FaultSchedule` refuses it.
+    fn link_with_burst_loss(link: &LinkConfig, loss_rate: f64) -> Result<LinkConfig, FaultScheduleError> {
+        let episodes = || {
+            vec![FaultEpisode {
+                start: SimTime::ZERO,
+                duration: SimDuration::from_millis(100),
+                kind: FaultKind::BurstLoss { loss_rate },
+            }]
+        };
+        let faults = built_by_both(
+            || FaultSchedule::try_new(episodes()),
+            || FaultSchedule::new(episodes()),
+        )?;
+        Ok(LinkConfig {
+            faults,
+            ..link.clone()
+        })
     }
 
-    /// `link` serialized, every `from` in it replaced by `to`, and deserialized again.
-    fn deserialized_with(link: &LinkConfig, from: f64, to: f64) -> LinkConfig {
-        fn replace(value: &mut Value, from: f64, to: f64) {
-            match value {
-                Value::F64(x) if *x == from => *x = to,
-                Value::Array(items) => items.iter_mut().for_each(|item| replace(item, from, to)),
-                Value::Object(fields) => fields.iter_mut().for_each(|(_, item)| replace(item, from, to)),
-                _ => {}
-            }
+    /// What a constructor's two forms agree on: `try_build`'s value, or its error, whose
+    /// words `build` must panic with.
+    fn built_by_both<T: PartialEq + std::fmt::Debug, E: std::fmt::Display>(
+        try_build: impl FnOnce() -> Result<T, E>,
+        build: impl FnOnce() -> T + std::panic::UnwindSafe,
+    ) -> Result<T, E> {
+        let tried = try_build();
+        match (&tried, std::panic::catch_unwind(build)) {
+            (Ok(value), Ok(built)) => assert_eq!(value, &built),
+            (Err(error), Err(panic)) => assert_eq!(panic.downcast_ref::<String>(), Some(&error.to_string())),
+            (_, built) => panic!("try_build and build disagree: build panicked {}", built.is_err()),
         }
-        let mut value = link.to_value();
-        replace(&mut value, from, to);
-        Deserialize::from_value(&value).expect("still a well-formed link")
+        tried
     }
 
-    /// `path` used to be skipped: a deserialized 0 / subnormal / NaN / infinite rate
-    /// overflowed the link's clock or never queued, an over-long delay overflowed an arrival
-    /// time, a queue under one MTU dropped every packet of every turn, and a NaN loss
-    /// probability — of the loss model or of a deserialized fault episode — ran loss-free
-    /// (1.5 lost everything). Each now fails `validate` — and
-    /// `Conversation::new` with the same words — naming link and field.
+    /// `path` used to be skipped: an over-long delay overflowed an arrival time, a queue
+    /// under one MTU dropped every packet of every turn, and a NaN loss probability ran
+    /// loss-free (1.5 lost everything). Each now fails `validate` — and `Conversation::new`
+    /// with the same words — naming link and field. A 0 / −1 / subnormal / NaN / ±∞ / MAX
+    /// rate, which overflowed the link's clock or never queued, and a NaN or out-of-range
+    /// burst-loss probability are refused by name before a link can hold them, by the
+    /// trace's and the fault schedule's constructors.
     #[test]
     fn a_path_the_links_cannot_run_is_rejected_at_construction() {
+        let (link, inf) = (good_path().uplink, f64::INFINITY);
+        for rate in [0.0, -1.0, 5e-324, f64::NAN, inf, -inf, f64::MAX] {
+            assert_eq!(
+                link_with_rate(&link, rate).map(drop).map_err(|e| e.to_string()),
+                Err(format!(
+                    "bandwidth trace invalid: segment 0's rate must be within 1..=1e12 bits per second, got {rate}"
+                ))
+            );
+        }
+        for value in [f64::NAN, -0.1, 1.5, inf] {
+            assert_eq!(
+                link_with_burst_loss(&link, value)
+                    .map(drop)
+                    .map_err(|e| e.to_string()),
+                Err(format!(
+                    "fault schedule invalid: episode 0's probability must be within 0..=1, got {value}"
+                ))
+            );
+        }
         type Edit = Box<dyn Fn(&mut PathConfig)>;
         let mut cases: Vec<(Edit, String)> = Vec::new();
-        for rate in [0.0, -1.0, 5e-324, f64::NAN, f64::INFINITY, f64::MAX] {
-            let rule = format!("segment 0's rate must be within 1..=1e12 bits per second, got {rate}");
-            cases.push((
-                Box::new(move |p| p.uplink = link_with_rate(&p.uplink, rate)),
-                format!("path.uplink.bandwidth: bandwidth trace invalid: {rule}"),
-            ));
-            cases.push((
-                Box::new(move |p| p.downlink = link_with_rate(&p.downlink, rate)),
-                format!("path.downlink.bandwidth: bandwidth trace invalid: {rule}"),
-            ));
-        }
         let too_long = SimDuration::from_secs_f64(1e6) + SimDuration::from_micros(1);
         cases.push((
             Box::new(move |p| p.uplink.propagation_delay = too_long),
@@ -843,13 +823,6 @@ mod tests {
                 }),
                 format!("path.downlink.loss.p_bad_to_good must be a probability within 0..=1, got {value}"),
             ));
-            cases.push((
-                Box::new(move |p| p.uplink = link_with_burst_loss(&p.uplink, value)),
-                format!(
-                    "path.uplink.faults: fault schedule invalid: episode 0's probability must be within \
-                     0..=1, got {value}"
-                ),
-            ));
         }
         for (edit, rule) in cases {
             let mut options = NetSessionOptions::ai_oriented(1, good_path());
@@ -862,8 +835,9 @@ mod tests {
         }
         // The bounds themselves are accepted.
         let mut options = NetSessionOptions::ai_oriented(1, good_path());
-        options.path.uplink = link_with_rate(&options.path.uplink, 1.0);
-        options.path.downlink = link_with_burst_loss(&link_with_rate(&options.path.downlink, 1e12), 1.0);
+        options.path.uplink = link_with_rate(&options.path.uplink, 1.0).unwrap();
+        options.path.downlink =
+            link_with_burst_loss(&link_with_rate(&options.path.downlink, 1e12).unwrap(), 1.0).unwrap();
         options.path.uplink.propagation_delay = SimDuration::from_secs_f64(1e6);
         options.path.uplink.queue_capacity_bytes = 1_400;
         options.path.uplink.loss = LossModel::Iid { rate: 1.0 };

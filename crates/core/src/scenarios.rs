@@ -29,7 +29,7 @@ use aivc_par::MiniPool;
 use aivc_rtc::{AbrPolicy, FecConfig};
 use aivc_scene::templates::basketball_game;
 use aivc_scene::{SourceConfig, VideoSource};
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// Capture rate of every turn window.
 const CAPTURE_FPS: f64 = 12.0;
@@ -684,7 +684,7 @@ pub fn contention_registry() -> Vec<ScenarioSpec> {
 
 /// The report of a one-turn spec: both ABR modes side by side plus a small multi-session
 /// [`ConversationChatServer`] run.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct ScenarioReport {
     /// The scenario's registry name.
     pub scenario: String,
@@ -785,7 +785,7 @@ pub fn stream_for(options: NetSessionOptions, secs: f64) -> (Conversation, Laten
 
 /// The report of a multi-turn spec on a link of its own: both ABR modes side by side, each
 /// a full cross-turn [`ConversationReport`].
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct ConversationScenarioReport {
     /// The scenario's registry name.
     pub scenario: String,
@@ -806,7 +806,7 @@ pub fn run_conversation_scenario(spec: &ScenarioSpec) -> ConversationScenarioRep
 
 /// The report of a shared-uplink spec: both ABR legs side by side, each a full
 /// multi-tenant [`ContentionReport`]. A pinned tenant stays AI-oriented in both.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct ContentionScenarioReport {
     /// The scenario's registry name.
     pub scenario: String,

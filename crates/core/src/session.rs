@@ -1,10 +1,10 @@
 //! [`StreamingMode`]: which of its two modes a [`crate::Streamer`] — a session's uplink
 //! sender, or an offline one — runs in.
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// Which streaming method a session uses on the uplink.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
 pub enum StreamingMode {
     /// Context-aware QP allocation (the paper's contribution).
     ContextAware,

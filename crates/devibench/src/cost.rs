@@ -6,10 +6,8 @@
 //! wall-clock seconds (model latencies plus encoding time), so Table 1 can be regenerated
 //! from first principles instead of being hard-coded.
 
-use serde::{Deserialize, Serialize};
-
 /// Per-model token prices and per-call constants.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CostModel {
     /// Generator price per 1k input tokens (USD).
     pub generator_input_per_1k: f64,
@@ -44,7 +42,7 @@ impl Default for CostModel {
 }
 
 /// Accumulated cost ledger.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct CostSummary {
     /// Input tokens consumed by the generator model.
     pub generator_input_tokens: u64,

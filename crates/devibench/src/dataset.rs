@@ -3,10 +3,10 @@
 use crate::cost::{CostModel, CostSummary};
 use crate::qa::QaSample;
 use crate::stats::CategoryDistribution;
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// The DeViBench dataset produced by one pipeline run.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct Dataset {
     /// Accepted, cross-verified QA samples.
     pub samples: Vec<QaSample>,
@@ -17,7 +17,7 @@ pub struct Dataset {
 }
 
 /// The Table 1 row set: benchmark summary.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct DatasetSummary {
     /// Number of QA samples (paper: 1,074).
     pub qa_samples: usize,

@@ -10,11 +10,10 @@ use crate::dataset::Dataset;
 use aivc_mllm::MllmChat;
 use aivc_scene::FactCategory;
 use aivc_videocodec::DecodedFrame;
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 
 /// The outcome of one evaluation run.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct EvalOutcome {
     /// Number of questions evaluated.
     pub questions: usize,

@@ -17,10 +17,9 @@ use aivc_mllm::roles::{GeneratedQa, QaGenerator};
 use aivc_mllm::{Question, QuestionFormat};
 use aivc_scene::{FactCategory, SceneFact, VideoClip};
 use aivc_videocodec::DecodedFrame;
-use serde::{Deserialize, Serialize};
 
 /// Configuration of candidate generation.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct GenerationConfig {
     /// Number of additional coarse ("easy") candidates generated per ground-truth fact.
     ///
@@ -38,7 +37,7 @@ impl Default for GenerationConfig {
 }
 
 /// A candidate plus the bookkeeping the rest of the pipeline needs.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Candidate {
     /// The clip the candidate refers to.
     pub clip_id: u64,

@@ -14,10 +14,9 @@ use aivc_mllm::roles::{CrossVerifier, QaFilter};
 use aivc_mllm::{InferenceLatencyModel, MllmConfig, VisionTokenizer};
 use aivc_scene::Corpus;
 use aivc_videocodec::{transcode_clip, Encoder, EncoderConfig};
-use serde::{Deserialize, Serialize};
 
 /// Pipeline configuration.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PipelineConfig {
     /// Master seed; every role derives its own stream from it.
     pub seed: u64,
@@ -44,7 +43,7 @@ impl Default for PipelineConfig {
 }
 
 /// The pipeline's run report: the dataset plus the yield statistics of every stage.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct PipelineReport {
     /// The resulting dataset.
     pub dataset: Dataset,

@@ -2,10 +2,9 @@
 
 use aivc_mllm::{Question, QuestionFormat};
 use aivc_scene::FactCategory;
-use serde::{Deserialize, Serialize};
 
 /// A finished, validated DeViBench QA sample.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct QaSample {
     /// Which clip of the corpus the sample refers to.
     pub clip_id: u64,

@@ -2,10 +2,10 @@
 
 use crate::qa::QaSample;
 use aivc_scene::FactCategory;
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// One slice of the category distribution.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct DistributionEntry {
     /// Category.
     pub category: FactCategory,
@@ -18,7 +18,7 @@ pub struct DistributionEntry {
 }
 
 /// Category + temporal-dependency distribution of a dataset (Figure 8: outer + inner ring).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct CategoryDistribution {
     /// Per-category entries in the paper's reporting order.
     pub entries: Vec<DistributionEntry>,

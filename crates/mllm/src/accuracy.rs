@@ -23,10 +23,9 @@ use aivc_videocodec::DecodedFrame;
 use rand::Rng;
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
-use serde::{Deserialize, Serialize};
 
 /// How the question is posed.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum QuestionFormat {
     /// Four-option multiple choice (DeViBench's final format) — 25 % guessing floor.
     MultipleChoice,
@@ -46,7 +45,7 @@ impl QuestionFormat {
 }
 
 /// A question posed to the MLLM about a video.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Question {
     /// Natural-language question text.
     pub text: String,
@@ -80,7 +79,7 @@ impl Question {
 }
 
 /// Calibration constants of the accuracy model.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 struct AccuracyCalibration {
     /// Quality threshold per unit of detail requirement: a question with `required_detail`
     /// needs roughly `threshold_per_detail * required_detail` decoded quality on its

@@ -11,10 +11,10 @@ use crate::latency::{InferenceLatency, InferenceLatencyModel};
 use crate::sampler::{Downsampler, FrameSampler, SamplingStats};
 use crate::tokens::VisionTokenizer;
 use aivc_videocodec::DecodedFrame;
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// The MLLM's response to one question.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Serialize)]
 pub struct Answer {
     /// Whether the answer matches the ground truth.
     pub correct: bool,

@@ -5,10 +5,8 @@
 //! latency for audio-only input (§1). Capability/noise knobs differentiate the pipeline
 //! roles (generator / filter / verifier) without changing the underlying model.
 
-use serde::{Deserialize, Serialize};
-
 /// Static configuration of a simulated MLLM.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct MllmConfig {
     /// Maximum video frame rate the model ingests, in frames per second (§2.1: 2 FPS).
     pub max_input_fps: f64,
@@ -91,7 +89,7 @@ impl MllmConfig {
 }
 
 /// A named profile bundling a configuration with an identifying label and RNG stream.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct MllmProfile {
     /// Human-readable name (e.g. `"qwen2.5-omni"`).
     pub name: String,

@@ -7,10 +7,10 @@
 //! be quantified too.
 
 use crate::config::MllmConfig;
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// Breakdown of one inference call's latency, in milliseconds.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Serialize)]
 pub struct InferenceLatency {
     /// Fixed prefill cost (system prompt, audio tokens, scheduling).
     pub prefill_fixed_ms: f64,

@@ -21,10 +21,9 @@ use aivc_videocodec::DecodedFrame;
 use rand::Rng;
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
-use serde::{Deserialize, Serialize};
 
 /// A QA candidate produced by the generator.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct GeneratedQa {
     /// The question the generator wrote.
     pub question: Question,
@@ -121,7 +120,7 @@ impl QaGenerator {
 }
 
 /// Outcome of the filter step for one candidate.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct FilterOutcome {
     /// The filter model answered correctly on the original (high-quality) video.
     pub correct_on_original: bool,

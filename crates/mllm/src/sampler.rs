@@ -7,7 +7,7 @@
 
 use crate::config::MllmConfig;
 use aivc_videocodec::DecodedFrame;
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// Selects which received frames the MLLM actually processes (≤ `max_input_fps`).
 #[derive(Debug, Clone)]
@@ -19,7 +19,7 @@ pub struct FrameSampler {
 }
 
 /// Statistics of a sampling run — the data behind Figure 2.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Serialize)]
 pub struct SamplingStats {
     /// Frames offered by the network/decoder.
     pub offered: u64,
@@ -91,7 +91,7 @@ impl FrameSampler {
 }
 
 /// Downsampling decision for one frame.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct DownsampleDecision {
     /// Source pixel count.
     pub source_pixels: u64,

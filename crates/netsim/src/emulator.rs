@@ -9,10 +9,10 @@ use crate::link::{DeliveryOutcome, Link, LinkConfig};
 use crate::loss::LossModel;
 use crate::packet::Packet;
 use aivc_sim::{SimDuration, SimTime};
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// Configuration of a bidirectional network path.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, Serialize)]
 pub struct PathConfig {
     /// Client → cloud direction (video).
     pub uplink: LinkConfig,
@@ -33,7 +33,7 @@ impl PathConfig {
 }
 
 /// Direction of travel through the emulator.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Direction {
     /// Client → cloud.
     Uplink,

@@ -37,10 +37,10 @@
 use aivc_sim::{SimDuration, SimTime};
 use rand::Rng;
 use rand_chacha::ChaCha8Rng;
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// What a fault episode does to packets sent while it is active.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
 pub enum FaultKind {
     /// Full outage / blackout: every packet is dropped before it touches the link.
     Outage,
@@ -73,7 +73,7 @@ pub enum FaultKind {
 
 /// One timed fault episode: `kind` applies to every packet sent in
 /// `[start, start + duration)`.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
 pub struct FaultEpisode {
     /// When the episode begins (absolute simulated time).
     pub start: SimTime,
@@ -110,8 +110,8 @@ pub struct FaultAction {
     pub reordered: bool,
 }
 
-/// Why a proposed fault schedule was rejected by [`FaultSchedule::try_new`], or a
-/// deserialized one by [`FaultSchedule::validate`].
+/// Why a proposed fault schedule was rejected by [`FaultSchedule::try_new`] (or by
+/// [`FaultSchedule::new`], which panics with it).
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum FaultScheduleError {
     /// Two [`FaultKind::Outage`] episodes overlap in time. Overlapping outages would
@@ -173,7 +173,7 @@ impl core::fmt::Display for FaultScheduleError {
 /// Non-outage episodes may overlap each other and outages freely — they compose in
 /// schedule order, and that order is part of the schedule's deterministic contract
 /// because it fixes the RNG draw order.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Serialize)]
 pub struct FaultSchedule {
     episodes: Vec<FaultEpisode>,
 }
@@ -200,18 +200,11 @@ impl FaultSchedule {
 
     /// A schedule from explicit episodes, rejecting invalid outage layouts — outage
     /// episodes must be sorted by start time and pairwise disjoint — and probabilities
-    /// outside `[0, 1]`.
+    /// outside `[0, 1]`. Every schedule with an episode is built here, so this is the one
+    /// place its rules are checked.
     pub fn try_new(episodes: Vec<FaultEpisode>) -> Result<Self, FaultScheduleError> {
-        let schedule = Self { episodes };
-        schedule.validate()?;
-        Ok(schedule)
-    }
-
-    /// Why the schedule breaks [`FaultSchedule::try_new`]'s rules, if it does — the check a
-    /// deserialized schedule, which no constructor saw, is held to.
-    pub fn validate(&self) -> Result<(), FaultScheduleError> {
         let mut prev: Option<(usize, &FaultEpisode)> = None;
-        for (i, e) in self.episodes.iter().enumerate() {
+        for (i, e) in episodes.iter().enumerate() {
             let probability = match e.kind {
                 FaultKind::Outage => {
                     if let Some((pi, p)) = prev {
@@ -241,7 +234,7 @@ impl FaultSchedule {
                 });
             }
         }
-        Ok(())
+        Ok(Self { episodes })
     }
 
     /// A single blackout of `duration` starting at `start`.
@@ -617,24 +610,5 @@ mod tests {
                 kind: FaultKind::Outage,
             },
         ]);
-    }
-
-    #[test]
-    fn schedules_round_trip_through_serde() {
-        let s = FaultSchedule::new(vec![
-            FaultEpisode {
-                start: ms(1_200),
-                duration: dur_ms(500),
-                kind: FaultKind::Outage,
-            },
-            FaultEpisode {
-                start: ms(2_000),
-                duration: dur_ms(300),
-                kind: FaultKind::BurstLoss { loss_rate: 0.5 },
-            },
-        ]);
-        use serde::{Deserialize, Serialize};
-        let back = FaultSchedule::from_value(&s.to_value()).unwrap();
-        assert_eq!(s, back);
     }
 }

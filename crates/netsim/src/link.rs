@@ -23,10 +23,10 @@ use aivc_sim::{SimDuration, SimTime};
 use rand::Rng;
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// Static configuration of a link.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, Serialize)]
 pub struct LinkConfig {
     /// Serialization rate over time, in bits per second.
     pub bandwidth: BandwidthTrace,
@@ -92,7 +92,7 @@ impl LinkConfig {
 }
 
 /// What happened to a packet offered to the link.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum DeliveryOutcome {
     /// The packet will arrive at the far end at the given time.
     Delivered {
@@ -121,7 +121,7 @@ impl DeliveryOutcome {
 }
 
 /// Counters describing everything a link has done so far.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Serialize)]
 pub struct LinkCounters {
     /// Packets offered to the link.
     pub offered: u64,

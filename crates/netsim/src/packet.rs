@@ -5,14 +5,13 @@
 //! queue treats an RTP/UDP datagram.
 
 use aivc_sim::SimTime;
-use serde::{Deserialize, Serialize};
 
 /// Globally unique packet identifier assigned by the sender.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct PacketId(pub u64);
 
 /// A packet in flight through the emulator.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Packet {
     /// Unique id (used to correlate send/deliver/drop records).
     pub id: PacketId,

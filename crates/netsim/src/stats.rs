@@ -1,7 +1,6 @@
 //! Statistics collectors used across the emulator and the experiment harness.
 
 use aivc_sim::SimDuration;
-use serde::{Deserialize, Serialize};
 
 /// Jain's fairness index over per-flow allocations: `(Σx)² / (k·Σx²)`.
 ///
@@ -26,7 +25,7 @@ pub fn jain_index(values: &[f64]) -> f64 {
 /// Stores every sample (in milliseconds); the experiment runs here are short enough
 /// (hundreds of thousands of frames) that exact percentiles are affordable and make the
 /// reproduced figures easier to reason about than approximate sketches would.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct LatencyStats {
     samples_ms: Vec<f64>,
     sorted: bool,

@@ -9,10 +9,10 @@ use aivc_sim::{SimDuration, SimTime};
 use rand::Rng;
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// A piecewise-constant bandwidth trace in bits per second.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct BandwidthTrace {
     /// Segment boundaries: `(start_time_us, rate_bps)`, sorted by start time, first at 0.
     segments: Vec<(u64, f64)>,
@@ -29,8 +29,13 @@ const MIN_RATE_BPS: f64 = 1.0;
 /// infinite rate serializes everything in zero time and never builds a queue.
 pub const MAX_RATE_BPS: f64 = 1e12;
 
-/// Why a trace was rejected by [`BandwidthTrace::constant`] / [`BandwidthTrace::from_segments`]
-/// (which panic with it), or a deserialized one by [`BandwidthTrace::validate`].
+/// Most segments [`BandwidthTrace::square_wave`] / [`BandwidthTrace::random_walk`] may
+/// generate: 2^20, about a million 1-µs steps, far past any trace worth simulating. Refusing
+/// more costs nothing, where building them allocates a segment per step.
+const MAX_GENERATED_SEGMENTS: u64 = 1 << 20;
+
+/// Why a trace was rejected by [`BandwidthTrace::try_from_segments`], or by the constructors
+/// that panic with it.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum BandwidthTraceError {
     /// The trace has no segment, so no rate at any time.
@@ -49,6 +54,20 @@ pub enum BandwidthTraceError {
         /// Its rate as given.
         rate_bps: f64,
     },
+    /// A generator's step divides its total into more than `MAX_GENERATED_SEGMENTS`
+    /// segments.
+    TooManySegments {
+        /// How many segments the step and total ask for.
+        segments: u64,
+    },
+    /// A loop period does not exceed the last segment's start, so that segment (and any
+    /// after the period) could never be reached.
+    LoopPeriod {
+        /// The period asked for, in microseconds.
+        period_us: u64,
+        /// The last segment's start, in microseconds.
+        last_start_us: u64,
+    },
 }
 
 impl core::fmt::Display for BandwidthTraceError {
@@ -64,6 +83,18 @@ impl core::fmt::Display for BandwidthTraceError {
             BandwidthTraceError::Rate { segment, rate_bps } => write!(
                 f,
                 "segment {segment}'s rate must be within 1..=1e12 bits per second, got {rate_bps}"
+            ),
+            BandwidthTraceError::TooManySegments { segments } => write!(
+                f,
+                "a generated trace may hold at most {MAX_GENERATED_SEGMENTS} segments, its step \
+                 and total ask for {segments}"
+            ),
+            BandwidthTraceError::LoopPeriod {
+                period_us,
+                last_start_us,
+            } => write!(
+                f,
+                "loop period {period_us}us must exceed the last segment start {last_start_us}us"
             ),
         }
     }
@@ -91,26 +122,16 @@ impl BandwidthTrace {
     }
 
     /// [`BandwidthTrace::from_segments`], returning the rejection instead of panicking
-    /// with it.
-    fn try_from_segments(segments: Vec<(SimTime, f64)>) -> Result<Self, BandwidthTraceError> {
-        let trace = Self {
-            segments: segments.into_iter().map(|(t, r)| (t.as_micros(), r)).collect(),
-            loop_period_us: 0,
-        };
-        trace.validate()?;
-        Ok(trace)
-    }
-
-    /// Checks what the constructors guarantee — what a deserialized trace, which bypassed
-    /// them, is held to before a link divides by its rates.
-    pub fn validate(&self) -> Result<(), BandwidthTraceError> {
+    /// with it. Every trace is built here, so this is the one place its rules are checked
+    /// before a link divides by its rates.
+    pub fn try_from_segments(segments: Vec<(SimTime, f64)>) -> Result<Self, BandwidthTraceError> {
         use BandwidthTraceError as E;
-        if self.segments.is_empty() {
+        if segments.is_empty() {
             return Err(E::NoSegments);
         }
         let mut after = None;
-        for (segment, &(start, rate_bps)) in self.segments.iter().enumerate() {
-            if after.map_or(start != 0, |previous| start <= previous) {
+        for (segment, &(start, rate_bps)) in segments.iter().enumerate() {
+            if after.map_or(start != SimTime::ZERO, |previous| start <= previous) {
                 return Err(E::SegmentStart { segment });
             }
             // `contains` is false for NaN.
@@ -119,7 +140,19 @@ impl BandwidthTrace {
             }
             after = Some(start);
         }
-        Ok(())
+        Ok(Self {
+            segments: segments.into_iter().map(|(t, r)| (t.as_micros(), r)).collect(),
+            loop_period_us: 0,
+        })
+    }
+
+    /// Refuses a generator stepping by `step` (1 µs at least) over `total` when that lays
+    /// more than `MAX_GENERATED_SEGMENTS` segments, before any of them is allocated.
+    fn check_segment_count(step: SimTime, total: SimTime) {
+        let segments = total.as_micros().div_ceil(step.as_micros().max(1));
+        if segments > MAX_GENERATED_SEGMENTS {
+            panic!("{}", BandwidthTraceError::TooManySegments { segments });
+        }
     }
 
     /// Makes the trace repeat with the given period: `rate_at(t)` becomes
@@ -133,15 +166,20 @@ impl BandwidthTrace {
     /// deterministic, documented rate step, exactly like any other boundary inside the
     /// trace (no discontinuity panic, no interpolation). `period` must cover every
     /// segment start, so no segment is unreachable.
+    ///
+    /// # Panics
+    ///
+    /// Panics with [`BandwidthTraceError::LoopPeriod`] when it does not.
     pub fn looping(mut self, period: SimDuration) -> Self {
-        let last_start = self.segments.last().map(|(s, _)| *s).unwrap_or(0);
-        assert!(
-            period.as_micros() > last_start,
-            "loop period {}us must exceed the last segment start {}us",
-            period.as_micros(),
-            last_start
-        );
-        self.loop_period_us = period.as_micros();
+        let (period_us, last_start_us) = (period.as_micros(), self.segments.last().map_or(0, |s| s.0));
+        if period_us <= last_start_us {
+            let error = BandwidthTraceError::LoopPeriod {
+                period_us,
+                last_start_us,
+            };
+            panic!("{error}");
+        }
+        self.loop_period_us = period_us;
         self
     }
 
@@ -156,7 +194,14 @@ impl BandwidthTrace {
     }
 
     /// A periodic square wave alternating between `high_bps` and `low_bps` every `half_period`.
+    ///
+    /// # Panics
+    ///
+    /// Panics with [`BandwidthTraceError::TooManySegments`] when `half_period` splits
+    /// `total` into more than 2^20 segments, and as [`BandwidthTrace::from_segments`]
+    /// does on a rejected rate.
     pub fn square_wave(high_bps: f64, low_bps: f64, half_period: SimTime, total: SimTime) -> Self {
+        Self::check_segment_count(half_period, total);
         let mut segments = Vec::new();
         let mut t = 0u64;
         let mut high = true;
@@ -170,6 +215,10 @@ impl BandwidthTrace {
 
     /// A bounded random-walk trace: every `step` the rate is multiplied by a factor drawn
     /// uniformly from `[0.85, 1.15]` and clamped to `[min_bps, max_bps]`.
+    ///
+    /// # Panics
+    ///
+    /// As [`BandwidthTrace::square_wave`], with `step` in place of its half period.
     pub fn random_walk(
         seed: u64,
         start_bps: f64,
@@ -178,6 +227,7 @@ impl BandwidthTrace {
         step: SimTime,
         total: SimTime,
     ) -> Self {
+        Self::check_segment_count(step, total);
         let mut rng = ChaCha8Rng::seed_from_u64(seed);
         let mut segments = Vec::new();
         let mut t = 0u64;
@@ -337,32 +387,60 @@ mod tests {
         );
     }
 
-    /// A deserialized trace bypasses the constructors (the derive fills the private fields
-    /// as these literals do); `validate` holds it to the same rules.
+    /// Every segment list goes through `try_from_segments`, which holds it to each rule by
+    /// name: no segment, a first start off zero, a start that does not advance, a zero rate.
     #[test]
-    fn a_deserialized_trace_is_held_to_the_constructors_rules() {
-        let raw = |segments: &[(u64, f64)]| BandwidthTrace {
-            segments: segments.to_vec(),
-            loop_period_us: 0,
+    fn segment_lists_are_held_to_the_constructors_rules() {
+        let segments = |raw: &[(u64, f64)]| -> Vec<(SimTime, f64)> {
+            raw.iter()
+                .map(|&(us, rate)| (SimTime::from_micros(us), rate))
+                .collect()
         };
-        assert_eq!(raw(&[(0, 8e6), (10_000, 2e6)]).validate(), Ok(()));
-        for (trace, expected) in [
-            (raw(&[]), BandwidthTraceError::NoSegments),
-            (raw(&[(7, 1e6)]), BandwidthTraceError::SegmentStart { segment: 0 }),
+        let valid = BandwidthTrace::try_from_segments(segments(&[(0, 8e6), (10_000, 2e6)]));
+        assert_eq!(valid.map(|t| t.rate_at(SimTime::from_micros(10_000))), Ok(2e6));
+        for (raw, expected) in [
+            (&[][..], BandwidthTraceError::NoSegments),
+            (&[(7, 1e6)][..], BandwidthTraceError::SegmentStart { segment: 0 }),
             (
-                raw(&[(0, 1e6), (9, 2e6), (9, 3e6)]),
+                &[(0, 1e6), (9, 2e6), (9, 3e6)][..],
                 BandwidthTraceError::SegmentStart { segment: 2 },
             ),
             (
-                raw(&[(0, 1e6), (9, 0.0)]),
+                &[(0, 1e6), (9, 0.0)][..],
                 BandwidthTraceError::Rate {
                     segment: 1,
                     rate_bps: 0.0,
                 },
             ),
         ] {
-            assert_eq!(trace.validate(), Err(expected), "{trace:?}");
+            assert_eq!(
+                BandwidthTrace::try_from_segments(segments(raw)),
+                Err(expected),
+                "{raw:?}"
+            );
         }
+    }
+
+    /// A 1 µs step over 10⁶ s used to push 10¹² segments; both generators now refuse a
+    /// step that lays more than `MAX_GENERATED_SEGMENTS`, by name, before allocating.
+    #[test]
+    fn generators_refuse_more_segments_than_the_bound() {
+        let total = SimTime::from_secs_f64(1e6);
+        let message = BandwidthTraceError::TooManySegments {
+            segments: 1_000_000_000_000,
+        }
+        .to_string();
+        for refused in [
+            std::panic::catch_unwind(|| BandwidthTrace::square_wave(8e6, 2e6, SimTime::ZERO, total)),
+            std::panic::catch_unwind(|| BandwidthTrace::random_walk(1, 5e6, 1e6, 9e6, SimTime::ZERO, total)),
+        ] {
+            let panic = refused.expect_err("a step past the bound is refused");
+            assert_eq!(panic.downcast_ref::<String>(), Some(&message));
+        }
+        let bound = SimTime::from_micros(MAX_GENERATED_SEGMENTS);
+        let longest = BandwidthTrace::square_wave(8e6, 2e6, SimTime::ZERO, bound);
+        let last = SimTime::from_micros(MAX_GENERATED_SEGMENTS - 1);
+        assert_eq!(longest.rate_at(last), 2e6);
     }
 
     #[test]
@@ -403,8 +481,11 @@ mod tests {
         assert_eq!(unlooped.rate_at(SimTime::from_secs_f64(100.0)), 2e6);
     }
 
+    /// `looping`'s refusal is a `BandwidthTraceError` like every other, which its panic renders.
     #[test]
-    #[should_panic(expected = "loop period")]
+    #[should_panic(
+        expected = "bandwidth trace invalid: loop period 1000000us must exceed the last segment start 2000000us"
+    )]
     fn loop_period_must_cover_every_segment() {
         let _ = BandwidthTrace::step(8e6, 2e6, SimTime::from_secs_f64(2.0))
             .looping(SimDuration::from_secs_f64(1.0));

@@ -7,7 +7,7 @@
 //! packets and more retransmission exposure (§2.2) — so the policy targets the *lowest*
 //! bitrate that maintains MLLM accuracy: the yellow region of Figure 3.
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// Fraction of the bandwidth estimate a sender dares to use (WebRTC uses ~0.85–0.95): the
 /// traditional policy rides it, the AI-oriented one never exceeds it.
@@ -21,7 +21,7 @@ const MAX_BITRATE_BPS: f64 = 8_000_000.0;
 
 /// The sender's rate objective. Build one with [`AbrPolicy::traditional`],
 /// [`AbrPolicy::ai_oriented`] or [`AbrPolicy::held_at`].
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
 pub enum AbrPolicy {
     /// Traditional WebRTC-style ABR: ride the bandwidth estimate at a safety margin.
     Traditional,

@@ -11,7 +11,7 @@
 //! capacity; AI-oriented ABR deliberately does not, §2.2).
 
 use aivc_sim::{SimDuration, SimTime};
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// EWMA smoothing factor for the live loss estimate (the adaptive-FEC driver).
 const LOSS_EWMA_ALPHA: f64 = 0.3;
@@ -35,7 +35,7 @@ const WATCHDOG_BETA: f64 = 0.7;
 const RECOVERY_RAMP_FACTOR: f64 = 1.25;
 
 /// Per-packet feedback the receiver reports back to the sender.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PacketFeedback {
     /// When the packet left the sender.
     pub sent_at: SimTime,
@@ -99,7 +99,7 @@ impl FeedbackFold {
 }
 
 /// Congestion-controller configuration.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
 pub struct GccConfig {
     /// Initial bandwidth estimate in bits per second.
     pub initial_estimate_bps: f64,
@@ -126,7 +126,7 @@ impl Default for GccConfig {
 }
 
 /// Controller state reported for observability.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum CcState {
     /// Increasing the estimate.
     Increase,

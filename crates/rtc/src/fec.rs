@@ -7,11 +7,11 @@
 //! module to show when that trade is worth it in the AI Video Chat regime.
 
 use crate::rtp::{PayloadKind, RtpHeader, RtpPacket};
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 use std::collections::VecDeque;
 
 /// FEC configuration.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
 pub struct FecConfig {
     /// Number of media packets protected by one parity packet. 0 disables FEC.
     pub group_size: u32,
@@ -58,7 +58,7 @@ const SAFETY_FACTOR: f64 = 3.0;
 /// small groups (more parity) under heavy loss, large groups (lean parity) on clean links.
 /// Disabled by default: the static [`FecConfig::group_size`] keeps ruling, preserving
 /// existing behaviour bit for bit.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
 pub struct AdaptiveFecConfig {
     /// Master switch; `false` (default) keeps the static group size.
     pub enabled: bool,

@@ -9,10 +9,9 @@
 //! latency saved.
 
 use aivc_sim::{SimDuration, SimTime};
-use serde::{Deserialize, Serialize};
 
 /// Jitter-buffer configuration.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct JitterBufferConfig {
     /// Fixed minimum buffering delay.
     pub min_delay: SimDuration,

@@ -8,7 +8,7 @@
 use crate::rtp::RtpPacket;
 use crate::seq_ring::{SeqBitset, SeqRing};
 use aivc_sim::{SimDuration, SimTime};
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// Minimum spacing between successive NACKs for the same sequence number — and therefore
 /// the cadence a receiver re-polls [`NackGenerator::due_nacks_into`] at while gaps remain.
@@ -18,7 +18,7 @@ pub const RETRY_INTERVAL: SimDuration = SimDuration::from_millis(70);
 pub const MAX_RETRIES: u32 = 4;
 
 /// Configuration of the receiver's NACK generator.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
 pub struct NackConfig {
     /// How long to wait after detecting a gap before requesting it (reordering guard).
     pub reorder_guard: SimDuration,

@@ -6,10 +6,9 @@
 //! session runner asks it when the next packet may leave.
 
 use aivc_sim::{SimDuration, SimTime};
-use serde::{Deserialize, Serialize};
 
 /// Pacer configuration: the rate. The bucket's depth is the constant `BURST_BYTES`.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PacerConfig {
     /// Pacing rate in bits per second, at least `MIN_PACING_RATE_BPS`.
     pub pacing_rate_bps: f64,

@@ -9,11 +9,10 @@ use crate::rtp::{
     PayloadKind, RtpHeader, RtpPacket, DEFAULT_MTU_BYTES, RTP_HEADER_BYTES, UDP_IP_HEADER_BYTES,
 };
 use aivc_sim::SimTime;
-use serde::{Deserialize, Serialize};
 use std::collections::VecDeque;
 
 /// A frame as handed to the transport: identifiers plus its total coded size.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct OutgoingFrame {
     /// Frame identifier (the encoder's frame index).
     pub frame_id: u64,

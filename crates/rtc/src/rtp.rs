@@ -4,8 +4,6 @@
 //! layout and byte accounting mirror RTP over UDP/IP so that packet counts and per-packet
 //! overhead match what the paper's WebRTC prototype would put on the wire.
 
-use serde::{Deserialize, Serialize};
-
 /// Bytes of RTP header (12) + the generic frame-marking / transport-cc extensions WebRTC
 /// adds (~8 bytes amortized).
 pub const RTP_HEADER_BYTES: u32 = 20;
@@ -15,7 +13,7 @@ pub const UDP_IP_HEADER_BYTES: u32 = 28;
 pub const DEFAULT_MTU_BYTES: u32 = 1400;
 
 /// The kind of payload a packet carries.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum PayloadKind {
     /// Original media payload.
     Media,
@@ -28,7 +26,7 @@ pub enum PayloadKind {
 }
 
 /// An RTP-style header.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RtpHeader {
     /// Monotonically increasing sequence number (64-bit to avoid wrap handling in analysis;
     /// a real implementation would use 16 bits + extension).
@@ -44,7 +42,7 @@ pub struct RtpHeader {
 }
 
 /// A full packet: header + payload byte range of its frame.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RtpPacket {
     /// Header fields.
     pub header: RtpHeader,

@@ -7,14 +7,13 @@
 //! templates that use the same vocabulary, so scene ground truth and semantic embeddings
 //! always agree on terminology.
 
-use serde::{Deserialize, Serialize};
 use std::collections::{BTreeMap, BTreeSet};
 
 /// A semantic concept, identified by a lowercase kebab-case name (e.g. `"dog-head"`).
 ///
 /// Concepts are cheap, order-comparable string newtypes; the interesting structure (which
 /// concepts relate to which) lives in [`Ontology`].
-#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct Concept(pub String);
 
 impl Concept {
@@ -47,7 +46,7 @@ impl std::fmt::Display for Concept {
 /// for strong direct relations (dog ↔ dog-head), `0.3..0.6` for inferential relations
 /// (grass ↔ season), and `0.0` for unrelated concepts. The graph also performs one hop of
 /// transitive closure at a discount so that e.g. "floppy ears" relates (weakly) to "dog".
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct Ontology {
     concepts: BTreeSet<Concept>,
     /// Direct relation weights, keyed by the ordered pair (min, max).

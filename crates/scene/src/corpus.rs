@@ -12,7 +12,6 @@ use crate::templates::TemplateKind;
 use rand::Rng;
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
-use serde::{Deserialize, Serialize};
 
 /// One clip of a corpus.
 #[derive(Debug, Clone)]
@@ -46,7 +45,7 @@ impl VideoClip {
 }
 
 /// Summary statistics of a corpus.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CorpusStats {
     /// Number of clips.
     pub clips: usize,

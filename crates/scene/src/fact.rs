@@ -6,10 +6,10 @@
 //! single frame suffices (Figure 8's inner ring distinguishes single- vs multi-frame
 //! questions).
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// The six QA categories reported in the paper's Figure 8 (outer ring).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize)]
 pub enum FactCategory {
     /// Reading text/numbers in the video (54.84 % of DeViBench).
     TextRich,
@@ -68,7 +68,7 @@ impl std::fmt::Display for FactCategory {
 }
 
 /// A ground-truth fact about a scene.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SceneFact {
     /// Category of question this fact supports.
     pub category: FactCategory,

@@ -11,11 +11,10 @@ use crate::concept::Concept;
 use crate::geometry::{GridDims, Rect};
 use crate::object::SceneObject;
 use crate::scene::Scene;
-use serde::{Deserialize, Serialize};
 use std::sync::Arc;
 
 /// Per-object layout at a capture instant.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ObjectPlacement {
     /// The object id (refers back into the scene).
     pub object_id: u32,
@@ -24,7 +23,7 @@ pub struct ObjectPlacement {
 }
 
 /// Aggregated content descriptor for an arbitrary pixel region of a frame.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct RegionContent {
     /// Area-weighted spatial complexity in `[0, 1]`.
     pub complexity: f64,
@@ -70,7 +69,7 @@ pub(crate) fn shared_content(scene: &Scene) -> SharedContent {
 /// Only `placements` is the frame's own; the objects and background concepts are handles
 /// to one immutable copy per source, so a clone costs the placements and two reference
 /// counts. Editing them (`Arc::make_mut`) copies on write and reaches no other frame.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Frame {
     /// Sequential frame index within its clip (0-based).
     pub index: u64,

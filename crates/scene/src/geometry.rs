@@ -1,13 +1,11 @@
 //! Pixel-space geometry primitives shared by the scene generator, the codec simulator
 //! (CTU grids) and the CLIP-like patch encoder (patch grids).
 
-use serde::{Deserialize, Serialize};
-
 /// An axis-aligned rectangle in pixel coordinates.
 ///
 /// The rectangle covers pixels `[x, x + w) x [y, y + h)`. Width/height of zero denote an
 /// empty rectangle.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct Rect {
     /// Left edge in pixels.
     pub x: i64,
@@ -94,7 +92,7 @@ impl Rect {
 ///
 /// Both the codec (CTUs, usually 64x64) and the CLIP patch encoder (patches, usually 32..64)
 /// tile frames this way; partial cells at the right/bottom edges are included.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct GridDims {
     /// Number of columns.
     pub cols: u32,

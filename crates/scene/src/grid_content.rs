@@ -27,7 +27,6 @@
 use crate::frame::Frame;
 use crate::geometry::{GridDims, Rect};
 use crate::object::SceneObject;
-use serde::{Deserialize, Serialize};
 use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Source of [`GridContent::generation`]s: one process-wide sequence, so two rasters share
@@ -39,7 +38,7 @@ static NEXT_GENERATION: AtomicU64 = AtomicU64::new(1);
 /// `RegionContent::object_coverage` for that cell's rectangle. One table per frame is
 /// what the codec's frames carry instead of a list per block, so handing coverage from
 /// the raster to an encoded frame to a decoded frame is two slice copies.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct CoverageTable {
     /// `cells + 1` prefix offsets into `entries` (empty for a table of no cells).
     offsets: Vec<u32>,

@@ -9,10 +9,9 @@
 
 use crate::concept::Concept;
 use crate::geometry::Rect;
-use serde::{Deserialize, Serialize};
 
 /// A labelled object inside a [`crate::Scene`].
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SceneObject {
     /// Stable identifier, unique within its scene.
     pub id: u32,

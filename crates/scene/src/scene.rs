@@ -6,10 +6,9 @@ use crate::concept::Concept;
 use crate::fact::SceneFact;
 use crate::geometry::Rect;
 use crate::object::SceneObject;
-use serde::{Deserialize, Serialize};
 
 /// A complete synthetic scene with ground truth.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Scene {
     /// Short identifier, e.g. `"basketball-game"`.
     pub label: String,

@@ -7,10 +7,9 @@
 
 use crate::frame::{shared_content, Frame, SharedContent};
 use crate::scene::Scene;
-use serde::{Deserialize, Serialize};
 
 /// Configuration of a capture source.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SourceConfig {
     /// Capture frame rate in frames per second.
     pub fps: f64,

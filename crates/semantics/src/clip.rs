@@ -35,7 +35,6 @@ use crate::text::TextQuery;
 use crate::vision::{ConceptSpace, PatchEncoder};
 use aivc_scene::grid_content::GridContent;
 use aivc_scene::{Concept, Frame, GridDims, Ontology};
-use serde::{Deserialize, Serialize};
 
 /// Lane width of the Eq. 1 vector kernel: classes evaluated in lockstep by
 /// [`ClipModel::evaluate_classes`]. Eight f64 lanes fill two AVX2 registers (four NEON
@@ -65,7 +64,7 @@ const SIMILARITY_BIAS: f64 = 0.22;
 
 /// CLIP model configuration: the patch size, the one value the paper's experiments vary
 /// (`ablation_patch_size`); dimension, latencies and calibration bias are the constants above.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ClipConfig {
     /// Patch edge length `N` in pixels; at least 1.
     pub patch_size: u32,

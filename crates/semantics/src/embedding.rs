@@ -1,9 +1,7 @@
 //! Dense embeddings and cosine similarity (the right-hand side of the paper's Eq. 1).
 
-use serde::{Deserialize, Serialize};
-
 /// A dense `d`-dimensional embedding vector.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Embedding {
     values: Vec<f64>,
 }

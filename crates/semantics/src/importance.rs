@@ -6,10 +6,9 @@
 //! patch size and CTU size differ.
 
 use aivc_scene::GridDims;
-use serde::{Deserialize, Serialize};
 
 /// A per-patch semantic correlation map with values in `[-1, 1]`.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ImportanceMap {
     dims: GridDims,
     width: u32,

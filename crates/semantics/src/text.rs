@@ -8,10 +8,9 @@
 //! of surface form.
 
 use aivc_scene::{Concept, Ontology};
-use serde::{Deserialize, Serialize};
 
 /// A user utterance prepared for semantic matching.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct TextQuery {
     /// The raw words as the user typed/spoke them.
     pub text: String,

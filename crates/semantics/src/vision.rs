@@ -8,7 +8,6 @@
 
 use crate::embedding::Embedding;
 use aivc_scene::{Concept, Frame, Ontology, Rect};
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 
 /// Concept-embedding table shared by the text and vision encoders.
@@ -17,7 +16,7 @@ use std::collections::BTreeMap;
 /// deterministic pseudo-random unit direction. Related concepts therefore share components
 /// and their embeddings have high cosine similarity, which is exactly the property CLIP's
 /// joint training produces for semantically related text/image content.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct ConceptSpace {
     dim: usize,
     /// Index-keyed embedding table (the hot-path representation: embeddings are looked up

@@ -9,10 +9,9 @@ use crate::frame::{EncodedFrame, FrameType};
 use crate::qp::Qp;
 use crate::rd;
 use aivc_scene::{CoverageTable, GridDims};
-use serde::{Deserialize, Serialize};
 
 /// One decoded block; its flat raster index is its position in [`DecodedFrame::blocks`].
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct DecodedBlock {
     /// Whether the block's bytes all arrived.
     pub received: bool,
@@ -35,7 +34,7 @@ impl DecodedBlock {
 }
 
 /// A decoded frame, the MLLM-facing representation of what survived encoding + transport.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct DecodedFrame {
     /// Source frame index.
     pub frame_index: u64,
@@ -368,19 +367,6 @@ mod tests {
                 assert_eq!(e.coverage(idx), &content.object_coverage[..], "encoded {idx}");
                 assert_eq!(d.coverage(idx), &content.object_coverage[..], "decoded {idx}");
             }
-        }
-    }
-
-    #[test]
-    fn flat_frame_serde_round_trip() {
-        for frame in flat_frame_cases() {
-            let enc = Encoder::new(EncoderConfig::default());
-            let e = enc.encode_uniform(&frame, Qp::new(29));
-            let d = Decoder::new().decode_with_received(&e, &[(0, e.total_bytes() / 3)], Some(77));
-            let e_back: EncodedFrame = serde_json::from_str(&serde_json::to_string(&e).unwrap()).unwrap();
-            let d_back: DecodedFrame = serde_json::from_str(&serde_json::to_string(&d).unwrap()).unwrap();
-            assert_eq!(e_back, e);
-            assert_eq!(d_back, d);
         }
     }
 }

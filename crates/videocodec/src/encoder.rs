@@ -11,7 +11,6 @@ use crate::qp::{Qp, QpMap};
 use crate::rate_plan::{plan_chunk_bytes, RatePlan, RATE_LANES};
 use crate::rd;
 use aivc_scene::{Frame, GridDims};
-use serde::{Deserialize, Serialize};
 
 /// Number of distinct QP values ([`Qp`] is clamped to `0..=51`), i.e. the size of the
 /// per-encoder QP-factor lookup table.
@@ -29,7 +28,7 @@ pub const ENCODE_LATENCY_US: u64 = 4_000;
 /// and the rate–distortion model are constants ([`BLOCK_SIZE`], [`gop::GOP_LENGTH`],
 /// [`HEADER_BYTES`], [`ENCODE_LATENCY_US`], [`crate::rd`]). The type remains because the
 /// benchmark's replay builds `Encoder::new(config.encoder)`.
-#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct EncoderConfig {}
 
 /// Reusable buffers for [`Encoder::encode_into`].

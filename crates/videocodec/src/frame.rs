@@ -11,10 +11,9 @@
 use crate::qp::Qp;
 use crate::rd;
 use aivc_scene::CoverageTable;
-use serde::{Deserialize, Serialize};
 
 /// Whether a frame was coded without reference (intra/IDR) or predicted (inter/P).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum FrameType {
     /// Intra-coded (keyframe).
     Intra,
@@ -25,7 +24,7 @@ pub enum FrameType {
 /// One coded CTU/block; its flat raster index is its position in [`EncodedFrame::blocks`].
 /// Only what the decoder and the MLLM read is kept: a frame holds one per CTU, and every
 /// turn window holds a frame per capture.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct EncodedBlock {
     /// Payload size of this block in bytes (≥ 1: every CTU costs at least a header).
     pub byte_len: u32,
@@ -43,7 +42,7 @@ impl EncodedBlock {
 }
 
 /// A complete encoded frame.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct EncodedFrame {
     /// Source frame index.
     pub frame_index: u64,

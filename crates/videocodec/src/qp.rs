@@ -5,7 +5,6 @@
 //! the grid container the encoder consumes.
 
 use aivc_scene::GridDims;
-use serde::{Deserialize, Serialize};
 
 /// Minimum legal H.265 QP.
 pub const QP_MIN: u8 = 0;
@@ -13,7 +12,7 @@ pub const QP_MIN: u8 = 0;
 pub const QP_MAX: u8 = 51;
 
 /// A quantization parameter, guaranteed to lie in `[0, 51]`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct Qp(u8);
 
 impl Qp {
@@ -50,7 +49,7 @@ impl std::fmt::Display for Qp {
 }
 
 /// A per-CTU QP map over a frame's block grid (row-major).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct QpMap {
     dims: GridDims,
     values: Vec<Qp>,

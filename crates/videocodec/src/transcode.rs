@@ -12,10 +12,9 @@ use crate::gop::GOP_LENGTH;
 use crate::qp::Qp;
 use crate::rate_plan::RatePlan;
 use aivc_scene::VideoSource;
-use serde::{Deserialize, Serialize};
 
 /// Summary of a transcode run.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct TranscodeSummary {
     /// Target bitrate requested, bits per second.
     pub target_bitrate_bps: f64,

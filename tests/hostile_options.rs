@@ -26,13 +26,13 @@ use aivchat::core::{
     QpAllocator, QpAllocatorConfig, StarvationConfig, StreamerConfig, TenantSpec, TenantTurn,
 };
 use aivchat::mllm::{Question, QuestionFormat};
-use aivchat::netsim::{LinkConfig, LossModel, PathConfig, SimDuration, SimTime};
+use aivchat::netsim::{BandwidthTrace, LossModel, PathConfig, SimDuration, SimTime};
 use aivchat::rtc::AbrPolicy;
 use aivchat::scene::templates::basketball_game;
 use aivchat::scene::{Frame, Ontology, SourceConfig, VideoSource};
 use aivchat::semantics::{ClipConfig, ClipModel};
 use proptest::prelude::*;
-use serde::{Deserialize, Serialize, Value};
+use serde::{Serialize, Value};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::{Arc, OnceLock};
 
@@ -80,20 +80,24 @@ fn non_finite(value: &Value, path: &str) -> Option<String> {
     }
 }
 
-/// `link` as a deserializer would hand it over — past `BandwidthTrace`'s constructors, which
-/// refuse these rates themselves — with its (constant) rate replaced by `rate_bps`.
-fn link_with_rate(link: &LinkConfig, rate_bps: f64) -> LinkConfig {
-    fn replace(value: &mut Value, from: f64, to: f64) {
-        match value {
-            Value::F64(x) if *x == from => *x = to,
-            Value::Array(items) => items.iter_mut().for_each(|item| replace(item, from, to)),
-            Value::Object(fields) => fields.iter_mut().for_each(|(_, item)| replace(item, from, to)),
-            _ => {}
+/// What a constructor's two forms agree on: `try_build`'s value, or `None` after `build`
+/// panicked with exactly the words `try_build` refused with.
+fn built_by_both<T, E: std::fmt::Display>(
+    try_build: impl FnOnce() -> Result<T, E>,
+    build: impl FnOnce() -> T + std::panic::UnwindSafe,
+) -> Result<Option<T>, TestCaseError> {
+    match (try_build(), catch_unwind(build)) {
+        (Ok(_), Ok(built)) => Ok(Some(built)),
+        (Err(error), Err(panic)) => {
+            prop_assert_eq!(panic_message(panic), Some(error.to_string()));
+            Ok(None)
         }
+        (verdict, built) => Err(TestCaseError::fail(format!(
+            "try_build {} but build {}",
+            if verdict.is_ok() { "built" } else { "refused" },
+            if built.is_ok() { "built" } else { "panicked" }
+        ))),
     }
-    let mut value = link.to_value();
-    replace(&mut value, link.bandwidth.rate_at(SimTime::ZERO), rate_bps);
-    Deserialize::from_value(&value).expect("still a well-formed link")
 }
 
 fn panic_message(panic: Box<dyn std::any::Any + Send>) -> Option<String> {
@@ -232,9 +236,9 @@ proptest! {
     }
 
     /// What a sender is built with, what its packets ride and what it is shown: γ, the CLIP
-    /// patch size, both links of the path (deserialized, so past every constructor) and the
-    /// frames — a 320×180 capture, so that a one-pixel patch grid stays small — among them a
-    /// 1×1 one and one whose first object's `texture_complexity` is NaN.
+    /// patch size, both links of the path (each rate through `BandwidthTrace`'s constructors)
+    /// and the frames — a 320×180 capture, so that a one-pixel patch grid stays small — among
+    /// them a 1×1 one and one whose first object's `texture_complexity` is NaN.
     #[test]
     fn hostile_sender_path_and_frames_are_refused_by_name_or_run_to_a_finite_report(
         seed in hostile_u64(42),
@@ -254,8 +258,6 @@ proptest! {
         if !context_aware {
             options.mode = StreamingMode::Baseline;
         }
-        options.path.uplink = link_with_rate(&options.path.uplink, up_rate);
-        options.path.downlink = link_with_rate(&options.path.downlink, down_rate);
         options.path.uplink.propagation_delay = SimDuration::from_micros(up_delay_us);
         options.path.downlink.propagation_delay = SimDuration::from_micros(down_delay_us);
         options.path.uplink.max_jitter = SimDuration::from_micros(up_jitter_us);
@@ -266,25 +268,27 @@ proptest! {
             ..StreamerConfig::default()
         };
 
-        // The model is built first, by the caller; its refusal is its own constructor's.
+        // The model and both traces are built first, by the caller; a refusal is their own
+        // constructor's.
         let clip_config = ClipConfig { patch_size };
-        let model = match (
-            ClipModel::try_new(clip_config, Ontology::standard()),
-            catch_unwind(|| ClipModel::new(clip_config, Ontology::standard())),
-        ) {
-            (Ok(_), Ok(model)) => model,
-            (Err(error), Err(panic)) => {
-                prop_assert_eq!(panic_message(panic), Some(error.to_string()));
-                return Ok(());
-            }
-            (verdict, built) => {
-                return Err(TestCaseError::fail(format!(
-                    "try_new said {:?} but ClipModel::new {}",
-                    verdict.err(),
-                    if built.is_ok() { "built" } else { "panicked" }
-                )))
-            }
+        let Some(model) = built_by_both(
+            || ClipModel::try_new(clip_config, Ontology::standard()),
+            || ClipModel::new(clip_config, Ontology::standard()),
+        )?
+        else {
+            return Ok(());
         };
+        for (link, rate) in [(&mut options.path.uplink, up_rate), (&mut options.path.downlink, down_rate)] {
+            let segments = || vec![(SimTime::ZERO, rate)];
+            let Some(bandwidth) = built_by_both(
+                || BandwidthTrace::try_from_segments(segments()),
+                || BandwidthTrace::from_segments(segments()),
+            )?
+            else {
+                return Ok(());
+            };
+            link.bandwidth = bandwidth;
+        }
         // `Conversation::new` checks the options, then builds the sender.
         let verdict = options
             .validate()
