@@ -24,11 +24,8 @@
 //!
 //! Determinism: one global event queue, one shared-link RNG, tie-break by insertion
 //! order. With K = 1 and the shared link seeded like the tenant's private uplink, the
-//! engine reproduces a [`crate::Conversation`] bit-for-bit (pinned by a test below). The
-//! single measure-zero caveat: a packet left in flight by turn `k` that lands exactly one
-//! microsecond after turn `k+1`'s answer deadline is processed before that turn concludes
-//! here, whereas a `Conversation` would process it just after — both orders are
-//! deterministic, and no integer-microsecond schedule in the registry exhibits the tie.
+//! engine reproduces a [`crate::Conversation`] bit-for-bit (the driver-equivalence
+//! property of `tests/metamorphic.rs`).
 
 use crate::context_aware::{Streamer, StreamerConfig};
 use crate::conversation::{ConversationReport, Member};
@@ -499,13 +496,10 @@ impl ContentionMachine {
         );
         t.capture_span = Some((now, t.member.plan.last_capture));
         t.turns_begun += 1;
-        // One microsecond past the deadline: every event at the deadline itself (which a
-        // single-tenant `run_until(horizon)` drains inclusively) pops first, by time; the
-        // integer-microsecond clock leaves nothing in between.
-        sim.schedule_at(
-            t.member.plan.horizon + SimDuration::from_micros(1),
-            MtEvent::TurnEnd { tenant },
-        );
+        // Last at the deadline: every event due at the deadline itself — those scheduled
+        // while it is processed included — pops first, as a conversation's inclusive
+        // `run_until(horizon)` drains them, and nothing due after it does.
+        sim.schedule_last_at(t.member.plan.horizon, MtEvent::TurnEnd { tenant });
     }
 
     fn on_turn_end(&mut self, tenant: usize, sim: &mut Simulation<MtEvent>) {
@@ -667,8 +661,7 @@ pub fn run_contention(config: &ContentionConfig, tenants: Vec<TenantSpec>) -> Co
         .map(|e| e.end())
         .max();
 
-    // The global horizon: every tenant's final answer deadline, plus the 1 µs TurnEnd
-    // offset.
+    // The global horizon: every tenant's final answer deadline.
     let mut global_end = SimTime::ZERO;
     for t in &tenants {
         let (mut begin, mut horizon) = (t.join_at, t.join_at);
@@ -676,7 +669,7 @@ pub fn run_contention(config: &ContentionConfig, tenants: Vec<TenantSpec>) -> Co
             horizon = TurnPlan::new(&t.options, 0, begin, turn.frames.len()).horizon;
             begin = horizon + t.think;
         }
-        global_end = global_end.max(horizon + SimDuration::from_micros(1));
+        global_end = global_end.max(horizon);
     }
 
     // One sender per run — its model and Eq. 2 table are immutable, and a registry leg is
@@ -789,7 +782,6 @@ pub fn run_contention(config: &ContentionConfig, tenants: Vec<TenantSpec>) -> Co
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::conversation::Conversation;
     use aivc_mllm::QuestionFormat;
     use aivc_netsim::{LossModel, PathConfig};
     use aivc_scene::templates::basketball_game;
@@ -840,44 +832,6 @@ mod tests {
             admission: AdmissionConfig::disabled(),
             cross_traffic: Vec::new(),
         }
-    }
-
-    #[test]
-    fn single_tenant_contention_matches_a_private_conversation_bit_for_bit() {
-        // K = 1 with the shared link seeded exactly like the tenant's private uplink:
-        // the engine must reproduce `Conversation` — same interleaving, same RNG draws,
-        // same report — which pins that multi-tenancy changed nothing single-tenant.
-        let uplink = LinkConfig::constant(
-            4e6,
-            SimDuration::from_millis(30),
-            300,
-            LossModel::Iid { rate: 0.01 },
-        );
-        let seed = 42;
-        let fps = 8.0;
-        let think = SimDuration::from_millis(400);
-        let options = tenant_options(seed, &uplink, fps);
-        let script = turn_script(0, 3, 4, fps);
-
-        let mut conv = Conversation::with_defaults(options.clone(), think);
-        for turn in &script {
-            conv.run_turn(&turn.frames, &turn.question);
-        }
-        let expected = conv.report();
-
-        let config = base_config(uplink, seed, 4e6);
-        let report = run_contention(
-            &config,
-            vec![TenantSpec {
-                label: "solo".into(),
-                mode: "ai_oriented".into(),
-                join_at: SimTime::ZERO,
-                think,
-                options,
-                turns: script,
-            }],
-        );
-        assert_eq!(report.tenants[0].conversation, expected);
     }
 
     /// A tenant whose private uplink config disagrees with the shared link would time

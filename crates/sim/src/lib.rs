@@ -84,6 +84,14 @@ impl<E> Simulation<E> {
         self.queue.schedule(time.max(self.now), event)
     }
 
+    /// Schedules `event` at `time` after every event of that instant scheduled with
+    /// [`Simulation::schedule_at`], those scheduled while the instant is processed included
+    /// (see [`EventQueue::schedule_last`]): a handler that must see everything its instant
+    /// brings. A time in the past is clamped to `now`, as there.
+    pub fn schedule_last_at(&mut self, time: SimTime, event: E) -> EventId {
+        self.queue.schedule_last(time.max(self.now), event)
+    }
+
     /// Schedules `event` at `time` under a previously issued sequence number, so a
     /// multi-shot event keeps its tie-break position across re-arms. See
     /// [`EventQueue::schedule_with_seq`] for the contract (`seq` must belong to an event

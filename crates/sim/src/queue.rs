@@ -23,6 +23,9 @@ use std::collections::BinaryHeap;
 
 /// Sentinel sequence marking a slab slot as empty.
 const FREE: u64 = u64::MAX;
+/// First tie-break key of the events scheduled *last* at their instant
+/// ([`EventQueue::schedule_last`]): every plain insertion sequence is below it.
+const LAST: u64 = 1 << 63;
 
 /// Handle of a scheduled event, used to [`EventQueue::cancel`] it.
 ///
@@ -80,6 +83,7 @@ pub struct EventQueue<E> {
     slots: Vec<Slot<E>>,
     free: Vec<u32>,
     next_seq: u64,
+    next_last_seq: u64,
     live: usize,
 }
 
@@ -97,6 +101,7 @@ impl<E> EventQueue<E> {
             slots: Vec::new(),
             free: Vec::new(),
             next_seq: 0,
+            next_last_seq: LAST,
             live: 0,
         }
     }
@@ -105,10 +110,16 @@ impl<E> EventQueue<E> {
     pub fn schedule(&mut self, time: SimTime, event: E) -> EventId {
         let seq = self.next_seq;
         self.next_seq += 1;
-        let slot = self.alloc_slot(seq, event);
-        self.heap.push(HeapEntry { time, seq, slot });
-        self.live += 1;
-        EventId { seq, slot }
+        self.insert(time, seq, event)
+    }
+
+    /// Schedules `event` to fire at `time` after every event of that instant scheduled
+    /// with [`EventQueue::schedule`] — including ones scheduled later, while the instant is
+    /// being processed. Events scheduled last at one instant pop in `schedule_last` order.
+    pub fn schedule_last(&mut self, time: SimTime, event: E) -> EventId {
+        let seq = self.next_last_seq;
+        self.next_last_seq += 1;
+        self.insert(time, seq, event)
     }
 
     /// Re-arms an event under a **previously issued** sequence number instead of a fresh
@@ -126,15 +137,19 @@ impl<E> EventQueue<E> {
             "re-arm seq {seq} was never issued by this queue (next_seq {})",
             self.next_seq
         );
-        let slot = self.alloc_slot(seq, event);
-        self.heap.push(HeapEntry { time, seq, slot });
-        self.live += 1;
-        EventId { seq, slot }
+        self.insert(time, seq, event)
     }
 
     /// The sequence number the next [`EventQueue::schedule`] call will assign.
     pub fn next_seq(&self) -> u64 {
         self.next_seq
+    }
+
+    fn insert(&mut self, time: SimTime, seq: u64, event: E) -> EventId {
+        let slot = self.alloc_slot(seq, event);
+        self.heap.push(HeapEntry { time, seq, slot });
+        self.live += 1;
+        EventId { seq, slot }
     }
 
     fn alloc_slot(&mut self, seq: u64, event: E) -> u32 {
@@ -249,6 +264,21 @@ mod tests {
         }
         let order: Vec<_> = std::iter::from_fn(|| q.pop()).map(|(_, e)| e).collect();
         assert_eq!(order, (0..100).collect::<Vec<_>>());
+    }
+
+    #[test]
+    fn an_event_scheduled_last_pops_after_everything_else_at_its_instant() {
+        let mut q = EventQueue::new();
+        let t = SimTime::from_millis(5);
+        q.schedule_last(t, "last 0");
+        q.schedule(t, "a");
+        q.schedule_last(t, "last 1");
+        q.schedule(SimTime::from_millis(6), "later");
+        assert_eq!(q.pop(), Some((t, "a")));
+        // Scheduled while the instant is processed, it still goes before the last ones.
+        q.schedule(t, "b");
+        let order: Vec<_> = std::iter::from_fn(|| q.pop()).map(|(_, e)| e).collect();
+        assert_eq!(order, vec!["b", "last 0", "last 1", "later"]);
     }
 
     #[test]
