@@ -1,18 +1,18 @@
 //! Multi-tenant contention: K conversations (plus cross-traffic) on one shared bottleneck.
 //!
-//! Single-tenant experiments ([`crate::Conversation`]) give every session a private link,
-//! so PR 6's outage resilience is only ever proven in isolation. Production serving is the
-//! opposite: many users squeeze through one uplink/cell, and a blackout there hits every
-//! tenant at once. This module multiplexes K persistent conversation timelines onto **one**
-//! `aivc-sim` event queue and **one** [`SharedLink`]:
+//! Single-tenant experiments ([`crate::Conversation`]) give every session an uplink of its
+//! own, so PR 6's outage resilience is only ever proven in isolation. Production serving is
+//! the opposite: many users squeeze through one uplink/cell, and a blackout there hits every
+//! tenant at once. A contention run puts K persistent conversations on **one** `aivc-sim`
+//! event queue and **one** [`SharedLink`] — the same timeline, driver and uplink type a
+//! conversation rides alone, with K members instead of one:
 //!
 //! * every tenant is a `conversation::Member` — exactly the state a
-//!   [`crate::Conversation`] owns, minus the private kernel — but its uplink packets ride
-//!   a shared bottleneck as one flow among K (+ cross-traffic), via
-//!   [`crate::net_turn::UplinkPort::Shared`];
-//! * tenant turn lifecycles become events ([`MtEvent::TurnBegin`]/[`MtEvent::TurnEnd`])
-//!   on the global timeline, so turns of different tenants interleave packet-by-packet in
-//!   strict chronological order — the dslab-style ping-pong actor pattern, scaled out;
+//!   [`crate::Conversation`] owns, minus its timeline — whose uplink packets ride the
+//!   shared bottleneck as one flow among K (+ cross-traffic);
+//! * tenant turn lifecycles become events (`Event::TurnBegin` / `Event::TurnEnd`) on the
+//!   timeline, so turns of different tenants interleave packet-by-packet in strict
+//!   chronological order — the dslab-style ping-pong actor pattern, scaled out;
 //! * a **starvation watchdog** samples per-tenant goodput every fairness window: a tenant
 //!   whose share stays below a configured floor for consecutive windows gets its PR 6
 //!   degradation ladder escalated ([`GccController::force_fallback`]) and the event is
@@ -23,8 +23,8 @@
 //!   share of the nominal rate, so it converges without stampeding incumbents.
 //!
 //! Determinism: one global event queue, one shared-link RNG, tie-break by insertion
-//! order. With K = 1 and the shared link seeded like the tenant's private uplink, the
-//! engine reproduces a [`crate::Conversation`] bit-for-bit (the driver-equivalence
+//! order. With K = 1 and the shared link seeded like the tenant's session, the run
+//! reproduces a [`crate::Conversation`] bit-for-bit (the driver-equivalence
 //! property of `tests/metamorphic.rs`).
 
 use crate::context_aware::{Streamer, StreamerConfig};
@@ -32,12 +32,12 @@ use crate::conversation::{ConversationReport, Member};
 use crate::net_session::{
     rate_bps_is_valid, validate_link, NetSessionOptions, NetSessionOptionsError, MAX_RATE_BPS,
 };
-use crate::net_turn::{EncodedWindow, NetEvent, NetEventSink, PacketRun, TurnPlan, TurnScratch, UplinkPort};
+use crate::net_turn::{refuse_past_timer_bound, Driver, EncodedWindow, Event, Seat, TurnPlan, TurnScratch};
 use aivc_mllm::Question;
 use aivc_netsim::{jain_index, FaultKind, LinkConfig, LinkCounters, Packet, SharedLink};
 use aivc_scene::Frame;
 use aivc_semantics::ClipModel;
-use aivc_sim::{Actor, SimDuration, SimTime, Simulation};
+use aivc_sim::{SimDuration, SimTime, Simulation};
 use serde::Serialize;
 use std::sync::Arc;
 
@@ -58,14 +58,14 @@ pub struct TenantSpec {
     pub label: String,
     /// ABR-mode label for the report ("ai_oriented" / "traditional").
     pub mode: String,
-    /// When the tenant's first turn begins on the global timeline.
+    /// When the tenant's first turn begins on the global timeline (at most 1e6 s).
     pub join_at: SimTime,
-    /// Think time inserted between consecutive turns.
+    /// Think time inserted between consecutive turns (at most 1e6 s).
     pub think: SimDuration,
     /// Session options. `options.path.uplink` must match the shared link's config in
     /// propagation delay and fault schedule (checked by [`run_contention`]) so feedback
-    /// timing and outage reporting see the bottleneck the packets really ride; the
-    /// private uplink it configures sits idle (its RNG is never drawn from).
+    /// timing and outage reporting see the bottleneck the packets really ride; nothing
+    /// else of it is read, since the tenant's packets ride the shared link.
     pub options: NetSessionOptions,
     /// The scripted turns.
     pub turns: Vec<TenantTurn>,
@@ -341,73 +341,14 @@ impl ContentionReport {
     }
 }
 
-/// Events of the multi-tenant timeline.
-#[derive(Debug)]
-enum MtEvent {
-    /// A tenant's transport event (capture, send, arrival, poll, feedback).
-    Net { tenant: usize, ev: NetEvent },
-    /// A tenant's next turn window opens.
-    TurnBegin { tenant: usize },
-    /// A tenant's turn deadline passed: conclude and report.
-    TurnEnd { tenant: usize },
-    /// A cross-traffic source offers its next packet.
-    Cross { source: usize },
-    /// The fairness/starvation sampling tick.
-    FairnessTick,
-}
-
-/// Tags a tenant's [`NetEvent`]s on their way into the global queue.
-struct TenantSink<'a> {
-    tenant: usize,
-    sim: &'a mut Simulation<MtEvent>,
-}
-
-impl NetEventSink for TenantSink<'_> {
-    fn schedule_net(&mut self, when: SimTime, event: NetEvent) {
-        self.sim.schedule_at(
-            when,
-            MtEvent::Net {
-                tenant: self.tenant,
-                ev: event,
-            },
-        );
-    }
-
-    fn schedule_net_run(&mut self, when: SimTime, mut run: PacketRun) {
-        // The run's seq lives on the *global* multi-tenant timeline.
-        run.seq = self.sim.next_seq();
-        self.sim.schedule_at(
-            when,
-            MtEvent::Net {
-                tenant: self.tenant,
-                ev: NetEvent::UplinkRun(run),
-            },
-        );
-    }
-
-    fn reschedule_net_run(&mut self, when: SimTime, run: PacketRun) {
-        self.sim.schedule_at_with_seq(
-            when,
-            run.seq,
-            MtEvent::Net {
-                tenant: self.tenant,
-                ev: NetEvent::UplinkRun(run),
-            },
-        );
-    }
-}
-
-/// Per-tenant engine state: the conversation itself (a [`Member`] — the timeline is
-/// global here) plus its script, its encoded window and the watchdog's bookkeeping.
-struct TenantState {
-    spec: TenantSpec,
-    member: Member,
-    /// The live turn's encoded frames, which only this tenant's deadline decodes. Tenants'
-    /// turns overlap on the shared kernel, so each holds its own; the per-event buffers
-    /// are the run's one [`TurnScratch`].
-    window: EncodedWindow,
+/// A tenant as the run sees it besides its conversation (the [`Seat`] its events reach):
+/// its script, how far through it is, and the starvation watchdog's bookkeeping.
+struct Tenant<'s> {
+    spec: &'s TenantSpec,
     /// Turns whose window has opened (≥ turns reported; they differ while one is live).
     turns_begun: usize,
+    /// Turns concluded and reported.
+    turns_ended: usize,
     /// `[first capture, last capture]` of the live turn — the span inside which a
     /// fairness window is *eligible* for starvation accounting (a tenant thinking or
     /// draining is silent by design, not starved).
@@ -418,9 +359,9 @@ struct TenantState {
     window_bytes_snapshot: u64,
 }
 
-impl TenantState {
+impl Tenant<'_> {
     fn finished(&self) -> bool {
-        self.member.turns.len() >= self.spec.turns.len()
+        self.turns_ended >= self.spec.turns.len()
     }
 
     /// Mid-conversation: the first window has opened and the last turn has not reported.
@@ -435,13 +376,12 @@ struct CrossState {
     next_id: u64,
 }
 
-/// The multi-tenant actor over the global timeline.
-struct ContentionMachine {
-    tenants: Vec<TenantState>,
-    /// Every tenant's per-event buffers: events never overlap, so one set serves them all.
-    scratch: TurnScratch,
+/// What a contention run adds to the one timeline: the tenants' scripts and watch state,
+/// the cross-traffic sources and the fairness telemetry. The driver's `TurnBegin`,
+/// `TurnEnd`, `Cross` and `FairnessTick` arms (below) run on it.
+pub(crate) struct Contention<'s> {
+    tenants: Vec<Tenant<'s>>,
     cross: Vec<CrossState>,
-    shared: SharedLink,
     starvation: StarvationConfig,
     admission: AdmissionConfig,
     nominal_bps: f64,
@@ -454,127 +394,111 @@ struct ContentionMachine {
     global_end: SimTime,
 }
 
-impl Actor for ContentionMachine {
-    type Event = MtEvent;
-
-    fn on_event(&mut self, now: SimTime, event: MtEvent, sim: &mut Simulation<MtEvent>) {
-        match event {
-            MtEvent::TurnBegin { tenant } => self.on_turn_begin(tenant, now, sim),
-            MtEvent::TurnEnd { tenant } => self.on_turn_end(tenant, sim),
-            MtEvent::Net { tenant, ev } => self.on_net(tenant, now, ev, sim),
-            MtEvent::Cross { source } => self.on_cross(source, now, sim),
-            MtEvent::FairnessTick => self.on_fairness_tick(now, sim),
-        }
-    }
+/// The run a turn, cross-traffic or fairness event belongs to: only a contention run
+/// schedules one.
+fn run<'d, 's>(run: &'d mut Option<&mut Contention<'s>>) -> &'d mut Contention<'s> {
+    run.as_deref_mut()
+        .expect("only a contention run schedules turn, cross-traffic and fairness events")
 }
 
-impl ContentionMachine {
-    fn on_turn_begin(&mut self, tenant: usize, now: SimTime, sim: &mut Simulation<MtEvent>) {
+impl<'f> Driver<'_, '_, 'f> {
+    /// A tenant's next turn window opens, through [`Member::begin_turn`] as a
+    /// conversation's does, and its end is scheduled last at its deadline.
+    pub(crate) fn turn_begin(&mut self, tenant: usize, now: SimTime, sim: &mut Simulation<Event>) {
+        let run = run(&mut self.run);
         // Fair share is over tenants currently mid-conversation (incumbents), plus the
         // joiner itself opening its first window right now.
-        let active = self
+        let active = run
             .tenants
             .iter()
             .filter(|t| t.mid_conversation() || (t.spec.join_at <= now && !t.finished()))
             .count()
             .max(1);
-        let t = &mut self.tenants[tenant];
-        let turn = &t.spec.turns[t.turns_begun];
-        if t.turns_begun == 0 && self.admission.enabled {
-            t.member.gcc.clamp_estimate(self.nominal_bps / active as f64);
+        let t = &mut run.tenants[tenant];
+        let spec: &'f TenantSpec = t.spec;
+        let turn = &spec.turns[t.turns_begun];
+        let seat = &mut self.seats[tenant];
+        if t.turns_begun == 0 && run.admission.enabled {
+            seat.member.gcc.clamp_estimate(run.nominal_bps / active as f64);
         }
-        let port = UplinkPort::Shared {
-            link: &mut self.shared,
-            flow: tenant,
-        };
-        t.member.begin_turn(
-            now,
-            &port,
-            &mut TenantSink { tenant, sim },
-            turn.frames.len(),
-            &turn.question,
-        );
-        t.capture_span = Some((now, t.member.plan.last_capture));
+        seat.frames = &turn.frames;
+        seat.member
+            .begin_turn(now, self.uplink, tenant, sim, turn.frames.len(), &turn.question);
+        let horizon = seat.member.plan.horizon;
+        t.capture_span = Some((now, seat.member.plan.last_capture));
         t.turns_begun += 1;
         // Last at the deadline: every event due at the deadline itself — those scheduled
         // while it is processed included — pops first, as a conversation's inclusive
         // `run_until(horizon)` drains them, and nothing due after it does.
-        sim.schedule_last_at(t.member.plan.horizon, MtEvent::TurnEnd { tenant });
+        sim.schedule_last_at(horizon, Event::TurnEnd { member: tenant });
     }
 
-    fn on_turn_end(&mut self, tenant: usize, sim: &mut Simulation<MtEvent>) {
-        let t = &mut self.tenants[tenant];
+    /// A tenant's turn deadline passed: the turn concludes through
+    /// [`Member::conclude_turn`], as a conversation's does, and the next one is scheduled
+    /// a think time later.
+    pub(crate) fn turn_end(&mut self, tenant: usize, sim: &mut Simulation<Event>) {
+        let t = &mut run(&mut self.run).tenants[tenant];
+        let seat = &mut self.seats[tenant];
         let turn = &t.spec.turns[t.turns_begun - 1];
-        let port = UplinkPort::Shared {
-            link: &mut self.shared,
-            flow: tenant,
-        };
-        t.member
-            .conclude_turn(&mut self.scratch, &mut t.window, port, &turn.question);
+        seat.member
+            .conclude_turn(self.scratch, seat.window, self.uplink, tenant, &turn.question);
+        // Between windows the frame slice is empty: capture events exist strictly inside
+        // a window, and nothing else reads frames.
+        seat.frames = &[];
+        t.turns_ended += 1;
         t.capture_span = None;
         if t.turns_begun < t.spec.turns.len() {
             sim.schedule_at(
-                t.member.plan.horizon + t.spec.think,
-                MtEvent::TurnBegin { tenant },
+                seat.member.plan.horizon + t.spec.think,
+                Event::TurnBegin { member: tenant },
             );
         }
     }
 
-    fn on_net(&mut self, tenant: usize, now: SimTime, ev: NetEvent, sim: &mut Simulation<MtEvent>) {
-        let t = &mut self.tenants[tenant];
-        // A tenant's first event is scheduled by its first `TurnBegin`, so a turn has
-        // begun. Between windows the frame slice is only nominally live: capture events
-        // exist strictly inside a window, and nothing else reads frames.
-        let frames: &[Frame] = &t.spec.turns[t.turns_begun - 1].frames;
-        let port = UplinkPort::Shared {
-            link: &mut self.shared,
-            flow: tenant,
-        };
-        t.member
-            .machine(&mut self.scratch, &mut t.window, frames, port)
-            .handle(now, ev, &mut TenantSink { tenant, sim });
-    }
-
-    fn on_cross(&mut self, source: usize, now: SimTime, sim: &mut Simulation<MtEvent>) {
-        let flow = self.tenants.len() + source;
-        let c = &mut self.cross[source];
+    /// A cross-traffic source offers its next packet, as the flow after the tenants'.
+    pub(crate) fn cross(&mut self, source: usize, now: SimTime, sim: &mut Simulation<Event>) {
+        let run = run(&mut self.run);
+        let flow = run.tenants.len() + source;
+        let c = &mut run.cross[source];
         if now >= c.spec.stop {
             return;
         }
         let packet = Packet::new(c.next_id, c.spec.packet_bytes, now);
         c.next_id += 1;
-        self.shared.send(flow, &packet, now);
+        self.uplink.send(flow, &packet, now);
         let next = now + SimDuration::from_micros(c.interval_us);
         if next < c.spec.stop {
-            sim.schedule_at(next, MtEvent::Cross { source });
+            sim.schedule_at(next, Event::Cross { source });
         }
     }
 
-    fn on_fairness_tick(&mut self, now: SimTime, sim: &mut Simulation<MtEvent>) {
-        let window_secs = self.fairness_window_us as f64 / 1e6;
-        let k = self.tenants.len();
+    /// The fairness/starvation sampling tick.
+    pub(crate) fn fairness_tick(&mut self, now: SimTime, sim: &mut Simulation<Event>) {
+        let run = run(&mut self.run);
+        let window_secs = run.fairness_window_us as f64 / 1e6;
+        let k = run.tenants.len();
         let mut shares = Vec::with_capacity(k);
-        for i in 0..k {
-            let bytes = self.shared.flow_counters(i).delivered_bytes;
-            let delta = bytes - self.tenants[i].window_bytes_snapshot;
-            self.tenants[i].window_bytes_snapshot = bytes;
+        for (i, t) in run.tenants.iter_mut().enumerate() {
+            let bytes = self.uplink.flow_counters(i).delivered_bytes;
+            let delta = bytes - t.window_bytes_snapshot;
+            t.window_bytes_snapshot = bytes;
             shares.push(delta as f64 * 8.0 / window_secs);
         }
         let active: Vec<f64> = (0..k)
-            .filter(|&i| self.tenants[i].mid_conversation())
+            .filter(|&i| run.tenants[i].mid_conversation())
             .map(|i| shares[i])
             .collect();
-        self.windows.push(FairnessWindow {
+        run.windows.push(FairnessWindow {
             end_ms: now.as_micros() as f64 / 1e3,
             active_tenants: active.len() as u32,
             jain: jain_index(&active),
             shares_bps: shares.clone(),
         });
 
-        if self.starvation.enabled {
-            let window_start = SimTime::from_micros(now.as_micros().saturating_sub(self.fairness_window_us));
-            let floor = self.starvation.floor_bps;
-            for (i, t) in self.tenants.iter_mut().enumerate() {
+        if run.starvation.enabled {
+            let window_start = SimTime::from_micros(now.as_micros().saturating_sub(run.fairness_window_us));
+            let floor = run.starvation.floor_bps;
+            for (i, t) in run.tenants.iter_mut().enumerate() {
                 // Eligible only when the whole window sits inside the tenant's capture
                 // phase: goodput during think time or the post-capture drain is low by
                 // design, and flagging it would make the watchdog fire on every healthy
@@ -595,24 +519,24 @@ impl ContentionMachine {
                     // Escalate the tenant's own degradation ladder: force_fallback makes
                     // `in_fallback()` true, so its next capture rides the SoftFallback
                     // rung and its sending rate steps down toward survivability.
-                    t.member.gcc.force_fallback();
+                    self.seats[i].member.gcc.force_fallback();
                 }
             }
         }
 
-        if let Some(rt) = self.recovery_time {
-            if now >= rt && self.post_recovery_snapshot.is_none() {
-                self.post_recovery_snapshot = Some(
+        if let Some(rt) = run.recovery_time {
+            if now >= rt && run.post_recovery_snapshot.is_none() {
+                run.post_recovery_snapshot = Some(
                     (0..k)
-                        .map(|i| self.shared.flow_counters(i).delivered_bytes)
+                        .map(|i| self.uplink.flow_counters(i).delivered_bytes)
                         .collect(),
                 );
             }
         }
 
-        let next = now + SimDuration::from_micros(self.fairness_window_us);
-        if next <= self.global_end {
-            sim.schedule_at(next, MtEvent::FairnessTick);
+        let next = now + SimDuration::from_micros(run.fairness_window_us);
+        if next <= run.global_end {
+            sim.schedule_at(next, Event::FairnessTick);
         }
     }
 }
@@ -623,8 +547,9 @@ impl ContentionMachine {
 /// # Panics
 ///
 /// Panics when there is no tenant, a scripted turn has no frame, `config` fails
-/// [`ContentionConfig::validate`] or a tenant's options [`NetSessionOptions::validate`], or
-/// a tenant's private uplink disagrees with the shared link.
+/// [`ContentionConfig::validate`] or a tenant's options [`NetSessionOptions::validate`], a
+/// tenant's join or think time is longer than 1e6 s, or a tenant's `options.path.uplink`
+/// disagrees with the shared link.
 pub fn run_contention(config: &ContentionConfig, tenants: Vec<TenantSpec>) -> ContentionReport {
     assert!(!tenants.is_empty(), "a contention run needs at least one tenant");
     if let Err(e) = config.validate() {
@@ -634,24 +559,29 @@ pub fn run_contention(config: &ContentionConfig, tenants: Vec<TenantSpec>) -> Co
         if let Err(e) = t.options.validate() {
             panic!("tenant {:?}: {e}", t.label);
         }
+        refuse_past_timer_bound(
+            format_args!("tenant {:?}: join_at", t.label),
+            t.join_at.as_micros(),
+        );
+        refuse_past_timer_bound(format_args!("tenant {:?}: think", t.label), t.think.as_micros());
         assert!(
             t.turns.iter().all(|turn| !turn.frames.is_empty()),
             "every scripted turn needs at least one frame"
         );
-        // The transport times loss reports and the NACK budget off the private uplink's
+        // The transport times loss reports and the NACK budget off `options.path.uplink`'s
         // propagation delay, and turn reports read outage exposure off its fault
         // schedule — both must describe the link the packets really ride.
-        let private = &t.options.path.uplink;
+        let own = &t.options.path.uplink;
         assert!(
-            private.propagation_delay == config.shared_uplink.propagation_delay
-                && private.faults == config.shared_uplink.faults,
+            own.propagation_delay == config.shared_uplink.propagation_delay
+                && own.faults == config.shared_uplink.faults,
             "tenant {:?}: options.path.uplink must match the shared link's propagation delay and faults",
             t.label
         );
     }
     let tenant_count = tenants.len();
     let flow_count = tenant_count + config.cross_traffic.len();
-    let shared = SharedLink::new(config.shared_uplink.clone(), config.shared_seed, flow_count);
+    let mut uplink = SharedLink::new(config.shared_uplink.clone(), config.shared_seed, flow_count);
     let recovery_time = config
         .shared_uplink
         .faults
@@ -679,17 +609,20 @@ pub fn run_contention(config: &ContentionConfig, tenants: Vec<TenantSpec>) -> Co
         StreamerConfig::default(),
         Arc::new(ClipModel::mobile_default()),
     );
-    let states: Vec<TenantState> = tenants
-        .into_iter()
-        .map(|spec| TenantState {
-            member: Member::new(spec.options.clone(), |mode| sender.clone_in_mode(mode)),
-            window: EncodedWindow::default(),
-            spec,
-            turns_begun: 0,
-            capture_span: None,
-            starve_streak: 0,
-            starvation_events: 0,
-            window_bytes_snapshot: 0,
+    let mut members: Vec<Member> = tenants
+        .iter()
+        .map(|spec| Member::new(spec.options.clone(), |mode| sender.clone_in_mode(mode)))
+        .collect();
+    // Tenants' turns overlap on the shared kernel, so each holds its own encoded window; the
+    // per-event buffers are the run's one `TurnScratch`.
+    let mut windows: Vec<EncodedWindow> = tenants.iter().map(|_| EncodedWindow::default()).collect();
+    let mut seats: Vec<Seat> = members
+        .iter_mut()
+        .zip(&mut windows)
+        .map(|(member, window)| Seat {
+            member,
+            window,
+            frames: &[],
         })
         .collect();
 
@@ -706,11 +639,20 @@ pub fn run_contention(config: &ContentionConfig, tenants: Vec<TenantSpec>) -> Co
         .collect();
 
     let fairness_window_us = config.fairness_window.as_micros();
-    let mut machine = ContentionMachine {
-        tenants: states,
-        scratch: TurnScratch::default(),
+    let mut run = Contention {
+        tenants: tenants
+            .iter()
+            .map(|spec| Tenant {
+                spec,
+                turns_begun: 0,
+                turns_ended: 0,
+                capture_span: None,
+                starve_streak: 0,
+                starvation_events: 0,
+                window_bytes_snapshot: 0,
+            })
+            .collect(),
         cross,
-        shared,
         starvation: config.starvation,
         admission: config.admission,
         nominal_bps: config.nominal_bps,
@@ -720,39 +662,49 @@ pub fn run_contention(config: &ContentionConfig, tenants: Vec<TenantSpec>) -> Co
         post_recovery_snapshot: None,
         global_end,
     };
+    let mut scratch = TurnScratch::default();
 
     let mut sim = Simulation::new();
-    for (i, t) in machine.tenants.iter().enumerate() {
-        if !t.spec.turns.is_empty() {
-            sim.schedule_at(t.spec.join_at, MtEvent::TurnBegin { tenant: i });
+    for (i, t) in tenants.iter().enumerate() {
+        if !t.turns.is_empty() {
+            sim.schedule_at(t.join_at, Event::TurnBegin { member: i });
         }
     }
-    for (s, c) in machine.cross.iter().enumerate() {
-        sim.schedule_at(c.spec.start, MtEvent::Cross { source: s });
+    for (s, c) in run.cross.iter().enumerate() {
+        sim.schedule_at(c.spec.start, Event::Cross { source: s });
     }
-    sim.schedule_at(SimTime::from_micros(fairness_window_us), MtEvent::FairnessTick);
-    sim.run_until(global_end, &mut machine);
+    sim.schedule_at(SimTime::from_micros(fairness_window_us), Event::FairnessTick);
+    sim.run_until(
+        global_end,
+        &mut Driver {
+            seats: &mut seats,
+            uplink: &mut uplink,
+            scratch: &mut scratch,
+            run: Some(&mut run),
+        },
+    );
 
     // --- Assemble the report.
     let tenant_bytes: Vec<u64> = (0..tenant_count)
-        .map(|i| machine.shared.flow_counters(i).delivered_bytes)
+        .map(|i| uplink.flow_counters(i).delivered_bytes)
         .collect();
     let total_tenant_bytes: u64 = tenant_bytes.iter().sum();
     let overall: Vec<f64> = tenant_bytes.iter().map(|&b| b as f64).collect();
-    let jain_post_recovery = machine.post_recovery_snapshot.as_ref().map(|snap| {
+    let jain_post_recovery = run.post_recovery_snapshot.as_ref().map(|snap| {
         let deltas: Vec<f64> = (0..tenant_count)
             .map(|i| (tenant_bytes[i] - snap[i]) as f64)
             .collect();
         jain_index(&deltas)
     });
     let cross_traffic_delivered_bytes: u64 = (tenant_count..flow_count)
-        .map(|f| machine.shared.flow_counters(f).delivered_bytes)
+        .map(|f| uplink.flow_counters(f).delivered_bytes)
         .sum();
-    let tenants: Vec<TenantReport> = machine
+    let reports: Vec<TenantReport> = run
         .tenants
         .iter()
+        .zip(&members)
         .enumerate()
-        .map(|(i, t)| TenantReport {
+        .map(|(i, (t, member))| TenantReport {
             label: t.spec.label.clone(),
             mode: t.spec.mode.clone(),
             join_ms: t.spec.join_at.as_micros() as f64 / 1e3,
@@ -763,18 +715,18 @@ pub fn run_contention(config: &ContentionConfig, tenants: Vec<TenantSpec>) -> Co
                 tenant_bytes[i] as f64 / total_tenant_bytes as f64
             },
             starvation_events: t.starvation_events,
-            conversation: t.member.report(),
+            conversation: member.report(),
         })
         .collect();
     ContentionReport {
-        tenants,
+        tenants: reports,
         fairness: FairnessReport {
             window_ms: fairness_window_us as f64 / 1e3,
             jain_overall: jain_index(&overall),
             jain_post_recovery,
-            windows: machine.windows,
+            windows: run.windows,
         },
-        shared_link: machine.shared.counters(),
+        shared_link: uplink.counters(),
         cross_traffic_delivered_bytes,
     }
 }

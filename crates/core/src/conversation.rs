@@ -4,7 +4,7 @@
 //! one long-lived connection, and everything a real connection carries from one turn to
 //! the next matters: GCC warm-up, pacer backlog, in-flight packets, NACK history and the
 //! bandwidth trace's position. A [`Conversation`] keeps **one timeline**: the `aivc-sim`
-//! kernel's clock and event queue, the emulated link (and therefore the trace cursor and
+//! kernel's clock and event queue, the emulated uplink (and therefore the trace cursor and
 //! bottleneck queue), the congestion controller, pacer, packetizer sequence space, RTX
 //! store and FEC/NACK machinery all persist across turns. Turn `k + 1` starts at the
 //! simulated time turn `k`'s answer deadline passed, plus the user's think time, during
@@ -27,19 +27,21 @@
 //! can run indefinitely — the steady-state benchmark (`conversation_turn_warm`) runs
 //! thousands of turns on one instance.
 //!
-//! The conversation's state minus its timeline is a [`Member`]: the private driver here
-//! and the shared-link driver in [`crate::contention`] both own one per conversation and
-//! differ only in whose kernel the events ride and which uplink the packets take.
+//! The conversation's state minus its timeline is a [`Member`]. A conversation is the one
+//! member of a timeline of its own — its kernel and a one-flow uplink seeded like the
+//! session — and a [`crate::contention`] tenant one of K on a shared one; both run on the
+//! one driver (`net_turn::Driver`) and open and conclude their turns through the same two
+//! functions, [`Member::begin_turn`] and [`Member::conclude_turn`].
 
 use crate::context_aware::{Streamer, StreamerConfig};
 use crate::net_session::{FaultTelemetry, FrameDelivery, NetSessionOptions, NetTurnReport};
 use crate::net_turn::{
-    begin_turn_window, conclude_turn_window, EncodedWindow, NetCompute, NetEvent, NetEventSink, Transport,
-    TurnMachine, TurnPlan, TurnScratch, UplinkPort, EMPTY_TURN_WINDOW,
+    begin_turn_window, conclude_turn_window, refuse_past_timer_bound, Driver, EncodedWindow, Event,
+    NetCompute, Seat, Transport, TurnMachine, TurnPlan, TurnScratch, EMPTY_TURN_WINDOW,
 };
 use crate::session::StreamingMode;
 use aivc_mllm::Question;
-use aivc_netsim::{LatencyStats, LinkCounters};
+use aivc_netsim::{LatencyStats, LinkCounters, SharedLink};
 use aivc_rtc::cc::GccController;
 use aivc_scene::Frame;
 use aivc_semantics::ClipModel;
@@ -143,8 +145,9 @@ impl ConversationReport {
 
 /// Everything one conversation carries from turn to turn except its timeline: the chat
 /// pipeline, the congestion controller, the transport and the per-turn history behind the
-/// [`ConversationReport`]. The driver owns the kernel, the [`TurnScratch`] and the
-/// [`EncodedWindow`], and hands every call the [`UplinkPort`] the packets ride.
+/// [`ConversationReport`]. Whoever drives it owns the kernel, the uplink, the
+/// [`TurnScratch`] and the [`EncodedWindow`], and hands every call the uplink the packets
+/// ride and the member's index on the timeline (its flow on that uplink).
 #[derive(Debug)]
 pub(crate) struct Member {
     pub(crate) compute: NetCompute,
@@ -181,39 +184,43 @@ impl Member {
     }
 
     /// Opens the next turn window at `now`: records the turn-start estimate and the
-    /// backlog inherited on `port`, then schedules the captures into `sink`. The driver
-    /// drains its timeline to the new `plan.horizon`, routing this member's events to
-    /// [`Member::machine`], and then calls [`Member::conclude_turn`].
+    /// backlog inherited on `uplink`, then schedules the captures onto `sim` as member
+    /// `member`'s. The timeline drains to the new `plan.horizon`, routing this member's
+    /// events to [`Member::machine`], and then calls [`Member::conclude_turn`].
     pub(crate) fn begin_turn(
         &mut self,
         now: SimTime,
-        port: &UplinkPort<'_>,
-        sink: &mut impl NetEventSink,
+        uplink: &SharedLink,
+        member: usize,
+        sim: &mut Simulation<Event>,
         frame_count: usize,
         question: &Question,
     ) {
         self.estimate_at_turn_start_bps.push(self.gcc.estimate_bps());
         self.carryover_queue_delay_ms
-            .push(self.transport.uplink_backlog_ms(port, now));
+            .push(uplink.backlog(now).as_millis_f64());
         self.plan = begin_turn_window(
             &mut self.compute,
             &mut self.transport,
             now,
-            sink,
+            sim,
+            member,
             frame_count,
             question,
         );
     }
 
-    /// The event handler for this member's transport events. `frames` is the open turn's
-    /// capture window; between turns (deliveries, polls, retransmissions only — no
-    /// capture is pending) neither it, `scratch` nor `window` is read, and it may be empty.
+    /// The event handler for this member's transport events, riding `uplink` as flow
+    /// `member`. `frames` is the open turn's capture window; between turns (deliveries,
+    /// polls, retransmissions only — no capture is pending) neither it, `scratch` nor
+    /// `window` is read, and it may be empty.
     pub(crate) fn machine<'a>(
         &'a mut self,
         scratch: &'a mut TurnScratch,
         window: &'a mut EncodedWindow,
         frames: &'a [Frame],
-        port: UplinkPort<'a>,
+        uplink: &'a mut SharedLink,
+        member: usize,
     ) -> TurnMachine<'a> {
         TurnMachine {
             compute: &mut self.compute,
@@ -223,7 +230,8 @@ impl Member {
             t: &mut self.transport,
             frames,
             plan: self.plan,
-            port,
+            uplink,
+            member,
         }
     }
 
@@ -234,10 +242,11 @@ impl Member {
         &mut self,
         scratch: &mut TurnScratch,
         window: &mut EncodedWindow,
-        port: UplinkPort<'_>,
+        uplink: &mut SharedLink,
+        member: usize,
         question: &Question,
     ) -> &NetTurnReport {
-        let report = conclude_turn_window(self.machine(scratch, window, &[], port), question);
+        let report = conclude_turn_window(self.machine(scratch, window, &[], uplink, member), question);
         self.turn_target_swing_bps
             .push(self.transport.turn_target_swing_bps());
         self.frame_latencies
@@ -287,7 +296,8 @@ impl Member {
 #[derive(Debug)]
 pub struct Conversation {
     pub(crate) member: Member,
-    sim: Simulation<NetEvent>,
+    /// The timeline the member rides alone.
+    timeline: Timeline,
     think_gap: SimDuration,
     /// The per-event buffers of standalone turns. A conversation served by a fleet runs
     /// on its lane's instead and never grows these (nor `window`).
@@ -305,8 +315,9 @@ impl Conversation {
     ///
     /// # Panics
     ///
-    /// Panics when `options` fail [`NetSessionOptions::validate`], or `config`'s γ
-    /// [`crate::QpAllocator::try_new`], with that error's message.
+    /// Panics when `options` fail [`NetSessionOptions::validate`], `think_gap` is longer
+    /// than 1e6 s, or `config`'s γ fails [`crate::QpAllocator::try_new`], with a message
+    /// naming the field.
     pub fn new(
         options: NetSessionOptions,
         config: StreamerConfig,
@@ -322,8 +333,9 @@ impl Conversation {
     ///
     /// # Panics
     ///
-    /// Panics when `options` fail [`NetSessionOptions::validate`] — before `sender` runs, so
-    /// a bad option is refused before a bad γ — with that error's message.
+    /// Panics when `options` fail [`NetSessionOptions::validate`] or `think_gap` is longer
+    /// than 1e6 s — before `sender` runs, so a bad option is refused before a bad γ — with
+    /// a message naming the field.
     pub(crate) fn with_sender(
         options: NetSessionOptions,
         sender: impl FnOnce(StreamingMode) -> Streamer,
@@ -332,9 +344,13 @@ impl Conversation {
         if let Err(e) = options.validate() {
             panic!("{e}");
         }
+        refuse_past_timer_bound("think_gap", think_gap.as_micros());
         Self {
+            timeline: Timeline {
+                sim: Simulation::new(),
+                uplink: SharedLink::new(options.path.uplink.clone(), options.seed, 1),
+            },
             member: Member::new(options, sender),
-            sim: Simulation::new(),
             think_gap,
             scratch: TurnScratch::default(),
             window: EncodedWindow::default(),
@@ -359,13 +375,13 @@ impl Conversation {
 
     /// The current simulated time — the conversation's single monotonic clock.
     pub fn now(&self) -> SimTime {
-        self.sim.now()
+        self.timeline.sim.now()
     }
 
     /// Events the conversation's kernel has popped so far: how much work its timeline did,
     /// as a count that is the same on every box.
     pub fn events_popped(&self) -> u64 {
-        self.sim.events_popped()
+        self.timeline.sim.events_popped()
     }
 
     /// The congestion controller's current bandwidth estimate in bits per second.
@@ -392,10 +408,10 @@ impl Conversation {
 
     /// Snapshot of the conversation's cumulative uplink [`LinkCounters`] — offered,
     /// delivered, queue-dropped, randomly lost, duplicated, reordered and outage-dropped
-    /// packets since the conversation began. Reads the emulator's existing totals; the
+    /// packets since the conversation began. Reads the uplink's existing totals; the
     /// transport hot path keeps no extra bookkeeping for it.
     pub fn link_counters(&self) -> LinkCounters {
-        self.member.transport.uplink_counters()
+        self.timeline.uplink.counters()
     }
 
     /// Roll-up of the fault telemetry across every turn run so far (same aggregation as
@@ -423,15 +439,21 @@ impl Conversation {
     /// Advances the timeline by `gap` without capturing frames: in-flight packets arrive,
     /// NACK polls fire, retransmissions flow. [`Conversation::run_turn`] already inserts
     /// the configured think gap between turns; use this for extra idle time.
+    ///
+    /// # Panics
+    ///
+    /// Panics when `gap` is longer than 1e6 s, before the clock moves.
     pub fn think(&mut self, gap: SimDuration) {
+        refuse_past_timer_bound("gap", gap.as_micros());
+        let horizon = self.now() + gap;
         let Self {
             member,
-            sim,
+            timeline,
             scratch,
             window,
             ..
         } = self;
-        think_on(member, sim, scratch, window, gap);
+        timeline.drain(member, scratch, window, &[], horizon);
     }
 
     /// Runs the next turn of the conversation, starting at the current simulated time
@@ -454,12 +476,12 @@ impl Conversation {
     pub fn run_turn_in_place(&mut self, frames: &[Frame], question: &Question) -> &NetTurnReport {
         let Self {
             member,
-            sim,
+            timeline,
             think_gap,
             scratch,
             window,
         } = self;
-        run_turn(member, sim, *think_gap, scratch, window, frames, question)
+        timeline.run_turn(member, *think_gap, scratch, window, frames, question)
     }
 
     /// A turn on the buffers of the fleet lane that serves this conversation.
@@ -470,9 +492,8 @@ impl Conversation {
         frames: &[Frame],
         question: &Question,
     ) -> &NetTurnReport {
-        run_turn(
+        self.timeline.run_turn(
             &mut self.member,
-            &mut self.sim,
             self.think_gap,
             scratch,
             window,
@@ -499,46 +520,67 @@ impl Conversation {
     }
 }
 
-/// Advances a conversation's timeline by `gap` with no turn open.
-fn think_on(
-    member: &mut Member,
-    sim: &mut Simulation<NetEvent>,
-    scratch: &mut TurnScratch,
-    window: &mut EncodedWindow,
-    gap: SimDuration,
-) {
-    let horizon = sim.now() + gap;
-    sim.run_until(
-        horizon,
-        &mut member.machine(scratch, window, &[], UplinkPort::Private),
-    );
+/// A conversation's own timeline: the kernel and the uplink its one member rides — a link
+/// of its own, seeded `options.seed`, which is bit-identical to a private [`aivc_netsim::Link`].
+#[derive(Debug)]
+struct Timeline {
+    sim: Simulation<Event>,
+    uplink: SharedLink,
 }
 
-/// The turn itself, on the turn buffers of whoever drives it: the conversation's own for a
-/// standalone turn, the lane's when a fleet serves it. The one code path.
-fn run_turn<'m>(
-    member: &'m mut Member,
-    sim: &mut Simulation<NetEvent>,
-    think_gap: SimDuration,
-    scratch: &mut TurnScratch,
-    window: &mut EncodedWindow,
-    frames: &[Frame],
-    question: &Question,
-) -> &'m NetTurnReport {
-    // Before the think gap drains and `begin_turn` records the turn-start history.
-    assert!(!frames.is_empty(), "{EMPTY_TURN_WINDOW}");
-    if !member.turns.is_empty() && think_gap > SimDuration::ZERO {
-        think_on(member, sim, scratch, window, think_gap);
+/// A conversation's member is the only one on its timeline: index 0, flow 0 of its uplink.
+const MEMBER: usize = 0;
+
+impl Timeline {
+    /// Drains the timeline to `horizon` through the one driver, `frames` being the open
+    /// turn's window (empty in a think gap).
+    fn drain(
+        &mut self,
+        member: &mut Member,
+        scratch: &mut TurnScratch,
+        window: &mut EncodedWindow,
+        frames: &[Frame],
+        horizon: SimTime,
+    ) {
+        let mut seats = [Seat {
+            member,
+            window,
+            frames,
+        }];
+        let mut driver = Driver {
+            seats: &mut seats,
+            uplink: &mut self.uplink,
+            scratch,
+            run: None,
+        };
+        self.sim.run_until(horizon, &mut driver);
     }
-    member.begin_turn(sim.now(), &UplinkPort::Private, sim, frames.len(), question);
-    // On return the clock sits exactly at the answer deadline; later events (late
-    // packets, pending polls) stay queued for the think gap and the next window.
-    let horizon = member.plan.horizon;
-    sim.run_until(
-        horizon,
-        &mut member.machine(scratch, window, frames, UplinkPort::Private),
-    );
-    member.conclude_turn(scratch, window, UplinkPort::Private, question)
+
+    /// The turn itself, on the turn buffers of whoever drives it: the conversation's own
+    /// for a standalone turn, the lane's when a fleet serves it. The one code path.
+    fn run_turn<'m>(
+        &mut self,
+        member: &'m mut Member,
+        think_gap: SimDuration,
+        scratch: &mut TurnScratch,
+        window: &mut EncodedWindow,
+        frames: &[Frame],
+        question: &Question,
+    ) -> &'m NetTurnReport {
+        // Before the think gap drains and `begin_turn` records the turn-start history.
+        assert!(!frames.is_empty(), "{EMPTY_TURN_WINDOW}");
+        if !member.turns.is_empty() && think_gap > SimDuration::ZERO {
+            let horizon = self.sim.now() + think_gap;
+            self.drain(member, scratch, window, &[], horizon);
+        }
+        let now = self.sim.now();
+        member.begin_turn(now, &self.uplink, MEMBER, &mut self.sim, frames.len(), question);
+        // On return the clock sits exactly at the answer deadline; later events (late
+        // packets, pending polls) stay queued for the think gap and the next window.
+        let horizon = member.plan.horizon;
+        self.drain(member, scratch, window, frames, horizon);
+        member.conclude_turn(scratch, window, &mut self.uplink, MEMBER, question)
+    }
 }
 
 #[cfg(test)]

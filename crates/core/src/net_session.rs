@@ -257,8 +257,9 @@ pub(crate) fn validate_link(link: &'static str, config: &LinkConfig) -> Result<(
 }
 
 /// Longest deadline or timer the options may ask for, in seconds: 1e12 µs, so a clock
-/// that has run for millennia still adds one without overflowing its `u64`.
-const MAX_TIMER_SECS: f64 = 1e6;
+/// that has run for millennia still adds one without overflowing its `u64`. A scenario's
+/// think and join times, and a conversation's or tenant's, are held to it too.
+pub(crate) const MAX_TIMER_SECS: f64 = 1e6;
 /// Largest bitrate the options may carry, in bits per second: far past any link, and small
 /// enough that a turn's sum of per-frame targets (`f64::MAX` held for two frames is `inf`
 /// in the report) and the pacer's 2.5× stay finite.

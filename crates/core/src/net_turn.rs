@@ -1,7 +1,7 @@
 //! The network-turn engine: one state machine over the `aivc-sim` kernel for the §2.2
-//! loop (capture → context-aware encode → RTC → MLLM answers inside the deadline), with
-//! exactly two drivers — [`crate::Conversation`]'s private timeline and
-//! [`crate::contention`]'s shared-link timeline.
+//! loop (capture → context-aware encode → RTC → MLLM answers inside the deadline), and the
+//! one driver that runs it — one [`Event`] type and one actor ([`Driver`]) for a standalone
+//! [`crate::Conversation`], a fleet lane's member and a [`crate::contention`] run alike.
 //!
 //! The split is deliberate:
 //!
@@ -18,29 +18,35 @@
 //!   the turn's encoded frames, written at capture and read at the same turn's deadline
 //!   after other events have run, so turns that overlap need one each (a lane and a
 //!   standalone conversation own one, as does every contention tenant);
-//! * [`Transport`] owns everything the *network* needs — the emulated path, packetizer,
-//!   pacer, RTX store, FEC encode/recovery, reassembly, NACK generation, and the pending
-//!   congestion feedback — plus the per-turn counters the report reads;
-//! * [`TurnMachine`] borrows all of them for the duration of a drain and implements
-//!   [`Actor::on_event`]: the capture → encode → packetize → protect → pace → send →
-//!   arrive → recover loop of §2.2.
+//! * [`Transport`] owns everything the *network* needs besides the uplink — the downlink,
+//!   packetizer, pacer, RTX store, FEC encode/recovery, reassembly, NACK generation, and
+//!   the pending congestion feedback — plus the per-turn counters the report reads;
+//! * the uplink is one flow of a [`SharedLink`]: a conversation owns a one-flow link
+//!   seeded like the session (bit-identical to a private [`Link`]), a contention run one
+//!   link its K tenants and its cross-traffic contend for;
+//! * [`TurnMachine`] borrows all of them while it handles one member's event: the capture
+//!   → encode → packetize → protect → pace → send → arrive → recover loop of §2.2.
 //!
-//! The engine never owns the [`Simulation`]: a driver does, and a driver exists per set
-//! of conversations that actually exchange events. Conversations on private links never
-//! interact, so each runs on its own `Simulation<NetEvent>` — a fleet server needs no
-//! timeline of its own; conversations contending for one [`SharedLink`] interleave
-//! packet by packet and ride one global timeline ([`NetEventSink`] tags their events on
-//! the way in). Either way the clock, the queue backlog, the trace cursor and every
-//! in-flight packet persist across turn boundaries.
+//! A timeline is a `Simulation<Event>` and its members: member `i` is flow `i` of the
+//! uplink and tags its events `Event::Net { member: i, .. }`. [`Driver`] is the one actor
+//! over it, handling every event in one `match`. A conversation's timeline has one member
+//! and only transport events — it opens and concludes its turns itself, through the same
+//! two functions ([`crate::conversation::Member::begin_turn`] /
+//! [`crate::conversation::Member::conclude_turn`]) a contention run's `TurnBegin` and
+//! `TurnEnd` events call — so it is the K = 1 case with no cross-traffic and no fairness
+//! tick. Conversations on links of their own never interact, so each rides its own
+//! timeline — a fleet server needs none of its own. Either way the clock, the queue
+//! backlog, the trace cursor and every in-flight packet persist across turn boundaries.
 
+use crate::contention::Contention;
 use crate::context_aware::{ClipState, Streamer};
-use crate::net_session::{FaultTelemetry, FrameDelivery, NetSessionOptions, NetTurnReport};
+use crate::conversation::Member;
+use crate::net_session::{FaultTelemetry, FrameDelivery, NetSessionOptions, NetTurnReport, MAX_TIMER_SECS};
 use crate::session::StreamingMode;
 use aivc_metrics::SessionSnapshot;
 use aivc_mllm::{MllmChat, MllmScratch, Question};
-use aivc_netsim::emulator::Direction;
 use aivc_netsim::link::LinkCounters;
-use aivc_netsim::{DeliveryOutcome, LatencyStats, NetworkEmulator, Packet, SharedLink};
+use aivc_netsim::{DeliveryOutcome, LatencyStats, Link, Packet, SharedLink};
 use aivc_rtc::cc::{FeedbackFold, GccController, PacketFeedback};
 use aivc_rtc::fec::{group_of_index, FecEncoder, FecRecovery};
 use aivc_rtc::nack::{NackGenerator, RtxQueue, RETRY_INTERVAL};
@@ -53,8 +59,26 @@ use aivc_semantics::{ClipWork, TextQuery};
 use aivc_sim::{Actor, SimDuration, SimTime, Simulation};
 use aivc_videocodec::{DecodeScratch, DecodedFrame, Decoder, EncodedFrame, RatePlan};
 
-/// Events of the networked turn's discrete-event loop. Frame indices are *global* across
-/// the owning timeline (a conversation numbers its frames continuously).
+/// The one timeline's events, handled in one `match` by [`Driver`]: a member's transport
+/// events, tagged with its index, and a contention run's own — a tenant's turn opening and
+/// closing, a cross-traffic send, the fairness tick. A conversation's timeline only ever
+/// holds `Net` events.
+#[derive(Debug)]
+pub(crate) enum Event {
+    /// Member `member`'s transport event.
+    Net { member: usize, ev: NetEvent },
+    /// A contention tenant's next turn window opens.
+    TurnBegin { member: usize },
+    /// A contention tenant's turn deadline passed: conclude and report.
+    TurnEnd { member: usize },
+    /// A cross-traffic source offers its next packet.
+    Cross { source: usize },
+    /// The fairness/starvation sampling tick.
+    FairnessTick,
+}
+
+/// A member's transport events: the payload of [`Event::Net`]. Frame indices are *global*
+/// across the member's conversation (it numbers its frames continuously).
 #[derive(Debug)]
 pub(crate) enum NetEvent {
     /// Frame `i` is captured: drain mature feedback into GCC, pick the ABR target, encode
@@ -72,7 +96,7 @@ pub(crate) enum NetEvent {
     /// back-to-back [`NetEvent::SendUplink`]s of a capture (or retransmission batch). The
     /// event fires at each distinct departure time, delivers every packet due, then
     /// re-arms itself at the next departure *under its original insertion sequence* — see
-    /// [`NetEventSink::reschedule_net_run`] for why that preserves exact event ordering.
+    /// [`reschedule_run`] for why that preserves exact event ordering.
     UplinkRun(PacketRun),
 }
 
@@ -83,9 +107,9 @@ pub(crate) enum NetEvent {
 /// ride a single slab slot instead of one per packet.
 #[derive(Debug)]
 pub(crate) struct PacketRun {
-    /// The run event's insertion sequence on its timeline. Assigned by
-    /// [`NetEventSink::schedule_net_run`]; re-arms reuse it so the run keeps its
-    /// tie-break position among same-time events across every firing.
+    /// The run event's insertion sequence on its timeline. Assigned by [`schedule_run`];
+    /// re-arms reuse it so the run keeps its tie-break position among same-time events
+    /// across every firing.
     pub(crate) seq: u64,
     /// Index of the first not-yet-delivered departure in `items`.
     pub(crate) cursor: usize,
@@ -94,93 +118,38 @@ pub(crate) struct PacketRun {
     pub(crate) items: Vec<(u64, RtpPacket)>,
 }
 
-/// Where a [`TurnMachine`] schedules its follow-on events. A single-tenant timeline is a
-/// plain [`Simulation<NetEvent>`]; a multi-tenant engine wraps each tenant's events into
-/// its own composite event type and implements this to tag them on the way in.
-pub(crate) trait NetEventSink {
-    /// Schedules `event` at `when` on the owning timeline.
-    fn schedule_net(&mut self, when: SimTime, event: NetEvent);
-
-    /// Schedules a fresh packet run at `when` (its first departure). Implementations must
-    /// record the event's insertion sequence in `run.seq` before scheduling — the seq a
-    /// plain schedule call would assign, i.e. the timeline's `next_seq()`.
-    fn schedule_net_run(&mut self, when: SimTime, run: PacketRun);
-
-    /// Re-arms a partially delivered run at `when` (its next departure) **under its
-    /// original insertion sequence** (`run.seq`, via the kernel's `schedule_at_with_seq`).
-    ///
-    /// Keeping the seq is what makes coalescing invisible to event ordering: in
-    /// per-packet mode every departure of the burst carries a seq from the burst's
-    /// scheduling instant, so at a shared firing time the whole burst sorts before any
-    /// later-scheduled event (arrivals, polls) and after any earlier-scheduled one. A
-    /// re-armed run with its original seq sorts exactly the same way; a fresh seq would
-    /// instead sort the tail of the run *after* events scheduled since, reordering
-    /// same-instant deliveries. Safe because the run's previous firing has already
-    /// popped — no two live events ever share the seq.
-    fn reschedule_net_run(&mut self, when: SimTime, run: PacketRun);
+/// Puts member `member`'s transport event `ev` on the timeline at `when`.
+fn schedule_net(sim: &mut Simulation<Event>, member: usize, when: SimTime, ev: NetEvent) {
+    sim.schedule_at(when, Event::Net { member, ev });
 }
 
-impl NetEventSink for Simulation<NetEvent> {
-    fn schedule_net(&mut self, when: SimTime, event: NetEvent) {
-        self.schedule_at(when, event);
-    }
-
-    fn schedule_net_run(&mut self, when: SimTime, mut run: PacketRun) {
-        run.seq = self.next_seq();
-        self.schedule_at(when, NetEvent::UplinkRun(run));
-    }
-
-    fn reschedule_net_run(&mut self, when: SimTime, run: PacketRun) {
-        self.schedule_at_with_seq(when, run.seq, NetEvent::UplinkRun(run));
-    }
+/// Schedules a fresh packet run of member `member` at `when` (its first departure),
+/// recording in `run.seq` the insertion sequence it is scheduled under.
+fn schedule_run(sim: &mut Simulation<Event>, member: usize, when: SimTime, mut run: PacketRun) {
+    run.seq = sim.next_seq();
+    schedule_net(sim, member, when, NetEvent::UplinkRun(run));
 }
 
-/// Which uplink a turn's packets ride. `Private` is the classic single-tenant path — the
-/// transport's own emulated uplink, byte-for-byte the pre-contention behaviour. `Shared`
-/// redirects every uplink operation to one flow of a [`SharedLink`] contended by other
-/// tenants; the private uplink then sits idle (its RNG streams are never drawn from).
-/// The downlink (feedback path) always stays private: the shared bottleneck models the
-/// congested uplink/cell, not the return path.
-pub(crate) enum UplinkPort<'a> {
-    /// Use the transport's own emulator uplink.
-    Private,
-    /// Contend for a shared bottleneck as the given flow.
-    Shared {
-        /// The shared bottleneck link.
-        link: &'a mut SharedLink,
-        /// This tenant's flow index on it.
-        flow: usize,
-    },
-}
-
-impl UplinkPort<'_> {
-    fn send(&mut self, emulator: &mut NetworkEmulator, packet: &Packet, now: SimTime) -> DeliveryOutcome {
-        match self {
-            UplinkPort::Private => emulator.send(Direction::Uplink, packet, now),
-            UplinkPort::Shared { link, flow } => link.send(*flow, packet, now),
-        }
-    }
-
-    fn take_duplicate(&mut self, emulator: &mut NetworkEmulator) -> Option<SimTime> {
-        match self {
-            UplinkPort::Private => emulator.take_uplink_duplicate(),
-            UplinkPort::Shared { link, .. } => link.take_duplicate(),
-        }
-    }
-
-    fn backlog_ms(&self, emulator: &NetworkEmulator, now: SimTime) -> f64 {
-        match self {
-            UplinkPort::Private => emulator.uplink().backlog(now).as_millis_f64(),
-            UplinkPort::Shared { link, .. } => link.backlog(now).as_millis_f64(),
-        }
-    }
-
-    fn counters(&self, emulator: &NetworkEmulator) -> LinkCounters {
-        match self {
-            UplinkPort::Private => emulator.uplink().counters(),
-            UplinkPort::Shared { link, flow } => link.flow_counters(*flow),
-        }
-    }
+/// Re-arms a partially delivered run at `when` (its next departure) **under its original
+/// insertion sequence** (`run.seq`, via the kernel's `schedule_at_with_seq`).
+///
+/// Keeping the seq is what makes coalescing invisible to event ordering: in per-packet mode
+/// every departure of the burst carries a seq from the burst's scheduling instant, so at a
+/// shared firing time the whole burst sorts before any later-scheduled event (arrivals,
+/// polls) and after any earlier-scheduled one. A re-armed run with its original seq sorts
+/// exactly the same way; a fresh seq would instead sort the tail of the run *after* events
+/// scheduled since, reordering same-instant deliveries. Safe because the run's previous
+/// firing has already popped — no two live events ever share the seq.
+fn reschedule_run(sim: &mut Simulation<Event>, member: usize, when: SimTime, run: PacketRun) {
+    let seq = run.seq;
+    sim.schedule_at_with_seq(
+        when,
+        seq,
+        Event::Net {
+            member,
+            ev: NetEvent::UplinkRun(run),
+        },
+    );
 }
 
 /// Per-frame transport bookkeeping.
@@ -361,11 +330,14 @@ impl NetCompute {
     }
 }
 
-/// The transport half: the emulated path and every sender/receiver machine, with frame
-/// bookkeeping indexed by *global* frame id and per-turn counters the report reads.
+/// The transport half: the downlink and every sender/receiver machine, with frame
+/// bookkeeping indexed by *global* frame id and per-turn counters the report reads. The
+/// uplink is the timeline's (a flow of its [`SharedLink`]), lent to each event.
 #[derive(Debug, Clone)]
 pub(crate) struct Transport {
-    emulator: NetworkEmulator,
+    /// The feedback path, the session's own: the shared bottleneck models the congested
+    /// uplink / cell, not the return path.
+    downlink: Link,
     packetizer: Packetizer,
     pacer: Pacer,
     rtx: RtxQueue,
@@ -428,7 +400,7 @@ pub(crate) struct Transport {
     /// completion after it (the `time_to_recover_ms` anchor). Survives turn boundaries:
     /// an outage at a turn's tail is recovered from — and measured — in the next turn.
     pending_outage_recovery: Option<SimTime>,
-    /// Uplink link-counter snapshot at the last report, for per-turn deltas.
+    /// This member's uplink flow counters at the last report, for per-turn deltas.
     counters_reported: LinkCounters,
     /// GCC watchdog-fallback count at the last report, for per-turn deltas.
     watchdog_fallbacks_reported: u64,
@@ -449,7 +421,10 @@ impl Transport {
     /// controller's current estimate (exactly how a turn begins).
     pub(crate) fn new(options: &NetSessionOptions, initial_estimate_bps: f64) -> Self {
         Self {
-            emulator: NetworkEmulator::new(options.path.clone(), options.seed),
+            downlink: Link::new(
+                options.path.downlink.clone(),
+                options.seed.wrapping_add(0x0BAD_F00D),
+            ),
             packetizer: Packetizer::default(),
             pacer: Pacer::new(PacerConfig::from_target_bitrate(initial_estimate_bps, 2.5)),
             rtx: RtxQueue::new(),
@@ -514,18 +489,6 @@ impl Transport {
             .filter(|slot| *slot < self.outgoing.len())
     }
 
-    /// The current queueing backlog, in milliseconds, of the uplink `port` sends on —
-    /// what a new turn inherits from the traffic before it.
-    pub(crate) fn uplink_backlog_ms(&self, port: &UplinkPort<'_>, now: SimTime) -> f64 {
-        port.backlog_ms(&self.emulator, now)
-    }
-
-    /// Snapshot of the private uplink's cumulative counters (reads existing totals; no
-    /// hot-path bookkeeping).
-    pub(crate) fn uplink_counters(&self) -> LinkCounters {
-        self.emulator.uplink().counters()
-    }
-
     /// Resets the per-turn counters.
     fn begin_turn(&mut self) {
         self.turn_packets_lost = 0;
@@ -560,14 +523,16 @@ impl Transport {
         self.run_pool.pop().unwrap_or_default()
     }
 
-    /// Schedules `items` as one coalesced [`PacketRun`] at its first departure, or
-    /// returns the buffer to the pool when the burst turned out empty.
-    fn dispatch_run<S: NetEventSink>(&mut self, items: Vec<(u64, RtpPacket)>, sink: &mut S) {
+    /// Schedules `items` as one coalesced [`PacketRun`] of member `member` at its first
+    /// departure, or returns the buffer to the pool when the burst turned out empty.
+    fn dispatch_run(&mut self, items: Vec<(u64, RtpPacket)>, sim: &mut Simulation<Event>, member: usize) {
         match items.first() {
-            Some(&(first_us, _)) => sink.schedule_net_run(
+            Some(&(first_us, _)) => schedule_run(
+                sim,
+                member,
                 SimTime::from_micros(first_us),
                 PacketRun {
-                    seq: 0, // assigned by the sink
+                    seq: 0, // assigned by `schedule_run`
                     cursor: 0,
                     items,
                 },
@@ -678,10 +643,51 @@ impl TurnPlan {
     }
 }
 
-/// The actor: borrows the compute and transport halves and the driver's turn buffers for
-/// one drain and handles the turn's events. `plan` is the live turn's, or — between turns,
-/// when `frames` is empty and only deliveries, polls and feedback are pending (none of
-/// which touches `scratch` or `window`) — the most recent one's.
+/// One member as the timeline's events reach it: the conversation, the encoded window its
+/// turns write into, and the open turn's frames — empty between turns, when no capture is
+/// pending.
+pub(crate) struct Seat<'m, 'f> {
+    pub(crate) member: &'m mut Member,
+    pub(crate) window: &'m mut EncodedWindow,
+    pub(crate) frames: &'f [Frame],
+}
+
+/// The one actor: everything a timeline's events touch, borrowed for one drain. Member `i`
+/// is `seats[i]`, flow `i` of `uplink` and the `member: i` of its events; the per-event
+/// buffers are one set for all of them, since events never overlap.
+pub(crate) struct Driver<'d, 'm, 'f> {
+    pub(crate) seats: &'d mut [Seat<'m, 'f>],
+    pub(crate) uplink: &'d mut SharedLink,
+    pub(crate) scratch: &'d mut TurnScratch,
+    /// What a contention run adds: its tenants' scripts, cross-traffic and fairness
+    /// telemetry, for the `TurnBegin`, `TurnEnd`, `Cross` and `FairnessTick` arms. `None`
+    /// on a conversation's timeline, which holds no such event.
+    pub(crate) run: Option<&'d mut Contention<'f>>,
+}
+
+impl Actor for Driver<'_, '_, '_> {
+    type Event = Event;
+
+    fn on_event(&mut self, now: SimTime, event: Event, sim: &mut Simulation<Event>) {
+        match event {
+            Event::Net { member, ev } => {
+                let seat = &mut self.seats[member];
+                seat.member
+                    .machine(self.scratch, seat.window, seat.frames, self.uplink, member)
+                    .handle(now, ev, sim);
+            }
+            Event::TurnBegin { member } => self.turn_begin(member, now, sim),
+            Event::TurnEnd { member } => self.turn_end(member, sim),
+            Event::Cross { source } => self.cross(source, now, sim),
+            Event::FairnessTick => self.fairness_tick(now, sim),
+        }
+    }
+}
+
+/// Borrows a member's state and its driver's buffers while it handles one event. `plan` is
+/// the live turn's, or — between turns, when `frames` is empty and only deliveries, polls
+/// and feedback are pending (none of which touches `scratch` or `window`) — the most recent
+/// one's.
 pub(crate) struct TurnMachine<'a> {
     pub(crate) compute: &'a mut NetCompute,
     pub(crate) scratch: &'a mut TurnScratch,
@@ -690,22 +696,17 @@ pub(crate) struct TurnMachine<'a> {
     pub(crate) t: &'a mut Transport,
     pub(crate) frames: &'a [Frame],
     pub(crate) plan: TurnPlan,
-    pub(crate) port: UplinkPort<'a>,
-}
-
-impl Actor for TurnMachine<'_> {
-    type Event = NetEvent;
-
-    fn on_event(&mut self, now: SimTime, event: NetEvent, sim: &mut Simulation<NetEvent>) {
-        self.handle(now, event, sim);
-    }
+    /// The timeline's uplink, which this member rides as flow `member`.
+    pub(crate) uplink: &'a mut SharedLink,
+    /// The member's index on its timeline: its flow on `uplink` and its events' tag.
+    pub(crate) member: usize,
 }
 
 impl TurnMachine<'_> {
-    /// Handles one event, scheduling follow-ons into `sink`. This is [`Actor::on_event`]
-    /// with the timeline abstracted: the single-tenant path passes the simulation itself,
-    /// the multi-tenant engine passes a tagging wrapper.
-    pub(crate) fn handle<S: NetEventSink>(&mut self, now: SimTime, event: NetEvent, sink: &mut S) {
+    /// Handles one of the member's transport events, scheduling follow-ons onto `sim`
+    /// under the member's index.
+    fn handle(&mut self, now: SimTime, event: NetEvent, sim: &mut Simulation<Event>) {
+        let member = self.member;
         let t = &mut *self.t;
         match event {
             NetEvent::Capture(i) => {
@@ -735,7 +736,7 @@ impl TurnMachine<'_> {
 
                 // --- The degradation ladder decides what this capture tick does.
                 let deg = self.compute.options.degradation;
-                let backlog_ms = self.port.backlog_ms(&t.emulator, now);
+                let backlog_ms = self.uplink.backlog(now).as_millis_f64();
                 let level = if !deg.enabled {
                     DegradationLevel::Normal
                 } else if self.gcc.is_silent() {
@@ -793,7 +794,7 @@ impl TurnMachine<'_> {
                     t.next_net_packet_id += 1;
                     t.turn_probes_sent += 1;
                     t.metrics.packets_sent += 1;
-                    let outcome = self.port.send(&mut t.emulator, &probe, now);
+                    let outcome = self.uplink.send(member, &probe, now);
                     match outcome.arrival() {
                         Some(arrival) => t.cc_pending.push((
                             arrival.as_micros() + t.down_prop_us,
@@ -890,18 +891,18 @@ impl TurnMachine<'_> {
                     let when = t.pacer.schedule_send(p.wire_size(), now);
                     match &mut run_items {
                         Some(items) => items.push((when.as_micros(), *p)),
-                        None => sink.schedule_net(when, NetEvent::SendUplink(*p)),
+                        None => schedule_net(sim, member, when, NetEvent::SendUplink(*p)),
                     }
                 }
                 for p in &t.parity {
                     let when = t.pacer.schedule_send(p.wire_size(), now);
                     match &mut run_items {
                         Some(items) => items.push((when.as_micros(), *p)),
-                        None => sink.schedule_net(when, NetEvent::SendUplink(*p)),
+                        None => schedule_net(sim, member, when, NetEvent::SendUplink(*p)),
                     }
                 }
                 if let Some(items) = run_items {
-                    t.dispatch_run(items, sink);
+                    t.dispatch_run(items, sim, member);
                 }
             }
             NetEvent::UplinkRun(mut run) => {
@@ -914,14 +915,14 @@ impl TurnMachine<'_> {
                         break;
                     }
                     run.cursor += 1;
-                    self.deliver_uplink(now, packet, sink);
+                    self.deliver_uplink(now, packet, sim);
                 }
                 match run.items.get(run.cursor) {
-                    Some(&(next_us, _)) => sink.reschedule_net_run(SimTime::from_micros(next_us), run),
+                    Some(&(next_us, _)) => reschedule_run(sim, member, SimTime::from_micros(next_us), run),
                     None => self.t.recycle_run_buf(run.items),
                 }
             }
-            NetEvent::SendUplink(packet) => self.deliver_uplink(now, packet, sink),
+            NetEvent::SendUplink(packet) => self.deliver_uplink(now, packet, sim),
             NetEvent::UplinkArrival(packet) => {
                 let late_before = t.nack_gen.late_drops();
                 t.nack_gen.on_packet(packet.header.sequence, now);
@@ -994,7 +995,7 @@ impl TurnMachine<'_> {
                 let opts = &self.compute.options;
                 if opts.enable_retransmission && t.nack_gen.pending_count() > 0 && !t.poll_outstanding {
                     t.poll_outstanding = true;
-                    sink.schedule_net(now + opts.nack.reorder_guard, NetEvent::ReceiverPoll);
+                    schedule_net(sim, member, now + opts.nack.reorder_guard, NetEvent::ReceiverPoll);
                 }
             }
             NetEvent::ReceiverPoll => {
@@ -1011,14 +1012,14 @@ impl TurnMachine<'_> {
                     let fb_packet =
                         Packet::new(t.next_net_packet_id, FEEDBACK_PACKET_BYTES, now).with_flow(1);
                     t.next_net_packet_id += 1;
-                    match t.emulator.send(Direction::Downlink, &fb_packet, now).arrival() {
-                        Some(arrival) => sink.schedule_net(arrival, NetEvent::FeedbackArrival(due)),
+                    match t.downlink.send(&fb_packet, now).arrival() {
+                        Some(arrival) => schedule_net(sim, member, arrival, NetEvent::FeedbackArrival(due)),
                         None => t.recycle_nack_buf(due),
                     }
                 }
                 if t.nack_gen.pending_count() > 0 && !t.poll_outstanding {
                     t.poll_outstanding = true;
-                    sink.schedule_net(now + RETRY_INTERVAL, NetEvent::ReceiverPoll);
+                    schedule_net(sim, member, now + RETRY_INTERVAL, NetEvent::ReceiverPoll);
                 }
             }
             NetEvent::FeedbackArrival(sequences) => {
@@ -1042,13 +1043,13 @@ impl TurnMachine<'_> {
                         let when = t.pacer.schedule_send(p.wire_size(), now);
                         match &mut run_items {
                             Some(items) => items.push((when.as_micros(), p)),
-                            None => sink.schedule_net(when, NetEvent::SendUplink(p)),
+                            None => schedule_net(sim, member, when, NetEvent::SendUplink(p)),
                         }
                     }
                 }
                 t.recycle_nack_buf(sequences);
                 if let Some(items) = run_items {
-                    t.dispatch_run(items, sink);
+                    t.dispatch_run(items, sim, member);
                 }
             }
         }
@@ -1057,7 +1058,8 @@ impl TurnMachine<'_> {
     /// One packet leaves the pacer and enters the uplink: the [`NetEvent::SendUplink`]
     /// body, shared verbatim by per-packet events and coalesced runs (a run calls this
     /// once per due departure, in departure order).
-    fn deliver_uplink<S: NetEventSink>(&mut self, now: SimTime, packet: RtpPacket, sink: &mut S) {
+    fn deliver_uplink(&mut self, now: SimTime, packet: RtpPacket, sim: &mut Simulation<Event>) {
+        let member = self.member;
         let t = &mut *self.t;
         t.metrics.packets_sent += 1;
         let frame_idx = packet.header.frame_id as usize;
@@ -1073,15 +1075,15 @@ impl TurnMachine<'_> {
             .with_flow(0)
             .with_tag(packet.header.sequence);
         t.next_net_packet_id += 1;
-        let outcome = self.port.send(&mut t.emulator, &net_packet, now);
+        let outcome = self.uplink.send(member, &net_packet, now);
         match outcome.arrival() {
             Some(arrival) => {
-                sink.schedule_net(arrival, NetEvent::UplinkArrival(packet));
-                if let Some(dup_at) = self.port.take_duplicate(&mut t.emulator) {
+                schedule_net(sim, member, arrival, NetEvent::UplinkArrival(packet));
+                if let Some(dup_at) = self.uplink.take_duplicate() {
                     // A Duplicate fault episode emitted a second copy one
                     // serialization time behind the original; reassembly and FEC
                     // bookkeeping absorb it idempotently.
-                    sink.schedule_net(dup_at, NetEvent::UplinkArrival(packet));
+                    schedule_net(sim, member, dup_at, NetEvent::UplinkArrival(packet));
                 }
                 // The receiver's next report reaches the sender one downlink
                 // propagation after arrival.
@@ -1119,6 +1121,17 @@ impl TurnMachine<'_> {
     }
 }
 
+/// Refuses a think gap or join time past the options' timer bound (1e6 s, the bound
+/// `ScenarioSpec::validate` holds think and join times to) with a message naming `field`:
+/// `SimDuration::from_secs_f64(f64::INFINITY)` is `u64::MAX` µs, and the clock it is added
+/// to would overflow — a panic in a debug build, a think gap silently dropped in a release
+/// one. Every entry that takes one calls this before anything is built or moves.
+pub(crate) fn refuse_past_timer_bound(field: impl std::fmt::Display, micros: u64) {
+    if micros > SimDuration::from_secs_f64(MAX_TIMER_SECS).as_micros() {
+        panic!("{field} must be at most 1e6 s, got {micros} µs");
+    }
+}
+
 /// Why a turn over no frames is refused: there is no capture to schedule, no deadline to
 /// place and nothing for the MLLM to look at. Drivers check their window before anything
 /// moves; [`begin_turn_window`] is the backstop.
@@ -1126,15 +1139,16 @@ pub(crate) const EMPTY_TURN_WINDOW: &str = "a chat turn needs at least one frame
 
 /// Opens a `frame_count`-frame turn window starting at `now`: refreshes the query, arms
 /// the deadline-aware NACK budget, resets the per-turn counters and schedules the capture
-/// events into `sink`. The driver then drains its timeline to the returned plan's horizon
-/// (with a [`TurnMachine`] holding the plan) and calls [`conclude_turn_window`]. Events
-/// past the horizon (late packets, pending polls) stay queued for the think gap and the
-/// next window.
+/// events onto `sim` as member `member`'s. The timeline then drains to the returned
+/// plan's horizon (with a [`TurnMachine`] holding the plan) and calls
+/// [`conclude_turn_window`]. Events past the horizon (late packets, pending polls) stay
+/// queued for the think gap and the next window.
 pub(crate) fn begin_turn_window(
     compute: &mut NetCompute,
     transport: &mut Transport,
     now: SimTime,
-    sink: &mut impl NetEventSink,
+    sim: &mut Simulation<Event>,
+    member: usize,
     frame_count: usize,
     question: &Question,
 ) -> TurnPlan {
@@ -1155,7 +1169,9 @@ pub(crate) fn begin_turn_window(
     transport.begin_turn();
     for i in 0..frame_count {
         let global = plan.base + i;
-        sink.schedule_net(
+        schedule_net(
+            sim,
+            member,
             SimTime::from_micros(plan.capture_ts_us(global)),
             NetEvent::Capture(global),
         );
@@ -1166,8 +1182,8 @@ pub(crate) fn begin_turn_window(
 /// Concludes a drained turn window: decodes what arrived, lets the MLLM answer,
 /// assembles the report and retires the reported frames ([`Transport::retire_below`]).
 /// `machine` must borrow what the turn's machine did: the same `window` it encoded into,
-/// and the same uplink `port` it sent on — only read here, for the per-turn fault-counter
-/// deltas. Its `frames` are not read.
+/// and the same uplink and member index it sent as — only read here, for the per-turn
+/// fault-counter deltas. Its `frames` are not read.
 pub(crate) fn conclude_turn_window(machine: TurnMachine<'_>, question: &Question) -> NetTurnReport {
     let TurnMachine {
         compute,
@@ -1176,7 +1192,8 @@ pub(crate) fn conclude_turn_window(machine: TurnMachine<'_>, question: &Question
         gcc,
         t: transport,
         plan,
-        port,
+        uplink,
+        member,
         ..
     } = machine;
     let horizon = plan.horizon;
@@ -1264,7 +1281,7 @@ pub(crate) fn conclude_turn_window(machine: TurnMachine<'_>, question: &Question
         }
         _ => None,
     };
-    let uplink_counters = port.counters(&transport.emulator);
+    let uplink_counters = uplink.flow_counters(member);
     let uplink_faults = uplink_counters.since(&transport.counters_reported);
     let watchdog_fallbacks_now = gcc.watchdog_fallbacks();
     let resilience = FaultTelemetry {

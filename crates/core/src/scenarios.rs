@@ -18,7 +18,9 @@ use crate::contention::{
     CrossTrafficSpec, StarvationConfig, TenantSpec, TenantTurn,
 };
 use crate::conversation::{Conversation, ConversationReport};
-use crate::net_session::{queue_bytes_for, NetSessionOptions, NetSessionOptionsError, NetTurnReport};
+use crate::net_session::{
+    queue_bytes_for, NetSessionOptions, NetSessionOptionsError, NetTurnReport, MAX_TIMER_SECS,
+};
 use crate::server::ConversationChatServer;
 use aivc_mllm::{Question, QuestionFormat};
 use aivc_netsim::{
@@ -43,9 +45,6 @@ const FAIRNESS_WINDOW: SimDuration = SimDuration::from_millis(500);
 /// Most turns a spec may script: [`ScenarioSpec::tenant_spec`] builds every window up front
 /// (≈ 18 kB for a 6-s one), so a typo must not allocate the box away.
 const MAX_TURNS: usize = 1_000;
-/// Longest think or join time, in seconds — the options' own timer bound: 1e12 µs, which a
-/// clock that has run for millennia still adds without overflowing its `u64`.
-const MAX_TIMER_SECS: f64 = 1e6;
 /// Sessions in the server leg of [`run_scenario`].
 const SERVER_SESSIONS: usize = 3;
 

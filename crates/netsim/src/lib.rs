@@ -17,7 +17,6 @@
 //! ([`SimTime`]); every random decision flows through a seeded ChaCha RNG, so a given seed
 //! reproduces byte-identical results.
 
-pub mod emulator;
 pub mod fault;
 pub mod link;
 pub mod loss;
@@ -26,9 +25,8 @@ pub mod shared;
 pub mod stats;
 pub mod trace;
 
-pub use emulator::{NetworkEmulator, PathConfig};
 pub use fault::{FaultEpisode, FaultKind, FaultSchedule};
-pub use link::{DeliveryOutcome, Link, LinkConfig, LinkCounters};
+pub use link::{DeliveryOutcome, Link, LinkConfig, LinkCounters, PathConfig};
 pub use loss::LossModel;
 pub use packet::{Packet, PacketId};
 pub use shared::SharedLink;

@@ -91,6 +91,30 @@ impl LinkConfig {
     }
 }
 
+/// The two links of a session's path. §2.1 of the paper points out that AI Video Chat is
+/// asymmetric — the uplink carries video while the downlink only carries feedback and the
+/// MLLM's low-bitrate responses — so the two directions are configured independently, and
+/// each is a link of its own.
+#[derive(Debug, Clone, Serialize)]
+pub struct PathConfig {
+    /// Client → cloud direction (video).
+    pub uplink: LinkConfig,
+    /// Cloud → client direction (feedback + responses).
+    pub downlink: LinkConfig,
+}
+
+impl PathConfig {
+    /// The paper's §2.2 measurement path with the given uplink loss rate; feedback flows on a
+    /// clean, high-capacity downlink (100 Mbps) so feedback loss does not pollute the uplink
+    /// latency measurement — matching how testbeds isolate the variable under study.
+    pub fn paper_section_2_2(uplink_loss: f64) -> Self {
+        Self {
+            uplink: LinkConfig::paper_section_2_2(uplink_loss),
+            downlink: LinkConfig::constant(100e6, SimDuration::from_millis(30), 300, LossModel::None),
+        }
+    }
+}
+
 /// What happened to a packet offered to the link.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum DeliveryOutcome {
@@ -348,12 +372,21 @@ mod tests {
 
     #[test]
     fn lone_packet_latency_is_serialization_plus_propagation() {
-        // 10 Mbps, 30 ms OWD, 1250-byte packet -> 1 ms serialization + 30 ms propagation.
-        let mut link = Link::new(LinkConfig::paper_section_2_2(0.0), 1);
-        let p = Packet::new(0, 1_250, SimTime::ZERO);
-        let out = link.send(&p, SimTime::ZERO);
-        let arrival = out.arrival().unwrap();
-        assert_eq!(arrival.as_micros(), 1_000 + 30_000);
+        // Each link of the paper's §2.2 path is 30 ms one way: a lone 1250-byte packet on the
+        // 10 Mbps uplink serializes in 1 ms, a 200-byte feedback packet on the 100 Mbps
+        // downlink in 16 µs, and neither waits behind anything.
+        let path = PathConfig::paper_section_2_2(0.0);
+        for (config, bytes, serialization_us) in [(path.uplink, 1_250, 1_000), (path.downlink, 200, 16)] {
+            let mut link = Link::new(config, 1);
+            let out = link.send(&Packet::new(0, bytes, SimTime::ZERO), SimTime::ZERO);
+            assert_eq!(
+                out,
+                DeliveryOutcome::Delivered {
+                    arrival: SimTime::from_micros(serialization_us + 30_000),
+                    queueing_delay: SimDuration::ZERO,
+                }
+            );
+        }
     }
 
     #[test]

@@ -1,14 +1,13 @@
 //! A shared bottleneck link contended by multiple flows.
 //!
-//! Single-tenant experiments give every conversation a private [`Link`]. Production
-//! serving is the opposite: many tenants (plus background cross-traffic) squeeze through
-//! one cell or uplink, and an outage there hits everyone at once. [`SharedLink`] models
-//! exactly that: it wraps **one** [`Link`] — one serializer, one drop-tail queue, one
-//! fault schedule, one set of RNG streams — and attributes every outcome to the flow that
-//! offered the packet.
+//! Production serving squeezes many tenants (plus background cross-traffic) through one cell
+//! or uplink, and an outage there hits everyone at once. [`SharedLink`] models exactly that:
+//! it wraps **one** [`Link`] — one serializer, one drop-tail queue, one fault schedule, one
+//! set of RNG streams — and attributes every outcome to the flow that offered the packet.
+//! It is every session's uplink type: a conversation on its own rides a one-flow link.
 //!
 //! Determinism note: the inner link is driven in strict chronological send order by the
-//! multi-tenant engine, so for a given seed the interleaving (and therefore every queueing
+//! timeline that owns it, so for a given seed the interleaving (and therefore every queueing
 //! delay, drop and fault draw) is reproducible bit-for-bit. With a single flow and the same
 //! seed, a `SharedLink` is indistinguishable from a private `Link`.
 

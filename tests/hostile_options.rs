@@ -1,8 +1,10 @@
 //! Hostile options never panic: every numeric field a caller can still set — on
-//! [`NetSessionOptions`], the uplink's loss rate included, in the first property; on the
-//! sender (γ, the CLIP patch size), on both links of `path` (rate, delays, queue) and in the
-//! frames themselves in the second; on a [`ContentionConfig`] (nominal rate, fairness window,
-//! starvation floor, a cross-traffic source) in the third; on a registry scenario spec (its
+//! [`NetSessionOptions`], the uplink's loss rate included, and a conversation's think gaps
+//! (its constructor's, a server's and [`Conversation::think`]'s) in the first property; on
+//! the sender (γ, the CLIP patch size), on both links of `path` (rate, delays, queue) and in
+//! the frames themselves in the second; on a [`ContentionConfig`] (nominal rate, fairness
+//! window, starvation floor, a cross-traffic source) and a tenant's join and think times in
+//! the third; on a registry scenario spec (its
 //! counts, window, think and join times, pinned tenant, starvation floor and a cross-traffic
 //! source) in the fourth — is thrown the values input tends to hurt with — NaN, ±∞, 0, −1, a
 //! subnormal, `MAX` — next to a valid one. Either a structured error names the field and the
@@ -22,8 +24,9 @@ use aivchat::core::scenarios::{
 };
 use aivchat::core::session::StreamingMode;
 use aivchat::core::{
-    run_contention, AdmissionConfig, ContentionConfig, Conversation, CrossTrafficSpec, NetSessionOptions,
-    QpAllocator, QpAllocatorConfig, StarvationConfig, StreamerConfig, TenantSpec, TenantTurn,
+    run_contention, AdmissionConfig, ContentionConfig, Conversation, ConversationChatServer,
+    CrossTrafficSpec, NetSessionOptions, QpAllocator, QpAllocatorConfig, StarvationConfig, StreamerConfig,
+    TenantSpec, TenantTurn,
 };
 use aivchat::mllm::{Question, QuestionFormat};
 use aivchat::netsim::{BandwidthTrace, LossModel, PathConfig, SimDuration, SimTime};
@@ -61,6 +64,32 @@ fn hostile_f64(valid: f64) -> [f64; 32] {
 /// and `MAX` — in microseconds for the two timers.
 fn hostile_u64(valid: u64) -> [u64; 6] {
     [0, 1, u64::MAX, valid, valid, valid]
+}
+
+/// The longest think gap or join time, in microseconds: the options' 1e6-s timer bound.
+const MAX_TIMER_US: u64 = 1_000_000_000_000;
+
+/// A think gap's or join time's hostile values, in microseconds: 0, the bound and one past
+/// it, and `MAX` — what `SimDuration::from_secs_f64(f64::INFINITY)` saturates to.
+fn hostile_timer_us(valid: u64) -> [u64; 8] {
+    [
+        0,
+        MAX_TIMER_US,
+        MAX_TIMER_US + 1,
+        u64::MAX,
+        valid,
+        valid,
+        valid,
+        valid,
+    ]
+}
+
+/// How a think gap or join time past the bound is refused, naming `field`.
+fn past_timer_bound(field: &str, micros: u64) -> Result<(), String> {
+    if micros > MAX_TIMER_US {
+        return Err(format!("{field} must be at most 1e6 s, got {micros} µs"));
+    }
+    Ok(())
 }
 
 /// The first non-finite float in a serialized tree, by path. The tree is walked rather
@@ -109,12 +138,14 @@ fn panic_message(panic: Box<dyn std::any::Any + Send>) -> Option<String> {
 
 /// The contract of both properties. `verdict` is what the structured checks said; `build`
 /// must panic with exactly that message, or — after an `Ok` — build a conversation that
-/// runs `turns` to a finite report inside the event budget. With `frame_refusal` set, the
-/// frames are ones the codec must refuse instead, by a message starting with it.
+/// runs `turns` to a finite report inside the event budget, idling `think` after the first
+/// one — or refusing that idle time, by name, before its clock moves. With `frame_refusal`
+/// set, the frames are ones the codec must refuse instead, by a message starting with it.
 fn refused_by_name_or_runs_to_a_finite_report(
     verdict: Result<(), String>,
     build: impl FnOnce() -> Conversation,
     turns: &[Vec<Frame>],
+    think: SimDuration,
     question: &Question,
     frame_refusal: Option<&str>,
 ) -> Result<(), TestCaseError> {
@@ -133,8 +164,20 @@ fn refused_by_name_or_runs_to_a_finite_report(
         }
     };
     let ran = catch_unwind(AssertUnwindSafe(|| {
-        for frames in turns {
+        for (turn, frames) in turns.iter().enumerate() {
             conversation.run_turn_in_place(frames, question);
+            if turn == 0 {
+                let before = conversation.now();
+                let idled = catch_unwind(AssertUnwindSafe(|| conversation.think(think)));
+                let refusal = past_timer_bound("gap", think.as_micros());
+                assert_eq!(
+                    idled.map_err(|panic| panic_message(panic).unwrap_or_default()),
+                    refusal
+                );
+                if refusal.is_err() {
+                    assert_eq!(conversation.now(), before, "a refused think gap moved the clock");
+                }
+            }
         }
         conversation
     }));
@@ -195,6 +238,8 @@ proptest! {
         capture_fps in hostile_f64(12.0),
         drain_secs in hostile_f64(0.3),
         uplink_loss in hostile_f64(0.15),
+        think_gap_us in hostile_timer_us(200_000),
+        think_us in hostile_timer_us(100_000),
     ) {
         let mut options = NetSessionOptions::ai_oriented(seed, PathConfig::paper_section_2_2(0.15));
         options.path.uplink.loss = LossModel::Iid { rate: uplink_loss };
@@ -221,15 +266,25 @@ proptest! {
         // `with_defaults` with the model shared: most cases are refused, none needs its own.
         static MODEL: OnceLock<Arc<ClipModel>> = OnceLock::new();
         let model = Arc::clone(MODEL.get_or_init(|| Arc::new(ClipModel::mobile_default())));
-        let think_gap = SimDuration::from_millis(200);
+        let think_gap = SimDuration::from_micros(think_gap_us);
         // When `validate()` passes, `capture_fps` is the valid 12.
         let scene = basketball_game(7);
         let question = Question::from_fact(&scene.facts[0], QuestionFormat::FreeResponse);
         let turns = three_turns(&VideoSource::new(scene, SourceConfig::fps30(6.0)));
+        let verdict = options
+            .validate()
+            .map_err(|e| e.to_string())
+            .and_then(|()| past_timer_bound("think_gap", think_gap_us));
+        if let (Ok(()), Err(refusal)) = (options.validate(), &verdict) {
+            // A server's sessions take the same think gap, and the same refusal.
+            let built = catch_unwind(AssertUnwindSafe(|| ConversationChatServer::new(1, 1, options.clone(), think_gap)));
+            prop_assert_eq!(built.err().and_then(panic_message), Some(refusal.clone()));
+        }
         refused_by_name_or_runs_to_a_finite_report(
-            options.validate().map_err(|e| e.to_string()),
+            verdict,
             || Conversation::new(options.clone(), StreamerConfig::default(), model, think_gap),
             &turns,
+            SimDuration::from_micros(think_us),
             &question,
             None,
         )?;
@@ -308,6 +363,7 @@ proptest! {
             verdict,
             || Conversation::new(options.clone(), config, model, SimDuration::from_millis(200)),
             &turns,
+            SimDuration::ZERO,
             &question,
             (frame_kind == 1).then_some("frame 0 cannot be coded: block "),
         )?;
@@ -330,6 +386,9 @@ proptest! {
         packet_bytes in [0u32, 1, u32::MAX, 1_200, 1_200, 1_200],
         start_us in hostile_u64(100_000),
         stop_us in hostile_u64(600_000),
+        // A legal join at the bound would tick the fairness window two million times.
+        join_us in [0u64, MAX_TIMER_US + 1, u64::MAX, 0, 0, 0],
+        think_us in hostile_timer_us(200_000),
     ) {
         let path = PathConfig::paper_section_2_2(0.15);
         let config = ContentionConfig {
@@ -354,15 +413,19 @@ proptest! {
         let tenant = TenantSpec {
             label: "tenant-0".into(),
             mode: "ai_oriented".into(),
-            join_at: SimTime::ZERO,
-            think: SimDuration::from_millis(200),
+            join_at: SimTime::from_micros(join_us),
+            think: SimDuration::from_micros(think_us),
             options,
             turns: vec![TenantTurn {
                 frames: three_turns(&VideoSource::new(scene, SourceConfig::fps30(6.0))).remove(0),
                 question,
             }],
         };
-        let verdict = config.validate().map_err(|e| e.to_string());
+        let verdict = config
+            .validate()
+            .map_err(|e| e.to_string())
+            .and_then(|()| past_timer_bound("tenant \"tenant-0\": join_at", join_us))
+            .and_then(|()| past_timer_bound("tenant \"tenant-0\": think", think_us));
         match (verdict, catch_unwind(AssertUnwindSafe(|| run_contention(&config, vec![tenant])))) {
             (Ok(()), Ok(report)) => {
                 prop_assert_eq!(report.tenants[0].conversation.turns.len(), 1);
