@@ -396,7 +396,7 @@ pub(crate) struct Contention<'s> {
 
 /// The run a turn, cross-traffic or fairness event belongs to: only a contention run
 /// schedules one.
-fn run<'d, 's>(run: &'d mut Option<&mut Contention<'s>>) -> &'d mut Contention<'s> {
+fn contention<'d, 's>(run: &'d mut Option<&mut Contention<'s>>) -> &'d mut Contention<'s> {
     run.as_deref_mut()
         .expect("only a contention run schedules turn, cross-traffic and fairness events")
 }
@@ -405,7 +405,7 @@ impl<'f> Driver<'_, '_, 'f> {
     /// A tenant's next turn window opens, through [`Member::begin_turn`] as a
     /// conversation's does, and its end is scheduled last at its deadline.
     pub(crate) fn turn_begin(&mut self, tenant: usize, now: SimTime, sim: &mut Simulation<Event>) {
-        let run = run(&mut self.run);
+        let run = contention(&mut self.contention);
         // Fair share is over tenants currently mid-conversation (incumbents), plus the
         // joiner itself opening its first window right now.
         let active = run
@@ -437,7 +437,7 @@ impl<'f> Driver<'_, '_, 'f> {
     /// [`Member::conclude_turn`], as a conversation's does, and the next one is scheduled
     /// a think time later.
     pub(crate) fn turn_end(&mut self, tenant: usize, sim: &mut Simulation<Event>) {
-        let t = &mut run(&mut self.run).tenants[tenant];
+        let t = &mut contention(&mut self.contention).tenants[tenant];
         let seat = &mut self.seats[tenant];
         let turn = &t.spec.turns[t.turns_begun - 1];
         seat.member
@@ -457,7 +457,7 @@ impl<'f> Driver<'_, '_, 'f> {
 
     /// A cross-traffic source offers its next packet, as the flow after the tenants'.
     pub(crate) fn cross(&mut self, source: usize, now: SimTime, sim: &mut Simulation<Event>) {
-        let run = run(&mut self.run);
+        let run = contention(&mut self.contention);
         let flow = run.tenants.len() + source;
         let c = &mut run.cross[source];
         if now >= c.spec.stop {
@@ -474,7 +474,7 @@ impl<'f> Driver<'_, '_, 'f> {
 
     /// The fairness/starvation sampling tick.
     pub(crate) fn fairness_tick(&mut self, now: SimTime, sim: &mut Simulation<Event>) {
-        let run = run(&mut self.run);
+        let run = contention(&mut self.contention);
         let window_secs = run.fairness_window_us as f64 / 1e6;
         let k = run.tenants.len();
         let mut shares = Vec::with_capacity(k);
@@ -680,7 +680,7 @@ pub fn run_contention(config: &ContentionConfig, tenants: Vec<TenantSpec>) -> Co
             seats: &mut seats,
             uplink: &mut uplink,
             scratch: &mut scratch,
-            run: Some(&mut run),
+            contention: Some(&mut run),
         },
     );
 
@@ -786,7 +786,7 @@ mod tests {
         }
     }
 
-    /// A tenant whose private uplink config disagrees with the shared link would time
+    /// A tenant whose `options.path.uplink` disagrees with the shared link would time
     /// its loss reports off the wrong propagation delay and report outages the shared
     /// link never had (or miss the ones it has): rejected at input.
     #[test]
@@ -861,7 +861,8 @@ mod tests {
         }
     }
 
-    /// The shared link is held to what `NetSessionOptions::validate` holds a private one to.
+    /// The shared link is held to what `NetSessionOptions::validate` holds a session's own
+    /// uplink config to.
     #[test]
     fn a_shared_uplink_that_cannot_run_is_rejected_at_input() {
         let uplink = LinkConfig::constant(4e6, SimDuration::from_millis(30), 300, LossModel::None);

@@ -551,7 +551,7 @@ impl Timeline {
             seats: &mut seats,
             uplink: &mut self.uplink,
             scratch,
-            run: None,
+            contention: None,
         };
         self.sim.run_until(horizon, &mut driver);
     }

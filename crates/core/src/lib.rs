@@ -16,16 +16,16 @@
 //! * [`session`] — [`session::StreamingMode`], which of the two a sender is;
 //! * [`net_session`] — the network-in-the-loop turn's options and report: per-frame GCC
 //!   feedback → ABR target → encode-at-bitrate → FEC/NACK recovery → decode, on a
-//!   trace-driven emulated uplink (the loop itself is the private `net_turn` engine over
-//!   the `aivc-sim` kernel);
-//! * [`conversation`] — the one session type, and the engine's private-timeline driver:
-//!   one persistent transport timeline (clock, link, trace cursor, GCC, pacer, in-flight
+//!   trace-driven emulated uplink (the loop itself, and the one driver that runs it over
+//!   the `aivc-sim` kernel, is the private `net_turn` engine);
+//! * [`conversation`] — the one session type: the driver's K = 1 case, one persistent
+//!   transport timeline (clock, one-flow uplink, trace cursor, GCC, pacer, in-flight
 //!   packets) across every turn of a conversation — a single networked turn is its first —
 //!   with think-time gaps and cross-turn aggregates ([`ConversationReport`]);
-//! * [`contention`] — the engine's shared-link driver: K conversations plus
-//!   cross-traffic contending for one [`aivc_netsim::SharedLink`] on one simulation
-//!   timeline, with windowed Jain fairness, a per-tenant starvation watchdog, fair-share
-//!   admission and tenant-isolated recovery ([`ContentionReport`]);
+//! * [`contention`] — the same driver with K members: K conversations plus cross-traffic
+//!   contending for one [`aivc_netsim::SharedLink`] on one simulation timeline, with
+//!   windowed Jain fairness, a per-tenant starvation watchdog, fair-share admission and
+//!   tenant-isolated recovery ([`ContentionReport`]);
 //! * [`server`] — the multi-session throughput engine ([`ConversationChatServer`]): N
 //!   independent conversations, each on its own kernel, executing turns across a scoped
 //!   thread pool, bit-identically for any pool size;

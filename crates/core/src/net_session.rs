@@ -77,7 +77,7 @@ pub struct NetSessionOptions {
     /// parity, a feedback event's retransmissions) rides **one** timeline event that
     /// re-fires per departure, instead of one slab slot per packet. Provably
     /// order-identical to per-packet scheduling (the run re-arms under its original
-    /// insertion sequence; see `net_turn::NetEventSink::reschedule_net_run`) and pinned
+    /// insertion sequence; see `net_turn::reschedule_run`) and pinned
     /// bit-for-bit by the equivalence property suite, so this is on by default; the flag
     /// exists so that suite can run both modes against each other.
     pub coalesce_delivery: bool,

@@ -662,7 +662,7 @@ pub(crate) struct Driver<'d, 'm, 'f> {
     /// What a contention run adds: its tenants' scripts, cross-traffic and fairness
     /// telemetry, for the `TurnBegin`, `TurnEnd`, `Cross` and `FairnessTick` arms. `None`
     /// on a conversation's timeline, which holds no such event.
-    pub(crate) run: Option<&'d mut Contention<'f>>,
+    pub(crate) contention: Option<&'d mut Contention<'f>>,
 }
 
 impl Actor for Driver<'_, '_, '_> {
@@ -1133,7 +1133,7 @@ pub(crate) fn refuse_past_timer_bound(field: impl std::fmt::Display, micros: u64
 }
 
 /// Why a turn over no frames is refused: there is no capture to schedule, no deadline to
-/// place and nothing for the MLLM to look at. Drivers check their window before anything
+/// place and nothing for the MLLM to look at. Every entry checks its window before anything
 /// moves; [`begin_turn_window`] is the backstop.
 pub(crate) const EMPTY_TURN_WINDOW: &str = "a chat turn needs at least one frame";
 
