@@ -33,6 +33,7 @@ use crate::net_session::{
     rate_bps_is_valid, validate_link, NetSessionOptions, NetSessionOptionsError, MAX_RATE_BPS,
 };
 use crate::net_turn::{refuse_past_timer_bound, Driver, EncodedWindow, Event, Seat, TurnPlan, TurnScratch};
+use aivc_metrics::SessionSnapshot;
 use aivc_mllm::Question;
 use aivc_netsim::{jain_index, FaultKind, LinkConfig, LinkCounters, Packet, SharedLink};
 use aivc_scene::Frame;
@@ -551,6 +552,19 @@ impl<'f> Driver<'_, '_, 'f> {
 /// tenant's join or think time is longer than 1e6 s, or a tenant's `options.path.uplink`
 /// disagrees with the shared link.
 pub fn run_contention(config: &ContentionConfig, tenants: Vec<TenantSpec>) -> ContentionReport {
+    run_contention_counted(config, tenants).0
+}
+
+/// [`run_contention`], with the tenants' always-on counters summed — the run's work counts
+/// (`tests/fixtures/work_counts.json`), which the report does not carry.
+///
+/// # Panics
+///
+/// As [`run_contention`].
+pub fn run_contention_counted(
+    config: &ContentionConfig,
+    tenants: Vec<TenantSpec>,
+) -> (ContentionReport, SessionSnapshot) {
     assert!(!tenants.is_empty(), "a contention run needs at least one tenant");
     if let Err(e) = config.validate() {
         panic!("{e}");
@@ -718,7 +732,11 @@ pub fn run_contention(config: &ContentionConfig, tenants: Vec<TenantSpec>) -> Co
             conversation: member.report(),
         })
         .collect();
-    ContentionReport {
+    let mut counters = SessionSnapshot::default();
+    for member in &members {
+        counters.accumulate(&member.metrics_snapshot());
+    }
+    let report = ContentionReport {
         tenants: reports,
         fairness: FairnessReport {
             window_ms: fairness_window_us as f64 / 1e3,
@@ -728,7 +746,8 @@ pub fn run_contention(config: &ContentionConfig, tenants: Vec<TenantSpec>) -> Co
         },
         shared_link: uplink.counters(),
         cross_traffic_delivered_bytes,
-    }
+    };
+    (report, counters)
 }
 
 #[cfg(test)]

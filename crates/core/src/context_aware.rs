@@ -29,7 +29,7 @@ use crate::session::StreamingMode;
 use aivc_mllm::Question;
 use aivc_scene::grid_content::GridContent;
 use aivc_scene::{Frame, VideoSource};
-use aivc_semantics::{ClipConfig, ClipMemo, ClipModel, ClipWork, TextQuery};
+use aivc_semantics::{ClipConfig, ClipMemo, ClipModel, ClipWork, Rewritten, TextQuery};
 use aivc_videocodec::encoder::BLOCK_SIZE;
 use aivc_videocodec::{DecodedFrame, Decoder, EncodedFrame, Encoder, EncoderConfig, QpMap, RatePlan};
 use std::sync::Arc;
@@ -64,6 +64,19 @@ pub struct MatchedEncode {
 pub(crate) struct ClipState {
     memo: ClipMemo,
     patch_raster: Option<Box<GridContent>>,
+}
+
+/// The cells one [`Streamer::plan_frame`] recomputed, stage by stage: what a capture adds
+/// to its session's work counters (`SessionSnapshot`), exact for a seeded run.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub(crate) struct PlanWork {
+    /// Cells the capture's rasterizations recomputed: the plan's raster, and the patch
+    /// raster of a model whose patches are not the CTUs.
+    pub(crate) raster_cells: u64,
+    /// Cells whose ρ Eq. 1 wrote.
+    pub(crate) eq1_cells: u64,
+    /// Cells whose base QP Eq. 2 wrote.
+    pub(crate) eq2_cells: u64,
 }
 
 /// The §3.2 sender, in either mode.
@@ -155,7 +168,7 @@ impl Streamer {
     /// on another patch grid reads `clip`'s own raster instead, which a 64-px sender never
     /// builds. `clip` and `plan` may carry the previous capture;
     /// both then refresh only what moved, to the same bits as fresh ones. The baseline
-    /// reads none of `query`, `clip` and `work`.
+    /// reads none of `query`, `clip` and `work`. Returns the cells each stage recomputed.
     pub(crate) fn plan_frame(
         &self,
         frame: &Frame,
@@ -163,8 +176,12 @@ impl Streamer {
         clip: &mut ClipState,
         work: &mut ClipWork,
         plan: &mut RatePlan,
-    ) {
+    ) -> PlanWork {
         self.encoder.prepare_rate_plan(frame, None, plan);
+        let mut done = PlanWork {
+            raster_cells: plan.raster().dirty_cells().count() as u64,
+            ..PlanWork::default()
+        };
         match self.mode {
             StreamingMode::ContextAware => {
                 let patch_size = self.clip_model.config().patch_size;
@@ -173,19 +190,26 @@ impl Streamer {
                 } else {
                     let raster = clip.patch_raster.get_or_insert_with(Box::default);
                     raster.update(frame, patch_size);
+                    done.raster_cells += raster.dirty_cells().count() as u64;
                     raster
                 };
-                let importance =
+                let (importance, rewritten) =
                     self.clip_model
                         .correlation_map_on_raster(raster, frame, query, &mut clip.memo, work);
+                done.eq1_cells = match rewritten {
+                    Rewritten::Every => importance.values().len(),
+                    Rewritten::Dirty => raster.dirty_cells().count(),
+                } as u64;
                 let dims = plan.dims();
                 plan.set_base_qps(|qps| {
                     self.allocator
                         .qps_into(importance, dims, |qp| qps.push(qp.value()))
                 });
+                done.eq2_cells = dims.len() as u64;
             }
             StreamingMode::Baseline => {}
         }
+        done
     }
 
     /// Encodes `frames` at the one level at which their actual mean bitrate at `fps` best

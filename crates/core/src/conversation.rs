@@ -163,6 +163,11 @@ pub(crate) struct Member {
 }
 
 impl Member {
+    /// A copy of the member's always-on counters as they stand.
+    pub(crate) fn metrics_snapshot(&self) -> aivc_metrics::SessionSnapshot {
+        self.transport.metrics_snapshot()
+    }
+
     /// A member on the sender `sender` makes in `options.mode`: a conversation's own, or a
     /// copy of the one its server or contention run built.
     pub(crate) fn new(options: NetSessionOptions, sender: impl FnOnce(StreamingMode) -> Streamer) -> Self {
@@ -403,7 +408,7 @@ impl Conversation {
     /// of the plain `SessionSnapshot` the transport ticks as it works, taken entirely off
     /// the hot path (see the `aivc-metrics` crate docs for why no atomics are needed).
     pub fn metrics_snapshot(&self) -> aivc_metrics::SessionSnapshot {
-        self.member.transport.metrics_snapshot()
+        self.member.metrics_snapshot()
     }
 
     /// Snapshot of the conversation's cumulative uplink [`LinkCounters`] — offered,

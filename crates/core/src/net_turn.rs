@@ -39,7 +39,7 @@
 //! backlog, the trace cursor and every in-flight packet persist across turn boundaries.
 
 use crate::contention::Contention;
-use crate::context_aware::{ClipState, Streamer};
+use crate::context_aware::{ClipState, PlanWork, Streamer};
 use crate::conversation::Member;
 use crate::net_session::{FaultTelemetry, FrameDelivery, NetSessionOptions, NetTurnReport, MAX_TIMER_SECS};
 use crate::session::StreamingMode;
@@ -284,7 +284,8 @@ impl NetCompute {
     }
 
     /// Encodes `frame` into turn slot `slot` of `window` at the closest achievable size
-    /// to `budget_bits`, and returns how many probes the search took.
+    /// to `budget_bits`, and returns how many probes the search took and the cells its
+    /// planning recomputed.
     ///
     /// This is §3.2's bitrate match as [`Streamer::encode_at_bitrate`] runs it over a whole
     /// frame set — the sender's two steps around the one search — here over a set of one,
@@ -297,7 +298,7 @@ impl NetCompute {
         slot: usize,
         frame: &Frame,
         budget_bits: f64,
-    ) -> u32 {
+    ) -> (u32, PlanWork) {
         if window.slots.len() <= slot {
             window.slots.resize_with(slot + 1, EncodedFrame::placeholder);
             window.slot_turn.resize(slot + 1, u64::MAX);
@@ -306,7 +307,7 @@ impl NetCompute {
         // are folded into per-block coefficients once, so each probe of the search is a
         // tight pass over the plan instead of a full re-rasterization (see DESIGN.md
         // §"Where the warm turn's microsecond goes").
-        self.sender.plan_frame(
+        let planned = self.sender.plan_frame(
             frame,
             &self.query,
             &mut self.clip,
@@ -326,7 +327,7 @@ impl NetCompute {
             .encoder()
             .encode_at_level(frame, &self.rate_plan, search.level, &mut window.slots[slot]);
         window.slot_turn[slot] = window.turn;
-        search.probes
+        (search.probes, planned)
     }
 }
 
@@ -843,7 +844,7 @@ impl TurnMachine<'_> {
                 };
 
                 // --- Encode frame i to the per-frame budget the target implies.
-                let probes = self.compute.encode_slot_to_budget(
+                let (probes, planned) = self.compute.encode_slot_to_budget(
                     self.scratch,
                     self.window,
                     local,
@@ -852,6 +853,9 @@ impl TurnMachine<'_> {
                 );
                 t.metrics.rate_searches += 1;
                 t.metrics.rate_probes += u64::from(probes);
+                t.metrics.raster_cells_recomputed += planned.raster_cells;
+                t.metrics.eq1_cells += planned.eq1_cells;
+                t.metrics.eq2_cells += planned.eq2_cells;
                 let encoded = &self.window.slots[local];
                 let frame_out = OutgoingFrame {
                     frame_id: i as u64,

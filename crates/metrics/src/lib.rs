@@ -14,9 +14,11 @@
 //!   same numbers the turn's `NetTurnReport` carries — these reconcile *exactly*
 //!   against per-session report sums, at any pool size;
 //! * **live** counters tick at the event site (packet sends, late-sequence drops, pacer
-//!   clamps, rate-search probes) and intentionally include work that never reaches a
-//!   report (think-gap stragglers, drain-window sends) — they are diagnostics, not report
-//!   mirrors.
+//!   clamps, rate-search probes, the cells a capture's planning recomputed) and
+//!   intentionally include work that never reaches a report (think-gap stragglers,
+//!   drain-window sends) — they are diagnostics, not report mirrors. The work counts are
+//!   exact for a seeded run, so `tests/fixtures/work_counts.json` pins them per registry
+//!   scenario and a speed-up shows there as work removed.
 
 use std::fmt;
 
@@ -57,6 +59,12 @@ pub struct SessionSnapshot {
     /// Size probes those searches evaluated; `rate_probes / rate_searches` is the mean
     /// probes per frame.
     pub rate_probes: u64,
+    /// Raster cells the captures' rasterizations recomputed (a fill counts every cell).
+    pub raster_cells_recomputed: u64,
+    /// Cells whose correlation ρ Eq. 1 wrote (the sender's CLIP step).
+    pub eq1_cells: u64,
+    /// Cells whose base QP Eq. 2 wrote (the sender's allocation step).
+    pub eq2_cells: u64,
 }
 
 impl SessionSnapshot {
@@ -77,6 +85,9 @@ impl SessionSnapshot {
         self.pacer_rate_clamps += other.pacer_rate_clamps;
         self.rate_searches += other.rate_searches;
         self.rate_probes += other.rate_probes;
+        self.raster_cells_recomputed += other.raster_cells_recomputed;
+        self.eq1_cells += other.eq1_cells;
+        self.eq2_cells += other.eq2_cells;
     }
 }
 
@@ -86,7 +97,8 @@ impl fmt::Display for SessionSnapshot {
             f,
             "frames {}/{} | pkts {} sent, {} lost, {} rtx | fec {} | shed {} | \
              suppressed {} nacks, {} captures | missed {} deadlines | {} fallbacks | \
-             {} late drops | {} pacer clamps | {} rate probes in {} searches",
+             {} late drops | {} pacer clamps | {} rate probes in {} searches | \
+             cells: {} rasterized, {} eq1, {} eq2",
             self.frames_delivered,
             self.frames_sent,
             self.packets_sent,
@@ -102,6 +114,9 @@ impl fmt::Display for SessionSnapshot {
             self.pacer_rate_clamps,
             self.rate_probes,
             self.rate_searches,
+            self.raster_cells_recomputed,
+            self.eq1_cells,
+            self.eq2_cells,
         )
     }
 }
@@ -122,6 +137,9 @@ mod tests {
         let b = SessionSnapshot {
             frames_sent: 7,
             pacer_rate_clamps: 2,
+            raster_cells_recomputed: 510,
+            eq1_cells: 81,
+            eq2_cells: 81,
             ..SessionSnapshot::default()
         };
         let mut total = a;
@@ -134,6 +152,9 @@ mod tests {
                 pacer_rate_clamps: 2,
                 rate_searches: 4,
                 rate_probes: 9,
+                raster_cells_recomputed: 510,
+                eq1_cells: 81,
+                eq2_cells: 81,
                 ..SessionSnapshot::default()
             }
         );

@@ -257,6 +257,17 @@ impl ClassTable {
     }
 }
 
+/// The cells of its map one [`ClipModel::correlation_map_on_raster`] call wrote: what a
+/// reader holding per-cell state derived from the previous map must refresh.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Rewritten {
+    /// Every cell: the map was rebuilt.
+    Every,
+    /// The raster's [`GridContent::dirty_cells`]; every other cell holds the value the
+    /// previous call gave it.
+    Dirty,
+}
+
 /// What Eq. 1 carries from one capture of a video to the next: the text-query embedding (a
 /// multi-frame turn encodes the user's words once), the map of the previous capture and the
 /// frame's resolved concept lists, kept while they are still *about* the raster being read
@@ -528,6 +539,7 @@ impl ClipModel {
             &mut scratch.memo,
             &mut scratch.work,
         )
+        .0
     }
 
     /// The one Eq. 1 entry: the correlation map of `frame` from `raster` — a raster of
@@ -542,7 +554,8 @@ impl ClipModel {
     /// geometry or model change, a raster update the memo did not see, a different raster,
     /// a stolen map) the query is re-encoded if it changed, the frame's concepts are
     /// re-resolved and the whole grid is evaluated. Either way the map is bit-identical to
-    /// [`ClipModel::correlation_map_naive`].
+    /// [`ClipModel::correlation_map_naive`]. The map comes back with the cells the call
+    /// wrote ([`Rewritten`]).
     ///
     /// # Panics
     ///
@@ -554,7 +567,7 @@ impl ClipModel {
         query: &TextQuery,
         memo: &'m mut ClipMemo,
         work: &mut ClipWork,
-    ) -> &'m ImportanceMap {
+    ) -> (&'m ImportanceMap, Rewritten) {
         let dims = GridDims::for_frame(frame.width, frame.height, self.config.patch_size);
         assert_eq!(
             raster.dims(),
@@ -582,7 +595,7 @@ impl ClipModel {
                 self.evaluate_cells(raster, 0..dims.len(), memo, work);
             }
         }
-        &memo.map
+        (&memo.map, if kept { Rewritten::Dirty } else { Rewritten::Every })
     }
 
     /// The one Eq. 1 pipeline: classify → evaluate → scatter over `cells` of the raster
@@ -1397,7 +1410,7 @@ mod tests {
                 } else {
                     full += 1;
                 }
-                let map = model.correlation_map_on_raster(raster, frame, &query, memo, &mut work);
+                let (map, _) = model.correlation_map_on_raster(raster, frame, &query, memo, &mut work);
                 assert_eq!(
                     map,
                     &model.correlation_map_naive(frame, &query),
