@@ -152,6 +152,39 @@ fn main() {
         "correlation_map_with allocated {clip_allocs} times across 25 post-warmup iterations"
     );
 
+    // --- the closed form's tables rebuilt on every call: two questions taking turns rebuild
+    // the query dots, two scenes taking turns re-resolve the concepts and rebuild the Gram
+    // table too — in the memo's own buffers, once each has been seen.
+    let park = VideoSource::new(dog_park(1), SourceConfig::fps30(5.0)).frame(0);
+    let season = TextQuery::from_words("Infer what season it might be in the video", model.ontology());
+    let alternating = [
+        (&frame, &query),
+        (&frame, &season),
+        (&park, &season),
+        (&park, &query),
+    ];
+    for _ in 0..2 {
+        for (f, q) in alternating {
+            let _ = model.correlation_map_with(f, q, &mut scratch);
+        }
+    }
+    let before = allocations();
+    for _ in 0..10 {
+        for (f, q) in alternating {
+            black_box(
+                model
+                    .correlation_map_with(black_box(f), q, &mut scratch)
+                    .values()
+                    .len(),
+            );
+        }
+    }
+    let refresh_allocs = allocations() - before;
+    assert_eq!(
+        refresh_allocs, 0,
+        "rebuilding the Eq. 1 tables allocated {refresh_allocs} times across 40 post-warmup calls"
+    );
+
     // --- and the scratch stays allocation-free across frames of the same turn once every
     // frame in the window has been visited (multi-frame warmup, multi-frame measure).
     let frames: Vec<_> = (0..4).map(|i| source.frame(i * 15)).collect();

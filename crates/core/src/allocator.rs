@@ -106,7 +106,7 @@ impl ThresholdTable {
     /// The QP of the segment holding `rho`, which the caller clamped into `[-1, 1]`. A NaN
     /// — which no [`ImportanceMap`] holds — fails every comparison below and answers as
     /// ρ = −1, the irrelevant end.
-    // Out of line on purpose: `qps` gets here once per run of equal ρ (≈ 23 times
+    // Out of line on purpose: `qp_per_cell` gets here once per run of equal ρ (≈ 23 times
     // for a 1080p frame's 510 cells), and inlined the scan loops crowd its per-cell loop
     // (`eq2_qp_allocation` 1.19 µs against 0.92 µs).
     #[inline(never)]
@@ -257,43 +257,50 @@ impl QpAllocator {
     }
 
     /// Converts a per-patch importance map into a per-CTU QP map on the encoder's grid,
-    /// written into a caller-owned map: [`QpAllocator::qps_into`] pushed into it, so once
-    /// `out` has grown to the encoder grid the call performs no heap allocation.
+    /// written into a caller-owned map: [`QpAllocator::qp_per_cell`] for every cell in
+    /// raster order, so once `out` has grown to the encoder grid the call performs no heap
+    /// allocation.
     pub fn allocate_into(&self, importance: &ImportanceMap, encoder_grid: GridDims, out: &mut QpMap) {
         out.begin_refill(encoder_grid);
-        self.qps_into(importance, encoder_grid, |qp| out.push_value(qp));
+        let mut qp_of = self.qp_per_cell(importance, encoder_grid);
+        for cell in 0..encoder_grid.len() {
+            out.push_value(qp_of(cell));
+        }
         out.finish_refill();
     }
 
-    /// Eq. 2 per cell of `encoder_grid`, in raster order, handed to `push` — what the §3.2
-    /// sender writes straight into its rate plan's base.
+    /// Eq. 2 per cell of `encoder_grid`, by raster index — what [`QpAllocator::allocate_into`]
+    /// writes per cell, and what the §3.2 sender writes into its rate plan's base for the
+    /// cells whose ρ changed.
     ///
     /// When the CLIP patch grid and the encoder CTU grid differ, the importance map is
     /// resampled on the fly (nearest-center per target cell, identical values to
     /// [`ImportanceMap::resample`]), exactly as a real implementation would feed Kvazaar's
     /// ROI interface.
     ///
-    /// Raster-order neighbours of one patch class share their ρ bit for bit (a 1080p frame
-    /// holds ≈ 23 classes over 510 cells), so the table is consulted once per run of equal
-    /// ρ: a one-entry `(ρ bits → QP)` memo, exact because Eq. 2 is a pure function of ρ.
-    pub fn qps_into(&self, importance: &ImportanceMap, encoder_grid: GridDims, mut push: impl FnMut(Qp)) {
+    /// Raster-order neighbours of one patch content share their ρ bit for bit, so the table
+    /// is consulted once per run of equal ρ: a one-entry `(ρ bits → QP)` memo, exact because
+    /// Eq. 2 is a pure function of ρ.
+    pub(crate) fn qp_per_cell<'a>(
+        &'a self,
+        importance: &'a ImportanceMap,
+        encoder_grid: GridDims,
+    ) -> impl FnMut(usize) -> Qp + 'a {
+        let same_grid = importance.dims() == encoder_grid;
         let mut run: Option<(u64, Qp)> = None;
-        let mut qp_for = |rho: f64| match run {
-            Some((bits, qp)) if bits == rho.to_bits() => qp,
-            _ => {
-                let qp = self.qp_for_rho(rho);
-                run = Some((rho.to_bits(), qp));
-                qp
-            }
-        };
-        if importance.dims() == encoder_grid {
-            for &rho in importance.values() {
-                push(qp_for(rho));
-            }
-        } else {
-            for row in 0..encoder_grid.rows {
-                for col in 0..encoder_grid.cols {
-                    push(qp_for(importance.nearest_value_for_cell(encoder_grid, row, col)));
+        move |cell| {
+            let rho = if same_grid {
+                importance.values()[cell]
+            } else {
+                let (row, col) = encoder_grid.position(cell);
+                importance.nearest_value_for_cell(encoder_grid, row, col)
+            };
+            match run {
+                Some((bits, qp)) if bits == rho.to_bits() => qp,
+                _ => {
+                    let qp = self.qp_for_rho(rho);
+                    run = Some((rho.to_bits(), qp));
+                    qp
                 }
             }
         }

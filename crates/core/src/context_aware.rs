@@ -29,7 +29,7 @@ use crate::session::StreamingMode;
 use aivc_mllm::Question;
 use aivc_scene::grid_content::GridContent;
 use aivc_scene::{Frame, VideoSource};
-use aivc_semantics::{ClipConfig, ClipMemo, ClipModel, ClipWork, Rewritten, TextQuery};
+use aivc_semantics::{ClipConfig, ClipMemo, ClipModel, Rewritten, TextQuery};
 use aivc_videocodec::encoder::BLOCK_SIZE;
 use aivc_videocodec::{DecodedFrame, Decoder, EncodedFrame, Encoder, EncoderConfig, QpMap, RatePlan};
 use std::sync::Arc;
@@ -166,15 +166,15 @@ impl Streamer {
     /// Eq. 2 QPs into the plan's base. The plan's raster is the one raster of the capture:
     /// Eq. 1 reads it when the model's patches are the CTUs (the paper's N = 64); a model
     /// on another patch grid reads `clip`'s own raster instead, which a 64-px sender never
-    /// builds. `clip` and `plan` may carry the previous capture;
-    /// both then refresh only what moved, to the same bits as fresh ones. The baseline
-    /// reads none of `query`, `clip` and `work`. Returns the cells each stage recomputed.
+    /// builds. `clip` and `plan` may carry the previous capture; both then refresh only what
+    /// moved, to the same bits as fresh ones — on the CTU grid Eq. 2 rewrites exactly the
+    /// cells whose ρ Eq. 1 reports it rewrote. The baseline reads neither `query` nor
+    /// `clip`. Returns the cells each stage recomputed.
     pub(crate) fn plan_frame(
         &self,
         frame: &Frame,
         query: &TextQuery,
         clip: &mut ClipState,
-        work: &mut ClipWork,
         plan: &mut RatePlan,
     ) -> PlanWork {
         self.encoder.prepare_rate_plan(frame, None, plan);
@@ -184,28 +184,25 @@ impl Streamer {
         };
         match self.mode {
             StreamingMode::ContextAware => {
-                let patch_size = self.clip_model.config().patch_size;
-                let raster = if patch_size == BLOCK_SIZE {
+                let on_ctus = self.clip_model.config().patch_size == BLOCK_SIZE;
+                let raster = if on_ctus {
                     plan.raster()
                 } else {
                     let raster = clip.patch_raster.get_or_insert_with(Box::default);
-                    raster.update(frame, patch_size);
+                    raster.update(frame, self.clip_model.config().patch_size);
                     done.raster_cells += raster.dirty_cells().count() as u64;
                     raster
                 };
                 let (importance, rewritten) =
                     self.clip_model
-                        .correlation_map_on_raster(raster, frame, query, &mut clip.memo, work);
+                        .correlation_map_on_raster(raster, frame, query, &mut clip.memo);
                 done.eq1_cells = match rewritten {
                     Rewritten::Every => importance.values().len(),
                     Rewritten::Dirty => raster.dirty_cells().count(),
                 } as u64;
-                let dims = plan.dims();
-                plan.set_base_qps(|qps| {
-                    self.allocator
-                        .qps_into(importance, dims, |qp| qps.push(qp.value()))
-                });
-                done.eq2_cells = dims.len() as u64;
+                let mut qp_of = self.allocator.qp_per_cell(importance, plan.dims());
+                let dirty_only = on_ctus && rewritten == Rewritten::Dirty;
+                done.eq2_cells = plan.refresh_base_qps(dirty_only, |cell| qp_of(cell).value()) as u64;
             }
             StreamingMode::Baseline => {}
         }
@@ -240,13 +237,13 @@ impl Streamer {
         );
         // One plan brought forward across the set and copied out per frame, and one CLIP
         // memo reading its raster: the query is encoded once and consecutive frames
-        // recompute only the patches object motion dirtied.
-        let (mut clip, mut work) = (ClipState::default(), ClipWork::new());
+        // recompute only the patches object motion dirtied, in Eq. 1 and Eq. 2 alike.
+        let mut clip = ClipState::default();
         let mut running = RatePlan::new();
         let plans: Vec<RatePlan> = frames
             .iter()
             .map(|frame| {
-                self.plan_frame(frame, query, &mut clip, &mut work, &mut running);
+                self.plan_frame(frame, query, &mut clip, &mut running);
                 running.clone()
             })
             .collect();
@@ -425,8 +422,7 @@ mod tests {
 
     /// What lets the Figure 9 loop decode the baseline once per clip: the baseline's encode
     /// is a function of the frames and the rate alone — the query changes no byte of it,
-    /// and its CLIP state and work buffers are never written — while the context-aware
-    /// encode follows it.
+    /// and its CLIP state is never written — while the context-aware encode follows it.
     #[test]
     fn the_baseline_ignores_the_query_and_never_touches_its_clip_state() {
         let [streamer, baseline] = both_modes();
@@ -441,22 +437,24 @@ mod tests {
             streamer.encode_at_bitrate(&frames, &score, 30.0, 430_000.0),
             streamer.encode_at_bitrate(&frames, &logo, 30.0, 430_000.0)
         );
-        let untouched = format!("{:?}", (ClipState::default(), ClipWork::new()));
-        let (mut clip, mut work) = (ClipState::default(), ClipWork::new());
+        let untouched = format!("{:?}", ClipState::default());
+        let mut clip = ClipState::default();
         let mut plan = RatePlan::new();
         for frame in &frames {
-            baseline.plan_frame(frame, &logo, &mut clip, &mut work, &mut plan);
-            assert_eq!(format!("{:?}", (&clip, &work)), untouched);
+            baseline.plan_frame(frame, &logo, &mut clip, &mut plan);
+            assert_eq!(format!("{clip:?}"), untouched);
         }
-        streamer.plan_frame(&frames[0], &logo, &mut clip, &mut work, &mut plan);
-        assert_ne!(format!("{:?}", (&clip, &work)), untouched);
+        streamer.plan_frame(&frames[0], &logo, &mut clip, &mut plan);
+        assert_ne!(format!("{clip:?}"), untouched);
     }
 
     /// The one-raster rule: a capture planned by a 64-px sender updates the plan's raster
     /// exactly once and no other — CLIP reads it, and the sender's own patch raster is never
     /// built — while a 32-px sender updates its patch raster once next to it. Either way the
     /// plan's base is the Eq. 2 map a fresh scratch computes: coded at level 0, every block
-    /// carries that map's QP.
+    /// carries that map's QP, and the carried plan codes every level as a fresh plan and
+    /// CLIP state do. On the CTU grid Eq. 2 rewrites only the cells Eq. 1 rewrote — after
+    /// the first capture, the raster's dirty cells — and off it every cell.
     #[test]
     fn a_64_px_capture_updates_one_raster_and_a_32_px_capture_two() {
         let model = |patch_size| Arc::new(ClipModel::new(ClipConfig { patch_size }, Ontology::standard()));
@@ -464,14 +462,40 @@ mod tests {
         for patch_size in [64, 32] {
             let streamer = Streamer::new(ContextAware, StreamerConfig::default(), model(patch_size));
             let query = streamer.query_for_question(&logo_question());
-            let (mut clip, mut work) = (ClipState::default(), ClipWork::new());
-            let (mut plan, mut encoded) = (RatePlan::new(), EncodedFrame::placeholder());
+            let mut clip = ClipState::default();
+            let (mut plan, mut encoded, mut fresh_encoded) = (
+                RatePlan::new(),
+                EncodedFrame::placeholder(),
+                EncodedFrame::placeholder(),
+            );
             for (index, frame) in frames.iter().enumerate() {
                 // A raster not built yet reads as generation 0, as a fresh one does.
                 let patch = clip.patch_raster.as_ref().map_or(0, |raster| raster.generation());
                 let before = (plan.raster().generation(), patch);
-                streamer.plan_frame(frame, &query, &mut clip, &mut work, &mut plan);
+                let done = streamer.plan_frame(frame, &query, &mut clip, &mut plan);
                 let what = format!("{patch_size} px, frame {index}");
+                let blocks = plan.dims().len() as u64;
+                let dirty = plan.raster().dirty_cells().count() as u64;
+                let expected_eq2 = if index > 0 && patch_size == BLOCK_SIZE {
+                    dirty
+                } else {
+                    blocks
+                };
+                assert_eq!(done.eq2_cells, expected_eq2, "{what}: Eq. 2 cells");
+                if patch_size == BLOCK_SIZE {
+                    assert_eq!(done.eq1_cells, done.eq2_cells, "{what}: Eq. 1 cells");
+                }
+                let mut fresh_plan = RatePlan::new();
+                streamer.plan_frame(frame, &query, &mut ClipState::default(), &mut fresh_plan);
+                for level in [-20, 0, 7] {
+                    streamer
+                        .encoder()
+                        .encode_at_level(frame, &plan, level, &mut encoded);
+                    streamer
+                        .encoder()
+                        .encode_at_level(frame, &fresh_plan, level, &mut fresh_encoded);
+                    assert_eq!(encoded, fresh_encoded, "{what}: level {level}");
+                }
                 assert!(plan.raster().follows(before.0), "{what}: plan raster");
                 if patch_size == BLOCK_SIZE {
                     assert!(clip.patch_raster.is_none(), "{what}: patch raster built");

@@ -12,8 +12,8 @@
 //!   the rate hint, the query memo), which it lends to the sender per capture;
 //! * a turn's buffers belong to whoever *drives* turns, not to the session, and split by
 //!   when they are read. [`TurnScratch`] holds what is written and read inside one event —
-//!   a capture's Eq. 1 work buffers, a deadline's decode verdicts, decoded frames and MLLM
-//!   work — so one serves every turn its owner drives, overlapping or not (a fleet
+//!   a deadline's decode verdicts, decoded frames and MLLM work — so one serves every turn
+//!   its owner drives, overlapping or not (a fleet
 //!   lane, a standalone conversation, a whole contention run). [`EncodedWindow`] holds
 //!   the turn's encoded frames, written at capture and read at the same turn's deadline
 //!   after other events have run, so turns that overlap need one each (a lane and a
@@ -55,7 +55,7 @@ use aivc_rtc::packetizer::{FrameAssembler, OutgoingFrame, Packetizer};
 use aivc_rtc::rtp::{PayloadKind, RtpPacket};
 use aivc_rtc::seq_ring::SeqRing;
 use aivc_scene::Frame;
-use aivc_semantics::{ClipWork, TextQuery};
+use aivc_semantics::TextQuery;
 use aivc_sim::{Actor, SimDuration, SimTime, Simulation};
 use aivc_videocodec::{DecodeScratch, DecodedFrame, Decoder, EncodedFrame, RatePlan};
 
@@ -209,15 +209,12 @@ pub(crate) struct NetCompute {
     query: TextQuery,
 }
 
-/// The per-event buffers of the chat pipeline: each is written and read inside one
-/// `Capture` event or one turn's conclusion, so nothing in it outlives the event that
-/// filled it. One per *driver* — a [`crate::server`] lane (its sessions' turns in order),
+/// The per-event buffers of the chat pipeline: each is written and read inside one turn's
+/// conclusion, so nothing in it outlives the event that filled it. One per *driver* — a [`crate::server`] lane (its sessions' turns in order),
 /// a standalone [`crate::Conversation`], a whole contention run (tenants' turns overlap
 /// on the shared kernel, its events never do). All-empty until its first turn.
 #[derive(Debug)]
 pub(crate) struct TurnScratch {
-    /// Eq. 1's class table and lane accumulators, used inside each capture's CLIP call.
-    clip_work: ClipWork,
     decode_scratch: DecodeScratch,
     decoded: Vec<DecodedFrame>,
     mllm: MllmScratch,
@@ -226,7 +223,6 @@ pub(crate) struct TurnScratch {
 impl Default for TurnScratch {
     fn default() -> Self {
         Self {
-            clip_work: ClipWork::new(),
             decode_scratch: DecodeScratch::new(),
             decoded: Vec::new(),
             mllm: MllmScratch::new(),
@@ -293,7 +289,6 @@ impl NetCompute {
     /// fresh ones.
     fn encode_slot_to_budget(
         &mut self,
-        scratch: &mut TurnScratch,
         window: &mut EncodedWindow,
         slot: usize,
         frame: &Frame,
@@ -307,13 +302,9 @@ impl NetCompute {
         // are folded into per-block coefficients once, so each probe of the search is a
         // tight pass over the plan instead of a full re-rasterization (see DESIGN.md
         // §"Where the warm turn's microsecond goes").
-        let planned = self.sender.plan_frame(
-            frame,
-            &self.query,
-            &mut self.clip,
-            &mut scratch.clip_work,
-            &mut self.rate_plan,
-        );
+        let planned = self
+            .sender
+            .plan_frame(frame, &self.query, &mut self.clip, &mut self.rate_plan);
         // Plan probes predict the coded size without materializing blocks — byte-exact
         // with a real encode (test-asserted). The level found is a pure function of
         // (plan, budget); the previous capture's boundary only tells the search where to
@@ -844,13 +835,9 @@ impl TurnMachine<'_> {
                 };
 
                 // --- Encode frame i to the per-frame budget the target implies.
-                let (probes, planned) = self.compute.encode_slot_to_budget(
-                    self.scratch,
-                    self.window,
-                    local,
-                    &self.frames[local],
-                    budget_bits,
-                );
+                let (probes, planned) =
+                    self.compute
+                        .encode_slot_to_budget(self.window, local, &self.frames[local], budget_bits);
                 t.metrics.rate_searches += 1;
                 t.metrics.rate_probes += u64::from(probes);
                 t.metrics.raster_cells_recomputed += planned.raster_cells;

@@ -56,9 +56,21 @@ impl SceneObject {
         }
     }
 
-    /// Adds a weighted concept label.
+    /// Adds a weighted concept label, its weight clamped into `[0, 1]`.
+    ///
+    /// # Panics
+    ///
+    /// Panics, naming the object and the concept, when `weight` is NaN or infinite: there is
+    /// no weight to clamp it to, and Eq. 1 pools concepts by weight.
     pub fn with_concept(mut self, concept: impl Into<Concept>, weight: f64) -> Self {
-        self.concepts.push((concept.into(), weight.clamp(0.0, 1.0)));
+        let concept = concept.into();
+        assert!(
+            weight.is_finite(),
+            "object {} ({}): the weight of concept {concept} must be finite, got {weight}",
+            self.id,
+            self.name
+        );
+        self.concepts.push((concept, weight.clamp(0.0, 1.0)));
         self
     }
 

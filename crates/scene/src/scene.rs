@@ -44,10 +44,27 @@ impl Scene {
         }
     }
 
-    /// Sets the background properties.
-    pub fn with_background(mut self, complexity: f64, motion: f64, concepts: Vec<(Concept, f64)>) -> Self {
+    /// Sets the background properties; concept weights are clamped into `[0, 1]`, as
+    /// [`SceneObject::with_concept`] clamps an object's.
+    ///
+    /// # Panics
+    ///
+    /// Panics, naming the concept, when a concept weight is NaN or infinite.
+    pub fn with_background(
+        mut self,
+        complexity: f64,
+        motion: f64,
+        mut concepts: Vec<(Concept, f64)>,
+    ) -> Self {
         self.background_complexity = complexity.clamp(0.0, 1.0);
         self.background_motion = motion.clamp(0.0, 1.0);
+        for (concept, weight) in &mut concepts {
+            assert!(
+                weight.is_finite(),
+                "background_concepts: the weight of concept {concept} must be finite, got {weight}"
+            );
+            *weight = weight.clamp(0.0, 1.0);
+        }
         if !concepts.is_empty() {
             self.background_concepts = concepts;
         }

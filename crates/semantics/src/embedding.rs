@@ -44,13 +44,25 @@ impl Embedding {
 
     /// Returns a unit-norm copy (or the zero vector unchanged).
     pub fn normalized(&self) -> Embedding {
+        let mut copy = self.clone();
+        copy.normalize();
+        copy
+    }
+
+    /// Scales the vector to unit norm in place (the zero vector stays as it is).
+    pub(crate) fn normalize(&mut self) {
         let n = self.norm();
-        if n < 1e-12 {
-            return self.clone();
+        if !(n < 1e-12) {
+            for v in &mut self.values {
+                *v /= n;
+            }
         }
-        Embedding {
-            values: self.values.iter().map(|v| v / n).collect(),
-        }
+    }
+
+    /// Makes this the zero vector of dimension `dim`, keeping the allocation.
+    pub(crate) fn set_zeros(&mut self, dim: usize) {
+        self.values.clear();
+        self.values.resize(dim, 0.0);
     }
 
     /// Dot product.

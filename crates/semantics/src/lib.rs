@@ -25,7 +25,7 @@ pub mod importance;
 pub mod text;
 pub mod vision;
 
-pub use clip::{ClipConfig, ClipMemo, ClipModel, ClipScratch, ClipWork, Rewritten, ZeroPatchSize};
+pub use clip::{ClipConfig, ClipMemo, ClipModel, ClipScratch, Rewritten, ZeroPatchSize};
 pub use embedding::Embedding;
 pub use importance::ImportanceMap;
 pub use text::TextQuery;

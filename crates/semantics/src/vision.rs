@@ -83,6 +83,7 @@ impl ConceptSpace {
 
     /// The embedding of a concept. Unknown concepts get a deterministic direction of their
     /// own (they simply will not correlate with anything in the ontology).
+    #[cfg(test)]
     fn concept_embedding(&self, concept: &Concept) -> Embedding {
         match self.index.get(concept) {
             Some(&i) => self.table[i as usize].clone(),
@@ -92,14 +93,25 @@ impl ConceptSpace {
 
     /// Pools a weighted set of concepts into a single normalized embedding.
     pub fn pool(&self, concepts: &[(Concept, f64)]) -> Embedding {
-        let mut acc = Embedding::zeros(self.dim);
+        let mut pooled = Embedding::zeros(self.dim);
+        self.pool_into(concepts, &mut pooled);
+        pooled
+    }
+
+    /// [`ConceptSpace::pool`] into `out`, reusing its allocation: no heap allocation unless
+    /// a concept is out of the ontology.
+    pub(crate) fn pool_into(&self, concepts: &[(Concept, f64)], out: &mut Embedding) {
+        out.set_zeros(self.dim);
         for (c, w) in concepts {
             if *w <= 0.0 {
                 continue;
             }
-            acc.add_scaled(&self.concept_embedding(c), *w);
+            match self.index.get(c) {
+                Some(&i) => out.add_scaled(&self.table[i as usize], *w),
+                None => out.add_scaled(&Embedding::seeded_direction(c.name(), self.dim), *w),
+            }
         }
-        acc.normalized()
+        out.normalize();
     }
 }
 

@@ -129,7 +129,7 @@ impl Encoder {
 
     /// Encodes `frame` from its prepared `plan` at the `level` a rate search over that plan
     /// settled on: every block at its base QP plus `level`, clamped, when the plan has a
-    /// base map ([`RatePlan::set_base_qps`]), or at the uniform QP `level` without one —
+    /// base map ([`RatePlan::refresh_base_qps`]), or at the uniform QP `level` without one —
     /// the assignments [`Encoder::predict_plan_offset_size`] and
     /// [`Encoder::predict_plan_uniform_size`] price, so the encode is the size its probe
     /// predicted, and no QP map is built.

@@ -31,8 +31,9 @@
 //! it; everyone else borrows it ([`RatePlan::raster`]). The §3.2 sender's CLIP patches are
 //! the CTUs, so the context-aware step prepares the plan *first*, scores Eq. 1 on the
 //! plan's raster, and only then writes the Eq. 2 QPs into the plan's base
-//! ([`RatePlan::set_base_qps`]) — the coefficients never depended on it. One `update` per
-//! capture serves the rate law, the encode and CLIP.
+//! ([`RatePlan::refresh_base_qps`]) — the coefficients never depended on it. One `update`
+//! per capture serves the rate law, the encode and CLIP; the base is kept from capture to
+//! capture, so Eq. 2 too rewrites only the blocks whose ρ Eq. 1 rewrote.
 //!
 //! **The kernel stays in `f64`.** The scalar expression calls `ceil` twice and casts
 //! `f64 → u64 → f64 → u32` per block; the kernel instead walks the plan in
@@ -96,6 +97,9 @@ pub struct RatePlan {
     /// Whether the plan was prepared with a base map: selects the offset bracket
     /// `[-51, 51]` over the uniform bracket `[0, 51]` in [`Encoder::search_rate_plan`].
     has_base: bool,
+    /// The raster generation [`RatePlan::refresh_base_qps`] last wrote `base_qp` for, or 0
+    /// when something else wrote it since: the base a refresh may carry forward.
+    base_at: u64,
     /// The frame's content raster, updated from capture to capture: source of the
     /// coefficients above and of the encode's block descriptors and coverage table.
     grid: GridContent,
@@ -122,6 +126,7 @@ impl RatePlan {
             pixels: Vec::new(),
             base_qp: Vec::new(),
             has_base: false,
+            base_at: 0,
             grid: GridContent::default(),
         }
     }
@@ -143,15 +148,14 @@ impl RatePlan {
 
     /// Sets the per-block base QP, in raster order, that the plan's offset probes
     /// ([`Encoder::predict_plan_offset_size`]) and [`Encoder::encode_at_level`] apply their
-    /// level to, and selects the offset bracket. The rate coefficients do not depend on it,
-    /// so a plan is prepared first and its base — computed from the plan's own raster —
-    /// written afterwards, straight from the allocator: `fill` pushes one [`Qp::value`] per
-    /// block, in raster order, into the cleared base.
+    /// level to, and selects the offset bracket: `fill` pushes one [`Qp::value`] per block,
+    /// in raster order, into the cleared base. A base set this way is not one
+    /// [`RatePlan::refresh_base_qps`] carries forward.
     ///
     /// # Panics
     ///
     /// Panics when `fill` does not push one QP per block of the prepared frame's grid.
-    pub fn set_base_qps(&mut self, fill: impl FnOnce(&mut Vec<u8>)) {
+    fn set_base_qps(&mut self, fill: impl FnOnce(&mut Vec<u8>)) {
         self.base_qp.clear();
         fill(&mut self.base_qp);
         assert_eq!(
@@ -160,6 +164,36 @@ impl RatePlan {
             "base QP count does not match plan grid"
         );
         self.has_base = true;
+        self.base_at = 0;
+    }
+
+    /// Writes the per-block base QPs of the prepared capture, and selects the offset
+    /// bracket, from `qp_of(block)` — a block's [`Qp::value`] — and returns how many blocks it
+    /// wrote. With `dirty_only`, and when the base the plan holds is the one this method
+    /// wrote for the raster's previous capture, only the raster's dirty blocks are rewritten
+    /// and every other block keeps its QP; otherwise every block is.
+    ///
+    /// The §3.2 sender passes `dirty_only` when Eq. 1 rewrote only the dirty cells of a map
+    /// on this very grid: every other cell's ρ, hence its QP, is the previous capture's.
+    pub fn refresh_base_qps(&mut self, dirty_only: bool, mut qp_of: impl FnMut(usize) -> u8) -> usize {
+        let carried = dirty_only
+            && self.base_at != 0
+            && self.grid.follows(self.base_at)
+            && self.base_qp.len() == self.dims.len();
+        self.has_base = true;
+        self.base_at = self.grid.generation();
+        if carried {
+            let mut written = 0;
+            for block in self.grid.dirty_cells() {
+                self.base_qp[block] = qp_of(block);
+                written += 1;
+            }
+            written
+        } else {
+            self.base_qp.clear();
+            self.base_qp.extend((0..self.dims.len()).map(qp_of));
+            self.base_qp.len()
+        }
     }
 
     /// The per-block base QPs, or `None` when the plan has no base (uniform levels only).
@@ -187,10 +221,11 @@ impl Encoder {
     /// the frame and folds every QP-independent term of the rate law into per-block
     /// coefficients — for the blocks the raster recomputed (every `tail` too when the frame
     /// type flipped). With `base` supplied, the plan also snapshots its values as the
-    /// per-block base QP ([`RatePlan::set_base_qps`]) so [`Encoder::predict_plan_offset_size`]
+    /// per-block base QP so [`Encoder::predict_plan_offset_size`]
     /// can probe uniform offsets on top of it (the context-aware search); without it only
     /// [`Encoder::predict_plan_uniform_size`] is valid (the baseline search) until a base is
-    /// set.
+    /// set. The plan keeps the previous capture's base QPs either way, for
+    /// [`RatePlan::refresh_base_qps`] to carry forward.
     ///
     /// # Panics
     ///
@@ -246,7 +281,6 @@ impl Encoder {
             }
         }
         plan.has_base = false;
-        plan.base_qp.clear();
         if let Some(base) = base {
             assert_eq!(base.dims(), dims, "base QP map grid does not match plan grid");
             plan.set_base_qps(|qps| qps.extend(base.values().iter().map(|qp| qp.value())));
@@ -1104,7 +1138,7 @@ mod tests {
                 assert_eq!(bits(&plan.lead), bits(&fresh.lead), "{what}: lead");
                 assert_eq!(bits(&plan.tail), bits(&fresh.tail), "{what}: tail");
                 assert_eq!(bits(&plan.pixels), bits(&fresh.pixels), "{what}: pixels");
-                assert_eq!(plan.base_qp, fresh.base_qp, "{what}: base_qp");
+                assert_eq!(plan.base_qps(), fresh.base_qps(), "{what}: base_qp");
                 assert_eq!(plan.has_base, fresh.has_base, "{what}: has_base");
                 let mut map = QpMap::empty();
                 for level in -51..=51 {

@@ -6,7 +6,8 @@
 //! window, starvation floor, a cross-traffic source) and a tenant's join and think times in
 //! the third; on a registry scenario spec (its
 //! counts, window, think and join times, pinned tenant, starvation floor and a cross-traffic
-//! source) in the fourth — is thrown the values input tends to hurt with — NaN, ±∞, 0, −1, a
+//! source) in the fourth, and a scene's concept weights (an object's and the background's)
+//! in a fifth test — is thrown the values input tends to hurt with — NaN, ±∞, 0, −1, a
 //! subnormal, `MAX` — next to a valid one. Either a structured error names the field and the
 //! constructor refuses with exactly that message before anything moves, or three turns on the
 //! lossy §2.2 path finish with a report whose every serialized number is finite, after a
@@ -32,7 +33,7 @@ use aivchat::mllm::{Question, QuestionFormat};
 use aivchat::netsim::{BandwidthTrace, LossModel, PathConfig, SimDuration, SimTime};
 use aivchat::rtc::AbrPolicy;
 use aivchat::scene::templates::basketball_game;
-use aivchat::scene::{Frame, Ontology, SourceConfig, VideoSource};
+use aivchat::scene::{Concept, Frame, Ontology, Rect, Scene, SceneObject, SourceConfig, VideoSource};
 use aivchat::semantics::{ClipConfig, ClipModel};
 use proptest::prelude::*;
 use serde::{Serialize, Value};
@@ -505,5 +506,66 @@ proptest! {
                 Ok(()) => return Err(TestCaseError::fail(format!("{name} built what validate refused: {error}"))),
             }
         }
+    }
+}
+
+/// A concept weight — an object's or the background's — thrown the hostile values: a NaN
+/// or infinite one is refused by name where the scene is built (Eq. 1 pools concepts by
+/// weight, and a NaN has no place in `[0, 1]` to clamp to); any other lands in `[0, 1]`,
+/// and a conversation shown scenes with it on both runs three turns to a finite report.
+#[test]
+fn hostile_concept_weights_are_refused_by_name_or_clamped() {
+    static MODEL: OnceLock<Arc<ClipModel>> = OnceLock::new();
+    for weight in &hostile_f64(0.5)[..8] {
+        let weight = *weight;
+        let object = catch_unwind(|| {
+            SceneObject::new(99, "gizmo", Rect::new(40, 30, 120, 90)).with_concept("scoreboard", weight)
+        });
+        let background = catch_unwind(|| {
+            Scene::new("hostile", 320, 180).with_background(0.3, 0.1, vec![(Concept::new("court"), weight)])
+        });
+        if !weight.is_finite() {
+            assert_eq!(
+                object.err().and_then(panic_message),
+                Some(format!(
+                    "object 99 (gizmo): the weight of concept scoreboard must be finite, got {weight}"
+                ))
+            );
+            assert_eq!(
+                background.err().and_then(panic_message),
+                Some(format!(
+                    "background_concepts: the weight of concept court must be finite, got {weight}"
+                ))
+            );
+            continue;
+        }
+        let (object, mut scene) = (
+            object.expect("a finite weight"),
+            background.expect("a finite weight"),
+        );
+        assert!((0.0..=1.0).contains(&object.concepts[0].1), "{weight}");
+        assert!((0.0..=1.0).contains(&scene.background_concepts[0].1), "{weight}");
+        let template = basketball_game(7);
+        scene.objects = template.objects;
+        scene.add_object(object);
+        scene.facts = template.facts;
+        let question = Question::from_fact(&scene.facts[0], QuestionFormat::FreeResponse);
+        let turns = three_turns(&VideoSource::new(scene, SourceConfig::fps30(6.0)));
+        let model = Arc::clone(MODEL.get_or_init(|| Arc::new(ClipModel::mobile_default())));
+        let options = NetSessionOptions::ai_oriented(42, PathConfig::paper_section_2_2(0.15));
+        let mut conversation = Conversation::new(
+            options,
+            StreamerConfig::default(),
+            model,
+            SimDuration::from_millis(200),
+        );
+        for frames in &turns {
+            conversation.run_turn_in_place(frames, &question);
+        }
+        assert_eq!(
+            non_finite(&conversation.report().to_value(), "report"),
+            None,
+            "weight {weight}"
+        );
     }
 }

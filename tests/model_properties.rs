@@ -1,8 +1,9 @@
 //! Property-based tests of the core models' invariants across crates: Eq. 1 bounds, Eq. 2
 //! monotonicity (and LUT ≡ `powf` equivalence), R-D monotonicity, accuracy monotonicity in
-//! quality, incremental-correlation ≡ full-recompute equivalence, the encode entry
-//! points agreeing block for block, and a served fleet ≡ standalone conversations at any
-//! pool size.
+//! quality, incremental-correlation ≡ full-recompute equivalence, Eq. 1's closed form
+//! against the direct per-patch procedure (the same Eq. 2 QP in every cell, over random
+//! scenes and the template corpus), the encode entry points agreeing block for block, and a
+//! served fleet ≡ standalone conversations at any pool size.
 
 use aivchat::core::{
     Conversation, ConversationChatServer, NetSessionOptions, QpAllocator, QpAllocatorConfig,
@@ -12,13 +13,48 @@ use aivchat::netsim::{PathConfig, SimDuration};
 use aivchat::par::MiniPool;
 use aivchat::scene::templates::TemplateKind;
 use aivchat::scene::{Frame, Ontology, Rect, Scene, SceneObject, SourceConfig, VideoSource};
-use aivchat::semantics::{ClipConfig, ClipModel, ClipScratch, TextQuery};
+use aivchat::semantics::{ClipConfig, ClipModel, ClipScratch, ImportanceMap, TextQuery};
 use aivchat::videocodec::{
     rd, Decoder, EncodeScratch, EncodedFrame, Encoder, EncoderConfig, FrameType, Qp, QpMap, RatePlan,
 };
 use proptest::prelude::*;
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
+use std::sync::OnceLock;
+
+/// Eq. 2 at every γ the paper's ablation sweeps.
+fn ablation_allocators() -> &'static [QpAllocator] {
+    static ALLOCATORS: OnceLock<Vec<QpAllocator>> = OnceLock::new();
+    ALLOCATORS.get_or_init(|| {
+        [0.5, 1.0, 2.0, 3.0, 5.0, 8.0]
+            .map(|gamma| QpAllocator::new(QpAllocatorConfig::with_gamma(gamma)))
+            .to_vec()
+    })
+}
+
+/// The cells where a production map and the naive one disagree under the oracle relation of
+/// Eq. 1's closed form — by more than 1e-12, or on the Eq. 2 QP at any ablation γ — and the
+/// largest |Δρ| over all cells.
+fn oracle_misses(map: &ImportanceMap, naive: &ImportanceMap) -> (Vec<usize>, f64) {
+    assert_eq!(map.dims(), naive.dims());
+    let mut max_delta = 0.0f64;
+    let misses = map
+        .values()
+        .iter()
+        .zip(naive.values())
+        .enumerate()
+        .filter(|&(_, (&rho, &expected))| {
+            let delta = (rho - expected).abs();
+            max_delta = max_delta.max(delta);
+            !(delta <= 1e-12)
+                || ablation_allocators()
+                    .iter()
+                    .any(|allocator| allocator.qp_for_rho(rho) != allocator.qp_for_rho(expected))
+        })
+        .map(|(cell, _)| cell)
+        .collect();
+    (misses, max_delta)
+}
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
@@ -57,7 +93,8 @@ proptest! {
 
     /// The coherent path — full on frame A, incremental onto frame B, back onto A, then a
     /// repeat of A — is bit-identical to a full recompute, for every template, frame step
-    /// and question; so is a scratch whose first frame came through the full form.
+    /// and question; so is a scratch whose first frame came through the full form. Both
+    /// maps meet the naive per-patch procedure under the oracle relation.
     #[test]
     fn incremental_correlation_matches_full_recompute(
         template_idx in 0usize..5,
@@ -73,8 +110,12 @@ proptest! {
         let source = VideoSource::new(scene.clone(), SourceConfig::fps30(3.0));
         let frame_a = source.frame(start);
         let frame_b = source.frame(start + step);
-        let full_a = model.correlation_map_naive(&frame_a, &query);
-        let full_b = model.correlation_map_naive(&frame_b, &query);
+        let full_a = model.correlation_map(&frame_a, &query);
+        let full_b = model.correlation_map(&frame_b, &query);
+        for (full, frame) in [(&full_a, &frame_a), (&full_b, &frame_b)] {
+            let (misses, max_delta) = oracle_misses(full, &model.correlation_map_naive(frame, &query));
+            prop_assert!(misses.is_empty(), "cells {misses:?} miss the naive map (max |Δρ| {max_delta:e})");
+        }
 
         let mut scratch = ClipScratch::new();
         for (frame, full) in [(&frame_a, &full_a), (&frame_b, &full_b), (&frame_a, &full_a), (&frame_a, &full_a)] {
@@ -108,12 +149,13 @@ proptest! {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
-    /// Every scratch-taking correlation form is the one classify → evaluate → scatter
-    /// pipeline over the one raster, so all of them — full, coherent (cold, then warm onto
-    /// an unrelated layout of the same objects, then onto single-placement nudges of it) —
-    /// equal the naive per-patch reference bit for bit, over random scenes with overlapping objects,
-    /// objects partly or fully outside the frame, out-of-ontology and zero-weight
-    /// concepts, an empty query, and frame sizes the patch size does not divide.
+    /// Every scratch-taking correlation form is the one closed form over the one raster, so
+    /// all of them — full, coherent (cold, then warm onto an unrelated layout of the same
+    /// objects, then onto single-placement nudges of it) — equal a fresh full map bit for
+    /// bit and the naive per-patch reference under the oracle relation, over random scenes
+    /// with overlapping objects, objects partly or fully outside the frame, out-of-ontology
+    /// and zero-weight concepts, an empty query, and frame sizes the patch size does not
+    /// divide.
     #[test]
     fn every_correlation_form_matches_naive_on_random_scenes(
         seed in 0u64..1_000_000,
@@ -163,16 +205,20 @@ proptest! {
             2 => TextQuery::from_words("qqq zzz", model.ontology()), // empty query
             _ => TextQuery::from_words_and_concepts("is the dog on the grass", model.ontology(), ["mystery-widget"]),
         };
-        let naive_a = model.correlation_map_naive(&frame_a, &query);
-        let naive_b = model.correlation_map_naive(&frame_b, &query);
+        let full_a = model.correlation_map(&frame_a, &query);
+        let full_b = model.correlation_map(&frame_b, &query);
+        for (full, frame) in [(&full_a, &frame_a), (&full_b, &frame_b)] {
+            let (misses, max_delta) = oracle_misses(full, &model.correlation_map_naive(frame, &query));
+            prop_assert!(misses.is_empty(), "cells {misses:?} miss the naive map (max |Δρ| {max_delta:e})");
+        }
 
         let mut scratch = ClipScratch::new();
-        prop_assert_eq!(model.correlation_map_with(&frame_a, &query, &mut scratch), &naive_a);
-        prop_assert_eq!(model.correlation_map_coherent(&frame_b, &query, &mut scratch), &naive_b);
+        prop_assert_eq!(model.correlation_map_with(&frame_a, &query, &mut scratch), &full_a);
+        prop_assert_eq!(model.correlation_map_coherent(&frame_b, &query, &mut scratch), &full_b);
         let mut scratch = ClipScratch::new();
-        prop_assert_eq!(model.correlation_map_coherent(&frame_a, &query, &mut scratch), &naive_a);
-        prop_assert_eq!(model.correlation_map_coherent(&frame_b, &query, &mut scratch), &naive_b);
-        prop_assert_eq!(model.correlation_map_coherent(&frame_a, &query, &mut scratch), &naive_a);
+        prop_assert_eq!(model.correlation_map_coherent(&frame_a, &query, &mut scratch), &full_a);
+        prop_assert_eq!(model.correlation_map_coherent(&frame_b, &query, &mut scratch), &full_b);
+        prop_assert_eq!(model.correlation_map_coherent(&frame_a, &query, &mut scratch), &full_a);
 
         // A sequence of small steps from there: one placement nudged, resized or dropped
         // off the frame at a time, the coherent map checked after each.
@@ -188,10 +234,49 @@ proptest! {
                 1 => Rect::new(r.x, r.y, rng.gen_range(1..=width), rng.gen_range(1..=height)),
                 _ => Rect::new(width as i64 + 5, r.y, r.w, r.h),
             };
-            let naive = model.correlation_map_naive(&frame, &query);
-            prop_assert_eq!(model.correlation_map_coherent(&frame, &query, &mut scratch), &naive);
+            let full = model.correlation_map(&frame, &query);
+            prop_assert_eq!(model.correlation_map_coherent(&frame, &query, &mut scratch), &full);
+            let (misses, max_delta) = oracle_misses(&full, &model.correlation_map_naive(&frame, &query));
+            prop_assert!(misses.is_empty(), "cells {misses:?} miss the naive map (max |Δρ| {max_delta:e})");
         }
     }
+}
+
+/// Eq. 1's closed form over the template corpus: every template, three scene seeds, every
+/// fact's question and eight captures each — consecutive ones and jumps, read coherently the
+/// way a conversation does — give every cell the naive per-patch procedure's Eq. 2 QP at
+/// every ablation γ, and a ρ within 1e-12 of it.
+#[test]
+fn closed_form_eq1_gives_every_corpus_cell_the_naive_qp() {
+    let model = ClipModel::mobile_default();
+    let (mut cells, mut max_delta) = (0usize, 0.0f64);
+    for kind in TemplateKind::ALL {
+        for seed in 0..3 {
+            let scene = kind.build(seed);
+            let source = VideoSource::new(scene.clone(), SourceConfig::fps30(10.0));
+            for fact in &scene.facts {
+                let query = TextQuery::from_words_and_concepts(
+                    &fact.question,
+                    model.ontology(),
+                    fact.query_concepts.clone(),
+                );
+                let mut scratch = ClipScratch::new();
+                for index in [0, 1, 2, 3, 40, 41, 150, 299] {
+                    let frame = source.frame(index);
+                    let map = model.correlation_map_coherent(&frame, &query, &mut scratch);
+                    let (misses, delta) = oracle_misses(map, &model.correlation_map_naive(&frame, &query));
+                    assert!(
+                        misses.is_empty(),
+                        "{kind:?} seed {seed}, {:?}, frame {index}: cells {misses:?} flip",
+                        fact.question
+                    );
+                    cells += map.values().len();
+                    max_delta = max_delta.max(delta);
+                }
+            }
+        }
+    }
+    println!("{cells} corpus cells, no Eq. 2 flip at any ablation gamma, max |Δρ| {max_delta:e}");
 }
 
 // The encode-equivalence and pooled-server properties run several full-frame encodes or
