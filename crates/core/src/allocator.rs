@@ -106,7 +106,7 @@ impl ThresholdTable {
     /// The QP of the segment holding `rho`, which the caller clamped into `[-1, 1]`. A NaN
     /// — which no [`ImportanceMap`] holds — fails every comparison below and answers as
     /// ρ = −1, the irrelevant end.
-    // Out of line on purpose: `qp_per_cell` gets here once per run of equal ρ (≈ 23 times
+    // Out of line on purpose: `RunMemo` gets here once per run of equal ρ (≈ 23 times
     // for a 1080p frame's 510 cells), and inlined the scan loops crowd its per-cell loop
     // (`eq2_qp_allocation` 1.19 µs against 0.92 µs).
     #[inline(never)]
@@ -257,51 +257,71 @@ impl QpAllocator {
     }
 
     /// Converts a per-patch importance map into a per-CTU QP map on the encoder's grid,
-    /// written into a caller-owned map: [`QpAllocator::qp_per_cell`] for every cell in
-    /// raster order, so once `out` has grown to the encoder grid the call performs no heap
-    /// allocation.
-    pub fn allocate_into(&self, importance: &ImportanceMap, encoder_grid: GridDims, out: &mut QpMap) {
-        out.begin_refill(encoder_grid);
-        let mut qp_of = self.qp_per_cell(importance, encoder_grid);
-        for cell in 0..encoder_grid.len() {
-            out.push_value(qp_of(cell));
-        }
-        out.finish_refill();
-    }
-
-    /// Eq. 2 per cell of `encoder_grid`, by raster index — what [`QpAllocator::allocate_into`]
-    /// writes per cell, and what the §3.2 sender writes into its rate plan's base for the
-    /// cells whose ρ changed.
+    /// written into a caller-owned map, so once `out` has grown to the encoder grid the call
+    /// performs no heap allocation.
     ///
     /// When the CLIP patch grid and the encoder CTU grid differ, the importance map is
     /// resampled on the fly (nearest-center per target cell, identical values to
     /// [`ImportanceMap::resample`]), exactly as a real implementation would feed Kvazaar's
     /// ROI interface.
-    ///
-    /// Raster-order neighbours of one patch content share their ρ bit for bit, so the table
-    /// is consulted once per run of equal ρ: a one-entry `(ρ bits → QP)` memo, exact because
-    /// Eq. 2 is a pure function of ρ.
+    pub fn allocate_into(&self, importance: &ImportanceMap, encoder_grid: GridDims, out: &mut QpMap) {
+        out.begin_refill(encoder_grid);
+        let mut qp_for = RunMemo::new(self);
+        if importance.dims() == encoder_grid {
+            for &rho in importance.values() {
+                out.push_value(qp_for.qp(rho));
+            }
+        } else {
+            for row in 0..encoder_grid.rows {
+                for col in 0..encoder_grid.cols {
+                    out.push_value(qp_for.qp(importance.nearest_value_for_cell(encoder_grid, row, col)));
+                }
+            }
+        }
+        out.finish_refill();
+    }
+
+    /// Eq. 2 per cell of `encoder_grid`, by raster index, resampled as in
+    /// [`QpAllocator::allocate_into`] — what the §3.2 sender writes into its rate plan's base
+    /// for the cells whose ρ changed, with no map in between.
     pub(crate) fn qp_per_cell<'a>(
         &'a self,
         importance: &'a ImportanceMap,
         encoder_grid: GridDims,
     ) -> impl FnMut(usize) -> Qp + 'a {
         let same_grid = importance.dims() == encoder_grid;
-        let mut run: Option<(u64, Qp)> = None;
+        let mut qp_for = RunMemo::new(self);
         move |cell| {
-            let rho = if same_grid {
+            qp_for.qp(if same_grid {
                 importance.values()[cell]
             } else {
                 let (row, col) = encoder_grid.position(cell);
                 importance.nearest_value_for_cell(encoder_grid, row, col)
-            };
-            match run {
-                Some((bits, qp)) if bits == rho.to_bits() => qp,
-                _ => {
-                    let qp = self.qp_for_rho(rho);
-                    run = Some((rho.to_bits(), qp));
-                    qp
-                }
+            })
+        }
+    }
+}
+
+/// Eq. 2 through a one-entry `(ρ bits → QP)` memo. Raster-order neighbours of one patch
+/// content share their ρ bit for bit, so a walk over a map consults the threshold table
+/// once per run of equal ρ — exact, because Eq. 2 is a pure function of ρ.
+struct RunMemo<'a> {
+    allocator: &'a QpAllocator,
+    run: Option<(u64, Qp)>,
+}
+
+impl<'a> RunMemo<'a> {
+    fn new(allocator: &'a QpAllocator) -> Self {
+        Self { allocator, run: None }
+    }
+
+    fn qp(&mut self, rho: f64) -> Qp {
+        match self.run {
+            Some((bits, qp)) if bits == rho.to_bits() => qp,
+            _ => {
+                let qp = self.allocator.qp_for_rho(rho);
+                self.run = Some((rho.to_bits(), qp));
+                qp
             }
         }
     }

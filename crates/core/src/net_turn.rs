@@ -13,11 +13,11 @@
 //! * a turn's buffers belong to whoever *drives* turns, not to the session, and split by
 //!   when they are read. [`TurnScratch`] holds what is written and read inside one event —
 //!   a deadline's decode verdicts, decoded frames and MLLM work — so one serves every turn
-//!   its owner drives, overlapping or not (a fleet
-//!   lane, a standalone conversation, a whole contention run). [`EncodedWindow`] holds
-//!   the turn's encoded frames, written at capture and read at the same turn's deadline
-//!   after other events have run, so turns that overlap need one each (a lane and a
-//!   standalone conversation own one, as does every contention tenant);
+//!   its owner drives, overlapping or not (a fleet lane, a standalone conversation, a whole
+//!   contention run). [`EncodedWindow`] holds the turn's encoded frames, written at capture
+//!   and read at the same turn's deadline after other events have run, so turns that
+//!   overlap need one each (a lane and a standalone conversation own one, as does every
+//!   contention tenant);
 //! * [`Transport`] owns everything the *network* needs besides the uplink — the downlink,
 //!   packetizer, pacer, RTX store, FEC encode/recovery, reassembly, NACK generation, and
 //!   the pending congestion feedback — plus the per-turn counters the report reads;
@@ -210,9 +210,10 @@ pub(crate) struct NetCompute {
 }
 
 /// The per-event buffers of the chat pipeline: each is written and read inside one turn's
-/// conclusion, so nothing in it outlives the event that filled it. One per *driver* — a [`crate::server`] lane (its sessions' turns in order),
-/// a standalone [`crate::Conversation`], a whole contention run (tenants' turns overlap
-/// on the shared kernel, its events never do). All-empty until its first turn.
+/// conclusion, so nothing in it outlives the event that filled it. One per *driver* — a
+/// [`crate::server`] lane (its sessions' turns in order), a standalone
+/// [`crate::Conversation`], a whole contention run (tenants' turns overlap on the shared
+/// kernel, its events never do). All-empty until its first turn.
 #[derive(Debug)]
 pub(crate) struct TurnScratch {
     decode_scratch: DecodeScratch,

@@ -20,12 +20,12 @@
 //! with the naive path's guard: a pooled vector of norm below `1e-12` (or a NaN norm)
 //! correlates 0. A [`ClipMemo`] builds `p` when the query or the concepts change and `G`
 //! when the concepts change, so a patch costs a few dozen flops over its two or three terms
-//! where the pool → normalize → cosine sequence costs ≈ 450 over 64 dimensions.
+//! where the pool → normalize → cosine sequence costs several hundred over 64 dimensions.
 //!
 //! **Error.** The closed form computes the naive path's real numbers in another order:
 //! each dimension's products are summed per term first. Every sum has a handful of terms,
 //! and concept embeddings are relatedness-weighted sums of near-orthogonal directions, so no
-//! two terms nearly cancel: the two orders differ by a few ulps of ρ (≤ 1.3e-15 over the
+//! two terms nearly cancel: the two orders differ by a few ulps of ρ (≤ 1.2e-15 over the
 //! template corpus). The tests hold `|ρ − ρ_naive| ≤ 1e-12` and, what the sender reads,
 //! the same Eq. 2 QP in every cell at every γ the ablation sweeps. Production forms
 //! compared with each other — coherent against full, a borrowed raster after any lender
@@ -399,12 +399,12 @@ impl ClipMemo {
             norm_sq += a_i * self.cell_terms.iter().map(|&(j, a_j)| a_j * row[j]).sum::<f64>();
         }
         let norm = norm_sq.sqrt();
-        // `!(norm >= …)` also catches the NaN root of a sum rounded below zero: a pooled
-        // vector that small is the naive path's zero vector.
-        let raw = if !(norm >= 1e-12) {
-            0.0
-        } else {
+        // A NaN root — of a sum rounded below zero — fails the test too: a pooled vector
+        // that small is the naive path's zero vector.
+        let raw = if norm >= 1e-12 {
             (along_query / (norm * self.query_norm)).clamp(-1.0, 1.0)
+        } else {
+            0.0
         };
         calibrate(raw)
     }

@@ -52,10 +52,11 @@ impl Embedding {
     /// Scales the vector to unit norm in place (the zero vector stays as it is).
     pub(crate) fn normalize(&mut self) {
         let n = self.norm();
-        if !(n < 1e-12) {
-            for v in &mut self.values {
-                *v /= n;
-            }
+        if n < 1e-12 {
+            return;
+        }
+        for v in &mut self.values {
+            *v /= n;
         }
     }
 

@@ -146,30 +146,12 @@ impl RatePlan {
         &self.grid
     }
 
-    /// Sets the per-block base QP, in raster order, that the plan's offset probes
+    /// Writes the per-block base QPs of the prepared capture — what the plan's offset probes
     /// ([`Encoder::predict_plan_offset_size`]) and [`Encoder::encode_at_level`] apply their
-    /// level to, and selects the offset bracket: `fill` pushes one [`Qp::value`] per block,
-    /// in raster order, into the cleared base. A base set this way is not one
-    /// [`RatePlan::refresh_base_qps`] carries forward.
-    ///
-    /// # Panics
-    ///
-    /// Panics when `fill` does not push one QP per block of the prepared frame's grid.
-    fn set_base_qps(&mut self, fill: impl FnOnce(&mut Vec<u8>)) {
-        self.base_qp.clear();
-        fill(&mut self.base_qp);
-        assert_eq!(
-            self.base_qp.len(),
-            self.dims.len(),
-            "base QP count does not match plan grid"
-        );
-        self.has_base = true;
-        self.base_at = 0;
-    }
-
-    /// Writes the per-block base QPs of the prepared capture, and selects the offset
-    /// bracket, from `qp_of(block)` — a block's [`Qp::value`] — and returns how many blocks it
-    /// wrote. With `dirty_only`, and when the base the plan holds is the one this method
+    /// level to — and selects the offset bracket, from `qp_of(block)`, a block's
+    /// [`Qp::value`]; returns how many blocks it wrote. The rate coefficients do not depend
+    /// on the base, so a plan is prepared first and its base, computed from the plan's own
+    /// raster, written afterwards. With `dirty_only`, and when the base the plan holds is the one this method
     /// wrote for the raster's previous capture, only the raster's dirty blocks are rewritten
     /// and every other block keeps its QP; otherwise every block is.
     ///
@@ -283,7 +265,10 @@ impl Encoder {
         plan.has_base = false;
         if let Some(base) = base {
             assert_eq!(base.dims(), dims, "base QP map grid does not match plan grid");
-            plan.set_base_qps(|qps| qps.extend(base.values().iter().map(|qp| qp.value())));
+            plan.base_qp.clear();
+            plan.base_qp.extend(base.values().iter().map(|qp| qp.value()));
+            // A base handed in is not one `refresh_base_qps` may carry forward.
+            (plan.has_base, plan.base_at) = (true, 0);
         }
     }
 
@@ -1127,7 +1112,7 @@ mod tests {
                 match &base {
                     Some(base) if rng.range(0, 2) == 0 => {
                         enc.prepare_rate_plan(&frame, None, &mut plan);
-                        plan.set_base_qps(|qps| qps.extend(base.values().iter().map(|qp| qp.value())));
+                        plan.refresh_base_qps(false, |block| base.values()[block].value());
                     }
                     _ => enc.prepare_rate_plan(&frame, base.as_ref(), &mut plan),
                 }

@@ -46,7 +46,8 @@ fn oracle_misses(map: &ImportanceMap, naive: &ImportanceMap) -> (Vec<usize>, f64
         .filter(|&(_, (&rho, &expected))| {
             let delta = (rho - expected).abs();
             max_delta = max_delta.max(delta);
-            !(delta <= 1e-12)
+            delta.is_nan()
+                || delta > 1e-12
                 || ablation_allocators()
                     .iter()
                     .any(|allocator| allocator.qp_for_rho(rho) != allocator.qp_for_rho(expected))
