@@ -10,14 +10,17 @@
 //! * enums with unit and named-field variants,
 //! * no generic parameters (none of the workspace's serialized types are generic).
 //!
-//! Any other shape (a unit struct, a tuple variant) is refused at expansion.
+//! Any other shape (a unit struct, a tuple variant) is refused at expansion. One attribute is
+//! understood: `#[serde(skip_serializing_if = "path")]` on a named struct field, which leaves
+//! the field out of the object when `path(&field)` is true. Any other `serde` key, or the
+//! attribute anywhere else, is refused by name.
 //!
 //! The generated code targets the value-model trait in the stand-in `serde` crate
 //! (`Serialize::to_value`).
 
 use proc_macro::{Delimiter, TokenStream, TokenTree};
 
-#[proc_macro_derive(Serialize)]
+#[proc_macro_derive(Serialize, attributes(serde))]
 pub fn derive_serialize(input: TokenStream) -> TokenStream {
     let item = parse_item(input);
     gen_serialize(&item)
@@ -25,8 +28,14 @@ pub fn derive_serialize(input: TokenStream) -> TokenStream {
         .expect("serde_derive generated invalid Serialize impl")
 }
 
+/// A named field and its `skip_serializing_if` predicate, if it has one.
+struct Field {
+    name: String,
+    skip_if: Option<String>,
+}
+
 enum Shape {
-    NamedStruct(Vec<String>),
+    NamedStruct(Vec<Field>),
     TupleStruct(usize),
     /// Each variant's name and, for a named-field variant, its fields.
     Enum(Vec<(String, Option<Vec<String>>)>),
@@ -40,7 +49,7 @@ struct Item {
 fn parse_item(input: TokenStream) -> Item {
     let tokens: Vec<TokenTree> = input.into_iter().collect();
     let mut i = 0;
-    skip_attrs_and_vis(&tokens, &mut i);
+    refuse_skip_if(&skip_attrs_and_vis(&tokens, &mut i), "a type");
     let keyword = expect_ident(&tokens, &mut i);
     let name = expect_ident(&tokens, &mut i);
     if matches!(&tokens.get(i), Some(TokenTree::Punct(p)) if p.as_char() == '<') {
@@ -67,11 +76,16 @@ fn parse_item(input: TokenStream) -> Item {
     Item { name, shape }
 }
 
-/// Advances past any `#[...]` attributes and a `pub` / `pub(...)` visibility prefix.
-fn skip_attrs_and_vis(tokens: &[TokenTree], i: &mut usize) {
+/// Advances past any `#[...]` attributes and a `pub` / `pub(...)` visibility prefix,
+/// returning the predicate of a `#[serde(skip_serializing_if = "path")]` among them.
+fn skip_attrs_and_vis(tokens: &[TokenTree], i: &mut usize) -> Option<String> {
+    let mut skip_if = None;
     loop {
         match tokens.get(*i) {
             Some(TokenTree::Punct(p)) if p.as_char() == '#' => {
+                if let Some(TokenTree::Group(attr)) = tokens.get(*i + 1) {
+                    skip_if = serde_skip_if(attr.stream()).or(skip_if);
+                }
                 *i += 2; // '#' and the bracketed group
             }
             Some(TokenTree::Ident(id)) if id.to_string() == "pub" => {
@@ -81,8 +95,37 @@ fn skip_attrs_and_vis(tokens: &[TokenTree], i: &mut usize) {
                     *i += 1;
                 }
             }
-            _ => return,
+            _ => return skip_if,
         }
+    }
+}
+
+/// The path of a `serde(skip_serializing_if = "path")` attribute body, `None` for an
+/// attribute that is not `serde`'s; any other `serde` key is refused by name.
+fn serde_skip_if(attr: TokenStream) -> Option<String> {
+    let mut attr = attr.into_iter();
+    if !matches!(attr.next(), Some(TokenTree::Ident(id)) if id.to_string() == "serde") {
+        return None;
+    }
+    let args: Vec<TokenTree> = match attr.next() {
+        Some(TokenTree::Group(args)) => args.stream().into_iter().collect(),
+        _ => Vec::new(),
+    };
+    match args.as_slice() {
+        [TokenTree::Ident(key), TokenTree::Punct(eq), TokenTree::Literal(path)]
+            if key.to_string() == "skip_serializing_if" && eq.as_char() == '=' =>
+        {
+            Some(path.to_string().trim_matches('"').to_string())
+        }
+        [TokenTree::Ident(key), ..] => panic!("serde_derive stand-in: unsupported serde attribute `{key}`"),
+        _ => panic!("serde_derive stand-in: a serde attribute takes `skip_serializing_if = \"path\"`"),
+    }
+}
+
+/// Panics when a `skip_serializing_if` sits anywhere but on a named struct field.
+fn refuse_skip_if(skip_if: &Option<String>, place: &str) {
+    if skip_if.is_some() {
+        panic!("serde_derive stand-in: `skip_serializing_if` on {place} is not supported");
     }
 }
 
@@ -96,19 +139,20 @@ fn expect_ident(tokens: &[TokenTree], i: &mut usize) -> String {
     }
 }
 
-/// Parses `name: Type, ...` field lists, returning the field names. Commas inside angle
+/// Parses `name: Type, ...` field lists, returning the fields. Commas inside angle
 /// brackets (`BTreeMap<K, V>`) are not separators; angle depth is tracked across the flat
 /// punct stream (`<` / `>` are individual puncts even in `>>`).
-fn parse_named_fields(stream: TokenStream) -> Vec<String> {
+fn parse_named_fields(stream: TokenStream) -> Vec<Field> {
     let tokens: Vec<TokenTree> = stream.into_iter().collect();
     let mut i = 0;
     let mut fields = Vec::new();
     while i < tokens.len() {
-        skip_attrs_and_vis(&tokens, &mut i);
+        let skip_if = skip_attrs_and_vis(&tokens, &mut i);
         if i >= tokens.len() {
             break;
         }
-        fields.push(expect_ident(&tokens, &mut i));
+        let name = expect_ident(&tokens, &mut i);
+        fields.push(Field { name, skip_if });
         match tokens.get(i) {
             Some(TokenTree::Punct(p)) if p.as_char() == ':' => i += 1,
             other => panic!("expected `:` after field name, found {other:?}"),
@@ -142,7 +186,7 @@ fn count_tuple_fields(stream: TokenStream) -> usize {
     let mut i = 0;
     let mut count = 0;
     while i < tokens.len() {
-        skip_attrs_and_vis(&tokens, &mut i);
+        refuse_skip_if(&skip_attrs_and_vis(&tokens, &mut i), "a tuple field");
         if i >= tokens.len() {
             break;
         }
@@ -160,7 +204,7 @@ fn parse_variants(stream: TokenStream) -> Vec<(String, Option<Vec<String>>)> {
     let mut i = 0;
     let mut variants = Vec::new();
     while i < tokens.len() {
-        skip_attrs_and_vis(&tokens, &mut i);
+        refuse_skip_if(&skip_attrs_and_vis(&tokens, &mut i), "a variant");
         if i >= tokens.len() {
             break;
         }
@@ -168,7 +212,16 @@ fn parse_variants(stream: TokenStream) -> Vec<(String, Option<Vec<String>>)> {
         let fields = match tokens.get(i) {
             Some(TokenTree::Group(g)) if g.delimiter() == Delimiter::Brace => {
                 i += 1;
-                Some(parse_named_fields(g.stream()))
+                let fields = parse_named_fields(g.stream());
+                Some(
+                    fields
+                        .into_iter()
+                        .map(|f| {
+                            refuse_skip_if(&f.skip_if, "a variant field");
+                            f.name
+                        })
+                        .collect(),
+                )
             }
             Some(TokenTree::Group(g)) if g.delimiter() == Delimiter::Parenthesis => {
                 panic!("serde_derive stand-in does not support tuple variants (variant `{name}`)")
@@ -189,13 +242,23 @@ fn gen_serialize(item: &Item) -> String {
     let name = &item.name;
     let body = match &item.shape {
         Shape::NamedStruct(fields) => {
-            let pairs: Vec<String> = fields
+            let pushes: Vec<String> = fields
                 .iter()
-                .map(|f| {
-                    format!("(::std::string::String::from(\"{f}\"), ::serde::Serialize::to_value(&self.{f}))")
+                .map(|Field { name: f, skip_if }| {
+                    let push = format!(
+                        "fields.push((::std::string::String::from(\"{f}\"), ::serde::Serialize::to_value(&self.{f})));"
+                    );
+                    match skip_if {
+                        Some(path) => format!("if !{path}(&self.{f}) {{ {push} }}"),
+                        None => push,
+                    }
                 })
                 .collect();
-            format!("::serde::Value::Object(::std::vec![{}])", pairs.join(", "))
+            format!(
+                "let mut fields = ::std::vec::Vec::with_capacity({}); {} ::serde::Value::Object(fields)",
+                fields.len(),
+                pushes.join(" ")
+            )
         }
         Shape::TupleStruct(arity) => {
             let items: Vec<String> = (0..*arity)

@@ -1107,12 +1107,12 @@ mod tests {
             },
         ];
         let report = run_contention(&config, tenants);
-        // Two active tenants at join time: the joiner starts from ≤ nominal/2, not 20 Mbps.
+        // Two active tenants at join time, the joiner counted: it starts from exactly
+        // nominal / 2, not 20 Mbps (and not the nominal / 3 of counting itself twice).
         let joiner = &report.tenants[1].conversation;
-        assert!(
-            joiner.estimate_at_turn_start_bps[0] <= 3e6 + 1.0,
-            "admission must clamp the joiner's initial estimate, got {}",
-            joiner.estimate_at_turn_start_bps[0]
+        assert_eq!(
+            joiner.estimate_at_turn_start_bps[0], 3e6,
+            "admission must clamp the joiner's initial estimate to its fair share"
         );
         // And the incumbent still completed all turns.
         assert_eq!(report.tenants[0].conversation.turns.len(), 3);

@@ -15,8 +15,8 @@
 //!
 //! * **warm vs cold GCC convergence** — turn 0 starts from the configured initial estimate
 //!   and swings its ABR target while the controller converges; later turns start from the
-//!   previous turn's final estimate and hold ([`ConversationReport::cold_target_swing_bps`]
-//!   vs [`ConversationReport::warm_target_swing_bps`]);
+//!   previous turn's final estimate and hold ([`ConversationReport::turn_target_swing_bps`]:
+//!   entry 0 against the rest);
 //! * **carry-over queue delay** — a turn that overshot the link leaves a standing queue
 //!   the next turn inherits ([`ConversationReport::carryover_queue_delay_ms`]);
 //! * **per-conversation percentiles** — p50/p95 frame latency over *every* turn's frames,
@@ -46,12 +46,12 @@ use aivc_rtc::cc::GccController;
 use aivc_scene::Frame;
 use aivc_semantics::ClipModel;
 use aivc_sim::{SimDuration, SimTime, Simulation};
-use serde::{Serialize, Value};
+use serde::Serialize;
 use std::sync::Arc;
 
 /// The report of a whole conversation: every turn's [`NetTurnReport`] plus the cross-turn
 /// aggregates only a shared timeline can produce.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct ConversationReport {
     /// Per-turn reports, in turn order.
     pub turns: Vec<NetTurnReport>,
@@ -77,63 +77,11 @@ pub struct ConversationReport {
     /// `outage_ms` accumulated across turn windows, and `time_to_recover_ms` from the first
     /// turn that observed a recovery. All-zero — and omitted from serialization, keeping
     /// fault-free fixtures byte-identical — when no faults or resilience features ran.
+    #[serde(skip_serializing_if = "FaultTelemetry::is_quiet")]
     pub resilience: FaultTelemetry,
 }
 
-// Serialized by hand (the derive emits every field unconditionally): the `resilience`
-// object only appears when it carries information, so pre-existing conversation fixtures
-// are unchanged byte-for-byte.
-impl Serialize for ConversationReport {
-    fn to_value(&self) -> Value {
-        let mut fields = vec![
-            ("turns".to_string(), self.turns.to_value()),
-            (
-                "estimate_at_turn_start_bps".to_string(),
-                self.estimate_at_turn_start_bps.to_value(),
-            ),
-            (
-                "carryover_queue_delay_ms".to_string(),
-                self.carryover_queue_delay_ms.to_value(),
-            ),
-            (
-                "turn_target_swing_bps".to_string(),
-                self.turn_target_swing_bps.to_value(),
-            ),
-            (
-                "p50_frame_latency_ms".to_string(),
-                self.p50_frame_latency_ms.to_value(),
-            ),
-            (
-                "p95_frame_latency_ms".to_string(),
-                self.p95_frame_latency_ms.to_value(),
-            ),
-            ("mean_goodput_bps".to_string(), self.mean_goodput_bps.to_value()),
-            ("nacks_suppressed".to_string(), self.nacks_suppressed.to_value()),
-        ];
-        if !self.resilience.is_quiet() {
-            fields.push(("resilience".to_string(), self.resilience.to_value()));
-        }
-        Value::Object(fields)
-    }
-}
-
 impl ConversationReport {
-    /// The cold turn's ABR-target swing (turn 0: the controller converging from its
-    /// configured initial estimate).
-    pub fn cold_target_swing_bps(&self) -> f64 {
-        self.turn_target_swing_bps.first().copied().unwrap_or(0.0)
-    }
-
-    /// Mean ABR-target swing of the warm turns (every turn after the first, which start
-    /// from the previous turn's final estimate).
-    pub fn warm_target_swing_bps(&self) -> f64 {
-        if self.turn_target_swing_bps.len() < 2 {
-            return 0.0;
-        }
-        let warm = &self.turn_target_swing_bps[1..];
-        warm.iter().sum::<f64>() / warm.len() as f64
-    }
-
     /// Fraction of turns answered correctly.
     pub fn correct_fraction(&self) -> f64 {
         if self.turns.is_empty() {
@@ -925,13 +873,21 @@ mod tests {
             let frames: Vec<Frame> = (0..24).map(|i| source.frame((t * 24 + i) as u64)).collect();
             conv.run_turn(&frames, &q);
         }
-        let report = conv.report();
+        let (cold, warm) = cold_and_warm_swing(&conv.report());
         assert!(
-            report.cold_target_swing_bps() > 2.0 * report.warm_target_swing_bps(),
-            "cold swing {} should exceed warm swing {}",
-            report.cold_target_swing_bps(),
-            report.warm_target_swing_bps()
+            cold > 2.0 * warm,
+            "cold swing {cold} should exceed warm swing {warm}"
         );
+    }
+
+    /// The cold turn's ABR-target swing (turn 0, the controller converging from its
+    /// configured initial estimate) and the mean swing of the warm turns after it.
+    fn cold_and_warm_swing(report: &ConversationReport) -> (f64, f64) {
+        match report.turn_target_swing_bps.split_first() {
+            None => (0.0, 0.0),
+            Some((&cold, [])) => (cold, 0.0),
+            Some((&cold, warm)) => (cold, warm.iter().sum::<f64>() / warm.len() as f64),
+        }
     }
 
     #[test]
@@ -954,8 +910,7 @@ mod tests {
         let report = conv.report();
         assert!(report.turns.is_empty());
         assert_eq!(report.correct_fraction(), 0.0);
-        assert_eq!(report.cold_target_swing_bps(), 0.0);
-        assert_eq!(report.warm_target_swing_bps(), 0.0);
+        assert_eq!(cold_and_warm_swing(&report), (0.0, 0.0));
     }
 
     /// Regression test for the retired-then-late sequence hazard: on a slow, high-latency

@@ -240,7 +240,7 @@ mod tests {
             context_compute_ms: 9.0,
             encode_ms: 4.0,
             transmission_ms: 35.0,
-            jitter_buffer_ms: 0.0,
+            jitter_buffer_ms: 3.0,
             decode_ms: 2.0,
             inference_ms: 238.0,
         }
@@ -249,9 +249,28 @@ mod tests {
     #[test]
     fn totals_and_target() {
         let b = budget();
-        assert!((b.total_ms() - 296.0).abs() < 1e-9);
+        // Every one of the seven terms, named so a new field must join the sum here too.
+        let LatencyBudget {
+            capture_ms,
+            context_compute_ms,
+            encode_ms,
+            transmission_ms,
+            jitter_buffer_ms,
+            decode_ms,
+            inference_ms,
+        } = b;
+        let sum = capture_ms
+            + context_compute_ms
+            + encode_ms
+            + transmission_ms
+            + jitter_buffer_ms
+            + decode_ms
+            + inference_ms;
+        assert_eq!(b.total_ms(), sum);
+        assert_eq!(b.total_ms(), 299.0);
         assert!(b.meets_target());
-        assert!((b.network_side_ms() - 58.0).abs() < 1e-9);
+        assert_eq!(b.network_side_ms(), sum - inference_ms);
+        assert_eq!(b.network_side_ms(), 61.0);
     }
 
     #[test]

@@ -31,8 +31,8 @@
 //!   thread pool, bit-identically for any pool size;
 //! * [`scenarios`] — the one validated scenario description ([`ScenarioSpec`]: tenants ×
 //!   turns × window × think time on an uplink, warm or cold, shared or not), the registry of
-//!   its sixteen named, seeded entries, and the runs that report traditional vs AI-oriented
-//!   ABR on each (the golden-fixture substrate);
+//!   its sixteen named, seeded entries, and its one run ([`ScenarioSpec::run`]) reporting
+//!   traditional vs AI-oriented ABR on each ([`ScenarioReport`], the golden-fixture substrate);
 //! * [`eval`] — the Figure 9 experiment: DeViBench accuracy of ours vs the baseline across
 //!   matched bitrates.
 
@@ -59,7 +59,5 @@ pub use conversation::{Conversation, ConversationReport};
 pub use eval::{run_accuracy_vs_bitrate, AccuracyPoint};
 pub use latency::{LatencyBudget, RESPONSE_LATENCY_TARGET_MS};
 pub use net_session::{FrameDelivery, NetSessionOptions, NetSessionOptionsError, NetTurnReport};
-pub use scenarios::{
-    ContentionScenarioReport, ConversationScenarioReport, ScenarioReport, ScenarioSpec, ScenarioSpecError,
-};
+pub use scenarios::{ScenarioReport, ScenarioSpec, ScenarioSpecError};
 pub use server::{ConversationChatServer, ServingReport};

@@ -32,7 +32,7 @@ use aivc_rtc::nack::NackConfig;
 use aivc_rtc::rtp::DEFAULT_MTU_BYTES;
 use aivc_rtc::AbrPolicy;
 use aivc_sim::{SimDuration, SimTime};
-use serde::{Serialize, Value};
+use serde::Serialize;
 
 /// Options of one networked chat session.
 #[derive(Debug, Clone, Serialize)]
@@ -510,12 +510,7 @@ impl FrameDelivery {
 
 /// The report of one networked chat turn — plain values only, so server slots can replace
 /// reports in place.
-///
-/// Serialization note: `Serialize` is implemented by hand (not derived) so the `resilience`
-/// block is **omitted** when quiet. The pre-fault golden fixtures never contained the
-/// field; emitting an all-zero block would change every fixture byte stream, and the
-/// vendored serde derive has no field-skipping attribute support.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct NetTurnReport {
     /// The MLLM's answer over everything the receiver could decode before the deadline.
     pub answer: Answer,
@@ -544,54 +539,11 @@ pub struct NetTurnReport {
     pub retransmissions_sent: u64,
     /// The congestion controller's bandwidth estimate when the turn ended.
     pub final_estimate_bps: f64,
-    /// Fault/resilience telemetry; all-zero (and unserialized) when faults and the
-    /// resilience stack are off.
+    /// Fault/resilience telemetry; all-zero when faults and the resilience stack are off,
+    /// and then left out of the serialized report (fault-free fixtures and the benchmark's
+    /// report digests never held it).
+    #[serde(skip_serializing_if = "FaultTelemetry::is_quiet")]
     pub resilience: FaultTelemetry,
-}
-
-impl Serialize for NetTurnReport {
-    fn to_value(&self) -> Value {
-        let mut fields = vec![
-            ("answer".to_string(), self.answer.to_value()),
-            ("frames_sent".to_string(), self.frames_sent.to_value()),
-            ("frames_delivered".to_string(), self.frames_delivered.to_value()),
-            ("frames_decoded".to_string(), self.frames_decoded.to_value()),
-            (
-                "mean_target_bitrate_bps".to_string(),
-                self.mean_target_bitrate_bps.to_value(),
-            ),
-            (
-                "achieved_bitrate_bps".to_string(),
-                self.achieved_bitrate_bps.to_value(),
-            ),
-            ("goodput_bps".to_string(), self.goodput_bps.to_value()),
-            (
-                "p50_frame_latency_ms".to_string(),
-                self.p50_frame_latency_ms.to_value(),
-            ),
-            (
-                "p95_frame_latency_ms".to_string(),
-                self.p95_frame_latency_ms.to_value(),
-            ),
-            ("packets_lost".to_string(), self.packets_lost.to_value()),
-            (
-                "fec_recovered_frames".to_string(),
-                self.fec_recovered_frames.to_value(),
-            ),
-            (
-                "retransmissions_sent".to_string(),
-                self.retransmissions_sent.to_value(),
-            ),
-            (
-                "final_estimate_bps".to_string(),
-                self.final_estimate_bps.to_value(),
-            ),
-        ];
-        if !self.resilience.is_quiet() {
-            fields.push(("resilience".to_string(), self.resilience.to_value()));
-        }
-        Value::Object(fields)
-    }
 }
 
 impl NetTurnReport {

@@ -5,23 +5,21 @@
 //! [`BandwidthTrace`], a loss model and a fault schedule), started warm or cold, and — when
 //! its tenants share the uplink — how they share it. [`registry`] holds the sixteen entries
 //! the golden fixtures pin, and [`ScenarioSpec::validate`] is the one front door:
-//! [`ScenarioSpec::tenant_spec`] and every run entry panic with its message before they
-//! build anything. A run reports traditional estimate-riding ABR and the paper's AI-oriented
-//! accuracy floor side by side (§2.2 / §3.2, Figure 3), in the report of the spec's
-//! [fixture family](ScenarioSpec::fixture_family). Everything is deterministic: a registry
-//! entry reproduces bit-identical reports across runs and pool sizes, which the fixtures
-//! under `tests/fixtures/` pin down — transport behaviour changes must be intentional and
-//! reviewed alongside a fixture update.
+//! [`ScenarioSpec::tenant_spec`] and [`ScenarioSpec::run`] panic with its message before they
+//! build anything. [`ScenarioSpec::run`] is the one way to run a spec: its tenants on the
+//! contention engine (one tenant on a link of its own is the K = 1 case), reporting
+//! traditional estimate-riding ABR and the paper's AI-oriented accuracy floor side by side
+//! (§2.2 / §3.2, Figure 3) in one [`ScenarioReport`]. Everything is deterministic: a
+//! registry entry reproduces bit-identical reports across runs and pool sizes, which the
+//! fixtures under `tests/fixtures/` pin down — transport behaviour changes must be
+//! intentional and reviewed alongside a fixture update.
 
 use crate::contention::{
     run_contention, AdmissionConfig, ContentionConfig, ContentionConfigError, ContentionReport,
     CrossTrafficSpec, StarvationConfig, TenantSpec, TenantTurn,
 };
-use crate::conversation::{Conversation, ConversationReport};
-use crate::net_session::{
-    queue_bytes_for, NetSessionOptions, NetSessionOptionsError, NetTurnReport, MAX_TIMER_SECS,
-};
-use crate::server::ConversationChatServer;
+use crate::conversation::Conversation;
+use crate::net_session::{queue_bytes_for, NetSessionOptions, NetSessionOptionsError, MAX_TIMER_SECS};
 use aivc_mllm::{Question, QuestionFormat};
 use aivc_netsim::{
     BandwidthTrace, FaultEpisode, FaultKind, FaultSchedule, LatencyStats, LinkConfig, LossModel, PathConfig,
@@ -45,8 +43,6 @@ const FAIRNESS_WINDOW: SimDuration = SimDuration::from_millis(500);
 /// Most turns a spec may script: [`ScenarioSpec::tenant_spec`] builds every window up front
 /// (≈ 18 kB for a 6-s one), so a typo must not allocate the box away.
 const MAX_TURNS: usize = 1_000;
-/// Sessions in the server leg of [`run_scenario`].
-const SERVER_SESSIONS: usize = 3;
 
 /// One named scenario: what the registry's entries vary, and nothing they share. What they
 /// share is fixed: the 12-fps capture, the 6-s basketball clip, a clean 100 Mbps / 30 ms
@@ -54,8 +50,7 @@ const SERVER_SESSIONS: usize = 3;
 /// watchdog and the trace's rate at t = 0 as the nominal rate admission divides.
 #[derive(Debug, Clone)]
 pub struct ScenarioSpec {
-    /// Registry key (and, after the [fixture family](ScenarioSpec::fixture_family), the
-    /// fixture file name).
+    /// Registry key, and the name of the spec's golden fixture.
     pub name: &'static str,
     /// One-line description of the condition being modelled.
     pub summary: &'static str,
@@ -131,7 +126,7 @@ impl ScenarioSpec {
     /// Checks the spec before anything is built: its own fields here, the options every
     /// tenant runs with through [`NetSessionOptions::validate`], and the contention
     /// configuration through [`ContentionConfig::validate`]. [`ScenarioSpec::tenant_spec`]
-    /// and every run entry panic with the error's message. Destructured without `..`: a new
+    /// and [`ScenarioSpec::run`] panic with the error's message. Destructured without `..`: a new
     /// field does not compile until its check (or its reason for needing none) is written
     /// here.
     pub fn validate(&self) -> Result<(), ScenarioSpecError> {
@@ -196,17 +191,6 @@ impl ScenarioSpec {
     fn assert_valid(&self) {
         if let Err(error) = self.validate() {
             panic!("{error}");
-        }
-    }
-
-    /// The family of this spec's golden fixture — its file name's prefix and its report:
-    /// `"contention"` when the tenants share the uplink, else `"scenario"` for one turn
-    /// and `"conversation"` for several.
-    pub fn fixture_family(&self) -> &'static str {
-        match (&self.sharing, self.turns) {
-            (Some(_), _) => "contention",
-            (None, 1) => "scenario",
-            (None, _) => "conversation",
         }
     }
 
@@ -304,6 +288,35 @@ impl ScenarioSpec {
             think: SimDuration::from_secs_f64(self.think_secs),
             options: self.tenant_options(tenant, ai_oriented),
             turns: self.tenant_turns(tenant),
+        }
+    }
+
+    /// Every tenant's [`ScenarioSpec::tenant_spec`] in the given report leg, in tenant order:
+    /// what one leg hands [`run_contention`].
+    ///
+    /// # Panics
+    ///
+    /// Panics with [`ScenarioSpec::validate`]'s message.
+    pub fn tenant_specs(&self, ai_oriented: bool) -> Vec<TenantSpec> {
+        (0..self.tenants)
+            .map(|tenant| self.tenant_spec(tenant, ai_oriented))
+            .collect()
+    }
+
+    /// Runs the spec end to end: its tenants on the contention engine under both ABR legs.
+    /// A spec with a link of its own is the K = 1 case — one tenant on a one-flow link
+    /// seeded like its session — and reports exactly what a lone [`Conversation`] would.
+    ///
+    /// # Panics
+    ///
+    /// Panics with [`ScenarioSpec::validate`]'s message before anything is built.
+    pub fn run(&self) -> ScenarioReport {
+        self.assert_valid();
+        let leg = |ai_oriented| run_contention(&self.config(), self.tenant_specs(ai_oriented));
+        ScenarioReport {
+            scenario: self.name.to_string(),
+            traditional: leg(false),
+            ai_oriented: leg(true),
         }
     }
 }
@@ -681,62 +694,38 @@ pub fn contention_registry() -> Vec<ScenarioSpec> {
     specs
 }
 
-/// The report of a one-turn spec: both ABR modes side by side plus a small multi-session
-/// [`ConversationChatServer`] run.
+/// The report of a spec: both ABR legs side by side, each a full [`ContentionReport`] of
+/// every tenant (a spec with a link of its own reports its one tenant). A pinned tenant
+/// stays AI-oriented in both legs.
 #[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct ScenarioReport {
     /// The scenario's registry name.
     pub scenario: String,
-    /// The turn under traditional estimate-riding ABR.
-    pub traditional: NetTurnReport,
-    /// The turn under AI-oriented accuracy-floor ABR.
-    pub ai_oriented: NetTurnReport,
-    /// Sessions in the multi-session server run (AI-oriented mode).
-    pub server_sessions: usize,
-    /// Fraction of server sessions that answered correctly.
-    pub server_correct_fraction: f64,
-    /// Mean probability of a correct answer across server sessions.
-    pub server_mean_probability: f64,
+    /// The run with (unpinned) tenants on traditional estimate-riding ABR.
+    pub traditional: ContentionReport,
+    /// The run with every tenant on AI-oriented accuracy-floor ABR.
+    pub ai_oriented: ContentionReport,
 }
 
-/// Runs a spec's one conversation on a link of its own under one ABR mode: tenant 0's
-/// script on a fresh [`Conversation`].
-///
-/// # Panics
-///
-/// Panics with [`ScenarioSpec::validate`]'s message before anything is built.
-pub fn run_conversation_mode(spec: &ScenarioSpec, ai_oriented: bool) -> ConversationReport {
-    let tenant = spec.tenant_spec(0, ai_oriented);
-    let mut conversation = Conversation::with_defaults(tenant.options, tenant.think);
-    for turn in &tenant.turns {
-        conversation.run_turn_in_place(&turn.frames, &turn.question);
-    }
-    conversation.report()
-}
-
-/// Runs a one-turn spec end to end: its turn under both ABR modes plus a
-/// `SERVER_SESSIONS`-session server workload spread over `pool_size` lanes. The result is
-/// bit-identical for any `pool_size` (sessions share nothing).
-///
-/// # Panics
-///
-/// Panics with [`ScenarioSpec::validate`]'s message before anything is built, or when the
-/// spec has more than one turn.
-pub fn run_scenario(spec: &ScenarioSpec, pool_size: usize) -> ScenarioReport {
-    let tenant = spec.tenant_spec(0, true);
-    assert_eq!(spec.turns, 1, "a scenario report holds one turn per mode");
-    let turn = |ai_oriented| run_conversation_mode(spec, ai_oriented).turns.remove(0);
-    let (traditional, ai_oriented) = (turn(false), turn(true));
-    let mut server = ConversationChatServer::new(pool_size, SERVER_SESSIONS, tenant.options, tenant.think);
-    server.run_turns(&tenant.turns[0].frames, &tenant.turns[0].question);
-    ScenarioReport {
-        scenario: spec.name.to_string(),
-        traditional,
-        ai_oriented,
-        server_sessions: SERVER_SESSIONS,
-        server_correct_fraction: server.correct_fraction(),
-        server_mean_probability: server.mean_probability_correct(),
-    }
+/// Runs the whole registry, one spec per cell, across a [`MiniPool`] of `pool_size` lanes.
+/// Cells share nothing — each builds its own link, tenants and timeline — so the result,
+/// in registry order, is **bit-identical for any pool size** (pinned by the pool-sweep
+/// property test and the golden fixtures).
+pub fn run_registry(pool_size: usize) -> Vec<ScenarioReport> {
+    let mut slots: Vec<(ScenarioSpec, Option<ScenarioReport>)> =
+        registry().into_iter().map(|s| (s, None)).collect();
+    let pool = MiniPool::new(pool_size);
+    let chunks = slots.len();
+    let mut lane_units = vec![(); pool.lanes()];
+    pool.for_each_chunk(&mut slots, chunks, &mut lane_units, |_, cells, ()| {
+        for (spec, out) in cells.iter_mut() {
+            *out = Some(spec.run());
+        }
+    });
+    slots
+        .into_iter()
+        .map(|(_, report)| report.expect("every cell ran"))
+        .collect()
 }
 
 // ---------------------------------------------------------------------------------------
@@ -782,84 +771,10 @@ pub fn stream_for(options: NetSessionOptions, secs: f64) -> (Conversation, Laten
     (conversation, latency)
 }
 
-/// The report of a multi-turn spec on a link of its own: both ABR modes side by side, each
-/// a full cross-turn [`ConversationReport`].
-#[derive(Debug, Clone, PartialEq, Serialize)]
-pub struct ConversationScenarioReport {
-    /// The scenario's registry name.
-    pub scenario: String,
-    /// The conversation under traditional estimate-riding ABR.
-    pub traditional: ConversationReport,
-    /// The conversation under AI-oriented accuracy-floor ABR.
-    pub ai_oriented: ConversationReport,
-}
-
-/// Runs a spec's one conversation under both ABR modes (see [`run_conversation_mode`]).
-pub fn run_conversation_scenario(spec: &ScenarioSpec) -> ConversationScenarioReport {
-    ConversationScenarioReport {
-        scenario: spec.name.to_string(),
-        traditional: run_conversation_mode(spec, false),
-        ai_oriented: run_conversation_mode(spec, true),
-    }
-}
-
-/// The report of a shared-uplink spec: both ABR legs side by side, each a full
-/// multi-tenant [`ContentionReport`]. A pinned tenant stays AI-oriented in both.
-#[derive(Debug, Clone, PartialEq, Serialize)]
-pub struct ContentionScenarioReport {
-    /// The scenario's registry name.
-    pub scenario: String,
-    /// The run with (unpinned) tenants on traditional estimate-riding ABR.
-    pub traditional: ContentionReport,
-    /// The run with every tenant on AI-oriented accuracy-floor ABR.
-    pub ai_oriented: ContentionReport,
-}
-
-/// Runs a spec's tenants on the contention engine under both ABR legs.
-///
-/// # Panics
-///
-/// Panics with [`ScenarioSpec::validate`]'s message before anything is built.
-pub fn run_contention_scenario(spec: &ScenarioSpec) -> ContentionScenarioReport {
-    spec.assert_valid();
-    let leg = |ai_oriented| {
-        let tenants = (0..spec.tenants)
-            .map(|t| spec.tenant_spec(t, ai_oriented))
-            .collect();
-        run_contention(&spec.config(), tenants)
-    };
-    ContentionScenarioReport {
-        scenario: spec.name.to_string(),
-        traditional: leg(false),
-        ai_oriented: leg(true),
-    }
-}
-
-/// Runs the contention registry as independent cells across a [`MiniPool`] of
-/// `pool_size` lanes, one scenario per cell. Cells share nothing — each builds its own
-/// shared link, tenants and timeline — so the result is **bit-identical for any pool
-/// size**, the same contract the server engines honour (pinned by the pool-sweep
-/// property tests).
-pub fn run_contention_cells(pool_size: usize) -> Vec<ContentionScenarioReport> {
-    let mut slots: Vec<(ScenarioSpec, Option<ContentionScenarioReport>)> =
-        contention_registry().into_iter().map(|s| (s, None)).collect();
-    let pool = MiniPool::new(pool_size);
-    let chunks = slots.len();
-    let mut lane_units = vec![(); pool.lanes()];
-    pool.for_each_chunk(&mut slots, chunks, &mut lane_units, |_, cells, ()| {
-        for (spec, out) in cells.iter_mut() {
-            *out = Some(run_contention_scenario(spec));
-        }
-    });
-    slots
-        .into_iter()
-        .map(|(_, report)| report.expect("every cell ran"))
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::conversation::ConversationReport;
     use std::panic::{catch_unwind, AssertUnwindSafe};
 
     #[test]
@@ -872,11 +787,13 @@ mod tests {
         for spec in &reg {
             assert_eq!(spec.validate(), Ok(()), "{}", spec.name);
         }
-        let family = |name| reg.iter().filter(|s| s.fixture_family() == name).count();
-        assert_eq!(
-            [family("scenario"), family("conversation"), family("contention")],
-            [8, 4, 4]
-        );
+        let count = |shape: fn(&ScenarioSpec) -> bool| reg.iter().filter(|s| shape(s)).count();
+        let [one_turn, conversations, shared] = [
+            count(|s| s.sharing.is_none() && s.turns == 1),
+            count(|s| s.sharing.is_none() && s.turns > 1),
+            count(|s| s.sharing.is_some()),
+        ];
+        assert_eq!([one_turn, conversations, shared], [8, 4, 4]);
         assert!(by_name("no-such-scenario").is_none());
         // At least one entry exercises trace looping.
         assert!(reg
@@ -893,13 +810,13 @@ mod tests {
             .any(|e| matches!(e.kind, FaultKind::Outage)));
     }
 
-    /// `validate`'s refusal of `spec`, after checking that `tenant_spec` and a run entry
-    /// panic with exactly its message.
+    /// `validate`'s refusal of `spec`, after checking that `tenant_spec` and `run` panic
+    /// with exactly its message.
     fn refusal(spec: &ScenarioSpec) -> ScenarioSpecError {
         let error = spec.validate().expect_err("the spec must be refused");
         let panics = [
             catch_unwind(AssertUnwindSafe(|| drop(spec.tenant_spec(0, true)))),
-            catch_unwind(AssertUnwindSafe(|| drop(run_contention_scenario(spec)))),
+            catch_unwind(AssertUnwindSafe(|| drop(spec.run()))),
         ];
         for panic in panics {
             let panic = panic.expect_err("refused before anything is built");
@@ -970,12 +887,20 @@ mod tests {
         );
     }
 
+    /// The one tenant's conversation of a spec with a link of its own, in both legs:
+    /// `[traditional, ai_oriented]`.
+    fn solo_legs(name: &str) -> [ConversationReport; 2] {
+        let report = by_name(name).unwrap().run();
+        [report.traditional, report.ai_oriented].map(|mut leg| {
+            assert_eq!(leg.tenants.len(), 1, "{name} has a link of its own");
+            leg.tenants.remove(0).conversation
+        })
+    }
+
     #[test]
     fn fault_scenarios_engage_the_ladder_and_recover() {
-        let spec = by_name("handover-blackout").unwrap();
-        assert!(spec.resilience);
-        for ai in [false, true] {
-            let report = run_conversation_mode(&spec, ai);
+        assert!(by_name("handover-blackout").unwrap().resilience);
+        for (ai, report) in [false, true].into_iter().zip(solo_legs("handover-blackout")) {
             let res = &report.turns[0].resilience;
             assert_eq!(res.outage_ms, 500.0, "ai={ai}: the schedule's blackout length");
             assert!(res.outage_drops > 0, "ai={ai}: blackout must drop sends");
@@ -995,8 +920,7 @@ mod tests {
 
     #[test]
     fn duplication_and_reordering_counters_are_surfaced() {
-        let spec = by_name("rtt-spike-midturn").unwrap();
-        let [trad, ai] = [false, true].map(|ai| run_conversation_mode(&spec, ai).resilience);
+        let [trad, ai] = solo_legs("rtt-spike-midturn").map(|leg| leg.resilience);
         assert!(
             trad.packets_duplicated + ai.packets_duplicated > 0,
             "a 5% duplicate episode over two seconds must duplicate something"
@@ -1011,17 +935,15 @@ mod tests {
     fn fault_free_scenarios_report_quiet_telemetry() {
         // The serialization-omission condition behind fixture bit-identity: without a
         // fault schedule or the resilience stack, the telemetry stays all-default.
-        let spec = by_name("constant").unwrap();
-        for ai in [false, true] {
-            assert!(run_conversation_mode(&spec, ai).turns[0].resilience.is_quiet());
+        for leg in solo_legs("constant") {
+            assert!(leg.turns[0].resilience.is_quiet());
         }
     }
 
     #[test]
     fn burst_storm_conversation_recovers_within_the_conversation() {
-        let spec = by_name("burst-storm-conversation").unwrap();
-        assert!(spec.resilience);
-        let report = run_conversation_mode(&spec, true);
+        assert!(by_name("burst-storm-conversation").unwrap().resilience);
+        let [_, report] = solo_legs("burst-storm-conversation");
         let res = &report.resilience;
         assert_eq!(res.outage_ms, 400.0);
         assert!(res.watchdog_fallbacks > 0);

@@ -348,6 +348,22 @@ mod tests {
     }
 
     #[test]
+    fn a_request_whose_retransmission_lands_at_the_deadline_is_still_made() {
+        // A turn concludes after every event of its deadline instant, so a retransmission
+        // landing exactly at the deadline still counts: only one landing later is hopeless.
+        let deadline = SimTime::from_millis(100);
+        let request_at = |now| {
+            let mut g = NackGenerator::new(NackConfig::default());
+            g.set_deadline(Some(deadline), SimDuration::from_millis(60));
+            g.on_packet(0, SimTime::ZERO);
+            g.on_packet(2, SimTime::from_millis(10)); // seq 1 missing
+            (g.due_nacks(now), g.nacks_suppressed())
+        };
+        assert_eq!(request_at(SimTime::from_millis(40)), (vec![1], 0));
+        assert_eq!(request_at(SimTime::from_micros(40_001)), (vec![], 1));
+    }
+
+    #[test]
     fn deadline_is_stamped_at_detection_time() {
         let mut g = NackGenerator::new(NackConfig::default());
         g.set_deadline(Some(SimTime::from_millis(50)), SimDuration::from_millis(30));

@@ -1,12 +1,12 @@
 //! Property tests of the multi-tenant contention engine: Jain's index stays inside its
 //! mathematical bounds for any allocation vector, a fault-free evenly-shared bottleneck
-//! never trips the starvation watchdog, and the contention-cell runner is bit-identical
-//! for any pool size — scheduling tenants onto lanes must not change what they compute.
+//! never trips the starvation watchdog, and the registry runner is bit-identical for any
+//! pool size — scheduling scenarios onto lanes must not change what they compute.
 
 use aivchat::core::contention::{
     run_contention, AdmissionConfig, ContentionConfig, StarvationConfig, TenantSpec, TenantTurn,
 };
-use aivchat::core::scenarios::run_contention_cells;
+use aivchat::core::scenarios::run_registry;
 use aivchat::core::NetSessionOptions;
 use aivchat::mllm::{Question, QuestionFormat};
 use aivchat::netsim::{jain_index, LinkConfig, LossModel, PathConfig, SimDuration, SimTime};
@@ -122,16 +122,16 @@ proptest! {
     }
 }
 
-/// The contention-cell runner spreads registry scenarios across a `MiniPool`; where a
+/// The registry runner spreads every scenario, one per cell, across a `MiniPool`; where a
 /// cell runs must not change what it computes. Pool sizes 1, 2 and 8 must produce
 /// byte-identical reports — the same contract the chat servers honour.
 #[test]
 fn contention_cells_are_bit_identical_across_pool_sizes() {
-    let lane1 = run_contention_cells(1);
-    let lane2 = run_contention_cells(2);
-    let lane8 = run_contention_cells(8);
+    let lane1 = run_registry(1);
+    let lane2 = run_registry(2);
+    let lane8 = run_registry(8);
     assert_eq!(lane1, lane2, "pool size 2 diverged from serial");
     assert_eq!(lane1, lane8, "pool size 8 diverged from serial");
     // And the sweep really covered the registry.
-    assert!(lane1.len() >= 4);
+    assert_eq!(lane1.len(), 16);
 }

@@ -19,10 +19,7 @@
 //! Run in debug and release (CI does): overflow checks differ between the profiles, which
 //! is how an infinite `drain_secs` used to fail two different ways.
 
-use aivchat::core::scenarios::{
-    contention_registry, registry, run_contention_scenario, run_conversation_mode, run_conversation_scenario,
-    run_scenario,
-};
+use aivchat::core::scenarios::{contention_registry, registry};
 use aivchat::core::session::StreamingMode;
 use aivchat::core::{
     run_contention, AdmissionConfig, ContentionConfig, Conversation, ConversationChatServer,
@@ -448,7 +445,7 @@ proptest! {
     /// What a registry entry varies, one value at a time: its tenant count, turn count,
     /// window, think time, last join time, pinned tenant, starvation floor or a cross-traffic
     /// source's rate (the last four on a shared-uplink entry). Either `ScenarioSpec::validate`
-    /// names the field and `tenant_spec` and every run entry refuse with exactly that message,
+    /// names the field and `tenant_spec` and `run` refuse with exactly that message,
     /// or every tenant's spec builds in both legs, with a script of captured turns and a join
     /// time the clock can add a run to. The specs are not run: a 1e6-s think time is legal,
     /// and slow.
@@ -490,12 +487,9 @@ proptest! {
             }
             return Ok(());
         };
-        let entries: [(&str, &dyn Fn()); 5] = [
+        let entries: [(&str, &dyn Fn()); 2] = [
             ("tenant_spec", &|| drop(spec.tenant_spec(0, true))),
-            ("run_scenario", &|| drop(run_scenario(&spec, 1))),
-            ("run_conversation_mode", &|| drop(run_conversation_mode(&spec, true))),
-            ("run_conversation_scenario", &|| drop(run_conversation_scenario(&spec))),
-            ("run_contention_scenario", &|| drop(run_contention_scenario(&spec))),
+            ("run", &|| drop(spec.run())),
         ];
         for (name, run) in entries {
             match catch_unwind(AssertUnwindSafe(run)) {

@@ -7,27 +7,10 @@
 //! To refresh the fixture after an intentional change of the work done:
 //! `AIVC_UPDATE_FIXTURES=1 cargo test --release --test work_counts`
 
-use aivchat::core::scenarios::{registry, ScenarioSpec};
-use aivchat::core::{run_contention_counted, Conversation, SessionSnapshot};
+use aivchat::core::scenarios::registry;
+use aivchat::core::{run_contention_counted, SessionSnapshot};
 use std::fmt::Write;
 use std::path::PathBuf;
-
-/// One ABR leg of `spec`: tenant 0's script on a conversation of its own, or every tenant on
-/// the contention engine, summed.
-fn leg_counts(spec: &ScenarioSpec, ai_oriented: bool) -> SessionSnapshot {
-    if spec.fixture_family() == "contention" {
-        let tenants = (0..spec.tenants)
-            .map(|t| spec.tenant_spec(t, ai_oriented))
-            .collect();
-        return run_contention_counted(&spec.config(), tenants).1;
-    }
-    let tenant = spec.tenant_spec(0, ai_oriented);
-    let mut conversation = Conversation::with_defaults(tenant.options, tenant.think);
-    for turn in &tenant.turns {
-        conversation.run_turn_in_place(&turn.frames, &turn.question);
-    }
-    conversation.metrics_snapshot()
-}
 
 /// The counts of one leg as a JSON object, one counter per line.
 fn leg_json(counts: &SessionSnapshot) -> String {
@@ -50,7 +33,8 @@ fn work_counts_match_their_fixture_exactly() {
     let mut json = String::from("{\n");
     let specs = registry();
     for (i, spec) in specs.iter().enumerate() {
-        let [traditional, ai_oriented] = [false, true].map(|ai| leg_json(&leg_counts(spec, ai)));
+        let [traditional, ai_oriented] = [false, true]
+            .map(|ai| leg_json(&run_contention_counted(&spec.config(), spec.tenant_specs(ai)).1));
         let comma = if i + 1 < specs.len() { "," } else { "" };
         write!(
             json,
