@@ -1,39 +1,17 @@
-//! Golden regression tests of the scenario engine: the whole registry, run through the one
-//! entry ([`ScenarioSpec::run`], spread over a pool by [`run_registry`]), must reproduce the
-//! committed JSON fixtures `tests/fixtures/<name>.json` **bit for bit**, so any change to
-//! transport, congestion control, ABR, FEC/NACK, the kernel, the shared link, the starvation
-//! watchdog, fairness telemetry or accuracy behaviour is intentional and reviewed alongside
-//! a fixture update. The contract tests below read the same reports.
-//!
-//! To refresh the fixtures after an intentional behaviour change:
-//! `AIVC_UPDATE_FIXTURES=1 cargo test --release --test scenario_golden`
+//! Golden regression tests of the one-turn specs, and the contract tests of the whole
+//! scenario engine. Every registry spec runs through the one entry (`ScenarioSpec::run`,
+//! spread over a pool by `run_registry`) in the shared harness `golden/mod.rs`; the one-turn
+//! specs must reproduce their committed fixtures `tests/fixtures/<name>.json` **bit for
+//! bit**, so any change to transport, congestion control, ABR, FEC/NACK or accuracy
+//! behaviour is intentional and reviewed alongside a fixture update. The multi-turn and
+//! shared-uplink fixtures are pinned by `conversation_golden.rs` and `contention_golden.rs`
+//! from the same harness; the contract tests below read the same reports.
 
-use aivchat::core::scenarios::{registry, run_registry, ScenarioReport, ScenarioSpec};
+mod golden;
+
+use aivchat::core::scenarios::ScenarioReport;
 use aivchat::core::{ContentionReport, ConversationReport, NetTurnReport};
-use aivchat::par::MiniPool;
-use std::path::PathBuf;
-use std::sync::OnceLock;
-
-/// Every registry spec with its report, run once per test binary on the CI-pinned pool size
-/// (`AIVC_POOL_SIZE`, falling back to the machine's parallelism): the reports are
-/// pool-independent, so the same bytes must come back at any lane count.
-fn reports() -> &'static [(ScenarioSpec, ScenarioReport)] {
-    static REPORTS: OnceLock<Vec<(ScenarioSpec, ScenarioReport)>> = OnceLock::new();
-    REPORTS.get_or_init(|| {
-        registry()
-            .into_iter()
-            .zip(run_registry(MiniPool::env_lanes()))
-            .collect()
-    })
-}
-
-/// A registry spec and its report.
-fn report(name: &str) -> &'static (ScenarioSpec, ScenarioReport) {
-    reports()
-        .iter()
-        .find(|(spec, _)| spec.name == name)
-        .expect("registered scenario")
-}
+use golden::{assert_bit_stable, report, reports, Family};
 
 /// Both legs of a report, labelled.
 fn legs(report: &ScenarioReport) -> [(&'static str, &ContentionReport); 2] {
@@ -62,42 +40,17 @@ fn one_turn(name: &str) -> (&'static NetTurnReport, &'static NetTurnReport) {
     (&traditional.turns[0], &ai.turns[0])
 }
 
-/// Every registry scenario, run end to end under both ABR legs, serialized and compared
-/// byte for byte against its committed fixture.
+/// Every one-turn spec against its fixture.
 #[test]
 fn golden_scenario_reports_are_bit_stable() {
-    let update = std::env::var("AIVC_UPDATE_FIXTURES").is_ok();
-    let fixtures = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("tests/fixtures");
-    assert_eq!(reports().len(), 16, "one fixture per registry entry");
-    for (spec, report) in reports() {
-        assert_eq!(report.scenario, spec.name);
-        let json = serde_json::to_string_pretty(report).expect("report serializes");
-        let path = fixtures.join(format!("{}.json", spec.name));
-        if update {
-            std::fs::write(&path, format!("{json}\n")).unwrap();
-            continue;
-        }
-        let expected = std::fs::read_to_string(&path).unwrap_or_else(|e| {
-            panic!(
-                "missing fixture {} ({e}); run AIVC_UPDATE_FIXTURES=1 cargo test --test scenario_golden",
-                path.display()
-            )
-        });
-        assert_eq!(
-            json.trim_end(),
-            expected.trim_end(),
-            "scenario `{}` drifted from its fixture — if the change is intentional, regenerate \
-             with AIVC_UPDATE_FIXTURES=1 and review the diff",
-            spec.name
-        );
-    }
+    assert_bit_stable(Family::OneTurn, 8);
 }
 
-/// The engine is deterministic within a process too: a fresh serial run of a spec (new
-/// shared link and tenants, same seeds) reproduces the report the pooled registry run gave.
+/// The engine is deterministic within a process too: a fresh serial run of a one-turn spec
+/// (new link and sender, same seeds) reproduces the pooled registry run.
 #[test]
 fn scenario_runs_are_deterministic() {
-    let (spec, pooled) = report("shared-blackout");
+    let (spec, pooled) = report("square-wave");
     assert_eq!(&spec.run(), pooled);
 }
 
