@@ -39,7 +39,7 @@
 //! backlog, the trace cursor and every in-flight packet persist across turn boundaries.
 
 use crate::contention::Contention;
-use crate::context_aware::{ClipState, PlanWork, Streamer};
+use crate::context_aware::{ClipState, Streamer};
 use crate::conversation::Member;
 use crate::net_session::{FaultTelemetry, FrameDelivery, NetSessionOptions, NetTurnReport, MAX_TIMER_SECS};
 use crate::session::StreamingMode;
@@ -281,8 +281,8 @@ impl NetCompute {
     }
 
     /// Encodes `frame` into turn slot `slot` of `window` at the closest achievable size
-    /// to `budget_bits`, and returns how many probes the search took and the cells its
-    /// planning recomputed.
+    /// to `budget_bits`, and adds the capture's work — its search, the probes it took, the
+    /// cells its planning recomputed, the blocks it priced and wrote — to `metrics`.
     ///
     /// This is §3.2's bitrate match as [`Streamer::encode_at_bitrate`] runs it over a whole
     /// frame set — the sender's two steps around the one search — here over a set of one,
@@ -294,7 +294,8 @@ impl NetCompute {
         slot: usize,
         frame: &Frame,
         budget_bits: f64,
-    ) -> (u32, PlanWork) {
+        metrics: &mut SessionSnapshot,
+    ) {
         if window.slots.len() <= slot {
             window.slots.resize_with(slot + 1, EncodedFrame::placeholder);
             window.slot_turn.resize(slot + 1, u64::MAX);
@@ -319,7 +320,15 @@ impl NetCompute {
             .encoder()
             .encode_at_level(frame, &self.rate_plan, search.level, &mut window.slots[slot]);
         window.slot_turn[slot] = window.turn;
-        (search.probes, planned)
+        let blocks = window.slots[slot].blocks.len() as u64;
+        metrics.rate_searches += 1;
+        metrics.rate_probes += u64::from(search.probes);
+        metrics.raster_cells_recomputed += planned.raster_cells;
+        metrics.eq1_cells += planned.eq1_cells;
+        metrics.eq2_cells += planned.eq2_cells;
+        // Every probe and the encode price each block once.
+        metrics.blocks_priced += (u64::from(search.probes) + 1) * blocks;
+        metrics.blocks_encoded += blocks;
     }
 }
 
@@ -836,14 +845,13 @@ impl TurnMachine<'_> {
                 };
 
                 // --- Encode frame i to the per-frame budget the target implies.
-                let (probes, planned) =
-                    self.compute
-                        .encode_slot_to_budget(self.window, local, &self.frames[local], budget_bits);
-                t.metrics.rate_searches += 1;
-                t.metrics.rate_probes += u64::from(probes);
-                t.metrics.raster_cells_recomputed += planned.raster_cells;
-                t.metrics.eq1_cells += planned.eq1_cells;
-                t.metrics.eq2_cells += planned.eq2_cells;
+                self.compute.encode_slot_to_budget(
+                    self.window,
+                    local,
+                    &self.frames[local],
+                    budget_bits,
+                    &mut t.metrics,
+                );
                 let encoded = &self.window.slots[local];
                 let frame_out = OutgoingFrame {
                     frame_id: i as u64,

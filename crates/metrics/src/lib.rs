@@ -14,7 +14,8 @@
 //!   same numbers the turn's `NetTurnReport` carries — these reconcile *exactly*
 //!   against per-session report sums, at any pool size;
 //! * **live** counters tick at the event site (packet sends, late-sequence drops, pacer
-//!   clamps, rate-search probes, the cells a capture's planning recomputed) and
+//!   clamps, rate-search probes, the cells a capture's planning recomputed, the blocks its
+//!   rate search and encode priced and wrote) and
 //!   intentionally include work that never reaches a report (think-gap stragglers,
 //!   drain-window sends) — they are diagnostics, not report mirrors. The work counts are
 //!   exact for a seeded run, so `tests/fixtures/work_counts.json` pins them per registry
@@ -65,6 +66,10 @@ pub struct SessionSnapshot {
     pub eq1_cells: u64,
     /// Cells whose base QP Eq. 2 wrote (the sender's allocation step).
     pub eq2_cells: u64,
+    /// Per-block rate-law evaluations the captures' rate-search probes and encodes made.
+    pub blocks_priced: u64,
+    /// Block records the captures' encodes wrote.
+    pub blocks_encoded: u64,
 }
 
 impl SessionSnapshot {
@@ -88,6 +93,8 @@ impl SessionSnapshot {
         self.raster_cells_recomputed += other.raster_cells_recomputed;
         self.eq1_cells += other.eq1_cells;
         self.eq2_cells += other.eq2_cells;
+        self.blocks_priced += other.blocks_priced;
+        self.blocks_encoded += other.blocks_encoded;
     }
 }
 
@@ -98,7 +105,7 @@ impl fmt::Display for SessionSnapshot {
             "frames {}/{} | pkts {} sent, {} lost, {} rtx | fec {} | shed {} | \
              suppressed {} nacks, {} captures | missed {} deadlines | {} fallbacks | \
              {} late drops | {} pacer clamps | {} rate probes in {} searches | \
-             cells: {} rasterized, {} eq1, {} eq2",
+             cells: {} rasterized, {} eq1, {} eq2 | blocks: {} priced, {} encoded",
             self.frames_delivered,
             self.frames_sent,
             self.packets_sent,
@@ -117,6 +124,8 @@ impl fmt::Display for SessionSnapshot {
             self.raster_cells_recomputed,
             self.eq1_cells,
             self.eq2_cells,
+            self.blocks_priced,
+            self.blocks_encoded,
         )
     }
 }
@@ -132,6 +141,8 @@ mod tests {
             deadline_missed: 1,
             rate_searches: 4,
             rate_probes: 9,
+            blocks_priced: 1530,
+            blocks_encoded: 510,
             ..SessionSnapshot::default()
         };
         let b = SessionSnapshot {
@@ -140,6 +151,8 @@ mod tests {
             raster_cells_recomputed: 510,
             eq1_cells: 81,
             eq2_cells: 81,
+            blocks_priced: 77,
+            blocks_encoded: 510,
             ..SessionSnapshot::default()
         };
         let mut total = a;
@@ -155,6 +168,8 @@ mod tests {
                 raster_cells_recomputed: 510,
                 eq1_cells: 81,
                 eq2_cells: 81,
+                blocks_priced: 1607,
+                blocks_encoded: 1020,
                 ..SessionSnapshot::default()
             }
         );

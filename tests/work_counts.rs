@@ -1,6 +1,6 @@
 //! The engine's deterministic work counts, pinned per registry scenario: how many rate
-//! searches and probes, and how many raster, Eq. 1 and Eq. 2 cells, each spec's two ABR legs
-//! cost. Runs are seeded, so every count is exact and compared at zero tolerance; a change
+//! searches and probes, how many raster, Eq. 1 and Eq. 2 cells, and how many blocks priced
+//! and encoded each spec's two ABR legs cost. Runs are seeded, so every count is exact and compared at zero tolerance; a change
 //! that removes work shows up as a diff of `tests/fixtures/work_counts.json`, and one that
 //! moves work it did not mean to move fails here.
 //!
@@ -20,6 +20,8 @@ fn leg_json(counts: &SessionSnapshot) -> String {
         ("raster_cells_recomputed", counts.raster_cells_recomputed),
         ("eq1_cells", counts.eq1_cells),
         ("eq2_cells", counts.eq2_cells),
+        ("blocks_priced", counts.blocks_priced),
+        ("blocks_encoded", counts.blocks_encoded),
     ];
     let body: Vec<String> = fields
         .iter()
