@@ -240,7 +240,7 @@ impl Streamer {
         // recompute only the patches object motion dirtied, in Eq. 1 and Eq. 2 alike.
         let mut clip = ClipState::default();
         let mut running = RatePlan::new();
-        let plans: Vec<RatePlan> = frames
+        let mut plans: Vec<RatePlan> = frames
             .iter()
             .map(|frame| {
                 self.plan_frame(frame, query, &mut clip, &mut running);
@@ -249,11 +249,11 @@ impl Streamer {
             .collect();
         let level = self
             .encoder
-            .search_rate_plans(&plans, fps, target_bitrate_bps, None)
+            .search_rate_plans(&mut plans, fps, target_bitrate_bps, None)
             .level;
         let encoded: Vec<EncodedFrame> = frames
             .iter()
-            .zip(&plans)
+            .zip(&mut plans)
             .map(|(frame, plan)| {
                 let mut out = EncodedFrame::placeholder();
                 self.encoder.encode_at_level(frame, plan, level, &mut out);
@@ -490,10 +490,10 @@ mod tests {
                 for level in [-20, 0, 7] {
                     streamer
                         .encoder()
-                        .encode_at_level(frame, &plan, level, &mut encoded);
+                        .encode_at_level(frame, &mut plan, level, &mut encoded);
                     streamer
                         .encoder()
-                        .encode_at_level(frame, &fresh_plan, level, &mut fresh_encoded);
+                        .encode_at_level(frame, &mut fresh_plan, level, &mut fresh_encoded);
                     assert_eq!(encoded, fresh_encoded, "{what}: level {level}");
                 }
                 assert!(plan.raster().follows(before.0), "{what}: plan raster");
@@ -503,7 +503,9 @@ mod tests {
                     let raster = clip.patch_raster.as_ref().expect("a 32-px sender's raster");
                     assert!(raster.follows(before.1), "{what}: patch raster");
                 }
-                streamer.encoder().encode_at_level(frame, &plan, 0, &mut encoded);
+                streamer
+                    .encoder()
+                    .encode_at_level(frame, &mut plan, 0, &mut encoded);
                 let base: Vec<_> = encoded.blocks.iter().map(|block| block.qp).collect();
                 assert_eq!(
                     base,

@@ -310,25 +310,29 @@ impl NetCompute {
         // Plan probes predict the coded size without materializing blocks — byte-exact
         // with a real encode (test-asserted). The level found is a pure function of
         // (plan, budget); the previous capture's boundary only tells the search where to
-        // start, which on a slowly moving target settles it in two probes.
+        // start, which on a slowly moving target settles it in two probes, each re-pricing
+        // only the blocks that moved since the previous capture priced that level. The
+        // encode writes its blocks from the level the probes left priced.
+        let priced_before = self.rate_plan.blocks_priced();
         let search = self
             .sender
             .encoder()
-            .search_rate_plan(&self.rate_plan, budget_bits, self.rate_hint);
+            .search_rate_plan(&mut self.rate_plan, budget_bits, self.rate_hint);
         self.rate_hint = Some(search.boundary);
-        self.sender
-            .encoder()
-            .encode_at_level(frame, &self.rate_plan, search.level, &mut window.slots[slot]);
+        self.sender.encoder().encode_at_level(
+            frame,
+            &mut self.rate_plan,
+            search.level,
+            &mut window.slots[slot],
+        );
         window.slot_turn[slot] = window.turn;
-        let blocks = window.slots[slot].blocks.len() as u64;
         metrics.rate_searches += 1;
         metrics.rate_probes += u64::from(search.probes);
         metrics.raster_cells_recomputed += planned.raster_cells;
         metrics.eq1_cells += planned.eq1_cells;
         metrics.eq2_cells += planned.eq2_cells;
-        // Every probe and the encode price each block once.
-        metrics.blocks_priced += (u64::from(search.probes) + 1) * blocks;
-        metrics.blocks_encoded += blocks;
+        metrics.blocks_priced += self.rate_plan.blocks_priced() - priced_before;
+        metrics.blocks_encoded += window.slots[slot].blocks.len() as u64;
     }
 }
 

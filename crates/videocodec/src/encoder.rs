@@ -14,7 +14,7 @@ use aivc_scene::{Frame, GridDims};
 
 /// Number of distinct QP values ([`Qp`] is clamped to `0..=51`), i.e. the size of the
 /// per-encoder QP-factor lookup table.
-const QP_TABLE: usize = 52;
+pub(crate) const QP_TABLE: usize = 52;
 
 /// CTU edge length in pixels (HEVC's default).
 pub const BLOCK_SIZE: u32 = 64;
@@ -124,32 +124,44 @@ impl Encoder {
             "QP map grid does not match frame grid"
         );
         let qps = qp_map.values();
-        self.encode_walk(frame, plan, |index| qps[index], out);
+        self.encode_walk(frame, plan, |index| qps[index], None, out);
     }
 
     /// Encodes `frame` from its prepared `plan` at the `level` a rate search over that plan
     /// settled on: every block at its base QP plus `level`, clamped, when the plan has a
     /// base map ([`RatePlan::refresh_base_qps`]), or at the uniform QP `level` without one —
-    /// the assignments [`Encoder::predict_plan_offset_size`] and
-    /// [`Encoder::predict_plan_uniform_size`] price, so the encode is the size its probe
-    /// predicted, and no QP map is built.
-    pub fn encode_at_level(&self, frame: &Frame, plan: &RatePlan, level: i32, out: &mut EncodedFrame) {
+    /// the assignments the search's probes price, so the encode is the size its probe
+    /// predicted, and no QP map is built. The byte counts come from the level the probe
+    /// left priced in the plan when it is still there; otherwise they are priced as a probe
+    /// would.
+    pub fn encode_at_level(&self, frame: &Frame, plan: &mut RatePlan, level: i32, out: &mut EncodedFrame) {
+        plan.priced_size(&self.qp_factors, level, level);
+        let plan = &*plan;
+        let priced = Some(plan.last_priced());
         match plan.base_qps() {
-            Some(base) => self.encode_walk(frame, plan, |index| Qp::new(base[index] as i32 + level), out),
+            Some(base) => self.encode_walk(
+                frame,
+                plan,
+                |index| Qp::new(base[index] as i32 + level),
+                priced,
+                out,
+            ),
             None => {
                 let qp = Qp::new(level);
-                self.encode_walk(frame, plan, |_| qp, out)
+                self.encode_walk(frame, plan, |_| qp, priced, out)
             }
         }
     }
 
     /// The one block walk behind every encode entry point: block `index` is coded at
-    /// `qp_at(index)`.
+    /// `qp_at(index)`, in `priced[index]` bytes when the plan already priced them, through
+    /// the plan's rate kernel otherwise.
     fn encode_walk(
         &self,
         frame: &Frame,
         plan: &RatePlan,
         qp_at: impl Fn(usize) -> Qp,
+        priced: Option<&[u16]>,
         out: &mut EncodedFrame,
     ) {
         let dims = self.grid_for(frame);
@@ -177,9 +189,20 @@ impl Encoder {
             let width = RATE_LANES.min(dims.len() - first);
             for lane in 0..width {
                 qps[lane] = qp_at(first + lane);
-                factors[lane] = self.qp_factors[qps[lane].value() as usize];
             }
-            plan_chunk_bytes(plan, first, &factors[..width], &mut bytes);
+            match priced {
+                Some(priced) => {
+                    for lane in 0..width {
+                        bytes[lane] = u32::from(priced[first + lane]);
+                    }
+                }
+                None => {
+                    for lane in 0..width {
+                        factors[lane] = self.qp_factors[qps[lane].value() as usize];
+                    }
+                    plan_chunk_bytes(plan, first, &factors[..width], &mut bytes);
+                }
+            }
             out.blocks.extend((0..width).map(|lane| EncodedBlock {
                 byte_len: bytes[lane],
                 qp: qps[lane],

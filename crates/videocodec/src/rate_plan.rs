@@ -8,14 +8,17 @@
 //!
 //! * `lead[b]  = INTRA_BPP_AT_REF * content_factor(b)` — the rate law's first product,
 //! * `tail[b]  = type_factor(b)` (exactly `1.0` on intra frames),
-//! * `pixels[b]` as `f64`, and the frame's base QP per block when probing offsets.
+//! * `pixels[b]` as `f32` (an area of at most 4096 is exact in `f32`, and widening it to
+//!   `f64` gives the bits an `f64` count would have), and the frame's base QP per block when
+//!   probing offsets.
 //!
 //! A block's coded size is then `((lead · qp_factor) · tail).max(MIN_BPP)`,
 //! `ceil(· pixels)`, `ceil(· / 8)`, `max(1)` — the scalar rate law's exact expression
 //! sequence (multiplying by a `tail` of exactly `1.0` is an IEEE identity, so collapsing
 //! the intra/inter split into one expression is lossless). Rate-control probes **sum**
 //! that per-block count over a candidate QP assignment
-//! ([`Encoder::predict_plan_offset_size`], [`Encoder::predict_plan_uniform_size`]); the
+//! ([`Encoder::search_rate_plan`]; [`Encoder::predict_plan_offset_size`] and
+//! [`Encoder::predict_plan_uniform_size`] price one level without keeping anything); the
 //! encode **writes** it per block at the level the search settled on
 //! ([`Encoder::encode_at_level`], or [`Encoder::encode_into_planned`] for an explicit QP
 //! map). Both go through the same kernel, so the size a probe predicts is the size the
@@ -25,7 +28,20 @@
 //! **A capture costs what changed.** The plan remembers the capture it was last prepared
 //! for: its raster is brought forward with [`GridContent::update`], and only the blocks
 //! that call recomputed get new coefficients (`tail` for every block when the GOP flips
-//! intra ↔ inter). It equals a freshly built plan field for field (tests below).
+//! intra ↔ inter). It equals a freshly built plan field for field (tests below). The
+//! search's probes and the level encode work the same way. The plan keeps two *priced
+//! levels*: each block's byte count at a level (a `u16`: a block is below 2 kB, see below),
+//! their integer sum, and the raster generation they were priced at. A probe at a level
+//! priced on this generation costs nothing, and the level encode writes its blocks from
+//! those counts. A probe at a level the previous capture priced re-prices only the raster's
+//! dirty blocks and adjusts the sum. Integer sums are exact in any order, so the result is
+//! the full pricing's. Anything that rewrites every block's terms invalidates both levels:
+//! a GOP flip, a new geometry, a whole base written ([`RatePlan::refresh_base_qps`] without
+//! its dirty-only carry, or a base handed to [`Encoder::prepare_rate_plan`]). Any other
+//! probe prices every block into the least recently used slot. Consecutive captures mostly
+//! end on the previous boundary, so their probes mostly repeat the levels the previous
+//! capture kept, and a carried plan searches and encodes exactly like a fresh one (tests
+//! below).
 //!
 //! **The conversation's one raster.** The plan owns the raster because the encode reads
 //! it; everyone else borrows it ([`RatePlan::raster`]). The §3.2 sender's CLIP patches are
@@ -43,10 +59,11 @@
 //! libm call, no integer cast, straight-line SIMD. That domain is an arithmetic fact of the
 //! model's constants: the raster clamps complexity and motion into `[0, 1]`, so
 //! `lead ∈ [0.024, 0.30]`, `tail ≤ 1`, `pixels ≤ 4096` and the largest QP factor is
-//! `2^(22/6) ≈ 12.7` — a block is at most ≈ 15.6 kbit, under 2 kB. Probes sum the per-block
-//! byte counts per lane in `f64`; every partial sum is an integer below `2^53` for any plan
-//! of up to `2^42` blocks (≈ 100 TiB of coefficients — no allocator hands one out), hence
-//! exact and independent of summation order. The one thing a frame can bring that the
+//! `2^(22/6) ≈ 12.7` — a block is at most ≈ 15.6 kbit, under 2 kB, so its byte count fits
+//! the `u16` of a priced level. The search sums priced levels in `u64`; the `predict_*`
+//! forms sum the per-block byte counts per lane in `f64`, where every partial sum is an
+//! integer below `2^53` for any plan of up to `2^42` blocks (≈ 100 TiB of coefficients — no
+//! allocator hands one out). Either sum is exact and independent of summation order. The one thing a frame can bring that the
 //! constants do not bound — a NaN content descriptor, which the raster's clamp passes
 //! through — is refused where the frame enters, [`Encoder::prepare_rate_plan`].
 //!
@@ -54,13 +71,14 @@
 //! first level of the bracket whose predicted size fits the budget — and returns
 //! whichever of `T − 1`, `T` lands closer. That result is a pure function of
 //! `(plan, budget)`; the caller's hint (the previous frame's `T`) only decides where
-//! probing starts. The turn engine matches every capture to its own budget this way; the
+//! probing starts, and the plan's priced levels only decide which probes cost a full
+//! pricing. The turn engine matches every capture to its own budget this way; the
 //! offline whole-clip match of §3.2 (one level for a set of frames, so their *mean* rate
 //! hits the target) is the same search over the summed plans
 //! ([`Encoder::search_rate_plans`]), of which the per-frame search is the one-plan case.
 //! No other module bisects a level against a budget.
 
-use crate::encoder::{Encoder, BLOCK_SIZE, HEADER_BYTES};
+use crate::encoder::{Encoder, BLOCK_SIZE, HEADER_BYTES, QP_TABLE};
 use crate::frame::FrameType;
 use crate::gop;
 use crate::qp::{Qp, QpMap, QP_MAX, QP_MIN};
@@ -89,8 +107,8 @@ pub struct RatePlan {
     lead: Vec<f64>,
     /// `type_factor` per block — exactly `1.0` on intra frames.
     tail: Vec<f64>,
-    /// Block pixel counts, pre-converted to `f64`.
-    pixels: Vec<f64>,
+    /// Block pixel counts (at most 4096, so exact in `f32`).
+    pixels: Vec<f32>,
     /// The base QP per block that offset probes and the level encode apply their level to
     /// (empty when the plan has no base, i.e. for uniform levels only).
     base_qp: Vec<u8>,
@@ -103,6 +121,24 @@ pub struct RatePlan {
     /// The frame's content raster, updated from capture to capture: source of the
     /// coefficients above and of the encode's block descriptors and coverage table.
     grid: GridContent,
+    /// The two levels priced last, most recently used first.
+    priced: [PricedLevel; 2],
+    /// Per-block rate-law evaluations the plan's searches and level encodes have made.
+    blocks_priced: u64,
+}
+
+/// One level's per-block coded byte counts on one raster generation.
+#[derive(Debug, Clone, Default)]
+struct PricedLevel {
+    /// Each block's byte count (under 2 kB: module docs).
+    bytes: Vec<u16>,
+    /// `Σ bytes`, header excluded.
+    sum: u64,
+    level: i32,
+    /// Whether `level` offsets the base (or is a uniform QP).
+    offset: bool,
+    /// The raster generation the counts are for; 0 when the slot holds none.
+    at: u64,
 }
 
 impl Default for RatePlan {
@@ -128,6 +164,8 @@ impl RatePlan {
             has_base: false,
             base_at: 0,
             grid: GridContent::default(),
+            priced: Default::default(),
+            blocks_priced: 0,
         }
     }
 
@@ -164,6 +202,9 @@ impl RatePlan {
             && self.base_qp.len() == self.dims.len();
         self.has_base = true;
         self.base_at = self.grid.generation();
+        if !carried {
+            self.forget_priced();
+        }
         if carried {
             let mut written = 0;
             for block in self.grid.dirty_cells() {
@@ -181,6 +222,114 @@ impl RatePlan {
     /// The per-block base QPs, or `None` when the plan has no base (uniform levels only).
     pub(crate) fn base_qps(&self) -> Option<&[u8]> {
         self.has_base.then_some(&self.base_qp[..])
+    }
+
+    /// Per-block rate-law evaluations this plan's searches and level encodes have made so
+    /// far: a block priced from scratch or re-priced as dirty counts once; a count taken from
+    /// a priced level counts nothing.
+    pub fn blocks_priced(&self) -> u64 {
+        self.blocks_priced
+    }
+
+    /// Drops both priced levels: something rewrote every block's rate terms.
+    fn forget_priced(&mut self) {
+        for slot in &mut self.priced {
+            slot.at = 0;
+        }
+    }
+
+    /// Coded size in bytes at `level` — an offset on the base with one, a uniform QP
+    /// without — leaving every block's count in `self.priced[0]` (module docs). A level
+    /// priced on this generation answers as it is; one priced on the generation the raster
+    /// follows re-prices the dirty blocks. Anything else prices every block into a slot
+    /// that can serve no probe; else, of two levels on one side of `level`, the farther;
+    /// else the one farther from `near`; a tie goes to the least recently used. The search
+    /// passes its hint as `near`: a search's probes close in on its boundary, which most
+    /// likely lies next to the hint, so the two levels kept are most likely its final
+    /// `T − 1` and `T` — the levels the encode and the next capture's probes ask for.
+    pub(crate) fn priced_size(&mut self, table: &[f64; QP_TABLE], level: i32, near: i32) -> u64 {
+        let (offset, generation) = (self.has_base, self.grid.generation());
+        let usable = |slot: &PricedLevel| {
+            slot.at != 0 && slot.offset == offset && (slot.at == generation || self.grid.follows(slot.at))
+        };
+        let found = self
+            .priced
+            .iter()
+            .position(|slot| usable(slot) && slot.level == level);
+        let victim = match (usable(&self.priced[0]), usable(&self.priced[1])) {
+            (false, _) => 0,
+            (true, false) => 1,
+            (true, true) => {
+                let (a, b) = (self.priced[0].level, self.priced[1].level);
+                // Of two levels on one side, the farther is no longer an end of the bracket.
+                let from = if (a < level) == (b < level) { level } else { near };
+                usize::from(a.abs_diff(from) <= b.abs_diff(from))
+            }
+        };
+        self.priced.swap(0, found.unwrap_or(victim));
+        let mut slot = std::mem::take(&mut self.priced[0]);
+        if found.is_none() || slot.at != generation {
+            let every = found.is_none();
+            self.blocks_priced += match self.base_qps() {
+                Some(base) => self.price(table, |block| base[block] as i32 + level, every, &mut slot),
+                None => self.price(table, |_| level, every, &mut slot),
+            };
+        }
+        (slot.level, slot.offset, slot.at) = (level, offset, generation);
+        let size = HEADER_BYTES as u64 + slot.sum;
+        self.priced[0] = slot;
+        size
+    }
+
+    /// Prices every block into `slot` (`every`) or the raster's dirty blocks of a slot
+    /// priced on the generation it follows, block `b` at QP `qp_at(b)` clamped; returns the
+    /// blocks priced.
+    fn price(
+        &self,
+        table: &[f64; QP_TABLE],
+        qp_at: impl Fn(usize) -> i32,
+        every: bool,
+        slot: &mut PricedLevel,
+    ) -> u64 {
+        let factor = |block: usize| table[qp_at(block).clamp(QP_MIN as i32, QP_MAX as i32) as usize];
+        let blocks = self.lead.len();
+        if every {
+            slot.bytes.resize(blocks, 0);
+            slot.sum = 0;
+            let (mut factors, mut bytes) = ([0.0; RATE_LANES], [0u32; RATE_LANES]);
+            for first in (0..blocks).step_by(RATE_LANES) {
+                let width = RATE_LANES.min(blocks - first);
+                for (lane, factor_of) in factors[..width].iter_mut().enumerate() {
+                    *factor_of = factor(first + lane);
+                }
+                plan_chunk_bytes(self, first, &factors[..width], &mut bytes);
+                for (kept, &count) in slot.bytes[first..first + width].iter_mut().zip(&bytes) {
+                    *kept = count as u16;
+                    slot.sum += u64::from(count);
+                }
+            }
+            blocks as u64
+        } else {
+            debug_assert_eq!(slot.bytes.len(), blocks);
+            let mut priced = 0;
+            for block in self.grid.dirty_cells() {
+                let count = plan_block_bytes_f64(
+                    self.lead[block],
+                    factor(block),
+                    self.tail[block],
+                    f64::from(self.pixels[block]),
+                ) as u16;
+                slot.sum = slot.sum - u64::from(slot.bytes[block]) + u64::from(count);
+                slot.bytes[block] = count;
+                priced += 1;
+            }
+            priced
+        }
+    }
+
+    /// Every block's byte count at the level [`RatePlan::priced_size`] priced last.
+    pub(crate) fn last_priced(&self) -> &[u16] {
+        &self.priced[0].bytes
     }
 }
 
@@ -219,6 +368,9 @@ impl Encoder {
         let dims = self.grid_for(frame);
         let blocks = dims.len();
         let frame_type = gop::frame_type(frame.index);
+        if plan.stamp.2 != frame_type || plan.dims != dims {
+            plan.forget_priced();
+        }
         let flipped = plan.stamp.2 != frame_type;
         plan.dims = dims;
         plan.stamp = (frame.index, frame.capture_ts_us, frame_type);
@@ -255,7 +407,7 @@ impl Encoder {
             let content_factor = 0.08 + 0.92 * complexity.clamp(0.0, 1.0);
             lead[idx] = INTRA_BPP_AT_REF * content_factor;
             tail[idx] = tail_of(idx);
-            pixels[idx] = grid.area()[idx] as f64;
+            pixels[idx] = grid.area()[idx] as f32;
         }
         if flipped {
             for (idx, tail) in tail.iter_mut().enumerate() {
@@ -269,6 +421,7 @@ impl Encoder {
             plan.base_qp.extend(base.values().iter().map(|qp| qp.value()));
             // A base handed in is not one `refresh_base_qps` may carry forward.
             (plan.has_base, plan.base_at) = (true, 0);
+            plan.forget_priced();
         }
     }
 
@@ -281,7 +434,8 @@ impl Encoder {
     }
 
     /// Predicted total size in bytes of encoding the planned frame with its base QPs
-    /// offset uniformly by `level` — the size of [`Encoder::encode_at_level`] at that level.
+    /// offset uniformly by `level` — the size of [`Encoder::encode_at_level`] at that level —
+    /// priced afresh (a search prices through the plan's kept levels instead).
     pub fn predict_plan_offset_size(&self, plan: &RatePlan, level: i32) -> u64 {
         assert!(
             plan.has_base,
@@ -325,11 +479,13 @@ impl Encoder {
     /// budget_bits)`. `hint`, normally the previous frame's [`RateSearch::boundary`], only
     /// chooses the probes: the search gallops 1, 2, 4… away from it until the boundary is
     /// bracketed, then bisects; without a hint it bisects the whole bracket. On a
-    /// stationary link consecutive frames share their boundary and two probes settle it.
-    pub fn search_rate_plan(&self, plan: &RatePlan, budget_bits: f64, hint: Option<i32>) -> RateSearch {
+    /// stationary link consecutive frames share their boundary and two probes settle it —
+    /// and since the plan keeps the levels it priced last (module docs), those two probes
+    /// re-price only the blocks that changed since the previous capture.
+    pub fn search_rate_plan(&self, plan: &mut RatePlan, budget_bits: f64, hint: Option<i32>) -> RateSearch {
         // A one-frame set at one frame per second: its mean rate is the frame's size in
         // bits (`x / 1.0 * 1.0` is `x` exactly).
-        self.search_rate_plans(std::slice::from_ref(plan), 1.0, budget_bits, hint)
+        self.search_rate_plans(std::slice::from_mut(plan), 1.0, budget_bits, hint)
     }
 
     /// [`Encoder::search_rate_plan`] for a whole set of frames: finds the **one** level —
@@ -340,7 +496,7 @@ impl Encoder {
     /// plans must all have been prepared with a base map or all without.
     pub fn search_rate_plans(
         &self,
-        plans: &[RatePlan],
+        plans: &mut [RatePlan],
         fps: f64,
         target_bitrate_bps: f64,
         hint: Option<i32>,
@@ -351,27 +507,20 @@ impl Encoder {
             "a set is searched on offsets or on uniform QPs, not a mix"
         );
         let count = plans.len() as f64;
-        let mean_rate = |bytes: u64| (bytes * 8) as f64 / count * fps;
-        if has_base {
-            let (lo, hi) = (-(QP_MAX as i32), QP_MAX as i32);
-            search_boundary(lo, hi, target_bitrate_bps, hint, |level| {
-                mean_rate(
-                    plans
-                        .iter()
-                        .map(|plan| self.predict_plan_offset_size(plan, level))
-                        .sum(),
-                )
-            })
+        let (lo, hi) = if has_base {
+            (-(QP_MAX as i32), QP_MAX as i32)
         } else {
-            search_boundary(QP_MIN as i32, QP_MAX as i32, target_bitrate_bps, hint, |qp| {
-                mean_rate(
-                    plans
-                        .iter()
-                        .map(|plan| self.predict_plan_uniform_size(plan, Qp::new(qp)))
-                        .sum(),
-                )
-            })
-        }
+            (QP_MIN as i32, QP_MAX as i32)
+        };
+        let table = self.qp_factor_table();
+        search_boundary(lo, hi, target_bitrate_bps, hint, |level| {
+            let near = hint.unwrap_or(level);
+            let bytes: u64 = plans
+                .iter_mut()
+                .map(|plan| plan.priced_size(table, level, near))
+                .sum();
+            (bytes * 8) as f64 / count * fps
+        })
     }
 }
 
@@ -469,7 +618,7 @@ pub(crate) fn plan_chunk_bytes(plan: &RatePlan, first: usize, factors: &[f64], o
         .zip(&plan.pixels[first..end]);
     // Branch-free over unit-stride slices: the loop LLVM turns into SIMD.
     for (bytes, (((&lead, &factor), &tail), &pixels)) in out.iter_mut().zip(coefficients) {
-        *bytes = plan_block_bytes_f64(lead, factor, tail, pixels) as u32;
+        *bytes = plan_block_bytes_f64(lead, factor, tail, f64::from(pixels)) as u32;
     }
 }
 
@@ -491,12 +640,13 @@ fn plan_total_bytes(plan: &RatePlan, factors_from: impl Fn(usize, &mut [f64])) -
         );
         // Fixed-width and branch-free: the loop LLVM turns into SIMD.
         for lane in 0..RATE_LANES {
-            lanes[lane] += plan_block_bytes_f64(lead[lane], factor[lane], tail[lane], pixels[lane]);
+            lanes[lane] +=
+                plan_block_bytes_f64(lead[lane], factor[lane], tail[lane], f64::from(pixels[lane]));
         }
     }
     factors_from(whole, &mut factor[..blocks - whole]);
     for b in whole..blocks {
-        lanes[b - whole] += plan_block_bytes_f64(lead[b], factor[b - whole], tail[b], pixels[b]);
+        lanes[b - whole] += plan_block_bytes_f64(lead[b], factor[b - whole], tail[b], f64::from(pixels[b]));
     }
     HEADER_BYTES as u64 + lanes.iter().sum::<f64>() as u64
 }
@@ -672,7 +822,7 @@ mod tests {
                             enc.predict_plan_uniform_size(&plan, qp),
                         )
                     };
-                    enc.encode_at_level(&frame, &plan, level, &mut at_level);
+                    enc.encode_at_level(&frame, &mut plan, level, &mut at_level);
                     enc.encode_into_planned(&frame, &map, &plan, &mut scratch, &mut with_map);
                     let what = format!("frame {index}, base {with_base}, level {level}");
                     assert_eq!(at_level, with_map, "{what}");
@@ -688,7 +838,7 @@ mod tests {
         for &(lead, tail, pixels) in blocks {
             plan.lead.push(lead);
             plan.tail.push(tail);
-            plan.pixels.push(pixels);
+            plan.pixels.push(pixels as f32);
         }
         plan
     }
@@ -697,7 +847,7 @@ mod tests {
         let factor = enc.qp_factor_table()[qp.value() as usize];
         HEADER_BYTES as u64
             + (0..plan.lead.len())
-                .map(|b| plan_block_bytes(plan.lead[b], factor, plan.tail[b], plan.pixels[b]) as u64)
+                .map(|b| plan_block_bytes(plan.lead[b], factor, plan.tail[b], plan.pixels[b].into()) as u64)
                 .sum::<u64>()
     }
 
@@ -857,7 +1007,7 @@ mod tests {
                     None,
                 ];
                 for base in &bases {
-                    let plans = plans_for(&enc, &frames, base.as_ref());
+                    let mut plans = plans_for(&enc, &frames, base.as_ref());
                     let (lo, hi) = if base.is_some() { (-51, 51) } else { (0, 51) };
                     // The whole curve once; the exhaustive side reads it back.
                     let curve: Vec<f64> = (lo..=hi).map(|l| mean_rate_at(&enc, &plans, l, fps)).collect();
@@ -876,14 +1026,14 @@ mod tests {
                     for budget in budgets {
                         let (level, boundary) = exhaustive(lo, hi, budget, bits_at);
                         for hint in (lo..=hi).step_by(stride).map(Some).chain([None]) {
-                            let found = enc.search_rate_plans(&plans, fps, budget, hint);
+                            let found = enc.search_rate_plans(&mut plans, fps, budget, hint);
                             assert_eq!(
                                 (found.level, found.boundary),
                                 (level, boundary),
                                 "frames {indices:?}, {width}x{height}, budget {budget}, hint {hint:?}"
                             );
                             assert!(found.probes <= probe_bound(lo, hi));
-                            if let [plan] = &plans[..] {
+                            if let [plan] = &mut plans[..] {
                                 assert_eq!(enc.search_rate_plan(plan, budget, hint), found);
                             }
                         }
@@ -926,10 +1076,10 @@ mod tests {
         let enc = Encoder::new(EncoderConfig::default());
         let source = VideoSource::new(basketball_game(1), SourceConfig::fps30(10.0));
         let frames: Vec<Frame> = (0..30).map(|index| source.frame(index)).collect();
-        let plans = plans_for(&enc, &frames, None);
+        let mut plans = plans_for(&enc, &frames, None);
         let mut previous_qp = QP_MAX as i32;
         for target in [1_000.0, 400_000.0, 850_000.0, 2_000_000.0, 6_000_000.0] {
-            let found = enc.search_rate_plans(&plans, 30.0, target, None);
+            let found = enc.search_rate_plans(&mut plans, 30.0, target, None);
             assert!(found.probes <= 6, "target {target}: {} probes", found.probes);
             assert!(found.level <= previous_qp, "target {target}: QP rose");
             previous_qp = found.level;
@@ -955,9 +1105,9 @@ mod tests {
         let source = VideoSource::new(lecture_slides(4), SourceConfig::fps30(10.0));
         let frames: Vec<Frame> = (0..10).map(|index| source.frame(index)).collect();
         let base = QpMap::uniform(enc.grid_for(&frames[0]), Qp::new(22));
-        let plans = plans_for(&enc, &frames, Some(&base));
+        let mut plans = plans_for(&enc, &frames, Some(&base));
         let target = 900_000.0;
-        let found = enc.search_rate_plans(&plans, 30.0, target, None);
+        let found = enc.search_rate_plans(&mut plans, 30.0, target, None);
         assert!(found.probes <= 7, "{} probes", found.probes);
         assert!(found.level > 0, "expected a positive offset to shrink the stream");
         let achieved = mean_rate_at(&enc, &plans, found.level, 30.0);
@@ -1089,6 +1239,7 @@ mod tests {
     #[test]
     fn a_plan_carried_across_captures_equals_a_fresh_plan() {
         let bits = |values: &[f64]| values.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        let pixel_bits = |values: &[f32]| values.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
         let enc = Encoder::new(EncoderConfig::default());
         for seed in 0..6u64 {
             let mut rng = Lcg(seed);
@@ -1122,7 +1273,11 @@ mod tests {
                 assert_eq!(plan.stamp, fresh.stamp, "{what}: stamp");
                 assert_eq!(bits(&plan.lead), bits(&fresh.lead), "{what}: lead");
                 assert_eq!(bits(&plan.tail), bits(&fresh.tail), "{what}: tail");
-                assert_eq!(bits(&plan.pixels), bits(&fresh.pixels), "{what}: pixels");
+                assert_eq!(
+                    pixel_bits(&plan.pixels),
+                    pixel_bits(&fresh.pixels),
+                    "{what}: pixels"
+                );
                 assert_eq!(plan.base_qps(), fresh.base_qps(), "{what}: base_qp");
                 assert_eq!(plan.has_base, fresh.has_base, "{what}: has_base");
                 let mut map = QpMap::empty();
@@ -1150,6 +1305,148 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// How the carried plan gets its base on one step of the sequence below.
+    #[derive(Debug, Clone, Copy)]
+    enum BaseStep {
+        /// The baseline: no base, uniform levels.
+        Uniform,
+        /// The context-aware sender's order: plan, then the dirty blocks' QPs.
+        DirtyOnly,
+        /// A whole base written after the plan (`refresh_base_qps(false, …)`).
+        Rewrite,
+        /// A base handed in with the frame (`prepare_rate_plan(.., Some)`).
+        HandedIn,
+    }
+
+    #[test]
+    fn a_carried_plan_searches_and_encodes_exactly_like_a_fresh_one() {
+        let enc = Encoder::new(EncoderConfig::default());
+        let mut cheaper_steps = 0;
+        for seed in 0..4u64 {
+            let mut rng = Lcg(seed);
+            let mut scene = basketball_game(seed);
+            (scene.width, scene.height) = (900, 500);
+            let mut frame = VideoSource::new(scene, SourceConfig::fps30(5.0)).frame(1);
+            let mut plan = RatePlan::new();
+            let (mut carried_out, mut fresh_out) = (
+                crate::frame::EncodedFrame::placeholder(),
+                crate::frame::EncodedFrame::placeholder(),
+            );
+            let (mut budget, mut hint, mut shift) = (40_000.0, None, 0);
+            for step in 1..=150u64 {
+                let what = format!("seed {seed} step {step}");
+                // Mostly one object moving a little, now and then any edit `step_frame` makes.
+                if rng.range(0, 4) == 0 {
+                    step_frame(&mut rng, &mut frame);
+                } else {
+                    let at = rng.range(0, frame.placements.len() as i64) as usize;
+                    let region = frame.placements[at].region;
+                    frame.placements[at].region = region.translated(rng.range(-12, 13), rng.range(-8, 9));
+                }
+                match rng.range(0, 40) {
+                    // A geometry switch.
+                    0 => (frame.width, frame.height) = ([640, 900, 1280][rng.range(0, 3) as usize], 500),
+                    // A skipped capture: the plan is prepared for a frame nobody probes.
+                    1 => {
+                        enc.prepare_rate_plan(&frame, None, &mut plan);
+                        frame.capture_ts_us += 1;
+                        step_frame(&mut rng, &mut frame);
+                    }
+                    _ => {}
+                }
+                // Inter runs, GOP flips at every 60th frame, now and then a jump to an intra.
+                frame.index = if rng.range(0, 30) == 0 { 120 } else { step };
+                frame.capture_ts_us += 33_333;
+                let dims = enc.grid_for(&frame);
+                // A context-aware conversation on even seeds, a baseline one on odd seeds, and
+                // one step in ten that gets its base another way.
+                let steps = [
+                    BaseStep::DirtyOnly,
+                    BaseStep::Uniform,
+                    BaseStep::Rewrite,
+                    BaseStep::HandedIn,
+                ];
+                let base_step = match rng.range(0, 10) {
+                    0 => steps[rng.range(0, 4) as usize],
+                    _ => steps[seed as usize % 2],
+                };
+                if matches!(base_step, BaseStep::Rewrite | BaseStep::HandedIn) {
+                    shift = rng.range(0, 52) as usize;
+                }
+                let qp_of = |block: usize| ((block * 7 + shift) % 52) as u8;
+                match base_step {
+                    BaseStep::Uniform => enc.prepare_rate_plan(&frame, None, &mut plan),
+                    BaseStep::DirtyOnly | BaseStep::Rewrite => {
+                        enc.prepare_rate_plan(&frame, None, &mut plan);
+                        plan.refresh_base_qps(matches!(base_step, BaseStep::DirtyOnly), qp_of);
+                    }
+                    BaseStep::HandedIn => {
+                        let base = QpMap::from_values(
+                            dims,
+                            (0..dims.len()).map(|b| Qp::new(qp_of(b).into())).collect(),
+                        );
+                        enc.prepare_rate_plan(&frame, Some(&base), &mut plan);
+                    }
+                }
+                let base = plan
+                    .base_qps()
+                    .map(|qps| QpMap::from_values(dims, qps.iter().map(|&qp| Qp::new(qp.into())).collect()));
+                let mut fresh = enc.rate_plan_for(&frame, base.as_ref());
+                // A budget that drifts like a link estimate, with now and then a jump; a
+                // hint that is mostly the previous boundary, now and then nonsense.
+                budget = match rng.range(0, 20) {
+                    0 => rng.range(1, 400_000) as f64,
+                    _ => budget * rng.range(97, 104) as f64 / 100.0,
+                };
+                hint = match rng.range(0, 20) {
+                    0 => None,
+                    1 => Some([-1_000, 1_000, i32::MIN, i32::MAX][rng.range(0, 4) as usize]),
+                    2 => Some(rng.range(-60, 61) as i32),
+                    _ => hint,
+                };
+                let before = (plan.blocks_priced(), fresh.blocks_priced());
+                let found = enc.search_rate_plan(&mut plan, budget, hint);
+                assert_eq!(
+                    found,
+                    enc.search_rate_plan(&mut fresh, budget, hint),
+                    "{what}: search"
+                );
+                // The search's level, and now and then a level it may not have priced.
+                let other = (rng.range(0, 5) == 0).then(|| rng.range(-51, 52) as i32);
+                for level in std::iter::once(found.level).chain(other) {
+                    enc.encode_at_level(&frame, &mut plan, level, &mut carried_out);
+                    enc.encode_at_level(&frame, &mut fresh, level, &mut fresh_out);
+                    assert_eq!(carried_out, fresh_out, "{what}: encode at level {level}");
+                }
+                if plan.blocks_priced() - before.0 < fresh.blocks_priced() - before.1 {
+                    cheaper_steps += 1;
+                }
+                hint = Some(found.boundary);
+            }
+        }
+        // The sequence exercises the carry: on most steps the carried plan re-priced only
+        // dirty blocks for some of its probes.
+        assert!(
+            cheaper_steps > 300,
+            "{cheaper_steps} of 600 steps were cheaper carried"
+        );
+    }
+
+    #[test]
+    fn the_largest_block_the_constants_allow_fits_a_priced_level() {
+        let enc = Encoder::new(EncoderConfig::default());
+        let max_factor = enc.qp_factor_table().iter().copied().fold(0.0, f64::max);
+        // Full complexity (content factor 1), an intra tail and a whole CTU.
+        let largest = plan_block_bytes_f64(
+            INTRA_BPP_AT_REF,
+            max_factor,
+            1.0,
+            f64::from(BLOCK_SIZE * BLOCK_SIZE),
+        );
+        assert!(largest < 2048.0, "{largest} bytes");
+        assert!(largest <= f64::from(u16::MAX));
     }
 
     #[test]

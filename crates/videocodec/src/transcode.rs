@@ -45,11 +45,11 @@ pub fn transcode_clip(
     // full clip would produce: one plan per frame of the window, one QP for the set.
     let total = source.frame_count().max(1);
     let rate_window = GOP_LENGTH.min(total);
-    let plans: Vec<RatePlan> = (0..rate_window)
+    let mut plans: Vec<RatePlan> = (0..rate_window)
         .map(|idx| encoder.rate_plan_for(&source.frame(idx), None))
         .collect();
     let fps = source.config().fps;
-    let search = encoder.search_rate_plans(&plans, fps, target_bitrate_bps, None);
+    let search = encoder.search_rate_plans(&mut plans, fps, target_bitrate_bps, None);
     let qp = Qp::new(search.level);
     let window_bytes: u64 = plans
         .iter()
