@@ -38,10 +38,10 @@
 //! the full pricing's. Anything that rewrites every block's terms invalidates both levels:
 //! a GOP flip, a new geometry, a whole base written ([`RatePlan::refresh_base_qps`] without
 //! its dirty-only carry, or a base handed to [`Encoder::prepare_rate_plan`]). Any other
-//! probe prices every block into the least recently used slot. Consecutive captures mostly
-//! end on the previous boundary, so their probes mostly repeat the levels the previous
-//! capture kept, and a carried plan searches and encodes exactly like a fresh one (tests
-//! below).
+//! probe prices every block into a slot, chosen to keep the search's final `T − 1` and `T`
+//! (`RatePlan::priced_size`). Consecutive captures mostly end on the previous boundary, so
+//! their probes mostly repeat the levels the previous capture kept, and a carried plan
+//! searches and encodes exactly like a fresh one (tests below).
 //!
 //! **The conversation's one raster.** The plan owns the raster because the encode reads
 //! it; everyone else borrows it ([`RatePlan::raster`]). The §3.2 sender's CLIP patches are
@@ -60,12 +60,13 @@
 //! model's constants: the raster clamps complexity and motion into `[0, 1]`, so
 //! `lead ∈ [0.024, 0.30]`, `tail ≤ 1`, `pixels ≤ 4096` and the largest QP factor is
 //! `2^(22/6) ≈ 12.7` — a block is at most ≈ 15.6 kbit, under 2 kB, so its byte count fits
-//! the `u16` of a priced level. The search sums priced levels in `u64`; the `predict_*`
-//! forms sum the per-block byte counts per lane in `f64`, where every partial sum is an
-//! integer below `2^53` for any plan of up to `2^42` blocks (≈ 100 TiB of coefficients — no
-//! allocator hands one out). Either sum is exact and independent of summation order. The one thing a frame can bring that the
-//! constants do not bound — a NaN content descriptor, which the raster's clamp passes
-//! through — is refused where the frame enters, [`Encoder::prepare_rate_plan`].
+//! the `u16` of a priced level. A whole level's byte counts are summed per lane in `f64`,
+//! where every partial sum is an integer below `2^53` for any plan of up to `2^42` blocks
+//! (≈ 100 TiB of coefficients — no allocator hands one out); a priced level's sum is then
+//! adjusted in `u64`. Both are exact and independent of summation order. The one thing a
+//! frame can bring that the constants do not bound — a NaN content descriptor, which the
+//! raster's clamp passes through — is refused where the frame enters,
+//! [`Encoder::prepare_rate_plan`].
 //!
 //! **One search.** [`Encoder::search_rate_plan`] finds the boundary level `T` — the
 //! first level of the bracket whose predicted size fits the budget — and returns
@@ -295,36 +296,34 @@ impl RatePlan {
         let blocks = self.lead.len();
         if every {
             slot.bytes.resize(blocks, 0);
-            slot.sum = 0;
-            let (mut factors, mut bytes) = ([0.0; RATE_LANES], [0u32; RATE_LANES]);
-            for first in (0..blocks).step_by(RATE_LANES) {
-                let width = RATE_LANES.min(blocks - first);
-                for (lane, factor_of) in factors[..width].iter_mut().enumerate() {
+            let factors_from = |first: usize, out: &mut [f64]| {
+                for (lane, factor_of) in out.iter_mut().enumerate() {
                     *factor_of = factor(first + lane);
                 }
-                plan_chunk_bytes(self, first, &factors[..width], &mut bytes);
-                for (kept, &count) in slot.bytes[first..first + width].iter_mut().zip(&bytes) {
+            };
+            let kept = &mut slot.bytes;
+            let keep = |first: usize, counts: &[f64]| {
+                for (kept, &count) in kept[first..first + counts.len()].iter_mut().zip(counts) {
                     *kept = count as u16;
-                    slot.sum += u64::from(count);
                 }
-            }
-            blocks as u64
-        } else {
-            debug_assert_eq!(slot.bytes.len(), blocks);
-            let mut priced = 0;
-            for block in self.grid.dirty_cells() {
-                let count = plan_block_bytes_f64(
-                    self.lead[block],
-                    factor(block),
-                    self.tail[block],
-                    f64::from(self.pixels[block]),
-                ) as u16;
-                slot.sum = slot.sum - u64::from(slot.bytes[block]) + u64::from(count);
-                slot.bytes[block] = count;
-                priced += 1;
-            }
-            priced
+            };
+            slot.sum = plan_total_bytes(self, factors_from, keep) - HEADER_BYTES as u64;
+            return blocks as u64;
         }
+        debug_assert_eq!(slot.bytes.len(), blocks);
+        let mut priced = 0;
+        for block in self.grid.dirty_cells() {
+            let count = plan_block_bytes_f64(
+                self.lead[block],
+                factor(block),
+                self.tail[block],
+                f64::from(self.pixels[block]),
+            ) as u16;
+            slot.sum = slot.sum - u64::from(slot.bytes[block]) + u64::from(count);
+            slot.bytes[block] = count;
+            priced += 1;
+        }
+        priced
     }
 
     /// Every block's byte count at the level [`RatePlan::priced_size`] priced last.
@@ -442,31 +441,39 @@ impl Encoder {
             "offset probes need a plan prepared with a base QP map"
         );
         let table = self.qp_factor_table();
-        plan_total_bytes(plan, |first, factors| {
-            let base_qp = &plan.base_qp[first..first + factors.len()];
-            for (factor, &qp) in factors.iter_mut().zip(base_qp) {
-                *factor = table[(qp as i32 + level).clamp(QP_MIN as i32, QP_MAX as i32) as usize];
-            }
-        })
+        plan_total_bytes(
+            plan,
+            |first, factors| {
+                let base_qp = &plan.base_qp[first..first + factors.len()];
+                for (factor, &qp) in factors.iter_mut().zip(base_qp) {
+                    *factor = table[(qp as i32 + level).clamp(QP_MIN as i32, QP_MAX as i32) as usize];
+                }
+            },
+            |_, _| {},
+        )
     }
 
     /// Predicted total size in bytes of encoding the planned frame at a single uniform
     /// `qp`.
     pub fn predict_plan_uniform_size(&self, plan: &RatePlan, qp: Qp) -> u64 {
         let factor = self.qp_factor_table()[qp.value() as usize];
-        plan_total_bytes(plan, |_, factors| factors.fill(factor))
+        plan_total_bytes(plan, |_, factors| factors.fill(factor), |_, _| {})
     }
 
     /// Predicted total size in bytes of encoding the planned frame with `qp_map`.
     #[cfg(test)]
     pub(crate) fn predict_plan_map_size(&self, plan: &RatePlan, qp_map: &QpMap) -> u64 {
         let table = self.qp_factor_table();
-        plan_total_bytes(plan, |first, factors| {
-            let qps = &qp_map.values()[first..first + factors.len()];
-            for (factor, qp) in factors.iter_mut().zip(qps) {
-                *factor = table[qp.value() as usize];
-            }
-        })
+        plan_total_bytes(
+            plan,
+            |first, factors| {
+                let qps = &qp_map.values()[first..first + factors.len()];
+                for (factor, qp) in factors.iter_mut().zip(qps) {
+                    *factor = table[qp.value() as usize];
+                }
+            },
+            |_, _| {},
+        )
     }
 
     /// Finds the level of the plan's bracket — uniform offsets `-51..=51` on the base map
@@ -623,12 +630,18 @@ pub(crate) fn plan_chunk_bytes(plan: &RatePlan, first: usize, factors: &[f64], o
 }
 
 /// Header plus every block's byte count. `factors_from(first, out)` writes the QP factors
-/// of blocks `first..first + out.len()`; the plan is walked in [`RATE_LANES`]-wide chunks.
+/// of blocks `first..first + out.len()`, and `keep(first, counts)` is handed those blocks'
+/// byte counts; the plan is walked in [`RATE_LANES`]-wide chunks.
 #[inline]
-fn plan_total_bytes(plan: &RatePlan, factors_from: impl Fn(usize, &mut [f64])) -> u64 {
+fn plan_total_bytes(
+    plan: &RatePlan,
+    factors_from: impl Fn(usize, &mut [f64]),
+    mut keep: impl FnMut(usize, &[f64]),
+) -> u64 {
     let blocks = plan.lead.len();
     let (lead, tail, pixels) = (&plan.lead[..], &plan.tail[..blocks], &plan.pixels[..blocks]);
     let mut factor = [0.0f64; RATE_LANES];
+    let mut counts = [0.0f64; RATE_LANES];
     let mut lanes = [0.0f64; RATE_LANES];
     let whole = blocks - blocks % RATE_LANES;
     for first in (0..whole).step_by(RATE_LANES) {
@@ -640,14 +653,18 @@ fn plan_total_bytes(plan: &RatePlan, factors_from: impl Fn(usize, &mut [f64])) -
         );
         // Fixed-width and branch-free: the loop LLVM turns into SIMD.
         for lane in 0..RATE_LANES {
-            lanes[lane] +=
+            counts[lane] =
                 plan_block_bytes_f64(lead[lane], factor[lane], tail[lane], f64::from(pixels[lane]));
+            lanes[lane] += counts[lane];
         }
+        keep(first, &counts);
     }
     factors_from(whole, &mut factor[..blocks - whole]);
     for b in whole..blocks {
-        lanes[b - whole] += plan_block_bytes_f64(lead[b], factor[b - whole], tail[b], f64::from(pixels[b]));
+        counts[b - whole] = plan_block_bytes_f64(lead[b], factor[b - whole], tail[b], f64::from(pixels[b]));
+        lanes[b - whole] += counts[b - whole];
     }
+    keep(whole, &counts[..blocks - whole]);
     HEADER_BYTES as u64 + lanes.iter().sum::<f64>() as u64
 }
 
@@ -1334,7 +1351,7 @@ mod tests {
                 crate::frame::EncodedFrame::placeholder(),
                 crate::frame::EncodedFrame::placeholder(),
             );
-            let (mut budget, mut hint, mut shift) = (40_000.0, None, 0);
+            let (mut aim, mut hint, mut shift) = (25, None, 0);
             for step in 1..=150u64 {
                 let what = format!("seed {seed} step {step}");
                 // Mostly one object moving a little, now and then any edit `step_frame` makes.
@@ -1394,12 +1411,20 @@ mod tests {
                     .base_qps()
                     .map(|qps| QpMap::from_values(dims, qps.iter().map(|&qp| Qp::new(qp.into())).collect()));
                 let mut fresh = enc.rate_plan_for(&frame, base.as_ref());
-                // A budget that drifts like a link estimate, with now and then a jump; a
-                // hint that is mostly the previous boundary, now and then nonsense.
-                budget = match rng.range(0, 20) {
-                    0 => rng.range(1, 400_000) as f64,
-                    _ => budget * rng.range(97, 104) as f64 / 100.0,
+                // A budget just above the size at a level that drifts, now and then jumps (as
+                // an offset, `aim − 10`, so a baseline step right after a context-aware one
+                // probes uniform QPs its kept offsets share); a hint that is mostly the
+                // previous boundary, now and then nonsense.
+                aim = match rng.range(0, 20) {
+                    0 => rng.range(0, 52) as i32,
+                    1..=3 => (aim + rng.range(-1, 2) as i32).clamp(0, 51),
+                    _ => aim,
                 };
+                let size = match &base {
+                    Some(_) => enc.predict_plan_offset_size(&fresh, aim - 10),
+                    None => enc.predict_plan_uniform_size(&fresh, Qp::new(aim)),
+                };
+                let budget = (size * 8) as f64 + 0.5;
                 hint = match rng.range(0, 20) {
                     0 => None,
                     1 => Some([-1_000, 1_000, i32::MIN, i32::MAX][rng.range(0, 4) as usize]),
