@@ -607,6 +607,36 @@ mod tests {
         assert_eq!(warm.report(), twin.report());
     }
 
+    /// The pacer paces at 2.5 × the ABR target and floors the rate at 100 kbps:
+    /// `pacer_rate_clamps` counts exactly the captures whose pacing rate the floor raised.
+    /// Held at 30 kbps (75 kbps pacing) that is every capture; held at 1 Mbps, none.
+    #[test]
+    fn pacer_rate_clamps_count_every_capture_paced_below_the_floor_and_nothing_else() {
+        use aivc_rtc::AbrPolicy;
+        let q = question();
+        for (bitrate_bps, clamps_per_capture) in [(30_000.0, 1), (1_000_000.0, 0)] {
+            let mut o = options(23);
+            o.abr = AbrPolicy::Held { bitrate_bps };
+            let mut conversation = Conversation::with_defaults(o, SimDuration::from_millis(200));
+            let turns = 3;
+            for t in 0..turns {
+                conversation.run_turn(&window(t), &q);
+            }
+            let snapshot = conversation.metrics_snapshot();
+            let captures = (turns * 4) as u64;
+            assert_eq!(
+                snapshot.rate_searches + snapshot.frames_shed + snapshot.captures_suppressed,
+                captures,
+                "{bitrate_bps} bps: every capture tick is counted once"
+            );
+            assert_eq!(
+                snapshot.pacer_rate_clamps,
+                clamps_per_capture * captures,
+                "{bitrate_bps} bps"
+            );
+        }
+    }
+
     /// The engine's per-capture rate match is the offline sender's whole-set match over a
     /// set of one, in both modes: on a clean link with the ABR held, a turn codes exactly the bits
     /// `encode_at_bitrate` codes for each of its frames alone at the held rate, and the

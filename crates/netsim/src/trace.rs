@@ -256,8 +256,10 @@ impl BandwidthTrace {
     }
 
     /// The mean rate over `[0, until]`, duration-weighted (loop-aware: full periods
-    /// contribute the period mean, the tail contributes its prefix mean).
-    pub fn mean_rate(&self, until: SimTime) -> f64 {
+    /// contribute the period mean, the tail contributes its prefix mean) — what the tests
+    /// below measure the generated traces with.
+    #[cfg(test)]
+    fn mean_rate(&self, until: SimTime) -> f64 {
         let end = until.as_micros();
         if end == 0 {
             return self.segments[0].1;
@@ -277,6 +279,7 @@ impl BandwidthTrace {
 
     /// `∫₀^end rate dt` over the unlooped segments, in bits (end in µs, so bits·µs — the
     /// caller divides by a duration in µs).
+    #[cfg(test)]
     fn rate_sum_over(&self, end: u64) -> f64 {
         let mut acc = 0.0;
         for (i, (start, rate)) in self.segments.iter().enumerate() {
