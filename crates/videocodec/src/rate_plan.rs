@@ -192,7 +192,8 @@ impl RatePlan {
     /// on the base, so a plan is prepared first and its base, computed from the plan's own
     /// raster, written afterwards. With `dirty_only`, and when the base the plan holds is the one this method
     /// wrote for the raster's previous capture, only the raster's dirty blocks are rewritten
-    /// and every other block keeps its QP; otherwise every block is.
+    /// and every other block keeps its QP; otherwise every block is, and the plan's priced
+    /// levels are dropped.
     ///
     /// The §3.2 sender passes `dirty_only` when Eq. 1 rewrote only the dirty cells of a map
     /// on this very grid: every other cell's ρ, hence its QP, is the previous capture's.
@@ -203,9 +204,6 @@ impl RatePlan {
             && self.base_qp.len() == self.dims.len();
         self.has_base = true;
         self.base_at = self.grid.generation();
-        if !carried {
-            self.forget_priced();
-        }
         if carried {
             let mut written = 0;
             for block in self.grid.dirty_cells() {
@@ -214,6 +212,7 @@ impl RatePlan {
             }
             written
         } else {
+            self.forget_priced();
             self.base_qp.clear();
             self.base_qp.extend((0..self.dims.len()).map(qp_of));
             self.base_qp.len()
