@@ -714,6 +714,7 @@ impl TurnMachine<'_> {
     fn handle(&mut self, now: SimTime, event: NetEvent, sim: &mut Simulation<Event>) {
         let member = self.member;
         let t = &mut *self.t;
+        t.metrics.net_events_popped += 1;
         match event {
             NetEvent::Capture(i) => {
                 debug_assert!(
@@ -943,6 +944,7 @@ impl TurnMachine<'_> {
                     match packet.header.kind {
                         PayloadKind::Media | PayloadKind::Retransmission => {
                             t.assembler.on_packet(&packet, now);
+                            t.metrics.packets_assembled += 1;
                             // FEC bookkeeping keys off the group size the frame was
                             // *encoded* under (stored per frame), not the encoder's
                             // current size — adaptive FEC may have re-sized since.
@@ -974,6 +976,7 @@ impl TurnMachine<'_> {
                     if let Some((frame_idx, group)) = fec_candidate {
                         if let Some(slot) = t.live_slot(frame_idx) {
                             let frame = &t.outgoing[slot];
+                            t.metrics.fec_group_checks += 1;
                             for recovered in t.fec_recovery.recoverable(frame.frame_id, group) {
                                 let start = recovered as u64 * t.max_payload;
                                 let end = ((recovered as u64 + 1) * t.max_payload).min(frame.size_bytes);
@@ -984,6 +987,7 @@ impl TurnMachine<'_> {
                                     fec_group: Some(group),
                                 };
                                 t.assembler.on_packet(&synthetic, now);
+                                t.metrics.packets_assembled += 1;
                                 // Mark the reconstructed packet received so the group is
                                 // not re-recovered, and cancel its pending NACK — the
                                 // receiver holds the bytes, retransmitting them would
@@ -1010,6 +1014,7 @@ impl TurnMachine<'_> {
                 }
                 let mut due = t.take_nack_buf();
                 t.nack_gen.due_nacks_into(now, &mut due);
+                t.metrics.nack_polls += 1;
                 if due.is_empty() {
                     t.recycle_nack_buf(due);
                 } else {

@@ -15,7 +15,8 @@
 //!   against per-session report sums, at any pool size;
 //! * **live** counters tick at the event site (packet sends, late-sequence drops, pacer
 //!   clamps, rate-search probes, the cells a capture's planning recomputed, the blocks its
-//!   rate search and encode priced and wrote) and
+//!   rate search and encode priced and wrote, the member's kernel events, the packets its
+//!   assembler took, its FEC group checks and NACK polls) and
 //!   intentionally include work that never reaches a report (think-gap stragglers,
 //!   drain-window sends) — they are diagnostics, not report mirrors. The work counts are
 //!   exact for a seeded run, so `tests/fixtures/work_counts.json` pins them per registry
@@ -70,6 +71,14 @@ pub struct SessionSnapshot {
     pub blocks_priced: u64,
     /// Block records the captures' encodes wrote.
     pub blocks_encoded: u64,
+    /// The member's transport events its kernel popped off the event heap.
+    pub net_events_popped: u64,
+    /// Media and RTX packets handed to the frame assembler, FEC-synthesized ones included.
+    pub packets_assembled: u64,
+    /// FEC groups checked for an XOR recovery (one per arrival that nominates its group).
+    pub fec_group_checks: u64,
+    /// Receiver polls that asked the NACK generator for due requests.
+    pub nack_polls: u64,
 }
 
 impl SessionSnapshot {
@@ -95,6 +104,10 @@ impl SessionSnapshot {
         self.eq2_cells += other.eq2_cells;
         self.blocks_priced += other.blocks_priced;
         self.blocks_encoded += other.blocks_encoded;
+        self.net_events_popped += other.net_events_popped;
+        self.packets_assembled += other.packets_assembled;
+        self.fec_group_checks += other.fec_group_checks;
+        self.nack_polls += other.nack_polls;
     }
 }
 
@@ -105,7 +118,8 @@ impl fmt::Display for SessionSnapshot {
             "frames {}/{} | pkts {} sent, {} lost, {} rtx | fec {} | shed {} | \
              suppressed {} nacks, {} captures | missed {} deadlines | {} fallbacks | \
              {} late drops | {} pacer clamps | {} rate probes in {} searches | \
-             cells: {} rasterized, {} eq1, {} eq2 | blocks: {} priced, {} encoded",
+             cells: {} rasterized, {} eq1, {} eq2 | blocks: {} priced, {} encoded | \
+             {} net events popped | {} packets assembled | {} fec group checks | {} nack polls",
             self.frames_delivered,
             self.frames_sent,
             self.packets_sent,
@@ -126,6 +140,10 @@ impl fmt::Display for SessionSnapshot {
             self.eq2_cells,
             self.blocks_priced,
             self.blocks_encoded,
+            self.net_events_popped,
+            self.packets_assembled,
+            self.fec_group_checks,
+            self.nack_polls,
         )
     }
 }
@@ -143,6 +161,8 @@ mod tests {
             rate_probes: 9,
             blocks_priced: 1530,
             blocks_encoded: 510,
+            net_events_popped: 40,
+            packets_assembled: 18,
             ..SessionSnapshot::default()
         };
         let b = SessionSnapshot {
@@ -153,6 +173,9 @@ mod tests {
             eq2_cells: 81,
             blocks_priced: 77,
             blocks_encoded: 510,
+            net_events_popped: 2,
+            fec_group_checks: 5,
+            nack_polls: 3,
             ..SessionSnapshot::default()
         };
         let mut total = a;
@@ -170,6 +193,10 @@ mod tests {
                 eq2_cells: 81,
                 blocks_priced: 1607,
                 blocks_encoded: 1020,
+                net_events_popped: 42,
+                packets_assembled: 18,
+                fec_group_checks: 5,
+                nack_polls: 3,
                 ..SessionSnapshot::default()
             }
         );

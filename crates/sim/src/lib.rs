@@ -51,7 +51,9 @@ pub trait Actor {
 pub struct Simulation<E> {
     queue: EventQueue<E>,
     now: SimTime,
+    scheduled: u64,
     popped: u64,
+    cancelled: u64,
 }
 
 impl<E> Default for Simulation<E> {
@@ -66,7 +68,9 @@ impl<E> Simulation<E> {
         Self {
             queue: EventQueue::new(),
             now: SimTime::ZERO,
+            scheduled: 0,
             popped: 0,
+            cancelled: 0,
         }
     }
 
@@ -81,6 +85,7 @@ impl<E> Simulation<E> {
     /// immediately on the next pop, after already-pending events at `now` — insertion
     /// order breaks the tie).
     pub fn schedule_at(&mut self, time: SimTime, event: E) -> EventId {
+        self.scheduled += 1;
         self.queue.schedule(time.max(self.now), event)
     }
 
@@ -89,6 +94,7 @@ impl<E> Simulation<E> {
     /// (see [`EventQueue::schedule_last`]): a handler that must see everything its instant
     /// brings. A time in the past is clamped to `now`, as there.
     pub fn schedule_last_at(&mut self, time: SimTime, event: E) -> EventId {
+        self.scheduled += 1;
         self.queue.schedule_last(time.max(self.now), event)
     }
 
@@ -97,6 +103,7 @@ impl<E> Simulation<E> {
     /// [`EventQueue::schedule_with_seq`] for the contract (`seq` must belong to an event
     /// that already popped — typically the one currently being handled).
     pub fn schedule_at_with_seq(&mut self, time: SimTime, seq: u64, event: E) -> EventId {
+        self.scheduled += 1;
         self.queue.schedule_with_seq(time.max(self.now), seq, event)
     }
 
@@ -108,7 +115,9 @@ impl<E> Simulation<E> {
 
     /// Cancels a pending event. Returns `false` if it already fired or was canceled.
     pub fn cancel(&mut self, id: EventId) -> bool {
-        self.queue.cancel(id)
+        let cancelled = self.queue.cancel(id);
+        self.cancelled += u64::from(cancelled);
+        cancelled
     }
 
     /// The firing time of the earliest pending event.
@@ -125,6 +134,16 @@ impl<E> Simulation<E> {
     /// done, which a test can hold to a budget where wall-clock would be noise.
     pub fn events_popped(&self) -> u64 {
         self.popped
+    }
+
+    /// Events inserted into the heap so far, re-arms included.
+    pub fn events_scheduled(&self) -> u64 {
+        self.scheduled
+    }
+
+    /// Pending events cancelled so far (a cancel that found its event gone does not count).
+    pub fn events_cancelled(&self) -> u64 {
+        self.cancelled
     }
 
     /// Pops the earliest pending event and advances the clock to its firing time.
@@ -191,6 +210,7 @@ mod tests {
         sim.run_until(SimTime::from_micros(50), &mut actor);
         assert_eq!(actor.fired, vec![(10, 1), (20, 2), (30, 3)]);
         assert_eq!(sim.events_popped(), 3);
+        assert_eq!(sim.events_scheduled(), 4);
         assert_eq!(sim.now(), SimTime::from_micros(50));
         assert_eq!(sim.pending(), 1, "the beyond-horizon event survives the window");
         // The next window picks the survivor up.
@@ -241,6 +261,8 @@ mod tests {
         let keep = sim.schedule_at(SimTime::from_micros(10), 1);
         let drop_ = sim.schedule_at(SimTime::from_micros(10), 2);
         assert!(sim.cancel(drop_));
+        assert!(!sim.cancel(drop_));
+        assert_eq!(sim.events_cancelled(), 1);
         let mut actor = Collector {
             fired: Vec::new(),
             chain_from: None,

@@ -5,13 +5,15 @@
 //!   events in insertion order (the heap can never reorder same-time events);
 //! * arbitrary mixed-time workloads pop exactly like a reference model (a stable sort by
 //!   `(time, insertion seq)` with cancellations removed);
-//! * the slab recycles slots without resurrecting canceled events.
+//! * the slab recycles slots without resurrecting canceled events;
+//! * the kernel's work counts balance: every event scheduled was popped, cancelled or is
+//!   still pending.
 //!
 //! The companion acceptance property — a multi-turn conversation replayed from the same
 //! seed is bit-identical at `AIVC_POOL_SIZE` 1/2/8 — lives in `tests/networked_server.rs`
 //! (`conversation_server_results_are_independent_of_pool_size`).
 
-use aivchat::sim::{EventQueue, SimTime};
+use aivchat::sim::{EventQueue, SimTime, Simulation};
 use proptest::prelude::*;
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
@@ -106,6 +108,31 @@ proptest! {
                 prop_assert_eq!(r, round);
             }
             prop_assert!(q.is_empty());
+        }
+    }
+
+    /// Whatever mix of schedules, cancels (of live and of gone events) and pops runs, the
+    /// kernel's counts balance: scheduled = popped + cancelled + pending.
+    #[test]
+    fn kernel_work_counts_balance(seed in 0u64..10_000, ops in 4usize..150) {
+        let mut rng = ChaCha8Rng::seed_from_u64(seed ^ 0xC0DE);
+        let mut sim = Simulation::new();
+        let mut ids = Vec::new();
+        for label in 0..ops as u32 {
+            match rng.gen_range(0u32..4) {
+                0 if !ids.is_empty() => {
+                    let id = ids[rng.gen_range(0..ids.len())];
+                    sim.cancel(id);
+                }
+                1 => {
+                    sim.pop();
+                }
+                _ => ids.push(sim.schedule_at(SimTime::from_micros(rng.gen_range(0u64..50)), label)),
+            }
+            prop_assert_eq!(
+                sim.events_scheduled(),
+                sim.events_popped() + sim.events_cancelled() + sim.pending() as u64
+            );
         }
     }
 }

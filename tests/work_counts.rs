@@ -1,6 +1,7 @@
 //! The engine's deterministic work counts, pinned per registry scenario: how many rate
-//! searches and probes, how many raster, Eq. 1 and Eq. 2 cells, and how many blocks priced
-//! and encoded each spec's two ABR legs cost. Runs are seeded, so every count is exact and compared at zero tolerance; a change
+//! searches and probes, how many raster, Eq. 1 and Eq. 2 cells, how many blocks priced
+//! and encoded, and how many kernel events, assembled packets, FEC group checks and NACK
+//! polls each spec's two ABR legs cost. Runs are seeded, so every count is exact and compared at zero tolerance; a change
 //! that removes work shows up as a diff of `tests/fixtures/work_counts.json`, and one that
 //! moves work it did not mean to move fails here.
 //!
@@ -22,6 +23,10 @@ fn leg_json(counts: &SessionSnapshot) -> String {
         ("eq2_cells", counts.eq2_cells),
         ("blocks_priced", counts.blocks_priced),
         ("blocks_encoded", counts.blocks_encoded),
+        ("net_events_popped", counts.net_events_popped),
+        ("packets_assembled", counts.packets_assembled),
+        ("fec_group_checks", counts.fec_group_checks),
+        ("nack_polls", counts.nack_polls),
     ];
     let body: Vec<String> = fields
         .iter()
