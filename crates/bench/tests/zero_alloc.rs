@@ -344,9 +344,10 @@ fn main() {
 
     // --- the think gap: between turns the conversation keeps the transport alive —
     // matured per-packet feedback folds into GCC straight out of the pending ring
-    // ([`FeedbackFold`]), receiver polls re-arm, and delivery runs recycle through the
-    // transport's buffer pool. None of that may allocate: a fleet spends most of its
-    // wall-clock inside think gaps, so a per-gap allocation would dominate steady state.
+    // ([`FeedbackFold`]), receiver polls re-arm, and departures and arrivals queue in the
+    // transport's in-order streams, which keep their capacity. None of that may allocate:
+    // a fleet spends most of its wall-clock inside think gaps, so a per-gap allocation
+    // would dominate steady state.
     let think_cycles = 10;
     conversation.reserve_turns(think_cycles, turn_frames.len());
     for _ in 0..3 {

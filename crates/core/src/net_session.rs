@@ -73,14 +73,6 @@ pub struct NetSessionOptions {
     /// The graceful-degradation ladder (outage capture suppression, probing, frame
     /// shedding). Disabled by default.
     pub degradation: DegradationConfig,
-    /// Coalesced delivery: a burst of back-to-back pacer departures (a capture's media +
-    /// parity, a feedback event's retransmissions) rides **one** timeline event that
-    /// re-fires per departure, instead of one slab slot per packet. Provably
-    /// order-identical to per-packet scheduling (the run re-arms under its original
-    /// insertion sequence; see `net_turn::reschedule_run`) and pinned
-    /// bit-for-bit by the equivalence property suite, so this is on by default; the flag
-    /// exists so that suite can run both modes against each other.
-    pub coalesce_delivery: bool,
 }
 
 impl NetSessionOptions {
@@ -103,7 +95,6 @@ impl NetSessionOptions {
             drain_secs: 0.3,
             adaptive_fec: AdaptiveFecConfig::disabled(),
             degradation: DegradationConfig::disabled(),
-            coalesce_delivery: true,
         }
     }
 
@@ -161,7 +152,6 @@ impl NetSessionOptions {
             drain_secs,
             adaptive_fec: AdaptiveFecConfig { enabled: _ },
             degradation: DegradationConfig { enabled: _ },
-            coalesce_delivery: _,
         } = self;
         if !capture_fps_is_valid(capture_fps) {
             return Err(E::CaptureFps(capture_fps));

@@ -56,7 +56,7 @@ use aivc_rtc::rtp::{PayloadKind, RtpPacket};
 use aivc_rtc::seq_ring::SeqRing;
 use aivc_scene::Frame;
 use aivc_semantics::TextQuery;
-use aivc_sim::{Actor, SimDuration, SimTime, Simulation};
+use aivc_sim::{Actor, InOrderStream, SimDuration, SimTime, Simulation};
 use aivc_videocodec::{DecodeScratch, DecodedFrame, Decoder, EncodedFrame, RatePlan};
 
 /// The one timeline's events, handled in one `match` by [`Driver`]: a member's transport
@@ -84,38 +84,18 @@ pub(crate) enum NetEvent {
     /// Frame `i` is captured: drain mature feedback into GCC, pick the ABR target, encode
     /// at that target, packetize + protect + pace onto the uplink.
     Capture(usize),
-    /// A packet leaves the pacer and enters the uplink.
-    SendUplink(RtpPacket),
-    /// A packet arrives at the receiver.
+    /// The head of the member's paced departures enters the uplink; the departures behind
+    /// it follow inline while they are the timeline's next events ([`InOrderStream`]).
+    Departures,
+    /// The head of the member's in-order uplink arrivals reaches the receiver, and so on.
+    Arrivals,
+    /// An arrival earlier than the arrivals stream's tail (jitter, a reorder or extra-delay
+    /// fault), or a fault's duplicate, reaches the receiver.
     UplinkArrival(RtpPacket),
     /// The receiver checks for due NACKs.
     ReceiverPoll,
     /// A feedback packet (NACKed sequences) arrives back at the sender.
     FeedbackArrival(Vec<u64>),
-    /// A coalesced run of pacer departures: **one** timeline event standing in for the
-    /// back-to-back [`NetEvent::SendUplink`]s of a capture (or retransmission batch). The
-    /// event fires at each distinct departure time, delivers every packet due, then
-    /// re-arms itself at the next departure *under its original insertion sequence* — see
-    /// [`reschedule_run`] for why that preserves exact event ordering.
-    UplinkRun(PacketRun),
-}
-
-/// A contiguous batch of pacer departures travelling as one timeline event. The pacer is
-/// globally FIFO-monotone — [`Pacer::schedule_send`] returns nondecreasing times across
-/// *all* calls — so the departures of one scheduling burst (a capture's media + parity,
-/// or one feedback event's retransmissions) are contiguous in `(time, seq)` order and can
-/// ride a single slab slot instead of one per packet.
-#[derive(Debug)]
-pub(crate) struct PacketRun {
-    /// The run event's insertion sequence on its timeline. Assigned by [`schedule_run`];
-    /// re-arms reuse it so the run keeps its tie-break position among same-time events
-    /// across every firing.
-    pub(crate) seq: u64,
-    /// Index of the first not-yet-delivered departure in `items`.
-    pub(crate) cursor: usize,
-    /// `(departure time µs, packet)` in pacer order (departure times nondecreasing).
-    /// The buffer is pooled in [`Transport::run_pool`] once the run completes.
-    pub(crate) items: Vec<(u64, RtpPacket)>,
 }
 
 /// Puts member `member`'s transport event `ev` on the timeline at `when`.
@@ -123,33 +103,19 @@ fn schedule_net(sim: &mut Simulation<Event>, member: usize, when: SimTime, ev: N
     sim.schedule_at(when, Event::Net { member, ev });
 }
 
-/// Schedules a fresh packet run of member `member` at `when` (its first departure),
-/// recording in `run.seq` the insertion sequence it is scheduled under.
-fn schedule_run(sim: &mut Simulation<Event>, member: usize, when: SimTime, mut run: PacketRun) {
-    run.seq = sim.next_seq();
-    schedule_net(sim, member, when, NetEvent::UplinkRun(run));
-}
-
-/// Re-arms a partially delivered run at `when` (its next departure) **under its original
-/// insertion sequence** (`run.seq`, via the kernel's `schedule_at_with_seq`).
-///
-/// Keeping the seq is what makes coalescing invisible to event ordering: in per-packet mode
-/// every departure of the burst carries a seq from the burst's scheduling instant, so at a
-/// shared firing time the whole burst sorts before any later-scheduled event (arrivals,
-/// polls) and after any earlier-scheduled one. A re-armed run with its original seq sorts
-/// exactly the same way; a fresh seq would instead sort the tail of the run *after* events
-/// scheduled since, reordering same-instant deliveries. Safe because the run's previous
-/// firing has already popped — no two live events ever share the seq.
-fn reschedule_run(sim: &mut Simulation<Event>, member: usize, when: SimTime, run: PacketRun) {
-    let seq = run.seq;
-    sim.schedule_at_with_seq(
-        when,
-        seq,
-        Event::Net {
-            member,
-            ev: NetEvent::UplinkRun(run),
-        },
-    );
+/// Paces `packet` at `now` onto member `member`'s departures stream.
+fn pace(
+    pacer: &mut Pacer,
+    departures: &mut InOrderStream<RtpPacket>,
+    sim: &mut Simulation<Event>,
+    member: usize,
+    now: SimTime,
+    packet: RtpPacket,
+) {
+    let when = pacer.schedule_send(packet.wire_size(), now);
+    let ev = NetEvent::Departures;
+    let refused = departures.push(sim, when, packet, || Event::Net { member, ev });
+    assert!(refused.is_ok(), "the pacer's departure times never decrease");
 }
 
 /// Per-frame transport bookkeeping.
@@ -359,17 +325,16 @@ pub(crate) struct Transport {
     /// intermediate report vector.
     cc_fold: FeedbackFold,
     /// Free list of completed NACK-sequence buffers (the payload of
-    /// [`NetEvent::FeedbackArrival`]), recycled like `run_pool`.
+    /// [`NetEvent::FeedbackArrival`]), so warm turns poll without touching the allocator.
     nack_pool: Vec<Vec<u64>>,
     /// Reusable packetization buffer.
     media: Vec<RtpPacket>,
     /// Reusable FEC parity buffer.
     parity: Vec<RtpPacket>,
-    /// Free list of completed [`PacketRun`] buffers. Bounded by the peak number of
-    /// simultaneously in-flight runs (a buffer only enters the pool when its run
-    /// completes, and every new run drains the pool first), so warm turns schedule
-    /// coalesced departures without touching the allocator.
-    run_pool: Vec<Vec<(u64, RtpPacket)>>,
+    /// Paced packets waiting to depart; the pacer is FIFO-monotone, so all of them.
+    departures: InOrderStream<RtpPacket>,
+    /// Packets on the uplink that arrive in order (the rest are [`NetEvent::UplinkArrival`]s).
+    arrivals: InOrderStream<RtpPacket>,
     poll_outstanding: bool,
     next_net_packet_id: u64,
     up_prop_us: u64,
@@ -443,7 +408,8 @@ impl Transport {
             nack_pool: Vec::new(),
             media: Vec::new(),
             parity: Vec::new(),
-            run_pool: Vec::new(),
+            departures: InOrderStream::default(),
+            arrivals: InOrderStream::default(),
             poll_outstanding: false,
             next_net_packet_id: 0,
             up_prop_us: options.path.uplink.propagation_delay.as_micros(),
@@ -524,33 +490,31 @@ impl Transport {
         self.nack_gen.nacks_suppressed()
     }
 
-    /// A cleared run buffer, recycled from the pool when one is free.
-    fn take_run_buf(&mut self) -> Vec<(u64, RtpPacket)> {
-        self.run_pool.pop().unwrap_or_default()
-    }
-
-    /// Schedules `items` as one coalesced [`PacketRun`] of member `member` at its first
-    /// departure, or returns the buffer to the pool when the burst turned out empty.
-    fn dispatch_run(&mut self, items: Vec<(u64, RtpPacket)>, sim: &mut Simulation<Event>, member: usize) {
-        match items.first() {
-            Some(&(first_us, _)) => schedule_run(
-                sim,
-                member,
-                SimTime::from_micros(first_us),
-                PacketRun {
-                    seq: 0, // assigned by `schedule_run`
-                    cursor: 0,
-                    items,
-                },
-            ),
-            None => self.recycle_run_buf(items),
-        }
-    }
-
-    /// Returns a completed run's buffer to the pool (capacity kept).
-    fn recycle_run_buf(&mut self, mut buf: Vec<(u64, RtpPacket)>) {
-        buf.clear();
-        self.run_pool.push(buf);
+    /// Books the fate of an uplink packet of `size_bytes` sent at `now` for the congestion
+    /// controller. An arrival's report reaches the sender one downlink propagation after
+    /// it; a loss the sender infers from the gap in the next report, roughly one RTT plus a
+    /// reporting guard after the send. An outage drop is *silence*, not a loss report: the
+    /// receiver only discovers gaps from later arrivals, and during a full outage there are
+    /// none — exactly what the congestion controller's watchdog detects.
+    fn book_fate(&mut self, now: SimTime, outcome: DeliveryOutcome, size_bytes: u32) {
+        let arrived_at = outcome.arrival();
+        let known_at_us = match arrived_at {
+            Some(arrival) => arrival.as_micros() + self.down_prop_us,
+            None => {
+                self.turn_packets_lost += 1;
+                if outcome == DeliveryOutcome::DroppedOutage {
+                    self.pending_outage_recovery = Some(now);
+                    return;
+                }
+                now.as_micros() + self.up_prop_us + self.down_prop_us + 20_000
+            }
+        };
+        let feedback = PacketFeedback {
+            sent_at: now,
+            arrived_at,
+            size_bytes,
+        };
+        self.cc_pending.push((known_at_us, feedback));
     }
 
     /// A cleared NACK-sequence buffer, recycled from the pool when one is free.
@@ -563,12 +527,6 @@ impl Transport {
     fn recycle_nack_buf(&mut self, mut buf: Vec<u64>) {
         buf.clear();
         self.nack_pool.push(buf);
-    }
-
-    /// Number of pooled (idle) run buffers — the reuse/leak invariant tests read this.
-    #[cfg(test)]
-    pub(crate) fn run_pool_len(&self) -> usize {
-        self.run_pool.len()
     }
 
     /// True when every retired turn's tracking state was actually dropped — the
@@ -802,34 +760,7 @@ impl TurnMachine<'_> {
                     t.turn_probes_sent += 1;
                     t.metrics.packets_sent += 1;
                     let outcome = self.uplink.send(member, &probe, now);
-                    match outcome.arrival() {
-                        Some(arrival) => t.cc_pending.push((
-                            arrival.as_micros() + t.down_prop_us,
-                            PacketFeedback {
-                                sent_at: now,
-                                arrived_at: Some(arrival),
-                                size_bytes: PROBE_PACKET_BYTES,
-                            },
-                        )),
-                        None => {
-                            t.turn_packets_lost += 1;
-                            if outcome == DeliveryOutcome::DroppedOutage {
-                                // Blackout silence: no synthetic loss report (see the
-                                // media-send loss path) — the watchdog keeps decaying
-                                // until a probe actually makes it through.
-                                t.pending_outage_recovery = Some(now);
-                            } else {
-                                t.cc_pending.push((
-                                    now.as_micros() + t.up_prop_us + t.down_prop_us + 20_000,
-                                    PacketFeedback {
-                                        sent_at: now,
-                                        arrived_at: None,
-                                        size_bytes: PROBE_PACKET_BYTES,
-                                    },
-                                ));
-                            }
-                        }
-                    }
+                    t.book_fate(now, outcome, PROBE_PACKET_BYTES);
                     return;
                 }
 
@@ -880,132 +811,41 @@ impl TurnMachine<'_> {
                 fec_encoder.protect_into(&t.media, || packetizer.allocate_sequence(), parity);
                 t.media_first_seq.push(t.media[0].header.sequence);
                 t.media_group_size.push(group_size);
-                // Coalesced mode rides the whole burst (media + parity) on one run event;
-                // per-packet mode schedules one slab slot per departure (kept for the
-                // equivalence property suite). Pacer state advances identically either way.
-                let mut run_items = if self.compute.options.coalesce_delivery {
-                    Some(t.take_run_buf())
-                } else {
-                    None
-                };
+                // Media, then parity, join the departures stream in pacer order.
                 for (pi, p) in t.media.iter().enumerate() {
                     if !t.seq_to_media.insert(p.header.sequence, (i, pi)) {
                         t.metrics.late_seq_drops += 1;
                     }
                     let _ = t.rtx.remember(p);
-                    let when = t.pacer.schedule_send(p.wire_size(), now);
-                    match &mut run_items {
-                        Some(items) => items.push((when.as_micros(), *p)),
-                        None => schedule_net(sim, member, when, NetEvent::SendUplink(*p)),
-                    }
+                    pace(&mut t.pacer, &mut t.departures, sim, member, now, *p);
                 }
                 for p in &t.parity {
-                    let when = t.pacer.schedule_send(p.wire_size(), now);
-                    match &mut run_items {
-                        Some(items) => items.push((when.as_micros(), *p)),
-                        None => schedule_net(sim, member, when, NetEvent::SendUplink(*p)),
-                    }
-                }
-                if let Some(items) = run_items {
-                    t.dispatch_run(items, sim, member);
+                    pace(&mut t.pacer, &mut t.departures, sim, member, now, *p);
                 }
             }
-            NetEvent::UplinkRun(mut run) => {
-                // Deliver every departure due now (equal-time departures of one burst are
-                // consecutive in per-packet pop order too — their seqs were consecutive),
-                // then re-arm at the next departure under the run's original seq.
-                let now_us = now.as_micros();
-                while let Some(&(dep_us, packet)) = run.items.get(run.cursor) {
-                    if dep_us > now_us {
-                        break;
-                    }
-                    run.cursor += 1;
-                    self.deliver_uplink(now, packet, sim);
-                }
-                match run.items.get(run.cursor) {
-                    Some(&(next_us, _)) => reschedule_run(sim, member, SimTime::from_micros(next_us), run),
-                    None => self.t.recycle_run_buf(run.items),
-                }
+            NetEvent::Departures => {
+                let first = t.departures.head();
+                self.drain_stream(
+                    now,
+                    first,
+                    sim,
+                    |t| &mut t.departures,
+                    || NetEvent::Departures,
+                    Self::deliver_uplink,
+                );
             }
-            NetEvent::SendUplink(packet) => self.deliver_uplink(now, packet, sim),
-            NetEvent::UplinkArrival(packet) => {
-                let late_before = t.nack_gen.late_drops();
-                t.nack_gen.on_packet(packet.header.sequence, now);
-                let late_now = t.nack_gen.late_drops();
-                if late_now > late_before {
-                    t.metrics.late_seq_drops += late_now - late_before;
-                }
-                let frame_idx = packet.header.frame_id as usize;
-                if frame_idx >= t.retired_below {
-                    // A group becomes XOR-recoverable when its *last-but-one* packet shows
-                    // up — which can be the parity packet or a late media/RTX arrival — so
-                    // every arrival nominates its group for a recovery check below.
-                    let mut fec_candidate: Option<(usize, u32)> = None;
-                    match packet.header.kind {
-                        PayloadKind::Media | PayloadKind::Retransmission => {
-                            t.assembler.on_packet(&packet, now);
-                            t.metrics.packets_assembled += 1;
-                            // FEC bookkeeping keys off the group size the frame was
-                            // *encoded* under (stored per frame), not the encoder's
-                            // current size — adaptive FEC may have re-sized since.
-                            if let Some((fi, media_idx)) = t.seq_to_media.get(packet.header.sequence).copied()
-                            {
-                                let group_size = t.live_slot(fi).map_or(0, |s| t.media_group_size[s]);
-                                if let Some(group) = group_of_index(group_size, media_idx) {
-                                    t.fec_recovery.on_media(fi as u64, group, media_idx);
-                                    fec_candidate = Some((fi, group));
-                                }
-                            }
-                        }
-                        PayloadKind::Fec => {
-                            if let (Some(group), Some(slot)) = (packet.fec_group, t.live_slot(frame_idx)) {
-                                let frame = &t.outgoing[slot];
-                                let group_size = t.media_group_size[slot];
-                                let count = (frame.size_bytes.div_ceil(t.max_payload).max(1)) as usize;
-                                for pi in 0..count {
-                                    if group_of_index(group_size, pi) == Some(group) {
-                                        t.fec_recovery.expect_media(frame.frame_id, group, pi);
-                                    }
-                                }
-                                t.fec_recovery.on_parity(frame.frame_id, group);
-                                fec_candidate = Some((frame_idx, group));
-                            }
-                        }
-                        PayloadKind::Feedback => {}
-                    }
-                    if let Some((frame_idx, group)) = fec_candidate {
-                        if let Some(slot) = t.live_slot(frame_idx) {
-                            let frame = &t.outgoing[slot];
-                            t.metrics.fec_group_checks += 1;
-                            for recovered in t.fec_recovery.recoverable(frame.frame_id, group) {
-                                let start = recovered as u64 * t.max_payload;
-                                let end = ((recovered as u64 + 1) * t.max_payload).min(frame.size_bytes);
-                                let synthetic = RtpPacket {
-                                    header: packet.header,
-                                    payload_start: start,
-                                    payload_end: end,
-                                    fec_group: Some(group),
-                                };
-                                t.assembler.on_packet(&synthetic, now);
-                                t.metrics.packets_assembled += 1;
-                                // Mark the reconstructed packet received so the group is
-                                // not re-recovered, and cancel its pending NACK — the
-                                // receiver holds the bytes, retransmitting them would
-                                // waste constrained uplink capacity.
-                                t.fec_recovery.on_media(frame.frame_id, group, recovered);
-                                t.nack_gen
-                                    .on_packet(t.media_first_seq[slot] + recovered as u64, now);
-                                t.progress[slot].fec_recovered = true;
-                            }
-                        }
-                    }
-                }
-                let opts = &self.compute.options;
-                if opts.enable_retransmission && t.nack_gen.pending_count() > 0 && !t.poll_outstanding {
-                    t.poll_outstanding = true;
-                    schedule_net(sim, member, now + opts.nack.reorder_guard, NetEvent::ReceiverPoll);
-                }
+            NetEvent::Arrivals => {
+                let first = t.arrivals.head();
+                self.drain_stream(
+                    now,
+                    first,
+                    sim,
+                    |t| &mut t.arrivals,
+                    || NetEvent::Arrivals,
+                    Self::on_arrival,
+                );
             }
+            NetEvent::UplinkArrival(packet) => self.on_arrival(now, packet, sim),
             NetEvent::ReceiverPoll => {
                 let opts = &self.compute.options;
                 t.poll_outstanding = false;
@@ -1034,13 +874,8 @@ impl TurnMachine<'_> {
             NetEvent::FeedbackArrival(sequences) => {
                 // One retransmit call per NACKed sequence keeps the old→new sequence
                 // pairing exact even when some sequences (e.g. lost parity packets) are
-                // not in the retransmission store. The retransmission burst coalesces
-                // into one run, exactly like a capture's media burst.
-                let mut run_items = if self.compute.options.coalesce_delivery {
-                    Some(t.take_run_buf())
-                } else {
-                    None
-                };
+                // not in the retransmission store. Retransmissions join the departures
+                // stream like a capture's media does.
                 for &old_seq in &sequences {
                     let packetizer = &mut t.packetizer;
                     if let Some(p) = t.rtx.retransmit_one(old_seq, || packetizer.allocate_sequence()) {
@@ -1049,24 +884,121 @@ impl TurnMachine<'_> {
                                 t.metrics.late_seq_drops += 1;
                             }
                         }
-                        let when = t.pacer.schedule_send(p.wire_size(), now);
-                        match &mut run_items {
-                            Some(items) => items.push((when.as_micros(), p)),
-                            None => schedule_net(sim, member, when, NetEvent::SendUplink(p)),
-                        }
+                        pace(&mut t.pacer, &mut t.departures, sim, member, now, p);
                     }
                 }
                 t.recycle_nack_buf(sequences);
-                if let Some(items) = run_items {
-                    t.dispatch_run(items, sim, member);
-                }
             }
         }
     }
 
-    /// One packet leaves the pacer and enters the uplink: the [`NetEvent::SendUplink`]
-    /// body, shared verbatim by per-packet events and coalesced runs (a run calls this
-    /// once per due departure, in departure order).
+    /// Handles `first`, the head of the member's in-order `stream` whose event `head` just
+    /// popped, with `on_item`, then each packet behind it that fires inline.
+    fn drain_stream(
+        &mut self,
+        mut now: SimTime,
+        first: RtpPacket,
+        sim: &mut Simulation<Event>,
+        stream: impl Fn(&mut Transport) -> &mut InOrderStream<RtpPacket>,
+        head: impl Fn() -> NetEvent,
+        on_item: impl Fn(&mut Self, SimTime, RtpPacket, &mut Simulation<Event>),
+    ) {
+        let member = self.member;
+        let mut packet = first;
+        loop {
+            on_item(self, now, packet, sim);
+            let armed = || Event::Net { member, ev: head() };
+            let Some(next) = stream(self.t).advance(sim, armed) else {
+                return;
+            };
+            self.t.metrics.net_events_inline += 1;
+            (now, packet) = next;
+        }
+    }
+
+    /// One packet reaches the receiver: sequence bookkeeping, reassembly, FEC recovery, and
+    /// a NACK poll armed when something is missing.
+    fn on_arrival(&mut self, now: SimTime, packet: RtpPacket, sim: &mut Simulation<Event>) {
+        let member = self.member;
+        let t = &mut *self.t;
+        let late_before = t.nack_gen.late_drops();
+        t.nack_gen.on_packet(packet.header.sequence, now);
+        let late_now = t.nack_gen.late_drops();
+        if late_now > late_before {
+            t.metrics.late_seq_drops += late_now - late_before;
+        }
+        let frame_idx = packet.header.frame_id as usize;
+        if frame_idx >= t.retired_below {
+            // A group becomes XOR-recoverable when its *last-but-one* packet shows
+            // up — which can be the parity packet or a late media/RTX arrival — so
+            // every arrival nominates its group for a recovery check below.
+            let mut fec_candidate: Option<(usize, u32)> = None;
+            match packet.header.kind {
+                PayloadKind::Media | PayloadKind::Retransmission => {
+                    t.assembler.on_packet(&packet, now);
+                    t.metrics.packets_assembled += 1;
+                    // FEC bookkeeping keys off the group size the frame was
+                    // *encoded* under (stored per frame), not the encoder's
+                    // current size — adaptive FEC may have re-sized since.
+                    if let Some((fi, media_idx)) = t.seq_to_media.get(packet.header.sequence).copied() {
+                        let group_size = t.live_slot(fi).map_or(0, |s| t.media_group_size[s]);
+                        if let Some(group) = group_of_index(group_size, media_idx) {
+                            t.fec_recovery.on_media(fi as u64, group, media_idx);
+                            fec_candidate = Some((fi, group));
+                        }
+                    }
+                }
+                PayloadKind::Fec => {
+                    if let (Some(group), Some(slot)) = (packet.fec_group, t.live_slot(frame_idx)) {
+                        let frame = &t.outgoing[slot];
+                        let group_size = t.media_group_size[slot];
+                        let count = (frame.size_bytes.div_ceil(t.max_payload).max(1)) as usize;
+                        for pi in 0..count {
+                            if group_of_index(group_size, pi) == Some(group) {
+                                t.fec_recovery.expect_media(frame.frame_id, group, pi);
+                            }
+                        }
+                        t.fec_recovery.on_parity(frame.frame_id, group);
+                        fec_candidate = Some((frame_idx, group));
+                    }
+                }
+                PayloadKind::Feedback => {}
+            }
+            if let Some((frame_idx, group)) = fec_candidate {
+                if let Some(slot) = t.live_slot(frame_idx) {
+                    let frame = &t.outgoing[slot];
+                    t.metrics.fec_group_checks += 1;
+                    for recovered in t.fec_recovery.recoverable(frame.frame_id, group) {
+                        let start = recovered as u64 * t.max_payload;
+                        let end = ((recovered as u64 + 1) * t.max_payload).min(frame.size_bytes);
+                        let synthetic = RtpPacket {
+                            header: packet.header,
+                            payload_start: start,
+                            payload_end: end,
+                            fec_group: Some(group),
+                        };
+                        t.assembler.on_packet(&synthetic, now);
+                        t.metrics.packets_assembled += 1;
+                        // Mark the reconstructed packet received so the group is
+                        // not re-recovered, and cancel its pending NACK — the
+                        // receiver holds the bytes, retransmitting them would
+                        // waste constrained uplink capacity.
+                        t.fec_recovery.on_media(frame.frame_id, group, recovered);
+                        t.nack_gen
+                            .on_packet(t.media_first_seq[slot] + recovered as u64, now);
+                        t.progress[slot].fec_recovered = true;
+                    }
+                }
+            }
+        }
+        let opts = &self.compute.options;
+        if opts.enable_retransmission && t.nack_gen.pending_count() > 0 && !t.poll_outstanding {
+            t.poll_outstanding = true;
+            schedule_net(sim, member, now + opts.nack.reorder_guard, NetEvent::ReceiverPoll);
+        }
+    }
+
+    /// One packet leaves the pacer and enters the uplink.
     fn deliver_uplink(&mut self, now: SimTime, packet: RtpPacket, sim: &mut Simulation<Event>) {
         let member = self.member;
         let t = &mut *self.t;
@@ -1085,48 +1017,23 @@ impl TurnMachine<'_> {
             .with_tag(packet.header.sequence);
         t.next_net_packet_id += 1;
         let outcome = self.uplink.send(member, &net_packet, now);
-        match outcome.arrival() {
-            Some(arrival) => {
-                schedule_net(sim, member, arrival, NetEvent::UplinkArrival(packet));
-                if let Some(dup_at) = self.uplink.take_duplicate() {
-                    // A Duplicate fault episode emitted a second copy one
-                    // serialization time behind the original; reassembly and FEC
-                    // bookkeeping absorb it idempotently.
-                    schedule_net(sim, member, dup_at, NetEvent::UplinkArrival(packet));
-                }
-                // The receiver's next report reaches the sender one downlink
-                // propagation after arrival.
-                t.cc_pending.push((
-                    arrival.as_micros() + t.down_prop_us,
-                    PacketFeedback {
-                        sent_at: now,
-                        arrived_at: Some(arrival),
-                        size_bytes: packet.wire_size(),
-                    },
-                ));
+        if let Some(arrival) = outcome.arrival() {
+            let head = || Event::Net {
+                member,
+                ev: NetEvent::Arrivals,
+            };
+            if let Err((seq, packet)) = t.arrivals.push(sim, arrival, packet, head) {
+                let ev = NetEvent::UplinkArrival(packet);
+                sim.schedule_at_with_seq(arrival, seq, Event::Net { member, ev });
             }
-            None => {
-                t.turn_packets_lost += 1;
-                if outcome == DeliveryOutcome::DroppedOutage {
-                    // A blackout is *silence*, not a loss report: the receiver only
-                    // discovers gaps from later arrivals, and during a full outage
-                    // there are none. No synthetic feedback — this silence is
-                    // exactly what the congestion controller's watchdog detects.
-                    t.pending_outage_recovery = Some(now);
-                    return;
-                }
-                // The sender infers the loss from the gap in the next report:
-                // roughly one RTT plus a reporting guard after the send.
-                t.cc_pending.push((
-                    now.as_micros() + t.up_prop_us + t.down_prop_us + 20_000,
-                    PacketFeedback {
-                        sent_at: now,
-                        arrived_at: None,
-                        size_bytes: packet.wire_size(),
-                    },
-                ));
+            if let Some(dup_at) = self.uplink.take_duplicate() {
+                // A Duplicate fault episode emitted a second copy one serialization time
+                // behind the original; reassembly and FEC bookkeeping absorb it
+                // idempotently.
+                schedule_net(sim, member, dup_at, NetEvent::UplinkArrival(packet));
             }
         }
+        t.book_fate(now, outcome, packet.wire_size());
     }
 }
 

@@ -15,7 +15,8 @@
 //!   against per-session report sums, at any pool size;
 //! * **live** counters tick at the event site (packet sends, late-sequence drops, pacer
 //!   clamps, rate-search probes, the cells a capture's planning recomputed, the blocks its
-//!   rate search and encode priced and wrote, the member's kernel events, the packets its
+//!   rate search and encode priced and wrote, the member's kernel events popped and fired
+//!   inline, the packets its
 //!   assembler took, its FEC group checks and NACK polls) and
 //!   intentionally include work that never reaches a report (think-gap stragglers,
 //!   drain-window sends) — they are diagnostics, not report mirrors. The work counts are
@@ -73,6 +74,9 @@ pub struct SessionSnapshot {
     pub blocks_encoded: u64,
     /// The member's transport events its kernel popped off the event heap.
     pub net_events_popped: u64,
+    /// The member's departures and arrivals that fired inline behind a popped stream head,
+    /// without a trip through the heap.
+    pub net_events_inline: u64,
     /// Media and RTX packets handed to the frame assembler, FEC-synthesized ones included.
     pub packets_assembled: u64,
     /// FEC groups checked for an XOR recovery (one per arrival that nominates its group).
@@ -105,6 +109,7 @@ impl SessionSnapshot {
         self.blocks_priced += other.blocks_priced;
         self.blocks_encoded += other.blocks_encoded;
         self.net_events_popped += other.net_events_popped;
+        self.net_events_inline += other.net_events_inline;
         self.packets_assembled += other.packets_assembled;
         self.fec_group_checks += other.fec_group_checks;
         self.nack_polls += other.nack_polls;
@@ -119,7 +124,7 @@ impl fmt::Display for SessionSnapshot {
              suppressed {} nacks, {} captures | missed {} deadlines | {} fallbacks | \
              {} late drops | {} pacer clamps | {} rate probes in {} searches | \
              cells: {} rasterized, {} eq1, {} eq2 | blocks: {} priced, {} encoded | \
-             {} net events popped | {} packets assembled | {} fec group checks | {} nack polls",
+             net events: {} popped, {} inline | {} packets assembled | {} fec group checks | {} nack polls",
             self.frames_delivered,
             self.frames_sent,
             self.packets_sent,
@@ -141,6 +146,7 @@ impl fmt::Display for SessionSnapshot {
             self.blocks_priced,
             self.blocks_encoded,
             self.net_events_popped,
+            self.net_events_inline,
             self.packets_assembled,
             self.fec_group_checks,
             self.nack_polls,
@@ -174,6 +180,7 @@ mod tests {
             blocks_priced: 77,
             blocks_encoded: 510,
             net_events_popped: 2,
+            net_events_inline: 11,
             fec_group_checks: 5,
             nack_polls: 3,
             ..SessionSnapshot::default()
@@ -194,6 +201,7 @@ mod tests {
                 blocks_priced: 1607,
                 blocks_encoded: 1020,
                 net_events_popped: 42,
+                net_events_inline: 11,
                 packets_assembled: 18,
                 fec_group_checks: 5,
                 nack_polls: 3,

@@ -5,15 +5,16 @@
 //! kind of virtual time. This crate is the one place that owns that machinery (in the
 //! spirit of dslab-style simulation cores): a microsecond [`SimTime`] clock that only the
 //! kernel advances, a binary-heap [`EventQueue`] with deterministic `(time, insertion
-//! seq)` ordering, slab-recycled event slots and O(1) cancellation, and a minimal
-//! [`Actor`] loop ([`Simulation::run_until`]) that drives a state machine through its due
-//! events.
+//! seq)` ordering, slab-recycled event slots and O(1) cancellation, a minimal [`Actor`]
+//! loop ([`Simulation::run_until`]) that drives a state machine through its due events,
+//! and [`InOrderStream`]s, whose items keep the keys they were created with while only
+//! the head of each stream sits in the heap.
 //!
 //! Design rules (see DESIGN.md §"Simulation kernel"):
 //!
-//! * **the clock is monotonic** — it advances only when an event pops (to that event's
-//!   time) or when [`Simulation::run_until`] drains a window (to the horizon), never
-//!   backwards;
+//! * **the clock is monotonic** — it advances only when an event pops or a held item
+//!   fires inline (`Simulation::fire_inline`; to that event's or item's time) or when
+//!   [`Simulation::run_until`] drains a window (to the horizon), never backwards;
 //! * **ties break by insertion order** — two events at the same instant pop in the order
 //!   they were scheduled, so heap internals can never introduce run-to-run nondeterminism;
 //! * **steady state allocates nothing** — the queue recycles its slots, so long-lived
@@ -24,9 +25,11 @@
 //! enum, implement [`Actor`] over it, and own all domain state.
 
 pub mod queue;
+pub mod stream;
 pub mod time;
 
 pub use queue::{EventId, EventQueue};
+pub use stream::InOrderStream;
 pub use time::{SimDuration, SimTime};
 
 /// A state machine driven by the kernel: [`Simulation::run_until`] pops each due event and
@@ -51,8 +54,12 @@ pub trait Actor {
 pub struct Simulation<E> {
     queue: EventQueue<E>,
     now: SimTime,
+    /// The horizon of the [`Simulation::run_until`] drain in progress, if any: held items
+    /// fire inline only inside it.
+    horizon: Option<SimTime>,
     scheduled: u64,
     popped: u64,
+    inline: u64,
     cancelled: u64,
 }
 
@@ -68,8 +75,10 @@ impl<E> Simulation<E> {
         Self {
             queue: EventQueue::new(),
             now: SimTime::ZERO,
+            horizon: None,
             scheduled: 0,
             popped: 0,
+            inline: 0,
             cancelled: 0,
         }
     }
@@ -98,19 +107,27 @@ impl<E> Simulation<E> {
         self.queue.schedule_last(time.max(self.now), event)
     }
 
-    /// Schedules `event` at `time` under a previously issued sequence number, so a
-    /// multi-shot event keeps its tie-break position across re-arms. See
-    /// [`EventQueue::schedule_with_seq`] for the contract (`seq` must belong to an event
-    /// that already popped — typically the one currently being handled).
+    /// Schedules `event` at `time` under a reserved sequence number (one an
+    /// [`InOrderStream`] refused an item with), so it pops where an event scheduled at the
+    /// moment of the reservation would. See [`EventQueue::schedule_with_seq`] for the contract (the seq
+    /// belongs to no pending event). A time in the past is clamped to `now`.
     pub fn schedule_at_with_seq(&mut self, time: SimTime, seq: u64, event: E) -> EventId {
         self.scheduled += 1;
         self.queue.schedule_with_seq(time.max(self.now), seq, event)
     }
 
-    /// The sequence number the next schedule call will assign (the tie-break key a
-    /// freshly scheduled event will carry).
-    pub fn next_seq(&self) -> u64 {
-        self.queue.next_seq()
+    /// Fires a held item keyed `(time, seq)` (its seq reserved when it was created) inline, advancing the clock to `time`, when it is what the drain would pop next had
+    /// it been scheduled: inside a [`Simulation::run_until`] drain, at or before its
+    /// horizon, and ahead of every pending event. Returns `false`, moving nothing,
+    /// otherwise — the holder then schedules it under the same key.
+    pub(crate) fn fire_inline(&mut self, time: SimTime, seq: u64) -> bool {
+        let due = self.horizon.is_some_and(|horizon| time <= horizon)
+            && self.queue.peek_key().is_none_or(|head| (time, seq) < head);
+        if due {
+            self.inline += 1;
+            self.now = self.now.max(time);
+        }
+        due
     }
 
     /// Cancels a pending event. Returns `false` if it already fired or was canceled.
@@ -118,11 +135,6 @@ impl<E> Simulation<E> {
         let cancelled = self.queue.cancel(id);
         self.cancelled += u64::from(cancelled);
         cancelled
-    }
-
-    /// The firing time of the earliest pending event.
-    pub fn peek_time(&mut self) -> Option<SimTime> {
-        self.queue.peek_time()
     }
 
     /// Number of pending events.
@@ -136,7 +148,13 @@ impl<E> Simulation<E> {
         self.popped
     }
 
-    /// Events inserted into the heap so far, re-arms included.
+    /// Held items fired inline so far (`Simulation::fire_inline`): events handled without
+    /// a trip through the heap. Handled events are `events_popped + events_inline`.
+    pub fn events_inline(&self) -> u64 {
+        self.inline
+    }
+
+    /// Events inserted into the heap so far.
     pub fn events_scheduled(&self) -> u64 {
         self.scheduled
     }
@@ -167,11 +185,14 @@ impl<E> Simulation<E> {
 
     /// Drains every event due at or before `horizon` through `actor`, then advances the
     /// clock to the horizon. Events the actor schedules during the drain fire in this same
-    /// window when they land inside it.
+    /// window when they land inside it, and so may the items it holds
+    /// (`Simulation::fire_inline`).
     pub fn run_until<A: Actor<Event = E>>(&mut self, horizon: SimTime, actor: &mut A) {
+        let outer = self.horizon.replace(horizon);
         while let Some((now, event)) = self.pop_due(horizon) {
             actor.on_event(now, event, self);
         }
+        self.horizon = outer;
         self.now = self.now.max(horizon);
     }
 }
@@ -270,5 +291,58 @@ mod tests {
         sim.run_until(SimTime::from_micros(20), &mut actor);
         assert_eq!(actor.fired, vec![(10, 1)]);
         assert!(!sim.cancel(keep), "already fired");
+    }
+
+    /// An actor that holds items keyed by reserved seqs and fires them inline while they
+    /// precede the heap: `fired` records (time, item) and whether it fired inline.
+    struct Holder {
+        held: Vec<(SimTime, u64, u32)>,
+        fired: Vec<(u64, u32, bool)>,
+    }
+
+    impl Actor for Holder {
+        type Event = u32;
+        fn on_event(&mut self, now: SimTime, event: u32, sim: &mut Simulation<u32>) {
+            self.fired.push((now.as_micros(), event, false));
+            while let Some(&(time, seq, item)) = self.held.first() {
+                if !sim.fire_inline(time, seq) {
+                    break;
+                }
+                self.held.remove(0);
+                self.fired.push((sim.now().as_micros(), item, true));
+            }
+        }
+    }
+
+    #[test]
+    fn held_items_fire_inline_only_ahead_of_the_heap_and_inside_the_horizon() {
+        let mut sim = Simulation::new();
+        let early = sim.queue.reserve_seq();
+        sim.schedule_at(SimTime::from_micros(10), 1);
+        sim.schedule_at(SimTime::from_micros(20), 2);
+        let tied = sim.queue.reserve_seq();
+        let late = sim.queue.reserve_seq();
+        let mut actor = Holder {
+            // 15 µs precedes event 2; the tie at 20 µs was reserved after event 2's seq;
+            // 40 µs lies past the first window.
+            held: vec![
+                (SimTime::from_micros(15), early, 101),
+                (SimTime::from_micros(20), tied, 102),
+                (SimTime::from_micros(40), late, 103),
+            ],
+            fired: Vec::new(),
+        };
+        assert!(
+            !sim.fire_inline(SimTime::from_micros(15), early),
+            "no drain, no inline firing"
+        );
+        sim.run_until(SimTime::from_micros(30), &mut actor);
+        assert_eq!(
+            actor.fired,
+            vec![(10, 1, false), (15, 101, true), (20, 2, false), (20, 102, true)]
+        );
+        assert_eq!((sim.events_popped(), sim.events_inline()), (2, 2));
+        assert_eq!(sim.now(), SimTime::from_micros(30));
+        assert_eq!(actor.held.len(), 1, "the item past the horizon stays held");
     }
 }

@@ -108,8 +108,7 @@ impl<E> EventQueue<E> {
 
     /// Schedules `event` to fire at `time`. Events at equal times pop in `schedule` order.
     pub fn schedule(&mut self, time: SimTime, event: E) -> EventId {
-        let seq = self.next_seq;
-        self.next_seq += 1;
+        let seq = self.reserve_seq();
         self.insert(time, seq, event)
     }
 
@@ -122,27 +121,31 @@ impl<E> EventQueue<E> {
         self.insert(time, seq, event)
     }
 
-    /// Re-arms an event under a **previously issued** sequence number instead of a fresh
-    /// one, so a multi-shot event (e.g. a coalesced packet run that fires once per
-    /// departure) keeps its original position in same-time tie-breaking across re-arms.
+    /// Reserves the sequence number the next [`EventQueue::schedule`] would assign, for an
+    /// event that may be scheduled later, or never: an item held outside the queue keeps the
+    /// tie-break position it had when it was created (see [`crate::InOrderStream`]).
+    pub(crate) fn reserve_seq(&mut self) -> u64 {
+        let seq = self.next_seq;
+        self.next_seq += 1;
+        seq
+    }
+
+    /// Schedules `event` under a sequence number from `EventQueue::reserve_seq` instead
+    /// of a fresh one, so it pops exactly where an event scheduled at the moment of the
+    /// reservation would. (The seq of an event that already popped serves too: a re-armed
+    /// event keeps its tie-break position.)
     ///
-    /// Contract: `seq` must be the sequence of an event that has already popped — the
-    /// natural call site is an event handler re-scheduling the continuation of the event
-    /// it is handling. Passing the seq of a still-pending event would create two live
-    /// events with an ill-defined relative order (guarded by a debug assertion on
-    /// freshness; full liveness checking would cost a scan).
+    /// Contract: `seq` was issued by this queue and belongs to no pending event. Passing
+    /// the seq of a still-pending event would create two live events with an ill-defined
+    /// relative order (guarded by a debug assertion that the seq was issued; full liveness
+    /// checking would cost a scan).
     pub fn schedule_with_seq(&mut self, time: SimTime, seq: u64, event: E) -> EventId {
         debug_assert!(
             seq < self.next_seq,
-            "re-arm seq {seq} was never issued by this queue (next_seq {})",
+            "seq {seq} was never issued by this queue (next_seq {})",
             self.next_seq
         );
         self.insert(time, seq, event)
-    }
-
-    /// The sequence number the next [`EventQueue::schedule`] call will assign.
-    pub fn next_seq(&self) -> u64 {
-        self.next_seq
     }
 
     fn insert(&mut self, time: SimTime, seq: u64, event: E) -> EventId {
@@ -170,12 +173,6 @@ impl<E> EventQueue<E> {
                 slot
             }
         }
-    }
-
-    /// Compatibility alias for [`EventQueue::schedule`] (the pre-kernel queue called this
-    /// `push` and returned nothing).
-    pub fn push(&mut self, time: SimTime, event: E) {
-        let _ = self.schedule(time, event);
     }
 
     /// Cancels a pending event. Returns `true` if the event was still pending (it will not
@@ -212,9 +209,14 @@ impl<E> EventQueue<E> {
 
     /// The firing time of the earliest pending event, skipping canceled tombstones.
     pub fn peek_time(&mut self) -> Option<SimTime> {
+        self.peek_key().map(|(time, _)| time)
+    }
+
+    /// The `(time, seq)` key of the earliest pending event, skipping canceled tombstones.
+    pub(crate) fn peek_key(&mut self) -> Option<(SimTime, u64)> {
         while let Some(entry) = self.heap.peek() {
             if self.slots[entry.slot as usize].seq == entry.seq {
-                return Some(entry.time);
+                return Some((entry.time, entry.seq));
             }
             self.heap.pop();
         }
@@ -249,9 +251,9 @@ mod tests {
     #[test]
     fn pops_in_time_order() {
         let mut q = EventQueue::new();
-        q.push(SimTime::from_millis(30), "c");
-        q.push(SimTime::from_millis(10), "a");
-        q.push(SimTime::from_millis(20), "b");
+        q.schedule(SimTime::from_millis(30), "c");
+        q.schedule(SimTime::from_millis(10), "a");
+        q.schedule(SimTime::from_millis(20), "b");
         let order: Vec<_> = std::iter::from_fn(|| q.pop()).map(|(_, e)| e).collect();
         assert_eq!(order, vec!["a", "b", "c"]);
     }
@@ -260,7 +262,7 @@ mod tests {
     fn ties_break_by_insertion_order() {
         let mut q = EventQueue::new();
         for i in 0..100 {
-            q.push(SimTime::from_millis(5), i);
+            q.schedule(SimTime::from_millis(5), i);
         }
         let order: Vec<_> = std::iter::from_fn(|| q.pop()).map(|(_, e)| e).collect();
         assert_eq!(order, (0..100).collect::<Vec<_>>());
@@ -334,11 +336,11 @@ mod tests {
     #[test]
     fn interleaved_push_pop_stays_ordered() {
         let mut q = EventQueue::new();
-        q.push(SimTime::from_millis(10), 10);
-        q.push(SimTime::from_millis(5), 5);
+        q.schedule(SimTime::from_millis(10), 10);
+        q.schedule(SimTime::from_millis(5), 5);
         assert_eq!(q.pop().unwrap().1, 5);
-        q.push(SimTime::from_millis(1), 1);
-        q.push(SimTime::from_millis(20), 20);
+        q.schedule(SimTime::from_millis(1), 1);
+        q.schedule(SimTime::from_millis(20), 20);
         assert_eq!(q.pop().unwrap().1, 1);
         assert_eq!(q.pop().unwrap().1, 10);
         assert_eq!(q.pop().unwrap().1, 20);
@@ -351,8 +353,8 @@ mod tests {
         // A multi-shot event scheduled first, then two later-inserted events at the same
         // future instant. Re-arming with the original seq must keep popping *before* them.
         let multi = q.schedule(t, "run");
-        q.push(SimTime::from_millis(2), "late-a");
-        q.push(SimTime::from_millis(2), "late-b");
+        q.schedule(SimTime::from_millis(2), "late-a");
+        q.schedule(SimTime::from_millis(2), "late-b");
         assert_eq!(q.pop(), Some((t, "run")));
         // Re-arm the run at the same instant the later events fire.
         q.schedule_with_seq(SimTime::from_millis(2), multi.seq(), "run");
@@ -366,7 +368,7 @@ mod tests {
         // Interleave: run(seq 0), then rivals at every future tick inserted up front.
         let run = q.schedule(SimTime::from_micros(0), (0u32, true));
         for tick in 1..=5u64 {
-            q.push(SimTime::from_micros(tick), (tick as u32, false));
+            q.schedule(SimTime::from_micros(tick), (tick as u32, false));
         }
         let mut fired = Vec::new();
         while let Some((t, (tag, is_run))) = q.pop() {
@@ -399,6 +401,32 @@ mod tests {
         let rearmed = q.schedule_with_seq(SimTime::from_millis(3), a.seq(), "a-again");
         assert!(q.cancel(rearmed));
         assert!(q.pop().is_none());
+    }
+
+    #[test]
+    fn a_reserved_seq_keeps_the_tie_position_of_its_reservation() {
+        let mut q = EventQueue::new();
+        let t = SimTime::from_millis(2);
+        // Reserved first, scheduled after two later-inserted events at the same instant:
+        // it still pops before them.
+        let reserved = q.reserve_seq();
+        q.schedule(t, "late-a");
+        q.schedule(t, "late-b");
+        q.schedule_with_seq(t, reserved, "reserved");
+        let order: Vec<_> = std::iter::from_fn(|| q.pop()).map(|(_, e)| e).collect();
+        assert_eq!(order, vec!["reserved", "late-a", "late-b"]);
+    }
+
+    #[test]
+    fn peek_key_names_the_earliest_live_event() {
+        let mut q = EventQueue::new();
+        let a = q.schedule(SimTime::from_millis(1), "a");
+        let reserved = q.reserve_seq();
+        q.schedule(SimTime::from_millis(2), "b");
+        q.schedule_with_seq(SimTime::from_millis(2), reserved, "c");
+        assert_eq!(q.peek_key(), Some((SimTime::from_millis(1), a.seq())));
+        q.cancel(a);
+        assert_eq!(q.peek_key(), Some((SimTime::from_millis(2), reserved)));
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! The engine's deterministic work counts, pinned per registry scenario: how many rate
 //! searches and probes, how many raster, Eq. 1 and Eq. 2 cells, how many blocks priced
-//! and encoded, and how many kernel events, assembled packets, FEC group checks and NACK
-//! polls each spec's two ABR legs cost. Runs are seeded, so every count is exact and compared at zero tolerance; a change
+//! and encoded, and how many kernel events (popped and fired inline), assembled packets,
+//! FEC group checks and NACK polls each spec's two ABR legs cost. Runs are seeded, so every count is exact and compared at zero tolerance; a change
 //! that removes work shows up as a diff of `tests/fixtures/work_counts.json`, and one that
 //! moves work it did not mean to move fails here.
 //!
@@ -24,6 +24,7 @@ fn leg_json(counts: &SessionSnapshot) -> String {
         ("blocks_priced", counts.blocks_priced),
         ("blocks_encoded", counts.blocks_encoded),
         ("net_events_popped", counts.net_events_popped),
+        ("net_events_inline", counts.net_events_inline),
         ("packets_assembled", counts.packets_assembled),
         ("fec_group_checks", counts.fec_group_checks),
         ("nack_polls", counts.nack_polls),
