@@ -951,12 +951,13 @@ impl TurnMachine<'_> {
                 PayloadKind::Fec => {
                     if let (Some(group), Some(slot)) = (packet.fec_group, t.live_slot(frame_idx)) {
                         let frame = &t.outgoing[slot];
-                        let group_size = t.media_group_size[slot];
                         let count = (frame.size_bytes.div_ceil(t.max_payload).max(1)) as usize;
-                        for pi in 0..count {
-                            if group_of_index(group_size, pi) == Some(group) {
-                                t.fec_recovery.expect_media(frame.frame_id, group, pi);
-                            }
+                        // The group's media packets: the frame's `group_of_index` preimage
+                        // of `group`, `group · size ..< (group + 1) · size`.
+                        let group_size = t.media_group_size[slot] as usize;
+                        let first = (group as usize).saturating_mul(group_size);
+                        for pi in first..first.saturating_add(group_size).min(count) {
+                            t.fec_recovery.expect_media(frame.frame_id, group, pi);
                         }
                         t.fec_recovery.on_parity(frame.frame_id, group);
                         fec_candidate = Some((frame_idx, group));
