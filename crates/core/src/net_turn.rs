@@ -87,7 +87,8 @@ pub(crate) enum NetEvent {
     /// The head of the member's paced departures enters the uplink; the departures behind
     /// it follow inline while they are the timeline's next events ([`InOrderStream`]).
     Departures,
-    /// The head of the member's in-order uplink arrivals reaches the receiver, and so on.
+    /// The head of the member's in-order uplink arrivals reaches the receiver; the arrivals
+    /// behind it follow inline likewise.
     Arrivals,
     /// An arrival earlier than the arrivals stream's tail (jitter, a reorder or extra-delay
     /// fault), or a fault's duplicate, reaches the receiver.
@@ -823,28 +824,20 @@ impl TurnMachine<'_> {
                     pace(&mut t.pacer, &mut t.departures, sim, member, now, *p);
                 }
             }
-            NetEvent::Departures => {
-                let first = t.departures.head();
-                self.drain_stream(
-                    now,
-                    first,
-                    sim,
-                    |t| &mut t.departures,
-                    || NetEvent::Departures,
-                    Self::deliver_uplink,
-                );
-            }
-            NetEvent::Arrivals => {
-                let first = t.arrivals.head();
-                self.drain_stream(
-                    now,
-                    first,
-                    sim,
-                    |t| &mut t.arrivals,
-                    || NetEvent::Arrivals,
-                    Self::on_arrival,
-                );
-            }
+            NetEvent::Departures => self.drain_stream(
+                now,
+                sim,
+                |t| &mut t.departures,
+                || NetEvent::Departures,
+                Self::deliver_uplink,
+            ),
+            NetEvent::Arrivals => self.drain_stream(
+                now,
+                sim,
+                |t| &mut t.arrivals,
+                || NetEvent::Arrivals,
+                Self::on_arrival,
+            ),
             NetEvent::UplinkArrival(packet) => self.on_arrival(now, packet, sim),
             NetEvent::ReceiverPoll => {
                 let opts = &self.compute.options;
@@ -892,19 +885,18 @@ impl TurnMachine<'_> {
         }
     }
 
-    /// Handles `first`, the head of the member's in-order `stream` whose event `head` just
-    /// popped, with `on_item`, then each packet behind it that fires inline.
+    /// Handles the head of the member's in-order `stream`, whose event `head` just popped,
+    /// with `on_item`, then each packet behind it that fires inline.
     fn drain_stream(
         &mut self,
         mut now: SimTime,
-        first: RtpPacket,
         sim: &mut Simulation<Event>,
         stream: impl Fn(&mut Transport) -> &mut InOrderStream<RtpPacket>,
         head: impl Fn() -> NetEvent,
         on_item: impl Fn(&mut Self, SimTime, RtpPacket, &mut Simulation<Event>),
     ) {
         let member = self.member;
-        let mut packet = first;
+        let mut packet = stream(self.t).head();
         loop {
             on_item(self, now, packet, sim);
             let armed = || Event::Net { member, ev: head() };

@@ -109,17 +109,19 @@ impl<E> Simulation<E> {
 
     /// Schedules `event` at `time` under a reserved sequence number (one an
     /// [`InOrderStream`] refused an item with), so it pops where an event scheduled at the
-    /// moment of the reservation would. See [`EventQueue::schedule_with_seq`] for the contract (the seq
-    /// belongs to no pending event). A time in the past is clamped to `now`.
+    /// moment of the reservation would. See [`EventQueue::schedule_with_seq`] for the
+    /// contract (the seq belongs to no pending event). A time in the past is clamped to
+    /// `now`.
     pub fn schedule_at_with_seq(&mut self, time: SimTime, seq: u64, event: E) -> EventId {
         self.scheduled += 1;
         self.queue.schedule_with_seq(time.max(self.now), seq, event)
     }
 
-    /// Fires a held item keyed `(time, seq)` (its seq reserved when it was created) inline, advancing the clock to `time`, when it is what the drain would pop next had
-    /// it been scheduled: inside a [`Simulation::run_until`] drain, at or before its
-    /// horizon, and ahead of every pending event. Returns `false`, moving nothing,
-    /// otherwise — the holder then schedules it under the same key.
+    /// Fires a held item keyed `(time, seq)` (its seq reserved when it was created) inline,
+    /// advancing the clock to `time`, when it is what the drain would pop next had it been
+    /// scheduled: inside a [`Simulation::run_until`] drain, at or before its horizon, and
+    /// ahead of every pending event. Returns `false`, moving nothing, otherwise — the
+    /// holder then schedules it under the same key.
     pub(crate) fn fire_inline(&mut self, time: SimTime, seq: u64) -> bool {
         let due = self.horizon.is_some_and(|horizon| time <= horizon)
             && self.queue.peek_key().is_none_or(|head| (time, seq) < head);

@@ -1,9 +1,10 @@
 //! The engine's deterministic work counts, pinned per registry scenario: how many rate
 //! searches and probes, how many raster, Eq. 1 and Eq. 2 cells, how many blocks priced
 //! and encoded, and how many kernel events (popped and fired inline), assembled packets,
-//! FEC group checks and NACK polls each spec's two ABR legs cost. Runs are seeded, so every count is exact and compared at zero tolerance; a change
-//! that removes work shows up as a diff of `tests/fixtures/work_counts.json`, and one that
-//! moves work it did not mean to move fails here.
+//! FEC group checks and NACK polls each spec's two ABR legs cost. Runs are seeded, so every
+//! count is exact and compared at zero tolerance; a change that removes work shows up as a
+//! diff of `tests/fixtures/work_counts.json`, and one that moves work it did not mean to
+//! move fails here.
 //!
 //! To refresh the fixture after an intentional change of the work done:
 //! `AIVC_UPDATE_FIXTURES=1 cargo test --release --test work_counts`
