@@ -187,8 +187,8 @@ impl Encoder {
         let mut bytes = [0u32; RATE_LANES];
         for first in (0..dims.len()).step_by(RATE_LANES) {
             let width = RATE_LANES.min(dims.len() - first);
-            for lane in 0..width {
-                qps[lane] = qp_at(first + lane);
+            for (lane, qp) in qps[..width].iter_mut().enumerate() {
+                *qp = qp_at(first + lane);
             }
             match priced {
                 Some(priced) => {
