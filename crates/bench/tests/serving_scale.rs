@@ -36,7 +36,7 @@ use aivc_netsim::PathConfig;
 use aivc_scene::templates::basketball_game;
 use aivc_scene::{Frame, SourceConfig, VideoSource};
 use aivc_sim::SimDuration;
-use aivchat_core::scenarios::{by_name, ScenarioSpec};
+use aivchat_core::scenarios::{registry, ScenarioSpec};
 use aivchat_core::{
     run_contention, Conversation, ConversationChatServer, NetSessionOptions, SessionSnapshot,
 };
@@ -281,7 +281,10 @@ fn main() {
     // measured 271.2 KiB (367.0 KiB while block records stored an offset and a quality,
     // 809.4 KiB while every tenant owned a whole turn scratch and block records carried
     // fields nothing read).
-    let mut scenario = by_name("shared-blackout").expect("registered scenario");
+    let mut scenario = registry()
+        .into_iter()
+        .find(|s| s.name == "shared-blackout")
+        .expect("registered scenario");
     let k = scenario.tenants;
     scenario.tenants = 2 * k;
     let joins = &mut scenario.sharing.as_mut().expect("a shared uplink").joins;

@@ -261,9 +261,9 @@ impl QpAllocator {
     /// performs no heap allocation.
     ///
     /// When the CLIP patch grid and the encoder CTU grid differ, the importance map is
-    /// resampled on the fly (nearest-center per target cell, identical values to
-    /// [`ImportanceMap::resample`]), exactly as a real implementation would feed Kvazaar's
-    /// ROI interface.
+    /// resampled on the fly (nearest-center per target cell,
+    /// [`ImportanceMap::nearest_value_for_cell`]), exactly as a real implementation would
+    /// feed Kvazaar's ROI interface.
     pub fn allocate_into(&self, importance: &ImportanceMap, encoder_grid: GridDims, out: &mut QpMap) {
         out.begin_refill(encoder_grid);
         let mut qp_for = RunMemo::new(self);

@@ -15,7 +15,7 @@
 //!   chronological order — the dslab-style ping-pong actor pattern, scaled out;
 //! * a **starvation watchdog** samples per-tenant goodput every fairness window: a tenant
 //!   whose share stays below a configured floor for consecutive windows gets its PR 6
-//!   degradation ladder escalated ([`GccController::force_fallback`]) and the event is
+//!   degradation ladder escalated ([`aivc_rtc::GccController::force_fallback`]) and the event is
 //!   *counted*, never silently absorbed;
 //! * **fairness telemetry** records each window's per-tenant share and Jain's index, plus
 //!   a post-recovery index over everything delivered after the last shared outage ends;

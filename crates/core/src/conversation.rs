@@ -27,11 +27,11 @@
 //! can run indefinitely — the steady-state benchmark (`conversation_turn_warm`) runs
 //! thousands of turns on one instance.
 //!
-//! The conversation's state minus its timeline is a [`Member`]. A conversation is the one
+//! The conversation's state minus its timeline is a `Member`. A conversation is the one
 //! member of a timeline of its own — its kernel and a one-flow uplink seeded like the
 //! session — and a [`crate::contention`] tenant one of K on a shared one; both run on the
 //! one driver (`net_turn::Driver`) and open and conclude their turns through the same two
-//! functions, [`Member::begin_turn`] and [`Member::conclude_turn`].
+//! functions, `Member::begin_turn` and `Member::conclude_turn`.
 
 use crate::context_aware::{Streamer, StreamerConfig};
 use crate::net_session::{FaultTelemetry, FrameDelivery, NetSessionOptions, NetTurnReport};

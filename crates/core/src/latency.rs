@@ -14,7 +14,7 @@ use aivc_rtc::jitter::{JitterBuffer, JitterBufferConfig};
 use aivc_scene::Frame;
 use aivc_videocodec::encoder::ENCODE_LATENCY_US;
 
-/// The conversational response-latency target in milliseconds (§1, citing [18]).
+/// The conversational response-latency target in milliseconds (§1, citing \[18\]).
 pub const RESPONSE_LATENCY_TARGET_MS: f64 = 300.0;
 
 /// Millisecond breakdown of one AI Video Chat turn.
@@ -107,11 +107,6 @@ impl LatencyBudget {
     /// Whether the turn meets the 300 ms conversational bound.
     pub fn meets_target(&self) -> bool {
         self.total_ms() <= RESPONSE_LATENCY_TARGET_MS
-    }
-
-    /// The share of the total spent outside the MLLM (the part RTC research can optimize).
-    pub fn network_side_ms(&self) -> f64 {
-        self.total_ms() - self.inference_ms
     }
 
     /// Renders a one-line breakdown, used by the examples and the experiment harness.
@@ -269,8 +264,8 @@ mod tests {
         assert_eq!(b.total_ms(), sum);
         assert_eq!(b.total_ms(), 299.0);
         assert!(b.meets_target());
-        assert_eq!(b.network_side_ms(), sum - inference_ms);
-        assert_eq!(b.network_side_ms(), 61.0);
+        // The part outside the MLLM, which RTC research can optimize.
+        assert_eq!(b.total_ms() - inference_ms, 61.0);
     }
 
     #[test]

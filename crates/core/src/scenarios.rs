@@ -680,11 +680,6 @@ pub fn registry() -> Vec<ScenarioSpec> {
     ]
 }
 
-/// Looks a registry entry up by name.
-pub fn by_name(name: &str) -> Option<ScenarioSpec> {
-    registry().into_iter().find(|spec| spec.name == name)
-}
-
 /// The registry entries whose tenants share the uplink, in registry order: the contention
 /// fixtures, and what the benchmark's `contention_cold` seeds by index.
 pub fn contention_registry() -> Vec<ScenarioSpec> {
@@ -777,6 +772,11 @@ mod tests {
     use crate::conversation::ConversationReport;
     use std::panic::{catch_unwind, AssertUnwindSafe};
 
+    /// Looks a registry entry up by name.
+    fn by_name(name: &str) -> Option<ScenarioSpec> {
+        registry().into_iter().find(|spec| spec.name == name)
+    }
+
     #[test]
     fn one_registry_of_sixteen_uniquely_named_valid_entries() {
         let reg = registry();
@@ -795,10 +795,13 @@ mod tests {
         ];
         assert_eq!([one_turn, conversations, shared], [8, 4, 4]);
         assert!(by_name("no-such-scenario").is_none());
-        // At least one entry exercises trace looping.
-        assert!(reg
-            .iter()
-            .any(|s| s.shared_uplink.bandwidth.loop_period().is_some()));
+        // At least one entry exercises trace looping: a trace that does not loop holds its
+        // last rate from its last segment on.
+        let late = |s: f64| SimTime::from_secs_f64(1_000.0 + s);
+        assert!(reg.iter().any(|s| {
+            let bandwidth = &s.shared_uplink.bandwidth;
+            bandwidth.rate_at(late(0.5)) != bandwidth.rate_at(late(2.0))
+        }));
         // The acceptance scenario: K ≥ 4 tenants sharing one blackout.
         let blackout = by_name("shared-blackout").unwrap();
         assert!(blackout.tenants >= 4);

@@ -78,18 +78,6 @@ impl CostSummary {
     pub fn total_secs(&self) -> f64 {
         self.inference_secs + self.encoding_secs
     }
-
-    /// Merges another ledger into this one.
-    pub fn merge(&mut self, other: &CostSummary) {
-        self.generator_input_tokens += other.generator_input_tokens;
-        self.generator_output_tokens += other.generator_output_tokens;
-        self.filter_input_tokens += other.filter_input_tokens;
-        self.filter_output_tokens += other.filter_output_tokens;
-        self.verifier_input_tokens += other.verifier_input_tokens;
-        self.verifier_output_tokens += other.verifier_output_tokens;
-        self.inference_secs += other.inference_secs;
-        self.encoding_secs += other.encoding_secs;
-    }
 }
 
 #[cfg(test)]
@@ -106,22 +94,6 @@ mod tests {
         assert!((ledger.total_dollars(&prices) - 0.08).abs() < 1e-9);
         ledger.generator_output_tokens *= 2;
         assert!((ledger.total_dollars(&prices) - 0.16).abs() < 1e-9);
-    }
-
-    #[test]
-    fn merge_adds_all_fields() {
-        let a = CostSummary {
-            generator_input_tokens: 1,
-            filter_output_tokens: 2,
-            inference_secs: 3.0,
-            encoding_secs: 4.0,
-            ..CostSummary::default()
-        };
-        let mut b = a;
-        b.merge(&a);
-        assert_eq!(b.generator_input_tokens, 2);
-        assert_eq!(b.filter_output_tokens, 4);
-        assert_eq!(b.total_secs(), 14.0);
     }
 
     #[test]

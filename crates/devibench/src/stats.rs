@@ -62,15 +62,6 @@ impl CategoryDistribution {
         }
     }
 
-    /// The category with the largest share.
-    pub fn dominant_category(&self) -> FactCategory {
-        self.entries
-            .iter()
-            .max_by(|a, b| a.count.cmp(&b.count))
-            .map(|e| e.category)
-            .unwrap_or(FactCategory::TextRich)
-    }
-
     /// Renders the distribution as a markdown table (used by the Figure 8 harness).
     pub fn to_markdown(&self) -> String {
         let mut out = String::from("| category | ours | paper |\n|---|---|---|\n");
@@ -139,7 +130,8 @@ mod tests {
             })
             .collect();
         let dist = CategoryDistribution::of(&samples);
-        assert_eq!(dist.dominant_category(), FactCategory::TextRich);
+        let dominant = dist.entries.iter().max_by_key(|e| e.count).unwrap();
+        assert_eq!(dominant.category, FactCategory::TextRich);
         assert_eq!(dist.multi_frame_share(), 0.0);
     }
 

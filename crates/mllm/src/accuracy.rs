@@ -402,7 +402,7 @@ mod tests {
     #[test]
     fn higher_capability_model_is_more_accurate() {
         let strong = AnswerModel::new(MllmConfig::generator_like(), 1);
-        let weak = AnswerModel::new(MllmConfig::mobile_like(), 1);
+        let weak = AnswerModel::new(MllmConfig::qwen_omni_like(), 1);
         let q = question(0, QuestionFormat::FreeResponse);
         let frames = decoded_at_qp(32);
         assert!(strong.probability_correct(&q, &frames) > weak.probability_correct(&q, &frames));

@@ -90,20 +90,6 @@ impl MllmChat {
         &self.answer_model
     }
 
-    /// Selects the frames the model would ingest out of everything the receiver decoded.
-    pub fn ingest(&self, offered: &[DecodedFrame]) -> (Vec<DecodedFrame>, SamplingStats) {
-        let mut sampler = FrameSampler::new(&self.profile.config);
-        let mut taken = Vec::new();
-        let mut ordered: Vec<&DecodedFrame> = offered.iter().collect();
-        ordered.sort_by_key(|f| f.capture_ts_us);
-        for frame in ordered {
-            if sampler.offer_frame(frame) {
-                taken.push(frame.clone());
-            }
-        }
-        (taken, sampler.stats())
-    }
-
     /// Answers `question` after looking at the offered decoded frames.
     ///
     /// `context_tag` distinguishes repeated evaluations of the same question under different
@@ -126,8 +112,7 @@ impl MllmChat {
         scratch: &mut MllmScratch,
     ) -> Answer {
         let MllmScratch { order, taken } = scratch;
-        // Capture order, index-stable for equal timestamps — the same ordering the stable
-        // sort in `MllmChat::ingest` produces.
+        // Capture order, index-stable for equal timestamps.
         order.clear();
         order.extend(0..offered.len());
         order.sort_unstable_by_key(|&i| (offered[i].capture_ts_us, i));
@@ -207,8 +192,10 @@ mod tests {
     fn ingest_downsamples_30fps_to_2fps() {
         let chat = MllmChat::responder(1);
         let offered = offered_frames(30, 90, 30.0); // 3 seconds at 30 FPS
-        let (taken, stats) = chat.ingest(&offered);
-        assert!(taken.len() <= 7, "taken {}", taken.len());
+        let stats = chat
+            .respond_with(&score_question(), &offered, 0, &mut MllmScratch::new())
+            .sampling;
+        assert!(stats.taken <= 7, "taken {}", stats.taken);
         assert_eq!(stats.offered, 90);
         assert!(stats.redundant_fraction() > 0.9);
     }
@@ -303,7 +290,10 @@ mod tests {
                 dec.decode_with_received(&encoded, &received[i as usize], Some(i * 1_000_000))
             })
             .collect();
-        assert!(offered.iter().skip(1).all(|f| f.received_fraction() < 1.0));
+        assert!(offered
+            .iter()
+            .skip(1)
+            .all(|f| !f.blocks.iter().all(|b| b.received)));
 
         let temporal = scene
             .facts
@@ -334,9 +324,9 @@ mod tests {
             for offered in [&offered[..], &offered[..1], &[]] {
                 for tag in [0u64, 3, 11] {
                     let answer = chat.respond_with(question, offered, tag, &mut scratch);
+                    // The frames are in capture order and the sampler admits them all.
                     assert_eq!(answer.frames_ingested, offered.len());
-                    let (taken, _) = chat.ingest(offered);
-                    let kept = &taken[taken.len() - answer.frames_ingested..];
+                    let kept = offered;
                     assert_eq!(
                         answer.perceived_evidence_quality.to_bits(),
                         model.perceived_evidence_quality(question, kept).to_bits(),

@@ -72,20 +72,6 @@ impl MllmConfig {
             ..Self::qwen_omni_like()
         }
     }
-
-    /// A small on-device MLLM (MiniCPM-V / AndesVL class) for the §4 model-collaboration
-    /// discussion: cheaper and faster, but noticeably weaker.
-    pub fn mobile_like() -> Self {
-        Self {
-            capability: 0.75,
-            slip_rate: 0.10,
-            prefill_fixed_ms: 90.0,
-            prefill_per_token_ms: 0.03,
-            decode_per_token_ms: 6.0,
-            visual_token_budget: 4_096,
-            ..Self::qwen_omni_like()
-        }
-    }
 }
 
 /// A named profile bundling a configuration with an identifying label and RNG stream.
@@ -126,15 +112,6 @@ impl MllmProfile {
             seed_stream,
         }
     }
-
-    /// The mobile collaborator profile.
-    pub fn mobile(seed_stream: u64) -> Self {
-        Self {
-            name: "mobile-mllm".into(),
-            config: MllmConfig::mobile_like(),
-            seed_stream,
-        }
-    }
 }
 
 #[cfg(test)]
@@ -161,10 +138,7 @@ mod tests {
     fn profiles_differ_where_expected() {
         let responder = MllmConfig::qwen_omni_like();
         let generator = MllmConfig::generator_like();
-        let mobile = MllmConfig::mobile_like();
         assert!(generator.capability > responder.capability);
-        assert!(mobile.capability < responder.capability);
-        assert!(mobile.prefill_fixed_ms < responder.prefill_fixed_ms);
         assert!(generator.typical_output_tokens > responder.typical_output_tokens);
     }
 
@@ -174,10 +148,9 @@ mod tests {
             MllmProfile::responder(1).name,
             MllmProfile::generator(2).name,
             MllmProfile::verifier(3).name,
-            MllmProfile::mobile(4).name,
         ]
         .into_iter()
         .collect();
-        assert_eq!(names.len(), 4);
+        assert_eq!(names.len(), 3);
     }
 }

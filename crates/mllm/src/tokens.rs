@@ -45,13 +45,6 @@ impl VisionTokenizer {
     pub fn budget(&self) -> u32 {
         self.budget
     }
-
-    /// Applies a token-pruning ratio (the §4 "context-aware token pruning" discussion):
-    /// returns the token count after dropping `prune_fraction` of the visual tokens.
-    pub fn pruned(&self, tokens: u32, prune_fraction: f64) -> u32 {
-        let keep = 1.0 - prune_fraction.clamp(0.0, 1.0);
-        ((tokens as f64 * keep).round() as u32).max(1)
-    }
 }
 
 #[cfg(test)]
@@ -90,13 +83,5 @@ mod tests {
         let (tokens, kept) = t.tokens_for_frames(4, 602_112);
         assert_eq!(kept, 4);
         assert_eq!(tokens, 4 * 768);
-    }
-
-    #[test]
-    fn pruning_reduces_tokens_but_never_to_zero() {
-        let t = VisionTokenizer::new(&MllmConfig::qwen_omni_like());
-        assert_eq!(t.pruned(1000, 0.8), 200);
-        assert_eq!(t.pruned(1000, 1.0), 1);
-        assert_eq!(t.pruned(1000, 0.0), 1000);
     }
 }

@@ -83,12 +83,6 @@ impl LinkConfig {
         self.max_jitter = max_jitter;
         self
     }
-
-    /// Adds a fault schedule.
-    pub fn with_faults(mut self, faults: FaultSchedule) -> Self {
-        self.faults = faults;
-        self
-    }
 }
 
 /// The two links of a session's path. §2.1 of the paper points out that AI Video Chat is
@@ -352,14 +346,6 @@ impl Link {
     pub fn take_duplicate(&mut self) -> Option<SimTime> {
         self.pending_duplicate.take()
     }
-
-    /// Resets dynamic state (queue backlog, counters) while keeping configuration and RNG
-    /// streams, so repeated experiment trials on one link object stay independent.
-    pub fn reset(&mut self) {
-        self.busy_until = SimTime::ZERO;
-        self.pending_duplicate = None;
-        self.counters = LinkCounters::default();
-    }
 }
 
 #[cfg(test)]
@@ -427,6 +413,27 @@ mod tests {
     }
 
     #[test]
+    fn a_packet_that_exactly_fills_the_queue_is_delivered_and_one_more_byte_is_dropped() {
+        let config = LinkConfig::constant(mbps(1.0), SimDuration::from_millis(10), 100, LossModel::None);
+        let capacity = config.queue_capacity_bytes;
+        let mut link = Link::new(config, 5);
+        let now = SimTime::ZERO;
+        // A standing queue first, so the boundary is checked against a non-zero backlog.
+        assert!(link.send(&Packet::new(0, 1_250, now), now).arrival().is_some());
+        let room = capacity - link.backlog_bytes(now);
+        let fill = link.send(&Packet::new(1, room as u32, now), now);
+        assert!(
+            fill.arrival().is_some(),
+            "{room} B bring the backlog to the capacity: {fill:?}"
+        );
+        let over = capacity - link.backlog_bytes(now) + 1;
+        assert_eq!(
+            link.send(&Packet::new(2, over as u32, now), now),
+            DeliveryOutcome::DroppedQueueFull
+        );
+    }
+
+    #[test]
     fn below_capacity_no_queue_builds() {
         // 5 Mbps offered to a 10 Mbps link: queueing delay stays ~0.
         let mut link = Link::new(LinkConfig::paper_section_2_2(0.0), 4);
@@ -488,10 +495,10 @@ mod tests {
     #[test]
     fn outage_episode_drops_everything_without_touching_the_queue() {
         use crate::fault::FaultSchedule;
-        let cfg = LinkConfig::paper_section_2_2(0.0).with_faults(FaultSchedule::blackout(
-            SimTime::from_millis(100),
-            SimDuration::from_millis(200),
-        ));
+        let cfg = LinkConfig {
+            faults: FaultSchedule::blackout(SimTime::from_millis(100), SimDuration::from_millis(200)),
+            ..LinkConfig::paper_section_2_2(0.0)
+        };
         let mut link = Link::new(cfg, 11);
         // Before the outage: delivered.
         let before = link.send(&Packet::new(0, 1_250, SimTime::ZERO), SimTime::ZERO);
@@ -512,12 +519,14 @@ mod tests {
     #[test]
     fn burst_storm_episode_raises_loss_only_inside_its_window() {
         use crate::fault::{FaultEpisode, FaultKind, FaultSchedule};
-        let cfg = LinkConfig::constant(mbps(50.0), SimDuration::from_millis(10), 300, LossModel::None)
-            .with_faults(FaultSchedule::new(vec![FaultEpisode {
+        let cfg = LinkConfig {
+            faults: FaultSchedule::new(vec![FaultEpisode {
                 start: SimTime::from_secs_f64(10.0),
                 duration: SimDuration::from_secs_f64(10.0),
                 kind: FaultKind::BurstLoss { loss_rate: 0.5 },
-            }]));
+            }]),
+            ..LinkConfig::constant(mbps(50.0), SimDuration::from_millis(10), 300, LossModel::None)
+        };
         let mut link = Link::new(cfg, 13);
         let mut lost_outside = 0u32;
         let mut lost_inside = 0u32;
@@ -539,13 +548,16 @@ mod tests {
     #[test]
     fn rtt_spike_episode_adds_exactly_the_configured_delay() {
         use crate::fault::{FaultEpisode, FaultKind, FaultSchedule};
-        let cfg = LinkConfig::paper_section_2_2(0.0).with_faults(FaultSchedule::new(vec![FaultEpisode {
-            start: SimTime::from_millis(100),
-            duration: SimDuration::from_millis(100),
-            kind: FaultKind::RttSpike {
-                extra_delay: SimDuration::from_millis(250),
-            },
-        }]));
+        let cfg = LinkConfig {
+            faults: FaultSchedule::new(vec![FaultEpisode {
+                start: SimTime::from_millis(100),
+                duration: SimDuration::from_millis(100),
+                kind: FaultKind::RttSpike {
+                    extra_delay: SimDuration::from_millis(250),
+                },
+            }]),
+            ..LinkConfig::paper_section_2_2(0.0)
+        };
         let mut link = Link::new(cfg, 17);
         let base = link
             .send(&Packet::new(0, 1_250, SimTime::ZERO), SimTime::ZERO)
@@ -564,11 +576,14 @@ mod tests {
     #[test]
     fn duplicate_episode_emits_a_back_to_back_copy() {
         use crate::fault::{FaultEpisode, FaultKind, FaultSchedule};
-        let cfg = LinkConfig::paper_section_2_2(0.0).with_faults(FaultSchedule::new(vec![FaultEpisode {
-            start: SimTime::ZERO,
-            duration: SimDuration::from_secs_f64(100.0),
-            kind: FaultKind::Duplicate { probability: 1.0 },
-        }]));
+        let cfg = LinkConfig {
+            faults: FaultSchedule::new(vec![FaultEpisode {
+                start: SimTime::ZERO,
+                duration: SimDuration::from_secs_f64(100.0),
+                kind: FaultKind::Duplicate { probability: 1.0 },
+            }]),
+            ..LinkConfig::paper_section_2_2(0.0)
+        };
         let mut link = Link::new(cfg, 19);
         let out = link.send(&Packet::new(0, 1_250, SimTime::ZERO), SimTime::ZERO);
         let arrival = out.arrival().unwrap();
@@ -583,14 +598,17 @@ mod tests {
     fn reorder_episode_lets_later_packets_overtake_within_the_bound() {
         use crate::fault::{FaultEpisode, FaultKind, FaultSchedule};
         let max_delay = SimDuration::from_millis(20);
-        let cfg = LinkConfig::paper_section_2_2(0.0).with_faults(FaultSchedule::new(vec![FaultEpisode {
-            start: SimTime::ZERO,
-            duration: SimDuration::from_secs_f64(100.0),
-            kind: FaultKind::Reorder {
-                probability: 0.3,
-                max_delay,
-            },
-        }]));
+        let cfg = LinkConfig {
+            faults: FaultSchedule::new(vec![FaultEpisode {
+                start: SimTime::ZERO,
+                duration: SimDuration::from_secs_f64(100.0),
+                kind: FaultKind::Reorder {
+                    probability: 0.3,
+                    max_delay,
+                },
+            }]),
+            ..LinkConfig::paper_section_2_2(0.0)
+        };
         let mut link = Link::new(cfg, 23);
         let mut arrivals = Vec::new();
         for i in 0..2_000u64 {
@@ -613,7 +631,10 @@ mod tests {
         // the exact arrival sequence of one built before fault injection existed (loss and
         // jitter RNG streams untouched).
         let base = LinkConfig::paper_section_2_2(0.03).with_jitter(SimDuration::from_millis(5));
-        let with_empty = base.clone().with_faults(crate::fault::FaultSchedule::none());
+        let with_empty = LinkConfig {
+            faults: crate::fault::FaultSchedule::none(),
+            ..base.clone()
+        };
         let run = |cfg: LinkConfig| {
             let mut link = Link::new(cfg, 29);
             (0..3_000u64)
@@ -624,17 +645,5 @@ mod tests {
                 .collect::<Vec<_>>()
         };
         assert_eq!(run(base), run(with_empty));
-    }
-
-    #[test]
-    fn reset_clears_backlog_and_counters() {
-        let mut link = Link::new(LinkConfig::paper_section_2_2(0.0), 9);
-        for i in 0..100u64 {
-            link.send(&Packet::new(i, 1_250, SimTime::ZERO), SimTime::ZERO);
-        }
-        assert!(link.backlog(SimTime::ZERO) > SimDuration::ZERO);
-        link.reset();
-        assert_eq!(link.backlog(SimTime::ZERO), SimDuration::ZERO);
-        assert_eq!(link.counters().offered, 0);
     }
 }

@@ -141,10 +141,10 @@ mod tests {
 
     #[test]
     fn outage_drops_are_attributed_to_the_sending_flow() {
-        let cfg = cfg().with_faults(FaultSchedule::blackout(
-            SimTime::from_millis(100),
-            SimDuration::from_millis(200),
-        ));
+        let cfg = LinkConfig {
+            faults: FaultSchedule::blackout(SimTime::from_millis(100), SimDuration::from_millis(200)),
+            ..cfg()
+        };
         let mut link = SharedLink::new(cfg, 11, 2);
         let t = SimTime::from_millis(150);
         assert_eq!(

@@ -95,12 +95,6 @@ impl LatencyStats {
     pub fn p99_ms(&mut self) -> f64 {
         self.percentile_ms(0.99)
     }
-
-    /// Merges another collector's samples into this one.
-    pub fn merge(&mut self, other: &LatencyStats) {
-        self.samples_ms.extend_from_slice(&other.samples_ms);
-        self.sorted = false;
-    }
 }
 
 #[cfg(test)]
@@ -128,17 +122,6 @@ mod tests {
         let _ = l.percentile_ms(0.5);
         l.record(SimDuration::from_millis(1000));
         assert!(l.p99_ms() >= 999.0);
-    }
-
-    #[test]
-    fn merge_combines_samples() {
-        let mut a = LatencyStats::new();
-        let mut b = LatencyStats::new();
-        a.record(SimDuration::from_millis(1));
-        b.record(SimDuration::from_millis(3));
-        a.merge(&b);
-        assert_eq!(a.count(), 2);
-        assert!((a.mean_ms() - 2.0).abs() < 1e-12);
     }
 
     #[test]

@@ -183,11 +183,6 @@ impl BandwidthTrace {
         self
     }
 
-    /// The loop period, if the trace repeats.
-    pub fn loop_period(&self) -> Option<SimDuration> {
-        (self.loop_period_us > 0).then(|| SimDuration::from_micros(self.loop_period_us))
-    }
-
     /// A step trace: `before_bps` until `at`, then `after_bps`.
     pub fn step(before_bps: f64, after_bps: f64, at: SimTime) -> Self {
         Self::from_segments(vec![(SimTime::ZERO, before_bps), (at, after_bps)])
@@ -457,7 +452,7 @@ mod tests {
         // 8 Mbps for 1 s, then 2 Mbps for 1 s, looping every 2 s.
         let t = BandwidthTrace::step(8e6, 2e6, SimTime::from_secs_f64(1.0))
             .looping(SimDuration::from_secs_f64(2.0));
-        assert_eq!(t.loop_period(), Some(SimDuration::from_secs_f64(2.0)));
+        assert_eq!(t.loop_period_us, 2_000_000);
         // Inside the first period: unchanged.
         assert_eq!(t.rate_at(SimTime::from_secs_f64(0.5)), 8e6);
         assert_eq!(t.rate_at(SimTime::from_secs_f64(1.5)), 2e6);

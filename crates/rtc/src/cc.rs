@@ -1,6 +1,6 @@
 //! Congestion control: a compact GCC-style (Google Congestion Control) estimator.
 //!
-//! WebRTC's sender adapts its rate from two signals (§1's citation [6]):
+//! WebRTC's sender adapts its rate from two signals (§1's citation \[6\]):
 //!
 //! * **delay gradient** — if one-way queueing delay trends upward, the bottleneck queue is
 //!   filling and the rate must back off multiplicatively;
@@ -47,8 +47,8 @@ pub struct PacketFeedback {
 
 /// An incrementally built summary of one feedback report — everything the controller's
 /// per-report fold actually consumes: how many packets the report covers, how many
-/// arrived, and the sum of the arrived packets' one-way delays (accumulated left to
-/// right, so the f64 summation is bit-identical to a pass over the equivalent slice).
+/// arrived, and the sum of the arrived packets' one-way delays (accumulated in the order
+/// the packets are pushed).
 ///
 /// The transport's feedback drain pushes matured per-packet feedback straight into one
 /// of these while compacting its pending ring, then hands the fold to
@@ -67,8 +67,7 @@ impl FeedbackFold {
     }
 
     /// Folds one packet's feedback into the summary. Call in report order: the one-way
-    /// delay summation is order-sensitive in the last ulps, and bit-identity with the
-    /// slice-based path depends on matching it.
+    /// delay sum is order-sensitive in its last ulps.
     pub fn push(&mut self, f: &PacketFeedback) {
         self.total += 1;
         if let Some(arrived) = f.arrived_at {
@@ -253,20 +252,17 @@ impl GccController {
         true
     }
 
-    /// Processes one feedback report with its arrival time, feeding the watchdog. This is
-    /// the entry point resilient transports use; [`GccController::on_feedback_report`]
-    /// remains for callers without a watchdog.
+    /// Processes one feedback report, summarized as a [`FeedbackFold`], that arrived at
+    /// `now`: it re-arms the watchdog, then updates the loss estimate and the rate
+    /// estimate from the report's loss fraction and delay trend. An empty report is
+    /// ignored.
     ///
     /// The first report after a watchdog-declared silence is special-cased: its contents
     /// describe the dead interval (losses from the outage, a stale delay baseline), so
     /// punishing the estimate with it would double-count the outage. Instead the delay
-    /// baseline resets and the recovery ramp takes its first step.
-    pub fn on_feedback_report_at(&mut self, now: SimTime, feedback: &[PacketFeedback]) {
-        self.on_feedback_fold_at(now, &Self::fold_slice(feedback));
-    }
-
-    /// [`GccController::on_feedback_report_at`] on a pre-built [`FeedbackFold`] — the
-    /// allocation- and copy-free entry the transport's feedback drain uses.
+    /// baseline resets and the recovery ramp takes its first step. While recovering from a
+    /// fallback, every later report takes a ramp step too, unless it signals congestion,
+    /// which ends the ramp.
     pub fn on_feedback_fold_at(&mut self, now: SimTime, fold: &FeedbackFold) {
         if fold.is_empty() {
             return;
@@ -279,55 +275,6 @@ impl GccController {
             self.last_mean_owd_ms = None;
             self.update_loss_ewma(fold);
             self.ramp_step();
-            return;
-        }
-        self.on_feedback_fold(fold);
-        if self.pre_fallback_bps.is_some() {
-            if self.state == CcState::Decrease {
-                // Real congestion push-back ends the recovery ramp.
-                self.pre_fallback_bps = None;
-            } else {
-                self.ramp_step();
-            }
-        }
-    }
-
-    /// Folds a feedback slice in report order (the bridge from the slice-based API).
-    fn fold_slice(feedback: &[PacketFeedback]) -> FeedbackFold {
-        let mut fold = FeedbackFold::new();
-        for f in feedback {
-            fold.push(f);
-        }
-        fold
-    }
-
-    /// One multiplicative recovery-ramp step toward the pre-fallback estimate.
-    fn ramp_step(&mut self) {
-        let Some(target) = self.pre_fallback_bps else {
-            return;
-        };
-        self.estimate_bps =
-            (self.estimate_bps * RECOVERY_RAMP_FACTOR).clamp(self.config.min_bps, self.config.max_bps);
-        self.state = CcState::Increase;
-        if self.estimate_bps >= target.min(self.config.max_bps) {
-            self.pre_fallback_bps = None;
-        }
-    }
-
-    fn update_loss_ewma(&mut self, fold: &FeedbackFold) {
-        self.loss_ewma += LOSS_EWMA_ALPHA * (fold.loss_fraction() - self.loss_ewma);
-        self.loss_ewma = self.loss_ewma.clamp(0.0, 1.0);
-    }
-
-    /// Processes one feedback report (a batch of per-packet feedback covering roughly one
-    /// RTT or reporting interval) and updates the estimate.
-    pub fn on_feedback_report(&mut self, feedback: &[PacketFeedback]) {
-        self.on_feedback_fold(&Self::fold_slice(feedback));
-    }
-
-    /// [`GccController::on_feedback_report`] on a pre-built [`FeedbackFold`].
-    fn on_feedback_fold(&mut self, fold: &FeedbackFold) {
-        if fold.is_empty() {
             return;
         }
         self.update_loss_ewma(fold);
@@ -360,6 +307,32 @@ impl GccController {
             self.state = CcState::Hold;
         }
         self.estimate_bps = self.estimate_bps.clamp(self.config.min_bps, self.config.max_bps);
+        if self.pre_fallback_bps.is_some() {
+            if self.state == CcState::Decrease {
+                // Real congestion push-back ends the recovery ramp.
+                self.pre_fallback_bps = None;
+            } else {
+                self.ramp_step();
+            }
+        }
+    }
+
+    /// One multiplicative recovery-ramp step toward the pre-fallback estimate.
+    fn ramp_step(&mut self) {
+        let Some(target) = self.pre_fallback_bps else {
+            return;
+        };
+        self.estimate_bps =
+            (self.estimate_bps * RECOVERY_RAMP_FACTOR).clamp(self.config.min_bps, self.config.max_bps);
+        self.state = CcState::Increase;
+        if self.estimate_bps >= target.min(self.config.max_bps) {
+            self.pre_fallback_bps = None;
+        }
+    }
+
+    fn update_loss_ewma(&mut self, fold: &FeedbackFold) {
+        self.loss_ewma += LOSS_EWMA_ALPHA * (fold.loss_fraction() - self.loss_ewma);
+        self.loss_ewma = self.loss_ewma.clamp(0.0, 1.0);
     }
 }
 
@@ -376,28 +349,26 @@ mod tests {
         })
     }
 
-    fn report(owd_ms: u64, count: usize, lost: usize, base_ms: u64) -> Vec<PacketFeedback> {
-        (0..count)
-            .map(|i| {
-                let sent = SimTime::from_millis(base_ms + i as u64 * 2);
-                PacketFeedback {
-                    sent_at: sent,
-                    arrived_at: if i < count - lost {
-                        Some(sent + SimDuration::from_millis(owd_ms))
-                    } else {
-                        None
-                    },
-                    size_bytes: 1_250,
-                }
-            })
-            .collect()
+    /// Feeds `cc` one report that arrives at `base_ms`: `count` packets sent 2 ms apart from
+    /// `base_ms`, the last `lost` of them lost and the rest arriving `owd_ms` after sending.
+    fn feed(cc: &mut GccController, owd_ms: u64, count: usize, lost: usize, base_ms: u64) {
+        let mut fold = FeedbackFold::new();
+        for i in 0..count {
+            let sent = SimTime::from_millis(base_ms + i as u64 * 2);
+            fold.push(&PacketFeedback {
+                sent_at: sent,
+                arrived_at: (i < count - lost).then(|| sent + SimDuration::from_millis(owd_ms)),
+                size_bytes: 1_250,
+            });
+        }
+        cc.on_feedback_fold_at(SimTime::from_millis(base_ms), &fold);
     }
 
     #[test]
     fn stable_delay_low_loss_increases_estimate() {
         let mut cc = controller(2e6);
         for round in 0..20u64 {
-            cc.on_feedback_report(&report(35, 50, 0, round * 100));
+            feed(&mut cc, 35, 50, 0, round * 100);
         }
         assert!(cc.estimate_bps() > 2e6);
         assert_eq!(cc.state(), CcState::Increase);
@@ -408,7 +379,7 @@ mod tests {
         let mut cc = controller(8e6);
         // Delay ramps up 10 ms per report: classic queue build-up.
         for round in 0..10u64 {
-            cc.on_feedback_report(&report(30 + round * 10, 50, 0, round * 100));
+            feed(&mut cc, 30 + round * 10, 50, 0, round * 100);
         }
         assert!(cc.estimate_bps() < 8e6);
         assert_eq!(cc.state(), CcState::Decrease);
@@ -418,7 +389,7 @@ mod tests {
     fn heavy_loss_backs_off_even_with_flat_delay() {
         let mut cc = controller(5e6);
         for round in 0..5u64 {
-            cc.on_feedback_report(&report(30, 50, 10, round * 100)); // 20% loss
+            feed(&mut cc, 30, 50, 10, round * 100); // 20% loss
         }
         assert!(cc.estimate_bps() < 5e6 * 0.85f64.powi(4) * 1.1);
     }
@@ -426,9 +397,9 @@ mod tests {
     #[test]
     fn moderate_loss_holds() {
         let mut cc = controller(5e6);
-        cc.on_feedback_report(&report(30, 100, 0, 0));
+        feed(&mut cc, 30, 100, 0, 0);
         let before = cc.estimate_bps();
-        cc.on_feedback_report(&report(30, 100, 5, 100)); // 5% loss: between thresholds
+        feed(&mut cc, 30, 100, 5, 100); // 5% loss: between thresholds
         assert_eq!(cc.state(), CcState::Hold);
         assert!((cc.estimate_bps() - before).abs() < 1.0);
     }
@@ -441,7 +412,7 @@ mod tests {
             ..GccConfig::default()
         });
         for round in 0..50u64 {
-            cc.on_feedback_report(&report(30 + round * 20, 20, 10, round * 100));
+            feed(&mut cc, 30 + round * 20, 20, 10, round * 100);
         }
         assert!(cc.estimate_bps() >= 150_000.0);
     }
@@ -449,14 +420,14 @@ mod tests {
     #[test]
     fn empty_report_is_ignored() {
         let mut cc = controller(1e6);
-        cc.on_feedback_report(&[]);
+        feed(&mut cc, 30, 0, 0, 0);
         assert_eq!(cc.estimate_bps(), 1e6);
     }
 
     #[test]
     fn all_lost_report_backs_off() {
         let mut cc = controller(4e6);
-        cc.on_feedback_report(&report(30, 20, 20, 0));
+        feed(&mut cc, 30, 20, 20, 0);
         assert!(cc.estimate_bps() < 4e6);
     }
 
@@ -513,7 +484,7 @@ mod tests {
         assert!(fallen < 8e6);
         // First feedback after the outage is all-lost (it describes the dead interval) —
         // the estimate must RISE (ramp step), not take the all-lost beta hit.
-        cc.on_feedback_report_at(SimTime::from_millis(700), &report(30, 20, 20, 700));
+        feed(&mut cc, 30, 20, 20, 700);
         assert!(cc.estimate_bps() > fallen);
         assert!(!cc.is_silent());
         assert!(cc.in_fallback(), "still below the pre-fallback estimate");
@@ -528,7 +499,7 @@ mod tests {
         let mut t = 900u64;
         // Clean feedback reports ramp the estimate monotonically back up.
         while cc.in_fallback() {
-            cc.on_feedback_report_at(SimTime::from_millis(t), &report(30, 50, 0, t));
+            feed(&mut cc, 30, 50, 0, t);
             assert!(cc.estimate_bps() >= prev, "ramp must be monotone");
             prev = cc.estimate_bps();
             t += 100;
@@ -542,10 +513,10 @@ mod tests {
         let mut cc = GccController::new(watchdog_config(8e6));
         cc.poll_watchdog(SimTime::ZERO);
         cc.poll_watchdog(SimTime::from_millis(400));
-        cc.on_feedback_report_at(SimTime::from_millis(500), &report(30, 50, 0, 500)); // leaves silence
+        feed(&mut cc, 30, 50, 0, 500); // leaves silence
         assert!(cc.in_fallback());
         // Heavy loss while ramping: real congestion wins, ramp ends.
-        cc.on_feedback_report_at(SimTime::from_millis(600), &report(30, 50, 15, 600));
+        feed(&mut cc, 30, 50, 15, 600);
         assert!(!cc.in_fallback());
         assert_eq!(cc.state(), CcState::Decrease);
     }
@@ -568,7 +539,7 @@ mod tests {
         let mut t = 100u64;
         let mut prev = cc.estimate_bps();
         while cc.in_fallback() {
-            cc.on_feedback_report_at(SimTime::from_millis(t), &report(30, 50, 0, t));
+            feed(&mut cc, 30, 50, 0, t);
             assert!(cc.estimate_bps() >= prev);
             prev = cc.estimate_bps();
             t += 100;
@@ -592,7 +563,7 @@ mod tests {
         let mut cc = GccController::new(watchdog_config(5e6));
         for round in 0..20u64 {
             let t = round * 150; // every 150 ms < 200 ms timeout
-            cc.on_feedback_report_at(SimTime::from_millis(t), &report(30, 50, 0, t));
+            feed(&mut cc, 30, 50, 0, t);
             assert!(!cc.poll_watchdog(SimTime::from_millis(t + 100)));
         }
         assert_eq!(cc.watchdog_fallbacks(), 0);
@@ -604,11 +575,11 @@ mod tests {
         let mut cc = controller(5e6);
         assert_eq!(cc.loss_estimate(), 0.0);
         for round in 0..30u64 {
-            cc.on_feedback_report(&report(30, 100, 20, round * 100)); // 20% loss
+            feed(&mut cc, 30, 100, 20, round * 100); // 20% loss
         }
         assert!((cc.loss_estimate() - 0.2).abs() < 0.01);
         for round in 30..80u64 {
-            cc.on_feedback_report(&report(30, 100, 0, round * 100)); // clean again
+            feed(&mut cc, 30, 100, 0, round * 100); // clean again
         }
         assert!(cc.loss_estimate() < 0.01);
     }

@@ -32,15 +32,6 @@ impl FecConfig {
     pub fn is_enabled(&self) -> bool {
         self.group_size > 0
     }
-
-    /// Bitrate overhead fraction introduced by the parity packets.
-    pub fn overhead_fraction(&self) -> f64 {
-        if self.group_size == 0 {
-            0.0
-        } else {
-            1.0 / self.group_size as f64
-        }
-    }
 }
 
 /// Smallest adaptive parity group (heaviest protection, overhead 1/2).
@@ -90,10 +81,10 @@ impl Default for AdaptiveFecConfig {
     }
 }
 
-/// The group index a media packet (by its position within the frame) belongs to, for a
-/// given group size — the free-function twin of [`FecEncoder::group_of`] that arrival
-/// paths use with the group size *stored per frame* (an adaptive encoder may have moved
-/// on to a different size by the time packets arrive).
+/// The parity group a media packet (by its position within the frame) belongs to when the
+/// frame was protected in groups of `group_size`; `None` when FEC was off (`group_size`
+/// 0). Arrival paths pass the group size *stored per frame*: an adaptive encoder may have
+/// moved on to a different size by the time packets arrive.
 pub fn group_of_index(group_size: u32, media_packet_index: usize) -> Option<u32> {
     if group_size == 0 {
         return None;
@@ -124,20 +115,11 @@ impl FecEncoder {
         self.config.group_size = group_size;
     }
 
-    /// Builds parity packets for `media_packets` (all belonging to one frame), assigning
-    /// them sequence numbers from `alloc_seq`.
-    ///
-    /// Allocates a fresh `Vec` per call; per-frame loops should reuse a buffer via
-    /// [`FecEncoder::protect_into`] instead — the transport session does.
-    pub fn protect(&self, media_packets: &[RtpPacket], alloc_seq: impl FnMut() -> u64) -> Vec<RtpPacket> {
-        let mut parity = Vec::new();
-        self.protect_into(media_packets, alloc_seq, &mut parity);
-        parity
-    }
-
-    /// [`FecEncoder::protect`] into a caller-owned buffer. The buffer is cleared first;
-    /// once it has grown to the session's largest parity count, further calls are
-    /// allocation-free. Contents are identical to [`FecEncoder::protect`].
+    /// Builds the parity packets for `media_packets` (all belonging to one frame) into
+    /// `parity`: one per group of [`FecEncoder::group_size`] consecutive media packets,
+    /// numbered from `alloc_seq`, none when FEC is off. The buffer is cleared first; once
+    /// it has grown to the session's largest parity count, further calls are
+    /// allocation-free.
     pub fn protect_into(
         &self,
         media_packets: &[RtpPacket],
@@ -166,14 +148,6 @@ impl FecEncoder {
                 fec_group: Some(group_idx as u32),
             });
         }
-    }
-
-    /// The group index a media packet (by its position within the frame) belongs to.
-    pub fn group_of(&self, media_packet_index: usize) -> Option<u32> {
-        if !self.config.is_enabled() {
-            return None;
-        }
-        Some((media_packet_index / self.config.group_size as usize) as u32)
     }
 }
 
@@ -341,24 +315,36 @@ mod tests {
     use crate::packetizer::{OutgoingFrame, Packetizer};
 
     fn media_packets(size: u64) -> Vec<RtpPacket> {
-        let mut p = Packetizer::default();
-        p.packetize(&OutgoingFrame {
+        let mut packets = Vec::new();
+        let frame = OutgoingFrame {
             frame_id: 1,
             capture_ts_us: 0,
             size_bytes: size,
             is_keyframe: false,
-        })
+        };
+        Packetizer::default().packetize_into(&frame, &mut packets);
+        packets
+    }
+
+    /// The parity packets `enc` builds for `media`, numbered from `*seq + 1` on.
+    fn parity_of(enc: &FecEncoder, media: &[RtpPacket], seq: &mut u64) -> Vec<RtpPacket> {
+        let mut parity = Vec::new();
+        enc.protect_into(
+            media,
+            || {
+                *seq += 1;
+                *seq
+            },
+            &mut parity,
+        );
+        parity
     }
 
     #[test]
     fn parity_count_matches_group_size() {
         let enc = FecEncoder::new(FecConfig::with_group_size(4));
         let media = media_packets(13_520); // 10 media packets
-        let mut seq = 100u64;
-        let parity = enc.protect(&media, || {
-            seq += 1;
-            seq
-        });
+        let parity = parity_of(&enc, &media, &mut 100);
         assert_eq!(parity.len(), 3); // ceil(10 / 4)
         assert!(parity.iter().all(|p| p.header.kind == PayloadKind::Fec));
         assert_eq!(parity[0].fec_group, Some(0));
@@ -368,14 +354,16 @@ mod tests {
     #[test]
     fn disabled_fec_produces_nothing() {
         let enc = FecEncoder::new(FecConfig::disabled());
-        assert!(enc.protect(&media_packets(5_000), || 0).is_empty());
-        assert_eq!(FecConfig::disabled().overhead_fraction(), 0.0);
-        assert_eq!(enc.group_of(3), None);
+        assert!(parity_of(&enc, &media_packets(5_000), &mut 0).is_empty());
+        assert_eq!(group_of_index(enc.group_size(), 3), None);
     }
 
     #[test]
     fn overhead_fraction() {
-        assert!((FecConfig::with_group_size(5).overhead_fraction() - 0.2).abs() < 1e-12);
+        // Ten media packets in groups of five carry two parity packets: an overhead of 1/5.
+        let enc = FecEncoder::new(FecConfig::with_group_size(5));
+        let media = media_packets(13_520);
+        assert_eq!(parity_of(&enc, &media, &mut 0).len() * 5, media.len());
     }
 
     #[test]
@@ -441,8 +429,15 @@ mod tests {
     #[test]
     fn group_of_index_matches_encoder_grouping() {
         let enc = FecEncoder::new(FecConfig::with_group_size(4));
-        for idx in 0..20 {
-            assert_eq!(group_of_index(4, idx), enc.group_of(idx));
+        let media = media_packets(13_520); // 10 media packets
+        let parity = parity_of(&enc, &media, &mut 0);
+        // Every media packet of the chunk the encoder protected with parity packet `g` is
+        // in group `g`.
+        for (g, chunk) in media.chunks(4).enumerate() {
+            assert_eq!(parity[g].fec_group, Some(g as u32));
+            for i in 0..chunk.len() {
+                assert_eq!(group_of_index(4, 4 * g + i), Some(g as u32));
+            }
         }
         assert_eq!(group_of_index(0, 3), None);
     }
@@ -452,24 +447,10 @@ mod tests {
         let mut enc = FecEncoder::new(FecConfig::with_group_size(4));
         let media = media_packets(13_520); // 10 media packets
         let mut seq = 0u64;
-        assert_eq!(
-            enc.protect(&media, || {
-                seq += 1;
-                seq
-            })
-            .len(),
-            3
-        ); // ceil(10/4)
+        assert_eq!(parity_of(&enc, &media, &mut seq).len(), 3); // ceil(10/4)
         enc.set_group_size(2);
         assert_eq!(enc.group_size(), 2);
-        assert_eq!(
-            enc.protect(&media, || {
-                seq += 1;
-                seq
-            })
-            .len(),
-            5
-        ); // ceil(10/2)
+        assert_eq!(parity_of(&enc, &media, &mut seq).len(), 5); // ceil(10/2)
     }
 
     #[test]

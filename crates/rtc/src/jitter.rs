@@ -1,7 +1,7 @@
 //! The jitter buffer — and why AI receivers can delete it.
 //!
 //! Traditional RTC delays every frame by a target amount so that playback proceeds at a
-//! smooth cadence despite network jitter (§2.1, [47]). An MLLM receiver does not play the
+//! smooth cadence despite network jitter (§2.1, \[47\]). An MLLM receiver does not play the
 //! video back in real time: its perception of time comes from capture timestamps, so frames
 //! can be forwarded the instant they are complete. [`JitterBuffer`] implements the
 //! traditional behaviour (adaptive target delay based on observed jitter); "AI mode" is

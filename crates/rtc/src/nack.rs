@@ -40,7 +40,7 @@ struct PendingNack {
     retries: u32,
     /// The conversational deadline in force when the gap was detected: a retransmission
     /// that cannot arrive before it is pointless (the frame's answer is already due), so
-    /// [`NackGenerator::due_nacks`] drops the request instead of sending it.
+    /// [`NackGenerator::due_nacks_into`] drops the request instead of sending it.
     deadline: Option<SimTime>,
 }
 
@@ -89,7 +89,7 @@ impl NackGenerator {
     }
 
     /// Arms deadline-aware suppression: gaps detected from now on carry `deadline`, and
-    /// [`NackGenerator::due_nacks`] drops (never requests) a sequence whose retransmission
+    /// [`NackGenerator::due_nacks_into`] drops (never requests) a sequence whose retransmission
     /// — expected `recovery_estimate` after the request — would land past its deadline.
     /// Such a retransmit is wasted uplink that competes with the next frame's media
     /// (the §1 300 ms conversational budget). `None` disables suppression for gaps
@@ -151,17 +151,10 @@ impl NackGenerator {
         }
     }
 
-    /// The sequences that should be NACKed at `now`. Each returned sequence's retry state is
-    /// updated, so calling this repeatedly paces retries at [`RETRY_INTERVAL`].
-    pub fn due_nacks(&mut self, now: SimTime) -> Vec<u64> {
-        let mut due = Vec::new();
-        self.due_nacks_into(now, &mut due);
-        due
-    }
-
-    /// [`NackGenerator::due_nacks`] into a caller-provided buffer: due sequences are
-    /// appended to `due` in ascending order, and nothing else is allocated (exhausted and
-    /// deadline-hopeless records are dropped in the same in-order pass). The steady-state
+    /// Appends the sequences that should be NACKed at `now` to `due`, in ascending order.
+    /// Each appended sequence's retry state is updated, so calling this repeatedly paces
+    /// retries at [`RETRY_INTERVAL`]. Nothing else is allocated: exhausted and
+    /// deadline-hopeless records are dropped in the same in-order pass. The steady-state
     /// poll path reuses one pooled buffer per feedback packet through this.
     pub fn due_nacks_into(&mut self, now: SimTime, due: &mut Vec<u64>) {
         let mut suppressed = 0u64;
@@ -246,18 +239,9 @@ impl RtxQueue {
         self.sent.insert(packet.header.sequence, *packet)
     }
 
-    /// Produces retransmission copies for the NACKed sequences, assigning fresh sequence
-    /// numbers from `alloc_seq`. Unknown sequences are ignored.
-    pub fn retransmit(&mut self, sequences: &[u64], mut alloc_seq: impl FnMut() -> u64) -> Vec<RtpPacket> {
-        sequences
-            .iter()
-            .filter_map(|&seq| self.retransmit_one(seq, &mut alloc_seq))
-            .collect()
-    }
-
-    /// [`RetransmissionBuffer::retransmit`] for a single sequence, without the output
-    /// vector: the copy for `seq` (with a fresh sequence from `alloc_seq`), or `None`
-    /// when the sequence is unknown — in which case `alloc_seq` is never called.
+    /// The retransmission copy of the NACKed sequence `seq`, with a fresh sequence number
+    /// from `alloc_seq`, counted in [`RtxQueue::retransmissions`]; `None` when `seq` is not
+    /// stored, in which case `alloc_seq` is never called.
     pub fn retransmit_one(&mut self, seq: u64, alloc_seq: impl FnOnce() -> u64) -> Option<RtpPacket> {
         let original = self.sent.get(seq)?;
         self.retransmissions += 1;
@@ -285,6 +269,26 @@ mod tests {
     use super::*;
     use crate::packetizer::{OutgoingFrame, Packetizer};
 
+    /// The sequences `g` NACKs at `now`.
+    fn nacks_at(g: &mut NackGenerator, now: SimTime) -> Vec<u64> {
+        let mut due = Vec::new();
+        g.due_nacks_into(now, &mut due);
+        due
+    }
+
+    /// The media packets of a frame of `size_bytes`, numbered on from `packetizer`'s state.
+    fn packetize(packetizer: &mut Packetizer, frame_id: u64, size_bytes: u64) -> Vec<RtpPacket> {
+        let frame = OutgoingFrame {
+            frame_id,
+            capture_ts_us: 0,
+            size_bytes,
+            is_keyframe: false,
+        };
+        let mut packets = Vec::new();
+        packetizer.packetize_into(&frame, &mut packets);
+        packets
+    }
+
     #[test]
     fn gap_detection_and_guard() {
         let mut g = NackGenerator::new(NackConfig::default());
@@ -293,11 +297,11 @@ mod tests {
         g.on_packet(4, SimTime::from_millis(2)); // 2 and 3 missing
         assert_eq!(g.pending_count(), 2);
         // Before the reorder guard nothing is due.
-        assert!(g.due_nacks(SimTime::from_millis(3)).is_empty());
+        assert!(nacks_at(&mut g, SimTime::from_millis(3)).is_empty());
         // After the guard both are due.
-        assert_eq!(g.due_nacks(SimTime::from_millis(8)), vec![2, 3]);
+        assert_eq!(nacks_at(&mut g, SimTime::from_millis(8)), vec![2, 3]);
         // Immediately after, nothing new is due (retry interval).
-        assert!(g.due_nacks(SimTime::from_millis(9)).is_empty());
+        assert!(nacks_at(&mut g, SimTime::from_millis(9)).is_empty());
     }
 
     #[test]
@@ -308,7 +312,7 @@ mod tests {
         assert_eq!(g.pending_count(), 1);
         g.on_packet(1, SimTime::from_millis(3)); // reordered, not lost
         assert_eq!(g.pending_count(), 0);
-        assert!(g.due_nacks(SimTime::from_millis(20)).is_empty());
+        assert!(nacks_at(&mut g, SimTime::from_millis(20)).is_empty());
     }
 
     #[test]
@@ -319,11 +323,15 @@ mod tests {
         // One request per RETRY_INTERVAL (70 ms) once the guard has passed, never sooner.
         for round in 0..u64::from(MAX_RETRIES) {
             let t = 10 + round * 80;
-            assert_eq!(g.due_nacks(SimTime::from_millis(t)), vec![1], "round {round}");
-            assert!(g.due_nacks(SimTime::from_millis(t + 69)).is_empty());
+            assert_eq!(
+                nacks_at(&mut g, SimTime::from_millis(t)),
+                vec![1],
+                "round {round}"
+            );
+            assert!(nacks_at(&mut g, SimTime::from_millis(t + 69)).is_empty());
         }
         // Exhausted after MAX_RETRIES: the record is dropped, nothing resurfaces.
-        assert!(g.due_nacks(SimTime::from_millis(1_000)).is_empty());
+        assert!(nacks_at(&mut g, SimTime::from_millis(1_000)).is_empty());
         assert_eq!(g.pending_count(), 0);
     }
 
@@ -335,16 +343,16 @@ mod tests {
         g.on_packet(0, SimTime::from_millis(0));
         g.on_packet(2, SimTime::from_millis(10)); // seq 1 missing
                                                   // At t = 20 ms the RTX would land at ~80 ms — still inside the deadline: requested.
-        assert_eq!(g.due_nacks(SimTime::from_millis(20)), vec![1]);
+        assert_eq!(nacks_at(&mut g, SimTime::from_millis(20)), vec![1]);
         // A second gap appears late in the window.
         g.on_packet(4, SimTime::from_millis(70)); // seq 3 missing
                                                   // At t = 90 ms any RTX lands at ~150 ms, past the deadline: both the retry of 1 and
                                                   // the first request of 3 are suppressed, and the records are dropped entirely.
-        assert!(g.due_nacks(SimTime::from_millis(90)).is_empty());
+        assert!(nacks_at(&mut g, SimTime::from_millis(90)).is_empty());
         assert_eq!(g.pending_count(), 0);
         assert_eq!(g.nacks_suppressed(), 2);
         // Nothing resurfaces later.
-        assert!(g.due_nacks(SimTime::from_millis(200)).is_empty());
+        assert!(nacks_at(&mut g, SimTime::from_millis(200)).is_empty());
     }
 
     #[test]
@@ -357,7 +365,7 @@ mod tests {
             g.set_deadline(Some(deadline), SimDuration::from_millis(60));
             g.on_packet(0, SimTime::ZERO);
             g.on_packet(2, SimTime::from_millis(10)); // seq 1 missing
-            (g.due_nacks(now), g.nacks_suppressed())
+            (nacks_at(&mut g, now), g.nacks_suppressed())
         };
         assert_eq!(request_at(SimTime::from_millis(40)), (vec![1], 0));
         assert_eq!(request_at(SimTime::from_micros(40_001)), (vec![], 1));
@@ -372,13 +380,13 @@ mod tests {
                                                  // A new turn begins: a later deadline is armed, but the old gap keeps its own.
         g.set_deadline(Some(SimTime::from_millis(500)), SimDuration::from_millis(30));
         assert!(
-            g.due_nacks(SimTime::from_millis(40)).is_empty(),
+            nacks_at(&mut g, SimTime::from_millis(40)).is_empty(),
             "RTX at ~70 ms cannot beat the 50 ms deadline stamped at detection"
         );
         assert_eq!(g.nacks_suppressed(), 1);
         // Gaps detected under the new deadline behave normally.
         g.on_packet(5, SimTime::from_millis(60));
-        assert_eq!(g.due_nacks(SimTime::from_millis(70)), vec![3, 4]);
+        assert_eq!(nacks_at(&mut g, SimTime::from_millis(70)), vec![3, 4]);
     }
 
     #[test]
@@ -387,7 +395,7 @@ mod tests {
         g.on_packet(0, SimTime::from_millis(0));
         g.on_packet(2, SimTime::from_millis(1));
         // Even absurdly late, the request is still made (legacy behaviour).
-        assert_eq!(g.due_nacks(SimTime::from_millis(10_000)), vec![1]);
+        assert_eq!(nacks_at(&mut g, SimTime::from_millis(10_000)), vec![1]);
         assert_eq!(g.nacks_suppressed(), 0);
     }
 
@@ -422,7 +430,7 @@ mod tests {
         g.on_packet(106, SimTime::from_millis(200));
         g.on_packet(107, SimTime::from_millis(201));
         assert_eq!(g.pending_count(), 0, "retired lost sequences were re-detected");
-        assert!(g.due_nacks(SimTime::from_millis(400)).is_empty());
+        assert!(nacks_at(&mut g, SimTime::from_millis(400)).is_empty());
         // Genuinely new gaps above the bound still work.
         g.on_packet(109, SimTime::from_millis(202));
         assert_eq!(g.pending_count(), 1);
@@ -450,13 +458,7 @@ mod tests {
 
     #[test]
     fn rtx_remember_rejects_retired_sequences() {
-        let mut packetizer = Packetizer::default();
-        let packets = packetizer.packetize(&OutgoingFrame {
-            frame_id: 1,
-            capture_ts_us: 0,
-            size_bytes: 4_000,
-            is_keyframe: false,
-        });
+        let packets = packetize(&mut Packetizer::default(), 1, 4_000);
         let mut rtx = RtxQueue::new();
         for p in &packets {
             assert!(rtx.remember(p));
@@ -468,26 +470,25 @@ mod tests {
 
     #[test]
     fn rtx_queue_produces_copies_for_known_sequences() {
-        let mut packetizer = Packetizer::default();
-        let packets = packetizer.packetize(&OutgoingFrame {
-            frame_id: 1,
-            capture_ts_us: 0,
-            size_bytes: 4_000,
-            is_keyframe: false,
-        });
+        let packets = packetize(&mut Packetizer::default(), 1, 4_000);
         let mut rtx = RtxQueue::new();
         for p in &packets {
             assert!(rtx.remember(p));
         }
         let mut next = 1_000u64;
-        let out = rtx.retransmit(&[1, 2, 999], || {
-            next += 1;
-            next
-        });
+        let out: Vec<RtpPacket> = [1, 2, 999]
+            .into_iter()
+            .filter_map(|seq| {
+                rtx.retransmit_one(seq, || {
+                    next += 1;
+                    next
+                })
+            })
+            .collect();
         assert_eq!(out.len(), 2);
         assert!(out.iter().all(|p| p.header.sequence > 1_000));
         assert_eq!(rtx.retransmissions(), 2);
-        assert_eq!(out[0].payload_range(), packets[1].payload_range());
+        assert_eq!(out[0], packets[1].as_retransmission(out[0].header.sequence));
     }
 
     #[test]
@@ -495,12 +496,7 @@ mod tests {
         let mut rtx = RtxQueue::new();
         let mut packetizer = Packetizer::default();
         for f in 0..10u64 {
-            for p in packetizer.packetize(&OutgoingFrame {
-                frame_id: f,
-                capture_ts_us: 0,
-                size_bytes: 2_000,
-                is_keyframe: false,
-            }) {
+            for p in packetize(&mut packetizer, f, 2_000) {
                 assert!(rtx.remember(&p));
             }
         }

@@ -67,19 +67,10 @@ impl Packetizer {
         s
     }
 
-    /// Splits a frame into media packets covering its full byte range.
-    ///
-    /// Allocates a fresh `Vec` per call; per-frame loops should reuse a buffer via
-    /// [`Packetizer::packetize_into`] instead — the transport session does.
-    pub fn packetize(&mut self, frame: &OutgoingFrame) -> Vec<RtpPacket> {
-        let mut packets = Vec::new();
-        self.packetize_into(frame, &mut packets);
-        packets
-    }
-
-    /// [`Packetizer::packetize`] into a caller-owned buffer. The buffer is cleared first;
-    /// once it has grown to the session's largest frame, further calls are allocation-free.
-    /// Packet contents are identical to [`Packetizer::packetize`] from the same state.
+    /// Splits a frame into media packets covering its full byte range (at least one, the
+    /// last with the marker bit), numbered on from [`Packetizer::next_sequence`], into
+    /// `packets`. The buffer is cleared first; once it has grown to the session's largest
+    /// frame, further calls are allocation-free.
     pub fn packetize_into(&mut self, frame: &OutgoingFrame, packets: &mut Vec<RtpPacket>) {
         packets.clear();
         let payload = self.max_payload() as u64;
@@ -175,7 +166,7 @@ impl FrameState {
 ///
 /// Frames are stored in a ring indexed by `frame_id - base_id`: ids are dense and
 /// monotonically increasing (every capture produces the next id), so a deque plus a
-/// free-list of retired [`FrameState`]s makes the steady state of a long conversation
+/// free-list of retired frame states makes the steady state of a long conversation
 /// allocation-free — retiring a turn returns its states (range buffers and all) to the
 /// pool, and the next turn's frames draw from it.
 #[derive(Debug, Clone, Default)]
@@ -339,10 +330,17 @@ mod tests {
         }
     }
 
+    /// The media packets of `f`, numbered on from `p`'s state.
+    fn packetize(p: &mut Packetizer, f: &OutgoingFrame) -> Vec<RtpPacket> {
+        let mut packets = Vec::new();
+        p.packetize_into(f, &mut packets);
+        packets
+    }
+
     #[test]
     fn packet_count_matches_size_and_mtu() {
         let mut p = Packetizer::default();
-        let packets = p.packetize(&frame(10_000));
+        let packets = packetize(&mut p, &frame(10_000));
         // Max payload = 1400 - 48 = 1352 bytes -> ceil(10000 / 1352) = 8 packets.
         assert_eq!(packets.len(), 8);
         assert!(packets.iter().take(7).all(|pk| pk.payload_len() == 1_352));
@@ -354,11 +352,14 @@ mod tests {
     #[test]
     fn sequences_are_contiguous_across_frames() {
         let mut p = Packetizer::default();
-        let a = p.packetize(&frame(3_000));
-        let b = p.packetize(&OutgoingFrame {
-            frame_id: 2,
-            ..frame(3_000)
-        });
+        let a = packetize(&mut p, &frame(3_000));
+        let b = packetize(
+            &mut p,
+            &OutgoingFrame {
+                frame_id: 2,
+                ..frame(3_000)
+            },
+        );
         let seqs: Vec<u64> = a.iter().chain(b.iter()).map(|pk| pk.header.sequence).collect();
         assert_eq!(seqs, (0..seqs.len() as u64).collect::<Vec<_>>());
     }
@@ -366,9 +367,9 @@ mod tests {
     #[test]
     fn tiny_frame_still_gets_one_packet() {
         let mut p = Packetizer::default();
-        let packets = p.packetize(&frame(40));
+        let packets = packetize(&mut p, &frame(40));
         assert_eq!(packets.len(), 1);
-        assert_eq!(packets[0].payload_range(), (0, 40));
+        assert_eq!((packets[0].payload_start, packets[0].payload_end), (0, 40));
         assert!(packets[0].header.marker);
     }
 
@@ -376,7 +377,7 @@ mod tests {
     fn assembler_completes_when_all_ranges_arrive() {
         let mut p = Packetizer::default();
         let f = frame(5_000);
-        let packets = p.packetize(&f);
+        let packets = packetize(&mut p, &f);
         let mut asm = FrameAssembler::new();
         asm.expect_frame(&f);
         let mut completed = false;
@@ -395,7 +396,7 @@ mod tests {
     fn a_retransmission_closes_the_gap_a_lost_packet_left() {
         let mut p = Packetizer::default();
         let f = frame(5_000);
-        let packets = p.packetize(&f);
+        let packets = packetize(&mut p, &f);
         let mut asm = FrameAssembler::new();
         asm.expect_frame(&f);
         // Drop packet 1 (bytes 1352..2704).
@@ -415,7 +416,7 @@ mod tests {
     fn duplicate_packets_do_not_complete_twice() {
         let mut p = Packetizer::default();
         let f = frame(1_000);
-        let packets = p.packetize(&f);
+        let packets = packetize(&mut p, &f);
         let mut asm = FrameAssembler::new();
         asm.expect_frame(&f);
         assert!(asm.on_packet(&packets[0], SimTime::from_millis(1)));
@@ -427,7 +428,7 @@ mod tests {
     fn out_of_order_arrival_still_completes() {
         let mut p = Packetizer::default();
         let f = frame(4_000);
-        let mut packets = p.packetize(&f);
+        let mut packets = packetize(&mut p, &f);
         packets.reverse();
         let mut asm = FrameAssembler::new();
         asm.expect_frame(&f);
@@ -444,39 +445,20 @@ mod tests {
         let _ = Packetizer::new(30);
     }
 
-    /// The sizes the reuse-equivalence tests sweep: empty, one byte, exactly one payload,
-    /// one payload + 1, and the benchmark's 100 kB frame.
-    fn equivalence_sizes() -> [u64; 5] {
-        let payload = Packetizer::default().max_payload() as u64;
-        [0, 1, payload, payload + 1, 100_000]
-    }
-
-    #[test]
-    fn packetize_into_is_identical_to_packetize() {
-        for size in equivalence_sizes() {
-            // Two packetizers in the same initial state, so sequence numbers line up.
-            let mut fresh = Packetizer::default();
-            let mut reused = Packetizer::default();
-            let mut buffer = Vec::new();
-            let f = frame(size);
-            let allocated = fresh.packetize(&f);
-            reused.packetize_into(&f, &mut buffer);
-            assert_eq!(buffer, allocated, "size {size}");
-            assert_eq!(reused.next_sequence(), fresh.next_sequence(), "size {size}");
-        }
-    }
-
     #[test]
     fn packetize_into_reuses_the_buffer_across_frames() {
+        // Empty, one byte, exactly one payload, one payload + 1, and the benchmark's 100 kB
+        // frame: a buffer reused across them holds what a fresh one would.
+        let payload = Packetizer::default().max_payload() as u64;
         let mut fresh = Packetizer::default();
         let mut reused = Packetizer::default();
         let mut buffer = Vec::new();
-        for (i, size) in equivalence_sizes().into_iter().enumerate() {
+        for (i, size) in [0, 1, payload, payload + 1, 100_000].into_iter().enumerate() {
             let f = OutgoingFrame {
                 frame_id: i as u64,
                 ..frame(size)
             };
-            let allocated = fresh.packetize(&f);
+            let allocated = packetize(&mut fresh, &f);
             reused.packetize_into(&f, &mut buffer);
             assert_eq!(buffer, allocated, "frame {i} size {size}");
         }
@@ -489,9 +471,9 @@ mod tests {
     #[test]
     fn empty_frame_still_gets_one_marker_packet() {
         let mut p = Packetizer::default();
-        let packets = p.packetize(&frame(0));
+        let packets = packetize(&mut p, &frame(0));
         assert_eq!(packets.len(), 1);
-        assert_eq!(packets[0].payload_range(), (0, 0));
+        assert_eq!((packets[0].payload_start, packets[0].payload_end), (0, 0));
         assert!(packets[0].header.marker);
     }
 }

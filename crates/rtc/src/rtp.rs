@@ -65,11 +65,6 @@ impl RtpPacket {
         self.payload_len() + RTP_HEADER_BYTES + UDP_IP_HEADER_BYTES
     }
 
-    /// The byte range of the frame carried by this packet.
-    pub fn payload_range(&self) -> (u64, u64) {
-        (self.payload_start, self.payload_end)
-    }
-
     /// Makes a retransmission copy of this packet with a fresh sequence number.
     pub fn as_retransmission(&self, new_sequence: u64) -> RtpPacket {
         let mut p = *self;
@@ -112,12 +107,11 @@ mod tests {
         let r = p.as_retransmission(99);
         assert_eq!(r.header.kind, PayloadKind::Retransmission);
         assert_eq!(r.header.sequence, 99);
-        assert_eq!(r.payload_range(), p.payload_range());
-        assert_eq!(r.header.frame_id, p.header.frame_id);
-    }
-
-    #[test]
-    fn payload_range_roundtrip() {
-        assert_eq!(packet(10, 30).payload_range(), (10, 30));
+        let header = RtpHeader {
+            sequence: 99,
+            kind: PayloadKind::Retransmission,
+            ..p.header
+        };
+        assert_eq!(r, RtpPacket { header, ..p });
     }
 }

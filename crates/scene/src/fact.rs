@@ -142,7 +142,8 @@ impl SceneFact {
     ///
     /// DeViBench is built almost entirely from quality-sensitive facts; StreamingBench-style
     /// benchmarks are built mostly from insensitive ones (§2.3).
-    pub fn is_quality_sensitive(&self, threshold: f64) -> bool {
+    #[cfg(test)]
+    pub(crate) fn is_quality_sensitive(&self, threshold: f64) -> bool {
         self.required_detail >= threshold
     }
 }

@@ -133,11 +133,6 @@ impl Frame {
         }
     }
 
-    /// Total number of pixels.
-    pub fn pixel_count(&self) -> u64 {
-        self.width as u64 * self.height as u64
-    }
-
     /// The full-frame rectangle.
     pub fn rect(&self) -> Rect {
         Rect::new(0, 0, self.width, self.height)

@@ -64,11 +64,6 @@ impl Rect {
         self.intersect(other).area() as f64 / self.area() as f64
     }
 
-    /// Translates the rectangle by `(dx, dy)` pixels.
-    pub fn translated(&self, dx: i64, dy: i64) -> Rect {
-        Rect::new(self.x + dx, self.y + dy, self.w, self.h)
-    }
-
     /// Clamps the rectangle so that it stays fully inside a `width x height` canvas,
     /// preserving its size where possible.
     pub fn clamped_to(&self, width: u32, height: u32) -> Rect {

@@ -163,7 +163,7 @@ impl Placed {
 /// every object's id / `texture_complexity` / `motion` / `detail` in order, and every
 /// placement's `(object id, rect)` in order. [`GridContent::update`] compares the next
 /// capture against that key: if only rects differ it recomputes just the cells a moved
-/// placement can have changed (see [`mark_moved`]) and splices their coverage lists into
+/// placement can have changed (see `mark_moved`) and splices their coverage lists into
 /// the table; any other difference — or no previous capture — is a full `fill`. Either way
 /// [`GridContent::dirty_cells`] then lists the cells whose descriptors were recomputed, so
 /// a consumer holding per-cell state derived from the raster refreshes exactly those.
@@ -468,7 +468,7 @@ impl GridContent {
     }
 
     /// Brings the raster to `frame` at the cost of what changed since the capture it holds:
-    /// when the two differ in placement rects only, exactly the cells [`mark_moved`] marks
+    /// when the two differ in placement rects only, exactly the cells `mark_moved` marks
     /// are recomputed — by `fill`'s own expression sequence, so the result equals a fresh
     /// `fill` bit for bit — and their coverage lists spliced into the table; otherwise this
     /// is [`GridContent::fill`]. Either way — nothing moved included — the raster gets a new
@@ -963,7 +963,7 @@ mod tests {
                             let r = frame.placements[at].region;
                             frame.placements[at].region = match rng.range(0, 6) {
                                 // Sub-cell move.
-                                0 => r.translated(rng.range(-20, 21), rng.range(-20, 21)),
+                                0 => Rect::new(r.x + rng.range(-20, 21), r.y + rng.range(-20, 21), r.w, r.h),
                                 // Jump anywhere, including off the frame.
                                 1 => Rect::new(
                                     rng.range(-500, width + 200),
@@ -974,9 +974,10 @@ mod tests {
                                 // Resize in place (possibly to nothing).
                                 2 => Rect::new(r.x, r.y, rng.range(0, 500) as u32, rng.range(0, 400) as u32),
                                 // Cross another placement: land on top of it.
-                                3 => frame.placements[other]
-                                    .region
-                                    .translated(rng.range(-30, 31), rng.range(-30, 31)),
+                                3 => {
+                                    let o = frame.placements[other].region;
+                                    Rect::new(o.x + rng.range(-30, 31), o.y + rng.range(-30, 31), o.w, o.h)
+                                }
                                 // Leave the frame; come back covering all of it.
                                 4 => Rect::new(width + 10, r.y, r.w, r.h),
                                 _ => Rect::new(-5, -5, frame.width + 10, frame.height + 10),

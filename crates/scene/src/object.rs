@@ -105,14 +105,6 @@ impl SceneObject {
         self
     }
 
-    /// Looks up an attribute value by key.
-    pub fn attribute(&self, key: &str) -> Option<&str> {
-        self.attributes
-            .iter()
-            .find(|(k, _)| k == key)
-            .map(|(_, v)| v.as_str())
-    }
-
     /// The object's position at time `t` seconds, bouncing inside a `width x height` canvas.
     ///
     /// Linear motion with elastic reflection keeps objects on screen for arbitrarily long
@@ -164,7 +156,7 @@ mod tests {
     fn builder_sets_fields() {
         let o = obj();
         assert_eq!(o.concepts[0].0.name(), "scoreboard");
-        assert_eq!(o.attribute("home-score"), Some("78"));
+        assert_eq!(o.attributes, [("home-score".to_string(), "78".to_string())]);
         assert_eq!(o.text_content.as_deref(), Some("HOME 78 - 74 AWAY"));
         assert!((o.detail - 0.9).abs() < 1e-12);
     }

@@ -98,20 +98,6 @@ impl Scene {
         Rect::new(0, 0, self.width, self.height)
     }
 
-    /// Total pixel count of the canvas.
-    pub fn pixel_count(&self) -> u64 {
-        self.width as u64 * self.height as u64
-    }
-
-    /// Returns the facts whose required detail is at least `threshold`
-    /// (the quality-sensitive subset DeViBench is made of).
-    pub fn quality_sensitive_facts(&self, threshold: f64) -> Vec<&SceneFact> {
-        self.facts
-            .iter()
-            .filter(|f| f.is_quality_sensitive(threshold))
-            .collect()
-    }
-
     /// Validates internal consistency (object regions inside canvas after clamping, fact
     /// evidence referencing existing objects). Returns a list of problems, empty when valid.
     pub fn validate(&self) -> Vec<String> {
@@ -190,8 +176,14 @@ mod tests {
     #[test]
     fn quality_sensitive_subset() {
         let s = scene();
-        assert_eq!(s.quality_sensitive_facts(0.5).len(), 1);
-        assert_eq!(s.quality_sensitive_facts(0.95).len(), 0);
+        let sensitive = |threshold| {
+            s.facts
+                .iter()
+                .filter(|f| f.is_quality_sensitive(threshold))
+                .count()
+        };
+        assert_eq!(sensitive(0.5), 1);
+        assert_eq!(sensitive(0.95), 0);
     }
 
     #[test]

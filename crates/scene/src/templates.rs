@@ -833,13 +833,14 @@ mod tests {
         let a = basketball_game(1);
         let b = basketball_game(2);
         // At least one of the scoreboard attributes should differ across many seeds.
-        let differs = (0..20u64).any(|s| {
-            basketball_game(s).object(1).unwrap().attribute("home-score")
-                != basketball_game(s + 100)
-                    .object(1)
-                    .unwrap()
-                    .attribute("home-score")
-        });
+        let home_score = |seed| {
+            let scoreboard = basketball_game(seed).object(1).unwrap().clone();
+            scoreboard
+                .attributes
+                .into_iter()
+                .find(|(key, _)| key == "home-score")
+        };
+        let differs = (0..20u64).any(|s| home_score(s) != home_score(s + 100));
         assert!(differs || a != b);
     }
 
@@ -847,7 +848,7 @@ mod tests {
     fn every_template_has_quality_sensitive_and_insensitive_facts() {
         for kind in TemplateKind::ALL {
             let s = kind.build(7);
-            let sensitive = s.quality_sensitive_facts(0.7).len();
+            let sensitive = s.facts.iter().filter(|f| f.is_quality_sensitive(0.7)).count();
             let total = s.facts.len();
             assert!(sensitive >= 1, "{kind:?} lacks quality-sensitive facts");
             assert!(sensitive < total, "{kind:?} has only quality-sensitive facts");

@@ -1194,7 +1194,7 @@ mod tests {
                     let r = frame.placements[at].region;
                     frame.placements[at].region = match rng.range(0, 5) {
                         // Sub-cell move.
-                        0 => r.translated(rng.range(-20, 21), rng.range(-20, 21)),
+                        0 => Rect::new(r.x + rng.range(-20, 21), r.y + rng.range(-20, 21), r.w, r.h),
                         // Jump anywhere, including off the frame.
                         1 => Rect::new(
                             rng.range(-500, width as i64 + 200),
@@ -1205,9 +1205,10 @@ mod tests {
                         // Resize in place.
                         2 => Rect::new(r.x, r.y, rng.range(1, 500) as u32, rng.range(1, 400) as u32),
                         // Cross another object: land on top of it.
-                        3 => frame.placements[other]
-                            .region
-                            .translated(rng.range(-30, 31), rng.range(-30, 31)),
+                        3 => {
+                            let o = frame.placements[other].region;
+                            Rect::new(o.x + rng.range(-30, 31), o.y + rng.range(-30, 31), o.w, o.h)
+                        }
                         // Leave the frame.
                         _ => Rect::new(width as i64 + 10, r.y, r.w, r.h),
                     };
@@ -1264,7 +1265,7 @@ mod tests {
                 let at = rng.range(0, frame.placements.len() as i64) as usize;
                 let r = frame.placements[at].region;
                 frame.placements[at].region = match rng.range(0, 3) {
-                    0 => r.translated(rng.range(-40, 41), rng.range(-40, 41)),
+                    0 => Rect::new(r.x + rng.range(-40, 41), r.y + rng.range(-40, 41), r.w, r.h),
                     1 => Rect::new(
                         rng.range(-100, width as i64),
                         rng.range(-100, height as i64),

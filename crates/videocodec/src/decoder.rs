@@ -24,7 +24,7 @@ pub struct DecodedBlock {
 impl DecodedBlock {
     /// Recognition quality after decode: the encoded quality if the block arrived, the
     /// concealment quality otherwise.
-    pub fn quality(&self) -> f64 {
+    fn quality(&self) -> f64 {
         if self.received {
             rd::block_quality(self.qp, self.detail)
         } else {
@@ -93,18 +93,10 @@ impl DecodedFrame {
         self.blocks.iter().map(DecodedBlock::quality).sum::<f64>() / self.blocks.len() as f64
     }
 
-    /// Fraction of blocks that arrived intact.
-    pub fn received_fraction(&self) -> f64 {
-        if self.blocks.is_empty() {
-            return 0.0;
-        }
-        self.blocks.iter().filter(|b| b.received).count() as f64 / self.blocks.len() as f64
-    }
-
     /// Question-conditioned decoded quality of the blocks covering an object.
     ///
-    /// Unlike [`DecodedBlock::quality`] (which scores the block against its *content's*
-    /// detail level), this asks: "how well would content requiring `detail` of fine detail be
+    /// Unlike [`DecodedFrame::mean_quality`] (which scores each block against its
+    /// *content's* detail level), this asks: "how well would content requiring `detail` of fine detail be
     /// perceived from these blocks?" — the quantity the MLLM accuracy model needs, because a
     /// coarse question about a detailed object is still easy at high QP.
     pub fn object_quality_for_detail(&self, object_id: u32, min_cover: f64, detail: f64) -> Option<f64> {
@@ -246,6 +238,15 @@ mod tests {
     use aivc_scene::templates::basketball_game;
     use aivc_scene::{SourceConfig, VideoSource};
 
+    /// Mean recognition quality of the frame's blocks as encoded (before any loss).
+    fn mean_encoded_quality(e: &EncodedFrame) -> f64 {
+        e.blocks
+            .iter()
+            .map(|b| rd::block_quality(b.qp, b.detail))
+            .sum::<f64>()
+            / e.blocks.len() as f64
+    }
+
     fn encoded() -> EncodedFrame {
         let source = VideoSource::new(basketball_game(1), SourceConfig::fps30(10.0));
         Encoder::new(EncoderConfig::default()).encode_uniform(&source.frame(0), Qp::new(30))
@@ -264,8 +265,8 @@ mod tests {
         let e = encoded();
         let d = Decoder::new().decode_complete(&e, Some(123));
         assert_eq!(d.blocks.len(), e.blocks.len());
-        assert_eq!(d.received_fraction(), 1.0);
-        assert!((d.mean_quality() - e.mean_encoded_quality()).abs() < 1e-12);
+        assert!(d.blocks.iter().all(|b| b.received));
+        assert!((d.mean_quality() - mean_encoded_quality(&e)).abs() < 1e-12);
         assert_eq!(d.received_at_us, Some(123));
     }
 
@@ -274,8 +275,8 @@ mod tests {
         let e = encoded();
         let half = e.total_bytes() / 2;
         let d = Decoder::new().decode_with_received(&e, &[(0, half)], None);
-        assert!(d.received_fraction() < 1.0);
-        assert!(d.mean_quality() < e.mean_encoded_quality());
+        assert!(!d.blocks.iter().all(|b| b.received));
+        assert!(d.mean_quality() < mean_encoded_quality(&e));
     }
 
     #[test]
@@ -308,7 +309,7 @@ mod tests {
     fn empty_received_set_conceals_everything() {
         let e = encoded();
         let d = Decoder::new().decode_with_received(&e, &[], None);
-        assert_eq!(d.received_fraction(), 0.0);
+        assert!(!d.blocks.iter().any(|b| b.received));
         assert!(d.mean_quality() < 0.3);
     }
 

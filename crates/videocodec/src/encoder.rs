@@ -269,7 +269,14 @@ mod tests {
         let q20 = enc.encode_uniform(&frame, Qp::new(20));
         let q40 = enc.encode_uniform(&frame, Qp::new(40));
         assert!(q20.total_bytes() > q40.total_bytes() * 3);
-        assert!(q20.mean_encoded_quality() > q40.mean_encoded_quality());
+        let mean_quality = |f: &EncodedFrame| {
+            f.blocks
+                .iter()
+                .map(|b| rd::block_quality(b.qp, b.detail))
+                .sum::<f64>()
+                / f.blocks.len() as f64
+        };
+        assert!(mean_quality(&q20) > mean_quality(&q40));
     }
 
     #[test]
@@ -390,11 +397,6 @@ mod tests {
             let bytes = ((bits as f64 / 8.0).ceil() as u32).max(1);
             assert_eq!(block.byte_len, bytes, "bytes {idx}");
             assert_eq!(block.qp, qp, "qp {idx}");
-            assert_eq!(
-                block.encoded_quality(),
-                rd::block_quality(qp, content.detail),
-                "quality {idx}"
-            );
             assert_eq!(block.detail, content.detail, "detail {idx}");
             assert_eq!(complexity[idx], content.complexity, "complexity {idx}");
             assert_eq!(motion[idx], content.motion, "motion {idx}");

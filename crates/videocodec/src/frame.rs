@@ -9,7 +9,6 @@
 //! simulator independent of the original scene.
 
 use crate::qp::Qp;
-use crate::rd;
 use aivc_scene::CoverageTable;
 
 /// Whether a frame was coded without reference (intra/IDR) or predicted (inter/P).
@@ -32,13 +31,6 @@ pub struct EncodedBlock {
     pub qp: Qp,
     /// Detail requirement of the content in the block (copied from the scene descriptor).
     pub detail: f64,
-}
-
-impl EncodedBlock {
-    /// Recognition quality of the block *as encoded* (before any transport loss).
-    pub fn encoded_quality(&self) -> f64 {
-        rd::block_quality(self.qp, self.detail)
-    }
 }
 
 /// A complete encoded frame.
@@ -104,23 +96,6 @@ impl EncodedFrame {
         self.total_bytes() * 8
     }
 
-    /// Mean encoded quality over blocks, weighted by block pixel share (uniform blocks, so a
-    /// plain mean).
-    pub fn mean_encoded_quality(&self) -> f64 {
-        if self.blocks.is_empty() {
-            return 0.0;
-        }
-        self.blocks.iter().map(EncodedBlock::encoded_quality).sum::<f64>() / self.blocks.len() as f64
-    }
-
-    /// Mean QP over blocks.
-    pub fn mean_qp(&self) -> f64 {
-        if self.blocks.is_empty() {
-            return 0.0;
-        }
-        self.blocks.iter().map(|b| b.qp.as_f64()).sum::<f64>() / self.blocks.len() as f64
-    }
-
     /// Which blocks have byte ranges fully contained in the received byte set, written into
     /// a caller-owned buffer (cleared first) so per-frame decode loops stay allocation-free
     /// after warmup.
@@ -173,6 +148,7 @@ fn range_covered(start: u64, end: u64, received: &[(u64, u64)]) -> bool {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::rd;
 
     /// [`EncodedFrame::blocks_covered_into`] into a fresh buffer.
     fn covered_by(f: &EncodedFrame, received: &[(u64, u64)]) -> Vec<bool> {
@@ -258,7 +234,10 @@ mod tests {
     #[test]
     fn mean_quality_and_qp() {
         let f = frame_with_blocks(&[200, 300]);
-        assert_eq!(f.mean_encoded_quality(), rd::block_quality(Qp::new(30), 0.5));
-        assert!((f.mean_qp() - 30.0).abs() < 1e-12);
+        let quality = rd::block_quality(Qp::new(30), 0.5);
+        assert!(f
+            .blocks
+            .iter()
+            .all(|b| rd::block_quality(b.qp, b.detail) == quality && b.qp == Qp::new(30)));
     }
 }

@@ -65,7 +65,8 @@ impl QpMap {
     }
 
     /// Builds a map from per-cell values; the length must match the grid size.
-    pub fn from_values(dims: GridDims, values: Vec<Qp>) -> Self {
+    #[cfg(test)]
+    pub(crate) fn from_values(dims: GridDims, values: Vec<Qp>) -> Self {
         assert_eq!(values.len(), dims.len(), "QP map size mismatch");
         Self { dims, values }
     }
@@ -95,7 +96,7 @@ impl QpMap {
         self.values.push(qp);
     }
 
-    /// Finishes an in-place refill, enforcing the same invariant as [`QpMap::from_values`].
+    /// Finishes an in-place refill, enforcing that the map holds one value per cell.
     pub fn finish_refill(&self) {
         assert_eq!(self.values.len(), self.dims.len(), "QP map size mismatch");
     }
@@ -111,7 +112,8 @@ impl QpMap {
     }
 
     /// The QP of the cell at a flat index.
-    pub fn get_index(&self, index: usize) -> Qp {
+    #[cfg(test)]
+    pub(crate) fn get_index(&self, index: usize) -> Qp {
         self.values[index]
     }
 
@@ -124,32 +126,6 @@ impl QpMap {
     /// All QP values in row-major order.
     pub fn values(&self) -> &[Qp] {
         &self.values
-    }
-
-    /// Mean QP across the map.
-    pub fn mean_qp(&self) -> f64 {
-        if self.values.is_empty() {
-            return 0.0;
-        }
-        self.values.iter().map(|q| q.as_f64()).sum::<f64>() / self.values.len() as f64
-    }
-
-    /// Minimum QP in the map.
-    pub fn min_qp(&self) -> Qp {
-        self.values
-            .iter()
-            .copied()
-            .min()
-            .unwrap_or(Qp::new(QP_MAX as i32))
-    }
-
-    /// Maximum QP in the map.
-    pub fn max_qp(&self) -> Qp {
-        self.values
-            .iter()
-            .copied()
-            .max()
-            .unwrap_or(Qp::new(QP_MIN as i32))
     }
 
     /// Applies a uniform offset to every cell (clamped per cell).
@@ -236,9 +212,7 @@ mod tests {
     #[test]
     fn uniform_map_statistics() {
         let m = QpMap::uniform(dims(), Qp::new(30));
-        assert_eq!(m.mean_qp(), 30.0);
-        assert_eq!(m.min_qp(), Qp::new(30));
-        assert_eq!(m.max_qp(), Qp::new(30));
+        assert!(m.values().iter().all(|&qp| qp == Qp::new(30)));
         assert_eq!(m.values().len(), dims().len());
     }
 
@@ -248,7 +222,7 @@ mod tests {
         m.set(1, 2, Qp::new(10));
         assert_eq!(m.get(1, 2), Qp::new(10));
         assert_eq!(m.get_index(dims().index(1, 2)), Qp::new(10));
-        assert_eq!(m.min_qp(), Qp::new(10));
+        assert_eq!(m.values().iter().min(), Some(&Qp::new(10)));
     }
 
     #[test]

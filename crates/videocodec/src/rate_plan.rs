@@ -53,7 +53,7 @@
 //!
 //! **The kernel stays in `f64`.** The scalar expression calls `ceil` twice and casts
 //! `f64 → u64 → f64 → u32` per block; the kernel instead walks the plan in
-//! [`RATE_LANES`]-wide chunks and rounds up with `r = (x + 2^52) − 2^52; r + (r < x)`:
+//! `RATE_LANES`-wide chunks and rounds up with `r = (x + 2^52) − 2^52; r + (r < x)`:
 //! for `0 ≤ x < 2^51` the first sum lands where the `f64` grid spacing is exactly 1, so
 //! `r` is `x` rounded to the nearest integer and the compare restores the ceiling — no
 //! libm call, no integer cast, straight-line SIMD. That domain is an arithmetic fact of the
@@ -1234,7 +1234,7 @@ mod tests {
                     let other = rng.range(0, count) as usize;
                     let r = frame.placements[at].region;
                     frame.placements[at].region = match rng.range(0, 5) {
-                        0 => r.translated(rng.range(-20, 21), rng.range(-20, 21)),
+                        0 => Rect::new(r.x + rng.range(-20, 21), r.y + rng.range(-20, 21), r.w, r.h),
                         1 => Rect::new(
                             rng.range(-300, width + 100),
                             rng.range(-200, height + 100),
@@ -1242,9 +1242,10 @@ mod tests {
                             r.h,
                         ),
                         2 => Rect::new(r.x, r.y, rng.range(1, 400) as u32, rng.range(1, 300) as u32),
-                        3 => frame.placements[other]
-                            .region
-                            .translated(rng.range(-30, 31), rng.range(-30, 31)),
+                        3 => {
+                            let o = frame.placements[other].region;
+                            Rect::new(o.x + rng.range(-30, 31), o.y + rng.range(-30, 31), o.w, o.h)
+                        }
                         _ => Rect::new(width + 10, r.y, r.w, r.h),
                     };
                 }
@@ -1359,7 +1360,12 @@ mod tests {
                 } else {
                     let at = rng.range(0, frame.placements.len() as i64) as usize;
                     let region = frame.placements[at].region;
-                    frame.placements[at].region = region.translated(rng.range(-12, 13), rng.range(-8, 9));
+                    frame.placements[at].region = aivc_scene::Rect::new(
+                        region.x + rng.range(-12, 13),
+                        region.y + rng.range(-8, 9),
+                        region.w,
+                        region.h,
+                    );
                 }
                 match rng.range(0, 40) {
                     // A geometry switch.

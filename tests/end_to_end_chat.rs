@@ -50,7 +50,7 @@ fn chat_turn_answers_coarse_question_within_latency_target() {
         report.answer.probability_correct
     );
     // MLLM inference dominates the budget; the network side must be a small fraction.
-    assert!(latency.inference_ms > latency.network_side_ms());
+    assert!(latency.inference_ms > latency.total_ms() - latency.inference_ms);
     assert!(
         latency.total_ms() < RESPONSE_LATENCY_TARGET_MS + 150.0,
         "total {} ms",

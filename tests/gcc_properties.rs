@@ -5,36 +5,36 @@
 //! poison every downstream encode target.
 
 use aivchat::netsim::{SimDuration, SimTime};
-use aivchat::rtc::{GccConfig, GccController, PacketFeedback};
+use aivchat::rtc::{FeedbackFold, GccConfig, GccController, PacketFeedback};
 use proptest::prelude::*;
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 
 /// Builds one feedback report of `count` packets with the given loss probability and a
-/// one-way delay drawn from `owd_ms_range` per packet.
+/// one-way delay drawn from `owd_ms_range` per packet, folded in sending order.
 fn random_report(
     rng: &mut ChaCha8Rng,
     base_ms: u64,
     count: usize,
     loss_prob: f64,
     owd_ms_range: (u64, u64),
-) -> Vec<PacketFeedback> {
-    (0..count)
-        .map(|i| {
-            let sent = SimTime::from_millis(base_ms + i as u64);
-            let lost = rng.gen_bool(loss_prob);
-            let owd = rng.gen_range(owd_ms_range.0..=owd_ms_range.1);
-            PacketFeedback {
-                sent_at: sent,
-                arrived_at: if lost {
-                    None
-                } else {
-                    Some(sent + SimDuration::from_millis(owd))
-                },
-                size_bytes: rng.gen_range(60..=1_400),
-            }
-        })
-        .collect()
+) -> FeedbackFold {
+    let mut fold = FeedbackFold::new();
+    for i in 0..count {
+        let sent = SimTime::from_millis(base_ms + i as u64);
+        let lost = rng.gen_bool(loss_prob);
+        let owd = rng.gen_range(owd_ms_range.0..=owd_ms_range.1);
+        fold.push(&PacketFeedback {
+            sent_at: sent,
+            arrived_at: if lost {
+                None
+            } else {
+                Some(sent + SimDuration::from_millis(owd))
+            },
+            size_bytes: rng.gen_range(60..=1_400),
+        });
+    }
+    fold
 }
 
 proptest! {
@@ -57,7 +57,7 @@ proptest! {
             let owd_lo = rng.gen_range(1..300);
             let owd_hi = owd_lo + rng.gen_range(0..300);
             let report = random_report(&mut rng, r as u64 * 1_000, count, loss, (owd_lo, owd_hi));
-            cc.on_feedback_report(&report);
+            cc.on_feedback_fold_at(SimTime::from_millis(r as u64 * 1_000), &report);
             let estimate = cc.estimate_bps();
             prop_assert!(estimate.is_finite(), "report {r}: estimate {estimate}");
             prop_assert!(
@@ -90,7 +90,7 @@ proptest! {
             let count = rng.gen_range(1..30);
             let loss = rng.gen_range(0.0..0.5);
             let report = random_report(&mut rng, r * 500, count, loss, (5, 200));
-            cc.on_feedback_report(&report);
+            cc.on_feedback_fold_at(SimTime::from_millis(r * 500), &report);
             prop_assert!(cc.estimate_bps() >= config.min_bps);
             prop_assert!(cc.estimate_bps() <= config.max_bps);
         }
@@ -109,33 +109,33 @@ proptest! {
             initial_estimate_bps: initial_mbps * 1e6,
             ..GccConfig::default()
         });
-        let flat_report = |round: u64, owd: u64| -> Vec<PacketFeedback> {
-            (0..count)
-                .map(|i| {
-                    let sent = SimTime::from_millis(round * 100 + i as u64);
-                    PacketFeedback {
-                        sent_at: sent,
-                        arrived_at: Some(sent + SimDuration::from_millis(owd)),
-                        size_bytes: 1_250,
-                    }
-                })
-                .collect()
+        let mut feed_flat = |round: u64, owd: u64| {
+            let mut fold = FeedbackFold::new();
+            for i in 0..count {
+                let sent = SimTime::from_millis(round * 100 + i as u64);
+                fold.push(&PacketFeedback {
+                    sent_at: sent,
+                    arrived_at: Some(sent + SimDuration::from_millis(owd)),
+                    size_bytes: 1_250,
+                });
+            }
+            cc.on_feedback_fold_at(SimTime::from_millis(round * 100), &fold);
+            cc.estimate_bps()
         };
         // The first report only establishes the delay baseline (no gradient exists yet).
-        cc.on_feedback_report(&flat_report(0, 20));
-        let after_baseline = cc.estimate_bps();
+        let after_baseline = feed_flat(0, 20);
         let mut previous = after_baseline;
         for round in 1..=12u64 {
             // Delay grows by `ramp_ms` (> the 2 ms overuse threshold) every report.
-            cc.on_feedback_report(&flat_report(round, 20 + round * ramp_ms));
+            let estimate = feed_flat(round, 20 + round * ramp_ms);
             // Monotone non-increasing; strictly decreasing until the floor.
-            prop_assert!(cc.estimate_bps() <= previous, "round {round}");
+            prop_assert!(estimate <= previous, "round {round}");
             if previous > GccConfig::default().min_bps {
-                prop_assert!(cc.estimate_bps() < previous, "round {round} did not back off");
+                prop_assert!(estimate < previous, "round {round} did not back off");
             }
-            previous = cc.estimate_bps();
+            previous = estimate;
         }
-        prop_assert!(cc.estimate_bps() < after_baseline);
+        prop_assert!(previous < after_baseline);
     }
 
     /// Pathological feedback — empty reports, all-lost reports, zero-delay and enormous
@@ -146,12 +146,12 @@ proptest! {
         let mut cc = GccController::new(GccConfig::default());
         for r in 0..30u64 {
             let report = match rng.gen_range(0..4) {
-                0 => Vec::new(),
+                0 => FeedbackFold::new(),
                 1 => random_report(&mut rng, r * 100, 20, 1.0, (1, 2)), // everything lost
                 2 => random_report(&mut rng, r * 100, 5, 0.0, (0, 0)),  // zero delay
                 _ => random_report(&mut rng, r * 100, 5, 0.5, (10_000, 60_000)), // seconds late
             };
-            cc.on_feedback_report(&report);
+            cc.on_feedback_fold_at(SimTime::from_millis(r * 100), &report);
             let estimate = cc.estimate_bps();
             prop_assert!(estimate.is_finite() && estimate > 0.0, "report {r}: {estimate}");
         }

@@ -46,10 +46,10 @@ fn uplink(kind: usize) -> (LinkConfig, bool) {
             false,
         ),
         1 => (
-            LinkConfig::constant(4e6, delay, 300, LossModel::None).with_faults(FaultSchedule::blackout(
-                SimTime::from_millis(600),
-                SimDuration::from_millis(500),
-            )),
+            LinkConfig {
+                faults: FaultSchedule::blackout(SimTime::from_millis(600), SimDuration::from_millis(500)),
+                ..LinkConfig::constant(4e6, delay, 300, LossModel::None)
+            },
             true,
         ),
         _ => {

@@ -231,7 +231,7 @@ proptest! {
             let at = rng.gen_range(0..frame.placements.len());
             let r = frame.placements[at].region;
             frame.placements[at].region = match rng.gen_range(0..3) {
-                0 => r.translated(rng.gen_range(-40..=40), rng.gen_range(-40..=40)),
+                0 => Rect::new(r.x + rng.gen_range(-40..=40), r.y + rng.gen_range(-40..=40), r.w, r.h),
                 1 => Rect::new(r.x, r.y, rng.gen_range(1..=width), rng.gen_range(1..=height)),
                 _ => Rect::new(width as i64 + 5, r.y, r.w, r.h),
             };

@@ -5,7 +5,7 @@
 //! nothing, not even a clock, so where a turn executes cannot change what its network or
 //! its MLLM did.
 
-use aivchat::core::scenarios::by_name;
+use aivchat::core::scenarios::registry;
 use aivchat::core::{Conversation, ConversationChatServer, ConversationReport, NetSessionOptions};
 use aivchat::mllm::{Question, QuestionFormat};
 use aivchat::par::MiniPool;
@@ -24,7 +24,9 @@ fn question() -> Question {
 
 /// The step-down scenario's network, on a smaller turn shape.
 fn template(seed: u64) -> NetSessionOptions {
-    let mut options = by_name("step-down")
+    let mut options = registry()
+        .into_iter()
+        .find(|s| s.name == "step-down")
         .expect("registered scenario")
         .tenant_spec(0, true)
         .options;
@@ -36,7 +38,10 @@ fn template(seed: u64) -> NetSessionOptions {
 /// Three turns of a 4-conversation server on a continuous timeline, for a pool size.
 fn collect_conversations(pool_size: usize, seed: u64) -> Vec<ConversationReport> {
     let q = question();
-    let scenario = by_name("stepdown-mid-conversation").expect("registered");
+    let scenario = registry()
+        .into_iter()
+        .find(|s| s.name == "stepdown-mid-conversation")
+        .expect("registered");
     let mut options = scenario.tenant_spec(0, true).options;
     options.seed = seed;
     options.capture_fps = 8.0;
@@ -65,7 +70,10 @@ fn conversation_server_results_are_independent_of_pool_size() {
 #[test]
 fn conversation_server_matches_standalone_conversations() {
     let q = question();
-    let scenario = by_name("bursty-think-time").expect("registered");
+    let scenario = registry()
+        .into_iter()
+        .find(|s| s.name == "bursty-think-time")
+        .expect("registered");
     let mut options = scenario.tenant_spec(0, true).options;
     options.seed = 2024;
     options.capture_fps = 8.0;

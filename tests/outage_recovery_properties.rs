@@ -6,7 +6,7 @@
 //! more than the ABR budget.
 
 use aivchat::netsim::{SimDuration, SimTime};
-use aivchat::rtc::{AdaptiveFecConfig, CcState, GccConfig, GccController, PacketFeedback};
+use aivchat::rtc::{AdaptiveFecConfig, CcState, FeedbackFold, GccConfig, GccController, PacketFeedback};
 use proptest::prelude::*;
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
@@ -20,30 +20,30 @@ fn watchdog_config() -> GccConfig {
 }
 
 /// One feedback report of `count` packets with the given loss probability and one-way
-/// delays drawn from `owd_ms_range`, all sent around `base_ms`.
+/// delays drawn from `owd_ms_range`, all sent around `base_ms`, folded in sending order.
 fn random_report(
     rng: &mut ChaCha8Rng,
     base_ms: u64,
     count: usize,
     loss_prob: f64,
     owd_ms_range: (u64, u64),
-) -> Vec<PacketFeedback> {
-    (0..count)
-        .map(|i| {
-            let sent = SimTime::from_millis(base_ms + i as u64);
-            let lost = rng.gen_bool(loss_prob);
-            let owd = rng.gen_range(owd_ms_range.0..=owd_ms_range.1);
-            PacketFeedback {
-                sent_at: sent,
-                arrived_at: if lost {
-                    None
-                } else {
-                    Some(sent + SimDuration::from_millis(owd))
-                },
-                size_bytes: rng.gen_range(60..=1_400),
-            }
-        })
-        .collect()
+) -> FeedbackFold {
+    let mut fold = FeedbackFold::new();
+    for i in 0..count {
+        let sent = SimTime::from_millis(base_ms + i as u64);
+        let lost = rng.gen_bool(loss_prob);
+        let owd = rng.gen_range(owd_ms_range.0..=owd_ms_range.1);
+        fold.push(&PacketFeedback {
+            sent_at: sent,
+            arrived_at: if lost {
+                None
+            } else {
+                Some(sent + SimDuration::from_millis(owd))
+            },
+            size_bytes: rng.gen_range(60..=1_400),
+        });
+    }
+    fold
 }
 
 proptest! {
@@ -74,7 +74,7 @@ proptest! {
                 let owd_lo = rng.gen_range(1..300);
                 let owd_hi = owd_lo + rng.gen_range(0..300);
                 let report = random_report(&mut rng, now_ms, count, loss, (owd_lo, owd_hi));
-                cc.on_feedback_report_at(now, &report);
+                cc.on_feedback_fold_at(now, &report);
             }
             let est = cc.estimate_bps();
             prop_assert!(est.is_finite(), "estimate went non-finite: {est}");
@@ -101,7 +101,7 @@ proptest! {
         for _ in 0..warm_reports {
             now_ms += 100;
             let report = random_report(&mut rng, now_ms, 20, 0.0, (30, 30));
-            cc.on_feedback_report_at(SimTime::from_millis(now_ms), &report);
+            cc.on_feedback_fold_at(SimTime::from_millis(now_ms), &report);
         }
         now_ms += silent_ms;
         cc.poll_watchdog(SimTime::from_millis(now_ms));
@@ -113,7 +113,7 @@ proptest! {
         for _ in 0..200 {
             now_ms += 100;
             let report = random_report(&mut rng, now_ms, 20, 0.0, (30, 30));
-            cc.on_feedback_report_at(SimTime::from_millis(now_ms), &report);
+            cc.on_feedback_fold_at(SimTime::from_millis(now_ms), &report);
             let est = cc.estimate_bps();
             if cc.state() != CcState::Decrease {
                 prop_assert!(

@@ -3,13 +3,34 @@
 //! and receiver-driven NACK (never re-request what arrived, never exceed the retry budget).
 
 use aivchat::netsim::SimTime;
-use aivchat::rtc::fec::{FecConfig, FecEncoder, FecRecovery};
+use aivchat::rtc::fec::{group_of_index, FecConfig, FecEncoder, FecRecovery};
 use aivchat::rtc::nack::{NackConfig, NackGenerator, RtxQueue, MAX_RETRIES};
 use aivchat::rtc::packetizer::{OutgoingFrame, Packetizer};
+use aivchat::rtc::RtpPacket;
 use proptest::prelude::*;
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 use std::collections::BTreeSet;
+
+/// The sequences `gen` NACKs at `now`.
+fn nacks_at(gen: &mut NackGenerator, now: SimTime) -> Vec<u64> {
+    let mut due = Vec::new();
+    gen.due_nacks_into(now, &mut due);
+    due
+}
+
+/// The media packets of a fresh packetizer's first frame, `size_bytes` long.
+fn packetize(size_bytes: u64) -> Vec<RtpPacket> {
+    let frame = OutgoingFrame {
+        frame_id: 1,
+        capture_ts_us: 0,
+        size_bytes,
+        is_keyframe: false,
+    };
+    let mut packets = Vec::new();
+    Packetizer::default().packetize_into(&frame, &mut packets);
+    packets
+}
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
@@ -24,17 +45,17 @@ proptest! {
         frame_id in 0u64..100,
     ) {
         let lost_idx = (lost_seed as usize) % packet_count;
-        let encoder = FecEncoder::new(FecConfig::with_group_size(group_size));
+        let group_of = |i| group_of_index(group_size, i).unwrap();
         let mut recovery = FecRecovery::new();
         for i in 0..packet_count {
-            recovery.expect_media(frame_id, encoder.group_of(i).unwrap(), i);
+            recovery.expect_media(frame_id, group_of(i), i);
         }
         for i in 0..packet_count {
             if i != lost_idx {
-                recovery.on_media(frame_id, encoder.group_of(i).unwrap(), i);
+                recovery.on_media(frame_id, group_of(i), i);
             }
         }
-        let lost_group = encoder.group_of(lost_idx).unwrap();
+        let lost_group = group_of(lost_idx);
         // Before parity arrives nothing is recoverable.
         prop_assert_eq!(recovery.recoverable(frame_id, lost_group).next(), None);
         let groups = packet_count.div_ceil(group_size as usize) as u32;
@@ -60,7 +81,7 @@ proptest! {
         pick in 0u64..1_000,
     ) {
         let packet_count = groups * group_size as usize;
-        let encoder = FecEncoder::new(FecConfig::with_group_size(group_size));
+        let group_of = |i| group_of_index(group_size, i).unwrap();
         // Two distinct losses inside the same (arbitrary) group.
         let target_group = (pick as usize) % groups;
         let base = target_group * group_size as usize;
@@ -71,35 +92,31 @@ proptest! {
         }
         let mut recovery = FecRecovery::new();
         for i in 0..packet_count {
-            recovery.expect_media(7, encoder.group_of(i).unwrap(), i);
+            recovery.expect_media(7, group_of(i), i);
             if i != lost_a && i != lost_b {
-                recovery.on_media(7, encoder.group_of(i).unwrap(), i);
+                recovery.on_media(7, group_of(i), i);
             }
         }
         recovery.on_parity(7, target_group as u32);
         prop_assert_eq!(recovery.recoverable(7, target_group as u32).next(), None);
     }
 
-    /// The FEC encoder emits exactly `ceil(packets / group_size)` parity packets and the
-    /// advertised overhead fraction matches.
+    /// The FEC encoder emits exactly `ceil(packets / group_size)` parity packets, one per
+    /// group, each numbered by `group_of_index` of the group's media packets.
     #[test]
     fn parity_packet_count_matches_group_structure(
         group_size in 1u32..=10,
         size_bytes in 200u64..60_000,
     ) {
-        let mut packetizer = Packetizer::default();
-        let media = packetizer.packetize(&OutgoingFrame {
-            frame_id: 1,
-            capture_ts_us: 0,
-            size_bytes,
-            is_keyframe: false,
-        });
+        let media = packetize(size_bytes);
         let encoder = FecEncoder::new(FecConfig::with_group_size(group_size));
         let mut seq = 1_000u64;
-        let parity = encoder.protect(&media, || { seq += 1; seq });
+        let mut parity = Vec::new();
+        encoder.protect_into(&media, || { seq += 1; seq }, &mut parity);
         prop_assert_eq!(parity.len(), media.len().div_ceil(group_size as usize));
-        let overhead = FecConfig::with_group_size(group_size).overhead_fraction();
-        prop_assert!((overhead - 1.0 / group_size as f64).abs() < 1e-12);
+        for i in 0..media.len() {
+            prop_assert_eq!(parity[i / group_size as usize].fec_group, group_of_index(group_size, i));
+        }
     }
 
     /// Whatever the arrival/loss/reordering pattern, the NACK generator (a) never requests
@@ -133,7 +150,7 @@ proptest! {
             // Poll for due NACKs at irregular intervals.
             if rng.gen_bool(0.5) {
                 now_ms += rng.gen_range(0..200);
-                for due in gen.due_nacks(SimTime::from_millis(now_ms)) {
+                for due in nacks_at(&mut gen, SimTime::from_millis(now_ms)) {
                     prop_assert!(!received.contains(&due), "re-requested acked seq {due}");
                     *request_counts.entry(due).or_default() += 1;
                 }
@@ -142,7 +159,7 @@ proptest! {
         // Drain the generator far past every guard/retry interval.
         for round in 0..(u64::from(MAX_RETRIES) + 3) {
             now_ms += 500 + round;
-            for due in gen.due_nacks(SimTime::from_millis(now_ms)) {
+            for due in nacks_at(&mut gen, SimTime::from_millis(now_ms)) {
                 prop_assert!(!received.contains(&due));
                 *request_counts.entry(due).or_default() += 1;
             }
@@ -152,7 +169,7 @@ proptest! {
         }
         // Budget exhausted: nothing left pending, nothing more requested.
         prop_assert_eq!(gen.pending_count(), 0);
-        prop_assert!(gen.due_nacks(SimTime::from_millis(now_ms + 10_000)).is_empty());
+        prop_assert!(nacks_at(&mut gen, SimTime::from_millis(now_ms + 10_000)).is_empty());
     }
 
     /// The retransmission store only ever produces copies of sequences it actually holds,
@@ -162,23 +179,20 @@ proptest! {
         size_bytes in 1_000u64..40_000,
         unknown in 500u64..1_000,
     ) {
-        let mut packetizer = Packetizer::default();
-        let packets = packetizer.packetize(&OutgoingFrame {
-            frame_id: 1,
-            capture_ts_us: 0,
-            size_bytes,
-            is_keyframe: false,
-        });
+        let packets = packetize(size_bytes);
         let mut rtx = RtxQueue::new();
         for p in &packets {
             rtx.remember(p);
         }
         let known = packets[0].header.sequence;
         let mut next = 10_000u64;
-        let out = rtx.retransmit(&[known, unknown], || { next += 1; next });
+        let out: Vec<RtpPacket> = [known, unknown]
+            .into_iter()
+            .filter_map(|seq| rtx.retransmit_one(seq, || { next += 1; next }))
+            .collect();
         prop_assert_eq!(out.len(), 1);
         prop_assert!(out[0].header.sequence > 10_000);
-        prop_assert_eq!(out[0].payload_range(), packets[0].payload_range());
+        prop_assert_eq!(out[0], packets[0].as_retransmission(out[0].header.sequence));
         prop_assert_eq!(rtx.retransmissions(), 1);
     }
 }
@@ -193,10 +207,10 @@ fn late_arrival_permanently_cancels_the_nack() {
     gen.on_packet(3, SimTime::from_millis(1)); // 1 and 2 missing
     assert_eq!(gen.pending_count(), 2);
     gen.on_packet(1, SimTime::from_millis(2)); // reordered arrival
-    let due = gen.due_nacks(SimTime::from_millis(100));
+    let due = nacks_at(&mut gen, SimTime::from_millis(100));
     assert_eq!(due, vec![2]);
     gen.on_packet(2, SimTime::from_millis(101)); // retransmission lands
                                                  // Far in the future, nothing is ever requested again.
-    assert!(gen.due_nacks(SimTime::from_millis(10_000)).is_empty());
+    assert!(nacks_at(&mut gen, SimTime::from_millis(10_000)).is_empty());
     assert_eq!(gen.pending_count(), 0);
 }

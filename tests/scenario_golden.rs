@@ -11,6 +11,7 @@ mod golden;
 
 use aivchat::core::scenarios::ScenarioReport;
 use aivchat::core::{ContentionReport, ConversationReport, NetTurnReport};
+use aivchat::netsim::{SimDuration, SimTime};
 use golden::{assert_bit_stable, report, reports, Family};
 
 /// Both legs of a report, labelled.
@@ -178,11 +179,16 @@ fn accuracy_floor_beats_estimate_riding_across_a_whole_conversation() {
 #[test]
 fn lte_conversation_spans_the_looping_trace() {
     let (spec, _) = report("lte-8turn");
-    let period = spec
-        .shared_uplink
-        .bandwidth
-        .loop_period()
-        .expect("lte-8turn uses a looping trace");
+    // The registry loops its LTE-like trace every 4 s: three periods later, every rate repeats.
+    let period = SimDuration::from_secs_f64(4.0);
+    for ms in [500, 1_500, 2_000, 3_000, 3_500] {
+        let rate_at = |ms| spec.shared_uplink.bandwidth.rate_at(SimTime::from_millis(ms));
+        assert_eq!(
+            rate_at(ms + 12_000),
+            rate_at(ms),
+            "lte-8turn's trace loops every {period}"
+        );
+    }
     let conversation_secs = spec.turns as f64 * (spec.window_secs + 0.3 + spec.think_secs);
     assert!(
         conversation_secs > 3.0 * period.as_secs_f64(),

@@ -5,7 +5,7 @@
 //! answers exactly as they were — a tenant decoding a neighbour's frames would answer
 //! about the wrong scene.
 
-use aivchat::core::scenarios::{by_name, ScenarioSpec};
+use aivchat::core::scenarios::{registry, ScenarioSpec};
 use aivchat::core::{run_contention, ContentionReport, StarvationConfig};
 use aivchat::netsim::{LinkConfig, LossModel};
 use aivchat::scene::templates::dog_park;
@@ -40,7 +40,10 @@ fn ai_leg(scenario: &ScenarioSpec, swap_neighbours: bool) -> ContentionReport {
 
 #[test]
 fn a_tenant_never_decodes_another_tenants_frames() {
-    let mut scenario = by_name("shared-blackout").expect("registered scenario");
+    let mut scenario = registry()
+        .into_iter()
+        .find(|s| s.name == "shared-blackout")
+        .expect("registered scenario");
     scenario.shared_uplink = LinkConfig::constant(100e6, SimDuration::from_millis(30), 300, LossModel::None);
 
     let own = ai_leg(&scenario, false);
