@@ -95,9 +95,8 @@ impl MllmChat {
     /// `context_tag` distinguishes repeated evaluations of the same question under different
     /// conditions (bitrates, methods) so their Bernoulli draws are independent.
     ///
-    /// Allocates per call (sampling clones the admitted frames); per-turn loops should hold
-    /// an [`MllmScratch`] and call [`MllmChat::respond_with`], which references frames by
-    /// index and is allocation-free after warmup. Answers are identical.
+    /// Allocates a fresh [`MllmScratch`] per call; per-turn loops should hold one and call
+    /// [`MllmChat::respond_with`], which is allocation-free after warmup.
     pub fn respond(&self, question: &Question, offered: &[DecodedFrame], context_tag: u64) -> Answer {
         let mut scratch = MllmScratch::new();
         self.respond_with(question, offered, context_tag, &mut scratch)
