@@ -29,12 +29,11 @@
 
 use crate::context_aware::{Streamer, StreamerConfig};
 use crate::conversation::{ConversationReport, Member};
-use crate::net_session::{
-    rate_bps_is_valid, validate_link, NetSessionOptions, NetSessionOptionsError, MAX_RATE_BPS,
-};
-use crate::net_turn::{refuse_past_timer_bound, Driver, EncodedWindow, Event, Seat, TurnPlan, TurnScratch};
+use crate::net_session::{rate_bps_is_valid, validate_link, NetSessionOptions, NetSessionOptionsError};
+use crate::net_turn::{Driver, EncodedWindow, Event, Seat, TurnPlan, TurnScratch};
 use aivc_metrics::SessionSnapshot;
 use aivc_mllm::Question;
+use aivc_netsim::trace::MAX_RATE_BPS;
 use aivc_netsim::{jain_index, FaultKind, LinkConfig, LinkCounters, Packet, SharedLink};
 use aivc_scene::Frame;
 use aivc_semantics::ClipModel;
@@ -573,11 +572,11 @@ pub fn run_contention_counted(
         if let Err(e) = t.options.validate() {
             panic!("tenant {:?}: {e}", t.label);
         }
-        refuse_past_timer_bound(
-            format_args!("tenant {:?}: join_at", t.label),
-            t.join_at.as_micros(),
-        );
-        refuse_past_timer_bound(format_args!("tenant {:?}: think", t.label), t.think.as_micros());
+        for (field, time) in [("join_at", t.join_at - SimTime::ZERO), ("think", t.think)] {
+            if let Err(error) = time.check_bound() {
+                panic!("tenant {:?}: {field} {error}", t.label);
+            }
+        }
         assert!(
             t.turns.iter().all(|turn| !turn.frames.is_empty()),
             "every scripted turn needs at least one frame"

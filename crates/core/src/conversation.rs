@@ -36,8 +36,8 @@
 use crate::context_aware::{Streamer, StreamerConfig};
 use crate::net_session::{FaultTelemetry, FrameDelivery, NetSessionOptions, NetTurnReport};
 use crate::net_turn::{
-    begin_turn_window, conclude_turn_window, refuse_past_timer_bound, Driver, EncodedWindow, Event,
-    NetCompute, Seat, Transport, TurnMachine, TurnPlan, TurnScratch, EMPTY_TURN_WINDOW,
+    begin_turn_window, conclude_turn_window, Driver, EncodedWindow, Event, NetCompute, Seat, Transport,
+    TurnMachine, TurnPlan, TurnScratch, EMPTY_TURN_WINDOW,
 };
 use crate::session::StreamingMode;
 use aivc_mllm::Question;
@@ -297,7 +297,9 @@ impl Conversation {
         if let Err(e) = options.validate() {
             panic!("{e}");
         }
-        refuse_past_timer_bound("think_gap", think_gap.as_micros());
+        if let Err(error) = think_gap.check_bound() {
+            panic!("think_gap {error}");
+        }
         Self {
             timeline: Timeline {
                 sim: Simulation::new(),
@@ -336,11 +338,6 @@ impl Conversation {
     /// same on every box.
     pub fn events_handled(&self) -> u64 {
         self.timeline.sim.events_popped() + self.timeline.sim.events_inline()
-    }
-
-    /// The congestion controller's current bandwidth estimate in bits per second.
-    pub fn bandwidth_estimate_bps(&self) -> f64 {
-        self.member.gcc.estimate_bps()
     }
 
     /// Number of turns run so far.
@@ -391,7 +388,7 @@ impl Conversation {
     ///
     /// Panics when `gap` is longer than 1e6 s, before the clock moves.
     pub fn think(&mut self, gap: SimDuration) {
-        refuse_past_timer_bound("gap", gap.as_micros());
+        gap.check_bound().unwrap_or_else(|error| panic!("gap {error}"));
         let horizon = self.now() + gap;
         let Self {
             member,

@@ -67,7 +67,7 @@ impl LatencyBudget {
         for d in deliveries {
             transmission_ms += d.latency().as_millis_f64();
             let release = buffer.on_frame(d.completed_at, d.capture_ts_us);
-            buffered_ms += release.saturating_since(d.completed_at).as_millis_f64();
+            buffered_ms += (release - d.completed_at).as_millis_f64();
         }
         let clip_us = match conversation.options().mode {
             StreamingMode::ContextAware => compute

@@ -25,13 +25,14 @@
 
 use crate::session::StreamingMode;
 use aivc_mllm::Answer;
+use aivc_netsim::trace::MAX_RATE_BPS;
 use aivc_netsim::{LinkConfig, LossModel, PathConfig};
 use aivc_rtc::cc::GccConfig;
 use aivc_rtc::fec::{AdaptiveFecConfig, FecConfig};
 use aivc_rtc::nack::NackConfig;
 use aivc_rtc::rtp::DEFAULT_MTU_BYTES;
 use aivc_rtc::AbrPolicy;
-use aivc_sim::{SimDuration, SimTime};
+use aivc_sim::{SimDuration, SimTime, TimeError};
 use serde::Serialize;
 
 /// Options of one networked chat session.
@@ -156,9 +157,7 @@ impl NetSessionOptions {
         if !capture_fps_is_valid(capture_fps) {
             return Err(E::CaptureFps(capture_fps));
         }
-        if !(0.0..=MAX_TIMER_SECS).contains(&drain_secs) {
-            return Err(E::DrainSecs(drain_secs));
-        }
+        SimDuration::try_from_secs_f64(drain_secs).map_err(E::time(None, "drain_secs"))?;
         let rate = |field, value: f64| {
             if rate_bps_is_valid(value) {
                 Ok(())
@@ -177,15 +176,12 @@ impl NetSessionOptions {
         if !(0.0 < min_bps && min_bps <= max_bps && max_bps <= MAX_RATE_BPS) {
             return Err(E::GccBounds { min_bps, max_bps });
         }
-        let max_timer = SimDuration::from_secs_f64(MAX_TIMER_SECS);
-        if watchdog_timeout != SimDuration::ZERO
-            && !(SimDuration::from_millis(1)..=max_timer).contains(&watchdog_timeout)
-        {
+        if watchdog_timeout != SimDuration::ZERO && watchdog_timeout < SimDuration::from_millis(1) {
             return Err(E::WatchdogTimeout(watchdog_timeout));
         }
-        if reorder_guard > max_timer {
-            return Err(E::ReorderGuard(reorder_guard));
-        }
+        let timer = |field, timer: SimDuration| timer.check_bound().map_err(E::time(None, field));
+        timer("gcc.watchdog_timeout", watchdog_timeout)?;
+        timer("nack.reorder_guard", reorder_guard)?;
         validate_link("path.uplink", uplink)?;
         validate_link("path.downlink", downlink)
     }
@@ -205,14 +201,11 @@ pub(crate) fn validate_link(link: &'static str, config: &LinkConfig) -> Result<(
         max_jitter,
         faults: _,
     } = config;
-    let max_timer = SimDuration::from_secs_f64(MAX_TIMER_SECS);
     for (field, value) in [
-        ("propagation_delay", *propagation_delay),
-        ("max_jitter", *max_jitter),
+        ("propagation_delay", propagation_delay),
+        ("max_jitter", max_jitter),
     ] {
-        if value > max_timer {
-            return Err(E::LinkDelay { link, field, value });
-        }
+        value.check_bound().map_err(E::time(Some(link), field))?;
     }
     if *queue_capacity_bytes < u64::from(DEFAULT_MTU_BYTES) {
         return Err(E::LinkQueue {
@@ -246,15 +239,6 @@ pub(crate) fn validate_link(link: &'static str, config: &LinkConfig) -> Result<(
     Ok(())
 }
 
-/// Longest deadline or timer the options may ask for, in seconds: 1e12 µs, so a clock
-/// that has run for millennia still adds one without overflowing its `u64`. A scenario's
-/// think and join times, and a conversation's or tenant's, are held to it too.
-pub(crate) const MAX_TIMER_SECS: f64 = 1e6;
-/// Largest bitrate the options may carry, in bits per second: far past any link, and small
-/// enough that a turn's sum of per-frame targets (`f64::MAX` held for two frames is `inf`
-/// in the report) and the pacer's 2.5× stay finite.
-pub(crate) const MAX_RATE_BPS: f64 = 1e12;
-
 /// Whether the µs turn clock can step by `fps`. `contains` is false for NaN; the bounds keep
 /// `1e6 / fps` between the clock's 1 µs resolution and 1e12 µs, far from overflowing a
 /// turn's last capture. Also what the offline [`crate::Streamer::encode_at_bitrate`] holds
@@ -264,7 +248,8 @@ pub(crate) fn capture_fps_is_valid(fps: f64) -> bool {
 }
 
 /// Whether `bps` is a positive bitrate up to [`MAX_RATE_BPS`], written so that NaN fails the
-/// comparison.
+/// comparison. The bound keeps a turn's sum of per-frame targets (`f64::MAX` held for two
+/// frames is `inf` in the report) and the pacer's 2.5× finite.
 pub(crate) fn rate_bps_is_valid(bps: f64) -> bool {
     bps > 0.0 && bps <= MAX_RATE_BPS
 }
@@ -277,10 +262,6 @@ pub enum NetSessionOptionsError {
     /// negative, NaN or infinite rate collapses the window to a point and reports
     /// bitrates over a zero-length turn.
     CaptureFps(f64),
-    /// `drain_secs` is not a deadline the turn plan can add to the last capture: an
-    /// infinite one saturates the µs conversion and wraps the horizon; a negative or NaN
-    /// one used to mean "immediate" silently — `0.0` says that.
-    DrainSecs(f64),
     /// A bitrate (the ABR's accuracy floor or held rate, the congestion controller's
     /// starting estimate) is not a positive number of bits per second up to 1e12: NaN
     /// panics inside `f64::clamp`, zero or a negative rate asks the encoder for nothing,
@@ -302,26 +283,25 @@ pub enum NetSessionOptionsError {
     },
     /// `gcc.watchdog_timeout` is neither zero (watchdog off) nor a step the watchdog can
     /// count silence in: it decays once per elapsed timeout, so a microsecond timeout
-    /// spins through a think gap and a huge one overflows the clock it is added to.
+    /// spins through a think gap.
     WatchdogTimeout(SimDuration),
-    /// `nack.reorder_guard` is longer than any deadline and overflows the clock it is
-    /// added to.
-    ReorderGuard(SimDuration),
-    /// A link's `propagation_delay` or `max_jitter` is longer than any deadline and
-    /// overflows the arrival time it is added to.
-    LinkDelay {
+    /// A time — `drain_secs` (NaN or negative used to mean "immediate" silently; `0.0`
+    /// says that), `gcc.watchdog_timeout`, `nack.reorder_guard` or a link's
+    /// `propagation_delay` or `max_jitter` — is not one the clock can add: see
+    /// [`TimeError`].
+    Time {
         /// The link, as a path from the options (`path.uplink`, `path.downlink`) or the
-        /// contention configuration (`shared_uplink`).
-        link: &'static str,
-        /// `propagation_delay` or `max_jitter`.
+        /// contention configuration (`shared_uplink`), when the field is a link's.
+        link: Option<&'static str>,
+        /// The field, as a path from the options or the link.
         field: &'static str,
-        /// The rejected value.
-        value: SimDuration,
+        /// Why the time was refused.
+        error: TimeError,
     },
     /// A link's drop-tail queue holds less than one MTU packet, so it drops everything it
     /// is offered and no turn can deliver a frame.
     LinkQueue {
-        /// The link, as in [`NetSessionOptionsError::LinkDelay`].
+        /// The link, as in [`NetSessionOptionsError::Time`].
         link: &'static str,
         /// The rejected capacity.
         queue_capacity_bytes: u64,
@@ -329,13 +309,20 @@ pub enum NetSessionOptionsError {
     /// A probability of a link's loss model is NaN or outside `[0, 1]`: a NaN one ran as a
     /// loss-free link and one above 1 as a dead one, silently.
     LinkLoss {
-        /// The link, as in [`NetSessionOptionsError::LinkDelay`].
+        /// The link, as in [`NetSessionOptionsError::Time`].
         link: &'static str,
         /// The probability, as a path from the link (`loss.rate`, `loss.p_good_to_bad`, …).
         field: &'static str,
         /// The rejected value.
         value: f64,
     },
+}
+
+impl NetSessionOptionsError {
+    /// The refusal of the time at `field` (of `link`, when it is a link's).
+    fn time(link: Option<&'static str>, field: &'static str) -> impl FnOnce(TimeError) -> Self {
+        move |error| Self::Time { link, field, error }
+    }
 }
 
 impl core::fmt::Display for NetSessionOptionsError {
@@ -346,11 +333,6 @@ impl core::fmt::Display for NetSessionOptionsError {
                 f,
                 "capture_fps must be within 1e-6..=1e6 frames per second (the turn clock \
                  steps 1e6 / capture_fps µs per capture), got {fps}"
-            ),
-            NetSessionOptionsError::DrainSecs(secs) => write!(
-                f,
-                "drain_secs must be within 0..=1e6 seconds (0 is an immediate deadline), \
-                 got {secs}"
             ),
             NetSessionOptionsError::Rate { field, value } => {
                 write!(
@@ -365,19 +347,15 @@ impl core::fmt::Display for NetSessionOptionsError {
             ),
             NetSessionOptionsError::WatchdogTimeout(timeout) => write!(
                 f,
-                "gcc.watchdog_timeout must be zero (off) or within 1 ms..=1e6 s, got {} µs",
+                "gcc.watchdog_timeout must be zero (off) or at least 1 ms, got {} µs",
                 timeout.as_micros()
             ),
-            NetSessionOptionsError::ReorderGuard(guard) => write!(
-                f,
-                "nack.reorder_guard must be at most 1e6 s, got {} µs",
-                guard.as_micros()
-            ),
-            NetSessionOptionsError::LinkDelay { link, field, value } => write!(
-                f,
-                "{link}.{field} must be at most 1e6 s, got {} µs",
-                value.as_micros()
-            ),
+            NetSessionOptionsError::Time { link, field, error } => {
+                if let Some(link) = link {
+                    write!(f, "{link}.")?;
+                }
+                write!(f, "{field} {error}")
+            }
             NetSessionOptionsError::LinkQueue {
                 link,
                 queue_capacity_bytes,
@@ -494,7 +472,7 @@ pub struct FrameDelivery {
 impl FrameDelivery {
     /// Transmission latency, send start → complete reception: the Figure 3 metric.
     pub fn latency(&self) -> SimDuration {
-        self.completed_at.saturating_since(self.send_start)
+        self.completed_at - self.send_start
     }
 }
 

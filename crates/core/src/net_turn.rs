@@ -41,7 +41,7 @@
 use crate::contention::Contention;
 use crate::context_aware::{ClipState, Streamer};
 use crate::conversation::Member;
-use crate::net_session::{FaultTelemetry, FrameDelivery, NetSessionOptions, NetTurnReport, MAX_TIMER_SECS};
+use crate::net_session::{FaultTelemetry, FrameDelivery, NetSessionOptions, NetTurnReport};
 use crate::session::StreamingMode;
 use aivc_metrics::SessionSnapshot;
 use aivc_mllm::{MllmChat, MllmScratch, Question};
@@ -591,15 +591,14 @@ impl TurnPlan {
     /// `drain_secs` after the last. The only place this arithmetic lives.
     pub(crate) fn new(options: &NetSessionOptions, base: usize, start: SimTime, frame_count: usize) -> Self {
         let frame_interval_us = (1e6 / options.capture_fps).round() as u64;
-        let last_capture_us = start.as_micros() + (frame_count as u64 - 1) * frame_interval_us;
-        let drain_us = (options.drain_secs * 1e6).round() as u64;
+        let last_capture = start + SimDuration::from_micros((frame_count as u64 - 1) * frame_interval_us);
         Self {
             base,
             frame_count,
             start_us: start.as_micros(),
             frame_interval_us,
-            last_capture: SimTime::from_micros(last_capture_us),
-            horizon: SimTime::from_micros(last_capture_us + drain_us),
+            last_capture,
+            horizon: last_capture + SimDuration::from_secs_f64(options.drain_secs),
         }
     }
 
@@ -1030,17 +1029,6 @@ impl TurnMachine<'_> {
     }
 }
 
-/// Refuses a think gap or join time past the options' timer bound (1e6 s, the bound
-/// `ScenarioSpec::validate` holds think and join times to) with a message naming `field`:
-/// `SimDuration::from_secs_f64(f64::INFINITY)` is `u64::MAX` µs, and the clock it is added
-/// to would overflow — a panic in a debug build, a think gap silently dropped in a release
-/// one. Every entry that takes one calls this before anything is built or moves.
-pub(crate) fn refuse_past_timer_bound(field: impl std::fmt::Display, micros: u64) {
-    if micros > SimDuration::from_secs_f64(MAX_TIMER_SECS).as_micros() {
-        panic!("{field} must be at most 1e6 s, got {micros} µs");
-    }
-}
-
 /// Why a turn over no frames is refused: there is no capture to schedule, no deadline to
 /// place and nothing for the MLLM to look at. Every entry checks its window before anything
 /// moves; [`begin_turn_window`] is the backstop.
@@ -1186,7 +1174,7 @@ pub(crate) fn conclude_turn_window(machine: TurnMachine<'_>, question: &Question
     let time_to_recover_ms = match (transport.pending_outage_recovery, recovered_at) {
         (Some(t0), Some(done)) => {
             transport.pending_outage_recovery = None;
-            Some(done.saturating_since(t0).as_millis_f64())
+            Some((done - t0).as_millis_f64())
         }
         _ => None,
     };

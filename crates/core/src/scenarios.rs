@@ -19,11 +19,11 @@ use crate::contention::{
     CrossTrafficSpec, StarvationConfig, TenantSpec, TenantTurn,
 };
 use crate::conversation::Conversation;
-use crate::net_session::{queue_bytes_for, NetSessionOptions, NetSessionOptionsError, MAX_TIMER_SECS};
+use crate::net_session::{queue_bytes_for, NetSessionOptions, NetSessionOptionsError};
 use aivc_mllm::{Question, QuestionFormat};
 use aivc_netsim::{
     BandwidthTrace, FaultEpisode, FaultKind, FaultSchedule, LatencyStats, LinkConfig, LossModel, PathConfig,
-    SimDuration, SimTime,
+    SimDuration, SimTime, TimeError,
 };
 use aivc_par::MiniPool;
 use aivc_rtc::{AbrPolicy, FecConfig};
@@ -155,9 +155,7 @@ impl ScenarioSpec {
         if !(1.0 / CAPTURE_FPS..=CLIP_SECS).contains(window_secs) {
             return Err(E::WindowSecs(*window_secs));
         }
-        if !(0.0..=MAX_TIMER_SECS).contains(think_secs) {
-            return Err(E::ThinkSecs(*think_secs));
-        }
+        SimDuration::try_from_secs_f64(*think_secs).map_err(|e| E::Time("think_secs", None, e))?;
         if let Some(Sharing {
             joins,
             pinned_ai,
@@ -170,12 +168,8 @@ impl ScenarioSpec {
             if joins.len() != tenants {
                 return Err(E::Joins(tenants, joins.len()));
             }
-            let late = joins
-                .iter()
-                .enumerate()
-                .find(|(_, secs)| !(0.0..=MAX_TIMER_SECS).contains(*secs));
-            if let Some((tenant, &secs)) = late {
-                return Err(E::JoinSecs(tenant, secs));
+            for (tenant, &secs) in joins.iter().enumerate() {
+                SimTime::try_from_secs_f64(secs).map_err(|e| E::Time("sharing.joins", Some(tenant), e))?;
             }
             if let Some(tenant) = pinned_ai.filter(|&tenant| tenant >= tenants) {
                 return Err(E::PinnedAi(tenant, tenants));
@@ -334,15 +328,13 @@ pub enum ScenarioSpecError {
     /// window asked the source for `usize::MAX` frames, and a NaN, zero or negative one
     /// silently became one frame.
     WindowSecs(f64),
-    /// `think_secs` is NaN, negative or past 1e6 s: the first two silently became no think
-    /// time, and an infinite one overflows the clock.
-    ThinkSecs(f64),
     /// `sharing.joins` does not hold one join time per tenant (`tenant_spec` indexed past
     /// its end): the number of tenants, then of join times.
     Joins(usize, usize),
-    /// A join time is NaN, negative or past 1e6 s (the first two silently joined at zero,
-    /// an infinite one overflows the clock): the tenant, then its join time.
-    JoinSecs(usize, f64),
+    /// `think_secs` or a join time is not one the clock can add (NaN or negative silently
+    /// became no think time or a join at zero, and an infinite one overflows the clock): the
+    /// field, the tenant of a join time, then why.
+    Time(&'static str, Option<usize>, TimeError),
     /// `sharing.pinned_ai` names no tenant (it was silently ignored): the pinned tenant,
     /// then the number of tenants.
     PinnedAi(usize, usize),
@@ -369,17 +361,16 @@ impl core::fmt::Display for ScenarioSpecError {
                 "{INVALID} window_secs must be within one capture (1/{CAPTURE_FPS} s) and the \
                  {CLIP_SECS}-s clip, got {secs}"
             ),
-            E::ThinkSecs(secs) => write!(
-                f,
-                "{INVALID} think_secs must be within 0..={MAX_TIMER_SECS:e} seconds, got {secs}"
-            ),
+            E::Time(field, tenant, error) => {
+                write!(f, "{INVALID} {field}")?;
+                if let Some(tenant) = tenant {
+                    write!(f, "[{tenant}]")?;
+                }
+                write!(f, " {error}")
+            }
             E::Joins(tenants, n) => write!(
                 f,
                 "{INVALID} sharing.joins must hold one time per tenant ({tenants}), got {n}"
-            ),
-            E::JoinSecs(t, secs) => write!(
-                f,
-                "{INVALID} sharing.joins[{t}] must be within 0..={MAX_TIMER_SECS:e} seconds, got {secs}"
             ),
             E::PinnedAi(t, tenants) => write!(
                 f,
@@ -847,10 +838,16 @@ mod tests {
         for secs in [f64::NAN, -1.0, f64::INFINITY] {
             let mut spec = by_name("hotspot-join").unwrap();
             spec.think_secs = secs;
-            assert!(matches!(refusal(&spec), ScenarioSpecError::ThinkSecs(_)));
+            assert!(matches!(
+                refusal(&spec),
+                ScenarioSpecError::Time("think_secs", None, _)
+            ));
             let mut spec = by_name("hotspot-join").unwrap();
             spec.sharing.as_mut().unwrap().joins[3] = secs;
-            assert!(matches!(refusal(&spec), ScenarioSpecError::JoinSecs(3, _)));
+            assert!(matches!(
+                refusal(&spec),
+                ScenarioSpecError::Time("sharing.joins", Some(3), _)
+            ));
         }
     }
 

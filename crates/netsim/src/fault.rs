@@ -27,14 +27,15 @@
 //! An empty schedule costs one branch per send and draws **nothing** from the fault RNG,
 //! so links without faults stay byte-for-byte identical to their pre-fault behaviour.
 //!
-//! Validation: construction rejects outage layouts whose reporting would be ambiguous —
+//! Validation: construction rejects any time (start, duration, end, extra or maximum delay)
+//! past [`aivc_sim::MAX_TIME`], outage layouts whose reporting would be ambiguous —
 //! [`FaultKind::Outage`] episodes must be sorted by start time and pairwise disjoint
 //! (half-open windows; touching is fine) — and any probability outside `[0, 1]`. Everything
 //! else may overlap and appear in any order; schedule order then *is* the composition order,
 //! and reordering a schedule is a semantic change (it permutes RNG draws) — which is why
 //! construction never sorts.
 
-use aivc_sim::{SimDuration, SimTime};
+use aivc_sim::{SimDuration, SimTime, TimeError};
 use rand::Rng;
 use rand_chacha::ChaCha8Rng;
 use serde::Serialize;
@@ -140,6 +141,10 @@ pub enum FaultScheduleError {
         /// The rejected value.
         value: f64,
     },
+    /// An episode's `start`, `duration`, `end`, `extra_delay` or `max_delay` is past
+    /// [`aivc_sim::MAX_TIME`], so a sum with the clock could overflow it: the episode's
+    /// index (in schedule order), the field, then why.
+    Time(usize, &'static str, TimeError),
 }
 
 impl core::fmt::Display for FaultScheduleError {
@@ -160,6 +165,9 @@ impl core::fmt::Display for FaultScheduleError {
                 "fault schedule invalid: episode {index}'s probability must be within 0..=1, \
                  got {value}"
             ),
+            FaultScheduleError::Time(index, field, error) => {
+                write!(f, "fault schedule invalid: episode {index}'s {field} {error}")
+            }
         }
     }
 }
@@ -198,13 +206,25 @@ impl FaultSchedule {
         }
     }
 
-    /// A schedule from explicit episodes, rejecting invalid outage layouts — outage
-    /// episodes must be sorted by start time and pairwise disjoint — and probabilities
-    /// outside `[0, 1]`. Every schedule with an episode is built here, so this is the one
-    /// place its rules are checked.
+    /// A schedule from explicit episodes, rejecting times past [`aivc_sim::MAX_TIME`],
+    /// invalid outage layouts — outage episodes must be sorted by start time and pairwise
+    /// disjoint — and probabilities outside `[0, 1]`. Every schedule with an episode is
+    /// built here, so this is the one place its rules are checked.
     pub fn try_new(episodes: Vec<FaultEpisode>) -> Result<Self, FaultScheduleError> {
         let mut prev: Option<(usize, &FaultEpisode)> = None;
         for (i, e) in episodes.iter().enumerate() {
+            let delay = match e.kind {
+                FaultKind::RttSpike { extra_delay } => ("extra_delay", extra_delay),
+                FaultKind::Reorder { max_delay, .. } => ("max_delay", max_delay),
+                _ => ("delay", SimDuration::ZERO), // none, and zero passes
+            };
+            let start = e.start - SimTime::ZERO;
+            // Saturating: past `u64::MAX` only when the start or the duration is refused first.
+            let end = SimDuration::from_micros(start.as_micros().saturating_add(e.duration.as_micros()));
+            for (field, time) in [("start", start), ("duration", e.duration), ("end", end), delay] {
+                time.check_bound()
+                    .map_err(|error| FaultScheduleError::Time(i, field, error))?;
+            }
             let probability = match e.kind {
                 FaultKind::Outage => {
                     if let Some((pi, p)) = prev {
@@ -267,7 +287,7 @@ impl FaultSchedule {
             }
             let lo = e.start.max(from);
             let hi = e.end().min(to);
-            total += hi.saturating_since(lo);
+            total += hi - lo;
         }
         total
     }
@@ -537,6 +557,58 @@ mod tests {
             for value in [0.0, 1.0] {
                 assert!(FaultSchedule::try_new(schedule(kind(value))).is_ok(), "{value}");
             }
+        }
+    }
+
+    /// An outage from 1 µs lasting `u64::MAX` µs used to be accepted, and its end overflowed
+    /// (a panic in debug, an outage that never applies in release). Every episode time is
+    /// held to the clock's bound, and the refusal names the episode and the field.
+    #[test]
+    fn try_new_rejects_times_past_the_bound() {
+        let max = aivc_sim::MAX_TIME;
+        let episode = |start: SimTime, duration: SimDuration, kind| FaultEpisode {
+            start,
+            duration,
+            kind,
+        };
+        let at_max = SimTime::from_micros(max.as_micros());
+        let spike = |extra_delay| FaultKind::RttSpike { extra_delay };
+        let reorder = |max_delay| FaultKind::Reorder {
+            probability: 0.5,
+            max_delay,
+        };
+        let endless = SimDuration::from_micros(u64::MAX);
+        for (e, field, us) in [
+            (episode(ms(0), endless, FaultKind::Outage), "duration", u64::MAX),
+            (
+                episode(SimTime::from_micros(u64::MAX), dur_ms(1), FaultKind::Outage),
+                "start",
+                u64::MAX,
+            ),
+            (
+                episode(at_max, SimDuration::from_micros(1), FaultKind::Outage),
+                "end",
+                max.as_micros() + 1,
+            ),
+            (
+                episode(ms(0), dur_ms(100), spike(endless)),
+                "extra_delay",
+                u64::MAX,
+            ),
+            (
+                episode(ms(0), dur_ms(100), reorder(max + SimDuration::from_micros(1))),
+                "max_delay",
+                max.as_micros() + 1,
+            ),
+        ] {
+            let error = FaultSchedule::try_new(vec![e]).expect_err(field);
+            assert_eq!(
+                error.to_string(),
+                format!("fault schedule invalid: episode 0's {field} must be at most 1e6 s, got {us} µs")
+            );
+        }
+        for kind in [FaultKind::Outage, spike(max), reorder(max)] {
+            assert!(FaultSchedule::try_new(vec![episode(ms(0), max, kind)]).is_ok());
         }
     }
 

@@ -31,7 +31,7 @@ pub use loss::LossModel;
 pub use packet::{Packet, PacketId};
 pub use shared::SharedLink;
 pub use stats::{jain_index, LatencyStats};
-// The virtual clock lives in `aivc-sim`; its two time types are re-exported here because
-// every link, trace and fault signature speaks them.
-pub use aivc_sim::{SimDuration, SimTime};
+// The virtual clock lives in `aivc-sim`; its time types and their error are re-exported here
+// because every link, trace and fault signature speaks them.
+pub use aivc_sim::{SimDuration, SimTime, TimeError};
 pub use trace::{BandwidthTrace, BandwidthTraceError};

@@ -264,7 +264,7 @@ impl Link {
     /// Current backlog: how long a packet offered at `now` would wait before its first bit
     /// is serialized.
     pub fn backlog(&self, now: SimTime) -> SimDuration {
-        self.busy_until.saturating_since(now)
+        self.busy_until - now
     }
 
     /// Current backlog expressed in bytes at the instantaneous link rate.
@@ -303,9 +303,14 @@ impl Link {
         }
 
         let start = self.busy_until.max(now);
-        let queueing_delay = start.saturating_since(now);
+        let queueing_delay = start - now;
         let rate = self.config.bandwidth.rate_at(start);
-        let ser = SimDuration::from_secs_f64(packet.size_bits() as f64 / rate);
+        // Not a time from outside but one the link works out: a cross-traffic packet of
+        // gigabytes on a link of a few kbps serializes for longer than `MAX_TIME`, and still
+        // takes that long.
+        let secs = packet.size_bits() as f64 / rate;
+        let ser = SimDuration::try_from_secs_f64(secs)
+            .unwrap_or_else(|_| SimDuration::from_micros((secs * 1e6).round() as u64));
         self.busy_until = start + ser;
 
         // Random loss is decided per packet regardless of outcome ordering so that the loss
@@ -410,6 +415,21 @@ mod tests {
         // Standing queue keeps end-to-end delay near the queue limit (300 ms) for survivors.
         let now = SimTime::from_micros(n * interval_us);
         assert!(link.backlog(now).as_millis_f64() > 250.0);
+    }
+
+    /// A serialization past the bound on outside times (4 GiB at 1 kbps, about 400 days) is a
+    /// time the link works out, not one it refuses: the packet takes all of it.
+    #[test]
+    fn a_serialization_past_the_time_bound_runs_its_full_length() {
+        let mut cfg = LinkConfig::constant(1_000.0, SimDuration::from_millis(30), 300, LossModel::None);
+        cfg.queue_capacity_bytes = u64::MAX;
+        let mut link = Link::new(cfg, 1);
+        let outcome = link.send(&Packet::new(0, u32::MAX, SimTime::ZERO), SimTime::ZERO);
+        let serialization_us = u64::from(u32::MAX) * 8_000;
+        assert_eq!(
+            outcome.arrival(),
+            Some(SimTime::from_micros(serialization_us + 30_000))
+        );
     }
 
     #[test]
@@ -563,13 +583,9 @@ mod tests {
             .send(&Packet::new(0, 1_250, SimTime::ZERO), SimTime::ZERO)
             .arrival()
             .unwrap()
-            .saturating_since(SimTime::ZERO);
+            - SimTime::ZERO;
         let t = SimTime::from_millis(150);
-        let spiked = link
-            .send(&Packet::new(1, 1_250, t), t)
-            .arrival()
-            .unwrap()
-            .saturating_since(t);
+        let spiked = link.send(&Packet::new(1, 1_250, t), t).arrival().unwrap() - t;
         assert_eq!(spiked.as_micros() - base.as_micros(), 250_000);
     }
 

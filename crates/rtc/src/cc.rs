@@ -72,7 +72,7 @@ impl FeedbackFold {
         self.total += 1;
         if let Some(arrived) = f.arrived_at {
             self.received += 1;
-            self.owd_sum_ms += arrived.saturating_since(f.sent_at).as_millis_f64();
+            self.owd_sum_ms += (arrived - f.sent_at).as_millis_f64();
         }
     }
 
@@ -124,24 +124,12 @@ impl Default for GccConfig {
     }
 }
 
-/// Controller state reported for observability.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum CcState {
-    /// Increasing the estimate.
-    Increase,
-    /// Holding steady.
-    Hold,
-    /// Backing off.
-    Decrease,
-}
-
 /// The GCC-style congestion controller.
 #[derive(Debug, Clone)]
 pub struct GccController {
     config: GccConfig,
     estimate_bps: f64,
     last_mean_owd_ms: Option<f64>,
-    state: CcState,
     loss_ewma: f64,
     next_decay_at: Option<SimTime>,
     pre_fallback_bps: Option<f64>,
@@ -156,7 +144,6 @@ impl GccController {
             config,
             estimate_bps: config.initial_estimate_bps,
             last_mean_owd_ms: None,
-            state: CcState::Hold,
             loss_ewma: 0.0,
             next_decay_at: None,
             pre_fallback_bps: None,
@@ -168,11 +155,6 @@ impl GccController {
     /// The current bandwidth estimate in bits per second.
     pub fn estimate_bps(&self) -> f64 {
         self.estimate_bps
-    }
-
-    /// The controller's current state.
-    pub fn state(&self) -> CcState {
-        self.state
     }
 
     /// The smoothed (EWMA) observed loss fraction — the live signal that drives adaptive
@@ -210,7 +192,6 @@ impl GccController {
             self.pre_fallback_bps = Some(self.estimate_bps);
         }
         self.estimate_bps = (self.estimate_bps * WATCHDOG_BETA).max(self.config.min_bps);
-        self.state = CcState::Decrease;
     }
 
     /// Clamps the estimate to at most `cap_bps` (never below the configured floor).
@@ -243,7 +224,6 @@ impl GccController {
                 self.pre_fallback_bps = Some(self.estimate_bps);
             }
             self.estimate_bps = (self.estimate_bps * WATCHDOG_BETA).max(self.config.min_bps);
-            self.state = CcState::Decrease;
             self.silent = true;
             self.watchdog_fallbacks += 1;
             next += self.config.watchdog_timeout;
@@ -299,16 +279,12 @@ impl GccController {
 
         if overusing || heavy_loss {
             self.estimate_bps *= BETA;
-            self.state = CcState::Decrease;
         } else if low_loss && delay_trend_ms < OVERUSE_THRESHOLD_MS * 0.5 {
             self.estimate_bps *= INCREASE_FACTOR;
-            self.state = CcState::Increase;
-        } else {
-            self.state = CcState::Hold;
         }
         self.estimate_bps = self.estimate_bps.clamp(self.config.min_bps, self.config.max_bps);
         if self.pre_fallback_bps.is_some() {
-            if self.state == CcState::Decrease {
+            if overusing || heavy_loss {
                 // Real congestion push-back ends the recovery ramp.
                 self.pre_fallback_bps = None;
             } else {
@@ -324,7 +300,6 @@ impl GccController {
         };
         self.estimate_bps =
             (self.estimate_bps * RECOVERY_RAMP_FACTOR).clamp(self.config.min_bps, self.config.max_bps);
-        self.state = CcState::Increase;
         if self.estimate_bps >= target.min(self.config.max_bps) {
             self.pre_fallback_bps = None;
         }
@@ -367,22 +342,32 @@ mod tests {
     #[test]
     fn stable_delay_low_loss_increases_estimate() {
         let mut cc = controller(2e6);
-        for round in 0..20u64 {
+        for round in 0..19u64 {
             feed(&mut cc, 35, 50, 0, round * 100);
         }
-        assert!(cc.estimate_bps() > 2e6);
-        assert_eq!(cc.state(), CcState::Increase);
+        let before = cc.estimate_bps();
+        feed(&mut cc, 35, 50, 0, 1_900);
+        assert!(before > 2e6);
+        assert!(
+            cc.estimate_bps() > before,
+            "the last report still grew the estimate"
+        );
     }
 
     #[test]
     fn rising_delay_backs_off() {
         let mut cc = controller(8e6);
         // Delay ramps up 10 ms per report: classic queue build-up.
-        for round in 0..10u64 {
+        for round in 0..9u64 {
             feed(&mut cc, 30 + round * 10, 50, 0, round * 100);
         }
-        assert!(cc.estimate_bps() < 8e6);
-        assert_eq!(cc.state(), CcState::Decrease);
+        let before = cc.estimate_bps();
+        feed(&mut cc, 120, 50, 0, 900);
+        assert!(before < 8e6);
+        assert!(
+            cc.estimate_bps() < before,
+            "the last report still shrank the estimate"
+        );
     }
 
     #[test]
@@ -400,8 +385,7 @@ mod tests {
         feed(&mut cc, 30, 100, 0, 0);
         let before = cc.estimate_bps();
         feed(&mut cc, 30, 100, 5, 100); // 5% loss: between thresholds
-        assert_eq!(cc.state(), CcState::Hold);
-        assert!((cc.estimate_bps() - before).abs() < 1.0);
+        assert_eq!(cc.estimate_bps(), before);
     }
 
     #[test]
@@ -472,7 +456,6 @@ mod tests {
         cc.poll_watchdog(SimTime::ZERO);
         cc.poll_watchdog(SimTime::from_secs_f64(600.0));
         assert_eq!(cc.estimate_bps(), GccConfig::default().min_bps);
-        assert_eq!(cc.state(), CcState::Decrease);
     }
 
     #[test]
@@ -516,9 +499,10 @@ mod tests {
         feed(&mut cc, 30, 50, 0, 500); // leaves silence
         assert!(cc.in_fallback());
         // Heavy loss while ramping: real congestion wins, ramp ends.
+        let before = cc.estimate_bps();
         feed(&mut cc, 30, 50, 15, 600);
         assert!(!cc.in_fallback());
-        assert_eq!(cc.state(), CcState::Decrease);
+        assert!(cc.estimate_bps() < before);
     }
 
     #[test]
@@ -526,7 +510,6 @@ mod tests {
         let mut cc = controller(4e6);
         cc.force_fallback();
         assert!((cc.estimate_bps() - 4e6 * 0.7).abs() < 1.0);
-        assert_eq!(cc.state(), CcState::Decrease);
         assert!(cc.in_fallback(), "ramp target must be armed");
         assert!(!cc.is_silent(), "external fallback is not channel silence");
         assert_eq!(cc.watchdog_fallbacks(), 0, "caller owns the accounting");

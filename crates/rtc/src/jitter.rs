@@ -79,7 +79,7 @@ impl JitterBuffer {
     /// receiver releases it downstream (to the renderer, or to the MLLM).
     pub fn on_frame(&mut self, arrival: SimTime, capture_ts_us: u64) -> SimTime {
         if let Some((prev_arrival, prev_capture)) = self.last_arrival {
-            let inter_arrival = arrival.saturating_since(prev_arrival).as_micros() as f64;
+            let inter_arrival = (arrival - prev_arrival).as_micros() as f64;
             let inter_capture = capture_ts_us.saturating_sub(prev_capture) as f64;
             let jitter = (inter_arrival - inter_capture).abs();
             // RFC 3550-style EWMA (1/16 gain).

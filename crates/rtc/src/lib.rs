@@ -27,7 +27,7 @@ pub mod rtp;
 pub mod seq_ring;
 
 pub use abr::AbrPolicy;
-pub use cc::{CcState, FeedbackFold, GccConfig, GccController, PacketFeedback};
+pub use cc::{FeedbackFold, GccConfig, GccController, PacketFeedback};
 pub use fec::{group_of_index, AdaptiveFecConfig, FecConfig, FecEncoder, FecRecovery};
 pub use jitter::JitterBuffer;
 pub use nack::{NackGenerator, RtxQueue};

@@ -223,7 +223,6 @@ impl NackGenerator {
 #[derive(Debug, Clone, Default)]
 pub struct RtxQueue {
     sent: SeqRing<RtpPacket>,
-    retransmissions: u64,
 }
 
 impl RtxQueue {
@@ -240,22 +239,15 @@ impl RtxQueue {
     }
 
     /// The retransmission copy of the NACKed sequence `seq`, with a fresh sequence number
-    /// from `alloc_seq`, counted in [`RtxQueue::retransmissions`]; `None` when `seq` is not
-    /// stored, in which case `alloc_seq` is never called.
+    /// from `alloc_seq`; `None` when `seq` is not stored, in which case `alloc_seq` is never
+    /// called.
     pub fn retransmit_one(&mut self, seq: u64, alloc_seq: impl FnOnce() -> u64) -> Option<RtpPacket> {
-        let original = self.sent.get(seq)?;
-        self.retransmissions += 1;
-        Some(original.as_retransmission(alloc_seq()))
+        Some(self.sent.get(seq)?.as_retransmission(alloc_seq()))
     }
 
     /// Drops state for packets older than `before_seq` (history bound).
     pub fn forget_before(&mut self, before_seq: u64) {
         self.sent.forget_below(before_seq);
-    }
-
-    /// Number of retransmissions produced so far.
-    pub fn retransmissions(&self) -> u64 {
-        self.retransmissions
     }
 
     /// Number of packets currently stored.
@@ -487,7 +479,6 @@ mod tests {
             .collect();
         assert_eq!(out.len(), 2);
         assert!(out.iter().all(|p| p.header.sequence > 1_000));
-        assert_eq!(rtx.retransmissions(), 2);
         assert_eq!(out[0], packets[1].as_retransmission(out[0].header.sequence));
     }
 

@@ -82,7 +82,7 @@ impl Pacer {
     /// (never looking earlier than the last committed departure), and returns that instant.
     fn refill(&mut self, now: SimTime) -> SimTime {
         let effective_now = now.max(self.last_refill);
-        let elapsed = effective_now.saturating_since(self.last_refill).as_secs_f64();
+        let elapsed = (effective_now - self.last_refill).as_secs_f64();
         self.tokens_bytes =
             (self.tokens_bytes + elapsed * self.config.pacing_rate_bps / 8.0).min(BURST_BYTES);
         self.last_refill = effective_now;

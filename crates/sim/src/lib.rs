@@ -30,7 +30,7 @@ pub mod time;
 
 pub use queue::{EventId, EventQueue};
 pub use stream::InOrderStream;
-pub use time::{SimDuration, SimTime};
+pub use time::{SimDuration, SimTime, TimeError, MAX_TIME};
 
 /// A state machine driven by the kernel: [`Simulation::run_until`] pops each due event and
 /// hands it to [`Actor::on_event`] together with the simulation handle, through which the

@@ -6,8 +6,9 @@
 //! window, starvation floor, a cross-traffic source) and a tenant's join and think times in
 //! the third; on a registry scenario spec (its
 //! counts, window, think and join times, pinned tenant, starvation floor and a cross-traffic
-//! source) in the fourth, and a scene's concept weights (an object's and the background's)
-//! in a fifth test — is thrown the values input tends to hurt with — NaN, ±∞, 0, −1, a
+//! source) in the fourth; on an uplink fault episode's start, duration and delays in the
+//! fifth, and a scene's concept weights (an object's and the background's)
+//! in a sixth test — is thrown the values input tends to hurt with — NaN, ±∞, 0, −1, a
 //! subnormal, `MAX` — next to a valid one. Either a structured error names the field and the
 //! constructor refuses with exactly that message before anything moves, or three turns on the
 //! lossy §2.2 path finish with a report whose every serialized number is finite, after a
@@ -16,8 +17,10 @@
 //! spins. (A frame has no constructor to refuse it: one with a NaN content descriptor is
 //! refused, by name, where it enters the codec.)
 //!
-//! Run in debug and release (CI does): overflow checks differ between the profiles, which
-//! is how an infinite `drain_secs` used to fail two different ways.
+//! Run in debug and release (CI does). Clock arithmetic (`aivc_sim::time`) is checked the
+//! same way in both, so an overflow no longer fails two different ways — as an infinite
+//! `drain_secs` used to, or an endless outage (a panic in debug, an outage that never
+//! applied in release); the rest of the arithmetic is still compiled differently.
 
 use aivchat::core::scenarios::{contention_registry, registry};
 use aivchat::core::session::StreamingMode;
@@ -27,7 +30,9 @@ use aivchat::core::{
     TenantSpec, TenantTurn,
 };
 use aivchat::mllm::{Question, QuestionFormat};
-use aivchat::netsim::{BandwidthTrace, LossModel, PathConfig, SimDuration, SimTime};
+use aivchat::netsim::{
+    BandwidthTrace, FaultEpisode, FaultKind, FaultSchedule, LossModel, PathConfig, SimDuration, SimTime,
+};
 use aivchat::rtc::AbrPolicy;
 use aivchat::scene::templates::basketball_game;
 use aivchat::scene::{Concept, Frame, Ontology, Rect, Scene, SceneObject, SourceConfig, VideoSource};
@@ -65,11 +70,12 @@ fn hostile_u64(valid: u64) -> [u64; 6] {
     [0, 1, u64::MAX, valid, valid, valid]
 }
 
-/// The longest think gap or join time, in microseconds: the options' 1e6-s timer bound.
-const MAX_TIMER_US: u64 = 1_000_000_000_000;
+/// The longest think gap, join time or fault-episode time, in microseconds: the clock's
+/// 1e6-s bound.
+const MAX_TIMER_US: u64 = aivchat::sim::MAX_TIME.as_micros();
 
-/// A think gap's or join time's hostile values, in microseconds: 0, the bound and one past
-/// it, and `MAX` — what `SimDuration::from_secs_f64(f64::INFINITY)` saturates to.
+/// A timer's hostile values, in microseconds: 0, the bound and one past it, and `MAX` — what
+/// `SimDuration::from_secs_f64(f64::INFINITY)` used to saturate to.
 fn hostile_timer_us(valid: u64) -> [u64; 8] {
     [
         0,
@@ -483,7 +489,7 @@ proptest! {
                 for ai_oriented in [false, true] {
                     let built = spec.tenant_spec(tenant, ai_oriented);
                     prop_assert!(!built.turns.is_empty() && built.turns.iter().all(|t| !t.frames.is_empty()));
-                    prop_assert!(built.join_at <= SimTime::from_micros(1_000_000_000_000), "{}", built.join_at);
+                    prop_assert!(built.join_at <= SimTime::from_micros(1_000_000_000_000), "{:?}", built.join_at);
                 }
             }
             return Ok(());
@@ -499,6 +505,103 @@ proptest! {
                     "{name} refused otherwise than validate's {error:?}"
                 ),
                 Ok(()) => return Err(TestCaseError::fail(format!("{name} built what validate refused: {error}"))),
+            }
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// One uplink fault episode — an outage, an RTT spike or a reorder — whose start,
+    /// duration, extra delay and maximum delay are thrown a timer's hostile values. Either
+    /// `FaultSchedule::try_new` refuses the first time past the bound by name (its start,
+    /// duration, end, then its delay) and `FaultSchedule::new` panics with those words, or
+    /// three lossy turns run to a finite report inside the event budget — and an episode
+    /// that withholds every packet (an outage, or a spike longer than the whole run) from the
+    /// second turn to the end lets no frame of the last two turns through. An outage whose
+    /// end overflowed the clock used to panic in debug and never apply in release.
+    #[test]
+    fn hostile_fault_episode_times_are_refused_by_name_or_run_to_a_finite_report(
+        kind in 0usize..3,
+        resilient in AnyBool,
+        start_us in hostile_timer_us(500_000),
+        duration_us in hostile_timer_us(5_000_000),
+        extra_delay_us in hostile_timer_us(250_000),
+        max_delay_us in hostile_timer_us(20_000),
+    ) {
+        let (kind, delay) = match kind {
+            0 => (FaultKind::Outage, None),
+            1 => (
+                FaultKind::RttSpike { extra_delay: SimDuration::from_micros(extra_delay_us) },
+                Some(("extra_delay", extra_delay_us)),
+            ),
+            _ => (
+                FaultKind::Reorder { probability: 0.5, max_delay: SimDuration::from_micros(max_delay_us) },
+                Some(("max_delay", max_delay_us)),
+            ),
+        };
+        let episodes = || vec![FaultEpisode {
+            start: SimTime::from_micros(start_us),
+            duration: SimDuration::from_micros(duration_us),
+            kind,
+        }];
+        let end_us = start_us.saturating_add(duration_us);
+        let refusal = [("start", start_us), ("duration", duration_us), ("end", end_us)]
+            .into_iter()
+            .chain(delay)
+            .find(|&(_, us)| us > MAX_TIMER_US)
+            .map(|(field, us)| format!("fault schedule invalid: episode 0's {field} must be at most 1e6 s, got {us} µs"));
+        if let Err(error) = FaultSchedule::try_new(episodes()) {
+            prop_assert_eq!(Some(error.to_string()), refusal);
+        }
+        let Some(faults) = built_by_both(|| FaultSchedule::try_new(episodes()), || FaultSchedule::new(episodes()))?
+        else {
+            return Ok(());
+        };
+
+        let mut options = NetSessionOptions::ai_oriented(42, PathConfig::paper_section_2_2(0.15));
+        if resilient {
+            options = options.with_resilience();
+        }
+        options.path.uplink.faults = faults;
+        static MODEL: OnceLock<Arc<ClipModel>> = OnceLock::new();
+        let model = Arc::clone(MODEL.get_or_init(|| Arc::new(ClipModel::mobile_default())));
+        let mut scene = basketball_game(7);
+        (scene.width, scene.height) = (320, 180);
+        let question = Question::from_fact(&scene.facts[0], QuestionFormat::FreeResponse);
+        let turns = three_turns(&VideoSource::new(scene, SourceConfig::fps30(6.0)));
+        let ran = catch_unwind(AssertUnwindSafe(|| {
+            let mut conversation =
+                Conversation::new(options, StreamerConfig::default(), model, SimDuration::from_millis(200));
+            let mut second_turn_from = SimTime::ZERO;
+            for (turn, frames) in turns.iter().enumerate() {
+                if turn == 1 {
+                    second_turn_from = conversation.now();
+                }
+                conversation.run_turn_in_place(frames, &question);
+            }
+            (conversation, second_turn_from)
+        }));
+        let (conversation, second_turn_from) = ran.map_err(|panic| {
+            TestCaseError::fail(format!("a schedule try_new accepted panicked mid-turn: {:?}", panic_message(panic)))
+        })?;
+        prop_assert!(
+            conversation.events_handled() <= EVENT_BUDGET,
+            "{} kernel events for three turns",
+            conversation.events_handled()
+        );
+        let report = conversation.report();
+        prop_assert_eq!(non_finite(&report.to_value(), "report"), None);
+        let run_end_us = conversation.now().as_micros();
+        let withholds = match kind {
+            FaultKind::Outage => true,
+            FaultKind::RttSpike { extra_delay } => extra_delay.as_micros() > run_end_us,
+            _ => false,
+        };
+        if withholds && start_us <= second_turn_from.as_micros() && end_us >= run_end_us {
+            for (turn, delivered) in report.turns.iter().map(|t| t.frames_delivered).enumerate().skip(1) {
+                prop_assert!(delivered == 0, "turn {turn} delivered {delivered} frames through {kind:?}");
             }
         }
     }

@@ -186,13 +186,13 @@ fn lte_conversation_spans_the_looping_trace() {
         assert_eq!(
             rate_at(ms + 12_000),
             rate_at(ms),
-            "lte-8turn's trace loops every {period}"
+            "lte-8turn's trace loops every {period:?}"
         );
     }
     let conversation_secs = spec.turns as f64 * (spec.window_secs + 0.3 + spec.think_secs);
     assert!(
         conversation_secs > 3.0 * period.as_secs_f64(),
-        "conversation ({conversation_secs:.1} s) should wrap the {period} trace several times"
+        "conversation ({conversation_secs:.1} s) should wrap the {period:?} trace several times"
     );
     // And the conversation still delivers: every turn decodes frames and answers.
     let (_, ai) = solo("lte-8turn");
