@@ -1,4 +1,4 @@
-//! The hot-path measurement suite: the twelve scenarios `bench_check` measures — to compare
+//! The hot-path measurement suite: the thirteen scenarios `bench_check` measures — to compare
 //! against the committed `BENCH_hotpaths.json`, or with `--record` to write it — so the gate
 //! and the recorder always time exactly the same code.
 
@@ -28,13 +28,14 @@ const TARGET_SAMPLE_MS: f64 = 25.0;
 
 /// Every entry the suite measures, in the order [`measure_hotpaths_matching`] returns them
 /// and `BENCH_hotpaths.json` lists them.
-pub const ENTRIES: [&str; 12] = [
+pub const ENTRIES: [&str; 13] = [
     "packetize_100kB_frame",
     "encode_1080p_frame_uniform_qp",
     "decode_complete_1080p",
     "clip_correlation_map_1080p",
     "clip_correlation_update_10pct_dirty",
     "grid_content_update_10pct_dirty",
+    "grid_content_update_basketball_windows",
     "clip_model_build",
     "eq2_qp_allocation",
     "eq2_table_build",
@@ -166,6 +167,18 @@ fn dirty_fraction(a: &Frame, b: &Frame) -> f64 {
     dirty.iter().filter(|d| **d).count() as f64 / dims.len() as f64
 }
 
+/// The benchmark's warm capture sequence, one frame after another: sixteen windows of four
+/// 1080p frames at 12 fps, starting 0.35 s apart, of the five-placement basketball clip,
+/// played in a scrambled order (window `7k mod 16` `k`-th) as a round plays them.
+fn basketball_windows() -> Vec<Frame> {
+    let source = VideoSource::new(basketball_game(1), SourceConfig::fps30(6.0));
+    (0..16)
+        .map(|k| (7 * k) % 16)
+        .flat_map(|window| (0..4).map(move |i| window as f64 * 0.35 + i as f64 / 12.0))
+        .map(|t| source.frame_at(t))
+        .collect()
+}
+
 /// Whether `name` is selected by the optional `--only` filter.
 fn wants(only: Option<&[String]>, name: &str) -> bool {
     // `assert!`: the suite only ever runs in `bench_check`'s release build.
@@ -223,7 +236,7 @@ pub fn measure_hotpaths_matching(pool_lanes: usize, only: Option<&[String]>) -> 
         }));
     }
 
-    // 2b. Full-frame decode (coverage lists Arc-shared with the encoded blocks).
+    // 2b. Full-frame decode (block verdicts from one merge walk, coverage placements copied).
     if wants(only, "decode_complete_1080p") {
         let source = VideoSource::new(basketball_game(1), SourceConfig::fps30(5.0));
         let encoder = Encoder::new(EncoderConfig::default());
@@ -279,7 +292,7 @@ pub fn measure_hotpaths_matching(pool_lanes: usize, only: Option<&[String]>) -> 
     }
 
     // 3c. The primitive under both of the above: one incremental raster update at the same
-    // ~10 % dirty rate (mark the moved cells, recompute them, splice the coverage table).
+    // ~10 % dirty rate (mark the moved cells, recompute their scalars).
     if wants(only, "grid_content_update_10pct_dirty") {
         let source = VideoSource::new(coherence_scene(), SourceConfig::fps30(1.0));
         let frames = [source.frame(0), source.frame(1)];
@@ -289,6 +302,21 @@ pub fn measure_hotpaths_matching(pool_lanes: usize, only: Option<&[String]>) -> 
         hotpaths.push(measure("grid_content_update_10pct_dirty", || {
             toggle = !toggle;
             grid.update(black_box(&frames[usize::from(toggle)]), 64);
+            grid.dirty_cells().count()
+        }));
+    }
+
+    // 3c'. The same update on what the end-to-end benchmark's conversations capture: the
+    // five-placement basketball clip's sixteen 4-frame windows at 12 fps, cycled (≈ 81 of
+    // 510 cells dirty per update) — the unit cost of `raster_cells_recomputed`.
+    if wants(only, "grid_content_update_basketball_windows") {
+        let frames = basketball_windows();
+        let mut grid = GridContent::new();
+        let mut at = 0;
+        grid.update(&frames[at], 64);
+        hotpaths.push(measure("grid_content_update_basketball_windows", || {
+            at = (at + 1) % frames.len();
+            grid.update(black_box(&frames[at]), 64);
             grid.dirty_cells().count()
         }));
     }
@@ -399,6 +427,24 @@ mod tests {
         let source = VideoSource::new(coherence_scene(), SourceConfig::fps30(1.0));
         let frac = dirty_fraction(&source.frame(0), &source.frame(1));
         assert!((0.06..=0.15).contains(&frac), "dirty fraction {frac:.3}");
+    }
+
+    #[test]
+    fn basketball_windows_dirty_about_eighty_cells_per_update() {
+        let frames = basketball_windows();
+        assert!(frames.iter().all(|f| f.placements.len() == 5));
+        let mut grid = GridContent::new();
+        grid.update(&frames[frames.len() - 1], 64);
+        let dirty: usize = frames
+            .iter()
+            .map(|frame| {
+                grid.update(frame, 64);
+                grid.dirty_cells().count()
+            })
+            .sum();
+        let mean = dirty as f64 / frames.len() as f64;
+        assert_eq!(grid.dims().len(), 510);
+        assert!((70.0..=90.0).contains(&mean), "{mean:.1} dirty cells per update");
     }
 
     #[test]

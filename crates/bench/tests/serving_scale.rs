@@ -239,14 +239,16 @@ fn main() {
     // slope x 10k of headroom) from what a server costs whatever its size (the intercept:
     // one `ClipModel`, one set of turn buffers per lane — this fleet runs two — and the pool).
     // Allocation sizes are deterministic, so each ceiling sits 5 % above the measured
-    // value: 66.6 KiB per conversation (110.1 KiB while CLIP kept a raster of its own next
-    // to the rate plan's and its per-call buffers; 398 KiB while every conversation owned a
-    // model and its turn's frame buffers; 455 KiB before frames carried one coverage table
-    // instead of an `Arc` per block) and 319.9 KiB per two-lane server (one ≈ 52 KiB model
-    // and two lanes' turn buffers of ≈ 134 KiB, CLIP's work buffers included; 417.8 KiB
-    // while block records stored an offset and a quality and a capture's encode copied QP
-    // maps, 549.2 KiB while they also carried an index, complexity and motion). Anything
-    // that grows either by more than that has to raise it here.
+    // value: 51.9 KiB per conversation (66.3 KiB while the raster kept a per-cell coverage
+    // table, a spare one and a per-cell area array; 110.1 KiB while CLIP kept a raster of its
+    // own next to the rate plan's and its per-call buffers; 398 KiB while every conversation
+    // owned a model and its turn's frame buffers; 455 KiB before frames carried one coverage
+    // table instead of an `Arc` per block) and 192.6 KiB per two-lane server (one ≈ 52 KiB
+    // model and two lanes' turn buffers, CLIP's work buffers included; 299.1 KiB while every
+    // decoded frame held its own coverage table, 417.8 KiB while block records stored an
+    // offset and a quality and a capture's encode copied QP maps, 549.2 KiB while they also
+    // carried an index, complexity and motion). Anything that grows either by more than that
+    // has to raise it here.
     let audit_sessions = if sessions > 128 { 256 } else { 64 };
     let small = warm_fleet_bytes(audit_sessions, &windows, &question, think);
     let large = warm_fleet_bytes(2 * audit_sessions, &windows, &question, think);
@@ -259,8 +261,8 @@ fn main() {
         intercept / 1024.0,
         2 * audit_sessions
     );
-    const PER_SESSION_CEILING_BYTES: f64 = 70.0 * 1024.0;
-    const PER_SERVER_CEILING_BYTES: f64 = 336.0 * 1024.0;
+    const PER_SESSION_CEILING_BYTES: f64 = 54.5 * 1024.0;
+    const PER_SERVER_CEILING_BYTES: f64 = 202.2 * 1024.0;
     assert!(
         slope > 0.0 && slope < PER_SESSION_CEILING_BYTES,
         "per-conversation heap {:.1} KiB outside budget (ceiling {:.0} KiB)",
@@ -278,9 +280,10 @@ fn main() {
     // over K and 2K tenants: the slope is what one more tenant adds to the run's peak (its
     // conversation, its encoded window at the run's high-water mark, its report), the
     // per-event buffers being the run's one set whatever K. The ceiling sits 5 % above the
-    // measured 271.2 KiB (367.0 KiB while block records stored an offset and a quality,
-    // 809.4 KiB while every tenant owned a whole turn scratch and block records carried
-    // fields nothing read).
+    // measured 173.7 KiB (271.6 KiB while every encoded frame held its own per-cell coverage
+    // table, 367.0 KiB while block records stored an offset and a quality, 809.4 KiB while
+    // every tenant owned a whole turn scratch and block records carried fields nothing
+    // read).
     let mut scenario = registry()
         .into_iter()
         .find(|s| s.name == "shared-blackout")
@@ -297,7 +300,7 @@ fn main() {
         per_tenant / 1024.0,
         2 * k
     );
-    const PER_TENANT_PEAK_CEILING_BYTES: f64 = 285.0 * 1024.0;
+    const PER_TENANT_PEAK_CEILING_BYTES: f64 = 182.4 * 1024.0;
     assert!(
         per_tenant > 0.0 && per_tenant < PER_TENANT_PEAK_CEILING_BYTES,
         "per-tenant peak heap {:.1} KiB outside budget (ceiling {:.0} KiB)",

@@ -224,7 +224,7 @@ fn main() {
     );
 
     // --- encode_into: a 1080p ROI encode through a warmed scratch (plan, block list and
-    // coverage table all refilled in place).
+    // coverage placements all refilled in place).
     let mut encode_scratch = EncodeScratch::new();
     let mut encoded = EncodedFrame::placeholder();
     for _ in 0..3 {

@@ -112,11 +112,6 @@ impl ConversationChatServer {
         }
     }
 
-    /// Number of pool lanes turns are spread across.
-    pub fn pool_size(&self) -> usize {
-        self.pool.lanes()
-    }
-
     /// Number of conversations the server owns.
     pub fn session_count(&self) -> usize {
         self.slots.len()
@@ -201,14 +196,6 @@ impl ConversationChatServer {
             return 0.0;
         }
         self.reports().filter(|r| r.answer.correct).count() as f64 / self.slots.len() as f64
-    }
-
-    /// Mean model-assigned probability of a correct answer across conversations.
-    pub fn mean_probability_correct(&self) -> f64 {
-        if self.slots.is_empty() {
-            return 0.0;
-        }
-        self.reports().map(|r| r.answer.probability_correct).sum::<f64>() / self.slots.len() as f64
     }
 
     /// One fleet-level serving snapshot: session and turn counts, every conversation's
@@ -339,7 +326,12 @@ mod tests {
                 "conversation {i}"
             );
         }
-        assert!(server.mean_probability_correct() > 0.5);
+        let mean_p_correct = server
+            .reports()
+            .map(|r| r.answer.probability_correct)
+            .sum::<f64>()
+            / 3.0;
+        assert!(mean_p_correct > 0.5, "{mean_p_correct}");
     }
 
     fn turn_window(turn: usize) -> Vec<Frame> {
@@ -436,10 +428,9 @@ mod tests {
     fn empty_fleet_serving_report_renders_without_dividing_by_zero() {
         let mut server = ConversationChatServer::new(2, 0, net_template(1), SimDuration::from_millis(100));
         server.run_turns(&turn_window(0), &question());
-        assert_eq!((server.session_count(), server.pool_size()), (0, 2));
+        assert_eq!((server.session_count(), server.pool.lanes()), (0, 2));
         assert_eq!(server.reports().count(), 0);
         assert_eq!(server.correct_fraction(), 0.0);
-        assert_eq!(server.mean_probability_correct(), 0.0);
         let report = server.serving_report();
         assert_eq!(report.sessions, 0);
         assert_eq!(report.turns_completed, 0);

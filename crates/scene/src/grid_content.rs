@@ -15,6 +15,10 @@
 //! `update` stamps it with a new [`GridContent::generation`], and a reader that missed one
 //! can tell ([`GridContent::follows`]).
 //!
+//! The raster stores per-cell scalars only. Which objects cover a cell, and by how much,
+//! is read off the few placements themselves ([`FrameCoverage`]), so no update rewrites a
+//! per-cell list.
+//!
 //! **Bit-identity.** For every cell, the placements contributing to it are visited in
 //! placement order (the outer loop ascends placements, and a placement touches a cell at
 //! most once), each contribution uses the same `coverage_by` value on the same operands,
@@ -23,6 +27,8 @@
 //! merely close (property-tested in this module and relied on by the encoder and CLIP
 //! golden fixtures). An update keeps that: a clean cell's inputs are bit-equal, a dirty
 //! cell runs the same sequence, so an updated raster equals a fresh fill in every array.
+//! A [`FrameCoverage`] cell list evaluates the same `coverage_by` over the same placements
+//! in the same order, so it is the walk's `object_coverage` bit for bit too.
 
 use crate::frame::Frame;
 use crate::geometry::{GridDims, Rect};
@@ -33,94 +39,94 @@ use std::sync::atomic::{AtomicU64, Ordering};
 /// a generation only when one is a clone of the other — holding the same content.
 static NEXT_GENERATION: AtomicU64 = AtomicU64::new(1);
 
-/// Per-cell `(object_id, fraction)` coverage lists for a whole grid in one CSR table: cell
-/// `i`'s list is `entries[offsets[i]..offsets[i + 1]]`, in placement order — exactly
-/// `RegionContent::object_coverage` for that cell's rectangle. One table per frame is
-/// what the codec's frames carry instead of a list per block, so handing coverage from
-/// the raster to an encoded frame to a decoded frame is two slice copies.
-#[derive(Debug, Clone, Default, PartialEq)]
-pub struct CoverageTable {
-    /// `cells + 1` prefix offsets into `entries` (empty for a table of no cells).
-    offsets: Vec<u32>,
-    /// Every cell's entries, concatenated in cell order.
-    entries: Vec<(u32, f64)>,
+/// Inclusive cell range `(row0, col0, row1, col1)`.
+type CellRange = (u32, u32, u32, u32);
+
+fn contains(cells: &CellRange, row: u32, col: u32) -> bool {
+    let &(row0, col0, row1, col1) = cells;
+    (row0..=row1).contains(&row) && (col0..=col1).contains(&col)
 }
 
-impl CoverageTable {
-    /// Number of cells in the table.
-    pub fn cells(&self) -> usize {
-        self.offsets.len().saturating_sub(1)
+/// A frame's per-cell object coverage, kept as the placements that produce it: the frame
+/// size, the grid, and every placement that covers some cell (its object is in the frame,
+/// its rect overlaps the frame) as `(object_id, rect, inclusive cell range)`, in placement
+/// order. A cell's list is worked out on read, by the expression
+/// [`Frame::region_content_into`] uses over the same placements in the same order, so it
+/// equals that walk's `object_coverage` bit for bit. A handful of placements is what the
+/// codec's frames carry, so handing coverage from the raster to an encoded frame to a
+/// decoded frame copies a few rects (`clone_from` reuses the target's buffer).
+#[derive(Debug, PartialEq)]
+pub struct FrameCoverage {
+    size: (u32, u32),
+    dims: GridDims,
+    placed: Vec<(u32, Rect, CellRange)>,
+}
+
+impl Default for FrameCoverage {
+    fn default() -> Self {
+        Self {
+            size: (0, 0),
+            dims: GridDims {
+                cols: 0,
+                rows: 0,
+                cell: 1,
+            },
+            placed: Vec::new(),
+        }
+    }
+}
+
+impl Clone for FrameCoverage {
+    fn clone(&self) -> Self {
+        Self {
+            size: self.size,
+            dims: self.dims,
+            placed: self.placed.clone(),
+        }
     }
 
-    /// Cell `idx`'s coverage list.
-    pub fn cell(&self, idx: usize) -> &[(u32, f64)] {
-        &self.entries[self.offsets[idx] as usize..self.offsets[idx + 1] as usize]
+    fn clone_from(&mut self, source: &Self) {
+        self.size = source.size;
+        self.dims = source.dims;
+        self.placed.clone_from(&source.placed);
+    }
+}
+
+impl FrameCoverage {
+    /// Cell `idx`'s `(object_id, fraction)` coverage list, in placement order.
+    pub fn cell(&self, idx: usize) -> impl Iterator<Item = (u32, f64)> + '_ {
+        let (row, col) = self.dims.position(idx);
+        let rect = self.dims.cell_rect(row, col, self.size.0, self.size.1);
+        self.placed
+            .iter()
+            .filter(move |(_, _, cells)| contains(cells, row, col))
+            .map(move |(object_id, region, _)| (*object_id, rect.coverage_by(region)))
     }
 
-    /// Every cell's coverage list, in cell order.
-    pub fn iter(&self) -> impl Iterator<Item = &[(u32, f64)]> + '_ {
-        self.offsets
-            .windows(2)
-            .map(|w| &self.entries[w[0] as usize..w[1] as usize])
-    }
-
-    /// The cells `object_id` covers by at least `min_cover`, in cell order, each with the
-    /// covering fraction of its first such entry — `cell(i).iter().find(..)` for every
-    /// `i`, but scanning the entries (a few per object) rather than the cells.
+    /// The cells `object_id` covers by at least `min_cover`, ascending, each with the
+    /// fraction of the first of that object's placements that reaches it — `cell(i)`'s
+    /// first such entry for every `i`, walking only the cells the object's placements span.
     pub fn cells_covered_by(
         &self,
         object_id: u32,
         min_cover: f64,
     ) -> impl Iterator<Item = (usize, f64)> + '_ {
-        let mut previous = usize::MAX;
-        self.entries
-            .iter()
-            .enumerate()
-            .filter(move |(_, (id, frac))| *id == object_id && *frac >= min_cover)
-            .filter_map(move |(at, &(_, frac))| {
-                let cell = self.offsets.partition_point(|&start| start as usize <= at) - 1;
-                (std::mem::replace(&mut previous, cell) != cell).then_some((cell, frac))
+        let own = move || self.placed.iter().filter(move |(id, _, _)| *id == object_id);
+        let span = own()
+            .map(|(_, _, cells)| *cells)
+            .reduce(|a, b| (a.0.min(b.0), a.1.min(b.1), a.2.max(b.2), a.3.max(b.3)));
+        span.into_iter()
+            .flat_map(|(row0, col0, row1, col1)| {
+                (row0..=row1).flat_map(move |row| (col0..=col1).map(move |col| (row, col)))
             })
-    }
-
-    /// Appends one cell with the given coverage list.
-    pub fn push_cell(&mut self, coverage: &[(u32, f64)]) {
-        if self.offsets.is_empty() {
-            self.offsets.push(0);
-        }
-        self.entries.extend_from_slice(coverage);
-        self.offsets.push(self.entries.len() as u32);
-    }
-
-    /// Copies cells `range` of this table into `next` (sized already), whose entries up to
-    /// `written` hold the cells before them; returns where the cell after them starts.
-    fn carry_cells(&self, range: std::ops::Range<usize>, next: &mut CoverageTable, written: usize) -> usize {
-        let (from, to) = (
-            self.offsets[range.start] as usize,
-            self.offsets[range.end] as usize,
-        );
-        let end = written + (to - from);
-        for (new, old) in next.entries[written..end].iter_mut().zip(&self.entries[from..to]) {
-            *new = *old;
-        }
-        let shift = (written as u32).wrapping_sub(from as u32);
-        let carried = range.start + 1..=range.end;
-        for (new, old) in next.offsets[carried.clone()]
-            .iter_mut()
-            .zip(&self.offsets[carried])
-        {
-            *new = old.wrapping_add(shift);
-        }
-        end
-    }
-
-    /// Makes this table a copy of `other`, keeping its own buffers (no allocation once
-    /// they have grown to the frame's size).
-    pub fn copy_from(&mut self, other: &CoverageTable) {
-        self.offsets.clear();
-        self.offsets.extend_from_slice(&other.offsets);
-        self.entries.clear();
-        self.entries.extend_from_slice(&other.entries);
+            .filter_map(move |(row, col)| {
+                let rect = self.dims.cell_rect(row, col, self.size.0, self.size.1);
+                own()
+                    .filter(|(_, _, cells)| contains(cells, row, col))
+                    .map(|(_, region, _)| rect.coverage_by(region))
+                    .find(|&frac| frac >= min_cover)
+                    .map(|frac| (self.dims.index(row, col), frac))
+            })
     }
 }
 
@@ -135,7 +141,7 @@ struct Placed {
     /// Inclusive cell range `(row0, col0, row1, col1)` the region overlaps once clipped to
     /// the frame — every cell in it is covered by a positive fraction. `None` when the
     /// placement contributes nothing: no such object, or wholly off the frame.
-    cells: Option<(u32, u32, u32, u32)>,
+    cells: Option<CellRange>,
 }
 
 /// What a rasterization reads of one frame object, and of the frame's background.
@@ -149,7 +155,7 @@ fn background_key(frame: &Frame) -> [u64; 2] {
 }
 
 impl Placed {
-    fn cells_of(&self, dims: GridDims, frame_rect: &Rect) -> Option<(u32, u32, u32, u32)> {
+    fn cells_of(&self, dims: GridDims, frame_rect: &Rect) -> Option<CellRange> {
         let clipped = self.region.intersect(frame_rect);
         (self.content.is_some() && !clipped.is_empty()).then(|| cell_range(dims, &clipped))
     }
@@ -163,8 +169,8 @@ impl Placed {
 /// every object's id / `texture_complexity` / `motion` / `detail` in order, and every
 /// placement's `(object id, rect)` in order. [`GridContent::update`] compares the next
 /// capture against that key: if only rects differ it recomputes just the cells a moved
-/// placement can have changed (see `mark_moved`) and splices their coverage lists into
-/// the table; any other difference — or no previous capture — is a full `fill`. Either way
+/// placement can have changed (see `mark_moved`); any other difference — or no previous
+/// capture — is a full `fill`. Either way
 /// [`GridContent::dirty_cells`] then lists the cells whose descriptors were recomputed, so
 /// a consumer holding per-cell state derived from the raster refreshes exactly those.
 ///
@@ -185,13 +191,8 @@ pub struct GridContent {
     /// Background fraction per cell (during a fill: the running coverage total before the
     /// `min(1.0)` cap, converted by the finalize pass).
     background_fraction: Vec<f64>,
-    /// Pixel area of each (possibly edge-clipped) cell.
-    area: Vec<u64>,
-    /// Per-cell `(object_id, fraction)` coverage lists.
-    coverage: CoverageTable,
-    /// The table an update splices into before swapping it with `coverage`; a fill uses
-    /// its offsets as the per-cell write cursor. Entries reserved to the exact total.
-    spare: CoverageTable,
+    /// Per-cell object coverage: the placements below that cover some cell.
+    coverage: FrameCoverage,
     /// Of the remembered capture: frame `(width, height)` (`dims` holds the cell) and the
     /// bits of its background complexity and motion.
     size: (u32, u32),
@@ -216,7 +217,7 @@ impl Default for GridContent {
 
 /// Grid-cell range `(row0, col0, row1, col1)` (inclusive) overlapped by a non-empty rect
 /// already clipped to the frame.
-fn cell_range(dims: GridDims, clipped: &Rect) -> (u32, u32, u32, u32) {
+fn cell_range(dims: GridDims, clipped: &Rect) -> CellRange {
     let cell = dims.cell as i64;
     let col0 = (clipped.x / cell) as u32;
     let row0 = (clipped.y / cell) as u32;
@@ -295,9 +296,7 @@ impl GridContent {
             motion: Vec::new(),
             detail: Vec::new(),
             background_fraction: Vec::new(),
-            area: Vec::new(),
-            coverage: CoverageTable::default(),
-            spare: CoverageTable::default(),
+            coverage: FrameCoverage::default(),
             size: (0, 0),
             background: [0; 2],
             objects: Vec::new(),
@@ -319,8 +318,7 @@ impl GridContent {
     /// Rasterizes `frame` onto the `cell`-sized grid from scratch, reusing every buffer,
     /// remembers it as the capture the next [`GridContent::update`] is relative to, and
     /// marks every cell dirty. After the first fill of a given geometry, refills perform
-    /// no heap allocation unless the total coverage-entry count grows past the retained
-    /// capacity.
+    /// no heap allocation unless the capture has more objects or placements than before.
     pub fn fill(&mut self, frame: &Frame, cell: u32) {
         self.next_generation();
         self.rasterize(frame, cell);
@@ -343,20 +341,8 @@ impl GridContent {
             buf.clear();
             buf.resize(n, 0.0);
         }
-        let cursor = &mut self.spare.offsets;
-        cursor.clear();
-        cursor.resize(n + 1, 0);
-        self.area.clear();
-        self.area.reserve(n);
-        for row in 0..dims.rows {
-            for col in 0..dims.cols {
-                self.area
-                    .push(dims.cell_rect(row, col, frame.width, frame.height).area());
-            }
-        }
-        // Pass 1: per-cell entry counts plus the ordered scalar accumulations (coverage
-        // totals and frac-weighted content), placement-outer so each cell sees its
-        // contributors in placement order.
+        // The ordered scalar accumulations (coverage totals and frac-weighted content),
+        // placement-outer so each cell sees its contributors in placement order.
         for placed in &self.prev_placements {
             let (Some((row0, col0, row1, col1)), Some([texture, motion, detail])) =
                 (placed.cells, placed.content)
@@ -369,40 +355,10 @@ impl GridContent {
                     let rect = dims.cell_rect(row, col, frame.width, frame.height);
                     // Positive: the range holds exactly the cells the region overlaps.
                     let frac = rect.coverage_by(&placed.region);
-                    cursor[idx] += 1;
                     self.background_fraction[idx] += frac;
                     self.complexity[idx] += frac * texture;
                     self.motion[idx] += frac * motion;
                     self.detail[idx] += frac * detail;
-                }
-            }
-        }
-        // Prefix-sum the counts into offsets, then replay the placements to fill entries.
-        let CoverageTable { offsets, entries } = &mut self.coverage;
-        offsets.clear();
-        offsets.reserve_exact(n + 1);
-        let mut total = 0u32;
-        offsets.push(0);
-        for &count in &cursor[..n] {
-            total += count;
-            offsets.push(total);
-        }
-        entries.clear();
-        entries.reserve_exact(total as usize);
-        entries.resize(total as usize, (0, 0.0));
-        cursor.fill(0);
-        for placed in &self.prev_placements {
-            let Some((row0, col0, row1, col1)) = placed.cells else {
-                continue;
-            };
-            for row in row0..=row1 {
-                for col in col0..=col1 {
-                    let idx = dims.index(row, col);
-                    let rect = dims.cell_rect(row, col, frame.width, frame.height);
-                    let frac = rect.coverage_by(&placed.region);
-                    let slot = offsets[idx] as usize + cursor[idx] as usize;
-                    entries[slot] = (placed.object_id, frac);
-                    cursor[idx] += 1;
                 }
             }
         }
@@ -447,6 +403,19 @@ impl GridContent {
             placed.cells = placed.cells_of(dims, &frame_rect);
             placed
         }));
+        self.place_coverage();
+    }
+
+    /// Rebuilds `coverage` from the remembered placements that cover some cell.
+    fn place_coverage(&mut self) {
+        let coverage = &mut self.coverage;
+        (coverage.size, coverage.dims) = (self.size, self.dims);
+        coverage.placed.clear();
+        coverage.placed.extend(
+            self.prev_placements
+                .iter()
+                .filter_map(|placed| Some((placed.object_id, placed.region, placed.cells?))),
+        );
     }
 
     /// Whether `frame` differs from the remembered capture in placement rects at most.
@@ -470,9 +439,9 @@ impl GridContent {
     /// Brings the raster to `frame` at the cost of what changed since the capture it holds:
     /// when the two differ in placement rects only, exactly the cells `mark_moved` marks
     /// are recomputed — by `fill`'s own expression sequence, so the result equals a fresh
-    /// `fill` bit for bit — and their coverage lists spliced into the table; otherwise this
-    /// is [`GridContent::fill`]. Either way — nothing moved included — the raster gets a new
-    /// generation. Allocation-free once the buffers have grown.
+    /// `fill` bit for bit; otherwise this is [`GridContent::fill`]. Either way — nothing
+    /// moved included — the raster gets a new generation. Allocation-free once the buffers
+    /// have grown.
     pub fn update(&mut self, frame: &Frame, cell: u32) {
         self.next_generation();
         if !self.same_but_for_rects(frame, cell) {
@@ -495,86 +464,49 @@ impl GridContent {
                 placed.cells = placed.cells_of(dims, &frame_rect);
             }
         }
-        if self.dirty.iter().all(|&word| word == 0) {
-            return;
-        }
-        // Every cell of a placement's range holds one entry for it, so the new table's
-        // size is known before it is built.
-        let total: usize = self
-            .prev_placements
-            .iter()
-            .filter_map(|placed| placed.cells)
-            .map(|(row0, col0, row1, col1)| ((row1 - row0 + 1) * (col1 - col0 + 1)) as usize)
-            .sum();
-        let n = dims.len();
-        let mut next = std::mem::take(&mut self.spare);
-        next.offsets.clear();
-        next.offsets.reserve_exact(n + 1);
-        next.offsets.resize(n + 1, 0);
-        next.entries.clear();
-        next.entries.reserve_exact(total);
-        next.entries.resize(total, (0, 0.0));
-        // `carried` cells and `written` entries of the new table are in place; `row`
-        // follows the ascending dirty cells without dividing. A plain word loop: driving
-        // this body from the `dirty_cells()` iterator measured ≈ 20 % slower per update.
-        let (mut carried, mut written) = (0usize, 0usize);
+        self.place_coverage();
+        // `row` follows the ascending dirty cells without dividing. A plain word loop:
+        // driving this body from the `dirty_cells()` iterator measured ≈ 20 % slower per
+        // update.
         let (cols, mut row, mut row_start) = (dims.cols as usize, 0u32, 0usize);
         for word in 0..self.dirty.len() {
             let mut bits = self.dirty[word];
             while bits != 0 {
                 let idx = word * 64 + bits.trailing_zeros() as usize;
                 bits &= bits - 1;
-                written = self.coverage.carry_cells(carried..idx, &mut next, written);
                 while idx >= row_start + cols {
                     row += 1;
                     row_start += cols;
                 }
-                written = self.recompute_cell(idx, row, (idx - row_start) as u32, frame, &mut next, written);
-                carried = idx + 1;
+                self.recompute_cell(idx, row, (idx - row_start) as u32, frame);
             }
         }
-        written = self.coverage.carry_cells(carried..n, &mut next, written);
-        debug_assert_eq!(written, total);
-        self.spare = std::mem::replace(&mut self.coverage, next);
     }
 
     /// Recomputes cell `idx` = `(row, col)` from the remembered placements — `fill`'s
-    /// accumulation and epilogue for one cell — writing its coverage list to `next` from
-    /// entry `written` on; returns where the next cell's list starts.
-    fn recompute_cell(
-        &mut self,
-        idx: usize,
-        row: u32,
-        col: u32,
-        frame: &Frame,
-        next: &mut CoverageTable,
-        mut written: usize,
-    ) -> usize {
+    /// accumulation and epilogue for one cell.
+    fn recompute_cell(&mut self, idx: usize, row: u32, col: u32, frame: &Frame) {
         let rect = self.dims.cell_rect(row, col, frame.width, frame.height);
         let (mut covered, mut complexity, mut motion, mut detail) = (0.0f64, 0.0f64, 0.0f64, 0.0f64);
         for placed in &self.prev_placements {
-            let (Some((row0, col0, row1, col1)), Some(content)) = (placed.cells, placed.content) else {
+            let (Some(cells), Some(content)) = (placed.cells, placed.content) else {
                 continue;
             };
-            if row < row0 || row > row1 || col < col0 || col > col1 {
+            if !contains(&cells, row, col) {
                 continue;
             }
             let frac = rect.coverage_by(&placed.region);
             debug_assert!(frac > 0.0, "a cell of the range is covered");
-            next.entries[written] = (placed.object_id, frac);
-            written += 1;
             covered += frac;
             complexity += frac * content[0];
             motion += frac * content[1];
             detail += frac * content[2];
         }
-        next.offsets[idx + 1] = written as u32;
         self.background_fraction[idx] = covered;
         self.complexity[idx] = complexity;
         self.motion[idx] = motion;
         self.detail[idx] = detail;
         self.finalize_cell(idx, frame);
-        written
     }
 
     /// The cells whose descriptors the last [`GridContent::fill`] (every cell) or
@@ -626,19 +558,9 @@ impl GridContent {
         &self.background_fraction
     }
 
-    /// Per-cell pixel area, row-major.
-    pub fn area(&self) -> &[u64] {
-        &self.area
-    }
-
-    /// Cell `idx`'s `(object_id, fraction)` coverage list, in placement order — the same
-    /// entries `region_content_into` would report for that cell's rectangle.
-    pub fn coverage(&self, idx: usize) -> &[(u32, f64)] {
-        self.coverage.cell(idx)
-    }
-
-    /// Every cell's coverage list as one table (see [`CoverageTable`]).
-    pub fn coverage_table(&self) -> &CoverageTable {
+    /// Per-cell object coverage: `coverage().cell(idx)` is the list `region_content_into`
+    /// would report for that cell's rectangle.
+    pub fn coverage(&self) -> &FrameCoverage {
         &self.coverage
     }
 }
@@ -658,13 +580,11 @@ mod tests {
         let dims = grid.dims();
         assert_eq!(dims, GridDims::for_frame(frame.width, frame.height, cell));
         let mut content = RegionContent::empty();
-        let mut rebuilt = CoverageTable::default();
         for row in 0..dims.rows {
             for col in 0..dims.cols {
                 let idx = dims.index(row, col);
                 let rect = dims.cell_rect(row, col, frame.width, frame.height);
                 frame.region_content_into(&rect, &mut content);
-                rebuilt.push_cell(&content.object_coverage);
                 let at = |v: &[f64]| v[idx];
                 assert_eq!(
                     at(grid.complexity()),
@@ -679,57 +599,84 @@ mod tests {
                     "bg {row},{col}"
                 );
                 assert_eq!(
-                    grid.coverage(idx),
-                    &content.object_coverage[..],
+                    grid.coverage().cell(idx).collect::<Vec<_>>(),
+                    content.object_coverage,
                     "coverage {row},{col}"
                 );
-                assert_eq!(grid.area()[idx], rect.area(), "area {row},{col}");
             }
         }
-        // The table as a whole: cell-by-cell construction and an in-place copy over stale
-        // contents both reproduce it.
-        assert_eq!(grid.coverage_table().cells(), dims.len());
-        assert_eq!(&rebuilt, grid.coverage_table());
-        let mut copy = CoverageTable::default();
-        copy.push_cell(&[(9, 0.5)]);
-        copy.copy_from(grid.coverage_table());
-        assert_eq!(&copy, grid.coverage_table());
-        assert!(copy.iter().eq((0..dims.len()).map(|idx| grid.coverage(idx))));
+        // A copy made in place over a stale one reads the same lists.
+        let mut stale = GridContent::new();
+        stale.fill(&Frame::sample(&busy_scene(), 0, 0, 0.9), 32);
+        let mut copy = stale.coverage().clone();
+        copy.clone_from(grid.coverage());
+        assert_eq!(&copy, grid.coverage());
         // The per-object query is the per-cell `find`, for present and absent objects.
         for object_id in frame.placements.iter().map(|p| p.object_id).chain([4_242]) {
-            for min_cover in [0.0, 0.02, 0.5, 1.0] {
-                let by_cell: Vec<(usize, f64)> = (0..dims.len())
-                    .filter_map(|idx| {
-                        grid.coverage(idx)
-                            .iter()
-                            .find(|(id, f)| *id == object_id && *f >= min_cover)
-                            .map(|&(_, f)| (idx, f))
-                    })
-                    .collect();
-                let by_entry: Vec<(usize, f64)> = copy.cells_covered_by(object_id, min_cover).collect();
-                assert_eq!(by_entry, by_cell, "object {object_id}, min cover {min_cover}");
+            for min_cover in [0.0, 0.02, 0.5, 1.0, f64::NAN] {
+                assert_eq!(
+                    copy.cells_covered_by(object_id, min_cover).collect::<Vec<_>>(),
+                    covered_by_cell(&copy, dims, object_id, min_cover),
+                    "object {object_id}, min cover {min_cover}"
+                );
             }
         }
     }
 
+    /// [`FrameCoverage::cells_covered_by`] the slow way: every cell's list, searched.
+    fn covered_by_cell(
+        coverage: &FrameCoverage,
+        dims: GridDims,
+        object_id: u32,
+        min_cover: f64,
+    ) -> Vec<(usize, f64)> {
+        (0..dims.len())
+            .filter_map(|idx| {
+                coverage
+                    .cell(idx)
+                    .find(|&(id, f)| id == object_id && f >= min_cover)
+                    .map(|(_, f)| (idx, f))
+            })
+            .collect()
+    }
+
     #[test]
     fn coverage_query_reports_a_cell_once_for_its_first_matching_entry() {
-        let mut table = CoverageTable::default();
-        assert_eq!(table.cells(), 0);
-        table.push_cell(&[]);
-        table.push_cell(&[(7, 0.01), (7, 0.4), (3, 0.2), (7, 0.9)]);
-        table.push_cell(&[]);
-        table.push_cell(&[(3, 1.0)]);
-        assert_eq!(table.cells(), 4);
-        assert_eq!(
-            table.cells_covered_by(7, 0.05).collect::<Vec<_>>(),
-            vec![(1, 0.4)]
-        );
-        assert_eq!(
-            table.cells_covered_by(3, 0.0).collect::<Vec<_>>(),
-            vec![(1, 0.2), (3, 1.0)]
-        );
-        assert_eq!(table.cells_covered_by(7, f64::NAN).count(), 0);
+        // Four 10-px cells in a row. Object 7 is placed three times: a sliver of cell 1
+        // (1 %), all of cells 1–2 (a second entry in cell 1), and cell 1 again; object 3
+        // covers a fifth of cell 1 and all of cell 3; object 5 has no placement.
+        let mut scene = Scene::new("row", 40, 10).with_background(0.1, 0.0, vec![]);
+        for id in [7, 3, 5] {
+            scene.add_object(SceneObject::new(id, "o", Rect::new(0, 0, 1, 1)));
+        }
+        let mut frame = Frame::sample(&scene, 0, 0, 0.0);
+        frame.placements = [
+            (7, Rect::new(10, 0, 1, 1)),
+            (7, Rect::new(14, 0, 16, 10)),
+            (3, Rect::new(18, 0, 2, 10)),
+            (7, Rect::new(10, 0, 10, 10)),
+            (3, Rect::new(30, 0, 50, 10)),
+        ]
+        .map(|(object_id, region)| ObjectPlacement { object_id, region })
+        .into();
+        let mut grid = GridContent::new();
+        grid.fill(&frame, 10);
+        let coverage = grid.coverage();
+        let list = |idx| coverage.cell(idx).collect::<Vec<_>>();
+        assert_eq!(list(0), vec![]);
+        assert_eq!(list(1), vec![(7, 0.01), (7, 0.6), (3, 0.2), (7, 1.0)]);
+        let query = |id, min_cover| coverage.cells_covered_by(id, min_cover).collect::<Vec<_>>();
+        assert_eq!(query(7, 0.05), vec![(1, 0.6), (2, 1.0)]);
+        assert_eq!(query(7, 0.8), vec![(1, 1.0), (2, 1.0)]);
+        assert_eq!(query(3, 0.0), vec![(1, 0.2), (3, 1.0)]);
+        assert_eq!(query(5, 0.0), vec![]);
+        assert_eq!(query(7, f64::NAN), vec![]);
+        for (id, min_cover) in [(7, 0.0), (7, 0.05), (7, 0.8), (3, 0.5), (5, 0.0)] {
+            assert_eq!(
+                query(id, min_cover),
+                covered_by_cell(coverage, grid.dims(), id, min_cover)
+            );
+        }
     }
 
     fn busy_scene() -> Scene {
@@ -847,14 +794,19 @@ mod tests {
         values.iter().map(|v| v.to_bits()).collect()
     }
 
-    fn table_bits(table: &CoverageTable) -> (&[u32], Vec<(u32, u64)>) {
-        (
-            &table.offsets,
-            table.entries.iter().map(|&(id, f)| (id, f.to_bits())).collect(),
-        )
+    /// Every cell's coverage list, with its fractions' bits.
+    fn coverage_bits(grid: &GridContent) -> Vec<Vec<(u32, u64)>> {
+        (0..grid.dims().len())
+            .map(|idx| {
+                grid.coverage()
+                    .cell(idx)
+                    .map(|(id, f)| (id, f.to_bits()))
+                    .collect()
+            })
+            .collect()
     }
 
-    /// Every array, `area` and the whole coverage table, bit for bit.
+    /// Every array and every cell's coverage list, bit for bit.
     fn assert_same_raster(updated: &GridContent, fresh: &GridContent, what: &str) {
         assert_eq!(updated.dims(), fresh.dims(), "{what}: dims");
         assert_eq!(
@@ -869,12 +821,7 @@ mod tests {
             bits(fresh.background_fraction()),
             "{what}: background"
         );
-        assert_eq!(updated.area(), fresh.area(), "{what}: area");
-        assert_eq!(
-            table_bits(updated.coverage_table()),
-            table_bits(fresh.coverage_table()),
-            "{what}: coverage table"
-        );
+        assert_eq!(coverage_bits(updated), coverage_bits(fresh), "{what}: coverage");
     }
 
     /// The tight rule cell by cell: overlapping the old or the new rect of a placement

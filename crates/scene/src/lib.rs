@@ -32,7 +32,7 @@ pub use corpus::{Corpus, VideoClip};
 pub use fact::{FactCategory, SceneFact};
 pub use frame::{Frame, RegionContent};
 pub use geometry::{GridDims, Rect};
-pub use grid_content::CoverageTable;
+pub use grid_content::FrameCoverage;
 pub use object::SceneObject;
 pub use scene::Scene;
 pub use source::{SourceConfig, VideoSource};

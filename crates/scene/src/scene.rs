@@ -4,7 +4,6 @@
 
 use crate::concept::Concept;
 use crate::fact::SceneFact;
-use crate::geometry::Rect;
 use crate::object::SceneObject;
 
 /// A complete synthetic scene with ground truth.
@@ -93,11 +92,6 @@ impl Scene {
         self.objects.iter().find(|o| o.id == id)
     }
 
-    /// The full frame rectangle.
-    pub fn frame_rect(&self) -> Rect {
-        Rect::new(0, 0, self.width, self.height)
-    }
-
     /// Validates internal consistency (object regions inside canvas after clamping, fact
     /// evidence referencing existing objects). Returns a list of problems, empty when valid.
     pub fn validate(&self) -> Vec<String> {
@@ -128,6 +122,7 @@ impl Scene {
 mod tests {
     use super::*;
     use crate::fact::FactCategory;
+    use crate::geometry::Rect;
 
     fn scene() -> Scene {
         let mut s = Scene::new("test", 1280, 720);

@@ -30,11 +30,6 @@ impl SourceConfig {
     pub fn frame_count(&self) -> u64 {
         (self.fps * self.duration_secs).floor() as u64
     }
-
-    /// Frame interval in microseconds.
-    pub fn frame_interval_us(&self) -> u64 {
-        (1_000_000.0 / self.fps).round() as u64
-    }
 }
 
 /// A deterministic video source sampling a [`Scene`].
@@ -249,6 +244,8 @@ mod tests {
             duration_secs: 1.0,
         };
         assert_eq!(c.frame_count(), 60);
-        assert_eq!(c.frame_interval_us(), 16_667);
+        let src = VideoSource::new(Scene::new("t", 640, 480), c);
+        let stamps: Vec<u64> = (0..4).map(|i| src.frame(i).capture_ts_us).collect();
+        assert_eq!(stamps, [0, 16_667, 33_333, 50_000]);
     }
 }

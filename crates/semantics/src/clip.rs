@@ -379,13 +379,16 @@ impl ClipMemo {
 
     /// Eq. 1 for one cell of coverage `coverage` and uncovered fraction `background`, in
     /// closed form (see the module docs).
-    fn cell_rho(&mut self, coverage: &[(u32, f64)], background: f64, background_weight: f64) -> f64 {
+    fn cell_rho(
+        &mut self,
+        coverage: impl Iterator<Item = (u32, f64)>,
+        background: f64,
+        background_weight: f64,
+    ) -> f64 {
         let concepts = &self.concepts;
         self.cell_terms.clear();
         self.cell_terms.extend(
-            coverage
-                .iter()
-                .filter_map(|&(object_id, fraction)| Some((concepts.term_of(object_id)?, fraction))),
+            coverage.filter_map(|(object_id, fraction)| Some((concepts.term_of(object_id)?, fraction))),
         );
         if background > 0.0 {
             self.cell_terms
@@ -621,7 +624,7 @@ impl ClipModel {
             let background_weight = PatchEncoder::new(&self.space).background_weight();
             let mut evaluate = |idx: usize| {
                 let rho = memo.cell_rho(
-                    raster.coverage(idx),
+                    raster.coverage().cell(idx),
                     raster.background_fraction()[idx],
                     background_weight,
                 );

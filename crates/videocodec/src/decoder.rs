@@ -8,7 +8,7 @@
 use crate::frame::{EncodedFrame, FrameType};
 use crate::qp::Qp;
 use crate::rd;
-use aivc_scene::{CoverageTable, GridDims};
+use aivc_scene::{FrameCoverage, GridDims};
 
 /// One decoded block; its flat raster index is its position in [`DecodedFrame::blocks`].
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -53,9 +53,9 @@ pub struct DecodedFrame {
     pub block_size: u32,
     /// Decoded blocks in raster order.
     pub blocks: Vec<DecodedBlock>,
-    /// Object coverage of each block, copied from the encoded frame's table (read through
-    /// [`DecodedFrame::coverage`]).
-    pub coverage: CoverageTable,
+    /// Object coverage of each block, copied from the encoded frame: `coverage.cell(idx)`
+    /// lists block `idx`'s `(object_id, fraction of block area)` pairs.
+    pub coverage: FrameCoverage,
 }
 
 impl DecodedFrame {
@@ -71,13 +71,8 @@ impl DecodedFrame {
             height: 0,
             block_size: 1,
             blocks: Vec::new(),
-            coverage: CoverageTable::default(),
+            coverage: FrameCoverage::default(),
         }
-    }
-
-    /// Coverage of block `idx` by scene objects: `(object_id, fraction of block area)`.
-    pub fn coverage(&self, idx: usize) -> &[(u32, f64)] {
-        self.coverage.cell(idx)
     }
 
     /// The block grid of this frame.
@@ -192,7 +187,7 @@ impl Decoder {
 
     /// [`Decoder::decode_with_received`] into a caller-owned frame buffer.
     ///
-    /// `out` is refilled in place (its block vector and coverage table keep their capacity),
+    /// `out` is refilled in place (its block and placement vectors keep their capacity),
     /// so once the buffers have grown to the frame's size a decode performs zero heap
     /// allocations.
     /// Output is bit-identical to [`Decoder::decode_with_received`] (see the equivalence
@@ -219,7 +214,7 @@ impl Decoder {
                     detail: b.detail,
                 }),
         );
-        out.coverage.copy_from(&encoded.coverage);
+        out.coverage.clone_from(&encoded.coverage);
         out.frame_index = encoded.frame_index;
         out.capture_ts_us = encoded.capture_ts_us;
         out.received_at_us = received_at_us;
@@ -359,14 +354,14 @@ mod tests {
             let e = enc.encode_uniform(&frame, Qp::new(33));
             // Half the bytes lost: coverage is carried for concealed blocks too.
             let d = Decoder::new().decode_with_received(&e, &[(0, e.total_bytes() / 2)], None);
-            assert_eq!(e.coverage.cells(), dims.len());
-            assert_eq!(d.coverage.cells(), dims.len());
+            assert_eq!(d.coverage, e.coverage);
             for idx in 0..dims.len() {
                 let (row, col) = dims.position(idx);
                 let cell = dims.cell_rect(row, col, frame.width, frame.height);
                 frame.region_content_into(&cell, &mut content);
-                assert_eq!(e.coverage(idx), &content.object_coverage[..], "encoded {idx}");
-                assert_eq!(d.coverage(idx), &content.object_coverage[..], "decoded {idx}");
+                let listed = |coverage: &FrameCoverage| coverage.cell(idx).collect::<Vec<_>>();
+                assert_eq!(listed(&e.coverage), content.object_coverage, "encoded {idx}");
+                assert_eq!(listed(&d.coverage), content.object_coverage, "decoded {idx}");
             }
         }
     }

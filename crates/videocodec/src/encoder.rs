@@ -83,8 +83,8 @@ impl Encoder {
 
     /// Encodes `frame` with a per-CTU QP map (whose grid must match [`Encoder::grid_for`])
     /// into a caller-owned frame buffer: prepares the scratch's plan for `frame` and walks
-    /// it as [`Encoder::encode_into_planned`] does. `out` is refilled in place (its block vector
-    /// and coverage table keep their capacity), so after warmup — one encode of each frame
+    /// it as [`Encoder::encode_into_planned`] does. `out` is refilled in place (its block and
+    /// coverage-placement vectors keep their capacity), so after warmup — one encode of each frame
     /// geometry — an encode performs zero heap allocations, whether or not the frame's
     /// content moved.
     pub fn encode_into(
@@ -101,7 +101,7 @@ impl Encoder {
 
     /// Encodes `frame` with `qp_map` from the [`RatePlan`] a rate-control caller already
     /// prepared for it ([`Encoder::prepare_rate_plan`]): content descriptors and the
-    /// coverage table come from the plan's raster, and every block's byte count from the
+    /// coverage placements come from the plan's raster, and every block's byte count from the
     /// plan's rate coefficients through the kernel the probes sum — so the size a probe
     /// predicted for this map is the size this encode produces. The plan must be the one
     /// prepared for this very frame. The scratch is not read.
@@ -179,7 +179,7 @@ impl Encoder {
         let grid = plan.raster();
         let detail = grid.detail();
 
-        out.coverage.copy_from(grid.coverage_table());
+        out.coverage.clone_from(grid.coverage());
         out.blocks.clear();
         out.blocks.reserve(dims.len());
         let mut qps = [Qp::new(0); RATE_LANES];
@@ -354,7 +354,7 @@ mod tests {
 
     #[test]
     fn encode_into_survives_geometry_changes() {
-        // The scratch's plan and the output's coverage table are refilled in place;
+        // The scratch's plan and the output's coverage are refilled in place;
         // switching to a different frame size must leave nothing of the previous one.
         let enc = Encoder::new(EncoderConfig::default());
         let big = VideoSource::new(basketball_game(1), SourceConfig::fps30(5.0)).frame(0);
@@ -379,7 +379,7 @@ mod tests {
     /// [`Frame::region_content_into`] walk feeding scalar R-D calls — and asserts exact
     /// equality of every field, and of the complexity and motion the block's bytes were
     /// priced from in the plan's raster. This is the ground-truth check that the grid
-    /// raster, the per-frame coverage table and the plan's rate kernel changed the encode's
+    /// raster, the per-frame coverage placements and the plan's rate kernel changed the encode's
     /// speed and nothing else.
     fn assert_blocks_match_scalar_walk(enc: &Encoder, frame: &Frame, map: &QpMap, encoded: &EncodedFrame) {
         let dims = enc.grid_for(frame);
@@ -401,8 +401,8 @@ mod tests {
             assert_eq!(complexity[idx], content.complexity, "complexity {idx}");
             assert_eq!(motion[idx], content.motion, "motion {idx}");
             assert_eq!(
-                encoded.coverage(idx),
-                &content.object_coverage[..],
+                encoded.coverage.cell(idx).collect::<Vec<_>>(),
+                content.object_coverage,
                 "coverage {idx}"
             );
         }

@@ -4,12 +4,13 @@
 //! type and a list of [`EncodedBlock`]s laid out contiguously in raster order. Blocks carry
 //! what downstream stages read (byte count, QP, detail) as plain `Copy` data — a block's
 //! offset is the running sum of the lengths before it, and its encoded quality a pure
-//! function of its QP and detail, so neither is stored — and the frame carries one
-//! [`CoverageTable`] of per-block object coverage, which keeps the decoder and the MLLM
-//! simulator independent of the original scene.
+//! function of its QP and detail, so neither is stored — and the frame carries its
+//! per-block object coverage as a [`FrameCoverage`] (the few object placements it is
+//! worked out from), which keeps the decoder and the MLLM simulator independent of the
+//! original scene.
 
 use crate::qp::Qp;
-use aivc_scene::CoverageTable;
+use aivc_scene::FrameCoverage;
 
 /// Whether a frame was coded without reference (intra/IDR) or predicted (inter/P).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -55,9 +56,9 @@ pub struct EncodedFrame {
     pub grid_rows: u32,
     /// Coded blocks in raster order, laid out contiguously from `header_bytes` on.
     pub blocks: Vec<EncodedBlock>,
-    /// Coverage of each block by scene objects — `(object_id, fraction of block area)`
-    /// lists, one cell per block (read through [`EncodedFrame::coverage`]).
-    pub coverage: CoverageTable,
+    /// Coverage of each block by scene objects: `coverage.cell(idx)` lists block `idx`'s
+    /// `(object_id, fraction of block area)` pairs.
+    pub coverage: FrameCoverage,
     /// Frame-level header/parameter-set overhead in bytes.
     pub header_bytes: u32,
 }
@@ -76,14 +77,9 @@ impl EncodedFrame {
             grid_cols: 0,
             grid_rows: 0,
             blocks: Vec::new(),
-            coverage: CoverageTable::default(),
+            coverage: FrameCoverage::default(),
             header_bytes: 0,
         }
-    }
-
-    /// Coverage of block `idx` by scene objects: `(object_id, fraction of block area)`.
-    pub fn coverage(&self, idx: usize) -> &[(u32, f64)] {
-        self.coverage.cell(idx)
     }
 
     /// Total coded size of the frame in bytes (header + all block payloads).
@@ -105,14 +101,38 @@ impl EncodedFrame {
     /// truncated CTU) and will be concealed by the decoder.
     ///
     /// A block's byte range starts at the running sum of the lengths before it, from
-    /// `header_bytes` on.
+    /// `header_bytes` on. One merge walk over the blocks and the received bytes' runs of
+    /// touching ranges: a block is covered when the run holding its first byte reaches its
+    /// end.
     pub fn blocks_covered_into(&self, received: &[(u64, u64)], out: &mut Vec<bool>) {
         out.clear();
+        let header = self.header_bytes as u64;
+        if received
+            .first()
+            .is_some_and(|&(s, e)| s <= header && e >= self.total_bytes())
+        {
+            out.resize(self.blocks.len(), true);
+            return;
+        }
+        let mut at = 0;
+        let mut runs = std::iter::from_fn(|| {
+            let &(first, mut reach) = received.get(at)?;
+            at += 1;
+            while let Some(&(_, e)) = received.get(at).filter(|&&(s, _)| s <= reach) {
+                reach = reach.max(e);
+                at += 1;
+            }
+            Some((first, reach))
+        });
+        let mut run = runs.next();
+        let mut start = header;
         out.reserve(self.blocks.len());
-        let mut start = self.header_bytes as u64;
         out.extend(self.blocks.iter().map(|b| {
             let end = start + b.byte_len as u64;
-            let covered = range_covered(start, end, received);
+            while run.is_some_and(|(_, reach)| reach <= start) {
+                run = runs.next();
+            }
+            let covered = run.is_some_and(|(first, reach)| first <= start && end <= reach);
             start = end;
             covered
         }));
@@ -127,7 +147,9 @@ impl EncodedFrame {
     }
 }
 
-/// True when `[start, end)` is fully covered by the union of the sorted ranges in `received`.
+/// True when `[start, end)` is fully covered by the union of the sorted ranges in `received`:
+/// the per-block scan [`EncodedFrame::blocks_covered_into`]'s merge walk is held to.
+#[cfg(test)]
 fn range_covered(start: u64, end: u64, received: &[(u64, u64)]) -> bool {
     let mut cursor = start;
     for &(s, e) in received {
@@ -149,6 +171,8 @@ fn range_covered(start: u64, end: u64, received: &[(u64, u64)]) -> bool {
 mod tests {
     use super::*;
     use crate::rd;
+    use aivc_scene::grid_content::GridContent;
+    use aivc_scene::{Frame, Rect, Scene, SceneObject};
 
     /// [`EncodedFrame::blocks_covered_into`] into a fresh buffer.
     fn covered_by(f: &EncodedFrame, received: &[(u64, u64)]) -> Vec<bool> {
@@ -157,34 +181,32 @@ mod tests {
         covered
     }
 
-    /// A 100-byte header and blocks of the given lengths (QP 30, detail 0.5); block 0 is
-    /// covered by object 7.
+    /// A 100-byte header and blocks of the given lengths (QP 30, detail 0.5), one row of
+    /// 64-px blocks; block 0 is covered by object 7.
     fn frame_with_blocks(lens: &[u32]) -> EncodedFrame {
-        let mut coverage = CoverageTable::default();
+        let width = 64 * lens.len().max(1) as u32;
+        let mut scene = Scene::new("row", width, 64);
+        scene.add_object(SceneObject::new(7, "block zero", Rect::new(0, 0, 64, 64)));
+        let mut grid = GridContent::new();
+        grid.fill(&Frame::sample(&scene, 0, 0, 0.0), 64);
         let blocks = lens
             .iter()
-            .enumerate()
-            .map(|(i, len)| {
-                coverage.push_cell(if i == 0 { &[(7, 1.0)] } else { &[] });
-                EncodedBlock {
-                    byte_len: *len,
-                    qp: Qp::new(30),
-                    detail: 0.5,
-                }
+            .map(|len| EncodedBlock {
+                byte_len: *len,
+                qp: Qp::new(30),
+                detail: 0.5,
             })
             .collect();
         EncodedFrame {
-            frame_index: 0,
-            capture_ts_us: 0,
-            frame_type: FrameType::Intra,
-            width: 256,
+            width,
             height: 64,
             block_size: 64,
             grid_cols: lens.len() as u32,
             grid_rows: 1,
             blocks,
-            coverage,
+            coverage: grid.coverage().clone(),
             header_bytes: 100,
+            ..EncodedFrame::placeholder()
         }
     }
 
@@ -239,5 +261,83 @@ mod tests {
             .blocks
             .iter()
             .all(|b| rd::block_quality(b.qp, b.detail) == quality && b.qp == Qp::new(30)));
+    }
+
+    #[test]
+    fn merge_walk_matches_the_per_block_oracle_on_random_frames() {
+        let mut state = 0x9e37_79b9_7f4a_7c15u64;
+        let mut draw = |bound: u64| {
+            state = state
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            (state >> 33) % bound
+        };
+        let mut covered = Vec::new();
+        let mut shapes = [0usize; 3];
+        for case in 0..3000 {
+            // Blocks of at least one byte (every CTU costs a header); none at all sometimes.
+            let lens: Vec<u32> = (0..draw(24)).map(|_| 1 + draw(300) as u32).collect();
+            let frame = frame_with_blocks(&lens);
+            let total = frame.total_bytes();
+            // Every block boundary, the header's included: where a hole may start or end.
+            let boundaries: Vec<u64> = std::iter::once(100)
+                .chain(lens.iter().scan(100u64, |at, &len| {
+                    *at += len as u64;
+                    Some(*at)
+                }))
+                .collect();
+            let snap = |at: u64, to_boundary: bool| match to_boundary {
+                true => boundaries.iter().copied().find(|&b| b >= at).unwrap_or(at),
+                false => at,
+            };
+            let mut received = Vec::new();
+            match case % 5 {
+                // Nothing arrived.
+                0 => {}
+                // One range holding the whole frame (the fast path), or just short of it.
+                1 => {
+                    let start = draw(101);
+                    received.push((start, (total + draw(3)).max(start + 2) - 1));
+                }
+                // Sorted, disjoint ranges — touching or not — with holes often exactly on
+                // block boundaries.
+                _ => {
+                    let mut at = draw(150);
+                    while at < total + 50 {
+                        let start = snap(at + draw(3) * draw(200), draw(3) == 0);
+                        let end = snap(start + 1 + draw(250), draw(3) == 0);
+                        received.push((start, end));
+                        at = end;
+                    }
+                }
+            }
+            frame.blocks_covered_into(&received, &mut covered);
+            let mut start = 100;
+            let expected: Vec<bool> = lens
+                .iter()
+                .map(|&len| {
+                    let end = start + len as u64;
+                    let ok = range_covered(start, end, &received);
+                    start = end;
+                    ok
+                })
+                .collect();
+            assert_eq!(
+                covered, expected,
+                "case {case}: lens {lens:?}, received {received:?}"
+            );
+            let lost = expected.iter().filter(|&&ok| !ok).count();
+            shapes[if lost == 0 {
+                0
+            } else if lost == expected.len() {
+                1
+            } else {
+                2
+            }] += 1;
+        }
+        assert!(
+            shapes.iter().all(|&n| n > 100),
+            "all, none and some blocks covered: {shapes:?}"
+        );
     }
 }

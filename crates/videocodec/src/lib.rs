@@ -19,9 +19,9 @@
 //!
 //! The encoder consumes [`aivc_scene::Frame`] content descriptors and produces
 //! [`EncodedFrame`]s that carry everything downstream consumers need (per-block bytes, QP
-//! and content detail — from which a block's quality follows — plus one per-frame
-//! object-coverage table), so the decoder and the MLLM simulator never have to reach back
-//! into the scene.
+//! and content detail — from which a block's quality follows — plus the frame's object
+//! coverage as the few placements it is worked out from, [`aivc_scene::FrameCoverage`]),
+//! so the decoder and the MLLM simulator never have to reach back into the scene.
 
 pub mod decoder;
 pub mod encoder;

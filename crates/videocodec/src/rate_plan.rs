@@ -120,7 +120,7 @@ pub struct RatePlan {
     /// when something else wrote it since: the base a refresh may carry forward.
     base_at: u64,
     /// The frame's content raster, updated from capture to capture: source of the
-    /// coefficients above and of the encode's block descriptors and coverage table.
+    /// coefficients above and of the encode's block descriptors and coverage.
     grid: GridContent,
     /// The two levels priced last, most recently used first.
     priced: [PricedLevel; 2],
@@ -405,7 +405,8 @@ impl Encoder {
             let content_factor = 0.08 + 0.92 * complexity.clamp(0.0, 1.0);
             lead[idx] = INTRA_BPP_AT_REF * content_factor;
             tail[idx] = tail_of(idx);
-            pixels[idx] = grid.area()[idx] as f32;
+            let (row, col) = dims.position(idx);
+            pixels[idx] = dims.cell_rect(row, col, frame.width, frame.height).area() as f32;
         }
         if flipped {
             for (idx, tail) in tail.iter_mut().enumerate() {
@@ -705,11 +706,12 @@ mod tests {
     /// The scalar rate law for one block of the plan's raster: [`rd::block_bits_with_factor`]
     /// followed by the `ceil`/`max(1)` byte epilogue — what every planned byte count must
     /// equal.
-    fn scalar_block_bytes(enc: &Encoder, plan: &RatePlan, idx: usize, qp: Qp) -> u32 {
+    fn scalar_block_bytes(enc: &Encoder, frame: &Frame, plan: &RatePlan, idx: usize, qp: Qp) -> u32 {
         let grid = plan.raster();
+        let (row, col) = grid.dims().position(idx);
         let bits = rd::block_bits_with_factor(
             enc.qp_factor_table()[qp.value() as usize],
-            grid.area()[idx],
+            grid.dims().cell_rect(row, col, frame.width, frame.height).area(),
             grid.complexity()[idx],
             grid.motion()[idx],
             plan.stamp().2,
@@ -733,7 +735,7 @@ mod tests {
         enc.encode_into_planned(frame, map, plan, &mut EncodeScratch::new(), &mut out);
         let mut total = HEADER_BYTES as u64;
         for (idx, block) in out.blocks.iter().enumerate() {
-            let expected = scalar_block_bytes(enc, plan, idx, map.get_index(idx));
+            let expected = scalar_block_bytes(enc, frame, plan, idx, map.get_index(idx));
             assert_eq!(block.byte_len, expected, "block {idx} of frame {}", frame.index);
             total += expected as u64;
         }
@@ -1157,7 +1159,10 @@ mod tests {
                     &planned.blocks[idx], block,
                     "planned block {idx} of frame {index}"
                 );
-                assert_eq!(planned.coverage(idx), plain.coverage(idx), "coverage {idx}");
+                assert!(
+                    planned.coverage.cell(idx).eq(plain.coverage.cell(idx)),
+                    "coverage {idx}"
+                );
             }
             assert_eq!(planned, plain, "planned encode diverges on frame {index}");
             assert_eq!(enc.predict_plan_map_size(&plan, &map), plain.total_bytes());
