@@ -93,6 +93,12 @@ impl Clone for FrameCoverage {
 }
 
 impl FrameCoverage {
+    /// The geometry of the frame this coverage was rasterized from: its size
+    /// `(width, height)` and the cell grid laid on it.
+    pub fn geometry(&self) -> ((u32, u32), GridDims) {
+        (self.size, self.dims)
+    }
+
     /// Cell `idx`'s `(object_id, fraction)` coverage list, in placement order.
     pub fn cell(&self, idx: usize) -> impl Iterator<Item = (u32, f64)> + '_ {
         let (row, col) = self.dims.position(idx);

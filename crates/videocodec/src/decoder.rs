@@ -345,6 +345,44 @@ mod tests {
         cases
     }
 
+    /// Every encode path and the decode leave the frame's size and CTU grid in its
+    /// coverage, through output buffers reused across frames of different geometry.
+    #[test]
+    fn every_encode_path_and_the_decode_carry_the_frame_geometry() {
+        let enc = Encoder::new(EncoderConfig::default());
+        let dec = Decoder::new();
+        let (mut scratch, mut plan) = (crate::EncodeScratch::new(), crate::RatePlan::default());
+        let mut decode_scratch = DecodeScratch::new();
+        let (mut into, mut at_level) = (EncodedFrame::placeholder(), EncodedFrame::placeholder());
+        let mut decoded = DecodedFrame::placeholder();
+        for frame in flat_frame_cases() {
+            let want = ((frame.width, frame.height), enc.grid_for(&frame));
+            let map = crate::QpMap::uniform(want.1, Qp::new(30));
+            enc.encode_into(&frame, &map, &mut scratch, &mut into);
+            enc.prepare_rate_plan(&frame, None, &mut plan);
+            enc.encode_at_level(&frame, &mut plan, 30, &mut at_level);
+            let uniform = enc.encode_uniform(&frame, Qp::new(33));
+            for e in [&into, &at_level, &uniform] {
+                assert_eq!(e.coverage.geometry(), want);
+                let fields = GridDims {
+                    cols: e.grid_cols,
+                    rows: e.grid_rows,
+                    cell: e.block_size,
+                };
+                assert_eq!(((e.width, e.height), fields), want);
+                dec.decode_into(
+                    e,
+                    &[(0, e.total_bytes() / 2)],
+                    None,
+                    &mut decode_scratch,
+                    &mut decoded,
+                );
+                assert_eq!(decoded.coverage.geometry(), want);
+                assert_eq!(((decoded.width, decoded.height), decoded.grid()), want);
+            }
+        }
+    }
+
     #[test]
     fn flat_frame_coverage_matches_region_content_through_encode_and_decode() {
         let mut content = aivc_scene::RegionContent::empty();
