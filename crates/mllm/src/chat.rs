@@ -128,9 +128,8 @@ impl MllmChat {
         let pixels = taken
             .first()
             .map(|&i| {
-                downsampler
-                    .decide(offered[i].width, offered[i].height)
-                    .retained_pixels
+                let ((width, height), _) = offered[i].coverage.geometry();
+                downsampler.decide(width, height).retained_pixels
             })
             .unwrap_or(0);
         let (visual_tokens, frames_kept) = if taken.is_empty() {

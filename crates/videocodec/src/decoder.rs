@@ -8,7 +8,7 @@
 use crate::frame::{EncodedFrame, FrameType};
 use crate::qp::Qp;
 use crate::rd;
-use aivc_scene::{FrameCoverage, GridDims};
+use aivc_scene::FrameCoverage;
 
 /// One decoded block; its flat raster index is its position in [`DecodedFrame::blocks`].
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -45,16 +45,11 @@ pub struct DecodedFrame {
     pub received_at_us: Option<u64>,
     /// Frame type.
     pub frame_type: FrameType,
-    /// Frame width in pixels.
-    pub width: u32,
-    /// Frame height in pixels.
-    pub height: u32,
-    /// Block grid edge length.
-    pub block_size: u32,
     /// Decoded blocks in raster order.
     pub blocks: Vec<DecodedBlock>,
     /// Object coverage of each block, copied from the encoded frame: `coverage.cell(idx)`
-    /// lists block `idx`'s `(object_id, fraction of block area)` pairs.
+    /// lists block `idx`'s `(object_id, fraction of block area)` pairs. It also holds the
+    /// frame's geometry, the frame size and CTU grid ([`FrameCoverage::geometry`]).
     pub coverage: FrameCoverage,
 }
 
@@ -67,17 +62,9 @@ impl DecodedFrame {
             capture_ts_us: 0,
             received_at_us: None,
             frame_type: FrameType::Intra,
-            width: 0,
-            height: 0,
-            block_size: 1,
             blocks: Vec::new(),
             coverage: FrameCoverage::default(),
         }
-    }
-
-    /// The block grid of this frame.
-    pub fn grid(&self) -> GridDims {
-        GridDims::for_frame(self.width, self.height, self.block_size)
     }
 
     /// Mean decoded quality over all blocks.
@@ -219,9 +206,6 @@ impl Decoder {
         out.capture_ts_us = encoded.capture_ts_us;
         out.received_at_us = received_at_us;
         out.frame_type = encoded.frame_type;
-        out.width = encoded.width;
-        out.height = encoded.height;
-        out.block_size = encoded.block_size;
     }
 }
 
@@ -281,7 +265,7 @@ mod tests {
         // the top row does not.
         let cutoff = e.total_bytes() * 2 / 3;
         let d = Decoder::new().decode_with_received(&e, &[(0, cutoff)], None);
-        let cols = d.grid().cols as usize;
+        let cols = d.coverage.geometry().1.cols as usize;
         let mean =
             |row: &[DecodedBlock]| row.iter().map(DecodedBlock::quality).sum::<f64>() / row.len() as f64;
         let top = mean(&d.blocks[..cols]);
@@ -364,12 +348,6 @@ mod tests {
             let uniform = enc.encode_uniform(&frame, Qp::new(33));
             for e in [&into, &at_level, &uniform] {
                 assert_eq!(e.coverage.geometry(), want);
-                let fields = GridDims {
-                    cols: e.grid_cols,
-                    rows: e.grid_rows,
-                    cell: e.block_size,
-                };
-                assert_eq!(((e.width, e.height), fields), want);
                 dec.decode_into(
                     e,
                     &[(0, e.total_bytes() / 2)],
@@ -378,7 +356,6 @@ mod tests {
                     &mut decoded,
                 );
                 assert_eq!(decoded.coverage.geometry(), want);
-                assert_eq!(((decoded.width, decoded.height), decoded.grid()), want);
             }
         }
     }

@@ -213,11 +213,6 @@ impl Encoder {
         out.frame_index = frame.index;
         out.capture_ts_us = frame.capture_ts_us;
         out.frame_type = frame_type;
-        out.width = frame.width;
-        out.height = frame.height;
-        out.block_size = BLOCK_SIZE;
-        out.grid_cols = dims.cols;
-        out.grid_rows = dims.rows;
         out.header_bytes = HEADER_BYTES;
     }
 
@@ -258,8 +253,7 @@ mod tests {
         let dims = enc.grid_for(&frame);
         let encoded = enc.encode_uniform(&frame, Qp::new(32));
         assert_eq!(encoded.blocks.len(), dims.len());
-        assert_eq!(encoded.grid_cols, dims.cols);
-        assert_eq!(encoded.grid_rows, dims.rows);
+        assert_eq!(encoded.coverage.geometry().1, dims);
     }
 
     #[test]

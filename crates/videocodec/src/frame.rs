@@ -44,20 +44,11 @@ pub struct EncodedFrame {
     pub capture_ts_us: u64,
     /// Frame type.
     pub frame_type: FrameType,
-    /// Frame width in pixels.
-    pub width: u32,
-    /// Frame height in pixels.
-    pub height: u32,
-    /// CTU edge length in pixels.
-    pub block_size: u32,
-    /// Number of block columns.
-    pub grid_cols: u32,
-    /// Number of block rows.
-    pub grid_rows: u32,
     /// Coded blocks in raster order, laid out contiguously from `header_bytes` on.
     pub blocks: Vec<EncodedBlock>,
     /// Coverage of each block by scene objects: `coverage.cell(idx)` lists block `idx`'s
-    /// `(object_id, fraction of block area)` pairs.
+    /// `(object_id, fraction of block area)` pairs. It also holds the frame's geometry, the
+    /// frame size and CTU grid ([`FrameCoverage::geometry`]).
     pub coverage: FrameCoverage,
     /// Frame-level header/parameter-set overhead in bytes.
     pub header_bytes: u32,
@@ -71,11 +62,6 @@ impl EncodedFrame {
             frame_index: 0,
             capture_ts_us: 0,
             frame_type: FrameType::Intra,
-            width: 0,
-            height: 0,
-            block_size: 1,
-            grid_cols: 0,
-            grid_rows: 0,
             blocks: Vec::new(),
             coverage: FrameCoverage::default(),
             header_bytes: 0,
@@ -198,11 +184,6 @@ mod tests {
             })
             .collect();
         EncodedFrame {
-            width,
-            height: 64,
-            block_size: 64,
-            grid_cols: lens.len() as u32,
-            grid_rows: 1,
             blocks,
             coverage: grid.coverage().clone(),
             header_bytes: 100,
