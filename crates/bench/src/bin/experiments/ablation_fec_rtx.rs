@@ -11,7 +11,7 @@
 //! and the uplink rate is what the link delivered (`LinkCounters::delivered_bytes`) per
 //! second of video rather than what the sender offered.
 
-use aivc_bench::{kbps, print_section, write_json, Scale};
+use crate::{kbps, Scale, Section};
 use aivc_netsim::LossModel;
 use aivc_rtc::FecConfig;
 use aivchat_core::scenarios::{held_rate_sender, stream_for};
@@ -27,8 +27,7 @@ struct FecRow {
     uplink_bitrate_bps: f64,
 }
 
-fn main() {
-    let scale = Scale::from_env();
+pub fn run(scale: Scale) -> Section {
     let secs = scale.pick(15.0, 60.0, 400.0);
     let bitrate = 800_000.0;
 
@@ -76,6 +75,5 @@ fn main() {
         ));
     }
     body.push_str("\nFEC removes most retransmission round trips under i.i.d. loss (lower p95) at ~25% extra uplink bitrate, but single-parity groups recover little under bursty loss — where NACK/RTX remains necessary for completeness.\n");
-    print_section("Ablation — FEC vs retransmission", &body);
-    write_json("ablation_fec_rtx", &rows);
+    Section::new("Ablation — FEC vs retransmission", body, &rows)
 }

@@ -5,7 +5,7 @@
 //! the answer probability — showing why a soft allocation (γ = 1) wastes bits on irrelevant
 //! regions and an extreme one starves the moderately relevant context.
 
-use aivc_bench::{print_section, write_json, Scale};
+use crate::{Scale, Section};
 use aivc_mllm::{MllmChat, Question, QuestionFormat};
 use aivc_scene::templates::basketball_game;
 use aivc_scene::{SourceConfig, VideoSource};
@@ -23,8 +23,7 @@ struct GammaRow {
     probability_correct: f64,
 }
 
-fn main() {
-    let scale = Scale::from_env();
+pub fn run(scale: Scale) -> Section {
     let frames_per_clip = scale.pick(3, 6, 10);
     let scene = basketball_game(1);
     let source = VideoSource::new(scene.clone(), SourceConfig::fps30(10.0));
@@ -64,6 +63,5 @@ fn main() {
         ));
     }
     body.push_str("\nThe paper's γ = 3 sits on the plateau: aggressive enough to starve irrelevant regions, not so aggressive that moderately relevant context (the player holding the jersey) is destroyed.\n");
-    print_section("Ablation — Eq. 2 temperature γ at ~430 kbps", &body);
-    write_json("ablation_gamma", &rows);
+    Section::new("Ablation — Eq. 2 temperature γ at ~430 kbps", body, &rows)
 }

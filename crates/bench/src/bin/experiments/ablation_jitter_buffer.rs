@@ -11,13 +11,10 @@
 //! deadline. The engine's receiver has no jitter buffer; `LatencyBudget::of_last_turn`
 //! replays one over the turn's arrivals, so both rows price the same turn.
 
-use aivc_bench::{print_section, write_json, Scale};
-use aivc_mllm::{Question, QuestionFormat};
+use crate::{Scale, ScoreTurn, Section};
 use aivc_netsim::{LinkConfig, LossModel, PathConfig, SimDuration};
 use aivc_rtc::jitter::JitterBufferConfig;
-use aivc_scene::templates::basketball_game;
-use aivc_scene::{SourceConfig, VideoSource};
-use aivchat_core::{Conversation, LatencyBudget, NetSessionOptions};
+use aivchat_core::NetSessionOptions;
 use serde::Serialize;
 
 #[derive(Serialize)]
@@ -30,12 +27,8 @@ struct JitterRow {
     meets_300ms_target: bool,
 }
 
-fn main() {
-    let scale = Scale::from_env();
+pub fn run(scale: Scale) -> Section {
     let window_secs = scale.pick(2.0, 4.0, 8.0);
-    let scene = basketball_game(1);
-    let source = VideoSource::new(scene.clone(), SourceConfig::fps30(6.0));
-    let question = Question::from_fact(&scene.facts[0], QuestionFormat::FreeResponse);
 
     // A jittery 4G-like uplink (±25 ms delivery jitter).
     let jittery_path = PathConfig {
@@ -49,24 +42,20 @@ fn main() {
         downlink: LinkConfig::constant(20e6, SimDuration::from_millis(30), 300, LossModel::None),
     };
 
-    let mut options = NetSessionOptions::ai_oriented(11, jittery_path);
-    options.capture_fps = 30.0;
-    let frames = source.window(source.duration_secs() - window_secs, window_secs, 30.0);
-    let mut conversation = Conversation::with_defaults(options, SimDuration::ZERO);
-    let report = conversation.run_turn(&frames, &question);
+    let turn = ScoreTurn::run(NetSessionOptions::ai_oriented(11, jittery_path), window_secs);
 
     let mut rows = Vec::new();
     for (jitter_buffer, config) in [
         (true, JitterBufferConfig::traditional()),
         (false, JitterBufferConfig::disabled()),
     ] {
-        let latency = LatencyBudget::of_last_turn(&conversation, &frames, config);
+        let latency = turn.budget(config);
         rows.push(JitterRow {
             jitter_buffer,
             total_latency_ms: latency.total_ms(),
             jitter_buffer_ms: latency.jitter_buffer_ms,
             transmission_ms: latency.transmission_ms,
-            probability_correct: report.answer.probability_correct,
+            probability_correct: turn.report.answer.probability_correct,
             meets_300ms_target: latency.meets_target(),
         });
     }
@@ -90,6 +79,5 @@ fn main() {
         ));
     }
     body.push_str("\n§2.1: MLLM positional encoding uses capture timestamps, so removing the buffer saves its entire delay without affecting accuracy.\n");
-    print_section("Ablation — jitter buffer removal", &body);
-    write_json("ablation_jitter_buffer", &rows);
+    Section::new("Ablation — jitter buffer removal", body, &rows)
 }

@@ -4,7 +4,7 @@
 //! the rest of the CTUs that share a coarse patch) but cost proportionally more client-side
 //! compute — the trade-off behind the paper's "client-side computation" discussion.
 
-use aivc_bench::{print_section, write_json, Scale};
+use crate::{Scale, Section};
 use aivc_mllm::{MllmChat, Question, QuestionFormat};
 use aivc_scene::templates::street_scene;
 use aivc_scene::{Ontology, SourceConfig, VideoSource};
@@ -22,8 +22,7 @@ struct PatchRow {
     probability_correct: f64,
 }
 
-fn main() {
-    let scale = Scale::from_env();
+pub fn run(scale: Scale) -> Section {
     let frames_per_clip = scale.pick(3, 5, 8);
     let scene = street_scene(1);
     let source = VideoSource::new(scene.clone(), SourceConfig::fps30(10.0));
@@ -61,6 +60,5 @@ fn main() {
         ));
     }
     body.push_str("\nSmaller patches localize the plate more precisely and preserve accuracy at the same bitrate, at a quadratic growth in client-side CLIP compute — the mobile-compute trade-off §4 discusses.\n");
-    print_section("Ablation — CLIP patch size", &body);
-    write_json("ablation_patch_size", &rows);
+    Section::new("Ablation — CLIP patch size", body, &rows)
 }

@@ -9,13 +9,10 @@
 //! one QP offset matched over the window at a fixed rate), FEC(4) + RTX, 300 ms answer
 //! deadline. The downlink carries the NACK feedback.
 
-use aivc_bench::{print_section, write_json, Scale};
-use aivc_mllm::{Question, QuestionFormat};
+use crate::{Scale, ScoreTurn, Section};
 use aivc_netsim::{LinkConfig, LossModel, PathConfig, SimDuration};
 use aivc_rtc::jitter::JitterBufferConfig;
-use aivc_scene::templates::basketball_game;
-use aivc_scene::{SourceConfig, VideoSource};
-use aivchat_core::{Conversation, LatencyBudget, NetSessionOptions};
+use aivchat_core::NetSessionOptions;
 use serde::Serialize;
 
 #[derive(Serialize)]
@@ -27,12 +24,8 @@ struct AsymRow {
     probability_correct: f64,
 }
 
-fn main() {
-    let scale = Scale::from_env();
+pub fn run(scale: Scale) -> Section {
     let window_secs = scale.pick(2.0, 4.0, 6.0);
-    let scene = basketball_game(1);
-    let source = VideoSource::new(scene.clone(), SourceConfig::fps30(6.0));
-    let question = Question::from_fact(&scene.facts[0], QuestionFormat::FreeResponse);
 
     let cases = [(10.0, 10.0), (2.0, 10.0), (10.0, 2.0), (1.0, 10.0), (10.0, 1.0)];
     let mut rows = Vec::new();
@@ -51,18 +44,14 @@ fn main() {
                 LossModel::None,
             ),
         };
-        let mut options = NetSessionOptions::ai_oriented(21, path);
-        options.capture_fps = 30.0;
-        let frames = source.window(source.duration_secs() - window_secs, window_secs, 30.0);
-        let mut conversation = Conversation::with_defaults(options, SimDuration::ZERO);
-        let report = conversation.run_turn(&frames, &question);
-        let latency = LatencyBudget::of_last_turn(&conversation, &frames, JitterBufferConfig::disabled());
+        let turn = ScoreTurn::run(NetSessionOptions::ai_oriented(21, path), window_secs);
+        let latency = turn.budget(JitterBufferConfig::disabled());
         rows.push(AsymRow {
             uplink_mbps: up_mbps,
             downlink_mbps: down_mbps,
             transmission_ms: latency.transmission_ms,
-            frames_delivered: report.frames_delivered,
-            probability_correct: report.answer.probability_correct,
+            frames_delivered: turn.report.frames_delivered,
+            probability_correct: turn.report.answer.probability_correct,
         });
     }
 
@@ -76,6 +65,5 @@ fn main() {
         ));
     }
     body.push_str("\nThrottling the downlink barely matters (it carries only NACK feedback and the short response); throttling the uplink directly inflates transmission latency — AI Video Chat needs its provisioning upside-down relative to video-on-demand.\n");
-    print_section("Ablation — uplink vs downlink asymmetry", &body);
-    write_json("ablation_uplink_downlink", &rows);
+    Section::new("Ablation — uplink vs downlink asymmetry", body, &rows)
 }

@@ -4,7 +4,7 @@
 //! Prints (a) the baseline uniform QP, (b) the context-aware QP map as an ASCII grid, and
 //! (c) the per-object bit allocation of both encodes at matched bitrate.
 
-use aivc_bench::{kbps, print_section, write_json};
+use crate::{kbps, Scale, Section};
 use aivc_mllm::{Question, QuestionFormat};
 use aivc_scene::templates::basketball_game;
 use aivc_scene::{SourceConfig, VideoSource};
@@ -19,7 +19,7 @@ struct ObjectBits {
     baseline_bits: u64,
 }
 
-fn main() {
+pub fn run(_scale: Scale) -> Section {
     let scene = basketball_game(1);
     let source = VideoSource::new(scene.clone(), SourceConfig::fps30(10.0));
     let frames = source.sample_frames(4);
@@ -62,6 +62,5 @@ fn main() {
     );
     body.push_str(&qp_map.to_ascii());
     body.push_str("```\n\nPaper (Figure 10): at ~430 vs ~425 Kbps, the context-aware encode puts visibly more bits on the chat-important regions (jersey logo, the player covering his mouth) and fewer on chat-irrelevant ones, which is what preserves MLLM accuracy.\n");
-    print_section("Figure 10 — CLIP-informed QP map at matched bitrate", &body);
-    write_json("fig10_qp_map", &rows);
+    Section::new("Figure 10 — CLIP-informed QP map at matched bitrate", body, &rows)
 }

@@ -4,7 +4,7 @@
 //! A 60 FPS camera feed is offered to a Qwen2.5-Omni-like receiver (≤2 FPS, ≤602,112 px);
 //! the harness reports how many frames and pixels the model actually consumes.
 
-use aivc_bench::{print_section, write_json, Scale};
+use crate::{Scale, Section};
 use aivc_mllm::{Downsampler, FrameSampler, MllmConfig};
 use aivc_scene::templates::basketball_game;
 use aivc_scene::{SourceConfig, VideoSource};
@@ -22,8 +22,7 @@ struct Fig2Row {
     redundant_pixel_fraction: f64,
 }
 
-fn main() {
-    let scale = Scale::from_env();
+pub fn run(scale: Scale) -> Section {
     let duration = scale.pick(10.0, 60.0, 600.0);
     let config = MllmConfig::qwen_omni_like();
     let mut rows = Vec::new();
@@ -72,6 +71,9 @@ fn main() {
         ));
     }
     body.push_str("\nPaper (Figure 2 + §2.1): MLLMs ingest at most 2 FPS and ≤602,112 px per frame, so the overwhelming majority of a 30–60 FPS 1080p stream is redundancy the receiver never perceives.\n");
-    print_section("Figure 2 — frame/pixel redundancy at the MLLM receiver", &body);
-    write_json("fig2_frame_redundancy", &rows);
+    Section::new(
+        "Figure 2 — frame/pixel redundancy at the MLLM receiver",
+        body,
+        &rows,
+    )
 }

@@ -17,7 +17,7 @@
 //! against completion and has no latency sample, so the over-capacity rows show up as
 //! collapsed completion with latencies bounded by a turn, not as multi-second means.
 
-use aivc_bench::{kbps, print_section, write_json, Scale};
+use crate::{kbps, Scale, Section};
 use aivc_netsim::LossModel;
 use aivchat_core::scenarios::{held_rate_sender, stream_for};
 use serde::Serialize;
@@ -33,8 +33,7 @@ struct Fig3Point {
     retransmission_rate: f64,
 }
 
-fn main() {
-    let scale = Scale::from_env();
+pub fn run(scale: Scale) -> Section {
     // The paper's total is 40,489 s of transmission across the whole sweep; `full` approaches
     // that, `default` keeps the same shape at ~1/20 of the duration.
     let secs_per_point = scale.pick(20.0, 120.0, 1_700.0);
@@ -76,9 +75,9 @@ fn main() {
         ));
     }
     body.push_str("\nPaper (Figure 3): latency is enormous once bitrate exceeds the 10 Mbps bandwidth (grey-region boundary); below the bandwidth, latency still rises with bitrate and with loss, which opens the ultra-low-bitrate yellow region for AI receivers.\n");
-    print_section(
+    Section::new(
         "Figure 3 — transmission latency vs bitrate and packet loss",
-        &body,
-    );
-    write_json("fig3_latency_vs_bitrate", &points);
+        body,
+        &points,
+    )
 }

@@ -5,7 +5,7 @@
 //! scoreboard reading, survives 200 Kbps) and the jersey-logo question (fine detail, breaks
 //! at 200 Kbps), at 4000 Kbps vs 200 Kbps context-agnostic encodes.
 
-use aivc_bench::{kbps, print_section, write_json, Scale};
+use crate::{kbps, Scale, Section};
 use aivc_mllm::{MllmChat, Question, QuestionFormat};
 use aivc_scene::templates::basketball_game;
 use aivc_scene::{SourceConfig, VideoSource};
@@ -22,8 +22,7 @@ struct Fig4Row {
     answered_correctly: bool,
 }
 
-fn main() {
-    let scale = Scale::from_env();
+pub fn run(scale: Scale) -> Section {
     let duration = scale.pick(6.0, 20.0, 60.0);
     let source = VideoSource::new(basketball_game(1), SourceConfig::fps30(duration));
     let encoder = Encoder::new(EncoderConfig::default());
@@ -68,6 +67,9 @@ fn main() {
         ));
     }
     body.push_str("\nPaper (Figure 4): the score question is answered correctly even at 200 Kbps, while the jersey-logo question fails once the video is blurry — degradation hurts only when the chat context needs the degraded detail.\n");
-    print_section("Figure 4 — context decides whether low bitrate hurts", &body);
-    write_json("fig4_context_case_study", &rows);
+    Section::new(
+        "Figure 4 — context decides whether low bitrate hurts",
+        body,
+        &rows,
+    )
 }

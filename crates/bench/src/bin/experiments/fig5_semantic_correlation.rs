@@ -5,7 +5,7 @@
 //! paper's three dialogues and reports the mean correlation of the ground-truth evidence
 //! region versus the rest of the frame.
 
-use aivc_bench::{print_section, write_json};
+use crate::{Scale, Section};
 use aivc_scene::templates::{basketball_game, dog_park};
 use aivc_scene::{Scene, SourceConfig, VideoSource};
 use aivc_semantics::{ClipModel, TextQuery};
@@ -57,7 +57,7 @@ fn case(model: &ClipModel, scene: Scene, question: &str, evidence_id: u32) -> (F
     (row, map.to_ascii())
 }
 
-fn main() {
+pub fn run(_scale: Scale) -> Section {
     let model = ClipModel::mobile_default();
     let cases = [
         (
@@ -93,6 +93,5 @@ fn main() {
     }
     body.push_str("\nPaper (Figure 5): the dog's head lights up for the ear question, the scoreboard for the score question, and the grass for the season question (a high-level inference with no explicit object mention).\n");
     body.push_str(&heatmaps);
-    print_section("Figure 5 — CLIP correlation maps for user words", &body);
-    write_json("fig5_semantic_correlation", &rows);
+    Section::new("Figure 5 — CLIP correlation maps for user words", body, &rows)
 }

@@ -4,7 +4,7 @@
 //! to the paper's numbers: 11.16 % filter acceptance, 70.61 % cross-verification pass rate,
 //! 7.8 % end-to-end yield.
 
-use aivc_bench::{print_section, write_json, Scale};
+use crate::{Scale, Section};
 use aivc_devibench::{Pipeline, PipelineConfig};
 use aivc_scene::Corpus;
 use serde::Serialize;
@@ -22,8 +22,7 @@ struct Fig6Report {
     final_samples: usize,
 }
 
-fn main() {
-    let scale = Scale::from_env();
+pub fn run(scale: Scale) -> Section {
     let clips = scale.pick(6, 30, 400);
     let corpus = Corpus::streamingbench_like(2025, clips, 30.0, 90.0);
     let report = Pipeline::new(PipelineConfig::default()).run(&corpus);
@@ -56,9 +55,9 @@ fn main() {
         out.end_to_end_yield * 100.0,
         out.final_samples
     );
-    print_section(
+    Section::new(
         "Figure 6 / §3.1 — DeViBench automatic QA construction pipeline",
-        &body,
-    );
-    write_json("fig6_devibench_pipeline", &out);
+        body,
+        &out,
+    )
 }

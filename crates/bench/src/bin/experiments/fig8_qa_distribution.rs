@@ -1,12 +1,11 @@
 //! Figure 8: distribution of DeViBench QA samples by category (outer ring) and temporal
 //! dependency (inner ring).
 
-use aivc_bench::{print_section, write_json, Scale};
+use crate::{Scale, Section};
 use aivc_devibench::{Pipeline, PipelineConfig};
 use aivc_scene::Corpus;
 
-fn main() {
-    let scale = Scale::from_env();
+pub fn run(scale: Scale) -> Section {
     let clips = scale.pick(10, 60, 500);
     let corpus = Corpus::streamingbench_like(88, clips, 30.0, 90.0);
     let report = Pipeline::new(PipelineConfig::default()).run(&corpus);
@@ -19,6 +18,5 @@ fn main() {
         clips
     ));
     body.push_str("\nNote: the synthetic scene templates carry fewer text-rich facts per clip than real StreamingBench footage, so the text-rich share is lower here; the ordering (text-rich and attribute/action dominate, spatial is rare) is preserved.\n");
-    print_section("Figure 8 — QA sample distribution", &body);
-    write_json("fig8_qa_distribution", &distribution);
+    Section::new("Figure 8 — QA sample distribution", body, &distribution)
 }

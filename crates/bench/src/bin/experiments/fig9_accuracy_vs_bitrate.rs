@@ -1,13 +1,12 @@
 //! Figure 9: MLLM accuracy vs bitrate — context-aware streaming vs the uniform-QP baseline
 //! at matched actual bitrates (§3.2).
 
-use aivc_bench::{print_section, write_json, Scale};
+use crate::{Scale, Section};
 use aivc_scene::Corpus;
 use aivchat_core::eval::accuracy_table;
 use aivchat_core::run_accuracy_vs_bitrate;
 
-fn main() {
-    let scale = Scale::from_env();
+pub fn run(scale: Scale) -> Section {
     let clips = scale.pick(5, 15, 60);
     let frames_per_clip = scale.pick(4, 6, 8);
     // Hold the capture rate fixed at 30 FPS so bitrate is the only variable (as in the paper).
@@ -25,6 +24,5 @@ fn main() {
          gain the least, as expected — context awareness helps exactly when the chat-relevant region \
          is a small part of the picture.\n",
     );
-    print_section("Figure 9 — accuracy vs bitrate (ours vs baseline)", &body);
-    write_json("fig9_accuracy_vs_bitrate", &points);
+    Section::new("Figure 9 — accuracy vs bitrate (ours vs baseline)", body, &points)
 }

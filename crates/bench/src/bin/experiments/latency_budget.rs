@@ -11,14 +11,11 @@
 //! jitter buffer replayed over them; the AI-oriented legs run the GCC-driven ABR at the
 //! 430 kbps floor, where FEC repairs most of the 5 % leg's losses without a round trip.
 
-use aivc_bench::{print_section, write_json, Scale};
-use aivc_mllm::{Question, QuestionFormat};
-use aivc_netsim::{PathConfig, SimDuration};
+use crate::{Scale, ScoreTurn, Section};
+use aivc_netsim::PathConfig;
 use aivc_rtc::jitter::JitterBufferConfig;
 use aivc_rtc::AbrPolicy;
-use aivc_scene::templates::basketball_game;
-use aivc_scene::{SourceConfig, VideoSource};
-use aivchat_core::{Conversation, LatencyBudget, NetSessionOptions, RESPONSE_LATENCY_TARGET_MS};
+use aivchat_core::{NetSessionOptions, RESPONSE_LATENCY_TARGET_MS};
 use serde::Serialize;
 
 #[derive(Serialize)]
@@ -30,12 +27,8 @@ struct BudgetRow {
     probability_correct: f64,
 }
 
-fn main() {
-    let scale = Scale::from_env();
+pub fn run(scale: Scale) -> Section {
     let window = scale.pick(2.0, 4.0, 6.0);
-    let scene = basketball_game(1);
-    let source = VideoSource::new(scene.clone(), SourceConfig::fps30(6.0));
-    let question = Question::from_fact(&scene.facts[0], QuestionFormat::FreeResponse);
 
     let ai = |loss| NetSessionOptions::ai_oriented(3, PathConfig::paper_section_2_2(loss));
     let mut traditional = NetSessionOptions::traditional(3, PathConfig::paper_section_2_2(0.01));
@@ -55,18 +48,15 @@ fn main() {
     ];
 
     let mut rows = Vec::new();
-    for (name, mut options, jitter_buffer) in configs {
-        options.capture_fps = 30.0;
-        let frames = source.window(source.duration_secs() - window, window, 30.0);
-        let mut conversation = Conversation::with_defaults(options, SimDuration::ZERO);
-        let report = conversation.run_turn(&frames, &question);
-        let latency = LatencyBudget::of_last_turn(&conversation, &frames, jitter_buffer);
+    for (name, options, jitter_buffer) in configs {
+        let turn = ScoreTurn::run(options, window);
+        let latency = turn.budget(jitter_buffer);
         rows.push(BudgetRow {
             configuration: name.to_string(),
             breakdown: latency.to_line(),
             total_ms: latency.total_ms(),
             meets_target: latency.meets_target(),
-            probability_correct: report.answer.probability_correct,
+            probability_correct: turn.report.answer.probability_correct,
         });
     }
 
@@ -78,6 +68,5 @@ fn main() {
         ));
     }
     body.push_str("\nMLLM inference alone consumes most of the budget; only the ultra-low-bitrate, buffer-free configuration leaves the network side small enough to fit, which is the paper's motivating argument.\n");
-    print_section("§1 — end-to-end response latency budget", &body);
-    write_json("latency_budget", &rows);
+    Section::new("§1 — end-to-end response latency budget", body, &rows)
 }

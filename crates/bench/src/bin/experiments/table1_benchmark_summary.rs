@@ -4,12 +4,11 @@
 //! Sizes the synthetic corpus to the paper's 180,000 s at `AIVC_SCALE=full` (a scaled-down
 //! corpus otherwise) and regenerates the whole table from the pipeline's cost ledger.
 
-use aivc_bench::{print_section, write_json, Scale};
+use crate::{Scale, Section};
 use aivc_devibench::{CostModel, Pipeline, PipelineConfig};
 use aivc_scene::Corpus;
 
-fn main() {
-    let scale = Scale::from_env();
+pub fn run(scale: Scale) -> Section {
     // The paper's corpus totals 180,000 s; scale down proportionally for the cheaper runs.
     let target_duration = scale.pick(600.0, 6_000.0, 180_000.0);
     let corpus = Corpus::with_total_duration(1_074, target_duration, 120.0);
@@ -33,6 +32,5 @@ fn main() {
         report.verification_pass_rate() * 100.0,
         report.end_to_end_yield() * 100.0
     ));
-    print_section("Table 1 — benchmark summary", &body);
-    write_json("table1_benchmark_summary", &summary);
+    Section::new("Table 1 — benchmark summary", body, &summary)
 }

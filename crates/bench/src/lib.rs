@@ -1,76 +1,20 @@
 //! # aivc-bench — the experiment harness
 //!
-//! One binary per table/figure of the paper (see DESIGN.md §4 for the index) plus ablation
-//! binaries for the design choices the paper discusses. Each binary prints a small markdown
-//! report with our measured numbers next to the paper's reported numbers, and (where useful)
-//! writes machine-readable JSON next to it.
-//!
-//! Scale control: every binary honours the `AIVC_SCALE` environment variable
-//! (`quick` | `default` | `full`). `quick` runs in seconds and is what the integration tests
-//! use; `full` approaches the paper's experiment sizes and can take many minutes.
+//! Three binaries. `experiments` reproduces the paper's tables and figures and the ablations
+//! of the design choices it discusses, one module per experiment (DESIGN.md §4 indexes
+//! them); each prints a small markdown report with our measured numbers next to the paper's
+//! and writes its rows as JSON. `bench_check` gates the hot paths of [`hotpath_suite`]
+//! against the committed `BENCH_hotpaths.json`. `benchmark` is the end-to-end benchmark
+//! `BENCHMARK.json` declares, built on its own manifest.
 
 pub mod hotpath_suite;
 
 use serde::Serialize;
-use std::io::Write;
-
-/// Experiment scale selected via the `AIVC_SCALE` environment variable.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Scale {
-    /// Seconds-long smoke run.
-    Quick,
-    /// The default: minutes-long, statistically meaningful.
-    Default,
-    /// Paper-sized run.
-    Full,
-}
-
-impl Scale {
-    /// Reads the scale from the environment.
-    pub fn from_env() -> Self {
-        match std::env::var("AIVC_SCALE")
-            .unwrap_or_default()
-            .to_lowercase()
-            .as_str()
-        {
-            "quick" => Scale::Quick,
-            "full" => Scale::Full,
-            _ => Scale::Default,
-        }
-    }
-
-    /// Picks one of three values according to the scale.
-    pub fn pick<T: Copy>(self, quick: T, default: T, full: T) -> T {
-        match self {
-            Scale::Quick => quick,
-            Scale::Default => default,
-            Scale::Full => full,
-        }
-    }
-}
 
 /// Prints a titled markdown section to stdout.
 pub fn print_section(title: &str, body: &str) {
     println!("\n## {title}\n");
     println!("{body}");
-}
-
-/// Writes a JSON results file under `target/experiments/` and reports the path.
-pub fn write_json<T: Serialize>(name: &str, value: &T) {
-    let dir = std::path::Path::new("target/experiments");
-    if std::fs::create_dir_all(dir).is_err() {
-        return;
-    }
-    let path = dir.join(format!("{name}.json"));
-    if let Ok(mut file) = std::fs::File::create(&path) {
-        let _ = file.write_all(serde_json::to_string_pretty(value).unwrap_or_default().as_bytes());
-        println!("(results written to {})", path.display());
-    }
-}
-
-/// Formats a bits-per-second value as kbps with one decimal.
-pub fn kbps(bps: f64) -> String {
-    format!("{:.1} kbps", bps / 1_000.0)
 }
 
 /// One hot-path measurement, as recorded in `BENCH_hotpaths.json`.
@@ -127,22 +71,5 @@ pub fn measure_hotpath<O>(
         median_ns_per_iter: median,
         iters_per_sample,
         samples: per_iter.len(),
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn scale_pick() {
-        assert_eq!(Scale::Quick.pick(1, 2, 3), 1);
-        assert_eq!(Scale::Default.pick(1, 2, 3), 2);
-        assert_eq!(Scale::Full.pick(1, 2, 3), 3);
-    }
-
-    #[test]
-    fn kbps_formatting() {
-        assert_eq!(kbps(430_000.0), "430.0 kbps");
     }
 }
