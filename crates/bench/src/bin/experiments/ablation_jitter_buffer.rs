@@ -11,10 +11,10 @@
 //! deadline. The engine's receiver has no jitter buffer; `LatencyBudget::of_last_turn`
 //! replays one over the turn's arrivals, so both rows price the same turn.
 
-use crate::{Scale, ScoreTurn, Section};
+use crate::{score_turn, Scale, Section};
 use aivc_netsim::{LinkConfig, LossModel, PathConfig, SimDuration};
 use aivc_rtc::jitter::JitterBufferConfig;
-use aivchat_core::NetSessionOptions;
+use aivchat_core::{LatencyBudget, NetSessionOptions};
 use serde::Serialize;
 
 #[derive(Serialize)]
@@ -42,20 +42,20 @@ pub fn run(scale: Scale) -> Section {
         downlink: LinkConfig::constant(20e6, SimDuration::from_millis(30), 300, LossModel::None),
     };
 
-    let turn = ScoreTurn::run(NetSessionOptions::ai_oriented(11, jittery_path), window_secs);
+    let (conversation, frames, report) = score_turn(NetSessionOptions::ai_oriented(11, jittery_path), window_secs);
 
     let mut rows = Vec::new();
     for (jitter_buffer, config) in [
         (true, JitterBufferConfig::traditional()),
         (false, JitterBufferConfig::disabled()),
     ] {
-        let latency = turn.budget(config);
+        let latency = LatencyBudget::of_last_turn(&conversation, &frames, config);
         rows.push(JitterRow {
             jitter_buffer,
             total_latency_ms: latency.total_ms(),
             jitter_buffer_ms: latency.jitter_buffer_ms,
             transmission_ms: latency.transmission_ms,
-            probability_correct: turn.report.answer.probability_correct,
+            probability_correct: report.answer.probability_correct,
             meets_300ms_target: latency.meets_target(),
         });
     }

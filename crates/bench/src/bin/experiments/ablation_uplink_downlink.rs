@@ -9,10 +9,10 @@
 //! one QP offset matched over the window at a fixed rate), FEC(4) + RTX, 300 ms answer
 //! deadline. The downlink carries the NACK feedback.
 
-use crate::{Scale, ScoreTurn, Section};
+use crate::{score_turn, Scale, Section};
 use aivc_netsim::{LinkConfig, LossModel, PathConfig, SimDuration};
 use aivc_rtc::jitter::JitterBufferConfig;
-use aivchat_core::NetSessionOptions;
+use aivchat_core::{LatencyBudget, NetSessionOptions};
 use serde::Serialize;
 
 #[derive(Serialize)]
@@ -44,14 +44,14 @@ pub fn run(scale: Scale) -> Section {
                 LossModel::None,
             ),
         };
-        let turn = ScoreTurn::run(NetSessionOptions::ai_oriented(21, path), window_secs);
-        let latency = turn.budget(JitterBufferConfig::disabled());
+        let (conversation, frames, report) = score_turn(NetSessionOptions::ai_oriented(21, path), window_secs);
+        let latency = LatencyBudget::of_last_turn(&conversation, &frames, JitterBufferConfig::disabled());
         rows.push(AsymRow {
             uplink_mbps: up_mbps,
             downlink_mbps: down_mbps,
             transmission_ms: latency.transmission_ms,
-            frames_delivered: turn.report.frames_delivered,
-            probability_correct: turn.report.answer.probability_correct,
+            frames_delivered: report.frames_delivered,
+            probability_correct: report.answer.probability_correct,
         });
     }
 

@@ -71,9 +71,6 @@ pub fn run(scale: Scale) -> Section {
         ));
     }
     body.push_str("\nPaper (Figure 2 + §2.1): MLLMs ingest at most 2 FPS and ≤602,112 px per frame, so the overwhelming majority of a 30–60 FPS 1080p stream is redundancy the receiver never perceives.\n");
-    Section::new(
-        "Figure 2 — frame/pixel redundancy at the MLLM receiver",
-        body,
-        &rows,
-    )
+    let title = "Figure 2 — frame/pixel redundancy at the MLLM receiver";
+    Section::new(title, body, &rows)
 }

@@ -75,9 +75,6 @@ pub fn run(scale: Scale) -> Section {
         ));
     }
     body.push_str("\nPaper (Figure 3): latency is enormous once bitrate exceeds the 10 Mbps bandwidth (grey-region boundary); below the bandwidth, latency still rises with bitrate and with loss, which opens the ultra-low-bitrate yellow region for AI receivers.\n");
-    Section::new(
-        "Figure 3 — transmission latency vs bitrate and packet loss",
-        body,
-        &points,
-    )
+    let title = "Figure 3 — transmission latency vs bitrate and packet loss";
+    Section::new(title, body, &points)
 }

@@ -67,9 +67,6 @@ pub fn run(scale: Scale) -> Section {
         ));
     }
     body.push_str("\nPaper (Figure 4): the score question is answered correctly even at 200 Kbps, while the jersey-logo question fails once the video is blurry — degradation hurts only when the chat context needs the degraded detail.\n");
-    Section::new(
-        "Figure 4 — context decides whether low bitrate hurts",
-        body,
-        &rows,
-    )
+    let title = "Figure 4 — context decides whether low bitrate hurts";
+    Section::new(title, body, &rows)
 }

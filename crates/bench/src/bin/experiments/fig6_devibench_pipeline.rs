@@ -55,9 +55,6 @@ pub fn run(scale: Scale) -> Section {
         out.end_to_end_yield * 100.0,
         out.final_samples
     );
-    Section::new(
-        "Figure 6 / §3.1 — DeViBench automatic QA construction pipeline",
-        body,
-        &out,
-    )
+    let title = "Figure 6 / §3.1 — DeViBench automatic QA construction pipeline";
+    Section::new(title, body, &out)
 }

@@ -11,11 +11,11 @@
 //! jitter buffer replayed over them; the AI-oriented legs run the GCC-driven ABR at the
 //! 430 kbps floor, where FEC repairs most of the 5 % leg's losses without a round trip.
 
-use crate::{Scale, ScoreTurn, Section};
+use crate::{score_turn, Scale, Section};
 use aivc_netsim::PathConfig;
 use aivc_rtc::jitter::JitterBufferConfig;
 use aivc_rtc::AbrPolicy;
-use aivchat_core::{NetSessionOptions, RESPONSE_LATENCY_TARGET_MS};
+use aivchat_core::{LatencyBudget, NetSessionOptions, RESPONSE_LATENCY_TARGET_MS};
 use serde::Serialize;
 
 #[derive(Serialize)]
@@ -49,14 +49,14 @@ pub fn run(scale: Scale) -> Section {
 
     let mut rows = Vec::new();
     for (name, options, jitter_buffer) in configs {
-        let turn = ScoreTurn::run(options, window);
-        let latency = turn.budget(jitter_buffer);
+        let (conversation, frames, report) = score_turn(options, window);
+        let latency = LatencyBudget::of_last_turn(&conversation, &frames, jitter_buffer);
         rows.push(BudgetRow {
             configuration: name.to_string(),
             breakdown: latency.to_line(),
             total_ms: latency.total_ms(),
             meets_target: latency.meets_target(),
-            probability_correct: turn.report.answer.probability_correct,
+            probability_correct: report.answer.probability_correct,
         });
     }
 

@@ -1,73 +1,47 @@
-//! The paper's experiments: Figures 2–10, Table 1, the §1 latency budget and the ablations
-//! of the design choices the paper discusses, one module each (DESIGN.md §4 indexes them).
-//!
-//! `experiments [NAME ...]` runs the named experiments, or all fifteen in index order when
-//! none is named. Each prints a markdown section with our measured numbers next to the
-//! paper's and writes its rows to `target/experiments/<NAME>.json` under the working
-//! directory. An unknown name, an unknown `AIVC_SCALE` or an artifact that cannot be
-//! written exits non-zero.
-//!
-//! Scale: `AIVC_SCALE` is `quick`, `default` or `full`, in any case; unset means `default`.
-//! `quick` runs in seconds and is what CI runs; `full` approaches the paper's experiment
-//! sizes and can take many minutes.
-
-mod ablation_fec_rtx;
-mod ablation_gamma;
-mod ablation_jitter_buffer;
-mod ablation_patch_size;
-mod ablation_uplink_downlink;
-mod fig10_qp_map;
-mod fig2_frame_redundancy;
-mod fig3_latency_vs_bitrate;
-mod fig4_context_case_study;
-mod fig5_semantic_correlation;
-mod fig6_devibench_pipeline;
-mod fig8_qa_distribution;
-mod fig9_accuracy_vs_bitrate;
-mod latency_budget;
-mod table1_benchmark_summary;
+//! The paper's experiments, one module each: Figures 2–10, Table 1, the §1 latency budget
+//! and the ablations (DESIGN.md §4 indexes them). `experiments [NAME ...]` runs the named
+//! ones, or all fifteen in index order; each prints a markdown section, our numbers next to
+//! the paper's, and writes its rows to `target/experiments/<NAME>.json`. `AIVC_SCALE`
+//! (`quick` | `default` | `full`, any case; unset is `default`) sizes them: `quick` takes
+//! seconds, `full` approaches the paper's sizes. An unknown name or scale, or an artifact
+//! that cannot be written, exits 1.
 
 use aivc_bench::print_section;
 use aivc_mllm::{Question, QuestionFormat};
 use aivc_netsim::SimDuration;
-use aivc_rtc::jitter::JitterBufferConfig;
 use aivc_scene::templates::basketball_game;
 use aivc_scene::{Frame, SourceConfig, VideoSource};
-use aivchat_core::{Conversation, LatencyBudget, NetSessionOptions, NetTurnReport};
+use aivchat_core::{Conversation, NetSessionOptions, NetTurnReport};
 use serde::Serialize;
-use std::path::Path;
 use std::process::ExitCode;
 
 /// An experiment: its name and its body.
 type Experiment = (&'static str, fn(Scale) -> Section);
 
-/// Every experiment, in DESIGN.md §4's order.
-const EXPERIMENTS: [Experiment; 15] = [
-    ("fig2_frame_redundancy", fig2_frame_redundancy::run),
-    ("fig3_latency_vs_bitrate", fig3_latency_vs_bitrate::run),
-    ("fig4_context_case_study", fig4_context_case_study::run),
-    ("fig5_semantic_correlation", fig5_semantic_correlation::run),
-    ("fig6_devibench_pipeline", fig6_devibench_pipeline::run),
-    ("fig8_qa_distribution", fig8_qa_distribution::run),
-    ("fig9_accuracy_vs_bitrate", fig9_accuracy_vs_bitrate::run),
-    ("fig10_qp_map", fig10_qp_map::run),
-    ("table1_benchmark_summary", table1_benchmark_summary::run),
-    ("latency_budget", latency_budget::run),
-    ("ablation_gamma", ablation_gamma::run),
-    ("ablation_patch_size", ablation_patch_size::run),
-    ("ablation_fec_rtx", ablation_fec_rtx::run),
-    ("ablation_jitter_buffer", ablation_jitter_buffer::run),
-    ("ablation_uplink_downlink", ablation_uplink_downlink::run),
-];
+/// Declares each experiment's module and lists it in `EXPERIMENTS` under the module's name.
+macro_rules! experiments {
+    ($($name:ident),* $(,)?) => {
+        $(mod $name;)*
 
-/// Experiment scale selected via the `AIVC_SCALE` environment variable.
+        /// Every experiment, in DESIGN.md §4's order.
+        const EXPERIMENTS: &[Experiment] = &[$((stringify!($name), $name::run)),*];
+    };
+}
+
+experiments! {
+    fig2_frame_redundancy, fig3_latency_vs_bitrate, fig4_context_case_study,
+    fig5_semantic_correlation, fig6_devibench_pipeline, fig8_qa_distribution,
+    fig9_accuracy_vs_bitrate, fig10_qp_map, table1_benchmark_summary, latency_budget,
+    ablation_gamma, ablation_patch_size, ablation_fec_rtx, ablation_jitter_buffer,
+    ablation_uplink_downlink,
+}
+
+/// Experiment scale selected via the `AIVC_SCALE` environment variable: a seconds-long
+/// smoke run, the minutes-long statistically meaningful default, or a paper-sized run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Scale {
-    /// Seconds-long smoke run.
     Quick,
-    /// The default: minutes-long, statistically meaningful.
     Default,
-    /// Paper-sized run.
     Full,
 }
 
@@ -79,9 +53,7 @@ impl Scale {
             None | Some("" | "default") => Ok(Scale::Default),
             Some("quick") => Ok(Scale::Quick),
             Some("full") => Ok(Scale::Full),
-            Some(other) => Err(format!(
-                "AIVC_SCALE={other:?} is not a scale: quick | default | full"
-            )),
+            Some(other) => Err(format!("AIVC_SCALE={other:?}: expected quick | default | full")),
         }
     }
 
@@ -114,36 +86,18 @@ fn kbps(bps: f64) -> String {
     format!("{:.1} kbps", bps / 1_000.0)
 }
 
-/// One chat turn about the score of the basketball clip: `basketball_game(1)`'s first fact
-/// asked as a free-response question over the last `window_secs` of a 6-s 30-fps capture,
-/// run as a one-turn `Conversation` at 30 fps. The latency budget and the jitter-buffer and
-/// uplink/downlink ablations each price this turn on their own networks.
-struct ScoreTurn {
-    conversation: Conversation,
-    frames: Vec<Frame>,
-    report: NetTurnReport,
-}
-
-impl ScoreTurn {
-    fn run(mut options: NetSessionOptions, window_secs: f64) -> Self {
-        let scene = basketball_game(1);
-        let source = VideoSource::new(scene.clone(), SourceConfig::fps30(6.0));
-        let question = Question::from_fact(&scene.facts[0], QuestionFormat::FreeResponse);
-        options.capture_fps = 30.0;
-        let frames = source.window(source.duration_secs() - window_secs, window_secs, 30.0);
-        let mut conversation = Conversation::with_defaults(options, SimDuration::ZERO);
-        let report = conversation.run_turn(&frames, &question);
-        Self {
-            conversation,
-            frames,
-            report,
-        }
-    }
-
-    /// The turn's latency budget, with `jitter_buffer` replayed over its arrivals.
-    fn budget(&self, jitter_buffer: JitterBufferConfig) -> LatencyBudget {
-        LatencyBudget::of_last_turn(&self.conversation, &self.frames, jitter_buffer)
-    }
+/// The chat turn the latency budget and the jitter-buffer and uplink/downlink ablations
+/// price, each on the network of its `options`: the basketball clip's score question over
+/// the last `window_secs` of a 6-s 30-fps capture, as a one-turn `Conversation` at 30 fps.
+fn score_turn(mut options: NetSessionOptions, window_secs: f64) -> (Conversation, Vec<Frame>, NetTurnReport) {
+    let scene = basketball_game(1);
+    let source = VideoSource::new(scene.clone(), SourceConfig::fps30(6.0));
+    let question = Question::from_fact(&scene.facts[0], QuestionFormat::FreeResponse);
+    options.capture_fps = 30.0;
+    let frames = source.window(source.duration_secs() - window_secs, window_secs, 30.0);
+    let mut conversation = Conversation::with_defaults(options, SimDuration::ZERO);
+    let report = conversation.run_turn(&frames, &question);
+    (conversation, frames, report)
 }
 
 /// The experiments `names` selects, in the order named; all of them when `names` is empty.
@@ -151,28 +105,20 @@ fn select(names: &[String]) -> Result<Vec<Experiment>, String> {
     if names.is_empty() {
         return Ok(EXPERIMENTS.to_vec());
     }
-    let known = || EXPERIMENTS.map(|(known, _)| known).join(", ");
-    names
-        .iter()
-        .map(|name| {
-            let found = EXPERIMENTS.iter().find(|(known, _)| known == name);
-            found
-                .copied()
-                .ok_or_else(|| format!("unknown experiment `{name}`; the experiments are: {}", known()))
-        })
-        .collect()
+    let known = EXPERIMENTS.iter().map(|e| e.0).collect::<Vec<_>>().join(", ");
+    let find = |name: &String| EXPERIMENTS.iter().find(|e| e.0 == *name).copied();
+    let unknown = |name| format!("unknown experiment `{name}`; the experiments are: {known}");
+    names.iter().map(|n| find(n).ok_or_else(|| unknown(n))).collect()
 }
 
 /// Writes an experiment's rows to `target/experiments/<name>.json` and reports the path.
 fn write_json(name: &str, rows: Result<String, serde_json::Error>) -> Result<(), String> {
-    let dir = Path::new("target/experiments");
-    let path = dir.join(format!("{name}.json"));
-    let failed = |err: &dyn std::fmt::Display| format!("cannot write {}: {err}", path.display());
+    let path = format!("target/experiments/{name}.json");
+    let failed = |err: &dyn std::fmt::Display| format!("cannot write {path}: {err}");
     let json = rows.map_err(|err| failed(&err))?;
-    std::fs::create_dir_all(dir)
-        .and_then(|()| std::fs::write(&path, json))
-        .map_err(|err| failed(&err))?;
-    println!("(results written to {})", path.display());
+    let written = std::fs::create_dir_all("target/experiments").and_then(|()| std::fs::write(&path, json));
+    written.map_err(|err| failed(&err))?;
+    println!("(results written to {path})");
     Ok(())
 }
 
@@ -189,13 +135,11 @@ fn run() -> Result<(), String> {
 }
 
 fn main() -> ExitCode {
-    match run() {
-        Ok(()) => ExitCode::SUCCESS,
-        Err(err) => {
-            eprintln!("experiments: {err}");
-            ExitCode::FAILURE
-        }
-    }
+    let Err(err) = run() else {
+        return ExitCode::SUCCESS;
+    };
+    eprintln!("experiments: {err}");
+    ExitCode::FAILURE
 }
 
 #[cfg(test)]
@@ -218,7 +162,7 @@ mod tests {
         assert_eq!(Scale::parse(Some("FULL")), Ok(Scale::Full));
         for typo in ["quik", "ful", "fast", " quick"] {
             let err = Scale::parse(Some(typo)).unwrap_err();
-            assert!(err.contains("quick | default | full"), "{err}");
+            assert!(err.contains("expected quick | default | full"), "{err}");
         }
     }
 
