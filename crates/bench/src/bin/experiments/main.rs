@@ -2,9 +2,9 @@
 //! and the ablations (DESIGN.md §4 indexes them). `experiments [NAME ...]` runs the named
 //! ones, or all fifteen in index order; each prints a markdown section, our numbers next to
 //! the paper's, and writes its rows to `target/experiments/<NAME>.json`. `AIVC_SCALE`
-//! (`quick` | `default` | `full`, any case; unset is `default`) sizes them: `quick` takes
-//! seconds, `full` approaches the paper's sizes. An unknown name or scale, or an artifact
-//! that cannot be written, exits 1.
+//! (`quick` | `default` | `full`, any case; unset or empty is `default`) sizes them: `quick`
+//! takes seconds, `full` approaches the paper's sizes. An unknown name or scale, or an
+//! artifact that cannot be written, exits 1.
 
 use aivc_bench::print_section;
 use aivc_mllm::{Question, QuestionFormat};

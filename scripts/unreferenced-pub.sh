@@ -3,7 +3,7 @@
 # names.
 #
 # Production code is every `*.rs` file under crates/*/src (the benchmark package and the
-# figure binaries included), src/ and examples/, less each `#[cfg(test)]` item (a test
+# experiments binary included), src/ and examples/, less each `#[cfg(test)]` item (a test
 # module or a single test-only function). tests/, crates/*/tests/ and the unit tests are
 # not production: they may call only what runs.
 #
