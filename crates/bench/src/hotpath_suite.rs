@@ -411,7 +411,7 @@ pub fn measure_hotpaths_matching(pool_lanes: usize, only: Option<&[String]>) -> 
         }
         hotpaths.push(measure("conversation_fleet_throughput_256", || {
             server.run_turns(black_box(&frames), &question);
-            server.report(0).frames_decoded
+            server.report(0).map(|r| r.frames_decoded)
         }));
     }
 

@@ -417,7 +417,7 @@ fn main() {
     let before = allocations();
     for turn in 0..measured_server_turns {
         conv_server.run_turns(black_box(geometries[turn % 2]), &question);
-        black_box(conv_server.report(0).frames_delivered);
+        black_box(conv_server.report(0).map(|r| r.frames_delivered));
     }
     let fleet_allocs = allocations() - before;
     assert_eq!(

@@ -12,9 +12,10 @@
 //!   change what it computes (proven by the pool-size-independence property tests);
 //! * **allocation-free steady state** — a session owns what it carries between turns, its
 //!   lane owns the buffers a turn only uses while it runs (one `TurnScratch` and one
-//!   `EncodedWindow` per lane), reports are plain values overwritten in place, and the pool
-//!   dispatches without allocating, so once every lane has served its largest session
-//!   `run_turns` performs zero heap allocations (guarded by `crates/bench/tests/zero_alloc.rs`);
+//!   `EncodedWindow` per lane), a turn's report is a plain value pushed onto the session's
+//!   reserved history, and the pool dispatches without allocating, so once every lane has
+//!   served its largest session `run_turns` performs zero heap allocations (guarded by
+//!   `crates/bench/tests/zero_alloc.rs`);
 //! * **near-linear scaling** — sessions share nothing mutable (one immutable `ClipModel`
 //!   per server, behind an `Arc`), so throughput scales with lanes up to the core count
 //!   (the `conversation_fleet_throughput_256` benchmark and the end-to-end benchmark's
@@ -37,14 +38,6 @@ use aivc_semantics::ClipModel;
 use aivc_sim::SimDuration;
 use std::sync::Arc;
 
-/// One session slot: the long-lived conversation plus the in-place report of its latest
-/// turn.
-#[derive(Debug)]
-struct ServerSlot {
-    session: Conversation,
-    report: NetTurnReport,
-}
-
 /// A fleet of N independent long-lived [`Conversation`]s — each with its own event kernel,
 /// persistent transport, congestion controller, in-flight packet set and think-time
 /// rhythm — executing turns across a [`MiniPool`] with the static session→lane mapping
@@ -60,7 +53,7 @@ struct ServerSlot {
 #[derive(Debug)]
 pub struct ConversationChatServer {
     pool: MiniPool,
-    slots: Vec<ServerSlot>,
+    sessions: Vec<Conversation>,
     /// One set of turn buffers per lane, lent to each of the lane's sessions for the length
     /// of its turn: a fleet's turn-transient memory scales with lanes, not with sessions.
     lane_buffers: Vec<(TurnScratch, EncodedWindow)>,
@@ -101,29 +94,19 @@ impl ConversationChatServer {
         let lane_buffers = (0..pool.lanes()).map(|_| Default::default()).collect();
         Self {
             pool,
-            slots: sessions
-                .into_iter()
-                .map(|session| ServerSlot {
-                    session,
-                    report: NetTurnReport::placeholder(),
-                })
-                .collect(),
+            sessions,
             lane_buffers,
         }
     }
 
     /// Number of conversations the server owns.
     pub fn session_count(&self) -> usize {
-        self.slots.len()
-    }
-
-    fn sessions(&self) -> impl Iterator<Item = &Conversation> {
-        self.slots.iter().map(|slot| &slot.session)
+        self.sessions.len()
     }
 
     /// Advances every conversation by one turn (conversation `i` on lane `i % lanes`).
-    /// Each session's report replaces its previous one in place. Per-session results are
-    /// bit-identical to calling [`Conversation::run_turn`] directly, for any pool size.
+    /// Each session's report joins its history. Per-session results are bit-identical to
+    /// calling [`Conversation::run_turn`] directly, for any pool size.
     ///
     /// # Panics
     ///
@@ -132,20 +115,17 @@ impl ConversationChatServer {
         // Checked once for the whole fleet: inside the pool the panic would surface only
         // after every other lane had run its turn.
         assert!(!frames.is_empty(), "{EMPTY_TURN_WINDOW}");
-        if self.slots.is_empty() {
+        if self.sessions.is_empty() {
             return;
         }
-        let chunks = self.slots.len();
+        let chunks = self.sessions.len();
         self.pool.for_each_chunk(
-            &mut self.slots,
+            &mut self.sessions,
             chunks,
             &mut self.lane_buffers,
-            |_, slots, (scratch, window)| {
-                for slot in slots {
-                    slot.report = slot
-                        .session
-                        .run_turn_on(scratch, window, frames, question)
-                        .clone();
+            |_, sessions, (scratch, window)| {
+                for session in sessions {
+                    session.run_turn_on(scratch, window, frames, question);
                 }
             },
         );
@@ -154,48 +134,50 @@ impl ConversationChatServer {
     /// Pre-grows every conversation's history vectors (see
     /// [`Conversation::reserve_turns`]) so warmed steady-state turns never reallocate.
     pub fn reserve_turns(&mut self, additional_turns: usize, frames_per_turn: usize) {
-        for slot in &mut self.slots {
-            slot.session.reserve_turns(additional_turns, frames_per_turn);
+        for session in &mut self.sessions {
+            session.reserve_turns(additional_turns, frames_per_turn);
         }
     }
 
-    /// The latest per-turn report of every conversation, in session order.
+    /// The latest per-turn report of every conversation that has run a turn, in session
+    /// order.
     pub fn reports(&self) -> impl Iterator<Item = &NetTurnReport> {
-        self.slots.iter().map(|slot| &slot.report)
+        self.sessions.iter().filter_map(|session| session.turns().last())
     }
 
-    /// The latest per-turn report of conversation `index`.
-    pub fn report(&self, index: usize) -> &NetTurnReport {
-        &self.slots[index].report
+    /// The latest per-turn report of conversation `index`, `None` before its first turn.
+    pub fn report(&self, index: usize) -> Option<&NetTurnReport> {
+        self.sessions[index].turns().last()
     }
 
     /// The full cross-turn report of conversation `index`.
     pub fn conversation_report(&self, index: usize) -> ConversationReport {
-        self.slots[index].session.report()
+        self.sessions[index].report()
     }
 
     /// A point-in-time reading of conversation `index`'s always-on counters.
     pub fn metrics_snapshot(&self, index: usize) -> SessionSnapshot {
-        self.slots[index].session.metrics_snapshot()
+        self.sessions[index].metrics_snapshot()
     }
 
     /// The whole fleet's always-on counters, summed across sessions. One copy per session
     /// plus plain adds — entirely off the turn hot path.
     pub fn fleet_metrics(&self) -> SessionSnapshot {
         let mut total = SessionSnapshot::default();
-        for session in self.sessions() {
+        for session in &self.sessions {
             total.accumulate(&session.metrics_snapshot());
         }
         total
     }
 
     /// Fraction of the latest turn's answers that were correct — the service-level quality
-    /// signal a deployment would watch.
+    /// signal a deployment would watch. 0 before any conversation has answered.
     pub fn correct_fraction(&self) -> f64 {
-        if self.slots.is_empty() {
+        let answered = self.reports().count();
+        if answered == 0 {
             return 0.0;
         }
-        self.reports().filter(|r| r.answer.correct).count() as f64 / self.slots.len() as f64
+        self.reports().filter(|r| r.answer.correct).count() as f64 / answered as f64
     }
 
     /// One fleet-level serving snapshot: session and turn counts, every conversation's
@@ -208,7 +190,7 @@ impl ConversationChatServer {
         let mut resilience = FaultTelemetry::default();
         let mut counters = SessionSnapshot::default();
         let mut turns_completed = 0;
-        for session in self.sessions() {
+        for session in &self.sessions {
             turns_completed += session.turn_count();
             uplink.add(&session.link_counters());
             resilience.absorb(&session.fault_telemetry());
@@ -581,7 +563,7 @@ mod tests {
                 }
             } else {
                 // Only member 0 steps outside the fleet; its neighbour keeps the lane busy.
-                for member in [&mut server.slots[0].session, &mut twins[0]] {
+                for member in [&mut server.sessions[0], &mut twins[0]] {
                     member.run_turn(&frames, &q);
                     member.think(SimDuration::from_millis(150));
                 }
@@ -597,9 +579,9 @@ mod tests {
     fn a_server_builds_one_model_for_all_its_sessions() {
         let server = ConversationChatServer::new(2, 5, net_template(1), SimDuration::from_millis(100));
         let model_of =
-            |slot: &ServerSlot| std::ptr::from_ref(slot.session.member.compute.sender.clip_model());
-        let first = model_of(&server.slots[0]);
-        assert!(server.slots.iter().all(|slot| model_of(slot) == first));
+            |session: &Conversation| std::ptr::from_ref(session.member.compute.sender.clip_model());
+        let first = model_of(&server.sessions[0]);
+        assert!(server.sessions.iter().all(|session| model_of(session) == first));
     }
 
     /// An empty capture window is rejected for the whole fleet before any lane starts:
@@ -612,7 +594,8 @@ mod tests {
         let (mut server, mut twin) = (fleet(), fleet());
         server.run_turns(&turn_window(0), &q);
         twin.run_turns(&turn_window(0), &q);
-        let clocks = |s: &ConversationChatServer| s.sessions().map(Conversation::now).collect::<Vec<_>>();
+        let clocks =
+            |s: &ConversationChatServer| s.sessions.iter().map(Conversation::now).collect::<Vec<_>>();
         let before = clocks(&server);
         let panic = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| server.run_turns(&[], &q)))
             .expect_err("an empty window must be rejected");
