@@ -29,12 +29,13 @@
 
 use crate::context_aware::{Streamer, StreamerConfig};
 use crate::conversation::{ConversationReport, Member};
-use crate::net_session::{rate_bps_is_valid, validate_link, NetSessionOptions, NetSessionOptionsError};
+use crate::net_session::{validate_link, NetSessionOptions, NetSessionOptionsError};
 use crate::net_turn::{Driver, EncodedWindow, Event, Seat, TurnPlan, TurnScratch};
 use aivc_metrics::SessionSnapshot;
 use aivc_mllm::Question;
 use aivc_netsim::trace::MAX_RATE_BPS;
 use aivc_netsim::{jain_index, FaultKind, LinkConfig, LinkCounters, Packet, SharedLink};
+use aivc_rtc::AbrPolicy;
 use aivc_scene::Frame;
 use aivc_semantics::ClipModel;
 use aivc_sim::{SimDuration, SimTime, Simulation};
@@ -51,13 +52,10 @@ pub struct TenantTurn {
 }
 
 /// One tenant: a full conversation (options + scripted turns) joining the shared
-/// bottleneck at `join_at`.
+/// bottleneck at `join_at`. Tenant `i` is reported as `tenant-{i}`, and its mode is read
+/// off `options.abr`.
 #[derive(Debug, Clone)]
 pub struct TenantSpec {
-    /// Display label ("tenant-0", "joiner", ...).
-    pub label: String,
-    /// ABR-mode label for the report ("ai_oriented" / "traditional").
-    pub mode: String,
     /// When the tenant's first turn begins on the global timeline (at most 1e6 s).
     pub join_at: SimTime,
     /// Think time inserted between consecutive turns (at most 1e6 s).
@@ -88,58 +86,23 @@ pub struct CrossTrafficSpec {
 /// How many *consecutive* starving fairness windows escalate a tenant's degradation
 /// ladder: one sub-floor window is noise, two in a row while transmitting is starvation.
 const STARVING_WINDOWS_TO_ESCALATE: u32 = 2;
-
-/// Starvation-watchdog configuration.
-#[derive(Debug, Clone, Copy)]
-pub struct StarvationConfig {
-    /// Master switch.
-    pub enabled: bool,
-    /// Windowed-goodput floor (bits per second) below which a tenant counts as starving
-    /// once it stays there for two consecutive windows.
-    pub floor_bps: f64,
-}
-
-impl StarvationConfig {
-    /// Watchdog off.
-    pub fn disabled() -> Self {
-        Self {
-            enabled: false,
-            floor_bps: 0.0,
-        }
-    }
-}
-
-/// Late-joiner admission configuration.
-#[derive(Debug, Clone, Copy)]
-pub struct AdmissionConfig {
-    /// Master switch: a joiner's initial estimate is clamped to its fair share,
-    /// `nominal_bps / active_tenants`.
-    pub enabled: bool,
-}
-
-impl AdmissionConfig {
-    /// Admission control off: joiners start from their configured initial estimate.
-    pub fn disabled() -> Self {
-        Self { enabled: false }
-    }
-}
+/// Width of the fairness-telemetry window, which is also the starvation watchdog's.
+const FAIRNESS_WINDOW: SimDuration = SimDuration::from_millis(500);
 
 /// Configuration of one contention run.
 #[derive(Debug, Clone)]
 pub struct ContentionConfig {
-    /// The shared bottleneck every tenant (and cross-traffic source) contends for.
+    /// The shared bottleneck every tenant (and cross-traffic source) contends for. Its
+    /// trace's rate at t = 0 is the nominal rate admission divides.
     pub shared_uplink: LinkConfig,
     /// Seed of the shared link's random processes.
     pub shared_seed: u64,
-    /// Nominal bottleneck rate (bits per second) — the fair-share denominator for
-    /// admission control.
-    pub nominal_bps: f64,
-    /// Width of the fairness-telemetry sampling window.
-    pub fairness_window: SimDuration,
-    /// Starvation-watchdog settings.
-    pub starvation: StarvationConfig,
-    /// Late-joiner admission settings.
-    pub admission: AdmissionConfig,
+    /// The starvation watchdog's windowed-goodput floor, in bits per second: a tenant below
+    /// it for two consecutive windows while capturing is starving. `None` is no watchdog.
+    pub starvation_floor_bps: Option<f64>,
+    /// Late-joiner admission: a joiner's initial estimate is clamped to its fair share, the
+    /// nominal rate over the active tenants.
+    pub admission: bool,
     /// Background cross-traffic sources.
     pub cross_traffic: Vec<CrossTrafficSpec>,
 }
@@ -155,25 +118,16 @@ impl ContentionConfig {
         let ContentionConfig {
             shared_uplink,
             shared_seed: _,
-            nominal_bps,
-            fairness_window,
-            starvation:
-                StarvationConfig {
-                    enabled: _,
-                    floor_bps,
-                },
-            admission: AdmissionConfig { enabled: _ },
+            starvation_floor_bps,
+            admission: _,
             cross_traffic,
         } = self;
+        // Its trace's rates were checked when it was built, the nominal one among them.
         validate_link("shared_uplink", shared_uplink).map_err(E::SharedUplink)?;
-        if !rate_bps_is_valid(*nominal_bps) {
-            return Err(E::NominalBps(*nominal_bps));
-        }
-        if *fairness_window == SimDuration::ZERO {
-            return Err(E::FairnessWindow);
-        }
-        if !(floor_bps.is_finite() && *floor_bps >= 0.0) {
-            return Err(E::StarvationFloor(*floor_bps));
+        if let Some(floor_bps) = *starvation_floor_bps {
+            if !(floor_bps.is_finite() && floor_bps >= 0.0) {
+                return Err(E::StarvationFloor(floor_bps));
+            }
         }
         for (source, spec) in cross_traffic.iter().enumerate() {
             let &CrossTrafficSpec {
@@ -202,14 +156,7 @@ pub enum ContentionConfigError {
     /// `shared_uplink` fails the checks a session's own links are held to (its message is
     /// that check's, naming `shared_uplink`).
     SharedUplink(NetSessionOptionsError),
-    /// `nominal_bps` is not a positive rate up to 1e12 bits per second: admission divides it
-    /// among the active tenants and clamps a joiner's estimate to the share, so a NaN one
-    /// was accepted silently and handed on.
-    NominalBps(f64),
-    /// `fairness_window` is zero: the fairness tick would re-arm at the same instant (it was
-    /// silently read as one microsecond).
-    FairnessWindow,
-    /// `starvation.floor_bps` is NaN, infinite or negative: no windowed goodput compares
+    /// `starvation_floor_bps` is NaN, infinite or negative: no windowed goodput compares
     /// below a NaN floor, and every one compares below an infinite one.
     StarvationFloor(f64),
     /// A cross-traffic source's rate is not within 1..=1e12 bits per second. Its send
@@ -244,16 +191,9 @@ impl core::fmt::Display for ContentionConfigError {
         const INVALID: &str = "contention config invalid:";
         match self {
             ContentionConfigError::SharedUplink(error) => write!(f, "{error}"),
-            ContentionConfigError::NominalBps(bps) => write!(
-                f,
-                "{INVALID} nominal_bps must be positive and at most 1e12 bits per second, got {bps}"
-            ),
-            ContentionConfigError::FairnessWindow => {
-                write!(f, "{INVALID} fairness_window must be longer than zero")
-            }
             ContentionConfigError::StarvationFloor(bps) => write!(
                 f,
-                "{INVALID} starvation.floor_bps must be finite and at least 0 bits per second, got {bps}"
+                "{INVALID} starvation_floor_bps must be finite and at least 0 bits per second, got {bps}"
             ),
             ContentionConfigError::CrossTrafficRate { source, rate_bps } => write!(
                 f,
@@ -305,9 +245,9 @@ pub struct FairnessReport {
 /// One tenant's slice of a [`ContentionReport`].
 #[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct TenantReport {
-    /// The tenant's label.
+    /// The tenant's label, `tenant-{i}` for tenant `i`.
     pub label: String,
-    /// ABR-mode label.
+    /// ABR mode, from `options.abr`: "ai_oriented", "traditional" or "held".
     pub mode: String,
     /// Join time in milliseconds.
     pub join_ms: f64,
@@ -382,10 +322,8 @@ struct CrossState {
 pub(crate) struct Contention<'s> {
     tenants: Vec<Tenant<'s>>,
     cross: Vec<CrossState>,
-    starvation: StarvationConfig,
-    admission: AdmissionConfig,
-    nominal_bps: f64,
-    fairness_window_us: u64,
+    starvation_floor_bps: Option<f64>,
+    admission: bool,
     windows: Vec<FairnessWindow>,
     /// End of the last shared outage episode, if any — the post-recovery anchor.
     recovery_time: Option<SimTime>,
@@ -418,8 +356,10 @@ impl<'f> Driver<'_, '_, 'f> {
         let spec: &'f TenantSpec = t.spec;
         let turn = &spec.turns[t.turns_begun];
         let seat = &mut self.seats[tenant];
-        if t.turns_begun == 0 && run.admission.enabled {
-            seat.member.gcc.clamp_estimate(run.nominal_bps / active as f64);
+        if t.turns_begun == 0 && run.admission {
+            // The nominal rate is the shared trace's at t = 0.
+            let nominal = self.uplink.config().bandwidth.rate_at(SimTime::ZERO);
+            seat.member.gcc.clamp_estimate(nominal / active as f64);
         }
         seat.frames = &turn.frames;
         seat.member
@@ -475,7 +415,7 @@ impl<'f> Driver<'_, '_, 'f> {
     /// The fairness/starvation sampling tick.
     pub(crate) fn fairness_tick(&mut self, now: SimTime, sim: &mut Simulation<Event>) {
         let run = contention(&mut self.contention);
-        let window_secs = run.fairness_window_us as f64 / 1e6;
+        let window_secs = FAIRNESS_WINDOW.as_secs_f64();
         let k = run.tenants.len();
         let mut shares = Vec::with_capacity(k);
         for (i, t) in run.tenants.iter_mut().enumerate() {
@@ -495,9 +435,9 @@ impl<'f> Driver<'_, '_, 'f> {
             shares_bps: shares.clone(),
         });
 
-        if run.starvation.enabled {
-            let window_start = SimTime::from_micros(now.as_micros().saturating_sub(run.fairness_window_us));
-            let floor = run.starvation.floor_bps;
+        if let Some(floor) = run.starvation_floor_bps {
+            let window_start =
+                SimTime::from_micros(now.as_micros().saturating_sub(FAIRNESS_WINDOW.as_micros()));
             for (i, t) in run.tenants.iter_mut().enumerate() {
                 // Eligible only when the whole window sits inside the tenant's capture
                 // phase: goodput during think time or the post-capture drain is low by
@@ -534,7 +474,7 @@ impl<'f> Driver<'_, '_, 'f> {
             }
         }
 
-        let next = now + SimDuration::from_micros(run.fairness_window_us);
+        let next = now + FAIRNESS_WINDOW;
         if next <= run.global_end {
             sim.schedule_at(next, Event::FairnessTick);
         }
@@ -568,28 +508,35 @@ pub fn run_contention_counted(
     if let Err(e) = config.validate() {
         panic!("{e}");
     }
-    for t in &tenants {
-        if let Err(e) = t.options.validate() {
-            panic!("tenant {:?}: {e}", t.label);
+    // Destructured without `..`: a new field does not compile until its check (or its
+    // reason for needing none) is written here.
+    for (i, spec) in tenants.iter().enumerate() {
+        let TenantSpec {
+            join_at,
+            think,
+            options,
+            turns,
+        } = spec;
+        if let Err(e) = options.validate() {
+            panic!("tenant \"tenant-{i}\": {e}");
         }
-        for (field, time) in [("join_at", t.join_at - SimTime::ZERO), ("think", t.think)] {
+        for (field, time) in [("join_at", *join_at - SimTime::ZERO), ("think", *think)] {
             if let Err(error) = time.check_bound() {
-                panic!("tenant {:?}: {field} {error}", t.label);
+                panic!("tenant \"tenant-{i}\": {field} {error}");
             }
         }
         assert!(
-            t.turns.iter().all(|turn| !turn.frames.is_empty()),
+            turns.iter().all(|turn| !turn.frames.is_empty()),
             "every scripted turn needs at least one frame"
         );
         // The transport times loss reports and the NACK budget off `options.path.uplink`'s
         // propagation delay, and turn reports read outage exposure off its fault
         // schedule — both must describe the link the packets really ride.
-        let own = &t.options.path.uplink;
+        let own = &options.path.uplink;
         assert!(
             own.propagation_delay == config.shared_uplink.propagation_delay
                 && own.faults == config.shared_uplink.faults,
-            "tenant {:?}: options.path.uplink must match the shared link's propagation delay and faults",
-            t.label
+            "tenant \"tenant-{i}\": options.path.uplink must match the shared link's propagation delay and faults"
         );
     }
     let tenant_count = tenants.len();
@@ -651,7 +598,6 @@ pub fn run_contention_counted(
         })
         .collect();
 
-    let fairness_window_us = config.fairness_window.as_micros();
     let mut run = Contention {
         tenants: tenants
             .iter()
@@ -666,10 +612,8 @@ pub fn run_contention_counted(
             })
             .collect(),
         cross,
-        starvation: config.starvation,
+        starvation_floor_bps: config.starvation_floor_bps,
         admission: config.admission,
-        nominal_bps: config.nominal_bps,
-        fairness_window_us,
         windows: Vec::new(),
         recovery_time,
         post_recovery_snapshot: None,
@@ -686,7 +630,7 @@ pub fn run_contention_counted(
     for (s, c) in run.cross.iter().enumerate() {
         sim.schedule_at(c.spec.start, Event::Cross { source: s });
     }
-    sim.schedule_at(SimTime::from_micros(fairness_window_us), Event::FairnessTick);
+    sim.schedule_at(SimTime::ZERO + FAIRNESS_WINDOW, Event::FairnessTick);
     sim.run_until(
         global_end,
         &mut Driver {
@@ -718,8 +662,13 @@ pub fn run_contention_counted(
         .zip(&members)
         .enumerate()
         .map(|(i, (t, member))| TenantReport {
-            label: t.spec.label.clone(),
-            mode: t.spec.mode.clone(),
+            label: format!("tenant-{i}"),
+            mode: match t.spec.options.abr {
+                AbrPolicy::AiOriented { .. } => "ai_oriented",
+                AbrPolicy::Traditional => "traditional",
+                AbrPolicy::Held { .. } => "held",
+            }
+            .to_string(),
             join_ms: t.spec.join_at.as_micros() as f64 / 1e3,
             delivered_bytes: tenant_bytes[i],
             goodput_share: if total_tenant_bytes == 0 {
@@ -738,7 +687,7 @@ pub fn run_contention_counted(
     let report = ContentionReport {
         tenants: reports,
         fairness: FairnessReport {
-            window_ms: fairness_window_us as f64 / 1e3,
+            window_ms: FAIRNESS_WINDOW.as_millis_f64(),
             jain_overall: jain_index(&overall),
             jain_post_recovery,
             windows: run.windows,
@@ -753,7 +702,7 @@ pub fn run_contention_counted(
 mod tests {
     use super::*;
     use aivc_mllm::QuestionFormat;
-    use aivc_netsim::{LossModel, PathConfig};
+    use aivc_netsim::{FaultSchedule, LossModel, PathConfig};
     use aivc_scene::templates::basketball_game;
     use aivc_scene::{SourceConfig, VideoSource};
 
@@ -792,14 +741,12 @@ mod tests {
         o
     }
 
-    fn base_config(uplink: LinkConfig, seed: u64, nominal_bps: f64) -> ContentionConfig {
+    fn base_config(uplink: LinkConfig, seed: u64) -> ContentionConfig {
         ContentionConfig {
             shared_uplink: uplink,
             shared_seed: seed,
-            nominal_bps,
-            fairness_window: SimDuration::from_millis(500),
-            starvation: StarvationConfig::disabled(),
-            admission: AdmissionConfig::disabled(),
+            starvation_floor_bps: None,
+            admission: false,
             cross_traffic: Vec::new(),
         }
     }
@@ -814,10 +761,8 @@ mod tests {
         let mut options = tenant_options(1, &uplink, 8.0);
         options.path.uplink.propagation_delay = SimDuration::from_millis(80);
         run_contention(
-            &base_config(uplink, 1, 4e6),
+            &base_config(uplink, 1),
             vec![TenantSpec {
-                label: "mismatched".into(),
-                mode: "ai_oriented".into(),
                 join_at: SimTime::ZERO,
                 think: SimDuration::ZERO,
                 options,
@@ -861,19 +806,19 @@ mod tests {
         for (field, options) in rejected {
             let expected = options.validate().expect_err(field).to_string();
             let tenant = TenantSpec {
-                label: "bad-clock".into(),
-                mode: "ai_oriented".into(),
                 join_at: SimTime::ZERO,
                 think: SimDuration::ZERO,
                 options,
                 turns: turn_script(0, 1, 4, 8.0),
             };
-            let config = base_config(uplink.clone(), 1, 4e6);
+            let config = base_config(uplink.clone(), 1);
             let panic = std::panic::catch_unwind(|| run_contention(&config, vec![tenant]))
                 .expect_err("invalid options must not run");
             let message = panic.downcast_ref::<String>().expect("a formatted panic message");
             assert!(
-                message.contains("bad-clock") && message.contains(field) && message.ends_with(&expected),
+                message.starts_with("tenant \"tenant-0\": ")
+                    && message.contains(field)
+                    && message.ends_with(&expected),
                 "{field}: {message}"
             );
         }
@@ -899,14 +844,12 @@ mod tests {
             ),
         ] {
             let tenant = TenantSpec {
-                label: "fine".into(),
-                mode: "ai_oriented".into(),
                 join_at: SimTime::ZERO,
                 think: SimDuration::ZERO,
                 options: tenant_options(1, &uplink, 8.0),
                 turns: turn_script(0, 1, 4, 8.0),
             };
-            let config = base_config(shared, 1, 4e6);
+            let config = base_config(shared, 1);
             let panic = std::panic::catch_unwind(|| run_contention(&config, vec![tenant]))
                 .expect_err("an invalid shared link must not run");
             let message = panic.downcast_ref::<String>().expect("a formatted panic message");
@@ -932,28 +875,10 @@ mod tests {
         }
         type Edit = Box<dyn Fn(&mut ContentionConfig)>;
         let mut cases: Vec<(&str, Edit)> = Vec::new();
-        for bps in [f64::NAN, 0.0, -1.0, f64::INFINITY, 1.1e12] {
-            cases.push((
-                "nominal_bps",
-                Box::new(move |c| {
-                    c.nominal_bps = bps;
-                    c.admission = AdmissionConfig { enabled: true };
-                }),
-            ));
-        }
-        cases.push((
-            "fairness_window",
-            Box::new(|c| c.fairness_window = SimDuration::ZERO),
-        ));
         for floor_bps in [f64::NAN, -1.0, f64::INFINITY] {
             cases.push((
-                "starvation.floor_bps",
-                Box::new(move |c| {
-                    c.starvation = StarvationConfig {
-                        enabled: true,
-                        floor_bps,
-                    }
-                }),
+                "starvation_floor_bps",
+                Box::new(move |c| c.starvation_floor_bps = Some(floor_bps)),
             ));
         }
         for rate in [0.0, f64::NAN, 0.5, -2e6, f64::INFINITY, 2e12] {
@@ -975,7 +900,7 @@ mod tests {
             ));
         }
         for (needle, edit) in &cases {
-            let mut config = base_config(uplink.clone(), 1, 4e6);
+            let mut config = base_config(uplink.clone(), 1);
             edit(&mut config);
             let expected = config.validate().expect_err(needle).to_string();
             assert!(
@@ -983,8 +908,6 @@ mod tests {
                 "{expected}"
             );
             let tenant = TenantSpec {
-                label: "fine".into(),
-                mode: "ai_oriented".into(),
                 join_at: SimTime::ZERO,
                 think: SimDuration::ZERO,
                 options: tenant_options(1, &uplink, 8.0),
@@ -995,11 +918,75 @@ mod tests {
             assert_eq!(panic.downcast_ref::<String>(), Some(&expected), "{needle}");
         }
         // The edges of every rule are accepted.
-        let mut config = base_config(uplink, 1, 1e12);
-        config.fairness_window = SimDuration::from_micros(1);
-        config.starvation.floor_bps = 0.0;
+        let mut config = base_config(uplink, 1);
+        config.starvation_floor_bps = Some(0.0);
         config.cross_traffic = vec![cross(1.0, 1, 0, 1), cross(1e12, u32::MAX, 0, 1)];
         assert_eq!(config.validate(), Ok(()));
+    }
+
+    /// One tenant's one turn laid on the 500 ms fairness ticks: nine 8-fps captures from
+    /// 500 ms, so its capture span is [500, 1500] ms, and its answer 500 ms after the last,
+    /// at 2000 ms, the run's end. `edit` arms the watchdog or adds an outage.
+    fn on_the_ticks(edit: impl FnOnce(&mut ContentionConfig)) -> ContentionReport {
+        let uplink = LinkConfig::constant(4e6, SimDuration::from_millis(30), 300, LossModel::None);
+        let mut config = base_config(uplink, 1);
+        edit(&mut config);
+        let mut options = tenant_options(1, &config.shared_uplink, 8.0);
+        options.drain_secs = 0.5;
+        let tenant = TenantSpec {
+            join_at: SimTime::from_millis(500),
+            think: SimDuration::ZERO,
+            options,
+            turns: turn_script(0, 1, 9, 8.0),
+        };
+        run_contention(&config, vec![tenant])
+    }
+
+    /// A tick due exactly at the run's end is still taken (`next <= global_end`).
+    #[test]
+    fn the_last_fairness_tick_lands_on_the_runs_end() {
+        let report = on_the_ticks(|_| {});
+        let ends: Vec<f64> = report.fairness.windows.iter().map(|w| w.end_ms).collect();
+        assert_eq!(ends, [500.0, 1000.0, 1500.0, 2000.0]);
+        assert_eq!(report.fairness.window_ms, 500.0);
+    }
+
+    /// An outage that ends exactly on a tick is recovered from at that tick (`now >= rt`):
+    /// here the last one, so a later anchor would leave no post-recovery index at all.
+    #[test]
+    fn an_outage_ending_on_a_tick_is_recovered_from_at_that_tick() {
+        let report = on_the_ticks(|c| {
+            c.shared_uplink.faults =
+                FaultSchedule::blackout(SimTime::from_millis(1500), SimDuration::from_millis(500))
+        });
+        assert_eq!(report.fairness.jain_post_recovery, Some(1.0));
+    }
+
+    /// A window that starts exactly at the first capture, and one that ends exactly at the
+    /// last, both sit inside the capture span (`s <= window_start && now <= e`): under a
+    /// floor nothing reaches, those two windows make the one escalation.
+    #[test]
+    fn windows_on_the_capture_spans_edges_are_watched() {
+        let report = on_the_ticks(|c| c.starvation_floor_bps = Some(f64::MAX));
+        assert_eq!(report.starvation_events_total(), 1);
+    }
+
+    /// A share exactly at the floor is not starving (`shares[i] < floor`): through a blackout
+    /// both watched windows deliver nothing, which starves a tenant under a 1 bps floor but
+    /// not under a floor of zero.
+    #[test]
+    fn a_share_exactly_at_the_floor_is_not_starving() {
+        let dark = |floor_bps| {
+            on_the_ticks(|c| {
+                c.starvation_floor_bps = Some(floor_bps);
+                c.shared_uplink.faults =
+                    FaultSchedule::blackout(SimTime::ZERO, SimDuration::from_millis(2_000));
+            })
+        };
+        let at_zero = dark(0.0);
+        assert_eq!(at_zero.tenants[0].delivered_bytes, 0);
+        assert_eq!(at_zero.starvation_events_total(), 0);
+        assert_eq!(dark(1.0).starvation_events_total(), 1);
     }
 
     #[test]
@@ -1011,11 +998,9 @@ mod tests {
             LossModel::Iid { rate: 0.01 },
         );
         let run = || {
-            let config = base_config(uplink.clone(), 7, 6e6);
+            let config = base_config(uplink.clone(), 7);
             let tenants = (0..3)
                 .map(|i| TenantSpec {
-                    label: format!("tenant-{i}"),
-                    mode: "ai_oriented".into(),
                     join_at: SimTime::from_millis(i as u64 * 100),
                     think: SimDuration::from_millis(300),
                     options: tenant_options(7 + i as u64, &uplink, 8.0),
@@ -1030,11 +1015,9 @@ mod tests {
     #[test]
     fn per_tenant_flow_counters_reconcile_with_the_shared_link() {
         let uplink = LinkConfig::constant(5e6, SimDuration::from_millis(30), 300, LossModel::None);
-        let config = base_config(uplink.clone(), 11, 5e6);
+        let config = base_config(uplink.clone(), 11);
         let tenants = (0..2)
             .map(|i| TenantSpec {
-                label: format!("tenant-{i}"),
-                mode: "ai_oriented".into(),
                 join_at: SimTime::ZERO,
                 think: SimDuration::from_millis(200),
                 options: tenant_options(20 + i as u64, &uplink, 8.0),
@@ -1057,15 +1040,10 @@ mod tests {
         // Ample fault-free bandwidth, identical tenants: nobody's windowed goodput dips
         // below a conservative floor, so the watchdog must never escalate.
         let uplink = LinkConfig::constant(16e6, SimDuration::from_millis(30), 300, LossModel::None);
-        let mut config = base_config(uplink.clone(), 13, 16e6);
-        config.starvation = StarvationConfig {
-            enabled: true,
-            floor_bps: 100_000.0,
-        };
+        let mut config = base_config(uplink.clone(), 13);
+        config.starvation_floor_bps = Some(100_000.0);
         let tenants = (0..3)
             .map(|i| TenantSpec {
-                label: format!("tenant-{i}"),
-                mode: "ai_oriented".into(),
                 join_at: SimTime::ZERO,
                 think: SimDuration::from_millis(300),
                 options: tenant_options(30 + i as u64, &uplink, 12.0),
@@ -1083,22 +1061,18 @@ mod tests {
     #[test]
     fn admission_clamps_a_late_joiner_to_its_fair_share() {
         let uplink = LinkConfig::constant(6e6, SimDuration::from_millis(30), 300, LossModel::None);
-        let mut config = base_config(uplink.clone(), 17, 6e6);
-        config.admission = AdmissionConfig { enabled: true };
+        let mut config = base_config(uplink.clone(), 17);
+        config.admission = true;
         let mut joiner_options = tenant_options(50, &uplink, 8.0);
         joiner_options.gcc.initial_estimate_bps = 20e6; // wildly optimistic
         let tenants = vec![
             TenantSpec {
-                label: "incumbent".into(),
-                mode: "ai_oriented".into(),
                 join_at: SimTime::ZERO,
                 think: SimDuration::from_millis(300),
                 options: tenant_options(51, &uplink, 8.0),
                 turns: turn_script(0, 3, 6, 8.0),
             },
             TenantSpec {
-                label: "joiner".into(),
-                mode: "ai_oriented".into(),
                 join_at: SimTime::from_millis(700),
                 think: SimDuration::from_millis(300),
                 options: joiner_options,

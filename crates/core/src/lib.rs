@@ -51,8 +51,8 @@ pub mod session;
 pub use aivc_metrics::SessionSnapshot;
 pub use allocator::{QpAllocator, QpAllocatorConfig, QpAllocatorConfigError};
 pub use contention::{
-    run_contention, run_contention_counted, AdmissionConfig, ContentionConfig, ContentionConfigError,
-    ContentionReport, CrossTrafficSpec, StarvationConfig, TenantReport, TenantSpec, TenantTurn,
+    run_contention, run_contention_counted, ContentionConfig, ContentionConfigError, ContentionReport,
+    CrossTrafficSpec, TenantReport, TenantSpec, TenantTurn,
 };
 pub use context_aware::{MatchedEncode, Streamer, StreamerConfig};
 pub use conversation::{Conversation, ConversationReport};

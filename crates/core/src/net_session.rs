@@ -71,9 +71,6 @@ pub struct NetSessionOptions {
     /// budget shaved so media + parity never exceeds the ABR target. Disabled by default
     /// (the static [`NetSessionOptions::fec`] group size rules, bit for bit).
     pub adaptive_fec: AdaptiveFecConfig,
-    /// The graceful-degradation ladder (outage capture suppression, probing, frame
-    /// shedding). Disabled by default.
-    pub degradation: DegradationConfig,
 }
 
 impl NetSessionOptions {
@@ -95,18 +92,16 @@ impl NetSessionOptions {
             // this long after the question was asked miss the answer.
             drain_secs: 0.3,
             adaptive_fec: AdaptiveFecConfig::disabled(),
-            degradation: DegradationConfig::disabled(),
         }
     }
 
     /// Turns the full outage-resilience stack on: the GCC feedback watchdog (200 ms
-    /// timeout), loss-driven adaptive FEC, and the graceful-degradation ladder. Fault
-    /// scenarios opt in through this; everything else keeps the off-by-default behaviour
-    /// the golden fixtures pin.
+    /// timeout), loss-driven adaptive FEC, and the graceful-degradation ladder, which runs
+    /// wherever the watchdog is armed. Fault scenarios opt in through this; everything else
+    /// keeps the off-by-default behaviour the golden fixtures pin.
     pub fn with_resilience(mut self) -> Self {
         self.gcc.watchdog_timeout = SimDuration::from_millis(200);
         self.adaptive_fec.enabled = true;
-        self.degradation.enabled = true;
         self
     }
 
@@ -152,7 +147,6 @@ impl NetSessionOptions {
             capture_fps,
             drain_secs,
             adaptive_fec: AdaptiveFecConfig { enabled: _ },
-            degradation: DegradationConfig { enabled: _ },
         } = self;
         if !capture_fps_is_valid(capture_fps) {
             return Err(E::CaptureFps(capture_fps));
@@ -374,32 +368,6 @@ impl core::fmt::Display for NetSessionOptionsError {
     }
 }
 
-/// The graceful-degradation ladder's switch. When enabled, the turn engine steps down
-/// under stress instead of failing abruptly: a watchdog-declared outage suppresses
-/// captures (sending tiny probes instead, so the first post-outage feedback can return);
-/// a send backlog deeper than 150 ms sheds whole late frames before their parity is even
-/// built; after recovery the congestion controller's ramp stages the climb back. Disabled
-/// by default — the ladder never engages and the pre-ladder behaviour is preserved bit for
-/// bit.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
-pub struct DegradationConfig {
-    /// Master switch for the ladder.
-    pub enabled: bool,
-}
-
-impl DegradationConfig {
-    /// Ladder off (the default).
-    pub fn disabled() -> Self {
-        Self { enabled: false }
-    }
-}
-
-impl Default for DegradationConfig {
-    fn default() -> Self {
-        Self::disabled()
-    }
-}
-
 /// Fault/resilience telemetry of one turn. All-zero (["quiet"](FaultTelemetry::is_quiet))
 /// whenever fault injection and the resilience stack are off, in which case it is omitted
 /// from the serialized report — the off-by-default contract that keeps the pre-fault
@@ -476,8 +444,8 @@ impl FrameDelivery {
     }
 }
 
-/// The report of one networked chat turn — plain values only, so server slots can replace
-/// reports in place.
+/// The report of one networked chat turn — plain values only, so a conversation's reserved
+/// history takes one per turn without allocating.
 #[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct NetTurnReport {
     /// The MLLM's answer over everything the receiver could decode before the deadline.
@@ -515,7 +483,7 @@ pub struct NetTurnReport {
 }
 
 impl NetTurnReport {
-    /// The all-zero report server slots start from.
+    /// An all-zero report, for a check to fill in the fields it reads.
     pub fn placeholder() -> Self {
         Self {
             answer: Answer::default(),
@@ -537,10 +505,10 @@ impl NetTurnReport {
 }
 
 /// A convenience used by the scenario engine: a queue sized to `queue_ms` of buffering at
-/// `nominal_bps` — how testbeds provision the bottleneck buffer for a trace whose rates
+/// `rate_bps` — how testbeds provision the bottleneck buffer for a trace whose rates
 /// vary around a nominal capacity.
-pub fn queue_bytes_for(nominal_bps: f64, queue_ms: u64) -> u64 {
-    ((nominal_bps / 8.0) * (queue_ms as f64 / 1_000.0)).max(3_000.0) as u64
+pub fn queue_bytes_for(rate_bps: f64, queue_ms: u64) -> u64 {
+    ((rate_bps / 8.0) * (queue_ms as f64 / 1_000.0)).max(3_000.0) as u64
 }
 
 #[cfg(test)]

@@ -135,10 +135,10 @@ const PROBE_PACKET_BYTES: u32 = 200;
 /// Size of a feedback (NACK) packet on the wire, in bytes.
 const FEEDBACK_PACKET_BYTES: u32 = 80;
 
-/// The graceful-degradation ladder's current rung. The ladder only moves when
-/// [`crate::net_session::DegradationConfig::enabled`] — otherwise the transport stays
-/// pinned at [`DegradationLevel::Normal`] and behaves exactly as before the ladder
-/// existed.
+/// The graceful-degradation ladder's current rung. The ladder only moves while the
+/// feedback watchdog is armed (`gcc.watchdog_timeout` above zero, as
+/// [`NetSessionOptions::with_resilience`] sets it) — otherwise the transport stays pinned
+/// at [`DegradationLevel::Normal`] and behaves exactly as before the ladder existed.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 enum DegradationLevel {
     /// Full operation: every capture is encoded and sent.
@@ -366,7 +366,7 @@ pub(crate) struct Transport {
     /// Reusable percentile scratch for the turn report (cleared each turn).
     latency_scratch: LatencyStats,
     // --- resilience bookkeeping ---
-    /// Current degradation-ladder rung (always `Normal` when the ladder is disabled).
+    /// Current degradation-ladder rung (always `Normal` while the watchdog is off).
     degradation_level: DegradationLevel,
     /// Time of the most recent outage-dropped uplink send, awaiting the first frame
     /// completion after it (the `time_to_recover_ms` anchor). Survives turn boundaries:
@@ -700,9 +700,8 @@ impl TurnMachine<'_> {
                 self.gcc.poll_watchdog(now);
 
                 // --- The degradation ladder decides what this capture tick does.
-                let deg = self.compute.options.degradation;
                 let backlog_ms = self.uplink.backlog(now).as_millis_f64();
-                let level = if !deg.enabled {
+                let level = if self.compute.options.gcc.watchdog_timeout == SimDuration::ZERO {
                     DegradationLevel::Normal
                 } else if self.gcc.is_silent() {
                     DegradationLevel::OutageSuppress

@@ -15,8 +15,8 @@
 //! intentional and reviewed alongside a fixture update.
 
 use crate::contention::{
-    run_contention, AdmissionConfig, ContentionConfig, ContentionConfigError, ContentionReport,
-    CrossTrafficSpec, StarvationConfig, TenantSpec, TenantTurn,
+    run_contention, ContentionConfig, ContentionConfigError, ContentionReport, CrossTrafficSpec, TenantSpec,
+    TenantTurn,
 };
 use crate::conversation::Conversation;
 use crate::net_session::{queue_bytes_for, NetSessionOptions, NetSessionOptionsError};
@@ -38,16 +38,13 @@ const CAPTURE_FPS: f64 = 12.0;
 const CLIP_SECS: f64 = 6.0;
 /// A warm spec's starting estimate: what the turns before it left the controller holding.
 const WARM_ESTIMATE_BPS: f64 = 2_500_000.0;
-/// Width of a shared uplink's fairness-telemetry window.
-const FAIRNESS_WINDOW: SimDuration = SimDuration::from_millis(500);
 /// Most turns a spec may script: [`ScenarioSpec::tenant_spec`] builds every window up front
 /// (≈ 18 kB for a 6-s one), so a typo must not allocate the box away.
 const MAX_TURNS: usize = 1_000;
 
 /// One named scenario: what the registry's entries vary, and nothing they share. What they
 /// share is fixed: the 12-fps capture, the 6-s basketball clip, a clean 100 Mbps / 30 ms
-/// downlink, and — on a shared uplink — a 500 ms fairness window, an armed starvation
-/// watchdog and the trace's rate at t = 0 as the nominal rate admission divides.
+/// downlink and, on a shared uplink, an armed starvation watchdog.
 #[derive(Debug, Clone)]
 pub struct ScenarioSpec {
     /// Registry key, and the name of the spec's golden fixture.
@@ -191,21 +188,13 @@ impl ScenarioSpec {
     /// The contention engine's configuration of this spec. Without `sharing` it is the one
     /// tenant alone: no watchdog, no admission, no cross-traffic.
     pub fn config(&self) -> ContentionConfig {
-        let alone = Sharing::default();
-        let sharing = self.sharing.as_ref().unwrap_or(&alone);
+        let sharing = self.sharing.as_ref();
         ContentionConfig {
             shared_uplink: self.shared_uplink.clone(),
             shared_seed: self.seed,
-            nominal_bps: self.shared_uplink.bandwidth.rate_at(SimTime::ZERO),
-            fairness_window: FAIRNESS_WINDOW,
-            starvation: StarvationConfig {
-                enabled: self.sharing.is_some(),
-                floor_bps: sharing.starvation_floor_bps,
-            },
-            admission: AdmissionConfig {
-                enabled: sharing.admission,
-            },
-            cross_traffic: sharing.cross_traffic.clone(),
+            starvation_floor_bps: sharing.map(|s| s.starvation_floor_bps),
+            admission: sharing.is_some_and(|s| s.admission),
+            cross_traffic: sharing.map_or_else(Vec::new, |s| s.cross_traffic.clone()),
         }
     }
 
@@ -274,10 +263,7 @@ impl ScenarioSpec {
     pub fn tenant_spec(&self, tenant: usize, ai_oriented: bool) -> TenantSpec {
         self.assert_valid();
         assert!(tenant < self.tenants, "`{}` has no tenant {tenant}", self.name);
-        let ai = self.tenant_is_ai(tenant, ai_oriented);
         TenantSpec {
-            label: format!("tenant-{tenant}"),
-            mode: if ai { "ai_oriented" } else { "traditional" }.to_string(),
             join_at: SimTime::from_secs_f64(self.sharing.as_ref().map_or(0.0, |s| s.joins[tenant])),
             think: SimDuration::from_secs_f64(self.think_secs),
             options: self.tenant_options(tenant, ai_oriented),
@@ -968,11 +954,13 @@ mod tests {
     #[test]
     fn pinned_tenant_stays_ai_oriented_in_both_legs() {
         let spec = by_name("ai-floor-vs-traditional").unwrap();
-        let mode = |tenant, ai| spec.tenant_spec(tenant, ai).mode;
-        assert_eq!(
-            [mode(0, false), mode(1, false), mode(1, true)],
-            ["ai_oriented", "traditional", "ai_oriented"]
-        );
+        let ai = |tenant, leg| {
+            matches!(
+                spec.tenant_spec(tenant, leg).options.abr,
+                AbrPolicy::AiOriented { .. }
+            )
+        };
+        assert_eq!([ai(0, false), ai(1, false), ai(1, true)], [true, false, true]);
     }
 
     #[test]

@@ -3,9 +3,7 @@
 //! never trips the starvation watchdog, and the registry runner is bit-identical for any
 //! pool size — scheduling scenarios onto lanes must not change what they compute.
 
-use aivchat::core::contention::{
-    run_contention, AdmissionConfig, ContentionConfig, StarvationConfig, TenantSpec, TenantTurn,
-};
+use aivchat::core::contention::{run_contention, ContentionConfig, TenantSpec, TenantTurn};
 use aivchat::core::scenarios::run_registry;
 use aivchat::core::NetSessionOptions;
 use aivchat::mllm::{Question, QuestionFormat};
@@ -86,19 +84,12 @@ proptest! {
         let config = ContentionConfig {
             shared_uplink: uplink.clone(),
             shared_seed: seed,
-            nominal_bps: 6e6 * k as f64,
-            fairness_window: SimDuration::from_millis(400),
-            starvation: StarvationConfig {
-                enabled: true,
-                floor_bps: 100_000.0,
-            },
-            admission: AdmissionConfig::disabled(),
+            starvation_floor_bps: Some(100_000.0),
+            admission: false,
             cross_traffic: Vec::new(),
         };
         let tenants = (0..k)
             .map(|t| TenantSpec {
-                label: format!("tenant-{t}"),
-                mode: "ai_oriented".into(),
                 join_at: SimTime::ZERO,
                 think: SimDuration::from_millis(300),
                 options: {

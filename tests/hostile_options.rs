@@ -2,9 +2,8 @@
 //! [`NetSessionOptions`], the uplink's loss rate included, and a conversation's think gaps
 //! (its constructor's, a server's and [`Conversation::think`]'s) in the first property; on
 //! the sender (γ, the CLIP patch size), on both links of `path` (rate, delays, queue) and in
-//! the frames themselves in the second; on a [`ContentionConfig`] (nominal rate, fairness
-//! window, starvation floor, a cross-traffic source) and a tenant's join and think times in
-//! the third; on a registry scenario spec (its
+//! the frames themselves in the second; on a [`ContentionConfig`] (starvation floor, a
+//! cross-traffic source) and a tenant's join and think times in the third; on a registry scenario spec (its
 //! counts, window, think and join times, pinned tenant, starvation floor and a cross-traffic
 //! source) in the fourth; on an uplink fault episode's start, duration and delays in the
 //! fifth, and a scene's concept weights (an object's and the background's)
@@ -25,9 +24,8 @@
 use aivchat::core::scenarios::{contention_registry, registry};
 use aivchat::core::session::StreamingMode;
 use aivchat::core::{
-    run_contention, AdmissionConfig, ContentionConfig, Conversation, ConversationChatServer,
-    CrossTrafficSpec, NetSessionOptions, QpAllocator, QpAllocatorConfig, StarvationConfig, StreamerConfig,
-    TenantSpec, TenantTurn,
+    run_contention, ContentionConfig, Conversation, ConversationChatServer, CrossTrafficSpec,
+    NetSessionOptions, QpAllocator, QpAllocatorConfig, StreamerConfig, TenantSpec, TenantTurn,
 };
 use aivchat::mllm::{Question, QuestionFormat};
 use aivchat::netsim::{
@@ -374,18 +372,14 @@ proptest! {
         )?;
     }
 
-    /// What a contention run is configured with besides its links and tenants: the nominal
-    /// rate admission divides, the fairness window, the starvation floor and one
-    /// cross-traffic source's rate, packet size and sending window. Either
-    /// `ContentionConfig::validate` names the field and `run_contention` refuses with exactly
-    /// that message before anything runs, or one tenant's turn on the lossy §2.2 path
-    /// finishes with a finite report. (A window of one microsecond is legal and ticks a
-    /// million times per simulated second, so the window is thrown 0 and `MAX` only.)
+    /// What a contention run is configured with besides its links and tenants: the
+    /// starvation floor and one cross-traffic source's rate, packet size and sending window.
+    /// Either `ContentionConfig::validate` names the field and `run_contention` refuses with
+    /// exactly that message before anything runs, or one tenant's turn on the lossy §2.2 path
+    /// finishes with a finite report.
     #[test]
     fn hostile_contention_configs_are_refused_by_name_or_run_to_a_finite_report(
-        nominal_bps in hostile_f64(4e6),
         admission in AnyBool,
-        fairness_window_us in [0u64, u64::MAX, 500_000, 500_000, 500_000, 500_000],
         floor_bps in hostile_f64(100_000.0),
         cross_rate_bps in hostile_f64(300_000.0),
         packet_bytes in [0u32, 1, u32::MAX, 1_200, 1_200, 1_200],
@@ -399,10 +393,8 @@ proptest! {
         let config = ContentionConfig {
             shared_uplink: path.uplink.clone(),
             shared_seed: 42,
-            nominal_bps,
-            fairness_window: SimDuration::from_micros(fairness_window_us),
-            starvation: StarvationConfig { enabled: true, floor_bps },
-            admission: AdmissionConfig { enabled: admission },
+            starvation_floor_bps: Some(floor_bps),
+            admission,
             cross_traffic: vec![CrossTrafficSpec {
                 rate_bps: cross_rate_bps,
                 packet_bytes,
@@ -416,8 +408,6 @@ proptest! {
         let mut options = NetSessionOptions::ai_oriented(42, path);
         options.capture_fps = 12.0;
         let tenant = TenantSpec {
-            label: "tenant-0".into(),
-            mode: "ai_oriented".into(),
             join_at: SimTime::from_micros(join_us),
             think: SimDuration::from_micros(think_us),
             options,

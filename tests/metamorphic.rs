@@ -8,8 +8,7 @@
 //!   and without think time between turns.
 
 use aivchat::core::{
-    run_contention, AdmissionConfig, ContentionConfig, Conversation, NetSessionOptions, StarvationConfig,
-    TenantSpec, TenantTurn,
+    run_contention, ContentionConfig, Conversation, NetSessionOptions, TenantSpec, TenantTurn,
 };
 use aivchat::mllm::{Question, QuestionFormat};
 use aivchat::netsim::{
@@ -93,15 +92,11 @@ proptest! {
                 let config = ContentionConfig {
                     shared_uplink: link,
                     shared_seed: seed,
-                    nominal_bps: 4e6,
-                    fairness_window: SimDuration::from_millis(500),
-                    starvation: StarvationConfig::disabled(),
-                    admission: AdmissionConfig::disabled(),
+                    starvation_floor_bps: None,
+                    admission: false,
                     cross_traffic: Vec::new(),
                 };
                 let tenant = TenantSpec {
-                    label: "solo".into(),
-                    mode: "ai_oriented".into(),
                     join_at: SimTime::ZERO,
                     think,
                     options,

@@ -285,7 +285,7 @@ fn hotspot_joiner_is_admitted_and_completes() {
         // Admission caps the joiner's first-turn estimate at nominal / active tenants.
         assert!(
             joiner.conversation.estimate_at_turn_start_bps[0]
-                <= spec.config().nominal_bps / spec.tenants as f64 + 1.0,
+                <= spec.shared_uplink.bandwidth.rate_at(SimTime::ZERO) / spec.tenants as f64 + 1.0,
             "{leg}: joiner started above its fair share"
         );
         assert!(

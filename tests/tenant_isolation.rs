@@ -6,7 +6,7 @@
 //! about the wrong scene.
 
 use aivchat::core::scenarios::{registry, ScenarioSpec};
-use aivchat::core::{run_contention, ContentionReport, StarvationConfig};
+use aivchat::core::{run_contention, ContentionReport};
 use aivchat::netsim::{LinkConfig, LossModel};
 use aivchat::scene::templates::dog_park;
 use aivchat::scene::{SourceConfig, VideoSource};
@@ -20,21 +20,21 @@ fn ai_leg(scenario: &ScenarioSpec, swap_neighbours: bool) -> ContentionReport {
         .collect();
     if swap_neighbours {
         let park = VideoSource::new(dog_park(3), SourceConfig::fps30(6.0));
-        for spec in &mut specs[1..] {
+        for (tenant, spec) in specs.iter_mut().enumerate().skip(1) {
             for (k, turn) in spec.turns.iter_mut().enumerate() {
                 let frames = park.window(
                     k as f64 * scenario.window_secs,
                     scenario.window_secs,
                     spec.options.capture_fps,
                 );
-                assert_eq!(frames.len(), turn.frames.len(), "{}: turn {k}", spec.label);
+                assert_eq!(frames.len(), turn.frames.len(), "tenant-{tenant}: turn {k}");
                 turn.frames = frames;
             }
         }
     }
     // Nothing but the frames may couple the tenants: the link never queues, the watchdog is off.
     let mut config = scenario.config();
-    config.starvation = StarvationConfig::disabled();
+    config.starvation_floor_bps = None;
     run_contention(&config, specs)
 }
 
