@@ -18,9 +18,7 @@
 //!   degradation ladder escalated ([`aivc_rtc::GccController::force_fallback`]) and the event is
 //!   *counted*, never silently absorbed;
 //! * **fairness telemetry** records each window's per-tenant share and Jain's index, plus
-//!   a post-recovery index over everything delivered after the last shared outage ends;
-//! * **late-joiner admission** clamps a joining tenant's initial estimate to its fair
-//!   share of the nominal rate, so it converges without stampeding incumbents.
+//!   a post-recovery index over everything delivered after the last shared outage ends.
 //!
 //! Determinism: one global event queue, one shared-link RNG, tie-break by insertion
 //! order. With K = 1 and the shared link seeded like the tenant's session, the run
@@ -92,17 +90,13 @@ const FAIRNESS_WINDOW: SimDuration = SimDuration::from_millis(500);
 /// Configuration of one contention run.
 #[derive(Debug, Clone)]
 pub struct ContentionConfig {
-    /// The shared bottleneck every tenant (and cross-traffic source) contends for. Its
-    /// trace's rate at t = 0 is the nominal rate admission divides.
+    /// The shared bottleneck every tenant (and cross-traffic source) contends for.
     pub shared_uplink: LinkConfig,
     /// Seed of the shared link's random processes.
     pub shared_seed: u64,
     /// The starvation watchdog's windowed-goodput floor, in bits per second: a tenant below
     /// it for two consecutive windows while capturing is starving. `None` is no watchdog.
     pub starvation_floor_bps: Option<f64>,
-    /// Late-joiner admission: a joiner's initial estimate is clamped to its fair share, the
-    /// nominal rate over the active tenants.
-    pub admission: bool,
     /// Background cross-traffic sources.
     pub cross_traffic: Vec<CrossTrafficSpec>,
 }
@@ -119,10 +113,9 @@ impl ContentionConfig {
             shared_uplink,
             shared_seed: _,
             starvation_floor_bps,
-            admission: _,
             cross_traffic,
         } = self;
-        // Its trace's rates were checked when it was built, the nominal one among them.
+        // Its trace's rates were checked when it was built.
         validate_link("shared_uplink", shared_uplink).map_err(E::SharedUplink)?;
         if let Some(floor_bps) = *starvation_floor_bps {
             if !(floor_bps.is_finite() && floor_bps >= 0.0) {
@@ -323,7 +316,6 @@ pub(crate) struct Contention<'s> {
     tenants: Vec<Tenant<'s>>,
     cross: Vec<CrossState>,
     starvation_floor_bps: Option<f64>,
-    admission: bool,
     windows: Vec<FairnessWindow>,
     /// End of the last shared outage episode, if any — the post-recovery anchor.
     recovery_time: Option<SimTime>,
@@ -343,24 +335,10 @@ impl<'f> Driver<'_, '_, 'f> {
     /// A tenant's next turn window opens, through [`Member::begin_turn`] as a
     /// conversation's does, and its end is scheduled last at its deadline.
     pub(crate) fn turn_begin(&mut self, tenant: usize, now: SimTime, sim: &mut Simulation<Event>) {
-        let run = contention(&mut self.contention);
-        // Fair share is over tenants currently mid-conversation (incumbents), plus the
-        // joiner itself opening its first window right now.
-        let active = run
-            .tenants
-            .iter()
-            .filter(|t| t.mid_conversation() || (t.spec.join_at <= now && !t.finished()))
-            .count()
-            .max(1);
-        let t = &mut run.tenants[tenant];
+        let t = &mut contention(&mut self.contention).tenants[tenant];
         let spec: &'f TenantSpec = t.spec;
         let turn = &spec.turns[t.turns_begun];
         let seat = &mut self.seats[tenant];
-        if t.turns_begun == 0 && run.admission {
-            // The nominal rate is the shared trace's at t = 0.
-            let nominal = self.uplink.config().bandwidth.rate_at(SimTime::ZERO);
-            seat.member.gcc.clamp_estimate(nominal / active as f64);
-        }
         seat.frames = &turn.frames;
         seat.member
             .begin_turn(now, self.uplink, tenant, sim, turn.frames.len(), &turn.question);
@@ -613,7 +591,6 @@ pub fn run_contention_counted(
             .collect(),
         cross,
         starvation_floor_bps: config.starvation_floor_bps,
-        admission: config.admission,
         windows: Vec::new(),
         recovery_time,
         post_recovery_snapshot: None,
@@ -746,7 +723,6 @@ mod tests {
             shared_uplink: uplink,
             shared_seed: seed,
             starvation_floor_bps: None,
-            admission: false,
             cross_traffic: Vec::new(),
         }
     }
@@ -797,7 +773,6 @@ mod tests {
                 "abr.accuracy_floor_bps",
                 with(&|o| o.abr = aivc_rtc::AbrPolicy::ai_oriented(0.0)),
             ),
-            ("gcc.min_bps", with(&|o| o.gcc.min_bps = o.gcc.max_bps * 2.0)),
             (
                 "gcc.initial_estimate_bps",
                 with(&|o| o.gcc.initial_estimate_bps = f64::NEG_INFINITY),
@@ -924,10 +899,10 @@ mod tests {
         assert_eq!(config.validate(), Ok(()));
     }
 
-    /// One tenant's one turn laid on the 500 ms fairness ticks: nine 8-fps captures from
-    /// 500 ms, so its capture span is [500, 1500] ms, and its answer 500 ms after the last,
-    /// at 2000 ms, the run's end. `edit` arms the watchdog or adds an outage.
-    fn on_the_ticks(edit: impl FnOnce(&mut ContentionConfig)) -> ContentionReport {
+    /// One tenant's one turn laid on the 500 ms fairness ticks: `captures` 8-fps captures
+    /// from 500 ms, so nine span [500, 1500] ms and seventeen [500, 2500] ms, and its answer
+    /// 500 ms after the last, the run's end. `edit` arms the watchdog or adds an outage.
+    fn on_the_ticks(captures: usize, edit: impl FnOnce(&mut ContentionConfig)) -> ContentionReport {
         let uplink = LinkConfig::constant(4e6, SimDuration::from_millis(30), 300, LossModel::None);
         let mut config = base_config(uplink, 1);
         edit(&mut config);
@@ -937,7 +912,7 @@ mod tests {
             join_at: SimTime::from_millis(500),
             think: SimDuration::ZERO,
             options,
-            turns: turn_script(0, 1, 9, 8.0),
+            turns: turn_script(0, 1, captures, 8.0),
         };
         run_contention(&config, vec![tenant])
     }
@@ -945,7 +920,7 @@ mod tests {
     /// A tick due exactly at the run's end is still taken (`next <= global_end`).
     #[test]
     fn the_last_fairness_tick_lands_on_the_runs_end() {
-        let report = on_the_ticks(|_| {});
+        let report = on_the_ticks(9, |_| {});
         let ends: Vec<f64> = report.fairness.windows.iter().map(|w| w.end_ms).collect();
         assert_eq!(ends, [500.0, 1000.0, 1500.0, 2000.0]);
         assert_eq!(report.fairness.window_ms, 500.0);
@@ -955,7 +930,7 @@ mod tests {
     /// here the last one, so a later anchor would leave no post-recovery index at all.
     #[test]
     fn an_outage_ending_on_a_tick_is_recovered_from_at_that_tick() {
-        let report = on_the_ticks(|c| {
+        let report = on_the_ticks(9, |c| {
             c.shared_uplink.faults =
                 FaultSchedule::blackout(SimTime::from_millis(1500), SimDuration::from_millis(500))
         });
@@ -967,8 +942,18 @@ mod tests {
     /// floor nothing reaches, those two windows make the one escalation.
     #[test]
     fn windows_on_the_capture_spans_edges_are_watched() {
-        let report = on_the_ticks(|c| c.starvation_floor_bps = Some(f64::MAX));
+        let report = on_the_ticks(9, |c| c.starvation_floor_bps = Some(f64::MAX));
         assert_eq!(report.starvation_events_total(), 1);
+    }
+
+    /// An escalation restarts the streak, and a tenant may escalate again: a capture span
+    /// of [500, 2500] ms holds four watched windows, all below a floor nothing reaches,
+    /// which make two escalations — three if the streak ran on, one if a tenant escalated
+    /// only once.
+    #[test]
+    fn each_second_starving_window_escalates_again() {
+        let report = on_the_ticks(17, |c| c.starvation_floor_bps = Some(f64::MAX));
+        assert_eq!(report.starvation_events_total(), 2);
     }
 
     /// A share exactly at the floor is not starving (`shares[i] < floor`): through a blackout
@@ -977,7 +962,7 @@ mod tests {
     #[test]
     fn a_share_exactly_at_the_floor_is_not_starving() {
         let dark = |floor_bps| {
-            on_the_ticks(|c| {
+            on_the_ticks(9, |c| {
                 c.starvation_floor_bps = Some(floor_bps);
                 c.shared_uplink.faults =
                     FaultSchedule::blackout(SimTime::ZERO, SimDuration::from_millis(2_000));
@@ -1056,39 +1041,5 @@ mod tests {
             report.fairness.jain_overall > 0.9,
             "even tenants should share evenly"
         );
-    }
-
-    #[test]
-    fn admission_clamps_a_late_joiner_to_its_fair_share() {
-        let uplink = LinkConfig::constant(6e6, SimDuration::from_millis(30), 300, LossModel::None);
-        let mut config = base_config(uplink.clone(), 17);
-        config.admission = true;
-        let mut joiner_options = tenant_options(50, &uplink, 8.0);
-        joiner_options.gcc.initial_estimate_bps = 20e6; // wildly optimistic
-        let tenants = vec![
-            TenantSpec {
-                join_at: SimTime::ZERO,
-                think: SimDuration::from_millis(300),
-                options: tenant_options(51, &uplink, 8.0),
-                turns: turn_script(0, 3, 6, 8.0),
-            },
-            TenantSpec {
-                join_at: SimTime::from_millis(700),
-                think: SimDuration::from_millis(300),
-                options: joiner_options,
-                turns: turn_script(1, 2, 6, 8.0),
-            },
-        ];
-        let report = run_contention(&config, tenants);
-        // Two active tenants at join time, the joiner counted: it starts from exactly
-        // nominal / 2, not 20 Mbps (and not the nominal / 3 of counting itself twice).
-        let joiner = &report.tenants[1].conversation;
-        assert_eq!(
-            joiner.estimate_at_turn_start_bps[0], 3e6,
-            "admission must clamp the joiner's initial estimate to its fair share"
-        );
-        // And the incumbent still completed all turns.
-        assert_eq!(report.tenants[0].conversation.turns.len(), 3);
-        assert_eq!(joiner.turns.len(), 2);
     }
 }

@@ -57,7 +57,8 @@ pub struct ConversationReport {
     pub turns: Vec<NetTurnReport>,
     /// The GCC bandwidth estimate when each turn began. Index 0 is the cold start (the
     /// configured initial estimate); entry `k + 1` equals `turns[k].final_estimate_bps` —
-    /// transport state persists across turns (asserted by tests).
+    /// transport state persists across turns, and the controller moves only on a turn's
+    /// captures.
     pub estimate_at_turn_start_bps: Vec<f64>,
     /// Uplink queueing backlog (ms) each turn inherited from its predecessor's traffic.
     pub carryover_queue_delay_ms: Vec<f64>,
@@ -104,7 +105,6 @@ pub(crate) struct Member {
     /// The live (or most recent) turn's plan.
     pub(crate) plan: TurnPlan,
     pub(crate) turns: Vec<NetTurnReport>,
-    estimate_at_turn_start_bps: Vec<f64>,
     carryover_queue_delay_ms: Vec<f64>,
     turn_target_swing_bps: Vec<f64>,
     frame_latencies: Vec<SimDuration>,
@@ -129,17 +129,16 @@ impl Member {
             gcc,
             plan: TurnPlan::default(),
             turns: Vec::new(),
-            estimate_at_turn_start_bps: Vec::new(),
             carryover_queue_delay_ms: Vec::new(),
             turn_target_swing_bps: Vec::new(),
             frame_latencies: Vec::new(),
         }
     }
 
-    /// Opens the next turn window at `now`: records the turn-start estimate and the
-    /// backlog inherited on `uplink`, then schedules the captures onto `sim` as member
-    /// `member`'s. The timeline drains to the new `plan.horizon`, routing this member's
-    /// events to [`Member::machine`], and then calls [`Member::conclude_turn`].
+    /// Opens the next turn window at `now`: records the backlog inherited on `uplink`, then
+    /// schedules the captures onto `sim` as member `member`'s. The timeline drains to the
+    /// new `plan.horizon`, routing this member's events to [`Member::machine`], and then
+    /// calls [`Member::conclude_turn`].
     pub(crate) fn begin_turn(
         &mut self,
         now: SimTime,
@@ -149,7 +148,6 @@ impl Member {
         frame_count: usize,
         question: &Question,
     ) {
-        self.estimate_at_turn_start_bps.push(self.gcc.estimate_bps());
         self.carryover_queue_delay_ms
             .push(uplink.backlog(now).as_millis_f64());
         self.plan = begin_turn_window(
@@ -230,7 +228,13 @@ impl Member {
         };
         ConversationReport {
             turns: self.turns.clone(),
-            estimate_at_turn_start_bps: self.estimate_at_turn_start_bps.clone(),
+            // Only a turn's captures move the controller (feedback folds, watchdog polls,
+            // a starvation escalation inside its capture span), so each turn starts from
+            // its predecessor's final estimate.
+            estimate_at_turn_start_bps: std::iter::once(self.compute.options.gcc.initial_estimate_bps)
+                .chain(self.turns.iter().map(|t| t.final_estimate_bps))
+                .take(self.turns.len())
+                .collect(),
             carryover_queue_delay_ms: self.carryover_queue_delay_ms.clone(),
             turn_target_swing_bps: self.turn_target_swing_bps.clone(),
             p50_frame_latency_ms: latency.percentile_ms(0.5),
@@ -380,26 +384,6 @@ impl Conversation {
         &self.member.transport.turn_deliveries
     }
 
-    /// Advances the timeline by `gap` without capturing frames: in-flight packets arrive,
-    /// NACK polls fire, retransmissions flow. [`Conversation::run_turn`] already inserts
-    /// the configured think gap between turns; use this for extra idle time.
-    ///
-    /// # Panics
-    ///
-    /// Panics when `gap` is longer than 1e6 s, before the clock moves.
-    pub fn think(&mut self, gap: SimDuration) {
-        gap.check_bound().unwrap_or_else(|error| panic!("gap {error}"));
-        let horizon = self.now() + gap;
-        let Self {
-            member,
-            timeline,
-            scratch,
-            window,
-            ..
-        } = self;
-        timeline.drain(member, scratch, window, &[], horizon);
-    }
-
     /// Runs the next turn of the conversation, starting at the current simulated time
     /// (plus the configured think gap, for every turn after the first). The transport —
     /// link, trace cursor, queue backlog, GCC, pacer, sequence space, recovery machinery —
@@ -452,7 +436,6 @@ impl Conversation {
     pub fn reserve_turns(&mut self, additional_turns: usize, frames_per_turn: usize) {
         let m = &mut self.member;
         m.turns.reserve(additional_turns);
-        m.estimate_at_turn_start_bps.reserve(additional_turns);
         m.carryover_queue_delay_ms.reserve(additional_turns);
         m.turn_target_swing_bps.reserve(additional_turns);
         m.frame_latencies.reserve(additional_turns * frames_per_turn);

@@ -24,8 +24,8 @@
 //!   with think-time gaps and cross-turn aggregates ([`ConversationReport`]);
 //! * [`contention`] — the same driver with K members: K conversations plus cross-traffic
 //!   contending for one [`aivc_netsim::SharedLink`] on one simulation timeline, with
-//!   windowed Jain fairness, a per-tenant starvation watchdog, fair-share admission and
-//!   tenant-isolated recovery ([`ContentionReport`]);
+//!   windowed Jain fairness, a per-tenant starvation watchdog and tenant-isolated recovery
+//!   ([`ContentionReport`]);
 //! * [`server`] — the multi-session throughput engine ([`ConversationChatServer`]): N
 //!   independent conversations, each on its own kernel, executing turns across a scoped
 //!   thread pool, bit-identically for any pool size;

@@ -135,8 +135,6 @@ impl NetSessionOptions {
             gcc:
                 GccConfig {
                     initial_estimate_bps,
-                    min_bps,
-                    max_bps,
                     watchdog_timeout,
                 },
             // Any group size runs: 0 is FEC off, `u32::MAX` one parity packet per frame.
@@ -167,9 +165,6 @@ impl NetSessionOptions {
             AbrPolicy::Held { bitrate_bps } => rate("abr.bitrate_bps", bitrate_bps)?,
         }
         rate("gcc.initial_estimate_bps", initial_estimate_bps)?;
-        if !(0.0 < min_bps && min_bps <= max_bps && max_bps <= MAX_RATE_BPS) {
-            return Err(E::GccBounds { min_bps, max_bps });
-        }
         if watchdog_timeout != SimDuration::ZERO && watchdog_timeout < SimDuration::from_millis(1) {
             return Err(E::WatchdogTimeout(watchdog_timeout));
         }
@@ -266,15 +261,6 @@ pub enum NetSessionOptionsError {
         /// The rejected value.
         value: f64,
     },
-    /// The congestion controller's bounds are not `0 < min_bps ≤ max_bps ≤ 1e12`: every
-    /// estimate update clamps into them, and `f64::clamp` panics on an inverted or NaN
-    /// pair.
-    GccBounds {
-        /// `gcc.min_bps` as given.
-        min_bps: f64,
-        /// `gcc.max_bps` as given.
-        max_bps: f64,
-    },
     /// `gcc.watchdog_timeout` is neither zero (watchdog off) nor a step the watchdog can
     /// count silence in: it decays once per elapsed timeout, so a microsecond timeout
     /// spins through a think gap.
@@ -334,11 +320,6 @@ impl core::fmt::Display for NetSessionOptionsError {
                     "{field} must be positive and at most 1e12 bits per second, got {value}"
                 )
             }
-            NetSessionOptionsError::GccBounds { min_bps, max_bps } => write!(
-                f,
-                "gcc.min_bps and gcc.max_bps must satisfy 0 < min_bps <= max_bps <= 1e12 \
-                 bits per second, got {min_bps} and {max_bps}"
-            ),
             NetSessionOptionsError::WatchdogTimeout(timeout) => write!(
                 f,
                 "gcc.watchdog_timeout must be zero (off) or at least 1 ms, got {} µs",

@@ -84,8 +84,7 @@ pub struct ScenarioSpec {
 pub type ContentionScenario = ScenarioSpec;
 
 /// How the tenants of a [`ScenarioSpec`] share its uplink: what a contention run adds to
-/// K conversations. The default pins no tenant, admits every joiner as it comes and sends no
-/// cross-traffic.
+/// K conversations. The default pins no tenant and sends no cross-traffic.
 #[derive(Debug, Clone, Default)]
 pub struct Sharing {
     /// When each tenant's first turn begins, in seconds (one per tenant).
@@ -95,8 +94,6 @@ pub struct Sharing {
     pub pinned_ai: Option<usize>,
     /// Windowed goodput below which the starvation watchdog counts a tenant as starving.
     pub starvation_floor_bps: f64,
-    /// Late-joiner admission: a joiner's initial estimate is clamped to its fair share.
-    pub admission: bool,
     /// Background cross-traffic sources.
     pub cross_traffic: Vec<CrossTrafficSpec>,
 }
@@ -158,7 +155,6 @@ impl ScenarioSpec {
             pinned_ai,
             // `config` hands these to `ContentionConfig::validate`.
             starvation_floor_bps: _,
-            admission: _,
             cross_traffic: _,
         }) = sharing
         {
@@ -172,8 +168,8 @@ impl ScenarioSpec {
                 return Err(E::PinnedAi(tenant, tenants));
             }
         }
-        // The options first: they check the uplink, whose rate at t = 0 `config` reads. Other
-        // tenants' options differ from these only in seed and ABR mode, which always pass.
+        // The options first, the uplink among them. Other tenants' options differ from these
+        // only in seed and ABR mode, which always pass.
         self.tenant_options(0, false).validate().map_err(E::Options)?;
         self.config().validate().map_err(E::Contention)
     }
@@ -186,14 +182,13 @@ impl ScenarioSpec {
     }
 
     /// The contention engine's configuration of this spec. Without `sharing` it is the one
-    /// tenant alone: no watchdog, no admission, no cross-traffic.
+    /// tenant alone: no watchdog, no cross-traffic.
     pub fn config(&self) -> ContentionConfig {
         let sharing = self.sharing.as_ref();
         ContentionConfig {
             shared_uplink: self.shared_uplink.clone(),
             shared_seed: self.seed,
             starvation_floor_bps: sharing.map(|s| s.starvation_floor_bps),
-            admission: sharing.is_some_and(|s| s.admission),
             cross_traffic: sharing.map_or_else(Vec::new, |s| s.cross_traffic.clone()),
         }
     }
@@ -387,7 +382,7 @@ fn uplink(bandwidth: BandwidthTrace, loss: LossModel, faults: FaultSchedule) -> 
 /// four conversations pin a *conversation*'s behaviour — GCC warm-up across turns, queue
 /// carry-over, trace position spanning turns, NACK/RTX state surviving think gaps; four
 /// shared bottlenecks pin the *interaction* — fairness under faults, starvation-watchdog
-/// escalations, late-joiner admission, every tenant recovering from a shared outage.
+/// escalations, a late joiner under a loss storm, every tenant recovering from a shared outage.
 pub fn registry() -> Vec<ScenarioSpec> {
     let secs = SimTime::from_secs_f64;
     let constant = BandwidthTrace::constant;
@@ -590,14 +585,13 @@ pub fn registry() -> Vec<ScenarioSpec> {
             sharing: Some(Sharing {
                 joins: vec![0.0, 0.0, 0.0, 4.0],
                 starvation_floor_bps: 120_000.0,
-                admission: true,
                 ..Sharing::default()
             }),
             ..one_turn(
                 "hotspot-join",
                 "three incumbents on an 8 Mbps bottleneck, a fourth tenant joining \
-                 mid-conversation right as a 30% loss storm hits — admission clamps \
-                 the joiner to its fair share instead of letting it stampede",
+                 mid-conversation, from a cold 1 Mbps estimate, right as a 30% loss \
+                 storm hits",
                 9_202,
                 uplink(
                     constant(8e6),

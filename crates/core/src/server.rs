@@ -541,8 +541,8 @@ mod tests {
     }
 
     /// Whose scratch a turn runs on is invisible to the conversation: one that alternates
-    /// fleet turns (the lane's scratch, shared with a neighbour) with standalone turns and
-    /// think gaps (its own) reports exactly what an all-standalone twin does.
+    /// fleet turns (the lane's scratch, shared with a neighbour) with standalone turns (its
+    /// own) reports exactly what an all-standalone twin does, think gaps included.
     #[test]
     fn alternating_standalone_and_fleet_turns_match_an_all_standalone_twin() {
         let q = question();
@@ -565,7 +565,6 @@ mod tests {
                 // Only member 0 steps outside the fleet; its neighbour keeps the lane busy.
                 for member in [&mut server.sessions[0], &mut twins[0]] {
                     member.run_turn(&frames, &q);
-                    member.think(SimDuration::from_millis(150));
                 }
             }
         }

@@ -75,11 +75,6 @@ impl MllmChat {
         Self::new(MllmProfile::responder(seed))
     }
 
-    /// The model's profile.
-    pub fn profile(&self) -> &MllmProfile {
-        &self.profile
-    }
-
     /// The model's configuration.
     pub fn config(&self) -> MllmConfig {
         self.profile.config

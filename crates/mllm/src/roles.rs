@@ -55,11 +55,6 @@ impl QaGenerator {
         }
     }
 
-    /// The underlying chat model.
-    pub fn chat(&self) -> &MllmChat {
-        &self.chat
-    }
-
     /// Attempts to turn a ground-truth fact into a QA candidate after watching the
     /// high-quality frames.
     ///
@@ -149,11 +144,6 @@ impl QaFilter {
         }
     }
 
-    /// The underlying chat model.
-    pub fn chat(&self) -> &MllmChat {
-        &self.chat
-    }
-
     /// Runs the filter on one candidate.
     pub fn evaluate(
         &self,
@@ -191,11 +181,6 @@ impl CrossVerifier {
         Self {
             chat: MllmChat::new(MllmProfile::verifier(seed)),
         }
-    }
-
-    /// The underlying chat model.
-    pub fn chat(&self) -> &MllmChat {
-        &self.chat
     }
 
     /// §3.1: the verifier answers the question independently on the original video; the

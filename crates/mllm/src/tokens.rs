@@ -40,11 +40,6 @@ impl VisionTokenizer {
         let kept = frames.min(max_frames);
         (per_frame * kept as u32, kept)
     }
-
-    /// The visual-token budget.
-    pub fn budget(&self) -> u32 {
-        self.budget
-    }
 }
 
 #[cfg(test)]

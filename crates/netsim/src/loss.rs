@@ -74,11 +74,6 @@ impl LossProcess {
         }
     }
 
-    /// The configured model.
-    pub fn model(&self) -> LossModel {
-        self.model
-    }
-
     /// Decides whether the next packet is lost.
     pub fn next_is_lost(&mut self) -> bool {
         match self.model {

@@ -41,11 +41,6 @@ impl SharedLink {
         self.link.config()
     }
 
-    /// Number of flows sharing the bottleneck.
-    pub fn flow_count(&self) -> usize {
-        self.per_flow.len()
-    }
-
     /// Offers a packet on behalf of `flow`. Semantics are identical to [`Link::send`];
     /// the outcome is additionally accounted to the flow's counters.
     pub fn send(&mut self, flow: usize, packet: &Packet, now: SimTime) -> DeliveryOutcome {
@@ -95,7 +90,7 @@ mod tests {
 
     fn sum(link: &SharedLink) -> LinkCounters {
         let mut total = LinkCounters::default();
-        for f in 0..link.flow_count() {
+        for f in 0..link.per_flow.len() {
             total.add(&link.flow_counters(f));
         }
         total

@@ -33,6 +33,10 @@ const WATCHDOG_BETA: f64 = 0.7;
 /// Multiplicative ramp per feedback report while recovering from a fallback, until the
 /// pre-fallback estimate is regained or congestion pushes back.
 const RECOVERY_RAMP_FACTOR: f64 = 1.25;
+/// Lower bound of the estimate, in bits per second.
+pub const MIN_BPS: f64 = 100_000.0;
+/// Upper bound of the estimate, in bits per second.
+pub const MAX_BPS: f64 = 50_000_000.0;
 
 /// Per-packet feedback the receiver reports back to the sender.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -102,10 +106,6 @@ impl FeedbackFold {
 pub struct GccConfig {
     /// Initial bandwidth estimate in bits per second.
     pub initial_estimate_bps: f64,
-    /// Lower bound of the estimate.
-    pub min_bps: f64,
-    /// Upper bound of the estimate.
-    pub max_bps: f64,
     /// Feedback watchdog timeout: with no feedback for this long the controller stops
     /// riding its stale estimate and decays multiplicatively instead.
     /// [`SimDuration::ZERO`] (the default) disables the watchdog entirely, preserving the
@@ -117,8 +117,6 @@ impl Default for GccConfig {
     fn default() -> Self {
         Self {
             initial_estimate_bps: 1_000_000.0,
-            min_bps: 100_000.0,
-            max_bps: 50_000_000.0,
             watchdog_timeout: SimDuration::ZERO,
         }
     }
@@ -191,14 +189,7 @@ impl GccController {
         if self.pre_fallback_bps.is_none() {
             self.pre_fallback_bps = Some(self.estimate_bps);
         }
-        self.estimate_bps = (self.estimate_bps * WATCHDOG_BETA).max(self.config.min_bps);
-    }
-
-    /// Clamps the estimate to at most `cap_bps` (never below the configured floor).
-    /// Admission control uses this to start a late joiner at its fair share instead of
-    /// letting a stale or optimistic estimate stampede incumbents on a shared link.
-    pub fn clamp_estimate(&mut self, cap_bps: f64) {
-        self.estimate_bps = self.estimate_bps.min(cap_bps).max(self.config.min_bps);
+        self.estimate_bps = (self.estimate_bps * WATCHDOG_BETA).max(MIN_BPS);
     }
 
     /// Drives the feedback watchdog forward to `now`. Call this on a steady cadence (the
@@ -223,7 +214,7 @@ impl GccController {
             if self.pre_fallback_bps.is_none() {
                 self.pre_fallback_bps = Some(self.estimate_bps);
             }
-            self.estimate_bps = (self.estimate_bps * WATCHDOG_BETA).max(self.config.min_bps);
+            self.estimate_bps = (self.estimate_bps * WATCHDOG_BETA).max(MIN_BPS);
             self.silent = true;
             self.watchdog_fallbacks += 1;
             next += self.config.watchdog_timeout;
@@ -282,7 +273,7 @@ impl GccController {
         } else if low_loss && delay_trend_ms < OVERUSE_THRESHOLD_MS * 0.5 {
             self.estimate_bps *= INCREASE_FACTOR;
         }
-        self.estimate_bps = self.estimate_bps.clamp(self.config.min_bps, self.config.max_bps);
+        self.estimate_bps = self.estimate_bps.clamp(MIN_BPS, MAX_BPS);
         if self.pre_fallback_bps.is_some() {
             if overusing || heavy_loss {
                 // Real congestion push-back ends the recovery ramp.
@@ -298,9 +289,8 @@ impl GccController {
         let Some(target) = self.pre_fallback_bps else {
             return;
         };
-        self.estimate_bps =
-            (self.estimate_bps * RECOVERY_RAMP_FACTOR).clamp(self.config.min_bps, self.config.max_bps);
-        if self.estimate_bps >= target.min(self.config.max_bps) {
+        self.estimate_bps = (self.estimate_bps * RECOVERY_RAMP_FACTOR).clamp(MIN_BPS, MAX_BPS);
+        if self.estimate_bps >= target.min(MAX_BPS) {
             self.pre_fallback_bps = None;
         }
     }
@@ -390,15 +380,11 @@ mod tests {
 
     #[test]
     fn estimate_respects_bounds() {
-        let mut cc = GccController::new(GccConfig {
-            initial_estimate_bps: 200_000.0,
-            min_bps: 150_000.0,
-            ..GccConfig::default()
-        });
+        let mut cc = controller(200_000.0);
         for round in 0..50u64 {
             feed(&mut cc, 30 + round * 20, 20, 10, round * 100);
         }
-        assert!(cc.estimate_bps() >= 150_000.0);
+        assert_eq!(cc.estimate_bps(), MIN_BPS);
     }
 
     #[test]
@@ -419,7 +405,6 @@ mod tests {
         GccConfig {
             initial_estimate_bps: initial,
             watchdog_timeout: SimDuration::from_millis(200),
-            ..GccConfig::default()
         }
     }
 
@@ -455,7 +440,7 @@ mod tests {
         let mut cc = GccController::new(watchdog_config(1e6));
         cc.poll_watchdog(SimTime::ZERO);
         cc.poll_watchdog(SimTime::from_secs_f64(600.0));
-        assert_eq!(cc.estimate_bps(), GccConfig::default().min_bps);
+        assert_eq!(cc.estimate_bps(), MIN_BPS);
     }
 
     #[test]
@@ -513,11 +498,11 @@ mod tests {
         assert!(cc.in_fallback(), "ramp target must be armed");
         assert!(!cc.is_silent(), "external fallback is not channel silence");
         assert_eq!(cc.watchdog_fallbacks(), 0, "caller owns the accounting");
-        // Repeated forcing keeps the original recovery target and floors at min_bps.
+        // Repeated forcing keeps the original recovery target and floors at MIN_BPS.
         for _ in 0..100 {
             cc.force_fallback();
         }
-        assert_eq!(cc.estimate_bps(), GccConfig::default().min_bps);
+        assert_eq!(cc.estimate_bps(), MIN_BPS);
         // Clean feedback then ramps back toward the remembered 4 Mbps.
         let mut t = 100u64;
         let mut prev = cc.estimate_bps();
@@ -528,17 +513,6 @@ mod tests {
             t += 100;
             assert!(t < 100_000, "ramp must terminate");
         }
-    }
-
-    #[test]
-    fn clamp_estimate_caps_above_but_respects_the_floor() {
-        let mut cc = controller(6e6);
-        cc.clamp_estimate(2e6);
-        assert_eq!(cc.estimate_bps(), 2e6);
-        cc.clamp_estimate(5e6); // clamping never raises
-        assert_eq!(cc.estimate_bps(), 2e6);
-        cc.clamp_estimate(1_000.0); // never below the configured floor
-        assert_eq!(cc.estimate_bps(), GccConfig::default().min_bps);
     }
 
     #[test]

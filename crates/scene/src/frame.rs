@@ -8,7 +8,7 @@
 //! content model.
 
 use crate::concept::Concept;
-use crate::geometry::{GridDims, Rect};
+use crate::geometry::Rect;
 use crate::object::SceneObject;
 use crate::scene::Scene;
 use std::sync::Arc;
@@ -96,16 +96,10 @@ pub struct Frame {
 
 impl Frame {
     /// Samples `scene` at `t_secs`, producing the frame with the given index and timestamp.
-    ///
-    /// The frame gets handles of its own to a copy of the scene's objects; a
-    /// [`VideoSource`](crate::VideoSource) makes that copy once and shares it.
-    pub fn sample(scene: &Scene, index: u64, capture_ts_us: u64, t_secs: f64) -> Self {
-        Self::sample_shared(scene, &shared_content(scene), index, capture_ts_us, t_secs)
-    }
-
-    /// [`Frame::sample`] with `shared` = `scene`'s objects and background concepts, whose
-    /// handles the frame clones instead of copying the content.
-    pub(crate) fn sample_shared(
+    /// `shared` is `scene`'s objects and background concepts, whose handles the frame
+    /// clones instead of copying the content: a [`VideoSource`](crate::VideoSource) makes
+    /// that copy once and shares it.
+    pub(crate) fn sample(
         scene: &Scene,
         shared: &SharedContent,
         index: u64,
@@ -205,24 +199,13 @@ impl Frame {
         out.detail = detail.clamp(0.0, 1.0);
         out.background_fraction = background_fraction;
     }
-
-    /// Computes [`RegionContent`] for every cell of a regular grid (row-major order).
-    pub fn grid_content(&self, cell: u32) -> (GridDims, Vec<RegionContent>) {
-        let dims = GridDims::for_frame(self.width, self.height, cell);
-        let mut out = Vec::with_capacity(dims.len());
-        for row in 0..dims.rows {
-            for col in 0..dims.cols {
-                let rect = dims.cell_rect(row, col, self.width, self.height);
-                out.push(self.region_content(&rect));
-            }
-        }
-        (dims, out)
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::grid_content::GridContent;
+    use crate::source::{SourceConfig, VideoSource};
 
     /// Coverage fraction of `object_id` in a region's content (0 when absent).
     fn coverage_of(content: &RegionContent, object_id: u32) -> f64 {
@@ -253,7 +236,7 @@ mod tests {
 
     #[test]
     fn full_coverage_region_matches_object() {
-        let f = Frame::sample(&test_scene(), 0, 0, 0.0);
+        let f = VideoSource::new(test_scene(), SourceConfig::fps30(1.0)).frame(0);
         let c = f.region_content(&Rect::new(0, 0, 320, 240));
         assert!((coverage_of(&c, 1) - 1.0).abs() < 1e-12);
         assert!((c.complexity - 0.8).abs() < 1e-9);
@@ -263,7 +246,7 @@ mod tests {
 
     #[test]
     fn background_only_region() {
-        let f = Frame::sample(&test_scene(), 0, 0, 0.0);
+        let f = VideoSource::new(test_scene(), SourceConfig::fps30(1.0)).frame(0);
         let c = f.region_content(&Rect::new(320, 0, 320, 240));
         assert!(c.object_coverage.is_empty());
         assert!((c.complexity - 0.2).abs() < 1e-9);
@@ -273,7 +256,7 @@ mod tests {
 
     #[test]
     fn mixed_region_is_weighted() {
-        let f = Frame::sample(&test_scene(), 0, 0, 0.0);
+        let f = VideoSource::new(test_scene(), SourceConfig::fps30(1.0)).frame(0);
         // Straddles the scoreboard (left half) and background (right half).
         let c = f.region_content(&Rect::new(160, 0, 320, 240));
         assert!((coverage_of(&c, 1) - 0.5).abs() < 1e-9);
@@ -283,7 +266,7 @@ mod tests {
 
     #[test]
     fn out_of_frame_region_is_empty() {
-        let f = Frame::sample(&test_scene(), 0, 0, 0.0);
+        let f = VideoSource::new(test_scene(), SourceConfig::fps30(1.0)).frame(0);
         let c = f.region_content(&Rect::new(10_000, 10_000, 64, 64));
         assert_eq!(c.background_fraction, 1.0);
         assert_eq!(c.complexity, 0.0);
@@ -291,19 +274,31 @@ mod tests {
 
     #[test]
     fn grid_content_covers_all_cells() {
-        let f = Frame::sample(&test_scene(), 0, 0, 0.0);
-        let (dims, cells) = f.grid_content(64);
-        assert_eq!(cells.len(), dims.len());
+        let f = VideoSource::new(test_scene(), SourceConfig::fps30(1.0)).frame(0);
+        let mut grid = GridContent::new();
+        grid.fill(&f, 64);
+        let dims = grid.dims();
+        assert_eq!(grid.complexity().len(), dims.len());
         assert_eq!(dims.cols, 10);
         assert_eq!(dims.rows, 8 /* 480/64 = 7.5 -> 8 */);
         // Top-left cell fully inside scoreboard.
-        assert!((coverage_of(&cells[0], 1) - 1.0).abs() < 1e-12);
+        let top_left: Vec<_> = grid.coverage().cell(0).collect();
+        assert_eq!(top_left.len(), 1);
+        assert_eq!(top_left[0].0, 1);
+        assert!((top_left[0].1 - 1.0).abs() < 1e-12);
     }
 
     #[test]
     fn frame_is_self_contained() {
         let scene = test_scene();
-        let f = Frame::sample(&scene, 3, 50_000, 0.05);
+        let f = VideoSource::new(
+            scene.clone(),
+            SourceConfig {
+                fps: 60.0,
+                duration_secs: 1.0,
+            },
+        )
+        .frame(3);
         assert_eq!(f.index, 3);
         assert_eq!(f.capture_ts_us, 50_000);
         assert_eq!(f.objects.len(), scene.objects.len());

@@ -578,6 +578,7 @@ mod tests {
     use crate::frame::{Frame, ObjectPlacement, RegionContent};
     use crate::object::SceneObject;
     use crate::scene::Scene;
+    use crate::source::{SourceConfig, VideoSource};
     use std::sync::Arc;
 
     fn assert_matches_scalar_walk(frame: &Frame, cell: u32) {
@@ -613,7 +614,10 @@ mod tests {
         }
         // A copy made in place over a stale one reads the same lists.
         let mut stale = GridContent::new();
-        stale.fill(&Frame::sample(&busy_scene(), 0, 0, 0.9), 32);
+        stale.fill(
+            &VideoSource::new(busy_scene(), SourceConfig::fps30(1.0)).frame_at(0.9),
+            32,
+        );
         let mut copy = stale.coverage().clone();
         copy.clone_from(grid.coverage());
         assert_eq!(&copy, grid.coverage());
@@ -655,7 +659,7 @@ mod tests {
         for id in [7, 3, 5] {
             scene.add_object(SceneObject::new(id, "o", Rect::new(0, 0, 1, 1)));
         }
-        let mut frame = Frame::sample(&scene, 0, 0, 0.0);
+        let mut frame = VideoSource::new(scene, SourceConfig::fps30(1.0)).frame(0);
         frame.placements = [
             (7, Rect::new(10, 0, 1, 1)),
             (7, Rect::new(14, 0, 16, 10)),
@@ -720,7 +724,7 @@ mod tests {
 
     #[test]
     fn rasterized_grid_is_bit_identical_to_the_scalar_walk() {
-        let frame = Frame::sample(&busy_scene(), 0, 0, 0.0);
+        let frame = VideoSource::new(busy_scene(), SourceConfig::fps30(1.0)).frame(0);
         for cell in [32, 64, 100] {
             assert_matches_scalar_walk(&frame, cell);
         }
@@ -731,25 +735,30 @@ mod tests {
         let mut scene = busy_scene();
         scene.width = 1000;
         scene.height = 700;
+        let source = VideoSource::new(
+            scene,
+            SourceConfig {
+                fps: 100.0,
+                duration_secs: 2.0,
+            },
+        );
         for t in [0.0, 0.37, 1.9] {
-            let frame = Frame::sample(&scene, 0, 0, t);
-            assert_matches_scalar_walk(&frame, 64);
+            assert_matches_scalar_walk(&source.frame_at(t), 64);
         }
     }
 
     #[test]
     fn rasterized_grid_handles_empty_frames_and_stray_placements() {
         // No objects at all: pure background everywhere.
-        let empty = Frame::sample(
-            &Scene::new("empty", 640, 384).with_background(0.3, 0.1, vec![]),
-            0,
-            0,
-            0.0,
-        );
+        let empty = VideoSource::new(
+            Scene::new("empty", 640, 384).with_background(0.3, 0.1, vec![]),
+            SourceConfig::fps30(1.0),
+        )
+        .frame(0);
         assert_matches_scalar_walk(&empty, 64);
         // A placement fully outside the frame, and one whose object is missing: both are
         // skipped by the scalar walk and must be skipped here too.
-        let mut frame = Frame::sample(&busy_scene(), 0, 0, 0.0);
+        let mut frame = VideoSource::new(busy_scene(), SourceConfig::fps30(1.0)).frame(0);
         frame.placements.push(ObjectPlacement {
             object_id: 1,
             region: Rect::new(5_000, 5_000, 64, 64),
@@ -763,13 +772,12 @@ mod tests {
 
     #[test]
     fn refill_reuses_buffers_across_geometries() {
-        let big = Frame::sample(&busy_scene(), 0, 0, 0.0);
-        let small = Frame::sample(
-            &Scene::new("small", 256, 192).with_background(0.2, 0.0, vec![]),
-            0,
-            0,
-            0.0,
-        );
+        let big = VideoSource::new(busy_scene(), SourceConfig::fps30(1.0)).frame(0);
+        let small = VideoSource::new(
+            Scene::new("small", 256, 192).with_background(0.2, 0.0, vec![]),
+            SourceConfig::fps30(1.0),
+        )
+        .frame(0);
         let mut grid = GridContent::new();
         grid.fill(&big, 64);
         grid.fill(&small, 64);
@@ -860,7 +868,7 @@ mod tests {
             let mut scene = busy_scene();
             scene.width = 700 + 37 * seed as u32;
             scene.height = 410 + 23 * seed as u32;
-            let mut frame = Frame::sample(&scene, 0, 0, 0.0);
+            let mut frame = VideoSource::new(scene, SourceConfig::fps30(1.0)).frame(0);
             // A placement naming no object, and a second placement of object 2.
             frame.placements.push(ObjectPlacement {
                 object_id: 999,
@@ -983,8 +991,8 @@ mod tests {
 
     #[test]
     fn every_fill_and_update_draws_a_generation_that_only_clones_share() {
-        let scene = busy_scene();
-        let frames: Vec<Frame> = [0.0, 0.2, 0.2].map(|t| Frame::sample(&scene, 0, 0, t)).into();
+        let source = VideoSource::new(busy_scene(), SourceConfig::fps30(1.0));
+        let frames: Vec<Frame> = [0.0, 0.2, 0.2].map(|t| source.frame_at(t)).into();
         let mut grid = GridContent::new();
         assert_eq!(grid.generation(), 0);
         let mut seen = vec![0];

@@ -83,7 +83,7 @@ impl VideoSource {
     /// Produces the frame with the given index.
     pub fn frame(&self, index: u64) -> Frame {
         let ts = self.timestamp_us(index);
-        Frame::sample_shared(&self.scene, &self.shared, index, ts, ts as f64 / 1e6)
+        Frame::sample(&self.scene, &self.shared, index, ts, ts as f64 / 1e6)
     }
 
     /// Produces the frame nearest to time `t_secs`.
@@ -218,9 +218,6 @@ mod tests {
         let (a, b) = (src.frame(3), src.frame(40));
         assert!(Arc::ptr_eq(&a.objects, &b.objects));
         assert!(Arc::ptr_eq(&a.background_concepts, &b.background_concepts));
-        // The two entry points give one value.
-        let ts = src.timestamp_us(3);
-        assert_eq!(Frame::sample(src.scene(), 3, ts, ts as f64 / 1e6), a);
         // An edit copies on write: neither the sibling nor a later capture sees it.
         let mut edited = a.clone();
         Arc::make_mut(&mut edited.objects)[0].texture_complexity = 0.123;

@@ -837,12 +837,11 @@ mod tests {
             .expect_err("new must refuse it too");
         assert_eq!(panic.downcast_ref::<String>(), Some(&message));
         // One pixel and one patch for the whole frame both run.
-        let frame = Frame::sample(
-            &aivc_scene::Scene::new("tiny", 7, 5).with_background(0.3, 0.1, vec![]),
-            0,
-            0,
-            0.0,
-        );
+        let frame = VideoSource::new(
+            aivc_scene::Scene::new("tiny", 7, 5).with_background(0.3, 0.1, vec![]),
+            SourceConfig::fps30(1.0),
+        )
+        .frame(0);
         for patch_size in [1, u32::MAX] {
             let model = ClipModel::new(ClipConfig { patch_size }, Ontology::standard());
             let query = TextQuery::from_words("score", model.ontology());
@@ -942,7 +941,7 @@ mod tests {
                 .with_texture(0.5),
         );
         let model = ClipModel::mobile_default();
-        let frame = Frame::sample(&scene, 0, 0, 0.0);
+        let frame = VideoSource::new(scene, SourceConfig::fps30(1.0)).frame(0);
         let query = TextQuery::from_concepts("find the gizmo", ["unheard-of-gizmo"]);
         let naive = model.correlation_map_naive(&frame, &query);
         let mut scratch = ClipScratch::new();
@@ -1042,7 +1041,7 @@ mod tests {
                     .with_detail(0.9)
                     .with_texture(0.4),
             );
-            let frame = Frame::sample(&scene, 0, 0, 0.0);
+            let frame = VideoSource::new(scene, SourceConfig::fps30(1.0)).frame(0);
             let naive = model.correlation_map_naive(&frame, &query);
             let mut scratch = ClipScratch::new();
             let optimized = model.correlation_map_with(&frame, &query, &mut scratch);
@@ -1057,7 +1056,7 @@ mod tests {
         let model = ClipModel::mobile_default();
         let scene =
             Scene::new("empty", 640, 384).with_background(0.3, 0.1, vec![(Concept::new("grass"), 1.0)]);
-        let frame = Frame::sample(&scene, 0, 0, 0.0);
+        let frame = VideoSource::new(scene, SourceConfig::fps30(1.0)).frame(0);
         let query = TextQuery::from_words("grass season", model.ontology());
         let naive = model.correlation_map_naive(&frame, &query);
         let mut scratch = ClipScratch::new();
@@ -1175,7 +1174,7 @@ mod tests {
                         .with_concept(concept, 0.9),
                 );
             }
-            let mut frame = Frame::sample(&scene, 0, 0, 0.0);
+            let mut frame = VideoSource::new(scene, SourceConfig::fps30(1.0)).frame(0);
             for placement in &mut frame.placements {
                 // Large enough to hold whole cells, so "fully inside both" occurs.
                 placement.region = Rect::new(
@@ -1263,7 +1262,7 @@ mod tests {
                         .with_concept(concept, 0.9),
                 );
             }
-            let mut frame = Frame::sample(&scene, 0, 0, 0.0);
+            let mut frame = VideoSource::new(scene, SourceConfig::fps30(1.0)).frame(0);
             let walk = |frame: &mut Frame, rng: &mut Lcg| {
                 let at = rng.range(0, frame.placements.len() as i64) as usize;
                 let r = frame.placements[at].region;

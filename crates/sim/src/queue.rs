@@ -37,14 +37,6 @@ pub struct EventId {
     slot: u32,
 }
 
-impl EventId {
-    /// The event's insertion sequence number — the queue's tie-break key, strictly
-    /// increasing across `schedule` calls.
-    pub fn seq(self) -> u64 {
-        self.seq
-    }
-}
-
 struct HeapEntry {
     time: SimTime,
     seq: u64,
@@ -357,7 +349,7 @@ mod tests {
         q.schedule(SimTime::from_millis(2), "late-b");
         assert_eq!(q.pop(), Some((t, "run")));
         // Re-arm the run at the same instant the later events fire.
-        q.schedule_with_seq(SimTime::from_millis(2), multi.seq(), "run");
+        q.schedule_with_seq(SimTime::from_millis(2), multi.seq, "run");
         let order: Vec<_> = std::iter::from_fn(|| q.pop()).map(|(_, e)| e).collect();
         assert_eq!(order, vec!["run", "late-a", "late-b"]);
     }
@@ -376,7 +368,7 @@ mod tests {
             if is_run && t.as_micros() < 5 {
                 q.schedule_with_seq(
                     SimTime::from_micros(t.as_micros() + 1),
-                    run.seq(),
+                    run.seq,
                     (tag + 100, true),
                 );
             }
@@ -398,7 +390,7 @@ mod tests {
         let mut q = EventQueue::new();
         let a = q.schedule(SimTime::from_millis(1), "a");
         assert_eq!(q.pop(), Some((SimTime::from_millis(1), "a")));
-        let rearmed = q.schedule_with_seq(SimTime::from_millis(3), a.seq(), "a-again");
+        let rearmed = q.schedule_with_seq(SimTime::from_millis(3), a.seq, "a-again");
         assert!(q.cancel(rearmed));
         assert!(q.pop().is_none());
     }
@@ -424,7 +416,7 @@ mod tests {
         let reserved = q.reserve_seq();
         q.schedule(SimTime::from_millis(2), "b");
         q.schedule_with_seq(SimTime::from_millis(2), reserved, "c");
-        assert_eq!(q.peek_key(), Some((SimTime::from_millis(1), a.seq())));
+        assert_eq!(q.peek_key(), Some((SimTime::from_millis(1), a.seq)));
         q.cancel(a);
         assert_eq!(q.peek_key(), Some((SimTime::from_millis(2), reserved)));
     }

@@ -325,7 +325,7 @@ mod tests {
         cases.push(odd.frame_at(0.5));
         cases.push(odd.frame_at(1.1));
         let empty = aivc_scene::Scene::new("empty", 640, 384).with_background(0.3, 0.1, vec![]);
-        cases.push(aivc_scene::Frame::sample(&empty, 0, 0, 0.0));
+        cases.push(VideoSource::new(empty, SourceConfig::fps30(1.0)).frame(0));
         cases
     }
 

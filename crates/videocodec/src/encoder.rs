@@ -359,7 +359,7 @@ mod tests {
                 .with_detail(0.5)
                 .with_texture(0.5),
         );
-        let small = Frame::sample(&small_scene, 0, 0, 0.0);
+        let small = VideoSource::new(small_scene, SourceConfig::fps30(1.0)).frame(0);
         let mut scratch = EncodeScratch::new();
         let mut out = EncodedFrame::placeholder();
         for frame in [&big, &small, &big] {

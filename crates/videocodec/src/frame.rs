@@ -158,7 +158,7 @@ mod tests {
     use super::*;
     use crate::rd;
     use aivc_scene::grid_content::GridContent;
-    use aivc_scene::{Frame, Rect, Scene, SceneObject};
+    use aivc_scene::{Rect, Scene, SceneObject, SourceConfig, VideoSource};
 
     /// [`EncodedFrame::blocks_covered_into`] into a fresh buffer.
     fn covered_by(f: &EncodedFrame, received: &[(u64, u64)]) -> Vec<bool> {
@@ -174,7 +174,7 @@ mod tests {
         let mut scene = Scene::new("row", width, 64);
         scene.add_object(SceneObject::new(7, "block zero", Rect::new(0, 0, 64, 64)));
         let mut grid = GridContent::new();
-        grid.fill(&Frame::sample(&scene, 0, 0, 0.0), 64);
+        grid.fill(&VideoSource::new(scene, SourceConfig::fps30(1.0)).frame(0), 64);
         let blocks = lens
             .iter()
             .map(|len| EncodedBlock {

@@ -11,12 +11,16 @@
 # NAME` in production code (`pub(crate)` and `mod` items are not candidates, and neither are
 # the definitions of the benchmark package under crates/bench/src/bin/benchmark/). It is
 # referenced when
-#   (a) production code names NAME outside its definition (in any file): the item runs; and
+#   (a) production code runs NAME outside its definition (in any file); and
 #   (b) some other file, production or test, names NAME: the item needs to be `pub`.
 # Names are whole words once comments, string and character literals and `pub use …;`
 # statements are removed: a re-export is not a caller, and neither is a name inside a
-# string (an attribute keeps its strings: `skip_serializing_if = "…"` names a function). So
-# a twin of an engine entry point that only tests call fails (a), wherever its tests are.
+# string. A type, trait, const or static runs where production code names it. A `fn` runs
+# only where production code calls it: `NAME(`, `NAME::<`, or a `::NAME` path that is not
+# a module prefix (`Self::NAME` passed as a function), or a word in an attribute's string
+# (`skip_serializing_if = "FaultTelemetry::is_quiet"`). So a field, a local or a module of
+# the same name does not hide a method, and a twin of an engine entry point that only
+# tests call fails (a), wherever its tests are.
 #
 # Every unreferenced candidate must be listed in scripts/unreferenced-pub.allow as
 # `path NAME  # (reason) …`, the reason one of the four that file's header defines. The
@@ -71,8 +75,9 @@ scan() {
       production = FILENAME ~ /^(crates\/[^\/]+\/src|src|examples)\//
     }
     {
-      # An attribute keeps its strings: `skip_serializing_if = "…"` names a function.
-      line = $0 ~ /^[ \t]*#\[.*\][ \t]*$/ ? $0 : code($0)
+      # An attribute keeps its strings: `skip_serializing_if = "…"` calls a function.
+      attribute = $0 ~ /^[ \t]*#\[.*\][ \t]*$/
+      line = attribute ? $0 : code($0)
       # A `#[cfg(test)]` item is test code: from its attributes to the end of its braces
       # (or its `;`).
       if (line ~ /^[ \t]*#\[cfg\(test\)\][ \t]*$/) { pending = 1; next }
@@ -89,23 +94,41 @@ scan() {
       if (reexport) { if (line ~ /;/) reexport = 0; next }
       own = ""
       if (!test && index(FILENAME, bench) != 1 && match(line, /^[ \t]*pub ((const|async|unsafe) )*(fn|struct|enum|trait|const|static|type) [A-Za-z_][A-Za-z0-9_]*/)) {
-        own = substr(line, RSTART, RLENGTH); sub(/.* /, "", own)
-        if (!((FILENAME, own) in defined)) { defined[FILENAME, own] = 1; order[++ndefs] = FILENAME " " own }
+        own = substr(line, RSTART, RLENGTH); is_fn = own ~ / fn [A-Za-z0-9_]*$/; sub(/.* /, "", own)
+        if (!((FILENAME, own) in defined)) { defined[FILENAME, own] = is_fn; order[++ndefs] = FILENAME " " own }
       }
-      n = split(line, word, /[^A-Za-z0-9_]+/)
+      n = split(line, word, /[^A-Za-z0-9_]+/); skip = own
       for (k = 1; k <= n; k++) {
         if (word[k] == "") continue
         named[FILENAME, word[k]] = 1
         # The definition does not run its own name.
-        if (word[k] == own) own = ""
+        if (word[k] == skip) skip = ""
         else if (!test) runs[word[k]] = 1
+      }
+      if (test) next
+      # Calls: each word with what stands just before and after it.
+      rest = line; at = 0
+      while (match(rest, /[A-Za-z_][A-Za-z0-9_]*/)) {
+        w = substr(rest, RSTART, RLENGTH); before = substr(line, at + RSTART - 2, 2)
+        at += RSTART + RLENGTH - 1; rest = substr(rest, RSTART + RLENGTH)
+        if (w == own) { own = ""; continue }
+        if (rest ~ /^[ \t]*\(/ || rest ~ /^::</ || (before == "::" && rest !~ /^[ \t]*::/)) calls[w] = 1
+      }
+      if (attribute) {
+        rest = line
+        while (match(rest, /"[^"]*"/)) {
+          n = split(substr(rest, RSTART, RLENGTH), word, /[^A-Za-z0-9_]+/)
+          for (k = 1; k <= n; k++) if (word[k] != "") calls[word[k]] = 1
+          rest = substr(rest, RSTART + RLENGTH)
+        }
       }
     }
     END {
       for (d = 1; d <= ndefs; d++) {
         split(order[d], key, " "); elsewhere = 0
         for (f = 1; f <= nfiles && !elsewhere; f++) elsewhere = files[f] != key[1] && (files[f], key[2]) in named
-        print order[d], (elsewhere && key[2] in runs) ? 1 : 0
+        run = defined[key[1], key[2]] ? key[2] in calls : key[2] in runs
+        print order[d], (elsewhere && run) ? 1 : 0
       }
     }' "${files[@]}"
 }

@@ -85,7 +85,6 @@ proptest! {
             shared_uplink: uplink.clone(),
             shared_seed: seed,
             starvation_floor_bps: Some(100_000.0),
-            admission: false,
             cross_traffic: Vec::new(),
         };
         let tenants = (0..k)

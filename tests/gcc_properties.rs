@@ -5,6 +5,7 @@
 //! poison every downstream encode target.
 
 use aivchat::netsim::{SimDuration, SimTime};
+use aivchat::rtc::cc::{MAX_BPS, MIN_BPS};
 use aivchat::rtc::{FeedbackFold, GccConfig, GccController, PacketFeedback};
 use proptest::prelude::*;
 use rand::{Rng, SeedableRng};
@@ -42,15 +43,14 @@ proptest! {
 
     /// For arbitrary feedback sequences — any mix of loss rates, delays, report sizes
     /// (including empty and all-lost reports) — the estimate stays finite, positive and
-    /// within the configured `[min_bps, max_bps]` bounds after every report.
+    /// within `[MIN_BPS, MAX_BPS]` after every report.
     #[test]
     fn estimate_stays_within_bounds_for_arbitrary_feedback(
         seed in 0u64..10_000,
         reports in 1usize..60,
     ) {
         let mut rng = ChaCha8Rng::seed_from_u64(seed);
-        let config = GccConfig::default();
-        let mut cc = GccController::new(config);
+        let mut cc = GccController::new(GccConfig::default());
         for r in 0..reports {
             let count = rng.gen_range(0..40);
             let loss = rng.gen_range(0.0..1.0);
@@ -61,38 +61,30 @@ proptest! {
             let estimate = cc.estimate_bps();
             prop_assert!(estimate.is_finite(), "report {r}: estimate {estimate}");
             prop_assert!(
-                estimate >= config.min_bps && estimate <= config.max_bps,
-                "report {r}: estimate {estimate} outside [{}, {}]",
-                config.min_bps,
-                config.max_bps
+                (MIN_BPS..=MAX_BPS).contains(&estimate),
+                "report {r}: estimate {estimate} outside [{MIN_BPS}, {MAX_BPS}]"
             );
         }
     }
 
-    /// The bounds hold for arbitrary (consistent) bound configurations too, from whatever
-    /// initial estimate the controller was handed — including one outside the bounds.
+    /// The bounds hold from whatever initial estimate the controller was handed, one
+    /// outside them included, once the first report is in.
     #[test]
-    fn arbitrary_bounds_are_respected(
+    fn bounds_hold_from_any_initial_estimate(
         seed in 0u64..10_000,
-        min_kbps in 10.0f64..2_000.0,
-        span_kbps in 1.0f64..20_000.0,
-        initial_kbps in 1.0f64..50_000.0,
+        initial_kbps in 1.0f64..100_000.0,
     ) {
-        let config = GccConfig {
-            initial_estimate_bps: initial_kbps * 1e3,
-            min_bps: min_kbps * 1e3,
-            max_bps: (min_kbps + span_kbps) * 1e3,
-            ..GccConfig::default()
-        };
         let mut rng = ChaCha8Rng::seed_from_u64(seed);
-        let mut cc = GccController::new(config);
+        let mut cc = GccController::new(GccConfig {
+            initial_estimate_bps: initial_kbps * 1e3,
+            ..GccConfig::default()
+        });
         for r in 0..20u64 {
             let count = rng.gen_range(1..30);
             let loss = rng.gen_range(0.0..0.5);
             let report = random_report(&mut rng, r * 500, count, loss, (5, 200));
             cc.on_feedback_fold_at(SimTime::from_millis(r * 500), &report);
-            prop_assert!(cc.estimate_bps() >= config.min_bps);
-            prop_assert!(cc.estimate_bps() <= config.max_bps);
+            prop_assert!((MIN_BPS..=MAX_BPS).contains(&cc.estimate_bps()));
         }
     }
 
@@ -130,7 +122,7 @@ proptest! {
             let estimate = feed_flat(round, 20 + round * ramp_ms);
             // Monotone non-increasing; strictly decreasing until the floor.
             prop_assert!(estimate <= previous, "round {round}");
-            if previous > GccConfig::default().min_bps {
+            if previous > MIN_BPS {
                 prop_assert!(estimate < previous, "round {round} did not back off");
             }
             previous = estimate;

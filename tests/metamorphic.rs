@@ -2,8 +2,8 @@
 //! transformation may (or may not) change in its report, as a property over seeds.
 //!
 //! * **Driver equivalence.** A conversation alone is the K = 1 case of a contention run:
-//!   one tenant on a shared link seeded like the tenant, with no cross-traffic, starvation
-//!   watchdog or admission, reports exactly what a [`Conversation`] reports — on a lossy
+//!   one tenant on a shared link seeded like the tenant, with no cross-traffic or
+//!   starvation watchdog, reports exactly what a [`Conversation`] reports — on a lossy
 //!   link, through a blackout with the resilience stack on and on a square-wave trace, with
 //!   and without think time between turns.
 
@@ -93,7 +93,6 @@ proptest! {
                     shared_uplink: link,
                     shared_seed: seed,
                     starvation_floor_bps: None,
-                    admission: false,
                     cross_traffic: Vec::new(),
                 };
                 let tenant = TenantSpec {

@@ -186,7 +186,7 @@ proptest! {
         // Rects from well outside the frame to well inside it, any size up to the frame's:
         // they overlap each other, straddle the borders, and sometimes miss the frame.
         let layout = |rng: &mut ChaCha8Rng| {
-            let mut frame = Frame::sample(&scene, 0, 0, 0.0);
+            let mut frame = VideoSource::new(scene.clone(), SourceConfig::fps30(1.0)).frame(0);
             for placement in &mut frame.placements {
                 placement.region = Rect::new(
                     rng.gen_range(-(width as i64)..width as i64 + 100),

@@ -6,6 +6,7 @@
 //! more than the ABR budget.
 
 use aivchat::netsim::{SimDuration, SimTime};
+use aivchat::rtc::cc::{MAX_BPS, MIN_BPS};
 use aivchat::rtc::{AdaptiveFecConfig, FeedbackFold, GccConfig, GccController, PacketFeedback};
 use proptest::prelude::*;
 use rand::{Rng, SeedableRng};
@@ -51,7 +52,7 @@ proptest! {
 
     /// For arbitrary interleavings of silence (watchdog polls across random gaps, possibly
     /// many timeouts long) and feedback reports of any quality, the estimate stays finite,
-    /// positive and inside `[min_bps, max_bps]` — an outage can never drive the controller
+    /// positive and inside `[MIN_BPS, MAX_BPS]` — an outage can never drive the controller
     /// NaN, negative or out of bounds.
     #[test]
     fn estimate_survives_arbitrary_outage_and_feedback_interleavings(
@@ -59,9 +60,7 @@ proptest! {
         steps in 1usize..80,
     ) {
         let mut rng = ChaCha8Rng::seed_from_u64(seed);
-        let config = watchdog_config();
-        let (min_bps, max_bps) = (config.min_bps, config.max_bps);
-        let mut cc = GccController::new(config);
+        let mut cc = GccController::new(watchdog_config());
         let mut now_ms = 0u64;
         for _ in 0..steps {
             // Advance by anything from one capture tick to a multi-second blackout.
@@ -78,7 +77,7 @@ proptest! {
             }
             let est = cc.estimate_bps();
             prop_assert!(est.is_finite(), "estimate went non-finite: {est}");
-            prop_assert!(est >= min_bps && est <= max_bps, "estimate {est} out of [{min_bps}, {max_bps}]");
+            prop_assert!((MIN_BPS..=MAX_BPS).contains(&est), "estimate {est} out of [{MIN_BPS}, {MAX_BPS}]");
             let loss = cc.loss_estimate();
             prop_assert!(loss.is_finite() && (0.0..=1.0).contains(&loss), "loss estimate {loss}");
         }

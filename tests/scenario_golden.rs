@@ -269,8 +269,8 @@ fn watchdog_escalates_under_surge_and_stays_quiet_around_the_floor() {
     }
 }
 
-/// The late joiner in `hotspot-join` lands mid-storm, is admitted at (no more than) its
-/// fair share, and still completes its conversation alongside the incumbents.
+/// The late joiner in `hotspot-join` lands mid-storm, starts cold below its fair share, and
+/// still completes its conversation alongside the incumbents.
 #[test]
 fn hotspot_joiner_is_admitted_and_completes() {
     let (spec, report) = report("hotspot-join");
@@ -282,7 +282,7 @@ fn hotspot_joiner_is_admitted_and_completes() {
             spec.turns,
             "{leg}: the joiner completes all turns"
         );
-        // Admission caps the joiner's first-turn estimate at nominal / active tenants.
+        // Its cold first-turn estimate is under the link's rate over the tenants.
         assert!(
             joiner.conversation.estimate_at_turn_start_bps[0]
                 <= spec.shared_uplink.bandwidth.rate_at(SimTime::ZERO) / spec.tenants as f64 + 1.0,
