@@ -29,113 +29,23 @@
 //! same conversations run standalone.
 //!
 //! Like `zero_alloc.rs`, this target sets `harness = false`: the byte-counting global
-//! allocator must not observe libtest's harness threads.
+//! allocator (`heap/mod.rs`, shared with `heap_counts`) must not observe libtest's
+//! harness threads.
+
+mod heap;
 
 use aivc_mllm::{Question, QuestionFormat};
-use aivc_netsim::PathConfig;
 use aivc_scene::templates::basketball_game;
 use aivc_scene::{Frame, SourceConfig, VideoSource};
 use aivc_sim::SimDuration;
-use aivchat_core::scenarios::{registry, ScenarioSpec};
-use aivchat_core::{
-    run_contention, Conversation, ConversationChatServer, NetSessionOptions, SessionSnapshot,
-};
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicI64, Ordering};
+use aivchat_core::{Conversation, ConversationChatServer, SessionSnapshot};
+use heap::{held_by, live_bytes, shared_blackout_tenant_slope, template, turn_window, warm_fleet_slope};
 use std::time::Instant;
-
-/// Tracks *live* heap bytes (alloc adds, dealloc subtracts), so a before/after diff
-/// around fleet construction + warmup is the fleet's resident heap footprint, and the
-/// high-water mark of that count since the last [`reset_peak`].
-struct ByteCounter;
-
-static LIVE_BYTES: AtomicI64 = AtomicI64::new(0);
-static PEAK_BYTES: AtomicI64 = AtomicI64::new(0);
-
-fn add_live(delta: i64) {
-    let live = LIVE_BYTES.fetch_add(delta, Ordering::Relaxed) + delta;
-    PEAK_BYTES.fetch_max(live, Ordering::Relaxed);
-}
-
-unsafe impl GlobalAlloc for ByteCounter {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        add_live(layout.size() as i64);
-        unsafe { System.alloc(layout) }
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        LIVE_BYTES.fetch_sub(layout.size() as i64, Ordering::Relaxed);
-        unsafe { System.dealloc(ptr, layout) }
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        add_live(new_size as i64 - layout.size() as i64);
-        unsafe { System.realloc(ptr, layout, new_size) }
-    }
-}
-
-#[global_allocator]
-static GLOBAL: ByteCounter = ByteCounter;
-
-fn live_bytes() -> i64 {
-    LIVE_BYTES.load(Ordering::Relaxed)
-}
-
-/// Restarts the high-water mark at what is live now, and returns that.
-fn reset_peak() -> i64 {
-    let live = live_bytes();
-    PEAK_BYTES.store(live, Ordering::Relaxed);
-    live
-}
-
-fn template(seed: u64) -> NetSessionOptions {
-    let mut options = NetSessionOptions::ai_oriented(seed, PathConfig::paper_section_2_2(0.01));
-    options.capture_fps = 8.0;
-    options
-}
-
-fn turn_window(source: &VideoSource, turn: usize) -> Vec<Frame> {
-    (0..4)
-        .map(|i| source.frame(((turn * 4 + i) * 11 % 170) as u64))
-        .collect()
-}
-
-/// Live heap a warm fleet of `sessions` conversations on two lanes adds: construction
-/// plus the turns, everything retained (rings, scratches, event queues at their
-/// high-water mark, report history).
-fn warm_fleet_bytes(sessions: usize, windows: &[Vec<Frame>], question: &Question, think: SimDuration) -> f64 {
-    let before = live_bytes();
-    let mut server = ConversationChatServer::new(2, sessions, template(17), think);
-    for window in windows {
-        server.run_turns(window, question);
-    }
-    (live_bytes() - before) as f64
-}
-
-/// Peak heap one `run_contention` of `scenario`'s first `tenants` tenants on AI-oriented
-/// ABR reaches above what was live when it started — the tenants' scripted frames are
-/// built beforehand, so only the engine and its report count.
-fn contention_peak_bytes(scenario: &ScenarioSpec, tenants: usize) -> f64 {
-    let specs = (0..tenants)
-        .map(|tenant| scenario.tenant_spec(tenant, true))
-        .collect();
-    let config = scenario.config();
-    let before = reset_peak();
-    let report = run_contention(&config, specs);
-    let peak = PEAK_BYTES.load(Ordering::Relaxed);
-    assert!(report
-        .tenants
-        .iter()
-        .all(|t| t.conversation.turns.len() == scenario.turns));
-    (peak - before) as f64
-}
 
 /// Live heap a window of `frames` consecutive captures of `source` holds, in an
 /// exact-capacity `Vec`.
 fn window_bytes(source: &VideoSource, frames: u64) -> f64 {
-    let before = live_bytes();
-    let window: Vec<Frame> = (0..frames).map(|i| source.frame(i)).collect();
-    let bytes = live_bytes() - before;
+    let (window, bytes) = held_by(|| (0..frames).map(|i| source.frame(i)).collect::<Vec<Frame>>());
     assert_eq!(window.capacity(), frames as usize);
     bytes as f64
 }
@@ -250,10 +160,7 @@ fn main() {
     // carried an index, complexity and motion). Anything that grows either by more than that
     // has to raise it here.
     let audit_sessions = if sessions > 128 { 256 } else { 64 };
-    let small = warm_fleet_bytes(audit_sessions, &windows, &question, think);
-    let large = warm_fleet_bytes(2 * audit_sessions, &windows, &question, think);
-    let slope = (large - small) / audit_sessions as f64;
-    let intercept = small - slope * audit_sessions as f64;
+    let (slope, intercept) = warm_fleet_slope(2, audit_sessions, &windows, &question);
     println!(
         "serving_scale: {:.1} KiB live heap per warm conversation (slope), {:.1} KiB per 2-lane \
          server (intercept), from fleets of {audit_sessions} and {} sessions",
@@ -284,17 +191,7 @@ fn main() {
     // table, 367.0 KiB while block records stored an offset and a quality, 809.4 KiB while
     // every tenant owned a whole turn scratch and block records carried fields nothing
     // read).
-    let mut scenario = registry()
-        .into_iter()
-        .find(|s| s.name == "shared-blackout")
-        .expect("registered scenario");
-    let k = scenario.tenants;
-    scenario.tenants = 2 * k;
-    let joins = &mut scenario.sharing.as_mut().expect("a shared uplink").joins;
-    *joins = joins.iter().copied().cycle().take(2 * k).collect();
-    let small = contention_peak_bytes(&scenario, k);
-    let large = contention_peak_bytes(&scenario, 2 * k);
-    let per_tenant = (large - small) / k as f64;
+    let (per_tenant, k) = shared_blackout_tenant_slope();
     println!(
         "serving_scale: {:.1} KiB peak heap per contention tenant (slope), from runs of {k} and {} tenants",
         per_tenant / 1024.0,
