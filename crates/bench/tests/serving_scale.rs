@@ -149,7 +149,9 @@ fn main() {
     // slope x 10k of headroom) from what a server costs whatever its size (the intercept:
     // one `ClipModel`, one set of turn buffers per lane — this fleet runs two — and the pool).
     // Allocation sizes are deterministic, so each ceiling sits 5 % above the measured
-    // value: 51.9 KiB per conversation (66.3 KiB while the raster kept a per-cell coverage
+    // value: 43.5 KiB per conversation (51.5 KiB while the rate plan kept a per-block copy
+    // of the raster's complexity and motion as rate coefficients; 66.3 KiB while the raster
+    // kept a per-cell coverage
     // table, a spare one and a per-cell area array; 110.1 KiB while CLIP kept a raster of its
     // own next to the rate plan's and its per-call buffers; 398 KiB while every conversation
     // owned a model and its turn's frame buffers; 455 KiB before frames carried one coverage
@@ -168,7 +170,7 @@ fn main() {
         intercept / 1024.0,
         2 * audit_sessions
     );
-    const PER_SESSION_CEILING_BYTES: f64 = 54.5 * 1024.0;
+    const PER_SESSION_CEILING_BYTES: f64 = 45.7 * 1024.0;
     const PER_SERVER_CEILING_BYTES: f64 = 202.2 * 1024.0;
     assert!(
         slope > 0.0 && slope < PER_SESSION_CEILING_BYTES,
@@ -187,7 +189,8 @@ fn main() {
     // over K and 2K tenants: the slope is what one more tenant adds to the run's peak (its
     // conversation, its encoded window at the run's high-water mark, its report), the
     // per-event buffers being the run's one set whatever K. The ceiling sits 5 % above the
-    // measured 173.7 KiB (271.6 KiB while every encoded frame held its own per-cell coverage
+    // measured 165.2 KiB (173.2 KiB while the rate plan kept a per-block copy of the raster's
+    // complexity and motion, 271.6 KiB while every encoded frame held its own per-cell coverage
     // table, 367.0 KiB while block records stored an offset and a quality, 809.4 KiB while
     // every tenant owned a whole turn scratch and block records carried fields nothing
     // read).
@@ -197,7 +200,7 @@ fn main() {
         per_tenant / 1024.0,
         2 * k
     );
-    const PER_TENANT_PEAK_CEILING_BYTES: f64 = 182.4 * 1024.0;
+    const PER_TENANT_PEAK_CEILING_BYTES: f64 = 173.5 * 1024.0;
     assert!(
         per_tenant > 0.0 && per_tenant < PER_TENANT_PEAK_CEILING_BYTES,
         "per-tenant peak heap {:.1} KiB outside budget (ceiling {:.0} KiB)",

@@ -165,7 +165,7 @@ pub(crate) struct NetCompute {
     pub(crate) responder: MllmChat,
     /// The Eq. 1 memo (and, off the CTU grid, the patch raster) carried across captures.
     clip: ClipState,
-    /// Per-frame probe coefficients and the capture's grid raster, prepared once per
+    /// The capture's grid raster and block pixel counts, prepared once per
     /// capture: CLIP scores the raster, the budget search's probes never re-rasterize the
     /// frame, and the encode writes its blocks from it.
     rate_plan: RatePlan,
@@ -267,9 +267,9 @@ impl NetCompute {
             window.slots.resize_with(slot + 1, EncodedFrame::placeholder);
             window.slot_turn.resize(slot + 1, u64::MAX);
         }
-        // One rate plan per capture: the grid raster and every QP-independent rate term
-        // are folded into per-block coefficients once, so each probe of the search is a
-        // tight pass over the plan instead of a full re-rasterization (see DESIGN.md
+        // One rate plan per capture: the grid raster, which holds every QP-independent rate
+        // term, is brought forward once, so each probe of the search is a tight pass over
+        // the plan instead of a full re-rasterization (see DESIGN.md
         // §"Where the warm turn's microsecond goes").
         let planned = self
             .sender

@@ -102,7 +102,7 @@ impl Encoder {
     /// Encodes `frame` with `qp_map` from the [`RatePlan`] a rate-control caller already
     /// prepared for it ([`Encoder::prepare_rate_plan`]): content descriptors and the
     /// coverage placements come from the plan's raster, and every block's byte count from the
-    /// plan's rate coefficients through the kernel the probes sum — so the size a probe
+    /// plan's rate terms through the kernel the probes sum — so the size a probe
     /// predicted for this map is the size this encode produces. The plan must be the one
     /// prepared for this very frame. The scratch is not read.
     pub fn encode_into_planned(

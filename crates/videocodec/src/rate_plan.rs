@@ -2,67 +2,68 @@
 //! plus the one rate kernel that probes *and* encodes from it and the one budget search
 //! that runs on it.
 //!
-//! A [`RatePlan`] holds the frame's [`GridContent`] raster and everything of the rate law
-//! ([`crate::rd::block_bits_with_factor`]) that does not depend on QP, folded into
-//! per-block coefficients:
+//! A [`RatePlan`] holds the frame's [`GridContent`] raster, each block's pixel count as
+//! `f32` (an area of at most 4096 is exact in `f32`, and widened to `f64` it is the `f64`
+//! count) and, when probing offsets, the base QP per block. The kernel takes the rest of the
+//! QP-independent rate law ([`crate::rd::block_bits_with_factor`]) from the raster:
 //!
-//! * `lead[b]  = INTRA_BPP_AT_REF * content_factor(b)` — the rate law's first product,
-//! * `tail[b]  = type_factor(b)` (exactly `1.0` on intra frames),
-//! * `pixels[b]` as `f32` (an area of at most 4096 is exact in `f32`, and widening it to
-//!   `f64` gives the bits an `f64` count would have), and the frame's base QP per block when
-//!   probing offsets.
+//! * `lead = INTRA_BPP_AT_REF · (0.08 + 0.92 · complexity)` — the rate law's first product,
+//! * `tail = base + slope · motion`, `(base, slope)` picked once per pass: `(1, 0)` on intra
+//!   frames, where `tail` is exactly `1.0`, the inter fractions on inter frames — one
+//!   branch-free expression for both frame types.
 //!
-//! A block's coded size is then `((lead · qp_factor) · tail).max(MIN_BPP)`,
-//! `ceil(· pixels)`, `ceil(· / 8)`, `max(1)` — the scalar rate law's exact expression
-//! sequence (multiplying by a `tail` of exactly `1.0` is an IEEE identity, so collapsing
-//! the intra/inter split into one expression is lossless). Rate-control probes **sum**
-//! that per-block count over a candidate QP assignment
-//! ([`Encoder::search_rate_plan`]; [`Encoder::predict_plan_offset_size`] and
-//! [`Encoder::predict_plan_uniform_size`] price one level without keeping anything); the
-//! encode **writes** it per block at the level the search settled on
-//! ([`Encoder::encode_at_level`], or [`Encoder::encode_into_planned`] for an explicit QP
-//! map). Both go through the same kernel, so the size a probe predicts is the size the
-//! encode produces by construction; the equivalence tests below pin every block at every
-//! level against the scalar rate law.
+//! The raster stores complexity and motion clamped by the scalar law's own clamp, so the
+//! kernel leaves it out (repeated per lane it made a 1080p probe ≈ 35 % slower). A block's
+//! coded size is then `((lead · qp_factor) · tail).max(MIN_BPP)`, `ceil(· pixels)`,
+//! `ceil(· / 8)`, `max(1)` — the scalar rate law's exact expression sequence (multiplying
+//! by a `tail` of exactly `1.0` is an IEEE identity). Rate-control probes **sum** that
+//! per-block count over a candidate QP assignment ([`Encoder::search_rate_plan`];
+//! [`Encoder::predict_plan_offset_size`] and [`Encoder::predict_plan_uniform_size`] price
+//! one level without keeping anything); the encode **writes** it per block at the level the
+//! search settled on ([`Encoder::encode_at_level`], or [`Encoder::encode_into_planned`] for
+//! an explicit QP map). Both go through the same kernel, so the size a probe predicts is
+//! the size the encode produces by construction; the equivalence tests below pin every
+//! block at every level against the scalar rate law.
 //!
 //! **A capture costs what changed.** The plan remembers the capture it was last prepared
 //! for: its raster is brought forward with [`GridContent::update`], and only the blocks
-//! that call recomputed get new coefficients (`tail` for every block when the GOP flips
-//! intra ↔ inter). It equals a freshly built plan field for field (tests below). The
-//! search's probes and the level encode work the same way. The plan keeps two *priced
-//! levels*: each block's byte count at a level (a `u16`: a block is below 2 kB, see below),
-//! their integer sum, and the raster generation they were priced at. A probe at a level
-//! priced on this generation costs nothing, and the level encode writes its blocks from
-//! those counts. A probe at a level the previous capture priced re-prices only the raster's
-//! dirty blocks and adjusts the sum. Integer sums are exact in any order, so the result is
-//! the full pricing's. Anything that rewrites every block's terms invalidates both levels:
-//! a GOP flip, a new geometry, a whole base written ([`RatePlan::refresh_base_qps`] without
-//! its dirty-only carry, or a base handed to [`Encoder::prepare_rate_plan`]). Any other
-//! probe prices every block into a slot, chosen to keep the search's final `T − 1` and `T`
-//! (`RatePlan::priced_size`). Consecutive captures mostly end on the previous boundary, so
-//! their probes mostly repeat the levels the previous capture kept, and a carried plan
-//! searches and encodes exactly like a fresh one (tests below).
+//! that call recomputed get a new pixel count. It equals a freshly built plan field for
+//! field (tests below). The search's probes and the level encode work the same way. The
+//! plan keeps two *priced levels*: each block's byte count at a level (a `u16`: a block is
+//! below 2 kB, see below), their integer sum, and the raster generation they were priced
+//! at. A probe at a level priced on this generation costs nothing, and the level encode
+//! writes its blocks from those counts. A probe at a level the previous capture priced
+//! re-prices only the raster's dirty blocks and adjusts the sum. Integer sums are exact in
+//! any order, so the result is the full pricing's. Anything that rewrites every block's
+//! terms invalidates both levels: a GOP flip, a new geometry, a whole base written
+//! ([`RatePlan::refresh_base_qps`] without its dirty-only carry, or a base handed to
+//! [`Encoder::prepare_rate_plan`]). Any other probe prices every block into a slot, chosen
+//! to keep the search's final `T − 1` and `T` (`RatePlan::priced_size`). Consecutive
+//! captures mostly end on the previous boundary, so their probes mostly repeat the levels
+//! the previous capture kept, and a carried plan searches and encodes exactly like a fresh
+//! one (tests below).
 //!
 //! **The conversation's one raster.** The plan owns the raster because the encode reads
 //! it; everyone else borrows it ([`RatePlan::raster`]). The §3.2 sender's CLIP patches are
 //! the CTUs, so the context-aware step prepares the plan *first*, scores Eq. 1 on the
 //! plan's raster, and only then writes the Eq. 2 QPs into the plan's base
-//! ([`RatePlan::refresh_base_qps`]) — the coefficients never depended on it. One `update`
+//! ([`RatePlan::refresh_base_qps`]) — the rate terms never depended on it. One `update`
 //! per capture serves the rate law, the encode and CLIP; the base is kept from capture to
 //! capture, so Eq. 2 too rewrites only the blocks whose ρ Eq. 1 rewrote.
 //!
 //! **The kernel stays in `f64`.** The scalar expression calls `ceil` twice and casts
 //! `f64 → u64 → f64 → u32` per block; the kernel instead walks the plan in
-//! `RATE_LANES`-wide chunks and rounds up with `r = (x + 2^52) − 2^52; r + (r < x)`:
-//! for `0 ≤ x < 2^51` the first sum lands where the `f64` grid spacing is exactly 1, so
-//! `r` is `x` rounded to the nearest integer and the compare restores the ceiling — no
-//! libm call, no integer cast, straight-line SIMD. That domain is an arithmetic fact of the
-//! model's constants: the raster clamps complexity and motion into `[0, 1]`, so
+//! `RATE_LANES`-wide chunks and rounds up with `r = (x + 2^52) − 2^52; r + (r < x)`: for
+//! `0 ≤ x < 2^51` the first sum lands where the `f64` grid spacing is exactly 1, so `r` is
+//! `x` rounded to the nearest integer and the compare restores the ceiling — no libm call,
+//! no integer cast, straight-line code; a count leaves `f64` by the same sum, whose low
+//! mantissa bits then hold it. That domain is an arithmetic fact of the model's constants:
+//! complexity and motion lie in `[0, 1]` (the raster clamps them), so
 //! `lead ∈ [0.024, 0.30]`, `tail ≤ 1`, `pixels ≤ 4096` and the largest QP factor is
 //! `2^(22/6) ≈ 12.7` — a block is at most ≈ 15.6 kbit, under 2 kB, so its byte count fits
 //! the `u16` of a priced level. A whole level's byte counts are summed per lane in `f64`,
 //! where every partial sum is an integer below `2^53` for any plan of up to `2^42` blocks
-//! (≈ 100 TiB of coefficients — no allocator hands one out); a priced level's sum is then
+//! (tens of TiB of raster — no allocator hands one out); a priced level's sum is then
 //! adjusted in `u64`. Both are exact and independent of summation order. The one thing a
 //! frame can bring that the constants do not bound — a NaN content descriptor, which the
 //! raster's clamp passes through — is refused where the frame enters,
@@ -90,7 +91,8 @@ use aivc_scene::{Frame, GridDims};
 /// Lane count of the rate kernel: eight f64 lanes span two AVX2 registers (or four
 /// SSE2/NEON ones), enough for LLVM to keep the whole rate law in vector registers.
 pub(crate) const RATE_LANES: usize = 8;
-/// `2^52`: adding it to `0 ≤ x < 2^51` rounds `x` to an integer (see the module docs).
+/// `2^52`: adding it to `0 ≤ x < 2^51` rounds `x` to an integer, and to an integer below
+/// `2^32` puts its value in the low 32 bits (see the module docs).
 const ROUND_TO_INT: f64 = 4_503_599_627_370_496.0;
 
 /// Reusable per-frame rate state: what rate-control probes sum and what the encode of the
@@ -104,11 +106,8 @@ pub struct RatePlan {
     /// an encode takes its raster and bytes from the plan, so it refuses a plan that was
     /// prepared for another frame.
     stamp: (u64, u64, FrameType),
-    /// `INTRA_BPP_AT_REF * content_factor` per block (the rate law's first product).
-    lead: Vec<f64>,
-    /// `type_factor` per block — exactly `1.0` on intra frames.
-    tail: Vec<f64>,
-    /// Block pixel counts (at most 4096, so exact in `f32`).
+    /// Block pixel counts (at most 4096, so exact in `f32`); the rate kernel takes the
+    /// content terms from `grid`.
     pixels: Vec<f32>,
     /// The base QP per block that offset probes and the level encode apply their level to
     /// (empty when the plan has no base, i.e. for uniform levels only).
@@ -119,8 +118,8 @@ pub struct RatePlan {
     /// The raster generation [`RatePlan::refresh_base_qps`] last wrote `base_qp` for, or 0
     /// when something else wrote it since: the base a refresh may carry forward.
     base_at: u64,
-    /// The frame's content raster, updated from capture to capture: source of the
-    /// coefficients above and of the encode's block descriptors and coverage.
+    /// The frame's content raster, updated from capture to capture: source of the rate
+    /// kernel's complexity and motion and of the encode's block descriptors and coverage.
     grid: GridContent,
     /// The two levels priced last, most recently used first.
     priced: [PricedLevel; 2],
@@ -158,8 +157,6 @@ impl RatePlan {
                 cell: 1,
             },
             stamp: (0, 0, FrameType::Intra),
-            lead: Vec::new(),
-            tail: Vec::new(),
             pixels: Vec::new(),
             base_qp: Vec::new(),
             has_base: false,
@@ -188,7 +185,7 @@ impl RatePlan {
     /// Writes the per-block base QPs of the prepared capture — what the plan's offset probes
     /// ([`Encoder::predict_plan_offset_size`]) and [`Encoder::encode_at_level`] apply their
     /// level to — and selects the offset bracket, from `qp_of(block)`, a block's
-    /// [`Qp::value`]; returns how many blocks it wrote. The rate coefficients do not depend
+    /// [`Qp::value`]; returns how many blocks it wrote. The rate terms do not depend
     /// on the base, so a plan is prepared first and its base, computed from the plan's own
     /// raster, written afterwards. With `dirty_only`, and when the base the plan holds is the one this method
     /// wrote for the raster's previous capture, only the raster's dirty blocks are rewritten
@@ -238,6 +235,14 @@ impl RatePlan {
         }
     }
 
+    /// `(base, slope)` of the prepared frame's type factor `base + slope · motion`.
+    fn type_form(&self) -> (f64, f64) {
+        match self.stamp.2 {
+            FrameType::Intra => (1.0, 0.0),
+            FrameType::Inter => (INTER_BASE_FRACTION, INTER_MOTION_FRACTION),
+        }
+    }
+
     /// Coded size in bytes at `level` — an offset on the base with one, a uniform QP
     /// without — leaving every block's count in `self.priced[0]` (module docs). A level
     /// priced on this generation answers as it is; one priced on the generation the raster
@@ -269,11 +274,7 @@ impl RatePlan {
         self.priced.swap(0, found.unwrap_or(victim));
         let mut slot = std::mem::take(&mut self.priced[0]);
         if found.is_none() || slot.at != generation {
-            let every = found.is_none();
-            self.blocks_priced += match self.base_qps() {
-                Some(base) => self.price(table, |block| base[block] as i32 + level, every, &mut slot),
-                None => self.price(table, |_| level, every, &mut slot),
-            };
+            self.blocks_priced += self.price(table, level, found.is_none(), &mut slot);
         }
         (slot.level, slot.offset, slot.at) = (level, offset, generation);
         let size = HEADER_BYTES as u64 + slot.sum;
@@ -282,42 +283,32 @@ impl RatePlan {
     }
 
     /// Prices every block into `slot` (`every`) or the raster's dirty blocks of a slot
-    /// priced on the generation it follows, block `b` at QP `qp_at(b)` clamped; returns the
-    /// blocks priced.
-    fn price(
-        &self,
-        table: &[f64; QP_TABLE],
-        qp_at: impl Fn(usize) -> i32,
-        every: bool,
-        slot: &mut PricedLevel,
-    ) -> u64 {
-        let factor = |block: usize| table[qp_at(block).clamp(QP_MIN as i32, QP_MAX as i32) as usize];
-        let blocks = self.lead.len();
+    /// priced on the generation it follows, at `level` (an offset on the base with one, a
+    /// uniform QP without); returns the blocks priced.
+    fn price(&self, table: &[f64; QP_TABLE], level: i32, every: bool, slot: &mut PricedLevel) -> u64 {
+        let base = self.base_qps();
+        let blocks = self.pixels.len();
         if every {
             slot.bytes.resize(blocks, 0);
-            let factors_from = |first: usize, out: &mut [f64]| {
-                for (lane, factor_of) in out.iter_mut().enumerate() {
-                    *factor_of = factor(first + lane);
-                }
-            };
+            let factors_from = |first: usize, out: &mut [f64]| level_factors(table, base, level, first, out);
             let kept = &mut slot.bytes;
             let keep = |first: usize, counts: &[f64]| {
                 for (kept, &count) in kept[first..first + counts.len()].iter_mut().zip(counts) {
-                    *kept = count as u16;
+                    *kept = count_of(count) as u16;
                 }
             };
             slot.sum = plan_total_bytes(self, factors_from, keep) - HEADER_BYTES as u64;
             return blocks as u64;
         }
         debug_assert_eq!(slot.bytes.len(), blocks);
+        let (form, pixels) = (self.type_form(), &self.pixels);
+        let (complexity, motion) = (self.grid.complexity(), self.grid.motion());
         let mut priced = 0;
         for block in self.grid.dirty_cells() {
-            let count = plan_block_bytes_f64(
-                self.lead[block],
-                factor(block),
-                self.tail[block],
-                f64::from(self.pixels[block]),
-            ) as u16;
+            let mut factor = [0.0];
+            level_factors(table, base, level, block, &mut factor);
+            let bytes = raster_block_bytes(complexity[block], motion[block], pixels[block], factor[0], form);
+            let count = count_of(bytes) as u16;
             slot.sum = slot.sum - u64::from(slot.bytes[block]) + u64::from(count);
             slot.bytes[block] = count;
             priced += 1;
@@ -346,15 +337,13 @@ pub struct RateSearch {
 }
 
 impl Encoder {
-    /// Prepares `plan` for rate-control probes over `frame`: brings the content raster to
-    /// the frame and folds every QP-independent term of the rate law into per-block
-    /// coefficients — for the blocks the raster recomputed (every `tail` too when the frame
-    /// type flipped). With `base` supplied, the plan also snapshots its values as the
-    /// per-block base QP so [`Encoder::predict_plan_offset_size`]
-    /// can probe uniform offsets on top of it (the context-aware search); without it only
-    /// [`Encoder::predict_plan_uniform_size`] is valid (the baseline search) until a base is
-    /// set. The plan keeps the previous capture's base QPs either way, for
-    /// [`RatePlan::refresh_base_qps`] to carry forward.
+    /// Prepares `plan` for rate-control probes over `frame`: brings the content raster, which
+    /// the rate kernel reads, to the frame and writes the pixel counts of the blocks it
+    /// recomputed. With `base` supplied, the plan also snapshots its values as the per-block
+    /// base QP so [`Encoder::predict_plan_offset_size`] can probe uniform offsets on top of
+    /// it (the context-aware search); without it only [`Encoder::predict_plan_uniform_size`]
+    /// is valid (the baseline search) until a base is set. The plan keeps the previous
+    /// capture's base QPs either way, for [`RatePlan::refresh_base_qps`] to carry forward.
     ///
     /// # Panics
     ///
@@ -369,29 +358,12 @@ impl Encoder {
         if plan.stamp.2 != frame_type || plan.dims != dims {
             plan.forget_priced();
         }
-        let flipped = plan.stamp.2 != frame_type;
         plan.dims = dims;
         plan.stamp = (frame.index, frame.capture_ts_us, frame_type);
         plan.grid.update(frame, BLOCK_SIZE);
-        let RatePlan {
-            grid,
-            lead,
-            tail,
-            pixels,
-            ..
-        } = &mut *plan;
+        let RatePlan { grid, pixels, .. } = &mut *plan;
         // A raster of another geometry comes back all dirty, so every slot is rewritten.
-        lead.resize(blocks, 0.0);
-        tail.resize(blocks, 0.0);
         pixels.resize(blocks, 0.0);
-        // The identical clamp + content/type factor expressions of the scalar rate law
-        // (`rd::block_bits_with_factor`).
-        let tail_of = |idx: usize| match frame_type {
-            FrameType::Intra => 1.0,
-            FrameType::Inter => {
-                INTER_BASE_FRACTION + INTER_MOTION_FRACTION * grid.motion()[idx].clamp(0.0, 1.0)
-            }
-        };
         for idx in grid.dirty_cells() {
             let (complexity, motion, detail) =
                 (grid.complexity()[idx], grid.motion()[idx], grid.detail()[idx]);
@@ -402,16 +374,8 @@ impl Encoder {
                  texture_complexity, motion and detail must be finite",
                 frame.index
             );
-            let content_factor = 0.08 + 0.92 * complexity.clamp(0.0, 1.0);
-            lead[idx] = INTRA_BPP_AT_REF * content_factor;
-            tail[idx] = tail_of(idx);
             let (row, col) = dims.position(idx);
             pixels[idx] = dims.cell_rect(row, col, frame.width, frame.height).area() as f32;
-        }
-        if flipped {
-            for (idx, tail) in tail.iter_mut().enumerate() {
-                *tail = tail_of(idx);
-            }
         }
         plan.has_base = false;
         if let Some(base) = base {
@@ -443,12 +407,7 @@ impl Encoder {
         let table = self.qp_factor_table();
         plan_total_bytes(
             plan,
-            |first, factors| {
-                let base_qp = &plan.base_qp[first..first + factors.len()];
-                for (factor, &qp) in factors.iter_mut().zip(base_qp) {
-                    *factor = table[(qp as i32 + level).clamp(QP_MIN as i32, QP_MAX as i32) as usize];
-                }
-            },
+            |first, factors| level_factors(table, plan.base_qps(), level, first, factors),
             |_, _| {},
         )
     }
@@ -612,20 +571,36 @@ fn search_boundary(
     }
 }
 
+/// Writes the QP factors of blocks `first..first + out.len()` at `level`: an offset on the
+/// `base` QPs with one, the uniform QP `level` without, clamped.
+#[inline(always)]
+fn level_factors(table: &[f64; QP_TABLE], base: Option<&[u8]>, level: i32, first: usize, out: &mut [f64]) {
+    let factor = |qp: i32| table[qp.clamp(QP_MIN as i32, QP_MAX as i32) as usize];
+    match base {
+        Some(base) => {
+            let base = &base[first..first + out.len()];
+            for (out, &qp) in out.iter_mut().zip(base) {
+                *out = factor(qp as i32 + level);
+            }
+        }
+        None => out.fill(factor(level)),
+    }
+}
+
 /// Coded byte counts of blocks `first..first + factors.len()` of `plan` (at most one
 /// [`RATE_LANES`]-wide chunk) at the given QP factors, written to the front of `out` — what
 /// the probes sum, block for block.
 #[inline]
 pub(crate) fn plan_chunk_bytes(plan: &RatePlan, first: usize, factors: &[f64], out: &mut [u32; RATE_LANES]) {
     let end = first + factors.len();
-    let coefficients = plan.lead[first..end]
+    let form = plan.type_form();
+    let terms = plan.grid.complexity()[first..end]
         .iter()
-        .zip(factors)
-        .zip(&plan.tail[first..end])
-        .zip(&plan.pixels[first..end]);
-    // Branch-free over unit-stride slices: the loop LLVM turns into SIMD.
-    for (bytes, (((&lead, &factor), &tail), &pixels)) in out.iter_mut().zip(coefficients) {
-        *bytes = plan_block_bytes_f64(lead, factor, tail, f64::from(pixels)) as u32;
+        .zip(&plan.grid.motion()[first..end])
+        .zip(&plan.pixels[first..end])
+        .zip(factors);
+    for (bytes, (((&complexity, &motion), &pixels), &factor)) in out.iter_mut().zip(terms) {
+        *bytes = count_of(raster_block_bytes(complexity, motion, pixels, factor, form));
     }
 }
 
@@ -638,45 +613,60 @@ fn plan_total_bytes(
     factors_from: impl Fn(usize, &mut [f64]),
     mut keep: impl FnMut(usize, &[f64]),
 ) -> u64 {
-    let blocks = plan.lead.len();
-    let (lead, tail, pixels) = (&plan.lead[..], &plan.tail[..blocks], &plan.pixels[..blocks]);
-    let mut factor = [0.0f64; RATE_LANES];
-    let mut counts = [0.0f64; RATE_LANES];
-    let mut lanes = [0.0f64; RATE_LANES];
+    let (blocks, form, pixels) = (plan.pixels.len(), plan.type_form(), &plan.pixels[..]);
+    let (complexity, motion) = (&plan.grid.complexity()[..blocks], &plan.grid.motion()[..blocks]);
+    let (mut factor, mut bpp) = ([0.0f64; RATE_LANES], [0.0f64; RATE_LANES]);
+    let (mut counts, mut lanes) = ([0.0f64; RATE_LANES], [0.0f64; RATE_LANES]);
     let whole = blocks - blocks % RATE_LANES;
     for first in (0..whole).step_by(RATE_LANES) {
         factors_from(first, &mut factor);
-        let (lead, tail, pixels) = (
-            &lead[first..first + RATE_LANES],
-            &tail[first..first + RATE_LANES],
+        let (complexity, motion, pixels) = (
+            &complexity[first..first + RATE_LANES],
+            &motion[first..first + RATE_LANES],
             &pixels[first..first + RATE_LANES],
         );
-        // Fixed-width and branch-free: the loop LLVM turns into SIMD.
+        // Fixed-width and branch-free, and two loops rather than one: LLVM unrolls each,
+        // where one body of the whole law stayed a rolled loop in the priced pass
+        // (`RatePlan::price`), ≈ 50 % slower there.
         for lane in 0..RATE_LANES {
-            counts[lane] =
-                plan_block_bytes_f64(lead[lane], factor[lane], tail[lane], f64::from(pixels[lane]));
+            bpp[lane] = raster_bpp(complexity[lane], motion[lane], factor[lane], form);
+        }
+        for lane in 0..RATE_LANES {
+            counts[lane] = bpp_bytes(bpp[lane], f64::from(pixels[lane]));
             lanes[lane] += counts[lane];
         }
         keep(first, &counts);
     }
     factors_from(whole, &mut factor[..blocks - whole]);
     for b in whole..blocks {
-        counts[b - whole] = plan_block_bytes_f64(lead[b], factor[b - whole], tail[b], f64::from(pixels[b]));
+        counts[b - whole] = raster_block_bytes(complexity[b], motion[b], pixels[b], factor[b - whole], form);
         lanes[b - whole] += counts[b - whole];
     }
     keep(whole, &counts[..blocks - whole]);
     HEADER_BYTES as u64 + lanes.iter().sum::<f64>() as u64
 }
 
-/// One block's coded byte count from plan coefficients, without leaving `f64`: the exact
-/// expression sequence of the scalar rate law — `bpp = ((lead·qp_factor)·tail).max(MIN_BPP)`
-/// (left-assoc, matching `intra_bpp·content·qp_factor·type`), `bits = ceil(bpp·pixels)`,
-/// `bytes = ceil(bits / 8).max(1)` — inside the domain the module docs establish.
+/// One block's coded byte count at `qp_factor` from its raster complexity and motion, its
+/// pixel count and the frame's type form.
 #[inline(always)]
-fn plan_block_bytes_f64(lead: f64, qp_factor: f64, tail: f64, pixels: f64) -> f64 {
+fn raster_block_bytes(complexity: f64, motion: f64, pixels: f32, qp_factor: f64, form: (f64, f64)) -> f64 {
+    bpp_bytes(raster_bpp(complexity, motion, qp_factor, form), f64::from(pixels))
+}
+
+/// `(lead · qp_factor) · tail` before the floor (module docs; left-assoc, matching
+/// `intra_bpp·content·qp_factor·type`).
+#[inline(always)]
+fn raster_bpp(complexity: f64, motion: f64, qp_factor: f64, (base, slope): (f64, f64)) -> f64 {
+    (INTRA_BPP_AT_REF * (0.08 + 0.92 * complexity) * qp_factor) * (base + slope * motion)
+}
+
+/// A byte count from bits per pixel without leaving `f64` — the scalar rate law's
+/// `bpp.max(MIN_BPP)`, `bits = ceil(bpp·pixels)`, `bytes = ceil(bits / 8).max(1)` —
+/// inside the domain the module docs establish.
+#[inline(always)]
+fn bpp_bytes(bpp: f64, pixels: f64) -> f64 {
     // Nothing is NaN inside the domain, where these selects equal `f64::max` and lower to
     // a bare vector max.
-    let bpp = (lead * qp_factor) * tail;
     let bpp = if bpp > MIN_BPP { bpp } else { MIN_BPP };
     let bits = ceil_in_domain(bpp * pixels);
     let bytes = ceil_in_domain(bits / 8.0);
@@ -685,6 +675,14 @@ fn plan_block_bytes_f64(lead: f64, qp_factor: f64, tail: f64, pixels: f64) -> f6
     } else {
         1.0
     }
+}
+
+/// A kernel byte count (an integer below `2^32`) as that integer, read off the low mantissa
+/// bits of `count + 2^52`: a move where a saturating cast costs a clamp and a conversion
+/// (≈ 20 % of a priced pass).
+#[inline(always)]
+fn count_of(count: f64) -> u32 {
+    (count + ROUND_TO_INT).to_bits() as u32
 }
 
 /// `x.ceil()` for `0 ≤ x < 2^51`, branch-free (module docs).
@@ -720,8 +718,8 @@ mod tests {
     }
 
     /// One block's coded byte count from plan coefficients by the scalar expression
-    /// sequence — `ceil` twice, `f64 → u64 → f64 → u32` — the oracle
-    /// [`plan_block_bytes_f64`] is tested against on coefficients no frame produces.
+    /// sequence — `ceil` twice, `f64 → u64 → f64 → u32` — the oracle [`bpp_bytes`] and
+    /// [`count_of`] are tested against on coefficients no frame produces.
     fn plan_block_bytes(lead: f64, qp_factor: f64, tail: f64, pixels: f64) -> u32 {
         let bpp = ((lead * qp_factor) * tail).max(MIN_BPP);
         let bits = (bpp * pixels).ceil() as u64;
@@ -850,31 +848,65 @@ mod tests {
         }
     }
 
-    /// A plan over hand-made coefficients (no frame behind it).
-    fn synthetic_plan(blocks: &[(f64, f64, f64)]) -> RatePlan {
-        let mut plan = RatePlan::new();
-        for &(lead, tail, pixels) in blocks {
-            plan.lead.push(lead);
-            plan.tail.push(tail);
-            plan.pixels.push(pixels as f32);
+    /// A plan for a one-row frame of `blocks.len()` CTUs (intra at `index` 0, inter past
+    /// it): block `b` is covered exactly by an object of texture complexity and motion
+    /// `blocks[b].0` and `.1`, which the raster clamps into `[0, 1]`, and its pixel count
+    /// is then overwritten with `blocks[b].2`.
+    fn raster_plan(enc: &Encoder, index: u64, blocks: &[(f64, f64, f64)]) -> RatePlan {
+        use aivc_scene::frame::ObjectPlacement;
+        use aivc_scene::{Rect, SceneObject};
+        let mut frame = VideoSource::new(basketball_game(1), SourceConfig::fps30(5.0)).frame(index);
+        let model = frame.objects[0].clone();
+        frame.objects = (0..blocks.len() as u32)
+            .map(|id| SceneObject {
+                id,
+                texture_complexity: blocks[id as usize].0,
+                motion: blocks[id as usize].1,
+                ..model.clone()
+            })
+            .collect();
+        frame.placements = (0..blocks.len() as u32)
+            .map(|id| ObjectPlacement {
+                object_id: id,
+                region: Rect::new(i64::from(id * BLOCK_SIZE), 0, BLOCK_SIZE, BLOCK_SIZE),
+            })
+            .collect();
+        (frame.width, frame.height) = (blocks.len() as u32 * BLOCK_SIZE, BLOCK_SIZE);
+        let mut plan = enc.rate_plan_for(&frame, None);
+        let grid = &plan.grid;
+        for (b, &(complexity, motion, area)) in blocks.iter().enumerate() {
+            assert_eq!(grid.complexity()[b], complexity.clamp(0.0, 1.0), "block {b}");
+            assert_eq!(grid.motion()[b], motion.clamp(0.0, 1.0), "block {b}");
+            plan.pixels[b] = area as f32;
         }
         plan
     }
 
+    /// The scalar rate law's total over `plan` at a uniform `qp`: [`rd::block_bits_with_factor`]
+    /// on each block's raster terms and pixel count, then the byte epilogue.
     fn scalar_uniform_total(enc: &Encoder, plan: &RatePlan, qp: Qp) -> u64 {
         let factor = enc.qp_factor_table()[qp.value() as usize];
-        HEADER_BYTES as u64
-            + (0..plan.lead.len())
-                .map(|b| plan_block_bytes(plan.lead[b], factor, plan.tail[b], plan.pixels[b].into()) as u64)
-                .sum::<u64>()
+        let grid = plan.raster();
+        let bytes = |b: usize| {
+            let bits = rd::block_bits_with_factor(
+                factor,
+                plan.pixels[b] as u64,
+                grid.complexity()[b],
+                grid.motion()[b],
+                plan.stamp().2,
+            );
+            u64::from(((bits as f64 / 8.0).ceil() as u32).max(1))
+        };
+        HEADER_BYTES as u64 + (0..plan.pixels.len()).map(bytes).sum::<u64>()
     }
 
     #[test]
     fn lane_kernel_matches_scalar_oracle_on_edge_coefficients() {
         let enc = Encoder::new(EncoderConfig::default());
-        // Zero-area edge blocks, products that are exact integers and exact halves (the
-        // round-to-even cases of the ceil trick), the bpp floor, and a block of 2^31 − 1
-        // bits at the largest QP factor — five orders of magnitude past any real one.
+        // Coefficients no frame produces, block by block at every QP factor: zero-area edge
+        // blocks, products that are exact integers and exact halves (the round-to-even cases
+        // of the ceil trick), the bpp floor, and a block of 2^31 − 1 bits at the largest QP
+        // factor — five orders of magnitude past any real one.
         let max_factor = enc.qp_factor_table().iter().copied().fold(0.0, f64::max);
         let edge = [
             (0.3, 1.0, 0.0),
@@ -888,6 +920,26 @@ mod tests {
             (0.3, 0.65, 3.0),
             ((2_147_483_647.0) / (max_factor * 4096.0), 1.0, 4096.0),
         ];
+        for (lead, tail, pixels) in edge {
+            for &factor in enc.qp_factor_table() {
+                assert_eq!(
+                    count_of(bpp_bytes((lead * factor) * tail, pixels)),
+                    plan_block_bytes(lead, factor, tail, pixels),
+                    "lead {lead}, tail {tail}, pixels {pixels}, factor {factor}"
+                );
+            }
+        }
+        // Plans of every lane-tail length 0..=33 in the raster's domain, intra and inter,
+        // against the scalar rate law at every QP: the domain's edges (content and motion 0
+        // and 1, from in and out of range, no pixels and a whole CTU) between random blocks.
+        let domain_edge = [
+            (0.0, 0.0, 4096.0),
+            (1.0, 1.0, 4096.0),
+            (-0.5, 1.7, 1.0),
+            (2.0, -1.0, 0.0),
+            (0.5, 0.5, 2048.0),
+            (1.0, 0.0, 0.0),
+        ];
         let mut state = 0xD1B5_4A32_D192_ED03u64;
         let mut unit = || {
             state = state
@@ -898,17 +950,20 @@ mod tests {
         for len in 0..=33 {
             let blocks: Vec<(f64, f64, f64)> = (0..len)
                 .map(|i| match i % 3 {
-                    0 => edge[(i / 3 + len) % edge.len()],
-                    _ => (0.3 * unit(), 0.1 + 0.55 * unit(), (4096.0 * unit()).floor()),
+                    0 => domain_edge[(i / 3 + len) % domain_edge.len()],
+                    _ => (unit(), unit(), (4096.0 * unit()).floor()),
                 })
                 .collect();
-            let plan = synthetic_plan(&blocks);
-            for qp in 0..=51 {
-                assert_eq!(
-                    enc.predict_plan_uniform_size(&plan, Qp::new(qp)),
-                    scalar_uniform_total(&enc, &plan, Qp::new(qp)),
-                    "length {len}, qp {qp}"
-                );
+            for index in [0, 1] {
+                let plan = raster_plan(&enc, index, &blocks);
+                assert_eq!(plan.pixels.len(), len);
+                for qp in 0..=51 {
+                    assert_eq!(
+                        enc.predict_plan_uniform_size(&plan, Qp::new(qp)),
+                        scalar_uniform_total(&enc, &plan, Qp::new(qp)),
+                        "length {len}, frame {index}, qp {qp}"
+                    );
+                }
             }
         }
     }
@@ -1293,8 +1348,17 @@ mod tests {
                 let what = format!("seed {seed} step {step}");
                 assert_eq!(plan.dims, fresh.dims, "{what}: dims");
                 assert_eq!(plan.stamp, fresh.stamp, "{what}: stamp");
-                assert_eq!(bits(&plan.lead), bits(&fresh.lead), "{what}: lead");
-                assert_eq!(bits(&plan.tail), bits(&fresh.tail), "{what}: tail");
+                let (carried, fresh_raster) = (plan.raster(), fresh.raster());
+                assert_eq!(
+                    bits(carried.complexity()),
+                    bits(fresh_raster.complexity()),
+                    "{what}: complexity"
+                );
+                assert_eq!(
+                    bits(carried.motion()),
+                    bits(fresh_raster.motion()),
+                    "{what}: motion"
+                );
                 assert_eq!(
                     pixel_bits(&plan.pixels),
                     pixel_bits(&fresh.pixels),
@@ -1473,13 +1537,8 @@ mod tests {
     fn the_largest_block_the_constants_allow_fits_a_priced_level() {
         let enc = Encoder::new(EncoderConfig::default());
         let max_factor = enc.qp_factor_table().iter().copied().fold(0.0, f64::max);
-        // Full complexity (content factor 1), an intra tail and a whole CTU.
-        let largest = plan_block_bytes_f64(
-            INTRA_BPP_AT_REF,
-            max_factor,
-            1.0,
-            f64::from(BLOCK_SIZE * BLOCK_SIZE),
-        );
+        // Full complexity (content factor 1) and motion, an intra tail and a whole CTU.
+        let largest = raster_block_bytes(1.0, 1.0, (BLOCK_SIZE * BLOCK_SIZE) as f32, max_factor, (1.0, 0.0));
         assert!(largest < 2048.0, "{largest} bytes");
         assert!(largest <= f64::from(u16::MAX));
     }

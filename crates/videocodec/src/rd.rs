@@ -15,8 +15,8 @@
 //! The paper's prototype is one encoder with one calibration, so the model is a set of
 //! constants and the pure functions over them — there is no model object to build or pass.
 //! [`block_bits_with_factor`] is the scalar rate law: the encoder's rate kernel
-//! ([`crate::rate_plan`]) folds it into per-block coefficients and is tested against it
-//! block for block.
+//! ([`crate::rate_plan`]) evaluates it from the content raster, lanes at a time, and is
+//! tested against it block for block.
 
 use crate::frame::FrameType;
 use crate::qp::Qp;
