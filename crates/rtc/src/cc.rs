@@ -90,11 +90,6 @@ impl FeedbackFold {
         self.total == 0
     }
 
-    /// Number of packets folded in.
-    pub fn len(&self) -> usize {
-        self.total
-    }
-
     /// Fraction of the report's packets that were lost.
     fn loss_fraction(&self) -> f64 {
         1.0 - self.received as f64 / self.total as f64
