@@ -1,4 +1,4 @@
-//! The hot-path measurement suite: the thirteen scenarios `bench_check` measures — to compare
+//! The hot-path measurement suite: the fifteen scenarios `bench_check` measures — to compare
 //! against the committed `BENCH_hotpaths.json`, or with `--record` to write it — so the gate
 //! and the recorder always time exactly the same code.
 
@@ -11,7 +11,7 @@ use aivc_scene::templates::basketball_game;
 use aivc_scene::{Concept, Frame, GridDims, Rect, Scene, SceneObject, SourceConfig, VideoSource};
 use aivc_semantics::{ClipModel, ClipScratch, TextQuery};
 use aivc_sim::SimDuration;
-use aivc_videocodec::{Decoder, EncodeScratch, EncodedFrame, Encoder, EncoderConfig, Qp, QpMap};
+use aivc_videocodec::{Decoder, EncodeScratch, EncodedFrame, Encoder, EncoderConfig, Qp, QpMap, RatePlan};
 use aivchat_core::{Conversation, ConversationChatServer, NetSessionOptions, QpAllocator, QpAllocatorConfig};
 use serde::{Error, Serialize, Value};
 use std::hint::black_box;
@@ -28,9 +28,11 @@ const TARGET_SAMPLE_MS: f64 = 25.0;
 
 /// Every entry the suite measures, in the order [`measure_hotpaths_matching`] returns them
 /// and `BENCH_hotpaths.json` lists them.
-pub const ENTRIES: [&str; 13] = [
+pub const ENTRIES: [&str; 15] = [
     "packetize_100kB_frame",
     "encode_1080p_frame_uniform_qp",
+    "encode_at_level_1080p_priced",
+    "rate_plan_dirty_reprice_10pct",
     "decode_complete_1080p",
     "clip_correlation_map_1080p",
     "clip_correlation_update_10pct_dirty",
@@ -179,6 +181,11 @@ fn basketball_windows() -> Vec<Frame> {
         .collect()
 }
 
+/// A fixed per-block base QP (22..=30) for the rate-plan entries' offset levels.
+fn reprice_base_qp(block: usize) -> u8 {
+    22 + (block % 9) as u8
+}
+
 /// Whether `name` is selected by the optional `--only` filter.
 fn wants(only: Option<&[String]>, name: &str) -> bool {
     // `assert!`: the suite only ever runs in `bench_check`'s release build.
@@ -234,6 +241,69 @@ pub fn measure_hotpaths_matching(pool_lanes: usize, only: Option<&[String]>) -> 
             encoder.encode_into(black_box(frame), &map, &mut scratch, &mut encoded);
             encoded.total_bytes()
         }));
+    }
+
+    // 2'. The level encode the engine runs per capture, at a level its plan priced on this
+    // raster generation: the byte counts are taken as priced, so this is the walk alone —
+    // 510 block records written from the priced counts, the raster's detail and base + level.
+    if wants(only, "encode_at_level_1080p_priced") {
+        let frame = VideoSource::new(basketball_game(1), SourceConfig::fps30(5.0)).frame(1);
+        let encoder = Encoder::new(EncoderConfig::default());
+        let mut plan = RatePlan::new();
+        encoder.prepare_rate_plan(&frame, None, &mut plan);
+        plan.refresh_base_qps(false, reprice_base_qp);
+        let level = encoder.search_rate_plan(&mut plan, 36_000.0, None).level;
+        let mut encoded = EncodedFrame::placeholder();
+        encoder.encode_at_level(&frame, &mut plan, level, &mut encoded);
+        let priced = plan.blocks_priced();
+        hotpaths.push(measure("encode_at_level_1080p_priced", || {
+            encoder.encode_at_level(black_box(&frame), &mut plan, level, &mut encoded);
+            encoded.total_bytes()
+        }));
+        assert_eq!(plan.blocks_priced(), priced, "the timed encodes priced blocks");
+    }
+
+    // 2''. A capture's rate search on a carried plan: bring the plan to the next of two
+    // alternating inter frames of the calibrated coherence scene (the raster marks 20 of 510
+    // blocks dirty per step; that update alone is `grid_content_update_10pct_dirty`, the
+    // share of this entry that is not the search), carry the base, and search from the
+    // previous boundary — whose probes hit the levels the previous capture kept priced and
+    // re-price only the dirty blocks.
+    if wants(only, "rate_plan_dirty_reprice_10pct") {
+        let source = VideoSource::new(coherence_scene(), SourceConfig::fps30(1.0));
+        let frames = [source.frame(1), source.frame(2)];
+        let frac = dirty_fraction(&frames[0], &frames[1]);
+        assert!(
+            (0.06..=0.15).contains(&frac),
+            "coherence scene drifted out of calibration: dirty fraction {frac:.3}"
+        );
+        let encoder = Encoder::new(EncoderConfig::default());
+        let mut plan = RatePlan::new();
+        encoder.prepare_rate_plan(&frames[0], None, &mut plan);
+        plan.refresh_base_qps(false, reprice_base_qp);
+        // Half-way between two levels' sizes, so both frames settle on the same boundary.
+        let size_at = |level| encoder.predict_plan_offset_size(&plan, level) as f64;
+        let budget = 4.0 * (size_at(4) + size_at(5));
+        let mut hint = encoder.search_rate_plan(&mut plan, budget, None).boundary;
+        let mut toggle = false;
+        let mut capture = |plan: &mut RatePlan| {
+            toggle = !toggle;
+            encoder.prepare_rate_plan(black_box(&frames[usize::from(toggle)]), None, plan);
+            plan.refresh_base_qps(true, reprice_base_qp);
+            hint = encoder.search_rate_plan(plan, budget, Some(hint)).boundary;
+            hint
+        };
+        for _ in 0..4 {
+            let priced = plan.blocks_priced();
+            capture(&mut plan);
+            let dirty = plan.raster().dirty_cells().count() as u64;
+            assert!(
+                plan.blocks_priced() - priced <= 2 * dirty,
+                "a carried search priced more than its dirty blocks at two kept levels: {} of {dirty}",
+                plan.blocks_priced() - priced
+            );
+        }
+        hotpaths.push(measure("rate_plan_dirty_reprice_10pct", || capture(&mut plan)));
     }
 
     // 2b. Full-frame decode (block verdicts from one merge walk, coverage placements copied).
