@@ -8,7 +8,7 @@
 use crate::frame::{EncodedBlock, EncodedFrame};
 use crate::gop;
 use crate::qp::{Qp, QpMap};
-use crate::rate_plan::{plan_chunk_bytes, RatePlan, RATE_LANES};
+use crate::rate_plan::RatePlan;
 use crate::rd;
 use aivc_scene::{Frame, GridDims};
 
@@ -31,18 +31,23 @@ pub const ENCODE_LATENCY_US: u64 = 4_000;
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct EncoderConfig {}
 
-/// Reusable buffers for [`Encoder::encode_into`].
+/// Reusable buffers for the explicit-map encodes ([`Encoder::encode_into`] and
+/// [`Encoder::encode_into_planned`]).
 ///
-/// Every encode walks a [`RatePlan`]; [`Encoder::encode_into`], which is not handed one,
-/// prepares this scratch-owned plan, whose buffers (and the caller's output frame) are
-/// refilled in place, so after one encode of a frame geometry the encode path performs no
-/// heap allocation.
+/// Every encode walks a [`RatePlan`] and writes each block from a byte count the plan's rate
+/// kernel priced. A map encode prices its map into this scratch's counts first;
+/// [`Encoder::encode_into`], which is not handed a plan, also prepares this scratch-owned
+/// one. Both are refilled in place (and so is the caller's output frame), so after one
+/// encode of a frame geometry the encode path performs no heap allocation.
 #[derive(Debug, Clone, Default)]
 pub struct EncodeScratch {
     /// The plan [`Encoder::encode_into`] prepares for its frame, built by its first call.
     /// [`Encoder::encode_into_planned`] walks its caller's instead, so a scratch only ever
-    /// handed to it stays empty.
+    /// handed to it keeps none.
     plan: Option<Box<RatePlan>>,
+    /// Every block's byte count at the map's QPs (under 2 kB each: `rate_plan` module docs),
+    /// priced by the last map encode.
+    bytes: Vec<u16>,
 }
 
 impl EncodeScratch {
@@ -94,37 +99,46 @@ impl Encoder {
         scratch: &mut EncodeScratch,
         out: &mut EncodedFrame,
     ) {
-        let plan = scratch.plan.get_or_insert_with(Box::default);
+        let EncodeScratch { plan, bytes } = scratch;
+        let plan = plan.get_or_insert_with(Box::default);
         self.prepare_rate_plan(frame, None, plan);
-        self.encode_map(frame, qp_map, plan, out);
+        self.encode_map(frame, qp_map, plan, bytes, out);
     }
 
     /// Encodes `frame` with `qp_map` from the [`RatePlan`] a rate-control caller already
     /// prepared for it ([`Encoder::prepare_rate_plan`]): content descriptors and the
     /// coverage placements come from the plan's raster, and every block's byte count from the
-    /// plan's rate terms through the kernel the probes sum — so the size a probe
-    /// predicted for this map is the size this encode produces. The plan must be the one
-    /// prepared for this very frame. The scratch is not read.
+    /// plan's rate terms through the kernel the probes sum, priced into the scratch — so the
+    /// size a probe predicted for this map is the size this encode produces. The plan must be
+    /// the one prepared for this very frame.
     pub fn encode_into_planned(
         &self,
         frame: &Frame,
         qp_map: &QpMap,
         plan: &RatePlan,
-        _scratch: &mut EncodeScratch,
+        scratch: &mut EncodeScratch,
         out: &mut EncodedFrame,
     ) {
-        self.encode_map(frame, qp_map, plan, out);
+        self.encode_map(frame, qp_map, plan, &mut scratch.bytes, out);
     }
 
-    /// The walk at the QPs of `qp_map`.
-    fn encode_map(&self, frame: &Frame, qp_map: &QpMap, plan: &RatePlan, out: &mut EncodedFrame) {
+    /// Prices `qp_map` into `bytes`, then walks at its QPs.
+    fn encode_map(
+        &self,
+        frame: &Frame,
+        qp_map: &QpMap,
+        plan: &RatePlan,
+        bytes: &mut Vec<u16>,
+        out: &mut EncodedFrame,
+    ) {
         assert_eq!(
             qp_map.dims(),
             self.grid_for(frame),
             "QP map grid does not match frame grid"
         );
-        let qps = qp_map.values();
-        self.encode_walk(frame, plan, |index| qps[index], None, out);
+        self.check_plan(frame, plan);
+        plan.price_map(&self.qp_factors, qp_map, bytes);
+        Self::encode_walk(plan, bytes, qp_map.values().iter().copied(), out);
     }
 
     /// Encodes `frame` from its prepared `plan` at the `level` a rate search over that plan
@@ -135,84 +149,49 @@ impl Encoder {
     /// left priced in the plan when it is still there; otherwise they are priced as a probe
     /// would.
     pub fn encode_at_level(&self, frame: &Frame, plan: &mut RatePlan, level: i32, out: &mut EncodedFrame) {
+        self.check_plan(frame, plan);
         plan.priced_size(&self.qp_factors, level, level);
-        let plan = &*plan;
-        let priced = Some(plan.last_priced());
-        match plan.base_qps() {
-            Some(base) => self.encode_walk(
-                frame,
-                plan,
-                |index| Qp::new(base[index] as i32 + level),
-                priced,
-                out,
-            ),
-            None => {
-                let qp = Qp::new(level);
-                self.encode_walk(frame, plan, |_| qp, priced, out)
+        let (bytes, base) = (plan.last_priced(), plan.base_qps());
+        match base {
+            Some(base) => {
+                let qps = base.iter().map(|&qp| Qp::new(i32::from(qp) + level));
+                Self::encode_walk(plan, bytes, qps, out);
             }
+            None => Self::encode_walk(plan, bytes, std::iter::repeat(Qp::new(level)), out),
         }
     }
 
-    /// The one block walk behind every encode entry point: block `index` is coded at
-    /// `qp_at(index)`, in `priced[index]` bytes when the plan already priced them, through
-    /// the plan's rate kernel otherwise.
-    fn encode_walk(
-        &self,
-        frame: &Frame,
-        plan: &RatePlan,
-        qp_at: impl Fn(usize) -> Qp,
-        priced: Option<&[u16]>,
-        out: &mut EncodedFrame,
-    ) {
-        let dims = self.grid_for(frame);
-        let frame_type = gop::frame_type(frame.index);
+    /// Asserts `plan` was prepared for `frame`: an encode takes its raster and its byte
+    /// counts from the plan.
+    fn check_plan(&self, frame: &Frame, plan: &RatePlan) {
         assert_eq!(
             plan.dims(),
-            dims,
+            self.grid_for(frame),
             "rate plan was prepared for a different frame grid"
         );
         assert_eq!(
             plan.stamp(),
-            (frame.index, frame.capture_ts_us, frame_type),
+            (frame.index, frame.capture_ts_us, gop::frame_type(frame.index)),
             "rate plan is stale: it was prepared for another frame"
         );
-        let grid = plan.raster();
-        let detail = grid.detail();
+    }
 
+    /// The one block walk behind every encode entry point: block `i` of the plan's frame is
+    /// coded at the `i`-th of `qps` in `bytes[i]` bytes, the count the plan's rate kernel
+    /// priced for that QP.
+    fn encode_walk(plan: &RatePlan, bytes: &[u16], qps: impl Iterator<Item = Qp>, out: &mut EncodedFrame) {
+        let grid = plan.raster();
+        debug_assert_eq!(bytes.len(), plan.dims().len());
         out.coverage.clone_from(grid.coverage());
         out.blocks.clear();
-        out.blocks.reserve(dims.len());
-        let mut qps = [Qp::new(0); RATE_LANES];
-        let mut factors = [0.0f64; RATE_LANES];
-        let mut bytes = [0u32; RATE_LANES];
-        for first in (0..dims.len()).step_by(RATE_LANES) {
-            let width = RATE_LANES.min(dims.len() - first);
-            for (lane, qp) in qps[..width].iter_mut().enumerate() {
-                *qp = qp_at(first + lane);
-            }
-            match priced {
-                Some(priced) => {
-                    for lane in 0..width {
-                        bytes[lane] = u32::from(priced[first + lane]);
-                    }
-                }
-                None => {
-                    for lane in 0..width {
-                        factors[lane] = self.qp_factors[qps[lane].value() as usize];
-                    }
-                    plan_chunk_bytes(plan, first, &factors[..width], &mut bytes);
-                }
-            }
-            out.blocks.extend((0..width).map(|lane| EncodedBlock {
-                byte_len: bytes[lane],
-                qp: qps[lane],
-                detail: detail[first + lane],
+        let blocks = bytes.iter().zip(grid.detail()).zip(qps);
+        out.blocks
+            .extend(blocks.map(|((&bytes, &detail), qp)| EncodedBlock {
+                byte_len: u32::from(bytes),
+                qp,
+                detail,
             }));
-        }
-
-        out.frame_index = frame.index;
-        out.capture_ts_us = frame.capture_ts_us;
-        out.frame_type = frame_type;
+        (out.frame_index, out.capture_ts_us, out.frame_type) = plan.stamp();
         out.header_bytes = HEADER_BYTES;
     }
 

@@ -19,11 +19,13 @@
 //! by a `tail` of exactly `1.0` is an IEEE identity). Rate-control probes **sum** that
 //! per-block count over a candidate QP assignment ([`Encoder::search_rate_plan`];
 //! [`Encoder::predict_plan_offset_size`] and [`Encoder::predict_plan_uniform_size`] price
-//! one level without keeping anything); the encode **writes** it per block at the level the
-//! search settled on ([`Encoder::encode_at_level`], or [`Encoder::encode_into_planned`] for
-//! an explicit QP map). Both go through the same kernel, so the size a probe predicts is
-//! the size the encode produces by construction; the equivalence tests below pin every
-//! block at every level against the scalar rate law.
+//! one level without keeping anything); the encode **writes** the counts a pass of that
+//! kernel priced, in one walk over them, the raster's detail and the blocks' QPs: at the
+//! level the search settled on, those its probe left priced ([`Encoder::encode_at_level`]),
+//! and for an explicit QP map, the map priced into the encode's scratch
+//! ([`Encoder::encode_into_planned`]). Both go through the same kernel, so the size a probe
+//! predicts is the size the encode produces by construction; the equivalence tests below
+//! pin every block at every level against the scalar rate law.
 //!
 //! **A capture costs what changed.** The plan remembers the capture it was last prepared
 //! for: its raster is brought forward with [`GridContent::update`], and only the blocks
@@ -64,7 +66,8 @@
 //! the `u16` of a priced level. A whole level's byte counts are summed per lane in `f64`,
 //! where every partial sum is an integer below `2^53` for any plan of up to `2^42` blocks
 //! (tens of TiB of raster — no allocator hands one out); a priced level's sum is then
-//! adjusted in `u64`. Both are exact and independent of summation order. The one thing a
+//! adjusted in `u64`, once per re-price from the dirty blocks' old and new totals. Both are
+//! exact and independent of summation order. The one thing a
 //! frame can bring that the constants do not bound — a NaN content descriptor, which the
 //! raster's clamp passes through — is refused where the frame enters,
 //! [`Encoder::prepare_rate_plan`].
@@ -88,9 +91,10 @@ use crate::rd::{INTER_BASE_FRACTION, INTER_MOTION_FRACTION, INTRA_BPP_AT_REF, MI
 use aivc_scene::grid_content::GridContent;
 use aivc_scene::{Frame, GridDims};
 
-/// Lane count of the rate kernel: eight f64 lanes span two AVX2 registers (or four
-/// SSE2/NEON ones), enough for LLVM to keep the whole rate law in vector registers.
-pub(crate) const RATE_LANES: usize = 8;
+/// Lane count of the rate kernel's chunks. Its lane loops are fixed-width and branch-free,
+/// and the release build unrolls them into straight scalar code (`mulsd` / `addsd` on
+/// x86-64: no packed op, and `-C target-cpu=native` made the warm turn no faster).
+const RATE_LANES: usize = 8;
 /// `2^52`: adding it to `0 ≤ x < 2^51` rounds `x` to an integer, and to an integer below
 /// `2^32` puts its value in the low 32 bits (see the module docs).
 const ROUND_TO_INT: f64 = 4_503_599_627_370_496.0;
@@ -287,33 +291,50 @@ impl RatePlan {
     /// uniform QP without); returns the blocks priced.
     fn price(&self, table: &[f64; QP_TABLE], level: i32, every: bool, slot: &mut PricedLevel) -> u64 {
         let base = self.base_qps();
-        let blocks = self.pixels.len();
         if every {
-            slot.bytes.resize(blocks, 0);
             let factors_from = |first: usize, out: &mut [f64]| level_factors(table, base, level, first, out);
-            let kept = &mut slot.bytes;
-            let keep = |first: usize, counts: &[f64]| {
-                for (kept, &count) in kept[first..first + counts.len()].iter_mut().zip(counts) {
-                    *kept = count_of(count) as u16;
-                }
-            };
-            slot.sum = plan_total_bytes(self, factors_from, keep) - HEADER_BYTES as u64;
-            return blocks as u64;
+            slot.sum = self.price_into(factors_from, &mut slot.bytes) - HEADER_BYTES as u64;
+            return slot.bytes.len() as u64;
         }
-        debug_assert_eq!(slot.bytes.len(), blocks);
+        debug_assert_eq!(slot.bytes.len(), self.pixels.len());
         let (form, pixels) = (self.type_form(), &self.pixels);
         let (complexity, motion) = (self.grid.complexity(), self.grid.motion());
-        let mut priced = 0;
+        let (mut dropped, mut added, mut priced) = (0, 0, 0);
         for block in self.grid.dirty_cells() {
-            let mut factor = [0.0];
-            level_factors(table, base, level, block, &mut factor);
-            let bytes = raster_block_bytes(complexity[block], motion[block], pixels[block], factor[0], form);
+            let factor = clamped_factor(table, base.map_or(level, |base| i32::from(base[block]) + level));
+            let bytes = raster_block_bytes(complexity[block], motion[block], pixels[block], factor, form);
             let count = count_of(bytes) as u16;
-            slot.sum = slot.sum - u64::from(slot.bytes[block]) + u64::from(count);
+            dropped += u64::from(slot.bytes[block]);
+            added += u64::from(count);
             slot.bytes[block] = count;
             priced += 1;
         }
+        slot.sum = slot.sum - dropped + added;
         priced
+    }
+
+    /// Prices every block into `bytes` at the QP factors `factors_from` writes (as
+    /// [`plan_total_bytes`] takes them); returns the header plus their sum.
+    fn price_into(&self, factors_from: impl Fn(usize, &mut [f64]), bytes: &mut Vec<u16>) -> u64 {
+        bytes.resize(self.pixels.len(), 0);
+        let keep = |first: usize, counts: &[f64]| {
+            for (kept, &count) in bytes[first..first + counts.len()].iter_mut().zip(counts) {
+                *kept = count_of(count) as u16;
+            }
+        };
+        plan_total_bytes(self, factors_from, keep)
+    }
+
+    /// Prices every block into `bytes` at the QPs of `qp_map`, a map on the plan's grid — the
+    /// counts an encode at that map writes; returns the header plus their sum.
+    pub(crate) fn price_map(&self, table: &[f64; QP_TABLE], qp_map: &QpMap, bytes: &mut Vec<u16>) -> u64 {
+        let qps = qp_map.values();
+        let factors_from = |first: usize, factors: &mut [f64]| {
+            for (factor, qp) in factors.iter_mut().zip(&qps[first..]) {
+                *factor = table[qp.value() as usize];
+            }
+        };
+        self.price_into(factors_from, bytes)
     }
 
     /// Every block's byte count at the level [`RatePlan::priced_size`] priced last.
@@ -422,17 +443,7 @@ impl Encoder {
     /// Predicted total size in bytes of encoding the planned frame with `qp_map`.
     #[cfg(test)]
     pub(crate) fn predict_plan_map_size(&self, plan: &RatePlan, qp_map: &QpMap) -> u64 {
-        let table = self.qp_factor_table();
-        plan_total_bytes(
-            plan,
-            |first, factors| {
-                let qps = &qp_map.values()[first..first + factors.len()];
-                for (factor, qp) in factors.iter_mut().zip(qps) {
-                    *factor = table[qp.value() as usize];
-                }
-            },
-            |_, _| {},
-        )
+        plan.price_map(self.qp_factor_table(), qp_map, &mut Vec::new())
     }
 
     /// Finds the level of the plan's bracket — uniform offsets `-51..=51` on the base map
@@ -571,36 +582,24 @@ fn search_boundary(
     }
 }
 
+/// The QP factor of `qp`, clamped into the QP range.
+#[inline(always)]
+fn clamped_factor(table: &[f64; QP_TABLE], qp: i32) -> f64 {
+    table[qp.clamp(QP_MIN as i32, QP_MAX as i32) as usize]
+}
+
 /// Writes the QP factors of blocks `first..first + out.len()` at `level`: an offset on the
 /// `base` QPs with one, the uniform QP `level` without, clamped.
 #[inline(always)]
 fn level_factors(table: &[f64; QP_TABLE], base: Option<&[u8]>, level: i32, first: usize, out: &mut [f64]) {
-    let factor = |qp: i32| table[qp.clamp(QP_MIN as i32, QP_MAX as i32) as usize];
     match base {
         Some(base) => {
             let base = &base[first..first + out.len()];
             for (out, &qp) in out.iter_mut().zip(base) {
-                *out = factor(qp as i32 + level);
+                *out = clamped_factor(table, i32::from(qp) + level);
             }
         }
-        None => out.fill(factor(level)),
-    }
-}
-
-/// Coded byte counts of blocks `first..first + factors.len()` of `plan` (at most one
-/// [`RATE_LANES`]-wide chunk) at the given QP factors, written to the front of `out` — what
-/// the probes sum, block for block.
-#[inline]
-pub(crate) fn plan_chunk_bytes(plan: &RatePlan, first: usize, factors: &[f64], out: &mut [u32; RATE_LANES]) {
-    let end = first + factors.len();
-    let form = plan.type_form();
-    let terms = plan.grid.complexity()[first..end]
-        .iter()
-        .zip(&plan.grid.motion()[first..end])
-        .zip(&plan.pixels[first..end])
-        .zip(factors);
-    for (bytes, (((&complexity, &motion), &pixels), &factor)) in out.iter_mut().zip(terms) {
-        *bytes = count_of(raster_block_bytes(complexity, motion, pixels, factor, form));
+        None => out.fill(clamped_factor(table, level)),
     }
 }
 
