@@ -1,7 +1,8 @@
 //! The live heap of the session's parts and of whole sessions, pinned as exact byte counts:
 //! each of a prepared 1080p rate plan and a CTU raster, an encoded and a decoded frame, a captured
 //! frame and a turn report, boxed (its inline size and what it points to), what one more warm conversation adds to a fleet on one lane,
-//! and what one more tenant adds to the peak heap of `shared-blackout`. Allocation sizes
+//! what one more tenant adds to the peak heap of `shared-blackout`, and what a conversation's
+//! history holds per reserved turn. Allocation sizes
 //! are deterministic, so every count is compared at zero tolerance: a change that saves
 //! memory shows up as a diff of `tests/fixtures/heap_counts.json`, and one that moves
 //! memory it did not mean to move fails here.
@@ -47,8 +48,16 @@ fn main() {
     // The benchmark's `fleet64_ai_warm` size, on one lane.
     let (fleet_slope, _) = warm_fleet_slope(1, 64, &windows, &question);
     let (tenant_slope, _) = shared_blackout_tenant_slope();
+    // What `reserve_turns` holds per turn of four captures on a fresh conversation: the turn
+    // report and the per-turn and per-frame history entries (their difference at 128 and 64
+    // turns, so whatever a conversation holds either way cancels).
+    let history_bytes = |turns| {
+        let mut conversation = Conversation::with_defaults(template(17), SimDuration::from_millis(300));
+        held_by(|| conversation.reserve_turns(turns, 4)).1
+    };
+    let history_slope = (history_bytes(128) - history_bytes(64)) as f64 / 64.0;
 
-    let counts: [(&str, String); 8] = [
+    let counts: [(&str, String); 9] = [
         ("rate_plan_1080p", rate_plan.to_string()),
         ("ctu_raster_1080p", ctu_raster.to_string()),
         ("encoded_frame_1080p", encoded_frame.to_string()),
@@ -57,6 +66,7 @@ fn main() {
         ("net_turn_report", net_turn_report.to_string()),
         ("warm_fleet_bytes_per_session", fleet_slope.to_string()),
         ("shared_blackout_peak_bytes_per_tenant", tenant_slope.to_string()),
+        ("history_bytes_per_turn", history_slope.to_string()),
     ];
     let body: Vec<String> = counts
         .iter()
