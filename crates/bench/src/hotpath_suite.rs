@@ -182,7 +182,7 @@ fn basketball_windows() -> Vec<Frame> {
 }
 
 /// A fixed per-block base QP (22..=30) for the rate-plan entries' offset levels.
-fn reprice_base_qp(block: usize) -> u8 {
+fn fixed_base_qp(block: usize) -> u8 {
     22 + (block % 9) as u8
 }
 
@@ -251,7 +251,7 @@ pub fn measure_hotpaths_matching(pool_lanes: usize, only: Option<&[String]>) -> 
         let encoder = Encoder::new(EncoderConfig::default());
         let mut plan = RatePlan::new();
         encoder.prepare_rate_plan(&frame, None, &mut plan);
-        plan.refresh_base_qps(false, reprice_base_qp);
+        plan.refresh_base_qps(false, fixed_base_qp);
         let level = encoder.search_rate_plan(&mut plan, 36_000.0, None).level;
         let mut encoded = EncodedFrame::placeholder();
         encoder.encode_at_level(&frame, &mut plan, level, &mut encoded);
@@ -280,7 +280,7 @@ pub fn measure_hotpaths_matching(pool_lanes: usize, only: Option<&[String]>) -> 
         let encoder = Encoder::new(EncoderConfig::default());
         let mut plan = RatePlan::new();
         encoder.prepare_rate_plan(&frames[0], None, &mut plan);
-        plan.refresh_base_qps(false, reprice_base_qp);
+        plan.refresh_base_qps(false, fixed_base_qp);
         // Half-way between two levels' sizes, so both frames settle on the same boundary.
         let size_at = |level| encoder.predict_plan_offset_size(&plan, level) as f64;
         let budget = 4.0 * (size_at(4) + size_at(5));
@@ -289,7 +289,7 @@ pub fn measure_hotpaths_matching(pool_lanes: usize, only: Option<&[String]>) -> 
         let mut capture = |plan: &mut RatePlan| {
             toggle = !toggle;
             encoder.prepare_rate_plan(black_box(&frames[usize::from(toggle)]), None, plan);
-            plan.refresh_base_qps(true, reprice_base_qp);
+            plan.refresh_base_qps(true, fixed_base_qp);
             hint = encoder.search_rate_plan(plan, budget, Some(hint)).boundary;
             hint
         };
