@@ -93,7 +93,7 @@ use aivc_scene::{Frame, GridDims};
 
 /// Lane count of the rate kernel's chunks. Its lane loops are fixed-width and branch-free,
 /// and the release build unrolls them into straight scalar code (`mulsd` / `addsd` on
-/// x86-64: no packed op, and `-C target-cpu=native` made the warm turn no faster).
+/// x86-64, no packed op — with `-C target-cpu=native` on an AVX-512 host too).
 const RATE_LANES: usize = 8;
 /// `2^52`: adding it to `0 ≤ x < 2^51` rounds `x` to an integer, and to an integer below
 /// `2^32` puts its value in the low 32 bits (see the module docs).
